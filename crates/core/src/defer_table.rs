@@ -19,11 +19,9 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
-use cmap_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use cmap_sim::persist;
 use cmap_sim::time::Time;
 use cmap_wire::MacAddr;
-
-use crate::ckpt_util::{get_addr, get_rate, put_addr, put_rate};
 
 /// One defer-table entry.
 ///
@@ -49,17 +47,26 @@ pub enum DeferEntry {
     },
 }
 
+persist!(enum DeferEntry {
+    0 => DestWhileSrcAny { dest, src },
+    1 => AnyWhilePair { src, dst },
+});
+
 /// A node's defer table with per-entry expiry and rate annotation.
 #[derive(Debug, Default)]
 pub struct DeferTable {
     entries: BTreeMap<DeferEntry, EntryMeta>,
 }
 
+persist!(struct DeferTable { entries });
+
 #[derive(Debug, Clone, Copy)]
 struct EntryMeta {
     expires: Time,
     rate: Rate,
 }
+
+persist!(struct EntryMeta { expires, rate });
 
 impl DeferTable {
     /// Empty table.
@@ -137,60 +144,6 @@ impl DeferTable {
             .iter()
             .filter(move |(_, m)| m.expires > now)
             .map(|(e, _)| *e)
-    }
-
-    /// Append the full table (entries with expiry and rate annotation) to a
-    /// `cmap-ckpt/v2` checkpoint.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.entries.len());
-        for (e, m) in &self.entries {
-            match e {
-                DeferEntry::DestWhileSrcAny { dest, src } => {
-                    w.u8(0);
-                    put_addr(w, *dest);
-                    put_addr(w, *src);
-                }
-                DeferEntry::AnyWhilePair { src, dst } => {
-                    w.u8(1);
-                    put_addr(w, *src);
-                    put_addr(w, *dst);
-                }
-            }
-            w.u64(m.expires);
-            put_rate(w, m.rate);
-        }
-    }
-
-    /// Rebuild a table from [`DeferTable::ckpt_save`] bytes.
-    pub fn ckpt_load(r: &mut CkptReader<'_>) -> Result<DeferTable, CkptError> {
-        let mut table = DeferTable::new();
-        for _ in 0..r.len()? {
-            let entry = match r.u8()? {
-                0 => DeferEntry::DestWhileSrcAny {
-                    dest: get_addr(r)?,
-                    src: get_addr(r)?,
-                },
-                1 => DeferEntry::AnyWhilePair {
-                    src: get_addr(r)?,
-                    dst: get_addr(r)?,
-                },
-                other => {
-                    return Err(CkptError::Malformed(format!("defer entry tag {other}")));
-                }
-            };
-            let expires = r.u64()?;
-            let rate = get_rate(r)?;
-            if table
-                .entries
-                .insert(entry, EntryMeta { expires, rate })
-                .is_some()
-            {
-                return Err(CkptError::Malformed(format!(
-                    "duplicate defer entry {entry:?}"
-                )));
-            }
-        }
-        Ok(table)
     }
 }
 

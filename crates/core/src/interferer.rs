@@ -17,11 +17,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use cmap_phy::Rate;
-use cmap_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use cmap_sim::persist;
 use cmap_sim::time::Time;
 use cmap_wire::MacAddr;
-
-use crate::ckpt_util::{get_addr, get_rate, put_addr, put_rate};
 
 /// Per-(source, interferer) overlap/loss counters.
 #[derive(Debug, Default, Clone, Copy)]
@@ -29,6 +27,8 @@ struct Counters {
     overlapped: u64,
     lost: u64,
 }
+
+persist!(struct Counters { overlapped, lost });
 
 /// Receiver-side interference tracker (one per node, covering all senders
 /// that address it).
@@ -45,6 +45,8 @@ pub struct InterfererTracker {
     /// [`MAX_PROMOTIONS`] (oldest dropped) so soak runs stay bounded.
     pub promotions: Vec<(Time, MacAddr, MacAddr, u64, u64)>,
 }
+
+persist!(struct InterfererTracker { activity, counters, entries, promotions });
 
 /// Cap on remembered activity windows per neighbour.
 const MAX_WINDOWS: usize = 64;
@@ -242,89 +244,6 @@ impl InterfererTracker {
         self.counters
             .get(&(u, x))
             .map_or((0, 0), |c| (c.overlapped, c.lost))
-    }
-
-    /// Append the full tracker state (activity windows, pair counters,
-    /// qualified entries, promotions log) to a `cmap-ckpt/v2` checkpoint.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.activity.len());
-        for (&node, windows) in &self.activity {
-            put_addr(w, node);
-            w.len(windows.len());
-            for &(s, e) in windows {
-                w.u64(s);
-                w.u64(e);
-            }
-        }
-        w.len(self.counters.len());
-        for (&(u, x), c) in &self.counters {
-            put_addr(w, u);
-            put_addr(w, x);
-            w.u64(c.overlapped);
-            w.u64(c.lost);
-        }
-        w.len(self.entries.len());
-        for (&(u, x), &(exp, rate)) in &self.entries {
-            put_addr(w, u);
-            put_addr(w, x);
-            w.u64(exp);
-            put_rate(w, rate);
-        }
-        w.len(self.promotions.len());
-        for &(t, u, x, overlapped, lost) in &self.promotions {
-            w.u64(t);
-            put_addr(w, u);
-            put_addr(w, x);
-            w.u64(overlapped);
-            w.u64(lost);
-        }
-    }
-
-    /// Rebuild a tracker from [`InterfererTracker::ckpt_save`] bytes.
-    pub fn ckpt_load(r: &mut CkptReader<'_>) -> Result<InterfererTracker, CkptError> {
-        let mut t = InterfererTracker::new();
-        for _ in 0..r.len()? {
-            let node = get_addr(r)?;
-            let mut windows = VecDeque::new();
-            for _ in 0..r.len()? {
-                let s = r.u64()?;
-                let e = r.u64()?;
-                windows.push_back((s, e));
-            }
-            if t.activity.insert(node, windows).is_some() {
-                return Err(CkptError::Malformed(format!("duplicate activity {node}")));
-            }
-        }
-        for _ in 0..r.len()? {
-            let u = get_addr(r)?;
-            let x = get_addr(r)?;
-            let overlapped = r.u64()?;
-            let lost = r.u64()?;
-            if t.counters
-                .insert((u, x), Counters { overlapped, lost })
-                .is_some()
-            {
-                return Err(CkptError::Malformed(format!("duplicate counters {u}/{x}")));
-            }
-        }
-        for _ in 0..r.len()? {
-            let u = get_addr(r)?;
-            let x = get_addr(r)?;
-            let exp = r.u64()?;
-            let rate = get_rate(r)?;
-            if t.entries.insert((u, x), (exp, rate)).is_some() {
-                return Err(CkptError::Malformed(format!("duplicate entry {u}/{x}")));
-            }
-        }
-        for _ in 0..r.len()? {
-            let time = r.u64()?;
-            let u = get_addr(r)?;
-            let x = get_addr(r)?;
-            let overlapped = r.u64()?;
-            let lost = r.u64()?;
-            t.promotions.push((time, u, x, overlapped, lost));
-        }
-        Ok(t)
     }
 }
 

@@ -27,7 +27,6 @@
 //!
 //! All protocol constants default to the paper's values ([`CmapConfig`]).
 
-mod ckpt_util;
 pub mod config;
 pub mod defer_table;
 pub mod interferer;

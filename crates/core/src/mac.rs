@@ -25,8 +25,9 @@
 
 use rand::Rng;
 
+use cmap_sim::ckpt::{self, CkptError, CkptReader, CkptWriter, Persist};
 use cmap_sim::time::{micros, millis, ns_to_us_ceil, Time};
-use cmap_sim::{CounterId, Mac, NodeCtx, RxInfo, TraceEvent};
+use cmap_sim::{persist, CounterId, Mac, NodeCtx, RxInfo, TraceEvent};
 use cmap_wire::cmap::{self, HeaderTrailer};
 use cmap_wire::view::compose;
 use cmap_wire::{FrameKind, FrameView, MacAddr};
@@ -74,14 +75,34 @@ enum SState {
     RtxWait,
 }
 
+persist!(enum SState {
+    0 => Idle,
+    1 => Deferring,
+    2 => TxVpkt,
+    3 => AckWait,
+    4 => Backoff,
+    5 => RtxWait,
+});
+
+/// Which of our own frames is on the air.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InFlight {
+    Idle,
     Header,
     Data { idx: usize },
     Trailer,
     Ack,
     Broadcast,
 }
+
+persist!(enum InFlight {
+    0 => Idle,
+    1 => Header,
+    2 => Data { idx },
+    3 => Trailer,
+    4 => Ack,
+    5 => Broadcast,
+});
 
 /// The virtual packet currently being placed on the air (or deferred).
 struct CurVpkt {
@@ -94,6 +115,8 @@ struct CurVpkt {
     rounds: u32,
 }
 
+persist!(struct CurVpkt { dst, seq, pkts, is_rtx, rate, rounds });
+
 /// Per-sender receive state.
 #[derive(Default)]
 struct PeerState {
@@ -102,12 +125,71 @@ struct PeerState {
     last_heard: Time,
 }
 
-/// Padding value for the unused tail of a [`PendingAck`]'s entry array.
-const NULL_ENTRY: cmap::InterfererEntry = cmap::InterfererEntry {
-    source: MacAddr::BROADCAST,
-    interferer: MacAddr::BROADCAST,
-    source_rate: cmap_phy::Rate::BASE,
-};
+persist!(struct PeerState { rx, last_heard });
+
+/// A fixed-capacity vector stored inline, checkpointed like a `Vec`
+/// (length, then the occupied items).
+#[derive(Clone, Copy)]
+struct Inline<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+/// The value an [`Inline`]'s unoccupied tail holds.
+trait Filler: Copy {
+    const FILL: Self;
+}
+
+impl Filler for u32 {
+    const FILL: u32 = 0;
+}
+
+impl Filler for cmap::InterfererEntry {
+    const FILL: cmap::InterfererEntry = cmap::InterfererEntry {
+        source: MacAddr::BROADCAST,
+        interferer: MacAddr::BROADCAST,
+        source_rate: cmap_phy::Rate::BASE,
+    };
+}
+
+impl<T: Filler, const N: usize> Inline<T, N> {
+    fn new() -> Inline<T, N> {
+        Inline {
+            len: 0,
+            items: [T::FILL; N],
+        }
+    }
+
+    /// Append `v`; returns whether there is room for another.
+    fn push(&mut self, v: T) -> bool {
+        self.items[self.len as usize] = v;
+        self.len += 1;
+        (self.len as usize) < N
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<T: Filler + Persist, const N: usize> Persist for Inline<T, N> {
+    fn save(&self, w: &mut CkptWriter) {
+        w.seq(self.as_slice().iter());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Inline<T, N>, CkptError> {
+        let n = r.count::<T>()?;
+        if n > N {
+            return Err(CkptError::Malformed(format!(
+                "{n} items in an inline vector of {N}"
+            )));
+        }
+        let mut out = Inline::new();
+        for _ in 0..n {
+            out.push(T::load(r)?);
+        }
+        Ok(out)
+    }
+}
 
 /// A queued cumulative ACK in fixed-size storage (the wire format caps
 /// bitmaps at [`cmap::MAX_ACK_WINDOW`] and piggybacked entries at
@@ -118,12 +200,12 @@ struct PendingAck {
     src: MacAddr,
     dst: MacAddr,
     base_vpkt_seq: u32,
-    bitmap_count: u8,
-    bitmaps: [u32; cmap::MAX_ACK_WINDOW],
+    bitmaps: Inline<u32, { cmap::MAX_ACK_WINDOW }>,
     loss_rate: u8,
-    il_count: u8,
-    il_entries: [cmap::InterfererEntry; cmap::Ack::MAX_IL_ENTRIES],
+    il_entries: Inline<cmap::InterfererEntry, { cmap::Ack::MAX_IL_ENTRIES }>,
 }
+
+persist!(struct PendingAck { src, dst, base_vpkt_seq, bitmaps, loss_rate, il_entries });
 
 /// The CMAP link layer (see crate docs).
 pub struct CmapMac {
@@ -154,7 +236,7 @@ pub struct CmapMac {
     /// Virtual packets awaiting timer-based finalisation when trailers are
     /// disabled: (sender, seq, count, data rate, data-burst start).
     pending_finalize: std::collections::VecDeque<(MacAddr, u32, u8, cmap_phy::Rate, Time)>,
-    in_flight: Option<InFlight>,
+    in_flight: InFlight,
     rate_ctl: Box<dyn RateController>,
 }
 
@@ -188,7 +270,7 @@ impl CmapMac {
             pending_acks: std::collections::VecDeque::new(),
             il_scratch: Vec::new(),
             pending_finalize: std::collections::VecDeque::new(),
-            in_flight: None,
+            in_flight: InFlight::Idle,
             rate_ctl,
         }
     }
@@ -255,7 +337,7 @@ impl CmapMac {
     // ---- sender path -----------------------------------------------------
 
     fn try_send(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.state != SState::Idle || self.in_flight.is_some() {
+        if self.state != SState::Idle || self.in_flight != InFlight::Idle {
             return;
         }
         if self.cur.is_none() {
@@ -431,10 +513,19 @@ impl CmapMac {
         let me = ctx.mac_addr();
         let tx_time_us = ns_to_us_ceil(remaining);
         let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
-            compose::header_trailer(buf, FrameKind::CmapHeader, me, dst, tx_time_us, seq, count, rate);
+            compose::header_trailer(
+                buf,
+                FrameKind::CmapHeader,
+                me,
+                dst,
+                tx_time_us,
+                seq,
+                count,
+                rate,
+            );
         });
         if sent {
-            self.in_flight = Some(InFlight::Header);
+            self.in_flight = InFlight::Header;
             self.state = SState::TxVpkt;
             ctx.stats().bump(CounterId::CmapTxVpkt);
             if let Some(dst_node) = dst.node_index() {
@@ -457,10 +548,20 @@ impl CmapMac {
         };
         let me = ctx.mac_addr();
         let sent = ctx.transmit_with(rate, |buf| {
-            compose::cmap_data(buf, me, dst, seq, idx as u8, p.flow, p.flow_seq, p.payload_len, 0xC5);
+            compose::cmap_data(
+                buf,
+                me,
+                dst,
+                seq,
+                idx as u8,
+                p.flow,
+                p.flow_seq,
+                p.payload_len,
+                0xC5,
+            );
         });
         if sent {
-            self.in_flight = Some(InFlight::Data { idx });
+            self.in_flight = InFlight::Data { idx };
         } else {
             self.abort_vpkt(ctx);
         }
@@ -480,10 +581,19 @@ impl CmapMac {
         };
         let me = ctx.mac_addr();
         let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
-            compose::header_trailer(buf, FrameKind::CmapTrailer, me, dst, tx_time_us, seq, count, rate);
+            compose::header_trailer(
+                buf,
+                FrameKind::CmapTrailer,
+                me,
+                dst,
+                tx_time_us,
+                seq,
+                count,
+                rate,
+            );
         });
         if sent {
-            self.in_flight = Some(InFlight::Trailer);
+            self.in_flight = InFlight::Trailer;
         } else {
             self.abort_vpkt(ctx);
         }
@@ -737,38 +847,34 @@ impl CmapMac {
         } else {
             ctx.stats().bump(CounterId::CmapDupFinalize);
         }
-        let mut bitmaps = [0u32; cmap::MAX_ACK_WINDOW];
+        let mut bitmaps = Inline::new();
         let (base, bitmap_count, loss) = {
             let peer = self.peers.get_mut(&src).expect("created above");
             peer.rx.build_ack_into(
                 vpkt_seq,
                 self.cfg.n_window,
                 self.cfg.n_vpkt as u8,
-                &mut bitmaps,
+                &mut bitmaps.items,
             )
         };
-        let mut il_entries = [NULL_ENTRY; cmap::Ack::MAX_IL_ENTRIES];
-        let mut il_count = 0u8;
+        bitmaps.len = bitmap_count;
+        let mut il_entries = Inline::new();
         if self.cfg.il_in_acks {
             self.tracker
                 .for_each_entry_at(now, |source, interferer, source_rate| {
-                    il_entries[il_count as usize] = cmap::InterfererEntry {
+                    il_entries.push(cmap::InterfererEntry {
                         source,
                         interferer,
                         source_rate,
-                    };
-                    il_count += 1;
-                    (il_count as usize) < cmap::Ack::MAX_IL_ENTRIES
+                    })
                 });
         }
         self.pending_acks.push_back(PendingAck {
             src: ctx.mac_addr(),
             dst: src,
             base_vpkt_seq: base,
-            bitmap_count,
             bitmaps,
             loss_rate: cmap::Ack::scale_loss_rate(loss),
-            il_count,
             il_entries,
         });
         self.rx_gen += 1;
@@ -793,7 +899,7 @@ impl CmapMac {
         let Some(ack) = self.pending_acks.pop_front() else {
             return;
         };
-        if self.in_flight.is_some() {
+        if self.in_flight != InFlight::Idle {
             ctx.stats().bump(CounterId::CmapAckBlocked);
             return;
         }
@@ -803,13 +909,13 @@ impl CmapMac {
                 ack.src,
                 ack.dst,
                 ack.base_vpkt_seq,
-                &ack.bitmaps[..ack.bitmap_count as usize],
+                ack.bitmaps.as_slice(),
                 ack.loss_rate,
-                &ack.il_entries[..ack.il_count as usize],
+                ack.il_entries.as_slice(),
             );
         });
         if sent {
-            self.in_flight = Some(InFlight::Ack);
+            self.in_flight = InFlight::Ack;
             ctx.stats().bump(CounterId::CmapAckTx);
         } else {
             ctx.stats().bump(CounterId::CmapAckBlocked);
@@ -846,141 +952,6 @@ impl CmapMac {
         }
     }
 
-    // ---- cmap-ckpt/v2 ----------------------------------------------------
-
-    /// Parse a [`Mac::save_state`] blob into this (identically-configured)
-    /// instance; typed-error core of [`Mac::load_state`].
-    fn load_ckpt(&mut self, bytes: &[u8]) -> Result<(), cmap_sim::CkptError> {
-        use crate::ckpt_util::{get_addr, get_rate};
-        use crate::vpkt::{PeerRx, SendWindow};
-        use cmap_sim::ckpt::{CkptError, CkptReader};
-        let mut r = CkptReader::new(bytes)?;
-        self.state = match r.u8()? {
-            0 => SState::Idle,
-            1 => SState::Deferring,
-            2 => SState::TxVpkt,
-            3 => SState::AckWait,
-            4 => SState::Backoff,
-            5 => SState::RtxWait,
-            other => return Err(CkptError::Malformed(format!("sender state tag {other}"))),
-        };
-        self.cur = if r.bool()? {
-            let dst = get_addr(&mut r)?;
-            let seq = r.u32()?;
-            let mut pkts = Vec::new();
-            for _ in 0..r.len()? {
-                pkts.push(DataPkt {
-                    flow: r.u16()?,
-                    flow_seq: r.u32()?,
-                    payload_len: r.len()?,
-                });
-            }
-            let is_rtx = r.bool()?;
-            let rate = get_rate(&mut r)?;
-            let rounds = r.u32()?;
-            Some(CurVpkt {
-                dst,
-                seq,
-                pkts,
-                is_rtx,
-                rate,
-                rounds,
-            })
-        } else {
-            None
-        };
-        self.window = SendWindow::ckpt_load(&mut r)?;
-        self.defer = DeferTable::ckpt_load(&mut r)?;
-        self.ongoing = OngoingList::ckpt_load(&mut r)?;
-        self.tracker = InterfererTracker::ckpt_load(&mut r)?;
-        self.peers.clear();
-        for _ in 0..r.len()? {
-            let addr = get_addr(&mut r)?;
-            let rx = PeerRx::ckpt_load(&mut r)?;
-            let last_heard = r.u64()?;
-            if self
-                .peers
-                .insert(addr, PeerState { rx, last_heard })
-                .is_some()
-            {
-                return Err(CkptError::Malformed(format!("duplicate peer {addr}")));
-            }
-        }
-        self.cw = r.u64()?;
-        self.sender_gen = r.u64()?;
-        self.rx_gen = r.u64()?;
-        self.bcast_gen = r.u64()?;
-        self.consecutive_ack_timeouts = r.u32()?;
-        self.last_map_refresh = r.u64()?;
-        self.pending_acks.clear();
-        for _ in 0..r.len()? {
-            let src = get_addr(&mut r)?;
-            let dst = get_addr(&mut r)?;
-            let base_vpkt_seq = r.u32()?;
-            let mut bitmaps = Vec::new();
-            for _ in 0..r.len()? {
-                bitmaps.push(r.u32()?);
-            }
-            let loss_rate = r.u8()?;
-            let mut il_entries = Vec::new();
-            for _ in 0..r.len()? {
-                il_entries.push(cmap::InterfererEntry {
-                    source: get_addr(&mut r)?,
-                    interferer: get_addr(&mut r)?,
-                    source_rate: get_rate(&mut r)?,
-                });
-            }
-            if bitmaps.len() > cmap::MAX_ACK_WINDOW {
-                return Err(CkptError::Malformed(format!(
-                    "pending-ack bitmap count {}",
-                    bitmaps.len()
-                )));
-            }
-            if il_entries.len() > cmap::Ack::MAX_IL_ENTRIES {
-                return Err(CkptError::Malformed(format!(
-                    "pending-ack IL count {}",
-                    il_entries.len()
-                )));
-            }
-            let mut ack = PendingAck {
-                src,
-                dst,
-                base_vpkt_seq,
-                bitmap_count: bitmaps.len() as u8,
-                bitmaps: [0u32; cmap::MAX_ACK_WINDOW],
-                loss_rate,
-                il_count: il_entries.len() as u8,
-                il_entries: [NULL_ENTRY; cmap::Ack::MAX_IL_ENTRIES],
-            };
-            ack.bitmaps[..bitmaps.len()].copy_from_slice(&bitmaps);
-            ack.il_entries[..il_entries.len()].copy_from_slice(&il_entries);
-            self.pending_acks.push_back(ack);
-        }
-        self.pending_finalize.clear();
-        for _ in 0..r.len()? {
-            let src = get_addr(&mut r)?;
-            let seq = r.u32()?;
-            let count = r.u8()?;
-            let rate = get_rate(&mut r)?;
-            let t0 = r.u64()?;
-            self.pending_finalize.push_back((src, seq, count, rate, t0));
-        }
-        self.in_flight = match r.u8()? {
-            0 => None,
-            1 => Some(InFlight::Header),
-            2 => Some(InFlight::Data { idx: r.len()? }),
-            3 => Some(InFlight::Trailer),
-            4 => Some(InFlight::Ack),
-            5 => Some(InFlight::Broadcast),
-            other => return Err(CkptError::Malformed(format!("in-flight tag {other}"))),
-        };
-        let rc_blob = r.bytes()?;
-        self.rate_ctl
-            .load_state(rc_blob)
-            .map_err(CkptError::Mismatch)?;
-        r.expect_end()
-    }
-
     fn broadcast_tick(&mut self, ctx: &mut NodeCtx<'_>) {
         let now = ctx.now();
         self.tracker.decay();
@@ -1010,14 +981,14 @@ impl CmapMac {
                 });
                 scratch.len() < cmap::InterfererList::MAX_ENTRIES
             });
-        if !self.il_scratch.is_empty() && self.in_flight.is_none() {
+        if !self.il_scratch.is_empty() && self.in_flight == InFlight::Idle {
             let me = ctx.mac_addr();
             let entries = &self.il_scratch;
             let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
                 compose::interferer_list(buf, me, entries);
             });
             if sent {
-                self.in_flight = Some(InFlight::Broadcast);
+                self.in_flight = InFlight::Broadcast;
                 ctx.stats().bump(CounterId::CmapIlBroadcast);
             } else {
                 ctx.stats().bump(CounterId::CmapIlBlocked);
@@ -1053,7 +1024,7 @@ impl Mac for CmapMac {
         self.cw = 0;
         self.pending_acks.clear();
         self.pending_finalize.clear();
-        self.in_flight = None;
+        self.in_flight = InFlight::Idle;
         self.consecutive_ack_timeouts = 0;
         // The staleness clock restarts at the reboot instant: the map is
         // empty (maximally conservative already), so the CSMA fallback
@@ -1187,9 +1158,9 @@ impl Mac for CmapMac {
     }
 
     fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>) {
-        match self.in_flight.take() {
-            Some(InFlight::Header) => self.send_data(ctx, 0),
-            Some(InFlight::Data { idx }) => {
+        match std::mem::replace(&mut self.in_flight, InFlight::Idle) {
+            InFlight::Header => self.send_data(ctx, 0),
+            InFlight::Data { idx } => {
                 let count = self.cur.as_ref().map_or(0, |c| c.pkts.len());
                 if idx + 1 < count {
                     self.send_data(ctx, idx + 1);
@@ -1199,8 +1170,8 @@ impl Mac for CmapMac {
                     self.vpkt_complete(ctx);
                 }
             }
-            Some(InFlight::Trailer) => self.vpkt_complete(ctx),
-            Some(InFlight::Ack) => {
+            InFlight::Trailer => self.vpkt_complete(ctx),
+            InFlight::Ack => {
                 if !self.pending_acks.is_empty() {
                     self.rx_gen += 1;
                     let turnaround = self.jittered_turnaround(ctx);
@@ -1211,12 +1182,12 @@ impl Mac for CmapMac {
                     self.try_send(ctx);
                 }
             }
-            Some(InFlight::Broadcast) => {
+            InFlight::Broadcast => {
                 if self.state == SState::Idle {
                     self.try_send(ctx);
                 }
             }
-            None => {
+            InFlight::Idle => {
                 ctx.stats().bump(CounterId::CmapUnexpectedTxDone);
             }
         }
@@ -1233,95 +1204,46 @@ impl Mac for CmapMac {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        use crate::ckpt_util::{put_addr, put_rate};
-        let mut w = cmap_sim::ckpt::CkptWriter::new();
-        w.u8(match self.state {
-            SState::Idle => 0,
-            SState::Deferring => 1,
-            SState::TxVpkt => 2,
-            SState::AckWait => 3,
-            SState::Backoff => 4,
-            SState::RtxWait => 5,
+        ckpt::write_blob(out, |w| {
+            self.save_fields(w);
+            // The rate controller is a trait object: its state nests as
+            // one more self-contained blob.
+            let mut rc = Vec::new();
+            self.rate_ctl.save_state(&mut rc);
+            w.bytes(&rc);
         });
-        match &self.cur {
-            None => w.bool(false),
-            Some(cur) => {
-                w.bool(true);
-                put_addr(&mut w, cur.dst);
-                w.u32(cur.seq);
-                w.len(cur.pkts.len());
-                for p in &cur.pkts {
-                    w.u16(p.flow);
-                    w.u32(p.flow_seq);
-                    w.len(p.payload_len);
-                }
-                w.bool(cur.is_rtx);
-                put_rate(&mut w, cur.rate);
-                w.u32(cur.rounds);
-            }
-        }
-        self.window.ckpt_save(&mut w);
-        self.defer.ckpt_save(&mut w);
-        self.ongoing.ckpt_save(&mut w);
-        self.tracker.ckpt_save(&mut w);
-        w.len(self.peers.len());
-        for (&addr, peer) in &self.peers {
-            put_addr(&mut w, addr);
-            peer.rx.ckpt_save(&mut w);
-            w.u64(peer.last_heard);
-        }
-        w.u64(self.cw);
-        w.u64(self.sender_gen);
-        w.u64(self.rx_gen);
-        w.u64(self.bcast_gen);
-        w.u32(self.consecutive_ack_timeouts);
-        w.u64(self.last_map_refresh);
-        w.len(self.pending_acks.len());
-        for a in &self.pending_acks {
-            put_addr(&mut w, a.src);
-            put_addr(&mut w, a.dst);
-            w.u32(a.base_vpkt_seq);
-            w.len(a.bitmap_count as usize);
-            for &bm in &a.bitmaps[..a.bitmap_count as usize] {
-                w.u32(bm);
-            }
-            w.u8(a.loss_rate);
-            w.len(a.il_count as usize);
-            for e in &a.il_entries[..a.il_count as usize] {
-                put_addr(&mut w, e.source);
-                put_addr(&mut w, e.interferer);
-                put_rate(&mut w, e.source_rate);
-            }
-        }
-        w.len(self.pending_finalize.len());
-        for &(src, seq, count, rate, t0) in &self.pending_finalize {
-            put_addr(&mut w, src);
-            w.u32(seq);
-            w.u8(count);
-            put_rate(&mut w, rate);
-            w.u64(t0);
-        }
-        match self.in_flight {
-            None => w.u8(0),
-            Some(InFlight::Header) => w.u8(1),
-            Some(InFlight::Data { idx }) => {
-                w.u8(2);
-                w.len(idx);
-            }
-            Some(InFlight::Trailer) => w.u8(3),
-            Some(InFlight::Ack) => w.u8(4),
-            Some(InFlight::Broadcast) => w.u8(5),
-        }
-        let mut rc = Vec::new();
-        self.rate_ctl.save_state(&mut rc);
-        w.bytes(&rc);
-        out.extend_from_slice(&w.finish());
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.load_ckpt(bytes).map_err(|e| e.to_string())
+        ckpt::read_blob(bytes, |r| {
+            self.load_fields(r)?;
+            self.rate_ctl
+                .load_state(r.bytes()?)
+                .map_err(CkptError::Mismatch)
+        })
     }
 }
+
+// Everything but the configuration, the scratch buffer and the rate
+// controller, in wire order.
+persist!(fields CmapMac {
+    state,
+    cur,
+    window,
+    defer,
+    ongoing,
+    tracker,
+    peers,
+    cw,
+    sender_gen,
+    rx_gen,
+    bcast_gen,
+    consecutive_ack_timeouts,
+    last_map_refresh,
+    pending_acks,
+    pending_finalize,
+    in_flight,
+});
 
 #[cfg(test)]
 mod tests {

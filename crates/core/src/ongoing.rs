@@ -8,11 +8,9 @@
 //! refresh an entry conservatively when the header was missed.
 
 use cmap_phy::Rate;
-use cmap_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use cmap_sim::persist;
 use cmap_sim::time::Time;
 use cmap_wire::MacAddr;
-
-use crate::ckpt_util::{get_addr, get_rate, put_addr, put_rate};
 
 /// One transmission currently believed to be in progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,11 +25,16 @@ pub struct OngoingEntry {
     pub rate: Rate,
 }
 
-/// The set of transmissions in progress within hearing range.
+persist!(struct OngoingEntry { src, dst, until, rate });
+
+/// The set of transmissions in progress within hearing range. Insertion
+/// order is part of the deterministic (and checkpointed) state.
 #[derive(Debug, Default)]
 pub struct OngoingList {
     entries: Vec<OngoingEntry>,
 }
+
+persist!(struct OngoingList { entries });
 
 impl OngoingList {
     /// Empty list.
@@ -104,32 +107,6 @@ impl OngoingList {
     /// Number of live entries.
     pub fn len_at(&self, now: Time) -> usize {
         self.iter_at(now).count()
-    }
-
-    /// Append the list (in insertion order — the order is part of the
-    /// deterministic state) to a `cmap-ckpt/v2` checkpoint.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.entries.len());
-        for e in &self.entries {
-            put_addr(w, e.src);
-            put_addr(w, e.dst);
-            w.u64(e.until);
-            put_rate(w, e.rate);
-        }
-    }
-
-    /// Rebuild a list from [`OngoingList::ckpt_save`] bytes.
-    pub fn ckpt_load(r: &mut CkptReader<'_>) -> Result<OngoingList, CkptError> {
-        let mut list = OngoingList::new();
-        for _ in 0..r.len()? {
-            list.entries.push(OngoingEntry {
-                src: get_addr(r)?,
-                dst: get_addr(r)?,
-                until: r.u64()?,
-                rate: get_rate(r)?,
-            });
-        }
-        Ok(list)
     }
 }
 

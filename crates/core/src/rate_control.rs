@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
 use cmap_sim::time::Time;
+use cmap_sim::{ckpt, persist};
 use cmap_wire::MacAddr;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -76,6 +77,8 @@ struct Cell {
     delivery: f64,
     samples: u64,
 }
+
+persist!(struct Cell { delivery, samples });
 
 impl Default for Cell {
     fn default() -> Cell {
@@ -190,41 +193,11 @@ impl RateController for ThroughputRate {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        use crate::ckpt_util::{put_addr, put_rate};
-        let mut w = cmap_sim::ckpt::CkptWriter::new();
-        w.len(self.cells.len());
-        for (&(dst, rate), cell) in &self.cells {
-            put_addr(&mut w, dst);
-            put_rate(&mut w, rate);
-            w.f64(cell.delivery);
-            w.u64(cell.samples);
-        }
-        out.extend_from_slice(&w.finish());
+        ckpt::write_blob(out, |w| w.put(&self.cells));
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use crate::ckpt_util::{get_addr, get_rate};
-        let load = |bytes: &[u8]| -> Result<BTreeMap<(MacAddr, Rate), Cell>, cmap_sim::CkptError> {
-            let mut r = cmap_sim::ckpt::CkptReader::new(bytes)?;
-            let mut cells = BTreeMap::new();
-            for _ in 0..r.len()? {
-                let dst = get_addr(&mut r)?;
-                let rate = get_rate(&mut r)?;
-                let delivery = r.f64()?;
-                let samples = r.u64()?;
-                if cells
-                    .insert((dst, rate), Cell { delivery, samples })
-                    .is_some()
-                {
-                    return Err(cmap_sim::CkptError::Malformed(format!(
-                        "duplicate rate cell {dst}"
-                    )));
-                }
-            }
-            r.expect_end()?;
-            Ok(cells)
-        };
-        self.cells = load(bytes).map_err(|e| e.to_string())?;
+        self.cells = ckpt::read_blob(bytes, |r| r.get())?;
         Ok(())
     }
 }

@@ -15,26 +15,10 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
-use cmap_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use cmap_sim::persist;
 use cmap_sim::time::Time;
 use cmap_wire::cmap::MAX_ACK_WINDOW;
 use cmap_wire::MacAddr;
-
-use crate::ckpt_util::{get_addr, get_rate, put_addr, put_rate};
-
-fn put_pkt(w: &mut CkptWriter, p: &DataPkt) {
-    w.u16(p.flow);
-    w.u32(p.flow_seq);
-    w.len(p.payload_len);
-}
-
-fn get_pkt(r: &mut CkptReader<'_>) -> Result<DataPkt, CkptError> {
-    Ok(DataPkt {
-        flow: r.u16()?,
-        flow_seq: r.u32()?,
-        payload_len: r.len()?,
-    })
-}
 
 /// One application data packet riding in a virtual packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +30,8 @@ pub struct DataPkt {
     /// Payload length in bytes.
     pub payload_len: usize,
 }
+
+persist!(struct DataPkt { flow, flow_seq, payload_len });
 
 /// A transmitted virtual packet awaiting acknowledgement.
 #[derive(Debug, Clone)]
@@ -67,6 +53,8 @@ pub struct SentVpkt {
     /// have already been through (0 for a fresh transmission).
     pub rounds: u32,
 }
+
+persist!(struct SentVpkt { dst, seq, pkts, acked, sent_at, rate, rounds });
 
 impl SentVpkt {
     /// Bitmap with one bit per carried packet.
@@ -105,6 +93,8 @@ pub struct SendWindow {
     /// `(dst, rate, packets acked, packets given up)`.
     feedback: Vec<(MacAddr, Rate, usize, usize)>,
 }
+
+persist!(struct SendWindow { next_seq, sent, rtx, feedback });
 
 impl SendWindow {
     /// Empty window.
@@ -237,92 +227,6 @@ impl SendWindow {
     pub fn take_feedback(&mut self) -> Vec<(MacAddr, Rate, usize, usize)> {
         std::mem::take(&mut self.feedback)
     }
-
-    /// Append the full window state (sequence counters, outstanding virtual
-    /// packets, retransmission queue, pending rate feedback) to a
-    /// `cmap-ckpt/v2` checkpoint.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.next_seq.len());
-        for (&dst, &seq) in &self.next_seq {
-            put_addr(w, dst);
-            w.u32(seq);
-        }
-        w.len(self.sent.len());
-        for v in &self.sent {
-            put_addr(w, v.dst);
-            w.u32(v.seq);
-            w.len(v.pkts.len());
-            for p in &v.pkts {
-                put_pkt(w, p);
-            }
-            w.u32(v.acked);
-            w.u64(v.sent_at);
-            put_rate(w, v.rate);
-            w.u32(v.rounds);
-        }
-        w.len(self.rtx.len());
-        for (dst, pkts, rounds) in &self.rtx {
-            put_addr(w, *dst);
-            w.len(pkts.len());
-            for p in pkts {
-                put_pkt(w, p);
-            }
-            w.u32(*rounds);
-        }
-        w.len(self.feedback.len());
-        for &(dst, rate, acked, lost) in &self.feedback {
-            put_addr(w, dst);
-            put_rate(w, rate);
-            w.len(acked);
-            w.len(lost);
-        }
-    }
-
-    /// Rebuild a window from [`SendWindow::ckpt_save`] bytes.
-    pub fn ckpt_load(r: &mut CkptReader<'_>) -> Result<SendWindow, CkptError> {
-        let mut win = SendWindow::new();
-        for _ in 0..r.len()? {
-            let dst = get_addr(r)?;
-            let seq = r.u32()?;
-            if win.next_seq.insert(dst, seq).is_some() {
-                return Err(CkptError::Malformed(format!("duplicate seq counter {dst}")));
-            }
-        }
-        for _ in 0..r.len()? {
-            let dst = get_addr(r)?;
-            let seq = r.u32()?;
-            let mut pkts = Vec::new();
-            for _ in 0..r.len()? {
-                pkts.push(get_pkt(r)?);
-            }
-            win.sent.push(SentVpkt {
-                dst,
-                seq,
-                pkts,
-                acked: r.u32()?,
-                sent_at: r.u64()?,
-                rate: get_rate(r)?,
-                rounds: r.u32()?,
-            });
-        }
-        for _ in 0..r.len()? {
-            let dst = get_addr(r)?;
-            let mut pkts = Vec::new();
-            for _ in 0..r.len()? {
-                pkts.push(get_pkt(r)?);
-            }
-            let rounds = r.u32()?;
-            win.rtx.push_back((dst, pkts, rounds));
-        }
-        for _ in 0..r.len()? {
-            let dst = get_addr(r)?;
-            let rate = get_rate(r)?;
-            let acked = r.len()?;
-            let lost = r.len()?;
-            win.feedback.push((dst, rate, acked, lost));
-        }
-        Ok(win)
-    }
 }
 
 /// Receiver-side record of one virtual packet.
@@ -336,6 +240,8 @@ pub struct RxVpkt {
     pub data_start: Option<Time>,
 }
 
+persist!(struct RxVpkt { bits, expected, data_start });
+
 /// Receiver-side state for one sender addressing us.
 #[derive(Debug, Default)]
 pub struct PeerRx {
@@ -348,6 +254,8 @@ pub struct PeerRx {
     /// must never slide the cumulative-ACK window backwards.
     last_ack_upto: Option<u32>,
 }
+
+persist!(struct PeerRx { records, highest, finalized, last_ack_upto });
 
 impl PeerRx {
     /// Empty per-sender state.
@@ -466,82 +374,6 @@ impl PeerRx {
             1.0 - got_total as f64 / expected_total as f64
         };
         (base, count, loss)
-    }
-
-    /// Append the per-sender reception state (reception records, finalised
-    /// set, ACK-window cursor) to a `cmap-ckpt/v2` checkpoint.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.records.len());
-        for (&seq, rec) in &self.records {
-            w.u32(seq);
-            w.u32(rec.bits);
-            match rec.expected {
-                None => w.bool(false),
-                Some(v) => {
-                    w.bool(true);
-                    w.u8(v);
-                }
-            }
-            match rec.data_start {
-                None => w.bool(false),
-                Some(t) => {
-                    w.bool(true);
-                    w.u64(t);
-                }
-            }
-        }
-        match self.highest {
-            None => w.bool(false),
-            Some(h) => {
-                w.bool(true);
-                w.u32(h);
-            }
-        }
-        w.len(self.finalized.len());
-        for &seq in &self.finalized {
-            w.u32(seq);
-        }
-        match self.last_ack_upto {
-            None => w.bool(false),
-            Some(u) => {
-                w.bool(true);
-                w.u32(u);
-            }
-        }
-    }
-
-    /// Rebuild per-sender reception state from [`PeerRx::ckpt_save`] bytes.
-    pub fn ckpt_load(r: &mut CkptReader<'_>) -> Result<PeerRx, CkptError> {
-        let mut rx = PeerRx::new();
-        for _ in 0..r.len()? {
-            let seq = r.u32()?;
-            let bits = r.u32()?;
-            let expected = if r.bool()? { Some(r.u8()?) } else { None };
-            let data_start = if r.bool()? { Some(r.u64()?) } else { None };
-            if rx
-                .records
-                .insert(
-                    seq,
-                    RxVpkt {
-                        bits,
-                        expected,
-                        data_start,
-                    },
-                )
-                .is_some()
-            {
-                return Err(CkptError::Malformed(format!("duplicate rx record {seq}")));
-            }
-        }
-        rx.highest = if r.bool()? { Some(r.u32()?) } else { None };
-        for _ in 0..r.len()? {
-            let seq = r.u32()?;
-            if !rx.finalized.insert(seq) {
-                return Err(CkptError::Malformed(format!("duplicate finalized {seq}")));
-            }
-        }
-        rx.last_ack_upto = if r.bool()? { Some(r.u32()?) } else { None };
-        Ok(rx)
     }
 }
 

@@ -524,8 +524,14 @@ mod tests {
         let cores = default_jobs();
         // Oversubscription is capped at the core count: asking for more
         // workers than cores must not spawn them.
-        assert_eq!(Pool::new(usize::MAX).effective_workers(1000), cores.min(1000));
-        assert_eq!(Pool::new(cores + 7).effective_workers(1000), cores.min(1000));
+        assert_eq!(
+            Pool::new(usize::MAX).effective_workers(1000),
+            cores.min(1000)
+        );
+        assert_eq!(
+            Pool::new(cores + 7).effective_workers(1000),
+            cores.min(1000)
+        );
         // Never more workers than jobs, and always at least one.
         assert_eq!(Pool::new(8).effective_workers(1), 1);
         assert_eq!(Pool::new(1).effective_workers(0), 1);

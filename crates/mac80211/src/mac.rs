@@ -15,7 +15,7 @@ use rand::Rng;
 
 use cmap_sim::app::AppPacket;
 use cmap_sim::time::{ns_to_u32_saturating, whole_slots, Time};
-use cmap_sim::{CounterId, Mac, NodeCtx, RxInfo};
+use cmap_sim::{ckpt, persist, CounterId, Mac, NodeCtx, RxInfo};
 use cmap_wire::view::compose;
 use cmap_wire::{dot11, FrameView, MacAddr};
 
@@ -55,17 +55,32 @@ enum TxState {
     WaitAck,
 }
 
+persist!(enum TxState {
+    0 => Idle,
+    1 => WaitMedium,
+    2 => WaitDifs,
+    3 => Backoff { started },
+    4 => Transmitting,
+    5 => WaitAck,
+});
+
+/// Which of our own frames is on the air.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InFlight {
+    Idle,
     Data,
     Ack,
 }
+
+persist!(enum InFlight { 0 => Idle, 1 => Data, 2 => Ack });
 
 struct CurPacket {
     pkt: AppPacket,
     seq: u16,
     retries: u32,
 }
+
+persist!(struct CurPacket { pkt, seq, retries });
 
 /// An 802.11 DCF link layer (see crate docs).
 pub struct DcfMac {
@@ -82,7 +97,7 @@ pub struct DcfMac {
     sender_gen: u64,
     rx_gen: u64,
     pending_ack_to: Option<MacAddr>,
-    in_flight: Option<InFlight>,
+    in_flight: InFlight,
 }
 
 impl DcfMac {
@@ -101,7 +116,7 @@ impl DcfMac {
             sender_gen: 0,
             rx_gen: 0,
             pending_ack_to: None,
-            in_flight: None,
+            in_flight: InFlight::Idle,
         }
     }
 
@@ -120,7 +135,7 @@ impl DcfMac {
         if !matches!(self.state, TxState::Idle | TxState::WaitMedium) {
             return;
         }
-        if self.in_flight.is_some() {
+        if self.in_flight != InFlight::Idle {
             // Radio busy with our own ACK; resume on its completion edge.
             self.state = TxState::WaitMedium;
             return;
@@ -216,11 +231,22 @@ impl DcfMac {
         };
         let me = ctx.mac_addr();
         let sent = ctx.transmit_with(self.cfg.rate, |buf| {
-            compose::dot11_data(buf, me, dst, seq, retry, duration, flow, flow_seq, payload_len, 0xC5);
+            compose::dot11_data(
+                buf,
+                me,
+                dst,
+                seq,
+                retry,
+                duration,
+                flow,
+                flow_seq,
+                payload_len,
+                0xC5,
+            );
         });
         if sent {
             self.state = TxState::Transmitting;
-            self.in_flight = Some(InFlight::Data);
+            self.in_flight = InFlight::Data;
             ctx.stats().bump(CounterId::DcfTxData);
         } else {
             self.state = TxState::WaitMedium;
@@ -279,72 +305,6 @@ impl DcfMac {
         self.finish_packet(ctx);
     }
 
-    // ---- cmap-ckpt/v2 ----------------------------------------------------
-
-    /// Parse a [`Mac::save_state`] blob into this (identically-configured)
-    /// instance; typed-error core of [`Mac::load_state`].
-    fn load_ckpt(&mut self, bytes: &[u8]) -> Result<(), cmap_sim::CkptError> {
-        use cmap_sim::ckpt::{CkptError, CkptReader};
-        let get_addr = |r: &mut CkptReader<'_>| -> Result<MacAddr, CkptError> {
-            let mut b = [0u8; MacAddr::LEN];
-            for byte in &mut b {
-                *byte = r.u8()?;
-            }
-            Ok(MacAddr(b))
-        };
-        let mut r = CkptReader::new(bytes)?;
-        self.state = match r.u8()? {
-            0 => TxState::Idle,
-            1 => TxState::WaitMedium,
-            2 => TxState::WaitDifs,
-            3 => TxState::Backoff { started: r.u64()? },
-            4 => TxState::Transmitting,
-            5 => TxState::WaitAck,
-            other => return Err(CkptError::Malformed(format!("tx state tag {other}"))),
-        };
-        self.cur = if r.bool()? {
-            let flow = r.u16()?;
-            let flow_seq = r.u32()?;
-            let dst = cmap_sim::NodeId::new(r.len()?);
-            let dst_mac = get_addr(&mut r)?;
-            let payload_len = r.len()?;
-            let seq = r.u16()?;
-            let retries = r.u32()?;
-            Some(CurPacket {
-                pkt: AppPacket {
-                    flow,
-                    flow_seq,
-                    dst,
-                    dst_mac,
-                    payload_len,
-                },
-                seq,
-                retries,
-            })
-        } else {
-            None
-        };
-        self.cw = r.u32()?;
-        self.backoff_slots = r.u32()?;
-        self.next_seq = r.u16()?;
-        self.nav_until = r.u64()?;
-        self.eifs_until = r.u64()?;
-        self.sender_gen = r.u64()?;
-        self.rx_gen = r.u64()?;
-        self.pending_ack_to = if r.bool()? {
-            Some(get_addr(&mut r)?)
-        } else {
-            None
-        };
-        self.in_flight = match r.u8()? {
-            0 => None,
-            1 => Some(InFlight::Data),
-            2 => Some(InFlight::Ack),
-            other => return Err(CkptError::Malformed(format!("in-flight tag {other}"))),
-        };
-        r.expect_end()
-    }
-
     fn update_nav(&mut self, ctx: &mut NodeCtx<'_>, frame_end: Time, duration_ns: u32) {
         if !self.cfg.carrier_sense || duration_ns == 0 {
             return;
@@ -374,7 +334,7 @@ impl Mac for DcfMac {
         self.nav_until = 0;
         self.eifs_until = 0;
         self.pending_ack_to = None;
-        self.in_flight = None;
+        self.in_flight = InFlight::Idle;
         // Bump, never reset: timers armed before the crash must come back
         // stale, and generations only ever grow.
         self.sender_gen += 1;
@@ -392,7 +352,7 @@ impl Mac for DcfMac {
                         compose::dot11_ack(buf, dst);
                     });
                     if sent {
-                        self.in_flight = Some(InFlight::Ack);
+                        self.in_flight = InFlight::Ack;
                         ctx.stats().bump(CounterId::DcfAckTx);
                     } else {
                         ctx.stats().bump(CounterId::DcfAckTxBlocked);
@@ -454,8 +414,8 @@ impl Mac for DcfMac {
     }
 
     fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>) {
-        match self.in_flight.take() {
-            Some(InFlight::Data) => {
+        match std::mem::replace(&mut self.in_flight, InFlight::Idle) {
+            InFlight::Data => {
                 if self.ack_expected() {
                     self.state = TxState::WaitAck;
                     self.sender_gen += 1;
@@ -468,11 +428,11 @@ impl Mac for DcfMac {
                     self.finish_packet(ctx);
                 }
             }
-            Some(InFlight::Ack) => {
+            InFlight::Ack => {
                 // Receiver path done; the sender path resumes via the
                 // busy->idle edge that follows this TxEnd.
             }
-            None => {
+            InFlight::Idle => {
                 ctx.stats().bump(CounterId::DcfUnexpectedTxDone);
             }
         }
@@ -509,62 +469,28 @@ impl Mac for DcfMac {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        let mut w = cmap_sim::ckpt::CkptWriter::new();
-        let put_addr = |w: &mut cmap_sim::ckpt::CkptWriter, a: MacAddr| {
-            for b in a.0 {
-                w.u8(b);
-            }
-        };
-        match self.state {
-            TxState::Idle => w.u8(0),
-            TxState::WaitMedium => w.u8(1),
-            TxState::WaitDifs => w.u8(2),
-            TxState::Backoff { started } => {
-                w.u8(3);
-                w.u64(started);
-            }
-            TxState::Transmitting => w.u8(4),
-            TxState::WaitAck => w.u8(5),
-        }
-        match &self.cur {
-            None => w.bool(false),
-            Some(cur) => {
-                w.bool(true);
-                w.u16(cur.pkt.flow);
-                w.u32(cur.pkt.flow_seq);
-                w.len(cur.pkt.dst.index());
-                put_addr(&mut w, cur.pkt.dst_mac);
-                w.len(cur.pkt.payload_len);
-                w.u16(cur.seq);
-                w.u32(cur.retries);
-            }
-        }
-        w.u32(self.cw);
-        w.u32(self.backoff_slots);
-        w.u16(self.next_seq);
-        w.u64(self.nav_until);
-        w.u64(self.eifs_until);
-        w.u64(self.sender_gen);
-        w.u64(self.rx_gen);
-        match self.pending_ack_to {
-            None => w.bool(false),
-            Some(a) => {
-                w.bool(true);
-                put_addr(&mut w, a);
-            }
-        }
-        match self.in_flight {
-            None => w.u8(0),
-            Some(InFlight::Data) => w.u8(1),
-            Some(InFlight::Ack) => w.u8(2),
-        }
-        out.extend_from_slice(&w.finish());
+        ckpt::write_blob(out, |w| self.save_fields(w));
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.load_ckpt(bytes).map_err(|e| e.to_string())
+        ckpt::read_blob(bytes, |r| self.load_fields(r))
     }
 }
+
+// Everything but the configuration, in wire order.
+persist!(fields DcfMac {
+    state,
+    cur,
+    cw,
+    backoff_slots,
+    next_seq,
+    nav_until,
+    eifs_until,
+    sender_gen,
+    rx_gen,
+    pending_ack_to,
+    in_flight,
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,8 @@
 
 use std::collections::VecDeque;
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::CkptError;
+use crate::persist;
 use crate::world::{Flow, FlowKind, NodeId};
 use cmap_wire::MacAddr;
 
@@ -27,6 +28,8 @@ pub struct AppPacket {
     pub payload_len: usize,
 }
 
+persist!(struct AppPacket { flow, flow_seq, dst, dst_mac, payload_len });
+
 /// Per-node application state: which flows originate here and the queues of
 /// relay flows waiting to be forwarded.
 #[derive(Debug, Default)]
@@ -39,6 +42,8 @@ pub struct NodeApp {
     /// Round-robin cursor over `source_flows`.
     rr: usize,
 }
+
+persist!(struct NodeApp { source_flows, relay_queues, rr });
 
 impl NodeApp {
     pub(crate) fn add_source(&mut self, flow: u16, kind: &FlowKind) {
@@ -133,66 +138,20 @@ impl NodeApp {
         None
     }
 
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize the dynamic state: relay queue contents and the
-    /// round-robin cursor. The flow membership itself is configuration,
-    /// re-declared on the world before restore, and only validated here.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.source_flows.len());
-        for &f in &self.source_flows {
-            w.u16(f);
+    /// Take over checkpointed queues and cursor. Which flows are sourced
+    /// here is configuration, re-declared on the world before restore; the
+    /// checkpoint only has to agree with it.
+    pub(crate) fn restore(&mut self, saved: NodeApp) -> Result<(), CkptError> {
+        fn relay_flows(app: &NodeApp) -> impl Iterator<Item = u16> + '_ {
+            app.relay_queues.iter().map(|(flow, _)| *flow)
         }
-        w.len(self.relay_queues.len());
-        for (flow, q) in &self.relay_queues {
-            w.u16(*flow);
-            w.len(q.len());
-            for &seq in q {
-                w.u32(seq);
-            }
-        }
-        w.len(self.rr);
-    }
-
-    /// Overlay checkpointed queues/cursor onto an identically-configured
-    /// node app.
-    pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let sources = r.len()?;
-        if sources != self.source_flows.len() {
+        if saved.source_flows != self.source_flows || relay_flows(&saved).ne(relay_flows(self)) {
             return Err(CkptError::Mismatch(format!(
-                "checkpoint node sources {sources} != configured {}",
-                self.source_flows.len()
+                "checkpoint sources flows {:?}, node is configured with {:?}",
+                saved.source_flows, self.source_flows
             )));
         }
-        for &expect in &self.source_flows {
-            let got = r.u16()?;
-            if got != expect {
-                return Err(CkptError::Mismatch(format!(
-                    "checkpoint source flow {got} != configured {expect}"
-                )));
-            }
-        }
-        let relays = r.len()?;
-        if relays != self.relay_queues.len() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint relay queues {relays} != configured {}",
-                self.relay_queues.len()
-            )));
-        }
-        for (flow, q) in &mut self.relay_queues {
-            let got = r.u16()?;
-            if got != *flow {
-                return Err(CkptError::Mismatch(format!(
-                    "checkpoint relay flow {got} != configured {flow}"
-                )));
-            }
-            q.clear();
-            let pending = r.len()?;
-            for _ in 0..pending {
-                q.push_back(r.u32()?);
-            }
-        }
-        self.rr = r.len()?;
+        *self = saved;
         Ok(())
     }
 }

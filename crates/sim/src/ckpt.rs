@@ -18,7 +18,23 @@
 //! or foreign file is an expected input (crash-safe artifact dirs), not
 //! a bug.
 //!
+//! Types take part through one idiom, [`Persist`]: a type's encoding is
+//! declared once — by a [`persist!`](crate::persist) line naming its
+//! fields (or enum tags) in wire order, or by one of the generic impls
+//! below for options, collections, tuples and arrays — and both the save
+//! and the load direction are derived from that one declaration.
+//!
 //! [`World`]: crate::World
+
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+use cmap_phy::Rate;
+use cmap_wire::cmap::InterfererEntry;
+use cmap_wire::MacAddr;
+use rand::rngs::SmallRng;
+
+use crate::node::NodeId;
 
 /// Format identifier; serialized as the magic prefix of every checkpoint.
 /// v2 (city-scale medium PR) extends the config echo with the medium
@@ -123,6 +139,20 @@ impl CkptWriter {
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// Append any [`Persist`] value.
+    pub fn put<T: Persist>(&mut self, v: &T) {
+        v.save(self);
+    }
+
+    /// Append a sequence the way every collection is encoded: its length,
+    /// then the items.
+    pub fn seq<'a, T: Persist + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        self.len(items.len());
+        for item in items {
+            item.save(self);
+        }
+    }
 }
 
 /// Bound on any single decoded collection length: no legitimate world in
@@ -140,14 +170,13 @@ pub struct CkptReader<'a> {
 impl<'a> CkptReader<'a> {
     /// Wrap `buf`, validating the format magic.
     pub fn new(buf: &'a [u8]) -> Result<CkptReader<'a>, CkptError> {
-        let mut magic = CKPT_MAGIC.as_bytes().to_vec();
-        magic.push(b'\n');
-        if buf.len() < magic.len() || &buf[..magic.len()] != magic.as_slice() {
-            return Err(CkptError::BadMagic);
-        }
+        let body = buf
+            .strip_prefix(CKPT_MAGIC.as_bytes())
+            .and_then(|rest| rest.strip_prefix(b"\n"))
+            .ok_or(CkptError::BadMagic)?;
         Ok(CkptReader {
             buf,
-            pos: magic.len(),
+            pos: buf.len() - body.len(),
         })
     }
 
@@ -237,6 +266,34 @@ impl<'a> CkptReader<'a> {
             .map_err(|_| CkptError::Malformed("non-UTF-8 string".to_string()))
     }
 
+    /// Read any [`Persist`] value.
+    pub fn get<T: Persist>(&mut self) -> Result<T, CkptError> {
+        T::load(self)
+    }
+
+    /// Read the length of a collection of `T`, refusing one the rest of
+    /// the buffer cannot hold: a corrupt length must fail here, before a
+    /// loader sizes an allocation from it.
+    pub fn count<T: Persist>(&mut self) -> Result<usize, CkptError> {
+        let n = self.len()?;
+        if n.saturating_mul(T::MIN_BYTES) > self.remaining() {
+            return Err(CkptError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// Read a sequence written by [`CkptWriter::seq`] onto the end of
+    /// `out`, keeping whatever capacity it already has. Returns how many
+    /// items were read.
+    pub fn seq_into<T: Persist>(&mut self, out: &mut Vec<T>) -> Result<usize, CkptError> {
+        let n = self.count::<T>()?;
+        out.reserve(n);
+        for _ in 0..n {
+            out.push(T::load(self)?);
+        }
+        Ok(n)
+    }
+
     /// Require that the whole buffer was consumed (trailing garbage means
     /// a format mismatch, not padding).
     pub fn expect_end(&self) -> Result<(), CkptError> {
@@ -250,6 +307,336 @@ impl<'a> CkptReader<'a> {
         }
     }
 }
+
+/// Append a self-contained nested blob to `out`: its own magic line, then
+/// whatever `body` writes. This is the form [`Mac::save_state`] and the
+/// rate-controller hook produce, so each nested state machine can be
+/// decoded (and rejected) on its own.
+///
+/// [`Mac::save_state`]: crate::Mac::save_state
+pub fn write_blob(out: &mut Vec<u8>, body: impl FnOnce(&mut CkptWriter)) {
+    let mut w = CkptWriter {
+        buf: std::mem::take(out),
+    };
+    w.buf.extend_from_slice(CKPT_MAGIC.as_bytes());
+    w.buf.push(b'\n');
+    body(&mut w);
+    *out = w.buf;
+}
+
+/// Decode a blob written by [`write_blob`]: check the magic, run `body`,
+/// and require that it consumed every byte. Errors come back as text, the
+/// contract of [`Mac::load_state`](crate::Mac::load_state).
+pub fn read_blob<T>(
+    bytes: &[u8],
+    body: impl FnOnce(&mut CkptReader<'_>) -> Result<T, CkptError>,
+) -> Result<T, String> {
+    let decode = || {
+        let mut r = CkptReader::new(bytes)?;
+        let out = body(&mut r)?;
+        r.expect_end()?;
+        Ok(out)
+    };
+    decode().map_err(|e: CkptError| e.to_string())
+}
+
+/// A type with a `cmap-ckpt/v2` encoding. `load` must read back exactly
+/// the bytes `save` wrote and validate them: a value outside its legal
+/// range is [`CkptError::Malformed`], never a panic.
+pub trait Persist: Sized {
+    /// A lower bound on the encoded size of any value, which
+    /// [`CkptReader::count`] holds a decoded collection length against.
+    /// The default is right for every type that writes at least a tag or
+    /// one field.
+    const MIN_BYTES: usize = 1;
+
+    /// Append this value's encoding.
+    fn save(&self, w: &mut CkptWriter);
+
+    /// Decode one value.
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError>;
+}
+
+macro_rules! persist_primitive {
+    ($($ty:ty => $method:ident, $bytes:literal;)+) => {$(
+        impl Persist for $ty {
+            const MIN_BYTES: usize = $bytes;
+            fn save(&self, w: &mut CkptWriter) {
+                w.$method(*self);
+            }
+            fn load(r: &mut CkptReader<'_>) -> Result<$ty, CkptError> {
+                r.$method()
+            }
+        }
+    )+};
+}
+
+persist_primitive! {
+    u8 => u8, 1;
+    u16 => u16, 2;
+    u32 => u32, 4;
+    u64 => u64, 8;
+    i64 => i64, 8;
+    f64 => f64, 8;
+    bool => bool, 1;
+    usize => len, 8;
+}
+
+/// A strict bool, then the value when present.
+impl<T: Persist> Persist for Option<T> {
+    fn save(&self, w: &mut CkptWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Option<T>, CkptError> {
+        Ok(if r.bool()? { Some(T::load(r)?) } else { None })
+    }
+}
+
+impl Persist for String {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.str(self);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<String, CkptError> {
+        r.str()
+    }
+}
+
+impl<T: Persist> Persist for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.seq(self.iter());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Vec<T>, CkptError> {
+        let mut out = Vec::new();
+        r.seq_into(&mut out)?;
+        Ok(out)
+    }
+}
+
+impl<T: Persist> Persist for VecDeque<T> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.seq(self.iter());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<VecDeque<T>, CkptError> {
+        Vec::load(r).map(VecDeque::from)
+    }
+}
+
+/// A byte blob that is borrowed when saved and owned once loaded.
+impl Persist for Cow<'_, [u8]> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.bytes(self);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+        Ok(Cow::Owned(r.bytes()?.to_vec()))
+    }
+}
+
+impl<T: Persist + Ord> Persist for BTreeSet<T> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.seq(self.iter());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<BTreeSet<T>, CkptError> {
+        let mut out = BTreeSet::new();
+        for i in 0..r.count::<T>()? {
+            if !out.insert(T::load(r)?) {
+                return Err(CkptError::Malformed(format!(
+                    "duplicate set key, entry {i}"
+                )));
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.len(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<BTreeMap<K, V>, CkptError> {
+        let mut out = BTreeMap::new();
+        for i in 0..r.count::<(K, V)>()? {
+            if out.insert(K::load(r)?, V::load(r)?).is_some() {
+                return Err(CkptError::Malformed(format!(
+                    "duplicate map key, entry {i}"
+                )));
+            }
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! persist_tuple {
+    ($($name:ident)+) => {
+        impl<$($name: Persist),+> Persist for ($($name,)+) {
+            const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
+            #[allow(non_snake_case)]
+            fn save(&self, w: &mut CkptWriter) {
+                let ($($name,)+) = self;
+                $($name.save(w);)+
+            }
+            fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
+                Ok(($($name::load(r)?,)+))
+            }
+        }
+    };
+}
+
+persist_tuple!(A B);
+persist_tuple!(A B C);
+persist_tuple!(A B C D);
+persist_tuple!(A B C D E);
+
+/// `N` items and no length: the size is part of the schema.
+impl<T: Persist + Copy + Default, const N: usize> Persist for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn save(&self, w: &mut CkptWriter) {
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<[T; N], CkptError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::load(r)?;
+        }
+        Ok(out)
+    }
+}
+
+/// The node index as a `u64` length (the format predates the `u32` id).
+impl Persist for NodeId {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.len(self.index());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<NodeId, CkptError> {
+        r.len().map(NodeId::new)
+    }
+}
+
+impl Persist for MacAddr {
+    const MIN_BYTES: usize = MacAddr::LEN;
+    fn save(&self, w: &mut CkptWriter) {
+        self.0.save(w);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<MacAddr, CkptError> {
+        r.get().map(MacAddr)
+    }
+}
+
+impl Persist for Rate {
+    fn save(&self, w: &mut CkptWriter) {
+        w.u8(self.to_u8());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Rate, CkptError> {
+        let v = r.u8()?;
+        Rate::from_u8(v).ok_or_else(|| CkptError::Malformed(format!("rate tag {v}")))
+    }
+}
+
+/// The four xoshiro state words: a generator resumes mid-stream.
+impl Persist for SmallRng {
+    const MIN_BYTES: usize = 32;
+    fn save(&self, w: &mut CkptWriter) {
+        self.state().save(w);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<SmallRng, CkptError> {
+        r.get().map(SmallRng::from_state)
+    }
+}
+
+/// Declare a type's `cmap-ckpt/v2` encoding once; both directions are
+/// derived from the one list, so they cannot drift apart.
+///
+/// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
+///   for a struct: the named fields in wire order. Every field must be
+///   named unless a `..base` expression follows the braces to supply the
+///   unpersisted rest; a trailing `validate f` runs `f(&T) -> Result<(),
+///   CkptError>` on the loaded value.
+/// * `persist!(enum T { 0 => A, 1 => B { x, y } })` implements it for an
+///   enum: one tag byte, then the variant's fields. An unknown tag is
+///   `Malformed`.
+/// * `persist!(fields T { a, b, c })` is for a type that cannot be built
+///   from bytes alone because it also holds configuration: it generates
+///   `T::save_fields(&self, w)` and `T::load_fields(&mut self, r)`, which
+///   overlay the named fields onto an already-configured value.
+#[macro_export]
+macro_rules! persist {
+    (struct $ty:ident $(<$lt:lifetime>)? { $($field:ident),+ $(,)? }
+     $(..$base:expr)? $(, validate $check:expr)?) => {
+        impl $(<$lt>)? $crate::ckpt::Persist for $ty $(<$lt>)? {
+            fn save(&self, w: &mut $crate::ckpt::CkptWriter) {
+                $($crate::ckpt::Persist::save(&self.$field, w);)+
+            }
+            fn load(
+                r: &mut $crate::ckpt::CkptReader<'_>,
+            ) -> Result<Self, $crate::ckpt::CkptError> {
+                let loaded = $ty {
+                    $($field: $crate::ckpt::Persist::load(r)?,)+
+                    $(..$base)?
+                };
+                $($check(&loaded)?;)?
+                Ok(loaded)
+            }
+        }
+    };
+    (enum $ty:ident { $($tag:literal => $variant:ident $({ $($field:ident),+ })?),+ $(,)? }) => {
+        impl $crate::ckpt::Persist for $ty {
+            fn save(&self, w: &mut $crate::ckpt::CkptWriter) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => {
+                        w.u8($tag);
+                        $($($crate::ckpt::Persist::save($field, w);)+)?
+                    })+
+                }
+            }
+            fn load(
+                r: &mut $crate::ckpt::CkptReader<'_>,
+            ) -> Result<Self, $crate::ckpt::CkptError> {
+                Ok(match r.u8()? {
+                    $($tag => $ty::$variant $({
+                        $($field: $crate::ckpt::Persist::load(r)?),+
+                    })?,)+
+                    other => {
+                        return Err($crate::ckpt::CkptError::Malformed(format!(
+                            concat!(stringify!($ty), " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    (fields $ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $ty {
+            fn save_fields(&self, w: &mut $crate::ckpt::CkptWriter) {
+                $($crate::ckpt::Persist::save(&self.$field, w);)+
+            }
+            fn load_fields(
+                &mut self,
+                r: &mut $crate::ckpt::CkptReader<'_>,
+            ) -> Result<(), $crate::ckpt::CkptError> {
+                $(self.$field = $crate::ckpt::Persist::load(r)?;)+
+                Ok(())
+            }
+        }
+    };
+}
+
+persist!(struct InterfererEntry { source, interferer, source_rate });
 
 #[cfg(test)]
 // Tests assert bit-exact f64 round-trips — bitwise equality is the
@@ -344,5 +731,119 @@ mod tests {
             r.expect_end().unwrap_err(),
             CkptError::Malformed(_)
         ));
+    }
+
+    /// Every generic impl against the hand encoding it replaced.
+    #[test]
+    fn conventions_match_the_hand_encoding() {
+        let addr = MacAddr::from_node_index(7);
+        let mut w = CkptWriter::new();
+        w.put(&Some(5u32));
+        w.put(&None::<u32>);
+        w.put(&vec![1u16, 2]);
+        w.put(&VecDeque::from([(3u64, 1.5f64)]));
+        w.put(&BTreeSet::from([9u32, 4]));
+        w.put(&BTreeMap::from([((NodeId::new(2), addr), Rate::R12)]));
+        w.put(&[7u64, 8]);
+        w.put(&300usize);
+        w.put(&"spec".to_string());
+        w.put(&Cow::Borrowed(&b"raw"[..]));
+        let got = w.finish();
+
+        let mut w = CkptWriter::new();
+        w.bool(true);
+        w.u32(5);
+        w.bool(false);
+        w.len(2);
+        w.u16(1);
+        w.u16(2);
+        w.len(1);
+        w.u64(3);
+        w.f64(1.5);
+        w.len(2);
+        w.u32(4);
+        w.u32(9);
+        w.len(1);
+        w.len(2);
+        for b in addr.0 {
+            w.u8(b);
+        }
+        w.u8(Rate::R12.to_u8());
+        w.u64(7);
+        w.u64(8);
+        w.len(300);
+        w.str("spec");
+        w.bytes(b"raw");
+        assert_eq!(got, w.finish());
+
+        let mut r = CkptReader::new(&got).unwrap();
+        assert_eq!(r.get::<Option<u32>>().unwrap(), Some(5));
+        assert_eq!(r.get::<Option<u32>>().unwrap(), None);
+        assert_eq!(r.get::<Vec<u16>>().unwrap(), [1, 2]);
+        assert_eq!(r.get::<VecDeque<(u64, f64)>>().unwrap(), [(3, 1.5)]);
+        assert_eq!(r.get::<BTreeSet<u32>>().unwrap(), BTreeSet::from([4, 9]));
+        let map: BTreeMap<(NodeId, MacAddr), Rate> = r.get().unwrap();
+        assert_eq!(map[&(NodeId::new(2), addr)], Rate::R12);
+        assert_eq!(r.get::<[u64; 2]>().unwrap(), [7, 8]);
+        assert_eq!(r.get::<usize>().unwrap(), 300);
+        assert_eq!(r.get::<String>().unwrap(), "spec");
+        assert_eq!(&r.get::<Cow<'_, [u8]>>().unwrap()[..], b"raw");
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn collections_refuse_duplicates_and_oversized_lengths() {
+        let mut w = CkptWriter::new();
+        w.len(2);
+        w.u32(6 | 6 << 16);
+        w.u32(6 | 6 << 16);
+        let bytes = w.finish();
+        let mut r = CkptReader::new(&bytes).unwrap();
+        assert!(matches!(
+            r.get::<BTreeSet<u32>>().unwrap_err(),
+            CkptError::Malformed(_)
+        ));
+        let mut r = CkptReader::new(&bytes).unwrap();
+        assert!(matches!(
+            r.get::<BTreeMap<u16, u16>>().unwrap_err(),
+            CkptError::Malformed(_)
+        ));
+
+        // A length the remaining bytes cannot hold fails before anything
+        // is reserved: 3 x u64 needs 24 bytes, 16 follow.
+        let mut w = CkptWriter::new();
+        w.len(3);
+        w.u64(1);
+        w.u64(2);
+        let bytes = w.finish();
+        let mut r = CkptReader::new(&bytes).unwrap();
+        assert_eq!(r.get::<Vec<u64>>().unwrap_err(), CkptError::Truncated);
+        let mut r = CkptReader::new(&bytes).unwrap();
+        assert_eq!(
+            r.get::<VecDeque<(u32, u32)>>().unwrap_err(),
+            CkptError::Truncated
+        );
+
+        let mut w = CkptWriter::new();
+        w.u8(8);
+        let bytes = w.finish();
+        let mut r = CkptReader::new(&bytes).unwrap();
+        assert!(matches!(
+            r.get::<Rate>().unwrap_err(),
+            CkptError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn blobs_nest_with_their_own_magic() {
+        let mut out = vec![0xAA];
+        write_blob(&mut out, |w| w.put(&7u32));
+        assert_eq!(out[0], 0xAA, "write_blob appends");
+        let blob = &out[1..];
+        assert!(blob.starts_with(CKPT_MAGIC.as_bytes()));
+        assert_eq!(read_blob(blob, |r| r.get::<u32>()), Ok(7));
+        // Unread bytes and foreign magic are both refused.
+        assert!(read_blob(blob, |r| r.get::<u16>()).is_err());
+        assert!(read_blob(&out, |r| r.get::<u32>()).is_err());
     }
 }

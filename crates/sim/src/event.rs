@@ -21,7 +21,8 @@
 //! buffer, so the pop order is *identical* to the heap's — property-tested
 //! against a reference heap in `tests/engine_props.rs`.
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
+use crate::persist;
 use crate::time::Time;
 use crate::world::NodeId;
 
@@ -344,148 +345,81 @@ impl Scheduler {
 
 // ---- cmap-ckpt/v2 -------------------------------------------------------
 
-impl Event {
-    /// Encode this event for a checkpoint (tag byte = [`Event::kind_idx`]).
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u8(self.kind_idx() as u8);
-        match *self {
-            Event::TxEnd { node, tx_id } => {
-                w.len(node.index());
-                w.u64(tx_id);
-            }
-            Event::FrameStart { rx, tx_id } | Event::FrameEnd { rx, tx_id } => {
-                w.len(rx.index());
-                w.u64(tx_id);
-            }
-            Event::Timer { node, token } => {
-                w.len(node.index());
-                w.u64(token);
-            }
-            Event::Fault { idx } => w.u32(idx),
-            Event::Audit => {}
+// Tags are `Event::kind_idx`.
+persist!(enum Event {
+    0 => TxEnd { node, tx_id },
+    1 => FrameStart { rx, tx_id },
+    2 => FrameEnd { rx, tx_id },
+    3 => Timer { node, token },
+    4 => Fault { idx },
+    5 => Audit,
+});
+
+persist!(struct Scheduled { at, seq, event });
+
+persist!(struct SchedStats { cascades, max_occupancy });
+
+/// The wheel is written as a sparse image — position, the pending tail of
+/// the drain buffer, each non-empty bucket under its index, the counters —
+/// and the occupancy bitmaps are rebuilt from the buckets on load, so the
+/// two directions are spelled out here instead of derived from a field
+/// list. The consumed prefix of the drain buffer (`..cur_pos`) is dropped
+/// on purpose: those events already dispatched.
+impl Persist for Scheduler {
+    fn save(&self, w: &mut CkptWriter) {
+        w.put(&self.now_tick);
+        w.seq(self.cur[self.cur_pos..].iter());
+        let filled = || {
+            self.buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| !b.is_empty())
+        };
+        w.len(filled().count());
+        for (idx, bucket) in filled() {
+            w.put(&idx);
+            w.put(bucket);
         }
+        w.put(&self.len);
+        w.put(&self.next_seq);
+        w.put(&self.processed);
+        w.put(&self.processed_by_kind);
+        w.put(&self.stats);
     }
 
-    /// Decode one checkpointed event.
-    pub(crate) fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Event, CkptError> {
-        Ok(match r.u8()? {
-            0 => Event::TxEnd {
-                node: NodeId::new(r.len()?),
-                tx_id: r.u64()?,
-            },
-            1 => Event::FrameStart {
-                rx: NodeId::new(r.len()?),
-                tx_id: r.u64()?,
-            },
-            2 => Event::FrameEnd {
-                rx: NodeId::new(r.len()?),
-                tx_id: r.u64()?,
-            },
-            3 => Event::Timer {
-                node: NodeId::new(r.len()?),
-                token: r.u64()?,
-            },
-            4 => Event::Fault { idx: r.u32()? },
-            5 => Event::Audit,
-            other => return Err(CkptError::Malformed(format!("event tag {other}"))),
-        })
-    }
-}
-
-impl Scheduled {
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.at);
-        w.u64(self.seq);
-        self.event.ckpt_save(w);
-    }
-
-    fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Scheduled, CkptError> {
-        Ok(Scheduled {
-            at: r.u64()?,
-            seq: r.u64()?,
-            event: Event::ckpt_load(r)?,
-        })
-    }
-}
-
-impl Scheduler {
-    /// Serialize the full wheel state: position, the pending tail of the
-    /// drain buffer, every non-empty bucket, and the deterministic
-    /// counters. The consumed prefix of the drain buffer (`..cur_pos`) is
-    /// deliberately dropped — those events already dispatched.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.now_tick);
-        let tail = &self.cur[self.cur_pos..];
-        w.len(tail.len());
-        for s in tail {
-            s.ckpt_save(w);
-        }
-        let filled: Vec<usize> = (0..self.buckets.len())
-            .filter(|&i| !self.buckets[i].is_empty())
-            .collect();
-        w.len(filled.len());
-        for idx in filled {
-            w.len(idx);
-            w.len(self.buckets[idx].len());
-            for s in &self.buckets[idx] {
-                s.ckpt_save(w);
-            }
-        }
-        w.len(self.len);
-        w.u64(self.next_seq);
-        w.u64(self.processed);
-        for &k in &self.processed_by_kind {
-            w.u64(k);
-        }
-        w.u64(self.stats.cascades);
-        w.u64(self.stats.max_occupancy);
-    }
-
-    /// Rebuild a scheduler from [`Scheduler::ckpt_save`] output. Occupancy
-    /// bitmaps are reconstructed from the restored buckets; the drain
-    /// buffer restarts at position 0 with the saved pending tail.
-    pub(crate) fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Scheduler, CkptError> {
+    fn load(r: &mut CkptReader<'_>) -> Result<Scheduler, CkptError> {
         let mut s = Scheduler::new();
-        s.now_tick = r.u64()?;
-        let tail_n = r.len()?;
-        s.cur.reserve(tail_n);
-        for _ in 0..tail_n {
-            s.cur.push(Scheduled::ckpt_load(r)?);
-        }
-        s.cur_pos = 0;
-        let mut pending = s.cur.len();
-        let filled_n = r.len()?;
-        for _ in 0..filled_n {
-            let idx = r.len()?;
+        s.now_tick = r.get()?;
+        let mut pending = r.seq_into(&mut s.cur)?;
+        for _ in 0..r.count::<(usize, Vec<Scheduled>)>()? {
+            let idx: usize = r.get()?;
             if idx >= LEVELS * SLOTS {
                 return Err(CkptError::Malformed(format!("bucket index {idx}")));
             }
-            let n = r.len()?;
+            if !s.buckets[idx].is_empty() {
+                return Err(CkptError::Malformed(format!("duplicate bucket {idx}")));
+            }
+            // Into the recycled bucket: a restored wheel keeps the
+            // warmed-up capacities `Scheduler::new` handed it.
+            let n = r.seq_into(&mut s.buckets[idx])?;
             if n == 0 {
                 return Err(CkptError::Malformed("empty checkpointed bucket".into()));
-            }
-            s.buckets[idx].reserve(n);
-            for _ in 0..n {
-                s.buckets[idx].push(Scheduled::ckpt_load(r)?);
             }
             pending += n;
             let (level, slot) = (idx / SLOTS, idx % SLOTS);
             s.occupied[level][slot / 64] |= 1 << (slot % 64);
         }
-        s.len = r.len()?;
+        s.len = r.get()?;
         if s.len != pending {
             return Err(CkptError::Malformed(format!(
                 "pending count {} != serialized events {pending}",
                 s.len
             )));
         }
-        s.next_seq = r.u64()?;
-        s.processed = r.u64()?;
-        for k in &mut s.processed_by_kind {
-            *k = r.u64()?;
-        }
-        s.stats.cascades = r.u64()?;
-        s.stats.max_occupancy = r.u64()?;
+        s.next_seq = r.get()?;
+        s.processed = r.get()?;
+        s.processed_by_kind = r.get()?;
+        s.stats = r.get()?;
         // Re-establish the peek invariant (cur non-empty whenever events
         // are pending); a no-op for checkpoints taken between dispatches.
         if s.cur.is_empty() && s.len > 0 && !s.advance() {
@@ -679,10 +613,10 @@ mod tests {
         }
 
         let mut w = CkptWriter::new();
-        s.ckpt_save(&mut w);
+        s.save(&mut w);
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
-        let mut restored = Scheduler::ckpt_load(&mut r).unwrap();
+        let mut restored = Scheduler::load(&mut r).unwrap();
         r.expect_end().unwrap();
 
         assert_eq!(restored.len(), s.len());

@@ -40,6 +40,7 @@ use rand::Rng;
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::node::NodeId;
+use crate::persist;
 use crate::rng::{normal, stream_rng};
 use crate::time::Time;
 
@@ -360,6 +361,8 @@ struct GeChain {
     bad: bool,
 }
 
+persist!(struct GeChain { rng, step, bad });
+
 /// Runtime fault state owned by the world while a plan is installed.
 #[derive(Debug)]
 pub(crate) struct FaultState {
@@ -486,72 +489,32 @@ impl FaultState {
     /// derivation (salt, action schedule, skew table) is re-derived on
     /// restore from the same plan and seed.
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.len(self.node_up.len());
-        for &up in &self.node_up {
-            w.bool(up);
-        }
-        for word in self.corrupt_rng.state() {
-            w.u64(word);
-        }
-        w.len(self.ge_chains.len());
-        for (&(a, b), chain) in &self.ge_chains {
-            w.len(a.index());
-            w.len(b.index());
-            for word in chain.rng.state() {
-                w.u64(word);
-            }
-            w.u64(chain.step);
-            w.bool(chain.bad);
-        }
-        for &t in &self.last_dispatch {
-            w.u64(t);
+        self.save_fields(w);
+        // One watermark per node and no count: `node_up` already carried it.
+        for t in &self.last_dispatch {
+            w.put(t);
         }
     }
 
     /// Overlay checkpointed cursors onto a state freshly built (same plan,
     /// seed and node count) by [`FaultState::new`].
     pub(crate) fn ckpt_load(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.len()?;
-        if n != self.node_up.len() {
+        self.load_fields(r)?;
+        if self.node_up.len() != self.n {
             return Err(CkptError::Mismatch(format!(
-                "checkpoint fault state covers {n} nodes, world has {}",
-                self.node_up.len()
+                "checkpoint fault state covers {} nodes, world has {}",
+                self.node_up.len(),
+                self.n
             )));
         }
-        for up in &mut self.node_up {
-            *up = r.bool()?;
-        }
-        let mut words = [0u64; 4];
-        for word in &mut words {
-            *word = r.u64()?;
-        }
-        self.corrupt_rng = SmallRng::from_state(words);
-        self.ge_chains.clear();
-        let chains = r.len()?;
-        for _ in 0..chains {
-            let a = NodeId::new(r.len()?);
-            let b = NodeId::new(r.len()?);
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = r.u64()?;
-            }
-            let chain = GeChain {
-                rng: SmallRng::from_state(words),
-                step: r.u64()?,
-                bad: r.bool()?,
-            };
-            if self.ge_chains.insert((a, b), chain).is_some() {
-                return Err(CkptError::Malformed(format!(
-                    "duplicate GE chain for link ({a},{b})"
-                )));
-            }
-        }
         for t in &mut self.last_dispatch {
-            *t = r.u64()?;
+            *t = r.get()?;
         }
         Ok(())
     }
 }
+
+persist!(fields FaultState { node_up, corrupt_rng, ge_chains });
 
 /// Invariant watchdog configuration: how often to audit and how long a MAC
 /// with pending data may go without any callback before it counts as

@@ -17,7 +17,7 @@ use crate::stats::Stats;
 use crate::time::Time;
 use crate::world::{Flow, NodeId};
 use cmap_phy::Rate;
-use cmap_wire::{Frame, FrameView, MacAddr};
+use cmap_wire::{FrameView, MacAddr};
 
 /// Metadata for a successfully decoded frame.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +68,7 @@ pub trait Mac {
 
     /// A frame was received and decoded. Frames are delivered promiscuously
     /// (check `frame.dst()` yourself) as zero-copy [`FrameView`]s over the
-    /// pooled wire bytes; materialize a [`Frame`] via
+    /// pooled wire bytes; materialize a [`cmap_wire::Frame`] via
     /// [`FrameView::to_frame`] only when owned storage is really needed.
     fn on_rx_frame(&mut self, _ctx: &mut NodeCtx<'_>, _frame: &FrameView<'_>, _info: RxInfo) {}
 
@@ -238,16 +238,6 @@ impl NodeCtx<'_> {
         fill(self.pool.buf_mut(tx_id));
         self.ops.push(Op::StartTx { tx_id, rate });
         true
-    }
-
-    /// Start transmitting an owned `frame` at `rate` now — the slow-path
-    /// convenience over [`NodeCtx::transmit_with`] (same gating, same
-    /// semantics, plus one serialization of `frame`).
-    pub fn transmit(&mut self, frame: Frame, rate: Rate) -> bool {
-        self.transmit_with(rate, |buf| {
-            buf.clear();
-            buf.extend_from_slice(&frame.emit());
-        })
     }
 
     /// Hand a received data packet to the node's higher layer. The world

@@ -22,9 +22,7 @@
 //! whose received power clears the pruning threshold — the only nodes
 //! for which frame events are generated.
 //!
-//! Construction goes through [`MediumBuilder`]; the old free
-//! constructors (`Medium::from_gains_db`, `Medium::uniform`) survive one
-//! PR cycle as deprecated shims.
+//! Construction goes through [`MediumBuilder`].
 
 use crate::config::PhyConfig;
 use crate::node::NodeId;
@@ -741,24 +739,6 @@ impl Medium {
         }
         h.finish()
     }
-
-    /// Deprecated shim for the pre-builder dense constructor.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MediumBuilder::new(phy).gains_db(n, gains, delays).build()"
-    )]
-    pub fn from_gains_db(n: usize, gains_db: &[f64], delay_ns: &[u64], phy: &PhyConfig) -> Medium {
-        Medium::Dense(DenseMedium::from_gains_db(n, gains_db, delay_ns, phy))
-    }
-
-    /// Deprecated shim for the pre-builder uniform constructor.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MediumBuilder::new(phy).uniform(n, gain_db).build()"
-    )]
-    pub fn uniform(n: usize, gain_db: f64, phy: &PhyConfig) -> Medium {
-        Medium::Dense(DenseMedium::uniform(n, gain_db, phy))
-    }
 }
 
 impl Propagation for Medium {
@@ -1095,17 +1075,6 @@ mod tests {
             msg.contains("tx 1") && msg.contains("rx 9") && msg.contains("3 nodes"),
             "panic message must name tx, rx and n: {msg}"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_build_dense() {
-        let phy = PhyConfig::default();
-        let a = Medium::uniform(3, -70.0, &phy);
-        assert_eq!(a.kind_name(), "dense");
-        let gains = vec![f64::NEG_INFINITY, -70.0, -70.0, f64::NEG_INFINITY];
-        let b = Medium::from_gains_db(2, &gains, &[0, 100, 100, 0], &phy);
-        assert_eq!(b.reachable(nid(0)), &[nid(1)]);
     }
 
     #[test]

@@ -22,18 +22,23 @@
 //!   slot only returns to the free list when its last share is released.
 //!
 //! Checkpoint interaction (`cmap-ckpt/v2`): only *live* slots are
-//! serialised (as `(tx_id, metadata, bytes)` tuples, exactly the old
-//! `TxRecord` encoding). On restore each live slot is placed back at the
+//! serialised (as [`LiveTx`] records, exactly the old `TxRecord`
+//! encoding). On restore each live slot is placed back at the
 //! index/generation its `TxId` encodes, and every other index below the
 //! saved pool capacity becomes free with generation 0. Free-slot
 //! generations are an allocation detail with no behavioural effect: no
 //! pending event references a freed slot, and `TxId` values are opaque to
 //! statistics and traces.
 
+use std::borrow::Cow;
+
+use crate::ckpt::CkptError;
 use crate::event::TxId;
 use crate::node::NodeId;
+use crate::persist;
 use crate::time::Time;
 use cmap_phy::Rate;
+use cmap_wire::FrameView;
 
 /// One in-flight (or free) frame slot.
 struct Slot {
@@ -182,22 +187,10 @@ impl FramePool {
         self.slot(id).rate
     }
 
-    /// Transmission start time of a live slot.
-    #[inline]
-    pub fn start_of(&self, id: TxId) -> Time {
-        self.slot(id).start
-    }
-
     /// Serialised frame length of a live slot.
     #[inline]
     pub fn wire_len(&self, id: TxId) -> usize {
         self.slot(id).buf.len()
-    }
-
-    /// Outstanding releases of a live slot.
-    #[inline]
-    pub fn ends_of(&self, id: TxId) -> u32 {
-        self.slot(id).ends_remaining
     }
 
     fn free_slot(&mut self, index: usize) {
@@ -255,78 +248,115 @@ impl FramePool {
         self.slots.len()
     }
 
-    /// Handles of all live slots in ascending `TxId` order (the
-    /// checkpoint's deterministic transmission order).
-    pub fn live_ids(&self) -> Vec<TxId> {
-        let mut ids: Vec<TxId> = self
+    /// The live slots in ascending `TxId` order (the checkpoint's
+    /// deterministic transmission order), borrowing their wire bytes.
+    pub fn live_txs(&self) -> Vec<LiveTx<'_>> {
+        let mut live: Vec<LiveTx<'_>> = self
             .slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.ends_remaining > 0)
-            .map(|(i, s)| pack(s.gen, i))
+            .map(|(i, s)| LiveTx {
+                tx_id: pack(s.gen, i),
+                node: s.node,
+                rate: s.rate,
+                start: s.start,
+                buf: Cow::Borrowed(&s.buf[..]),
+                wire_len: s.buf.len(),
+                ends_remaining: s.ends_remaining,
+            })
             .collect();
-        ids.sort_unstable();
-        ids
+        live.sort_unstable_by_key(|tx| tx.tx_id);
+        live
     }
 
-    /// Begin a restore: `capacity` empty generation-0 slots, nothing live.
-    pub fn reset_for_restore(&mut self, capacity: usize) {
-        self.slots.clear();
-        self.slots.extend((0..capacity).map(|_| Slot::fresh()));
-        self.free.clear();
-        self.live = 0;
-        self.high_water = 0;
-        self.recycled = 0;
-    }
-
-    /// Place one checkpointed live transmission back at the index and
-    /// generation its `tx_id` encodes. Returns `false` on an out-of-range
-    /// index or a duplicate (already-live) slot.
-    pub fn restore_slot(
-        &mut self,
-        tx_id: TxId,
-        node: NodeId,
-        rate: Rate,
-        start: Time,
-        buf: Vec<u8>,
-        ends_remaining: u32,
-    ) -> bool {
-        let index = index_of(tx_id);
-        if index >= self.slots.len() || ends_remaining == 0 {
-            return false;
+    /// Rebuild a checkpointed pool: `capacity` slots, each live
+    /// transmission back at the index and generation its `tx_id` encodes,
+    /// every other index free (lowest index first off the stack), and the
+    /// lifetime counters continued — the `pool.high_water` /
+    /// `pool.recycled` gauges must not restart at the restore point.
+    pub fn restore(
+        capacity: u64,
+        high_water: u64,
+        recycled: u64,
+        live: Vec<LiveTx<'_>>,
+    ) -> Result<FramePool, CkptError> {
+        // 2^24 in-flight slots is far beyond any reachable state; larger
+        // values mean a corrupt checkpoint, not a big run. A slot is only
+        // ever added when every existing one is claimed, so the two
+        // fields are equal in any checkpoint a pool wrote.
+        if capacity > (1 << 24) || high_water != capacity {
+            return Err(CkptError::Malformed(format!(
+                "frame pool of {capacity} slots, high water {high_water}"
+            )));
         }
-        let slot = &mut self.slots[index];
-        if slot.ends_remaining != 0 {
-            return false;
+        let mut slots: Vec<Slot> = (0..capacity).map(|_| Slot::fresh()).collect();
+        let live_count = live.len();
+        for tx in live {
+            match slots.get_mut(index_of(tx.tx_id)) {
+                Some(slot) if slot.ends_remaining == 0 => {
+                    *slot = Slot {
+                        gen: (tx.tx_id >> 32) as u32,
+                        buf: tx.buf.into_owned(),
+                        node: tx.node,
+                        rate: tx.rate,
+                        start: tx.start,
+                        ends_remaining: tx.ends_remaining,
+                    }
+                }
+                _ => {
+                    return Err(CkptError::Malformed(format!(
+                        "bad or duplicate tx {}",
+                        tx.tx_id
+                    )))
+                }
+            }
         }
-        *slot = Slot {
-            gen: (tx_id >> 32) as u32,
-            buf,
-            node,
-            rate,
-            start,
-            ends_remaining,
-        };
-        self.live += 1;
-        self.high_water = self.high_water.max(self.live);
-        true
-    }
-
-    /// Finish a restore: every non-live index becomes free, lowest index
-    /// first off the stack.
-    pub fn finish_restore(&mut self) {
-        self.free = (0..self.slots.len() as u32)
+        let free = (0..capacity as u32)
             .rev()
-            .filter(|&i| self.slots[i as usize].ends_remaining == 0)
+            .filter(|&i| slots[i as usize].ends_remaining == 0)
             .collect();
+        Ok(FramePool {
+            slots,
+            free,
+            live: live_count,
+            high_water: high_water as usize,
+            recycled,
+        })
     }
+}
 
-    /// Restore the lifetime counters (`pool.high_water` / `pool.recycled`
-    /// gauges must continue across a resume, not restart at the restore
-    /// point). The high-water mark is floored at the restored live count.
-    pub fn restore_counters(&mut self, high_water: usize, recycled: u64) {
-        self.high_water = high_water.max(self.live);
-        self.recycled = recycled;
+/// The checkpoint record of one in-flight transmission.
+pub(crate) struct LiveTx<'a> {
+    pub tx_id: TxId,
+    pub node: NodeId,
+    pub rate: Rate,
+    pub start: Time,
+    pub buf: Cow<'a, [u8]>,
+    /// Redundant with `buf` (the format predates the pool); checked.
+    pub wire_len: usize,
+    pub ends_remaining: u32,
+}
+
+persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, wire_len, ends_remaining },
+         validate LiveTx::check);
+
+impl LiveTx<'_> {
+    /// A live slot holds a well-formed frame and at least one outstanding
+    /// release.
+    fn check(&self) -> Result<(), CkptError> {
+        FrameView::parse_checked(&self.buf)
+            .map_err(|e| CkptError::Malformed(format!("tx {} frame: {e:?}", self.tx_id)))?;
+        if self.wire_len != self.buf.len() || self.ends_remaining == 0 {
+            return Err(CkptError::Malformed(format!(
+                "tx {}: wire_len {} for {} frame bytes, {} releases outstanding",
+                self.tx_id,
+                self.wire_len,
+                self.buf.len(),
+                self.ends_remaining
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -365,7 +395,8 @@ mod tests {
         }
         assert_eq!(p.live(), 4);
         assert_eq!(p.high_water(), 4);
-        assert_eq!(p.live_ids(), {
+        let live: Vec<TxId> = p.live_txs().iter().map(|tx| tx.tx_id).collect();
+        assert_eq!(live, {
             let mut s = ids.clone();
             s.sort_unstable();
             s
@@ -399,20 +430,34 @@ mod tests {
 
     #[test]
     fn restore_places_slots_by_id_and_frees_the_rest() {
-        let mut p = FramePool::new();
-        p.reset_for_restore(4);
+        let tx = |tx_id, node| LiveTx {
+            tx_id,
+            node: NodeId::new(node),
+            rate: Rate::R24,
+            start: 99,
+            buf: Cow::Owned(vec![1, 2, 3]),
+            wire_len: 3,
+            ends_remaining: 2,
+        };
         let id = pack(5, 2);
-        assert!(p.restore_slot(id, NodeId::new(3), Rate::R24, 99, vec![1, 2, 3], 2));
-        assert!(!p.restore_slot(id, NodeId::new(3), Rate::R24, 99, vec![], 2), "duplicate");
         assert!(
-            !p.restore_slot(pack(1, 9), NodeId::new(0), Rate::R6, 0, vec![], 1),
+            FramePool::restore(4, 4, 0, vec![tx(id, 3), tx(id, 3)]).is_err(),
+            "duplicate"
+        );
+        assert!(
+            FramePool::restore(4, 4, 0, vec![tx(pack(1, 9), 0)]).is_err(),
             "out of range"
         );
-        p.finish_restore();
+        assert!(
+            FramePool::restore(4, 3, 0, vec![]).is_err(),
+            "high water off capacity"
+        );
+        let mut p = FramePool::restore(4, 4, 17, vec![tx(id, 3)]).unwrap();
         assert_eq!(p.live(), 1);
+        assert_eq!((p.high_water(), p.recycled()), (4, 17));
         assert_eq!(p.node_of(id), NodeId::new(3));
         assert_eq!(p.wire_len(id), 3);
-        assert_eq!(p.live_ids(), vec![id]);
+        assert_eq!(p.live_txs().len(), 1);
         // Lowest free index allocates first.
         let next = p.alloc();
         assert_eq!(index_of(next), 0);

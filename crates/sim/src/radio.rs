@@ -38,9 +38,10 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::config::PhyConfig;
 use crate::event::TxId;
+use crate::persist;
 use crate::time::Time;
 use cmap_phy::{dbm_to_mw, preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
@@ -62,6 +63,8 @@ struct Incoming {
     power_mw: f64,
 }
 
+persist!(struct Incoming { tx_id, power_mw });
+
 /// The frame currently being decoded at a node.
 #[derive(Debug, Clone)]
 pub(crate) struct RxLock {
@@ -72,6 +75,8 @@ pub(crate) struct RxLock {
     /// as `(change_time, level_after)`, starting with the level at lock.
     pub interference: Vec<(Time, f64)>,
 }
+
+persist!(struct RxLock { tx_id, lock_time, signal_mw, interference });
 
 /// What happened when a frame arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,86 +441,39 @@ impl RadioBank {
         self.state[node] &= !flag::TX;
         was
     }
+}
 
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize every behavioural field. `spare_profile` is skipped on
-    /// purpose: parked buffer capacity is an allocation optimisation with
-    /// no effect on any simulated outcome.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
+/// The bank is struct-of-arrays in memory but one record per node on the
+/// wire, so the two directions walk the columns by hand. `spare_profile`
+/// is skipped on purpose: parked buffer capacity is an allocation
+/// optimisation with no effect on any simulated outcome.
+impl Persist for RadioBank {
+    fn save(&self, w: &mut CkptWriter) {
         w.len(self.len());
         for n in 0..self.len() {
-            w.u8(self.state[n]);
-            w.f64(self.energy_total[n]);
-            w.len(self.incoming[n].len());
-            for f in &self.incoming[n] {
-                w.u64(f.tx_id);
-                w.f64(f.power_mw);
-            }
-            match &self.lock[n] {
-                None => w.bool(false),
-                Some(lock) => {
-                    w.bool(true);
-                    w.u64(lock.tx_id);
-                    w.u64(lock.lock_time);
-                    w.f64(lock.signal_mw);
-                    w.len(lock.interference.len());
-                    for &(t, level) in &lock.interference {
-                        w.u64(t);
-                        w.f64(level);
-                    }
-                }
-            }
-            w.u64(self.aborted_rx[n]);
+            w.put(&self.state[n]);
+            w.put(&self.energy_total[n]);
+            w.put(&self.incoming[n]);
+            w.put(&self.lock[n]);
+            w.put(&self.aborted_rx[n]);
         }
     }
 
-    /// Rebuild a bank from [`RadioBank::ckpt_save`] output; `expect_nodes`
-    /// must match the world being restored into.
-    pub(crate) fn ckpt_load(
-        r: &mut CkptReader<'_>,
-        expect_nodes: usize,
-    ) -> Result<RadioBank, CkptError> {
-        let n = r.len()?;
-        if n != expect_nodes {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {n} radios, world has {expect_nodes}"
-            )));
-        }
+    fn load(r: &mut CkptReader<'_>) -> Result<RadioBank, CkptError> {
+        // `count` has already held the length against the bytes left.
+        let n = r.count::<(u8, f64, Vec<Incoming>, Option<RxLock>, u64)>()?;
         let mut bank = RadioBank::new(n);
         for node in 0..n {
-            bank.state[node] = r.u8()?;
-            bank.energy_total[node] = r.f64()?;
-            let frames = r.len()?;
-            bank.incoming[node].reserve(frames);
-            for _ in 0..frames {
-                bank.incoming[node].push(Incoming {
-                    tx_id: r.u64()?,
-                    power_mw: r.f64()?,
-                });
-            }
-            if r.bool()? {
-                let tx_id = r.u64()?;
-                let lock_time = r.u64()?;
-                let signal_mw = r.f64()?;
-                let profile_len = r.len()?;
-                let mut interference = Vec::with_capacity(profile_len);
-                for _ in 0..profile_len {
-                    interference.push((r.u64()?, r.f64()?));
-                }
-                bank.lock[node] = Some(RxLock {
-                    tx_id,
-                    lock_time,
-                    signal_mw,
-                    interference,
-                });
-            }
+            bank.state[node] = r.get()?;
+            bank.energy_total[node] = r.get()?;
+            bank.incoming[node] = r.get()?;
+            bank.lock[node] = r.get()?;
             if (bank.state[node] & flag::LOCKED != 0) != bank.lock[node].is_some() {
                 return Err(CkptError::Malformed(format!(
                     "radio {node} lock flag disagrees with lock record"
                 )));
             }
-            bank.aborted_rx[node] = r.u64()?;
+            bank.aborted_rx[node] = r.get()?;
         }
         Ok(bank)
     }

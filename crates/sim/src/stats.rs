@@ -8,10 +8,7 @@
 //! structured trace of protocol decision points.
 //!
 //! Counters are a flat `[u64; CounterId::COUNT]` indexed by the dense
-//! [`CounterId`]: the hot path is one array write, no map lookup. The old
-//! string-keyed API survives as `*_named` compat shims (deprecated); names
-//! outside the registry fall into a side map so third-party experiment code
-//! keeps working during migration.
+//! [`CounterId`]: the hot path is one array write, no map lookup.
 
 // BTreeMap/BTreeSet throughout: statistics feed figure output and test
 // assertions, so their iteration order must not depend on hash seeds.
@@ -19,7 +16,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
+use crate::persist;
 use crate::time::Time;
 use crate::world::NodeId;
 
@@ -37,6 +35,8 @@ pub struct FlowStats {
     /// Duplicate deliveries discarded.
     pub duplicates: u64,
 }
+
+persist!(struct FlowStats { arrivals, seen, seen_floor, duplicates });
 
 impl FlowStats {
     /// Count of non-duplicate deliveries with `from <= t < to`.
@@ -64,6 +64,8 @@ pub struct VpktStats {
     /// Entries evicted from `got` to honour the cap (long soak runs).
     pub evicted: u64,
 }
+
+persist!(struct VpktStats { sent, got, headers_total, trailers_total, either_total, evicted });
 
 impl VpktStats {
     /// Per-seq flag entries retained; far above what a tier-1 run produces
@@ -109,12 +111,9 @@ pub struct Stats {
     flows: Vec<FlowStats>,
     vpkt: BTreeMap<(NodeId, NodeId), VpktStats>,
     /// Typed counters, indexed by `CounterId::idx()`.
-    counters: [u64; CounterId::COUNT],
+    counters: Cells<{ CounterId::COUNT }>,
     /// Typed gauges, indexed by `GaugeId::idx()`.
-    gauges: [u64; GaugeId::COUNT],
-    /// Overflow for deprecated `*_named` calls whose name is not in the
-    /// registry (third-party experiment code mid-migration).
-    dynamic: BTreeMap<&'static str, u64>,
+    gauges: Cells<{ GaugeId::COUNT }>,
     /// Structured trace sink; `None` (the default) keeps every emit site to
     /// a single branch.
     trace: Option<TraceSink>,
@@ -125,11 +124,36 @@ impl Default for Stats {
         Stats {
             flows: Vec::new(),
             vpkt: BTreeMap::new(),
-            counters: [0; CounterId::COUNT],
-            gauges: [0; GaugeId::COUNT],
-            dynamic: BTreeMap::new(),
+            counters: Cells([0; CounterId::COUNT]),
+            gauges: Cells([0; GaugeId::COUNT]),
             trace: None,
         }
+    }
+}
+
+// The trace sink is a bounded view of behaviour, outside the versioned
+// format; `World::checkpoint` refuses a world that has one attached.
+persist!(struct Stats { flows, vpkt, counters, gauges } ..Stats::default());
+
+/// One `u64` cell per registry id. Checkpointed with its length, so a
+/// checkpoint from a build whose registry has grown or shrunk is a
+/// `Mismatch` and not a misparse.
+#[derive(Debug)]
+struct Cells<const N: usize>([u64; N]);
+
+impl<const N: usize> Persist for Cells<N> {
+    fn save(&self, w: &mut CkptWriter) {
+        w.len(N);
+        self.0.save(w);
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Cells<N>, CkptError> {
+        let n = r.len()?;
+        if n != N {
+            return Err(CkptError::Mismatch(format!(
+                "checkpoint has {n} registry cells, this build has {N}"
+            )));
+        }
+        r.get().map(Cells)
     }
 }
 
@@ -202,7 +226,7 @@ impl Stats {
             // Oldest seq first: ACK windows only ever look forward.
             v.got.pop_first();
             v.evicted += 1;
-            self.counters[CounterId::StatsVpktEvicted.idx()] += 1;
+            self.counters.0[CounterId::StatsVpktEvicted.idx()] += 1;
         }
     }
 
@@ -219,75 +243,42 @@ impl Stats {
     /// Bump a typed counter by one.
     #[inline]
     pub fn bump(&mut self, id: CounterId) {
-        self.counters[id.idx()] += 1;
+        self.counters.0[id.idx()] += 1;
     }
 
     /// Add to a typed counter.
     #[inline]
     pub fn add(&mut self, id: CounterId, v: u64) {
-        self.counters[id.idx()] += v;
+        self.counters.0[id.idx()] += v;
     }
 
     /// Read a typed counter.
     #[inline]
     pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters[id.idx()]
+        self.counters.0[id.idx()]
     }
 
     /// Set a typed gauge (last write wins).
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, v: u64) {
-        self.gauges[id.idx()] = v;
+        self.gauges.0[id.idx()] = v;
     }
 
     /// Read a typed gauge.
     #[inline]
     pub fn gauge(&self, id: GaugeId) -> u64 {
-        self.gauges[id.idx()]
+        self.gauges.0[id.idx()]
     }
 
-    /// Bump a counter by name.
-    #[deprecated(since = "0.1.0", note = "use `bump(CounterId::...)`")]
-    pub fn bump_named(&mut self, name: &'static str) {
-        match CounterId::from_name(name) {
-            Some(id) => self.counters[id.idx()] += 1,
-            None => *self.dynamic.entry(name).or_insert(0) += 1,
-        }
-    }
-
-    /// Add to a counter by name.
-    #[deprecated(since = "0.1.0", note = "use `add(CounterId::..., v)`")]
-    pub fn add_named(&mut self, name: &'static str, v: u64) {
-        match CounterId::from_name(name) {
-            Some(id) => self.counters[id.idx()] += v,
-            None => *self.dynamic.entry(name).or_insert(0) += v,
-        }
-    }
-
-    /// Read a counter by name (0 if never bumped).
-    #[deprecated(since = "0.1.0", note = "use `counter(CounterId::...)`")]
-    pub fn counter_named(&self, name: &str) -> u64 {
-        match CounterId::from_name(name) {
-            Some(id) => self.counters[id.idx()],
-            None => self.dynamic.get(name).copied().unwrap_or(0),
-        }
-    }
-
-    /// All nonzero counters (typed and legacy dynamic), sorted by name.
+    /// All nonzero counters, sorted by name.
     pub fn counters_sorted(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = CounterId::ALL
             .iter()
             .filter_map(|&id| {
-                let c = self.counters[id.idx()];
+                let c = self.counters.0[id.idx()];
                 (c != 0).then_some((id.name(), c))
             })
             .collect();
-        out.extend(
-            self.dynamic
-                .iter()
-                .filter(|&(_, &c)| c != 0)
-                .map(|(&k, &c)| (k, c)),
-        );
         out.sort_unstable_by_key(|&(name, _)| name);
         out
     }
@@ -355,134 +346,12 @@ impl Stats {
             out.push_str(&format!("counter {name}={c}\n"));
         }
         for id in GaugeId::ALL {
-            let v = self.gauges[id.idx()];
+            let v = self.gauges.0[id.idx()];
             if v != 0 {
                 out.push_str(&format!("gauge {}={v}\n", id.name()));
             }
         }
         out
-    }
-
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
-
-    /// Serialize the complete statistics state. Refuses runs using the
-    /// deprecated dynamic-counter shim or an attached trace sink: both are
-    /// outside the versioned format, and silently dropping them would break
-    /// the byte-identity contract.
-    pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) -> Result<(), CkptError> {
-        if !self.dynamic.is_empty() {
-            return Err(CkptError::Mismatch(
-                "stats with legacy dynamic counters cannot be checkpointed".to_string(),
-            ));
-        }
-        if self.trace.is_some() {
-            return Err(CkptError::Mismatch(
-                "stats with an attached trace sink cannot be checkpointed".to_string(),
-            ));
-        }
-        w.len(self.flows.len());
-        for f in &self.flows {
-            w.len(f.arrivals.len());
-            for &t in &f.arrivals {
-                w.u64(t);
-            }
-            w.len(f.seen.len());
-            for &seq in &f.seen {
-                w.u32(seq);
-            }
-            w.u32(f.seen_floor);
-            w.u64(f.duplicates);
-        }
-        w.len(self.vpkt.len());
-        for (&(src, dst), v) in &self.vpkt {
-            w.len(src.index());
-            w.len(dst.index());
-            w.u64(v.sent);
-            w.len(v.got.len());
-            for (&seq, &flags) in &v.got {
-                w.u32(seq);
-                w.u8(flags);
-            }
-            w.u64(v.headers_total);
-            w.u64(v.trailers_total);
-            w.u64(v.either_total);
-            w.u64(v.evicted);
-        }
-        w.len(self.counters.len());
-        for &c in &self.counters {
-            w.u64(c);
-        }
-        w.len(self.gauges.len());
-        for &g in &self.gauges {
-            w.u64(g);
-        }
-        Ok(())
-    }
-
-    /// Rebuild statistics from [`Stats::ckpt_save`] output.
-    pub(crate) fn ckpt_load(r: &mut CkptReader<'_>) -> Result<Stats, CkptError> {
-        let mut stats = Stats::default();
-        let flows = r.len()?;
-        stats.flows.reserve(flows);
-        for _ in 0..flows {
-            let mut f = FlowStats::default();
-            let arrivals = r.len()?;
-            f.arrivals.reserve(arrivals);
-            for _ in 0..arrivals {
-                f.arrivals.push(r.u64()?);
-            }
-            let seen = r.len()?;
-            for _ in 0..seen {
-                f.seen.insert(r.u32()?);
-            }
-            f.seen_floor = r.u32()?;
-            f.duplicates = r.u64()?;
-            stats.flows.push(f);
-        }
-        let links = r.len()?;
-        for _ in 0..links {
-            let key = (NodeId::new(r.len()?), NodeId::new(r.len()?));
-            let mut v = VpktStats {
-                sent: r.u64()?,
-                ..VpktStats::default()
-            };
-            let got = r.len()?;
-            for _ in 0..got {
-                let seq = r.u32()?;
-                v.got.insert(seq, r.u8()?);
-            }
-            v.headers_total = r.u64()?;
-            v.trailers_total = r.u64()?;
-            v.either_total = r.u64()?;
-            v.evicted = r.u64()?;
-            if stats.vpkt.insert(key, v).is_some() {
-                return Err(CkptError::Malformed(format!(
-                    "duplicate vpkt link ({},{})",
-                    key.0, key.1
-                )));
-            }
-        }
-        let counters = r.len()?;
-        if counters != CounterId::COUNT {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {counters} counters, registry has {}",
-                CounterId::COUNT
-            )));
-        }
-        for c in &mut stats.counters {
-            *c = r.u64()?;
-        }
-        let gauges = r.len()?;
-        if gauges != GaugeId::COUNT {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {gauges} gauges, registry has {}",
-                GaugeId::COUNT
-            )));
-        }
-        for g in &mut stats.gauges {
-            *g = r.u64()?;
-        }
-        Ok(stats)
     }
 }
 
@@ -615,26 +484,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn named_shims_route_registry_names_to_typed_storage() {
-        let mut s = Stats::default();
-        s.bump_named("sim.tx");
-        s.bump_named("sim.tx");
-        s.add_named("not.in.registry", 5);
-        assert_eq!(s.counter(CounterId::SimTx), 2);
-        assert_eq!(s.counter_named("sim.tx"), 2);
-        assert_eq!(s.counter_named("not.in.registry"), 5);
-        assert_eq!(s.counter_named("never.bumped"), 0);
-        // Dynamic names interleave alphabetically with typed ones.
-        assert_eq!(
-            s.counters_sorted(),
-            vec![("not.in.registry", 5), ("sim.tx", 2)]
-        );
-        let snap = s.snapshot();
-        assert!(snap.contains("counter not.in.registry=5\n"), "{snap}");
-    }
-
-    #[test]
     fn trace_sink_is_off_by_default_and_bounded_when_on() {
         let mut s = Stats::default();
         assert!(!s.trace_enabled());
@@ -665,5 +514,42 @@ mod tests {
         let sink = s.take_trace().unwrap();
         assert_eq!(sink.emitted(), 5);
         assert!(!s.trace_enabled());
+    }
+
+    #[test]
+    fn checkpoint_round_trips_and_refuses_hostile_lengths() {
+        let mut s = Stats::default();
+        s.ensure_flows(2);
+        s.record_delivery(1, 0, 10);
+        s.record_delivery(1, 2, 20);
+        s.vpkt_sent(1, 2);
+        s.vpkt_received(1, 2, 0, true);
+        s.bump(CounterId::SimTx);
+        s.set_gauge(GaugeId::SimSchedPending, 3);
+        let mut w = CkptWriter::new();
+        s.save(&mut w);
+        let bytes = w.finish();
+        let mut r = CkptReader::new(&bytes).unwrap();
+        let back = Stats::load(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(back.snapshot(), s.snapshot());
+        assert!(!back.flows[1].seen.is_empty());
+
+        // A flow count of 2^30 with nothing behind it: once sized a
+        // 64 GiB `Vec` and aborted the process.
+        let mut w = CkptWriter::new();
+        w.u64(1 << 30);
+        let blob = w.finish();
+        assert_eq!(blob.len(), 21);
+        let mut r = CkptReader::new(&blob).unwrap();
+        assert_eq!(Stats::load(&mut r).unwrap_err(), CkptError::Truncated);
+
+        // One flow claiming 2^30 arrivals: once asked for 8 GiB.
+        let mut w = CkptWriter::new();
+        w.u64(1);
+        w.u64(1 << 30);
+        let blob = w.finish();
+        let mut r = CkptReader::new(&blob).unwrap();
+        assert_eq!(Stats::load(&mut r).unwrap_err(), CkptError::Truncated);
     }
 }

@@ -10,12 +10,14 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::app::NodeApp;
+use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::config::PhyConfig;
 use crate::event::{Event, Scheduler, TxId};
 use crate::faults::{FaultAction, FaultPlan, FaultState, WatchdogConfig};
 use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
 use crate::medium::Medium;
-use crate::pool::FramePool;
+use crate::persist;
+use crate::pool::{FramePool, LiveTx};
 use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxCompletion};
 use crate::rng::{normal, stream_rng};
 use crate::stats::Stats;
@@ -23,7 +25,7 @@ use crate::time::Time;
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 use cmap_phy::units::db_to_ratio;
 use cmap_phy::{mw_to_dbm, BerTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
-use cmap_wire::{Frame, FrameKind, FrameView, MacAddr};
+use cmap_wire::{FrameKind, FrameView, MacAddr};
 
 pub use crate::node::NodeId;
 
@@ -173,15 +175,6 @@ impl World {
     /// Start building a world (see [`WorldBuilder`]).
     pub fn builder() -> WorldBuilder {
         WorldBuilder::default()
-    }
-
-    /// Deprecated shim for the pre-builder constructor.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use World::builder().medium(..).phy(..).seed(..).build()"
-    )]
-    pub fn new(medium: Medium, phy: PhyConfig, seed: u64) -> World {
-        World::construct(medium, phy, seed)
     }
 
     /// Build a world over `medium`; every node starts with a [`NullMac`].
@@ -781,11 +774,11 @@ impl World {
             "start_tx while transmitting"
         );
         // The MAC already composed the wire bytes into the pool slot;
-        // debug builds re-parse every transmitted frame against the
-        // reference decoder.
+        // debug builds check every transmitted frame the way a hostile
+        // one would be (structure and CRC).
         debug_assert!(
-            Frame::parse(self.pool.buf(tx_id)).is_ok(),
-            "composed frame fails the reference parser"
+            FrameView::parse_checked(self.pool.buf(tx_id)).is_ok(),
+            "composed frame fails the checked parser"
         );
         let wire_len = self.pool.wire_len(tx_id);
         let airtime = rate.frame_airtime_ns(wire_len);
@@ -888,78 +881,49 @@ impl World {
     /// configuration (medium, PHY, flows, MAC types, fault plan, watchdog)
     /// is *not* captured — the restoring process rebuilds it and the
     /// checkpoint validates that it matches.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, crate::ckpt::CkptError> {
-        use crate::ckpt::{CkptError, CkptWriter};
+    pub fn checkpoint(&self) -> Result<Vec<u8>, CkptError> {
         if !self.started {
             return Err(CkptError::Mismatch(
                 "checkpoint of a world that never started".to_string(),
             ));
         }
+        // The trace sink is outside the versioned format, and silently
+        // dropping it would break the byte-identity contract.
+        if self.stats.trace_enabled() {
+            return Err(CkptError::Mismatch(
+                "stats with an attached trace sink cannot be checkpointed".to_string(),
+            ));
+        }
         let mut w = CkptWriter::new();
-        // Configuration echo, validated on restore.
-        w.u64(self.seed);
-        w.len(self.node_count());
-        w.len(self.flows.len());
-        for f in &self.flows {
-            w.u16(f.id);
-            w.len(f.src.index());
-            w.len(f.dst.index());
-            w.len(f.payload_len);
-            match f.kind {
-                FlowKind::Saturated => w.u8(0),
-                FlowKind::Relay { upstream } => {
-                    w.u8(1);
-                    w.u16(upstream);
-                }
-            }
-            w.u32(f.next_seq);
-        }
-        w.u64(self.watchdog.audit_period);
-        w.u64(self.watchdog.liveness_window);
-        // v2: the medium's structural fingerprint, so a checkpoint refuses
-        // to restore over a world whose propagation engine or link set
-        // differs from the one it was taken under.
-        w.u64(self.medium.fingerprint());
-        match self.faults.as_deref() {
-            None => w.bool(false),
-            Some(f) => {
-                w.bool(true);
-                w.str(&f.plan.to_spec());
-            }
-        }
+        // Configuration echo, validated on restore. The medium's
+        // structural fingerprint (v2) makes a checkpoint refuse a world
+        // whose propagation engine or link set differs from the one it
+        // was taken under.
+        w.put(&self.seed);
+        w.put(&self.node_count());
+        w.put(&self.flows);
+        w.put(&(self.watchdog.audit_period, self.watchdog.liveness_window));
+        w.put(&self.medium.fingerprint());
+        w.put(&self.fault_spec());
         // Dynamic engine state. (The u64 after the clock held the next tx
         // id before the frame pool; it now carries the pool's slot-array
         // capacity so restore rebuilds an identically-shaped free list.)
-        w.u64(self.time);
-        w.u64(self.pool.capacity() as u64);
-        w.u64(self.pool.high_water() as u64);
-        w.u64(self.pool.recycled());
-        w.u64(self.ber_lookups);
-        w.u64(self.synced_events);
-        w.u64(self.synced_lookups);
-        w.u64(self.synced_cascades);
-        self.sched.ckpt_save(&mut w);
-        self.radios.ckpt_save(&mut w);
+        w.put(&self.time);
+        w.put(&(
+            self.pool.capacity(),
+            self.pool.high_water(),
+            self.pool.recycled(),
+        ));
+        self.save_fields(&mut w);
+        // One record per node and no count: the echo carried it.
         for rng in &self.rngs {
-            for word in rng.state() {
-                w.u64(word);
-            }
+            w.put(rng);
         }
         for app in &self.apps {
-            app.ckpt_save(&mut w);
+            w.put(app);
         }
-        let live = self.pool.live_ids();
-        w.len(live.len());
-        for tx_id in live {
-            w.u64(tx_id);
-            w.len(self.pool.node_of(tx_id).index());
-            w.u8(self.pool.rate_of(tx_id).to_u8());
-            w.u64(self.pool.start_of(tx_id));
-            w.bytes(self.pool.buf(tx_id));
-            w.len(self.pool.wire_len(tx_id));
-            w.u32(self.pool.ends_of(tx_id));
-        }
-        self.stats.ckpt_save(&mut w)?;
+        w.put(&self.pool.live_txs());
+        w.put(&self.stats);
         if let Some(f) = self.faults.as_deref() {
             f.ckpt_save(&mut w);
         }
@@ -976,6 +940,11 @@ impl World {
         Ok(w.finish())
     }
 
+    /// The installed fault plan in its spec form (the config echo's view).
+    fn fault_spec(&self) -> Option<String> {
+        self.faults.as_deref().map(|f| f.plan.to_spec())
+    }
+
     /// Restore a [`World::checkpoint`] into this world, which must be
     /// configured identically (same medium/PHY/seed, same flows, same MAC
     /// types, same fault plan and watchdog) and **not yet started**. On
@@ -985,150 +954,76 @@ impl World {
     ///
     /// On error the world may be partially overwritten and must be
     /// discarded.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::ckpt::CkptError> {
-        use crate::ckpt::{CkptError, CkptReader};
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         if self.started {
             return Err(CkptError::Mismatch(
                 "restore into an already-started world".to_string(),
             ));
         }
         let mut r = CkptReader::new(bytes)?;
-        let seed = r.u64()?;
-        if seed != self.seed {
+        // The configuration echo is compared against this world, not
+        // loaded into it: only a flow's sequence cursor is dynamic.
+        echo(&mut r, "seed", &self.seed)?;
+        echo(&mut r, "node count", &self.node_count())?;
+        let flows: Vec<Flow> = r.get()?;
+        if flows.len() != self.flows.len() {
             return Err(CkptError::Mismatch(format!(
-                "checkpoint seed {seed} != world seed {}",
-                self.seed
-            )));
-        }
-        let nodes = r.len()?;
-        if nodes != self.node_count() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {nodes} nodes, world has {}",
-                self.node_count()
-            )));
-        }
-        let flow_count = r.len()?;
-        if flow_count != self.flows.len() {
-            return Err(CkptError::Mismatch(format!(
-                "checkpoint has {flow_count} flows, world has {}",
+                "checkpoint has {} flows, world has {}",
+                flows.len(),
                 self.flows.len()
             )));
         }
-        for f in &mut self.flows {
-            let id = r.u16()?;
-            let src = NodeId::new(r.len()?);
-            let dst = NodeId::new(r.len()?);
-            let payload_len = r.len()?;
-            let kind = match r.u8()? {
-                0 => FlowKind::Saturated,
-                1 => FlowKind::Relay { upstream: r.u16()? },
-                other => {
-                    return Err(CkptError::Malformed(format!("flow kind tag {other}")));
-                }
-            };
-            if (id, src, dst, payload_len, kind) != (f.id, f.src, f.dst, f.payload_len, f.kind) {
+        for (ours, saved) in self.flows.iter_mut().zip(flows) {
+            if (
+                saved.id,
+                saved.src,
+                saved.dst,
+                saved.payload_len,
+                saved.kind,
+            ) != (ours.id, ours.src, ours.dst, ours.payload_len, ours.kind)
+            {
                 return Err(CkptError::Mismatch(format!(
-                    "flow {id} configuration differs from checkpoint"
+                    "flow {} configuration differs from checkpoint",
+                    ours.id
                 )));
             }
-            f.next_seq = r.u32()?;
+            ours.next_seq = saved.next_seq;
         }
-        let audit_period = r.u64()?;
-        let liveness_window = r.u64()?;
-        if audit_period != self.watchdog.audit_period
-            || liveness_window != self.watchdog.liveness_window
-        {
-            return Err(CkptError::Mismatch(
-                "watchdog configuration differs from checkpoint".to_string(),
-            ));
-        }
-        let fingerprint = r.u64()?;
-        if fingerprint != self.medium.fingerprint() {
+        echo(
+            &mut r,
+            "watchdog configuration",
+            &(self.watchdog.audit_period, self.watchdog.liveness_window),
+        )?;
+        echo(&mut r, "medium fingerprint", &self.medium.fingerprint())?;
+        echo(&mut r, "fault plan", &self.fault_spec())?;
+        self.time = r.get()?;
+        let (pool_capacity, pool_high_water, pool_recycled) = r.get()?;
+        self.load_fields(&mut r)?;
+        if self.radios.len() != self.node_count() {
             return Err(CkptError::Mismatch(format!(
-                "checkpoint medium fingerprint {fingerprint:#018x} != world {:#018x}",
-                self.medium.fingerprint()
+                "checkpoint has {} radios, world has {}",
+                self.radios.len(),
+                self.node_count()
             )));
         }
-        let ckpt_has_faults = r.bool()?;
-        if ckpt_has_faults != self.faults.is_some() {
-            return Err(CkptError::Mismatch(
-                "fault plan presence differs from checkpoint".to_string(),
-            ));
-        }
-        if ckpt_has_faults {
-            let spec = r.str()?;
-            let installed = self.faults.as_deref().expect("checked").plan.to_spec();
-            if spec != installed {
-                return Err(CkptError::Mismatch(
-                    "fault plan differs from checkpoint".to_string(),
-                ));
-            }
-        }
-        self.time = r.u64()?;
-        let pool_capacity = r.u64()?;
-        // 2^24 in-flight slots is far beyond any reachable state; larger
-        // values mean a corrupt checkpoint, not a big run.
-        if pool_capacity > (1 << 24) {
-            return Err(CkptError::Malformed(format!(
-                "frame-pool capacity {pool_capacity}"
-            )));
-        }
-        self.pool.reset_for_restore(pool_capacity as usize);
-        let pool_high_water = r.u64()?;
-        let pool_recycled = r.u64()?;
-        self.ber_lookups = r.u64()?;
-        self.synced_events = r.u64()?;
-        self.synced_lookups = r.u64()?;
-        self.synced_cascades = r.u64()?;
-        self.sched = Scheduler::ckpt_load(&mut r)?;
-        self.radios = RadioBank::ckpt_load(&mut r, self.node_count())?;
         for rng in &mut self.rngs {
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = r.u64()?;
-            }
-            *rng = SmallRng::from_state(words);
+            *rng = r.get()?;
         }
         for app in &mut self.apps {
-            app.ckpt_load(&mut r)?;
+            app.restore(r.get()?)?;
         }
-        let tx_count = r.len()?;
-        for _ in 0..tx_count {
-            let tx_id = r.u64()?;
-            let node = r.len()?;
-            if node >= self.node_count() {
-                return Err(CkptError::Malformed(format!("tx node {node}")));
-            }
-            let node = NodeId::new(node);
-            let rate_tag = r.u8()?;
-            let rate = Rate::from_u8(rate_tag)
-                .ok_or_else(|| CkptError::Malformed(format!("rate tag {rate_tag}")))?;
-            let start = r.u64()?;
-            let frame_bytes = r.bytes()?.to_vec();
-            Frame::parse(&frame_bytes)
-                .map_err(|e| CkptError::Malformed(format!("tx {tx_id} frame: {e:?}")))?;
-            let wire_len = r.len()?;
-            let ends_remaining = r.u32()?;
-            if wire_len != frame_bytes.len() {
-                return Err(CkptError::Malformed(format!(
-                    "tx {tx_id} wire_len {wire_len} != {} frame bytes",
-                    frame_bytes.len()
-                )));
-            }
-            if !self
-                .pool
-                .restore_slot(tx_id, node, rate, start, frame_bytes, ends_remaining)
-            {
-                return Err(CkptError::Malformed(format!("bad or duplicate tx {tx_id}")));
-            }
+        let live: Vec<LiveTx<'_>> = r.get()?;
+        if let Some(tx) = live.iter().find(|tx| tx.node.index() >= self.node_count()) {
+            return Err(CkptError::Malformed(format!(
+                "tx {} from node {}",
+                tx.tx_id, tx.node
+            )));
         }
-        self.pool.finish_restore();
-        self.pool
-            .restore_counters(pool_high_water as usize, pool_recycled);
+        self.pool = FramePool::restore(pool_capacity, pool_high_water, pool_recycled, live)?;
         // The perf-totals sync point follows the restored counter so the
         // next `run_until` only publishes post-restore recycle deltas.
         self.synced_pool_recycled = self.pool.recycled();
-        self.stats = Stats::ckpt_load(&mut r)?;
+        self.stats = r.get()?;
         if let Some(f) = self.faults.as_deref_mut() {
             f.ckpt_load(&mut r)?;
         }
@@ -1146,6 +1041,29 @@ impl World {
         self.started = true;
         self.stats.ensure_flows(self.flows.len());
         Ok(())
+    }
+}
+
+persist!(enum FlowKind { 0 => Saturated, 1 => Relay { upstream } });
+
+persist!(struct Flow { id, src, dst, payload_len, kind, next_seq });
+
+persist!(fields World { ber_lookups, synced_events, synced_lookups, synced_cascades, sched, radios });
+
+/// Read one value of the configuration echo and require that it equals
+/// this world's.
+fn echo<T: Persist + PartialEq + std::fmt::Debug>(
+    r: &mut CkptReader<'_>,
+    what: &str,
+    ours: &T,
+) -> Result<(), CkptError> {
+    let saved: T = r.get()?;
+    if saved == *ours {
+        Ok(())
+    } else {
+        Err(CkptError::Mismatch(format!(
+            "checkpoint {what} {saved:?} != world {ours:?}"
+        )))
     }
 }
 
@@ -1460,17 +1378,22 @@ mod tests {
                 // One packet per wake; chaining the rest would need
                 // on_tx_done plumbing this simple test MAC doesn't have.
                 if let Some(p) = ctx.app_pop() {
-                    let frame = Frame::Dot11Data(cmap_wire::dot11::Data {
-                        src: ctx.mac_addr(),
-                        dst: p.dst_mac,
-                        seq: 0,
-                        retry: false,
-                        duration_ns: 0,
-                        flow: p.flow,
-                        flow_seq: p.flow_seq,
-                        payload: vec![0; p.payload_len],
+                    let src = ctx.mac_addr();
+                    let sent = ctx.transmit_with(Rate::R6, |buf| {
+                        cmap_wire::view::compose::dot11_data(
+                            buf,
+                            src,
+                            p.dst_mac,
+                            0,
+                            false,
+                            0,
+                            p.flow,
+                            p.flow_seq,
+                            p.payload_len,
+                            0,
+                        );
                     });
-                    if ctx.transmit(frame, Rate::R6) {
+                    if sent {
                         self.fwd += 1;
                     }
                 }

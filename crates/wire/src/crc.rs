@@ -123,7 +123,8 @@ pub fn append_fill_and_crc(buf: &mut Vec<u8>, fill: u8, n: usize) {
     use std::collections::BTreeMap;
     thread_local! {
         // cmap-analyze: allow(shared-state) — per-thread memo of a pure function of the key; never observable in artifacts
-        static TAILS: RefCell<BTreeMap<(u8, usize), ConstTail>> = RefCell::new(BTreeMap::new());
+        static TAILS: RefCell<BTreeMap<(u8, usize), ConstTail>> =
+            const { RefCell::new(BTreeMap::new()) };
     }
     let s = raw_state(buf);
     let tail = TAILS.with(|t| {

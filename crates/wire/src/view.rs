@@ -53,7 +53,12 @@ fn mac_at(buf: &[u8], off: usize) -> MacAddr {
 /// `pos`), replicating the reader's error order: a short entry is
 /// [`WireError::Truncated`], a bad rate byte [`WireError::Malformed`].
 /// `body_end` is the first byte past the CRC-less body.
-fn check_entries(buf: &[u8], mut pos: usize, count: usize, body_end: usize) -> Result<usize, WireError> {
+fn check_entries(
+    buf: &[u8],
+    mut pos: usize,
+    count: usize,
+    body_end: usize,
+) -> Result<usize, WireError> {
     for _ in 0..count {
         if body_end < pos + cmap::InterfererList::ENTRY_LEN {
             return Err(WireError::Truncated);
@@ -899,7 +904,9 @@ mod tests {
             flow_seq: 123_456,
             payload: vec![0xC5; 300],
         };
-        compose::cmap_data(&mut buf, d.src, d.dst, d.vpkt_seq, d.index, d.flow, d.flow_seq, 300, 0xC5);
+        compose::cmap_data(
+            &mut buf, d.src, d.dst, d.vpkt_seq, d.index, d.flow, d.flow_seq, 300, 0xC5,
+        );
         assert_eq!(buf, Frame::CmapData(d).emit());
 
         let a = cmap::Ack {
@@ -947,8 +954,16 @@ mod tests {
             payload: vec![0xC5; 1400],
         };
         compose::dot11_data(
-            &mut buf, dd.src, dd.dst, dd.seq, dd.retry, dd.duration_ns, dd.flow, dd.flow_seq,
-            1400, 0xC5,
+            &mut buf,
+            dd.src,
+            dd.dst,
+            dd.seq,
+            dd.retry,
+            dd.duration_ns,
+            dd.flow,
+            dd.flow_seq,
+            1400,
+            0xC5,
         );
         assert_eq!(buf, Frame::Dot11Data(dd).emit());
 
