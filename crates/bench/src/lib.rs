@@ -29,7 +29,6 @@
 //! `--full` (the paper's 100-second runs and full configuration counts),
 //! `--seed N` (testbed seed), `--runs N` (configuration count) and
 //! `--json PATH` (write a machine-readable [`cmap_obs::RunReport`]).
-//! Criterion micro-benchmarks (`cargo bench`) live in `benches/`.
 
 pub mod figures;
 pub mod perf_baseline;

@@ -331,13 +331,13 @@ pub fn read_blob<T>(
     bytes: &[u8],
     body: impl FnOnce(&mut CkptReader<'_>) -> Result<T, CkptError>,
 ) -> Result<T, String> {
-    let decode = || {
-        let mut r = CkptReader::new(bytes)?;
-        let out = body(&mut r)?;
-        r.expect_end()?;
-        Ok(out)
-    };
-    decode().map_err(|e: CkptError| e.to_string())
+    CkptReader::new(bytes)
+        .and_then(|mut r| {
+            let out = body(&mut r)?;
+            r.expect_end()?;
+            Ok(out)
+        })
+        .map_err(|e| e.to_string())
 }
 
 /// A type with a `cmap-ckpt/v2` encoding. `load` must read back exactly
@@ -376,7 +376,6 @@ persist_primitive! {
     u16 => u16, 2;
     u32 => u32, 4;
     u64 => u64, 8;
-    i64 => i64, 8;
     f64 => f64, 8;
     bool => bool, 1;
     usize => len, 8;

@@ -1,0 +1,73 @@
+//! Hostile bytes into `World::restore`: a truncated or bit-flipped
+//! checkpoint is an expected input (crash-safe artifact directories hold
+//! torn files), so restore must answer `Ok` or a typed `CkptError` —
+//! never panic, never abort on an allocation sized by a corrupt field.
+
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+
+use cmap_suite::cmap::{CmapConfig, CmapMac};
+use cmap_suite::sim::time::millis;
+use cmap_suite::sim::{MediumBuilder, PhyConfig, World};
+
+/// Four nodes in mutual range, two saturated flows, CMAP everywhere.
+fn small_world() -> World {
+    let phy = PhyConfig::default();
+    let medium = MediumBuilder::new(&phy).uniform(4, -70.0).build();
+    let mut w = World::builder().medium(medium).phy(phy).seed(5).build();
+    w.add_flow(0, 1, 1400);
+    w.add_flow(2, 3, 1400);
+    for node in 0..w.node_count() {
+        w.set_mac(node, Box::new(CmapMac::new(CmapConfig::default())));
+    }
+    w
+}
+
+/// A mid-run checkpoint with frames on the air, so the frame pool, the
+/// radio locks and every timing-wheel ring are populated.
+fn checkpoint() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut w = small_world();
+        let mut until = millis(300);
+        w.run_until(until);
+        while w.inflight_tx_count() == 0 {
+            until += millis(1);
+            w.run_until(until);
+        }
+        w.checkpoint().expect("checkpoint at mid-run")
+    })
+}
+
+#[test]
+fn intact_checkpoint_restores() {
+    small_world().restore(checkpoint()).expect("restore");
+}
+
+#[test]
+fn truncation_at_every_offset_is_a_typed_error() {
+    let bytes = checkpoint();
+    for keep in 0..bytes.len() {
+        assert!(
+            small_world().restore(&bytes[..keep]).is_err(),
+            "restore accepted a checkpoint cut at byte {keep} of {}",
+            bytes.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn single_bit_flips_never_panic(pos in any::<prop::sample::Index>(), bit in 0u8..8) {
+        let mut bytes = checkpoint().to_vec();
+        let i = pos.index(bytes.len());
+        bytes[i] ^= 1 << bit;
+        // Many flips land in a counter or a timestamp and restore fine;
+        // the rest must come back as `CkptError`. Reaching this line at
+        // all is the property.
+        let _ = small_world().restore(&bytes);
+    }
+}
