@@ -10,16 +10,19 @@
 //! resolution still separates it from the wheel's current position; when a
 //! ring drains, the next occupied higher-level bucket *cascades* — its
 //! events re-file into finer rings. Per-level occupancy bitmaps make
-//! advancing over empty time O(1) per ring, so `schedule`/`pop` are O(1)
-//! amortized where the old `BinaryHeap` paid O(log n) — at 50M-event
-//! figures the difference is measurable. The far-future fallback is the top
-//! ring, whose buckets span ~52 days of simulated time.
+//! advancing over empty time O(1) per ring, so a `schedule` beyond the
+//! current tick is O(1) whatever the queue length. The far-future fallback
+//! is the top ring, whose buckets span ~52 days of simulated time.
 //!
-//! Exactness is never traded for speed: a drained bucket is sorted by
-//! `(time, seq)` before its events pop, and an event scheduled at or before
-//! the wheel's current position is merge-inserted into the sorted drain
-//! buffer, so the pop order is *identical* to the heap's — property-tested
-//! against a reference heap in `tests/engine_props.rs`.
+//! Exactness is never traded for speed: the bucket being drained is staged
+//! into a binary min-heap on `(time, seq)` (an O(b) heapify of its b
+//! events), and an event scheduled at or before the wheel's current
+//! position is pushed onto that heap. `pop` and a same-tick `schedule` are
+//! therefore O(log b), and the pop order is *identical* to one global
+//! heap's — property-tested against a reference heap in
+//! `tests/engine_props.rs`.
+
+use std::collections::BinaryHeap;
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::persist;
@@ -88,6 +91,20 @@ struct Scheduled {
     event: Event,
 }
 
+/// Reversed `(at, seq)` order — `seq` is unique, so it is total — which
+/// makes std's max-heap pop the earliest event first.
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Nanoseconds per wheel tick (level-0 bucket width): ~1 µs.
 const TICK_BITS: u32 = 10;
 /// Level-0 bucket width in nanoseconds.
@@ -121,13 +138,12 @@ pub struct Scheduler {
     /// One occupancy bitmap per ring.
     occupied: [[u64; BITMAP_WORDS]; LEVELS],
     /// Tick of the bucket currently drained into `cur`. Events at ticks
-    /// `<= now_tick` bypass the wheel and merge straight into `cur`.
+    /// `<= now_tick` bypass the wheel and push straight onto `cur`.
     now_tick: u64,
-    /// Sorted drain buffer: the current bucket's events in `(at, seq)`
-    /// order, consumed from `cur_pos`. Invariant: whenever `len > 0`,
-    /// `cur[cur_pos]` is the global minimum, so `peek_time` is O(1).
-    cur: Vec<Scheduled>,
-    cur_pos: usize,
+    /// Drain heap: the current bucket's events, earliest `(at, seq)` on
+    /// top. Invariant: non-empty whenever `len > 0`, and its top is the
+    /// global minimum, so `peek_time` is O(1).
+    cur: BinaryHeap<Scheduled>,
     len: usize,
     next_seq: u64,
     processed: u64,
@@ -187,8 +203,7 @@ impl Scheduler {
                 .unwrap_or_else(|| (0..LEVELS * SLOTS).map(|_| Vec::new()).collect()),
             occupied: [[0; BITMAP_WORDS]; LEVELS],
             now_tick: 0,
-            cur: Vec::new(),
-            cur_pos: 0,
+            cur: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
             processed: 0,
@@ -204,12 +219,9 @@ impl Scheduler {
         self.insert(Scheduled { at, seq, event });
         self.len += 1;
         self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64);
-        // Keep the drain buffer settled: if the new event went into the
-        // wheel while nothing was staged, pull the earliest bucket now so
-        // `peek_time` stays O(1).
-        if self.cur_pos >= self.cur.len() {
-            self.cur.clear();
-            self.cur_pos = 0;
+        // Keep the drain heap settled: if the event went into the wheel
+        // while nothing was staged, pull the earliest bucket now.
+        if self.cur.is_empty() {
             let advanced = self.advance();
             debug_assert!(advanced);
         }
@@ -217,21 +229,16 @@ impl Scheduler {
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.cur.get(self.cur_pos).map(|s| s.at)
+        self.cur.peek().map(|s| s.at)
     }
 
     /// Remove and return the next `(time, event)`.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        let s = *self.cur.get(self.cur_pos)?;
-        self.cur_pos += 1;
+        let s = self.cur.pop()?;
         self.len -= 1;
-        if self.cur_pos >= self.cur.len() {
-            self.cur.clear();
-            self.cur_pos = 0;
-            if self.len > 0 {
-                let advanced = self.advance();
-                debug_assert!(advanced);
-            }
+        if self.cur.is_empty() && self.len > 0 {
+            let advanced = self.advance();
+            debug_assert!(advanced);
         }
         self.processed += 1;
         self.processed_by_kind[s.event.kind_idx()] += 1;
@@ -268,17 +275,12 @@ impl Scheduler {
         self.stats
     }
 
-    /// File one event into the wheel, or merge it into the sorted drain
-    /// buffer when it is due at or before the wheel's current position.
+    /// File one event into the wheel, or push it onto the drain heap when
+    /// it is due at or before the wheel's current position.
     fn insert(&mut self, s: Scheduled) {
         let tick = s.at >> TICK_BITS;
         if tick <= self.now_tick {
-            // Current bucket (already staged) or the past: merge into the
-            // pending tail of `cur`, preserving (at, seq) order exactly as
-            // a heap would.
-            let tail = &self.cur[self.cur_pos..];
-            let pos = tail.partition_point(|p| (p.at, p.seq) < (s.at, s.seq));
-            self.cur.insert(self.cur_pos + pos, s);
+            self.cur.push(s);
             return;
         }
         // Lowest ring whose resolution separates `tick` from `now_tick`:
@@ -293,10 +295,7 @@ impl Scheduler {
     /// Stage the next occupied bucket into `cur`, cascading coarser rings
     /// down as needed. Returns `false` only when the wheel is empty.
     fn advance(&mut self) -> bool {
-        loop {
-            if self.cur_pos < self.cur.len() {
-                return true;
-            }
+        while self.cur.is_empty() {
             // The lowest non-empty ring holds the earliest events: ring
             // invariants guarantee every level-l event precedes every
             // level-(l+1) event.
@@ -305,21 +304,19 @@ impl Scheduler {
             };
             self.occupied[level][slot / 64] &= !(1 << (slot % 64));
             let idx = level * SLOTS + slot;
-            if level == 0 {
-                // Stage the bucket: swap recycles the old drain buffer's
-                // capacity into the emptied bucket.
-                self.now_tick = (self.now_tick >> SLOT_BITS << SLOT_BITS) | slot as u64;
-                std::mem::swap(&mut self.cur, &mut self.buckets[idx]);
-                self.cur.sort_unstable_by_key(|s: &Scheduled| (s.at, s.seq));
-                self.cur_pos = 0;
-                return true;
-            }
-            // Cascade: move the wheel position to the start of this
-            // bucket's span and re-file its events one ring down (or into
-            // `cur` when they land exactly on the new position).
+            // Move the wheel position to the start of this bucket's span.
             let shift = SLOT_BITS * level as u32;
             self.now_tick = (self.now_tick >> (shift + SLOT_BITS) << (shift + SLOT_BITS))
                 | ((slot as u64) << shift);
+            if level == 0 {
+                // Stage the bucket as the drain heap; the drained heap's
+                // buffer becomes the emptied bucket, so neither allocates.
+                let spent = std::mem::take(&mut self.cur).into_vec();
+                self.cur = std::mem::replace(&mut self.buckets[idx], spent).into();
+                return true;
+            }
+            // Cascade: re-file its events one ring down (or into `cur`
+            // when they land exactly on the new position).
             let mut moved = std::mem::take(&mut self.buckets[idx]);
             self.stats.cascades += moved.len() as u64;
             for s in moved.drain(..) {
@@ -328,6 +325,7 @@ impl Scheduler {
             // Hand the empty buffer back so the bucket keeps its capacity.
             self.buckets[idx] = moved;
         }
+        true
     }
 
     /// `(level, slot)` of the earliest occupied bucket, if any.
@@ -359,16 +357,17 @@ persist!(struct Scheduled { at, seq, event });
 
 persist!(struct SchedStats { cascades, max_occupancy });
 
-/// The wheel is written as a sparse image — position, the pending tail of
-/// the drain buffer, each non-empty bucket under its index, the counters —
-/// and the occupancy bitmaps are rebuilt from the buckets on load, so the
-/// two directions are spelled out here instead of derived from a field
-/// list. The consumed prefix of the drain buffer (`..cur_pos`) is dropped
-/// on purpose: those events already dispatched.
+/// The wheel is written as a sparse image — position, the drain heap's
+/// events in `(at, seq)` order (so the bytes follow from the pending set,
+/// not from the pushes and pops that shaped the heap's array), each
+/// non-empty bucket under its index, the counters — and the occupancy
+/// bitmaps are rebuilt from the buckets on load, so the two directions are
+/// spelled out here instead of derived from a field list.
 impl Persist for Scheduler {
     fn save(&self, w: &mut CkptWriter) {
         w.put(&self.now_tick);
-        w.seq(self.cur[self.cur_pos..].iter());
+        // `Scheduled` orders latest-first, hence the `rev`.
+        w.seq(self.cur.clone().into_sorted_vec().iter().rev());
         let filled = || {
             self.buckets
                 .iter()
@@ -390,7 +389,8 @@ impl Persist for Scheduler {
     fn load(r: &mut CkptReader<'_>) -> Result<Scheduler, CkptError> {
         let mut s = Scheduler::new();
         s.now_tick = r.get()?;
-        let mut pending = r.seq_into(&mut s.cur)?;
+        s.cur = BinaryHeap::from(r.get::<Vec<Scheduled>>()?);
+        let mut pending = s.cur.len();
         for _ in 0..r.count::<(usize, Vec<Scheduled>)>()? {
             let idx: usize = r.get()?;
             if idx >= LEVELS * SLOTS {
@@ -438,6 +438,17 @@ mod tests {
             node: NodeId::new(node),
             token,
         }
+    }
+
+    /// `s`'s checkpoint image and the scheduler restored from it.
+    fn checkpoint(s: &Scheduler) -> (Vec<u8>, Scheduler) {
+        let mut w = CkptWriter::new();
+        s.save(&mut w);
+        let bytes = w.finish();
+        let mut r = CkptReader::new(&bytes).unwrap();
+        let restored = Scheduler::load(&mut r).unwrap();
+        r.expect_end().unwrap();
+        (bytes, restored)
     }
 
     #[test]
@@ -612,12 +623,7 @@ mod tests {
             s.pop();
         }
 
-        let mut w = CkptWriter::new();
-        s.save(&mut w);
-        let bytes = w.finish();
-        let mut r = CkptReader::new(&bytes).unwrap();
-        let mut restored = Scheduler::load(&mut r).unwrap();
-        r.expect_end().unwrap();
+        let (_, mut restored) = checkpoint(&s);
 
         assert_eq!(restored.len(), s.len());
         assert_eq!(restored.processed(), s.processed());
@@ -641,6 +647,82 @@ mod tests {
             }
         }
         assert_eq!(s.stats(), restored.stats());
+    }
+
+    /// One event popped at the start of tick 7, so that tick is the one
+    /// being drained and schedules into it take the drain-heap path.
+    fn draining_tick_7() -> (Scheduler, Time) {
+        let mut s = Scheduler::new();
+        let tick_start = 7 * TICK_NS;
+        s.schedule(tick_start, timer(0, 0));
+        assert_eq!(s.pop(), Some((tick_start, timer(0, 0))));
+        (s, tick_start)
+    }
+
+    #[test]
+    fn checkpoint_mid_burst_is_exact_and_history_free() {
+        use rand::Rng;
+        let mut rng = crate::rng::stream_rng(13, 0);
+        let (mut s, tick_start) = draining_tick_7();
+        for token in 0..5_000 {
+            s.schedule(tick_start + rng.gen_range(0..TICK_NS), timer(1, token));
+        }
+        // Drain half, scheduling into what is still pending as the engine
+        // does: never before the event just popped.
+        for k in 0..2_500 {
+            let (now, _) = s.pop().unwrap();
+            if k % 3 == 0 {
+                s.schedule(rng.gen_range(now..tick_start + TICK_NS), timer(2, k));
+            }
+        }
+
+        let (bytes, mut restored) = checkpoint(&s);
+
+        // The restored heap was built from the image, so its array is in
+        // `(at, seq)` order; the live one is in whatever order the pushes
+        // and pops left it. Equal images mean `save` wrote the pending set
+        // and not the array.
+        let in_order = |s: &Scheduler| s.cur.iter().is_sorted_by_key(|e| (e.at, e.seq));
+        assert!(in_order(&restored) && !in_order(&s));
+        assert_eq!(checkpoint(&restored).0, bytes);
+
+        assert_eq!(restored.len(), s.len());
+        while let Some((now, event)) = s.pop() {
+            assert_eq!(restored.pop(), Some((now, event)));
+            if s.len() % 7 == 0 && s.processed() < 6_000 {
+                let at = rng.gen_range(now..tick_start + 3 * TICK_NS);
+                s.schedule(at, Event::Audit);
+                restored.schedule(at, Event::Audit);
+            }
+        }
+        assert_eq!(restored.pop(), None);
+        assert_eq!(restored.processed(), s.processed());
+        assert_eq!(restored.stats(), s.stats());
+    }
+
+    #[test]
+    fn same_tick_flood_finishes() {
+        // A million schedules into the tick being drained, landing all over
+        // the pending set, with pops in between. No clock is read: a
+        // schedule that shifts the pending events to make room moves ~6 TB
+        // here, which takes minutes where this takes a second or two.
+        use rand::Rng;
+        let mut rng = crate::rng::stream_rng(17, 0);
+        let (mut s, tick_start) = draining_tick_7();
+        for token in 0..1_000_000 {
+            s.schedule(tick_start + rng.gen_range(0..TICK_NS), timer(1, token));
+            if token % 4 == 3 {
+                s.pop();
+            }
+        }
+        assert_eq!(s.len(), 750_000);
+        let mut last = 0;
+        while let Some((t, _)) = s.pop() {
+            assert!(t >= last);
+            last = t;
+        }
+        assert_eq!(s.processed(), 1_000_001);
+        assert_eq!(s.stats().cascades, 0);
     }
 
     #[test]

@@ -39,11 +39,11 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
-use crate::config::PhyConfig;
+use crate::config::PhyLinear;
 use crate::event::TxId;
 use crate::persist;
 use crate::time::Time;
-use cmap_phy::{dbm_to_mw, preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// Coarse radio state exposed to MACs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,9 +216,8 @@ impl RadioBank {
     /// A disabled radio also reads busy: a wedged front-end cannot report
     /// a clear channel, and the busy -> idle edge at recovery is what
     /// wakes carrier-waiting MACs back up.
-    pub fn busy(&self, node: usize, phy: &PhyConfig) -> bool {
-        self.state[node] & flag::ANY_BUSY != 0
-            || self.energy_total[node] >= dbm_to_mw(phy.cs_detect_dbm.min(phy.ed_threshold_dbm))
+    pub fn busy(&self, node: usize, phy: &PhyLinear) -> bool {
+        self.state[node] & flag::ANY_BUSY != 0 || self.energy_total[node] >= phy.cca_busy_mw
     }
 
     /// The cached busy flag for edge-triggered carrier notifications.
@@ -298,7 +297,7 @@ impl RadioBank {
         tx_id: TxId,
         power_mw: f64,
         now: Time,
-        phy: &PhyConfig,
+        phy: &PhyLinear,
         rng: &mut SmallRng,
     ) -> LockOutcome {
         if self.is_disabled(node) {
@@ -306,7 +305,7 @@ impl RadioBank {
             // finds nothing to remove).
             return LockOutcome::Interference;
         }
-        let noise = phy.noise_mw();
+        let noise = phy.noise_mw;
         // Interference the new frame would see: everything already here.
         let interference_for_new = self.energy_total[node];
         self.incoming[node].push(Incoming { tx_id, power_mw });
@@ -322,7 +321,7 @@ impl RadioBank {
             .map(|l| (l.lock_time, l.signal_mw, l.tx_id))
         else {
             // Idle: attempt to lock the new frame.
-            if power_mw >= dbm_to_mw(phy.sensitivity_dbm) {
+            if power_mw >= phy.sensitivity_mw {
                 let sinr = power_mw / (noise + interference_for_new);
                 if rng.gen_bool(preamble_success_prob(sinr).clamp(0.0, 1.0)) {
                     let interference = self.fresh_profile(node, now, interference_for_new);
@@ -342,14 +341,12 @@ impl RadioBank {
         };
 
         let in_preamble = now < lock_time + preamble_window;
-        let capture_allowed = if in_preamble {
-            phy.preamble_capture
-                && power_mw > lock_signal * cmap_phy::units::db_to_ratio(phy.capture_margin_db)
+        let capture_ratio = if in_preamble {
+            phy.capture_ratio
         } else {
-            phy.mim_capture
-                && power_mw > lock_signal * cmap_phy::units::db_to_ratio(phy.mim_margin_db)
+            phy.mim_ratio
         };
-        if capture_allowed {
+        if capture_ratio.is_some_and(|ratio| power_mw > lock_signal * ratio) {
             // The displaced frame keeps radiating: it is interference for
             // the new lock.
             let interference_for_new = self.energy_mw(node, Some(tx_id));
@@ -485,10 +482,12 @@ impl Persist for RadioBank {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::config::PhyConfig;
     use crate::rng::stream_rng;
+    use cmap_phy::dbm_to_mw;
 
-    fn phy() -> PhyConfig {
-        PhyConfig::default()
+    fn phy() -> PhyLinear {
+        PhyLinear::new(&PhyConfig::default())
     }
 
     fn mw(dbm: f64) -> f64 {
@@ -576,8 +575,10 @@ mod tests {
 
     #[test]
     fn no_mim_capture_when_disabled() {
-        let mut cfg = phy();
-        cfg.mim_capture = false;
+        let cfg = PhyLinear::new(&PhyConfig {
+            mim_capture: false,
+            ..PhyConfig::default()
+        });
         let mut r = bank();
         let mut rng = stream_rng(1, 5);
         assert_eq!(
@@ -605,8 +606,10 @@ mod tests {
 
     #[test]
     fn capture_disabled_by_config() {
-        let mut cfg = phy();
-        cfg.preamble_capture = false;
+        let cfg = PhyLinear::new(&PhyConfig {
+            preamble_capture: false,
+            ..PhyConfig::default()
+        });
         let mut r = bank();
         let mut rng = stream_rng(1, 6);
         assert_eq!(

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::app::NodeApp;
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
-use crate::config::PhyConfig;
+use crate::config::{PhyConfig, PhyLinear};
 use crate::event::{Event, Scheduler, TxId};
 use crate::faults::{FaultAction, FaultPlan, FaultState, WatchdogConfig};
 use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
@@ -61,6 +61,8 @@ pub struct Flow {
 /// A complete simulated network.
 pub struct World {
     phy: PhyConfig,
+    /// `phy`'s thresholds in the linear domain, for the per-event paths.
+    phy_linear: PhyLinear,
     time: Time,
     sched: Scheduler,
     medium: Medium,
@@ -181,6 +183,7 @@ impl World {
     fn construct(medium: Medium, phy: PhyConfig, seed: u64) -> World {
         let n = medium.len();
         World {
+            phy_linear: PhyLinear::new(&phy),
             phy,
             time: 0,
             sched: Scheduler::new(),
@@ -523,7 +526,7 @@ impl World {
                     tx_id,
                     power_mw,
                     self.time,
-                    &self.phy,
+                    &self.phy_linear,
                     &mut self.rngs[rx.index()],
                 );
                 match outcome {
@@ -629,8 +632,14 @@ impl World {
     fn grade_and_deliver(&mut self, rx: NodeId, c: RxCompletion) {
         let rate = self.pool.rate_of(c.tx_id);
         let wire_len = self.pool.wire_len(c.tx_id);
-        let (p_success, lookups) =
-            grade_reception(&c, self.time, rate, wire_len, &self.phy, self.ber_table);
+        let (p_success, lookups) = grade_reception(
+            &c,
+            self.time,
+            rate,
+            wire_len,
+            &self.phy_linear,
+            self.ber_table,
+        );
         self.ber_lookups += lookups;
         let rss_dbm = mw_to_dbm(c.signal_mw);
         let decoded = self.rngs[rx.index()].gen_bool(p_success.clamp(0.0, 1.0));
@@ -705,7 +714,7 @@ impl World {
                 node,
                 now: self.time,
                 phase: self.radios.phase(node.index()),
-                busy: self.radios.busy(node.index(), &self.phy),
+                busy: self.radios.busy(node.index(), &self.phy_linear),
                 mac_addr: MacAddr::from_node_index(node.index() as u16),
                 abort_rx_on_tx: self.phy.abort_rx_on_tx,
                 tx_requested: false,
@@ -792,7 +801,7 @@ impl World {
         // No notification for our own busy edge: the MAC knows it started
         // transmitting. Keep the cached flag consistent so the TxEnd edge
         // (busy -> idle) is seen.
-        let busy = self.radios.busy(node.index(), &self.phy);
+        let busy = self.radios.busy(node.index(), &self.phy_linear);
         self.radios.set_last_busy(node.index(), busy);
 
         let end = self.time + airtime;
@@ -859,7 +868,7 @@ impl World {
     /// Fire `on_channel_state` edges until the node's CCA stabilises.
     fn check_channel_edge(&mut self, node: NodeId) {
         for _ in 0..4 {
-            let busy = self.radios.busy(node.index(), &self.phy);
+            let busy = self.radios.busy(node.index(), &self.phy_linear);
             if busy == self.radios.last_busy(node.index()) {
                 break;
             }
@@ -1092,7 +1101,7 @@ fn grade_reception(
     frame_end: Time,
     rate: Rate,
     psdu_len: usize,
-    phy: &PhyConfig,
+    phy: &PhyLinear,
     table: &BerTable,
 ) -> (f64, u64) {
     let payload_start = c.lock_time + PLCP_PREAMBLE_NS + PLCP_SIG_NS;
@@ -1102,7 +1111,7 @@ fn grade_reception(
     let span = (frame_end - payload_start) as f64;
     let total_bits =
         (cmap_phy::rate::SERVICE_BITS + 8 * psdu_len as u64 + cmap_phy::rate::TAIL_BITS) as f64;
-    let noise = phy.noise_mw();
+    let noise = phy.noise_mw;
 
     let mut ln_p = 0.0_f64;
     let mut lookups = 0u64;

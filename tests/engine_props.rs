@@ -1,11 +1,60 @@
 //! Property-based tests for the simulation engine's foundations.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use cmap_suite::sim::event::{Event, Scheduler};
+use cmap_suite::sim::event::{Event, Scheduler, TICK_NS};
 use cmap_suite::sim::rng::{derive_seed, normal, stream_rng};
 use cmap_suite::sim::time::bits_duration;
 use cmap_suite::sim::NodeId;
+
+/// The timing wheel beside the reference model it must be
+/// pop-order-equivalent to: exactly the `(time, seq)` min-heap the engine
+/// used before the wheel. Every event is a timer whose token is its `seq`.
+#[derive(Default)]
+struct WheelAndHeap {
+    wheel: Scheduler,
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    seq: u64,
+}
+
+impl WheelAndHeap {
+    fn schedule(&mut self, at: u64, node: usize) {
+        let event = Event::Timer {
+            node: NodeId::new(node),
+            token: self.seq,
+        };
+        self.wheel.schedule(at, event);
+        self.heap.push(Reverse((at, self.seq)));
+        self.seq += 1;
+    }
+
+    /// Pop both, requiring the same `peek_time`, the same `(time, seq)` and
+    /// the same `len` afterwards; yields the popped `(time, node)`.
+    fn pop(&mut self) -> Result<Option<(u64, usize)>, TestCaseError> {
+        let expect = self.heap.pop().map(|Reverse(ts)| ts);
+        prop_assert_eq!(self.wheel.peek_time(), expect.map(|(t, _)| t));
+        let got = self.wheel.pop().map(|(t, ev)| {
+            let Event::Timer { node, token } = ev else {
+                unreachable!()
+            };
+            (t, token, node.index())
+        });
+        prop_assert_eq!(got.map(|(t, token, _)| (t, token)), expect);
+        prop_assert_eq!(self.wheel.len(), self.heap.len());
+        Ok(got.map(|(t, _, node)| (t, node)))
+    }
+
+    /// Drain both to empty, then hold the lifetime counter to the model's.
+    fn finish(mut self) -> Result<(), TestCaseError> {
+        while self.pop()?.is_some() {}
+        prop_assert!(self.heap.is_empty());
+        prop_assert_eq!(self.wheel.processed(), self.seq);
+        Ok(())
+    }
+}
 
 proptest! {
     /// Events pop in (time, insertion) order no matter the insert order.
@@ -43,42 +92,53 @@ proptest! {
             1..40,
         ),
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let mut wheel = Scheduler::new();
-        // Reference model: exactly the (time, seq) min-heap the engine
-        // used before the wheel.
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let check_pop = |wheel: &mut Scheduler,
-                             heap: &mut BinaryHeap<Reverse<(u64, u64)>>|
-         -> Result<(), TestCaseError> {
-            let expect = heap.pop().map(|Reverse(ts)| ts);
-            prop_assert_eq!(wheel.peek_time(), expect.map(|(t, _)| t));
-            let got = wheel.pop().map(|(t, ev)| {
-                let Event::Timer { token, .. } = ev else { unreachable!() };
-                (t, token)
-            });
-            prop_assert_eq!(got, expect);
-            Ok(())
-        };
+        let mut q = WheelAndHeap::default();
         for (pops, times) in &ops {
             for &t in times {
-                wheel.schedule(t, Event::Timer { node: NodeId::new(0), token: seq });
-                heap.push(Reverse((t, seq)));
-                seq += 1;
+                q.schedule(t, 0);
             }
             for _ in 0..*pops {
-                check_pop(&mut wheel, &mut heap)?;
+                q.pop()?;
             }
-            prop_assert_eq!(wheel.len(), heap.len());
         }
-        while !wheel.is_empty() {
-            check_pop(&mut wheel, &mut heap)?;
+        q.finish()?;
+    }
+
+    /// The engine's own pattern, which the uniform draws above essentially
+    /// never produce: senders popped at one instant each file a whole
+    /// receiver fan-out less than two ticks ahead — into the bucket being
+    /// drained or just past it — plus their own end-of-airtime event, round
+    /// after round.
+    #[test]
+    fn same_tick_bursts_match_reference_heap(
+        senders in 1usize..64,
+        fanout in 1usize..128,
+        rounds in 1usize..5,
+        start in 0u64..1 << 40,
+        airtime in 1u64..3_000_000,
+        seed in any::<u64>(),
+    ) {
+        use rand::Rng;
+        const SENDER: usize = 1;
+        const RECEIVER: usize = 0;
+
+        let mut rng = stream_rng(seed, 0);
+        let mut q = WheelAndHeap::default();
+        for _ in 0..senders {
+            q.schedule(start, SENDER);
         }
-        prop_assert!(heap.is_empty());
-        prop_assert_eq!(wheel.processed(), seq);
+        let mut bursts = senders * rounds;
+        while bursts > 0 {
+            let (now, node) = q.pop()?.expect("a sender is always pending");
+            if node == SENDER {
+                bursts -= 1;
+                for _ in 0..fanout {
+                    q.schedule(now + rng.gen_range(0..2 * TICK_NS), RECEIVER);
+                }
+                q.schedule(now + airtime, SENDER);
+            }
+        }
+        q.finish()?;
     }
 
     /// Seed derivation: deterministic, and distinct streams disagree.
