@@ -1,36 +1,21 @@
-//! Workspace analysis orchestration.
+//! The analysis pipeline, start to finish.
 //!
-//! The pipeline: collect `.rs` files → hash contents (FNV-1a) → serve
-//! unchanged files from the incremental cache, fan the rest through
-//! `cmap_exec::Pool` for token-layer scan + symbol-model build → run the
-//! interprocedural flow rules (always — whole-program, cheap) → audit
-//! stale pragmas → filter through the suppression baseline.
-//!
-//! The analyzer itself is exempt from the determinism rules it enforces
-//! on simulation code — its wall-clock metering (`wall_ns`) feeds only the
-//! stats artifact CI uses to assert the warm-cache speedup, never a
-//! simulation artifact.
+//! One serial pass: walk the roots for `.rs` files → read each file and
+//! build its token-layer scan and symbol model → run the interprocedural
+//! flow rules over all models at once (a whole-program fixpoint) → audit
+//! stale pragmas → split the findings through the suppression baseline.
+//! The whole workspace takes about 0.2 s, so nothing is cached between
+//! runs and nothing is fanned out (DESIGN.md §10).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::baseline::{Baseline, BaselineEntry};
-use crate::cache::{fnv1a, Cache, CacheEntry};
 use crate::flow::{self, FlowFile};
+use crate::jsonv::{int, obj, s, Val};
 use crate::model::{build_model, FileModel};
-use crate::{collect_rs_files, Config, FileScan, Rule, Violation};
-
-/// Analysis options beyond the rule [`Config`].
-#[derive(Debug, Default)]
-pub struct Options {
-    /// Worker count for the parse fan-out (0 = serial).
-    pub jobs: usize,
-    /// Incremental cache location; `None` disables caching.
-    pub cache_path: Option<PathBuf>,
-    /// Suppression baseline; `None` means every finding gates.
-    pub baseline_path: Option<PathBuf>,
-}
+use crate::{collect_rs_files, scan_file, violation_to_val, Config, FileScan, Rule, Violation};
 
 /// The full analysis result.
 #[derive(Debug, Default)]
@@ -43,21 +28,26 @@ pub struct AnalyzeReport {
     pub stale_baseline: Vec<BaselineEntry>,
     /// Files analyzed.
     pub files_scanned: usize,
-    /// Files lexed+modelled this run.
-    pub files_parsed: usize,
-    /// Files served from the incremental cache.
-    pub files_from_cache: usize,
-    /// Wall time of the analysis (cache load → baseline filter). Metering
-    /// only: feeds the CI stats artifact, never a simulation artifact.
-    pub wall_ns: u128,
 }
 
-/// Analyze a set of roots.
-pub fn analyze(roots: &[PathBuf], cfg: &Config, opts: &Options) -> io::Result<AnalyzeReport> {
-    // cmap-lint: allow(wall-clock) — analyzer self-metering for the CI warm-cache assertion; never reaches simulation artifacts
-    let t0 = std::time::Instant::now();
+/// One file's per-file products, kept until the whole-program steps ran.
+/// (`model.path` is the `/`-normalised path as given: root argument + walk.)
+struct Parsed {
+    text: String,
+    scan: FileScan,
+    model: FileModel,
+}
 
-    // ---- collect ---------------------------------------------------------
+/// Analyze a set of roots. Directories are walked recursively for `.rs`
+/// files; `cfg.skip_markers` prune the walk but never an explicit root
+/// argument. `baseline` names the suppression baseline; with `None` (or a
+/// path that does not exist) every finding gates.
+pub fn analyze(
+    roots: &[PathBuf],
+    cfg: &Config,
+    baseline: Option<&Path>,
+) -> io::Result<AnalyzeReport> {
+    // ---- walk ------------------------------------------------------------
     let mut files = Vec::new();
     for root in roots {
         if root.is_dir() {
@@ -74,88 +64,52 @@ pub fn analyze(roots: &[PathBuf], cfg: &Config, opts: &Options) -> io::Result<An
     files.sort();
     files.dedup();
 
-    // ---- read + hash -----------------------------------------------------
-    let mut sources: Vec<(String, String, u64)> = Vec::with_capacity(files.len());
+    // ---- per file: read, token scan, symbol model ------------------------
+    let mut parsed: Vec<Parsed> = Vec::with_capacity(files.len());
     for file in &files {
-        let display = file.display().to_string().replace('\\', "/");
+        let path = file.display().to_string().replace('\\', "/");
         let text = fs::read_to_string(file)?;
-        let hash = fnv1a(text.as_bytes());
-        sources.push((display, text, hash));
-    }
-
-    // ---- cache partition -------------------------------------------------
-    let pool = cmap_exec::Pool::new(opts.jobs.max(1));
-    let mut cache = match &opts.cache_path {
-        Some(p) => Cache::load(p, &pool),
-        None => Cache::default(),
-    };
-    let mut parsed: Vec<Option<(FileScan, FileModel)>> = vec![None; sources.len()];
-    let mut to_parse: Vec<usize> = Vec::new();
-    let mut files_from_cache = 0;
-    for (i, (path, _, hash)) in sources.iter().enumerate() {
-        match cache.entries.get(path) {
-            Some(e) if e.hash == *hash => {
-                parsed[i] = Some((e.scan.clone(), e.model.clone()));
-                files_from_cache += 1;
-            }
-            _ => to_parse.push(i),
-        }
-    }
-
-    // ---- parallel parse --------------------------------------------------
-    let files_parsed = to_parse.len();
-    let fresh: Vec<(FileScan, FileModel)> = pool.map(&to_parse, |&i| {
-        let (path, text, _) = &sources[i];
-        let scan = crate::scan_file(path, text, cfg);
-        let model = build_model(path, text);
-        (scan, model)
-    });
-    for (&i, product) in to_parse.iter().zip(fresh) {
-        parsed[i] = Some(product);
+        let scan = scan_file(&path, &text, cfg);
+        let model = build_model(&path, &text);
+        parsed.push(Parsed { text, scan, model });
     }
 
     // ---- flow rules ------------------------------------------------------
-    let products: Vec<&(FileScan, FileModel)> = parsed
+    let flow_files: Vec<FlowFile> = parsed
         .iter()
-        .map(|p| p.as_ref().expect("every file parsed or cached"))
-        .collect();
-    let flow_files: Vec<FlowFile> = products
-        .iter()
-        .zip(&sources)
-        .map(|(p, (_, text, _))| FlowFile {
-            model: &p.1,
-            scan: &p.0,
-            raw: text.lines().collect(),
+        .map(|p| FlowFile {
+            model: &p.model,
+            scan: &p.scan,
+            raw: p.text.lines().collect(),
         })
         .collect();
     let flow_out = flow::run(&flow_files, cfg);
 
     // ---- stale pragmas ---------------------------------------------------
     let mut violations: Vec<Violation> = Vec::new();
-    for p in &products {
-        violations.extend(p.0.violations.iter().cloned());
+    for p in &parsed {
+        violations.extend(p.scan.violations.iter().cloned());
     }
     violations.extend(flow_out.violations);
 
     let mut used: std::collections::BTreeSet<(usize, usize, Rule)> =
         std::collections::BTreeSet::new();
-    for (i, p) in products.iter().enumerate() {
-        for &(line, rule) in &p.0.used_pragmas {
+    for (i, p) in parsed.iter().enumerate() {
+        for &(line, rule) in &p.scan.used_pragmas {
             used.insert((i, line, rule));
         }
     }
     for (i, line, rule) in flow_out.pragma_uses {
         used.insert((i, line, rule));
     }
-    for (i, p) in products.iter().enumerate() {
-        for pragma in &p.0.pragmas {
+    for (i, p) in parsed.iter().enumerate() {
+        for pragma in &p.scan.pragmas {
             for &rule in &pragma.rules {
                 if rule == Rule::StalePragma || used.contains(&(i, pragma.line, rule)) {
                     continue;
                 }
-                let (path, text, _) = &sources[i];
                 violations.push(Violation {
-                    path: path.clone(),
+                    path: p.model.path.clone(),
                     line: pragma.line,
                     rule: Rule::StalePragma,
                     message: format!(
@@ -163,7 +117,8 @@ pub fn analyze(roots: &[PathBuf], cfg: &Config, opts: &Options) -> io::Result<An
                          pragma (dead suppressions rot the audit trail)",
                         rule.code()
                     ),
-                    snippet: text
+                    snippet: p
+                        .text
                         .lines()
                         .nth(pragma.line - 1)
                         .map_or("", str::trim)
@@ -178,12 +133,10 @@ pub fn analyze(roots: &[PathBuf], cfg: &Config, opts: &Options) -> io::Result<An
 
     // ---- baseline --------------------------------------------------------
     let mut report = AnalyzeReport {
-        files_scanned: sources.len(),
-        files_parsed,
-        files_from_cache,
+        files_scanned: parsed.len(),
         ..AnalyzeReport::default()
     };
-    match &opts.baseline_path {
+    match baseline {
         Some(p) if p.exists() => {
             let baseline = Baseline::load(p).map_err(io::Error::other)?;
             let split = baseline.split(violations);
@@ -193,54 +146,7 @@ pub fn analyze(roots: &[PathBuf], cfg: &Config, opts: &Options) -> io::Result<An
         }
         _ => report.violations = violations,
     }
-
-    // ---- store cache -----------------------------------------------------
-    if let Some(p) = &opts.cache_path {
-        // Drop entries for files no longer on disk so the cache does not
-        // grow without bound.
-        let live: std::collections::BTreeSet<&String> = sources.iter().map(|(p, _, _)| p).collect();
-        let before = cache.entries.len();
-        cache.entries.retain(|path, _| live.contains(path));
-        let dropped = before - cache.entries.len();
-        // A fully-warm run leaves the cache byte-identical; skip the
-        // serialize+write so warm wall time stays well under cold.
-        if files_parsed > 0 || dropped > 0 {
-            for (i, (path, _, hash)) in sources.iter().enumerate() {
-                let (scan, model) = parsed[i].as_ref().expect("parsed");
-                cache.entries.insert(
-                    path.clone(),
-                    CacheEntry {
-                        hash: *hash,
-                        scan: scan.clone(),
-                        model: model.clone(),
-                    },
-                );
-            }
-            cache.store(p)?;
-        }
-    }
-
-    report.wall_ns = t0.elapsed().as_nanos();
     Ok(report)
-}
-
-/// Stats document for `--stats-out` (CI asserts warm < cold/2 on
-/// `wall_ns`, and exact parse/cache counts in the incremental test).
-pub fn render_stats(report: &AnalyzeReport) -> String {
-    use crate::jsonv::{int, obj, Val};
-    obj(vec![
-        ("files_scanned", int(report.files_scanned)),
-        ("files_parsed", int(report.files_parsed)),
-        ("files_from_cache", int(report.files_from_cache)),
-        ("new_findings", int(report.violations.len())),
-        ("pinned_findings", int(report.pinned.len())),
-        ("stale_baseline_entries", int(report.stale_baseline.len())),
-        (
-            "wall_ns",
-            Val::Int(i64::try_from(report.wall_ns).unwrap_or(i64::MAX)),
-        ),
-    ])
-    .render_pretty()
 }
 
 /// Render the analyze report for humans.
@@ -267,21 +173,16 @@ pub fn render_human(report: &AnalyzeReport) -> String {
         ));
     }
     out.push_str(&format!(
-        "cmap-analyze: {} new finding(s), {} baselined, {} file(s) scanned \
-         ({} parsed, {} from cache)\n",
+        "cmap-analyze: {} new finding(s), {} baselined, {} file(s) scanned\n",
         report.violations.len(),
         report.pinned.len(),
-        report.files_scanned,
-        report.files_parsed,
-        report.files_from_cache
+        report.files_scanned
     ));
     out
 }
 
 /// Render the analyze report as JSON (violations plus counters).
 pub fn render_json(report: &AnalyzeReport) -> String {
-    use crate::cache::violation_to_val;
-    use crate::jsonv::{int, obj, s, Val};
     obj(vec![
         (
             "violations",
@@ -304,8 +205,6 @@ pub fn render_json(report: &AnalyzeReport) -> String {
             ),
         ),
         ("files_scanned", int(report.files_scanned)),
-        ("files_parsed", int(report.files_parsed)),
-        ("files_from_cache", int(report.files_from_cache)),
         ("violation_count", int(report.violations.len())),
     ])
     .render_pretty()

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::model::{fn_name_unit, ident_unit};
 use crate::model::{BinOp, CallSite, FileModel, FnModel, Operand, OperandKind, Unit};
-use crate::{Config, FileScan, Rule, Violation};
+use crate::{is_test_path, Config, FileScan, Rule, Violation};
 
 /// One analyzed file as the flow layer sees it.
 pub struct FlowFile<'a> {
@@ -277,8 +277,7 @@ impl<'a> Engine<'a> {
     }
 
     fn is_test_file(&self, fi: usize) -> bool {
-        let p = &self.files[fi].model.path;
-        (p.contains("/tests/") || p.contains("/benches/")) && !p.contains("fixtures")
+        is_test_path(&self.files[fi].model.path)
     }
 
     fn is_test_fn(&self, r: FnRef) -> bool {

@@ -1,6 +1,6 @@
 //! A minimal std-only JSON value type with a parser and renderer.
 //!
-//! Used by the incremental cache, the suppression baseline, and the SARIF
+//! Used by the suppression baseline, the `--json` report and the SARIF
 //! writer. Numbers are kept as `i64`/`f64`; object keys keep insertion
 //! order (a `Vec` of pairs) so rendered output is deterministic and
 //! diff-friendly.
@@ -51,14 +51,6 @@ impl Val {
         }
     }
 
-    /// Bool content.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Val::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Array items, if this is an array.
     pub fn as_arr(&self) -> Option<&[Val]> {
         match self {
@@ -67,26 +59,16 @@ impl Val {
         }
     }
 
-    /// Render compactly (no whitespace).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Render with two-space indentation.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
+    fn write(&self, out: &mut String, depth: usize) {
+        let (pad, pad_in) = ("  ".repeat(depth), "  ".repeat(depth + 1));
         match self {
             Val::Null => out.push_str("null"),
             Val::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -126,11 +108,11 @@ impl Val {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
+                    out.push('\n');
                     out.push_str(&pad_in);
-                    v.write(out, indent, depth + 1);
+                    v.write(out, depth + 1);
                 }
-                out.push_str(nl);
+                out.push('\n');
                 out.push_str(&pad);
                 out.push(']');
             }
@@ -144,17 +126,14 @@ impl Val {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
+                    out.push('\n');
                     out.push_str(&pad_in);
                     out.push('"');
                     out.push_str(&escape(k));
-                    out.push_str("\":");
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
+                    out.push_str("\": ");
+                    v.write(out, depth + 1);
                 }
-                out.push_str(nl);
+                out.push('\n');
                 out.push_str(&pad);
                 out.push('}');
             }
@@ -435,7 +414,7 @@ mod tests {
             v.get("b").and_then(|b| b.get("c")).and_then(Val::as_int),
             Some(-3)
         );
-        let rendered = v.render();
+        let rendered = v.render_pretty();
         let v2 = parse(&rendered).expect("reparses");
         assert_eq!(v, v2);
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p cmap-analyze -- crates/ src/ tests/
 //! cargo run -p cmap-analyze -- --baseline ANALYZE_baseline.json \
-//!     --cache target/cmap-analyze/cache.json --sarif analyze.sarif crates/
+//!     --sarif analyze.sarif crates/
 //! ```
 //!
 //! Exit codes: 0 clean, 1 non-baselined findings, 2 usage or I/O error.
@@ -11,15 +11,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cmap_analyze::analyze::{self, Options};
+use cmap_analyze::analyze;
 use cmap_analyze::{sarif, Config};
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut stats_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut opts = Options::default();
+    let mut baseline: Option<PathBuf> = None;
     let mut no_default_baseline = false;
     let mut roots: Vec<PathBuf> = Vec::new();
 
@@ -37,29 +36,14 @@ fn main() -> ExitCode {
                 Ok(p) => sarif_path = Some(p),
                 Err(c) => return c,
             },
-            "--stats-out" => match path_arg(&mut args) {
-                Ok(p) => stats_path = Some(p),
-                Err(c) => return c,
-            },
             "--baseline" => match path_arg(&mut args) {
-                Ok(p) => opts.baseline_path = Some(p),
+                Ok(p) => baseline = Some(p),
                 Err(c) => return c,
             },
             "--no-baseline" => no_default_baseline = true,
             "--write-baseline" => match path_arg(&mut args) {
                 Ok(p) => write_baseline = Some(p),
                 Err(c) => return c,
-            },
-            "--cache" => match path_arg(&mut args) {
-                Ok(p) => opts.cache_path = Some(p),
-                Err(c) => return c,
-            },
-            "--jobs" => match args.next().and_then(|j| j.parse::<usize>().ok()) {
-                Some(j) => opts.jobs = j,
-                None => {
-                    eprintln!("cmap-analyze: `--jobs` needs a number");
-                    return ExitCode::from(2);
-                }
             },
             "--help" | "-h" => {
                 print_usage();
@@ -78,12 +62,12 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::from(2);
     }
-    if opts.baseline_path.is_none() && !no_default_baseline {
-        opts.baseline_path = analyze::default_baseline();
+    if baseline.is_none() && !no_default_baseline {
+        baseline = analyze::default_baseline();
     }
 
     let cfg = Config::default();
-    let report = match analyze::analyze(&roots, &cfg, &opts) {
+    let report = match analyze::analyze(&roots, &cfg, baseline.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("cmap-analyze: {e}");
@@ -94,12 +78,6 @@ fn main() -> ExitCode {
     if let Some(p) = &sarif_path {
         let doc = sarif::render(&report.violations, &report.pinned);
         if let Err(e) = std::fs::write(p, doc) {
-            eprintln!("cmap-analyze: cannot write {}: {e}", p.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(p) = &stats_path {
-        if let Err(e) = std::fs::write(p, analyze::render_stats(&report)) {
             eprintln!("cmap-analyze: cannot write {}: {e}", p.display());
             return ExitCode::from(2);
         }
@@ -149,12 +127,9 @@ fn print_usage() {
          options:\n\
            --json                 JSON report on stdout\n\
            --sarif <path>         write a SARIF 2.1.0 document\n\
-           --stats-out <path>     write scan counters + wall time (CI)\n\
            --baseline <path>      suppression baseline (default:\n\
                                   ANALYZE_baseline.json if present)\n\
            --no-baseline          ignore the default baseline\n\
-           --write-baseline <p>   pin all current findings (fill reasons!)\n\
-           --cache <path>         incremental cache keyed by content hash\n\
-           --jobs <n>             parse fan-out width (default 1)"
+           --write-baseline <p>   pin all current findings (fill reasons!)"
     );
 }

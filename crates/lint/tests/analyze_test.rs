@@ -1,13 +1,16 @@
 //! Self-tests for the symbol layer: interprocedural rules R7–R10 (each
 //! with a bad fixture the token layer provably cannot catch and a clean
-//! twin), the stale-pragma audit, the golden SARIF snapshot, the
-//! incremental cache, and the analyze-clean workspace gate.
+//! twin), the stale-pragma audit, the golden SARIF snapshot, and the
+//! command line: the analyze-clean workspace gate runs the built binary
+//! from the repo root, exactly as CI does.
 
 use std::path::PathBuf;
+use std::process::{Command, Output};
 
-use cmap_analyze::analyze::{analyze, Options};
+use cmap_analyze::analyze::analyze;
 use cmap_analyze::baseline::Baseline;
-use cmap_analyze::{sarif, scan_paths, Config, Rule};
+use cmap_analyze::jsonv::{self, Val};
+use cmap_analyze::{sarif, scan_source, Config, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(format!("tests/fixtures/{name}"))
@@ -15,8 +18,7 @@ fn fixture(name: &str) -> PathBuf {
 
 /// Full-engine `(rule, line)` pairs for one fixture, sorted.
 fn flow_findings(name: &str) -> Vec<(Rule, usize)> {
-    let report = analyze(&[fixture(name)], &Config::default(), &Options::default())
-        .expect("fixture analyzes");
+    let report = analyze(&[fixture(name)], &Config::default(), None).expect("fixture analyzes");
     let mut v: Vec<(Rule, usize)> = report.violations.iter().map(|f| (f.rule, f.line)).collect();
     v.sort();
     v
@@ -26,8 +28,10 @@ fn flow_findings(name: &str) -> Vec<(Rule, usize)> {
 /// fixtures must come back empty here: that is the proof the flow layer
 /// sees something the per-file lexer cannot.
 fn token_findings(name: &str) -> Vec<(Rule, usize)> {
-    let report = scan_paths(&[fixture(name)], &Config::default()).expect("fixture readable");
-    report.violations.iter().map(|f| (f.rule, f.line)).collect()
+    let path = fixture(name);
+    let source = std::fs::read_to_string(&path).expect("fixture readable");
+    let found = scan_source(&path.to_string_lossy(), &source, &Config::default());
+    found.iter().map(|f| (f.rule, f.line)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -158,7 +162,7 @@ fn golden_sarif_snapshot() {
     let report = analyze(
         &[fixture("bad_unit_flow.rs"), fixture("bad_empty_expect.rs")],
         &Config::default(),
-        &Options::default(),
+        None,
     )
     .expect("fixtures analyze");
     let baseline = Baseline::parse(
@@ -188,86 +192,97 @@ fn golden_sarif_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental cache
+// The command line
 // ---------------------------------------------------------------------------
 
-#[test]
-fn warm_cache_skips_unchanged_and_one_byte_edit_invalidates_one_file() {
-    // Keep the `tests/fixtures` marker in the copied paths so the copies
-    // stay inside the det/hot rule scope, like the originals.
-    let tmp = std::env::temp_dir()
-        .join(format!("cmap-analyze-cache-{}", std::process::id()))
-        .join("tests/fixtures");
-    std::fs::create_dir_all(&tmp).expect("tmp dir");
-    let a = tmp.join("bad_unit_flow.rs");
-    let b = tmp.join("clean_unit_flow.rs");
-    std::fs::copy(fixture("bad_unit_flow.rs"), &a).expect("copy a");
-    std::fs::copy(fixture("clean_unit_flow.rs"), &b).expect("copy b");
-    let opts = Options {
-        jobs: 2,
-        cache_path: Some(tmp.join("cache.json")),
-        baseline_path: None,
-    };
-    let cfg = Config::default();
-    let roots = [a.clone(), b.clone()];
-
-    let cold = analyze(&roots, &cfg, &opts).expect("cold run");
-    assert_eq!(cold.files_parsed, 2);
-    assert_eq!(cold.files_from_cache, 0);
-    assert_eq!(cold.violations.len(), 1, "bad fixture still found cold");
-
-    let warm = analyze(&roots, &cfg, &opts).expect("warm run");
-    assert_eq!(warm.files_parsed, 0, "warm run reparses nothing");
-    assert_eq!(warm.files_from_cache, 2);
-    assert_eq!(
-        warm.violations.len(),
-        1,
-        "flow rules still fire on cached models"
-    );
-
-    // A one-byte edit to one file invalidates exactly that file.
-    let mut text = std::fs::read_to_string(&b).expect("read b");
-    text.push(' ');
-    std::fs::write(&b, text).expect("touch b");
-    let edited = analyze(&roots, &cfg, &opts).expect("edited run");
-    assert_eq!(edited.files_parsed, 1, "only the edited file reparses");
-    assert_eq!(edited.files_from_cache, 1);
-
-    std::fs::remove_dir_all(&tmp).ok();
+/// Run the built binary from the repo root (integration tests start in
+/// the crate directory, two levels down), so it sees the path spellings
+/// and the default baseline that CI's invocation sees.
+fn run_cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cmap-analyze"))
+        .current_dir("../..")
+        .args(args)
+        .output()
+        .expect("cmap-analyze runs")
 }
-
-// ---------------------------------------------------------------------------
-// The workspace gate
-// ---------------------------------------------------------------------------
 
 /// The real tree must stay analyze-clean: token rules, flow rules, and the
 /// stale-pragma audit together, filtered only through the checked-in
-/// baseline (whose every entry must also still match something).
+/// baseline (whose every entry must also still match something). This is
+/// CI's command, so the gate and the command cannot disagree.
 #[test]
 fn workspace_is_analyze_clean() {
-    let roots = [
-        PathBuf::from("../../crates"),
-        PathBuf::from("../../src"),
-        PathBuf::from("../../tests"),
-    ];
-    let opts = Options {
-        jobs: 2,
-        cache_path: None,
-        baseline_path: Some(PathBuf::from("../../ANALYZE_baseline.json")),
-    };
-    let report = analyze(&roots, &Config::default(), &opts).expect("workspace analyzes");
-    let human = cmap_analyze::analyze::render_human(&report);
+    let out = run_cli(&["crates/", "src/", "tests/"]);
+    let human = String::from_utf8_lossy(&out.stdout);
     assert!(
-        report.violations.is_empty(),
+        out.status.success(),
         "cmap-analyze found non-baselined findings:\n{human}"
     );
     assert!(
-        report.stale_baseline.is_empty(),
+        !human.contains("stale baseline entry"),
         "baseline pins findings that no longer exist:\n{human}"
     );
+    let summary = human.lines().last().expect("summary line");
+    let counts: Vec<usize> = summary
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|n| n.parse().ok())
+        .collect();
+    let [_new, baselined, files] = counts[..] else {
+        panic!("unexpected summary line: {summary}");
+    };
     assert!(
-        !report.pinned.is_empty(),
-        "baseline should pin the perf-sidecar flows"
+        baselined > 0,
+        "baseline should pin the perf-sidecar flows: {summary}"
     );
-    assert!(report.files_scanned > 50, "walk looks truncated: {human}");
+    assert!(files > 50, "walk looks truncated: {summary}");
+}
+
+/// `(path, line, rule)` of every finding in a `--json` report, with a
+/// leading `./` dropped from the path.
+fn json_findings(out: &Output) -> Vec<(String, i64, String)> {
+    let doc = jsonv::parse(&String::from_utf8_lossy(&out.stdout)).expect("JSON report");
+    let field = |v: &Val, key: &str| v.get(key).and_then(Val::as_str).map(str::to_string);
+    doc.get("violations")
+        .and_then(Val::as_arr)
+        .expect("violations array")
+        .iter()
+        .map(|v| {
+            let path = field(v, "path").expect("path");
+            (
+                path.trim_start_matches("./").to_string(),
+                v.get("line").and_then(Val::as_int).expect("line"),
+                field(v, "rule").expect("rule"),
+            )
+        })
+        .collect()
+}
+
+/// Whether a file is test code must not depend on how its root was
+/// spelled: `tests/` and `./tests` are the same directory.
+#[test]
+fn findings_do_not_depend_on_root_spelling() {
+    let plain = run_cli(&["--json", "--no-baseline", "crates/", "src/", "tests/"]);
+    let dotted = run_cli(&["--json", "--no-baseline", "./crates", "./src", "./tests"]);
+    assert_eq!(plain.status.code(), dotted.status.code());
+    let findings = json_findings(&plain);
+    assert!(
+        !findings.is_empty(),
+        "the baselined flows are findings here"
+    );
+    assert_eq!(findings, json_findings(&dotted));
+}
+
+/// The incremental cache, the parse fan-out and the stats file are gone;
+/// their options are unknown options now: usage on stderr, exit 2.
+#[test]
+fn removed_options_are_usage_errors() {
+    for option in ["--cache", "--jobs", "--stats-out"] {
+        let out = run_cli(&[option, "x", "crates/"]);
+        assert_eq!(out.status.code(), Some(2), "{option}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option `{option}`")),
+            "{option}: {err}"
+        );
+    }
 }

@@ -1,15 +1,15 @@
-//! Fixture-based self-tests for the determinism lint, plus the
-//! keep-the-tree-clean gate: scanning the real workspace must produce zero
-//! findings, so `cargo test` fails the moment a violation lands.
+//! Fixture-based self-tests for the token-layer rules. (The
+//! keep-the-tree-clean gate is `analyze_test::workspace_is_analyze_clean`.)
 
 use std::path::PathBuf;
 
-use cmap_analyze::{scan_paths, Config, Rule};
+use cmap_analyze::analyze::{analyze, render_human, render_json};
+use cmap_analyze::{Config, Rule};
 
-/// Scan one fixture and return its `(rule, line)` pairs, sorted.
+/// Analyze one fixture and return its `(rule, line)` pairs, sorted.
 fn findings(fixture: &str) -> Vec<(Rule, usize)> {
     let root = PathBuf::from(format!("tests/fixtures/{fixture}"));
-    let report = scan_paths(&[root], &Config::default()).expect("fixture readable");
+    let report = analyze(&[root], &Config::default(), None).expect("fixture readable");
     let mut v: Vec<(Rule, usize)> = report.violations.iter().map(|f| (f.rule, f.line)).collect();
     v.sort();
     v
@@ -122,29 +122,11 @@ fn pragma_without_reason_is_flagged_and_silences_nothing() {
 #[test]
 fn diagnostics_carry_file_and_line() {
     let root = PathBuf::from("tests/fixtures/bad_wallclock.rs");
-    let report = scan_paths(&[root], &Config::default()).expect("fixture readable");
-    let human = cmap_analyze::render_human(&report);
+    let report = analyze(&[root], &Config::default(), None).expect("fixture readable");
+    let human = render_human(&report);
     assert!(human.contains("tests/fixtures/bad_wallclock.rs:4: [wall-clock]"));
-    let json = cmap_analyze::render_json(&report);
+    let json = render_json(&report);
     assert!(json.contains("\"line\": 4"));
     assert!(json.contains("\"rule\": \"wall-clock\""));
     assert!(json.contains("\"violation_count\": 3"));
-}
-
-/// The real tree must stay clean. Integration tests run with the crate
-/// directory as cwd, so the workspace roots are two levels up.
-#[test]
-fn workspace_is_clean() {
-    let roots = [
-        PathBuf::from("../../crates"),
-        PathBuf::from("../../src"),
-        PathBuf::from("../../tests"),
-    ];
-    let report = scan_paths(&roots, &Config::default()).expect("workspace readable");
-    let human = cmap_analyze::render_human(&report);
-    assert!(
-        report.violations.is_empty(),
-        "determinism lint found violations in the workspace:\n{human}"
-    );
-    assert!(report.files_scanned > 50, "walk looks truncated: {human}");
 }

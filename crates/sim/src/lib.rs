@@ -4,10 +4,9 @@
 //! deterministic discrete-event engine with
 //!
 //! * a nanosecond event queue with stable tie-breaking ([`event`]),
-//! * a shared [`Medium`] of frozen link gains and propagation delays
-//!   behind the [`Propagation`] trait — dense matrix for testbed-scale
-//!   topologies, sparse spatially-indexed storage for city scale
-//!   ([`MediumBuilder`]),
+//! * a shared [`Medium`] of frozen link gains and propagation delays —
+//!   dense matrix for testbed-scale topologies, sparse spatially-indexed
+//!   storage for city scale ([`MediumBuilder`]),
 //! * a half-duplex [`radio`] per node with preamble locking, preamble
 //!   capture, SINR-segmented reception grading and 802.11-style CCA,
 //! * a [`Mac`] trait that link layers (`cmap-core`, `cmap-mac80211`)
@@ -64,7 +63,7 @@ pub use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 pub use config::PhyConfig;
 pub use faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing, WatchdogConfig};
 pub use mac::{Mac, NodeCtx, NullMac, RxErrorInfo, RxInfo};
-pub use medium::{DenseMedium, Medium, MediumBuilder, Propagation, SparseMedium, SparseStats};
+pub use medium::{DenseMedium, Medium, MediumBuilder, SparseMedium, SparseStats};
 pub use radio::RadioPhase;
 pub use stats::Stats;
 pub use time::Time;

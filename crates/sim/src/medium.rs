@@ -1,8 +1,7 @@
 //! The shared wireless medium: who hears whom, and how loudly.
 //!
-//! The medium layer is built around the sealed [`Propagation`] trait —
-//! gain, delay, reachability and spatial neighborhood queries — with two
-//! engines behind the [`Medium`] enum:
+//! The [`Medium`] enum answers gain, delay, reachability and spatial
+//! neighborhood queries from one of two engines:
 //!
 //! * [`DenseMedium`] — the original `n × n` matrix of frozen large-scale
 //!   channel gains (path loss + shadowing, computed by `cmap-topo` or
@@ -28,74 +27,6 @@ use crate::config::PhyConfig;
 use crate::node::NodeId;
 use cmap_phy::units::{db_to_ratio, SPEED_OF_LIGHT_M_PER_S};
 use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation};
-
-mod sealed {
-    /// Seals [`super::Propagation`]: the engine's event fan-out and
-    /// grading paths are validated against exactly these
-    /// implementations, so downstream crates may *call* the trait but
-    /// not implement it.
-    pub trait Sealed {}
-    impl Sealed for super::DenseMedium {}
-    impl Sealed for super::SparseMedium {}
-    impl Sealed for super::Medium {}
-}
-
-/// Frozen large-scale propagation state between every pair of nodes.
-///
-/// Sealed: implemented by [`DenseMedium`], [`SparseMedium`] and the
-/// dispatching [`Medium`] enum only. All power quantities are linear mW
-/// (gains are linear power ratios); conversions to dB happen at the
-/// edges.
-pub trait Propagation: sealed::Sealed {
-    /// Number of nodes.
-    fn len(&self) -> usize;
-
-    /// True when the medium has no nodes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Configured transmit power in linear mW.
-    fn tx_power_mw(&self) -> f64;
-
-    /// Linear power gain from `tx` to `rx`. For a pruned (sparse) link
-    /// this is exactly `0.0` — the link contributes no energy.
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64;
-
-    /// Propagation delay from `tx` to `rx` in nanoseconds. Pruned links
-    /// report `0` (they generate no events, so the value is never used
-    /// on the simulation path).
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64;
-
-    /// Receivers that get events for transmissions from `tx`, in
-    /// ascending node order (one contiguous CSR slice).
-    fn reachable(&self, tx: NodeId) -> &[NodeId];
-
-    /// Append every *other* node within `radius_m` metres of `node` to
-    /// `out`, in ascending node order. [`SparseMedium`] answers from its
-    /// grid index; [`DenseMedium`] has no coordinates and derives
-    /// distance from the stored propagation delay (quantized to the
-    /// ~0.3 m the delay's whole-nanosecond rounding allows).
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>);
-
-    /// Received power in linear mW at `rx` from a transmission by `tx`,
-    /// before fading.
-    fn rss_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
-        self.tx_power_mw() * self.gain(tx, rx)
-    }
-
-    /// Received power in dBm at `rx` from `tx`, before fading.
-    fn rss_dbm(&self, tx: NodeId, rx: NodeId) -> f64 {
-        mw_to_dbm(self.rss_mw(tx, rx))
-    }
-
-    /// Received power in mW with a time-varying dB offset applied on top
-    /// of the frozen gain — the fault-injection hook for Gilbert–Elliott
-    /// burst loss and stepped shadowing (negative offset = extra loss).
-    fn rss_mw_with_db_offset(&self, tx: NodeId, rx: NodeId, offset_db: f64) -> f64 {
-        self.rss_mw(tx, rx) * db_to_ratio(offset_db)
-    }
-}
 
 /// Metres of free-space travel per nanosecond of propagation delay (the
 /// inverse of [`propagation::propagation_delay_ns`]'s rate).
@@ -171,7 +102,8 @@ impl DenseMedium {
     }
 }
 
-impl Propagation for DenseMedium {
+/// The queries [`Medium`] dispatches (documented there).
+impl DenseMedium {
     fn len(&self) -> usize {
         self.n
     }
@@ -556,7 +488,8 @@ fn finish_stats(
     }
 }
 
-impl Propagation for SparseMedium {
+/// The queries [`Medium`] dispatches (documented there).
+impl SparseMedium {
     fn len(&self) -> usize {
         self.n
     }
@@ -617,7 +550,8 @@ impl Propagation for SparseMedium {
 /// The medium a [`World`](crate::World) runs over: one of the two
 /// propagation engines behind one concrete type (no fat pointers or
 /// virtual dispatch on the event hot path — each accessor is a single
-/// two-arm match).
+/// two-arm match). All power quantities are linear mW (gains are linear
+/// power ratios); conversions to dB happen at the edges.
 #[derive(Debug, Clone)]
 pub enum Medium {
     /// Exact O(n²) matrix engine.
@@ -638,7 +572,7 @@ macro_rules! on_engine {
 impl Medium {
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        on_engine!(self, m => Propagation::len(m))
+        on_engine!(self, m => m.len())
     }
 
     /// True when the medium has no nodes.
@@ -648,28 +582,35 @@ impl Medium {
 
     /// Configured transmit power in linear mW.
     pub fn tx_power_mw(&self) -> f64 {
-        on_engine!(self, m => Propagation::tx_power_mw(m))
+        on_engine!(self, m => m.tx_power_mw())
     }
 
-    /// Linear gain from `tx` to `rx` (see [`Propagation::gain`]).
+    /// Linear power gain from `tx` to `rx`. For a pruned (sparse) link
+    /// this is exactly `0.0` — the link contributes no energy.
     pub fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        on_engine!(self, m => Propagation::gain(m, tx, rx))
+        on_engine!(self, m => m.gain(tx, rx))
     }
 
-    /// Propagation delay from `tx` to `rx` in nanoseconds.
+    /// Propagation delay from `tx` to `rx` in nanoseconds. Pruned links
+    /// report `0` (they generate no events, so the value is never used
+    /// on the simulation path).
     pub fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        on_engine!(self, m => Propagation::delay_ns(m, tx, rx))
+        on_engine!(self, m => m.delay_ns(tx, rx))
     }
 
-    /// Receivers that get events for transmissions from `tx`, ascending.
+    /// Receivers that get events for transmissions from `tx`, in
+    /// ascending node order (one contiguous CSR slice).
     pub fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        on_engine!(self, m => Propagation::reachable(m, tx))
+        on_engine!(self, m => m.reachable(tx))
     }
 
-    /// Nodes within `radius_m` of `node` (see
-    /// [`Propagation::neighbors_within`]).
+    /// Append every *other* node within `radius_m` metres of `node` to
+    /// `out`, in ascending node order. [`SparseMedium`] answers from its
+    /// grid index; [`DenseMedium`] has no coordinates and derives
+    /// distance from the stored propagation delay (quantized to the
+    /// ~0.3 m the delay's whole-nanosecond rounding allows).
     pub fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        on_engine!(self, m => Propagation::neighbors_within(m, node, radius_m, out))
+        on_engine!(self, m => m.neighbors_within(node, radius_m, out))
     }
 
     /// Received power in linear mW at `rx` from `tx`, before fading.
@@ -682,7 +623,9 @@ impl Medium {
         mw_to_dbm(self.rss_mw(tx, rx))
     }
 
-    /// Received power in mW with a fault-injection dB offset applied.
+    /// Received power in mW with a time-varying dB offset applied on top
+    /// of the frozen gain — the fault-injection hook for Gilbert–Elliott
+    /// burst loss and stepped shadowing (negative offset = extra loss).
     pub fn rss_mw_with_db_offset(&self, tx: NodeId, rx: NodeId, offset_db: f64) -> f64 {
         self.rss_mw(tx, rx) * db_to_ratio(offset_db)
     }
@@ -738,27 +681,6 @@ impl Medium {
             }
         }
         h.finish()
-    }
-}
-
-impl Propagation for Medium {
-    fn len(&self) -> usize {
-        Medium::len(self)
-    }
-    fn tx_power_mw(&self) -> f64 {
-        Medium::tx_power_mw(self)
-    }
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        Medium::gain(self, tx, rx)
-    }
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        Medium::delay_ns(self, tx, rx)
-    }
-    fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        Medium::reachable(self, tx)
-    }
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        Medium::neighbors_within(self, node, radius_m, out)
     }
 }
 

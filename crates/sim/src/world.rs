@@ -95,10 +95,9 @@ pub struct World {
     synced_pool_recycled: u64,
 }
 
-/// Step-by-step [`World`] construction: medium, PHY, seed, and the
-/// optional pieces (fault plan, watchdog cadence, tracing) that used to
-/// require separate mutating calls between `World::new` and
-/// [`World::start`].
+/// Step-by-step [`World`] construction: medium, PHY, seed, and optional
+/// tracing. (A fault plan is installed on the built world, with
+/// [`World::install_faults`].)
 ///
 /// ```
 /// use cmap_sim::{MediumBuilder, PhyConfig, World};
@@ -112,8 +111,6 @@ pub struct WorldBuilder {
     medium: Option<Medium>,
     phy: Option<PhyConfig>,
     seed: u64,
-    faults: Option<FaultPlan>,
-    watchdog: Option<WatchdogConfig>,
     trace_capacity: Option<usize>,
 }
 
@@ -137,18 +134,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Install a fault plan (arms the invariant watchdog).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Override the watchdog cadence.
-    pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
-        self.watchdog = Some(cfg);
-        self
-    }
-
     /// Enable structured tracing with a ring buffer of `capacity` records.
     pub fn trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
@@ -160,12 +145,6 @@ impl WorldBuilder {
         let medium = self.medium.expect("WorldBuilder: no medium configured");
         let phy = self.phy.unwrap_or_default();
         let mut w = World::construct(medium, phy, self.seed);
-        if let Some(plan) = self.faults {
-            w.install_faults(plan);
-        }
-        if let Some(cfg) = self.watchdog {
-            w.set_watchdog(cfg);
-        }
         if let Some(capacity) = self.trace_capacity {
             w.enable_trace(capacity);
         }
@@ -222,12 +201,6 @@ impl World {
             self.seed,
             self.medium.len(),
         )));
-    }
-
-    /// Override the watchdog cadence (before [`World::start`]).
-    pub fn set_watchdog(&mut self, cfg: WatchdogConfig) {
-        assert!(!self.started, "set_watchdog after start");
-        self.watchdog = cfg;
     }
 
     /// The installed fault plan, if any.

@@ -75,8 +75,7 @@ pub mod prelude {
     pub use cmap_phy::Rate;
     pub use cmap_sim::time;
     pub use cmap_sim::{
-        FaultPlan, Mac, Medium, MediumBuilder, NodeCtx, NodeId, PhyConfig, Propagation, World,
-        WorldBuilder,
+        FaultPlan, Mac, Medium, MediumBuilder, NodeCtx, NodeId, PhyConfig, World, WorldBuilder,
     };
     pub use cmap_topo::{LinkMeasurements, Testbed, TestbedParams};
     pub use cmap_wire::{Frame, MacAddr};

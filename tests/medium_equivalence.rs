@@ -4,7 +4,7 @@
 //! than the dense matrix, never *different* where it claims exactness:
 //!
 //! 1. With `epsilon_db = 0` over the same gain matrix, every query the
-//!    [`Propagation`] API answers — gains, delays, reachability — must be
+//!    [`Medium`] API answers — gains, delays, reachability — must be
 //!    bit-for-bit identical to the dense engine (property-tested over
 //!    random topologies up to 64 nodes), and a full same-seed simulation
 //!    over both engines must leave byte-identical statistics.
