@@ -1,4 +1,4 @@
-//! `cmap-ckpt/v2` — the versioned binary checkpoint format.
+//! `cmap-ckpt/v3` — the versioned binary checkpoint format.
 //!
 //! A checkpoint is a full serialization of a mid-run [`World`]: simulation
 //! clock, timing-wheel contents, radio bank, per-node RNG stream
@@ -37,10 +37,11 @@ use rand::rngs::SmallRng;
 use crate::node::NodeId;
 
 /// Format identifier; serialized as the magic prefix of every checkpoint.
-/// v2 (city-scale medium PR) extends the config echo with the medium
-/// fingerprint, so a checkpoint can no longer be restored over a world
-/// whose propagation engine or link set drifted from the saved one.
-pub const CKPT_MAGIC: &str = "cmap-ckpt/v2";
+/// v2 added the medium fingerprint to the config echo (a world whose
+/// propagation engine or link set drifted is refused); v3 holds a
+/// transmission's arrivals as two cursors in its `LiveTx` record and one
+/// queued event per cursor, not every receiver's event in the queue image.
+pub const CKPT_MAGIC: &str = "cmap-ckpt/v3";
 
 /// Why a checkpoint could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,7 +341,7 @@ pub fn read_blob<T>(
         .map_err(|e| e.to_string())
 }
 
-/// A type with a `cmap-ckpt/v2` encoding. `load` must read back exactly
+/// A type with a `cmap-ckpt/v3` encoding. `load` must read back exactly
 /// the bytes `save` wrote and validate them: a value outside its legal
 /// range is [`CkptError::Malformed`], never a panic.
 pub trait Persist: Sized {
@@ -557,7 +558,7 @@ impl Persist for SmallRng {
     }
 }
 
-/// Declare a type's `cmap-ckpt/v2` encoding once; both directions are
+/// Declare a type's `cmap-ckpt/v3` encoding once; both directions are
 /// derived from the one list, so they cannot drift apart.
 ///
 /// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
@@ -685,14 +686,12 @@ mod tests {
         );
         // Magic of a past or future version must be rejected, not
         // half-read.
-        assert_eq!(
-            CkptReader::new(b"cmap-ckpt/v1\n").unwrap_err(),
-            CkptError::BadMagic
-        );
-        assert_eq!(
-            CkptReader::new(b"cmap-ckpt/v3\n").unwrap_err(),
-            CkptError::BadMagic
-        );
+        for other in ["cmap-ckpt/v1\n", "cmap-ckpt/v2\n", "cmap-ckpt/v4\n"] {
+            assert_eq!(
+                CkptReader::new(other.as_bytes()).unwrap_err(),
+                CkptError::BadMagic
+            );
+        }
 
         let mut w = CkptWriter::new();
         w.u64(1);

@@ -21,6 +21,13 @@
 //! therefore O(log b), and the pop order is *identical* to one global
 //! heap's — property-tested against a reference heap in
 //! `tests/engine_props.rs`.
+//!
+//! A transmission's arrivals fall due in a known order, so it queues one
+//! at a time: it [`reserve`](Scheduler::reserve)s all their sequence
+//! numbers, files the first ([`Scheduler::schedule_reserved`]) and, when
+//! one is handled, passes the next as a *carry* into [`Scheduler::next`],
+//! which returns the earliest of queue and carry — usually the carry,
+//! untouched. Keys, and so order, are those of filing everything eagerly.
 
 use std::collections::BinaryHeap;
 
@@ -214,8 +221,23 @@ impl Scheduler {
 
     /// Enqueue `event` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve(1);
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Set aside `n` consecutive sequence numbers and return the first. An
+    /// event later filed ([`Scheduler::schedule_reserved`]) or carried
+    /// ([`Scheduler::next`]) under one orders as if `schedule`d here.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Enqueue `event` at `at` under a sequence number from
+    /// [`Scheduler::reserve`]; each reserved number keys at most one event.
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
         self.insert(Scheduled { at, seq, event });
         self.len += 1;
         self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64);
@@ -234,15 +256,66 @@ impl Scheduler {
 
     /// Remove and return the next `(time, event)`.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
+        self.next(None, Time::MAX)
+    }
+
+    /// The earliest event of the queue and `carry` — a pending `(time,
+    /// reserved seq, event)` its producer kept out of the queue — if due by
+    /// `horizon`; otherwise `None`, with the carry filed. The carry counts
+    /// as pending from here on, so counters and later pops read the same
+    /// whether it was handed back untouched, exchanged, or filed.
+    pub fn next(
+        &mut self,
+        carry: Option<(Time, u64, Event)>,
+        horizon: Time,
+    ) -> Option<(Time, Event)> {
+        if let Some((at, seq, event)) = carry {
+            let carried = Scheduled { at, seq, event };
+            let tick = at >> TICK_BITS;
+            self.stats.max_occupancy = self.stats.max_occupancy.max(self.len as u64 + 1);
+            match self.cur.peek().map(|top| (top.at, top.seq)) {
+                Some(top) if top < (at, seq) => {
+                    if tick <= self.now_tick && top.0 <= horizon {
+                        // Both belong to the tick being drained: one sift
+                        // takes the top out and puts the carry in.
+                        let mut slot = self.cur.peek_mut().expect("peeked");
+                        let first = std::mem::replace(&mut *slot, carried);
+                        drop(slot);
+                        return Some(self.count(first));
+                    }
+                }
+                top => {
+                    // The carry is the minimum: if due it never enters the heap.
+                    // An empty wheel follows it, as `schedule` into one would.
+                    if top.is_none() {
+                        self.now_tick = self.now_tick.max(tick);
+                    }
+                    if at <= horizon {
+                        return Some(self.count(carried));
+                    }
+                }
+            }
+            // Filed like any event. A minimum parked by the horizon is in the
+            // drained tick or before it: it tops the drain heap, nothing is due.
+            self.insert(carried);
+            self.len += 1;
+        }
+        if self.cur.peek()?.at > horizon {
+            return None;
+        }
         let s = self.cur.pop()?;
         self.len -= 1;
         if self.cur.is_empty() && self.len > 0 {
             let advanced = self.advance();
             debug_assert!(advanced);
         }
+        Some(self.count(s))
+    }
+
+    fn count(&mut self, s: Scheduled) -> (Time, Event) {
         self.processed += 1;
         self.processed_by_kind[s.event.kind_idx()] += 1;
-        Some((s.at, s.event))
+        (s.at, s.event)
     }
 
     /// Number of pending events.
@@ -341,7 +414,7 @@ impl Scheduler {
     }
 }
 
-// ---- cmap-ckpt/v2 -------------------------------------------------------
+// ---- cmap-ckpt/v3 -------------------------------------------------------
 
 // Tags are `Event::kind_idx`.
 persist!(enum Event {

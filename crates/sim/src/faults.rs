@@ -481,7 +481,7 @@ impl FaultState {
         (i128::from(delay) + extra).max(0) as Time
     }
 
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
+    // ---- cmap-ckpt/v3 ---------------------------------------------------
 
     /// Serialize the dynamic cursors: everything [`FaultState::new`] cannot
     /// rebuild from the plan alone (liveness flags, the corruption stream's

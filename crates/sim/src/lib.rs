@@ -21,7 +21,7 @@
 //! * process-wide engine totals ([`perf`]) feeding the benchmark perf
 //!   baseline (events/sec, BER-cache hit rate) across parallel runs, and
 //! * mid-run checkpoint/restore ([`ckpt`], [`World::checkpoint`],
-//!   [`World::restore`]) in the versioned `cmap-ckpt/v2` format: a
+//!   [`World::restore`]) in the versioned `cmap-ckpt/v3` format: a
 //!   restored run continues byte-identically to an uninterrupted one.
 //!
 //! Runs are bit-deterministic for a given (topology, MACs, seed): every

@@ -32,6 +32,32 @@ use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation};
 /// inverse of [`propagation::propagation_delay_ns`]'s rate).
 const METRES_PER_NS: f64 = SPEED_OF_LIGHT_M_PER_S * 1e-9;
 
+/// One receiver of a transmission, as the event path reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Arrival {
+    pub rx: NodeId,
+    /// Position of `rx` in `reachable(tx)`.
+    pub pos: u32,
+    pub delay_ns: u64,
+    /// Received power before fading: `tx_power_mw * gain`.
+    pub rss_mw: f64,
+}
+
+/// Every CSR row's positions `0..len` sorted by `(delay, position)`, rows
+/// concatenated; `delay_of(tx, i)` is the delay of the link at CSR index
+/// `i`. Position `j` holds a transmission's `j`-th reserved sequence
+/// number, so this is the `(time, seq)` order of its per-receiver events.
+fn arrival_order(off: &[u32], delay_of: impl Fn(usize, usize) -> u64) -> Vec<u32> {
+    let mut order: Vec<u32> = Vec::with_capacity(off.last().map_or(0, |&n| n as usize));
+    for (tx, row) in off.windows(2).enumerate() {
+        let start = order.len();
+        order.extend(0..row[1] - row[0]);
+        // Stable sort: equal delays stay in position order.
+        order[start..].sort_by_key(|&pos| delay_of(tx, start + pos as usize));
+    }
+    order
+}
+
 // ---- dense engine --------------------------------------------------------
 
 /// The exact `n × n` medium: every pair's gain and delay is stored.
@@ -51,6 +77,8 @@ pub struct DenseMedium {
     reach_idx: Vec<NodeId>,
     /// CSR offsets: tx's receivers are `reach_idx[reach_off[tx]..reach_off[tx + 1]]`.
     reach_off: Vec<u32>,
+    /// Row positions in arrival order, parallel to `reach_idx`.
+    arrive: Vec<u32>,
     tx_power_mw: f64,
 }
 
@@ -84,6 +112,7 @@ impl DenseMedium {
             n,
             gain,
             delay_ns: delay_ns.to_vec(),
+            arrive: arrival_order(&reach_off, |tx, i| delay_ns[tx * n + reach_idx[i].index()]),
             reach_idx,
             reach_off,
             tx_power_mw,
@@ -133,6 +162,19 @@ impl DenseMedium {
     fn reachable(&self, tx: NodeId) -> &[NodeId] {
         &self.reach_idx
             [self.reach_off[tx.index()] as usize..self.reach_off[tx.index() + 1] as usize]
+    }
+
+    fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
+        let start = self.reach_off[tx.index()] as usize;
+        let pos = *self.arrive[start..self.reach_off[tx.index() + 1] as usize].get(k as usize)?;
+        let rx = self.reach_idx[start + pos as usize];
+        let link = tx.index() * self.n + rx.index();
+        Some(Arrival {
+            rx,
+            pos,
+            delay_ns: self.delay_ns[link],
+            rss_mw: self.tx_power_mw * self.gain[link],
+        })
     }
 
     fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
@@ -284,6 +326,8 @@ pub struct SparseMedium {
     link_gain: Vec<f64>,
     /// Propagation delay per link in ns, parallel to `link_rx`.
     link_delay: Vec<u64>,
+    /// Row positions in arrival order, parallel to `link_rx`.
+    arrive: Vec<u32>,
     /// Spatial index; present when built from positions.
     grid: Option<Grid>,
     stats: SparseStats,
@@ -364,6 +408,7 @@ impl SparseMedium {
         SparseMedium {
             n,
             tx_power_mw,
+            arrive: arrival_order(&link_off, |_, link| link_delay[link]),
             link_off,
             link_rx,
             link_gain,
@@ -459,6 +504,7 @@ impl SparseMedium {
         SparseMedium {
             n,
             tx_power_mw,
+            arrive: arrival_order(&link_off, |_, link| link_delay[link]),
             link_off,
             link_rx,
             link_gain,
@@ -524,6 +570,18 @@ impl SparseMedium {
 
     fn reachable(&self, tx: NodeId) -> &[NodeId] {
         &self.link_rx[self.row(tx)]
+    }
+
+    fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
+        let row = self.row(tx);
+        let pos = *self.arrive[row.clone()].get(k as usize)?;
+        let link = row.start + pos as usize;
+        Some(Arrival {
+            rx: self.link_rx[link],
+            pos,
+            delay_ns: self.link_delay[link],
+            rss_mw: self.tx_power_mw * self.link_gain[link],
+        })
     }
 
     fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
@@ -604,6 +662,12 @@ impl Medium {
         on_engine!(self, m => m.reachable(tx))
     }
 
+    /// The `k`-th receiver of `tx` in arrival order — `reachable(tx)` by
+    /// `(delay_ns, position)` — or `None` past the last one.
+    pub(crate) fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
+        on_engine!(self, m => m.arrival(tx, k))
+    }
+
     /// Append every *other* node within `radius_m` metres of `node` to
     /// `out`, in ascending node order. [`SparseMedium`] answers from its
     /// grid index; [`DenseMedium`] has no coordinates and derives
@@ -621,13 +685,6 @@ impl Medium {
     /// Received power in dBm at `rx` from `tx`, before fading.
     pub fn rss_dbm(&self, tx: NodeId, rx: NodeId) -> f64 {
         mw_to_dbm(self.rss_mw(tx, rx))
-    }
-
-    /// Received power in mW with a time-varying dB offset applied on top
-    /// of the frozen gain — the fault-injection hook for Gilbert–Elliott
-    /// burst loss and stepped shadowing (negative offset = extra loss).
-    pub fn rss_mw_with_db_offset(&self, tx: NodeId, rx: NodeId, offset_db: f64) -> f64 {
-        self.rss_mw(tx, rx) * db_to_ratio(offset_db)
     }
 
     /// `"dense"` or `"sparse"`, for artifacts and error messages.
@@ -650,7 +707,7 @@ impl Medium {
     /// transmit power and every stored link. Two media with the same
     /// fingerprint produce the same event fan-out, so checkpoints echo
     /// it to reject restores into a differently-built world
-    /// (`cmap-ckpt/v2`).
+    /// (`cmap-ckpt/v3`).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.len() as u64);
@@ -1087,6 +1144,75 @@ mod tests {
                 assert_eq!(dense.delay_ns(nid(tx), rx), sparse.delay_ns(nid(tx), rx));
             }
         }
+    }
+
+    /// `arrival(tx, 0..)` walks `reachable(tx)` in `(delay_ns, position)`
+    /// order, each entry carrying what the pairwise accessors answer.
+    fn assert_arrival_order(m: &Medium) {
+        for tx in (0..m.len()).map(nid) {
+            let reach = m.reachable(tx);
+            let mut expect: Vec<(u64, u32)> = (0u32..)
+                .zip(reach)
+                .map(|(pos, &rx)| (m.delay_ns(tx, rx), pos))
+                .collect();
+            expect.sort_unstable();
+            let got: Vec<Arrival> = (0u32..).map_while(|k| m.arrival(tx, k)).collect();
+            assert_eq!(
+                got.iter().map(|a| (a.delay_ns, a.pos)).collect::<Vec<_>>(),
+                expect,
+                "tx {tx}"
+            );
+            for a in &got {
+                assert_eq!(a.rx, reach[a.pos as usize]);
+                assert_eq!(a.rss_mw.to_bits(), m.rss_mw(tx, a.rx).to_bits());
+            }
+            assert_eq!(m.arrival(tx, reach.len() as u32 + 1), None);
+        }
+    }
+
+    #[test]
+    fn arrival_order_is_reachable_sorted_by_delay_then_position() {
+        let phy = PhyConfig::default();
+        // Coarse delays, so ties are common and position has to break
+        // them; a few links below the delivery floor, so rows differ.
+        let n = 9;
+        let mut gains = vec![f64::NEG_INFINITY; n * n];
+        let mut delays = vec![0u64; n * n];
+        for tx in 0..n {
+            for rx in (0..n).filter(|&rx| rx != tx) {
+                gains[tx * n + rx] = if (tx + 2 * rx) % 7 == 0 {
+                    -126.0
+                } else {
+                    -80.0
+                };
+                delays[tx * n + rx] = 40 * ((tx * 5 + rx * 3) % 4) as u64;
+            }
+        }
+        let dense = MediumBuilder::new(&phy)
+            .gains_db(n, &gains, &delays)
+            .build();
+        let sparse = MediumBuilder::new(&phy)
+            .gains_db(n, &gains, &delays)
+            .sparse()
+            .build();
+        assert!((0..n).any(|tx| dense.reachable(nid(tx)).len() < n - 1));
+        assert_arrival_order(&dense);
+        assert_arrival_order(&sparse);
+        for tx in (0..n).map(nid) {
+            for k in 0..n as u32 {
+                assert_eq!(dense.arrival(tx, k), sparse.arrival(tx, k), "tx {tx} k {k}");
+            }
+        }
+        // Geometry-fed sparse build: delays come from distances.
+        let pos: Vec<(f64, f64)> = (0..30)
+            .map(|i| (f64::from(i % 6) * 17.0, f64::from(i / 6) * 23.0))
+            .collect();
+        let model = |_: usize, _: usize, dist: f64| -propagation::path_loss_db(dist, 3.3);
+        let city = MediumBuilder::new(&phy)
+            .positions(pos, 90.0, -130.0, model)
+            .build();
+        assert!(city.reachable(nid(0)).len() > 3);
+        assert_arrival_order(&city);
     }
 
     #[test]

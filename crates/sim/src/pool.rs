@@ -3,11 +3,14 @@
 //! Every transmission owns one pool slot from the moment its MAC composes
 //! the frame until the last receiver's `FrameEnd` (or the sender's `TxEnd`)
 //! releases it. The slot *is* the transmission record: raw wire bytes plus
-//! the metadata the engine needs to grade receptions. Slots are addressed
-//! by [`TxId`] — a `(generation, index)` pair packed into the `u64` the
-//! event queue already carries — so every hot-path access
-//! (`FrameStart`/`FrameEnd`/`TxEnd`) is one bounds-checked array index
-//! instead of the ordered-map lookup the engine used before.
+//! the metadata the engine needs to grade receptions and to hand the frame
+//! to its receivers one at a time — its reserved sequence numbers and two
+//! cursors into the medium's arrival order: whose `FrameStart` and whose
+//! `FrameEnd` is next, the only arrivals of it the event queue holds.
+//! Slots are addressed by [`TxId`] — a `(generation, index)` pair packed
+//! into the `u64` the event queue already carries — so every hot-path
+//! access (`FrameStart`/`FrameEnd`/`TxEnd`) is one bounds-checked array
+//! index instead of the ordered-map lookup the engine used before.
 //!
 //! Invariants:
 //! * Slot buffers are recycled, never shrunk: a released slot keeps its
@@ -21,11 +24,10 @@
 //!   release accounting (`ends_remaining`) guarantees no double-free — a
 //!   slot only returns to the free list when its last share is released.
 //!
-//! Checkpoint interaction (`cmap-ckpt/v2`): only *live* slots are
-//! serialised (as [`LiveTx`] records, exactly the old `TxRecord`
-//! encoding). On restore each live slot is placed back at the
-//! index/generation its `TxId` encodes, and every other index below the
-//! saved pool capacity becomes free with generation 0. Free-slot
+//! Checkpoint interaction (`cmap-ckpt/v3`): only *live* slots are
+//! serialised (as [`LiveTx`] records). On restore each live slot is placed
+//! back at the index/generation its `TxId` encodes, and every other index
+//! below the saved pool capacity becomes free with generation 0. Free-slot
 //! generations are an allocation detail with no behavioural effect: no
 //! pending event references a freed slot, and `TxId` values are opaque to
 //! statistics and traces.
@@ -50,8 +52,16 @@ struct Slot {
     node: NodeId,
     /// Bit-rate of the transmission.
     rate: Rate,
-    /// When the transmission started.
+    /// When the transmission's first and last bit leave the sender.
     start: Time,
+    end: Time,
+    /// First of the `1 + 2·N` sequence numbers reserved when it started:
+    /// `TxEnd`, then `FrameStart`/`FrameEnd` per `reachable` position.
+    seq0: u64,
+    /// Arrival cursors: how many receivers, in the medium's arrival
+    /// order, have been handed their `FrameStart` / their `FrameEnd`.
+    next_start: u32,
+    next_end: u32,
     /// Outstanding releases: one per receiver `FrameEnd` plus one for the
     /// sender's `TxEnd`. Zero while free or not yet armed.
     ends_remaining: u32,
@@ -65,6 +75,10 @@ impl Slot {
             node: NodeId::new(0),
             rate: Rate::R6,
             start: 0,
+            end: 0,
+            seq0: 0,
+            next_start: 0,
+            next_end: 0,
             ends_remaining: 0,
         }
     }
@@ -163,22 +177,51 @@ impl FramePool {
         self.slot_mut(id).buf = buf;
     }
 
-    /// Arm an allocated slot as an in-flight transmission with `ends`
-    /// outstanding releases.
-    pub fn arm(&mut self, id: TxId, node: NodeId, rate: Rate, start: Time, ends: u32) {
+    /// Arm an allocated slot as a transmission on the air over
+    /// `start..end` with `ends` outstanding releases, sequence numbers
+    /// reserved from `seq0` and both cursors at the first receiver.
+    pub(crate) fn arm(
+        &mut self,
+        id: TxId,
+        node: NodeId,
+        rate: Rate,
+        (start, end): (Time, Time),
+        seq0: u64,
+        ends: u32,
+    ) {
         debug_assert!(ends > 0);
         let slot = self.slot_mut(id);
         debug_assert_eq!(slot.ends_remaining, 0, "re-arming a live transmission");
         slot.node = node;
         slot.rate = rate;
-        slot.start = start;
+        (slot.start, slot.end, slot.seq0) = (start, end, seq0);
+        (slot.next_start, slot.next_end) = (0, 0);
         slot.ends_remaining = ends;
     }
 
-    /// Transmitting node of a live slot.
+    /// Step one arrival cursor of a live slot (`ends`: the `FrameEnd` one)
+    /// and return the index of the arrival it was on.
     #[inline]
-    pub fn node_of(&self, id: TxId) -> NodeId {
-        self.slot(id).node
+    pub(crate) fn step(&mut self, id: TxId, ends: bool) -> u32 {
+        let slot = self.slot_mut(id);
+        let cursor = if ends {
+            &mut slot.next_end
+        } else {
+            &mut slot.next_start
+        };
+        std::mem::replace(cursor, *cursor + 1)
+    }
+
+    /// What keys a live slot's arrivals: the sender, when its `FrameStart`s
+    /// (with `ends`: `FrameEnd`s) leave it, and their seq at `reachable[0]`.
+    #[inline]
+    pub(crate) fn arrival_base(&self, id: TxId, ends: bool) -> (NodeId, Time, u64) {
+        let slot = self.slot(id);
+        if ends {
+            (slot.node, slot.end, slot.seq0 + 2)
+        } else {
+            (slot.node, slot.start, slot.seq0 + 1)
+        }
     }
 
     /// Bit-rate of a live slot.
@@ -241,7 +284,7 @@ impl FramePool {
         self.slots.iter().map(|s| s.buf.capacity()).sum()
     }
 
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
+    // ---- cmap-ckpt/v3 ---------------------------------------------------
 
     /// Slot-array length (the checkpoint's pool-capacity field).
     pub fn capacity(&self) -> usize {
@@ -264,6 +307,10 @@ impl FramePool {
                 buf: Cow::Borrowed(&s.buf[..]),
                 wire_len: s.buf.len(),
                 ends_remaining: s.ends_remaining,
+                end: s.end,
+                seq0: s.seq0,
+                next_start: s.next_start,
+                next_end: s.next_end,
             })
             .collect();
         live.sort_unstable_by_key(|tx| tx.tx_id);
@@ -301,6 +348,10 @@ impl FramePool {
                         node: tx.node,
                         rate: tx.rate,
                         start: tx.start,
+                        end: tx.end,
+                        seq0: tx.seq0,
+                        next_start: tx.next_start,
+                        next_end: tx.next_end,
                         ends_remaining: tx.ends_remaining,
                     }
                 }
@@ -336,14 +387,18 @@ pub(crate) struct LiveTx<'a> {
     /// Redundant with `buf` (the format predates the pool); checked.
     pub wire_len: usize,
     pub ends_remaining: u32,
+    pub end: Time,
+    pub seq0: u64,
+    pub next_start: u32,
+    pub next_end: u32,
 }
 
-persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, wire_len, ends_remaining },
-         validate LiveTx::check);
+persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, wire_len, ends_remaining,
+                             end, seq0, next_start, next_end }, validate LiveTx::check);
 
 impl LiveTx<'_> {
     /// A live slot holds a well-formed frame and at least one outstanding
-    /// release.
+    /// release (`World::restore` holds the cursors against the medium).
     fn check(&self) -> Result<(), CkptError> {
         FrameView::parse_checked(&self.buf)
             .map_err(|e| CkptError::Malformed(format!("tx {} frame: {e:?}", self.tx_id)))?;
@@ -369,7 +424,7 @@ mod tests {
         let mut p = FramePool::new();
         let a = p.alloc();
         p.buf_mut(a).extend_from_slice(&[1, 2, 3, 4, 5]);
-        p.arm(a, NodeId::new(0), Rate::R6, 0, 2);
+        p.arm(a, NodeId::new(0), Rate::R6, (0, 9), 0, 2);
         assert_eq!(p.live(), 1);
         assert_eq!(p.buf(a), &[1, 2, 3, 4, 5]);
         p.release(a);
@@ -391,7 +446,7 @@ mod tests {
         let mut p = FramePool::new();
         let ids: Vec<TxId> = (0..4).map(|_| p.alloc()).collect();
         for &id in &ids {
-            p.arm(id, NodeId::new(1), Rate::R12, 7, 1);
+            p.arm(id, NodeId::new(1), Rate::R12, (7, 9), 0, 1);
         }
         assert_eq!(p.live(), 4);
         assert_eq!(p.high_water(), 4);
@@ -409,7 +464,7 @@ mod tests {
         // Steady state: churn at depth 1 never grows the slot array.
         for _ in 0..100 {
             let id = p.alloc();
-            p.arm(id, NodeId::new(0), Rate::R6, 0, 1);
+            p.arm(id, NodeId::new(0), Rate::R6, (0, 9), 0, 1);
             p.release(id);
         }
         assert_eq!(p.capacity(), 4);
@@ -438,6 +493,10 @@ mod tests {
             buf: Cow::Owned(vec![1, 2, 3]),
             wire_len: 3,
             ends_remaining: 2,
+            end: 120,
+            seq0: 40,
+            next_start: 1,
+            next_end: 0,
         };
         let id = pack(5, 2);
         assert!(
@@ -455,7 +514,7 @@ mod tests {
         let mut p = FramePool::restore(4, 4, 17, vec![tx(id, 3)]).unwrap();
         assert_eq!(p.live(), 1);
         assert_eq!((p.high_water(), p.recycled()), (4, 17));
-        assert_eq!(p.node_of(id), NodeId::new(3));
+        assert_eq!(p.arrival_base(id, false), (NodeId::new(3), 99, 41));
         assert_eq!(p.wire_len(id), 3);
         assert_eq!(p.live_txs().len(), 1);
         // Lowest free index allocates first.

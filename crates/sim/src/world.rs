@@ -5,6 +5,15 @@
 //! side effects go through [`NodeCtx`] and are applied in order when the
 //! callback returns, so the engine never hands out two mutable views of the
 //! same state.
+//!
+//! A transmission reaches its N receivers as N `FrameStart` and N
+//! `FrameEnd` events, but only the next of each kind is queued: `start_tx`
+//! reserves all `1 + 2·N` sequence numbers and files `TxEnd` and the two
+//! first arrivals; handling an arrival steps a cursor in the pool slot and
+//! returns the following one to the run loop, which offers it to
+//! [`Scheduler::next`]. The medium's arrival order is the `(time, seq)`
+//! order of the reserved keys, so the event handled next is always the one
+//! a queue holding them all would pop.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -399,11 +408,10 @@ impl World {
         if !self.started {
             self.start();
         }
-        while let Some(at) = self.sched.peek_time() {
-            if at > t {
-                break;
-            }
-            let (at, ev) = self.sched.pop().expect("peeked");
+        // Handling an arrival yields the transmission's next one, which
+        // more often than not is the next event.
+        let mut carry = None;
+        while let Some((at, ev)) = self.sched.next(carry, t) {
             if at < self.time {
                 // Event-time monotonicity violation: the watchdog records
                 // it and the clock holds instead of running backwards.
@@ -411,7 +419,7 @@ impl World {
             } else {
                 self.time = at;
             }
-            self.handle_event(ev);
+            carry = self.handle_event(ev);
         }
         if t >= self.time {
             self.time = t;
@@ -462,7 +470,9 @@ impl World {
         self.stats.set_gauge(GaugeId::TraceDropped, dropped);
     }
 
-    fn handle_event(&mut self, ev: Event) {
+    /// Handle one event. An arrival returns the same transmission's next
+    /// arrival of its kind, keyed as [`World::start_tx`] reserved it.
+    fn handle_event(&mut self, ev: Event) -> Option<(Time, u64, Event)> {
         match ev {
             Event::Timer { node, token } => {
                 self.dispatch(node, |mac, ctx| mac.on_timer(ctx, token));
@@ -477,13 +487,13 @@ impl World {
                 self.check_channel_edge(node);
             }
             Event::FrameStart { rx, tx_id } => {
-                let src = self.pool.node_of(tx_id);
+                let k = self.pool.step(tx_id, false);
+                let (src, ..) = self.pool.arrival_base(tx_id, false);
+                let link = self.medium.arrival(src, k).expect("cursor on a receiver");
+                debug_assert_eq!(link.rx, rx, "FrameStart off its cursor");
                 let base_mw = match self.faults.as_deref_mut() {
-                    Some(f) => {
-                        let offset_db = f.link_offset_db(src, rx, self.time);
-                        self.medium.rss_mw_with_db_offset(src, rx, offset_db)
-                    }
-                    None => self.medium.rss_mw(src, rx),
+                    Some(f) => link.rss_mw * db_to_ratio(f.link_offset_db(src, rx, self.time)),
+                    None => link.rss_mw,
                 };
                 let boost = if self.phy.fading_boost_prob > 0.0
                     && self.rngs[rx.index()].gen_bool(self.phy.fading_boost_prob)
@@ -508,17 +518,39 @@ impl World {
                     LockOutcome::Interference => {}
                 }
                 self.check_channel_edge(rx);
+                // This receiver's `FrameEnd` is pending: the slot is live.
+                return self.arrival(tx_id, k + 1, false);
             }
             Event::FrameEnd { rx, tx_id } => {
                 if let Some(completion) = self.radios.frame_end(rx.index(), tx_id, self.time) {
                     self.grade_and_deliver(rx, completion);
                 }
+                // Read the slot before the release that may recycle it.
+                let k = self.pool.step(tx_id, true);
+                let next = self.arrival(tx_id, k + 1, true);
                 self.pool.release(tx_id);
                 self.check_channel_edge(rx);
+                return next;
             }
             Event::Fault { idx } => self.handle_fault(idx),
             Event::Audit => self.handle_audit(),
         }
+        None
+    }
+
+    /// The queue entry `(time, seq, event)` of live transmission `tx_id`'s
+    /// `k`-th arrival — its `FrameEnd` with `ends`, else its `FrameStart` —
+    /// or `None` past the last receiver. `reachable` position `p` owns the
+    /// `p`-th reserved pair of numbers, whatever its arrival rank.
+    fn arrival(&self, tx_id: TxId, k: u32, ends: bool) -> Option<(Time, u64, Event)> {
+        let (src, leaves, seq) = self.pool.arrival_base(tx_id, ends);
+        let link = self.medium.arrival(src, k)?;
+        let event = if ends {
+            Event::FrameEnd { rx: link.rx, tx_id }
+        } else {
+            Event::FrameStart { rx: link.rx, tx_id }
+        };
+        Some((leaves + link.delay_ns, seq + 2 * u64::from(link.pos), event))
     }
 
     fn handle_fault(&mut self, idx: u32) {
@@ -778,16 +810,21 @@ impl World {
         self.radios.set_last_busy(node.index(), busy);
 
         let end = self.time + airtime;
-        self.sched.schedule(end, Event::TxEnd { node, tx_id });
+        // The sequence numbers filing everything now would hand out: our
+        // own TxEnd, then a FrameStart/FrameEnd pair per `reachable`
+        // position. Only the first arrival of each kind is filed.
+        let fanout = self.medium.reachable(node).len() as u32;
+        let seq0 = self.sched.reserve(1 + 2 * u64::from(fanout));
+        self.sched
+            .schedule_reserved(end, seq0, Event::TxEnd { node, tx_id });
         // One release per receiver FrameEnd plus one for our own TxEnd —
         // the record drains exactly when the air is clear everywhere.
-        let mut ends = 1;
-        let (sched, medium, now) = (&mut self.sched, &self.medium, self.time);
-        for &rx in medium.reachable(node) {
-            let d = medium.delay_ns(node, rx);
-            sched.schedule(now + d, Event::FrameStart { rx, tx_id });
-            sched.schedule(end + d, Event::FrameEnd { rx, tx_id });
-            ends += 1;
+        self.pool
+            .arm(tx_id, node, rate, (self.time, end), seq0, 1 + fanout);
+        for ends in [false, true] {
+            if let Some((at, seq, event)) = self.arrival(tx_id, 0, ends) {
+                self.sched.schedule_reserved(at, seq, event);
+            }
         }
         if self.stats.trace_enabled() {
             let kind = FrameKind::from_u8(self.pool.buf(tx_id)[0])
@@ -802,7 +839,6 @@ impl World {
                 },
             );
         }
-        self.pool.arm(tx_id, node, rate, self.time, ends);
         self.stats.bump(CounterId::SimTx);
     }
 
@@ -850,9 +886,9 @@ impl World {
         }
     }
 
-    // ---- cmap-ckpt/v2 ---------------------------------------------------
+    // ---- cmap-ckpt/v3 ---------------------------------------------------
 
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v2`
+    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v3`
     /// format: simulation clock, timing-wheel contents, radio bank, RNG
     /// stream positions, MAC protocol state, in-flight transmissions,
     /// statistics, and fault-plan cursors. Restoring the bytes via
@@ -878,7 +914,7 @@ impl World {
         }
         let mut w = CkptWriter::new();
         // Configuration echo, validated on restore. The medium's
-        // structural fingerprint (v2) makes a checkpoint refuse a world
+        // structural fingerprint makes a checkpoint refuse a world
         // whose propagation engine or link set differs from the one it
         // was taken under.
         w.put(&self.seed);
@@ -995,11 +1031,27 @@ impl World {
             app.restore(r.get()?)?;
         }
         let live: Vec<LiveTx<'_>> = r.get()?;
-        if let Some(tx) = live.iter().find(|tx| tx.node.index() >= self.node_count()) {
-            return Err(CkptError::Malformed(format!(
-                "tx {} from node {}",
-                tx.tx_id, tx.node
-            )));
+        for tx in &live {
+            if tx.node.index() >= self.node_count() {
+                return Err(CkptError::Malformed(format!(
+                    "tx {} from node {}",
+                    tx.tx_id, tx.node
+                )));
+            }
+            // Cursors in order and within the fan-out; one release per receiver
+            // owed a FrameEnd, plus the sender's until TxEnd (before any FrameEnd).
+            let fanout = self.medium.reachable(tx.node).len() as u64;
+            let owed = fanout.saturating_sub(u64::from(tx.next_end));
+            let ends = u64::from(tx.ends_remaining);
+            if tx.next_end > tx.next_start
+                || u64::from(tx.next_start) > fanout
+                || !(ends == owed || (ends == owed + 1 && tx.next_end == 0))
+            {
+                return Err(CkptError::Malformed(format!(
+                    "tx {}: cursors {}/{} of {fanout} receivers, {ends} releases outstanding",
+                    tx.tx_id, tx.next_start, tx.next_end
+                )));
+            }
         }
         self.pool = FramePool::restore(pool_capacity, pool_high_water, pool_recycled, live)?;
         // The perf-totals sync point follows the restored counter so the
@@ -1140,6 +1192,13 @@ mod tests {
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self
+        }
+        fn save_state(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.sent.to_le_bytes());
+        }
+        fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+            self.sent = u64::from_le_bytes(bytes.try_into().map_err(|_| "sent: 8 bytes")?);
+            Ok(())
         }
     }
 
@@ -1456,6 +1515,151 @@ mod tests {
         assert!(sent > 400, "{sent}");
         // At most the final frame can still be in flight.
         assert!(w.inflight_tx_count() <= 1, "{}", w.inflight_tx_count());
+    }
+
+    /// Node 0 blasts at four listeners 100, 200, 300 and 400 ns away; the
+    /// listeners reach only node 0.
+    fn staggered_world(seed: u64) -> World {
+        let phy = PhyConfig::default();
+        let n = 5;
+        let mut gains = vec![f64::NEG_INFINITY; n * n];
+        let mut delays = vec![0u64; n * n];
+        for rx in 1..n {
+            gains[rx] = -70.0;
+            gains[rx * n] = -70.0;
+            // Farthest first in `reachable` order, so arrival rank and row
+            // position run opposite ways.
+            delays[rx] = 100 * (n - rx) as u64;
+            delays[rx * n] = 100 * (n - rx) as u64;
+        }
+        let medium = crate::medium::MediumBuilder::new(&phy)
+            .gains_db(n, &gains, &delays)
+            .build();
+        let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
+        w.add_flow(0, 1, 100);
+        w.set_mac(
+            0,
+            Box::new(Blaster {
+                dst: MacAddr::from_node_index(1),
+                period: millis(2),
+                payload: 100,
+                sent: 0,
+            }),
+        );
+        for rx in 1..n {
+            w.set_mac(rx, Box::new(Sniffer::default()));
+        }
+        w
+    }
+
+    #[test]
+    fn checkpoint_with_cursors_mid_row_resumes_identically() {
+        let finish = |w: &mut World| {
+            w.run_until(millis(50));
+            (w.stats().snapshot(), w.events_processed(), w.event_counts())
+        };
+        let reference = finish(&mut staggered_world(41));
+
+        // The first frame leaves node 0 at 2 ms. Cut between its second
+        // and third FrameStart, then between its second and third
+        // FrameEnd.
+        let airtime = {
+            let mut w = staggered_world(41);
+            w.run_until(millis(2));
+            let live = w.pool.live_txs();
+            assert_eq!(
+                (live.len(), live[0].next_start, live[0].next_end),
+                (1, 0, 0)
+            );
+            live[0].end - live[0].start
+        };
+        // `(cut, (start cursor, end cursor), releases outstanding, queued)`.
+        // Queued at the first cut: the Blaster's timer, TxEnd and one
+        // arrival per kind; at the second only the timer and a FrameEnd —
+        // never the whole row.
+        for (cut, cursors, ends, queued) in [
+            (millis(2) + 250, (2, 0), 5, 4),
+            (millis(2) + airtime + 250, (4, 2), 2, 2),
+        ] {
+            let mut w = staggered_world(41);
+            w.run_until(cut);
+            let live = w.pool.live_txs();
+            assert_eq!((live[0].next_start, live[0].next_end), cursors);
+            assert_eq!(live[0].ends_remaining, ends);
+            assert_eq!(w.sched.len(), queued);
+            let bytes = w.checkpoint().expect("checkpoint mid-row");
+            let mut resumed = staggered_world(41);
+            resumed.restore(&bytes).expect("restore");
+            assert_eq!(resumed.checkpoint().expect("re-checkpoint"), bytes);
+            assert_eq!(finish(&mut resumed), reference, "cut at {cut}");
+            assert_eq!(finish(&mut w), reference, "split run, cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_cursors_off_the_fan_out() {
+        let mut w = staggered_world(42);
+        w.run_until(millis(2) + 250);
+        let good = w.checkpoint().expect("checkpoint");
+        // After the live transmission's frame bytes its record reads
+        // `wire_len u64, ends_remaining u32, end u64, seq0 u64,
+        // next_start u32, next_end u32`.
+        let frame = w.pool.live_txs()[0].buf.to_vec();
+        let after = good
+            .windows(frame.len())
+            .position(|b| b == &frame[..])
+            .expect("frame bytes in the image")
+            + frame.len();
+        let (ends, next_start, next_end) = (after + 8, after + 28, after + 32);
+        assert_eq!(good[ends..ends + 4], [5, 0, 0, 0]);
+        assert_eq!(good[next_start..next_end + 4], [2, 0, 0, 0, 0, 0, 0, 0]);
+        // A start cursor past the four receivers; an end cursor ahead of
+        // the start cursor; one release too few and one too many (five is
+        // right here only because TxEnd is still to come).
+        for (at, value) in [(next_start, 5u8), (next_end, 3), (ends, 3), (ends, 6)] {
+            let mut bad = good.clone();
+            bad[at] = value;
+            let err = staggered_world(42).restore(&bad).unwrap_err();
+            assert!(matches!(err, CkptError::Malformed(_)), "{err}");
+        }
+        staggered_world(42).restore(&good).expect("intact image");
+    }
+
+    #[test]
+    fn transmitter_nobody_hears_still_completes() {
+        let phy = PhyConfig::default();
+        // Below the delivery floor both ways: empty `reachable` rows.
+        let medium = crate::medium::MediumBuilder::new(&phy)
+            .uniform(2, -130.0)
+            .build();
+        assert!(medium.reachable(NodeId::new(0)).is_empty());
+        let mut w = World::builder().medium(medium).phy(phy).seed(3).build();
+        w.add_flow(0, 1, 64);
+        w.set_mac(
+            0,
+            Box::new(Blaster {
+                dst: MacAddr::from_node_index(1),
+                period: millis(1),
+                payload: 64,
+                sent: 0,
+            }),
+        );
+        w.run_until(millis(100) + micros(500));
+        let sent = w
+            .mac_ref(0)
+            .as_any()
+            .downcast_ref::<Blaster>()
+            .unwrap()
+            .sent;
+        assert_eq!(sent, 100);
+        let by: BTreeMap<&str, u64> = w.event_counts().into_iter().collect();
+        assert_eq!(
+            (by["tx_end"], by["frame_start"], by["frame_end"]),
+            (sent, 0, 0)
+        );
+        assert_eq!(w.inflight_tx_count(), 0);
+        assert_eq!(w.pool_recycled(), sent);
+        assert_eq!(w.pool_high_water(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use cmap_suite::cmap::{CmapConfig, CmapMac};
 use cmap_suite::sim::time::millis;
-use cmap_suite::sim::{MediumBuilder, PhyConfig, World};
+use cmap_suite::sim::{CkptError, MediumBuilder, PhyConfig, World};
 
 /// Four nodes in mutual range, two saturated flows, CMAP everywhere.
 fn small_world() -> World {
@@ -43,6 +43,19 @@ fn checkpoint() -> &'static [u8] {
 #[test]
 fn intact_checkpoint_restores() {
     small_world().restore(checkpoint()).expect("restore");
+}
+
+/// A `cmap-ckpt/v2` image (every receiver's arrival in the queue, no
+/// cursors in the transmission records) must be turned away at the magic
+/// line, as the version error — not half-read as v3 until some field
+/// fails to parse.
+#[test]
+fn previous_format_version_is_refused_as_such() {
+    let v3 = checkpoint();
+    assert!(v3.starts_with(b"cmap-ckpt/v3\n"));
+    let mut v2 = v3.to_vec();
+    v2[b"cmap-ckpt/v".len()] = b'2';
+    assert_eq!(small_world().restore(&v2), Err(CkptError::BadMagic));
 }
 
 #[test]

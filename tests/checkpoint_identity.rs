@@ -131,6 +131,95 @@ fn rate_adaptive_cmap_resume_is_byte_identical() {
     assert_resume_identical(install, None, 14);
 }
 
+/// Cut a run while one transmission's arrivals are half handed out — once
+/// among its `FrameStart`s, once among its `FrameEnd`s — so the checkpoint
+/// holds arrival cursors strictly inside a receiver row, and require the
+/// resumed run to finish on the uninterrupted run's bytes.
+fn assert_mid_row_resume_identical(configure: impl Fn(&mut World), faults: Option<FaultPlan>) {
+    use cmap_suite::obs::TraceEvent;
+    use cmap_suite::sim::time::millis;
+    use cmap_suite::sim::NodeId;
+
+    let spec = spec();
+    let setup = || {
+        let mut w = build(&spec, 15);
+        configure(&mut w);
+        if let Some(plan) = &faults {
+            w.install_faults(plan.clone());
+        }
+        w
+    };
+    let reference = finish(&mut setup(), spec.duration);
+
+    // Tracing observes without perturbing: the first transmission the
+    // traced run starts after 1 s, from a node whose receivers are not all
+    // equally far, is on the air at the same instants in every run below.
+    let (start, end, mid_row) = {
+        let mut w = setup();
+        w.run_until(secs(1));
+        w.enable_trace(1 << 12);
+        w.run_until(secs(1) + millis(50));
+        let trace = w.take_trace().expect("tracing was enabled");
+        let staggered = trace.records().find_map(|r| {
+            let TraceEvent::TxStart {
+                node,
+                bytes,
+                rate_mbps,
+                ..
+            } = r.ev
+            else {
+                return None;
+            };
+            let node = NodeId::new(node as usize);
+            let medium = w.medium();
+            let delays = || {
+                medium
+                    .reachable(node)
+                    .iter()
+                    .map(|&rx| medium.delay_ns(node, rx))
+            };
+            let (nearest, farthest) = (delays().min()?, delays().max()?);
+            let rate = Rate::ALL
+                .into_iter()
+                .find(|r| r.bits_per_sec() == u64::from(rate_mbps) * 1_000_000)?;
+            let end = r.at_ns + rate.frame_airtime_ns(bytes as usize);
+            // Strictly inside the row: some receiver at or before the
+            // midpoint, some receiver after it.
+            (nearest < farthest).then_some((r.at_ns, end, (nearest + farthest) / 2))
+        });
+        staggered.expect("a transmission with staggered receivers within 50 ms")
+    };
+
+    for cut in [start + mid_row, end + mid_row] {
+        let ckpt = {
+            let mut w = setup();
+            w.run_until(cut);
+            assert!(w.inflight_tx_count() > 0, "nothing on the air at {cut}");
+            w.checkpoint().expect("checkpoint mid-row")
+        };
+        let mut resumed = setup();
+        resumed.restore(&ckpt).expect("restore");
+        assert_eq!(
+            finish(&mut resumed, spec.duration),
+            reference,
+            "run cut mid-row at {cut} diverged from the uninterrupted run"
+        );
+    }
+}
+
+#[test]
+fn mid_row_resume_is_byte_identical_for_both_macs() {
+    assert_mid_row_resume_identical(|w| Protocol::cmap().install(w), None);
+    assert_mid_row_resume_identical(|w| Protocol::cs_on().install(w), None);
+}
+
+#[test]
+fn mid_row_resume_under_faults_is_byte_identical_for_both_macs() {
+    let plan = FaultPlan::mixed(50, spec().duration);
+    assert_mid_row_resume_identical(|w| Protocol::cmap().install(w), Some(plan.clone()));
+    assert_mid_row_resume_identical(|w| Protocol::cs_on().install(w), Some(plan));
+}
+
 #[test]
 fn restore_rejects_mismatched_configuration() {
     let spec = spec();

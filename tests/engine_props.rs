@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation engine's foundations.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use proptest::prelude::*;
 
@@ -139,6 +139,121 @@ proptest! {
             }
         }
         q.finish()?;
+    }
+
+    /// The arrival-cursor contract: a transmission reserves one sequence
+    /// number per receiver event, files only the first under its reserved
+    /// key, and hands each later one to `Scheduler::next` as a carry when
+    /// its predecessor is handled. Whatever mix of plain schedules, rows,
+    /// horizons and ticks, the pops must be those of a reference heap that
+    /// was handed every event of every row up front — the carry returned
+    /// untouched, exchanged with the top, filed in a later tick or parked
+    /// by a horizon and popped by a later call — and the lifetime counters
+    /// must read as if every event had been queued. A second scheduler
+    /// runs every round in two calls, cut at a horizon of its own, and
+    /// must end the round indistinguishable from the first: where
+    /// `run_until` stops is invisible, cascade count included.
+    #[test]
+    fn carried_rows_match_eagerly_filed_reference(
+        rounds in proptest::collection::vec(
+            // (row length, delay granularity shift, horizon step, plain
+            // schedules, where the second scheduler cuts the round)
+            (0usize..24, 0u32..12, 0u64..4 * TICK_NS, 0usize..4, 0u64..=16),
+            1..30,
+        ),
+        seed in any::<u64>(),
+    ) {
+        use rand::Rng;
+        type Key = (u64, u64);
+        let row_event = |seq| Event::FrameStart { rx: NodeId::new(0), tx_id: seq };
+        // Pop everything due by `horizon`, carrying each row event's
+        // successor into the request for the next event.
+        let run = |wheel: &mut Scheduler, successor: &BTreeMap<u64, Key>, horizon: u64| {
+            let (mut popped, mut carry) = (Vec::new(), None);
+            while let Some((at, event)) = wheel.next(carry.take(), horizon) {
+                let seq = match event {
+                    Event::Timer { token, .. } => token,
+                    Event::FrameStart { tx_id, .. } => tx_id,
+                    other => unreachable!("{other:?}"),
+                };
+                popped.push((at, seq));
+                carry = successor.get(&seq).map(|&(at, seq)| (at, seq, row_event(seq)));
+            }
+            popped
+        };
+
+        let mut rng = stream_rng(seed, 0);
+        let mut wheels = [Scheduler::new(), Scheduler::new()];
+        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+        // seq of a row event -> the row's next event.
+        let mut successor: BTreeMap<u64, Key> = BTreeMap::new();
+        let (mut row_events, mut timers) = (0u64, 0u64);
+        let (mut now, mut horizon) = (0u64, 0u64);
+        for &(len, shift, step, plain, cut) in &rounds {
+            for _ in 0..plain {
+                let at = now + rng.gen_range(0..3 * TICK_NS);
+                for wheel in &mut wheels {
+                    let seq = wheel.reserve(1);
+                    wheel.schedule_reserved(at, seq, Event::Timer { node: NodeId::new(1), token: seq });
+                }
+                heap.push(Reverse((at, row_events + timers)));
+                timers += 1;
+            }
+            // A row: position `j` holds seq `first + j`; delays are coarse
+            // enough to tie (on each other and on what is already queued)
+            // and long enough to cross ticks; arrival order is
+            // `(delay, position)`.
+            let first = row_events + timers;
+            let mut row: Vec<Key> = (0..len as u64)
+                .map(|j| (now + (rng.gen_range(0..3 * TICK_NS) >> shift << shift), first + j))
+                .collect();
+            row.sort_unstable();
+            heap.extend(row.iter().map(|&key| Reverse(key)));
+            successor.extend(row.windows(2).map(|pair| (pair[0].1, pair[1])));
+            for wheel in &mut wheels {
+                prop_assert_eq!(wheel.reserve(len as u64), first);
+                if let Some(&(at, seq)) = row.first() {
+                    wheel.schedule_reserved(at, seq, row_event(seq));
+                }
+            }
+            row_events += len as u64;
+
+            // Run to the next horizon, as `World::run_until` does.
+            let last = horizon.max(now);
+            horizon = last + step;
+            let mut expect = Vec::new();
+            while let Some(&Reverse(key)) = heap.peek().filter(|key| key.0 .0 <= horizon) {
+                heap.pop();
+                expect.push(key);
+            }
+            now = expect.last().map_or(now, |&(at, _)| at);
+            let [whole, halves] = &mut wheels;
+            prop_assert_eq!(&run(whole, &successor, horizon), &expect);
+            let mut in_two = run(halves, &successor, last + step * cut / 16);
+            in_two.extend(run(halves, &successor, horizon));
+            prop_assert_eq!(&in_two, &expect);
+            prop_assert_eq!(whole.stats(), halves.stats());
+            prop_assert_eq!(whole.peek_time(), heap.peek().map(|key| key.0 .0));
+            // A horizon leaves nothing in the caller's hands: the queue
+            // holds every pending event except those still behind a
+            // pending predecessor of their row.
+            let pending: BTreeSet<u64> = heap.iter().map(|key| key.0 .1).collect();
+            let behind = successor.keys().filter(|prev| pending.contains(prev)).count();
+            for wheel in &wheels {
+                prop_assert_eq!(wheel.len(), heap.len() - behind);
+            }
+        }
+        for wheel in &mut wheels {
+            let rest = run(wheel, &successor, u64::MAX);
+            let mut expect: Vec<Key> = heap.iter().map(|key| key.0).collect();
+            expect.sort_unstable();
+            prop_assert_eq!(rest, expect);
+            prop_assert!(wheel.is_empty());
+            prop_assert_eq!(wheel.processed(), row_events + timers);
+            prop_assert_eq!(wheel.processed_by_kind()[row_event(0).kind_idx()], row_events);
+            prop_assert_eq!(wheel.processed_by_kind()[3], timers);
+        }
+        prop_assert_eq!(wheels[0].stats(), wheels[1].stats());
     }
 
     /// Seed derivation: deterministic, and distinct streams disagree.
