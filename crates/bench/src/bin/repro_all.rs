@@ -4,22 +4,19 @@
 //! ```text
 //! cargo run --release -p cmap-bench --bin repro_all -- \
 //!     [--quick|--full] [--seed N] [--jobs N] [--out PATH] [--json PATH] \
-//!     [--perf-out PATH] [--perf-baseline PATH] [--resume]
+//!     [--resume]
 //! ```
 //!
 //! * stdout / `--out PATH`: the EXPERIMENTS-style text report,
-//! * `--json PATH` (default `BENCH_repro.json`): a `SuiteReport` with one
-//!   `RunReport` per figure, suite wall-clock, and an event-loop profile,
-//! * `--perf-out PATH` (default `BENCH_perf.json`): the tracked perf
-//!   baseline (`cmap-perf/v4`) — per-figure wall-clock, events/sec,
-//!   BER-table lookups and allocation counts, plus suite-level scheduler
-//!   stats, BER-table identity/error, and pool utilization; with
-//!   `--perf-baseline` pointing at a `--jobs 1` artifact it also carries
-//!   `speedup_vs_jobs1` fields.
+//! * `--json PATH` (default `BENCH_repro.json`): a `SuiteReport` with the
+//!   BER table's identity and measured error, one `RunReport` per figure,
+//!   the supervision outcome and, in `timing` blocks only, wall-clock.
 //!
-//! **Crash safety.** Each completed figure's text section, report JSON and
-//! perf numbers are written to `<json>.work/` through the atomic writer,
-//! and recorded in a `cmap-manifest/v1` completion ledger. All final
+//! How fast the simulator runs is measured by `benchmark/`, not here.
+//!
+//! **Crash safety.** Each completed figure's text section and report JSON
+//! are written to `<json>.work/` through the atomic writer, and recorded
+//! in a `cmap-manifest/v1` completion ledger. All final
 //! artifacts are also written atomically, so a SIGKILL at any instant
 //! leaves either the old bytes or complete new bytes. `--resume` restarts
 //! an interrupted suite: figures whose work-dir artifacts are present and
@@ -39,27 +36,17 @@ use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
-use cmap_bench::figures::{profile_event_loop, registry, report_for, spec_block};
-use cmap_bench::perf_baseline::{
-    parse_serial_baseline, BerTablePerf, FigurePerf, FramePoolPerf, PerfReport, SchedPerf,
-};
+use cmap_bench::figures::{registry, report_for, spec_block};
 use cmap_bench::Cli;
 use cmap_obs::artifact::{atomic_write, Manifest};
-use cmap_obs::{FailedCell, FailureBlock, SuiteReport, TimingBlock};
+use cmap_obs::{BerTableBlock, FailedCell, FailureBlock, SuiteReport, TimingBlock};
 
-// This is the one instrumented binary: install the counting allocator so
-// the perf artifact's `allocs` figures are real measurements, not zeros.
-#[global_allocator]
-static ALLOC: cmap_obs::alloc::CountingAlloc = cmap_obs::alloc::CountingAlloc;
-
-/// The three per-figure work-dir artifacts.
+/// The two per-figure work-dir artifacts.
 struct FigureArtifacts {
     /// Text-report section, exactly as a clean run would append it.
     text: String,
     /// `RunReport::to_json(true)` bytes.
     json: String,
-    /// Perf numbers, in the work-dir text encoding.
-    perf: FigurePerf,
 }
 
 fn text_name(fig: &str) -> String {
@@ -68,49 +55,9 @@ fn text_name(fig: &str) -> String {
 fn json_name(fig: &str) -> String {
     format!("fig_{fig}.json")
 }
-fn perf_name(fig: &str) -> String {
-    format!("fig_{fig}.perf")
-}
-
-/// Encode per-figure perf numbers as work-dir text. The wall-clock is an
-/// exact bit pattern so a resumed suite reproduces the float verbatim.
-fn encode_perf(p: &FigurePerf) -> String {
-    format!(
-        "wall_bits {:016x}\nevents {}\nber_lookups {}\nallocs {}\n",
-        p.wall_secs.to_bits(),
-        p.events,
-        p.ber_lookups,
-        p.allocs
-    )
-}
-
-/// Decode [`encode_perf`]'s output; `None` on any malformed line.
-fn decode_perf(name: &str, text: &str) -> Option<FigurePerf> {
-    let mut wall_bits = None;
-    let mut events = None;
-    let mut ber_lookups = None;
-    let mut allocs = None;
-    for line in text.lines() {
-        let (key, value) = line.split_once(' ')?;
-        match key {
-            "wall_bits" => wall_bits = Some(u64::from_str_radix(value, 16).ok()?),
-            "events" => events = Some(value.parse().ok()?),
-            "ber_lookups" => ber_lookups = Some(value.parse().ok()?),
-            "allocs" => allocs = Some(value.parse().ok()?),
-            _ => return None,
-        }
-    }
-    Some(FigurePerf {
-        name: name.to_string(),
-        wall_secs: f64::from_bits(wall_bits?),
-        events: events?,
-        ber_lookups: ber_lookups?,
-        allocs: allocs?,
-    })
-}
-
 /// Load a figure's completed artifacts from the work dir, verifying each
-/// against the manifest. `None` means "not complete — run it".
+/// against the manifest. `None` means "not complete — run it". Entries the
+/// manifest carries beyond these two are ignored.
 fn load_completed(work: &Path, manifest: &Manifest, fig: &str) -> Option<FigureArtifacts> {
     let load = |name: String| -> Option<Vec<u8>> {
         let bytes = std::fs::read(work.join(&name)).ok()?;
@@ -118,9 +65,7 @@ fn load_completed(work: &Path, manifest: &Manifest, fig: &str) -> Option<FigureA
     };
     let text = String::from_utf8(load(text_name(fig))?).ok()?;
     let json = String::from_utf8(load(json_name(fig))?).ok()?;
-    let perf_text = String::from_utf8(load(perf_name(fig))?).ok()?;
-    let perf = decode_perf(fig, &perf_text)?;
-    Some(FigureArtifacts { text, json, perf })
+    Some(FigureArtifacts { text, json })
 }
 
 /// The manifest's run-identity line. Deliberately excludes `--jobs`: pool
@@ -172,18 +117,17 @@ fn init_work_dir(work: &Path, cli: &Cli) -> Manifest {
     Manifest::new(&meta)
 }
 
-/// Persist one completed figure: three artifacts plus the updated
+/// Persist one completed figure: two artifacts plus the updated
 /// manifest, all atomically, manifest last — a crash between any two
 /// writes leaves at worst an unreferenced file that a resume re-runs.
 fn record_figure(work: &Path, manifest: &mut Manifest, fig: &str, arts: &FigureArtifacts) {
     let files = [
-        (text_name(fig), arts.text.clone().into_bytes()),
-        (json_name(fig), arts.json.clone().into_bytes()),
-        (perf_name(fig), encode_perf(&arts.perf).into_bytes()),
+        (text_name(fig), arts.text.as_bytes()),
+        (json_name(fig), arts.json.as_bytes()),
     ];
-    for (name, bytes) in &files {
-        atomic_write(work.join(name), bytes).expect("write figure artifact");
-        manifest.record(name, bytes);
+    for (name, bytes) in files {
+        atomic_write(work.join(&name), bytes).expect("write figure artifact");
+        manifest.record(&name, bytes);
     }
     atomic_write(work.join("MANIFEST"), manifest.to_text().as_bytes()).expect("write manifest");
 }
@@ -194,19 +138,12 @@ fn main() {
         .json
         .clone()
         .unwrap_or_else(|| "BENCH_repro.json".to_string());
-    let perf_path = cli
-        .perf_out
-        .clone()
-        .unwrap_or_else(|| "BENCH_perf.json".to_string());
-    let jobs = cli.effective_jobs();
     let work = PathBuf::from(format!("{json_path}.work"));
     let mut manifest = init_work_dir(&work, &cli);
 
     let mut report = String::new();
     // cmap-lint: allow(wall-clock) — progress timing of the harness itself; never feeds simulation state
     let t0 = std::time::Instant::now();
-    cmap_sim::perf::reset();
-    cmap_exec::reset_pool_stats();
     cmap_exec::reset_supervision_stats();
     let _ = cmap_exec::take_quarantined();
 
@@ -215,9 +152,13 @@ fn main() {
     let mut suite_spec = spec_block(&cli, &cli.spec(0));
     suite_spec.configs = 0;
     let mut suite = SuiteReport::new("repro_all", suite_spec);
+    suite.ber_table = Some(BerTableBlock {
+        version: cmap_phy::table::TABLE_VERSION,
+        grid_points: cmap_phy::table::GRID_POINTS as u64,
+        max_abs_err: cmap_phy::BerTable::shared().max_abs_err(),
+    });
     let mut failures: Vec<String> = Vec::new();
     let mut failed_cells: Vec<FailedCell> = Vec::new();
-    let mut perf_figures: Vec<FigurePerf> = Vec::new();
 
     for fig in registry() {
         if !fig.in_repro() {
@@ -227,7 +168,6 @@ fn main() {
         if let Some(saved) = load_completed(&work, &manifest, fig.name()) {
             report.push_str(&saved.text);
             suite.push_raw(saved.json);
-            perf_figures.push(saved.perf);
             eprintln!(
                 "[{}s] {} restored from work dir",
                 t0.elapsed().as_secs(),
@@ -237,8 +177,6 @@ fn main() {
         }
 
         let spec = fig.spec(&cli);
-        let engine0 = cmap_sim::perf::totals();
-        let allocs0 = cmap_obs::alloc::allocations();
         // cmap-lint: allow(wall-clock) — per-figure wall timing for the report's timing block only
         let f0 = std::time::Instant::now();
         // Jobs the figure fans out through the pool get labelled
@@ -247,8 +185,6 @@ fn main() {
         cmap_exec::set_job_context(fig.name());
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| fig.run(&cli)));
         let wall_secs = f0.elapsed().as_secs_f64();
-        let engine = cmap_sim::perf::totals();
-        let allocs = cmap_obs::alloc::allocations() - allocs0;
         let quarantined = cmap_exec::take_quarantined();
         for q in &quarantined {
             failed_cells.push(FailedCell {
@@ -297,13 +233,6 @@ fn main() {
             failures.push(e);
             complete = false;
         }
-        let fig_perf = FigurePerf {
-            name: fig.name().to_string(),
-            wall_secs,
-            events: engine.events - engine0.events,
-            ber_lookups: engine.ber_lookups - engine0.ber_lookups,
-            allocs,
-        };
         if complete {
             // Only clean, validated figures become resumable artifacts —
             // a resumed run must re-execute anything that failed.
@@ -314,12 +243,10 @@ fn main() {
                 &FigureArtifacts {
                     text: section,
                     json: r.to_json(true),
-                    perf: fig_perf.clone(),
                 },
             );
         }
         suite.push(r);
-        perf_figures.push(fig_perf);
         eprintln!("[{}s] {} done", t0.elapsed().as_secs(), fig.name());
     }
     cmap_exec::set_job_context("");
@@ -332,43 +259,9 @@ fn main() {
         cells: failed_cells.clone(),
     });
 
-    let pool = cmap_exec::pool_stats();
-    let mut profile = profile_event_loop();
-    profile.set_pool(jobs, pool.batches, pool.jobs_executed, pool.busy_ns);
-    eprint!("{}", profile.render_text());
-    suite.profile = Some(profile);
     suite.timing = Some(TimingBlock {
         wall_secs: t0.elapsed().as_secs_f64(),
     });
-
-    let baseline = cli.perf_baseline.as_ref().and_then(|path| {
-        let text = std::fs::read_to_string(path).ok()?;
-        let walls = parse_serial_baseline(&text);
-        if walls.is_none() {
-            eprintln!("warning: {path} is not a --jobs 1 perf artifact; skipping speedups");
-        }
-        walls
-    });
-    let engine_totals = cmap_sim::perf::totals();
-    let perf = PerfReport {
-        jobs,
-        cores_detected: cmap_exec::default_jobs(),
-        suite_wall_secs: t0.elapsed().as_secs_f64(),
-        pool,
-        sched: SchedPerf {
-            cascades: engine_totals.sched_cascades,
-            max_occupancy: engine_totals.sched_max_occupancy,
-        },
-        ber_table: BerTablePerf::current(),
-        frame_pool: FramePoolPerf {
-            high_water: engine_totals.pool_high_water,
-            recycled: engine_totals.pool_recycled,
-            bytes: engine_totals.pool_bytes,
-        },
-        allocs: cmap_obs::alloc::allocations(),
-        figures: perf_figures,
-        baseline,
-    };
 
     println!("{report}");
     if let Some(path) = &cli.out {
@@ -377,11 +270,6 @@ fn main() {
     }
     atomic_write(&json_path, suite.to_json(true).as_bytes()).expect("write suite report");
     eprintln!("suite report written to {json_path}");
-    atomic_write(&perf_path, perf.to_json().as_bytes()).expect("write perf artifact");
-    eprintln!("perf artifact written to {perf_path}");
-    if let Some(speedup) = perf.suite_speedup() {
-        eprintln!("suite speedup vs --jobs 1: {speedup:.2}x at --jobs {jobs}");
-    }
     eprintln!("total: {}s", t0.elapsed().as_secs());
 
     if !failures.is_empty() {
@@ -396,5 +284,40 @@ fn main() {
             );
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A suite killed under the binary that still wrote `fig_<name>.perf`
+    /// must `--resume` under this one: the extra manifest entry (and file)
+    /// is ignored, the two artifacts it still reads are verified as before.
+    #[test]
+    fn load_completed_accepts_a_work_dir_with_a_perf_entry() {
+        let work = std::env::temp_dir().join(format!("cmap-repro-all-{}", std::process::id()));
+        std::fs::create_dir_all(&work).expect("create work dir");
+        let mut written = Manifest::new("suite=repro_all seed=42 effort=quick runs=default");
+        for (name, bytes) in [
+            ("fig_fig12_exposed.txt", &b"\n### Fig 12\n\nbody\n"[..]),
+            ("fig_fig12_exposed.json", b"{\"schema\":\"cmap-obs/v1\"}"),
+            (
+                "fig_fig12_exposed.perf",
+                b"wall_bits 3ff0000000000000\nevents 1\n",
+            ),
+        ] {
+            atomic_write(work.join(name), bytes).expect("write artifact");
+            written.record(name, bytes);
+        }
+        let manifest = Manifest::parse(&written.to_text()).expect("manifest parses");
+        assert!(manifest.contains("fig_fig12_exposed.perf"));
+
+        let arts = load_completed(&work, &manifest, "fig12_exposed").expect("figure is complete");
+        assert_eq!(arts.text, "\n### Fig 12\n\nbody\n");
+        assert_eq!(arts.json, "{\"schema\":\"cmap-obs/v1\"}");
+        // A figure the manifest does not name is still "run it".
+        assert!(load_completed(&work, &manifest, "fig13_in_range").is_none());
+        let _ = std::fs::remove_dir_all(&work);
     }
 }

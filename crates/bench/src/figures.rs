@@ -21,7 +21,7 @@ use cmap_experiments::{
     ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Spec,
 };
 use cmap_mac80211::{DcfConfig, DcfMac};
-use cmap_obs::{LoopProfile, MetricValue, RunReport, SpecBlock, TimingBlock};
+use cmap_obs::{MetricValue, RunReport, SpecBlock, TimingBlock};
 use cmap_phy::Rate;
 use cmap_sim::time::secs;
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
@@ -150,7 +150,7 @@ pub fn figure_main(fig: &dyn Figure) {
         std::process::exit(1);
     }
     if let Some(path) = &cli.json {
-        if let Err(e) = std::fs::write(path, report.to_json(true)) {
+        if let Err(e) = cmap_obs::atomic_write(path, report.to_json(true).as_bytes()) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
         }
@@ -1245,36 +1245,6 @@ impl Figure for ChaosSoak {
         out.metric("failures", out.failures.len());
         out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Event-loop self-profile
-// ---------------------------------------------------------------------------
-
-/// Step a canonical exposed-terminal CMAP world in slices, timing each
-/// slice from the harness shell, and return the aggregated profile. The
-/// engine itself never reads a clock — wall time is measured out here and
-/// fed to [`LoopProfile::record_slice`]; the dispatch mix comes from the
-/// engine's deterministic per-kind counters.
-pub fn profile_event_loop() -> LoopProfile {
-    let (mut w, _flows) = exposed_world(7);
-    for n in 0..SOAK_NODES {
-        w.set_mac(n, Box::new(CmapMac::new(CmapConfig::default())));
-    }
-    let mut profile = LoopProfile::new();
-    let slice = cmap_sim::time::millis(100);
-    let mut prev_events = 0u64;
-    for i in 1..=20u64 {
-        // cmap-lint: allow(wall-clock) — harness-side slice timing; feeds only the profile, never the simulation
-        let t0 = std::time::Instant::now();
-        w.run_until(i * slice);
-        let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let events = w.events_processed();
-        profile.record_slice(events - prev_events, wall_ns);
-        prev_events = events;
-    }
-    profile.set_dispatch(&w.event_counts());
-    profile
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@
 //! `--json PATH` (write a machine-readable [`cmap_obs::RunReport`]).
 
 pub mod figures;
-pub mod perf_baseline;
 
 use cmap_experiments::exposed::Curve;
 use cmap_experiments::Spec;
@@ -62,7 +61,7 @@ impl Effort {
 
 /// The usage string every binary prints on `--help` or a parse error.
 pub const USAGE: &str = "usage: <bin> [--quick|--full] [--seed N] [--runs N] [--jobs N] \
-     [--json PATH] [--out PATH] [--perf-out PATH] [--perf-baseline PATH] [--resume]";
+     [--json PATH] [--out PATH] [--resume]";
 
 /// Why [`Cli::try_parse_from`] rejected a command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,11 +90,6 @@ pub struct Cli {
     pub json: Option<String>,
     /// `repro_all`: also write the text report to this path.
     pub out: Option<String>,
-    /// `repro_all`: path for the perf artifact (default `BENCH_perf.json`).
-    pub perf_out: Option<String>,
-    /// `repro_all`: a `BENCH_perf.json` from a `--jobs 1` run of the same
-    /// suite; enables `speedup_vs_jobs1` fields in the perf artifact.
-    pub perf_baseline: Option<String>,
     /// `repro_all`: resume an interrupted suite — skip figures whose
     /// per-figure artifacts in the work directory are present and
     /// hash-valid against the completion manifest, and splice their saved
@@ -112,8 +106,6 @@ impl Default for Cli {
             jobs: None,
             json: None,
             out: None,
-            perf_out: None,
-            perf_baseline: None,
             resume: false,
         }
     }
@@ -158,10 +150,6 @@ impl Cli {
                 }
                 "--json" => cli.json = Some(value("--json", args.next())?),
                 "--out" => cli.out = Some(value("--out", args.next())?),
-                "--perf-out" => cli.perf_out = Some(value("--perf-out", args.next())?),
-                "--perf-baseline" => {
-                    cli.perf_baseline = Some(value("--perf-baseline", args.next())?);
-                }
                 "--resume" => cli.resume = true,
                 "--help" | "-h" => return Err(CliError::Help),
                 other => return Err(CliError::Bad(format!("unknown flag {other}"))),
@@ -294,16 +282,16 @@ mod tests {
         assert_eq!(cli.json.as_deref(), Some("r.json"));
         assert_eq!(cli.out.as_deref(), Some("r.md"));
 
-        let cli = Cli::try_parse_from(args(&[
-            "--perf-out",
-            "p.json",
-            "--perf-baseline",
-            "serial.json",
-        ]))
-        .unwrap();
-        assert_eq!(cli.perf_out.as_deref(), Some("p.json"));
-        assert_eq!(cli.perf_baseline.as_deref(), Some("serial.json"));
         assert!(!cli.resume);
+
+        // The two flags of the deleted perf artifact are ordinary unknowns.
+        for flag in ["--perf-out", "--perf-baseline"] {
+            assert_eq!(
+                Cli::try_parse_from(args(&[flag, "p.json"])).unwrap_err(),
+                CliError::Bad(format!("unknown flag {flag}"))
+            );
+            assert!(!USAGE.contains(flag));
+        }
 
         let cli = Cli::try_parse_from(args(&["--resume"])).unwrap();
         assert!(cli.resume);

@@ -22,10 +22,8 @@
 //!   its answer must never leak into report bytes — callers only use it to
 //!   size the pool, and `cmap-lint`'s `thread-spawn` rule confines all
 //!   threading primitives to this crate so that stays auditable.
-//!
-//! Wall-clock use below is confined to harness-side utilization metering
-//! (busy-ns per worker) that feeds the `timing`/`loop_profile` section of
-//! run reports — the one place wall-clock-derived numbers are allowed.
+//! * The executor reads no clock: how long a batch took is the caller's
+//!   measurement, kept in the `timing` block of its report.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -41,54 +39,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Cumulative pool-utilization counters, kept process-global so the bench
-/// harness can report them without threading a handle through every figure.
-/// Order-independent sums of per-job contributions: deterministic in value
-/// for a fixed workload, except `busy_ns` which is wall-clock-derived and
-/// therefore only ever reported inside `timing`-scoped report sections.
-static BATCHES: AtomicU64 = AtomicU64::new(0);
-static JOBS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-static BUSY_NS: AtomicU64 = AtomicU64::new(0);
-static MAX_WORKERS: AtomicU64 = AtomicU64::new(1);
-
-/// Snapshot of the global pool-utilization counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Parallel batches dispatched (serial `jobs == 1` batches included).
-    pub batches: u64,
-    /// Total jobs executed across all batches.
-    pub jobs_executed: u64,
-    /// Summed wall-clock nanoseconds workers spent inside job closures.
-    /// Harness-side metering only — never part of deterministic output.
-    pub busy_ns: u64,
-    /// Largest worker count any batch ran with.
-    pub max_workers: u64,
-}
-
-/// Read the global utilization counters.
-pub fn pool_stats() -> PoolStats {
-    PoolStats {
-        batches: BATCHES.load(Ordering::Relaxed),
-        jobs_executed: JOBS_EXECUTED.load(Ordering::Relaxed),
-        busy_ns: BUSY_NS.load(Ordering::Relaxed),
-        max_workers: MAX_WORKERS.load(Ordering::Relaxed),
-    }
-}
-
-/// Reset the global utilization counters (test isolation).
-pub fn reset_pool_stats() {
-    BATCHES.store(0, Ordering::Relaxed);
-    JOBS_EXECUTED.store(0, Ordering::Relaxed);
-    BUSY_NS.store(0, Ordering::Relaxed);
-    MAX_WORKERS.store(1, Ordering::Relaxed);
-}
-
-fn note_batch(workers: usize, jobs: usize) {
-    BATCHES.fetch_add(1, Ordering::Relaxed);
-    JOBS_EXECUTED.fetch_add(jobs as u64, Ordering::Relaxed);
-    MAX_WORKERS.fetch_max(workers as u64, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Supervision: catch, retry, quarantine.
 // ---------------------------------------------------------------------------
@@ -99,8 +49,8 @@ fn note_batch(workers: usize, jobs: usize) {
 /// "backoff" is positional: every other failed job of the round goes first).
 pub const RETRY_LIMIT: u32 = 2;
 
-/// Supervision counters, process-global like the pool-utilization counters
-/// above. Mirrored into the typed `exec.job_panic` / `exec.job_retry` /
+/// Supervision counters, process-global so the bench harness can report
+/// them without threading a handle through every figure. Mirrored into the typed `exec.job_panic` / `exec.job_retry` /
 /// `exec.job_quarantined` observability counters by the bench harness.
 static JOB_PANICS: AtomicU64 = AtomicU64::new(0);
 static JOB_RETRIES: AtomicU64 = AtomicU64::new(0);
@@ -336,28 +286,22 @@ impl Pool {
         let mut failed: Vec<(usize, String)> = Vec::new();
 
         if workers <= 1 {
-            note_batch(1, items.len());
-            // cmap-lint: allow(wall-clock) — harness-side pool busy metering, timing-scoped only
-            let t0 = std::time::Instant::now();
             for (i, item) in items.iter().enumerate() {
                 match run_caught(&f, item) {
                     Ok(r) => slots[i] = Some(r),
                     Err(e) => failed.push((i, e)),
                 }
             }
-            BUSY_NS.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
         } else {
-            note_batch(workers, items.len());
-
             // Work distribution: a shared cursor hands out *chunks* of
             // contiguous job indices first-come-first-served (pure
             // scheduling — no effect on results). Chunked claiming plus
             // worker-local result accumulation amortizes the per-job
             // synchronization that made small-job batches slower under
-            // `--jobs 2` than serial: one cursor RMW and one `Instant` pair
-            // per chunk, and exactly one channel send per worker instead of
-            // one per job. The receive side slots results by index, which
-            // is what makes the join deterministic.
+            // `--jobs 2` than serial: one cursor RMW per chunk, and exactly
+            // one channel send per worker instead of one per job. The
+            // receive side slots results by index, which is what makes the
+            // join deterministic.
             let chunk = chunk_size(items.len(), workers);
             let cursor = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<Vec<(usize, Result<R, String>)>>();
@@ -374,12 +318,9 @@ impl Pool {
                                 break;
                             }
                             let end = (start + chunk).min(items.len());
-                            // cmap-lint: allow(wall-clock) — harness-side pool busy metering, timing-scoped only
-                            let t0 = std::time::Instant::now();
                             for (i, item) in items[start..end].iter().enumerate() {
                                 local.push((start + i, run_caught(f, item)));
                             }
-                            BUSY_NS.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
                         }
                         if !local.is_empty() {
                             let _ = tx.send(local);
@@ -442,11 +383,6 @@ fn chunk_size(len: usize, workers: usize) -> usize {
     (len / (workers * 8)).max(1)
 }
 
-// cmap-lint: allow(wall-clock) — harness-side pool busy metering, timing-scoped only
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,20 +434,6 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let empty: [u32; 0] = [];
         assert!(Pool::new(8).map(&empty, |&x| x).is_empty());
-    }
-
-    #[test]
-    fn pool_stats_accumulate() {
-        reset_pool_stats();
-        let items: Vec<u32> = (0..10).collect();
-        let _ = Pool::new(2).map(&items, |&x| x);
-        let _ = Pool::new(1).map(&items, |&x| x);
-        // Other tests in this binary may bump the global counters
-        // concurrently, so assert lower bounds only.
-        let s = pool_stats();
-        assert!(s.batches >= 2);
-        assert!(s.jobs_executed >= 20);
-        assert!(s.max_workers >= 1);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //!
 //! * **R7 `det-taint`** — wall-clock/entropy/parallelism-derived values may
 //!   not flow (through locals, returns and call edges) into deterministic
-//!   code or artifact-bearing sinks. The `timing` block and `LoopProfile`
-//!   sinks are the sanctioned exceptions.
+//!   code or artifact-bearing sinks. The `timing` block is the one
+//!   sanctioned exception.
 //! * **R8 `unit-flow`** — `ns`/`us`/`ms`/`slots`/`dBm`/`mW`-bearing values
 //!   tracked through arithmetic and call boundaries; mixed-unit additive
 //!   expressions and unit-mismatched arguments are flagged even when the
@@ -252,14 +252,14 @@ pub struct Config {
     /// named explicitly as a root — how the fixture self-tests run).
     pub skip_markers: Vec<String>,
     /// Artifact-bearing sink names (function or struct-literal names):
-    /// report writers, snapshot serializers, perf artifacts. A taint or
+    /// report writers and snapshot serializers. A taint or
     /// shared-state value reaching one of these is an R7/R9 finding.
     pub taint_sinks: Vec<String>,
     /// Sanctioned exception sinks: wall-clock-derived values are allowed
-    /// here by design (the `timing` block and the `LoopProfile` profiler).
+    /// here by design (the `timing` block).
     pub sanctioned_sinks: Vec<String>,
     /// Modules allowed to declare interior-mutable statics (R9 exempt):
-    /// the executor's pool meters.
+    /// the executor's supervision counters.
     pub shared_state_allowed: Vec<String>,
 }
 
@@ -296,19 +296,8 @@ impl Default for Config {
                 // Deterministic snapshots compared byte-for-byte in tests.
                 "snapshot",
                 "Snapshot",
-                // The tracked perf artifact (wall-clock flows into it need
-                // an explicit baseline entry — the file is non-deterministic
-                // by design, and the audit trail must say so).
-                "FigurePerf",
-                "PerfReport",
             ]),
-            sanctioned_sinks: v(&[
-                "TimingBlock",
-                "LoopProfile",
-                "set_pool",
-                "record_slice",
-                "profile_event_loop",
-            ]),
+            sanctioned_sinks: v(&["TimingBlock"]),
             shared_state_allowed: v(&["crates/exec/src"]),
         }
     }

@@ -232,7 +232,7 @@ fn workspace_is_analyze_clean() {
     };
     assert!(
         baselined > 0,
-        "baseline should pin the perf-sidecar flows: {summary}"
+        "baseline should pin the two wall-time-into-timing-block flows: {summary}"
     );
     assert!(files > 50, "walk looks truncated: {summary}");
 }

@@ -1,4 +1,4 @@
-//! Heap-allocation counting for perf baselines.
+//! Heap-allocation counting for the benchmark.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
 //! `alloc`/`realloc` call. A binary opts in by declaring it as its global
@@ -11,10 +11,8 @@
 //!
 //! [`allocations`] then reports the process-wide count; in binaries that
 //! did not install the wrapper it stays 0 and readers must treat the
-//! figure as "not measured" (the perf artifact records it as-is, so a zero
-//! from a non-instrumented binary is distinguishable from a real steady
-//! state only by the binary's own documentation — `repro_all` installs
-//! it).
+//! figure as "not measured". `benchmark/` installs it (wrapped, in its
+//! `heap.rs`) to measure `allocs_per_sim_s`.
 //!
 //! The count is a relaxed monotone meter: it orders nothing, never feeds
 //! back into simulation behaviour, and is read only at figure boundaries
@@ -23,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-// cmap-analyze: allow(shared-state) — relaxed monotonic allocation meter for perf artifacts; never read by simulation state
+// cmap-analyze: allow(shared-state) — relaxed monotonic allocation meter for the benchmark; never read by simulation state
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts allocation calls.

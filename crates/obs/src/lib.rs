@@ -13,16 +13,15 @@
 //!   produce byte-identical artifacts. Wall-clock derived data is confined
 //!   to the `timing` block, which every writer can exclude.
 //! * **Off the simulation path.** Nothing in this crate reads a clock or
-//!   an entropy source (cmap-lint's R2 holds crate-wide); the event-loop
-//!   profiler ([`LoopProfile`]) is *fed* wall-clock durations by the
-//!   harness shell and only does arithmetic on them.
+//!   an entropy source (cmap-lint's R2 holds crate-wide); a
+//!   [`TimingBlock`] is *handed* its wall-clock seconds by the harness
+//!   shell.
 //!
 //! | Module | Provides |
 //! |---|---|
-//! | [`alloc`] | opt-in counting global allocator for perf baselines |
+//! | [`alloc`] | opt-in counting global allocator (`benchmark/` installs it) |
 //! | [`metrics`] | `CounterId` / `GaugeId` registries with static names |
 //! | [`trace`] | typed ring-buffer trace sink with deterministic JSONL dump |
-//! | [`profile`] | event-loop dispatch/wall-clock profile, events/sec meter |
 //! | [`report`] | `RunReport` / `SuiteReport` manifest writers (`--json`) |
 //! | [`json`] | minimal deterministic JSON encoding helpers |
 
@@ -30,16 +29,14 @@ pub mod alloc;
 pub mod artifact;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod report;
 pub mod rss;
 pub mod trace;
 
 pub use artifact::{atomic_write, fnv1a64, Manifest, MANIFEST_SCHEMA};
 pub use metrics::{CounterId, GaugeId};
-pub use profile::LoopProfile;
 pub use report::{
-    FailedCell, FailureBlock, FigureEntry, MetricValue, RunReport, SpecBlock, SuiteReport,
-    TimingBlock, SCHEMA,
+    BerTableBlock, FailedCell, FailureBlock, FigureEntry, MetricValue, RunReport, SpecBlock,
+    SuiteReport, TimingBlock, SCHEMA,
 };
 pub use trace::{TraceEvent, TraceRecord, TraceSink};

@@ -3,8 +3,8 @@
 //! A [`RunReport`] is one figure/experiment's manifest: what was run (spec,
 //! seeds, effort), what came out (named metric values), and how long it
 //! took (the `timing` block). A [`SuiteReport`] aggregates many figure
-//! reports plus an event-loop profile — `repro_all` writes one as
-//! `BENCH_repro.json` to seed the repo's perf trajectory.
+//! reports plus the identity of the BER table they were graded with —
+//! `repro_all` writes one as `BENCH_repro.json`.
 //!
 //! **Determinism contract:** everything outside the `timing` blocks derives
 //! from simulation state only, keys serialize sorted (`BTreeMap`) and
@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 
 use crate::json;
-use crate::profile::LoopProfile;
 
 /// Report schema identifier (bump on breaking shape changes).
 pub const SCHEMA: &str = "cmap-obs/v1";
@@ -311,6 +310,32 @@ fn strip_trailing_timing(raw: &str) -> String {
     }
 }
 
+/// Which BER interpolation table graded the suite's receptions, and how far
+/// it sits from the closed form. All three values are fixed by the table's
+/// construction, so the block serializes in both report views.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BerTableBlock {
+    /// Version tag of the table scheme.
+    pub version: &'static str,
+    /// Grid nodes per rate.
+    pub grid_points: u64,
+    /// Measured max |table − closed form| at construction.
+    pub max_abs_err: f64,
+}
+
+impl BerTableBlock {
+    fn to_json(&self) -> String {
+        let mut s = String::from("{\"version\":");
+        json::push_str_lit(&mut s, self.version);
+        s.push_str(&format!(
+            ",\"grid_points\":{},\"max_abs_err\":{}}}",
+            self.grid_points,
+            json::fmt_f64(self.max_abs_err)
+        ));
+        s
+    }
+}
+
 /// Aggregate of many figure reports (what `repro_all --json` writes).
 #[derive(Debug, Clone)]
 pub struct SuiteReport {
@@ -318,15 +343,14 @@ pub struct SuiteReport {
     pub suite: String,
     /// The shared CLI-level spec the suite ran under.
     pub spec: SpecBlock,
+    /// The BER table in use; `None` omits the key (library contexts).
+    pub ber_table: Option<BerTableBlock>,
     /// Per-figure entries, in run order.
     pub figures: Vec<FigureEntry>,
     /// Supervision outcome; `None` omits the key (library contexts).
     pub failures: Option<FailureBlock>,
     /// Suite wall-clock, if measured.
     pub timing: Option<TimingBlock>,
-    /// Event-loop profile, if the harness ran one (wall-clock derived, so
-    /// serialized inside the timing region).
-    pub profile: Option<LoopProfile>,
 }
 
 impl SuiteReport {
@@ -335,10 +359,10 @@ impl SuiteReport {
         SuiteReport {
             suite: suite.to_string(),
             spec,
+            ber_table: None,
             figures: Vec::new(),
             failures: None,
             timing: None,
-            profile: None,
         }
     }
 
@@ -354,7 +378,7 @@ impl SuiteReport {
     }
 
     /// Serialize; `include_timing = false` yields the deterministic view
-    /// (per-figure timing blocks and the loop profile are dropped too).
+    /// (per-figure timing blocks are dropped too).
     pub fn to_json(&self, include_timing: bool) -> String {
         let mut s = String::from("{\"schema\":");
         json::push_str_lit(&mut s, SCHEMA);
@@ -362,6 +386,10 @@ impl SuiteReport {
         json::push_str_lit(&mut s, &self.suite);
         s.push_str(",\"spec\":");
         s.push_str(&self.spec.to_json());
+        if let Some(b) = &self.ber_table {
+            s.push_str(",\"ber_table\":");
+            s.push_str(&b.to_json());
+        }
         s.push_str(",\"figures\":[");
         for (i, f) in self.figures.iter().enumerate() {
             if i > 0 {
@@ -375,21 +403,10 @@ impl SuiteReport {
             s.push_str(&fb.to_json());
         }
         if include_timing {
-            s.push_str(",\"timing\":{");
-            let mut first = true;
             if let Some(t) = &self.timing {
-                s.push_str("\"wall_secs\":");
-                s.push_str(&json::fmt_f64(t.wall_secs));
-                first = false;
+                s.push_str(",\"timing\":");
+                s.push_str(&t.to_json());
             }
-            if let Some(p) = &self.profile {
-                if !first {
-                    s.push(',');
-                }
-                s.push_str("\"loop_profile\":");
-                s.push_str(&p.to_json());
-            }
-            s.push('}');
         }
         s.push('}');
         s
@@ -449,17 +466,29 @@ mod tests {
         f.metric("m", 1.5);
         f.timing = Some(TimingBlock { wall_secs: 2.0 });
         s.push(f);
+        // A suite without timing omits the key: the figures array is last.
+        assert!(s.to_json(true).ends_with("]}"));
         s.timing = Some(TimingBlock { wall_secs: 9.0 });
-        let mut p = LoopProfile::new();
-        p.record_slice(10, 100);
-        s.profile = Some(p);
+        s.ber_table = Some(BerTableBlock {
+            version: "ber-table/v1",
+            grid_points: 4097,
+            max_abs_err: 0.00115,
+        });
         let det = s.to_json(false);
         assert!(!det.contains("timing"), "{det}");
-        assert!(!det.contains("loop_profile"), "{det}");
         let full = s.to_json(true);
-        assert!(full.contains("\"wall_secs\":9"));
-        assert!(full.contains("\"loop_profile\":{"));
+        assert!(full.ends_with(",\"timing\":{\"wall_secs\":9}}"), "{full}");
         assert!(full.contains("\"wall_secs\":2"));
+        // The table block is deterministic: after `spec` in both views.
+        for view in [&det, &full] {
+            assert!(
+                view.contains(
+                    "\"payload\":1400},\"ber_table\":{\"version\":\"ber-table/v1\",\
+                     \"grid_points\":4097,\"max_abs_err\":0.00115},\"figures\":["
+                ),
+                "{view}"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   tentpole spec ([`TABLE_VERSION`]). The builder measures the deviation
 //!   against the direct evaluator at every segment midpoint — the worst
 //!   case for linear interpolation — and [`BerTable::max_abs_err`] is
-//!   recorded in the perf artifact (`BENCH_perf.json`, `ber_table` block).
+//!   recorded in the suite report (`BENCH_repro.json`, `ber_table` block).
 //!   [`ERR_BOUND`] is the documented ceiling, property-tested per rate in
 //!   `tests/phy_props.rs`.
 //!
@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 
 use crate::rate::Rate;
 
-/// Version tag of the error-bounded table mode, recorded in perf artifacts
+/// Version tag of the error-bounded table mode, recorded in suite reports
 /// alongside the measured max error. Bump on any change to the grid or
 /// interpolation scheme.
 pub const TABLE_VERSION: &str = "ber-table/v1";
@@ -122,7 +122,7 @@ impl BerTable {
     }
 
     /// Largest midpoint deviation from the direct evaluator measured at
-    /// construction (recorded in `BENCH_perf.json`).
+    /// construction (recorded in `BENCH_repro.json`).
     pub fn max_abs_err(&self) -> f64 {
         self.max_abs_err
     }

@@ -14,12 +14,10 @@
 //! * saturated and relay application [`app`] flows,
 //! * run statistics ([`stats`]): windowed per-flow throughput, virtual-packet
 //!   header/trailer reception bookkeeping, typed counters/gauges from the
-//!   `cmap-obs` registry, and an optional structured trace sink, and
+//!   `cmap-obs` registry, and an optional structured trace sink,
 //! * deterministic fault injection ([`faults`]): node churn, radio lockups,
 //!   Gilbert–Elliott burst loss, stepped shadowing, clock skew and frame
 //!   corruption, plus a runtime invariant watchdog, and
-//! * process-wide engine totals ([`perf`]) feeding the benchmark perf
-//!   baseline (events/sec, BER-cache hit rate) across parallel runs, and
 //! * mid-run checkpoint/restore ([`ckpt`], [`World::checkpoint`],
 //!   [`World::restore`]) in the versioned `cmap-ckpt/v3` format: a
 //!   restored run continues byte-identically to an uninterrupted one.
@@ -49,7 +47,6 @@ pub mod faults;
 pub mod mac;
 pub mod medium;
 pub mod node;
-pub mod perf;
 pub(crate) mod pool;
 pub mod radio;
 pub mod rng;

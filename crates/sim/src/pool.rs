@@ -279,11 +279,6 @@ impl FramePool {
         self.recycled
     }
 
-    /// Bytes of buffer capacity parked across all slots.
-    pub fn bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.buf.capacity()).sum()
-    }
-
     // ---- cmap-ckpt/v3 ---------------------------------------------------
 
     /// Slot-array length (the checkpoint's pool-capacity field).

@@ -96,12 +96,11 @@ pub struct World {
     ber_table: &'static BerTable,
     /// Table lookups performed while grading receptions.
     ber_lookups: u64,
-    /// High-water marks already published to counters/perf totals (the
-    /// run_until tail syncs deltas, so partial runs stay consistent).
+    /// High-water marks already published to counters (the run_until tail
+    /// syncs deltas, so partial runs stay consistent).
     synced_events: u64,
     synced_lookups: u64,
     synced_cascades: u64,
-    synced_pool_recycled: u64,
 }
 
 /// Step-by-step [`World`] construction: medium, PHY, seed, and optional
@@ -195,7 +194,6 @@ impl World {
             synced_events: 0,
             synced_lookups: 0,
             synced_cascades: 0,
-            synced_pool_recycled: 0,
         }
     }
 
@@ -356,8 +354,8 @@ impl World {
     }
 
     /// Deterministic per-event-kind dispatch counts (`(kind_name, count)`),
-    /// for the event-loop profile. A fixed-size array (no allocation): it
-    /// coerces to the slice the profiler's `set_dispatch` wants.
+    /// which `benchmark/` reports as `sim.events.*`. A fixed-size array
+    /// (no allocation).
     pub fn event_counts(&self) -> [(&'static str, u64); Event::KIND_COUNT] {
         let by_kind = self.sched.processed_by_kind();
         std::array::from_fn(|i| (Event::KIND_NAMES[i], by_kind[i]))
@@ -428,15 +426,13 @@ impl World {
             // the clock past `t`): record it and hold, never rewind.
             self.stats.bump(CounterId::WatchdogTimeRegress);
         }
-        // Publish hot-path deltas since the last sync: deterministic
-        // counters for reports plus process-wide perf totals for the
-        // benchmark baseline.
-        let events = self.sched.processed();
+        // Publish hot-path deltas since the last sync as deterministic
+        // counters for reports.
         let sched_stats = self.sched.stats();
-        let ev_d = events - self.synced_events;
         let look_d = self.ber_lookups - self.synced_lookups;
         let casc_d = sched_stats.cascades - self.synced_cascades;
-        self.synced_events = events;
+        // Read only by the checkpoint image: dropping it is a format bump.
+        self.synced_events = self.sched.processed();
         self.synced_lookups = self.ber_lookups;
         self.synced_cascades = sched_stats.cascades;
         if look_d > 0 {
@@ -445,21 +441,13 @@ impl World {
         if casc_d > 0 {
             self.stats.add(CounterId::SimSchedCascades, casc_d);
         }
-        crate::perf::note_run(ev_d, look_d, casc_d, sched_stats.max_occupancy);
-        let recycled = self.pool.recycled();
-        let recycled_d = recycled - self.synced_pool_recycled;
-        self.synced_pool_recycled = recycled;
-        crate::perf::note_pool(
-            self.pool.high_water() as u64,
-            recycled_d,
-            self.pool.bytes() as u64,
-        );
         // Level readings at the (deterministic) stop point.
         self.stats
             .set_gauge(GaugeId::SimInflightTx, self.pool.live() as u64);
         self.stats
             .set_gauge(GaugeId::PoolFramesLive, self.pool.live() as u64);
-        self.stats.set_gauge(GaugeId::PoolRecycled, recycled);
+        self.stats
+            .set_gauge(GaugeId::PoolRecycled, self.pool.recycled());
         self.stats
             .set_gauge(GaugeId::PoolHighWater, self.pool.high_water() as u64);
         self.stats
@@ -1054,9 +1042,6 @@ impl World {
             }
         }
         self.pool = FramePool::restore(pool_capacity, pool_high_water, pool_recycled, live)?;
-        // The perf-totals sync point follows the restored counter so the
-        // next `run_until` only publishes post-restore recycle deltas.
-        self.synced_pool_recycled = self.pool.recycled();
         self.stats = r.get()?;
         if let Some(f) = self.faults.as_deref_mut() {
             f.ckpt_load(&mut r)?;
