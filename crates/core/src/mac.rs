@@ -285,11 +285,6 @@ impl CmapMac {
         &self.defer
     }
 
-    /// The ongoing-transmission list.
-    pub fn ongoing_list(&self) -> &OngoingList {
-        &self.ongoing
-    }
-
     /// The receiver-side interference tracker.
     pub fn interferer_tracker(&self) -> &InterfererTracker {
         &self.tracker
@@ -298,11 +293,6 @@ impl CmapMac {
     /// Current contention window in nanoseconds.
     pub fn contention_window(&self) -> Time {
         self.cw
-    }
-
-    /// Outstanding (unacknowledged) virtual packets in the send window.
-    pub fn outstanding_vpkts(&self) -> usize {
-        self.window.outstanding()
     }
 
     /// Is the §4 safety fallback engaged at `now`? True when the conflict

@@ -217,11 +217,6 @@ impl SendWindow {
         !self.rtx.is_empty()
     }
 
-    /// Outstanding virtual packets (diagnostics).
-    pub fn sent_vpkts(&self) -> &[SentVpkt] {
-        &self.sent
-    }
-
     /// Drain the per-rate delivery feedback accumulated since the last call
     /// (input for a [`RateController`](crate::rate_control::RateController)).
     pub fn take_feedback(&mut self) -> Vec<(MacAddr, Rate, usize, usize)> {

@@ -75,8 +75,8 @@ define_ids! {
         // PHY hot path (crates/phy table, bumped by crates/sim).
         /// BER interpolation-table lookups while grading receptions.
         PhyBerTableLookup => "phy.ber_table_lookup",
-        // Scheduler (crates/sim timing wheel).
-        /// Events re-filed from an upper wheel level during a cascade.
+        // Scheduler (crates/sim): read by `benchmark/` for `event.cascades_per_kevent`.
+        /// Never bumped (the queue is one heap); retires with that metric in a `benchmark` PR.
         SimSchedCascades => "sim.sched_cascades",
         // Statistics bookkeeping (crates/sim).
         /// Per-seq vpkt flag entries evicted to honour the cap.

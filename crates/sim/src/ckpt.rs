@@ -1,7 +1,7 @@
-//! `cmap-ckpt/v3` — the versioned binary checkpoint format.
+//! `cmap-ckpt/v4` — the versioned binary checkpoint format.
 //!
 //! A checkpoint is a full serialization of a mid-run [`World`]: simulation
-//! clock, timing-wheel contents, radio bank, per-node RNG stream
+//! clock, pending events, radio bank, per-node RNG stream
 //! positions, MAC state machines, statistics, and fault-plan cursors.
 //! The contract is **byte-identity**: run to event K, checkpoint, restore
 //! in a fresh process over an identically-configured world, run to the
@@ -40,8 +40,10 @@ use crate::node::NodeId;
 /// v2 added the medium fingerprint to the config echo (a world whose
 /// propagation engine or link set drifted is refused); v3 holds a
 /// transmission's arrivals as two cursors in its `LiveTx` record and one
-/// queued event per cursor, not every receiver's event in the queue image.
-pub const CKPT_MAGIC: &str = "cmap-ckpt/v3";
+/// queued event per cursor, not every receiver's event in the queue image;
+/// v4 writes the queue as its pending events in `(time, seq)` order, echoes
+/// the fault plan field by field, and drops two unread sync marks.
+pub const CKPT_MAGIC: &str = "cmap-ckpt/v4";
 
 /// Why a checkpoint could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -341,7 +343,7 @@ pub fn read_blob<T>(
         .map_err(|e| e.to_string())
 }
 
-/// A type with a `cmap-ckpt/v3` encoding. `load` must read back exactly
+/// A type with a `cmap-ckpt/v4` encoding. `load` must read back exactly
 /// the bytes `save` wrote and validate them: a value outside its legal
 /// range is [`CkptError::Malformed`], never a panic.
 pub trait Persist: Sized {
@@ -377,6 +379,7 @@ persist_primitive! {
     u16 => u16, 2;
     u32 => u32, 4;
     u64 => u64, 8;
+    i64 => i64, 8;
     f64 => f64, 8;
     bool => bool, 1;
     usize => len, 8;
@@ -558,7 +561,7 @@ impl Persist for SmallRng {
     }
 }
 
-/// Declare a type's `cmap-ckpt/v3` encoding once; both directions are
+/// Declare a type's `cmap-ckpt/v4` encoding once; both directions are
 /// derived from the one list, so they cannot drift apart.
 ///
 /// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
@@ -686,7 +689,7 @@ mod tests {
         );
         // Magic of a past or future version must be rejected, not
         // half-read.
-        for other in ["cmap-ckpt/v1\n", "cmap-ckpt/v2\n", "cmap-ckpt/v4\n"] {
+        for other in ["cmap-ckpt/v2\n", "cmap-ckpt/v3\n", "cmap-ckpt/v5\n"] {
             assert_eq!(
                 CkptReader::new(other.as_bytes()).unwrap_err(),
                 CkptError::BadMagic

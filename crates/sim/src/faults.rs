@@ -2,10 +2,9 @@
 //! radio lockups and frame corruption — all seed-driven.
 //!
 //! A [`FaultPlan`] is a *pure description* of what goes wrong during a run:
-//! which nodes crash and when, how links degrade, which clocks drift. It is
-//! serializable (a `key=value` text form, [`FaultPlan::to_spec`] /
-//! [`FaultPlan::from_spec`]) so a failing chaos-soak case can be reproduced
-//! from its printed spec alone. The runtime state ([`FaultState`]) derives
+//! which nodes crash and when, how links degrade, which clocks drift. A
+//! checkpoint echoes it field by field, and restore refuses a world whose
+//! plan differs. The runtime state ([`FaultState`]) derives
 //! every random draw from the world's master seed via dedicated streams, so
 //! installing a fault plan never perturbs the per-node RNG streams — and a
 //! given (topology, MACs, seed, plan) is still bit-deterministic.
@@ -94,7 +93,7 @@ pub struct Shadowing {
     pub sigma_db: f64,
 }
 
-/// A complete, serializable description of the faults injected into a run.
+/// A complete description of the faults injected into a run.
 ///
 /// The default plan is empty ("clean"): installing it changes nothing about
 /// a run except arming the invariant watchdog.
@@ -205,143 +204,21 @@ impl FaultPlan {
     pub fn is_clean(&self) -> bool {
         *self == FaultPlan::default()
     }
-
-    /// Serialize to the `key=value` text form. Round-trips exactly through
-    /// [`FaultPlan::from_spec`] (f64 `Display` is shortest-exact in Rust).
-    pub fn to_spec(&self) -> String {
-        let mut out = String::new();
-        if !self.churn.is_empty() {
-            let items: Vec<String> = self
-                .churn
-                .iter()
-                .map(|o| format!("{}:{}:{}", o.node, o.down_at, o.up_at))
-                .collect();
-            out.push_str(&format!("churn={}\n", items.join(",")));
-        }
-        if !self.lockups.is_empty() {
-            let items: Vec<String> = self
-                .lockups
-                .iter()
-                .map(|l| format!("{}:{}:{}", l.node, l.at, l.until))
-                .collect();
-            out.push_str(&format!("lockup={}\n", items.join(",")));
-        }
-        if let Some(ge) = &self.gilbert_elliott {
-            out.push_str(&format!(
-                "ge={}:{}:{}:{}\n",
-                ge.step_ns, ge.p_enter_bad, ge.p_exit_bad, ge.bad_extra_loss_db
-            ));
-        }
-        if let Some(sh) = &self.shadowing {
-            out.push_str(&format!("shadow={}:{}\n", sh.step_ns, sh.sigma_db));
-        }
-        if !self.clock_skew_ppm.is_empty() {
-            let items: Vec<String> = self
-                .clock_skew_ppm
-                .iter()
-                .map(|(node, ppm)| format!("{node}:{ppm}"))
-                .collect();
-            out.push_str(&format!("skew={}\n", items.join(",")));
-        }
-        if self.corrupt_prob > 0.0 {
-            out.push_str(&format!("corrupt_prob={}\n", self.corrupt_prob));
-        }
-        if self.dup_frame_prob > 0.0 {
-            out.push_str(&format!("dup_frame_prob={}\n", self.dup_frame_prob));
-        }
-        out
-    }
-
-    /// Parse the text form produced by [`FaultPlan::to_spec`].
-    pub fn from_spec(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::default();
-        for line in spec.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("bad line (no '='): {line}"))?;
-            match key {
-                "churn" => {
-                    for item in value.split(',') {
-                        let f = parse_fields(item, 3)?;
-                        plan.churn.push(Outage {
-                            node: NodeId::new(f[0] as usize),
-                            down_at: f[1],
-                            up_at: f[2],
-                        });
-                    }
-                }
-                "lockup" => {
-                    for item in value.split(',') {
-                        let f = parse_fields(item, 3)?;
-                        plan.lockups.push(Lockup {
-                            node: NodeId::new(f[0] as usize),
-                            at: f[1],
-                            until: f[2],
-                        });
-                    }
-                }
-                "ge" => {
-                    let parts: Vec<&str> = value.split(':').collect();
-                    if parts.len() != 4 {
-                        return Err(format!("ge wants 4 fields: {value}"));
-                    }
-                    plan.gilbert_elliott = Some(GilbertElliott {
-                        step_ns: parse_u64(parts[0])?,
-                        p_enter_bad: parse_f64(parts[1])?,
-                        p_exit_bad: parse_f64(parts[2])?,
-                        bad_extra_loss_db: parse_f64(parts[3])?,
-                    });
-                }
-                "shadow" => {
-                    let parts: Vec<&str> = value.split(':').collect();
-                    if parts.len() != 2 {
-                        return Err(format!("shadow wants 2 fields: {value}"));
-                    }
-                    plan.shadowing = Some(Shadowing {
-                        step_ns: parse_u64(parts[0])?,
-                        sigma_db: parse_f64(parts[1])?,
-                    });
-                }
-                "skew" => {
-                    for item in value.split(',') {
-                        let (node, ppm) = item
-                            .split_once(':')
-                            .ok_or_else(|| format!("bad skew item: {item}"))?;
-                        plan.clock_skew_ppm.push((
-                            NodeId::new(parse_u64(node)? as usize),
-                            ppm.parse::<i64>().map_err(|e| format!("{item}: {e}"))?,
-                        ));
-                    }
-                }
-                "corrupt_prob" => plan.corrupt_prob = parse_f64(value)?,
-                "dup_frame_prob" => plan.dup_frame_prob = parse_f64(value)?,
-                other => return Err(format!("unknown key: {other}")),
-            }
-        }
-        Ok(plan)
-    }
 }
 
-fn parse_fields(item: &str, want: usize) -> Result<Vec<u64>, String> {
-    let fields: Result<Vec<u64>, String> = item.split(':').map(parse_u64).collect();
-    let fields = fields?;
-    if fields.len() != want {
-        return Err(format!("expected {want} fields in {item}"));
-    }
-    Ok(fields)
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    s.parse::<u64>().map_err(|e| format!("{s}: {e}"))
-}
-
-fn parse_f64(s: &str) -> Result<f64, String> {
-    s.parse::<f64>().map_err(|e| format!("{s}: {e}"))
-}
+persist!(struct Outage { node, down_at, up_at });
+persist!(struct Lockup { node, at, until });
+persist!(struct GilbertElliott { step_ns, p_enter_bad, p_exit_bad, bad_extra_loss_db });
+persist!(struct Shadowing { step_ns, sigma_db });
+persist!(struct FaultPlan {
+    churn,
+    lockups,
+    gilbert_elliott,
+    shadowing,
+    clock_skew_ppm,
+    corrupt_prob,
+    dup_frame_prob
+});
 
 /// One scheduled state change derived from a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -481,7 +358,7 @@ impl FaultState {
         (i128::from(delay) + extra).max(0) as Time
     }
 
-    // ---- cmap-ckpt/v3 ---------------------------------------------------
+    // ---- cmap-ckpt/v4 ---------------------------------------------------
 
     /// Serialize the dynamic cursors: everything [`FaultState::new`] cannot
     /// rebuild from the plan alone (liveness flags, the corruption stream's
@@ -547,26 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips() {
-        for (_, plan) in FaultPlan::canonical(6, secs(10)) {
-            let spec = plan.to_spec();
-            let back = FaultPlan::from_spec(&spec).expect("parse");
-            assert_eq!(plan, back, "spec:\n{spec}");
-        }
-        // Clean plan: empty spec, parses back to clean.
-        assert_eq!(FaultPlan::clean().to_spec(), "");
-        assert!(FaultPlan::from_spec("").unwrap().is_clean());
-    }
-
-    #[test]
-    fn spec_rejects_garbage() {
-        assert!(FaultPlan::from_spec("nonsense").is_err());
-        assert!(FaultPlan::from_spec("mystery=1").is_err());
-        assert!(FaultPlan::from_spec("ge=1:2").is_err());
-        assert!(FaultPlan::from_spec("churn=0:5").is_err());
-    }
-
-    #[test]
     fn actions_sorted_by_time() {
         let plan = FaultPlan::churn_heavy(4, secs(10));
         let fs = FaultState::new(plan, 7, 4);
@@ -622,86 +479,6 @@ mod tests {
         assert_eq!(fs.skew_delay(nid(0), d), d + 150_000); // +150 us per second
         assert_eq!(fs.skew_delay(nid(1), d), d - 150_000);
         assert_eq!(fs.skew_delay(nid(2), d), d); // no skew configured
-    }
-
-    /// Satellite of the crash-safety PR: `to_spec`/`from_spec` must be
-    /// lossless for *any* representable plan, not just the canonical trio —
-    /// checkpoint validation compares specs byte-for-byte.
-    mod spec_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn arb_plan() -> impl Strategy<Value = FaultPlan> {
-            let outage = (0usize..32, 0u64..1_000_000_000, 1u64..1_000_000_000).prop_map(
-                |(node, down_at, hold)| Outage {
-                    node: NodeId::new(node),
-                    down_at,
-                    up_at: down_at + hold,
-                },
-            );
-            let lockup = (0usize..32, 0u64..1_000_000_000, 1u64..1_000_000_000).prop_map(
-                |(node, at, hold)| Lockup {
-                    node: NodeId::new(node),
-                    at,
-                    until: at + hold,
-                },
-            );
-            let ge = (1u64..10_000_000, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..60.0).prop_map(
-                |(step_ns, p_enter_bad, p_exit_bad, bad_extra_loss_db)| GilbertElliott {
-                    step_ns,
-                    p_enter_bad,
-                    p_exit_bad,
-                    bad_extra_loss_db,
-                },
-            );
-            let shadow = (1u64..10_000_000_000, 0.0f64..16.0)
-                .prop_map(|(step_ns, sigma_db)| Shadowing { step_ns, sigma_db });
-            (
-                prop::collection::vec(outage, 0..5),
-                prop::collection::vec(lockup, 0..5),
-                prop::option::of(ge),
-                prop::option::of(shadow),
-                prop::collection::vec(
-                    (0usize..32, -500i64..500).prop_map(|(n, ppm)| (NodeId::new(n), ppm)),
-                    0..5,
-                ),
-                0.0f64..1.0,
-                0.0f64..1.0,
-            )
-                .prop_map(
-                    |(
-                        churn,
-                        lockups,
-                        gilbert_elliott,
-                        shadowing,
-                        clock_skew_ppm,
-                        corrupt_prob,
-                        dup_frame_prob,
-                    )| FaultPlan {
-                        churn,
-                        lockups,
-                        gilbert_elliott,
-                        shadowing,
-                        clock_skew_ppm,
-                        corrupt_prob,
-                        dup_frame_prob,
-                    },
-                )
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            #[test]
-            fn spec_round_trip_is_lossless(plan in arb_plan()) {
-                let spec = plan.to_spec();
-                let back = FaultPlan::from_spec(&spec)
-                    .map_err(|e| TestCaseError::fail(format!("parse: {e}\nspec:\n{spec}")))?;
-                prop_assert_eq!(&plan, &back, "spec:\n{}", spec);
-                // A second trip is a fixed point (spec text is canonical).
-                prop_assert_eq!(back.to_spec(), spec);
-            }
-        }
     }
 
     #[test]

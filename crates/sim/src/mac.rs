@@ -89,7 +89,7 @@ pub trait Mac {
     /// Introspection hook for tests and experiment harnesses.
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Append this MAC's dynamic protocol state to a `cmap-ckpt/v3`
+    /// Append this MAC's dynamic protocol state to a `cmap-ckpt/v4`
     /// checkpoint blob. Paired with [`Mac::load_state`]; the world frames
     /// the blob, so implementations just write fields in a fixed order.
     /// The default writes nothing, which is correct for stateless MACs
@@ -167,11 +167,6 @@ impl NodeCtx<'_> {
         self.mac_addr
     }
 
-    /// Radio phase at callback entry.
-    pub fn radio_phase(&self) -> RadioPhase {
-        self.phase
-    }
-
     /// Clear-channel assessment at callback entry (physical carrier sense:
     /// locked, transmitting, or energy above the ED threshold).
     pub fn carrier_busy(&self) -> bool {
@@ -247,11 +242,6 @@ impl NodeCtx<'_> {
         self.ops.push(Op::Deliver { flow, flow_seq });
     }
 
-    /// True if any flow sourced at this node has a packet ready.
-    pub fn app_has_data(&self) -> bool {
-        self.app.has_data(self.flows)
-    }
-
     /// Pull the next application packet (round-robin across this node's
     /// flows), or `None` if all queues are idle.
     pub fn app_pop(&mut self) -> Option<AppPacket> {
@@ -262,11 +252,6 @@ impl NodeCtx<'_> {
     /// (used by CMAP to fill a virtual packet for one destination).
     pub fn app_pop_to(&mut self, dst: NodeId) -> Option<AppPacket> {
         self.app.pop_to(self.flows, dst)
-    }
-
-    /// Payload length (bytes) configured for `flow`.
-    pub fn flow_payload_len(&self, flow: u16) -> usize {
-        self.flows[flow as usize].payload_len
     }
 }
 

@@ -707,7 +707,7 @@ impl Medium {
     /// transmit power and every stored link. Two media with the same
     /// fingerprint produce the same event fan-out, so checkpoints echo
     /// it to reject restores into a differently-built world
-    /// (`cmap-ckpt/v3`).
+    /// (`cmap-ckpt/v4`).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.len() as u64);

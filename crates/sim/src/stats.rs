@@ -235,11 +235,6 @@ impl Stats {
         self.vpkt.get(&(src.into(), dst.into()))
     }
 
-    /// All links with virtual-packet bookkeeping.
-    pub fn vpkt_links(&self) -> impl Iterator<Item = (&(NodeId, NodeId), &VpktStats)> {
-        self.vpkt.iter()
-    }
-
     /// Bump a typed counter by one.
     #[inline]
     pub fn bump(&mut self, id: CounterId) {

@@ -96,11 +96,9 @@ pub struct World {
     ber_table: &'static BerTable,
     /// Table lookups performed while grading receptions.
     ber_lookups: u64,
-    /// High-water marks already published to counters (the run_until tail
-    /// syncs deltas, so partial runs stay consistent).
-    synced_events: u64,
+    /// Lookups already published to the counter (the run_until tail syncs
+    /// the delta, so partial runs stay consistent).
     synced_lookups: u64,
-    synced_cascades: u64,
 }
 
 /// Step-by-step [`World`] construction: medium, PHY, seed, and optional
@@ -191,9 +189,7 @@ impl World {
             ops_pool: Vec::new(),
             ber_table: BerTable::shared(),
             ber_lookups: 0,
-            synced_events: 0,
             synced_lookups: 0,
-            synced_cascades: 0,
         }
     }
 
@@ -208,11 +204,6 @@ impl World {
             self.seed,
             self.medium.len(),
         )));
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref().map(|f| &f.plan)
     }
 
     /// Transmissions whose pool slots are still held (in-flight frames).
@@ -426,20 +417,12 @@ impl World {
             // the clock past `t`): record it and hold, never rewind.
             self.stats.bump(CounterId::WatchdogTimeRegress);
         }
-        // Publish hot-path deltas since the last sync as deterministic
-        // counters for reports.
-        let sched_stats = self.sched.stats();
+        // Publish the hot-path delta since the last sync as a deterministic
+        // counter for reports.
         let look_d = self.ber_lookups - self.synced_lookups;
-        let casc_d = sched_stats.cascades - self.synced_cascades;
-        // Read only by the checkpoint image: dropping it is a format bump.
-        self.synced_events = self.sched.processed();
         self.synced_lookups = self.ber_lookups;
-        self.synced_cascades = sched_stats.cascades;
         if look_d > 0 {
             self.stats.add(CounterId::PhyBerTableLookup, look_d);
-        }
-        if casc_d > 0 {
-            self.stats.add(CounterId::SimSchedCascades, casc_d);
         }
         // Level readings at the (deterministic) stop point.
         self.stats
@@ -452,8 +435,10 @@ impl World {
             .set_gauge(GaugeId::PoolHighWater, self.pool.high_water() as u64);
         self.stats
             .set_gauge(GaugeId::SimSchedPending, self.sched.len() as u64);
-        self.stats
-            .set_gauge(GaugeId::SimSchedMaxOccupancy, sched_stats.max_occupancy);
+        self.stats.set_gauge(
+            GaugeId::SimSchedMaxOccupancy,
+            self.sched.stats().max_occupancy,
+        );
         let dropped = self.stats.trace().map_or(0, |tr| tr.dropped());
         self.stats.set_gauge(GaugeId::TraceDropped, dropped);
     }
@@ -874,10 +859,10 @@ impl World {
         }
     }
 
-    // ---- cmap-ckpt/v3 ---------------------------------------------------
+    // ---- cmap-ckpt/v4 ---------------------------------------------------
 
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v3`
-    /// format: simulation clock, timing-wheel contents, radio bank, RNG
+    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v4`
+    /// format: simulation clock, pending events, radio bank, RNG
     /// stream positions, MAC protocol state, in-flight transmissions,
     /// statistics, and fault-plan cursors. Restoring the bytes via
     /// [`World::restore`] into an identically-configured world continues
@@ -910,7 +895,7 @@ impl World {
         w.put(&self.flows);
         w.put(&(self.watchdog.audit_period, self.watchdog.liveness_window));
         w.put(&self.medium.fingerprint());
-        w.put(&self.fault_spec());
+        w.put(&self.fault_plan());
         // Dynamic engine state. (The u64 after the clock held the next tx
         // id before the frame pool; it now carries the pool's slot-array
         // capacity so restore rebuilds an identically-shaped free list.)
@@ -946,9 +931,9 @@ impl World {
         Ok(w.finish())
     }
 
-    /// The installed fault plan in its spec form (the config echo's view).
-    fn fault_spec(&self) -> Option<String> {
-        self.faults.as_deref().map(|f| f.plan.to_spec())
+    /// The installed fault plan (the config echo's view).
+    fn fault_plan(&self) -> Option<FaultPlan> {
+        self.faults.as_deref().map(|f| f.plan.clone())
     }
 
     /// Restore a [`World::checkpoint`] into this world, which must be
@@ -956,7 +941,7 @@ impl World {
     /// types, same fault plan and watchdog) and **not yet started**. On
     /// success the world is mid-run exactly as the checkpointed one was;
     /// continue with [`World::run_until`]. Do not call [`World::start`] —
-    /// the restored wheel already carries every pending event.
+    /// the restored queue already carries every pending event.
     ///
     /// On error the world may be partially overwritten and must be
     /// discarded.
@@ -1001,7 +986,7 @@ impl World {
             &(self.watchdog.audit_period, self.watchdog.liveness_window),
         )?;
         echo(&mut r, "medium fingerprint", &self.medium.fingerprint())?;
-        echo(&mut r, "fault plan", &self.fault_spec())?;
+        echo(&mut r, "fault plan", &self.fault_plan())?;
         self.time = r.get()?;
         let (pool_capacity, pool_high_water, pool_recycled) = r.get()?;
         self.load_fields(&mut r)?;
@@ -1055,7 +1040,7 @@ impl World {
                 .map_err(|e| CkptError::Mismatch(format!("node {node} MAC state: {e}")))?;
         }
         r.expect_end()?;
-        // Mid-run: `start` must never fire again (the restored wheel
+        // Mid-run: `start` must never fire again (the restored queue
         // already carries the fault schedule, audits and MAC timers).
         self.started = true;
         self.stats.ensure_flows(self.flows.len());
@@ -1067,7 +1052,7 @@ persist!(enum FlowKind { 0 => Saturated, 1 => Relay { upstream } });
 
 persist!(struct Flow { id, src, dst, payload_len, kind, next_seq });
 
-persist!(fields World { ber_lookups, synced_events, synced_lookups, synced_cascades, sched, radios });
+persist!(fields World { ber_lookups, synced_lookups, sched, radios });
 
 /// Read one value of the configuration echo and require that it equals
 /// this world's.
@@ -1761,6 +1746,84 @@ mod tests {
         assert!(a.2 > 100, "mixed plan killed the link: {}", a.2);
         let c = run(32);
         assert_ne!(a.0, c.0, "seed had no effect under faults");
+    }
+
+    #[test]
+    fn restore_refuses_a_fault_plan_differing_in_any_one_field() {
+        use crate::faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing};
+        let plan = FaultPlan {
+            churn: vec![Outage {
+                node: NodeId::new(0),
+                down_at: millis(20),
+                up_at: millis(30),
+            }],
+            lockups: vec![Lockup {
+                node: NodeId::new(1),
+                at: millis(40),
+                until: millis(50),
+            }],
+            gilbert_elliott: Some(GilbertElliott {
+                step_ns: millis(5),
+                p_enter_bad: 0.1,
+                p_exit_bad: 0.3,
+                bad_extra_loss_db: 20.0,
+            }),
+            shadowing: Some(Shadowing {
+                step_ns: millis(100),
+                sigma_db: 4.0,
+            }),
+            clock_skew_ppm: vec![(NodeId::new(2), 150)],
+            corrupt_prob: 0.02,
+            dup_frame_prob: 0.03,
+        };
+        let world = |plan: Option<FaultPlan>| {
+            let mut w = uniform_world(3, 31);
+            if let Some(plan) = plan {
+                w.install_faults(plan);
+            }
+            w
+        };
+        let mut w = world(Some(plan.clone()));
+        w.run_until(millis(10));
+        let image = w.checkpoint().expect("checkpoint");
+        world(Some(plan.clone()))
+            .restore(&image)
+            .expect("same plan");
+
+        let edits: [fn(&mut FaultPlan); 20] = [
+            |p| p.churn[0].node = NodeId::new(1),
+            |p| p.churn[0].down_at += 1,
+            |p| p.churn[0].up_at += 1,
+            |p| p.churn.clear(),
+            |p| p.lockups[0].node = NodeId::new(2),
+            |p| p.lockups[0].at += 1,
+            |p| p.lockups[0].until += 1,
+            |p| p.lockups.clear(),
+            |p| p.gilbert_elliott.as_mut().unwrap().step_ns += 1,
+            |p| p.gilbert_elliott.as_mut().unwrap().p_enter_bad = 0.2,
+            |p| p.gilbert_elliott.as_mut().unwrap().p_exit_bad = 0.2,
+            |p| p.gilbert_elliott.as_mut().unwrap().bad_extra_loss_db = 21.0,
+            |p| p.gilbert_elliott = None,
+            |p| p.shadowing.as_mut().unwrap().step_ns += 1,
+            |p| p.shadowing.as_mut().unwrap().sigma_db = 5.0,
+            |p| p.shadowing = None,
+            |p| p.clock_skew_ppm[0].0 = NodeId::new(1),
+            |p| p.clock_skew_ppm[0].1 = -150,
+            |p| p.corrupt_prob = 0.03,
+            |p| p.dup_frame_prob = 0.02,
+        ];
+        let others = edits.iter().map(|edit| {
+            let mut other = plan.clone();
+            edit(&mut other);
+            Some(other)
+        });
+        for other in others.chain([None]) {
+            let err = world(other.clone()).restore(&image).unwrap_err();
+            assert!(
+                matches!(err, CkptError::Mismatch(_)),
+                "{other:?} accepted: {err}"
+            );
+        }
     }
 
     #[test]

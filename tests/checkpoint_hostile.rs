@@ -25,7 +25,7 @@ fn small_world() -> World {
 }
 
 /// A mid-run checkpoint with frames on the air, so the frame pool, the
-/// radio locks and every timing-wheel ring are populated.
+/// radio locks and the event queue are populated.
 fn checkpoint() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -45,17 +45,17 @@ fn intact_checkpoint_restores() {
     small_world().restore(checkpoint()).expect("restore");
 }
 
-/// A `cmap-ckpt/v2` image (every receiver's arrival in the queue, no
-/// cursors in the transmission records) must be turned away at the magic
-/// line, as the version error — not half-read as v3 until some field
-/// fails to parse.
+/// A `cmap-ckpt/v3` image (the queue as a timing wheel's buckets, the
+/// fault plan as a text spec) must be turned away at the magic line, as
+/// the version error — not half-read as v4 until some field fails to
+/// parse.
 #[test]
 fn previous_format_version_is_refused_as_such() {
-    let v3 = checkpoint();
-    assert!(v3.starts_with(b"cmap-ckpt/v3\n"));
-    let mut v2 = v3.to_vec();
-    v2[b"cmap-ckpt/v".len()] = b'2';
-    assert_eq!(small_world().restore(&v2), Err(CkptError::BadMagic));
+    let v4 = checkpoint();
+    assert!(v4.starts_with(b"cmap-ckpt/v4\n"));
+    let mut v3 = v4.to_vec();
+    v3[b"cmap-ckpt/v".len()] = b'3';
+    assert_eq!(small_world().restore(&v3), Err(CkptError::BadMagic));
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! This is the strongest form of the crash-safety claim — not "close
 //! enough after resume" but the same determinism bar every other artifact
 //! in the repo is held to (same seed ⇒ same bytes). It exercises the full
-//! serialization surface: scheduler wheel, radio bank, per-node RNGs,
+//! serialization surface: event queue, radio bank, per-node RNGs,
 //! in-flight transmissions, MAC state (CMAP conflict map, windows, defer
 //! table; DCF backoff/NAV), rate-adaptation state, stats, and fault
 //! processes.

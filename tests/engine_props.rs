@@ -5,14 +5,19 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use proptest::prelude::*;
 
-use cmap_suite::sim::event::{Event, Scheduler, TICK_NS};
+use cmap_suite::sim::event::{Event, Scheduler};
 use cmap_suite::sim::rng::{derive_seed, normal, stream_rng};
 use cmap_suite::sim::time::bits_duration;
 use cmap_suite::sim::NodeId;
 
-/// The timing wheel beside the reference model it must be
-/// pop-order-equivalent to: exactly the `(time, seq)` min-heap the engine
-/// used before the wheel. Every event is a timer whose token is its `seq`.
+/// About a microsecond: the span the burst and row properties crowd
+/// their events into (a bucket width, when the queue was a timing wheel).
+const TICK_NS: u64 = 1 << 10;
+
+/// The scheduler (a timing wheel when these properties were written, hence
+/// the names) beside the reference model it must be pop-order-equivalent
+/// to: a bare `(time, seq)` min-heap with no carry, horizon or counters.
+/// Every event is a timer whose token is its `seq`.
 #[derive(Default)]
 struct WheelAndHeap {
     wheel: Scheduler,
@@ -79,8 +84,8 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// The timing wheel is pop-order-equivalent to the reference binary
-    /// heap it replaced, under random interleavings of schedules and pops
+    /// The scheduler is pop-order-equivalent to the reference binary
+    /// heap, under random interleavings of schedules and pops
     /// — including schedules *earlier* than events already popped (the
     /// scheduler API has no cancellation: events only ever leave via
     /// `pop`, so an interleaved drain is the complete workload space).
@@ -152,7 +157,7 @@ proptest! {
     /// must read as if every event had been queued. A second scheduler
     /// runs every round in two calls, cut at a horizon of its own, and
     /// must end the round indistinguishable from the first: where
-    /// `run_until` stops is invisible, cascade count included.
+    /// `run_until` stops is invisible, `stats()` included.
     #[test]
     fn carried_rows_match_eagerly_filed_reference(
         rounds in proptest::collection::vec(
@@ -161,6 +166,9 @@ proptest! {
             (0usize..24, 0u32..12, 0u64..4 * TICK_NS, 0usize..4, 0u64..=16),
             1..30,
         ),
+        // Idle nodes' far-future timers: every carry, exchange and filing
+        // above happens on top of a heap this deep.
+        ballast in 0u64..=4096,
         seed in any::<u64>(),
     ) {
         use rand::Rng;
@@ -189,6 +197,15 @@ proptest! {
         let mut successor: BTreeMap<u64, Key> = BTreeMap::new();
         let (mut row_events, mut timers) = (0u64, 0u64);
         let (mut now, mut horizon) = (0u64, 0u64);
+        for _ in 0..ballast {
+            // Past any horizon the rounds reach (30 rounds of < 7 ticks).
+            let at = (1 << 40) + rng.gen_range(0..1u64 << 20);
+            for wheel in &mut wheels {
+                wheel.schedule(at, Event::Timer { node: NodeId::new(2), token: timers });
+            }
+            heap.push(Reverse((at, timers)));
+            timers += 1;
+        }
         for &(len, shift, step, plain, cut) in &rounds {
             for _ in 0..plain {
                 let at = now + rng.gen_range(0..3 * TICK_NS);
