@@ -73,7 +73,9 @@ define_ids! {
         /// Deliveries at a node that is not the flow's destination.
         SimMisdelivered => "sim.misdelivered",
         // PHY hot path (crates/phy table, bumped by crates/sim).
-        /// BER interpolation-table lookups while grading receptions.
+        /// Interference segments graded (one per segment of each completed
+        /// reception's payload span), whether or not the draw needed the
+        /// BER table read.
         PhyBerTableLookup => "phy.ber_table_lookup",
         // Scheduler (crates/sim): read by `benchmark/` for `event.cascades_per_kevent`.
         /// Never bumped (the queue is one heap); retires with that metric in a `benchmark` PR.

@@ -17,10 +17,13 @@
 //! The crate is pure math: it owns no randomness and no mutable global
 //! state. Reception *probabilities* are computed here; the simulator
 //! (`cmap-sim`) draws the Bernoulli outcomes from its deterministic per-run
-//! RNG. The one shared structure, [`BerTable`], is an immutable
-//! once-per-process sampling of [`ber`] for the grading hot path.
+//! RNG. The two shared structures are immutable once-per-process samplings
+//! of pure functions for the reception hot path: [`BerTable`] of [`ber`],
+//! and [`DrawGate`], the per-cell brackets that let the simulator's draw
+//! settle a lock or a decode without evaluating its probability ([`gate`]).
 
 pub mod error_model;
+pub mod gate;
 pub mod preamble;
 pub mod propagation;
 pub mod rate;
@@ -28,6 +31,7 @@ pub mod table;
 pub mod units;
 
 pub use error_model::{ber, packet_success_prob, per};
+pub use gate::DrawGate;
 pub use preamble::{preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 pub use rate::{Modulation, Rate};
 pub use table::BerTable;

@@ -64,4 +64,4 @@ pub use medium::{DenseMedium, Medium, MediumBuilder, SparseMedium, SparseStats};
 pub use radio::RadioPhase;
 pub use stats::Stats;
 pub use time::Time;
-pub use world::{Flow, FlowKind, NodeId, World, WorldBuilder};
+pub use world::{BracketCounts, Flow, FlowKind, NodeId, World, WorldBuilder};

@@ -23,6 +23,8 @@
 //!
 //! Construction goes through [`MediumBuilder`].
 
+use std::sync::OnceLock;
+
 use crate::config::PhyConfig;
 use crate::node::NodeId;
 use cmap_phy::units::{db_to_ratio, SPEED_OF_LIGHT_M_PER_S};
@@ -80,6 +82,8 @@ pub struct DenseMedium {
     /// Row positions in arrival order, parallel to `reach_idx`.
     arrive: Vec<u32>,
     tx_power_mw: f64,
+    /// [`Medium::fingerprint`], hashed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl DenseMedium {
@@ -116,6 +120,7 @@ impl DenseMedium {
             reach_idx,
             reach_off,
             tx_power_mw,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -331,6 +336,8 @@ pub struct SparseMedium {
     /// Spatial index; present when built from positions.
     grid: Option<Grid>,
     stats: SparseStats,
+    /// [`Medium::fingerprint`], hashed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl SparseMedium {
@@ -415,6 +422,7 @@ impl SparseMedium {
             link_delay,
             grid: None,
             stats,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -511,6 +519,7 @@ impl SparseMedium {
             link_delay,
             grid: Some(grid),
             stats,
+            fingerprint: OnceLock::new(),
         }
     }
 }
@@ -707,8 +716,14 @@ impl Medium {
     /// transmit power and every stored link. Two media with the same
     /// fingerprint produce the same event fan-out, so checkpoints echo
     /// it to reject restores into a differently-built world
-    /// (`cmap-ckpt/v4`).
+    /// (`cmap-ckpt/v4`). A medium never changes once built, so the hash
+    /// runs once, at the first checkpoint or restore — not at build, which
+    /// runs that never checkpoint would pay for.
     pub fn fingerprint(&self) -> u64 {
+        *on_engine!(self, m => &m.fingerprint).get_or_init(|| self.hash_links())
+    }
+
+    fn hash_links(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.len() as u64);
         h.u64(self.tx_power_mw().to_bits());

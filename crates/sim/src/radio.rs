@@ -43,7 +43,7 @@ use crate::config::PhyLinear;
 use crate::event::TxId;
 use crate::persist;
 use crate::time::Time;
-use cmap_phy::{preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{gate, preamble_success_prob, DrawGate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// Coarse radio state exposed to MACs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +139,12 @@ pub(crate) struct RadioBank {
     /// capacity of the last completed (or dropped) one instead of
     /// allocating per reception.
     spare_profile: Vec<Vec<(Time, f64)>>,
+
+    /// Brackets of the lock probability (shared, immutable).
+    gate: &'static DrawGate,
+    /// Lock draws the bracket settled, and those that needed
+    /// [`preamble_success_prob`]: host-side counts, in no artifact.
+    pub lock_draws: (u64, u64),
 }
 
 impl RadioBank {
@@ -151,6 +157,35 @@ impl RadioBank {
             lock: (0..n).map(|_| None).collect(),
             aborted_rx: vec![0; n],
             spare_profile: (0..n).map(|_| Vec::new()).collect(),
+            gate: DrawGate::shared(),
+            lock_draws: (0, 0),
+        }
+    }
+
+    /// One lock attempt at `sinr`: the draw `gen_bool(p)` makes, compared
+    /// with `p = preamble_success_prob(sinr)` — which is only evaluated
+    /// when the draw falls inside the SINR cell's bracket of it.
+    fn draw_lock(&mut self, sinr: f64, rng: &mut SmallRng) -> bool {
+        let unit: f64 = rng.gen();
+        let exact = || unit < preamble_success_prob(sinr).clamp(0.0, 1.0);
+        match self
+            .gate
+            .lock_bracket(sinr)
+            .and_then(|b| gate::decide(b, unit))
+        {
+            Some(locked) => {
+                self.lock_draws.0 += 1;
+                debug_assert_eq!(
+                    locked,
+                    exact(),
+                    "lock bracket at sinr {sinr:e}, draw {unit:e}"
+                );
+                locked
+            }
+            None => {
+                self.lock_draws.1 += 1;
+                exact()
+            }
         }
     }
 
@@ -334,7 +369,7 @@ impl RadioBank {
             // Idle: attempt to lock the new frame.
             if power_mw >= phy.sensitivity_mw {
                 let sinr = power_mw / (noise + interference_for_new);
-                if rng.gen_bool(preamble_success_prob(sinr).clamp(0.0, 1.0)) {
+                if self.draw_lock(sinr, rng) {
                     let interference = self.fresh_profile(node, now, interference_for_new);
                     self.set_lock(
                         node,
@@ -362,7 +397,7 @@ impl RadioBank {
             // the new lock.
             let interference_for_new = self.energy_mw(node, Some(tx_id));
             let sinr = power_mw / (noise + interference_for_new);
-            if rng.gen_bool(preamble_success_prob(sinr).clamp(0.0, 1.0)) {
+            if self.draw_lock(sinr, rng) {
                 // The displaced lock's buffer feeds the new one.
                 if let Some(old) = self.take_lock(node) {
                     self.recycle_profile(node, old.interference);

@@ -73,6 +73,19 @@ mod tests {
         }
     }
 
+    /// The identity the draw-first gates rest on: `gen_bool(p)` consumes
+    /// one `f64` draw and is `draw < p`, so taking the draw first and
+    /// comparing later leaves outcome and stream position unchanged.
+    #[test]
+    fn gen_bool_is_one_f64_draw_compared_with_p() {
+        let (mut a, mut b) = (stream_rng(19, 1), stream_rng(19, 1));
+        for i in 0..10_000u32 {
+            let p = [0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9, f64::from(i) / 1e4][i as usize % 6];
+            assert_eq!(a.gen_bool(p), b.gen::<f64>() < p, "draw {i}, p {p}");
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams in step");
+    }
+
     #[test]
     fn normal_moments_roughly_right() {
         let mut rng = stream_rng(1, 0);

@@ -33,7 +33,7 @@ use crate::stats::Stats;
 use crate::time::Time;
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 use cmap_phy::units::db_to_ratio;
-use cmap_phy::{mw_to_dbm, BerTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{gate, mw_to_dbm, BerTable, DrawGate, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
 
 pub use crate::node::NodeId;
@@ -99,6 +99,26 @@ pub struct World {
     /// Lookups already published to the counter (the run_until tail syncs
     /// the delta, so partial runs stay consistent).
     synced_lookups: u64,
+    /// Brackets of the decode probability (shared, immutable).
+    gate: &'static DrawGate,
+    /// Decode draws the bracket settled, and those that needed
+    /// [`grade_reception`]: host-side counts, in no artifact.
+    decode_draws: (u64, u64),
+}
+
+/// How many reception draws their bracket settled (`*_decided`) and how
+/// many fell inside it and evaluated the exact probability (`*_exact`),
+/// per gate ([`World::bracket_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BracketCounts {
+    /// Preamble-lock draws settled without `preamble_success_prob`.
+    pub lock_decided: u64,
+    /// Preamble-lock draws that evaluated it.
+    pub lock_exact: u64,
+    /// Payload-decode draws settled without grading the profile.
+    pub decode_decided: u64,
+    /// Payload-decode draws that graded it.
+    pub decode_exact: u64,
 }
 
 /// Step-by-step [`World`] construction: medium, PHY, seed, and optional
@@ -190,6 +210,8 @@ impl World {
             ber_table: BerTable::shared(),
             ber_lookups: 0,
             synced_lookups: 0,
+            gate: DrawGate::shared(),
+            decode_draws: (0, 0),
         }
     }
 
@@ -352,9 +374,25 @@ impl World {
         std::array::from_fn(|i| (Event::KIND_NAMES[i], by_kind[i]))
     }
 
-    /// BER interpolation-table lookups performed while grading receptions.
+    /// Interference segments graded so far (`phy.ber_table_lookup`): one
+    /// per segment of every completed reception's payload span, whether or
+    /// not the BER table had to be read to settle the draw.
     pub fn ber_lookups(&self) -> u64 {
         self.ber_lookups
+    }
+
+    /// Draws settled by their bracket against draws that evaluated the
+    /// exact probability, since this world was built or restored. Plain
+    /// host-side counters: in no statistic, digest or checkpoint.
+    pub fn bracket_counts(&self) -> BracketCounts {
+        let ((lock_decided, lock_exact), (decode_decided, decode_exact)) =
+            (self.radios.lock_draws, self.decode_draws);
+        BracketCounts {
+            lock_decided,
+            lock_exact,
+            decode_decided,
+            decode_exact,
+        }
     }
 
     /// Enable structured tracing: protocol/engine decision points are
@@ -610,17 +648,43 @@ impl World {
     fn grade_and_deliver(&mut self, rx: NodeId, c: RxCompletion) {
         let rate = self.pool.rate_of(c.tx_id);
         let wire_len = self.pool.wire_len(c.tx_id);
-        let (p_success, lookups) = grade_reception(
+        // The draw `gen_bool(p_success)` makes, taken first: the profile
+        // is only graded when it falls inside the bracket around p_success.
+        let unit: f64 = self.rngs[rx.index()].gen();
+        let (settled, segments) = decode_decision(
             &c,
             self.time,
             rate,
             wire_len,
             &self.phy_linear,
-            self.ber_table,
+            self.gate,
+            unit,
         );
-        self.ber_lookups += lookups;
+        self.ber_lookups += segments;
+        let exact = || {
+            let (p_success, graded) = grade_reception(
+                &c,
+                self.time,
+                rate,
+                wire_len,
+                &self.phy_linear,
+                self.ber_table,
+            );
+            debug_assert_eq!(graded, segments);
+            unit < p_success.clamp(0.0, 1.0)
+        };
+        let decoded = match settled {
+            Some(decoded) => {
+                self.decode_draws.0 += 1;
+                debug_assert_eq!(decoded, exact(), "decode bracket, draw {unit:e}: {c:?}");
+                decoded
+            }
+            None => {
+                self.decode_draws.1 += 1;
+                exact()
+            }
+        };
         let rss_dbm = mw_to_dbm(c.signal_mw);
-        let decoded = self.rngs[rx.index()].gen_bool(p_success.clamp(0.0, 1.0));
         // Fault injection: a decoded frame may be corrupted (CRC escape
         // caught late) or delivered twice (duplication). Draws come from a
         // dedicated stream and only when the plan asks, so fault-free runs
@@ -1084,9 +1148,32 @@ const fn frame_kind_tag(k: FrameKind) -> &'static str {
     }
 }
 
+/// The piecewise-constant interference `profile` clipped to the payload
+/// span: `(overlap, level)` of every segment with time in it.
+fn payload_segments(
+    profile: &[(Time, f64)],
+    payload_start: Time,
+    frame_end: Time,
+) -> impl Iterator<Item = (Time, f64)> + '_ {
+    profile
+        .iter()
+        .enumerate()
+        .filter_map(move |(i, &(seg_start, level))| {
+            let seg_end = profile.get(i + 1).map_or(frame_end, |&(t, _)| t);
+            let lo = seg_start.max(payload_start);
+            let hi = seg_end.min(frame_end);
+            (hi > lo).then(|| (hi - lo, level))
+        })
+}
+
+/// Information bits of a PSDU of `psdu_len` bytes, as graded.
+fn graded_bits(psdu_len: usize) -> f64 {
+    (cmap_phy::rate::SERVICE_BITS + 8 * psdu_len as u64 + cmap_phy::rate::TAIL_BITS) as f64
+}
+
 /// Probability that the payload of a locked frame decodes, given the
-/// interference profile recorded during reception, plus the number of BER
-/// table lookups performed (one per graded interference segment).
+/// interference profile recorded during reception, plus the number of
+/// interference segments graded (one BER table lookup each).
 ///
 /// The frame's information bits are spread uniformly over the payload span
 /// (lock + preamble/SIGNAL to frame end); each piecewise-constant
@@ -1104,27 +1191,60 @@ fn grade_reception(
         return (1.0, 0); // degenerate: nothing beyond the already-decoded SIGNAL
     }
     let span = (frame_end - payload_start) as f64;
-    let total_bits =
-        (cmap_phy::rate::SERVICE_BITS + 8 * psdu_len as u64 + cmap_phy::rate::TAIL_BITS) as f64;
+    let total_bits = graded_bits(psdu_len);
     let noise = phy.noise_mw;
 
     let mut ln_p = 0.0_f64;
     let mut lookups = 0u64;
-    let profile = &c.interference;
-    for (i, &(seg_start, level)) in profile.iter().enumerate() {
-        let seg_end = profile.get(i + 1).map_or(frame_end, |&(t, _)| t);
-        let lo = seg_start.max(payload_start);
-        let hi = seg_end.min(frame_end);
-        if hi <= lo {
-            continue;
-        }
-        let bits = total_bits * (hi - lo) as f64 / span;
+    for (overlap, level) in payload_segments(&c.interference, payload_start, frame_end) {
+        let bits = total_bits * overlap as f64 / span;
         let sinr = c.signal_mw / (noise + level);
         let ber = table.ber(sinr, rate);
         lookups += 1;
         ln_p += bits * (-ber).ln_1p();
     }
     (ln_p.exp(), lookups)
+}
+
+/// What the draw `unit` settles about `unit < grade_reception(..).0`
+/// without grading: `Some(decoded)` when it falls outside the bracket the
+/// profile's strongest and weakest interference level put around that
+/// probability, `None` when it falls inside, the SINR is off the gate's
+/// grid, or the profile does not cover the payload span exactly (the
+/// bracket needs the segments' bits to sum to the total). Also the number
+/// of segments [`grade_reception`] grades.
+fn decode_decision(
+    c: &RxCompletion,
+    frame_end: Time,
+    rate: Rate,
+    psdu_len: usize,
+    phy: &PhyLinear,
+    gate: &DrawGate,
+    unit: f64,
+) -> (Option<bool>, u64) {
+    let payload_start = c.lock_time + PLCP_PREAMBLE_NS + PLCP_SIG_NS;
+    if frame_end <= payload_start {
+        return (Some(unit < 1.0), 0);
+    }
+    let (mut segments, mut covered) = (0u64, 0);
+    let (mut quiet, mut loud) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (overlap, level) in payload_segments(&c.interference, payload_start, frame_end) {
+        segments += 1;
+        covered += overlap;
+        quiet = quiet.min(level);
+        loud = loud.max(level);
+    }
+    if covered != frame_end - payload_start {
+        return (None, segments);
+    }
+    let noise = phy.noise_mw;
+    let bracket = gate.decode_bracket(
+        rate,
+        c.signal_mw / (noise + loud),
+        c.signal_mw / (noise + quiet),
+        graded_bits(psdu_len),
+    );
+    (bracket.and_then(|b| gate::decide(b, unit)), segments)
 }
 
 #[cfg(test)]
@@ -1888,6 +2008,103 @@ mod tests {
         assert!(by["timer"] > 400, "{by:?}");
         assert!(by["frame_start"] > 400, "{by:?}");
         assert_eq!(by["fault"], 0);
+    }
+
+    /// One reception of a 1428-byte PSDU locked at 1 µs: the completion
+    /// for a `signal_mw` frame under `interference`, and its frame end.
+    fn reception(
+        rate: Rate,
+        signal_mw: f64,
+        interference: Vec<(Time, f64)>,
+    ) -> (RxCompletion, Time) {
+        let c = RxCompletion {
+            tx_id: 1,
+            lock_time: 1_000,
+            signal_mw,
+            interference,
+        };
+        (c, 1_000 + rate.frame_airtime_ns(1428))
+    }
+
+    #[test]
+    fn decode_decision_settles_draws_as_grading_does() {
+        let phy = PhyLinear::new(&PhyConfig::default());
+        let (table, gate) = (BerTable::shared(), DrawGate::shared());
+        let mut rng = stream_rng(19, 2);
+        let (mut settled, mut inside) = (0u32, 0u32);
+        for levels in [1usize, 2, 5] {
+            for _ in 0..20_000 {
+                let rate = Rate::ALL[rng.gen_range(0..Rate::ALL.len())];
+                let airtime = rate.frame_airtime_ns(1428);
+                // From well under every rate's waterfall to well over it.
+                let signal_mw = phy.noise_mw * 2f64.powf(rng.gen_range(-2.0..12.0));
+                // Level changes anywhere in the frame, the preamble included.
+                let mut at: Vec<Time> = (1..levels)
+                    .map(|_| 1_000 + rng.gen_range(0..airtime))
+                    .collect();
+                at.sort_unstable();
+                let profile = std::iter::once(1_000)
+                    .chain(at)
+                    .map(|t| {
+                        let quiet = rng.gen_bool(0.3);
+                        let level = phy.noise_mw * 2f64.powf(rng.gen_range(-6.0..6.0));
+                        (t, if quiet { 0.0 } else { level })
+                    })
+                    .collect();
+                let (c, frame_end) = reception(rate, signal_mw, profile);
+                let unit: f64 = rng.gen();
+                let (p, graded) = grade_reception(&c, frame_end, rate, 1428, &phy, table);
+                let (decision, segments) =
+                    decode_decision(&c, frame_end, rate, 1428, &phy, gate, unit);
+                assert_eq!(segments, graded, "{c:?}");
+                assert!((1..=levels as u64).contains(&segments));
+                match decision {
+                    Some(decoded) => {
+                        settled += 1;
+                        assert_eq!(decoded, unit < p, "{rate} p {p:e} draw {unit:e}: {c:?}");
+                    }
+                    None => inside += 1,
+                }
+            }
+        }
+        assert!(inside > 100, "the sweep never landed in a bracket");
+        assert!(settled > 4 * inside, "{settled} settled, {inside} graded");
+    }
+
+    #[test]
+    fn decode_decision_leaves_uncovered_and_degenerate_receptions_to_the_exact_path() {
+        let phy = PhyLinear::new(&PhyConfig::default());
+        let (table, gate) = (BerTable::shared(), DrawGate::shared());
+        let rate = Rate::R6;
+        let strong = phy.noise_mw * 1e4;
+        let payload_start = 1_000 + PLCP_PREAMBLE_NS + PLCP_SIG_NS;
+        // A profile that starts inside the payload, or is empty, leaves
+        // bits ungraded: no bracket, whatever the draw.
+        for profile in [vec![(payload_start + 5_000, 0.0)], vec![]] {
+            let (c, frame_end) = reception(rate, strong, profile);
+            let (_, graded) = grade_reception(&c, frame_end, rate, 1428, &phy, table);
+            for unit in [0.0, 0.5, 1.0 - f64::EPSILON] {
+                assert_eq!(
+                    decode_decision(&c, frame_end, rate, 1428, &phy, gate, unit),
+                    (None, graded)
+                );
+            }
+        }
+        // The same strong, quiet reception covered from the lock on is
+        // settled by any draw.
+        let (c, frame_end) = reception(rate, strong, vec![(1_000, 0.0)]);
+        assert_eq!(
+            decode_decision(&c, frame_end, rate, 1428, &phy, gate, 0.5),
+            (Some(true), 1)
+        );
+        // Nothing after the SIGNAL field: p is 1.0 and no segment is graded.
+        for frame_end in [payload_start, payload_start - 1] {
+            assert_eq!(grade_reception(&c, frame_end, rate, 1428, &phy, table).1, 0);
+            assert_eq!(
+                decode_decision(&c, frame_end, rate, 1428, &phy, gate, 1.0 - f64::EPSILON),
+                (Some(true), 0)
+            );
+        }
     }
 
     #[test]

@@ -107,3 +107,223 @@ proptest! {
         }
     }
 }
+
+/// The draw-first gates (`cmap_phy::gate`): every stored bracket contains
+/// the curve it stands for, and a draw it settles is settled the way the
+/// exact probability settles it.
+// Bit equality with the exact formula is the property under test.
+#[allow(clippy::float_cmp)]
+mod gate {
+    use cmap_suite::phy::gate::{decide, DECODE_LOG2_SPAN, LOCK_LOG2_SPAN};
+    use cmap_suite::phy::{preamble::preamble_success_prob, BerTable, DrawGate, Rate};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn cell_of(x: f64) -> u64 {
+        x.to_bits() >> 48
+    }
+
+    fn edge(cell: u64) -> f64 {
+        f64::from_bits(cell << 48)
+    }
+
+    /// The per-bit log survival the decode gate brackets.
+    fn keep(sinr: f64, rate: Rate) -> f64 {
+        (-BerTable::shared().ber(sinr, rate)).ln_1p()
+    }
+
+    /// `f` at both edges, the midpoint and 64 random points of every cell
+    /// from an octave below `span` to an octave above it (plus the ends of
+    /// the grid) lies inside the bracket stored for that cell, and the
+    /// brackets ascend with the cell.
+    fn every_cell_contains(
+        what: &str,
+        span: (i32, i32),
+        f: impl Fn(f64) -> f64,
+        bracket: impl Fn(f64) -> Option<(f64, f64)>,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(19);
+        let span_cells = cell_of(2f64.powi(span.0 - 1))..cell_of(2f64.powi(span.1 + 1));
+        let ends = [cell_of(f64::MIN_POSITIVE), cell_of(f64::MAX)];
+        let mut last = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for cell in span_cells.chain(ends) {
+            let (lo, hi) = bracket(edge(cell)).expect("on the grid");
+            if cell != ends[0] {
+                assert!(
+                    lo >= last.0 && hi >= last.1,
+                    "{what}: cell {cell:#x} descends"
+                );
+                last = (lo, hi);
+            }
+            let top = if cell == ends[1] {
+                f64::MAX
+            } else {
+                edge(cell + 1)
+            };
+            let mid = f64::from_bits((cell << 48) | (1 << 47));
+            let inside = (0..64).map(|_| f64::from_bits((cell << 48) | (rng.gen::<u64>() >> 16)));
+            for x in [edge(cell), top, mid].into_iter().chain(inside) {
+                if x != top {
+                    assert_eq!(
+                        bracket(x),
+                        Some((lo, hi)),
+                        "{what}: {x:e} is in cell {cell:#x}"
+                    );
+                }
+                let v = f(x);
+                assert!(
+                    lo <= v && v <= hi,
+                    "{what}: f({x:e}) = {v:e} outside [{lo:e}, {hi:e}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_lock_cell_brackets_the_preamble_curve() {
+        let g = DrawGate::shared();
+        every_cell_contains("lock", LOCK_LOG2_SPAN, preamble_success_prob, |s| {
+            g.lock_bracket(s)
+        });
+    }
+
+    #[test]
+    fn every_decode_cell_brackets_the_log_survival_curve_at_every_rate() {
+        let g = DrawGate::shared();
+        for rate in Rate::ALL {
+            every_cell_contains(
+                &format!("decode {rate}"),
+                DECODE_LOG2_SPAN,
+                |s| keep(s, rate),
+                |s| g.keep_bracket(s, rate),
+            );
+        }
+    }
+
+    /// The lock span's ends are where the curve saturates, to the bit —
+    /// which is what makes the gate settle every draw beyond them.
+    #[test]
+    fn the_lock_curve_saturates_at_its_span_ends() {
+        assert_eq!(
+            preamble_success_prob(2f64.powi(LOCK_LOG2_SPAN.0)).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(
+            preamble_success_prob(2f64.powi(LOCK_LOG2_SPAN.1)).to_bits(),
+            1.0f64.to_bits()
+        );
+    }
+
+    /// SINRs the engine can and cannot produce: log-uniform across and
+    /// beyond both spans, and every kind of value off the grid.
+    fn arb_sinr(rng: &mut SmallRng) -> f64 {
+        const OFF_GRID: [f64; 8] = [
+            0.0,
+            -0.0,
+            -1.0,
+            5e-324,
+            1e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        match rng.gen_range(0..16u32) {
+            0 => OFF_GRID[rng.gen_range(0..OFF_GRID.len())],
+            1 => [f64::MIN_POSITIVE, f64::MAX, 1e-30, 1e30][rng.gen_range(0..4usize)],
+            _ => 2f64.powf(rng.gen_range(-14.0..16.0)),
+        }
+    }
+
+    fn on_grid(sinr: f64) -> bool {
+        sinr.is_normal() && sinr > 0.0
+    }
+
+    /// A random draw, and the draws within one ulp of each bracket end.
+    fn units_around(bracket: Option<(f64, f64)>, rng: &mut SmallRng) -> Vec<f64> {
+        let mut units = vec![rng.gen::<f64>()];
+        for end in bracket.map_or([0.0, 1.0], |(lo, hi)| [lo, hi]) {
+            units.extend([end.next_down(), end, end.next_up()]);
+        }
+        units
+    }
+
+    /// The decision as the engine takes it: from the bracket when the draw
+    /// is outside it, from the exact probability otherwise.
+    fn gated(bracket: Option<(f64, f64)>, unit: f64, exact: f64) -> bool {
+        bracket
+            .and_then(|b| decide(b, unit))
+            .unwrap_or(unit < exact.clamp(0.0, 1.0))
+    }
+
+    #[test]
+    fn gated_lock_decisions_equal_the_exact_comparison() {
+        let g = DrawGate::shared();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut settled = 0u32;
+        for _ in 0..200_000 {
+            let sinr = arb_sinr(&mut rng);
+            let bracket = g.lock_bracket(sinr);
+            assert_eq!(bracket.is_some(), on_grid(sinr), "{sinr:e}");
+            let exact = preamble_success_prob(sinr);
+            for unit in units_around(bracket, &mut rng) {
+                settled += u32::from(bracket.and_then(|b| decide(b, unit)).is_some());
+                assert_eq!(
+                    gated(bracket, unit, exact),
+                    unit < exact.clamp(0.0, 1.0),
+                    "sinr {sinr:e} unit {unit:e} exact {exact:e} bracket {bracket:?}"
+                );
+            }
+        }
+        assert!(
+            settled > 1_000_000,
+            "the bracket settled only {settled} draws"
+        );
+    }
+
+    #[test]
+    fn gated_decode_decisions_equal_the_exact_comparison() {
+        let g = DrawGate::shared();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut settled = 0u32;
+        for _ in 0..200_000 {
+            let rate = Rate::ALL[rng.gen_range(0..Rate::ALL.len())];
+            let total_bits = f64::from(rng.gen_range(22..20_000u32));
+            // Two interference levels sharing the bits: one, when equal.
+            let s1 = arb_sinr(&mut rng);
+            let s2 = if rng.gen_bool(0.5) {
+                s1
+            } else {
+                s1 * 2f64.powf(rng.gen_range(-3.0..3.0))
+            };
+            let share: f64 = rng.gen();
+            let exact = (total_bits * share * keep(s1, rate)
+                + total_bits * (1.0 - share) * keep(s2, rate))
+            .exp();
+            let bracket = g.decode_bracket(rate, s1.min(s2), s1.max(s2), total_bits);
+            assert_eq!(
+                bracket.is_some(),
+                on_grid(s1) && on_grid(s2),
+                "{s1:e} {s2:e}"
+            );
+            if let Some((lo, hi)) = bracket {
+                assert!(
+                    lo <= exact && exact <= hi,
+                    "{exact:e} outside [{lo:e}, {hi:e}]"
+                );
+            }
+            for unit in units_around(bracket, &mut rng) {
+                settled += u32::from(bracket.and_then(|b| decide(b, unit)).is_some());
+                assert_eq!(
+                    gated(bracket, unit, exact),
+                    unit < exact.clamp(0.0, 1.0),
+                    "{rate} sinr {s1:e}/{s2:e} bits {total_bits} unit {unit:e} exact {exact:e} \
+                     bracket {bracket:?}"
+                );
+            }
+        }
+        assert!(
+            settled > 600_000,
+            "the bracket settled only {settled} draws"
+        );
+    }
+}
