@@ -441,24 +441,35 @@ impl Persist for Cow<'_, [u8]> {
     }
 }
 
+/// Read the entries of an ordered map or set, holding the stream to the
+/// order `save` emits: each key strictly greater than the one before, so
+/// a state has one encoding and the caller can build its tree from the
+/// run in one pass instead of inserting key by key.
+fn ascending<E: Persist, K: Ord>(
+    r: &mut CkptReader<'_>,
+    key: impl Fn(&E) -> &K,
+) -> Result<Vec<E>, CkptError> {
+    let run: Vec<E> = r.get()?;
+    if !run.is_sorted_by(|a, b| key(a) < key(b)) {
+        return Err(CkptError::Malformed(
+            "map or set keys not strictly ascending".into(),
+        ));
+    }
+    Ok(run)
+}
+
+/// Keys strictly ascending; anything else is `Malformed`.
 impl<T: Persist + Ord> Persist for BTreeSet<T> {
     const MIN_BYTES: usize = 8;
     fn save(&self, w: &mut CkptWriter) {
         w.seq(self.iter());
     }
     fn load(r: &mut CkptReader<'_>) -> Result<BTreeSet<T>, CkptError> {
-        let mut out = BTreeSet::new();
-        for i in 0..r.count::<T>()? {
-            if !out.insert(T::load(r)?) {
-                return Err(CkptError::Malformed(format!(
-                    "duplicate set key, entry {i}"
-                )));
-            }
-        }
-        Ok(out)
+        Ok(ascending(r, |k: &T| k)?.into_iter().collect())
     }
 }
 
+/// Keys strictly ascending; anything else is `Malformed`.
 impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
     const MIN_BYTES: usize = 8;
     fn save(&self, w: &mut CkptWriter) {
@@ -469,15 +480,7 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
         }
     }
     fn load(r: &mut CkptReader<'_>) -> Result<BTreeMap<K, V>, CkptError> {
-        let mut out = BTreeMap::new();
-        for i in 0..r.count::<(K, V)>()? {
-            if out.insert(K::load(r)?, V::load(r)?).is_some() {
-                return Err(CkptError::Malformed(format!(
-                    "duplicate map key, entry {i}"
-                )));
-            }
-        }
-        Ok(out)
+        Ok(ascending(r, |e: &(K, V)| &e.0)?.into_iter().collect())
     }
 }
 
@@ -832,6 +835,37 @@ mod tests {
         assert!(matches!(
             r.get::<Rate>().unwrap_err(),
             CkptError::Malformed(_)
+        ));
+    }
+
+    /// Maps and sets have one encoding: keys strictly ascending. A stream
+    /// in any other order is refused, not re-sorted.
+    #[test]
+    fn ordered_collections_hold_the_stream_to_key_order() {
+        let image = |keys: &[u32]| {
+            let mut w = CkptWriter::new();
+            w.put(&keys.to_vec());
+            w.finish()
+        };
+        let set = |keys: &[u32]| CkptReader::new(&image(keys))?.get::<BTreeSet<u32>>();
+        // The same bytes as a map: each u32 is a u16 key and a u16 value,
+        // so `k | v << 16` orders by `k`.
+        let map = |keys: &[u32]| CkptReader::new(&image(keys))?.get::<BTreeMap<u16, u16>>();
+
+        assert_eq!(set(&[]), Ok(BTreeSet::new()));
+        assert_eq!(map(&[]), Ok(BTreeMap::new()));
+        assert_eq!(set(&[7]), Ok(BTreeSet::from([7])));
+        assert_eq!(map(&[7 | 9 << 16]), Ok(BTreeMap::from([(7, 9)])));
+        assert_eq!(set(&[4, 9, 10]), Ok(BTreeSet::from([4, 9, 10])));
+        assert_eq!(map(&[4, 9 | 1 << 16]), Ok(BTreeMap::from([(4, 0), (9, 1)])));
+        for bad in [&[9, 4][..], &[4, 4], &[1, 2, 3, 3], &[1, 3, 2, 4]] {
+            assert!(matches!(set(bad), Err(CkptError::Malformed(_))), "{bad:?}");
+            assert!(matches!(map(bad), Err(CkptError::Malformed(_))), "{bad:?}");
+        }
+        // Equal keys under different values are still equal keys.
+        assert!(matches!(
+            map(&[4 | 1 << 16, 4 | 2 << 16]),
+            Err(CkptError::Malformed(_))
         ));
     }
 

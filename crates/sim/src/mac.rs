@@ -16,20 +16,28 @@ use crate::radio::RadioPhase;
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::world::{Flow, NodeId};
-use cmap_phy::Rate;
+use cmap_phy::{mw_to_dbm, Rate};
 use cmap_wire::{FrameView, MacAddr};
 
 /// Metadata for a successfully decoded frame.
 #[derive(Debug, Clone, Copy)]
 pub struct RxInfo {
-    /// Received signal strength (post-fading) in dBm.
-    pub rss_dbm: f64,
+    /// Received signal power (post-fading) in milliwatts.
+    pub signal_mw: f64,
     /// When the radio locked onto the frame.
     pub start: Time,
     /// When the frame ended (== now in the callback).
     pub end: Time,
     /// Bit-rate the frame was sent at.
     pub rate: Rate,
+}
+
+impl RxInfo {
+    /// Received signal strength in dBm (a `log10`: no MAC in this
+    /// workspace asks, so receptions carry milliwatts).
+    pub fn rss_dbm(&self) -> f64 {
+        mw_to_dbm(self.signal_mw)
+    }
 }
 
 /// Metadata for a frame the radio locked onto but failed to decode — the MAC
@@ -40,8 +48,15 @@ pub struct RxErrorInfo {
     pub start: Time,
     /// When it ended.
     pub end: Time,
+    /// Its received signal power in milliwatts.
+    pub signal_mw: f64,
+}
+
+impl RxErrorInfo {
     /// Its received signal strength in dBm.
-    pub rss_dbm: f64,
+    pub fn rss_dbm(&self) -> f64 {
+        mw_to_dbm(self.signal_mw)
+    }
 }
 
 /// A link-layer protocol instance at one node.

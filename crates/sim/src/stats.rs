@@ -27,8 +27,12 @@ pub struct FlowStats {
     /// Arrival time of each *first* (non-duplicate) delivery, in order.
     pub arrivals: Vec<Time>,
     /// Sequence numbers seen at or above `seen_floor` (duplicate
-    /// suppression). Compacted: every seq below `seen_floor` is seen, so an
-    /// in-order flow keeps this set near-empty however long the run is.
+    /// suppression). Compacted: every seq below `seen_floor` is seen, so a
+    /// flow that loses nothing keeps this set near-empty. The floor stalls
+    /// at the first seq the MAC gives up on, though, and from there the set
+    /// grows with every delivery: 10 s into the benchmark's `testbed_cmap`
+    /// world the 12 flows' sets hold 8,895–12,046 of ~12,600 delivered
+    /// seqs between them, after 30 s 12,607–18,674 of ~37,700.
     seen: BTreeSet<u32>,
     /// All sequence numbers below this have been seen.
     seen_floor: u32,

@@ -33,7 +33,7 @@ use crate::stats::Stats;
 use crate::time::Time;
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 use cmap_phy::units::db_to_ratio;
-use cmap_phy::{gate, mw_to_dbm, BerTable, DrawGate, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{gate, BerTable, DrawGate, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
 
 pub use crate::node::NodeId;
@@ -684,7 +684,6 @@ impl World {
                 exact()
             }
         };
-        let rss_dbm = mw_to_dbm(c.signal_mw);
         // Fault injection: a decoded frame may be corrupted (CRC escape
         // caught late) or delivered twice (duplication). Draws come from a
         // dedicated stream and only when the plan asks, so fault-free runs
@@ -700,7 +699,7 @@ impl World {
         if decoded && !corrupted {
             self.stats.bump(CounterId::SimRxOk);
             let info = RxInfo {
-                rss_dbm,
+                signal_mw: c.signal_mw,
                 start: c.lock_time,
                 end: self.time,
                 rate,
@@ -728,7 +727,7 @@ impl World {
             let err = RxErrorInfo {
                 start: c.lock_time,
                 end: self.time,
-                rss_dbm,
+                signal_mw: c.signal_mw,
             };
             self.dispatch(rx, |mac, ctx| mac.on_rx_error(ctx, err));
         }

@@ -8,8 +8,9 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use cmap_suite::cmap::{CmapConfig, CmapMac};
+use cmap_suite::sim::ckpt::CkptWriter;
 use cmap_suite::sim::time::millis;
-use cmap_suite::sim::{CkptError, MediumBuilder, PhyConfig, World};
+use cmap_suite::sim::{CkptError, MediumBuilder, NodeId, PhyConfig, World, CKPT_MAGIC};
 
 /// Four nodes in mutual range, two saturated flows, CMAP everywhere.
 fn small_world() -> World {
@@ -24,20 +25,23 @@ fn small_world() -> World {
     w
 }
 
-/// A mid-run checkpoint with frames on the air, so the frame pool, the
-/// radio locks and the event queue are populated.
+/// `small_world` stopped mid-run with frames on the air, so the frame
+/// pool, the radio locks and the event queue are populated.
+fn mid_run_world() -> World {
+    let mut w = small_world();
+    let mut until = millis(300);
+    w.run_until(until);
+    while w.inflight_tx_count() == 0 {
+        until += millis(1);
+        w.run_until(until);
+    }
+    w
+}
+
+/// The checkpoint of `mid_run_world`.
 fn checkpoint() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let mut w = small_world();
-        let mut until = millis(300);
-        w.run_until(until);
-        while w.inflight_tx_count() == 0 {
-            until += millis(1);
-            w.run_until(until);
-        }
-        w.checkpoint().expect("checkpoint at mid-run")
-    })
+    BYTES.get_or_init(|| mid_run_world().checkpoint().expect("checkpoint at mid-run"))
 }
 
 #[test]
@@ -68,6 +72,40 @@ fn truncation_at_every_offset_is_a_typed_error() {
             bytes.len()
         );
     }
+}
+
+/// The two entries of one map trade places: every key is still there
+/// once, so a reader that inserted key by key took the image as a second
+/// encoding of the same state. Maps are strictly ascending on the wire
+/// and anything else is refused.
+#[test]
+fn swapped_map_entries_are_malformed() {
+    // `Stats::vpkt` as the image holds it: a count, then per link its
+    // (sender, receiver) key and its `VpktStats`.
+    let w = mid_run_world();
+    let links = [(0, 1), (2, 3)].map(|(src, dst)| {
+        let mut entry = CkptWriter::new();
+        entry.put(&(NodeId::new(src), NodeId::new(dst)));
+        entry.put(w.stats().vpkt_stats(src, dst).expect("both links sent"));
+        entry.finish()[CKPT_MAGIC.len() + 1..].to_vec()
+    });
+    let map = |order: [usize; 2]| {
+        let mut bytes = 2u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&links[order[0]]);
+        bytes.extend_from_slice(&links[order[1]]);
+        bytes
+    };
+    let (written, swapped) = (map([0, 1]), map([1, 0]));
+    let mut bytes = checkpoint().to_vec();
+    let at = bytes
+        .windows(written.len())
+        .position(|window| window == written)
+        .expect("the link map is in the image");
+    bytes[at..at + swapped.len()].copy_from_slice(&swapped);
+    assert!(matches!(
+        small_world().restore(&bytes),
+        Err(CkptError::Malformed(_))
+    ));
 }
 
 proptest! {
