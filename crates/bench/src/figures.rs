@@ -14,13 +14,12 @@
 
 use std::fmt::Write as _;
 
-use cmap_core::{CmapConfig, CmapMac};
+use cmap_core::CmapConfig;
 use cmap_experiments::exposed::Curve;
 use cmap_experiments::runner::radio_env;
 use cmap_experiments::{
-    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Spec,
+    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol, Spec,
 };
-use cmap_mac80211::{DcfConfig, DcfMac};
 use cmap_obs::{MetricValue, RunReport, SpecBlock, TimingBlock};
 use cmap_phy::Rate;
 use cmap_sim::time::secs;
@@ -855,78 +854,74 @@ impl Figure for ConvergenceSweep {
 /// two-pair micro-topologies: exposed, conflicting, hidden.
 pub struct Ablations;
 
-struct Scenario {
-    name: &'static str,
-    rss: Vec<(usize, usize, f64)>,
-}
+/// Nodes of a two-pair micro-topology: senders 0 and 2, receivers 1 and 3.
+const PAIR_NODES: usize = 4;
 
-fn sym(v: &mut Vec<(usize, usize, f64)>, a: usize, b: usize, rss: f64) {
-    v.push((a, b, rss));
-    v.push((b, a, rss));
-}
+/// RSS in dBm of the links a two-pair micro-topology has, each in both
+/// directions; any pair not listed is out of range.
+type PairLinks = &'static [(usize, usize, f64)];
 
-fn scenarios() -> Vec<Scenario> {
-    let mut exposed = Vec::new();
-    sym(&mut exposed, 0, 1, -60.0);
-    sym(&mut exposed, 2, 3, -60.0);
-    sym(&mut exposed, 0, 2, -75.0);
-    sym(&mut exposed, 0, 3, -93.0);
-    sym(&mut exposed, 2, 1, -93.0);
-    sym(&mut exposed, 1, 3, -95.0);
-    let mut conflicting = Vec::new();
-    sym(&mut conflicting, 0, 1, -60.0);
-    sym(&mut conflicting, 2, 3, -60.0);
-    sym(&mut conflicting, 0, 2, -65.0);
-    sym(&mut conflicting, 0, 3, -63.0);
-    sym(&mut conflicting, 2, 1, -63.0);
-    sym(&mut conflicting, 1, 3, -80.0);
-    let mut hidden = Vec::new();
-    sym(&mut hidden, 0, 1, -60.0);
-    sym(&mut hidden, 2, 3, -60.0);
-    sym(&mut hidden, 0, 3, -62.0);
-    sym(&mut hidden, 2, 1, -62.0);
-    sym(&mut hidden, 1, 3, -70.0);
-    vec![
-        Scenario {
-            name: "exposed",
-            rss: exposed,
-        },
-        Scenario {
-            name: "conflicting",
-            rss: conflicting,
-        },
-        Scenario {
-            name: "hidden",
-            rss: hidden,
-        },
-    ]
-}
+/// The Fig 12 exposed-terminal topology: two pairs that can (and should)
+/// run concurrently — the configuration where CMAP has the most to lose
+/// when its conflict map degrades.
+const EXPOSED: PairLinks = &[
+    (0, 1, -60.0),
+    (2, 3, -60.0),
+    (0, 2, -75.0),
+    (0, 3, -93.0),
+    (2, 1, -93.0),
+    (1, 3, -95.0),
+];
 
-fn ablation_run(
-    rss: &[(usize, usize, f64)],
-    cfg: &CmapConfig,
-    phy: PhyConfig,
-    seed: u64,
-    dur_s: u64,
-) -> f64 {
-    let n = 4;
+const CONFLICTING: PairLinks = &[
+    (0, 1, -60.0),
+    (2, 3, -60.0),
+    (0, 2, -65.0),
+    (0, 3, -63.0),
+    (2, 1, -63.0),
+    (1, 3, -80.0),
+];
+
+const HIDDEN: PairLinks = &[
+    (0, 1, -60.0),
+    (2, 3, -60.0),
+    (0, 3, -62.0),
+    (2, 1, -62.0),
+    (1, 3, -70.0),
+];
+
+const SCENARIOS: [(&str, PairLinks); 3] = [
+    ("exposed", EXPOSED),
+    ("conflicting", CONFLICTING),
+    ("hidden", HIDDEN),
+];
+
+/// A world over `links` with the two saturated 1400-byte flows 0→1 and
+/// 2→3; returns it with their ids.
+fn two_pair_world(links: PairLinks, phy: PhyConfig, seed: u64) -> (World, Vec<u16>) {
+    let n = PAIR_NODES;
     let mut gains = vec![f64::NEG_INFINITY; n * n];
-    for &(a, b, rss_dbm) in rss {
+    for &(a, b, rss_dbm) in links {
         gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
+        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
     }
     let medium = MediumBuilder::new(&phy)
         .gains_db(n, &gains, &vec![100; n * n])
         .build();
     let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
-    let f1 = w.add_flow(0, 1, 1400);
-    let f2 = w.add_flow(2, 3, 1400);
-    for node in 0..n {
-        w.set_mac(node, Box::new(CmapMac::new(cfg.clone())));
-    }
+    let flows = vec![w.add_flow(0, 1, 1400), w.add_flow(2, 3, 1400)];
+    (w, flows)
+}
+
+fn ablation_run(links: PairLinks, cfg: &CmapConfig, phy: PhyConfig, seed: u64, dur_s: u64) -> f64 {
+    let (mut w, flows) = two_pair_world(links, phy, seed);
+    Protocol::Cmap(cfg.clone()).install(&mut w);
     w.run_until(secs(dur_s));
     let from = secs(dur_s * 2 / 5);
-    w.stats().flow_throughput_mbps(f1, 1400, from, secs(dur_s))
-        + w.stats().flow_throughput_mbps(f2, 1400, from, secs(dur_s))
+    flows
+        .iter()
+        .map(|&f| w.stats().flow_throughput_mbps(f, 1400, from, secs(dur_s)))
+        .sum()
 }
 
 impl Ablations {
@@ -1021,29 +1016,28 @@ impl Figure for Ablations {
             cli.seed
         ));
         let mut header = format!("{:<16}", "variant");
-        let scens = scenarios();
-        for s in &scens {
-            let _ = write!(header, " {:>12}", s.name);
+        for (name, _) in &SCENARIOS {
+            let _ = write!(header, " {name:>12}");
         }
         out.line(header);
         // The (variant × scenario) grid is embarrassingly parallel; the
         // pool returns results in grid order, so rows/metrics below read
         // back deterministically at any `--jobs` width.
         let grid: Vec<(usize, usize)> = (0..variants.len())
-            .flat_map(|v| (0..scens.len()).map(move |s| (v, s)))
+            .flat_map(|v| (0..SCENARIOS.len()).map(move |s| (v, s)))
             .collect();
         let aggs = cmap_exec::Pool::new(cli.effective_jobs()).map(&grid, |&(v, s)| {
             let (_, cfg, phy) = &variants[v];
-            ablation_run(&scens[s].rss, cfg, phy.clone(), cli.seed ^ 0xAB1, dur)
+            ablation_run(SCENARIOS[s].1, cfg, phy.clone(), cli.seed ^ 0xAB1, dur)
         });
         for (v, (name, _, _)) in variants.iter().enumerate() {
             let mut row = format!("{name:<16}");
-            for (si, s) in scens.iter().enumerate() {
-                let agg = aggs[v * scens.len() + si];
+            for (si, (scen, _)) in SCENARIOS.iter().enumerate() {
+                let agg = aggs[v * SCENARIOS.len() + si];
                 let _ = write!(row, " {agg:>12.2}");
                 let key = match *name {
-                    "CMAP (full)" => format!("cmap_full_{}_mbps", s.name),
-                    other => format!("{}_{}_mbps", slug(other), s.name),
+                    "CMAP (full)" => format!("cmap_full_{scen}_mbps"),
+                    other => format!("{}_{scen}_mbps", slug(other)),
                 };
                 out.metric(key, agg);
             }
@@ -1068,39 +1062,9 @@ const CMAP_VS_DCF_MIN: f64 = 0.5;
 /// ... and within this factor of the clean CMAP reference.
 const FAULT_VS_CLEAN_MIN: f64 = 0.25;
 
-const SOAK_NODES: usize = 4;
-
-/// The Fig 12 exposed-terminal topology: two pairs that can (and should)
-/// run concurrently — the configuration where CMAP has the most to lose
-/// when its conflict map degrades.
+/// The world every soak run perturbs: the exposed pairs of [`EXPOSED`].
 pub fn exposed_world(seed: u64) -> (World, Vec<u16>) {
-    let phy = PhyConfig::default();
-    let rss: &[(usize, usize, f64)] = &[
-        (0, 1, -60.0),
-        (2, 3, -60.0),
-        (0, 2, -75.0),
-        (0, 3, -93.0),
-        (2, 1, -93.0),
-        (1, 3, -95.0),
-    ];
-    let mut gains = vec![f64::NEG_INFINITY; SOAK_NODES * SOAK_NODES];
-    for &(a, b, rss_dbm) in rss {
-        gains[a * SOAK_NODES + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * SOAK_NODES + a] = rss_dbm - phy.tx_power_dbm;
-    }
-    let delays = vec![100u64; SOAK_NODES * SOAK_NODES];
-    let medium = MediumBuilder::new(&phy)
-        .gains_db(SOAK_NODES, &gains, &delays)
-        .build();
-    let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
-    let f1 = w.add_flow(0, 1, 1400);
-    let f2 = w.add_flow(2, 3, 1400);
-    (w, vec![f1, f2])
-}
-
-enum Proto {
-    Cmap,
-    Dcf,
+    two_pair_world(EXPOSED, PhyConfig::default(), seed)
 }
 
 struct SoakRun {
@@ -1109,14 +1073,9 @@ struct SoakRun {
     snapshot: String,
 }
 
-fn soak_one(proto: &Proto, plan: &FaultPlan, seed: u64, duration: u64) -> SoakRun {
+fn soak_one(proto: &Protocol, plan: &FaultPlan, seed: u64, duration: u64) -> SoakRun {
     let (mut w, flows) = exposed_world(seed);
-    for n in 0..SOAK_NODES {
-        match proto {
-            Proto::Cmap => w.set_mac(n, Box::new(CmapMac::new(CmapConfig::default()))),
-            Proto::Dcf => w.set_mac(n, Box::new(DcfMac::new(DcfConfig::status_quo()))),
-        }
-    }
+    proto.install(&mut w);
     if !plan.is_clean() {
         w.install_faults(plan.clone());
     }
@@ -1174,7 +1133,7 @@ impl Figure for ChaosSoak {
     }
     fn run(&self, cli: &Cli) -> FigureOutput {
         let (duration, seeds) = ChaosSoak::params(cli);
-        let plans = FaultPlan::canonical(SOAK_NODES, duration);
+        let plans = FaultPlan::canonical(PAIR_NODES, duration);
         let mut out = FigureOutput::new();
         out.line(format!(
             "{} fault plans x {seeds} seeds, {:.0}s runs, base seed {}",
@@ -1196,10 +1155,10 @@ impl Figure for ChaosSoak {
             // and failure list are identical at any `--jobs` width.
             let seed_list: Vec<u64> = (0..seeds).map(|i| cli.seed + i as u64).collect();
             let per_seed = pool.map(&seed_list, |&seed| {
-                let a = soak_one(&Proto::Cmap, plan, seed, duration);
-                let b = soak_one(&Proto::Cmap, plan, seed, duration);
-                let d = soak_one(&Proto::Dcf, plan, seed, duration);
-                let c = soak_one(&Proto::Cmap, &FaultPlan::clean(), seed, duration);
+                let a = soak_one(&Protocol::cmap(), plan, seed, duration);
+                let b = soak_one(&Protocol::cmap(), plan, seed, duration);
+                let d = soak_one(&Protocol::cs_on(), plan, seed, duration);
+                let c = soak_one(&Protocol::cmap(), &FaultPlan::clean(), seed, duration);
                 (seed, a, b, d, c)
             });
             for (seed, a, b, d, c) in per_seed {
@@ -1275,7 +1234,7 @@ struct ScaleCell {
 
 /// Run one city-scale cell: generate the city, build the sparse medium,
 /// saturate [`SCALE_FLOWS`] nearest-neighbor flows, run, and measure.
-fn scale_cell(n: usize, proto: &Proto, seed: u64, duration: u64) -> (ScaleCell, SparseStats) {
+fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCell, SparseStats) {
     let phy = PhyConfig::default();
     let channel = cmap_topo::ChannelModel::default();
     let dep = cmap_topo::grid_city(n, SCALE_BLOCK_M, 5.0, channel, seed);
@@ -1312,12 +1271,7 @@ fn scale_cell(n: usize, proto: &Proto, seed: u64, duration: u64) -> (ScaleCell, 
             flow_ids.push(w.add_flow(src, dst, 1400));
         }
     }
-    for i in 0..n {
-        match proto {
-            Proto::Cmap => w.set_mac(i, Box::new(CmapMac::new(CmapConfig::default()))),
-            Proto::Dcf => w.set_mac(i, Box::new(DcfMac::new(DcfConfig::status_quo()))),
-        }
-    }
+    proto.install(&mut w);
     // cmap-lint: allow(wall-clock) — harness-shell cell timing for the events/sec column; never feeds simulation state
     let t0 = std::time::Instant::now();
     w.run_until(duration);
@@ -1410,18 +1364,18 @@ impl Figure for ScaleSweep {
         // cell is retried and quarantined instead of killing the sweep,
         // and one-at-a-time keeps per-cell peak-RSS readings honest.
         let pool = cmap_exec::Pool::new(1);
-        let mut cells: Vec<(usize, Proto)> = Vec::new();
+        let mut cells: Vec<(usize, Protocol)> = Vec::new();
         for &n in &counts {
-            cells.push((n, Proto::Cmap));
-            cells.push((n, Proto::Dcf));
+            cells.push((n, Protocol::cmap()));
+            cells.push((n, Protocol::cs_on()));
         }
         let seed = cli.seed;
         let results = pool.map(&cells, |(n, proto)| scale_cell(*n, proto, seed, duration));
         let mut err_bound_max = 0.0f64;
         for ((n, proto), (cell, sparse)) in cells.iter().zip(&results) {
             let mac = match proto {
-                Proto::Cmap => "cmap",
-                Proto::Dcf => "dcf",
+                Protocol::Cmap(_) => "cmap",
+                Protocol::Dcf(_) => "dcf",
             };
             let eps = cell.events as f64 / cell.wall_secs.max(1e-9);
             err_bound_max = err_bound_max.max(sparse.error_bound_db);

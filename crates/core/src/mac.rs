@@ -28,8 +28,8 @@ use rand::Rng;
 use cmap_sim::ckpt::{self, CkptError, CkptReader, CkptWriter, Persist};
 use cmap_sim::time::{micros, millis, ns_to_us_ceil, Time};
 use cmap_sim::{persist, CounterId, Mac, NodeCtx, RxInfo, TraceEvent};
-use cmap_wire::cmap::{self, HeaderTrailer};
-use cmap_wire::view::compose;
+use cmap_wire::cmap;
+use cmap_wire::view::{compose, HeaderTrailerView};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
 
 use crate::config::CmapConfig;
@@ -193,7 +193,7 @@ impl<T: Filler + Persist, const N: usize> Persist for Inline<T, N> {
 
 /// A queued cumulative ACK in fixed-size storage (the wire format caps
 /// bitmaps at [`cmap::MAX_ACK_WINDOW`] and piggybacked entries at
-/// [`cmap::Ack::MAX_IL_ENTRIES`]), so the receive path queues and sends
+/// [`cmap::ACK_MAX_IL_ENTRIES`]), so the receive path queues and sends
 /// ACKs without allocating.
 #[derive(Clone, Copy)]
 struct PendingAck {
@@ -202,7 +202,7 @@ struct PendingAck {
     base_vpkt_seq: u32,
     bitmaps: Inline<u32, { cmap::MAX_ACK_WINDOW }>,
     loss_rate: u8,
-    il_entries: Inline<cmap::InterfererEntry, { cmap::Ack::MAX_IL_ENTRIES }>,
+    il_entries: Inline<cmap::InterfererEntry, { cmap::ACK_MAX_IL_ENTRIES }>,
 }
 
 persist!(struct PendingAck { src, dst, base_vpkt_seq, bitmaps, loss_rate, il_entries });
@@ -309,13 +309,13 @@ impl CmapMac {
     // ---- timing helpers -------------------------------------------------
 
     fn data_airtime(&self, payload_len: usize, rate: cmap_phy::Rate) -> Time {
-        rate.frame_airtime_ns(cmap::Data::OVERHEAD + payload_len)
+        rate.frame_airtime_ns(cmap::DATA_OVERHEAD + payload_len)
     }
 
     fn hdr_airtime(&self) -> Time {
         self.cfg
             .control_rate
-            .frame_airtime_ns(HeaderTrailer::WIRE_LEN)
+            .frame_airtime_ns(cmap::HEADER_TRAILER_LEN)
     }
 
     fn burst_airtime(&self, pkts: &[DataPkt], rate: cmap_phy::Rate) -> Time {
@@ -711,12 +711,13 @@ impl CmapMac {
 
     // ---- receiver path ---------------------------------------------------
 
-    fn on_cmap_header(&mut self, ctx: &mut NodeCtx<'_>, h: &HeaderTrailer, info: RxInfo) {
-        let until = info.end + micros(u64::from(h.tx_time_us));
-        self.ongoing.note_header(h.src, h.dst, until, h.data_rate);
-        self.tracker.note_activity(h.src, info.start, until);
-        if h.dst == ctx.mac_addr() {
-            let peer = self.peers.entry(h.src).or_default();
+    fn on_cmap_header(&mut self, ctx: &mut NodeCtx<'_>, h: &HeaderTrailerView<'_>, info: RxInfo) {
+        let until = info.end + micros(u64::from(h.tx_time_us()));
+        self.ongoing
+            .note_header(h.src(), h.dst(), until, h.data_rate());
+        self.tracker.note_activity(h.src(), info.start, until);
+        if h.dst() == ctx.mac_addr() {
+            let peer = self.peers.entry(h.src()).or_default();
             peer.last_heard = info.end;
             // A restarted sender numbers virtual packets from zero again;
             // without this reset the cumulative-ACK window (which never
@@ -726,26 +727,26 @@ impl CmapMac {
             // that is comfortably conservative.
             if peer
                 .rx
-                .looks_rebooted(h.vpkt_seq, 2 * self.cfg.n_window as u32)
+                .looks_rebooted(h.vpkt_seq(), 2 * self.cfg.n_window as u32)
             {
                 ctx.stats().bump(CounterId::CmapPeerReset);
                 peer.rx = PeerRx::new();
             }
-            peer.rx.on_header(h.vpkt_seq, h.pkt_count, info.end);
-            if let Some(src_node) = h.src.node_index() {
+            peer.rx.on_header(h.vpkt_seq(), h.pkt_count(), info.end);
+            if let Some(src_node) = h.src().node_index() {
                 let me = ctx.node();
                 ctx.stats()
-                    .vpkt_received(src_node as usize, me, h.vpkt_seq, false);
+                    .vpkt_received(src_node as usize, me, h.vpkt_seq(), false);
             }
             if !self.cfg.send_trailers {
                 // No trailer will come: finalise off the header's schedule.
-                let data_air = self.data_airtime(1400, h.data_rate).max(1);
-                let wait = Time::from(h.pkt_count) * data_air + millis(1) / 2;
+                let data_air = self.data_airtime(1400, h.data_rate()).max(1);
+                let wait = Time::from(h.pkt_count()) * data_air + millis(1) / 2;
                 self.pending_finalize.push_back((
-                    h.src,
-                    h.vpkt_seq,
-                    h.pkt_count,
-                    h.data_rate,
+                    h.src(),
+                    h.vpkt_seq(),
+                    h.pkt_count(),
+                    h.data_rate(),
                     info.end,
                 ));
                 ctx.set_timer(wait, token(CLASS_VPKTEND, 0));
@@ -753,33 +754,33 @@ impl CmapMac {
         }
     }
 
-    fn on_cmap_trailer(&mut self, ctx: &mut NodeCtx<'_>, t: &HeaderTrailer, info: RxInfo) {
+    fn on_cmap_trailer(&mut self, ctx: &mut NodeCtx<'_>, t: &HeaderTrailerView<'_>, info: RxInfo) {
         let now = ctx.now();
-        self.ongoing.note_trailer(t.src, now);
-        let span = micros(u64::from(t.tx_time_us));
+        self.ongoing.note_trailer(t.src(), now);
+        let span = micros(u64::from(t.tx_time_us()));
         self.tracker
-            .note_activity(t.src, info.end.saturating_sub(span), info.end);
-        if t.dst != ctx.mac_addr() {
+            .note_activity(t.src(), info.end.saturating_sub(span), info.end);
+        if t.dst() != ctx.mac_addr() {
             return;
         }
-        if let Some(src_node) = t.src.node_index() {
+        if let Some(src_node) = t.src().node_index() {
             let me = ctx.node();
             ctx.stats()
-                .vpkt_received(src_node as usize, me, t.vpkt_seq, true);
+                .vpkt_received(src_node as usize, me, t.vpkt_seq(), true);
         }
-        let data_air = self.data_airtime(1400, t.data_rate).max(1);
-        let peer = self.peers.entry(t.src).or_default();
+        let data_air = self.data_airtime(1400, t.data_rate()).max(1);
+        let peer = self.peers.entry(t.src()).or_default();
         peer.last_heard = info.end;
-        peer.rx.on_trailer(t.vpkt_seq, t.pkt_count);
+        peer.rx.on_trailer(t.vpkt_seq(), t.pkt_count());
         let fallback_t0 = info
             .start
-            .saturating_sub(Time::from(t.pkt_count) * data_air);
+            .saturating_sub(Time::from(t.pkt_count()) * data_air);
         self.finalize_and_ack(
             ctx,
-            t.src,
-            t.vpkt_seq,
-            t.pkt_count,
-            t.data_rate,
+            t.src(),
+            t.vpkt_seq(),
+            t.pkt_count(),
+            t.data_rate(),
             fallback_t0,
         );
     }
@@ -864,7 +865,7 @@ impl CmapMac {
             dst: src,
             base_vpkt_seq: base,
             bitmaps,
-            loss_rate: cmap::Ack::scale_loss_rate(loss),
+            loss_rate: cmap::scale_loss_rate(loss),
             il_entries,
         });
         self.rx_gen += 1;
@@ -969,7 +970,7 @@ impl CmapMac {
                     interferer,
                     source_rate,
                 });
-                scratch.len() < cmap::InterfererList::MAX_ENTRIES
+                scratch.len() < cmap::IL_MAX_ENTRIES
             });
         if !self.il_scratch.is_empty() && self.in_flight == InFlight::Idle {
             let me = ctx.mac_addr();
@@ -1093,14 +1094,8 @@ impl Mac for CmapMac {
 
     fn on_rx_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &FrameView<'_>, info: RxInfo) {
         match frame {
-            FrameView::CmapHeader(h) => {
-                let h = h.to_body();
-                self.on_cmap_header(ctx, &h, info);
-            }
-            FrameView::CmapTrailer(t) => {
-                let t = t.to_body();
-                self.on_cmap_trailer(ctx, &t, info);
-            }
+            FrameView::CmapHeader(h) => self.on_cmap_header(ctx, h, info),
+            FrameView::CmapTrailer(t) => self.on_cmap_trailer(ctx, t, info),
             FrameView::CmapData(d) => {
                 self.tracker.note_activity(d.src(), info.start, info.end);
                 if d.dst() == ctx.mac_addr() {

@@ -31,7 +31,7 @@ pub fn fig12(spec: &Spec) -> Vec<Curve> {
         Protocol::cmap(),
         Protocol::cmap_win1(),
     ];
-    run_pairs(spec, &protocols, Rate::R6, select_exposed(spec))
+    run_pairs(spec, &protocols, select_exposed(spec))
 }
 
 /// Fig 20: exposed terminals at 6, 12 and 18 Mbit/s, CMAP vs the status quo.
@@ -45,7 +45,7 @@ pub fn fig20(spec: &Spec) -> Vec<Curve> {
             (Protocol::cs_on().at_rate(rate), "CS"),
             (Protocol::cmap().at_rate(rate), "CMAP"),
         ] {
-            let mut c = run_pairs(spec, &[proto], rate, pairs.clone());
+            let mut c = run_pairs(spec, &[proto], pairs.clone());
             let mut only = c.pop().expect("one curve");
             only.label = format!("{tag}@{mbps}");
             curves.push(only);
@@ -66,12 +66,7 @@ fn select_exposed(spec: &Spec) -> Vec<select::LinkPair> {
     pairs
 }
 
-fn run_pairs(
-    spec: &Spec,
-    protocols: &[Protocol],
-    _rate: Rate,
-    pairs: Vec<select::LinkPair>,
-) -> Vec<Curve> {
+fn run_pairs(spec: &Spec, protocols: &[Protocol], pairs: Vec<select::LinkPair>) -> Vec<Curve> {
     let ctx = testbed_ctx(spec);
     protocols
         .iter()

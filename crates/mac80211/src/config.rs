@@ -110,7 +110,7 @@ mod tests {
     fn ack_timeout_covers_sifs_plus_ack() {
         let c = DcfConfig::default();
         // ACK frame: 14 bytes at 6 Mbit/s = 20 us PLCP + 6 symbols = 44 us.
-        let ack_air = Rate::R6.frame_airtime_ns(cmap_wire::dot11::Ack::WIRE_LEN);
+        let ack_air = Rate::R6.frame_airtime_ns(cmap_wire::dot11::ACK_LEN);
         assert!(c.ack_timeout_ns >= timing::SIFS_NS + ack_air);
     }
 }

@@ -262,7 +262,7 @@ impl DcfMac {
     }
 
     fn ack_airtime(&self) -> Time {
-        self.cfg.ack_rate.frame_airtime_ns(dot11::Ack::WIRE_LEN)
+        self.cfg.ack_rate.frame_airtime_ns(dot11::ACK_LEN)
     }
 
     /// Done with the current packet (delivered, dropped, or fire-and-forget):
@@ -539,6 +539,24 @@ mod tests {
         let retx = w.stats().counter(CounterId::DcfRetx);
         let txs = w.stats().counter(CounterId::DcfTxData);
         assert!(retx * 50 < txs, "retx {retx} of {txs}");
+    }
+
+    #[test]
+    #[should_panic(expected = "65,535")]
+    fn payload_beyond_the_length_field_is_refused_at_add_flow() {
+        // It used to compose a frame whose u16 length field had wrapped and
+        // die at the first reception with "Malformed".
+        world_from_rss(2, &sym(0, 1, -60.0), 1).add_flow(0, 1, 65_536);
+    }
+
+    #[test]
+    fn largest_encodable_payload_runs() {
+        let mut w = world_from_rss(2, &sym(0, 1, -60.0), 1);
+        let f = w.add_flow(0, 1, 65_535);
+        w.set_mac(0, Box::new(DcfMac::new(DcfConfig::status_quo())));
+        w.set_mac(1, Box::new(DcfMac::new(DcfConfig::status_quo())));
+        w.run_until(secs(1));
+        assert!(w.stats().flow(f).delivered_in(0, secs(1)) > 0);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //!
 //! Every counter and gauge the harness records is declared here, once, with
 //! its stable dotted name. The enums are dense (`id as usize` indexes a flat
-//! array in `cmap_sim::Stats`), the names are `'static`, and `from_name`
-//! gives the deprecated string API a migration path without a heap lookup
-//! on the hot path.
+//! array in `cmap_sim::Stats`) and the names are `'static`.
 //!
 //! Adding a metric is a one-line edit to the relevant `define_*!` block;
 //! the name must keep the `layer.event` dotted convention because report
@@ -37,15 +35,6 @@ macro_rules! define_ids {
             #[inline]
             pub const fn idx(self) -> usize {
                 self as usize
-            }
-
-            /// Resolve a dotted name back to its id (compat shims only —
-            /// never on the hot path).
-            pub fn from_name(name: &str) -> Option<$ty> {
-                match name {
-                    $($name => Some($ty::$variant),)+
-                    _ => None,
-                }
             }
         }
     };
@@ -218,17 +207,6 @@ define_ids! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for id in CounterId::ALL {
-            assert_eq!(CounterId::from_name(id.name()), Some(id));
-        }
-        for id in GaugeId::ALL {
-            assert_eq!(GaugeId::from_name(id.name()), Some(id));
-        }
-        assert_eq!(CounterId::from_name("no.such.counter"), None);
-    }
 
     #[test]
     fn indices_are_dense_and_unique() {

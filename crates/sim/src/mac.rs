@@ -83,8 +83,8 @@ pub trait Mac {
 
     /// A frame was received and decoded. Frames are delivered promiscuously
     /// (check `frame.dst()` yourself) as zero-copy [`FrameView`]s over the
-    /// pooled wire bytes; materialize a [`cmap_wire::Frame`] via
-    /// [`FrameView::to_frame`] only when owned storage is really needed.
+    /// pooled wire bytes, borrowed for the call: copy out the fields (or
+    /// [`FrameView::bytes`]) a MAC needs to keep.
     fn on_rx_frame(&mut self, _ctx: &mut NodeCtx<'_>, _frame: &FrameView<'_>, _info: RxInfo) {}
 
     /// The radio locked onto a frame but the payload failed to decode.

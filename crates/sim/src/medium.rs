@@ -27,12 +27,8 @@ use std::sync::OnceLock;
 
 use crate::config::PhyConfig;
 use crate::node::NodeId;
-use cmap_phy::units::{db_to_ratio, SPEED_OF_LIGHT_M_PER_S};
+use cmap_phy::units::db_to_ratio;
 use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation};
-
-/// Metres of free-space travel per nanosecond of propagation delay (the
-/// inverse of [`propagation::propagation_delay_ns`]'s rate).
-const METRES_PER_NS: f64 = SPEED_OF_LIGHT_M_PER_S * 1e-9;
 
 /// One receiver of a transmission, as the event path reads it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,17 +119,6 @@ impl DenseMedium {
             fingerprint: OnceLock::new(),
         }
     }
-
-    /// A medium where every pair of distinct nodes has the same gain and
-    /// a 100 ns delay. Handy in unit tests.
-    pub fn uniform(n: usize, gain_db: f64, phy: &PhyConfig) -> DenseMedium {
-        let mut gains = vec![gain_db; n * n];
-        for i in 0..n {
-            gains[i * n + i] = f64::NEG_INFINITY;
-        }
-        let delays = vec![100u64; n * n];
-        DenseMedium::from_gains_db(n, &gains, &delays, phy)
-    }
 }
 
 /// The queries [`Medium`] dispatches (documented there).
@@ -180,20 +165,6 @@ impl DenseMedium {
             delay_ns: self.delay_ns[link],
             rss_mw: self.tx_power_mw * self.gain[link],
         })
-    }
-
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        out.clear();
-        for rx in 0..self.n {
-            if rx == node.index() {
-                continue;
-            }
-            let d_ns = self.delay_ns[node.index() * self.n + rx];
-            // cmap-lint: allow(unit-cast) — delay→distance conversion is this function's contract; METRES_PER_NS carries the units
-            if d_ns as f64 * METRES_PER_NS <= radius_m {
-                out.push(NodeId::new(rx));
-            }
-        }
     }
 }
 
@@ -333,8 +304,6 @@ pub struct SparseMedium {
     link_delay: Vec<u64>,
     /// Row positions in arrival order, parallel to `link_rx`.
     arrive: Vec<u32>,
-    /// Spatial index; present when built from positions.
-    grid: Option<Grid>,
     stats: SparseStats,
     /// [`Medium::fingerprint`], hashed on first use.
     fingerprint: OnceLock<u64>,
@@ -420,7 +389,6 @@ impl SparseMedium {
             link_rx,
             link_gain,
             link_delay,
-            grid: None,
             stats,
             fingerprint: OnceLock::new(),
         }
@@ -517,7 +485,6 @@ impl SparseMedium {
             link_rx,
             link_gain,
             link_delay,
-            grid: Some(grid),
             stats,
             fingerprint: OnceLock::new(),
         }
@@ -592,24 +559,6 @@ impl SparseMedium {
             rss_mw: self.tx_power_mw * self.link_gain[link],
         })
     }
-
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        match &self.grid {
-            Some(grid) => grid.neighbors_within(node, radius_m, out),
-            None => {
-                // Matrix-built: no coordinates; fall back to the stored
-                // link delays, like the dense engine.
-                out.clear();
-                let row = self.row(node);
-                for i in row {
-                    // cmap-lint: allow(unit-cast) — delay→distance conversion is this function's contract; METRES_PER_NS carries the units
-                    if self.link_delay[i] as f64 * METRES_PER_NS <= radius_m {
-                        out.push(self.link_rx[i]);
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---- the dispatching enum ------------------------------------------------
@@ -675,15 +624,6 @@ impl Medium {
     /// `(delay_ns, position)` — or `None` past the last one.
     pub(crate) fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
         on_engine!(self, m => m.arrival(tx, k))
-    }
-
-    /// Append every *other* node within `radius_m` metres of `node` to
-    /// `out`, in ascending node order. [`SparseMedium`] answers from its
-    /// grid index; [`DenseMedium`] has no coordinates and derives
-    /// distance from the stored propagation delay (quantized to the
-    /// ~0.3 m the delay's whole-nanosecond rounding allows).
-    pub fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        on_engine!(self, m => m.neighbors_within(node, radius_m, out))
     }
 
     /// Received power in linear mW at `rx` from `tx`, before fading.
@@ -801,8 +741,7 @@ enum Source<'m> {
 /// power and the sparse pruning epsilon.
 ///
 /// Matrix and uniform sources default to the dense engine; position
-/// sources default to sparse. Replaces `Medium::from_gains_db` /
-/// `Medium::uniform`:
+/// sources default to sparse.
 ///
 /// ```
 /// use cmap_sim::{MediumBuilder, PhyConfig};
@@ -828,12 +767,6 @@ impl<'m> MediumBuilder<'m> {
             sparse: None,
             source: Source::None,
         }
-    }
-
-    /// Override the transmit power (dBm) the medium assumes.
-    pub fn tx_power_dbm(mut self, dbm: f64) -> Self {
-        self.phy.tx_power_dbm = dbm;
-        self
     }
 
     /// Sparse pruning margin above the delivery floor, in dB (≥ 0).
@@ -1232,7 +1165,6 @@ mod tests {
 
     #[test]
     fn grid_neighbors_match_brute_force() {
-        let phy = PhyConfig::default();
         // Deterministic pseudo-random scatter (LCG) over a 200×200 m box.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = || {
@@ -1242,14 +1174,11 @@ mod tests {
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
         let pos: Vec<(f64, f64)> = (0..80).map(|_| (next() * 200.0, next() * 200.0)).collect();
-        let model = |_: usize, _: usize, dist: f64| -propagation::path_loss_db(dist, 3.3);
-        let m = MediumBuilder::new(&phy)
-            .positions(pos.clone(), 60.0, -130.0, model)
-            .build();
+        let grid = Grid::build(&pos, 60.0);
         let mut out = Vec::new();
         for node in 0..pos.len() {
             for radius in [10.0, 35.0, 59.0] {
-                m.neighbors_within(nid(node), radius, &mut out);
+                grid.neighbors_within(nid(node), radius, &mut out);
                 let brute: Vec<NodeId> = (0..pos.len())
                     .filter(|&o| o != node)
                     .filter(|&o| {

@@ -121,9 +121,9 @@ pub struct BracketCounts {
     pub decode_exact: u64,
 }
 
-/// Step-by-step [`World`] construction: medium, PHY, seed, and optional
-/// tracing. (A fault plan is installed on the built world, with
-/// [`World::install_faults`].)
+/// Step-by-step [`World`] construction: medium, PHY and seed. (A fault
+/// plan and tracing are switched on on the built world, with
+/// [`World::install_faults`] and [`World::enable_trace`].)
 ///
 /// ```
 /// use cmap_sim::{MediumBuilder, PhyConfig, World};
@@ -137,7 +137,6 @@ pub struct WorldBuilder {
     medium: Option<Medium>,
     phy: Option<PhyConfig>,
     seed: u64,
-    trace_capacity: Option<usize>,
 }
 
 impl WorldBuilder {
@@ -160,21 +159,11 @@ impl WorldBuilder {
         self
     }
 
-    /// Enable structured tracing with a ring buffer of `capacity` records.
-    pub fn trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
-        self
-    }
-
     /// Build the world. Panics when no medium was supplied.
     pub fn build(self) -> World {
         let medium = self.medium.expect("WorldBuilder: no medium configured");
         let phy = self.phy.unwrap_or_default();
-        let mut w = World::construct(medium, phy, self.seed);
-        if let Some(capacity) = self.trace_capacity {
-            w.enable_trace(capacity);
-        }
-        w
+        World::construct(medium, phy, self.seed)
     }
 }
 
@@ -231,13 +220,6 @@ impl World {
     /// Transmissions whose pool slots are still held (in-flight frames).
     /// Must drain to ~zero when the air clears; the chaos soak asserts this.
     pub fn inflight_tx_count(&self) -> usize {
-        self.pool.live()
-    }
-
-    /// Frame-pool slots currently claimed (same reading as
-    /// [`World::inflight_tx_count`], named for the `pool.frames_live`
-    /// gauge).
-    pub fn pool_frames_live(&self) -> usize {
         self.pool.live()
     }
 
@@ -318,6 +300,10 @@ impl World {
         assert!(!self.started, "add_flow after start");
         assert!(src.index() < self.node_count() && dst.index() < self.node_count());
         assert_ne!(src, dst);
+        assert!(
+            payload_len <= cmap_wire::view::compose::MAX_PAYLOAD_LEN,
+            "payload_len {payload_len} exceeds the data frames' u16 length field (at most 65,535 bytes)"
+        );
         let id = u16::try_from(self.flows.len()).expect("too many flows");
         self.flows.push(Flow {
             id,

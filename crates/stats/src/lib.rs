@@ -13,4 +13,4 @@ pub mod summary;
 
 pub use cdf::Cdf;
 pub use series::{Series, Table};
-pub use summary::{jain_index, mean, median, percentile, std_dev, Summary};
+pub use summary::{mean, median, percentile, std_dev, Summary};

@@ -90,42 +90,6 @@ impl Table {
         }
         out
     }
-
-    /// Render each curve's own points (no interpolation): suitable for bar
-    /// charts and percentile series with few x values.
-    pub fn render_rows(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{:>12}", self.x_label));
-        for s in &self.series {
-            out.push_str(&format!(" {:>14}", truncate(&s.name, 14)));
-        }
-        out.push('\n');
-        let xs: Vec<f64> = {
-            let mut v: Vec<f64> = self
-                .series
-                .iter()
-                .flat_map(|s| s.points.iter().map(|&(x, _)| x))
-                .collect();
-            v.sort_by(f64::total_cmp);
-            v.dedup();
-            v
-        };
-        for x in xs {
-            out.push_str(&format!("{x:>12.3}"));
-            for s in &self.series {
-                match s
-                    .points
-                    .iter()
-                    .find(|&&(px, _)| px.to_bits() == x.to_bits())
-                {
-                    Some(&(_, y)) => out.push_str(&format!(" {y:>14.4}")),
-                    None => out.push_str(&format!(" {:>14}", "-")),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn truncate(s: &str, n: usize) -> &str {
@@ -169,15 +133,5 @@ mod tests {
         assert!(lines[0].contains("up") && lines[0].contains("down"));
         // Middle row: x=0.5, both curves at 0.5.
         assert!(lines[2].matches("0.5000").count() == 2, "{}", lines[2]);
-    }
-
-    #[test]
-    fn rows_render_marks_missing_points() {
-        let mut t = Table::new("N");
-        t.push(Series::new("a", vec![(3.0, 1.0), (4.0, 2.0)]));
-        t.push(Series::new("b", vec![(3.0, 5.0)]));
-        let text = t.render_rows();
-        assert!(text.contains('-'), "{text}");
-        assert_eq!(text.lines().count(), 3);
     }
 }

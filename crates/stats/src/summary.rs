@@ -44,19 +44,6 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
 
-/// Jain's fairness index: `(Σx)² / (n·Σx²)` — 1.0 is perfectly fair,
-/// `1/n` is a single winner. Used to compare per-sender throughput shares
-/// (Fig 18's concern in a single number).
-pub fn jain_index(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "Jain index of empty slice");
-    let sum: f64 = xs.iter().sum();
-    let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sum_sq <= 0.0 {
-        return 1.0; // all-zero allocations are (vacuously) fair
-    }
-    sum * sum / (xs.len() as f64 * sum_sq)
-}
-
 /// A one-shot summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -165,15 +152,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn jain_index_bounds_and_extremes() {
-        assert!((jain_index(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
-        let single = jain_index(&[10.0, 0.0, 0.0, 0.0]);
-        assert!((single - 0.25).abs() < 1e-12);
-        let mixed = jain_index(&[4.0, 2.0]);
-        assert!((0.5..1.0).contains(&mixed));
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
     }
 }

@@ -1,193 +1,11 @@
-//! 802.11 DCF baseline frames.
+//! 802.11 DCF baseline frame layout constant.
 //!
 //! The paper compares CMAP against "the status quo": 802.11 with carrier
 //! sense and stop-and-wait link-layer ACKs (and against variants with
-//! carrier sense and/or ACKs disabled). These are the frames that baseline
-//! puts on the air. The layouts are simplified 802.11 (we don't model the
-//! full three-address header) but keep the fields the MAC logic actually
-//! uses — including the NAV `duration` field that protects the SIFS+ACK
-//! exchange — and the real 14-byte ACK length.
+//! carrier sense and/or ACKs disabled). The layouts are simplified 802.11
+//! (we don't model the full three-address header) but keep the fields the
+//! MAC logic actually uses — including the NAV `duration` field that
+//! protects the SIFS+ACK exchange — and the real 14-byte ACK length.
 
-use crate::addr::MacAddr;
-use crate::cursor::{Reader, Writer};
-use crate::frame::{Frame, FrameKind, WireError};
-
-/// 802.11 baseline unicast data frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Data {
-    /// Transmitter address.
-    pub src: MacAddr,
-    /// Receiver address.
-    pub dst: MacAddr,
-    /// MAC sequence number (for duplicate detection on retransmissions,
-    /// mirroring the 802.11 sequence-control field).
-    pub seq: u16,
-    /// Retry flag: set on retransmissions.
-    pub retry: bool,
-    /// NAV duration in nanoseconds: time the medium remains reserved after
-    /// this frame ends (SIFS + ACK for unicast data).
-    pub duration_ns: u32,
-    /// Higher-layer flow identifier.
-    pub flow: u16,
-    /// End-to-end sequence number within the flow.
-    pub flow_seq: u32,
-    /// Application payload.
-    pub payload: Vec<u8>,
-}
-
-impl Data {
-    /// Fixed overhead: tag 1 + src 6 + dst 6 + seq 2 + retry 1 + dur 4 +
-    /// flow 2 + flow_seq 4 + len 2 + CRC 4.
-    pub const OVERHEAD: usize = 32;
-
-    /// Serialised length in bytes.
-    pub fn wire_len(&self) -> usize {
-        Self::OVERHEAD + self.payload.len()
-    }
-
-    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<Data, WireError> {
-        let src = r.mac()?;
-        let dst = r.mac()?;
-        let seq = r.u16()?;
-        let retry = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed),
-        };
-        let duration_ns = r.u32()?;
-        let flow = r.u16()?;
-        let flow_seq = r.u32()?;
-        let len = r.u16()? as usize;
-        let payload = r.take(len)?.to_vec();
-        Ok(Data {
-            src,
-            dst,
-            seq,
-            retry,
-            duration_ns,
-            flow,
-            flow_seq,
-            payload,
-        })
-    }
-
-    pub(crate) fn emit(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(self.wire_len());
-        w.u8(FrameKind::Dot11Data as u8);
-        w.mac(self.src);
-        w.mac(self.dst);
-        w.u16(self.seq);
-        w.u8(u8::from(self.retry));
-        w.u32(self.duration_ns);
-        w.u16(self.flow);
-        w.u32(self.flow_seq);
-        w.u16(self.payload.len() as u16);
-        w.bytes(&self.payload);
-        w.finish_with_crc()
-    }
-}
-
-/// 802.11 ACK control frame: receiver address only, padded to the real
-/// 14-byte control-frame length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ack {
-    /// The station being acknowledged (the data frame's transmitter).
-    pub dst: MacAddr,
-}
-
-impl Ack {
-    /// 14 bytes like a real 802.11 ACK: tag 1 + dst 6 + pad 3 + CRC 4.
-    pub const WIRE_LEN: usize = 14;
-    const PAD: [u8; 3] = [0; 3];
-
-    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<Ack, WireError> {
-        let dst = r.mac()?;
-        if r.take(Self::PAD.len())? != Self::PAD {
-            return Err(WireError::Malformed);
-        }
-        Ok(Ack { dst })
-    }
-
-    pub(crate) fn emit(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(Self::WIRE_LEN);
-        w.u8(FrameKind::Dot11Ack as u8);
-        w.mac(self.dst);
-        w.bytes(&Self::PAD);
-        w.finish_with_crc()
-    }
-}
-
-impl From<Data> for Frame {
-    fn from(d: Data) -> Frame {
-        Frame::Dot11Data(d)
-    }
-}
-
-impl From<Ack> for Frame {
-    fn from(a: Ack) -> Frame {
-        Frame::Dot11Ack(a)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn addr(i: u16) -> MacAddr {
-        MacAddr::from_node_index(i)
-    }
-
-    #[test]
-    fn data_roundtrip() {
-        let d = Data {
-            src: addr(1),
-            dst: addr(2),
-            seq: 4095,
-            retry: true,
-            duration_ns: 55_000,
-            flow: 1,
-            flow_seq: 777,
-            payload: vec![0xAA; 1400],
-        };
-        let frame = Frame::Dot11Data(d.clone());
-        let bytes = frame.emit();
-        assert_eq!(bytes.len(), d.wire_len());
-        assert_eq!(bytes.len(), 1400 + Data::OVERHEAD);
-        assert_eq!(Frame::parse(&bytes).unwrap(), frame);
-    }
-
-    #[test]
-    fn ack_is_14_bytes() {
-        let a = Ack { dst: addr(1) };
-        let bytes = Frame::Dot11Ack(a).emit();
-        assert_eq!(bytes.len(), Ack::WIRE_LEN);
-        assert_eq!(Frame::parse(&bytes).unwrap(), Frame::Dot11Ack(a));
-    }
-
-    #[test]
-    fn ack_has_no_src() {
-        let a = Frame::Dot11Ack(Ack { dst: addr(1) });
-        assert_eq!(a.src(), None);
-        assert_eq!(a.dst(), addr(1));
-    }
-
-    #[test]
-    fn bad_retry_flag_rejected() {
-        let d = Data {
-            src: addr(1),
-            dst: addr(2),
-            seq: 0,
-            retry: false,
-            duration_ns: 0,
-            flow: 0,
-            flow_seq: 0,
-            payload: vec![],
-        };
-        let mut bytes = Frame::Dot11Data(d).emit();
-        bytes[15] = 2; // retry byte
-        let body_len = bytes.len() - 4;
-        bytes.truncate(body_len);
-        crate::crc::append_crc(&mut bytes);
-        assert_eq!(Frame::parse(&bytes), Err(WireError::Malformed));
-    }
-}
+/// 14 bytes like a real 802.11 ACK: tag 1 + dst 6 + pad 3 + CRC 4.
+pub const ACK_LEN: usize = 14;

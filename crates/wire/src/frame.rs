@@ -1,15 +1,10 @@
-//! Top-level frame demultiplexing.
+//! The frame tag and the decode error.
 //!
 //! Every frame starts with a one-byte [`FrameKind`] tag and ends with a
-//! CRC-32 over everything before it. [`Frame::parse`] validates the CRC,
-//! dispatches on the tag and returns a typed frame; [`Frame::emit`] is the
-//! exact inverse. `parse(emit(f)) == f` for every representable frame — the
-//! property tests in `tests/wire_roundtrip.rs` pin this down.
-
-use crate::addr::MacAddr;
-use crate::cmap;
-use crate::cursor::Reader;
-use crate::dot11;
+//! CRC-32 over everything before it.
+//! [`FrameView::parse_checked`](crate::view::FrameView::parse_checked)
+//! validates the CRC and dispatches on the tag; the functions of
+//! [`view::compose`](crate::view::compose) are the exact inverse.
 
 /// Decode error for received frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,143 +69,9 @@ impl FrameKind {
     }
 }
 
-/// Any frame the reproduction can put on the air.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// CMAP virtual-packet header (kind tag distinguishes header/trailer).
-    CmapHeader(cmap::HeaderTrailer),
-    /// CMAP virtual-packet trailer.
-    CmapTrailer(cmap::HeaderTrailer),
-    /// CMAP data packet.
-    CmapData(cmap::Data),
-    /// CMAP cumulative ACK.
-    CmapAck(cmap::Ack),
-    /// CMAP interferer-list broadcast.
-    CmapInterfererList(cmap::InterfererList),
-    /// 802.11 baseline data frame.
-    Dot11Data(dot11::Data),
-    /// 802.11 baseline ACK.
-    Dot11Ack(dot11::Ack),
-}
-
-impl Frame {
-    /// Parse a frame from raw received bytes, validating the trailing CRC.
-    pub fn parse(buf: &[u8]) -> Result<Frame, WireError> {
-        if buf.len() < 5 {
-            return Err(WireError::Truncated);
-        }
-        if !crate::crc::verify_trailing_crc(buf) {
-            return Err(WireError::BadCrc);
-        }
-        let body = &buf[..buf.len() - 4];
-        let mut r = Reader::new(body);
-        let kind = FrameKind::from_u8(r.u8()?)?;
-        let frame = match kind {
-            FrameKind::CmapHeader => Frame::CmapHeader(cmap::HeaderTrailer::parse_body(&mut r)?),
-            FrameKind::CmapTrailer => Frame::CmapTrailer(cmap::HeaderTrailer::parse_body(&mut r)?),
-            FrameKind::CmapData => Frame::CmapData(cmap::Data::parse_body(&mut r)?),
-            FrameKind::CmapAck => Frame::CmapAck(cmap::Ack::parse_body(&mut r)?),
-            FrameKind::CmapInterfererList => {
-                Frame::CmapInterfererList(cmap::InterfererList::parse_body(&mut r)?)
-            }
-            FrameKind::Dot11Data => Frame::Dot11Data(dot11::Data::parse_body(&mut r)?),
-            FrameKind::Dot11Ack => Frame::Dot11Ack(dot11::Ack::parse_body(&mut r)?),
-        };
-        if r.remaining() != 0 {
-            return Err(WireError::Malformed);
-        }
-        Ok(frame)
-    }
-
-    /// Serialise the frame, appending its CRC-32.
-    pub fn emit(&self) -> Vec<u8> {
-        match self {
-            Frame::CmapHeader(h) => h.emit(FrameKind::CmapHeader),
-            Frame::CmapTrailer(t) => t.emit(FrameKind::CmapTrailer),
-            Frame::CmapData(d) => d.emit(),
-            Frame::CmapAck(a) => a.emit(),
-            Frame::CmapInterfererList(il) => il.emit(),
-            Frame::Dot11Data(d) => d.emit(),
-            Frame::Dot11Ack(a) => a.emit(),
-        }
-    }
-
-    /// The tag of this frame.
-    pub fn kind(&self) -> FrameKind {
-        match self {
-            Frame::CmapHeader(_) => FrameKind::CmapHeader,
-            Frame::CmapTrailer(_) => FrameKind::CmapTrailer,
-            Frame::CmapData(_) => FrameKind::CmapData,
-            Frame::CmapAck(_) => FrameKind::CmapAck,
-            Frame::CmapInterfererList(_) => FrameKind::CmapInterfererList,
-            Frame::Dot11Data(_) => FrameKind::Dot11Data,
-            Frame::Dot11Ack(_) => FrameKind::Dot11Ack,
-        }
-    }
-
-    /// Transmitting station, where the frame carries one.
-    ///
-    /// 802.11 ACKs carry only a receiver address, like the real thing.
-    pub fn src(&self) -> Option<MacAddr> {
-        Some(match self {
-            Frame::CmapHeader(h) | Frame::CmapTrailer(h) => h.src,
-            Frame::CmapData(d) => d.src,
-            Frame::CmapAck(a) => a.src,
-            Frame::CmapInterfererList(il) => il.src,
-            Frame::Dot11Data(d) => d.src,
-            Frame::Dot11Ack(_) => return None,
-        })
-    }
-
-    /// Intended receiver.
-    pub fn dst(&self) -> MacAddr {
-        match self {
-            Frame::CmapHeader(h) | Frame::CmapTrailer(h) => h.dst,
-            Frame::CmapData(d) => d.dst,
-            Frame::CmapAck(a) => a.dst,
-            Frame::CmapInterfererList(_) => MacAddr::BROADCAST,
-            Frame::Dot11Data(d) => d.dst,
-            Frame::Dot11Ack(a) => a.dst,
-        }
-    }
-
-    /// Serialised length in bytes (PSDU length for airtime computation),
-    /// without re-serialising.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            Frame::CmapHeader(_) | Frame::CmapTrailer(_) => cmap::HeaderTrailer::WIRE_LEN,
-            Frame::CmapData(d) => d.wire_len(),
-            Frame::CmapAck(a) => a.wire_len(),
-            Frame::CmapInterfererList(il) => il.wire_len(),
-            Frame::Dot11Data(d) => d.wire_len(),
-            Frame::Dot11Ack(_) => dot11::Ack::WIRE_LEN,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unknown_kind_rejected() {
-        let mut buf = vec![0x7Fu8, 1, 2, 3];
-        crate::crc::append_crc(&mut buf);
-        assert_eq!(Frame::parse(&buf), Err(WireError::UnknownKind(0x7F)));
-    }
-
-    #[test]
-    fn bad_crc_rejected_before_kind() {
-        // Even an unknown kind must first fail on CRC if the CRC is wrong.
-        let buf = vec![0x7Fu8, 1, 2, 3, 0, 0, 0, 0];
-        assert_eq!(Frame::parse(&buf), Err(WireError::BadCrc));
-    }
-
-    #[test]
-    fn tiny_buffers_are_truncated() {
-        assert_eq!(Frame::parse(&[]), Err(WireError::Truncated));
-        assert_eq!(Frame::parse(&[1, 2, 3, 4]), Err(WireError::Truncated));
-    }
 
     #[test]
     fn kind_tags_roundtrip() {

@@ -10,31 +10,33 @@
 //! each an independent PHY frame with its own CRC. Figure 3 of the paper
 //! gives the header/trailer fields — source (6), destination (6), estimated
 //! transmission time (4), sequence number (4), CRC (4) — which
-//! [`cmap::HeaderTrailer`] reproduces, preceded by a one-byte frame tag that
-//! stands in for the Ethertype-style demux a real deployment would use.
+//! [`view::HeaderTrailerView`] reads and [`view::compose::header_trailer`]
+//! writes, preceded by a one-byte frame tag that stands in for the
+//! Ethertype-style demux a real deployment would use.
 //!
-//! Frame inventory:
-//! * [`cmap::HeaderTrailer`] — virtual-packet header/trailer announcement
-//! * [`cmap::Data`] — one data packet inside a virtual packet
-//! * [`cmap::Ack`] — cumulative windowed ACK with per-packet bitmap and the
-//!   receiver-reported loss rate that drives CMAP's backoff (§3.4)
-//! * [`cmap::InterfererList`] — the periodic broadcast that populates defer
+//! Frame inventory (one [`FrameView`] variant and one [`view::compose`]
+//! function each):
+//! * [`view::HeaderTrailerView`] — virtual-packet header/trailer announcement
+//! * [`view::CmapDataView`] — one data packet inside a virtual packet
+//! * [`view::CmapAckView`] — cumulative windowed ACK with per-packet bitmap
+//!   and the receiver-reported loss rate that drives CMAP's backoff (§3.4)
+//! * [`view::CmapIlView`] — the periodic broadcast that populates defer
 //!   tables (§3.1), annotated with bit-rates (§3.5)
-//! * [`dot11::Data`] / [`dot11::Ack`] — the 802.11 DCF baseline's frames
+//! * [`view::Dot11DataView`] / [`view::Dot11AckView`] — the 802.11 DCF
+//!   baseline's frames
 //!
-//! The [`view`] module provides zero-copy typed accessors over raw frame
-//! bytes plus in-place composition into reusable buffers — the hot-path
-//! twins of [`Frame::parse`] / [`Frame::emit`], which remain the reference
-//! implementation.
+//! The [`view`] module is the only codec: zero-copy typed accessors over raw
+//! frame bytes and in-place composition into reusable buffers. [`cmap`] and
+//! [`dot11`] hold the layout constants. The owned `Frame` reader/writer the
+//! tests compare it against lives in `tests/reference/`.
 
 pub mod addr;
 pub mod cmap;
 pub mod crc;
-pub mod cursor;
 pub mod dot11;
 pub mod frame;
 pub mod view;
 
 pub use addr::MacAddr;
-pub use frame::{Frame, FrameKind, WireError};
+pub use frame::{FrameKind, WireError};
 pub use view::FrameView;

@@ -1,10 +1,9 @@
-//! Bounds-checked read/write cursors shared by all frame codecs.
+//! Bounds-checked read/write cursors of the reference codec.
 //!
 //! Parsing never panics: every read is checked and surfaces
-//! [`WireError::Truncated`](crate::frame::WireError) on overrun.
+//! [`WireError::Truncated`] on overrun.
 
-use crate::addr::MacAddr;
-use crate::frame::WireError;
+use cmap_wire::{crc, MacAddr, WireError};
 
 /// A reading cursor over a received frame's bytes.
 pub struct Reader<'a> {
@@ -50,12 +49,6 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("length checked")))
-    }
-
     /// Read a MAC address.
     pub fn mac(&mut self) -> Result<MacAddr, WireError> {
         Ok(MacAddr::from_bytes(self.take(MacAddr::LEN)?))
@@ -90,11 +83,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a MAC address.
     pub fn mac(&mut self, addr: MacAddr) {
         self.buf.extend_from_slice(addr.as_bytes());
@@ -107,43 +95,7 @@ impl Writer {
 
     /// Append the CRC-32 of everything written so far and return the frame.
     pub fn finish_with_crc(mut self) -> Vec<u8> {
-        crate::crc::append_crc(&mut self.buf);
+        crc::append_crc(&mut self.buf);
         self.buf
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_all_widths() {
-        let mut w = Writer::with_capacity(64);
-        w.u8(0xAB);
-        w.u16(0xBEEF);
-        w.u32(0xDEAD_BEEF);
-        w.u64(0x0123_4567_89AB_CDEF);
-        w.mac(MacAddr::from_node_index(3));
-        w.bytes(&[9, 9, 9]);
-        let buf = w.finish_with_crc();
-
-        assert!(crate::crc::verify_trailing_crc(&buf));
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 0xAB);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.mac().unwrap(), MacAddr::from_node_index(3));
-        assert_eq!(r.take(3).unwrap(), &[9, 9, 9]);
-        assert_eq!(r.remaining(), 4); // the CRC
-    }
-
-    #[test]
-    fn truncation_surfaces_as_error() {
-        let mut r = Reader::new(&[1, 2]);
-        assert_eq!(r.u32(), Err(WireError::Truncated));
-        // Failed read consumes nothing.
-        assert_eq!(r.u16().unwrap(), 0x0201);
-        assert_eq!(r.u8(), Err(WireError::Truncated));
     }
 }

@@ -78,5 +78,5 @@ pub mod prelude {
         FaultPlan, Mac, Medium, MediumBuilder, NodeCtx, NodeId, PhyConfig, World, WorldBuilder,
     };
     pub use cmap_topo::{LinkMeasurements, Testbed, TestbedParams};
-    pub use cmap_wire::{Frame, MacAddr};
+    pub use cmap_wire::MacAddr;
 }

@@ -73,14 +73,14 @@ fn pool_drains_to_zero_after_churn_and_restore() {
         w.pool_recycled()
     );
     let ckpt = w.checkpoint().expect("checkpoint at mid-run");
-    let live_at_ckpt = w.pool_frames_live();
+    let live_at_ckpt = w.inflight_tx_count();
     let recycled_at_ckpt = w.pool_recycled();
 
     // Phase 2: restore into a fresh world; the counters continue and the
     // restored live set matches the checkpointed one.
     let mut r = build_soak_world(&spec, 21);
     r.restore(&ckpt).expect("restore");
-    assert_eq!(r.pool_frames_live(), live_at_ckpt);
+    assert_eq!(r.inflight_tx_count(), live_at_ckpt);
     assert_eq!(r.pool_recycled(), recycled_at_ckpt);
 
     // Phase 3: soak to the end of the faulted run, then through the
@@ -98,7 +98,7 @@ fn pool_drains_to_zero_after_churn_and_restore() {
     );
     // Quiesced: every claimed slot was released exactly once.
     assert_eq!(
-        r.pool_frames_live(),
+        r.inflight_tx_count(),
         0,
         "live slots remain after quiesce (leak)"
     );
