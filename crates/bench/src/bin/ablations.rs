@@ -7,5 +7,5 @@
 //! message-in-message capture disabled at the PHY.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::Ablations);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

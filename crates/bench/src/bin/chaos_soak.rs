@@ -10,5 +10,5 @@
 //! Exits nonzero on any violation, so CI can gate on it.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::ChaosSoak);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

@@ -3,5 +3,5 @@
 //! packet loss before conflict map entries converge").
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::ConvergenceSweep);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

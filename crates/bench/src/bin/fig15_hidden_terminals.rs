@@ -1,5 +1,5 @@
 //! Fig 15 (§5.5): hidden terminals — CMAP's backoff avoids degradation.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::Fig15);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

@@ -4,5 +4,5 @@
 //! combined `fig17_18_ap` registry entry.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::ApFigure);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,5 +1,5 @@
 //! Fig 19 (§5.6): header-or-trailer reception vs number of concurrent senders.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::Fig19);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,5 +1,5 @@
 //! Fig 20 (§5.8): exposed terminals at 6, 12 and 18 Mbit/s.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::Fig20);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

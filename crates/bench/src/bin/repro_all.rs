@@ -23,20 +23,20 @@
 //! hash-valid are spliced verbatim instead of re-run — the final text and
 //! deterministic JSON come out byte-identical to an uninterrupted run.
 //!
-//! **Supervision.** A panicking figure no longer kills the suite: the
-//! panic is caught, the quarantined cells (from `cmap_exec`'s supervised
-//! pool) are recorded in the suite report's `failures` block, the
-//! remaining figures run to completion, and the exit code is nonzero.
+//! **Supervision.** Every figure goes through `figures::run_figure`, the
+//! run path the per-figure binaries use too, so a panicking figure does not
+//! kill the suite: it comes back as a failed run, its quarantined cells
+//! (from `cmap_exec`'s supervised pool) are recorded in the suite report's
+//! `failures` block, the remaining figures run to completion, and the exit
+//! code is nonzero.
 //!
 //! The suite self-validates: every figure's report must contain its
 //! declared required metrics, and any figure failure makes the run exit
 //! nonzero — CI gates on both.
 
-use std::fmt::Write as _;
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
-use cmap_bench::figures::{registry, report_for, spec_block};
+use cmap_bench::figures::{eprint_failures, run_figure, spec_block, REGISTRY};
 use cmap_bench::Cli;
 use cmap_obs::artifact::{atomic_write, Manifest};
 use cmap_obs::{BerTableBlock, FailedCell, FailureBlock, SuiteReport, TimingBlock};
@@ -160,96 +160,41 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     let mut failed_cells: Vec<FailedCell> = Vec::new();
 
-    for fig in registry() {
-        if !fig.in_repro() {
-            continue;
-        }
-
-        if let Some(saved) = load_completed(&work, &manifest, fig.name()) {
+    for fig in REGISTRY.iter().filter(|f| f.in_repro) {
+        if let Some(saved) = load_completed(&work, &manifest, fig.name) {
             report.push_str(&saved.text);
             suite.push_raw(saved.json);
             eprintln!(
                 "[{}s] {} restored from work dir",
                 t0.elapsed().as_secs(),
-                fig.name()
+                fig.name
             );
             continue;
         }
 
-        let spec = fig.spec(&cli);
-        // cmap-lint: allow(wall-clock) — per-figure wall timing for the report's timing block only
-        let f0 = std::time::Instant::now();
-        // Jobs the figure fans out through the pool get labelled
-        // `<figure>[<index>]`; a panic anywhere in the run is caught so
-        // the remaining figures still execute.
-        cmap_exec::set_job_context(fig.name());
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| fig.run(&cli)));
-        let wall_secs = f0.elapsed().as_secs_f64();
-        let quarantined = cmap_exec::take_quarantined();
-        for q in &quarantined {
-            failed_cells.push(FailedCell {
-                figure: fig.name().to_string(),
-                label: q.label.clone(),
-                attempts: u64::from(q.attempts),
-                error: q.error.clone(),
-            });
-        }
-
-        let out = match run {
-            Ok(out) => out,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&'static str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                if quarantined.is_empty() {
-                    failed_cells.push(FailedCell {
-                        figure: fig.name().to_string(),
-                        label: fig.name().to_string(),
-                        attempts: 1,
-                        error: msg.clone(),
-                    });
-                }
-                failures.push(format!("{} panicked: {msg}", fig.name()));
-                let _ = writeln!(report, "\n### {}\n\nFAIL: panicked: {msg}", fig.title());
-                eprintln!("[{}s] {} FAILED: {msg}", t0.elapsed().as_secs(), fig.name());
-                continue;
-            }
-        };
-
-        let mut section = String::new();
-        let _ = writeln!(section, "\n### {}\n", fig.title());
-        section.push_str(&out.text);
-        for f in &out.failures {
-            let _ = writeln!(section, "FAIL: {f}");
-        }
+        // A panicking figure comes back as a failed run, so the remaining
+        // figures still execute.
+        let run = run_figure(fig, &cli);
+        let section = format!("\n### {}\n\n{}", fig.title, run.text);
         report.push_str(&section);
-        failures.extend(out.failures.iter().cloned());
-
-        let r = report_for(&*fig, &cli, &spec, &out, Some(wall_secs));
-        let mut complete = out.failures.is_empty() && quarantined.is_empty();
-        if let Err(e) = r.validate(fig.required_metrics()) {
-            failures.push(e);
-            complete = false;
-        }
-        if complete {
-            // Only clean, validated figures become resumable artifacts —
-            // a resumed run must re-execute anything that failed.
-            record_figure(
-                &work,
-                &mut manifest,
-                fig.name(),
-                &FigureArtifacts {
+        let failed = !run.failures.is_empty();
+        let outcome = if failed { "FAILED" } else { "done" };
+        eprintln!("[{}s] {} {outcome}", t0.elapsed().as_secs(), fig.name);
+        if let Some(r) = run.report {
+            if !failed && run.cells.is_empty() {
+                // Only clean, validated figures become resumable artifacts —
+                // a resumed run must re-execute anything that failed.
+                let arts = FigureArtifacts {
                     text: section,
                     json: r.to_json(true),
-                },
-            );
+                };
+                record_figure(&work, &mut manifest, fig.name, &arts);
+            }
+            suite.push(r);
         }
-        suite.push(r);
-        eprintln!("[{}s] {} done", t0.elapsed().as_secs(), fig.name());
+        failures.extend(run.failures);
+        failed_cells.extend(run.cells);
     }
-    cmap_exec::set_job_context("");
 
     let supervision = cmap_exec::supervision_stats();
     suite.failures = Some(FailureBlock {
@@ -274,15 +219,7 @@ fn main() {
 
     if !failures.is_empty() {
         eprintln!("suite completed with {} failure(s):", failures.len());
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        for c in &failed_cells {
-            eprintln!(
-                "QUARANTINED: {} {} ({} attempts): {}",
-                c.figure, c.label, c.attempts, c.error
-            );
-        }
+        eprint_failures(&failures, &failed_cells);
         std::process::exit(1);
     }
 }

@@ -8,5 +8,5 @@
 //! (what the CI `scale-sweep` job does).
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::ScaleSweep);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,5 +1,5 @@
 //! §5.1: the testbed's link population.
 
 fn main() {
-    cmap_bench::figures::figure_main(&cmap_bench::figures::TestbedStats);
+    cmap_bench::figures::figure_main(env!("CARGO_BIN_NAME"));
 }

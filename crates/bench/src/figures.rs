@@ -1,18 +1,19 @@
-//! The scenario registry: every figure/table of the evaluation as one
-//! [`Figure`] implementation.
+//! The scenario registry: every figure/table of the evaluation as one row
+//! of [`REGISTRY`].
 //!
-//! A figure owns its parameters (spec scaling, per-N repetition counts),
-//! its run logic, the text it prints, and the named metrics it reports —
-//! the per-figure binaries and `repro_all` are both thin iterations over
-//! [`registry`]. Each run yields a [`FigureOutput`] which [`figure_main`]
-//! turns into stdout text plus an optional machine-readable
-//! [`RunReport`] (`--json PATH`).
+//! A [`Figure`] row names the figure, states the paper's claim and the
+//! metric keys its report must carry, and points at two functions: `spec`
+//! (the experiment spec for a command line) and `run` (spec in, text and
+//! named metrics out). [`run_figure`] is the one supervised path a row is
+//! run through; the per-figure binaries ([`figure_main`]) and `repro_all`
+//! both call it and differ only in what they do with the result.
 //!
 //! Figures 17 and 18 share one expensive `ap_sweep` run, so the registry
-//! models them as a single combined entry (`fig17_18_ap`): both binaries
-//! wrap it, and `repro_all` runs the sweep once.
+//! models them as a single combined row (`fig17_18_ap`): both binaries
+//! resolve to it, and `repro_all` runs the sweep once.
 
 use std::fmt::Write as _;
+use std::panic::AssertUnwindSafe;
 
 use cmap_core::CmapConfig;
 use cmap_experiments::exposed::Curve;
@@ -20,14 +21,14 @@ use cmap_experiments::runner::radio_env;
 use cmap_experiments::{
     ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol, Spec,
 };
-use cmap_obs::{MetricValue, RunReport, SpecBlock, TimingBlock};
+use cmap_obs::{FailedCell, MetricValue, RunReport, SpecBlock, TimingBlock};
 use cmap_phy::Rate;
-use cmap_sim::time::secs;
+use cmap_sim::time::{millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
-use cmap_stats::{std_dev, Cdf};
+use cmap_stats::{mean, std_dev, Cdf};
 use cmap_topo::{LinkMeasurements, Testbed};
 
-use crate::{banner, mean, median_of, medians_line, render_cdfs, Cli, Effort};
+use crate::{banner, median_of, medians_line, render_cdfs, Cli, Effort};
 
 /// What one figure run produced: printable text, named metrics, and (for
 /// gating figures like the chaos soak) hard failures.
@@ -44,10 +45,6 @@ pub struct FigureOutput {
 }
 
 impl FigureOutput {
-    fn new() -> FigureOutput {
-        FigureOutput::default()
-    }
-
     fn line(&mut self, s: impl AsRef<str>) {
         self.text.push_str(s.as_ref());
         self.text.push('\n');
@@ -59,46 +56,211 @@ impl FigureOutput {
 }
 
 /// One registered figure/experiment of the evaluation.
-pub trait Figure {
-    /// Registry name; matches the wrapping binary (e.g. `fig12_exposed`).
-    fn name(&self) -> &'static str;
+pub struct Figure {
+    /// Registry name; the wrapping binary's name, except for the combined
+    /// `fig17_18_ap`.
+    pub name: &'static str,
     /// Banner heading.
-    fn title(&self) -> &'static str;
+    pub title: &'static str,
     /// The paper's claim, printed under the banner.
-    fn paper_claim(&self) -> &'static str;
-    /// The experiment spec this figure runs under.
-    fn spec(&self, cli: &Cli) -> Spec;
-    /// Metric keys every report of this figure must contain.
-    fn required_metrics(&self) -> &'static [&'static str];
+    pub paper_claim: &'static str,
+    /// Metric keys every report of this figure must contain: at least the
+    /// numbers EXPERIMENTS.md's paper-vs-measured rows quote.
+    pub required_metrics: &'static [&'static str],
     /// Whether `repro_all` includes this figure in its suite run. Gating
-    /// and extension experiments (chaos soak, ablations, convergence
-    /// sweep) keep their own binaries instead.
-    fn in_repro(&self) -> bool {
-        true
-    }
-    /// Run the figure.
-    fn run(&self, cli: &Cli) -> FigureOutput;
+    /// and extension experiments (chaos soak, ablations, the two sweeps)
+    /// keep their own binaries instead.
+    pub in_repro: bool,
+    /// The experiment spec this figure runs under.
+    pub spec: fn(&Cli) -> Spec,
+    /// Run the figure under the spec `spec` returned for the same `cli`.
+    pub run: fn(&Cli, &Spec) -> FigureOutput,
 }
 
 /// Every registered figure, in suite order.
-pub fn registry() -> Vec<Box<dyn Figure>> {
-    vec![
-        Box::new(Calib),
-        Box::new(Fig12),
-        Box::new(Fig13),
-        Box::new(Fig14),
-        Box::new(Fig15),
-        Box::new(Fig16),
-        Box::new(ApFigure),
-        Box::new(Fig19),
-        Box::new(Fig20),
-        Box::new(Mesh),
-        Box::new(TestbedStats),
-        Box::new(ConvergenceSweep),
-        Box::new(Ablations),
-        Box::new(ChaosSoak),
-        Box::new(ScaleSweep),
-    ]
+pub static REGISTRY: [Figure; 15] = [
+    Figure {
+        name: "calib_single_link",
+        title: "§4.2 — single-link calibration",
+        paper_claim: "CMAP 5.04 Mbit/s vs 802.11 5.07 Mbit/s at the 6 Mbit/s rate",
+        required_metrics: &["cmap_mbps", "dot11_mbps", "ratio"],
+        in_repro: true,
+        spec: |cli| cli.spec(1),
+        run: calib,
+    },
+    Figure {
+        name: "fig12_exposed",
+        title: "Fig 12 — exposed terminals",
+        paper_claim: "CMAP ~2x over CS; ~15% of pairs not truly exposed; win=1 only ~1.5x",
+        required_metrics: &["median_cs_mbps", "median_cmap_mbps", "gain_cmap_vs_cs"],
+        in_repro: true,
+        spec: |cli| cli.spec(50),
+        run: fig12,
+    },
+    Figure {
+        name: "fig13_in_range",
+        title: "Fig 13 — two senders in range of each other",
+        paper_claim: "CMAP tracks CS-on where pairs conflict (~15%) and CS-off where \
+                      concurrent wins (~18% tail)",
+        required_metrics: &["median_cs_mbps", "median_cmap_mbps"],
+        in_repro: true,
+        spec: |cli| cli.spec(50),
+        run: fig13,
+    },
+    Figure {
+        name: "fig14_hidden_interferers",
+        title: "Fig 14 — hidden interferers",
+        paper_claim: "~8% of (link, interferer) samples in the hidden quadrant; expected CMAP \
+                      normalised throughput ~0.90",
+        required_metrics: &["hidden_fraction", "expected_cmap"],
+        in_repro: true,
+        spec: fig14_spec,
+        run: fig14,
+    },
+    Figure {
+        name: "fig15_hidden_terminals",
+        title: "Fig 15 — two senders out of range (hidden terminals)",
+        paper_claim: "CMAP comparable to the status quo; little mass above the single-pair rate",
+        required_metrics: &["median_cs_mbps", "median_cmap_mbps", "ratio"],
+        in_repro: true,
+        spec: |cli| cli.spec(50),
+        run: fig15,
+    },
+    Figure {
+        name: "fig16_header_trailer",
+        title: "Fig 16 — probability of receiving header and/or trailer",
+        paper_claim: "header-or-trailer beats header-only; the gap is largest out of range; in \
+                      range the either-rate is ~1",
+        required_metrics: &["mean_in_range_either", "mean_oor_either"],
+        in_repro: true,
+        spec: |cli| cli.spec(25),
+        run: fig16,
+    },
+    Figure {
+        name: "fig17_18_ap",
+        title: "Figs 17/18 — N APs and N clients: aggregate and per-sender throughput",
+        paper_claim: "CMAP +21% (N=3) to +47% (N=4) over CS-on; median per-sender throughput \
+                      1.8x (2.5 -> 4.6 Mbit/s)",
+        required_metrics: &[
+            "median_cs_mbps",
+            "median_cmap_mbps",
+            "median_gain",
+            "n3_gain",
+            "n4_gain",
+            "n5_gain",
+            "n6_gain",
+        ],
+        in_repro: true,
+        spec: |cli| cli.spec(10),
+        run: fig17_18_ap,
+    },
+    Figure {
+        name: "fig19_hdr_vs_senders",
+        title: "Fig 19 — header-or-trailer reception vs concurrent senders",
+        paper_claim: "median stays high as concurrency grows; the 10th percentile drops sharply",
+        required_metrics: &["rows"],
+        in_repro: true,
+        spec: |cli| cli.spec(10),
+        run: fig19,
+    },
+    Figure {
+        name: "fig20_bitrates",
+        title: "Fig 20 — exposed terminals at higher bit-rates",
+        paper_claim: "CMAP keeps its gains at 12 and 18 Mbit/s; opportunities shrink as the \
+                      SINR requirement grows",
+        required_metrics: &[
+            "at6_cs_mbps",
+            "at6_cmap_mbps",
+            "at6_gain",
+            "at12_gain",
+            "at18_gain",
+        ],
+        in_repro: true,
+        spec: |cli| cli.spec(25),
+        run: fig20,
+    },
+    Figure {
+        name: "mesh_dissemination",
+        title: "§5.7 — two-hop content dissemination mesh (S -> A1..A3 -> B1..B3)",
+        paper_claim: "CMAP +52% aggregate leaf throughput over CS-on across 10 topologies",
+        required_metrics: &["cs_mbps", "cmap_mbps", "gain"],
+        in_repro: true,
+        spec: |cli| cli.spec(10),
+        run: mesh_dissemination,
+    },
+    Figure {
+        name: "testbed_stats",
+        title: "§5.1 — testbed link population",
+        paper_claim: "2162 connected pairs; 68% PRR<0.1, 12% intermediate, 20% PRR=1; mean \
+                      degree 15.2, median 17",
+        required_metrics: &["connected_pairs", "mean_degree"],
+        in_repro: true,
+        spec: |cli| Spec {
+            testbed_seed: cli.seed,
+            ..Spec::default()
+        },
+        run: testbed_stats,
+    },
+    Figure {
+        name: "convergence_sweep",
+        title: "Convergence sweep (extension)",
+        paper_claim: "the paper notes transient loss before convergence but does not quantify it",
+        required_metrics: &["p1000_conv_rate"],
+        in_repro: false,
+        spec: |cli| cli.spec(10),
+        run: convergence_sweep,
+    },
+    Figure {
+        name: "ablations",
+        title: "Ablations — CMAP design choices on exposed/conflicting/hidden micro-topologies",
+        paper_claim: "each mechanism (sliding window, trailers, backoff, IL-in-ACKs, MIM \
+                      capture) earns its keep",
+        required_metrics: &["cmap_full_exposed_mbps"],
+        in_repro: false,
+        spec: ablations_spec,
+        run: ablations,
+    },
+    Figure {
+        name: "chaos_soak",
+        title: "Chaos soak — fault plans × seeds, exposed-terminal topology",
+        paper_claim: "graceful degradation: no panics, no watchdog violations, goodput within \
+                      stated bounds of DCF",
+        required_metrics: &["failures"],
+        in_repro: false,
+        spec: chaos_soak_spec,
+        run: chaos_soak,
+    },
+    Figure {
+        name: "scale_sweep",
+        title: "Scale sweep — city-scale sparse medium vs node count",
+        paper_claim: "extension: sparse spatial medium sustains 10k+ node cities with a \
+                      recorded interference error bound",
+        required_metrics: &["scale.cells", "scale.error_bound_db_max"],
+        in_repro: false,
+        spec: scale_sweep_spec,
+        run: scale_sweep,
+    },
+];
+
+/// The registry row a binary of this crate wraps: the row of the same
+/// name, or the combined AP row for the Fig 17 and Fig 18 binaries.
+fn figure_for_bin(bin: &str) -> Option<&'static Figure> {
+    let name = match bin {
+        "fig17_ap_aggregate" | "fig18_ap_per_sender" => "fig17_18_ap",
+        other => other,
+    };
+    REGISTRY.iter().find(|f| f.name == name)
+}
+
+/// The spec of a figure that runs on its own micro-topology or analysis
+/// rather than the testbed sweep [`Cli::spec`] scales.
+fn micro_spec(cli: &Cli, duration: u64, configs: usize) -> Spec {
+    Spec {
+        testbed_seed: cli.seed,
+        duration,
+        configs,
+        ..Spec::default()
+    }
 }
 
 /// The report's spec block for a figure run.
@@ -114,14 +276,14 @@ pub fn spec_block(cli: &Cli, spec: &Spec) -> SpecBlock {
 }
 
 /// Assemble a [`RunReport`] from one figure run.
-pub fn report_for(
-    fig: &dyn Figure,
+fn report_for(
+    fig: &Figure,
     cli: &Cli,
     spec: &Spec,
     out: &FigureOutput,
     wall_secs: Option<f64>,
 ) -> RunReport {
-    let mut r = RunReport::new(fig.name(), fig.title(), spec_block(cli, spec));
+    let mut r = RunReport::new(fig.name, fig.title, spec_block(cli, spec));
     for (k, v) in &out.metrics {
         r.metric(k, v.clone());
     }
@@ -129,33 +291,118 @@ pub fn report_for(
     r
 }
 
-/// The shared `main` of every per-figure binary: parse, banner, run,
-/// print, optionally write the `--json` report, exit nonzero on failures.
-pub fn figure_main(fig: &dyn Figure) {
-    let cli = Cli::parse();
-    let spec = fig.spec(&cli);
-    banner(fig.title(), fig.paper_claim(), &spec);
-    // cmap-lint: allow(wall-clock) — harness-shell timing of the figure run; never feeds simulation state
+/// What [`run_figure`] hands back to the binary that called it.
+pub struct FigureRun {
+    /// The spec the figure ran under.
+    pub spec: Spec,
+    /// The figure's text body followed by one `FAIL:` line per invariant
+    /// violation — or, if the run panicked, the `FAIL: panicked:` line alone.
+    pub text: String,
+    /// The validated-or-not report; `None` when the run panicked.
+    pub report: Option<RunReport>,
+    /// Everything that makes the caller exit nonzero: the figure's own
+    /// invariant violations, a panic, a required metric missing from the
+    /// report.
+    pub failures: Vec<String>,
+    /// The cells `cmap_exec` quarantined during the run, or the figure
+    /// itself when it panicked outside the pool.
+    pub cells: Vec<FailedCell>,
+}
+
+/// Print the failure summary both kinds of binary end with on stderr.
+pub fn eprint_failures(failures: &[String], cells: &[FailedCell]) {
+    for f in failures {
+        eprintln!("FAIL: {f}");
+    }
+    for c in cells {
+        eprintln!(
+            "QUARANTINED: {} {} ({} attempts): {}",
+            c.figure, c.label, c.attempts, c.error
+        );
+    }
+}
+
+/// Run one figure under supervision: the one path from a registry row to
+/// its text, report and failures. Jobs the figure fans out through the
+/// pool get labelled `<figure>[<index>]`; a panic anywhere in the run is
+/// caught and reported, so the caller decides what still runs.
+pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
+    let spec = (fig.spec)(cli);
+    cmap_exec::set_job_context(fig.name);
+    // cmap-lint: allow(wall-clock) — harness-shell timing of the figure run, for the report's timing block only
     let t0 = std::time::Instant::now();
-    let out = fig.run(&cli);
+    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| (fig.run)(cli, &spec)));
     let wall_secs = t0.elapsed().as_secs_f64();
-    print!("{}", out.text);
-    for f in &out.failures {
-        println!("FAIL: {f}");
+    cmap_exec::set_job_context("");
+    let mut cells: Vec<FailedCell> = cmap_exec::take_quarantined()
+        .into_iter()
+        .map(|q| FailedCell {
+            figure: fig.name.to_string(),
+            label: q.label,
+            attempts: u64::from(q.attempts),
+            error: q.error,
+        })
+        .collect();
+    let out = match caught {
+        Ok(out) => out,
+        Err(payload) => {
+            let msg = cmap_exec::panic_message(&*payload);
+            if cells.is_empty() {
+                cells.push(FailedCell {
+                    figure: fig.name.to_string(),
+                    label: fig.name.to_string(),
+                    attempts: 1,
+                    error: msg.clone(),
+                });
+            }
+            return FigureRun {
+                spec,
+                text: format!("FAIL: panicked: {msg}\n"),
+                report: None,
+                failures: vec![format!("{} panicked: {msg}", fig.name)],
+                cells,
+            };
+        }
+    };
+    let report = report_for(fig, cli, &spec, &out, Some(wall_secs));
+    let FigureOutput {
+        mut text,
+        mut failures,
+        ..
+    } = out;
+    for f in &failures {
+        let _ = writeln!(text, "FAIL: {f}");
     }
-    let report = report_for(fig, &cli, &spec, &out, Some(wall_secs));
-    if let Err(e) = report.validate(fig.required_metrics()) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    if let Err(e) = report.validate(fig.required_metrics) {
+        failures.push(e);
     }
-    if let Some(path) = &cli.json {
+    FigureRun {
+        spec,
+        text,
+        report: Some(report),
+        failures,
+        cells,
+    }
+}
+
+/// The shared `main` of every per-figure binary, called with its own
+/// `CARGO_BIN_NAME`: parse, run, print banner and text, optionally write
+/// the `--json` report, exit nonzero on failures.
+pub fn figure_main(bin: &str) {
+    let fig = figure_for_bin(bin).unwrap_or_else(|| panic!("no registry row for binary {bin}"));
+    let cli = Cli::parse_figure();
+    let run = run_figure(fig, &cli);
+    banner(fig.title, fig.paper_claim, &run.spec);
+    print!("{}", run.text);
+    if let (Some(path), Some(report)) = (&cli.json, &run.report) {
         if let Err(e) = cmap_obs::atomic_write(path, report.to_json(true).as_bytes()) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
         }
         eprintln!("report written to {path}");
     }
-    if !out.failures.is_empty() {
+    if !run.failures.is_empty() {
+        eprint_failures(&run.failures, &run.cells);
         std::process::exit(1);
     }
 }
@@ -177,682 +424,378 @@ fn slug(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// §4.2 calibration
-// ---------------------------------------------------------------------------
-
 /// §4.2 single-link calibration.
-pub struct Calib;
-
-impl Figure for Calib {
-    fn name(&self) -> &'static str {
-        "calib_single_link"
-    }
-    fn title(&self) -> &'static str {
-        "§4.2 — single-link calibration"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP 5.04 Mbit/s vs 802.11 5.07 Mbit/s at the 6 Mbit/s rate"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(1)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["cmap_mbps", "dot11_mbps"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let c = calibration::single_link(&spec);
-        let mut out = FigureOutput::new();
-        out.line(format!(
-            "link {} -> {}: CMAP {:.2} Mbit/s | 802.11 (CS, acks) {:.2} Mbit/s | ratio {:.3}",
-            c.link.0,
-            c.link.1,
-            c.cmap_mbps,
-            c.dot11_mbps,
-            c.cmap_mbps / c.dot11_mbps
-        ));
-        out.metric("cmap_mbps", c.cmap_mbps);
-        out.metric("dot11_mbps", c.dot11_mbps);
-        out.metric("ratio", c.cmap_mbps / c.dot11_mbps);
-        out
-    }
+fn calib(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let c = calibration::single_link(spec);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "link {} -> {}: CMAP {:.2} Mbit/s | 802.11 (CS, acks) {:.2} Mbit/s | ratio {:.3}",
+        c.link.0,
+        c.link.1,
+        c.cmap_mbps,
+        c.dot11_mbps,
+        c.cmap_mbps / c.dot11_mbps
+    ));
+    out.metric("cmap_mbps", c.cmap_mbps);
+    out.metric("dot11_mbps", c.dot11_mbps);
+    out.metric("ratio", c.cmap_mbps / c.dot11_mbps);
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Fig 12 — exposed terminals
-// ---------------------------------------------------------------------------
 
 /// Fig 12 (§5.2): exposed terminals — CMAP's headline 2x gain.
-pub struct Fig12;
-
-impl Figure for Fig12 {
-    fn name(&self) -> &'static str {
-        "fig12_exposed"
-    }
-    fn title(&self) -> &'static str {
-        "Fig 12 — exposed terminals"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP ~2x over CS; ~15% of pairs not truly exposed; win=1 only ~1.5x"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(50)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["median_cs_mbps", "median_cmap_mbps", "gain_cmap_vs_cs"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let curves = exposed::fig12(&spec);
-        let cs = median_of(&curves, "CS, acks");
-        let cmap = median_of(&curves, "CMAP");
-        let win1 = median_of(&curves, "CMAP, win=1");
-        let blast = median_of(&curves, "CS off, no acks");
-        let mut out = FigureOutput::new();
-        out.line(medians_line(&curves));
-        out.line(format!(
-            "median gain: CMAP/CS = {:.2}x (paper ~2x), win1/CS = {:.2}x (paper ~1.5x)",
-            cmap / cs,
-            win1 / cs
-        ));
-        out.line("");
-        out.text
-            .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
-        out.metric("median_cs_mbps", cs);
-        out.metric("median_cmap_mbps", cmap);
-        out.metric("median_win1_mbps", win1);
-        out.metric("median_blast_mbps", blast);
-        out.metric("gain_cmap_vs_cs", cmap / cs);
-        out.metric("gain_win1_vs_cs", win1 / cs);
-        out
-    }
+fn fig12(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = exposed::fig12(spec);
+    let cs = median_of(&curves, "CS, acks");
+    let cmap = median_of(&curves, "CMAP");
+    let win1 = median_of(&curves, "CMAP, win=1");
+    let blast = median_of(&curves, "CS off, no acks");
+    let mut out = FigureOutput::default();
+    out.line(medians_line(&curves));
+    out.line(format!(
+        "median gain: CMAP/CS = {:.2}x (paper ~2x), win1/CS = {:.2}x (paper ~1.5x)",
+        cmap / cs,
+        win1 / cs
+    ));
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out.metric("median_win1_mbps", win1);
+    out.metric("median_blast_mbps", blast);
+    out.metric("gain_cmap_vs_cs", cmap / cs);
+    out.metric("gain_win1_vs_cs", win1 / cs);
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Fig 13 — two senders in range
-// ---------------------------------------------------------------------------
 
 /// Fig 13 (§5.3): two senders in range — CMAP discriminates.
-pub struct Fig13;
-
-impl Figure for Fig13 {
-    fn name(&self) -> &'static str {
-        "fig13_in_range"
-    }
-    fn title(&self) -> &'static str {
-        "Fig 13 — two senders in range of each other"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP tracks CS-on where pairs conflict (~15%) and CS-off where concurrent wins (~18% tail)"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(50)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["median_cs_mbps", "median_cmap_mbps"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let curves = in_range::fig13(&spec);
-        let cs = median_of(&curves, "CS, acks");
-        let cmap = median_of(&curves, "CMAP");
-        let mut out = FigureOutput::new();
-        out.line(medians_line(&curves));
-        out.line("");
-        out.text
-            .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
-        out.metric("median_cs_mbps", cs);
-        out.metric("median_cmap_mbps", cmap);
-        out
-    }
+fn fig13(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = in_range::fig13(spec);
+    let cs = median_of(&curves, "CS, acks");
+    let cmap = median_of(&curves, "CMAP");
+    let mut out = FigureOutput::default();
+    out.line(medians_line(&curves));
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out
 }
 
-// ---------------------------------------------------------------------------
-// Fig 14 — hidden interferers
-// ---------------------------------------------------------------------------
+fn fig14_spec(cli: &Cli) -> Spec {
+    let mut spec = cli.spec(200);
+    if cli.effort == Effort::Full {
+        spec.configs = cli.runs.unwrap_or(500); // the paper's 500 triples
+    }
+    spec
+}
 
 /// Fig 14 (§5.4): hidden-interferer scatter and the 0.896 expectation.
-pub struct Fig14;
-
-impl Figure for Fig14 {
-    fn name(&self) -> &'static str {
-        "fig14_hidden_interferers"
+fn fig14(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let o = hidden::fig14(spec);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "hidden-interferer fraction: {:.3} (paper ~0.08)",
+        o.hidden_fraction
+    ));
+    out.line(format!(
+        "expected CMAP normalised throughput: {:.3} (paper 0.896)",
+        o.expected_cmap
+    ));
+    out.line("");
+    out.line(format!("{:>10} {:>12}", "min PRR", "norm tput"));
+    for p in &o.points {
+        out.line(format!("{:>10.3} {:>12.3}", p.min_prr, p.normalized));
     }
-    fn title(&self) -> &'static str {
-        "Fig 14 — hidden interferers"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "~8% of (link, interferer) samples in the hidden quadrant; expected CMAP normalised throughput ~0.90"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        let mut spec = cli.spec(200);
-        if cli.effort == Effort::Full {
-            spec.configs = cli.runs.unwrap_or(500); // the paper's 500 triples
-        }
-        spec
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["hidden_fraction", "expected_cmap"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let o = hidden::fig14(&spec);
-        let mut out = FigureOutput::new();
-        out.line(format!(
-            "hidden-interferer fraction: {:.3} (paper ~0.08)",
-            o.hidden_fraction
-        ));
-        out.line(format!(
-            "expected CMAP normalised throughput: {:.3} (paper 0.896)",
-            o.expected_cmap
-        ));
-        out.line("");
-        out.line(format!("{:>10} {:>12}", "min PRR", "norm tput"));
-        for p in &o.points {
-            out.line(format!("{:>10.3} {:>12.3}", p.min_prr, p.normalized));
-        }
-        out.metric("hidden_fraction", o.hidden_fraction);
-        out.metric("expected_cmap", o.expected_cmap);
-        out.metric("samples", o.points.len());
-        out
-    }
+    out.metric("hidden_fraction", o.hidden_fraction);
+    out.metric("expected_cmap", o.expected_cmap);
+    out.metric("samples", o.points.len());
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Fig 15 — hidden terminals
-// ---------------------------------------------------------------------------
 
 /// Fig 15 (§5.5): hidden terminals — CMAP's backoff avoids degradation.
-pub struct Fig15;
-
-impl Figure for Fig15 {
-    fn name(&self) -> &'static str {
-        "fig15_hidden_terminals"
-    }
-    fn title(&self) -> &'static str {
-        "Fig 15 — two senders out of range (hidden terminals)"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP comparable to the status quo; little mass above the single-pair rate"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(50)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["median_cs_mbps", "median_cmap_mbps"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let curves = hidden::fig15(&spec);
-        let cs = median_of(&curves, "CS, acks");
-        let cmap = median_of(&curves, "CMAP");
-        let mut out = FigureOutput::new();
-        out.line(medians_line(&curves));
-        out.line(format!(
-            "CMAP/CS median ratio: {:.2} (paper ~1.0)",
-            cmap / cs
-        ));
-        out.line("");
-        out.text
-            .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
-        out.metric("median_cs_mbps", cs);
-        out.metric("median_cmap_mbps", cmap);
-        out.metric("ratio", cmap / cs);
-        out
-    }
+fn fig15(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = hidden::fig15(spec);
+    let cs = median_of(&curves, "CS, acks");
+    let cmap = median_of(&curves, "CMAP");
+    let mut out = FigureOutput::default();
+    out.line(medians_line(&curves));
+    out.line(format!(
+        "CMAP/CS median ratio: {:.2} (paper ~1.0)",
+        cmap / cs
+    ));
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out.metric("ratio", cmap / cs);
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Fig 16 — header/trailer reception
-// ---------------------------------------------------------------------------
 
 /// Fig 16 (§5.5): header-or-trailer vs header-only reception per vpkt.
-pub struct Fig16;
-
-impl Figure for Fig16 {
-    fn name(&self) -> &'static str {
-        "fig16_header_trailer"
+fn fig16(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let o = header_trailer::fig16(spec);
+    let curves = vec![
+        Curve {
+            label: "In-range, header".into(),
+            samples: o.in_range_header,
+        },
+        Curve {
+            label: "In-range, hdr/trl".into(),
+            samples: o.in_range_either,
+        },
+        Curve {
+            label: "OoR, header".into(),
+            samples: o.out_of_range_header,
+        },
+        Curve {
+            label: "OoR, hdr/trl".into(),
+            samples: o.out_of_range_either,
+        },
+    ];
+    let mut out = FigureOutput::default();
+    for c in &curves {
+        out.line(format!("{}: mean {:.3}", c.label, mean(&c.samples)));
     }
-    fn title(&self) -> &'static str {
-        "Fig 16 — probability of receiving header and/or trailer"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "header-or-trailer beats header-only; the gap is largest out of range; in range the either-rate is ~1"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(25)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["mean_in_range_either", "mean_oor_either"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let o = header_trailer::fig16(&spec);
-        let curves = vec![
-            Curve {
-                label: "In-range, header".into(),
-                samples: o.in_range_header,
-            },
-            Curve {
-                label: "In-range, hdr/trl".into(),
-                samples: o.in_range_either,
-            },
-            Curve {
-                label: "OoR, header".into(),
-                samples: o.out_of_range_header,
-            },
-            Curve {
-                label: "OoR, hdr/trl".into(),
-                samples: o.out_of_range_either,
-            },
-        ];
-        let mut out = FigureOutput::new();
-        for c in &curves {
-            out.line(format!("{}: mean {:.3}", c.label, mean(&c.samples)));
-        }
-        out.line("");
-        out.text
-            .push_str(&render_cdfs("rate", &curves, 0.0, 1.0, 21));
-        out.metric("mean_in_range_header", mean(&curves[0].samples));
-        out.metric("mean_in_range_either", mean(&curves[1].samples));
-        out.metric("mean_oor_header", mean(&curves[2].samples));
-        out.metric("mean_oor_either", mean(&curves[3].samples));
-        out
-    }
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("rate", &curves, 0.0, 1.0, 21));
+    out.metric("mean_in_range_header", mean(&curves[0].samples));
+    out.metric("mean_in_range_either", mean(&curves[1].samples));
+    out.metric("mean_oor_header", mean(&curves[2].samples));
+    out.metric("mean_oor_either", mean(&curves[3].samples));
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Fig 17 + 18 — AP topologies (one shared sweep)
-// ---------------------------------------------------------------------------
 
 /// Figs 17+18 (§5.6): N APs and N clients — aggregate and per-sender
 /// throughput from one `ap_sweep` run.
-pub struct ApFigure;
-
-impl ApFigure {
-    fn per_n(cli: &Cli) -> usize {
-        match cli.effort {
-            Effort::Quick => 3,
-            _ => 10, // the paper's 10 experiments per N
+fn fig17_18_ap(cli: &Cli, spec: &Spec) -> FigureOutput {
+    let per_n = match cli.effort {
+        Effort::Quick => 3,
+        _ => 10, // the paper's 10 experiments per N
+    };
+    let o = ap::ap_sweep(spec, 6, per_n);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "{:>4} {:>18} {:>10} {:>8}",
+        "N", "protocol", "mean", "sd"
+    ));
+    for (n, label, samples) in &o.aggregates {
+        out.line(format!(
+            "{n:>4} {label:>18} {:>10.2} {:>8.2}",
+            mean(samples),
+            std_dev(samples)
+        ));
+    }
+    for n in 3..=6 {
+        let get = |l: &str| {
+            o.aggregates
+                .iter()
+                .find(|(on, ol, _)| *on == n && ol == l)
+                .map(|(_, _, s)| mean(s))
+        };
+        if let (Some(cs), Some(cmap)) = (get("CS, acks"), get("CMAP")) {
+            out.line(format!("N={n}: CMAP/CS = {:.2}x", cmap / cs));
+            out.metric(format!("n{n}_cs_mbps"), cs);
+            out.metric(format!("n{n}_cmap_mbps"), cmap);
+            out.metric(format!("n{n}_gain"), cmap / cs);
         }
     }
+    let curves: Vec<Curve> = o
+        .per_sender
+        .iter()
+        .map(|(l, s)| Curve {
+            label: l.clone(),
+            samples: s.clone(),
+        })
+        .collect();
+    out.line("");
+    out.line("per-sender throughput across the AP experiments (Fig 18):");
+    for c in &curves {
+        out.line(format!(
+            "{}: median {:.2} Mbit/s",
+            c.label,
+            Cdf::new(c.samples.clone()).median()
+        ));
+    }
+    let med = |l: &str| {
+        curves
+            .iter()
+            .find(|c| c.label == l)
+            .map(|c| Cdf::new(c.samples.clone()).median())
+            .unwrap_or(f64::NAN)
+    };
+    let (cs, cmap) = (med("CS, acks"), med("CMAP"));
+    out.line(format!(
+        "CMAP/CS median ratio: {:.2}x (paper 1.8x)",
+        cmap / cs
+    ));
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 6.0, 25));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out.metric("median_gain", cmap / cs);
+    out
 }
 
-impl Figure for ApFigure {
-    fn name(&self) -> &'static str {
-        "fig17_18_ap"
-    }
-    fn title(&self) -> &'static str {
-        "Figs 17/18 — N APs and N clients: aggregate and per-sender throughput"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP +21% (N=3) to +47% (N=4) over CS-on; median per-sender throughput 1.8x (2.5 -> 4.6 Mbit/s)"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(10)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["median_cs_mbps", "median_cmap_mbps"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let o = ap::ap_sweep(&spec, 6, ApFigure::per_n(cli));
-        let mut out = FigureOutput::new();
+/// Fig 19 (§5.6): header-or-trailer reception vs concurrent senders.
+fn fig19(cli: &Cli, spec: &Spec) -> FigureOutput {
+    let per_k = match cli.effort {
+        Effort::Quick => 2,
+        _ => 5,
+    };
+    let rows = header_trailer::fig19(spec, per_k);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "senders", "mean", "median", "p10", "p25", "p75", "p90"
+    ));
+    for r in &rows {
+        let s = &r.summary;
         out.line(format!(
-            "{:>4} {:>18} {:>10} {:>8}",
-            "N", "protocol", "mean", "sd"
+            "{:>8} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
+            r.senders, s.mean, s.median, s.p10, s.p25, s.p75, s.p90
         ));
-        for (n, label, samples) in &o.aggregates {
-            out.line(format!(
-                "{n:>4} {label:>18} {:>10.2} {:>8.2}",
-                mean(samples),
-                std_dev(samples)
-            ));
-        }
-        for n in 3..=6 {
-            let get = |l: &str| {
-                o.aggregates
-                    .iter()
-                    .find(|(on, ol, _)| *on == n && ol == l)
-                    .map(|(_, _, s)| mean(s))
-            };
-            if let (Some(cs), Some(cmap)) = (get("CS, acks"), get("CMAP")) {
-                out.line(format!("N={n}: CMAP/CS = {:.2}x", cmap / cs));
-                out.metric(format!("n{n}_cs_mbps"), cs);
-                out.metric(format!("n{n}_cmap_mbps"), cmap);
-                out.metric(format!("n{n}_gain"), cmap / cs);
-            }
-        }
-        let curves: Vec<Curve> = o
-            .per_sender
-            .iter()
-            .map(|(l, s)| Curve {
-                label: l.clone(),
-                samples: s.clone(),
-            })
-            .collect();
-        out.line("");
-        out.line("per-sender throughput across the AP experiments (Fig 18):");
-        for c in &curves {
-            out.line(format!(
-                "{}: median {:.2} Mbit/s",
-                c.label,
-                Cdf::new(c.samples.clone()).median()
-            ));
-        }
-        let med = |l: &str| {
+        out.metric(format!("s{}_median", r.senders), s.median);
+        out.metric(format!("s{}_p10", r.senders), s.p10);
+    }
+    out.metric("rows", rows.len());
+    out
+}
+
+/// Fig 20 (§5.8): exposed terminals at 6, 12 and 18 Mbit/s.
+fn fig20(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = exposed::fig20(spec);
+    let mut out = FigureOutput::default();
+    out.line(medians_line(&curves));
+    for mbps in [6u64, 12, 18] {
+        let med = |l: String| {
             curves
                 .iter()
                 .find(|c| c.label == l)
                 .map(|c| Cdf::new(c.samples.clone()).median())
-                .unwrap_or(f64::NAN)
         };
-        let (cs, cmap) = (med("CS, acks"), med("CMAP"));
-        out.line(format!(
-            "CMAP/CS median ratio: {:.2}x (paper 1.8x)",
-            cmap / cs
-        ));
-        out.line("");
-        out.text
-            .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 6.0, 25));
-        out.metric("median_cs_mbps", cs);
-        out.metric("median_cmap_mbps", cmap);
-        out.metric("median_gain", cmap / cs);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fig 19 — header/trailer reception vs concurrency
-// ---------------------------------------------------------------------------
-
-/// Fig 19 (§5.6): header-or-trailer reception vs concurrent senders.
-pub struct Fig19;
-
-impl Figure for Fig19 {
-    fn name(&self) -> &'static str {
-        "fig19_hdr_vs_senders"
-    }
-    fn title(&self) -> &'static str {
-        "Fig 19 — header-or-trailer reception vs concurrent senders"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "median stays high as concurrency grows; the 10th percentile drops sharply"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(10)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["rows"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let per_k = match cli.effort {
-            Effort::Quick => 2,
-            _ => 5,
-        };
-        let rows = header_trailer::fig19(&spec, per_k);
-        let mut out = FigureOutput::new();
-        out.line(format!(
-            "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            "senders", "mean", "median", "p10", "p25", "p75", "p90"
-        ));
-        for r in &rows {
-            let s = &r.summary;
-            out.line(format!(
-                "{:>8} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-                r.senders, s.mean, s.median, s.p10, s.p25, s.p75, s.p90
-            ));
-            out.metric(format!("s{}_median", r.senders), s.median);
-            out.metric(format!("s{}_p10", r.senders), s.p10);
+        if let (Some(cs), Some(cmap)) = (med(format!("CS@{mbps}")), med(format!("CMAP@{mbps}"))) {
+            out.line(format!("@{mbps} Mbit/s: CMAP/CS = {:.2}x", cmap / cs));
+            out.metric(format!("at{mbps}_cs_mbps"), cs);
+            out.metric(format!("at{mbps}_cmap_mbps"), cmap);
+            out.metric(format!("at{mbps}_gain"), cmap / cs);
         }
-        out.metric("rows", rows.len());
-        out
     }
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 25.0, 26));
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Fig 20 — exposed terminals at higher bit-rates
-// ---------------------------------------------------------------------------
-
-/// Fig 20 (§5.8): exposed terminals at 6, 12 and 18 Mbit/s.
-pub struct Fig20;
-
-impl Figure for Fig20 {
-    fn name(&self) -> &'static str {
-        "fig20_bitrates"
-    }
-    fn title(&self) -> &'static str {
-        "Fig 20 — exposed terminals at higher bit-rates"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP keeps its gains at 12 and 18 Mbit/s; opportunities shrink as the SINR requirement grows"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(25)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["at6_cs_mbps", "at6_cmap_mbps"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let curves = exposed::fig20(&spec);
-        let mut out = FigureOutput::new();
-        out.line(medians_line(&curves));
-        for mbps in [6u64, 12, 18] {
-            let med = |l: String| {
-                curves
-                    .iter()
-                    .find(|c| c.label == l)
-                    .map(|c| Cdf::new(c.samples.clone()).median())
-            };
-            if let (Some(cs), Some(cmap)) = (med(format!("CS@{mbps}")), med(format!("CMAP@{mbps}")))
-            {
-                out.line(format!("@{mbps} Mbit/s: CMAP/CS = {:.2}x", cmap / cs));
-                out.metric(format!("at{mbps}_cs_mbps"), cs);
-                out.metric(format!("at{mbps}_cmap_mbps"), cmap);
-                out.metric(format!("at{mbps}_gain"), cmap / cs);
-            }
-        }
-        out.line("");
-        out.text
-            .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 25.0, 26));
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// §5.7 mesh
-// ---------------------------------------------------------------------------
 
 /// §5.7: two-hop content-dissemination mesh.
-pub struct Mesh;
-
-impl Figure for Mesh {
-    fn name(&self) -> &'static str {
-        "mesh_dissemination"
+fn mesh_dissemination(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let o = mesh::mesh(spec, 3);
+    let get = |l: &str| {
+        o.aggregates
+            .iter()
+            .find(|(ol, _)| ol == l)
+            .map(|(_, s)| mean(s))
+            .unwrap_or(f64::NAN)
+    };
+    let mut out = FigureOutput::default();
+    for (label, samples) in &o.aggregates {
+        out.line(format!("{label}: per-topology aggregates {samples:?}"));
+        out.line(format!("{label}: mean {:.2} Mbit/s", mean(samples)));
     }
-    fn title(&self) -> &'static str {
-        "§5.7 — two-hop content dissemination mesh (S -> A1..A3 -> B1..B3)"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "CMAP +52% aggregate leaf throughput over CS-on across 10 topologies"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(10)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["cs_mbps", "cmap_mbps"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let o = mesh::mesh(&spec, 3);
-        let get = |l: &str| {
-            o.aggregates
-                .iter()
-                .find(|(ol, _)| ol == l)
-                .map(|(_, s)| mean(s))
-                .unwrap_or(f64::NAN)
-        };
-        let mut out = FigureOutput::new();
-        for (label, samples) in &o.aggregates {
-            out.line(format!("{label}: per-topology aggregates {samples:?}"));
-            out.line(format!("{label}: mean {:.2} Mbit/s", mean(samples)));
-        }
-        let (cs, cmap) = (get("CS, acks"), get("CMAP"));
-        out.line(format!("CMAP/CS = {:.2}x (paper 1.52x)", cmap / cs));
-        out.metric("cs_mbps", cs);
-        out.metric("cmap_mbps", cmap);
-        out.metric("gain", cmap / cs);
-        out
-    }
+    let (cs, cmap) = (get("CS, acks"), get("CMAP"));
+    out.line(format!("CMAP/CS = {:.2}x (paper 1.52x)", cmap / cs));
+    out.metric("cs_mbps", cs);
+    out.metric("cmap_mbps", cmap);
+    out.metric("gain", cmap / cs);
+    out
 }
-
-// ---------------------------------------------------------------------------
-// §5.1 testbed link population
-// ---------------------------------------------------------------------------
 
 /// §5.1: the testbed's link population (analysis only; no simulation).
-pub struct TestbedStats;
-
-impl Figure for TestbedStats {
-    fn name(&self) -> &'static str {
-        "testbed_stats"
-    }
-    fn title(&self) -> &'static str {
-        "§5.1 — testbed link population"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "2162 connected pairs; 68% PRR<0.1, 12% intermediate, 20% PRR=1; mean degree 15.2, median 17"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        Spec {
-            testbed_seed: cli.seed,
-            ..Spec::default()
-        }
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["connected_pairs", "mean_degree"]
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let tb = Testbed::office_floor(spec.testbed_seed);
-        let lm = LinkMeasurements::analyze(&tb, &radio_env(&PhyConfig::default()), Rate::R6, 1400);
-        let c = lm.connectivity();
-        let mut out = FigureOutput::new();
-        out.line(format!(
-            "measured: {} connected pairs; {:.0}% weak, {:.0}% intermediate, {:.0}% perfect;",
-            c.connected_pairs,
-            100.0 * c.frac_weak,
-            100.0 * c.frac_intermediate,
-            100.0 * c.frac_perfect
-        ));
-        out.line(format!(
-            "          mean degree {:.1}, median {:.1}",
-            c.mean_degree, c.median_degree
-        ));
-        let mut potential = 0usize;
-        let mut in_range = 0usize;
-        for a in 0..tb.len() {
-            for b in 0..tb.len() {
-                if a == b {
-                    continue;
-                }
-                if lm.potential_link(a, b) {
-                    potential += 1;
-                }
-                if lm.in_range(a, b) {
-                    in_range += 1;
-                }
+fn testbed_stats(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let tb = Testbed::office_floor(spec.testbed_seed);
+    let lm = LinkMeasurements::analyze(&tb, &radio_env(&PhyConfig::default()), Rate::R6, 1400);
+    let c = lm.connectivity();
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "measured: {} connected pairs; {:.0}% weak, {:.0}% intermediate, {:.0}% perfect;",
+        c.connected_pairs,
+        100.0 * c.frac_weak,
+        100.0 * c.frac_intermediate,
+        100.0 * c.frac_perfect
+    ));
+    out.line(format!(
+        "          mean degree {:.1}, median {:.1}",
+        c.mean_degree, c.median_degree
+    ));
+    let mut potential = 0usize;
+    let mut in_range = 0usize;
+    for a in 0..tb.len() {
+        for b in 0..tb.len() {
+            if a == b {
+                continue;
+            }
+            if lm.potential_link(a, b) {
+                potential += 1;
+            }
+            if lm.in_range(a, b) {
+                in_range += 1;
             }
         }
-        out.line(format!(
-            "potential transmission links: {potential}; in-range pairs: {in_range}"
-        ));
-        out.metric("connected_pairs", c.connected_pairs);
-        out.metric("frac_weak", c.frac_weak);
-        out.metric("frac_intermediate", c.frac_intermediate);
-        out.metric("frac_perfect", c.frac_perfect);
-        out.metric("mean_degree", c.mean_degree);
-        out.metric("median_degree", c.median_degree);
-        out.metric("potential_links", potential);
-        out.metric("in_range_pairs", in_range);
-        out
     }
+    out.line(format!(
+        "potential transmission links: {potential}; in-range pairs: {in_range}"
+    ));
+    out.metric("connected_pairs", c.connected_pairs);
+    out.metric("frac_weak", c.frac_weak);
+    out.metric("frac_intermediate", c.frac_intermediate);
+    out.metric("frac_perfect", c.frac_perfect);
+    out.metric("mean_degree", c.mean_degree);
+    out.metric("median_degree", c.median_degree);
+    out.metric("potential_links", potential);
+    out.metric("in_range_pairs", in_range);
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Convergence sweep (extension)
-// ---------------------------------------------------------------------------
 
 /// Extension: conflict-map convergence time vs IL broadcast period.
-pub struct ConvergenceSweep;
-
-impl Figure for ConvergenceSweep {
-    fn name(&self) -> &'static str {
-        "convergence_sweep"
-    }
-    fn title(&self) -> &'static str {
-        "Convergence sweep (extension)"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "the paper notes transient loss before convergence but does not quantify it"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        cli.spec(10)
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["p1000_conv_rate"]
-    }
-    fn in_repro(&self) -> bool {
-        false
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let spec = self.spec(cli);
-        let sweeps = convergence::sweep(&spec, &[250, 500, 1000, 2000, 4000]);
-        let mut out = FigureOutput::new();
+fn convergence_sweep(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let sweeps = convergence::sweep(spec, &[250, 500, 1000, 2000, 4000]);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "{:>10} {:>12} {:>12} {:>12} {:>10}",
+        "period ms", "conv rate", "mean conv s", "transient", "steady"
+    ));
+    for s in &sweeps {
+        let conv: Vec<f64> = s.points.iter().filter_map(|p| p.converged_at_s).collect();
+        let transient: Vec<f64> = s.points.iter().map(|p| p.transient_mbps).collect();
+        let steady: Vec<f64> = s.points.iter().map(|p| p.steady_mbps).collect();
+        let rate = conv.len() as f64 / s.points.len() as f64;
+        let mean_conv = if conv.is_empty() {
+            f64::NAN
+        } else {
+            mean(&conv)
+        };
         out.line(format!(
-            "{:>10} {:>12} {:>12} {:>12} {:>10}",
-            "period ms", "conv rate", "mean conv s", "transient", "steady"
+            "{:>10} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
+            s.period_ms,
+            rate,
+            mean_conv,
+            mean(&transient),
+            mean(&steady),
         ));
-        for s in &sweeps {
-            let conv: Vec<f64> = s.points.iter().filter_map(|p| p.converged_at_s).collect();
-            let transient: Vec<f64> = s.points.iter().map(|p| p.transient_mbps).collect();
-            let steady: Vec<f64> = s.points.iter().map(|p| p.steady_mbps).collect();
-            let rate = conv.len() as f64 / s.points.len() as f64;
-            let mean_conv = if conv.is_empty() {
-                f64::NAN
-            } else {
-                mean(&conv)
-            };
-            out.line(format!(
-                "{:>10} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
-                s.period_ms,
-                rate,
-                mean_conv,
-                mean(&transient),
-                mean(&steady),
-            ));
-            out.metric(format!("p{}_conv_rate", s.period_ms), rate);
-            out.metric(format!("p{}_mean_conv_s", s.period_ms), mean_conv);
-            out.metric(format!("p{}_transient_mbps", s.period_ms), mean(&transient));
-            out.metric(format!("p{}_steady_mbps", s.period_ms), mean(&steady));
-        }
-        out.line("");
-        out.line("Faster broadcasts converge sooner; steady state is insensitive");
-        out.line("(the ACK piggyback carries rule-1 entries regardless).");
-        out
+        out.metric(format!("p{}_conv_rate", s.period_ms), rate);
+        out.metric(format!("p{}_mean_conv_s", s.period_ms), mean_conv);
+        out.metric(format!("p{}_transient_mbps", s.period_ms), mean(&transient));
+        out.metric(format!("p{}_steady_mbps", s.period_ms), mean(&steady));
     }
+    out.line("");
+    out.line("Faster broadcasts converge sooner; steady state is insensitive");
+    out.line("(the ACK piggyback carries rule-1 entries regardless).");
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4.3)
-// ---------------------------------------------------------------------------
-
-/// Ablation study of CMAP's design choices on the three canonical
-/// two-pair micro-topologies: exposed, conflicting, hidden.
-pub struct Ablations;
 
 /// Nodes of a two-pair micro-topology: senders 0 and 2, receivers 1 and 3.
 const PAIR_NODES: usize = 4;
@@ -924,137 +867,111 @@ fn ablation_run(links: PairLinks, cfg: &CmapConfig, phy: PhyConfig, seed: u64, d
         .sum()
 }
 
-impl Ablations {
-    fn duration_s(cli: &Cli) -> u64 {
-        match cli.effort {
-            Effort::Quick => 10,
-            Effort::Standard => 25,
-            Effort::Full => 60,
-        }
-    }
+fn ablations_spec(cli: &Cli) -> Spec {
+    let dur_s = match cli.effort {
+        Effort::Quick => 10,
+        Effort::Standard => 25,
+        Effort::Full => 60,
+    };
+    micro_spec(cli, secs(dur_s), 24) // 8 variants x 3 scenarios
 }
 
-impl Figure for Ablations {
-    fn name(&self) -> &'static str {
-        "ablations"
+/// Ablation study of CMAP's design choices on the three canonical
+/// two-pair micro-topologies: exposed, conflicting, hidden.
+fn ablations(cli: &Cli, spec: &Spec) -> FigureOutput {
+    let dur = spec.duration / secs(1);
+    let variants: Vec<(&str, CmapConfig, PhyConfig)> = vec![
+        ("CMAP (full)", CmapConfig::default(), PhyConfig::default()),
+        (
+            "win=1",
+            CmapConfig::default().stop_and_wait(),
+            PhyConfig::default(),
+        ),
+        (
+            "no trailers",
+            CmapConfig::default().without_trailers(),
+            PhyConfig::default(),
+        ),
+        (
+            "no backoff",
+            CmapConfig::default().without_backoff(),
+            PhyConfig::default(),
+        ),
+        (
+            "no IL-in-ACKs",
+            CmapConfig {
+                il_in_acks: false,
+                ..CmapConfig::default()
+            },
+            PhyConfig::default(),
+        ),
+        (
+            "no MIM capture",
+            CmapConfig::default(),
+            PhyConfig {
+                mim_capture: false,
+                ..PhyConfig::default()
+            },
+        ),
+        (
+            "l_interf=0.25",
+            CmapConfig {
+                l_interf: 0.25,
+                ..CmapConfig::default()
+            },
+            PhyConfig::default(),
+        ),
+        (
+            "l_interf=0.75",
+            CmapConfig {
+                l_interf: 0.75,
+                ..CmapConfig::default()
+            },
+            PhyConfig::default(),
+        ),
+    ];
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "Aggregate Mbit/s over two saturated pairs ({dur}s runs, seed {}):\n",
+        spec.testbed_seed
+    ));
+    let mut header = format!("{:<16}", "variant");
+    for (name, _) in &SCENARIOS {
+        let _ = write!(header, " {name:>12}");
     }
-    fn title(&self) -> &'static str {
-        "Ablations — CMAP design choices on exposed/conflicting/hidden micro-topologies"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "each mechanism (sliding window, trailers, backoff, IL-in-ACKs, MIM capture) earns its keep"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        Spec {
-            testbed_seed: cli.seed,
-            duration: secs(Ablations::duration_s(cli)),
-            configs: 24, // 8 variants x 3 scenarios
-            ..Spec::default()
+    out.line(header);
+    // The (variant × scenario) grid is embarrassingly parallel; the
+    // pool returns results in grid order, so rows/metrics below read
+    // back deterministically at any `--jobs` width.
+    let grid: Vec<(usize, usize)> = (0..variants.len())
+        .flat_map(|v| (0..SCENARIOS.len()).map(move |s| (v, s)))
+        .collect();
+    let aggs = cmap_exec::Pool::new(cli.effective_jobs()).map(&grid, |&(v, s)| {
+        let (_, cfg, phy) = &variants[v];
+        ablation_run(
+            SCENARIOS[s].1,
+            cfg,
+            phy.clone(),
+            spec.testbed_seed ^ 0xAB1,
+            dur,
+        )
+    });
+    for (v, (name, _, _)) in variants.iter().enumerate() {
+        let mut row = format!("{name:<16}");
+        for (si, (scen, _)) in SCENARIOS.iter().enumerate() {
+            let agg = aggs[v * SCENARIOS.len() + si];
+            let _ = write!(row, " {agg:>12.2}");
+            let key = match *name {
+                "CMAP (full)" => format!("cmap_full_{scen}_mbps"),
+                other => format!("{}_{scen}_mbps", slug(other)),
+            };
+            out.metric(key, agg);
         }
+        out.line(row);
     }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["cmap_full_exposed_mbps"]
-    }
-    fn in_repro(&self) -> bool {
-        false
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let dur = Ablations::duration_s(cli);
-        let variants: Vec<(&str, CmapConfig, PhyConfig)> = vec![
-            ("CMAP (full)", CmapConfig::default(), PhyConfig::default()),
-            (
-                "win=1",
-                CmapConfig::default().stop_and_wait(),
-                PhyConfig::default(),
-            ),
-            (
-                "no trailers",
-                CmapConfig::default().without_trailers(),
-                PhyConfig::default(),
-            ),
-            (
-                "no backoff",
-                CmapConfig::default().without_backoff(),
-                PhyConfig::default(),
-            ),
-            (
-                "no IL-in-ACKs",
-                CmapConfig {
-                    il_in_acks: false,
-                    ..CmapConfig::default()
-                },
-                PhyConfig::default(),
-            ),
-            (
-                "no MIM capture",
-                CmapConfig::default(),
-                PhyConfig {
-                    mim_capture: false,
-                    ..PhyConfig::default()
-                },
-            ),
-            (
-                "l_interf=0.25",
-                CmapConfig {
-                    l_interf: 0.25,
-                    ..CmapConfig::default()
-                },
-                PhyConfig::default(),
-            ),
-            (
-                "l_interf=0.75",
-                CmapConfig {
-                    l_interf: 0.75,
-                    ..CmapConfig::default()
-                },
-                PhyConfig::default(),
-            ),
-        ];
-        let mut out = FigureOutput::new();
-        out.line(format!(
-            "Aggregate Mbit/s over two saturated pairs ({dur}s runs, seed {}):\n",
-            cli.seed
-        ));
-        let mut header = format!("{:<16}", "variant");
-        for (name, _) in &SCENARIOS {
-            let _ = write!(header, " {name:>12}");
-        }
-        out.line(header);
-        // The (variant × scenario) grid is embarrassingly parallel; the
-        // pool returns results in grid order, so rows/metrics below read
-        // back deterministically at any `--jobs` width.
-        let grid: Vec<(usize, usize)> = (0..variants.len())
-            .flat_map(|v| (0..SCENARIOS.len()).map(move |s| (v, s)))
-            .collect();
-        let aggs = cmap_exec::Pool::new(cli.effective_jobs()).map(&grid, |&(v, s)| {
-            let (_, cfg, phy) = &variants[v];
-            ablation_run(SCENARIOS[s].1, cfg, phy.clone(), cli.seed ^ 0xAB1, dur)
-        });
-        for (v, (name, _, _)) in variants.iter().enumerate() {
-            let mut row = format!("{name:<16}");
-            for (si, (scen, _)) in SCENARIOS.iter().enumerate() {
-                let agg = aggs[v * SCENARIOS.len() + si];
-                let _ = write!(row, " {agg:>12.2}");
-                let key = match *name {
-                    "CMAP (full)" => format!("cmap_full_{scen}_mbps"),
-                    other => format!("{}_{scen}_mbps", slug(other)),
-                };
-                out.metric(key, agg);
-            }
-            out.line(row);
-        }
-        out.line("\nReference points: single link ~5.4; perfect exposed concurrency ~10.7.");
-        out
-    }
+    out.line("\nReference points: single link ~5.4; perfect exposed concurrency ~10.7.");
+    out
 }
-
-// ---------------------------------------------------------------------------
-// Chaos soak (gating)
-// ---------------------------------------------------------------------------
-
-/// Robustness gauntlet: fault plans × seeds over the exposed-terminal
-/// topology; violations land in `FigureOutput::failures`.
-pub struct ChaosSoak;
 
 /// CMAP goodput under a fault plan must stay within this factor of the
 /// DCF baseline under the *same* plan.
@@ -1063,7 +980,7 @@ const CMAP_VS_DCF_MIN: f64 = 0.5;
 const FAULT_VS_CLEAN_MIN: f64 = 0.25;
 
 /// The world every soak run perturbs: the exposed pairs of [`EXPOSED`].
-pub fn exposed_world(seed: u64) -> (World, Vec<u16>) {
+fn exposed_world(seed: u64) -> (World, Vec<u16>) {
     two_pair_world(EXPOSED, PhyConfig::default(), seed)
 }
 
@@ -1095,120 +1012,90 @@ fn soak_one(proto: &Protocol, plan: &FaultPlan, seed: u64, duration: u64) -> Soa
     }
 }
 
-impl ChaosSoak {
-    fn params(cli: &Cli) -> (u64, usize) {
-        let (duration, seeds) = match cli.effort {
-            Effort::Quick => (secs(4), 10),
-            Effort::Standard => (secs(8), 10),
-            Effort::Full => (secs(20), 25),
-        };
-        (duration, cli.runs.unwrap_or(seeds))
-    }
+fn chaos_soak_spec(cli: &Cli) -> Spec {
+    let (duration, seeds) = match cli.effort {
+        Effort::Quick => (secs(4), 10),
+        Effort::Standard => (secs(8), 10),
+        Effort::Full => (secs(20), 25),
+    };
+    micro_spec(cli, duration, cli.runs.unwrap_or(seeds))
 }
 
-impl Figure for ChaosSoak {
-    fn name(&self) -> &'static str {
-        "chaos_soak"
-    }
-    fn title(&self) -> &'static str {
-        "Chaos soak — fault plans × seeds, exposed-terminal topology"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "graceful degradation: no panics, no watchdog violations, goodput within stated bounds of DCF"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        let (duration, seeds) = ChaosSoak::params(cli);
-        Spec {
-            testbed_seed: cli.seed,
-            duration,
-            configs: seeds,
-            ..Spec::default()
-        }
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["failures"]
-    }
-    fn in_repro(&self) -> bool {
-        false
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let (duration, seeds) = ChaosSoak::params(cli);
-        let plans = FaultPlan::canonical(PAIR_NODES, duration);
-        let mut out = FigureOutput::new();
-        out.line(format!(
-            "{} fault plans x {seeds} seeds, {:.0}s runs, base seed {}",
-            plans.len(),
-            duration as f64 / 1e9,
-            cli.seed,
-        ));
-        out.line(format!(
-            "bounds: cmap/dcf >= {CMAP_VS_DCF_MIN}, fault/clean >= {FAULT_VS_CLEAN_MIN}; \
-             zero violations; byte-identical same-seed snapshots"
-        ));
-        let pool = cmap_exec::Pool::new(cli.effective_jobs());
-        for (name, plan) in &plans {
-            let mut cmap_fault = Vec::new();
-            let mut dcf_fault = Vec::new();
-            let mut cmap_clean = Vec::new();
-            // Each seed's four runs are independent of every other seed's;
-            // the pool joins them back in seed order, so the text report
-            // and failure list are identical at any `--jobs` width.
-            let seed_list: Vec<u64> = (0..seeds).map(|i| cli.seed + i as u64).collect();
-            let per_seed = pool.map(&seed_list, |&seed| {
-                let a = soak_one(&Protocol::cmap(), plan, seed, duration);
-                let b = soak_one(&Protocol::cmap(), plan, seed, duration);
-                let d = soak_one(&Protocol::cs_on(), plan, seed, duration);
-                let c = soak_one(&Protocol::cmap(), &FaultPlan::clean(), seed, duration);
-                (seed, a, b, d, c)
-            });
-            for (seed, a, b, d, c) in per_seed {
-                if a.snapshot != b.snapshot {
-                    out.failures
-                        .push(format!("[{name}] seed {seed}: same-seed snapshots differ"));
-                }
-                let viol = a.violations + b.violations + d.violations + c.violations;
-                if viol > 0 {
-                    out.failures
-                        .push(format!("[{name}] seed {seed}: {viol} watchdog violations"));
-                }
-                cmap_fault.push(a.goodput);
-                dcf_fault.push(d.goodput);
-                cmap_clean.push(c.goodput);
+/// Robustness gauntlet: fault plans × seeds over the exposed-terminal
+/// topology; violations land in `FigureOutput::failures`.
+fn chaos_soak(cli: &Cli, spec: &Spec) -> FigureOutput {
+    let (duration, seeds) = (spec.duration, spec.configs);
+    let plans = FaultPlan::canonical(PAIR_NODES, duration);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "{} fault plans x {seeds} seeds, {:.0}s runs, base seed {}",
+        plans.len(),
+        duration as f64 / 1e9,
+        spec.testbed_seed,
+    ));
+    out.line(format!(
+        "bounds: cmap/dcf >= {CMAP_VS_DCF_MIN}, fault/clean >= {FAULT_VS_CLEAN_MIN}; \
+         zero violations; byte-identical same-seed snapshots"
+    ));
+    let pool = cmap_exec::Pool::new(cli.effective_jobs());
+    for (name, plan) in &plans {
+        let mut cmap_fault = Vec::new();
+        let mut dcf_fault = Vec::new();
+        let mut cmap_clean = Vec::new();
+        // Each seed's four runs are independent of every other seed's;
+        // the pool joins them back in seed order, so the text report
+        // and failure list are identical at any `--jobs` width.
+        let seed_list: Vec<u64> = (0..seeds).map(|i| spec.testbed_seed + i as u64).collect();
+        let per_seed = pool.map(&seed_list, |&seed| {
+            let a = soak_one(&Protocol::cmap(), plan, seed, duration);
+            let b = soak_one(&Protocol::cmap(), plan, seed, duration);
+            let d = soak_one(&Protocol::cs_on(), plan, seed, duration);
+            let c = soak_one(&Protocol::cmap(), &FaultPlan::clean(), seed, duration);
+            (seed, a, b, d, c)
+        });
+        for (seed, a, b, d, c) in per_seed {
+            if a.snapshot != b.snapshot {
+                out.failures
+                    .push(format!("[{name}] seed {seed}: same-seed snapshots differ"));
             }
-            let (cf, df, cc) = (mean(&cmap_fault), mean(&dcf_fault), mean(&cmap_clean));
-            out.line(format!(
-                "[{name:>14}] cmap {cf:5.2} | dcf {df:5.2} | cmap-clean {cc:5.2} Mbit/s \
-                 | cmap/dcf {:.2} | fault/clean {:.2}",
-                cf / df.max(1e-9),
-                cf / cc.max(1e-9),
+            let viol = a.violations + b.violations + d.violations + c.violations;
+            if viol > 0 {
+                out.failures
+                    .push(format!("[{name}] seed {seed}: {viol} watchdog violations"));
+            }
+            cmap_fault.push(a.goodput);
+            dcf_fault.push(d.goodput);
+            cmap_clean.push(c.goodput);
+        }
+        let (cf, df, cc) = (mean(&cmap_fault), mean(&dcf_fault), mean(&cmap_clean));
+        out.line(format!(
+            "[{name:>14}] cmap {cf:5.2} | dcf {df:5.2} | cmap-clean {cc:5.2} Mbit/s \
+             | cmap/dcf {:.2} | fault/clean {:.2}",
+            cf / df.max(1e-9),
+            cf / cc.max(1e-9),
+        ));
+        out.metric(format!("{}_cmap_mbps", slug(name)), cf);
+        out.metric(format!("{}_dcf_mbps", slug(name)), df);
+        out.metric(format!("{}_clean_mbps", slug(name)), cc);
+        if cf < CMAP_VS_DCF_MIN * df {
+            out.failures.push(format!(
+                "[{name}]: cmap under faults {cf:.2} < {CMAP_VS_DCF_MIN} x dcf {df:.2}"
             ));
-            out.metric(format!("{}_cmap_mbps", slug(name)), cf);
-            out.metric(format!("{}_dcf_mbps", slug(name)), df);
-            out.metric(format!("{}_clean_mbps", slug(name)), cc);
-            if cf < CMAP_VS_DCF_MIN * df {
-                out.failures.push(format!(
-                    "[{name}]: cmap under faults {cf:.2} < {CMAP_VS_DCF_MIN} x dcf {df:.2}"
-                ));
-            }
-            if cf < FAULT_VS_CLEAN_MIN * cc {
-                out.failures.push(format!(
-                    "[{name}]: cmap under faults {cf:.2} < {FAULT_VS_CLEAN_MIN} x clean {cc:.2}"
-                ));
-            }
         }
-        if out.failures.is_empty() {
-            out.line("chaos soak: all invariants held");
-        } else {
-            out.line(format!("chaos soak: {} FAILURES", out.failures.len()));
+        if cf < FAULT_VS_CLEAN_MIN * cc {
+            out.failures.push(format!(
+                "[{name}]: cmap under faults {cf:.2} < {FAULT_VS_CLEAN_MIN} x clean {cc:.2}"
+            ));
         }
-        out.metric("failures", out.failures.len());
-        out
     }
+    if out.failures.is_empty() {
+        out.line("chaos soak: all invariants held");
+    } else {
+        out.line(format!("chaos soak: {} FAILURES", out.failures.len()));
+    }
+    out.metric("failures", out.failures.len());
+    out
 }
-
-// ---------------------------------------------------------------------------
-// City-scale sweep (extension)
-// ---------------------------------------------------------------------------
 
 /// Interference-pruning threshold for sparse scale cells, dB above the
 /// per-link pruning floor. The recorded error bound is deliberately
@@ -1294,122 +1181,95 @@ fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCel
     )
 }
 
-/// City-scale sweep: events/sec and peak resident memory vs node count
-/// under CMAP and DCF over the sparse spatially-indexed medium.
-pub struct ScaleSweep;
-
-impl ScaleSweep {
-    fn node_counts(cli: &Cli) -> Vec<usize> {
-        // `--runs N` narrows the sweep to one node count, which is how CI
-        // charts per-N cells in separate processes (clean per-run RSS).
-        if let Some(n) = cli.runs {
-            return vec![n.max(2)];
-        }
-        match cli.effort {
-            Effort::Quick => vec![50, 1_000, 10_000],
-            Effort::Standard => vec![50, 1_000, 10_000, 30_000],
-            // MAC addressing caps instantiated worlds at 65535 nodes.
-            Effort::Full => vec![50, 1_000, 10_000, 60_000],
-        }
+/// The node counts a scale sweep visits.
+fn scale_node_counts(cli: &Cli) -> Vec<usize> {
+    // `--runs N` narrows the sweep to one node count, which is how CI
+    // charts per-N cells in separate processes (clean per-run RSS).
+    if let Some(n) = cli.runs {
+        return vec![n.max(2)];
     }
-
-    fn duration(cli: &Cli) -> u64 {
-        match cli.effort {
-            Effort::Quick => cmap_sim::time::millis(200),
-            Effort::Standard => secs(1),
-            Effort::Full => secs(2),
-        }
+    match cli.effort {
+        Effort::Quick => vec![50, 1_000, 10_000],
+        Effort::Standard => vec![50, 1_000, 10_000, 30_000],
+        // MAC addressing caps instantiated worlds at 65535 nodes.
+        Effort::Full => vec![50, 1_000, 10_000, 60_000],
     }
 }
 
-impl Figure for ScaleSweep {
-    fn name(&self) -> &'static str {
-        "scale_sweep"
+fn scale_sweep_spec(cli: &Cli) -> Spec {
+    let duration = match cli.effort {
+        Effort::Quick => millis(200),
+        Effort::Standard => secs(1),
+        Effort::Full => secs(2),
+    };
+    micro_spec(cli, duration, scale_node_counts(cli).len())
+}
+
+/// City-scale sweep: events/sec and peak resident memory vs node count
+/// under CMAP and DCF over the sparse spatially-indexed medium.
+fn scale_sweep(cli: &Cli, spec: &Spec) -> FigureOutput {
+    let counts = scale_node_counts(cli);
+    let duration = spec.duration;
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "{} node counts x 2 MACs, {:.1}s sim each, epsilon {SCALE_EPSILON_DB} dB, seed {}",
+        counts.len(),
+        duration as f64 / 1e9,
+        spec.testbed_seed,
+    ));
+    out.line(format!(
+        "{:>7} {:>5} {:>12} {:>12} {:>10} {:>9} {:>9} {:>12}",
+        "nodes", "mac", "events", "events/s", "rss MiB", "links", "pruned", "err bound dB"
+    ));
+    // Cells run serially under the supervised executor: a panicking
+    // cell is retried and quarantined instead of killing the sweep,
+    // and one-at-a-time keeps per-cell peak-RSS readings honest.
+    let pool = cmap_exec::Pool::new(1);
+    let mut cells: Vec<(usize, Protocol)> = Vec::new();
+    for &n in &counts {
+        cells.push((n, Protocol::cmap()));
+        cells.push((n, Protocol::cs_on()));
     }
-    fn title(&self) -> &'static str {
-        "Scale sweep — city-scale sparse medium vs node count"
-    }
-    fn paper_claim(&self) -> &'static str {
-        "extension: sparse spatial medium sustains 10k+ node cities with a recorded interference error bound"
-    }
-    fn spec(&self, cli: &Cli) -> Spec {
-        Spec {
-            testbed_seed: cli.seed,
-            duration: ScaleSweep::duration(cli),
-            configs: ScaleSweep::node_counts(cli).len(),
-            ..Spec::default()
-        }
-    }
-    fn required_metrics(&self) -> &'static [&'static str] {
-        &["scale.cells", "scale.error_bound_db_max"]
-    }
-    fn in_repro(&self) -> bool {
-        false
-    }
-    fn run(&self, cli: &Cli) -> FigureOutput {
-        let counts = ScaleSweep::node_counts(cli);
-        let duration = ScaleSweep::duration(cli);
-        let mut out = FigureOutput::new();
+    let seed = spec.testbed_seed;
+    let results = pool.map(&cells, |(n, proto)| scale_cell(*n, proto, seed, duration));
+    let mut err_bound_max = 0.0f64;
+    for ((n, proto), (cell, sparse)) in cells.iter().zip(&results) {
+        let mac = match proto {
+            Protocol::Cmap(_) => "cmap",
+            Protocol::Dcf(_) => "dcf",
+        };
+        let eps = cell.events as f64 / cell.wall_secs.max(1e-9);
+        err_bound_max = err_bound_max.max(sparse.error_bound_db);
         out.line(format!(
-            "{} node counts x 2 MACs, {:.1}s sim each, epsilon {SCALE_EPSILON_DB} dB, seed {}",
-            counts.len(),
-            duration as f64 / 1e9,
-            cli.seed,
+            "{n:>7} {mac:>5} {:>12} {:>12.0} {:>10.1} {:>9} {:>9} {:>12.6}",
+            cell.events,
+            eps,
+            cell.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+            sparse.links,
+            sparse.pruned,
+            sparse.error_bound_db,
         ));
-        out.line(format!(
-            "{:>7} {:>5} {:>12} {:>12} {:>10} {:>9} {:>9} {:>12}",
-            "nodes", "mac", "events", "events/s", "rss MiB", "links", "pruned", "err bound dB"
-        ));
-        // Cells run serially under the supervised executor: a panicking
-        // cell is retried and quarantined instead of killing the sweep,
-        // and one-at-a-time keeps per-cell peak-RSS readings honest.
-        let pool = cmap_exec::Pool::new(1);
-        let mut cells: Vec<(usize, Protocol)> = Vec::new();
-        for &n in &counts {
-            cells.push((n, Protocol::cmap()));
-            cells.push((n, Protocol::cs_on()));
+        let k = format!("scale.n{n}.{mac}");
+        out.metric(format!("{k}.events"), cell.events);
+        out.metric(format!("{k}.events_per_sec"), eps);
+        out.metric(format!("{k}.peak_rss_bytes"), cell.peak_rss_bytes);
+        out.metric(format!("{k}.delivered"), cell.delivered);
+        out.metric(format!("{k}.links"), sparse.links);
+        out.metric(format!("{k}.pruned"), sparse.pruned);
+        out.metric(format!("{k}.error_bound_db"), sparse.error_bound_db);
+        if cell.events == 0 {
+            out.failures
+                .push(format!("[n={n} {mac}] no events processed"));
         }
-        let seed = cli.seed;
-        let results = pool.map(&cells, |(n, proto)| scale_cell(*n, proto, seed, duration));
-        let mut err_bound_max = 0.0f64;
-        for ((n, proto), (cell, sparse)) in cells.iter().zip(&results) {
-            let mac = match proto {
-                Protocol::Cmap(_) => "cmap",
-                Protocol::Dcf(_) => "dcf",
-            };
-            let eps = cell.events as f64 / cell.wall_secs.max(1e-9);
-            err_bound_max = err_bound_max.max(sparse.error_bound_db);
-            out.line(format!(
-                "{n:>7} {mac:>5} {:>12} {:>12.0} {:>10.1} {:>9} {:>9} {:>12.6}",
-                cell.events,
-                eps,
-                cell.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-                sparse.links,
-                sparse.pruned,
-                sparse.error_bound_db,
-            ));
-            let k = format!("scale.n{n}.{mac}");
-            out.metric(format!("{k}.events"), cell.events);
-            out.metric(format!("{k}.events_per_sec"), eps);
-            out.metric(format!("{k}.peak_rss_bytes"), cell.peak_rss_bytes);
-            out.metric(format!("{k}.delivered"), cell.delivered);
-            out.metric(format!("{k}.links"), sparse.links);
-            out.metric(format!("{k}.pruned"), sparse.pruned);
-            out.metric(format!("{k}.error_bound_db"), sparse.error_bound_db);
-            if cell.events == 0 {
-                out.failures
-                    .push(format!("[n={n} {mac}] no events processed"));
-            }
-            if cell.delivered == 0 && *n >= 50 {
-                out.failures
-                    .push(format!("[n={n} {mac}] nothing delivered"));
-            }
+        if cell.delivered == 0 && *n >= 50 {
+            out.failures
+                .push(format!("[n={n} {mac}] nothing delivered"));
         }
-        out.metric("scale.cells", cells.len());
-        out.metric("scale.error_bound_db_max", err_bound_max);
-        out.metric("scale.epsilon_db", SCALE_EPSILON_DB);
-        out
     }
+    out.metric("scale.cells", cells.len());
+    out.metric("scale.error_bound_db_max", err_bound_max);
+    out.metric("scale.epsilon_db", SCALE_EPSILON_DB);
+    out
 }
 
 #[cfg(test)]
@@ -1418,8 +1278,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_repro_subset_is_stable() {
-        let figs = registry();
-        let names: Vec<&str> = figs.iter().map(|f| f.name()).collect();
+        let names: Vec<&str> = REGISTRY.iter().map(|f| f.name).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -1428,10 +1287,10 @@ mod tests {
             names.len(),
             "duplicate figure names: {names:?}"
         );
-        let repro: Vec<&str> = figs
+        let repro: Vec<&str> = REGISTRY
             .iter()
-            .filter(|f| f.in_repro())
-            .map(|f| f.name())
+            .filter(|f| f.in_repro)
+            .map(|f| f.name)
             .collect();
         assert_eq!(
             repro,
@@ -1449,13 +1308,56 @@ mod tests {
                 "testbed_stats",
             ]
         );
-        for f in &figs {
+        for f in &REGISTRY {
             assert!(
-                !f.required_metrics().is_empty(),
+                !f.required_metrics.is_empty(),
                 "{} declares no required metrics",
-                f.name()
+                f.name
             );
         }
+    }
+
+    #[test]
+    fn every_binary_resolves_to_a_row_and_every_row_has_a_binary() {
+        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
+        let mut wrapped = Vec::new();
+        for entry in std::fs::read_dir(bin_dir).expect("read src/bin") {
+            let path = entry.expect("dir entry").path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("stem");
+            if stem == "repro_all" {
+                continue;
+            }
+            let fig = figure_for_bin(stem).unwrap_or_else(|| panic!("{stem} has no registry row"));
+            wrapped.push(fig.name);
+        }
+        for f in &REGISTRY {
+            assert!(wrapped.contains(&f.name), "{} has no binary", f.name);
+        }
+        let ap = |bin| figure_for_bin(bin).map(|f| f.name);
+        assert_eq!(ap("fig17_ap_aggregate"), Some("fig17_18_ap"));
+        assert_eq!(ap("fig18_ap_per_sender"), Some("fig17_18_ap"));
+    }
+
+    #[test]
+    fn run_figure_reports_a_panicking_row_and_returns() {
+        let row = Figure {
+            name: "always_panics",
+            title: "a row whose run panics",
+            paper_claim: "-",
+            required_metrics: &["never_emitted"],
+            in_repro: false,
+            spec: |cli| cli.spec(1),
+            run: |_, spec| panic!("boom at {} configs", spec.configs),
+        };
+        let run = run_figure(&row, &Cli::default());
+        assert_eq!(run.failures, ["always_panics panicked: boom at 1 configs"]);
+        assert_eq!(run.text, "FAIL: panicked: boom at 1 configs\n");
+        assert!(run.report.is_none());
+        assert_eq!(run.cells.len(), 1);
+        assert_eq!(run.cells[0].figure, "always_panics");
+        assert_eq!(run.cells[0].label, "always_panics");
+        assert_eq!(run.cells[0].attempts, 1);
+        assert_eq!(run.cells[0].error, "boom at 1 configs");
     }
 
     #[test]
@@ -1464,13 +1366,13 @@ mod tests {
             effort: Effort::Quick,
             ..Cli::default()
         };
-        let fig = TestbedStats;
-        let spec = fig.spec(&cli);
-        let out = fig.run(&cli);
+        let fig = figure_for_bin("testbed_stats").expect("registered");
+        let spec = (fig.spec)(&cli);
+        let out = (fig.run)(&cli, &spec);
         assert!(out.text.contains("connected pairs"));
         assert!(out.failures.is_empty());
-        let report = report_for(&fig, &cli, &spec, &out, Some(0.5));
-        report.validate(fig.required_metrics()).unwrap();
+        let report = report_for(fig, &cli, &spec, &out, Some(0.5));
+        report.validate(fig.required_metrics).unwrap();
         let det = report.to_json(false);
         assert!(det.contains("\"figure\":\"testbed_stats\""));
         assert!(det.contains("\"effort\":\"quick\""));

@@ -18,17 +18,22 @@
 //! | `mesh_dissemination` | §5.7 — two-hop mesh |
 //! | `testbed_stats` | §5.1 — link population |
 //! | `repro_all` | everything above, written to EXPERIMENTS-style text |
+//! | `ablations` | DESIGN.md §4.3 — CMAP's mechanisms switched off one at a time |
+//! | `convergence_sweep` | extension: conflict-map convergence vs IL broadcast period |
+//! | `scale_sweep` | extension: sparse medium vs node count (events/s, peak RSS) |
 //! | `chaos_soak` | robustness: fault plans × seeds, degradation bounds |
 //!
-//! Every binary is a thin wrapper around an entry of the scenario registry
-//! in [`figures`] — the figure's parameters, run logic, printed text and
-//! machine-readable metrics live in one place, and `repro_all` iterates the
-//! same registry instead of duplicating it.
+//! Every binary but `repro_all` is `figure_main(env!("CARGO_BIN_NAME"))`: it
+//! resolves its own name to a row of the registry table in [`figures`] and
+//! runs it through [`figures::run_figure`], the same supervised path
+//! `repro_all` runs the suite's rows through.
 //!
 //! All binaries accept `--quick` (shorter runs, fewer configurations),
 //! `--full` (the paper's 100-second runs and full configuration counts),
-//! `--seed N` (testbed seed), `--runs N` (configuration count) and
-//! `--json PATH` (write a machine-readable [`cmap_obs::RunReport`]).
+//! `--seed N` (testbed seed), `--runs N` (configuration count), `--jobs N`
+//! (pool width) and `--json PATH` (write a machine-readable
+//! [`cmap_obs::RunReport`]); `--out PATH` and `--resume` are `repro_all`'s
+//! alone and a usage error anywhere else.
 
 pub mod figures;
 
@@ -158,9 +163,29 @@ impl Cli {
         Ok(cli)
     }
 
+    /// What a per-figure binary accepts: any command line that does not
+    /// carry `--out` or `--resume`, which only `repro_all` acts on.
+    fn without_suite_flags(self) -> Result<Cli, CliError> {
+        if self.out.is_some() || self.resume {
+            return Err(CliError::Bad("--out/--resume are repro_all flags".into()));
+        }
+        Ok(self)
+    }
+
     /// Parse `std::env::args`; exits with usage on `--help` or bad flags.
     pub fn parse() -> Cli {
-        match Cli::try_parse_from(std::env::args().skip(1)) {
+        Cli::or_exit(Cli::try_parse_from(std::env::args().skip(1)))
+    }
+
+    /// [`Cli::parse`] for a per-figure binary.
+    pub(crate) fn parse_figure() -> Cli {
+        Cli::or_exit(
+            Cli::try_parse_from(std::env::args().skip(1)).and_then(Cli::without_suite_flags),
+        )
+    }
+
+    fn or_exit(parsed: Result<Cli, CliError>) -> Cli {
+        match parsed {
             Ok(cli) => cli,
             Err(CliError::Help) => {
                 eprintln!("{USAGE}");
@@ -202,7 +227,13 @@ impl Cli {
 }
 
 /// Render labelled sample sets as a CDF table over `[lo, hi]`.
-pub fn render_cdfs(x_label: &str, curves: &[Curve], lo: f64, hi: f64, bins: usize) -> String {
+pub(crate) fn render_cdfs(
+    x_label: &str,
+    curves: &[Curve],
+    lo: f64,
+    hi: f64,
+    bins: usize,
+) -> String {
     let mut table = Table::new(x_label);
     for c in curves {
         let cdf = Cdf::new(c.samples.clone());
@@ -214,7 +245,7 @@ pub fn render_cdfs(x_label: &str, curves: &[Curve], lo: f64, hi: f64, bins: usiz
 }
 
 /// One line of per-curve medians.
-pub fn medians_line(curves: &[Curve]) -> String {
+pub(crate) fn medians_line(curves: &[Curve]) -> String {
     curves
         .iter()
         .map(|c| {
@@ -229,7 +260,7 @@ pub fn medians_line(curves: &[Curve]) -> String {
 }
 
 /// Median of one labelled curve.
-pub fn median_of(curves: &[Curve], label: &str) -> f64 {
+pub(crate) fn median_of(curves: &[Curve], label: &str) -> f64 {
     let c = curves
         .iter()
         .find(|c| c.label == label)
@@ -237,13 +268,8 @@ pub fn median_of(curves: &[Curve], label: &str) -> f64 {
     Cdf::new(c.samples.clone()).median()
 }
 
-/// Mean of a sample.
-pub fn mean(xs: &[f64]) -> f64 {
-    cmap_stats::mean(xs)
-}
-
 /// Standard figure preamble.
-pub fn banner(figure: &str, paper_claim: &str, spec: &Spec) {
+pub(crate) fn banner(figure: &str, paper_claim: &str, spec: &Spec) {
     println!("==================================================================");
     println!("{figure}");
     println!("paper: {paper_claim}");
@@ -326,6 +352,25 @@ mod tests {
             Cli::try_parse_from(args(&["-h"])).unwrap_err(),
             CliError::Help
         );
+    }
+
+    #[test]
+    fn suite_flags_are_an_error_for_a_figure_binary() {
+        let for_figure =
+            |list: &[&str]| Cli::try_parse_from(args(list)).and_then(Cli::without_suite_flags);
+        let rejected = CliError::Bad("--out/--resume are repro_all flags".into());
+        assert_eq!(for_figure(&["--resume"]).unwrap_err(), rejected);
+        assert_eq!(
+            for_figure(&["--quick", "--out", "x.md"]).unwrap_err(),
+            rejected
+        );
+        // Everything else a figure binary is documented to take passes through.
+        let cli = for_figure(&[
+            "--quick", "--seed", "7", "--runs", "9", "--jobs", "2", "--json", "r.json",
+        ])
+        .unwrap();
+        assert_eq!((cli.seed, cli.runs, cli.jobs), (7, Some(9), Some(2)));
+        assert_eq!(cli.json.as_deref(), Some("r.json"));
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! what protects that gain from ACK loss.
 
 use cmap_phy::Rate;
-use cmap_sim::rng::{derive_seed, stream_rng};
+use cmap_sim::rng::stream_rng;
 use cmap_topo::select;
 
 use crate::protocol::Protocol;
-use crate::runner::{parallel_map, run_links, testbed_ctx, Spec};
+use crate::runner::{pair_curves, testbed_ctx, Spec, TestbedCtx};
+
+/// Stream tag of the exposed-pair runs (Fig 12 and Fig 20 share it).
+const STREAM: u64 = 0xF12_0000;
 
 /// One labelled sample set (a CDF curve's raw data).
 #[derive(Debug, Clone)]
@@ -25,19 +28,22 @@ pub struct Curve {
 /// Run the Fig 12 protocol line-up over randomly selected exposed-terminal
 /// pairs. Returns one curve per protocol, each with `spec.configs` samples.
 pub fn fig12(spec: &Spec) -> Vec<Curve> {
-    let protocols = vec![
+    let ctx = testbed_ctx(spec);
+    let protocols = [
         Protocol::cs_on(),
         Protocol::cs_off_no_acks(),
         Protocol::cmap(),
         Protocol::cmap_win1(),
     ];
-    run_pairs(spec, &protocols, select_exposed(spec))
+    let pairs = select_exposed(&ctx, spec);
+    pair_curves(&ctx, spec, &protocols, &pairs, STREAM, |p| p.r1)
 }
 
 /// Fig 20: exposed terminals at 6, 12 and 18 Mbit/s, CMAP vs the status quo.
 /// Curve labels are `"CS@<rate>"` / `"CMAP@<rate>"`.
 pub fn fig20(spec: &Spec) -> Vec<Curve> {
-    let pairs = select_exposed(spec);
+    let ctx = testbed_ctx(spec);
+    let pairs = select_exposed(&ctx, spec);
     let mut curves = Vec::new();
     for rate in [Rate::R6, Rate::R12, Rate::R18] {
         let mbps = rate.bits_per_sec() / 1_000_000;
@@ -45,8 +51,9 @@ pub fn fig20(spec: &Spec) -> Vec<Curve> {
             (Protocol::cs_on().at_rate(rate), "CS"),
             (Protocol::cmap().at_rate(rate), "CMAP"),
         ] {
-            let mut c = run_pairs(spec, &[proto], pairs.clone());
-            let mut only = c.pop().expect("one curve");
+            let mut only = pair_curves(&ctx, spec, &[proto], &pairs, STREAM, |p| p.r1)
+                .pop()
+                .expect("one curve");
             only.label = format!("{tag}@{mbps}");
             curves.push(only);
         }
@@ -54,8 +61,7 @@ pub fn fig20(spec: &Spec) -> Vec<Curve> {
     curves
 }
 
-fn select_exposed(spec: &Spec) -> Vec<select::LinkPair> {
-    let ctx = testbed_ctx(spec);
+fn select_exposed(ctx: &TestbedCtx, spec: &Spec) -> Vec<select::LinkPair> {
     let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
     let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
     assert!(
@@ -64,30 +70,6 @@ fn select_exposed(spec: &Spec) -> Vec<select::LinkPair> {
         spec.testbed_seed
     );
     pairs
-}
-
-fn run_pairs(spec: &Spec, protocols: &[Protocol], pairs: Vec<select::LinkPair>) -> Vec<Curve> {
-    let ctx = testbed_ctx(spec);
-    protocols
-        .iter()
-        .enumerate()
-        .map(|(pi, proto)| {
-            let samples = parallel_map(spec.jobs, &pairs, |pair| {
-                let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
-                let stream = 0xF12_0000u64
-                    ^ ((pi as u64) << 20)
-                    ^ ((pair.s1 as u64) << 12)
-                    ^ ((pair.s2 as u64) << 4)
-                    ^ pair.r1 as u64;
-                let seed = derive_seed(spec.run_seed, stream);
-                run_links(&ctx, &links, proto, spec, seed).aggregate_mbps()
-            });
-            Curve {
-                label: proto.label(),
-                samples,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@ use rand::Rng;
 
 use crate::exposed::Curve;
 use crate::protocol::Protocol;
-use crate::runner::{parallel_map, run_links, testbed_ctx, Spec, TestbedCtx};
+use crate::runner::{
+    pair_curves, parallel_map, run_links, run_pairs, testbed_ctx, Spec, TestbedCtx,
+};
 
 /// One point of the Fig 14 scatter.
 #[derive(Debug, Clone, Copy)]
@@ -101,32 +103,7 @@ pub fn fig15(spec: &Spec) -> Vec<Curve> {
     let pairs = select::hidden_pairs(&ctx.lm, spec.configs, &mut rng);
     assert!(!pairs.is_empty(), "no hidden-terminal pairs in testbed");
     let protocols = [Protocol::cs_on(), Protocol::cs_off_acks(), Protocol::cmap()];
-    protocols
-        .iter()
-        .enumerate()
-        .map(|(pi, proto)| {
-            let samples = parallel_map(spec.jobs, &pairs, |pair| {
-                let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
-                let stream = 0xF15_0000u64
-                    ^ ((pi as u64) << 20)
-                    ^ ((pair.s1 as u64) << 12)
-                    ^ ((pair.s2 as u64) << 4)
-                    ^ pair.r2 as u64;
-                run_links(
-                    &ctx,
-                    &links,
-                    proto,
-                    spec,
-                    derive_seed(spec.run_seed, stream),
-                )
-                .aggregate_mbps()
-            });
-            Curve {
-                label: proto.label(),
-                samples,
-            }
-        })
-        .collect()
+    pair_curves(&ctx, spec, &protocols, &pairs, 0xF15_0000, |p| p.r2)
 }
 
 /// Shared helper for Fig 16: the CMAP runs over a pair set, returning
@@ -137,18 +114,10 @@ pub(crate) fn cmap_hdr_rates(
     spec: &Spec,
     stream_tag: u64,
 ) -> Vec<(f64, f64)> {
-    let cmap = Protocol::cmap();
-    let per_pair = parallel_map(spec.jobs, pairs, |pair| {
-        let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
-        let stream =
-            stream_tag ^ ((pair.s1 as u64) << 12) ^ ((pair.s2 as u64) << 4) ^ pair.r1 as u64;
-        let out = run_links(ctx, &links, &cmap, spec, derive_seed(spec.run_seed, stream));
-        out.hdr_rates
-            .iter()
-            .map(|&(_, h, e)| (h, e))
-            .collect::<Vec<_>>()
-    });
-    per_pair.into_iter().flatten().collect()
+    run_pairs(ctx, spec, &Protocol::cmap(), pairs, stream_tag, |p| p.r1)
+        .iter()
+        .flat_map(|out| out.hdr_rates.iter().map(|&(_, h, e)| (h, e)))
+        .collect()
 }
 
 #[cfg(test)]

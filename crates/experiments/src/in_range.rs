@@ -6,12 +6,12 @@
 //! CMAP tracking whichever of CS-on / CS-off is better per pair — it
 //! *discriminates* instead of guessing.
 
-use cmap_sim::rng::{derive_seed, stream_rng};
+use cmap_sim::rng::stream_rng;
 use cmap_topo::select;
 
 use crate::exposed::Curve;
 use crate::protocol::Protocol;
-use crate::runner::{parallel_map, run_links, testbed_ctx, Spec};
+use crate::runner::{pair_curves, testbed_ctx, Spec};
 
 /// The Fig 13 line-up over in-range sender pairs.
 pub fn fig13(spec: &Spec) -> Vec<Curve> {
@@ -25,32 +25,7 @@ pub fn fig13(spec: &Spec) -> Vec<Curve> {
         Protocol::cs_off_no_acks(),
         Protocol::cmap(),
     ];
-    protocols
-        .iter()
-        .enumerate()
-        .map(|(pi, proto)| {
-            let samples = parallel_map(spec.jobs, &pairs, |pair| {
-                let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
-                let stream = 0xF13_0000u64
-                    ^ ((pi as u64) << 20)
-                    ^ ((pair.s1 as u64) << 12)
-                    ^ ((pair.s2 as u64) << 4)
-                    ^ pair.r1 as u64;
-                run_links(
-                    &ctx,
-                    &links,
-                    proto,
-                    spec,
-                    derive_seed(spec.run_seed, stream),
-                )
-                .aggregate_mbps()
-            });
-            Curve {
-                label: proto.label(),
-                samples,
-            }
-        })
-        .collect()
+    pair_curves(&ctx, spec, &protocols, &pairs, 0xF13_0000, |p| p.r1)
 }
 
 #[cfg(test)]

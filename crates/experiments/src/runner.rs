@@ -1,9 +1,12 @@
 //! Shared run machinery: specs, world construction, measurement.
 
+use cmap_sim::rng::derive_seed;
 use cmap_sim::time::{secs, Time};
 use cmap_sim::{CounterId, MediumBuilder, PhyConfig, World};
+use cmap_topo::select::LinkPair;
 use cmap_topo::{LinkMeasurements, RadioEnv, Testbed};
 
+use crate::exposed::Curve;
 use crate::protocol::Protocol;
 
 /// Parameters every experiment takes.
@@ -174,6 +177,55 @@ pub fn run_links(
         defers: world.stats().counter(CounterId::CmapDefer),
         txs: world.stats().counter(CounterId::SimTx),
     }
+}
+
+/// Run both links of every pair saturated under `protocol`, one run per
+/// pair. A pair's run seed derives from `stream`, its two senders and the
+/// receiver `key` picks — the formula every pair figure's samples are
+/// pinned to.
+pub(crate) fn run_pairs(
+    ctx: &TestbedCtx,
+    spec: &Spec,
+    protocol: &Protocol,
+    pairs: &[LinkPair],
+    stream: u64,
+    key: fn(&LinkPair) -> usize,
+) -> Vec<RunOutput> {
+    parallel_map(spec.jobs, pairs, |pair| {
+        let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
+        let stream = stream ^ ((pair.s1 as u64) << 12) ^ ((pair.s2 as u64) << 4) ^ key(pair) as u64;
+        run_links(
+            ctx,
+            &links,
+            protocol,
+            spec,
+            derive_seed(spec.run_seed, stream),
+        )
+    })
+}
+
+/// The protocols × pairs sweep behind Figs 12, 13, 15 and 20: one curve per
+/// protocol, one aggregate-Mbit/s sample per pair. Protocol `pi` runs on
+/// stream `tag ^ pi << 20`.
+pub(crate) fn pair_curves(
+    ctx: &TestbedCtx,
+    spec: &Spec,
+    protocols: &[Protocol],
+    pairs: &[LinkPair],
+    tag: u64,
+    key: fn(&LinkPair) -> usize,
+) -> Vec<Curve> {
+    protocols
+        .iter()
+        .enumerate()
+        .map(|(pi, proto)| Curve {
+            label: proto.label(),
+            samples: run_pairs(ctx, spec, proto, pairs, tag ^ ((pi as u64) << 20), key)
+                .iter()
+                .map(RunOutput::aggregate_mbps)
+                .collect(),
+        })
+        .collect()
 }
 
 /// Map `f` over `items` on a deterministic worker pool of width `jobs`

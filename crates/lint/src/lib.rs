@@ -782,6 +782,10 @@ pub(crate) fn lex(source: &str) -> Lexed {
                 }
             }
             State::Str => match c {
+                // A backslash-newline continuation still ends a line: left
+                // to the newline arm above, or every later line of the file
+                // is numbered one short.
+                '\\' if chars.peek() == Some(&'\n') => {}
                 '\\' => {
                     if let Some(&esc) = chars.peek() {
                         chars.next();
@@ -1282,7 +1286,15 @@ fn unit_cast(code: &str) -> Option<(&'static str, String)> {
 
 #[cfg(test)]
 mod tests {
-    use super::is_test_path;
+    use super::{is_test_path, lex};
+
+    #[test]
+    fn a_string_continuation_keeps_its_line_break() {
+        let lexed = lex("const S: &str = \"a \\\n    b\";\nfn after() {}\n");
+        assert_eq!(lexed.raw.len(), 4, "{:?}", lexed.raw);
+        assert_eq!(lexed.raw[2], "fn after() {}");
+        assert_eq!(lexed.code[2], "fn after() {}");
+    }
 
     #[test]
     fn test_paths_match_by_component_however_the_root_is_spelled() {
