@@ -9,8 +9,11 @@
 //!
 //! * stdout / `--out PATH`: the EXPERIMENTS-style text report,
 //! * `--json PATH` (default `BENCH_repro.json`): a `SuiteReport` with the
-//!   BER table's identity and measured error, one `RunReport` per figure,
-//!   the supervision outcome and, in `timing` blocks only, wall-clock.
+//!   BER table's identity and measured error, the `fidelity` block (every
+//!   paper-vs-measured predicate with its band, measured value and
+//!   verdict; the text report ends with the same table), one `RunReport`
+//!   per figure, the supervision outcome and, in `timing` blocks only,
+//!   wall-clock.
 //!
 //! How fast the simulator runs is measured by `benchmark/`, not here.
 //!
@@ -31,12 +34,14 @@
 //! code is nonzero.
 //!
 //! The suite self-validates: every figure's report must contain its
-//! declared required metrics, and any figure failure makes the run exit
-//! nonzero — CI gates on both.
+//! declared required metrics, at the standard spec every fidelity
+//! predicate must hold or carry a waiver (`--quick` reports the verdicts
+//! without gating on them), and any figure failure makes the run exit
+//! nonzero — CI gates on all three.
 
 use std::path::{Path, PathBuf};
 
-use cmap_bench::figures::{eprint_failures, run_figure, spec_block, REGISTRY};
+use cmap_bench::figures::{eprint_failures, fidelity_table, run_figure, spec_block, REGISTRY};
 use cmap_bench::Cli;
 use cmap_obs::artifact::{atomic_write, Manifest};
 use cmap_obs::{BerTableBlock, FailedCell, FailureBlock, SuiteReport, TimingBlock};
@@ -159,11 +164,14 @@ fn main() {
     });
     let mut failures: Vec<String> = Vec::new();
     let mut failed_cells: Vec<FailedCell> = Vec::new();
+    let mut fidelity = Vec::new();
 
     for fig in REGISTRY.iter().filter(|f| f.in_repro) {
         if let Some(saved) = load_completed(&work, &manifest, fig.name) {
             report.push_str(&saved.text);
             suite.push_raw(saved.json);
+            let entry = suite.figures.last().expect("just pushed");
+            fidelity.extend(fig.fidelity_rows(|key| entry.metric_f64(key)));
             eprintln!(
                 "[{}s] {} restored from work dir",
                 t0.elapsed().as_secs(),
@@ -192,9 +200,15 @@ fn main() {
             }
             suite.push(r);
         }
+        fidelity.extend(run.fidelity);
         failures.extend(run.failures);
         failed_cells.extend(run.cells);
     }
+    report.push_str(&format!(
+        "\n{}",
+        fidelity_table(&fidelity, cli.is_standard_spec())
+    ));
+    suite.fidelity = Some(fidelity);
 
     let supervision = cmap_exec::supervision_stats();
     suite.failures = Some(FailureBlock {

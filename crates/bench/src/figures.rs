@@ -1,8 +1,9 @@
 //! The scenario registry: every figure/table of the evaluation as one row
 //! of [`REGISTRY`].
 //!
-//! A [`Figure`] row names the figure, states the paper's claim and the
-//! metric keys its report must carry, and points at two functions: `spec`
+//! A [`Figure`] row names the figure, states the paper's claim, the metric
+//! keys its report must carry and the band each paper-vs-measured number is
+//! held to ([`Predicate`]), and points at two functions: `spec`
 //! (the experiment spec for a command line) and `run` (spec in, text and
 //! named metrics out). [`run_figure`] is the one supervised path a row is
 //! run through; the per-figure binaries ([`figure_main`]) and `repro_all`
@@ -21,7 +22,9 @@ use cmap_experiments::runner::radio_env;
 use cmap_experiments::{
     ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol, Spec,
 };
-use cmap_obs::{FailedCell, MetricValue, RunReport, SpecBlock, TimingBlock};
+use cmap_obs::{
+    FailedCell, FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict,
+};
 use cmap_phy::Rate;
 use cmap_sim::time::{millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
@@ -55,6 +58,14 @@ impl FigureOutput {
     }
 }
 
+/// A [`Predicate`] without a waiver. Bands are set from the paper's number
+/// and from how far the standard run moves across testbed seeds —
+/// EXPERIMENTS.md "Fidelity gate" records both — so a change that bends a
+/// figure fails here, not in a reader's eye.
+const fn band(metric: &'static str, paper: &'static str, lo: f64, hi: f64) -> Predicate {
+    Predicate::band(metric, paper, lo, hi)
+}
+
 /// One registered figure/experiment of the evaluation.
 pub struct Figure {
     /// Registry name; the wrapping binary's name, except for the combined
@@ -67,6 +78,9 @@ pub struct Figure {
     /// Metric keys every report of this figure must contain: at least the
     /// numbers EXPERIMENTS.md's paper-vs-measured rows quote.
     pub required_metrics: &'static [&'static str],
+    /// The paper-vs-measured rows of EXPERIMENTS.md as predicates over
+    /// `required_metrics`; empty for figures the paper gives no number for.
+    pub fidelity: &'static [Predicate],
     /// Whether `repro_all` includes this figure in its suite run. Gating
     /// and extension experiments (chaos soak, ablations, the two sweeps)
     /// keep their own binaries instead.
@@ -84,6 +98,12 @@ pub static REGISTRY: [Figure; 15] = [
         title: "§4.2 — single-link calibration",
         paper_claim: "CMAP 5.04 Mbit/s vs 802.11 5.07 Mbit/s at the 6 Mbit/s rate",
         required_metrics: &["cmap_mbps", "dot11_mbps", "ratio"],
+        fidelity: &[band(
+            "ratio",
+            "CMAP 5.04 vs 802.11 5.07 Mbit/s (0.994)",
+            0.97,
+            1.03,
+        )],
         in_repro: true,
         spec: |cli| cli.spec(1),
         run: calib,
@@ -93,6 +113,7 @@ pub static REGISTRY: [Figure; 15] = [
         title: "Fig 12 — exposed terminals",
         paper_claim: "CMAP ~2x over CS; ~15% of pairs not truly exposed; win=1 only ~1.5x",
         required_metrics: &["median_cs_mbps", "median_cmap_mbps", "gain_cmap_vs_cs"],
+        fidelity: &[band("gain_cmap_vs_cs", "~2x over CS", 1.5, 2.1)],
         in_repro: true,
         spec: |cli| cli.spec(50),
         run: fig12,
@@ -103,6 +124,7 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "CMAP tracks CS-on where pairs conflict (~15%) and CS-off where \
                       concurrent wins (~18% tail)",
         required_metrics: &["median_cs_mbps", "median_cmap_mbps"],
+        fidelity: &[],
         in_repro: true,
         spec: |cli| cli.spec(50),
         run: fig13,
@@ -113,6 +135,10 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "~8% of (link, interferer) samples in the hidden quadrant; expected CMAP \
                       normalised throughput ~0.90",
         required_metrics: &["hidden_fraction", "expected_cmap"],
+        fidelity: &[
+            band("expected_cmap", "0.896", 0.85, 0.95),
+            band("hidden_fraction", "~8% of samples", 0.02, 0.12),
+        ],
         in_repro: true,
         spec: fig14_spec,
         run: fig14,
@@ -122,6 +148,7 @@ pub static REGISTRY: [Figure; 15] = [
         title: "Fig 15 — two senders out of range (hidden terminals)",
         paper_claim: "CMAP comparable to the status quo; little mass above the single-pair rate",
         required_metrics: &["median_cs_mbps", "median_cmap_mbps", "ratio"],
+        fidelity: &[band("ratio", "comparable to CS (~1x)", 0.85, 1.25)],
         in_repro: true,
         spec: |cli| cli.spec(50),
         run: fig15,
@@ -132,6 +159,7 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "header-or-trailer beats header-only; the gap is largest out of range; in \
                       range the either-rate is ~1",
         required_metrics: &["mean_in_range_either", "mean_oor_either"],
+        fidelity: &[],
         in_repro: true,
         spec: |cli| cli.spec(25),
         run: fig16,
@@ -150,6 +178,13 @@ pub static REGISTRY: [Figure; 15] = [
             "n5_gain",
             "n6_gain",
         ],
+        fidelity: &[
+            band("n3_gain", "+21%..+47% over CS", 1.1, 1.6),
+            band("n4_gain", "+21%..+47% over CS", 1.1, 1.6),
+            band("n5_gain", "+21%..+47% over CS", 1.1, 1.6),
+            band("n6_gain", "+21%..+47% over CS", 1.1, 1.6),
+            band("median_gain", "1.8x per sender (2.5 -> 4.6)", 1.15, 2.0),
+        ],
         in_repro: true,
         spec: |cli| cli.spec(10),
         run: fig17_18_ap,
@@ -159,6 +194,7 @@ pub static REGISTRY: [Figure; 15] = [
         title: "Fig 19 — header-or-trailer reception vs concurrent senders",
         paper_claim: "median stays high as concurrency grows; the 10th percentile drops sharply",
         required_metrics: &["rows"],
+        fidelity: &[],
         in_repro: true,
         spec: |cli| cli.spec(10),
         run: fig19,
@@ -174,6 +210,20 @@ pub static REGISTRY: [Figure; 15] = [
             "at6_gain",
             "at12_gain",
             "at18_gain",
+            "min_gain_step",
+        ],
+        fidelity: &[
+            band("at6_gain", "gains persist at 6 Mbit/s", 1.4, 2.1),
+            band("at12_gain", "gains persist at 12 Mbit/s", 1.4, 2.1),
+            band("at18_gain", "gains persist at 18 Mbit/s", 1.4, 2.1),
+            // The ordering 6 >= 12 >= 18 Mbit/s, to the re-draw noise of a
+            // median over 25 pairs.
+            band(
+                "min_gain_step",
+                "gain shrinks as the rate grows",
+                -0.02,
+                f64::INFINITY,
+            ),
         ],
         in_repro: true,
         spec: |cli| cli.spec(25),
@@ -184,6 +234,13 @@ pub static REGISTRY: [Figure; 15] = [
         title: "§5.7 — two-hop content dissemination mesh (S -> A1..A3 -> B1..B3)",
         paper_claim: "CMAP +52% aggregate leaf throughput over CS-on across 10 topologies",
         required_metrics: &["cs_mbps", "cmap_mbps", "gain"],
+        fidelity: &[Predicate {
+            metric: "gain",
+            paper: "+52% over CS",
+            lo: 1.2,
+            hi: 1.9,
+            waiver: Some("relays time-share with the source; ROADMAP 1(c)"),
+        }],
         in_repro: true,
         spec: |cli| cli.spec(10),
         run: mesh_dissemination,
@@ -194,6 +251,7 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "2162 connected pairs; 68% PRR<0.1, 12% intermediate, 20% PRR=1; mean \
                       degree 15.2, median 17",
         required_metrics: &["connected_pairs", "mean_degree"],
+        fidelity: &[],
         in_repro: true,
         spec: |cli| Spec {
             testbed_seed: cli.seed,
@@ -206,6 +264,7 @@ pub static REGISTRY: [Figure; 15] = [
         title: "Convergence sweep (extension)",
         paper_claim: "the paper notes transient loss before convergence but does not quantify it",
         required_metrics: &["p1000_conv_rate"],
+        fidelity: &[],
         in_repro: false,
         spec: |cli| cli.spec(10),
         run: convergence_sweep,
@@ -216,6 +275,7 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "each mechanism (sliding window, trailers, backoff, IL-in-ACKs, MIM \
                       capture) earns its keep",
         required_metrics: &["cmap_full_exposed_mbps"],
+        fidelity: &[],
         in_repro: false,
         spec: ablations_spec,
         run: ablations,
@@ -226,6 +286,7 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "graceful degradation: no panics, no watchdog violations, goodput within \
                       stated bounds of DCF",
         required_metrics: &["failures"],
+        fidelity: &[],
         in_repro: false,
         spec: chaos_soak_spec,
         run: chaos_soak,
@@ -236,6 +297,7 @@ pub static REGISTRY: [Figure; 15] = [
         paper_claim: "extension: sparse spatial medium sustains 10k+ node cities with a \
                       recorded interference error bound",
         required_metrics: &["scale.cells", "scale.error_bound_db_max"],
+        fidelity: &[],
         in_repro: false,
         spec: scale_sweep_spec,
         run: scale_sweep,
@@ -250,6 +312,52 @@ fn figure_for_bin(bin: &str) -> Option<&'static Figure> {
         other => other,
     };
     REGISTRY.iter().find(|f| f.name == name)
+}
+
+impl Figure {
+    /// Evaluate this row's predicates against `metric`, the lookup of a
+    /// report's numeric metrics. A metric the report lacks reads NaN, which
+    /// no band contains.
+    pub fn fidelity_rows(&self, metric: impl Fn(&str) -> Option<f64>) -> Vec<FidelityRow> {
+        self.fidelity
+            .iter()
+            .map(|predicate| FidelityRow {
+                figure: self.name,
+                predicate,
+                measured: metric(predicate.metric).unwrap_or(f64::NAN),
+            })
+            .collect()
+    }
+}
+
+/// The fidelity rows as the table both kinds of binary print. Verdicts are
+/// always shown; `gated` says whether a `fail` also failed the run.
+pub fn fidelity_table(rows: &[FidelityRow], gated: bool) -> String {
+    let gate = if gated {
+        "gated"
+    } else {
+        "not gated: only the standard spec runs the pairs the bands were set on"
+    };
+    let mut t = format!(
+        "### Fidelity — paper vs measured ({gate})\n\n\
+         | figure | metric | paper | band | measured | verdict |\n|---|---|---|---|---|---|\n"
+    );
+    for r in rows {
+        let p = r.predicate;
+        let waiver = p.waiver.map_or(String::new(), |w| format!(" ({w})"));
+        let _ = writeln!(
+            t,
+            "| {} | {} | {} | {}..{} | {:.4} | {}{waiver} |",
+            r.figure,
+            p.metric,
+            p.paper,
+            p.lo,
+            p.hi,
+            r.measured,
+            r.verdict().label(),
+        );
+    }
+    t
 }
 
 /// The spec of a figure that runs on its own micro-topology or analysis
@@ -300,9 +408,12 @@ pub struct FigureRun {
     pub text: String,
     /// The validated-or-not report; `None` when the run panicked.
     pub report: Option<RunReport>,
+    /// The row's fidelity predicates against the report (against nothing,
+    /// so all failing, when the run panicked).
+    pub fidelity: Vec<FidelityRow>,
     /// Everything that makes the caller exit nonzero: the figure's own
     /// invariant violations, a panic, a required metric missing from the
-    /// report.
+    /// report, and — at the standard spec — an unwaived fidelity miss.
     pub failures: Vec<String>,
     /// The cells `cmap_exec` quarantined during the run, or the figure
     /// itself when it panicked outside the pool.
@@ -359,12 +470,18 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
                 spec,
                 text: format!("FAIL: panicked: {msg}\n"),
                 report: None,
+                fidelity: fig.fidelity_rows(|_| None),
                 failures: vec![format!("{} panicked: {msg}", fig.name)],
                 cells,
             };
         }
     };
     let report = report_for(fig, cli, &spec, &out, Some(wall_secs));
+    // Read off the figure's own output: the report also holds the wall clock.
+    let fidelity = fig.fidelity_rows(|key| {
+        let (_, value) = out.metrics.iter().rev().find(|(k, _)| k == key)?;
+        value.as_f64()
+    });
     let FigureOutput {
         mut text,
         mut failures,
@@ -376,10 +493,20 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
     if let Err(e) = report.validate(fig.required_metrics) {
         failures.push(e);
     }
+    if cli.is_standard_spec() {
+        for r in fidelity.iter().filter(|r| r.verdict() == Verdict::Fail) {
+            let p = r.predicate;
+            failures.push(format!(
+                "fidelity: {} {} = {} outside {}..{} (paper: {})",
+                r.figure, p.metric, r.measured, p.lo, p.hi, p.paper
+            ));
+        }
+    }
     FigureRun {
         spec,
         text,
         report: Some(report),
+        fidelity,
         failures,
         cells,
     }
@@ -394,6 +521,12 @@ pub fn figure_main(bin: &str) {
     let run = run_figure(fig, &cli);
     banner(fig.title, fig.paper_claim, &run.spec);
     print!("{}", run.text);
+    if !run.fidelity.is_empty() {
+        print!(
+            "\n{}",
+            fidelity_table(&run.fidelity, cli.is_standard_spec())
+        );
+    }
     if let (Some(path), Some(report)) = (&cli.json, &run.report) {
         if let Err(e) = cmap_obs::atomic_write(path, report.to_json(true).as_bytes()) {
             eprintln!("error: cannot write {path}: {e}");
@@ -671,6 +804,7 @@ fn fig20(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let curves = exposed::fig20(spec);
     let mut out = FigureOutput::default();
     out.line(medians_line(&curves));
+    let mut gains = Vec::new();
     for mbps in [6u64, 12, 18] {
         let med = |l: String| {
             curves
@@ -683,8 +817,15 @@ fn fig20(_cli: &Cli, spec: &Spec) -> FigureOutput {
             out.metric(format!("at{mbps}_cs_mbps"), cs);
             out.metric(format!("at{mbps}_cmap_mbps"), cmap);
             out.metric(format!("at{mbps}_gain"), cmap / cs);
+            gains.push(cmap / cs);
         }
     }
+    // The smallest step down the ladder: negative where the gain rises.
+    let step = gains
+        .windows(2)
+        .map(|w| w[0] - w[1])
+        .fold(f64::NAN, f64::min);
+    out.metric("min_gain_step", step);
     out.line("");
     out.text
         .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 25.0, 26));
@@ -1338,6 +1479,8 @@ mod tests {
         assert_eq!(ap("fig18_ap_per_sender"), Some("fig17_18_ap"));
     }
 
+    const NEVER_EMITTED: [Predicate; 1] = [band("never_emitted", "-", 0.0, 1.0)];
+
     #[test]
     fn run_figure_reports_a_panicking_row_and_returns() {
         let row = Figure {
@@ -1345,6 +1488,7 @@ mod tests {
             title: "a row whose run panics",
             paper_claim: "-",
             required_metrics: &["never_emitted"],
+            fidelity: &NEVER_EMITTED,
             in_repro: false,
             spec: |cli| cli.spec(1),
             run: |_, spec| panic!("boom at {} configs", spec.configs),
@@ -1358,6 +1502,91 @@ mod tests {
         assert_eq!(run.cells[0].label, "always_panics");
         assert_eq!(run.cells[0].attempts, 1);
         assert_eq!(run.cells[0].error, "boom at 1 configs");
+        // Nothing was measured, so the row's predicate fails.
+        assert_eq!(run.fidelity.len(), 1);
+        assert_eq!(run.fidelity[0].verdict(), Verdict::Fail);
+    }
+
+    #[test]
+    fn every_predicate_names_a_required_metric_and_a_sane_band() {
+        for f in &REGISTRY {
+            for p in f.fidelity {
+                assert!(p.lo < p.hi, "{}: empty band {}..{}", f.name, p.lo, p.hi);
+                assert!(
+                    f.required_metrics.contains(&p.metric),
+                    "{}: predicate on `{}`, which the row does not require",
+                    f.name,
+                    p.metric
+                );
+            }
+            assert!(
+                f.fidelity.is_empty() || f.in_repro,
+                "{} has predicates but repro_all never evaluates them",
+                f.name
+            );
+        }
+    }
+
+    const CANNED: [Predicate; 3] = [
+        band("a", "about 3", 2.5, 3.5),
+        band("b", "about 3", 2.5, f64::INFINITY),
+        Predicate {
+            metric: "c",
+            paper: "about 3",
+            lo: 2.5,
+            hi: 3.5,
+            waiver: Some("known miss"),
+        },
+    ];
+
+    #[test]
+    fn fidelity_is_always_reported_and_gated_only_at_the_standard_spec() {
+        // Fixed metrics: one band holds, one misses unwaived, one waived.
+        let row = Figure {
+            name: "canned",
+            title: "fixed metrics",
+            paper_claim: "-",
+            required_metrics: &["a", "b", "c"],
+            fidelity: &CANNED,
+            in_repro: false,
+            spec: |cli| cli.spec(1),
+            run: |_, _| {
+                let mut out = FigureOutput::default();
+                out.metric("a", 3.0);
+                out.metric("b", 2.0);
+                out.metric("c", 1usize);
+                out
+            },
+        };
+        let standard = run_figure(&row, &Cli::default());
+        let verdicts: Vec<Verdict> = standard.fidelity.iter().map(|r| r.verdict()).collect();
+        assert_eq!(verdicts, [Verdict::Pass, Verdict::Fail, Verdict::Waived]);
+        assert_eq!(
+            standard.failures,
+            ["fidelity: canned b = 2 outside 2.5..inf (paper: about 3)"]
+        );
+        for ungated in [
+            Cli {
+                effort: Effort::Quick,
+                ..Cli::default()
+            },
+            Cli {
+                runs: Some(3),
+                ..Cli::default()
+            },
+        ] {
+            assert!(!ungated.is_standard_spec());
+            let run = run_figure(&row, &ungated);
+            assert_eq!(run.fidelity, standard.fidelity);
+            assert!(run.failures.is_empty(), "{:?}", run.failures);
+        }
+        let table = fidelity_table(&standard.fidelity, true);
+        assert!(table.starts_with("### Fidelity — paper vs measured (gated)"));
+        assert!(table.contains("| canned | b | about 3 | 2.5..inf | 2.0000 | fail |"));
+        assert!(
+            table.contains("| canned | c | about 3 | 2.5..3.5 | 1.0000 | waived (known miss) |")
+        );
+        assert!(fidelity_table(&standard.fidelity, false).contains("(not gated"));
     }
 
     #[test]

@@ -208,6 +208,14 @@ impl Cli {
         self.jobs.unwrap_or_else(cmap_exec::default_jobs)
     }
 
+    /// Whether this is the spec the fidelity bands were set on — default
+    /// effort, each figure's default pair count — and so the one whose
+    /// unwaived misses fail the run. `--quick` runs a quarter of the pairs
+    /// for a third of the time; its verdicts are reported, not gated.
+    pub fn is_standard_spec(&self) -> bool {
+        self.effort == Effort::Standard && self.runs.is_none()
+    }
+
     /// Build the experiment spec for this CLI at a given default
     /// configuration count.
     pub fn spec(&self, default_configs: usize) -> Spec {

@@ -3,7 +3,8 @@
 //! A [`RunReport`] is one figure/experiment's manifest: what was run (spec,
 //! seeds, effort), what came out (named metric values), and how long it
 //! took (the `timing` block). A [`SuiteReport`] aggregates many figure
-//! reports plus the identity of the BER table they were graded with —
+//! reports plus the identity of the BER table they were graded with and the
+//! verdict of every paper-fidelity predicate ([`FidelityRow`]) —
 //! `repro_all` writes one as `BENCH_repro.json`.
 //!
 //! **Determinism contract:** everything outside the `timing` blocks derives
@@ -68,6 +69,15 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
+    /// The value as a number, if it is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            MetricValue::Uint(v) => Some(*v as f64),
+            MetricValue::Float(v) => Some(*v),
+            MetricValue::Text(_) => None,
+        }
+    }
+
     fn to_json(&self) -> String {
         match self {
             MetricValue::Uint(v) => v.to_string(),
@@ -286,6 +296,25 @@ impl From<RunReport> for FigureEntry {
 }
 
 impl FigureEntry {
+    /// The numeric metric `key` of this entry, if it has one. A raw entry
+    /// is searched as text: inside its `metrics` object `"key":` can only
+    /// be the key itself (a quote inside a string literal is escaped), and
+    /// [`json::fmt_f64`] wrote the shortest repr that parses back to the
+    /// same bits, so a restored figure yields the value the run measured.
+    pub fn metric_f64(&self, key: &str) -> Option<f64> {
+        match self {
+            FigureEntry::Report(r) => r.metrics.get(key)?.as_f64(),
+            FigureEntry::Raw(raw) => {
+                let raw = strip_trailing_timing(raw);
+                let metrics = &raw[raw.find(",\"metrics\":{")?..];
+                let mut needle = String::new();
+                json::push_key(&mut needle, key);
+                let value = &metrics[metrics.find(&needle)? + needle.len()..];
+                value[..value.find([',', '}'])?].parse().ok()
+            }
+        }
+    }
+
     fn to_json(&self, include_timing: bool) -> String {
         match self {
             FigureEntry::Report(r) => r.to_json(include_timing),
@@ -336,6 +365,106 @@ impl BerTableBlock {
     }
 }
 
+/// How one fidelity predicate came out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The measured value is inside the band.
+    Pass,
+    /// Outside the band (or not measured), with no waiver.
+    Fail,
+    /// Outside the band, but the predicate carries a waiver.
+    Waived,
+}
+
+impl Verdict {
+    /// Lower-case label (`pass` / `fail` / `waived`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Verdict::Pass => "pass",
+            Verdict::Fail => "fail",
+            Verdict::Waived => "waived",
+        }
+    }
+}
+
+/// One declared "paper vs measured" claim: `lo <= metric <= hi`.
+#[derive(Debug, PartialEq)]
+pub struct Predicate {
+    /// Metric key of the figure's report.
+    pub metric: &'static str,
+    /// What the paper reports for it.
+    pub paper: &'static str,
+    /// Lower edge of the accepted band.
+    pub lo: f64,
+    /// Upper edge; infinite (serialized `null`) for a one-sided band.
+    pub hi: f64,
+    /// Why a miss is accepted for now; a waived miss is reported but does
+    /// not fail the run.
+    pub waiver: Option<&'static str>,
+}
+
+impl Predicate {
+    /// A predicate without a waiver.
+    pub const fn band(metric: &'static str, paper: &'static str, lo: f64, hi: f64) -> Predicate {
+        Predicate {
+            metric,
+            paper,
+            lo,
+            hi,
+            waiver: None,
+        }
+    }
+}
+
+/// A [`Predicate`] evaluated against one run. Derived from simulation
+/// state only, so it serializes in both views.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FidelityRow {
+    /// Registry name of the figure the metric belongs to.
+    pub figure: &'static str,
+    /// The claim.
+    pub predicate: &'static Predicate,
+    /// The measured value; NaN (serialized `null`) if the report lacks it.
+    pub measured: f64,
+}
+
+impl FidelityRow {
+    /// Inside the band, waived, or failed. NaN is outside every band.
+    pub fn verdict(&self) -> Verdict {
+        let p = self.predicate;
+        if p.lo <= self.measured && self.measured <= p.hi {
+            Verdict::Pass
+        } else if p.waiver.is_some() {
+            Verdict::Waived
+        } else {
+            Verdict::Fail
+        }
+    }
+
+    fn to_json(&self) -> String {
+        let p = self.predicate;
+        let mut s = String::from("{\"figure\":");
+        json::push_str_lit(&mut s, self.figure);
+        s.push_str(",\"metric\":");
+        json::push_str_lit(&mut s, p.metric);
+        s.push_str(",\"paper\":");
+        json::push_str_lit(&mut s, p.paper);
+        s.push_str(&format!(
+            ",\"lo\":{},\"hi\":{},\"measured\":{},\"verdict\":\"{}\",\"waiver\":",
+            json::fmt_f64(p.lo),
+            json::fmt_f64(p.hi),
+            json::fmt_f64(self.measured),
+            self.verdict().label()
+        ));
+        match p.waiver {
+            Some(w) => json::push_str_lit(&mut s, w),
+            None => s.push_str("null"),
+        }
+        s.push('}');
+        s
+    }
+}
+
 /// Aggregate of many figure reports (what `repro_all --json` writes).
 #[derive(Debug, Clone)]
 pub struct SuiteReport {
@@ -345,6 +474,9 @@ pub struct SuiteReport {
     pub spec: SpecBlock,
     /// The BER table in use; `None` omits the key (library contexts).
     pub ber_table: Option<BerTableBlock>,
+    /// Every fidelity predicate of the figures run, in suite order;
+    /// `None` omits the key (library contexts).
+    pub fidelity: Option<Vec<FidelityRow>>,
     /// Per-figure entries, in run order.
     pub figures: Vec<FigureEntry>,
     /// Supervision outcome; `None` omits the key (library contexts).
@@ -360,6 +492,7 @@ impl SuiteReport {
             suite: suite.to_string(),
             spec,
             ber_table: None,
+            fidelity: None,
             figures: Vec::new(),
             failures: None,
             timing: None,
@@ -389,6 +522,10 @@ impl SuiteReport {
         if let Some(b) = &self.ber_table {
             s.push_str(",\"ber_table\":");
             s.push_str(&b.to_json());
+        }
+        if let Some(rows) = &self.fidelity {
+            let rows: Vec<String> = rows.iter().map(FidelityRow::to_json).collect();
+            s.push_str(&format!(",\"fidelity\":[{}]", rows.join(",")));
         }
         s.push_str(",\"figures\":[");
         for (i, f) in self.figures.iter().enumerate() {
@@ -533,6 +670,79 @@ mod tests {
                 spliced.to_json(include_timing)
             );
         }
+    }
+
+    const MESH_GAIN: Predicate = Predicate::band("gain", "+52%", 1.2, f64::INFINITY);
+    const MESH_GAIN_WAIVED: Predicate = Predicate {
+        waiver: Some("relays time-share"),
+        ..MESH_GAIN
+    };
+
+    fn fidelity_row(measured: f64, waived: bool) -> FidelityRow {
+        FidelityRow {
+            figure: "mesh_dissemination",
+            predicate: if waived {
+                &MESH_GAIN_WAIVED
+            } else {
+                &MESH_GAIN
+            },
+            measured,
+        }
+    }
+
+    #[test]
+    fn fidelity_verdicts_follow_band_and_waiver() {
+        assert_eq!(fidelity_row(1.5, false).verdict(), Verdict::Pass);
+        assert_eq!(fidelity_row(1.2, true).verdict(), Verdict::Pass);
+        assert_eq!(fidelity_row(0.9, false).verdict(), Verdict::Fail);
+        assert_eq!(fidelity_row(0.9, true).verdict(), Verdict::Waived);
+        // A metric the report lacks is outside every band.
+        assert_eq!(fidelity_row(f64::NAN, false).verdict(), Verdict::Fail);
+    }
+
+    #[test]
+    fn fidelity_block_serializes_after_ber_table_in_both_views() {
+        let mut s = SuiteReport::new("repro_all", spec());
+        assert!(!s.to_json(true).contains("\"fidelity\""));
+        s.ber_table = Some(BerTableBlock {
+            version: "ber-table/v1",
+            grid_points: 4097,
+            max_abs_err: 0.00115,
+        });
+        s.fidelity = Some(vec![fidelity_row(0.9, true), fidelity_row(f64::NAN, false)]);
+        s.timing = Some(TimingBlock { wall_secs: 9.0 });
+        for view in [s.to_json(false), s.to_json(true)] {
+            assert!(
+                view.contains(
+                    "\"max_abs_err\":0.00115},\"fidelity\":[{\"figure\":\"mesh_dissemination\",\
+                     \"metric\":\"gain\",\"paper\":\"+52%\",\"lo\":1.2,\"hi\":null,\
+                     \"measured\":0.9,\"verdict\":\"waived\",\"waiver\":\"relays time-share\"},\
+                     {\"figure\":\"mesh_dissemination\",\"metric\":\"gain\",\"paper\":\"+52%\",\
+                     \"lo\":1.2,\"hi\":null,\"measured\":null,\"verdict\":\"fail\",\
+                     \"waiver\":null}],\"figures\":["
+                ),
+                "{view}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_and_structured_entries_yield_the_same_metric() {
+        let mut r = RunReport::new("fig12_exposed", "a \"metrics\":{\"gain\":9} decoy", spec());
+        r.metric("gain", 1.0 / 3.0);
+        r.metric("again", 7.5);
+        r.metric("pairs", 50usize);
+        r.metric("label", "\"gain\":2");
+        r.timing = Some(TimingBlock { wall_secs: 4.25 });
+        let raw = FigureEntry::Raw(r.to_json(true));
+        let structured = FigureEntry::Report(r);
+        for key in ["gain", "again", "pairs", "label", "absent", "wall_secs"] {
+            let got = raw.metric_f64(key).map(f64::to_bits);
+            assert_eq!(got, structured.metric_f64(key).map(f64::to_bits), "{key}");
+        }
+        assert_eq!(structured.metric_f64("gain"), Some(1.0 / 3.0));
+        assert_eq!(structured.metric_f64("pairs"), Some(50.0));
+        assert_eq!(structured.metric_f64("label"), None);
     }
 
     #[test]
