@@ -23,6 +23,7 @@
 //! settle a lock or a decode without evaluating its probability ([`gate`]).
 
 pub mod error_model;
+pub mod fading;
 pub mod gate;
 pub mod preamble;
 pub mod propagation;
@@ -31,6 +32,7 @@ pub mod table;
 pub mod units;
 
 pub use error_model::{ber, packet_success_prob, per};
+pub use fading::FadingTable;
 pub use gate::DrawGate;
 pub use preamble::{preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 pub use rate::{Modulation, Rate};

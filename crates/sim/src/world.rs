@@ -176,6 +176,12 @@ impl World {
     /// Build a world over `medium`; every node starts with a [`NullMac`].
     fn construct(medium: Medium, phy: PhyConfig, seed: u64) -> World {
         let n = medium.len();
+        cmap_phy::FadingTable::new(
+            phy.fading_sigma_db,
+            phy.fading_boost_prob,
+            phy.fading_boost_db,
+        )
+        .expect("PhyConfig's fading fields are valid");
         World {
             phy_linear: PhyLinear::new(&phy),
             phy,
@@ -1323,6 +1329,19 @@ mod tests {
             .uniform(n, -70.0)
             .build();
         World::builder().medium(medium).phy(phy).seed(seed).build()
+    }
+
+    #[test]
+    #[should_panic(expected = "fading_boost_prob")]
+    fn a_bad_fading_field_fails_the_build_by_name() {
+        let phy = PhyConfig {
+            fading_boost_prob: 1.5,
+            ..PhyConfig::default()
+        };
+        let medium = crate::medium::MediumBuilder::new(&phy)
+            .uniform(2, -70.0)
+            .build();
+        World::builder().medium(medium).phy(phy).build();
     }
 
     #[test]

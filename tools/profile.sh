@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# Where the benchmark binary's CPU time goes, by symbol and by layer, without
+# perf: build tools/profile/sampler.c, run one untraced workload of the
+# release benchmark binary under it, symbolise the samples.
+#   usage: tools/profile.sh <workload> [--stacks] [--seconds S] [--seed N] [--out DIR]
+# --stacks records call stacks (inclusive shares, the set-up phase) instead
+# of the interrupted PC alone. Writes <workload>.profile.txt (the table, also
+# printed) and <workload>.profile.raw beside results.json in DIR (default
+# benchmark/out). Needs a C compiler; without one it says so and exits 0.
+set -euo pipefail
+
+usage() {
+    sed -n '2,9p' "${BASH_SOURCE[0]}" >&2
+    exit 2
+}
+
+workload=""
+stacks=0
+seconds=""
+seed=1
+out=""
+while (($#)); do
+    case "$1" in
+        --stacks) stacks=1; shift ;;
+        --seconds) seconds="${2:?}"; shift 2 ;;
+        --seed) seed="${2:?}"; shift 2 ;;
+        --out) out="${2:?}"; shift 2 ;;
+        -*) usage ;;
+        *) [[ -z "$workload" ]] || usage; workload="$1"; shift ;;
+    esac
+done
+[[ -n "$workload" ]] || usage
+
+tools="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+if ! command -v cc > /dev/null; then
+    echo "tools/profile.sh: no C compiler (cc) here; skipping the profile"
+    exit 0
+fi
+# shellcheck source=../benchmark/env.sh
+source "$tools/../benchmark/env.sh"
+out="${out:-$here/out}"
+mkdir -p "$out"
+
+sampler="$CARGO_TARGET_DIR/libcmap_sampler.so"
+cc -O2 -shared -fPIC -o "$sampler" "$tools/profile/sampler.c"
+
+args=(--workload "$workload" --seed "$seed" --trace 0 --out "$out")
+[[ -n "$seconds" ]] && args+=(--seconds "$seconds")
+raw="$out/$workload.profile.raw"
+CMAP_PROFILE_OUT="$raw" CMAP_PROFILE_STACKS="$stacks" LD_PRELOAD="$sampler" \
+    "$bin" "${args[@]}" > "$out/$workload.profiled.e2e.txt"
+tail -n 1 "$out/$workload.profiled.e2e.txt"
+python3 "$tools/profile/symbolise.py" "$raw" | tee "$out/$workload.profile.txt"

@@ -1,0 +1,182 @@
+#!/usr/bin/env python3
+"""Turn a tools/profile/sampler.c dump into share tables.
+
+Usage: symbolise.py <raw dump> [--top N]
+
+Prints, from the `map` lines (the process's /proc/self/maps) and the
+`sample` lines (one PC, or one stack leaf first, per SIGPROF tick):
+
+* self share by symbol, and with stacks the inclusive share beside it
+  (a symbol counts once per sample it appears anywhere in);
+* the same by layer: `cmap_sim::<module>` for the engine, the crate name
+  for every other workspace crate, `libm` / `libc` by shared object,
+  `std` for the Rust runtime, and — inclusive only, since it is a phase
+  rather than a place — `set-up`, every sample taken under
+  `cmap_benchmark::workload` (scenario and world construction).
+
+Symbols come from `nm -C` on each mapped file (`nm -D` as well, for the
+stripped system libraries). Standard library only.
+"""
+import bisect
+import collections
+import re
+import struct
+import subprocess
+import sys
+
+
+def load_bias(path, first_start):
+    """Runtime address minus link-time address for `path`: zero for a
+    fixed-address executable, else where its first segment landed."""
+    with open(path, "rb") as f:
+        head = f.read(64)
+        if head[:4] != b"\x7fELF" or head[4] != 2:
+            return first_start
+        e_type = struct.unpack_from("<H", head, 16)[0]
+        if e_type == 2:  # ET_EXEC
+            return 0
+        phoff, = struct.unpack_from("<Q", head, 32)
+        phentsize, phnum = struct.unpack_from("<HH", head, 54)
+        f.seek(phoff)
+        for _ in range(phnum):
+            ph = f.read(phentsize)
+            p_type, = struct.unpack_from("<I", ph, 0)
+            if p_type == 1:  # PT_LOAD: the first one maps file offset 0
+                p_vaddr, = struct.unpack_from("<Q", ph, 16)
+                return first_start - p_vaddr
+    return first_start
+
+
+def symbols(path):
+    """Sorted (address, size, name) of the code symbols `nm` finds in
+    `path`; size 0 where `nm` reports none."""
+    found = {}
+    for extra in ([], ["-D"]):
+        try:
+            out = subprocess.run(
+                ["nm", "-C", "-S", "--defined-only", *extra, path],
+                capture_output=True, text=True, check=False).stdout
+        except OSError:
+            continue
+        for line in out.splitlines():
+            m = re.match(r"([0-9a-f]+) (?:([0-9a-f]+) )?([tTwWiu]) (.+)", line)
+            if m:
+                found.setdefault(int(m.group(1), 16),
+                                 (int(m.group(2) or "0", 16), m.group(4)))
+    return sorted((a, size, name) for a, (size, name) in found.items())
+
+
+class Image:
+    def __init__(self, path, start):
+        self.path = path
+        self.bias = load_bias(path, start)
+        self.syms = symbols(path)
+        self.addrs = [a for a, _, _ in self.syms]
+
+    def lookup(self, pc):
+        """The symbol covering `pc`. A stripped library exports only its
+        entry points, so an address past the nearest one's size is inside
+        some unnamed internal function: name the file instead."""
+        addr = pc - self.bias
+        i = bisect.bisect_right(self.addrs, addr) - 1
+        if i >= 0:
+            start, size, name = self.syms[i]
+            if size == 0 or addr < start + size:
+                return name
+        return "[%s]" % self.path.rsplit("/", 1)[-1]
+
+
+def layer_of(symbol, path):
+    base = path.rsplit("/", 1)[-1]
+    if base.startswith("libm"):
+        return "libm"
+    if base.startswith(("libc", "ld-", "libgcc", "libpthread")):
+        return "libc"
+    m = re.search(r"\bcmap_(\w+?)(?:::(\w+))?\b", symbol)
+    if m:
+        crate = "cmap_" + m.group(1)
+        return crate + "::" + m.group(2) if crate == "cmap_sim" and m.group(2) else crate
+    if re.search(r"\b(core|alloc|std|hashbrown|rand)::", symbol) or symbol.startswith("__rust"):
+        return "std"
+    return "other"
+
+
+def main():
+    args = sys.argv[1:]
+    top = 25
+    if "--top" in args:
+        i = args.index("--top")
+        top = int(args[i + 1])
+        del args[i:i + 2]
+    if len(args) != 1:
+        sys.exit(__doc__)
+    maps, samples, dropped = [], [], 0
+    first_start = {}
+    for line in open(args[0]):
+        kind, _, rest = line.partition(" ")
+        if kind == "map":
+            f = rest.split()
+            if len(f) >= 6 and f[5].startswith("/"):
+                lo, hi = (int(x, 16) for x in f[0].split("-"))
+                first_start.setdefault(f[5], lo)
+                if "x" in f[1]:
+                    maps.append((lo, hi, f[5]))
+        elif kind == "sample":
+            samples.append([int(x, 16) for x in rest.split()])
+        elif kind == "dropped":
+            dropped = int(rest)
+    if not samples:
+        sys.exit("no samples in " + args[0])
+    maps.sort()
+    starts = [lo for lo, _, _ in maps]
+    images = {}
+
+    def resolve(pc, caller):
+        # A return address points past its call; step back into it.
+        i = bisect.bisect_right(starts, pc - caller) - 1
+        if i < 0 or pc - caller >= maps[i][1]:
+            return "[unmapped]", "other"
+        path = maps[i][2]
+        if path not in images:
+            images[path] = Image(path, first_start[path])
+        sym = images[path].lookup(pc - caller)
+        return sym, layer_of(sym, path)
+
+    self_sym, incl_sym = collections.Counter(), collections.Counter()
+    self_layer, incl_layer = collections.Counter(), collections.Counter()
+    stacks = any(len(s) > 1 for s in samples)
+    for stack in samples:
+        frames = [resolve(pc, 1 if k else 0) for k, pc in enumerate(stack)]
+        self_sym[frames[0][0]] += 1
+        self_layer[frames[0][1]] += 1
+        for sym in {s for s, _ in frames}:
+            incl_sym[sym] += 1
+        layers = {l for _, l in frames}
+        if any("cmap_benchmark::workload" in s for s, _ in frames):
+            layers.add("set-up")
+        for layer in layers:
+            incl_layer[layer] += 1
+
+    n = len(samples)
+    print("samples %d  dropped %d  stacks %s" % (n, dropped, "yes" if stacks else "no"))
+
+    def table(title, self_c, incl_c, rows):
+        print("\n%s" % title)
+        print("%8s %8s  %s" % ("self %", "incl %" if stacks else "", "name"))
+        keys = sorted(incl_c if stacks else self_c,
+                      key=lambda k: (-self_c[k], -incl_c[k], k))[:rows]
+        for k in keys:
+            incl = "%8.1f" % (100.0 * incl_c[k] / n) if stacks else " " * 8
+            print("%8.1f %s  %s" % (100.0 * self_c[k] / n, incl, k))
+
+    table("by layer", self_layer, incl_layer, 100)
+    table("by symbol (top %d by self share)" % top, self_sym, incl_sym, top)
+    if stacks:
+        print("\nby symbol (top %d by inclusive share)" % top)
+        print("%8s %8s  %s" % ("self %", "incl %", "name"))
+        for k, c in incl_sym.most_common(top):
+            print("%8.1f %8.1f  %s" % (100.0 * self_sym[k] / n, 100.0 * c / n, k))
+
+
+if __name__ == "__main__":
+    main()
