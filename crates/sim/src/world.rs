@@ -28,12 +28,12 @@ use crate::medium::Medium;
 use crate::persist;
 use crate::pool::{FramePool, LiveTx};
 use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxCompletion};
-use crate::rng::{normal, stream_rng};
+use crate::rng::stream_rng;
 use crate::stats::Stats;
 use crate::time::Time;
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 use cmap_phy::units::db_to_ratio;
-use cmap_phy::{gate, BerTable, DrawGate, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{gate, BerTable, DrawGate, FadingTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
 
 pub use crate::node::NodeId;
@@ -72,6 +72,9 @@ pub struct World {
     phy: PhyConfig,
     /// `phy`'s thresholds in the linear domain, for the per-event paths.
     phy_linear: PhyLinear,
+    /// `phy`'s fading fields, validated, and the per-arrival multiplier
+    /// they imply as an inverse-CDF table.
+    fading: FadingTable,
     time: Time,
     sched: Scheduler,
     medium: Medium,
@@ -176,7 +179,7 @@ impl World {
     /// Build a world over `medium`; every node starts with a [`NullMac`].
     fn construct(medium: Medium, phy: PhyConfig, seed: u64) -> World {
         let n = medium.len();
-        cmap_phy::FadingTable::new(
+        let fading = FadingTable::new(
             phy.fading_sigma_db,
             phy.fading_boost_prob,
             phy.fading_boost_db,
@@ -184,6 +187,7 @@ impl World {
         .expect("PhyConfig's fading fields are valid");
         World {
             phy_linear: PhyLinear::new(&phy),
+            fading,
             phy,
             time: 0,
             sched: Scheduler::new(),
@@ -498,15 +502,14 @@ impl World {
                     Some(f) => link.rss_mw * db_to_ratio(f.link_offset_db(src, rx, self.time)),
                     None => link.rss_mw,
                 };
-                let boost = if self.phy.fading_boost_prob > 0.0
-                    && self.rngs[rx.index()].gen_bool(self.phy.fading_boost_prob)
-                {
-                    self.phy.fading_boost_db
-                } else {
-                    0.0
-                };
-                let fading_db = normal(&mut self.rngs[rx.index()], boost, self.phy.fading_sigma_db);
-                let power_mw = base_mw * db_to_ratio(fading_db);
+                let rng = &mut self.rngs[rx.index()];
+                let mut power_mw = base_mw;
+                if self.fading.boost_prob() > 0.0 && rng.gen_bool(self.fading.boost_prob()) {
+                    power_mw *= self.fading.boost_ratio();
+                }
+                if self.fading.draws() {
+                    power_mw *= self.fading.mult(rng.gen::<u64>());
+                }
                 let outcome = self.radios.frame_start(
                     rx.index(),
                     tx_id,
@@ -1329,6 +1332,54 @@ mod tests {
             .uniform(n, -70.0)
             .build();
         World::builder().medium(medium).phy(phy).seed(seed).build()
+    }
+
+    /// What one arrival costs the receiver's stream: a word for the boost
+    /// decision when one is possible, a word for the multiplier when σ > 0,
+    /// nothing else. The link sits 9 dB under the lock threshold, so no
+    /// arrival gets as far as a lock draw.
+    #[test]
+    fn an_arrival_draws_one_word_per_fading_decision_it_has_to_make() {
+        for (sigma_db, boost_prob, words_per_arrival) in
+            [(0.5, 0.0, 1), (0.5, 0.5, 2), (0.0, 0.5, 1), (0.0, 0.0, 0)]
+        {
+            let phy = PhyConfig {
+                fading_sigma_db: sigma_db,
+                fading_boost_prob: boost_prob,
+                fading_boost_db: 1.0,
+                ..PhyConfig::default()
+            };
+            let medium = crate::medium::MediumBuilder::new(&phy)
+                .uniform(2, -119.0)
+                .build();
+            let mut w = World::builder().medium(medium).phy(phy).seed(5).build();
+            w.set_mac(
+                0,
+                Box::new(Blaster {
+                    dst: MacAddr::from_node_index(1),
+                    period: millis(2),
+                    payload: 100,
+                    sent: 0,
+                }),
+            );
+            w.run_until(millis(21));
+            let start_idx = Event::KIND_NAMES
+                .iter()
+                .position(|k| *k == "frame_start")
+                .expect("a FrameStart kind");
+            let arrivals = w.sched.processed_by_kind()[start_idx];
+            assert_eq!(arrivals, 10, "one FrameStart per frame sent");
+            assert_eq!(w.stats().counter(CounterId::SimLock), 0);
+            let mut twin = stream_rng(5, 2);
+            for _ in 0..arrivals * words_per_arrival {
+                twin.gen::<u64>();
+            }
+            assert_eq!(
+                w.rngs[1].gen::<u64>(),
+                twin.gen::<u64>(),
+                "σ {sigma_db}, boost probability {boost_prob}"
+            );
+        }
     }
 
     #[test]

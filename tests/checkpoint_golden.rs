@@ -67,8 +67,9 @@ fn assert_golden(
         committed(file),
         "cmap-ckpt/v4 bytes of scenario `{name}` drifted from the committed \
          pin (got {got:#018x}, {} bytes). A format change must bump \
-         CKPT_MAGIC and regenerate tests/data/ckpt_v4_{name}.fnv; anything \
-         else is a serialization regression.",
+         CKPT_MAGIC and regenerate tests/data/ckpt_v4_{name}.fnv, and an \
+         outcome epoch (DESIGN.md §6) regenerates it once for a change of \
+         simulated outcomes; anything else is a serialization regression.",
         bytes.len()
     );
 }

@@ -377,3 +377,209 @@ mod gate {
         );
     }
 }
+
+/// The fading table against oracles it did not write: the lognormal's CDF
+/// through `error_model::erfc`, and its quantiles through a series /
+/// continued-fraction `erfc` inverted by bisection — neither shares a line
+/// with the table's own `inv_norm_cdf`.
+// Bit equality with the direct formula is a property under test.
+#[allow(clippy::float_cmp)]
+mod fading {
+    use cmap_suite::phy::error_model::erfc;
+    use cmap_suite::phy::fading::{
+        inv_norm_cdf, FadingTable, CELLS, FADING_TABLE_ERR_BOUND, MAX_SIGMA_DB, TAIL_CELLS,
+    };
+    use cmap_suite::phy::units::{db_to_ratio, ratio_to_db};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::f64::consts::{PI, SQRT_2};
+
+    const SIGMAS: [f64; 3] = [0.5, 2.0, 6.0];
+
+    fn table(sigma_db: f64) -> FadingTable {
+        FadingTable::new(sigma_db, 0.0, 0.0).expect("valid σ")
+    }
+
+    /// `erfc(x)` for `x >= 0` to ~1e-15 relative: the all-positive series
+    /// of `erf` below 2, the continued fraction of `erfc` from there on.
+    fn erfc_reference(x: f64) -> f64 {
+        let gauss = (-x * x).exp();
+        if x < 2.0 {
+            let (mut term, mut sum, mut n) = (x, x, 0.0);
+            while term > sum * 1e-18 {
+                n += 1.0;
+                term *= 2.0 * x * x / (2.0 * n + 1.0);
+                sum += term;
+            }
+            return 1.0 - 2.0 / PI.sqrt() * gauss * sum;
+        }
+        let tail = (1..=300).rev().fold(x, |f, k| x + f64::from(k) / 2.0 / f);
+        gauss / (PI.sqrt() * tail)
+    }
+
+    /// `Φ⁻¹(p)` by 100 bisections of `Φ(z) = erfc_reference(-z/√2)/2`.
+    fn quantile_reference(p: f64) -> f64 {
+        if p > 0.5 {
+            return -quantile_reference(1.0 - p);
+        }
+        let (mut lo, mut hi) = (-10.0, 0.0);
+        for _ in 0..100 {
+            let mid = 0.5 * (lo + hi);
+            if 0.5 * erfc_reference(-mid / SQRT_2) < p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn a_million_draws_follow_the_lognormal() {
+        const N: usize = 1_000_000;
+        for (s, &sigma) in SIGMAS.iter().enumerate() {
+            let t = table(sigma);
+            let mut rng = SmallRng::seed_from_u64(0xFAD1 + s as u64);
+            // The draw in dB over σ is standard normal if the table is right.
+            let mut z: Vec<f64> = (0..N)
+                .map(|_| ratio_to_db(t.mult(rng.gen::<u64>())) / sigma)
+                .collect();
+            z.sort_by(f64::total_cmp);
+
+            // Kolmogorov–Smirnov against Φ, 1 % critical value 1.628/√n.
+            let n = N as f64;
+            let ks = z
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let cdf = 0.5 * erfc(-x / SQRT_2);
+                    (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+                })
+                .fold(0.0, f64::max);
+            assert!(ks < 1.628 / n.sqrt(), "σ {sigma}: KS distance {ks}");
+
+            // First four moments, each within about five standard errors
+            // (1/√n, 0.71/√n, √(6/n), √(24/n)).
+            let mean = z.iter().sum::<f64>() / n;
+            let central = |k: i32| z.iter().map(|x| (x - mean).powi(k)).sum::<f64>() / n;
+            let sd = central(2).sqrt();
+            let skew = central(3) / sd.powi(3);
+            let kurtosis = central(4) / sd.powi(4);
+            assert!(mean.abs() < 0.005, "σ {sigma}: mean {mean} σ");
+            assert!((sd - 1.0).abs() < 0.004, "σ {sigma}: sd {sd} σ");
+            assert!(skew.abs() < 0.012, "σ {sigma}: skew {skew}");
+            assert!(
+                (kurtosis - 3.0).abs() < 0.025,
+                "σ {sigma}: kurtosis {kurtosis}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_edge_ascends_and_is_the_closed_form_quantile() {
+        let z: Vec<f64> = (1..CELLS)
+            .map(|i| quantile_reference(i as f64 / CELLS as f64))
+            .collect();
+        for sigma in SIGMAS {
+            let t = table(sigma);
+            for i in 1..CELLS {
+                let closed = db_to_ratio(sigma * z[i - 1]);
+                let rel = (t.edge(i) / closed - 1.0).abs();
+                assert!(rel < 1e-12, "σ {sigma} edge {i}: {} vs {closed}", t.edge(i));
+                assert!(
+                    t.edge(i - 1) < t.edge(i),
+                    "σ {sigma}: edge {i} does not ascend"
+                );
+            }
+            assert!(t.edge(CELLS - 1) < t.edge(CELLS));
+            assert_eq!(t.edge(CELLS / 2), 1.0);
+        }
+    }
+
+    /// The word whose draw lands in `cell` at `j/64` (plus the half step
+    /// `split` adds) of the way across it.
+    fn word(cell: usize, j: u64) -> u64 {
+        ((cell as u64) << 54) | (j << 48)
+    }
+
+    #[test]
+    fn off_grid_draws_are_within_the_documented_bound_of_the_quantile() {
+        for sigma in [0.5, 2.0, 6.0, MAX_SIGMA_DB] {
+            let t = table(sigma);
+            let mut worst = 0.0f64;
+            for cell in TAIL_CELLS..CELLS - TAIL_CELLS {
+                for j in 0..64 {
+                    let bits = word(cell, j);
+                    let (c, frac) = FadingTable::split(bits);
+                    assert_eq!(c, cell);
+                    let exact = t.quantile((cell as f64 + frac) / CELLS as f64);
+                    let err_db = ratio_to_db(t.mult(bits) / exact).abs();
+                    worst = worst.max(err_db / sigma);
+                }
+            }
+            assert!(
+                worst <= FADING_TABLE_ERR_BOUND,
+                "σ {sigma}: interpolation is {worst} σ off the quantile"
+            );
+        }
+    }
+
+    #[test]
+    fn tail_cells_are_the_direct_formula_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(0x7A11);
+        for sigma in SIGMAS {
+            let t = table(sigma);
+            for _ in 0..20_000 {
+                let low: u64 = rng.gen::<u64>() >> 10;
+                let k = rng.gen_range(0..TAIL_CELLS);
+                let (_, frac) = FadingTable::split(low);
+                let below = (k as f64 + frac) / CELLS as f64;
+                let direct = db_to_ratio(sigma * inv_norm_cdf(below));
+                assert_eq!(t.mult(((k as u64) << 54) | low), direct, "lower cell {k}");
+                let top = CELLS - 1 - k;
+                let above = (k as f64 + (1.0 - frac)) / CELLS as f64;
+                let direct = db_to_ratio(-sigma * inv_norm_cdf(above));
+                assert_eq!(
+                    t.mult(((top as u64) << 54) | low),
+                    direct,
+                    "upper cell {top}"
+                );
+            }
+            // Continuous across the seam between the rules, to the bound.
+            for (inner, outer) in [
+                (
+                    word(TAIL_CELLS, 0),
+                    word(TAIL_CELLS - 1, 63) | 0xFFFF_FFFF_FFFF,
+                ),
+                (
+                    word(CELLS - TAIL_CELLS - 1, 63) | 0xFFFF_FFFF_FFFF,
+                    word(CELLS - TAIL_CELLS, 0),
+                ),
+            ] {
+                let gap = ratio_to_db(t.mult(inner) / t.mult(outer)).abs();
+                assert!(gap < 1e-9 * sigma, "σ {sigma}: {gap} dB across the seam");
+            }
+        }
+    }
+
+    #[test]
+    fn every_word_yields_a_finite_positive_multiplier() {
+        let mut rng = SmallRng::seed_from_u64(0xB175);
+        for sigma in [0.5, 2.0, 6.0, MAX_SIGMA_DB] {
+            let t = table(sigma);
+            // The two extreme words are the 2⁻⁶³ quantiles: ∓9.1 σ.
+            let (lo, hi) = (t.mult(0), t.mult(u64::MAX));
+            assert!(lo > 0.0 && hi.is_finite(), "σ {sigma}: {lo} .. {hi}");
+            assert!((ratio_to_db(lo) / sigma + 9.1).abs() < 0.1, "{lo}");
+            assert!((ratio_to_db(hi) / sigma - 9.1).abs() < 0.1, "{hi}");
+            for _ in 0..100_000 {
+                let bits = rng.gen::<u64>();
+                let m = t.mult(bits);
+                assert!(
+                    m.is_finite() && m >= lo && m <= hi,
+                    "σ {sigma} {bits:#x}: {m}"
+                );
+            }
+        }
+    }
+}
