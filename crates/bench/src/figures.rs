@@ -63,7 +63,13 @@ impl FigureOutput {
 /// EXPERIMENTS.md "Fidelity gate" records both — so a change that bends a
 /// figure fails here, not in a reader's eye.
 const fn band(metric: &'static str, paper: &'static str, lo: f64, hi: f64) -> Predicate {
-    Predicate::band(metric, paper, lo, hi)
+    Predicate {
+        metric,
+        paper,
+        lo,
+        hi,
+        waiver: None,
+    }
 }
 
 /// One registered figure/experiment of the evaluation.

@@ -403,19 +403,6 @@ pub struct Predicate {
     pub waiver: Option<&'static str>,
 }
 
-impl Predicate {
-    /// A predicate without a waiver.
-    pub const fn band(metric: &'static str, paper: &'static str, lo: f64, hi: f64) -> Predicate {
-        Predicate {
-            metric,
-            paper,
-            lo,
-            hi,
-            waiver: None,
-        }
-    }
-}
-
 /// A [`Predicate`] evaluated against one run. Derived from simulation
 /// state only, so it serializes in both views.
 #[derive(Debug, Clone, PartialEq)]
@@ -672,7 +659,13 @@ mod tests {
         }
     }
 
-    const MESH_GAIN: Predicate = Predicate::band("gain", "+52%", 1.2, f64::INFINITY);
+    const MESH_GAIN: Predicate = Predicate {
+        metric: "gain",
+        paper: "+52%",
+        lo: 1.2,
+        hi: f64::INFINITY,
+        waiver: None,
+    };
     const MESH_GAIN_WAIVED: Predicate = Predicate {
         waiver: Some("relays time-share"),
         ..MESH_GAIN
