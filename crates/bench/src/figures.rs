@@ -1266,7 +1266,7 @@ struct ScaleCell {
     delivered: u64,
 }
 
-/// Run one city-scale cell: generate the city, build the sparse medium,
+/// Run one city-scale cell: generate the city, build the pruned medium,
 /// saturate [`SCALE_FLOWS`] nearest-neighbor flows, run, and measure.
 fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCell, SparseStats) {
     let phy = PhyConfig::default();
@@ -1286,7 +1286,7 @@ fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCel
         .build();
     let sparse = *medium
         .sparse_stats()
-        .expect("positions build yields a sparse medium");
+        .expect("every medium records its pruning");
     cmap_obs::rss::reset_peak();
     let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
     let flows = SCALE_FLOWS.min(n / 2).max(1);

@@ -1,4 +1,4 @@
-//! `cmap-ckpt/v4` — the versioned binary checkpoint format.
+//! `cmap-ckpt/v5` — the versioned binary checkpoint format.
 //!
 //! A checkpoint is a full serialization of a mid-run [`World`]: simulation
 //! clock, pending events, radio bank, per-node RNG stream
@@ -42,8 +42,10 @@ use crate::node::NodeId;
 /// transmission's arrivals as two cursors in its `LiveTx` record and one
 /// queued event per cursor, not every receiver's event in the queue image;
 /// v4 writes the queue as its pending events in `(time, seq)` order, echoes
-/// the fault plan field by field, and drops two unread sync marks.
-pub const CKPT_MAGIC: &str = "cmap-ckpt/v4";
+/// the fault plan field by field, and drops two unread sync marks; v5: the
+/// fingerprint is of the link set alone — there is one engine, and a medium
+/// fed as a matrix and one fed as positions agree when their links do.
+pub const CKPT_MAGIC: &str = "cmap-ckpt/v5";
 
 /// Why a checkpoint could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,7 +345,7 @@ pub fn read_blob<T>(
         .map_err(|e| e.to_string())
 }
 
-/// A type with a `cmap-ckpt/v4` encoding. `load` must read back exactly
+/// A type with a `cmap-ckpt/v5` encoding. `load` must read back exactly
 /// the bytes `save` wrote and validate them: a value outside its legal
 /// range is [`CkptError::Malformed`], never a panic.
 pub trait Persist: Sized {
@@ -564,7 +566,7 @@ impl Persist for SmallRng {
     }
 }
 
-/// Declare a type's `cmap-ckpt/v4` encoding once; both directions are
+/// Declare a type's `cmap-ckpt/v5` encoding once; both directions are
 /// derived from the one list, so they cannot drift apart.
 ///
 /// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
@@ -692,7 +694,7 @@ mod tests {
         );
         // Magic of a past or future version must be rejected, not
         // half-read.
-        for other in ["cmap-ckpt/v2\n", "cmap-ckpt/v3\n", "cmap-ckpt/v5\n"] {
+        for other in ["cmap-ckpt/v3\n", "cmap-ckpt/v4\n", "cmap-ckpt/v6\n"] {
             assert_eq!(
                 CkptReader::new(other.as_bytes()).unwrap_err(),
                 CkptError::BadMagic

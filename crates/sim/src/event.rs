@@ -232,7 +232,7 @@ impl Scheduler {
     }
 }
 
-// ---- cmap-ckpt/v4 -------------------------------------------------------
+// ---- cmap-ckpt/v5 -------------------------------------------------------
 
 // Tags are `Event::kind_idx`.
 persist!(enum Event {

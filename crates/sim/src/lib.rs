@@ -5,8 +5,9 @@
 //!
 //! * a nanosecond event queue with stable tie-breaking ([`event`]),
 //! * a shared [`Medium`] of frozen link gains and propagation delays —
-//!   dense matrix for testbed-scale topologies, sparse spatially-indexed
-//!   storage for city scale ([`MediumBuilder`]),
+//!   one link list per transmitter, built from a gain matrix at testbed
+//!   scale or from positions over a spatial index at city scale
+//!   ([`MediumBuilder`]),
 //! * a half-duplex [`radio`] per node with preamble locking, preamble
 //!   capture, SINR-segmented reception grading and 802.11-style CCA,
 //! * a [`Mac`] trait that link layers (`cmap-core`, `cmap-mac80211`)
@@ -19,7 +20,7 @@
 //!   Gilbert–Elliott burst loss, stepped shadowing, clock skew and frame
 //!   corruption, plus a runtime invariant watchdog, and
 //! * mid-run checkpoint/restore ([`ckpt`], [`World::checkpoint`],
-//!   [`World::restore`]) in the versioned `cmap-ckpt/v4` format: a
+//!   [`World::restore`]) in the versioned `cmap-ckpt/v5` format: a
 //!   restored run continues byte-identically to an uninterrupted one.
 //!
 //! Runs are bit-deterministic for a given (topology, MACs, seed): every
@@ -60,7 +61,7 @@ pub use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 pub use config::PhyConfig;
 pub use faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing, WatchdogConfig};
 pub use mac::{Mac, NodeCtx, NullMac, RxErrorInfo, RxInfo};
-pub use medium::{DenseMedium, Medium, MediumBuilder, SparseMedium, SparseStats};
+pub use medium::{Medium, MediumBuilder, SparseStats};
 pub use radio::RadioPhase;
 pub use stats::Stats;
 pub use time::Time;

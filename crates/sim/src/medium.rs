@@ -1,27 +1,24 @@
 //! The shared wireless medium: who hears whom, and how loudly.
 //!
-//! The [`Medium`] enum answers gain, delay, reachability and spatial
-//! neighborhood queries from one of two engines:
+//! A [`Medium`] is one link list: for every transmitter, the receivers
+//! whose received power clears the pruning threshold — the delivery floor
+//! plus a configurable epsilon margin — with the frozen large-scale gain
+//! (path loss + shadowing) and propagation delay of each link, in CSR
+//! form. Those are the only nodes frame events are generated for, so
+//! memory and event fan-out scale with the *link* count, at 50 nodes and
+//! at 100k alike.
 //!
-//! * [`DenseMedium`] — the original `n × n` matrix of frozen large-scale
-//!   channel gains (path loss + shadowing, computed by `cmap-topo` or
-//!   built directly in tests) plus per-link propagation delays. Exact,
-//!   O(n²) memory; the regression baseline at testbed scale (≤ 50
-//!   nodes), byte-identical to the pre-redesign engine.
-//! * [`SparseMedium`] — CSR link lists over a uniform-grid spatial
-//!   index. Links whose received power falls below the delivery floor
-//!   *plus a configurable epsilon margin* are pruned at build time, and
-//!   the worst-case interference power dropped at any receiver is
-//!   recorded as an error bound ([`SparseStats`]) so run artifacts can
-//!   state exactly how much physics the pruning discarded. Memory and
-//!   event fan-out scale with the *link* count, which is what makes
-//!   10k–100k-node deployments tractable.
+//! With `epsilon_db == 0` (the default) the list is exact: every pair at
+//! or above the delivery floor is a link. With a positive epsilon, links
+//! inside the margin are pruned at build time and the worst-case
+//! interference power dropped at any receiver is recorded as an error
+//! bound ([`SparseStats`]), so run artifacts can state exactly how much
+//! physics the pruning discarded.
 //!
-//! Both engines pre-compute, for every transmitter, the list of nodes
-//! whose received power clears the pruning threshold — the only nodes
-//! for which frame events are generated.
-//!
-//! Construction goes through [`MediumBuilder`].
+//! Construction goes through [`MediumBuilder`], from a gain matrix
+//! (computed by `cmap-topo` or built directly in tests) or from node
+//! positions and a link-gain model over a uniform-grid spatial index,
+//! which never materialises an O(n²) matrix.
 
 use std::sync::OnceLock;
 
@@ -41,146 +38,17 @@ pub(crate) struct Arrival {
     pub rss_mw: f64,
 }
 
-/// Every CSR row's positions `0..len` sorted by `(delay, position)`, rows
-/// concatenated; `delay_of(tx, i)` is the delay of the link at CSR index
-/// `i`. Position `j` holds a transmission's `j`-th reserved sequence
-/// number, so this is the `(time, seq)` order of its per-receiver events.
-fn arrival_order(off: &[u32], delay_of: impl Fn(usize, usize) -> u64) -> Vec<u32> {
-    let mut order: Vec<u32> = Vec::with_capacity(off.last().map_or(0, |&n| n as usize));
-    for (tx, row) in off.windows(2).enumerate() {
-        let start = order.len();
-        order.extend(0..row[1] - row[0]);
-        // Stable sort: equal delays stay in position order.
-        order[start..].sort_by_key(|&pos| delay_of(tx, start + pos as usize));
-    }
-    order
-}
-
-// ---- dense engine --------------------------------------------------------
-
-/// The exact `n × n` medium: every pair's gain and delay is stored.
-///
-/// The per-transmitter reachability lists are stored in CSR form — one
-/// flat index array plus `n + 1` offsets — instead of a
-/// `Vec<Vec<NodeId>>`, so the fan-out walk at every transmission start
-/// reads one contiguous slice with no per-transmitter pointer chase.
-#[derive(Debug, Clone)]
-pub struct DenseMedium {
-    n: usize,
-    /// Linear power gain from tx to rx, row-major `[tx * n + rx]`.
-    gain: Vec<f64>,
-    /// Propagation delay in ns, same layout.
-    delay_ns: Vec<u64>,
-    /// Receivers above the delivery floor, all transmitters concatenated.
-    reach_idx: Vec<NodeId>,
-    /// CSR offsets: tx's receivers are `reach_idx[reach_off[tx]..reach_off[tx + 1]]`.
-    reach_off: Vec<u32>,
-    /// Row positions in arrival order, parallel to `reach_idx`.
-    arrive: Vec<u32>,
-    tx_power_mw: f64,
-    /// [`Medium::fingerprint`], hashed on first use.
-    fingerprint: OnceLock<u64>,
-}
-
-impl DenseMedium {
-    /// Build from a matrix of link gains in dB (negative = loss),
-    /// row-major `[tx * n + rx]`, and per-link delays in nanoseconds.
-    /// Diagonal entries are ignored.
-    pub fn from_gains_db(
-        n: usize,
-        gains_db: &[f64],
-        delay_ns: &[u64],
-        phy: &PhyConfig,
-    ) -> DenseMedium {
-        assert_eq!(gains_db.len(), n * n, "gain matrix must be n*n");
-        assert_eq!(delay_ns.len(), n * n, "delay matrix must be n*n");
-        let gain: Vec<f64> = gains_db.iter().map(|&db| dbm_to_mw(db)).collect();
-        let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
-        let mut reach_idx = Vec::new();
-        let mut reach_off = Vec::with_capacity(n + 1);
-        reach_off.push(0u32);
-        for tx in 0..n {
-            for rx in 0..n {
-                if tx != rx && tx_power_mw * gain[tx * n + rx] >= floor_mw {
-                    reach_idx.push(NodeId::new(rx));
-                }
-            }
-            reach_off.push(u32::try_from(reach_idx.len()).expect("reachability fits u32"));
-        }
-        DenseMedium {
-            n,
-            gain,
-            delay_ns: delay_ns.to_vec(),
-            arrive: arrival_order(&reach_off, |tx, i| delay_ns[tx * n + reach_idx[i].index()]),
-            reach_idx,
-            reach_off,
-            tx_power_mw,
-            fingerprint: OnceLock::new(),
-        }
-    }
-}
-
-/// The queries [`Medium`] dispatches (documented there).
-impl DenseMedium {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn tx_power_mw(&self) -> f64 {
-        self.tx_power_mw
-    }
-
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "DenseMedium::gain(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        self.gain[tx.index() * self.n + rx.index()]
-    }
-
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "DenseMedium::delay_ns(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        self.delay_ns[tx.index() * self.n + rx.index()]
-    }
-
-    fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        &self.reach_idx
-            [self.reach_off[tx.index()] as usize..self.reach_off[tx.index() + 1] as usize]
-    }
-
-    fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
-        let start = self.reach_off[tx.index()] as usize;
-        let pos = *self.arrive[start..self.reach_off[tx.index() + 1] as usize].get(k as usize)?;
-        let rx = self.reach_idx[start + pos as usize];
-        let link = tx.index() * self.n + rx.index();
-        Some(Arrival {
-            rx,
-            pos,
-            delay_ns: self.delay_ns[link],
-            rss_mw: self.tx_power_mw * self.gain[link],
-        })
-    }
-}
-
-// ---- sparse engine -------------------------------------------------------
-
-/// Build-time accounting of what sparse pruning discarded, recorded in
-/// run artifacts so a pruned run states its own physics error.
+/// Build-time accounting of what pruning discarded, recorded in run
+/// artifacts so a pruned run states its own physics error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseStats {
     /// Directed links kept (above the pruning threshold).
     pub links: u64,
-    /// Directed links evaluated but pruned while a dense medium would
+    /// Directed links evaluated but pruned while `epsilon_db == 0` would
     /// have kept them (received power in `[delivery floor, threshold)`).
     pub pruned: u64,
     /// Directed pairs never evaluated (outside the spatial candidate
-    /// range of a generator-fed build); bounded by the tail gain.
+    /// range of a position-fed build); bounded by the tail gain.
     pub tail_pairs: u64,
     /// The configured pruning margin above the delivery floor, in dB.
     pub epsilon_db: f64,
@@ -288,10 +156,14 @@ impl Grid {
     }
 }
 
-/// The spatially indexed sparse medium: only links above the pruning
-/// threshold are materialised, in CSR form per transmitter.
+/// The medium a [`World`](crate::World) runs over: per transmitter, the
+/// links above the pruning threshold, stored in CSR form — flat arrays
+/// plus `n + 1` offsets — so the fan-out walk at every transmission start
+/// reads one contiguous slice with no per-transmitter pointer chase. All
+/// power quantities are linear mW (gains are linear power ratios);
+/// conversions to dB happen at the edges.
 #[derive(Debug, Clone)]
-pub struct SparseMedium {
+pub struct Medium {
     n: usize,
     tx_power_mw: f64,
     /// CSR offsets: tx's links are index range `link_off[tx]..link_off[tx+1]`.
@@ -309,89 +181,136 @@ pub struct SparseMedium {
     fingerprint: OnceLock<u64>,
 }
 
-impl SparseMedium {
-    /// Row slice of link array indices for `tx`.
-    fn row(&self, tx: NodeId) -> std::ops::Range<usize> {
-        self.link_off[tx.index()] as usize..self.link_off[tx.index() + 1] as usize
+/// Every CSR row's positions `0..len` sorted by `(delay, position)`, rows
+/// concatenated. Position `j` holds a transmission's `j`-th reserved
+/// sequence number, so this is the `(time, seq)` order of its
+/// per-receiver events.
+fn arrival_order(off: &[u32], delay: &[u64]) -> Vec<u32> {
+    let mut order: Vec<u32> = Vec::with_capacity(delay.len());
+    for row in off.windows(2) {
+        let start = order.len();
+        order.extend(0..row[1] - row[0]);
+        // Stable sort: equal delays stay in position order.
+        order[start..].sort_by_key(|&pos| delay[start + pos as usize]);
+    }
+    order
+}
+
+/// The link rows of a [`Medium`] under construction. Both sources offer
+/// every pair they evaluate, transmitters ascending and receivers
+/// ascending within each, and end each transmitter's row.
+struct Rows {
+    tx_power_mw: f64,
+    floor_mw: f64,
+    threshold_mw: f64,
+    epsilon_db: f64,
+    noise_mw: f64,
+    link_off: Vec<u32>,
+    link_rx: Vec<NodeId>,
+    link_gain: Vec<f64>,
+    link_delay: Vec<u64>,
+    pruned: u64,
+    /// Power dropped per receiver; empty while nothing can be dropped
+    /// (with `epsilon_db == 0` the threshold *is* the floor).
+    dropped_mw: Vec<f64>,
+}
+
+impl Rows {
+    fn new(n: usize, phy: &PhyConfig, epsilon_db: f64) -> Rows {
+        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+        let mut link_off = Vec::with_capacity(n + 1);
+        link_off.push(0u32);
+        Rows {
+            tx_power_mw: dbm_to_mw(phy.tx_power_dbm),
+            floor_mw,
+            threshold_mw: floor_mw * db_to_ratio(epsilon_db),
+            epsilon_db,
+            noise_mw: phy.noise_mw(),
+            link_off,
+            link_rx: Vec::new(),
+            link_gain: Vec::new(),
+            link_delay: Vec::new(),
+            pruned: 0,
+            dropped_mw: vec![0.0; if epsilon_db > 0.0 { n } else { 0 }],
+        }
     }
 
-    /// Position of `rx` within `tx`'s sorted link row, if the link is
-    /// stored.
-    fn find(&self, tx: NodeId, rx: NodeId) -> Option<usize> {
-        let row = self.row(tx);
-        self.link_rx[row.clone()]
-            .binary_search(&rx)
-            .ok()
-            .map(|i| row.start + i)
+    /// Whether a pair of linear power gain `gain` is stored as a link.
+    fn keeps(&self, gain: f64) -> bool {
+        self.tx_power_mw * gain >= self.threshold_mw
     }
 
-    /// Pruning accounting for this medium.
-    pub fn stats(&self) -> &SparseStats {
-        &self.stats
+    /// One evaluated pair of the current row: a link, a pruned link, or
+    /// below the delivery floor (which no medium would deliver).
+    fn offer(&mut self, rx: NodeId, gain: f64, delay_ns: u64) {
+        if self.keeps(gain) {
+            self.link_rx.push(rx);
+            self.link_gain.push(gain);
+            self.link_delay.push(delay_ns);
+        } else {
+            let rss = self.tx_power_mw * gain;
+            if rss >= self.floor_mw {
+                self.pruned += 1;
+                self.dropped_mw[rx.index()] += rss;
+            }
+        }
     }
 
-    /// Build by sparsifying a dense gain/delay matrix (test-scale `n`;
-    /// the matrix is O(n²) to hand over in the first place). With
-    /// `epsilon_db == 0` the kept link set, gains and delays are
-    /// bit-identical to [`DenseMedium::from_gains_db`] over the same
-    /// inputs.
-    pub fn from_gains_db(
+    fn end_row(&mut self) {
+        self.link_off
+            .push(u32::try_from(self.link_rx.len()).expect("links fit u32"));
+    }
+
+    fn finish(self, tail_pairs: u64) -> Medium {
+        let worst = self.dropped_mw.iter().fold(0.0f64, |a, &b| a.max(b));
+        Medium {
+            n: self.link_off.len() - 1,
+            tx_power_mw: self.tx_power_mw,
+            arrive: arrival_order(&self.link_off, &self.link_delay),
+            stats: SparseStats {
+                links: self.link_rx.len() as u64,
+                pruned: self.pruned,
+                tail_pairs,
+                epsilon_db: self.epsilon_db,
+                error_bound_db: 10.0 * (1.0 + worst / self.noise_mw).log10(),
+            },
+            link_off: self.link_off,
+            link_rx: self.link_rx,
+            link_gain: self.link_gain,
+            link_delay: self.link_delay,
+            fingerprint: OnceLock::new(),
+        }
+    }
+}
+
+impl Medium {
+    /// Build from a row-major `[tx * n + rx]` matrix of link gains in dB
+    /// (negative = loss) and per-link delays in nanoseconds. Diagonal
+    /// entries are ignored.
+    fn from_matrix(
         n: usize,
-        gains_db: &[f64],
+        gains_db: Vec<f64>,
         delay_ns: &[u64],
         phy: &PhyConfig,
         epsilon_db: f64,
-    ) -> SparseMedium {
-        assert_eq!(gains_db.len(), n * n, "gain matrix must be n*n");
-        assert_eq!(delay_ns.len(), n * n, "delay matrix must be n*n");
-        assert!(epsilon_db >= 0.0, "epsilon is a margin above the floor");
-        let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
-        let threshold_mw = floor_mw * db_to_ratio(epsilon_db);
-        let mut link_off = Vec::with_capacity(n + 1);
-        link_off.push(0u32);
-        let mut link_rx = Vec::new();
-        let mut link_gain = Vec::new();
-        let mut link_delay = Vec::new();
-        let mut pruned = 0u64;
-        let mut dropped_mw = vec![0.0f64; n];
+    ) -> Medium {
+        // To linear once (reusing the matrix's allocation): the count pass
+        // and the fill pass both read it.
+        let gain: Vec<f64> = gains_db.into_iter().map(dbm_to_mw).collect();
+        let mut rows = Rows::new(n, phy, epsilon_db);
+        let links = (0..n * n)
+            .filter(|&i| i / n != i % n && rows.keeps(gain[i]))
+            .count();
+        rows.link_rx.reserve_exact(links);
+        rows.link_gain.reserve_exact(links);
+        rows.link_delay.reserve_exact(links);
         for tx in 0..n {
-            for rx in 0..n {
-                if tx == rx {
-                    continue;
-                }
-                let gain = dbm_to_mw(gains_db[tx * n + rx]);
-                let rss = tx_power_mw * gain;
-                if rss >= threshold_mw {
-                    link_rx.push(NodeId::new(rx));
-                    link_gain.push(gain);
-                    link_delay.push(delay_ns[tx * n + rx]);
-                } else if rss >= floor_mw {
-                    pruned += 1;
-                    dropped_mw[rx] += rss;
-                }
+            for rx in (0..n).filter(|&rx| rx != tx) {
+                rows.offer(NodeId::new(rx), gain[tx * n + rx], delay_ns[tx * n + rx]);
             }
-            link_off.push(u32::try_from(link_rx.len()).expect("links fit u32"));
+            rows.end_row();
         }
-        let stats = finish_stats(
-            link_rx.len() as u64,
-            pruned,
-            0,
-            epsilon_db,
-            &dropped_mw,
-            phy.noise_mw(),
-        );
-        SparseMedium {
-            n,
-            tx_power_mw,
-            arrive: arrival_order(&link_off, |_, link| link_delay[link]),
-            link_off,
-            link_rx,
-            link_gain,
-            link_delay,
-            stats,
-            fingerprint: OnceLock::new(),
-        }
+        rows.finish(0)
     }
 
     /// Build from node positions and a link-gain model, evaluating only
@@ -405,32 +324,22 @@ impl SparseMedium {
     /// never evaluated; each is assumed to contribute at most
     /// `tail_gain_db` (the caller's bound on the model's gain at the
     /// evaluation range) to the recorded error bound.
-    pub fn from_positions(
+    fn from_positions(
         positions: &[(f64, f64)],
         phy: &PhyConfig,
         epsilon_db: f64,
         eval_range_m: f64,
         tail_gain_db: f64,
         model: &dyn Fn(usize, usize, f64) -> f64,
-    ) -> SparseMedium {
-        assert!(epsilon_db >= 0.0, "epsilon is a margin above the floor");
+    ) -> Medium {
         assert!(eval_range_m > 0.0, "evaluation range must be positive");
         let n = positions.len();
-        let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
-        let threshold_mw = floor_mw * db_to_ratio(epsilon_db);
         // Cell size = evaluation range keeps the candidate scan to the
         // 3×3 cell neighborhood.
         let grid = Grid::build(positions, eval_range_m);
-        let mut link_off = Vec::with_capacity(n + 1);
-        link_off.push(0u32);
-        let mut link_rx = Vec::new();
-        let mut link_gain = Vec::new();
-        let mut link_delay = Vec::new();
-        let mut pruned = 0u64;
-        let mut tail_pairs = 0u64;
-        let mut dropped_mw = vec![0.0f64; n];
-        let tail_rss_mw = tx_power_mw * dbm_to_mw(tail_gain_db);
+        let mut rows = Rows::new(n, phy, epsilon_db);
+        // Pairs each node was never evaluated against.
+        let mut beyond = Vec::with_capacity(n);
         let mut candidates = Vec::new();
         for tx in 0..n {
             let tx_id = NodeId::new(tx);
@@ -438,117 +347,83 @@ impl SparseMedium {
             for &rx in &candidates {
                 let dist = grid.dist_m(tx_id, rx);
                 let gain = dbm_to_mw(model(tx, rx.index(), dist));
-                let rss = tx_power_mw * gain;
-                if rss >= threshold_mw {
-                    link_rx.push(rx);
-                    link_gain.push(gain);
-                    link_delay.push(propagation::propagation_delay_ns(dist));
-                } else if rss >= floor_mw {
-                    pruned += 1;
-                    dropped_mw[rx.index()] += rss;
-                }
+                rows.offer(rx, gain, propagation::propagation_delay_ns(dist));
             }
-            // Every never-evaluated pair is bounded by the tail gain.
-            let beyond = (n - 1 - candidates.len()) as u64;
-            tail_pairs += beyond;
-            link_off.push(u32::try_from(link_rx.len()).expect("links fit u32"));
+            rows.end_row();
+            beyond.push((n - 1 - candidates.len()) as u64);
         }
-        // The tail bound is per *receiver*: a node can absorb at most
-        // one tail contribution from each never-evaluated transmitter,
-        // and the candidate relation is symmetric, so the per-tx count
-        // mirrors the per-rx count.
+        // Every never-evaluated pair is bounded by the tail gain. The
+        // bound is per *receiver*: a node can absorb at most one tail
+        // contribution from each never-evaluated transmitter, and the
+        // candidate relation is symmetric, so the per-tx count is the
+        // per-rx count.
+        let tail_rss_mw = rows.tx_power_mw * dbm_to_mw(tail_gain_db);
         if tail_rss_mw > 0.0 {
-            let mut evaluated = vec![0u64; n];
-            for (tx, count) in evaluated.iter_mut().enumerate() {
-                grid.neighbors_within(NodeId::new(tx), eval_range_m, &mut candidates);
-                *count = candidates.len() as u64;
-            }
-            for rx in 0..n {
-                let beyond = (n as u64 - 1).saturating_sub(evaluated[rx]);
-                // cmap-lint: allow(unit-cast) — `beyond` is a dimensionless pair count scaling the per-pair tail power
-                dropped_mw[rx] += beyond as f64 * tail_rss_mw;
+            rows.dropped_mw.resize(n, 0.0);
+            for (dropped, &pairs) in rows.dropped_mw.iter_mut().zip(&beyond) {
+                // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count scaling the per-pair tail power
+                *dropped += pairs as f64 * tail_rss_mw;
             }
         }
-        let stats = finish_stats(
-            link_rx.len() as u64,
-            pruned,
-            tail_pairs,
-            epsilon_db,
-            &dropped_mw,
-            phy.noise_mw(),
+        rows.finish(beyond.iter().sum())
+    }
+
+    /// Row slice of link array indices for `tx`.
+    fn row(&self, tx: NodeId) -> std::ops::Range<usize> {
+        self.link_off[tx.index()] as usize..self.link_off[tx.index() + 1] as usize
+    }
+
+    /// Index of the link `tx → rx` in the link arrays, if it is stored.
+    fn find(&self, tx: NodeId, rx: NodeId) -> Option<usize> {
+        debug_assert!(
+            tx.index() < self.n && rx.index() < self.n,
+            "Medium: pair (tx {tx}, rx {rx}) out of bounds for {} nodes",
+            self.n
         );
-        SparseMedium {
-            n,
-            tx_power_mw,
-            arrive: arrival_order(&link_off, |_, link| link_delay[link]),
-            link_off,
-            link_rx,
-            link_gain,
-            link_delay,
-            stats,
-            fingerprint: OnceLock::new(),
-        }
+        let row = self.row(tx);
+        self.link_rx[row.clone()]
+            .binary_search(&rx)
+            .ok()
+            .map(|i| row.start + i)
     }
-}
 
-/// Fold per-receiver dropped power into the recorded [`SparseStats`].
-fn finish_stats(
-    links: u64,
-    pruned: u64,
-    tail_pairs: u64,
-    epsilon_db: f64,
-    dropped_mw: &[f64],
-    noise_mw: f64,
-) -> SparseStats {
-    let worst = dropped_mw.iter().fold(0.0f64, |a, &b| a.max(b));
-    SparseStats {
-        links,
-        pruned,
-        tail_pairs,
-        epsilon_db,
-        error_bound_db: 10.0 * (1.0 + worst / noise_mw).log10(),
-    }
-}
-
-/// The queries [`Medium`] dispatches (documented there).
-impl SparseMedium {
-    fn len(&self) -> usize {
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
         self.n
     }
 
-    fn tx_power_mw(&self) -> f64 {
+    /// True when the medium has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Configured transmit power in linear mW.
+    pub fn tx_power_mw(&self) -> f64 {
         self.tx_power_mw
     }
 
-    fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "SparseMedium::gain(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        match self.find(tx, rx) {
-            Some(i) => self.link_gain[i],
-            None => 0.0,
-        }
+    /// Linear power gain from `tx` to `rx`; exactly `0.0` for any pair not
+    /// in `reachable(tx)` — below the threshold a pair carries no energy.
+    pub fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
+        self.find(tx, rx).map_or(0.0, |i| self.link_gain[i])
     }
 
-    fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        debug_assert!(
-            tx.index() < self.n && rx.index() < self.n,
-            "SparseMedium::delay_ns(tx {tx}, rx {rx}) out of bounds for {} nodes",
-            self.n
-        );
-        match self.find(tx, rx) {
-            Some(i) => self.link_delay[i],
-            None => 0,
-        }
+    /// Propagation delay from `tx` to `rx` in nanoseconds; `0` for any
+    /// pair not in `reachable(tx)` (it generates no events, so the value
+    /// is never used on the simulation path).
+    pub fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
+        self.find(tx, rx).map_or(0, |i| self.link_delay[i])
     }
 
-    fn reachable(&self, tx: NodeId) -> &[NodeId] {
+    /// Receivers that get events for transmissions from `tx`, in
+    /// ascending node order (one contiguous CSR slice).
+    pub fn reachable(&self, tx: NodeId) -> &[NodeId] {
         &self.link_rx[self.row(tx)]
     }
 
-    fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
+    /// The `k`-th receiver of `tx` in arrival order — `reachable(tx)` by
+    /// `(delay_ns, position)` — or `None` past the last one.
+    pub(crate) fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
         let row = self.row(tx);
         let pos = *self.arrive[row.clone()].get(k as usize)?;
         let link = row.start + pos as usize;
@@ -559,76 +434,10 @@ impl SparseMedium {
             rss_mw: self.tx_power_mw * self.link_gain[link],
         })
     }
-}
-
-// ---- the dispatching enum ------------------------------------------------
-
-/// The medium a [`World`](crate::World) runs over: one of the two
-/// propagation engines behind one concrete type (no fat pointers or
-/// virtual dispatch on the event hot path — each accessor is a single
-/// two-arm match). All power quantities are linear mW (gains are linear
-/// power ratios); conversions to dB happen at the edges.
-#[derive(Debug, Clone)]
-pub enum Medium {
-    /// Exact O(n²) matrix engine.
-    Dense(DenseMedium),
-    /// Spatially indexed, epsilon-pruned CSR engine.
-    Sparse(SparseMedium),
-}
-
-macro_rules! on_engine {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            Medium::Dense($m) => $body,
-            Medium::Sparse($m) => $body,
-        }
-    };
-}
-
-impl Medium {
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        on_engine!(self, m => m.len())
-    }
-
-    /// True when the medium has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Configured transmit power in linear mW.
-    pub fn tx_power_mw(&self) -> f64 {
-        on_engine!(self, m => m.tx_power_mw())
-    }
-
-    /// Linear power gain from `tx` to `rx`. For a pruned (sparse) link
-    /// this is exactly `0.0` — the link contributes no energy.
-    pub fn gain(&self, tx: NodeId, rx: NodeId) -> f64 {
-        on_engine!(self, m => m.gain(tx, rx))
-    }
-
-    /// Propagation delay from `tx` to `rx` in nanoseconds. Pruned links
-    /// report `0` (they generate no events, so the value is never used
-    /// on the simulation path).
-    pub fn delay_ns(&self, tx: NodeId, rx: NodeId) -> u64 {
-        on_engine!(self, m => m.delay_ns(tx, rx))
-    }
-
-    /// Receivers that get events for transmissions from `tx`, in
-    /// ascending node order (one contiguous CSR slice).
-    pub fn reachable(&self, tx: NodeId) -> &[NodeId] {
-        on_engine!(self, m => m.reachable(tx))
-    }
-
-    /// The `k`-th receiver of `tx` in arrival order — `reachable(tx)` by
-    /// `(delay_ns, position)` — or `None` past the last one.
-    pub(crate) fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
-        on_engine!(self, m => m.arrival(tx, k))
-    }
 
     /// Received power in linear mW at `rx` from `tx`, before fading.
     pub fn rss_mw(&self, tx: NodeId, rx: NodeId) -> f64 {
-        self.tx_power_mw() * self.gain(tx, rx)
+        self.tx_power_mw * self.gain(tx, rx)
     }
 
     /// Received power in dBm at `rx` from `tx`, before fading.
@@ -636,63 +445,36 @@ impl Medium {
         mw_to_dbm(self.rss_mw(tx, rx))
     }
 
-    /// `"dense"` or `"sparse"`, for artifacts and error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Medium::Dense(_) => "dense",
-            Medium::Sparse(_) => "sparse",
-        }
-    }
-
-    /// Pruning accounting, when this is a sparse medium.
+    /// Pruning accounting. `Some` for every medium — there is one engine;
+    /// the `Option` stays only because `benchmark/src/replay.rs`, frozen,
+    /// matches on it (ROADMAP 4(b)).
     pub fn sparse_stats(&self) -> Option<&SparseStats> {
-        match self {
-            Medium::Dense(_) => None,
-            Medium::Sparse(m) => Some(m.stats()),
-        }
+        Some(&self.stats)
     }
 
-    /// Structural fingerprint: FNV-1a over the engine kind, node count,
-    /// transmit power and every stored link. Two media with the same
-    /// fingerprint produce the same event fan-out, so checkpoints echo
-    /// it to reject restores into a differently-built world
-    /// (`cmap-ckpt/v4`). A medium never changes once built, so the hash
-    /// runs once, at the first checkpoint or restore — not at build, which
-    /// runs that never checkpoint would pay for.
+    /// Structural fingerprint: FNV-1a over the link set — node count,
+    /// transmit power, row offsets and every link's receiver, gain bits
+    /// and delay. Two media with the same fingerprint produce the same
+    /// event fan-out however they were fed, so checkpoints echo it to
+    /// reject restores into a differently-built world (`cmap-ckpt/v5`). A
+    /// medium never changes once built, so the hash runs once, at the
+    /// first checkpoint or restore — not at build, which runs that never
+    /// checkpoint would pay for.
     pub fn fingerprint(&self) -> u64 {
-        *on_engine!(self, m => &m.fingerprint).get_or_init(|| self.hash_links())
-    }
-
-    fn hash_links(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.len() as u64);
-        h.u64(self.tx_power_mw().to_bits());
-        match self {
-            Medium::Dense(m) => {
-                h.u64(1);
-                for &g in &m.gain {
-                    h.u64(g.to_bits());
-                }
-                for &d in &m.delay_ns {
-                    h.u64(d);
-                }
-                for &r in &m.reach_idx {
-                    h.u64(r.index() as u64);
-                }
+        *self.fingerprint.get_or_init(|| {
+            let mut h = Fnv::new();
+            h.u64(self.n as u64);
+            h.u64(self.tx_power_mw.to_bits());
+            for &off in &self.link_off {
+                h.u64(u64::from(off));
             }
-            Medium::Sparse(m) => {
-                h.u64(2);
-                for &off in &m.link_off {
-                    h.u64(u64::from(off));
-                }
-                for i in 0..m.link_rx.len() {
-                    h.u64(m.link_rx[i].index() as u64);
-                    h.u64(m.link_gain[i].to_bits());
-                    h.u64(m.link_delay[i]);
-                }
+            for i in 0..self.link_rx.len() {
+                h.u64(self.link_rx[i].index() as u64);
+                h.u64(self.link_gain[i].to_bits());
+                h.u64(self.link_delay[i]);
             }
-        }
-        h.finish()
+            h.finish()
+        })
     }
 }
 
@@ -719,14 +501,10 @@ impl Fnv {
 /// Where the builder's channel data comes from.
 enum Source<'m> {
     None,
-    GainsDb {
+    Matrix {
         n: usize,
         gains_db: Vec<f64>,
         delay_ns: Vec<u64>,
-    },
-    Uniform {
-        n: usize,
-        gain_db: f64,
     },
     Positions {
         positions: Vec<(f64, f64)>,
@@ -737,23 +515,19 @@ enum Source<'m> {
 }
 
 /// Builds a [`Medium`]: pick a source (gain matrix, uniform gain, or
-/// positions + link model), an engine (dense or sparse), the transmit
-/// power and the sparse pruning epsilon.
-///
-/// Matrix and uniform sources default to the dense engine; position
-/// sources default to sparse.
+/// positions + link model) and the pruning epsilon; transmit power,
+/// delivery floor and noise floor come from the PHY configuration.
 ///
 /// ```
-/// use cmap_sim::{MediumBuilder, PhyConfig};
+/// use cmap_sim::{MediumBuilder, NodeId, PhyConfig};
 /// let phy = PhyConfig::default();
 /// let medium = MediumBuilder::new(&phy).uniform(3, -70.0).build();
 /// assert_eq!(medium.len(), 3);
-/// assert_eq!(medium.kind_name(), "dense");
+/// assert_eq!(medium.reachable(NodeId::new(0)).len(), 2);
 /// ```
 pub struct MediumBuilder<'m> {
     phy: PhyConfig,
     epsilon_db: f64,
-    sparse: Option<bool>,
     source: Source<'m>,
 }
 
@@ -764,14 +538,14 @@ impl<'m> MediumBuilder<'m> {
         MediumBuilder {
             phy: phy.clone(),
             epsilon_db: 0.0,
-            sparse: None,
             source: Source::None,
         }
     }
 
-    /// Sparse pruning margin above the delivery floor, in dB (≥ 0).
-    /// Links whose received power is below `delivery_floor + epsilon`
-    /// are dropped; `0` keeps the sparse engine bit-identical to dense.
+    /// Pruning margin above the delivery floor, in dB (≥ 0), for any
+    /// source. Links whose received power is below `delivery_floor +
+    /// epsilon` are dropped and accounted in [`SparseStats`]; `0`, the
+    /// default, is exact.
     pub fn epsilon_db(mut self, db: f64) -> Self {
         assert!(db >= 0.0, "epsilon is a margin above the floor");
         self.epsilon_db = db;
@@ -780,21 +554,24 @@ impl<'m> MediumBuilder<'m> {
 
     /// Source: a row-major `n × n` gain matrix in dB plus per-link
     /// delays in ns (diagonal ignored).
-    pub fn gains_db(mut self, n: usize, gains_db: &[f64], delay_ns: &[u64]) -> Self {
-        assert_eq!(gains_db.len(), n * n, "gain matrix must be n*n");
-        assert_eq!(delay_ns.len(), n * n, "delay matrix must be n*n");
-        self.source = Source::GainsDb {
-            n,
-            gains_db: gains_db.to_vec(),
-            delay_ns: delay_ns.to_vec(),
-        };
-        self
+    pub fn gains_db(self, n: usize, gains_db: &[f64], delay_ns: &[u64]) -> Self {
+        self.matrix(n, gains_db.to_vec(), delay_ns.to_vec())
     }
 
     /// Source: every distinct pair shares one gain (dB) and a 100 ns
     /// delay.
-    pub fn uniform(mut self, n: usize, gain_db: f64) -> Self {
-        self.source = Source::Uniform { n, gain_db };
+    pub fn uniform(self, n: usize, gain_db: f64) -> Self {
+        self.matrix(n, vec![gain_db; n * n], vec![100; n * n])
+    }
+
+    fn matrix(mut self, n: usize, gains_db: Vec<f64>, delay_ns: Vec<u64>) -> Self {
+        assert_eq!(gains_db.len(), n * n, "gain matrix must be n*n");
+        assert_eq!(delay_ns.len(), n * n, "delay matrix must be n*n");
+        self.source = Source::Matrix {
+            n,
+            gains_db,
+            delay_ns,
+        };
         self
     }
 
@@ -819,101 +596,30 @@ impl<'m> MediumBuilder<'m> {
         self
     }
 
-    /// Force the dense engine.
-    pub fn dense(mut self) -> Self {
-        self.sparse = Some(false);
-        self
-    }
-
-    /// Force the sparse engine.
-    pub fn sparse(mut self) -> Self {
-        self.sparse = Some(true);
-        self
-    }
-
-    /// Build the medium. Panics when no source was given, or when a
-    /// position source is forced dense at a size where the O(n²) matrix
-    /// is plainly a mistake.
+    /// Build the medium. Panics when no source was given.
     pub fn build(self) -> Medium {
-        let phy = &self.phy;
         match self.source {
             Source::None => {
                 panic!("MediumBuilder: no source configured (gains_db/uniform/positions)")
             }
-            Source::GainsDb {
+            Source::Matrix {
                 n,
                 gains_db,
                 delay_ns,
-            } => {
-                if self.sparse == Some(true) {
-                    Medium::Sparse(SparseMedium::from_gains_db(
-                        n,
-                        &gains_db,
-                        &delay_ns,
-                        phy,
-                        self.epsilon_db,
-                    ))
-                } else {
-                    Medium::Dense(DenseMedium::from_gains_db(n, &gains_db, &delay_ns, phy))
-                }
-            }
-            Source::Uniform { n, gain_db } => {
-                let mut gains = vec![gain_db; n * n];
-                for i in 0..n {
-                    gains[i * n + i] = f64::NEG_INFINITY;
-                }
-                let delays = vec![100u64; n * n];
-                if self.sparse == Some(true) {
-                    Medium::Sparse(SparseMedium::from_gains_db(
-                        n,
-                        &gains,
-                        &delays,
-                        phy,
-                        self.epsilon_db,
-                    ))
-                } else {
-                    Medium::Dense(DenseMedium::from_gains_db(n, &gains, &delays, phy))
-                }
-            }
+            } => Medium::from_matrix(n, gains_db, &delay_ns, &self.phy, self.epsilon_db),
             Source::Positions {
                 positions,
                 eval_range_m,
                 tail_gain_db,
                 model,
-            } => {
-                if self.sparse == Some(false) {
-                    let n = positions.len();
-                    assert!(
-                        n <= 8192,
-                        "dense medium from {n} positions would allocate an O(n²) matrix; \
-                         use the sparse engine"
-                    );
-                    let mut gains = vec![f64::NEG_INFINITY; n * n];
-                    let mut delays = vec![0u64; n * n];
-                    for tx in 0..n {
-                        for rx in 0..n {
-                            if tx == rx {
-                                continue;
-                            }
-                            let (ax, ay) = positions[tx];
-                            let (bx, by) = positions[rx];
-                            let dist = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
-                            gains[tx * n + rx] = model(tx, rx, dist);
-                            delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
-                        }
-                    }
-                    Medium::Dense(DenseMedium::from_gains_db(n, &gains, &delays, phy))
-                } else {
-                    Medium::Sparse(SparseMedium::from_positions(
-                        &positions,
-                        phy,
-                        self.epsilon_db,
-                        eval_range_m,
-                        tail_gain_db,
-                        &model,
-                    ))
-                }
-            }
+            } => Medium::from_positions(
+                &positions,
+                &self.phy,
+                self.epsilon_db,
+                eval_range_m,
+                tail_gain_db,
+                &model,
+            ),
         }
     }
 }
@@ -1005,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_epsilon_zero_matches_dense_exactly() {
+    fn epsilon_zero_keeps_exactly_the_links_at_or_above_the_floor() {
         let phy = PhyConfig::default();
         let n = 5;
         let mut gains = vec![f64::NEG_INFINITY; n * n];
@@ -1020,31 +726,36 @@ mod tests {
                 }
             }
         }
-        let dense = MediumBuilder::new(&phy)
+        let m = MediumBuilder::new(&phy)
             .gains_db(n, &gains, &delays)
             .build();
-        let sparse = MediumBuilder::new(&phy)
-            .gains_db(n, &gains, &delays)
-            .sparse()
-            .build();
-        assert_eq!(sparse.kind_name(), "sparse");
+        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
         for tx in 0..n {
-            assert_eq!(dense.reachable(nid(tx)), sparse.reachable(nid(tx)));
-            for &rx in dense.reachable(nid(tx)) {
-                assert_eq!(
-                    dense.gain(nid(tx), rx).to_bits(),
-                    sparse.gain(nid(tx), rx).to_bits()
-                );
-                assert_eq!(dense.delay_ns(nid(tx), rx), sparse.delay_ns(nid(tx), rx));
+            let above: Vec<NodeId> = (0..n)
+                .filter(|&rx| rx != tx)
+                .filter(|&rx| m.tx_power_mw() * dbm_to_mw(gains[tx * n + rx]) >= floor_mw)
+                .map(nid)
+                .collect();
+            assert_eq!(m.reachable(nid(tx)), above);
+            for rx in (0..n).map(nid) {
+                let link = tx * n + rx.index();
+                let (gain, delay) = if above.contains(&rx) {
+                    (dbm_to_mw(gains[link]), delays[link])
+                } else {
+                    (0.0, 0)
+                };
+                assert_eq!(m.gain(nid(tx), rx).to_bits(), gain.to_bits());
+                assert_eq!(m.delay_ns(nid(tx), rx), delay);
             }
         }
-        let st = sparse.sparse_stats().unwrap();
+        assert!((0..n).any(|tx| m.reachable(nid(tx)).len() < n - 1));
+        let st = m.sparse_stats().unwrap();
         assert_eq!(st.pruned, 0);
         assert_eq!(st.error_bound_db.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn sparse_epsilon_prunes_and_records_the_bound() {
+    fn epsilon_prunes_a_matrix_source_and_records_the_bound() {
         let phy = PhyConfig::default();
         let n = 3;
         // 0→1 strong; 2→1 sits between the floor (-105) and floor+15.
@@ -1052,14 +763,13 @@ mod tests {
         gains[1] = -60.0; // 0→1
         gains[2 * n + 1] = -117.0; // 2→1: rss = -102 dBm
         let delays = vec![50u64; n * n];
-        let sparse = MediumBuilder::new(&phy)
+        let m = MediumBuilder::new(&phy)
             .gains_db(n, &gains, &delays)
-            .sparse()
             .epsilon_db(15.0)
             .build();
-        assert_eq!(sparse.reachable(nid(2)), &[] as &[NodeId]);
-        assert_eq!(sparse.gain(nid(2), nid(1)).to_bits(), 0.0f64.to_bits());
-        let st = sparse.sparse_stats().unwrap();
+        assert_eq!(m.reachable(nid(2)), &[] as &[NodeId]);
+        assert_eq!(m.gain(nid(2), nid(1)).to_bits(), 0.0f64.to_bits());
+        let st = m.sparse_stats().unwrap();
         assert_eq!(st.pruned, 1);
         assert_eq!(st.epsilon_db.to_bits(), 15.0f64.to_bits());
         // Dropped -102 dBm against the noise floor: a small but nonzero
@@ -1074,24 +784,36 @@ mod tests {
         // A 4-node square, 20 m sides; a pure path-loss model.
         let pos = vec![(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)];
         let model = |_tx: usize, _rx: usize, dist: f64| -propagation::path_loss_db(dist, 3.3);
-        let sparse = MediumBuilder::new(&phy)
-            .positions(pos.clone(), 100.0, -120.0, model)
-            .build();
-        let dense = MediumBuilder::new(&phy)
-            .positions(pos, 100.0, -120.0, model)
-            .dense()
-            .build();
-        assert_eq!(sparse.kind_name(), "sparse");
-        for tx in 0..4 {
-            assert_eq!(dense.reachable(nid(tx)), sparse.reachable(nid(tx)));
-            for &rx in dense.reachable(nid(tx)) {
-                assert_eq!(
-                    dense.gain(nid(tx), rx).to_bits(),
-                    sparse.gain(nid(tx), rx).to_bits()
-                );
-                assert_eq!(dense.delay_ns(nid(tx), rx), sparse.delay_ns(nid(tx), rx));
+        let n = pos.len();
+        let mut gains = vec![f64::NEG_INFINITY; n * n];
+        let mut delays = vec![0u64; n * n];
+        for tx in 0..n {
+            for rx in (0..n).filter(|&rx| rx != tx) {
+                let (ax, ay): (f64, f64) = pos[tx];
+                let (bx, by) = pos[rx];
+                let dist = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
+                gains[tx * n + rx] = model(tx, rx, dist);
+                delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
             }
         }
+        let matrix = MediumBuilder::new(&phy)
+            .gains_db(n, &gains, &delays)
+            .build();
+        let placed = MediumBuilder::new(&phy)
+            .positions(pos, 100.0, -120.0, model)
+            .build();
+        for tx in 0..n {
+            assert_eq!(matrix.reachable(nid(tx)).len(), n - 1);
+            assert_eq!(matrix.reachable(nid(tx)), placed.reachable(nid(tx)));
+            for &rx in matrix.reachable(nid(tx)) {
+                assert_eq!(
+                    matrix.gain(nid(tx), rx).to_bits(),
+                    placed.gain(nid(tx), rx).to_bits()
+                );
+                assert_eq!(matrix.delay_ns(nid(tx), rx), placed.delay_ns(nid(tx), rx));
+            }
+        }
+        assert_eq!(matrix.fingerprint(), placed.fingerprint());
     }
 
     /// `arrival(tx, 0..)` walks `reachable(tx)` in `(delay_ns, position)`
@@ -1136,22 +858,12 @@ mod tests {
                 delays[tx * n + rx] = 40 * ((tx * 5 + rx * 3) % 4) as u64;
             }
         }
-        let dense = MediumBuilder::new(&phy)
+        let m = MediumBuilder::new(&phy)
             .gains_db(n, &gains, &delays)
             .build();
-        let sparse = MediumBuilder::new(&phy)
-            .gains_db(n, &gains, &delays)
-            .sparse()
-            .build();
-        assert!((0..n).any(|tx| dense.reachable(nid(tx)).len() < n - 1));
-        assert_arrival_order(&dense);
-        assert_arrival_order(&sparse);
-        for tx in (0..n).map(nid) {
-            for k in 0..n as u32 {
-                assert_eq!(dense.arrival(tx, k), sparse.arrival(tx, k), "tx {tx} k {k}");
-            }
-        }
-        // Geometry-fed sparse build: delays come from distances.
+        assert!((0..n).any(|tx| m.reachable(nid(tx)).len() < n - 1));
+        assert_arrival_order(&m);
+        // Position-fed build: delays come from distances.
         let pos: Vec<(f64, f64)> = (0..30)
             .map(|i| (f64::from(i % 6) * 17.0, f64::from(i / 6) * 23.0))
             .collect();
@@ -1199,14 +911,16 @@ mod tests {
         let a = MediumBuilder::new(&phy).uniform(3, -70.0).build();
         let b = MediumBuilder::new(&phy).uniform(3, -70.0).build();
         let c = MediumBuilder::new(&phy).uniform(3, -71.0).build();
-        let d = MediumBuilder::new(&phy).uniform(3, -70.0).sparse().build();
+        // The same links fed as an explicit matrix: the source is not
+        // part of identity.
+        let mut gains = vec![-70.0; 9];
+        gains[4] = 0.0;
+        let d = MediumBuilder::new(&phy)
+            .gains_db(3, &gains, &[100; 9])
+            .build();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_ne!(
-            a.fingerprint(),
-            d.fingerprint(),
-            "engine kind is part of identity"
-        );
+        assert_eq!(a.fingerprint(), d.fingerprint());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   release accounting (`ends_remaining`) guarantees no double-free — a
 //!   slot only returns to the free list when its last share is released.
 //!
-//! Checkpoint interaction (`cmap-ckpt/v4`): only *live* slots are
+//! Checkpoint interaction (`cmap-ckpt/v5`): only *live* slots are
 //! serialised (as [`LiveTx`] records). On restore each live slot is placed
 //! back at the index/generation its `TxId` encodes, and every other index
 //! below the saved pool capacity becomes free with generation 0. Free-slot
@@ -279,7 +279,7 @@ impl FramePool {
         self.recycled
     }
 
-    // ---- cmap-ckpt/v4 ---------------------------------------------------
+    // ---- cmap-ckpt/v5 ---------------------------------------------------
 
     /// Slot-array length (the checkpoint's pool-capacity field).
     pub fn capacity(&self) -> usize {

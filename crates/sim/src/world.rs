@@ -917,9 +917,9 @@ impl World {
         }
     }
 
-    // ---- cmap-ckpt/v4 ---------------------------------------------------
+    // ---- cmap-ckpt/v5 ---------------------------------------------------
 
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v4`
+    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v5`
     /// format: simulation clock, pending events, radio bank, RNG
     /// stream positions, MAC protocol state, in-flight transmissions,
     /// statistics, and fault-plan cursors. Restoring the bytes via

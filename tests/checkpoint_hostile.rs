@@ -49,17 +49,17 @@ fn intact_checkpoint_restores() {
     small_world().restore(checkpoint()).expect("restore");
 }
 
-/// A `cmap-ckpt/v3` image (the queue as a timing wheel's buckets, the
-/// fault plan as a text spec) must be turned away at the magic line, as
-/// the version error — not half-read as v4 until some field fails to
-/// parse.
+/// A `cmap-ckpt/v4` image (its medium fingerprint hashed the engine kind
+/// and, for a matrix-fed medium, the whole matrix) must be turned away at
+/// the magic line, as the version error — not read as v5 until the
+/// fingerprint echo fails as a configuration mismatch.
 #[test]
 fn previous_format_version_is_refused_as_such() {
-    let v4 = checkpoint();
-    assert!(v4.starts_with(b"cmap-ckpt/v4\n"));
-    let mut v3 = v4.to_vec();
-    v3[b"cmap-ckpt/v".len()] = b'3';
-    assert_eq!(small_world().restore(&v3), Err(CkptError::BadMagic));
+    let v5 = checkpoint();
+    assert!(v5.starts_with(b"cmap-ckpt/v5\n"));
+    let mut v4 = v5.to_vec();
+    v4[b"cmap-ckpt/v".len()] = b'4';
+    assert_eq!(small_world().restore(&v4), Err(CkptError::BadMagic));
 }
 
 #[test]

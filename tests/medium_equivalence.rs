@@ -1,16 +1,18 @@
-//! Medium-engine equivalence gates.
+//! Medium gates: the link list against an oracle it did not build, its
+//! two sources against each other, and the testbed-scale outcome pin.
 //!
-//! The sparse spatially-indexed medium is only allowed to be *faster*
-//! than the dense matrix, never *different* where it claims exactness:
-//!
-//! 1. With `epsilon_db = 0` over the same gain matrix, every query the
-//!    [`Medium`] API answers — gains, delays, reachability — must be
-//!    bit-for-bit identical to the dense engine (property-tested over
-//!    random topologies up to 64 nodes), and a full same-seed simulation
-//!    over both engines must leave byte-identical statistics.
-//! 2. The 50-node dense path itself is pinned: the office-floor
-//!    scenario's `Stats::snapshot()` must hash to the committed baseline
-//!    in `tests/data/dense50_snapshot.fnv`. Any byte drift on the
+//! 1. With `epsilon_db = 0` a matrix-fed [`Medium`] must answer every
+//!    query — reachability, gains, delays — exactly as a naive walk of
+//!    the matrix written here does (property-tested over random
+//!    topologies up to 64 nodes).
+//! 2. The two sources that feed it — a gain matrix, or positions plus a
+//!    link model — must build the same medium from the same geometry:
+//!    equal link sets bit for bit, equal fingerprints, byte-identical
+//!    statistics under both MACs, and a checkpoint taken over one
+//!    restores into a world over the other.
+//! 3. The 50-node testbed path is pinned: the office-floor scenario's
+//!    `Stats::snapshot()` must hash to the committed baseline in
+//!    `tests/data/dense50_snapshot.fnv`. Any byte drift on the
 //!    testbed-scale path — however the medium internals are refactored —
 //!    fails here before it can silently invalidate published figures.
 
@@ -18,6 +20,7 @@ use proptest::prelude::*;
 
 use cmap_suite::experiments::{runner, Protocol, Spec};
 use cmap_suite::obs::fnv1a64;
+use cmap_suite::phy::{dbm_to_mw, propagation};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::{millis, secs};
@@ -46,85 +49,185 @@ fn topology() -> impl Strategy<Value = (usize, Vec<f64>, Vec<u64>)> {
     })
 }
 
-fn engines(n: usize, gains: &[f64], delays: &[u64]) -> (Medium, Medium) {
-    let phy = PhyConfig::default();
-    let dense = MediumBuilder::new(&phy)
-        .gains_db(n, gains, delays)
-        .dense()
-        .build();
-    let sparse = MediumBuilder::new(&phy)
-        .epsilon_db(0.0)
-        .gains_db(n, gains, delays)
-        .sparse()
-        .build();
-    (dense, sparse)
+/// One directed link: `(tx, rx, gain bits, delay ns)`.
+type Link = (usize, usize, u64, u64);
+
+/// The oracle: every ordered pair of the matrix whose received power
+/// reaches the delivery floor, in row-major order.
+fn naive_links(n: usize, gains_db: &[f64], delays: &[u64], phy: &PhyConfig) -> Vec<Link> {
+    let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
+    let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+    let mut links = Vec::new();
+    for tx in 0..n {
+        for rx in (0..n).filter(|&rx| rx != tx) {
+            let gain = dbm_to_mw(gains_db[tx * n + rx]);
+            if tx_power_mw * gain >= floor_mw {
+                links.push((tx, rx, gain.to_bits(), delays[tx * n + rx]));
+            }
+        }
+    }
+    links
+}
+
+/// What `medium` answers for every ordered pair: the links it reports
+/// reachable, and gain 0 / delay 0 everywhere else.
+fn stored_links(medium: &Medium) -> Vec<Link> {
+    let mut links = Vec::new();
+    for tx in (0..medium.len()).map(NodeId::new) {
+        let reach = medium.reachable(tx);
+        for rx in (0..medium.len()).map(NodeId::new) {
+            let (gain, delay) = (medium.gain(tx, rx), medium.delay_ns(tx, rx));
+            if reach.contains(&rx) {
+                links.push((tx.index(), rx.index(), gain.to_bits(), delay));
+            } else {
+                assert_eq!((gain.to_bits(), delay), (0, 0), "unreachable ({tx}, {rx})");
+            }
+        }
+    }
+    links
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sparse_epsilon_zero_is_bitwise_dense((n, gains, delays) in topology()) {
-        let (dense, sparse) = engines(n, &gains, &delays);
-        prop_assert_eq!(dense.len(), n);
-        prop_assert_eq!(sparse.len(), n);
-        for tx in 0..n {
-            let tx = NodeId::new(tx);
-            // The exactness contract is over the kept link set: identical
-            // reachability, and bit-identical gain/delay on every kept
-            // link. (Sub-floor pairs are dropped by the sparse engine and
-            // answered as gain 0 — the dense engine keeps the raw matrix
-            // value there, but no simulation path consults it.)
-            prop_assert_eq!(dense.reachable(tx), sparse.reachable(tx), "reachable({})", tx);
-            for &rx in dense.reachable(tx) {
-                prop_assert_eq!(
-                    dense.gain(tx, rx).to_bits(),
-                    sparse.gain(tx, rx).to_bits(),
-                    "gain({}, {})", tx, rx
-                );
-                prop_assert_eq!(
-                    dense.delay_ns(tx, rx),
-                    sparse.delay_ns(tx, rx),
-                    "delay({}, {})", tx, rx
-                );
-            }
-        }
+    fn matrix_source_matches_the_naive_walk((n, gains, delays) in topology()) {
+        let phy = PhyConfig::default();
+        let medium = MediumBuilder::new(&phy).gains_db(n, &gains, &delays).build();
+        prop_assert_eq!(medium.len(), n);
+        prop_assert_eq!(stored_links(&medium), naive_links(n, &gains, &delays, &phy));
     }
 }
 
-/// Engineered 4-node exposed-terminal run over a given medium.
-fn run_engine(medium: Medium, seed: u64) -> String {
-    let phy = PhyConfig::default();
-    let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
-    w.add_flow(0, 1, 1400);
-    w.add_flow(2, 3, 1400);
-    for node in 0..4usize {
-        w.set_mac(node, Box::new(CmapMac::new(CmapConfig::default())));
+/// Three sender→receiver pairs strung along a street, the far ends out
+/// of each other's reach.
+const STREET: [(f64, f64); 8] = [
+    (0.0, 0.0),
+    (12.0, 0.0),
+    (55.0, 8.0),
+    (66.0, 3.0),
+    (140.0, 20.0),
+    (150.0, 25.0),
+    (230.0, 10.0),
+    (240.0, 0.0),
+];
+const STREET_FLOWS: [(usize, usize); 3] = [(0, 1), (2, 3), (4, 5)];
+
+fn street_model(_tx: usize, _rx: usize, dist_m: f64) -> f64 {
+    -propagation::path_loss_db(dist_m, 3.3)
+}
+
+/// The street materialised pair by pair, as a caller without a spatial
+/// index would hand it over.
+fn street_matrix() -> (Vec<f64>, Vec<u64>) {
+    let n = STREET.len();
+    let mut gains = vec![f64::NEG_INFINITY; n * n];
+    let mut delays = vec![0u64; n * n];
+    for tx in 0..n {
+        for rx in (0..n).filter(|&rx| rx != tx) {
+            let (dx, dy) = (STREET[tx].0 - STREET[rx].0, STREET[tx].1 - STREET[rx].1);
+            let dist = (dx.powi(2) + dy.powi(2)).sqrt();
+            gains[tx * n + rx] = street_model(tx, rx, dist);
+            delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
+        }
     }
-    w.run_until(millis(500));
-    w.stats().snapshot()
+    (gains, delays)
+}
+
+fn street_from_matrix(gains: &[f64], delays: &[u64]) -> Medium {
+    MediumBuilder::new(&PhyConfig::default())
+        .gains_db(STREET.len(), gains, delays)
+        .build()
+}
+
+fn street_from_positions() -> Medium {
+    MediumBuilder::new(&PhyConfig::default())
+        .positions(STREET.to_vec(), 300.0, f64::NEG_INFINITY, street_model)
+        .build()
+}
+
+/// A world over `medium` with the street's flows and `proto` installed.
+fn street_world(medium: Medium, proto: &Protocol) -> World {
+    let mut w = World::builder()
+        .medium(medium)
+        .phy(PhyConfig::default())
+        .seed(7)
+        .build();
+    for (src, dst) in STREET_FLOWS {
+        w.add_flow(src, dst, 1400);
+    }
+    proto.install(&mut w);
+    w
 }
 
 #[test]
-fn same_seed_sim_is_byte_identical_across_engines() {
-    let phy = PhyConfig::default();
-    let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    let mut set = |a: usize, b: usize, rss_dbm: f64| {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    };
-    set(0, 1, -60.0);
-    set(2, 3, -60.0);
-    set(0, 2, -75.0);
-    set(0, 3, -93.0);
-    set(2, 1, -93.0);
-    let delays = vec![100u64; n * n];
-    let (dense, sparse) = engines(n, &gains, &delays);
-    let a = run_engine(dense, 7);
-    let b = run_engine(sparse, 7);
-    assert!(!a.is_empty(), "snapshot recorded nothing");
-    assert_eq!(a, b, "engines diverged under identical seed and topology");
+fn same_seed_sim_is_byte_identical_across_sources() {
+    let (gains, delays) = street_matrix();
+    let links = stored_links(&street_from_matrix(&gains, &delays));
+    let n = STREET.len();
+    assert!(
+        links.len() > 2 * STREET_FLOWS.len() && links.len() < n * (n - 1),
+        "the street should be neither disconnected nor a clique: {} links",
+        links.len()
+    );
+    assert_eq!(links, stored_links(&street_from_positions()));
+    assert_eq!(
+        street_from_matrix(&gains, &delays).fingerprint(),
+        street_from_positions().fingerprint()
+    );
+    for proto in [Protocol::cmap(), Protocol::cs_on()] {
+        let mut straight = street_world(street_from_matrix(&gains, &delays), &proto);
+        straight.run_until(millis(500));
+        let want = straight.stats().snapshot();
+        assert!(!want.is_empty(), "snapshot recorded nothing");
+
+        let mut placed = street_world(street_from_positions(), &proto);
+        placed.run_until(millis(500));
+        assert_eq!(
+            want,
+            placed.stats().snapshot(),
+            "{}: sources diverged under identical seed and geometry",
+            proto.label()
+        );
+
+        // A checkpoint does not remember how its medium was fed.
+        let mut first_half = street_world(street_from_matrix(&gains, &delays), &proto);
+        first_half.run_until(millis(250));
+        let ckpt = first_half.checkpoint().expect("checkpoint at mid-run");
+        let mut resumed = street_world(street_from_positions(), &proto);
+        resumed.restore(&ckpt).expect("restore across sources");
+        resumed.run_until(millis(500));
+        assert_eq!(
+            want,
+            resumed.stats().snapshot(),
+            "{}: resumed run diverged",
+            proto.label()
+        );
+    }
+}
+
+#[test]
+fn fingerprint_sees_one_gain_bit_one_delay_and_one_link() {
+    let (gains, delays) = street_matrix();
+    let base = street_from_matrix(&gains, &delays).fingerprint();
+    let link = 1; // 0→1, a stored link
+
+    let mut nudged = gains.clone();
+    nudged[link] = f64::from_bits(nudged[link].to_bits() + 1);
+    assert_ne!(
+        dbm_to_mw(nudged[link]).to_bits(),
+        dbm_to_mw(gains[link]).to_bits(),
+        "the nudge must survive the dB → linear conversion"
+    );
+    assert_ne!(street_from_matrix(&nudged, &delays).fingerprint(), base);
+
+    let mut later = delays.clone();
+    later[link] += 1;
+    assert_ne!(street_from_matrix(&gains, &later).fingerprint(), base);
+
+    let mut cut = gains.clone();
+    cut[link] = f64::NEG_INFINITY;
+    assert_ne!(street_from_matrix(&cut, &delays).fingerprint(), base);
 }
 
 /// The 50-node office-floor scenario the committed baseline pins: the
