@@ -147,7 +147,7 @@ fn main() {
     let mut manifest = init_work_dir(&work, &cli);
 
     let mut report = String::new();
-    // cmap-lint: allow(wall-clock) — progress timing of the harness itself; never feeds simulation state
+    #[expect(clippy::disallowed_methods, reason = "progress lines and timing block")]
     let t0 = std::time::Instant::now();
     cmap_exec::reset_supervision_stats();
     let _ = cmap_exec::take_quarantined();

@@ -446,7 +446,7 @@ pub fn eprint_failures(failures: &[String], cells: &[FailedCell]) {
 pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
     let spec = (fig.spec)(cli);
     cmap_exec::set_job_context(fig.name);
-    // cmap-lint: allow(wall-clock) — harness-shell timing of the figure run, for the report's timing block only
+    #[expect(clippy::disallowed_methods, reason = "figure wall time, timing block")]
     let t0 = std::time::Instant::now();
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| (fig.run)(cli, &spec)));
     let wall_secs = t0.elapsed().as_secs_f64();
@@ -1306,7 +1306,7 @@ fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCel
         }
     }
     proto.install(&mut w);
-    // cmap-lint: allow(wall-clock) — harness-shell cell timing for the events/sec column; never feeds simulation state
+    #[expect(clippy::disallowed_methods, reason = "cell wall time, for events/sec")]
     let t0 = std::time::Instant::now();
     w.run_until(duration);
     let wall_secs = t0.elapsed().as_secs_f64();

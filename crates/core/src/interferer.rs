@@ -136,7 +136,7 @@ impl InterfererTracker {
 
     /// Account one expected data packet from `u` against an already-judged
     /// concurrent transmitter `x`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one hot-path call per pair")]
     pub fn record_pair(
         &mut self,
         u: MacAddr,
@@ -169,7 +169,7 @@ impl InterfererTracker {
     /// (per-packet attribution; the MAC uses whole-virtual-packet judgement
     /// via [`InterfererTracker::concurrent_sources`] instead — see its
     /// docs for why).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one hot-path call per packet")]
     pub fn record_packet(
         &mut self,
         u: MacAddr,
@@ -248,9 +248,7 @@ impl InterfererTracker {
 }
 
 #[cfg(test)]
-// Tests assert exact IEEE boundary semantics (0.0, 1.0, infinities),
-// where bit-exact equality is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
 

@@ -23,6 +23,8 @@
 //! Every node also runs the promiscuous bookkeeping: the ongoing list from
 //! headers/trailers/data, and activity windows for interference attribution.
 
+#![deny(clippy::unwrap_used)]
+
 use rand::Rng;
 
 use cmap_sim::ckpt::{self, CkptError, CkptReader, CkptWriter, Persist};

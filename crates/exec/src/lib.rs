@@ -20,8 +20,8 @@
 //!   existed, so `--jobs 1` is today's behavior by construction.
 //! * The core-count probe ([`default_jobs`]) may consult the machine, but
 //!   its answer must never leak into report bytes — callers only use it to
-//!   size the pool, and `cmap-lint`'s `thread-spawn` rule confines all
-//!   threading primitives to this crate so that stays auditable.
+//!   size the pool, and the root `clippy.toml` bans every threading
+//!   primitive, so the two `#[expect]`s here are the whole audit trail.
 //! * The executor reads no clock: how long a batch took is the caller's
 //!   measurement, kept in the `timing` block of its report.
 
@@ -33,6 +33,7 @@ use std::sync::{mpsc, Mutex};
 /// machine's available parallelism. Determinism note: this probe influences
 /// *scheduling only*; job results are index-joined, so the value never
 /// affects (and is never written into) deterministic report bytes.
+#[expect(clippy::disallowed_methods, reason = "the one core-count probe")]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -307,6 +308,7 @@ impl Pool {
             let (tx, rx) = mpsc::channel::<Vec<(usize, Result<R, String>)>>();
             let f = &f;
             let cursor = &cursor;
+            #[expect(clippy::disallowed_methods, reason = "the pool's own workers")]
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     let tx = tx.clone();

@@ -301,9 +301,9 @@ impl<'a> Engine<'a> {
     }
 
     /// R10 seed: a panic the function commits directly. Bare `.unwrap()`
-    /// only seeds from non-hot files — in hot files R4 already owns the
-    /// unwrap line itself, and double-reporting every caller would drown
-    /// the signal.
+    /// only seeds from non-hot files — in hot files `clippy::unwrap_used`
+    /// (denied there) already owns the unwrap line itself, and
+    /// double-reporting every caller would drown the signal.
     fn direct_panic(&self, r: FnRef) -> Option<(usize, String)> {
         let f = self.fn_model(r);
         let hot = Config::matches(&self.cfg.hot_markers, &self.files[r.0].model.path);
@@ -776,7 +776,7 @@ impl<'a> Engine<'a> {
     }
 
     /// One tainted identifier reaching a sink: emit under the right rule.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "sink site plus both taint sets")]
     fn check_sink_arg(
         &self,
         out: &mut FlowOutput,

@@ -82,7 +82,7 @@ impl Val {
                     // decimal point and round-trip as floats. This is a
                     // representation test, not arithmetic — an epsilon
                     // margin would mis-render values near integers.
-                    #[allow(clippy::float_cmp)]
+                    #[allow(clippy::float_cmp, reason = "representation test, not arithmetic")]
                     let integral = *f == f.trunc();
                     if integral && f.abs() < 1e15 {
                         let _ = write!(out, "{f:.1}");

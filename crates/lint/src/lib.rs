@@ -2,34 +2,31 @@
 //! analysis for the CMAP workspace.
 //!
 //! The paper's evaluation (NSDI 2008, Figs 12–20) is only reproducible if
-//! the same seed yields the same packet trace. This tool enforces the
-//! source-level invariants that keep that true. There is one pipeline,
-//! [`analyze::analyze`]: walk the roots, build a token scan and a symbol
-//! model per file, run the whole-program flow rules, audit stale pragmas,
-//! split through the suppression baseline. It runs two layers of rules.
+//! the same seed yields the same packet trace. Each hazard that breaks
+//! that has one checker (DESIGN.md §10). clippy, configured by the root
+//! `clippy.toml`, owns every hazard a resolved path names: hash-ordered
+//! containers, wall-clock time, ad-hoc threads, environment reads, and
+//! bare `unwrap` in the hot paths. This tool owns the rest. There is one
+//! pipeline, [`analyze::analyze`]: walk the roots, build a token scan and
+//! a symbol model per file, run the whole-program flow rules, audit stale
+//! pragmas, split through the suppression baseline. It runs two layers of
+//! rules.
 //!
-//! **Token layer** (this module): a per-file lexer enforcing six rules:
+//! **Token layer** (this module): a per-file lexer enforcing three rules
+//! (R1, R2 and R6 were token rules for hazards clippy now owns; their
+//! numbers are not reused):
 //!
-//! * **R1 `hash-iter`** — iterating a `HashMap`/`HashSet` in a
-//!   deterministic crate leaks nondeterministic order into results. Use
-//!   `BTreeMap`/`BTreeSet`, sort explicitly, or justify with a pragma.
-//! * **R2 `wall-clock`** — `Instant`/`SystemTime`, `thread_rng`,
-//!   `from_entropy` and environment-derived seeds smuggle ambient state
-//!   into a run. All randomness must come from the seeded stream RNGs.
 //! * **R3 `float-cmp`** — `==`/`!=` against float literals, and NaN-prone
 //!   `partial_cmp()` chains, in SINR/BER arithmetic. Use epsilon
-//!   comparisons and `f64::total_cmp`.
-//! * **R4 `panic-budget`** — bare `.unwrap()` in simulator hot paths
-//!   (`core::mac`, `cmap-sim`). Handle the case, or use
-//!   `.expect("<invariant>")` to document why it cannot fail.
+//!   comparisons and `f64::total_cmp`. clippy's `float_cmp` exempts
+//!   `x == 0.0`, and a `partial_cmp` ban would fire inside every
+//!   `#[derive(PartialOrd)]`.
+//! * **R4 `panic-budget`** — an `.expect("")` whose invariant is empty or
+//!   whitespace in simulator hot paths (`core::mac`, `cmap-sim`): a
+//!   laundered unwrap that `clippy::unwrap_used` does not see.
 //! * **R5 `unit-cast`** — raw `as u64`/`as f64` casts on time/power values
 //!   outside the sanctioned conversion modules (`phy::units`, `phy::rate`,
 //!   `sim::time`, `sim::event`). Route through the unit helpers.
-//! * **R6 `thread-spawn`** — `thread::spawn`/`thread::scope`/
-//!   `available_parallelism` outside the approved executor module
-//!   (`crates/exec`). Ad-hoc threading sidesteps the executor's
-//!   determinism argument (index-ordered joins, per-run isolation); fan
-//!   work out through `cmap_exec::Pool` instead.
 //!
 //! **Symbol layer** (the [`model`] + [`flow`] modules, orchestrated by
 //! [`analyze`]): the whole workspace is parsed into a lightweight
@@ -49,30 +46,26 @@
 //!   interior-mutable statics outside the executor crate, and any
 //!   shared-state-derived value that can reach artifact bytes.
 //! * **R10 `panic-reach`** — a call chain from an event-loop hot path into
-//!   `panic!`/bare `.unwrap()` in a callee (which R4, being per-file,
-//!   misses).
-//!
-//! A pragma that suppresses zero findings is itself reported
-//! (**`stale-pragma`**) — dead suppressions rot the audit trail.
+//!   `panic!`/bare `.unwrap()` in a callee outside the hot paths, which a
+//!   per-line check cannot connect.
 //!
 //! A justified exception is written as a pragma comment on the offending
 //! line (or on a comment line directly above it):
 //!
 //! ```text
-//! // cmap-lint: allow(wall-clock) — progress reporting only, not simulation state
+//! // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count
 //! ```
 //!
 //! The reason text after the dash is mandatory; an allow without a reason
-//! is itself a violation.
+//! is itself a violation. A pragma that suppresses zero findings, or names
+//! a rule that does not exist, is reported (**`stale-pragma`**) — dead
+//! suppressions rot the audit trail.
 //!
 //! Neither layer is a type checker. The token layer strips comments and
-//! string literals, tracks `#[cfg(test)] mod` regions by brace depth, and
-//! resolves receivers of iteration calls against the identifiers declared
-//! as hash containers in the same file, so R1 misses a `HashMap` returned
-//! across a file boundary and iterated elsewhere (`clippy` and review
-//! cover that gap). The symbol layer resolves calls across the whole
-//! workspace, by name. Both are deliberately conservative and cheap: the
-//! workspace analyzes in about 0.2 s with no dependencies beyond `std`.
+//! string literals and tracks `#[cfg(test)] mod` regions by brace depth;
+//! the symbol layer resolves calls across the whole workspace, by name.
+//! Both are deliberately conservative and cheap: the workspace analyzes in
+//! about 0.2 s with no dependencies beyond `std`.
 
 use std::fmt;
 use std::fs;
@@ -88,22 +81,16 @@ pub mod jsonv;
 pub mod model;
 pub mod sarif;
 
-/// The enforced invariants: six token-layer rules, four interprocedural
+/// The enforced invariants: three token-layer rules, four interprocedural
 /// symbol-layer rules, and the pragma-hygiene rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: hash-ordered iteration in deterministic code.
-    HashIter,
-    /// R2: wall-clock time or ambient entropy.
-    WallClock,
     /// R3: float equality / NaN-prone comparison chains.
     FloatCmp,
-    /// R4: bare `.unwrap()` (or an empty `.expect("")`) in hot paths.
+    /// R4: an empty `.expect("")` in hot paths.
     PanicBudget,
     /// R5: raw unit-bearing casts outside conversion modules.
     UnitCast,
-    /// R6: thread spawns / parallelism probes outside the executor module.
-    ThreadSpawn,
     /// R7: wall-clock/entropy-derived values flowing into deterministic
     /// code or artifact sinks through call edges.
     DetTaint,
@@ -114,19 +101,17 @@ pub enum Rule {
     SharedState,
     /// R10: a hot-path call chain reaching `panic!`/bare `.unwrap()`.
     PanicReach,
-    /// A justified pragma that suppresses zero findings.
+    /// A justified pragma that suppresses zero findings or names an
+    /// unknown rule.
     StalePragma,
 }
 
 impl Rule {
-    /// All rules, in R1..R10 + stale-pragma order.
-    pub const ALL: [Rule; 11] = [
-        Rule::HashIter,
-        Rule::WallClock,
+    /// All rules, in R-number + stale-pragma order.
+    pub const ALL: [Rule; 8] = [
         Rule::FloatCmp,
         Rule::PanicBudget,
         Rule::UnitCast,
-        Rule::ThreadSpawn,
         Rule::DetTaint,
         Rule::UnitFlow,
         Rule::SharedState,
@@ -137,12 +122,9 @@ impl Rule {
     /// The pragma / diagnostic code for the rule.
     pub fn code(self) -> &'static str {
         match self {
-            Rule::HashIter => "hash-iter",
-            Rule::WallClock => "wall-clock",
             Rule::FloatCmp => "float-cmp",
             Rule::PanicBudget => "panic-budget",
             Rule::UnitCast => "unit-cast",
-            Rule::ThreadSpawn => "thread-spawn",
             Rule::DetTaint => "det-taint",
             Rule::UnitFlow => "unit-flow",
             Rule::SharedState => "shared-state",
@@ -154,17 +136,14 @@ impl Rule {
     /// One-line rule description (SARIF rule metadata).
     pub fn description(self) -> &'static str {
         match self {
-            Rule::HashIter => "hash-ordered iteration leaks nondeterministic order",
-            Rule::WallClock => "wall-clock time or ambient entropy in a run",
             Rule::FloatCmp => "exact float comparison or NaN-prone ordering",
             Rule::PanicBudget => "undocumented panic in a simulator hot path",
             Rule::UnitCast => "raw unit-bearing cast outside conversion modules",
-            Rule::ThreadSpawn => "threading primitive outside the approved executor",
             Rule::DetTaint => "wall-clock/entropy-derived value flows into deterministic code or an artifact sink",
             Rule::UnitFlow => "mixed physical units across arithmetic or a call boundary",
             Rule::SharedState => "interior-mutable static outside the executor, or shared state reaching artifact bytes",
             Rule::PanicReach => "hot-path call chain reaches panic!/unwrap in a callee",
-            Rule::StalePragma => "suppression pragma that silences zero findings",
+            Rule::StalePragma => "suppression pragma that silences zero findings or names no rule",
         }
     }
 
@@ -239,15 +218,12 @@ pub(crate) fn violation_to_val(v: &Violation) -> Val {
 /// skipped. All matching is by substring of the `/`-normalised path.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Paths whose code must be deterministic (R1/R3/R5 scope).
+    /// Paths whose code must be deterministic (R3/R5/R7a/R8 scope).
     pub det_markers: Vec<String>,
-    /// Hot paths with a panic budget (R4 scope).
+    /// Hot paths with a panic budget (R4/R10 scope).
     pub hot_markers: Vec<String>,
     /// Sanctioned unit-conversion modules (R5 exempt).
     pub unit_cast_allowed: Vec<String>,
-    /// The approved executor module(s): the only places allowed to spawn
-    /// threads or probe machine parallelism (R6 exempt).
-    pub thread_spawn_allowed: Vec<String>,
     /// Never scanned when reached by directory walking (still scanned when
     /// named explicitly as a root — how the fixture self-tests run).
     pub skip_markers: Vec<String>,
@@ -286,7 +262,6 @@ impl Default for Config {
                 "crates/sim/src/time.rs",
                 "crates/sim/src/event.rs",
             ]),
-            thread_spawn_allowed: v(&["crates/exec/src"]),
             skip_markers: v(&["/target/", "/vendor/", "crates/lint/tests/fixtures"]),
             taint_sinks: v(&[
                 // Run/suite report writers and their metric entry point.
@@ -343,6 +318,8 @@ fn collect_rs_files(dir: &Path, cfg: &Config, out: &mut Vec<PathBuf>) -> io::Res
 #[derive(Debug, Clone)]
 struct Pragma {
     rules: Vec<Rule>,
+    /// Names in the allow list that are no rule's code.
+    unknown: Vec<String>,
     has_reason: bool,
     /// Whether the pragma's line has no code of its own (applies to the
     /// next code line instead).
@@ -381,13 +358,17 @@ impl FileScan {
     /// Whether a symbol-layer finding at `line` for `rule` is silenced by
     /// a pragma; records the use so the pragma is not reported stale.
     pub fn allows(&self, line: usize, rule: Rule) -> Option<usize> {
-        for p in &self.pragmas {
-            if p.rules.contains(&rule) && p.targets.contains(&line) {
-                return Some(p.line);
-            }
-        }
-        None
+        allowing(&self.pragmas, line, rule)
     }
+}
+
+/// The line of the first pragma among `pragmas` that silences `rule` at
+/// `line`.
+fn allowing(pragmas: &[PragmaSummary], line: usize, rule: Rule) -> Option<usize> {
+    pragmas
+        .iter()
+        .find(|p| p.rules.contains(&rule) && p.targets.contains(&line))
+        .map(|p| p.line)
 }
 
 /// Per-line lexed form of a file.
@@ -416,49 +397,14 @@ pub fn scan_file(path: &str, source: &str, cfg: &Config) -> FileScan {
 fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
     let in_test = test_regions(&lexed.code);
     let pragmas = collect_pragmas(lexed);
-    let allow = resolve_pragma_targets(&pragmas, lexed);
 
     let det = Config::matches(&cfg.det_markers, path);
     let hot = Config::matches(&cfg.hot_markers, path);
     let unit_ok = Config::matches(&cfg.unit_cast_allowed, path);
-    let spawn_ok = Config::matches(&cfg.thread_spawn_allowed, path);
     let test_file = is_test_path(path);
 
-    let hash_names = collect_hash_names(&lexed.code);
-
     let mut out = Vec::new();
-
-    // Pragmas without a reason are violations of the rule they try to
-    // silence (reported regardless of scope: an unjustified allow is
-    // always wrong).
-    for p in &pragmas {
-        if !p.has_reason {
-            for &rule in &p.rules {
-                out.push(Violation {
-                    path: path.to_string(),
-                    line: p.line,
-                    rule,
-                    message: format!(
-                        "allow({}) pragma without a justification; write \
-                         `// cmap-lint: allow({}) — <reason>`",
-                        rule.code(),
-                        rule.code()
-                    ),
-                    snippet: lexed.raw[p.line - 1].trim().to_string(),
-                    fix: None,
-                });
-            }
-        }
-    }
-
-    let mut used_pragmas: Vec<(usize, Rule)> = Vec::new();
-    let mut emit = |line: usize, rule: Rule, message: String, fix: Option<Fix>, lexed: &Lexed| {
-        if let Some(entries) = allow.get(&line) {
-            if let Some(&(_, pragma_line)) = entries.iter().find(|&&(r, _)| r == rule) {
-                used_pragmas.push((pragma_line, rule));
-                return;
-            }
-        }
+    let mut report = |line: usize, rule: Rule, message: String, fix: Option<Fix>| {
         out.push(Violation {
             path: path.to_string(),
             line,
@@ -469,46 +415,62 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
         });
     };
 
+    // Pragmas without a reason are violations of the rule they try to
+    // silence, and a name that is no rule silences nothing (both reported
+    // regardless of scope: an unjustified or inert allow is always wrong).
+    for p in &pragmas {
+        for name in &p.unknown {
+            report(
+                p.line,
+                Rule::StalePragma,
+                format!("unknown rule `{name}`"),
+                None,
+            );
+        }
+        if !p.has_reason {
+            for &rule in &p.rules {
+                let message = format!(
+                    "allow({}) pragma without a justification; write \
+                     `// cmap-lint: allow({}) — <reason>`",
+                    rule.code(),
+                    rule.code()
+                );
+                report(p.line, rule, message, None);
+            }
+        }
+    }
+
+    let summaries: Vec<PragmaSummary> = pragmas
+        .iter()
+        .filter(|p| p.has_reason)
+        .map(|p| {
+            let mut targets = vec![p.line];
+            if p.standalone {
+                // Applies to the next line with actual code.
+                let mut rest = lexed.code.iter().skip(p.line);
+                if let Some(j) = rest.position(|c| !c.trim().is_empty()) {
+                    targets.push(p.line + j + 1);
+                }
+            }
+            PragmaSummary {
+                line: p.line,
+                rules: p.rules.clone(),
+                targets,
+            }
+        })
+        .collect();
+
+    let mut used_pragmas: Vec<(usize, Rule)> = Vec::new();
+    let mut emit = |line: usize, rule: Rule, message: String, fix: Option<Fix>| match allowing(
+        &summaries, line, rule,
+    ) {
+        Some(pragma_line) => used_pragmas.push((pragma_line, rule)),
+        None => report(line, rule, message, fix),
+    };
+
     for (idx, code) in lexed.code.iter().enumerate() {
         let line = idx + 1;
         let is_test = in_test[idx] || test_file;
-
-        // R1 hash-iter: deterministic scope, test code included (ordering
-        // bugs in tests are flaky tests).
-        if det {
-            for name in iterated_receivers(&lexed.code, idx) {
-                if hash_names.contains(&name) {
-                    emit(
-                        line,
-                        Rule::HashIter,
-                        format!(
-                            "iteration over hash-ordered container `{name}` leaks \
-                             nondeterministic order; use BTreeMap/BTreeSet or sort \
-                             before iterating"
-                        ),
-                        None,
-                        lexed,
-                    );
-                }
-            }
-        }
-
-        // R2 wall-clock/entropy: everywhere, including bench binaries
-        // (bench wall-clock use is legitimate but must carry a pragma so
-        // the exception is visible and reviewed).
-        if let Some(tok) = wall_clock_token(code, &lexed.raw[idx]) {
-            emit(
-                line,
-                Rule::WallClock,
-                format!(
-                    "`{tok}` injects ambient state into a run; derive all \
-                     randomness/time from the seeded simulation clock and \
-                     stream RNGs"
-                ),
-                None,
-                lexed,
-            );
-        }
 
         // R3 float discipline: deterministic scope, non-test code.
         if det && !is_test {
@@ -521,7 +483,6 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
                          or restructure the sentinel"
                     ),
                     None,
-                    lexed,
                 );
             }
             if code.contains(".partial_cmp(") && !code.contains("fn partial_cmp") {
@@ -532,35 +493,15 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
                      use `f64::total_cmp` (or handle the None)"
                         .to_string(),
                     None,
-                    lexed,
                 );
             }
         }
 
         // R4 panic budget: hot paths, non-test code. An `.expect` whose
         // invariant text is empty or whitespace-only is a laundered
-        // unwrap: it satisfies the token search while documenting nothing,
-        // so it gets the same treatment (mirroring the mandatory
-        // pragma-reason rule).
+        // unwrap: it passes `clippy::unwrap_used` while documenting
+        // nothing (mirroring the mandatory pragma-reason rule).
         if hot && !is_test {
-            if code.contains(".unwrap()") {
-                let fix = code.find(".unwrap()").map(|at| Fix {
-                    col_start: at,
-                    col_end: at + ".unwrap()".len(),
-                    replacement: ".expect(\"<why this cannot fail>\")".to_string(),
-                    description: "document the invariant that makes the panic unreachable"
-                        .to_string(),
-                });
-                emit(
-                    line,
-                    Rule::PanicBudget,
-                    "bare `.unwrap()` in a simulator hot path; handle the case or \
-                     document the invariant with `.expect(\"...\")`"
-                        .to_string(),
-                    fix,
-                    lexed,
-                );
-            }
             if let Some((start, end)) = empty_expect_span(code, &lexed.raw[idx]) {
                 emit(
                     line,
@@ -575,7 +516,6 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
                         replacement: "\"<why this cannot fail>\"".to_string(),
                         description: "fill in the invariant text".to_string(),
                     }),
-                    lexed,
                 );
             }
         }
@@ -593,51 +533,10 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
                          `u64::from` for widening)"
                     ),
                     None,
-                    lexed,
-                );
-            }
-        }
-
-        // R6 thread-spawn: everywhere (tests included — a test that spawns
-        // its own threads dodges the pool's ordered-join guarantee too),
-        // outside the approved executor module.
-        if !spawn_ok {
-            if let Some(tok) = thread_spawn_token(code) {
-                emit(
-                    line,
-                    Rule::ThreadSpawn,
-                    format!(
-                        "`{tok}` outside the approved executor; fan work out \
-                         through `cmap_exec::Pool` so joins stay index-ordered \
-                         and pool width never reaches artifact bytes"
-                    ),
-                    None,
-                    lexed,
                 );
             }
         }
     }
-
-    let summaries = pragmas
-        .iter()
-        .filter(|p| p.has_reason)
-        .map(|p| {
-            let mut targets = vec![p.line];
-            if p.standalone {
-                for (j, code) in lexed.code.iter().enumerate().skip(p.line) {
-                    if !code.trim().is_empty() {
-                        targets.push(j + 1);
-                        break;
-                    }
-                }
-            }
-            PragmaSummary {
-                line: p.line,
-                rules: p.rules.clone(),
-                targets,
-            }
-        })
-        .collect();
 
     FileScan {
         violations: out,
@@ -921,12 +820,12 @@ fn collect_pragmas(lexed: &Lexed) -> Vec<Pragma> {
         let Some(close) = rest.find(')') else {
             continue;
         };
-        let rules: Vec<Rule> = rest[..close]
-            .split(',')
-            .filter_map(|s| Rule::parse(s.trim()))
-            .collect();
-        if rules.is_empty() {
-            continue;
+        let (mut rules, mut unknown) = (Vec::new(), Vec::new());
+        for name in rest[..close].split(',').map(str::trim) {
+            match Rule::parse(name) {
+                Some(rule) => rules.push(rule),
+                None => unknown.push(name.to_string()),
+            }
         }
         // Reason: anything substantive after the closing paren and a dash
         // or colon separator.
@@ -938,6 +837,7 @@ fn collect_pragmas(lexed: &Lexed) -> Vec<Pragma> {
         let standalone = lexed.code[i].trim().is_empty();
         out.push(Pragma {
             rules,
+            unknown,
             has_reason,
             standalone,
             line: i + 1,
@@ -946,78 +846,9 @@ fn collect_pragmas(lexed: &Lexed) -> Vec<Pragma> {
     out
 }
 
-/// Map each justified pragma to the lines it silences, keeping the
-/// pragma's own line so suppressions can be attributed (stale detection).
-fn resolve_pragma_targets(
-    pragmas: &[Pragma],
-    lexed: &Lexed,
-) -> std::collections::BTreeMap<usize, Vec<(Rule, usize)>> {
-    let mut allow: std::collections::BTreeMap<usize, Vec<(Rule, usize)>> =
-        std::collections::BTreeMap::new();
-    for p in pragmas {
-        if !p.has_reason {
-            continue;
-        }
-        let mut targets = vec![p.line];
-        if p.standalone {
-            // Applies to the next line with actual code.
-            for (j, code) in lexed.code.iter().enumerate().skip(p.line) {
-                if !code.trim().is_empty() {
-                    targets.push(j + 1);
-                    break;
-                }
-            }
-        }
-        for t in targets {
-            allow
-                .entry(t)
-                .or_default()
-                .extend(p.rules.iter().map(|&r| (r, p.line)));
-        }
-    }
-    allow
-}
-
 // ---------------------------------------------------------------------------
-// R1: hash container declarations and iteration receivers.
+// Identifier helpers (shared with the symbol model).
 // ---------------------------------------------------------------------------
-
-/// Identifiers declared with a `HashMap`/`HashSet` type in this file.
-fn collect_hash_names(code: &[String]) -> std::collections::BTreeSet<String> {
-    let mut names = std::collections::BTreeSet::new();
-    for line in code {
-        for marker in ["HashMap", "HashSet"] {
-            let mut start = 0;
-            while let Some(pos) = line[start..].find(marker) {
-                let abs = start + pos;
-                start = abs + marker.len();
-                // Type annotation form: `name: HashMap<...>` (fields, lets,
-                // fn params) or constructor form: `name = HashMap::new()`.
-                let before = &line[..abs];
-                // Reference/mut sigils between the name and the type
-                // (`m: &HashMap<..>`, `m: &mut HashMap<..>`) don't change
-                // ownership of the binding for our purposes.
-                let sep = before
-                    .trim_end()
-                    .trim_end_matches("mut")
-                    .trim_end()
-                    .trim_end_matches('&')
-                    .trim_end();
-                let name = if let Some(pre) = sep.strip_suffix(':') {
-                    last_ident(pre)
-                } else if let Some(pre) = sep.strip_suffix('=') {
-                    last_ident(pre)
-                } else {
-                    None
-                };
-                if let Some(n) = name {
-                    names.insert(n);
-                }
-            }
-        }
-    }
-    names
-}
 
 pub(crate) fn last_ident(text: &str) -> Option<String> {
     let trimmed = text.trim_end();
@@ -1035,62 +866,6 @@ pub(crate) fn last_ident(text: &str) -> Option<String> {
 
 pub(crate) fn c_len(s: &str, i: usize) -> usize {
     s[i..].chars().next().map_or(1, |c| c.len_utf8())
-}
-
-/// Receivers of order-sensitive iteration calls on line `idx`, plus `for`
-/// loop sources. A method call at the start of a line (builder-chain style)
-/// resolves its receiver from the nearest preceding non-empty code line.
-fn iterated_receivers(lines: &[String], idx: usize) -> Vec<String> {
-    const METHODS: [&str; 10] = [
-        ".iter()",
-        ".iter_mut()",
-        ".keys()",
-        ".values()",
-        ".values_mut()",
-        ".drain(",
-        ".retain(",
-        ".into_iter()",
-        ".into_keys()",
-        ".into_values()",
-    ];
-    let code = &lines[idx];
-    let mut out = Vec::new();
-    for m in METHODS {
-        let mut start = 0;
-        while let Some(pos) = code[start..].find(m) {
-            let abs = start + pos;
-            start = abs + m.len();
-            if let Some(name) = last_ident(&code[..abs]) {
-                out.push(name);
-            } else if code[..abs].trim().is_empty() {
-                // Chained call continuing the previous line.
-                if let Some(prev) = lines[..idx].iter().rev().find(|l| !l.trim().is_empty()) {
-                    if let Some(name) = last_ident(prev) {
-                        out.push(name);
-                    }
-                }
-            }
-        }
-    }
-    // `for x in [&mut] [self.]name ... {`
-    if let Some(for_pos) = find_word(code, "for") {
-        if let Some(in_rel) = code[for_pos..].find(" in ") {
-            let mut rest = code[for_pos + in_rel + 4..].trim_start();
-            rest = rest
-                .trim_start_matches("&mut ")
-                .trim_start_matches('&')
-                .trim_start();
-            rest = rest.strip_prefix("self.").unwrap_or(rest);
-            let ident: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if !ident.is_empty() {
-                out.push(ident);
-            }
-        }
-    }
-    out
 }
 
 /// Position of `word` appearing as a standalone word.
@@ -1117,7 +892,7 @@ pub(crate) fn find_word(code: &str, word: &str) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// R2: wall clock / entropy tokens.
+// Wall-clock / entropy tokens: R7's taint sources in the symbol model.
 // ---------------------------------------------------------------------------
 
 pub(crate) fn wall_clock_token(code: &str, raw: &str) -> Option<&'static str> {
@@ -1140,20 +915,6 @@ pub(crate) fn wall_clock_token(code: &str, raw: &str) -> Option<&'static str> {
         return Some("env::var(seed)");
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// R6: thread spawns / parallelism probes.
-// ---------------------------------------------------------------------------
-
-fn thread_spawn_token(code: &str) -> Option<&'static str> {
-    const TOKENS: [&str; 4] = [
-        "thread::spawn",
-        "thread::scope",
-        "thread::Builder",
-        "available_parallelism",
-    ];
-    TOKENS.into_iter().find(|t| code.contains(t))
 }
 
 // ---------------------------------------------------------------------------

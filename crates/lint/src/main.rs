@@ -119,10 +119,10 @@ fn print_usage() {
         "usage: cmap-analyze [options] <path>...\n\
          \n\
          Workspace-aware determinism & unit-safety static analysis: a\n\
-         per-file token layer (hash-iter, wall-clock, float-cmp,\n\
-         panic-budget, unit-cast, thread-spawn) plus interprocedural flow\n\
-         rules (det-taint, unit-flow, shared-state, panic-reach) and a\n\
-         stale-pragma audit. See DESIGN.md §10.\n\
+         per-file token layer (float-cmp, panic-budget, unit-cast) plus\n\
+         interprocedural flow rules (det-taint, unit-flow, shared-state,\n\
+         panic-reach) and a stale-pragma audit; clippy.toml owns the rest.\n\
+         See DESIGN.md §10.\n\
          \n\
          options:\n\
            --json                 JSON report on stdout\n\

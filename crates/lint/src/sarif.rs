@@ -1,6 +1,6 @@
 //! SARIF 2.1.0 output.
 //!
-//! One run, one driver (`cmap-analyze`), all eleven rules in the driver
+//! One run, one driver (`cmap-analyze`), all eight rules in the driver
 //! metadata. Baseline-pinned findings are included as suppressed results
 //! (`suppressions[].kind = "external"` with the pin reason as
 //! justification) so SARIF viewers show the full audit trail. Suggested
@@ -141,12 +141,12 @@ mod tests {
             path: "crates/sim/src/a.rs".to_string(),
             line: 7,
             rule: Rule::PanicBudget,
-            message: "bare unwrap".to_string(),
-            snippet: "x.unwrap()".to_string(),
+            message: "empty expect".to_string(),
+            snippet: "x.expect(\"\")".to_string(),
             fix: Some(Fix {
                 col_start: 1,
                 col_end: 10,
-                replacement: ".expect(\"why\")".to_string(),
+                replacement: "\"why\"".to_string(),
                 description: "document the invariant".to_string(),
             }),
         };

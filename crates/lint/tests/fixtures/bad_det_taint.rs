@@ -1,10 +1,10 @@
 //! R7 fixture: wall time laundered through a helper into a metric sink.
-//! The only wall-clock token is pragma-justified, so the per-file token
-//! layer reports nothing — catching the flow requires interprocedural
-//! taint through `stamp`'s return value and the `started` local.
+//! The `Instant::now` call is clippy's, justified by an `#[expect]`; the
+//! token layer has no rule for it. Catching the flow requires
+//! interprocedural taint through `stamp`'s return and the `started` local.
 
+#[expect(clippy::disallowed_methods, reason = "fixture: justified at the source")]
 fn stamp() -> u64 {
-    // cmap-lint: allow(wall-clock) — fixture: justified at the source, the value is still tainted downstream
     std::time::Instant::now().elapsed().as_secs()
 }
 

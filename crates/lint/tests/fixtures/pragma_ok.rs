@@ -1,9 +1,9 @@
 //! Pragma fixture: justified exceptions are silent.
 
-pub fn noted() -> bool {
-    // cmap-lint: allow(wall-clock) — fixture: standalone pragma covers the next code line
-    let clock = std::time::SystemTime::UNIX_EPOCH;
-    format!("{clock:?}").is_empty()
+pub fn noted(airtime_us: u32) -> u64 {
+    // cmap-lint: allow(unit-cast) — fixture: standalone pragma covers the next code line
+    let wide = airtime_us as u64;
+    wide * 1_000
 }
 
 pub fn trailing(x: f64) -> bool {

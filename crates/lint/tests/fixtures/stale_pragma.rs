@@ -2,7 +2,7 @@
 //! nothing. Dead suppressions rot the audit trail, so the analyzer
 //! reports the pragma itself.
 
-// cmap-lint: allow(hash-iter) — fixture: claims a suppression the code below never needs
+// cmap-lint: allow(float-cmp) — fixture: claims a suppression the code below never needs
 fn tidy(values: &[u64]) -> u64 {
     values.iter().sum()
 }

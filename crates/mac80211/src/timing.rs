@@ -37,7 +37,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // documents the invariant, cheap to keep as a test
+    #[allow(clippy::assertions_on_constants, reason = "documents the invariant")]
     fn eifs_exceeds_difs() {
         assert!(EIFS_NS > DIFS_NS);
         assert_eq!(EIFS_NS, 16_000 + 44_000 + 34_000);

@@ -13,7 +13,7 @@
 //!   produce byte-identical artifacts. Wall-clock derived data is confined
 //!   to the `timing` block, which every writer can exclude.
 //! * **Off the simulation path.** Nothing in this crate reads a clock or
-//!   an entropy source (cmap-lint's R2 holds crate-wide); a
+//!   an entropy source (`clippy.toml`'s wall-clock ban holds crate-wide); a
 //!   [`TimingBlock`] is *handed* its wall-clock seconds by the harness
 //!   shell.
 //!

@@ -237,9 +237,7 @@ pub fn sinr_for_success_prob(target: f64, rate: Rate, psdu_bytes: usize) -> f64 
 }
 
 #[cfg(test)]
-// Tests assert exact IEEE boundary semantics (0.0, 1.0, infinities),
-// where bit-exact equality is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
     use crate::units::{db_to_ratio, ratio_to_db};

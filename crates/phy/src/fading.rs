@@ -296,9 +296,7 @@ const FAR_TAIL_DEN: [f64; 8] = [
 ];
 
 #[cfg(test)]
-// Boundary tests assert exact IEEE semantics where bit equality is the
-// property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
 

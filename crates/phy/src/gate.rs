@@ -167,8 +167,7 @@ impl DrawGate {
 }
 
 #[cfg(test)]
-// Edge facts are exact IEEE values: bit equality is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "edge facts are exact IEEE values")]
 mod tests {
     use super::*;
 

@@ -153,9 +153,7 @@ impl BerTable {
 }
 
 #[cfg(test)]
-// Boundary tests assert exact IEEE semantics where bit equality is the
-// property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
     use crate::error_model::ber;

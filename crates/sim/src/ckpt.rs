@@ -238,9 +238,7 @@ impl<'a> CkptReader<'a> {
     }
 
     /// Read a collection length (bounds-checked `u64` → `usize`).
-    // Not a container: `len` here is a cursor read op, so `is_empty` has
-    // no meaning.
-    #[allow(clippy::len_without_is_empty)]
+    #[allow(clippy::len_without_is_empty, reason = "a cursor read, not a length")]
     pub fn len(&mut self) -> Result<usize, CkptError> {
         let v = self.u64()?;
         if v > MAX_LEN {
@@ -490,7 +488,7 @@ macro_rules! persist_tuple {
     ($($name:ident)+) => {
         impl<$($name: Persist),+> Persist for ($($name,)+) {
             const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "bindings named after the type parameters")]
             fn save(&self, w: &mut CkptWriter) {
                 let ($($name,)+) = self;
                 $($name.save(w);)+
@@ -647,9 +645,7 @@ macro_rules! persist {
 persist!(struct InterfererEntry { source, interferer, source_rate });
 
 #[cfg(test)]
-// Tests assert bit-exact f64 round-trips — bitwise equality is the
-// property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "bit-exact f64 round-trips are tested")]
 mod tests {
     use super::*;
 

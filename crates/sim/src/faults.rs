@@ -30,7 +30,7 @@
 //!   with `corrupt_prob`, or delivered twice with `dup_frame_prob`. Models
 //!   CRC escapes and MAC-level retransmit races.
 
-// BTreeMap as a matter of policy (cmap-lint R1): fault bookkeeping feeds the
+// BTreeMap, as `clippy.toml` requires: fault bookkeeping feeds the
 // simulation, so iteration order must not depend on hash seeds.
 use std::collections::BTreeMap;
 

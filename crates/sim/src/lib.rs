@@ -40,6 +40,8 @@
 //! assert_eq!(world.stats().flow(flow).arrivals.len(), 0); // NullMac sent nothing
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod app;
 pub mod ckpt;
 pub mod config;

@@ -85,9 +85,7 @@ pub fn bits_duration(bits: u64, bits_per_sec: u64) -> Time {
 }
 
 #[cfg(test)]
-// Tests assert exact IEEE boundary semantics (0.0, 1.0, infinities),
-// where bit-exact equality is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
 

@@ -19,6 +19,8 @@ use rand::{Rng, SeedableRng};
 
 use cmap_phy::propagation;
 
+use crate::testbed::gaussian;
+
 /// Distance-plus-shadowing channel for generated deployments.
 ///
 /// The median loss is log-distance path loss with a fixed offset; on top
@@ -283,17 +285,8 @@ pub fn poisson_disk(
     }
 }
 
-/// Standard normal draw (Box–Muller; mirrors `testbed.rs`).
-fn gaussian(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
-// Tests assert exact IEEE equality where determinism itself is the
-// property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "bit equality is the determinism test")]
 mod tests {
     use super::*;
 

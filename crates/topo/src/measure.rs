@@ -8,6 +8,7 @@
 //! what an empirical packet count estimates, without the sampling noise.
 
 use cmap_phy::{dbm_to_mw, error_model, preamble, Rate};
+use cmap_stats::percentile;
 
 use crate::testbed::Testbed;
 
@@ -147,8 +148,8 @@ impl LinkMeasurements {
             (f64::NEG_INFINITY, f64::NEG_INFINITY)
         } else {
             (
-                cmap_stats_percentile(&connected_rss, 10.0),
-                cmap_stats_percentile(&connected_rss, 90.0),
+                percentile(&connected_rss, 10.0),
+                percentile(&connected_rss, 90.0),
             )
         };
         LinkMeasurements {
@@ -268,29 +269,13 @@ impl LinkMeasurements {
             frac_intermediate: mid as f64 / c,
             frac_perfect: perfect as f64 / c,
             mean_degree: degrees.iter().sum::<f64>() / n as f64,
-            median_degree: cmap_stats_percentile(&degrees, 50.0),
+            median_degree: percentile(&degrees, 50.0),
         }
     }
 }
 
-/// Local percentile (interpolated) to avoid a dependency on `cmap-stats`.
-fn cmap_stats_percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty());
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (v.len() - 1) as f64;
-    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
-    if lo == hi {
-        v[lo]
-    } else {
-        v[lo] * (1.0 - (rank - lo as f64)) + v[hi] * (rank - lo as f64)
-    }
-}
-
 #[cfg(test)]
-// Tests assert exact IEEE boundary semantics (0.0, 1.0, infinities),
-// where bit-exact equality is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
     use crate::testbed::TestbedParams;

@@ -186,18 +186,17 @@ fn poisson(rng: &mut SmallRng, lambda: f64) -> u32 {
     }
 }
 
-/// Standard normal draw (Box–Muller; local copy to keep this crate free of a
-/// `cmap-sim` dependency).
-fn gaussian(rng: &mut SmallRng) -> f64 {
+/// Standard normal draw (Box–Muller), the one the testbed and the city
+/// generators share (local to keep this crate free of a `cmap-sim`
+/// dependency).
+pub(crate) fn gaussian(rng: &mut SmallRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
-// Tests assert exact IEEE boundary semantics (0.0, 1.0, infinities),
-// where bit-exact equality is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
 

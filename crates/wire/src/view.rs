@@ -640,7 +640,7 @@ pub mod compose {
     }
 
     /// A CMAP header or trailer announcement (`kind` selects which).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per wire field")]
     pub fn header_trailer(
         buf: &mut Vec<u8>,
         kind: FrameKind,
@@ -669,7 +669,7 @@ pub mod compose {
 
     /// A CMAP data packet with a `payload_len`-byte payload of `fill`
     /// bytes (the simulator carries no real payload contents).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per wire field")]
     pub fn cmap_data(
         buf: &mut Vec<u8>,
         src: MacAddr,
@@ -695,7 +695,7 @@ pub mod compose {
     }
 
     /// A CMAP cumulative ACK with piggybacked interferer entries.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per wire field")]
     pub fn cmap_ack(
         buf: &mut Vec<u8>,
         src: MacAddr,
@@ -735,7 +735,7 @@ pub mod compose {
 
     /// An 802.11 baseline data frame with a `payload_len`-byte payload of
     /// `fill` bytes.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one argument per wire field")]
     pub fn dot11_data(
         buf: &mut Vec<u8>,
         src: MacAddr,

@@ -6,8 +6,7 @@
 //! `view::compose` against.
 //! `parse(emit(f)) == f` for every representable frame.
 
-// Each test binary that mounts this module uses a different part of it.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary mounts a different part")]
 
 pub mod cmap;
 pub mod cursor;

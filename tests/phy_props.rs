@@ -111,8 +111,7 @@ proptest! {
 /// The draw-first gates (`cmap_phy::gate`): every stored bracket contains
 /// the curve it stands for, and a draw it settles is settled the way the
 /// exact probability settles it.
-// Bit equality with the exact formula is the property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "bit equality with the formula is tested")]
 mod gate {
     use cmap_suite::phy::gate::{decide, DECODE_LOG2_SPAN, LOCK_LOG2_SPAN};
     use cmap_suite::phy::{preamble::preamble_success_prob, BerTable, DrawGate, Rate};
@@ -382,8 +381,7 @@ mod gate {
 /// through `error_model::erfc`, and its quantiles through a series /
 /// continued-fraction `erfc` inverted by bisection — neither shares a line
 /// with the table's own `inv_norm_cdf`.
-// Bit equality with the direct formula is a property under test.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "bit equality with the formula is tested")]
 mod fading {
     use cmap_suite::phy::error_model::erfc;
     use cmap_suite::phy::fading::{

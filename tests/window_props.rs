@@ -50,7 +50,7 @@ proptest! {
         prop_assert_eq!(w.outstanding(), 0);
 
         // Every requeued packet is one of the originals, no duplicates.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some((d, pkts, rounds)) = w.pop_rtx() {
             prop_assert_eq!(d, dst);
             prop_assert_eq!(rounds, 1);
