@@ -15,6 +15,10 @@
 //!    `tests/data/dense50_snapshot.fnv`. Any byte drift on the
 //!    testbed-scale path — however the medium internals are refactored —
 //!    fails here before it can silently invalidate published figures.
+//! 4. The benchmark's 3,000-node position-fed city is pinned the same
+//!    way (`tests/data/city_medium.fnv`): its fingerprint, its pruning
+//!    counts, the bits of its error bound, and a short CMAP run's
+//!    snapshot, which also fixes the arrival order of every reception.
 
 use proptest::prelude::*;
 
@@ -249,6 +253,99 @@ fn dense50_snapshot() -> String {
     Protocol::cmap().install(&mut world);
     world.run_until(spec.duration);
     world.stats().snapshot()
+}
+
+/// The benchmark's `city_cmap` / `city_dcf` medium, built as
+/// `benchmark/src/workload.rs` builds it: a 3,000-node jittered street
+/// grid, ε = 3 dB, evaluated out to where a 3σ up-fade cannot lift a link
+/// above the noise floor.
+fn benchmark_city() -> Medium {
+    let phy = PhyConfig::default();
+    let dep = cmap_suite::topo::grid_city(
+        3000,
+        30.0,
+        5.0,
+        cmap_suite::topo::ChannelModel::default(),
+        42,
+    );
+    let min_gain_db = phy.noise_floor_dbm - phy.tx_power_dbm;
+    MediumBuilder::new(&phy)
+        .epsilon_db(3.0)
+        .positions(
+            dep.positions.clone(),
+            dep.channel.eval_range_m(min_gain_db),
+            dep.channel.tail_gain_db(min_gain_db),
+            dep.gain_fn(),
+        )
+        .build()
+}
+
+/// A short CMAP run over the city: 64 sources spread over the node range,
+/// each sending to its strongest neighbour. Every reception is
+/// sequenced by the medium's arrival order, so the snapshot pins that too.
+fn city_snapshot(medium: Medium) -> String {
+    let n = medium.len();
+    let flows: Vec<(NodeId, NodeId)> = (0..64)
+        .map(|k| NodeId::new(k * n / 64))
+        .filter_map(|src| {
+            let best = medium
+                .reachable(src)
+                .iter()
+                .copied()
+                .max_by(|&a, &b| medium.gain(src, a).total_cmp(&medium.gain(src, b)))?;
+            Some((src, best))
+        })
+        .collect();
+    let mut world = World::builder()
+        .medium(medium)
+        .phy(PhyConfig::default())
+        .seed(1)
+        .build();
+    for (src, dst) in flows {
+        world.add_flow(src, dst, 1400);
+    }
+    Protocol::cmap().install(&mut world);
+    world.run_until(millis(50));
+    world.stats().snapshot()
+}
+
+/// `key value` lines of a committed pin file, comments skipped.
+fn pin_lines(committed: &str) -> Vec<(&str, &str)> {
+    committed
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| l.split_once(' ').expect("pin line is `key value`"))
+        .collect()
+}
+
+#[test]
+fn city_medium_matches_committed_pin() {
+    let medium = benchmark_city();
+    let st = *medium
+        .sparse_stats()
+        .expect("every medium records its pruning");
+    let got = [
+        ("fingerprint", format!("{:#018x}", medium.fingerprint())),
+        ("links", st.links.to_string()),
+        ("pruned", st.pruned.to_string()),
+        ("tail_pairs", st.tail_pairs.to_string()),
+        (
+            "error_bound_db_bits",
+            format!("{:#018x}", st.error_bound_db.to_bits()),
+        ),
+        (
+            "snapshot",
+            format!("{:#018x}", fnv1a64(city_snapshot(medium).as_bytes())),
+        ),
+    ];
+    let want = pin_lines(include_str!("data/city_medium.fnv"));
+    let got: Vec<(&str, &str)> = got.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    assert_eq!(
+        got, want,
+        "the benchmark city's medium drifted from tests/data/city_medium.fnv \
+         (error_bound_db {} dB)",
+        st.error_bound_db
+    );
 }
 
 #[test]
