@@ -48,7 +48,7 @@ pub struct SparseStats {
     /// have kept them (received power in `[delivery floor, threshold)`).
     pub pruned: u64,
     /// Directed pairs never evaluated (outside the spatial candidate
-    /// range of a position-fed build); bounded by the tail gain.
+    /// range of a position-fed build); each is charged the tail gain.
     pub tail_pairs: u64,
     /// The configured pruning margin above the delivery floor, in dB.
     pub epsilon_db: f64,
@@ -129,9 +129,9 @@ impl Grid {
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
 
-    /// Nodes (other than `node`) within `radius_m`, appended to `out` in
-    /// ascending node order.
-    fn neighbors_within(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
+    /// Nodes above `node` within `radius_m`, appended to `out` in
+    /// ascending node order: half of the (symmetric) in-range relation.
+    fn neighbors_above(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
         out.clear();
         let (x, y) = self.pos[node.index()];
         let reach = (radius_m / self.cell_m).ceil() as isize;
@@ -141,10 +141,9 @@ impl Grid {
         for gy in (cy - reach).max(0)..=(cy + reach).min(self.rows as isize - 1) {
             for gx in (cx - reach).max(0)..=(cx + reach).min(self.cols as isize - 1) {
                 let c = gy as usize * self.cols + gx as usize;
-                for &other in &self.nodes[self.off[c] as usize..self.off[c + 1] as usize] {
-                    if other == node {
-                        continue;
-                    }
+                let bucket = &self.nodes[self.off[c] as usize..self.off[c + 1] as usize];
+                // Buckets are ascending: skip straight past `node`.
+                for &other in &bucket[bucket.partition_point(|&o| o <= node)..] {
                     let (ox, oy) = self.pos[other.index()];
                     if (ox - x).powi(2) + (oy - y).powi(2) <= r2 {
                         out.push(other);
@@ -313,17 +312,14 @@ impl Medium {
         rows.finish(0)
     }
 
-    /// Build from node positions and a link-gain model, evaluating only
-    /// candidate pairs within `eval_range_m` of each other (via the grid
-    /// index) — the path that never materialises an O(n²) matrix.
-    ///
-    /// `model(tx, rx, dist_m)` returns the frozen link gain in dB
-    /// (negative = loss) and must be a pure function of its arguments so
-    /// the build is deterministic and order-independent. Delays come
-    /// from straight-line geometry. Pairs beyond `eval_range_m` are
-    /// never evaluated; each is assumed to contribute at most
-    /// `tail_gain_db` (the caller's bound on the model's gain at the
-    /// evaluation range) to the recorded error bound.
+    /// Build from node positions and a reciprocal link-gain model
+    /// ([`MediumBuilder::positions`]), evaluating only pairs within
+    /// `eval_range_m` of each other, found through the grid index — never
+    /// an O(n²) matrix — and each unordered pair once. Row `tx` prices the
+    /// pairs with the nodes above it and parks each in the other end's
+    /// pending list, which that row drains first: every row is offered
+    /// its receivers in ascending order, as a walk of both sides would
+    /// offer them, so the result is the same to the bit (DESIGN.md §12.2).
     fn from_positions(
         positions: &[(f64, f64)],
         phy: &PhyConfig,
@@ -340,23 +336,43 @@ impl Medium {
         let mut rows = Rows::new(n, phy, epsilon_db);
         // Pairs each node was never evaluated against.
         let mut beyond = Vec::with_capacity(n);
-        let mut candidates = Vec::new();
+        // Per receiver, `(tx, gain, delay)` priced by rows below it; drained
+        // lists go to `spare` for the next receiver to park into.
+        let mut pending: Vec<Vec<(NodeId, f64, u64)>> = vec![Vec::new(); n];
+        let (mut spare, mut above) = (Vec::new(), Vec::new());
         for tx in 0..n {
             let tx_id = NodeId::new(tx);
-            grid.neighbors_within(tx_id, eval_range_m, &mut candidates);
-            for &rx in &candidates {
+            let lower = pending[tx].len();
+            for (rx, gain, delay_ns) in pending[tx].drain(..) {
+                rows.offer(rx, gain, delay_ns);
+            }
+            if pending[tx].capacity() > 0 {
+                spare.push(std::mem::take(&mut pending[tx]));
+            }
+            grid.neighbors_above(tx_id, eval_range_m, &mut above);
+            for &rx in &above {
                 let dist = grid.dist_m(tx_id, rx);
-                let gain = dbm_to_mw(model(tx, rx.index(), dist));
-                rows.offer(rx, gain, propagation::propagation_delay_ns(dist));
+                let gain_db = model(tx, rx.index(), dist);
+                debug_assert!(
+                    gain_db.to_bits() == model(rx.index(), tx, dist).to_bits(),
+                    "link model is not reciprocal: ({tx}, {rx}) and ({rx}, {tx}) differ at {dist} m"
+                );
+                let (gain, delay_ns) =
+                    (dbm_to_mw(gain_db), propagation::propagation_delay_ns(dist));
+                rows.offer(rx, gain, delay_ns);
+                let parked = &mut pending[rx.index()];
+                if parked.capacity() == 0 {
+                    *parked = spare.pop().unwrap_or_default();
+                }
+                parked.push((tx_id, gain, delay_ns));
             }
             rows.end_row();
-            beyond.push((n - 1 - candidates.len()) as u64);
+            beyond.push((n - 1 - lower - above.len()) as u64);
         }
-        // Every never-evaluated pair is bounded by the tail gain. The
-        // bound is per *receiver*: a node can absorb at most one tail
-        // contribution from each never-evaluated transmitter, and the
-        // candidate relation is symmetric, so the per-tx count is the
-        // per-rx count.
+        // Every never-evaluated pair is charged the tail gain, summed per
+        // receiver: one pair can beat the charge, the receiver's sum must
+        // not (DESIGN.md §12.4). The in-range relation is symmetric, so a
+        // node's count as a transmitter is its count as a receiver.
         let tail_rss_mw = rows.tx_power_mw * dbm_to_mw(tail_gain_db);
         if tail_rss_mw > 0.0 {
             rows.dropped_mw.resize(n, 0.0);
@@ -575,11 +591,14 @@ impl<'m> MediumBuilder<'m> {
         self
     }
 
-    /// Source: node coordinates (metres) plus a pure link-gain model
-    /// `model(tx, rx, dist_m) -> gain dB`. Candidate pairs are
-    /// enumerated within `eval_range_m` via the grid index;
-    /// `tail_gain_db` bounds the model's gain at that range so
-    /// never-evaluated pairs are accounted in the recorded error bound.
+    /// Source: node coordinates (metres) plus a pure, *reciprocal*
+    /// link-gain model `model(a, b, dist_m) -> gain dB`: called once per
+    /// pair within `eval_range_m` (found via the grid index), with `a <
+    /// b`, its value is both directions' gain — debug builds also call
+    /// `model(b, a, dist_m)` and panic unless the bits match; a
+    /// direction-dependent channel goes through [`gains_db`](Self::gains_db).
+    /// Each never-evaluated pair is charged `tail_gain_db` in the recorded
+    /// error bound.
     pub fn positions(
         mut self,
         positions: Vec<(f64, f64)>,
@@ -890,9 +909,8 @@ mod tests {
         let mut out = Vec::new();
         for node in 0..pos.len() {
             for radius in [10.0, 35.0, 59.0] {
-                grid.neighbors_within(nid(node), radius, &mut out);
-                let brute: Vec<NodeId> = (0..pos.len())
-                    .filter(|&o| o != node)
+                grid.neighbors_above(nid(node), radius, &mut out);
+                let brute: Vec<NodeId> = (node + 1..pos.len())
                     .filter(|&o| {
                         let (ax, ay) = pos[node];
                         let (bx, by) = pos[o];
@@ -903,6 +921,21 @@ mod tests {
                 assert_eq!(out, brute, "node {node} radius {radius}");
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not reciprocal")]
+    fn an_asymmetric_link_model_is_refused() {
+        let phy = PhyConfig::default();
+        let pos = vec![(0.0, 0.0), (20.0, 0.0), (0.0, 20.0)];
+        // One dB louder from the lower-numbered end.
+        let model = |a: usize, b: usize, dist: f64| {
+            -propagation::path_loss_db(dist, 3.3) + if a < b { 1.0 } else { 0.0 }
+        };
+        let _ = MediumBuilder::new(&phy)
+            .positions(pos, 100.0, -120.0, model)
+            .build();
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //! 4. The benchmark's 3,000-node position-fed city is pinned the same
 //!    way (`tests/data/city_medium.fnv`): its fingerprint, its pruning
 //!    counts, the bits of its error bound, and a short CMAP run's
-//!    snapshot, which also fixes the arrival order of every reception.
+//!    snapshot.
+//! 5. Position-fed builds over random geometry equal the matrix-fed build
+//!    of the same range-cut geometry, and the tail charge a position-fed
+//!    build records covers, per receiver, what the pairs it never
+//!    evaluated actually carry.
 
 use proptest::prelude::*;
 
@@ -27,7 +31,7 @@ use cmap_suite::obs::fnv1a64;
 use cmap_suite::phy::{dbm_to_mw, propagation};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::rng::stream_rng;
-use cmap_suite::sim::time::{millis, secs};
+use cmap_suite::sim::time::{millis, secs, Time};
 use cmap_suite::topo::select;
 
 /// A random directed gain/delay matrix: mostly disconnected, with a
@@ -121,21 +125,33 @@ fn street_model(_tx: usize, _rx: usize, dist_m: f64) -> f64 {
     -propagation::path_loss_db(dist_m, 3.3)
 }
 
-/// The street materialised pair by pair, as a caller without a spatial
-/// index would hand it over.
-fn street_matrix() -> (Vec<f64>, Vec<u64>) {
-    let n = STREET.len();
+/// A geometry materialised pair by pair, as a caller without a spatial
+/// index would hand it over: every ordered pair within `range_m` priced
+/// by `model`, every other pair at −∞ dB.
+fn geometry_matrix(
+    pos: &[(f64, f64)],
+    range_m: f64,
+    model: impl Fn(usize, usize, f64) -> f64,
+) -> (Vec<f64>, Vec<u64>) {
+    let n = pos.len();
     let mut gains = vec![f64::NEG_INFINITY; n * n];
     let mut delays = vec![0u64; n * n];
     for tx in 0..n {
         for rx in (0..n).filter(|&rx| rx != tx) {
-            let (dx, dy) = (STREET[tx].0 - STREET[rx].0, STREET[tx].1 - STREET[rx].1);
-            let dist = (dx.powi(2) + dy.powi(2)).sqrt();
-            gains[tx * n + rx] = street_model(tx, rx, dist);
-            delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
+            let (dx, dy) = (pos[tx].0 - pos[rx].0, pos[tx].1 - pos[rx].1);
+            let d2 = dx.powi(2) + dy.powi(2);
+            if d2 <= range_m * range_m {
+                let dist = d2.sqrt();
+                gains[tx * n + rx] = model(tx, rx, dist);
+                delays[tx * n + rx] = propagation::propagation_delay_ns(dist);
+            }
         }
     }
     (gains, delays)
+}
+
+fn street_matrix() -> (Vec<f64>, Vec<u64>) {
+    geometry_matrix(&STREET, 300.0, street_model)
 }
 
 fn street_from_matrix(gains: &[f64], delays: &[u64]) -> Medium {
@@ -234,6 +250,71 @@ fn fingerprint_sees_one_gain_bit_one_delay_and_one_link() {
     assert_ne!(street_from_matrix(&cut, &delays).fingerprint(), base);
 }
 
+/// A random deployment: 2–300 nodes scattered over a random box, a random
+/// evaluation range, ε ∈ {0, 3} dB and a shadowing salt.
+fn deployment() -> impl Strategy<Value = (Vec<(f64, f64)>, f64, f64, u64)> {
+    proptest::strategy::FnStrategy(|rng: &mut proptest::test_runner::TestRng| {
+        let n = 2 + rng.below(299) as usize;
+        let (w, h) = (
+            10.0 + rng.unit_f64() * 1990.0,
+            10.0 + rng.unit_f64() * 1990.0,
+        );
+        let pos = (0..n)
+            .map(|_| (rng.unit_f64() * w, rng.unit_f64() * h))
+            .collect();
+        let range_m = 5.0 + rng.unit_f64() * 595.0;
+        let epsilon_db = if rng.below(2) == 0 { 0.0 } else { 3.0 };
+        (pos, range_m, epsilon_db, rng.next_u64())
+    })
+}
+
+/// Log-distance loss plus up to ±12 dB of shadowing hashed from `salt` and
+/// the unordered pair: reciprocal, as a position-fed build requires.
+fn shadowed(salt: u64) -> impl Fn(usize, usize, f64) -> f64 + Copy {
+    move |a, b, dist_m| {
+        let mut h = salt ^ ((a.min(b) as u64) << 32) ^ a.max(b) as u64;
+        for _ in 0..2 {
+            h = (h ^ (h >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+        -propagation::path_loss_db(dist_m, 3.0) + 24.0 * unit - 12.0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The street test over random geometry: a position-fed medium (no
+    /// tail charge) is the matrix-fed medium of the same geometry with
+    /// every out-of-range pair at −∞ dB, down to the run it produces.
+    #[test]
+    fn position_source_matches_its_range_cut_matrix(
+        (pos, range_m, epsilon_db, salt) in deployment()
+    ) {
+        let phy = PhyConfig::default();
+        let model = shadowed(salt);
+        let n = pos.len();
+        let (gains, delays) = geometry_matrix(&pos, range_m, model);
+        let matrix = MediumBuilder::new(&phy)
+            .epsilon_db(epsilon_db)
+            .gains_db(n, &gains, &delays)
+            .build();
+        let placed = MediumBuilder::new(&phy)
+            .epsilon_db(epsilon_db)
+            .positions(pos, range_m, f64::NEG_INFINITY, model)
+            .build();
+        prop_assert_eq!(stored_links(&placed), stored_links(&matrix));
+        let (got, want) = (placed.sparse_stats().expect("stats"), matrix.sparse_stats().expect("stats"));
+        prop_assert_eq!(got.pruned, want.pruned);
+        prop_assert_eq!(got.error_bound_db.to_bits(), want.error_bound_db.to_bits());
+        prop_assert_eq!(placed.fingerprint(), matrix.fingerprint());
+        prop_assert_eq!(
+            cmap_snapshot(placed, 4, millis(20)),
+            cmap_snapshot(matrix, 4, millis(20))
+        );
+    }
+}
+
 /// The 50-node office-floor scenario the committed baseline pins: the
 /// same spec/seed/flows `determinism_snapshot.rs` exercises, run over
 /// the dense testbed medium.
@@ -280,13 +361,17 @@ fn benchmark_city() -> Medium {
         .build()
 }
 
-/// A short CMAP run over the city: 64 sources spread over the node range,
-/// each sending to its strongest neighbour. Every reception is
-/// sequenced by the medium's arrival order, so the snapshot pins that too.
-fn city_snapshot(medium: Medium) -> String {
+/// `Stats::snapshot()` of a seed-1 CMAP run over `medium` until `until`:
+/// `sources` senders spread over the node range, each sending to its
+/// strongest neighbour (a sender with none sends nothing). Receptions are
+/// scheduled in the medium's arrival order, so a row out of delay order
+/// moves the snapshot; the order among equal delays does not reach it and
+/// is held by `cmap-sim`'s own medium tests.
+fn cmap_snapshot(medium: Medium, sources: usize, until: Time) -> String {
     let n = medium.len();
-    let flows: Vec<(NodeId, NodeId)> = (0..64)
-        .map(|k| NodeId::new(k * n / 64))
+    let sources = sources.min(n);
+    let flows: Vec<(NodeId, NodeId)> = (0..sources)
+        .map(|k| NodeId::new(k * n / sources))
         .filter_map(|src| {
             let best = medium
                 .reachable(src)
@@ -305,7 +390,7 @@ fn city_snapshot(medium: Medium) -> String {
         world.add_flow(src, dst, 1400);
     }
     Protocol::cmap().install(&mut world);
-    world.run_until(millis(50));
+    world.run_until(until);
     world.stats().snapshot()
 }
 
@@ -335,7 +420,10 @@ fn city_medium_matches_committed_pin() {
         ),
         (
             "snapshot",
-            format!("{:#018x}", fnv1a64(city_snapshot(medium).as_bytes())),
+            format!(
+                "{:#018x}",
+                fnv1a64(cmap_snapshot(medium, 64, millis(50)).as_bytes())
+            ),
         ),
     ];
     let want = pin_lines(include_str!("data/city_medium.fnv"));
@@ -346,6 +434,62 @@ fn city_medium_matches_committed_pin() {
          (error_bound_db {} dB)",
         st.error_bound_db
     );
+}
+
+/// `ChannelModel::tail_gain_db` is not a per-pair bound: a Box–Muller
+/// shadowing draw can pass the 3σ margin `eval_range_m` leaves. What the
+/// error bound rests on is the per-*receiver* charge — the receiver's
+/// out-of-range pair count times the tail power — covering the exact
+/// power of those pairs. Walk every out-of-range pair of a 600-node city:
+/// each receiver's charge covers its exact sum, and the medium's bound
+/// (ε = 0, so nothing but the tail is charged) is the worst charge.
+#[test]
+fn tail_charge_covers_each_receivers_out_of_range_power() {
+    let phy = PhyConfig::default();
+    let channel = cmap_suite::topo::ChannelModel::default();
+    let dep = cmap_suite::topo::grid_city(600, 30.0, 5.0, channel, 42);
+    let min_gain_db = phy.noise_floor_dbm - phy.tx_power_dbm;
+    let (range_m, tail_db) = (
+        channel.eval_range_m(min_gain_db),
+        channel.tail_gain_db(min_gain_db),
+    );
+    let n = dep.len();
+    let tx_mw = dbm_to_mw(phy.tx_power_dbm);
+    let tail_mw = tx_mw * dbm_to_mw(tail_db);
+    let (mut tail_pairs, mut above_tail, mut worst_charge_mw) = (0u64, 0u64, 0.0f64);
+    for rx in 0..n {
+        let (mut beyond, mut exact_mw) = (0u64, 0.0);
+        for tx in (0..n).filter(|&tx| tx != rx) {
+            let (p, q) = (dep.positions[tx], dep.positions[rx]);
+            let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
+            if d2 > range_m * range_m {
+                let gain_db = channel.link_gain_db(tx, rx, d2.sqrt());
+                beyond += 1;
+                above_tail += u64::from(gain_db > tail_db);
+                exact_mw += tx_mw * dbm_to_mw(gain_db);
+            }
+        }
+        let charge_mw = beyond as f64 * tail_mw;
+        assert!(
+            charge_mw >= exact_mw,
+            "rx {rx}: {beyond} out-of-range pairs charged {charge_mw:e} mW carry {exact_mw:e} mW"
+        );
+        tail_pairs += beyond;
+        worst_charge_mw = worst_charge_mw.max(charge_mw);
+    }
+    assert!(
+        above_tail > 0,
+        "no out-of-range pair beat the tail gain; the per-pair caveat needs a bigger city"
+    );
+    let medium = MediumBuilder::new(&phy)
+        .positions(dep.positions.clone(), range_m, tail_db, dep.gain_fn())
+        .build();
+    let st = medium
+        .sparse_stats()
+        .expect("every medium records its pruning");
+    assert_eq!(st.tail_pairs, tail_pairs);
+    let bound_db = 10.0 * (1.0 + worst_charge_mw / phy.noise_mw()).log10();
+    assert_eq!(st.error_bound_db.to_bits(), bound_db.to_bits());
 }
 
 #[test]
