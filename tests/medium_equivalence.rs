@@ -304,7 +304,8 @@ proptest! {
             .positions(pos, range_m, f64::NEG_INFINITY, model)
             .build();
         prop_assert_eq!(stored_links(&placed), stored_links(&matrix));
-        let (got, want) = (placed.sparse_stats().expect("stats"), matrix.sparse_stats().expect("stats"));
+        let got = placed.sparse_stats().expect("every medium records its pruning");
+        let want = matrix.sparse_stats().expect("every medium records its pruning");
         prop_assert_eq!(got.pruned, want.pruned);
         prop_assert_eq!(got.error_bound_db.to_bits(), want.error_bound_db.to_bits());
         prop_assert_eq!(placed.fingerprint(), matrix.fingerprint());
