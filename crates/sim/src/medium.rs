@@ -8,6 +8,9 @@
 //! memory and event fan-out scale with the *link* count, at 50 nodes and
 //! at 100k alike.
 //!
+//! The event path reads each transmitter's row as [`Arrival`] records in
+//! arrival order, built the first time that transmitter sends.
+//!
 //! With `epsilon_db == 0` (the default) the list is exact: every pair at
 //! or above the delivery floor is a link. With a positive epsilon, links
 //! inside the margin are pruned at build time and the worst-case
@@ -27,7 +30,8 @@ use crate::node::NodeId;
 use cmap_phy::units::db_to_ratio;
 use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation};
 
-/// One receiver of a transmission, as the event path reads it.
+/// One receiver of a transmission, as the event path reads it: a row of
+/// these per transmitter, in arrival order ([`Medium::arrivals`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Arrival {
     pub rx: NodeId,
@@ -157,43 +161,35 @@ impl Grid {
 
 /// The medium a [`World`](crate::World) runs over: per transmitter, the
 /// links above the pruning threshold, stored in CSR form — flat arrays
-/// plus `n + 1` offsets — so the fan-out walk at every transmission start
-/// reads one contiguous slice with no per-transmitter pointer chase. All
-/// power quantities are linear mW (gains are linear power ratios);
+/// plus `n + 1` offsets, receivers in ascending order — and, once the
+/// transmitter has sent, the same row as [`Arrival`] records in arrival
+/// order, so each fan-out event reads one record of one contiguous slice.
+/// All power quantities are linear mW (gains are linear power ratios);
 /// conversions to dB happen at the edges.
 #[derive(Debug, Clone)]
 pub struct Medium {
     n: usize,
     tx_power_mw: f64,
-    /// CSR offsets: tx's links are index range `link_off[tx]..link_off[tx+1]`.
-    link_off: Vec<u32>,
+    /// Per transmitter `(offset, row_at)`: its links are index range
+    /// `link_off[tx].0..link_off[tx + 1].0`, and its arrival row starts at
+    /// `arrive[row_at]`, or is not built while `row_at == UNBUILT`.
+    link_off: Vec<(u32, u32)>,
     /// Link receivers, ascending within each transmitter's row.
     link_rx: Vec<NodeId>,
     /// Linear power gain per link, parallel to `link_rx`.
     link_gain: Vec<f64>,
     /// Propagation delay per link in ns, parallel to `link_rx`.
     link_delay: Vec<u64>,
-    /// Row positions in arrival order, parallel to `link_rx`.
-    arrive: Vec<u32>,
+    /// The arrival rows built so far, in the order they were built; its
+    /// capacity, one record per link, is reserved at build.
+    arrive: Vec<Arrival>,
     stats: SparseStats,
     /// [`Medium::fingerprint`], hashed on first use.
     fingerprint: OnceLock<u64>,
 }
 
-/// Every CSR row's positions `0..len` sorted by `(delay, position)`, rows
-/// concatenated. Position `j` holds a transmission's `j`-th reserved
-/// sequence number, so this is the `(time, seq)` order of its
-/// per-receiver events.
-fn arrival_order(off: &[u32], delay: &[u64]) -> Vec<u32> {
-    let mut order: Vec<u32> = Vec::with_capacity(delay.len());
-    for row in off.windows(2) {
-        let start = order.len();
-        order.extend(0..row[1] - row[0]);
-        // Stable sort: equal delays stay in position order.
-        order[start..].sort_by_key(|&pos| delay[start + pos as usize]);
-    }
-    order
-}
+/// `row_at` of a transmitter whose arrival row is not built yet.
+const UNBUILT: u32 = u32::MAX;
 
 /// The link rows of a [`Medium`] under construction. Both sources offer
 /// every pair they evaluate, transmitters ascending and receivers
@@ -204,7 +200,7 @@ struct Rows {
     threshold_mw: f64,
     epsilon_db: f64,
     noise_mw: f64,
-    link_off: Vec<u32>,
+    link_off: Vec<(u32, u32)>,
     link_rx: Vec<NodeId>,
     link_gain: Vec<f64>,
     link_delay: Vec<u64>,
@@ -218,7 +214,7 @@ impl Rows {
     fn new(n: usize, phy: &PhyConfig, epsilon_db: f64) -> Rows {
         let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
         let mut link_off = Vec::with_capacity(n + 1);
-        link_off.push(0u32);
+        link_off.push((0, UNBUILT));
         Rows {
             tx_power_mw: dbm_to_mw(phy.tx_power_dbm),
             floor_mw,
@@ -256,8 +252,8 @@ impl Rows {
     }
 
     fn end_row(&mut self) {
-        self.link_off
-            .push(u32::try_from(self.link_rx.len()).expect("links fit u32"));
+        let end = u32::try_from(self.link_rx.len()).expect("links fit u32");
+        self.link_off.push((end, UNBUILT));
     }
 
     fn finish(self, tail_pairs: u64) -> Medium {
@@ -265,7 +261,8 @@ impl Rows {
         Medium {
             n: self.link_off.len() - 1,
             tx_power_mw: self.tx_power_mw,
-            arrive: arrival_order(&self.link_off, &self.link_delay),
+            // Reserved, not written: a page is touched when a row lands on it.
+            arrive: Vec::with_capacity(self.link_rx.len()),
             stats: SparseStats {
                 links: self.link_rx.len() as u64,
                 pruned: self.pruned,
@@ -386,7 +383,7 @@ impl Medium {
 
     /// Row slice of link array indices for `tx`.
     fn row(&self, tx: NodeId) -> std::ops::Range<usize> {
-        self.link_off[tx.index()] as usize..self.link_off[tx.index() + 1] as usize
+        self.link_off[tx.index()].0 as usize..self.link_off[tx.index() + 1].0 as usize
     }
 
     /// Index of the link `tx → rx` in the link arrays, if it is stored.
@@ -437,18 +434,51 @@ impl Medium {
         &self.link_rx[self.row(tx)]
     }
 
-    /// The `k`-th receiver of `tx` in arrival order — `reachable(tx)` by
-    /// `(delay_ns, position)` — or `None` past the last one.
-    pub(crate) fn arrival(&self, tx: NodeId, k: u32) -> Option<Arrival> {
-        let row = self.row(tx);
-        let pos = *self.arrive[row.clone()].get(k as usize)?;
-        let link = row.start + pos as usize;
-        Some(Arrival {
-            rx: self.link_rx[link],
-            pos,
-            delay_ns: self.link_delay[link],
-            rss_mw: self.tx_power_mw * self.link_gain[link],
-        })
+    /// `tx`'s receivers in arrival order: `reachable(tx)` sorted by
+    /// `(delay_ns, position)`. The row is built on the first call for `tx`.
+    #[inline]
+    pub(crate) fn arrivals(&mut self, tx: NodeId) -> &[Arrival] {
+        let (start, at) = self.link_off[tx.index()];
+        let len = (self.link_off[tx.index() + 1].0 - start) as usize;
+        let at = if at == UNBUILT {
+            self.build_arrivals(tx)
+        } else {
+            at as usize
+        };
+        &self.arrive[at..at + len]
+    }
+
+    /// Append `tx`'s arrival row to `arrive`, record where it starts and
+    /// return that. Position `j` holds a transmission's `j`-th reserved
+    /// sequence number, so `(delay, position)` is the `(time, seq)` order
+    /// of its per-receiver events. The key is unique, so an unstable sort
+    /// gives the stable order, in place: no scratch buffer for any row.
+    #[cold]
+    #[inline(never)]
+    fn build_arrivals(&mut self, tx: NodeId) -> usize {
+        let (at, links, power_mw) = (self.arrive.len(), self.row(tx), self.tx_power_mw);
+        let delay = &self.link_delay[links.clone()];
+        let (rx, gain) = (&self.link_rx[links.clone()], &self.link_gain[links]);
+        self.arrive.extend((0..rx.len()).map(|p| Arrival {
+            rx: rx[p],
+            pos: p as u32,
+            delay_ns: delay[p],
+            rss_mw: power_mw * gain[p],
+        }));
+        let row = &mut self.arrive[at..];
+        row.sort_unstable_by_key(|a| (a.delay_ns, a.pos));
+        // Strictly ascending keys whose delays are their positions' own:
+        // no position is missing or repeated.
+        debug_assert!(
+            row.windows(2)
+                .all(|w| (w[0].delay_ns, w[0].pos) < (w[1].delay_ns, w[1].pos))
+                && row
+                    .iter()
+                    .all(|a| delay.get(a.pos as usize) == Some(&a.delay_ns)),
+            "arrival row of {tx} is not its positions sorted by (delay, position)"
+        );
+        self.link_off[tx.index()].1 = u32::try_from(at).expect("links fit u32");
+        at
     }
 
     /// Received power in linear mW at `rx` from `tx`, before fading.
@@ -481,7 +511,7 @@ impl Medium {
             let mut h = Fnv::new();
             h.u64(self.n as u64);
             h.u64(self.tx_power_mw.to_bits());
-            for &off in &self.link_off {
+            for &(off, _) in &self.link_off {
                 h.u64(u64::from(off));
             }
             for i in 0..self.link_rx.len() {
@@ -835,28 +865,49 @@ mod tests {
         assert_eq!(matrix.fingerprint(), placed.fingerprint());
     }
 
-    /// `arrival(tx, 0..)` walks `reachable(tx)` in `(delay_ns, position)`
-    /// order, each entry carrying what the pairwise accessors answer.
-    fn assert_arrival_order(m: &Medium) {
-        for tx in (0..m.len()).map(nid) {
+    /// Builds `m`'s arrival rows in a shuffled transmitter order, cloning
+    /// the medium halfway and finishing on the clone, then holds every row
+    /// to an eager sort of `reachable(tx)` by `(delay_ns, position)`, each
+    /// record carrying what the pairwise accessors answer.
+    fn assert_arrival_order(m: &Medium, shuffle: u64) {
+        let mut order: Vec<NodeId> = (0..m.len()).map(nid).collect();
+        let mut state = shuffle;
+        for i in (1..order.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let (early, late) = order.split_at(order.len() / 2);
+        let mut half = m.clone();
+        for &tx in early {
+            half.arrivals(tx);
+        }
+        let mut built = half.clone();
+        for &tx in late {
+            built.arrivals(tx);
+        }
+        for &tx in &order {
             let reach = m.reachable(tx);
             let mut expect: Vec<(u64, u32)> = (0u32..)
                 .zip(reach)
                 .map(|(pos, &rx)| (m.delay_ns(tx, rx), pos))
                 .collect();
             expect.sort_unstable();
-            let got: Vec<Arrival> = (0u32..).map_while(|k| m.arrival(tx, k)).collect();
+            let got = built.arrivals(tx);
             assert_eq!(
                 got.iter().map(|a| (a.delay_ns, a.pos)).collect::<Vec<_>>(),
                 expect,
                 "tx {tx}"
             );
-            for a in &got {
+            for a in got {
                 assert_eq!(a.rx, reach[a.pos as usize]);
                 assert_eq!(a.rss_mw.to_bits(), m.rss_mw(tx, a.rx).to_bits());
             }
-            assert_eq!(m.arrival(tx, reach.len() as u32 + 1), None);
         }
+        // Each row was built once, and nothing the fingerprint hashes moved.
+        assert_eq!(built.arrive.len() as u64, m.stats.links);
+        assert_eq!(built.fingerprint(), m.fingerprint());
     }
 
     #[test]
@@ -881,7 +932,9 @@ mod tests {
             .gains_db(n, &gains, &delays)
             .build();
         assert!((0..n).any(|tx| m.reachable(nid(tx)).len() < n - 1));
-        assert_arrival_order(&m);
+        for shuffle in 1..4 {
+            assert_arrival_order(&m, shuffle);
+        }
         // Position-fed build: delays come from distances.
         let pos: Vec<(f64, f64)> = (0..30)
             .map(|i| (f64::from(i % 6) * 17.0, f64::from(i / 6) * 23.0))
@@ -891,7 +944,9 @@ mod tests {
             .positions(pos, 90.0, -130.0, model)
             .build();
         assert!(city.reachable(nid(0)).len() > 3);
-        assert_arrival_order(&city);
+        for shuffle in 1..4 {
+            assert_arrival_order(&city, shuffle);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::config::{PhyConfig, PhyLinear};
 use crate::event::{Event, Scheduler, TxId};
 use crate::faults::{FaultAction, FaultPlan, FaultState, WatchdogConfig};
 use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
-use crate::medium::Medium;
+use crate::medium::{Arrival, Medium};
 use crate::persist;
 use crate::pool::{FramePool, LiveTx};
 use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxCompletion};
@@ -477,7 +477,7 @@ impl World {
 
     /// Handle one event. An arrival returns the same transmission's next
     /// arrival of its kind, keyed as [`World::start_tx`] reserved it.
-    fn handle_event(&mut self, ev: Event) -> Option<(Time, u64, Event)> {
+    fn handle_event(&mut self, ev: Event) -> Option<Entry> {
         match ev {
             Event::Timer { node, token } => {
                 self.dispatch(node, |mac, ctx| mac.on_timer(ctx, token));
@@ -493,8 +493,7 @@ impl World {
             }
             Event::FrameStart { rx, tx_id } => {
                 let k = self.pool.step(tx_id, false);
-                let (src, ..) = self.pool.arrival_base(tx_id, false);
-                let link = self.medium.arrival(src, k).expect("cursor on a receiver");
+                let (src, link, next) = self.arrival(tx_id, k, false);
                 debug_assert_eq!(link.rx, rx, "FrameStart off its cursor");
                 let base_mw = match self.faults.as_deref_mut() {
                     Some(f) => link.rss_mw * db_to_ratio(f.link_offset_db(src, rx, self.time)),
@@ -522,8 +521,7 @@ impl World {
                     LockOutcome::Interference => {}
                 }
                 self.check_channel_edge(rx);
-                // This receiver's `FrameEnd` is pending: the slot is live.
-                return self.arrival(tx_id, k + 1, false);
+                return next;
             }
             Event::FrameEnd { rx, tx_id } => {
                 if let Some(completion) = self.radios.frame_end(rx.index(), tx_id, self.time) {
@@ -531,7 +529,8 @@ impl World {
                 }
                 // Read the slot before the release that may recycle it.
                 let k = self.pool.step(tx_id, true);
-                let next = self.arrival(tx_id, k + 1, true);
+                let (_, link, next) = self.arrival(tx_id, k, true);
+                debug_assert_eq!(link.rx, rx, "FrameEnd off its cursor");
                 self.pool.release(tx_id);
                 self.check_channel_edge(rx);
                 return next;
@@ -542,19 +541,17 @@ impl World {
         None
     }
 
-    /// The queue entry `(time, seq, event)` of live transmission `tx_id`'s
-    /// `k`-th arrival — its `FrameEnd` with `ends`, else its `FrameStart` —
-    /// or `None` past the last receiver. `reachable` position `p` owns the
-    /// `p`-th reserved pair of numbers, whatever its arrival rank.
-    fn arrival(&self, tx_id: TxId, k: u32, ends: bool) -> Option<(Time, u64, Event)> {
-        let (src, leaves, seq) = self.pool.arrival_base(tx_id, ends);
-        let link = self.medium.arrival(src, k)?;
-        let event = if ends {
-            Event::FrameEnd { rx: link.rx, tx_id }
-        } else {
-            Event::FrameStart { rx: link.rx, tx_id }
-        };
-        Some((leaves + link.delay_ns, seq + 2 * u64::from(link.pos), event))
+    /// Live transmission `tx_id`'s sender, its `k`-th arrival of one kind
+    /// — `FrameEnd` with `ends`, else `FrameStart` — and the queue entry of
+    /// its `k + 1`-th, or `None` past the last receiver: one read of the
+    /// sender's arrival row.
+    fn arrival(&mut self, tx_id: TxId, k: u32, ends: bool) -> (NodeId, Arrival, Option<Entry>) {
+        let base = self.pool.arrival_base(tx_id, ends);
+        let row = self.medium.arrivals(base.0);
+        let next = row
+            .get(k as usize + 1)
+            .map(|&link| entry(tx_id, base, link, ends));
+        (base.0, row[k as usize], next)
     }
 
     fn handle_fault(&mut self, idx: u32) {
@@ -842,7 +839,8 @@ impl World {
         // The sequence numbers filing everything now would hand out: our
         // own TxEnd, then a FrameStart/FrameEnd pair per `reachable`
         // position. Only the first arrival of each kind is filed.
-        let fanout = self.medium.reachable(node).len() as u32;
+        let row = self.medium.arrivals(node);
+        let fanout = row.len() as u32;
         let seq0 = self.sched.reserve(1 + 2 * u64::from(fanout));
         self.sched
             .schedule_reserved(end, seq0, Event::TxEnd { node, tx_id });
@@ -850,8 +848,10 @@ impl World {
         // the record drains exactly when the air is clear everywhere.
         self.pool
             .arm(tx_id, node, rate, (self.time, end), seq0, 1 + fanout);
-        for ends in [false, true] {
-            if let Some((at, seq, event)) = self.arrival(tx_id, 0, ends) {
+        if let Some(&first) = row.first() {
+            for ends in [false, true] {
+                let base = self.pool.arrival_base(tx_id, ends);
+                let (at, seq, event) = entry(tx_id, base, first, ends);
                 self.sched.schedule_reserved(at, seq, event);
             }
         }
@@ -1109,6 +1109,21 @@ persist!(enum FlowKind { 0 => Saturated, 1 => Relay { upstream } });
 persist!(struct Flow { id, src, dst, payload_len, kind, next_seq });
 
 persist!(fields World { ber_lookups, synced_lookups, sched, radios });
+
+/// A queue entry `(time, seq, event)`: what an arrival hands the run loop.
+type Entry = (Time, u64, Event);
+
+/// The queue entry of `link` as an arrival of live transmission `tx_id`,
+/// keyed from its kind's [`FramePool::arrival_base`]: `reachable` position
+/// `p` owns the `p`-th reserved pair of numbers, whatever its arrival rank.
+fn entry(tx_id: TxId, (_, leaves, seq): (NodeId, Time, u64), link: Arrival, ends: bool) -> Entry {
+    let event = if ends {
+        Event::FrameEnd { rx: link.rx, tx_id }
+    } else {
+        Event::FrameStart { rx: link.rx, tx_id }
+    };
+    (leaves + link.delay_ns, seq + 2 * u64::from(link.pos), event)
+}
 
 /// Read one value of the configuration echo and require that it equals
 /// this world's.

@@ -23,6 +23,9 @@
 //!    of the same range-cut geometry, and the tail charge a position-fed
 //!    build records covers, per receiver, what the pairs it never
 //!    evaluated actually carry.
+//! 6. A world restored in the middle of a fan-out, over a fresh medium
+//!    that has built no arrival row yet, runs on to the uninterrupted
+//!    run's bytes.
 
 use proptest::prelude::*;
 
@@ -337,19 +340,14 @@ fn dense50_snapshot() -> String {
     world.stats().snapshot()
 }
 
-/// The benchmark's `city_cmap` / `city_dcf` medium, built as
-/// `benchmark/src/workload.rs` builds it: a 3,000-node jittered street
-/// grid, ε = 3 dB, evaluated out to where a 3σ up-fade cannot lift a link
-/// above the noise floor.
-fn benchmark_city() -> Medium {
+/// The benchmark's `city_cmap` / `city_dcf` medium at `n` nodes (3,000 in
+/// the benchmark), built as `benchmark/src/workload.rs` builds it: a
+/// jittered street grid, ε = 3 dB, evaluated out to where a 3σ up-fade
+/// cannot lift a link above the noise floor.
+fn benchmark_city(n: usize) -> Medium {
     let phy = PhyConfig::default();
-    let dep = cmap_suite::topo::grid_city(
-        3000,
-        30.0,
-        5.0,
-        cmap_suite::topo::ChannelModel::default(),
-        42,
-    );
+    let dep =
+        cmap_suite::topo::grid_city(n, 30.0, 5.0, cmap_suite::topo::ChannelModel::default(), 42);
     let min_gain_db = phy.noise_floor_dbm - phy.tx_power_dbm;
     MediumBuilder::new(&phy)
         .epsilon_db(3.0)
@@ -362,13 +360,21 @@ fn benchmark_city() -> Medium {
         .build()
 }
 
-/// `Stats::snapshot()` of a seed-1 CMAP run over `medium` until `until`:
-/// `sources` senders spread over the node range, each sending to its
-/// strongest neighbour (a sender with none sends nothing). Receptions are
-/// scheduled in the medium's arrival order, so a row out of delay order
-/// moves the snapshot; the order among equal delays does not reach it and
-/// is held by `cmap-sim`'s own medium tests.
+/// `Stats::snapshot()` of a seed-1 CMAP run over `medium` until `until`
+/// ([`cmap_world`]). Receptions are scheduled in the medium's arrival
+/// order, so a row out of delay order moves the snapshot; the order among
+/// equal delays does not reach it and is held by `cmap-sim`'s own medium
+/// tests.
 fn cmap_snapshot(medium: Medium, sources: usize, until: Time) -> String {
+    let mut world = cmap_world(medium, sources);
+    world.run_until(until);
+    world.stats().snapshot()
+}
+
+/// A seed-1 CMAP world over `medium`: `sources` senders spread over the
+/// node range, each sending to its strongest neighbour (a sender with none
+/// sends nothing).
+fn cmap_world(medium: Medium, sources: usize) -> World {
     let n = medium.len();
     let sources = sources.min(n);
     let flows: Vec<(NodeId, NodeId)> = (0..sources)
@@ -391,8 +397,7 @@ fn cmap_snapshot(medium: Medium, sources: usize, until: Time) -> String {
         world.add_flow(src, dst, 1400);
     }
     Protocol::cmap().install(&mut world);
-    world.run_until(until);
-    world.stats().snapshot()
+    world
 }
 
 /// `key value` lines of a committed pin file, comments skipped.
@@ -406,7 +411,7 @@ fn pin_lines(committed: &str) -> Vec<(&str, &str)> {
 
 #[test]
 fn city_medium_matches_committed_pin() {
-    let medium = benchmark_city();
+    let medium = benchmark_city(3000);
     let st = *medium
         .sparse_stats()
         .expect("every medium records its pruning");
@@ -435,6 +440,66 @@ fn city_medium_matches_committed_pin() {
          (error_bound_db {} dB)",
         st.error_bound_db
     );
+}
+
+/// A medium builds a transmitter's arrival row on its first frame, so a
+/// world restored from a checkpoint has no rows while its transmissions
+/// are partway through their fan-outs. Cut a 60-node city's CMAP run
+/// every 50 ns over its first 20 µs, restore each cut into a fresh world
+/// and run on: every resumed run ends on the uninterrupted run's bytes.
+#[test]
+fn restore_into_unbuilt_rows_mid_fanout_is_byte_identical() {
+    use cmap_suite::obs::TraceEvent;
+
+    let until = millis(10);
+    let city = || cmap_world(benchmark_city(60), 8);
+    let reference = {
+        let mut w = city();
+        w.run_until(until);
+        w.stats().snapshot()
+    };
+    // Where the cuts must land: between a transmission's first and last
+    // `FrameStart` (tracing observes without perturbing).
+    let spans: Vec<(Time, Time)> = {
+        let mut w = city();
+        w.enable_trace(1 << 10);
+        w.run_until(20_000);
+        let trace = w.take_trace().expect("tracing was enabled");
+        let medium = w.medium();
+        trace
+            .records()
+            .filter_map(|r| match r.ev {
+                TraceEvent::TxStart { node, .. } => {
+                    let node = NodeId::new(node as usize);
+                    let delays = medium
+                        .reachable(node)
+                        .iter()
+                        .map(|&rx| medium.delay_ns(node, rx));
+                    let (first, last) = (delays.clone().min()?, delays.max()?);
+                    Some((r.at_ns + first, r.at_ns + last))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let mut mid_fanout = 0;
+    for cut in (50..=20_000).step_by(50) {
+        let ckpt = {
+            let mut w = city();
+            w.run_until(cut);
+            w.checkpoint().expect("checkpoint")
+        };
+        mid_fanout += usize::from(spans.iter().any(|&(a, b)| a <= cut && cut < b));
+        let mut resumed = city();
+        resumed.restore(&ckpt).expect("restore into unbuilt rows");
+        resumed.run_until(until);
+        assert_eq!(
+            resumed.stats().snapshot(),
+            reference,
+            "run cut at {cut} ns diverged from the uninterrupted run"
+        );
+    }
+    assert!(mid_fanout > 0, "no cut landed inside a fan-out");
 }
 
 /// `ChannelModel::tail_gain_db` is not a per-pair bound: a Box–Muller
