@@ -4,19 +4,26 @@
 //! monotonically increasing tie-breaker so that simultaneous events execute
 //! in the order they were scheduled, making runs fully deterministic.
 //!
-//! The queue is two binary min-heaps on that key, compared as one `u128`:
-//! `air` for what transmissions file (`TxEnd`, `FrameStart`, `FrameEnd`),
-//! `timers` for the rest, about one per node. The air heap stays small
-//! because a transmission's arrivals fall due in a known order and queue
-//! one at a time: the transmission [`reserve`](Scheduler::reserve)s all
-//! their sequence numbers, files the first
-//! ([`Scheduler::schedule_reserved`]) and, when one is handled, passes the
-//! next as a *carry* into [`Scheduler::next`], which returns the earliest
-//! of carry and both tops — usually the carry, untouched, or the air top
-//! exchanged for it. Keys, and so order, are those of filing everything
+//! The queue is two binary min-heaps on that key, compared as one `u128`.
+//! A transmission heard by F receivers is `1 + 2·F` events — a
+//! `FrameStart` per receiver in arrival order, its `TxEnd`, a `FrameEnd`
+//! per receiver — whose [`reserve`](Scheduler::reserve)d keys increase in
+//! that order, so it queues as one *stream*: `air` holds one bare key per
+//! transmission, `at << 64 | seq << 20 | slot`, its next event's and its
+//! pool slot's. [`Scheduler::next`] hands a popped stream to the run loop
+//! as that slot, and takes the stream's next key back as a *carry*, which
+//! it weighs against both tops — usually returned untouched, or exchanged
+//! for the air top in one sift. `timers` holds what
+//! [`Scheduler::schedule`] files: timers, faults and audits (and, from
+//! outside the engine, any kind). The order is that of filing every event
 //! eagerly into one heap (`tests/engine_props.rs` holds both to a
-//! reference heap that does).
+//! reference heap that does); [`Scheduler::len`] and
+//! [`Scheduler::max_occupancy`] count what a queue filing each stream's
+//! `TxEnd`, next `FrameStart` and next `FrameEnd` would hold. `seq` is
+//! unique, so the slot bits never decide an order; it stays below 2⁴⁴ (a
+//! month of the 3,000-node city), the slot below 2²⁰.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
@@ -73,15 +80,32 @@ impl Event {
         }
     }
 
-    /// This event's kind name.
-    pub const fn kind_name(&self) -> &'static str {
-        Event::KIND_NAMES[self.kind_idx()]
-    }
-
-    /// True for the kinds a transmission files: they queue in `air`.
-    const fn on_air(&self) -> bool {
+    /// True for the kinds a transmission's stream is made of.
+    pub(crate) const fn on_air(&self) -> bool {
         self.kind_idx() < 3
     }
+}
+
+/// Key bits below `seq`, and so the pool slots a key can name.
+const SLOT_BITS: u32 = 20;
+pub(crate) const SLOTS: usize = 1 << SLOT_BITS;
+/// Every `seq` is below this.
+pub(crate) const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+
+/// The key of `(at, seq)` in pool slot `slot` (0 for a filed event).
+#[inline(always)]
+fn key(at: Time, seq: u64, slot: usize) -> u128 {
+    u128::from(at) << 64 | u128::from(seq) << SLOT_BITS | slot as u128
+}
+
+#[inline(always)]
+fn key_time(key: u128) -> Time {
+    (key >> 64) as Time
+}
+
+#[inline(always)]
+fn key_slot(key: u128) -> usize {
+    (key as usize) & (SLOTS - 1)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,15 +116,12 @@ struct Scheduled {
 }
 
 impl Scheduled {
-    /// `(at, seq)` as one integer, so that ordering two entries is one
-    /// 128-bit compare.
     fn key(&self) -> u128 {
-        u128::from(self.at) << 64 | u128::from(self.seq)
+        key(self.at, self.seq, 0)
     }
 }
 
-/// The key on top of `heap`, or `u128::MAX` when it is empty — a key no
-/// event holds, since every `seq` is below `next_seq`.
+/// The key on top of `heap`, or `u128::MAX` when it is empty.
 fn top_key(heap: &BinaryHeap<Scheduled>) -> u128 {
     heap.peek().map_or(u128::MAX, Scheduled::key)
 }
@@ -119,13 +140,26 @@ impl PartialOrd for Scheduled {
     }
 }
 
+/// What [`Scheduler::next`] hands the run loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Due {
+    /// An event filed through [`Scheduler::schedule`].
+    Event(Time, Event),
+    /// The next event of the stream in pool slot `slot`, due at `at`.
+    Stream { at: Time, slot: usize },
+}
+
 /// A deterministic time-ordered event queue.
 #[derive(Debug, Default)]
 pub struct Scheduler {
-    /// Pending `TxEnd` / `FrameStart` / `FrameEnd`, earliest on top.
-    air: BinaryHeap<Scheduled>,
-    /// Pending `Timer` / `Fault` / `Audit`, earliest on top.
+    /// One key per stream, its next event's, earliest on top.
+    air: BinaryHeap<Reverse<u128>>,
+    /// What [`Scheduler::schedule`] filed, earliest on top.
     timers: BinaryHeap<Scheduled>,
+    /// The streams' part of [`Scheduler::len`].
+    air_len: usize,
+    /// The stream key last handed out, which a carry continues.
+    last: u128,
     next_seq: u64,
     processed: u64,
     processed_by_kind: [u64; Event::KIND_COUNT],
@@ -141,108 +175,136 @@ impl Scheduler {
     /// Enqueue `event` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, event: Event) {
         let seq = self.reserve(1);
-        self.schedule_reserved(at, seq, event);
+        self.timers.push(Scheduled { at, seq, event });
+        self.max_occupancy = self.max_occupancy.max(self.len() as u64);
     }
 
     /// Set aside `n` consecutive sequence numbers and return the first. An
-    /// event later filed ([`Scheduler::schedule_reserved`]) or carried
-    /// ([`Scheduler::next`]) under one orders as if `schedule`d here.
+    /// event later queued under one orders as if `schedule`d here. Panics
+    /// at 2⁴⁴, past what a key holds.
     pub fn reserve(&mut self, n: u64) -> u64 {
         let first = self.next_seq;
         self.next_seq += n;
+        assert!(self.next_seq < SEQ_LIMIT, "sequence numbers exhausted");
         first
     }
 
-    /// Enqueue `event` at `at` under a sequence number from
-    /// [`Scheduler::reserve`]; each reserved number keys at most one event.
-    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: Event) {
-        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        let heap = if event.on_air() {
-            &mut self.air
-        } else {
-            &mut self.timers
-        };
-        heap.push(Scheduled { at, seq, event });
+    /// Queue the stream in pool slot `slot`, its first event due at `at`
+    /// under reserved `seq`, as `entries` pending events: 3 (its `TxEnd`,
+    /// first `FrameStart` and first `FrameEnd`), or 1 if nobody hears it.
+    pub fn start_stream(&mut self, at: Time, seq: u64, slot: usize, entries: usize) {
+        debug_assert!(seq < self.next_seq && slot < SLOTS, "key of {seq}, {slot}");
+        self.air.push(Reverse(key(at, seq, slot)));
+        self.air_len += entries;
         self.max_occupancy = self.max_occupancy.max(self.len() as u64);
+    }
+
+    /// Count the stream event [`Scheduler::next`] just handed out, as
+    /// `event`, before it is handled: it is pending no more.
+    #[inline]
+    pub fn count_stream(&mut self, event: &Event) {
+        debug_assert!(event.on_air(), "{event:?} is not a stream's");
+        self.air_len -= 1;
+        self.count(event);
+    }
+
+    fn count(&mut self, event: &Event) {
+        self.processed += 1;
+        self.processed_by_kind[event.kind_idx()] += 1;
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        let tops = self.air.peek().into_iter().chain(self.timers.peek());
-        tops.min_by_key(|s| s.key()).map(|s| s.at)
+        let air = self.air.peek().map_or(u128::MAX, |top| top.0);
+        let top = air.min(top_key(&self.timers));
+        (top < u128::MAX).then(|| key_time(top))
     }
 
-    /// Remove and return the next `(time, event)`.
+    /// Remove and return the next filed event. Streams are not popped
+    /// here: their owner's run loop takes them through [`Scheduler::next`].
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        self.next(None, Time::MAX)
+        debug_assert!(self.air.is_empty(), "pop with streams queued");
+        let s = self.timers.pop()?;
+        self.count(&s.event);
+        Some((s.at, s.event))
     }
 
-    /// The earliest event of the queue and `carry` — a pending `(time,
-    /// reserved seq, event)` of an air kind its producer kept out of the
-    /// queue — if due by `horizon`; otherwise `None`, with the carry filed.
-    /// The carry counts as pending from here on, so counters and later pops
-    /// read the same whether it was handed back untouched, exchanged, or
-    /// filed.
-    pub fn next(
-        &mut self,
-        carry: Option<(Time, u64, Event)>,
-        horizon: Time,
-    ) -> Option<(Time, Event)> {
+    fn filed(&mut self, s: Scheduled) -> Due {
+        self.count(&s.event);
+        Due::Event(s.at, s.event)
+    }
+
+    #[inline(always)]
+    fn hand_out(&mut self, key: u128) -> Due {
+        self.last = key;
+        let (at, slot) = (key_time(key), key_slot(key));
+        Due::Stream { at, slot }
+    }
+
+    /// The earliest of the queue and `carry`, if due by `horizon`;
+    /// otherwise `None`, with the carry queued. A carry `(at, seq, new)`
+    /// is the next event of the stream last handed out, keyed as reserved,
+    /// and whether it is of the kind just handled: one a queue filing each
+    /// stream's `TxEnd`, next `FrameStart` and next `FrameEnd` would file
+    /// only now. Counters and later calls read the same whether it was
+    /// handed back untouched, exchanged, or queued.
+    #[inline]
+    pub fn next(&mut self, carry: Option<(Time, u64, bool)>, horizon: Time) -> Option<Due> {
         let timer_top = top_key(&self.timers);
-        let Some((at, seq, event)) = carry else {
-            let air_top = top_key(&self.air);
-            let heap = if air_top < timer_top {
-                &mut self.air
-            } else {
-                &mut self.timers
-            };
-            if heap.peek()?.at > horizon {
+        let air_top = self.air.peek().map_or(u128::MAX, |top| top.0);
+        let Some((at, seq, new)) = carry else {
+            if air_top < timer_top {
+                if key_time(air_top) > horizon {
+                    return None;
+                }
+                self.air.pop();
+                return Some(self.hand_out(air_top));
+            }
+            if self.timers.peek()?.at > horizon {
                 return None;
             }
-            return heap.pop().map(|s| self.count(s));
+            return self.timers.pop().map(|s| self.filed(s));
         };
-        debug_assert!(event.on_air(), "carried {event:?} is not an air kind");
-        let carried = Scheduled { at, seq, event };
-        self.max_occupancy = self.max_occupancy.max(self.len() as u64 + 1);
+        let carried = key(at, seq, key_slot(self.last));
+        debug_assert!(
+            carried > self.last,
+            "stream keys out of order: {carried:#x}"
+        );
+        if new {
+            self.air_len += 1;
+            self.max_occupancy = self.max_occupancy.max(self.len() as u64);
+        }
         // The carry against the air top first: on the straight-through path
         // that is the compare that decides.
-        let air_top = top_key(&self.air);
-        if air_top < carried.key() && air_top < timer_top {
-            if self.air.peek().is_some_and(|top| top.at <= horizon) {
+        if air_top < carried && air_top < timer_top {
+            if key_time(air_top) <= horizon {
                 // One sift takes the top out and puts the carry in.
-                let mut top = self.air.peek_mut().expect("peeked");
-                let first = std::mem::replace(&mut *top, carried);
-                drop(top);
-                return Some(self.count(first));
+                self.air.peek_mut().expect("peeked").0 = carried;
+                return Some(self.hand_out(air_top));
             }
-        } else if carried.key() < timer_top {
+        } else if carried < timer_top {
             // The carry is the minimum: if due it never enters a heap.
             if at <= horizon {
-                return Some(self.count(carried));
+                return Some(self.hand_out(carried));
             }
         } else if self.timers.peek().is_some_and(|top| top.at <= horizon) {
-            self.air.push(carried);
-            return self.timers.pop().map(|s| self.count(s));
+            self.air.push(Reverse(carried));
+            return self.timers.pop().map(|s| self.filed(s));
         }
         // The minimum is past the horizon: nothing is due.
-        self.air.push(carried);
+        self.air.push(Reverse(carried));
         None
     }
 
-    fn count(&mut self, s: Scheduled) -> (Time, Event) {
-        self.processed += 1;
-        self.processed_by_kind[s.event.kind_idx()] += 1;
-        (s.at, s.event)
-    }
-
-    /// Number of pending events.
+    /// Number of pending events: those filed, and those a queue filing each
+    /// stream's `TxEnd`, next `FrameStart` and next `FrameEnd` would hold.
     pub fn len(&self) -> usize {
-        self.air.len() + self.timers.len()
+        self.air_len + self.timers.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.air.is_empty() && self.timers.is_empty()
+        self.len() == 0
     }
 
     /// Total events processed so far (for perf reporting).
@@ -257,11 +319,70 @@ impl Scheduler {
         &self.processed_by_kind
     }
 
-    /// Largest number of simultaneously pending events observed, a carry
-    /// included. A pure function of the schedule/pop sequence, hence
-    /// deterministic.
+    /// Largest [`Scheduler::len`] observed. A pure function of the
+    /// schedule/pop sequence, hence deterministic.
     pub fn max_occupancy(&self) -> u64 {
         self.max_occupancy
+    }
+
+    // ---- cmap-ckpt/v5 ---------------------------------------------------
+
+    /// Write the queue, the streams as `air`: the `(at, seq, event)`
+    /// entries a queue filing each one's `TxEnd`, next `FrameStart` and
+    /// next `FrameEnd` would hold — all of them, or none.
+    pub(crate) fn save_with(
+        &self,
+        w: &mut CkptWriter,
+        air: impl Iterator<Item = (Time, u64, Event)>,
+    ) {
+        let mut pending = Vec::with_capacity(self.len());
+        pending.extend(self.timers.iter());
+        pending.extend(air.map(|(at, seq, event)| Scheduled { at, seq, event }));
+        debug_assert!([self.timers.len(), self.len()].contains(&pending.len()));
+        pending.sort_unstable_by_key(Scheduled::key);
+        w.seq(pending.iter());
+        w.put(&self.next_seq);
+        w.put(&self.processed);
+        w.put(&self.processed_by_kind);
+        w.put(&self.max_occupancy);
+    }
+
+    /// Turn a loaded image's air-kind entries back into streams: `streams`
+    /// yields each of the `live` transmissions' pool slot and the entries
+    /// its cursor says are pending, in key order, which must be exactly
+    /// the image's. Each stream is queued under its first entry's key.
+    pub(crate) fn restore_streams(
+        &mut self,
+        live: usize,
+        streams: impl Iterator<Item = (usize, [Option<(Time, u64, Event)>; 3])>,
+    ) -> Result<(), CkptError> {
+        let disagree =
+            || CkptError::Malformed("air events disagree with transmission cursors".into());
+        // In place: filed events first, then air kinds, each in key order.
+        let mut list = std::mem::take(&mut self.timers).into_vec();
+        list.sort_unstable_by_key(|s| (s.event.on_air(), s.key()));
+        let filed = list.partition_point(|s| !s.event.on_air());
+        let air = &list[filed..];
+        self.air = BinaryHeap::with_capacity(live);
+        for (slot, entries) in streams {
+            let mut pending = entries.iter().flatten();
+            let in_image = pending.clone().all(|&(at, seq, event)| {
+                let found = air.binary_search_by_key(&(at, seq), |s| (s.at, s.seq));
+                found.is_ok_and(|i| air[i].event == event)
+            });
+            match pending.next() {
+                Some(&(at, seq, _)) if in_image => {
+                    self.start_stream(at, seq, slot, 1 + pending.count())
+                }
+                _ => return Err(disagree()),
+            }
+        }
+        if self.air_len != air.len() {
+            return Err(disagree());
+        }
+        list.truncate(filed);
+        self.timers = list.into();
+        Ok(())
     }
 }
 
@@ -279,49 +400,41 @@ persist!(enum Event {
 
 persist!(struct Scheduled { at, seq, event });
 
-/// The pending events of both heaps are written as one list in `(at, seq)`
-/// order, so the bytes follow from the pending set and not from the pushes
-/// and pops that shaped the heaps' arrays; load holds an image to that
-/// order and splits it by kind, which is why the two directions are
-/// spelled out here instead of derived from a field list.
+/// The pending events are written as one list in `(at, seq)` order, so the
+/// bytes follow from the pending set and not from the pushes and pops that
+/// shaped the heaps' arrays; load holds an image to that order. The
+/// streams are their owner's to write and re-queue (`save_with`,
+/// `restore_streams`): here they are left out, and every loaded entry is
+/// a filed one.
 impl Persist for Scheduler {
     fn save(&self, w: &mut CkptWriter) {
-        let mut pending: Vec<&Scheduled> = self.air.iter().chain(&self.timers).collect();
-        pending.sort_unstable_by_key(|s| s.key());
-        w.seq(pending.into_iter());
-        w.put(&self.next_seq);
-        w.put(&self.processed);
-        w.put(&self.processed_by_kind);
-        w.put(&self.max_occupancy);
+        self.save_with(w, std::iter::empty());
     }
 
     fn load(r: &mut CkptReader<'_>) -> Result<Scheduler, CkptError> {
-        let mut air: Vec<Scheduled> = r.get()?;
+        let pending: Vec<Scheduled> = r.get()?;
         let next_seq: u64 = r.get()?;
-        // Distinct keys make the pop order total; a key from the future
-        // would collide with one `reserve` has yet to hand out.
-        if !air.is_sorted_by(|a, b| a.key() < b.key()) {
+        // A key from the future would collide with one `reserve` has yet
+        // to hand out, and none is past 2^44; distinct keys make the pop
+        // order total.
+        if next_seq >= SEQ_LIMIT || pending.iter().any(|s| s.seq >= next_seq) {
+            return Err(CkptError::Malformed(format!(
+                "a pending seq not below next {next_seq}, or that past 2^44"
+            )));
+        }
+        if !pending.is_sorted_by(|a, b| a.key() < b.key()) {
             return Err(CkptError::Malformed(
                 "pending events out of (time, seq) order".into(),
             ));
         }
-        if let Some(s) = air.iter().find(|s| s.seq >= next_seq) {
-            return Err(CkptError::Malformed(format!(
-                "pending seq {} was never reserved (next is {next_seq})",
-                s.seq
-            )));
-        }
-        // Each half stays in key order, which is already a heap: no sift,
-        // and no growth by doubling.
-        let mut timers = Vec::with_capacity(air.iter().filter(|s| !s.event.on_air()).count());
-        timers.extend(air.extract_if(.., |s| !s.event.on_air()));
+        // In key order, which is already a heap: no sift, no growth.
         Ok(Scheduler {
-            air: air.into(),
-            timers: timers.into(),
+            timers: pending.into(),
             next_seq,
             processed: r.get()?,
             processed_by_kind: r.get()?,
             max_occupancy: r.get()?,
+            ..Scheduler::default()
         })
     }
 }
@@ -526,7 +639,8 @@ mod tests {
         use rand::Rng;
         let mut rng = crate::rng::stream_rng(13, 0);
         let (mut s, start) = (Scheduler::new(), 7 * US);
-        // Every third event an arrival, the rest timers: both heaps fill.
+        // Every third event an arrival, the rest timers: what `schedule`
+        // files shares one heap, whatever its kind.
         let event = |node: usize, k: u64| match k % 3 {
             0 => Event::FrameStart {
                 rx: NodeId::new(node),
@@ -548,18 +662,17 @@ mod tests {
 
         let (bytes, mut restored) = checkpoint(&s);
 
-        // The restored heaps were built from the image, so their arrays are
-        // in `(at, seq)` order; the live ones are in whatever order the
-        // pushes and pops left them. Equal images mean `save` wrote the
-        // pending set and not the arrays.
+        // The restored heap was built from the image, so its array is in
+        // `(at, seq)` order; the live one is in whatever order the pushes
+        // and pops left it. Equal images mean `save` wrote the pending set
+        // and not the array.
         let in_order = |h: &BinaryHeap<Scheduled>| h.iter().is_sorted_by_key(Scheduled::key);
-        for (live, loaded) in [(&s.air, &restored.air), (&s.timers, &restored.timers)] {
-            assert!(live.len() > 100 && loaded.len() == live.len());
-            assert!(in_order(loaded) && !in_order(live));
-        }
-        // Load sized the timer heap from the image's kinds; the air heap
-        // keeps the image's own allocation.
-        assert_eq!(restored.timers.capacity(), restored.timers.len());
+        let (live, loaded) = (&s.timers, &restored.timers);
+        assert!(live.len() > 1_000 && loaded.len() == live.len());
+        assert!(in_order(loaded) && !in_order(live));
+        assert!(live.iter().filter(|e| e.event.on_air()).count() > 500);
+        // The heap keeps the image's own allocation.
+        assert_eq!(loaded.capacity(), loaded.len());
         assert_eq!(checkpoint(&restored).0, bytes);
 
         assert_eq!(restored.len(), s.len());
@@ -576,13 +689,103 @@ mod tests {
         assert_eq!(restored.max_occupancy(), s.max_occupancy());
     }
 
+    /// A carry continues the stream last handed out, so it must come after
+    /// it: a stream's keys strictly increase (here a carry an instant
+    /// early, as a `FrameStart` after its `TxEnd` would be).
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "is not an air kind")]
+    #[should_panic(expected = "stream keys out of order")]
     fn carrying_a_timer_is_refused() {
         let mut s = Scheduler::new();
-        let seq = s.reserve(1);
-        s.next(Some((5, seq, timer(0, 0))), Time::MAX);
+        let seq = s.reserve(3);
+        s.start_stream(50, seq, 7, 3);
+        assert_eq!(
+            s.next(None, Time::MAX),
+            Some(Due::Stream { at: 50, slot: 7 })
+        );
+        s.count_stream(&Event::TxEnd {
+            node: NodeId::new(0),
+            tx_id: 7,
+        });
+        s.next(Some((49, seq + 1, false)), Time::MAX);
+    }
+
+    /// Two streams and a timer, by hand: each stream queues as one key,
+    /// a carry comes back untouched or is exchanged for the air top, a
+    /// horizon parks it, and `len` / `max_occupancy` read as a queue
+    /// filing each stream's TxEnd, next FrameStart and next FrameEnd would.
+    #[test]
+    fn streams_carry_exchange_and_park() {
+        let mut s = Scheduler::new();
+        let ev = |kind, slot| match kind {
+            0 => Event::TxEnd {
+                node: NodeId::new(0),
+                tx_id: slot,
+            },
+            1 => Event::FrameStart {
+                rx: NodeId::new(1),
+                tx_id: slot,
+            },
+            _ => Event::FrameEnd {
+                rx: NodeId::new(1),
+                tx_id: slot,
+            },
+        };
+        s.schedule(1_000, timer(0, 0));
+        // Slot 3: a FrameStart at 10, then at 20; slot 9: one at 15.
+        let (a, b) = (s.reserve(5), s.reserve(3));
+        s.start_stream(10, a + 1, 3, 3);
+        s.start_stream(15, b + 1, 9, 3);
+        assert_eq!((s.len(), s.max_occupancy()), (7, 7));
+        assert_eq!(s.peek_time(), Some(10));
+        assert_eq!(s.next(None, 100), Some(Due::Stream { at: 10, slot: 3 }));
+        s.count_stream(&ev(1, 3));
+        assert_eq!(s.len(), 6);
+        // Slot 3's next FrameStart (a new entry) loses to slot 9's: one
+        // exchange, and the carry waits in the heap.
+        assert_eq!(
+            s.next(Some((20, a + 3, true)), 100),
+            Some(Due::Stream { at: 15, slot: 9 })
+        );
+        s.count_stream(&ev(1, 9));
+        assert_eq!((s.len(), s.max_occupancy()), (6, 7));
+        // Slot 9's TxEnd (already counted) at 50 is past a horizon of 40:
+        // parked, and slot 3's FrameStart at 20 is next.
+        assert_eq!(
+            s.next(Some((50, b, false)), 40),
+            Some(Due::Stream { at: 20, slot: 3 })
+        );
+        s.count_stream(&ev(1, 3));
+        assert_eq!(s.next(Some((60, a, false)), 40), None);
+        assert_eq!((s.len(), s.peek_time()), (5, Some(50)));
+        // Resumed: slot 9's TxEnd, then its FrameEnd straight through; its
+        // stream ends there.
+        assert_eq!(s.next(None, 2_000), Some(Due::Stream { at: 50, slot: 9 }));
+        s.count_stream(&ev(0, 9));
+        assert_eq!(
+            s.next(Some((55, b + 2, false)), 2_000),
+            Some(Due::Stream { at: 55, slot: 9 })
+        );
+        s.count_stream(&ev(2, 9));
+        // Slot 3: TxEnd, first FrameEnd, then the second (a new entry).
+        assert_eq!(s.next(None, 2_000), Some(Due::Stream { at: 60, slot: 3 }));
+        s.count_stream(&ev(0, 3));
+        assert_eq!(
+            s.next(Some((70, a + 2, false)), 2_000),
+            Some(Due::Stream { at: 70, slot: 3 })
+        );
+        s.count_stream(&ev(2, 3));
+        assert_eq!(s.len(), 1);
+        assert_eq!(
+            s.next(Some((80, a + 4, true)), 2_000),
+            Some(Due::Stream { at: 80, slot: 3 })
+        );
+        assert_eq!(s.len(), 2);
+        s.count_stream(&ev(2, 3));
+        assert_eq!(s.next(None, 2_000), Some(Due::Event(1_000, timer(0, 0))));
+        assert!(s.is_empty());
+        assert_eq!((s.processed(), s.max_occupancy()), (9, 7));
+        assert_eq!(s.processed_by_kind()[..4], [2, 3, 3, 1]);
     }
 
     #[test]
@@ -631,6 +834,16 @@ mod tests {
             Scheduler::load(&mut r).map(|s| s.len())
         };
         assert_eq!(load(&[(5, 1), (5, 2), (9, 0)]), Ok(3));
+        // A `next_seq` no key can hold.
+        let mut w = CkptWriter::new();
+        w.len(0);
+        w.put(&SEQ_LIMIT);
+        w.put(&0u64);
+        w.put(&[0u64; Event::KIND_COUNT]);
+        w.put(&0u64);
+        let bytes = w.finish();
+        let loaded = Scheduler::load(&mut CkptReader::new(&bytes).unwrap());
+        assert!(matches!(loaded, Err(CkptError::Malformed(_))));
         for bad in [
             &[(5, 2), (5, 1)][..], // seq out of order within an instant
             &[(9, 0), (5, 1)],     // time out of order

@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 use crate::config::PhyConfig;
 use crate::node::NodeId;
 use cmap_phy::units::db_to_ratio;
-use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation};
+use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// One receiver of a transmission, as the event path reads it: a row of
 /// these per transmitter, in arrival order ([`Medium::arrivals`]).
@@ -236,9 +236,17 @@ impl Rows {
     }
 
     /// One evaluated pair of the current row: a link, a pruned link, or
-    /// below the delivery floor (which no medium would deliver).
+    /// below the delivery floor (which no medium would deliver). A link's
+    /// delay is below the shortest frame's 20 µs (6 km), so a
+    /// transmission's events fall due in one order (`pool::Stream`).
     fn offer(&mut self, rx: NodeId, gain: f64, delay_ns: u64) {
         if self.keeps(gain) {
+            let frame_ns = PLCP_PREAMBLE_NS + PLCP_SIG_NS;
+            assert!(
+                delay_ns < frame_ns,
+                "MediumBuilder: link ({}, {rx}) delay {delay_ns} ns is not below the shortest frame's {frame_ns} ns",
+                self.link_off.len() - 1
+            );
             self.link_rx.push(rx);
             self.link_gain.push(gain);
             self.link_delay.push(delay_ns);
@@ -446,6 +454,15 @@ impl Medium {
             at as usize
         };
         &self.arrive[at..at + len]
+    }
+
+    /// [`Medium::arrivals`] of a transmitter whose row is built, as every
+    /// live transmission's sender's is.
+    pub(crate) fn built_arrivals(&self, tx: NodeId) -> &[Arrival] {
+        let (start, at) = self.link_off[tx.index()];
+        assert_ne!(at, UNBUILT, "arrival row of {tx} read before it was built");
+        let len = (self.link_off[tx.index() + 1].0 - start) as usize;
+        &self.arrive[at as usize..at as usize + len]
     }
 
     /// Append `tx`'s arrival row to `arrive`, record where it starts and
@@ -1009,6 +1026,30 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
         assert_eq!(a.fingerprint(), d.fingerprint());
+    }
+
+    /// A link as long in flight as the shortest frame on the air (20 µs)
+    /// would let a `FrameStart` fall due after its transmission's `TxEnd`.
+    #[test]
+    #[should_panic(expected = "link (2, 1) delay 20000 ns is not below")]
+    fn a_link_as_long_as_the_shortest_frame_is_refused() {
+        let phy = PhyConfig::default();
+        let mut delays = vec![19_999; 9];
+        delays[2 * 3 + 1] = 20_000;
+        let _ = MediumBuilder::new(&phy)
+            .gains_db(3, &[-70.0; 9], &delays)
+            .build();
+    }
+
+    /// The same from positions: 6 km of flight is 20 µs.
+    #[test]
+    #[should_panic(expected = "is not below the shortest frame's 20000 ns")]
+    fn a_pair_six_km_apart_is_refused() {
+        let phy = PhyConfig::default();
+        let pos = vec![(0.0, 0.0), (6_000.0, 0.0)];
+        let _ = MediumBuilder::new(&phy)
+            .positions(pos, 7_000.0, -120.0, |_, _, _| -70.0)
+            .build();
     }
 
     #[test]

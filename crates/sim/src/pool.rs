@@ -4,13 +4,13 @@
 //! the frame until the last receiver's `FrameEnd` (or the sender's `TxEnd`)
 //! releases it. The slot *is* the transmission record: raw wire bytes plus
 //! the metadata the engine needs to grade receptions and to hand the frame
-//! to its receivers one at a time — its reserved sequence numbers and two
-//! cursors into the medium's arrival order: whose `FrameStart` and whose
-//! `FrameEnd` is next, the only arrivals of it the event queue holds.
-//! Slots are addressed by [`TxId`] — a `(generation, index)` pair packed
-//! into the `u64` the event queue already carries — so every hot-path
-//! access (`FrameStart`/`FrameEnd`/`TxEnd`) is one bounds-checked array
-//! index instead of the ordered-map lookup the engine used before.
+//! to its receivers one at a time — its reserved sequence numbers and one
+//! cursor into its [`Stream`]: how many of its `FrameStart`s, `TxEnd` and
+//! `FrameEnd`s, in that order, have been handled. The event queue holds
+//! the next one under a key that names the slot. Slots are addressed by
+//! [`TxId`] — a `(generation, index)` pair packed into a `u64` — so every
+//! hot-path access is one bounds-checked array index instead of the
+//! ordered-map lookup the engine used before.
 //!
 //! Invariants:
 //! * Slot buffers are recycled, never shrunk: a released slot keeps its
@@ -23,19 +23,22 @@
 //! * Generations make stale handles loudly detectable in debug builds; the
 //!   release accounting (`ends_remaining`) guarantees no double-free — a
 //!   slot only returns to the free list when its last share is released.
+//! * Fewer than 2²⁰ slots: a queue key has that many bits for the index.
 //!
 //! Checkpoint interaction (`cmap-ckpt/v5`): only *live* slots are
-//! serialised (as [`LiveTx`] records). On restore each live slot is placed
-//! back at the index/generation its `TxId` encodes, and every other index
-//! below the saved pool capacity becomes free with generation 0. Free-slot
-//! generations are an allocation detail with no behavioural effect: no
-//! pending event references a freed slot, and `TxId` values are opaque to
-//! statistics and traces.
+//! serialised (as [`LiveTx`] records, the cursor split at the `TxEnd`). On
+//! restore each live slot is placed back at the index/generation its
+//! `TxId` encodes, and every other index below the saved pool capacity
+//! becomes free with generation 0. Free-slot generations are an allocation
+//! detail with no behavioural effect: no pending event references a freed
+//! slot, and `TxId` values are opaque to statistics and traces.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::ckpt::CkptError;
-use crate::event::TxId;
+use crate::event::{Event, TxId, SLOTS};
+use crate::medium::Arrival;
 use crate::node::NodeId;
 use crate::persist;
 use crate::time::Time;
@@ -48,20 +51,10 @@ struct Slot {
     gen: u32,
     /// Full wire bytes (tag through CRC). Capacity persists across reuse.
     buf: Vec<u8>,
-    /// Transmitting node.
-    node: NodeId,
     /// Bit-rate of the transmission.
     rate: Rate,
-    /// When the transmission's first and last bit leave the sender.
-    start: Time,
-    end: Time,
-    /// First of the `1 + 2·N` sequence numbers reserved when it started:
-    /// `TxEnd`, then `FrameStart`/`FrameEnd` per `reachable` position.
-    seq0: u64,
-    /// Arrival cursors: how many receivers, in the medium's arrival
-    /// order, have been handed their `FrameStart` / their `FrameEnd`.
-    next_start: u32,
-    next_end: u32,
+    /// The transmission's events and how far they have been handled.
+    stream: Stream,
     /// Outstanding releases: one per receiver `FrameEnd` plus one for the
     /// sender's `TxEnd`. Zero while free or not yet armed.
     ends_remaining: u32,
@@ -72,13 +65,8 @@ impl Slot {
         Slot {
             gen: 0,
             buf: Vec::new(),
-            node: NodeId::new(0),
             rate: Rate::R6,
-            start: 0,
-            end: 0,
-            seq0: 0,
-            next_start: 0,
-            next_end: 0,
+            stream: Stream::default(),
             ends_remaining: 0,
         }
     }
@@ -91,9 +79,90 @@ fn pack(gen: u32, index: usize) -> TxId {
     (u64::from(gen) << 32) | index as u64
 }
 
+/// The slot index a `TxId` names.
 #[inline]
-fn index_of(id: TxId) -> usize {
+pub(crate) fn index_of(id: TxId) -> usize {
     (id & INDEX_MASK) as usize
+}
+
+/// A transmission from `node` as a stream of `1 + 2·F` events over its
+/// arrival row of F receivers: event `j` is the `FrameStart` of `row[j]`
+/// for `j < F`, the `TxEnd` for `j == F`, the `FrameEnd` of `row[j − F −
+/// 1]` after. Numbers reserved from `seq0` key them — `seq0` the `TxEnd`,
+/// `seq0 + 1 + 2·pos` and `seq0 + 2 + 2·pos` those at `reachable` position
+/// `pos` — and every link delay is shorter than the shortest frame, so the
+/// keys increase with `j`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Stream {
+    pub node: NodeId,
+    /// When its first and last bit leave the sender.
+    start: Time,
+    end: Time,
+    seq0: u64,
+    /// Events handled so far: the next is event `cursor`.
+    pub cursor: u32,
+}
+
+impl Stream {
+    /// Time and reserved seq of event `j`, or `None` past the last. (The
+    /// sums wrap rather than panic: a restored record's keys are held to
+    /// the image's, not trusted.)
+    #[inline(always)]
+    pub(crate) fn key(&self, row: &[Arrival], j: usize) -> Option<(Time, u64)> {
+        let f = row.len();
+        let (leaves, first, link) = match j.cmp(&f) {
+            Ordering::Less => (self.start, 1, &row[j]),
+            Ordering::Equal => return Some((self.end, self.seq0)),
+            Ordering::Greater => (self.end, 2, row.get(j - f - 1)?),
+        };
+        let seq = self.seq0.wrapping_add(first + 2 * u64::from(link.pos));
+        Some((leaves.wrapping_add(link.delay_ns), seq))
+    }
+
+    /// The events of transmission `tx_id` a queue filing its `TxEnd`, next
+    /// `FrameStart` and next `FrameEnd` would hold now, in key order.
+    pub(crate) fn pending(&self, tx_id: TxId, row: &[Arrival]) -> [Option<(Time, u64, Event)>; 3] {
+        let (f, j, node) = (row.len(), self.cursor as usize, self.node);
+        let entry = |k: usize| {
+            let (at, seq) = self.key(row, k)?;
+            let event = match k.cmp(&f) {
+                Ordering::Less => Event::FrameStart {
+                    rx: row[k].rx,
+                    tx_id,
+                },
+                Ordering::Equal => Event::TxEnd { node, tx_id },
+                Ordering::Greater => Event::FrameEnd {
+                    rx: row[k - f - 1].rx,
+                    tx_id,
+                },
+            };
+            Some((at, seq, event))
+        };
+        [
+            entry(j).filter(|_| j < f),
+            entry(f).filter(|_| j <= f),
+            entry(j.max(f + 1)),
+        ]
+    }
+}
+
+/// Stream cursor `j` of `fanout` receivers as a checkpoint records it:
+/// `FrameStart`s handled, `FrameEnd`s handled, releases outstanding.
+fn split(fanout: u32, j: u32) -> (u32, u32, u32) {
+    let ends = fanout + 1 - j.saturating_sub(fanout);
+    (j.min(fanout), j.saturating_sub(fanout + 1), ends)
+}
+
+/// The cursor a checkpoint `record` was split from, if any.
+fn join(fanout: u32, record: (u32, u32, u32)) -> Option<u32> {
+    let (next_start, next_end, ends) = record;
+    // Every release still outstanding: the TxEnd is not yet handled.
+    let j = if next_end == 0 && ends == fanout + 1 {
+        next_start
+    } else {
+        (fanout + 1).saturating_add(next_end)
+    };
+    (j <= 2 * fanout && split(fanout, j) == record).then_some(j)
 }
 
 /// The per-world frame pool. See the module docs for the lifecycle.
@@ -124,6 +193,7 @@ impl FramePool {
         let index = match self.free.pop() {
             Some(i) => i as usize,
             None => {
+                assert!(self.slots.len() < SLOTS, "frame pool full: 2^20 slots");
                 self.slots.push(Slot::fresh());
                 self.slots.len() - 1
             }
@@ -178,8 +248,8 @@ impl FramePool {
     }
 
     /// Arm an allocated slot as a transmission on the air over
-    /// `start..end` with `ends` outstanding releases, sequence numbers
-    /// reserved from `seq0` and both cursors at the first receiver.
+    /// `start..end` with `ends` outstanding releases and sequence numbers
+    /// reserved from `seq0`, and return its stream, at its first event.
     pub(crate) fn arm(
         &mut self,
         id: TxId,
@@ -188,40 +258,41 @@ impl FramePool {
         (start, end): (Time, Time),
         seq0: u64,
         ends: u32,
-    ) {
+    ) -> Stream {
         debug_assert!(ends > 0);
         let slot = self.slot_mut(id);
         debug_assert_eq!(slot.ends_remaining, 0, "re-arming a live transmission");
-        slot.node = node;
         slot.rate = rate;
-        (slot.start, slot.end, slot.seq0) = (start, end, seq0);
-        (slot.next_start, slot.next_end) = (0, 0);
-        slot.ends_remaining = ends;
-    }
-
-    /// Step one arrival cursor of a live slot (`ends`: the `FrameEnd` one)
-    /// and return the index of the arrival it was on.
-    #[inline]
-    pub(crate) fn step(&mut self, id: TxId, ends: bool) -> u32 {
-        let slot = self.slot_mut(id);
-        let cursor = if ends {
-            &mut slot.next_end
-        } else {
-            &mut slot.next_start
+        slot.stream = Stream {
+            node,
+            start,
+            end,
+            seq0,
+            cursor: 0,
         };
-        std::mem::replace(cursor, *cursor + 1)
+        slot.ends_remaining = ends;
+        slot.stream
     }
 
-    /// What keys a live slot's arrivals: the sender, when its `FrameStart`s
-    /// (with `ends`: `FrameEnd`s) leave it, and their seq at `reachable[0]`.
-    #[inline]
-    pub(crate) fn arrival_base(&self, id: TxId, ends: bool) -> (NodeId, Time, u64) {
-        let slot = self.slot(id);
-        if ends {
-            (slot.node, slot.end, slot.seq0 + 2)
-        } else {
-            (slot.node, slot.start, slot.seq0 + 1)
-        }
+    /// The transmission in live slot `index` and its stream, at the event
+    /// to handle now; its cursor steps past that event.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self, index: usize) -> (TxId, Stream) {
+        let slot = &mut self.slots[index];
+        debug_assert!(slot.ends_remaining > 0, "stream of free slot {index}");
+        let stream = slot.stream;
+        slot.stream.cursor += 1;
+        (pack(slot.gen, index), stream)
+    }
+
+    /// The live transmissions and their streams, in slot order.
+    pub(crate) fn streams(&self) -> impl Iterator<Item = (TxId, Stream)> + '_ {
+        let live = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.ends_remaining > 0);
+        live.map(|(i, s)| (pack(s.gen, i), s.stream))
     }
 
     /// Bit-rate of a live slot.
@@ -287,25 +358,30 @@ impl FramePool {
     }
 
     /// The live slots in ascending `TxId` order (the checkpoint's
-    /// deterministic transmission order), borrowing their wire bytes.
-    pub fn live_txs(&self) -> Vec<LiveTx<'_>> {
+    /// deterministic transmission order), borrowing their wire bytes;
+    /// `fanout` is a sender's receiver count, which splits the cursor.
+    pub fn live_txs(&self, fanout: impl Fn(NodeId) -> u32) -> Vec<LiveTx<'_>> {
         let mut live: Vec<LiveTx<'_>> = self
             .slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.ends_remaining > 0)
-            .map(|(i, s)| LiveTx {
-                tx_id: pack(s.gen, i),
-                node: s.node,
-                rate: s.rate,
-                start: s.start,
-                buf: Cow::Borrowed(&s.buf[..]),
-                wire_len: s.buf.len(),
-                ends_remaining: s.ends_remaining,
-                end: s.end,
-                seq0: s.seq0,
-                next_start: s.next_start,
-                next_end: s.next_end,
+            .map(|(i, s)| {
+                let (node, cursor) = (s.stream.node, s.stream.cursor);
+                let (next_start, next_end, _) = split(fanout(node), cursor);
+                LiveTx {
+                    tx_id: pack(s.gen, i),
+                    node,
+                    rate: s.rate,
+                    start: s.stream.start,
+                    buf: Cow::Borrowed(&s.buf[..]),
+                    wire_len: s.buf.len(),
+                    ends_remaining: s.ends_remaining,
+                    end: s.stream.end,
+                    seq0: s.stream.seq0,
+                    next_start,
+                    next_end,
+                }
             })
             .collect();
         live.sort_unstable_by_key(|tx| tx.tx_id);
@@ -317,17 +393,20 @@ impl FramePool {
     /// every other index free (lowest index first off the stack), and the
     /// lifetime counters continued — the `pool.high_water` /
     /// `pool.recycled` gauges must not restart at the restore point.
+    /// `fanout` is a sender's receiver count, `None` for no such node; each
+    /// record's cursors and releases must describe a point of its stream.
     pub fn restore(
         capacity: u64,
         high_water: u64,
         recycled: u64,
         live: Vec<LiveTx<'_>>,
+        fanout: impl Fn(NodeId) -> Option<u32>,
     ) -> Result<FramePool, CkptError> {
-        // 2^24 in-flight slots is far beyond any reachable state; larger
-        // values mean a corrupt checkpoint, not a big run. A slot is only
-        // ever added when every existing one is claimed, so the two
-        // fields are equal in any checkpoint a pool wrote.
-        if capacity > (1 << 24) || high_water != capacity {
+        // A key has 20 bits for the slot; no reachable state comes near
+        // that, so more means a corrupt checkpoint, not a big run. A slot
+        // is only ever added when every existing one is claimed, so the
+        // two fields are equal in any checkpoint a pool wrote.
+        if capacity > SLOTS as u64 || high_water != capacity {
             return Err(CkptError::Malformed(format!(
                 "frame pool of {capacity} slots, high water {high_water}"
             )));
@@ -335,18 +414,26 @@ impl FramePool {
         let mut slots: Vec<Slot> = (0..capacity).map(|_| Slot::fresh()).collect();
         let live_count = live.len();
         for tx in live {
+            let record = (tx.next_start, tx.next_end, tx.ends_remaining);
+            let Some(cursor) = fanout(tx.node).and_then(|f| join(f, record)) else {
+                return Err(CkptError::Malformed(format!(
+                    "tx {} from node {}: cursors and releases {record:?}",
+                    tx.tx_id, tx.node
+                )));
+            };
             match slots.get_mut(index_of(tx.tx_id)) {
                 Some(slot) if slot.ends_remaining == 0 => {
                     *slot = Slot {
                         gen: (tx.tx_id >> 32) as u32,
                         buf: tx.buf.into_owned(),
-                        node: tx.node,
                         rate: tx.rate,
-                        start: tx.start,
-                        end: tx.end,
-                        seq0: tx.seq0,
-                        next_start: tx.next_start,
-                        next_end: tx.next_end,
+                        stream: Stream {
+                            node: tx.node,
+                            start: tx.start,
+                            end: tx.end,
+                            seq0: tx.seq0,
+                            cursor,
+                        },
                         ends_remaining: tx.ends_remaining,
                     }
                 }
@@ -393,7 +480,7 @@ persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, wire_len, ends_remai
 
 impl LiveTx<'_> {
     /// A live slot holds a well-formed frame and at least one outstanding
-    /// release (`World::restore` holds the cursors against the medium).
+    /// release ([`FramePool::restore`] holds the cursors to its stream).
     fn check(&self) -> Result<(), CkptError> {
         FrameView::parse_checked(&self.buf)
             .map_err(|e| CkptError::Malformed(format!("tx {} frame: {e:?}", self.tx_id)))?;
@@ -445,7 +532,7 @@ mod tests {
         }
         assert_eq!(p.live(), 4);
         assert_eq!(p.high_water(), 4);
-        let live: Vec<TxId> = p.live_txs().iter().map(|tx| tx.tx_id).collect();
+        let live: Vec<TxId> = p.live_txs(|_| 0).iter().map(|tx| tx.tx_id).collect();
         assert_eq!(live, {
             let mut s = ids.clone();
             s.sort_unstable();
@@ -494,26 +581,72 @@ mod tests {
             next_end: 0,
         };
         let id = pack(5, 2);
+        let one = |_| Some(1);
         assert!(
-            FramePool::restore(4, 4, 0, vec![tx(id, 3), tx(id, 3)]).is_err(),
+            FramePool::restore(4, 4, 0, vec![tx(id, 3), tx(id, 3)], one).is_err(),
             "duplicate"
         );
         assert!(
-            FramePool::restore(4, 4, 0, vec![tx(pack(1, 9), 0)]).is_err(),
+            FramePool::restore(4, 4, 0, vec![tx(pack(1, 9), 0)], one).is_err(),
             "out of range"
         );
         assert!(
-            FramePool::restore(4, 3, 0, vec![]).is_err(),
+            FramePool::restore(4, 3, 0, vec![], one).is_err(),
             "high water off capacity"
         );
-        let mut p = FramePool::restore(4, 4, 17, vec![tx(id, 3)]).unwrap();
+        let past = SLOTS as u64 + 1;
+        assert!(
+            FramePool::restore(past, past, 0, vec![], one).is_err(),
+            "more slots than a key can name"
+        );
+        assert!(
+            FramePool::restore(4, 4, 0, vec![tx(id, 3)], |_| None).is_err(),
+            "no such sender"
+        );
+        assert!(
+            FramePool::restore(4, 4, 0, vec![tx(id, 3)], |_| Some(2)).is_err(),
+            "a FrameStart left, yet only the TxEnd's release and one more"
+        );
+        let mut p = FramePool::restore(4, 4, 17, vec![tx(id, 3)], one).unwrap();
         assert_eq!(p.live(), 1);
         assert_eq!((p.high_water(), p.recycled()), (4, 17));
-        assert_eq!(p.arrival_base(id, false), (NodeId::new(3), 99, 41));
         assert_eq!(p.wire_len(id), 3);
-        assert_eq!(p.live_txs().len(), 1);
+        assert_eq!(p.live_txs(|_| 1).len(), 1);
+        // Its one FrameStart handled: the TxEnd is next, then the FrameEnd.
+        let row = [Arrival {
+            rx: NodeId::new(0),
+            pos: 0,
+            delay_ns: 7,
+            rss_mw: 1.0,
+        }];
+        let (tx_id, s) = p.advance(index_of(id));
+        assert_eq!((tx_id, s.node, s.cursor), (id, NodeId::new(3), 1));
+        let keys: Vec<_> = (0..4).map(|j| s.key(&row, j)).collect();
+        assert_eq!(
+            keys,
+            [Some((106, 41)), Some((120, 40)), Some((127, 42)), None]
+        );
+        assert_eq!(p.advance(index_of(id)).1.cursor, 2);
         // Lowest free index allocates first.
         let next = p.alloc();
         assert_eq!(index_of(next), 0);
+    }
+
+    #[test]
+    fn cursors_split_at_the_tx_end_and_join_again() {
+        // Streams of up to five receivers: every record, within a margin
+        // past each bound, joins to the cursor it was split from or to none.
+        for f in 0..5u32 {
+            for record in (0..=f + 1)
+                .flat_map(|s| (0..=f + 1).flat_map(move |e| (0..=f + 2).map(move |r| (s, e, r))))
+            {
+                let cursor = (0..=2 * f).find(|&j| split(f, j) == record);
+                assert_eq!(join(f, record), cursor, "f {f}: {record:?}");
+            }
+        }
+        // A FrameEnd before the last FrameStart; a cursor far past the row.
+        assert_eq!(join(4, (2, 1, 3)), None);
+        assert_eq!(join(4, (4, u32::MAX, 0)), None);
+        assert_eq!(split(4, 7), (4, 2, 2));
     }
 }

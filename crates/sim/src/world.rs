@@ -7,13 +7,15 @@
 //! same state.
 //!
 //! A transmission reaches its N receivers as N `FrameStart` and N
-//! `FrameEnd` events, but only the next of each kind is queued: `start_tx`
-//! reserves all `1 + 2·N` sequence numbers and files `TxEnd` and the two
-//! first arrivals; handling an arrival steps a cursor in the pool slot and
-//! returns the following one to the run loop, which offers it to
-//! [`Scheduler::next`]. The medium's arrival order is the `(time, seq)`
-//! order of the reserved keys, so the event handled next is always the one
-//! a queue holding them all would pop.
+//! `FrameEnd` events, and ends with its own `TxEnd`: `1 + 2·N` events,
+//! which fall due in one order — every `FrameStart`, the `TxEnd`, every
+//! `FrameEnd`, each kind in the medium's arrival order — and so queue as
+//! one stream. `start_tx` reserves their sequence numbers and queues the
+//! first; handling one steps the cursor in the pool slot and hands the
+//! stream's next event to the run loop, which offers it to
+//! [`Scheduler::next`]. The keys are those filing every event eagerly
+//! would use, so the event handled next is always the one a queue holding
+//! them all would pop.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -21,12 +23,12 @@ use rand::Rng;
 use crate::app::NodeApp;
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::config::{PhyConfig, PhyLinear};
-use crate::event::{Event, Scheduler, TxId};
+use crate::event::{Due, Event, Scheduler, TxId};
 use crate::faults::{FaultAction, FaultPlan, FaultState, WatchdogConfig};
 use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
-use crate::medium::{Arrival, Medium};
+use crate::medium::Medium;
 use crate::persist;
-use crate::pool::{FramePool, LiveTx};
+use crate::pool::{index_of, FramePool, LiveTx};
 use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxCompletion};
 use crate::rng::stream_rng;
 use crate::stats::Stats;
@@ -431,10 +433,11 @@ impl World {
         if !self.started {
             self.start();
         }
-        // Handling an arrival yields the transmission's next one, which
+        // Handling a stream's event yields the stream's next one, which
         // more often than not is the next event.
         let mut carry = None;
-        while let Some((at, ev)) = self.sched.next(carry, t) {
+        while let Some(due) = self.sched.next(carry.take(), t) {
+            let (Due::Event(at, _) | Due::Stream { at, .. }) = due;
             if at < self.time {
                 // Event-time monotonicity violation: the watchdog records
                 // it and the clock holds instead of running backwards.
@@ -442,7 +445,11 @@ impl World {
             } else {
                 self.time = at;
             }
-            carry = self.handle_event(ev);
+            match due {
+                // cmap-lint: allow(panic-reach) — the world files only timers, faults and audits; a transmission's events queue as its stream
+                Due::Event(_, ev) => self.handle_event(ev),
+                Due::Stream { slot, .. } => carry = self.handle_stream(slot),
+            }
         }
         if t >= self.time {
             self.time = t;
@@ -475,85 +482,81 @@ impl World {
         self.stats.set_gauge(GaugeId::TraceDropped, dropped);
     }
 
-    /// Handle one event. An arrival returns the same transmission's next
-    /// arrival of its kind, keyed as [`World::start_tx`] reserved it.
-    fn handle_event(&mut self, ev: Event) -> Option<Entry> {
+    /// Handle one filed event.
+    fn handle_event(&mut self, ev: Event) {
         match ev {
             Event::Timer { node, token } => {
                 self.dispatch(node, |mac, ctx| mac.on_timer(ctx, token));
                 self.check_channel_edge(node);
             }
-            Event::TxEnd { node, tx_id } => {
-                if !self.radios.end_tx(node.index()) {
-                    self.stats.bump(CounterId::WatchdogRadioState);
-                }
-                self.pool.release(tx_id);
-                self.dispatch(node, |mac, ctx| mac.on_tx_done(ctx));
-                self.check_channel_edge(node);
-            }
-            Event::FrameStart { rx, tx_id } => {
-                let k = self.pool.step(tx_id, false);
-                let (src, link, next) = self.arrival(tx_id, k, false);
-                debug_assert_eq!(link.rx, rx, "FrameStart off its cursor");
-                let base_mw = match self.faults.as_deref_mut() {
-                    Some(f) => link.rss_mw * db_to_ratio(f.link_offset_db(src, rx, self.time)),
-                    None => link.rss_mw,
-                };
-                let rng = &mut self.rngs[rx.index()];
-                let mut power_mw = base_mw;
-                if self.fading.boost_prob() > 0.0 && rng.gen_bool(self.fading.boost_prob()) {
-                    power_mw *= self.fading.boost_ratio();
-                }
-                if self.fading.draws() {
-                    power_mw *= self.fading.mult(rng.gen::<u64>());
-                }
-                let outcome = self.radios.frame_start(
-                    rx.index(),
-                    tx_id,
-                    power_mw,
-                    self.time,
-                    &self.phy_linear,
-                    &mut self.rngs[rx.index()],
-                );
-                match outcome {
-                    LockOutcome::Locked => self.stats.bump(CounterId::SimLock),
-                    LockOutcome::Captured { .. } => self.stats.bump(CounterId::SimCapture),
-                    LockOutcome::Interference => {}
-                }
-                self.check_channel_edge(rx);
-                return next;
-            }
-            Event::FrameEnd { rx, tx_id } => {
-                if let Some(completion) = self.radios.frame_end(rx.index(), tx_id, self.time) {
-                    self.grade_and_deliver(rx, completion);
-                }
-                // Read the slot before the release that may recycle it.
-                let k = self.pool.step(tx_id, true);
-                let (_, link, next) = self.arrival(tx_id, k, true);
-                debug_assert_eq!(link.rx, rx, "FrameEnd off its cursor");
-                self.pool.release(tx_id);
-                self.check_channel_edge(rx);
-                return next;
-            }
             Event::Fault { idx } => self.handle_fault(idx),
             Event::Audit => self.handle_audit(),
+            Event::TxEnd { .. } | Event::FrameStart { .. } | Event::FrameEnd { .. } => {
+                unreachable!("{ev:?} filed outside its transmission's stream")
+            }
         }
-        None
     }
 
-    /// Live transmission `tx_id`'s sender, its `k`-th arrival of one kind
-    /// — `FrameEnd` with `ends`, else `FrameStart` — and the queue entry of
-    /// its `k + 1`-th, or `None` past the last receiver: one read of the
-    /// sender's arrival row. Forced inline: under `#[inline]` the compiler
-    /// kept it a call, and `city_dcf` ran 6 % slower.
-    #[inline(always)]
-    fn arrival(&mut self, tx_id: TxId, k: u32, ends: bool) -> (NodeId, Arrival, Option<Entry>) {
-        let base = self.pool.arrival_base(tx_id, ends);
-        let row = self.medium.arrivals(base.0);
-        let next = row
-            .get(k as usize + 1)
-            .map(|&link| entry(tx_id, base, link, ends));
-        (base.0, row[k as usize], next)
+    /// Handle the next event of the stream in pool slot `slot`, and return
+    /// the one after it as the run loop's carry: its key as
+    /// [`World::start_tx`] reserved it, and whether it is of the kind just
+    /// handled.
+    fn handle_stream(&mut self, slot: usize) -> Option<(Time, u64, bool)> {
+        let (tx_id, s) = self.pool.advance(slot);
+        let row = self.medium.arrivals(s.node);
+        let (f, j) = (row.len(), s.cursor as usize);
+        let next = s
+            .key(row, j + 1)
+            .map(|(at, seq)| (at, seq, j + 1 != f && j != f));
+        if j < f {
+            let (src, link) = (s.node, row[j]);
+            let rx = link.rx;
+            self.sched.count_stream(&Event::FrameStart { rx, tx_id });
+            let base_mw = match self.faults.as_deref_mut() {
+                Some(f) => link.rss_mw * db_to_ratio(f.link_offset_db(src, rx, self.time)),
+                None => link.rss_mw,
+            };
+            let rng = &mut self.rngs[rx.index()];
+            let mut power_mw = base_mw;
+            if self.fading.boost_prob() > 0.0 && rng.gen_bool(self.fading.boost_prob()) {
+                power_mw *= self.fading.boost_ratio();
+            }
+            if self.fading.draws() {
+                power_mw *= self.fading.mult(rng.gen::<u64>());
+            }
+            let outcome = self.radios.frame_start(
+                rx.index(),
+                tx_id,
+                power_mw,
+                self.time,
+                &self.phy_linear,
+                &mut self.rngs[rx.index()],
+            );
+            match outcome {
+                LockOutcome::Locked => self.stats.bump(CounterId::SimLock),
+                LockOutcome::Captured { .. } => self.stats.bump(CounterId::SimCapture),
+                LockOutcome::Interference => {}
+            }
+            self.check_channel_edge(rx);
+        } else if j == f {
+            let node = s.node;
+            self.sched.count_stream(&Event::TxEnd { node, tx_id });
+            if !self.radios.end_tx(node.index()) {
+                self.stats.bump(CounterId::WatchdogRadioState);
+            }
+            self.pool.release(tx_id);
+            self.dispatch(node, |mac, ctx| mac.on_tx_done(ctx));
+            self.check_channel_edge(node);
+        } else {
+            let rx = row[j - f - 1].rx;
+            self.sched.count_stream(&Event::FrameEnd { rx, tx_id });
+            if let Some(completion) = self.radios.frame_end(rx.index(), tx_id, self.time) {
+                self.grade_and_deliver(rx, completion);
+            }
+            self.pool.release(tx_id);
+            self.check_channel_edge(rx);
+        }
+        next
     }
 
     fn handle_fault(&mut self, idx: u32) {
@@ -840,23 +843,18 @@ impl World {
         let end = self.time + airtime;
         // The sequence numbers filing everything now would hand out: our
         // own TxEnd, then a FrameStart/FrameEnd pair per `reachable`
-        // position. Only the first arrival of each kind is filed.
+        // position. The stream queues under its first event's.
         let row = self.medium.arrivals(node);
         let fanout = row.len() as u32;
         let seq0 = self.sched.reserve(1 + 2 * u64::from(fanout));
-        self.sched
-            .schedule_reserved(end, seq0, Event::TxEnd { node, tx_id });
         // One release per receiver FrameEnd plus one for our own TxEnd —
         // the record drains exactly when the air is clear everywhere.
-        self.pool
+        let stream = self
+            .pool
             .arm(tx_id, node, rate, (self.time, end), seq0, 1 + fanout);
-        if let Some(&first) = row.first() {
-            for ends in [false, true] {
-                let base = self.pool.arrival_base(tx_id, ends);
-                let (at, seq, event) = entry(tx_id, base, first, ends);
-                self.sched.schedule_reserved(at, seq, event);
-            }
-        }
+        let (at, seq) = stream.key(row, 0).expect("every stream has a TxEnd");
+        let entries = if fanout > 0 { 3 } else { 1 };
+        self.sched.start_stream(at, seq, index_of(tx_id), entries);
         if self.stats.trace_enabled() {
             let kind = FrameKind::from_u8(self.pool.buf(tx_id)[0])
                 .expect("composed frame has a valid tag");
@@ -964,6 +962,14 @@ impl World {
             self.pool.recycled(),
         ));
         self.save_fields(&mut w);
+        // The streams as the entries filing their events eagerly would
+        // queue: up to three each, built from the cursors.
+        let air = self.pool.streams().flat_map(|(tx_id, s)| {
+            let row = self.medium.built_arrivals(s.node);
+            s.pending(tx_id, row).into_iter().flatten()
+        });
+        self.sched.save_with(&mut w, air);
+        w.put(&self.radios);
         // One record per node and no count: the echo carried it.
         for rng in &self.rngs {
             w.put(rng);
@@ -971,7 +977,11 @@ impl World {
         for app in &self.apps {
             w.put(app);
         }
-        w.put(&self.pool.live_txs());
+        w.put(
+            &self
+                .pool
+                .live_txs(|node| self.medium.reachable(node).len() as u32),
+        );
         w.put(&self.stats);
         if let Some(f) = self.faults.as_deref() {
             f.ckpt_save(&mut w);
@@ -1048,6 +1058,8 @@ impl World {
         self.time = r.get()?;
         let (pool_capacity, pool_high_water, pool_recycled) = r.get()?;
         self.load_fields(&mut r)?;
+        self.sched = r.get()?;
+        self.radios = r.get()?;
         if self.radios.len() != self.node_count() {
             return Err(CkptError::Mismatch(format!(
                 "checkpoint has {} radios, world has {}",
@@ -1062,29 +1074,22 @@ impl World {
             app.restore(r.get()?)?;
         }
         let live: Vec<LiveTx<'_>> = r.get()?;
-        for tx in &live {
-            if tx.node.index() >= self.node_count() {
-                return Err(CkptError::Malformed(format!(
-                    "tx {} from node {}",
-                    tx.tx_id, tx.node
-                )));
-            }
-            // Cursors in order and within the fan-out; one release per receiver
-            // owed a FrameEnd, plus the sender's until TxEnd (before any FrameEnd).
-            let fanout = self.medium.reachable(tx.node).len() as u64;
-            let owed = fanout.saturating_sub(u64::from(tx.next_end));
-            let ends = u64::from(tx.ends_remaining);
-            if tx.next_end > tx.next_start
-                || u64::from(tx.next_start) > fanout
-                || !(ends == owed || (ends == owed + 1 && tx.next_end == 0))
-            {
-                return Err(CkptError::Malformed(format!(
-                    "tx {}: cursors {}/{} of {fanout} receivers, {ends} releases outstanding",
-                    tx.tx_id, tx.next_start, tx.next_end
-                )));
-            }
-        }
-        self.pool = FramePool::restore(pool_capacity, pool_high_water, pool_recycled, live)?;
+        let (nodes, medium) = (self.node_count(), &self.medium);
+        self.pool = FramePool::restore(
+            pool_capacity,
+            pool_high_water,
+            pool_recycled,
+            live,
+            |node| (node.index() < nodes).then(|| medium.reachable(node).len() as u32),
+        )?;
+        // The image lists the streams' events among the filed ones: they
+        // must be what the cursors say is pending, and become the streams.
+        let medium = &mut self.medium;
+        let streams = self.pool.streams().map(|(tx_id, s)| {
+            let row = medium.arrivals(s.node);
+            (index_of(tx_id), s.pending(tx_id, row))
+        });
+        self.sched.restore_streams(self.pool.live(), streams)?;
         self.stats = r.get()?;
         if let Some(f) = self.faults.as_deref_mut() {
             f.ckpt_load(&mut r)?;
@@ -1110,22 +1115,9 @@ persist!(enum FlowKind { 0 => Saturated, 1 => Relay { upstream } });
 
 persist!(struct Flow { id, src, dst, payload_len, kind, next_seq });
 
-persist!(fields World { ber_lookups, synced_lookups, sched, radios });
-
-/// A queue entry `(time, seq, event)`: what an arrival hands the run loop.
-type Entry = (Time, u64, Event);
-
-/// The queue entry of `link` as an arrival of live transmission `tx_id`,
-/// keyed from its kind's [`FramePool::arrival_base`]: `reachable` position
-/// `p` owns the `p`-th reserved pair of numbers, whatever its arrival rank.
-fn entry(tx_id: TxId, (_, leaves, seq): (NodeId, Time, u64), link: Arrival, ends: bool) -> Entry {
-    let event = if ends {
-        Event::FrameEnd { rx: link.rx, tx_id }
-    } else {
-        Event::FrameStart { rx: link.rx, tx_id }
-    };
-    (leaves + link.delay_ns, seq + 2 * u64::from(link.pos), event)
-}
+// Then the scheduler, whose image lists the streams' events (the pool
+// holds their cursors), and the radio bank.
+persist!(fields World { ber_lookups, synced_lookups });
 
 /// Read one value of the configuration echo and require that it equals
 /// this world's.
@@ -1712,6 +1704,12 @@ mod tests {
         w
     }
 
+    /// `w`'s live transmissions as its checkpoint records them.
+    fn live_txs(w: &World) -> Vec<LiveTx<'_>> {
+        w.pool
+            .live_txs(|node| w.medium.reachable(node).len() as u32)
+    }
+
     #[test]
     fn checkpoint_with_cursors_mid_row_resumes_identically() {
         let finish = |w: &mut World| {
@@ -1726,7 +1724,7 @@ mod tests {
         let airtime = {
             let mut w = staggered_world(41);
             w.run_until(millis(2));
-            let live = w.pool.live_txs();
+            let live = live_txs(&w);
             assert_eq!(
                 (live.len(), live[0].next_start, live[0].next_end),
                 (1, 0, 0)
@@ -1743,7 +1741,7 @@ mod tests {
         ] {
             let mut w = staggered_world(41);
             w.run_until(cut);
-            let live = w.pool.live_txs();
+            let live = live_txs(&w);
             assert_eq!((live[0].next_start, live[0].next_end), cursors);
             assert_eq!(live[0].ends_remaining, ends);
             assert_eq!(w.sched.len(), queued);
@@ -1764,7 +1762,7 @@ mod tests {
         // After the live transmission's frame bytes its record reads
         // `wire_len u64, ends_remaining u32, end u64, seq0 u64,
         // next_start u32, next_end u32`.
-        let frame = w.pool.live_txs()[0].buf.to_vec();
+        let frame = live_txs(&w)[0].buf.to_vec();
         let after = good
             .windows(frame.len())
             .position(|b| b == &frame[..])
@@ -1775,14 +1773,56 @@ mod tests {
         assert_eq!(good[next_start..next_end + 4], [2, 0, 0, 0, 0, 0, 0, 0]);
         // A start cursor past the four receivers; an end cursor ahead of
         // the start cursor; one release too few and one too many (five is
-        // right here only because TxEnd is still to come).
-        for (at, value) in [(next_start, 5u8), (next_end, 3), (ends, 3), (ends, 6)] {
+        // right here only because TxEnd is still to come). Then cursors
+        // that fit the fan-out but not the queue: a start cursor one short
+        // of the FrameStart the image holds, and a FrameEnd (with the
+        // TxEnd's release and its own gone) while two FrameStarts remain.
+        let edits: [&[(usize, u8)]; 6] = [
+            &[(next_start, 5)],
+            &[(next_end, 3)],
+            &[(ends, 3)],
+            &[(ends, 6)],
+            &[(next_start, 1)],
+            &[(next_end, 1), (ends, 3)],
+        ];
+        for edit in edits {
             let mut bad = good.clone();
-            bad[at] = value;
+            for &(at, value) in edit {
+                bad[at] = value;
+            }
             let err = staggered_world(42).restore(&bad).unwrap_err();
-            assert!(matches!(err, CkptError::Malformed(_)), "{err}");
+            assert!(matches!(err, CkptError::Malformed(_)), "{edit:?}: {err}");
         }
         staggered_world(42).restore(&good).expect("intact image");
+    }
+
+    #[test]
+    fn restore_refuses_a_queue_or_pool_past_the_keys_bounds() {
+        let mut w = staggered_world(43);
+        w.run_until(millis(2) + 250);
+        let good = w.checkpoint().expect("checkpoint");
+        let find = |words: &[u64]| {
+            let bytes: Vec<u8> = words.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let at = good.windows(bytes.len()).position(|b| b == &bytes[..]);
+            at.expect("field in the image")
+        };
+        // `next_seq` precedes `processed` and the per-kind counts.
+        let seq = w.sched.reserve(0);
+        let by_kind = w.sched.processed_by_kind();
+        let next_seq = find(&[seq, w.sched.processed(), by_kind[0], by_kind[1]]);
+        // The pool's capacity and high water follow the clock.
+        let capacity = find(&[w.time, w.pool.capacity() as u64, w.pool.high_water() as u64]) + 8;
+        let past = |v: u64| v.to_le_bytes();
+        for (at, value) in [(next_seq, past(1 << 44)), (capacity, past((1 << 20) + 1))] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&value);
+            if at == capacity {
+                bad[at + 8..at + 16].copy_from_slice(&value);
+            }
+            let err = staggered_world(43).restore(&bad).unwrap_err();
+            assert!(matches!(err, CkptError::Malformed(_)), "{err}");
+        }
+        staggered_world(43).restore(&good).expect("intact image");
     }
 
     #[test]

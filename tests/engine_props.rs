@@ -1,11 +1,11 @@
 //! Property-based tests for the simulation engine's foundations.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use proptest::prelude::*;
 
-use cmap_suite::sim::event::{Event, Scheduler};
+use cmap_suite::sim::event::{Due, Event, Scheduler};
 use cmap_suite::sim::rng::{derive_seed, normal, stream_rng};
 use cmap_suite::sim::time::bits_duration;
 use cmap_suite::sim::NodeId;
@@ -56,6 +56,317 @@ impl QueueAndReference {
         while self.pop()?.is_some() {}
         prop_assert!(self.heap.is_empty());
         prop_assert_eq!(self.queue.processed(), self.seq);
+        Ok(())
+    }
+}
+
+/// One transmission's stream as the engine keys it: `row` holds its
+/// receivers in arrival order as `(delay, position)`, position `p` owning
+/// reserved numbers `seq0 + 1 + 2p` (`FrameStart`) and `seq0 + 2 + 2p`
+/// (`FrameEnd`); `seq0` is the `TxEnd`'s.
+struct Stream {
+    start: u64,
+    end: u64,
+    seq0: u64,
+    row: Vec<(u64, u64)>,
+    /// Events handled so far.
+    cursor: usize,
+}
+
+impl Stream {
+    /// Event `j`: every `FrameStart`, the `TxEnd`, every `FrameEnd`, as
+    /// `(at, seq, kind)`; `None` past the last.
+    fn event(&self, j: usize) -> Option<(u64, u64, usize)> {
+        let f = self.row.len();
+        if j < f {
+            let (delay, pos) = self.row[j];
+            Some((self.start + delay, self.seq0 + 1 + 2 * pos, 1))
+        } else if j == f {
+            Some((self.end, self.seq0, 0))
+        } else {
+            let &(delay, pos) = self.row.get(j - f - 1)?;
+            Some((self.end + delay, self.seq0 + 2 + 2 * pos, 2))
+        }
+    }
+}
+
+/// The event of kind `kind` (an `Event::kind_idx`) told apart by `seq`.
+fn event(kind: usize, seq: u64) -> Event {
+    let node = NodeId::new((seq % 7) as usize);
+    match kind {
+        0 => Event::TxEnd { node, tx_id: seq },
+        1 => Event::FrameStart {
+            rx: node,
+            tx_id: seq,
+        },
+        2 => Event::FrameEnd {
+            rx: node,
+            tx_id: seq,
+        },
+        3 => Event::Timer { node, token: seq },
+        4 => Event::Fault { idx: seq as u32 },
+        _ => Event::Audit,
+    }
+}
+
+/// The scheduler driven as the world drives it — streams carried from
+/// event to event, filed events popped, new work started as events are
+/// handled — beside two models: a reference heap holding every event of
+/// every stream from its start, and the entries a queue filing each
+/// stream's `TxEnd`, next `FrameStart` and next `FrameEnd` would hold
+/// (`eager`, the owner's slot beside each), which `len()` and
+/// `max_occupancy()` must match.
+struct Engine {
+    queue: Scheduler,
+    rng: rand::rngs::SmallRng,
+    shift: u32,
+    reference: BinaryHeap<Reverse<(u64, u64)>>,
+    filed: BTreeMap<u64, Event>,
+    /// Live streams by pool slot.
+    streams: BTreeMap<usize, Stream>,
+    eager: BTreeMap<(u64, u64), Option<usize>>,
+    eager_max: usize,
+    /// What eager filing files on the next call: the handled stream
+    /// event's successor of its own kind.
+    successor: Option<((u64, u64), usize)>,
+    carry: Option<(u64, u64, bool)>,
+    now: u64,
+    started: usize,
+    handled: [u64; Event::KIND_COUNT],
+}
+
+impl Engine {
+    fn new(seed: u64, shift: u32) -> Engine {
+        Engine {
+            queue: Scheduler::new(),
+            rng: stream_rng(seed, 0),
+            shift,
+            reference: BinaryHeap::new(),
+            filed: BTreeMap::new(),
+            streams: BTreeMap::new(),
+            eager: BTreeMap::new(),
+            eager_max: 0,
+            successor: None,
+            carry: None,
+            now: 0,
+            started: 0,
+            handled: [0; Event::KIND_COUNT],
+        }
+    }
+
+    /// A draw below `span`, rounded down to the granularity.
+    fn coarse(&mut self, span: u64) -> u64 {
+        use rand::Rng;
+        self.rng.gen_range(0..span) >> self.shift << self.shift
+    }
+
+    fn kind(&mut self) -> usize {
+        use rand::Rng;
+        self.rng.gen_range(0..Event::KIND_COUNT)
+    }
+
+    fn eager_insert(&mut self, key: (u64, u64), owner: Option<usize>) {
+        self.eager.insert(key, owner);
+        self.eager_max = self.eager_max.max(self.eager.len());
+    }
+
+    /// File an event of kind `kind` at `at` through `schedule`.
+    fn file(&mut self, at: u64, kind: usize) {
+        let seq = self.queue.reserve(0);
+        let ev = event(kind, seq);
+        self.queue.schedule(at, ev);
+        self.reference.push(Reverse((at, seq)));
+        self.filed.insert(seq, ev);
+        self.eager_insert((at, seq), None);
+    }
+
+    /// Start a transmission at `at` heard by up to `fanout` receivers, in
+    /// the lowest free slot, as `World::start_tx` does.
+    fn start(&mut self, at: u64, fanout: usize) {
+        use rand::Rng;
+        let f = self.rng.gen_range(0..=fanout);
+        let slot = (0..)
+            .find(|slot| !self.streams.contains_key(slot))
+            .expect("a slot");
+        // Below the shortest frame's 20 µs; airtimes from just above it.
+        let mut row: Vec<(u64, u64)> = (0..f as u64)
+            .map(|pos| (self.coarse(20_000), pos))
+            .collect();
+        row.sort_unstable();
+        let airtime = 20_000 + 1 + self.coarse(300_000);
+        let seq0 = self.queue.reserve(1 + 2 * f as u64);
+        let stream = Stream {
+            start: at,
+            end: at + airtime,
+            seq0,
+            row,
+            cursor: 0,
+        };
+        let events: Vec<(u64, u64, usize)> = (0..).map_while(|j| stream.event(j)).collect();
+        assert!(
+            events
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "stream out of order"
+        );
+        self.reference
+            .extend(events.iter().map(|&(at, seq, _)| Reverse((at, seq))));
+        for j in [0, f, f + 1] {
+            if let Some((at, seq, _)) = stream.event(j) {
+                self.eager_insert((at, seq), Some(slot));
+            }
+        }
+        let (first_at, first_seq, _) = events[0];
+        self.queue
+            .start_stream(first_at, first_seq, slot, if f > 0 { 3 } else { 1 });
+        self.streams.insert(slot, stream);
+        self.started += 1;
+    }
+
+    /// One call of `next`, checked against the reference; the handled
+    /// event, or `None` at the horizon.
+    fn step(&mut self, horizon: u64) -> Result<Option<(u64, usize)>, TestCaseError> {
+        if let Some((key, slot)) = self.successor.take() {
+            self.eager_insert(key, Some(slot));
+        }
+        let expect = self
+            .reference
+            .peek()
+            .map(|key| key.0)
+            .filter(|&(at, _)| at <= horizon);
+        let got = self.queue.next(self.carry.take(), horizon);
+        let Some(due) = got else {
+            prop_assert_eq!(expect, None);
+            prop_assert_eq!(
+                self.queue.peek_time(),
+                self.reference.peek().map(|key| key.0 .0)
+            );
+            return Ok(None);
+        };
+        let (at, seq) =
+            expect.ok_or_else(|| TestCaseError::fail(format!("{due:?} past the horizon")))?;
+        self.reference.pop();
+        let kind = match due {
+            Due::Event(t, ev) => {
+                prop_assert_eq!((t, ev), (at, self.filed[&seq]));
+                ev.kind_idx()
+            }
+            Due::Stream { at: t, slot } => {
+                let stream = self.streams.get_mut(&slot).expect("a live stream's slot");
+                let j = stream.cursor;
+                let (sat, sseq, kind) = stream.event(j).expect("a pending event");
+                prop_assert_eq!((t, sat, sseq), (at, at, seq));
+                self.queue.count_stream(&event(kind, seq));
+                stream.cursor += 1;
+                self.carry = stream
+                    .event(j + 1)
+                    .map(|(at, seq, next)| (at, seq, next == kind));
+                self.successor = stream
+                    .event(j + 1)
+                    .filter(|&(_, _, next)| next == kind)
+                    .map(|(at, seq, _)| ((at, seq), slot));
+                if self.carry.is_none() {
+                    self.streams.remove(&slot);
+                }
+                kind
+            }
+        };
+        self.handled[kind] += 1;
+        self.now = at;
+        prop_assert_eq!(self.eager.remove(&(at, seq)).is_some(), true);
+        prop_assert_eq!(self.queue.len(), self.eager.len());
+        prop_assert_eq!(self.queue.max_occupancy(), self.eager_max as u64);
+        Ok(Some((at, kind)))
+    }
+
+    /// Pop everything due by `horizon`, handling each event as a world
+    /// might: a filed event or a `TxEnd` sometimes starts transmissions
+    /// at that instant (several tie) while fewer than `live` are on the
+    /// air, and sometimes files an event of a kind below `kinds`.
+    fn run(
+        &mut self,
+        horizon: u64,
+        fanout: usize,
+        live: usize,
+        kinds: usize,
+    ) -> Result<(), TestCaseError> {
+        use rand::Rng;
+        while let Some((now, kind)) = self.step(horizon)? {
+            if kind == 1 || kind == 2 || self.started > 4 * live + 64 {
+                continue;
+            }
+            for _ in 0..self.rng.gen_range(0..3u32) {
+                if self.streams.len() < live {
+                    self.start(now, fanout);
+                }
+            }
+            if self.rng.gen_bool(0.5) {
+                let (at, kind) = (now + self.coarse(400_000), self.rng.gen_range(0..kinds));
+                self.file(at, kind);
+            }
+        }
+        Ok(())
+    }
+
+    /// Save the queue between horizons, as `World::checkpoint` does, load
+    /// it and re-queue each live stream under its next event's key,
+    /// counted as its entries in `eager`, as `World::restore` does.
+    fn save_and_resume(&mut self) -> Result<(), TestCaseError> {
+        use cmap_suite::sim::ckpt::{CkptReader, CkptWriter, Persist};
+        prop_assert!(self.carry.is_none() && self.successor.is_none());
+        let save = |queue: &Scheduler| {
+            let mut w = CkptWriter::new();
+            queue.save(&mut w);
+            w.finish()
+        };
+        let image = save(&self.queue);
+        let mut w = CkptWriter::new();
+        let pending: Vec<(u64, u64)> = self
+            .eager
+            .iter()
+            .filter(|(_, owner)| owner.is_none())
+            .map(|(&key, _)| key)
+            .collect();
+        w.len(pending.len());
+        for (at, seq) in pending {
+            w.put(&at);
+            w.put(&seq);
+            w.put(&self.filed[&seq]);
+        }
+        w.put(&self.queue.reserve(0));
+        w.put(&self.queue.processed());
+        w.put(self.queue.processed_by_kind());
+        w.put(&self.queue.max_occupancy());
+        prop_assert_eq!(&image, &w.finish());
+        let mut r = CkptReader::new(&image).expect("magic");
+        let mut loaded = Scheduler::load(&mut r).expect("own image");
+        prop_assert_eq!(r.remaining(), 0);
+        prop_assert_eq!(&save(&loaded), &image);
+        for (&slot, stream) in &self.streams {
+            let (at, seq, _) = stream
+                .event(stream.cursor)
+                .expect("a live stream's next event");
+            let entries = self
+                .eager
+                .values()
+                .filter(|&&owner| owner == Some(slot))
+                .count();
+            loaded.start_stream(at, seq, slot, entries);
+        }
+        prop_assert_eq!(loaded.len(), self.queue.len());
+        prop_assert_eq!(loaded.max_occupancy(), self.queue.max_occupancy());
+        prop_assert_eq!(loaded.peek_time(), self.queue.peek_time());
+        self.queue = loaded;
+        Ok(())
+    }
+
+    /// Drain to empty; every event handled exactly once, by kind.
+    fn finish(mut self) -> Result<(), TestCaseError> {
+        while self.step(u64::MAX)?.is_some() {}
+        prop_assert!(self.reference.is_empty() && self.streams.is_empty());
+        prop_assert!(self.queue.is_empty());
+        prop_assert_eq!(self.queue.processed_by_kind(), &self.handled);
+        prop_assert_eq!(self.queue.processed(), self.handled.iter().sum::<u64>());
         Ok(())
     }
 }
@@ -145,243 +456,83 @@ proptest! {
         q.finish()?;
     }
 
-    /// The arrival-cursor contract: a transmission reserves one sequence
-    /// number per receiver event, files only the first under its reserved
-    /// key, and hands each later one to `Scheduler::next` as a carry when
-    /// its predecessor is handled. Whatever mix of plain schedules, rows,
-    /// horizons and ticks, the pops must be those of a reference heap that
-    /// was handed every event of every row up front — the carry returned
-    /// untouched, exchanged with the top, filed in a later tick or parked
-    /// by a horizon and popped by a later call — and the lifetime counters
-    /// must read as if every event had been queued. A second scheduler
-    /// runs every round in two calls, cut at a horizon of its own, and
-    /// must end the round indistinguishable from the first: where
-    /// `run_until` stops is invisible, `max_occupancy()` included.
+    /// The stream contract: a transmission of F receivers is `1 + 2·F`
+    /// events under numbers reserved when it starts, queued as one key
+    /// that the loop carries from event to event. Whatever mix of streams
+    /// (1–64 at once, 0–40 receivers each, delays below the shortest
+    /// frame, starts tied to the nanosecond), timers and horizons, the pops
+    /// must be those of a reference heap handed every event of every
+    /// stream up front; after every pop `len()` and `max_occupancy()` must
+    /// read as a queue filing each stream's `TxEnd`, next `FrameStart` and
+    /// next `FrameEnd` would; and at one random horizon the queue is saved,
+    /// loaded and its streams re-queued, and runs on as if never stopped.
     #[test]
     fn carried_rows_match_eagerly_filed_reference(
-        rounds in proptest::collection::vec(
-            // (row length, delay granularity shift, horizon step, plain
-            // schedules, where the second scheduler cuts the round)
-            (0usize..24, 0u32..12, 0u64..4 * TICK_NS, 0usize..4, 0u64..=16),
-            1..30,
-        ),
-        // Idle nodes' far-future timers: every carry, exchange and filing
-        // above happens on top of a heap this deep.
-        ballast in 0u64..=4096,
+        live in 1usize..=64,
+        fanout in 0usize..=40,
+        // Delay and timing granularity: coarse shifts tie everything.
+        shift in 0u32..16,
+        rounds in 1usize..12,
+        step in 0u64..200_000,
+        save_at in 0usize..12,
         seed in any::<u64>(),
     ) {
-        use rand::Rng;
-        type Key = (u64, u64);
-        let row_event = |seq| Event::FrameStart { rx: NodeId::new(0), tx_id: seq };
-        // Pop everything due by `horizon`, carrying each row event's
-        // successor into the request for the next event.
-        let run = |queue: &mut Scheduler, successor: &BTreeMap<u64, Key>, horizon: u64| {
-            let (mut popped, mut carry) = (Vec::new(), None);
-            while let Some((at, event)) = queue.next(carry.take(), horizon) {
-                let seq = match event {
-                    Event::Timer { token, .. } => token,
-                    Event::FrameStart { tx_id, .. } => tx_id,
-                    other => unreachable!("{other:?}"),
-                };
-                popped.push((at, seq));
-                carry = successor.get(&seq).map(|&(at, seq)| (at, seq, row_event(seq)));
-            }
-            popped
-        };
-
-        let mut rng = stream_rng(seed, 0);
-        let mut queues = [Scheduler::new(), Scheduler::new()];
-        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-        // seq of a row event -> the row's next event.
-        let mut successor: BTreeMap<u64, Key> = BTreeMap::new();
-        let (mut row_events, mut timers) = (0u64, 0u64);
-        let (mut now, mut horizon) = (0u64, 0u64);
-        for _ in 0..ballast {
-            // Past any horizon the rounds reach (30 rounds of < 7 ticks).
-            let at = (1 << 40) + rng.gen_range(0..1u64 << 20);
-            for queue in &mut queues {
-                queue.schedule(at, Event::Timer { node: NodeId::new(2), token: timers });
-            }
-            heap.push(Reverse((at, timers)));
-            timers += 1;
+        let mut e = Engine::new(seed, shift);
+        let start = e.coarse(1 << 30);
+        for _ in 0..live {
+            e.start(start, fanout);
         }
-        for &(len, shift, step, plain, cut) in &rounds {
-            for _ in 0..plain {
-                let at = now + rng.gen_range(0..3 * TICK_NS);
-                for queue in &mut queues {
-                    let seq = queue.reserve(1);
-                    queue.schedule_reserved(at, seq, Event::Timer { node: NodeId::new(1), token: seq });
-                }
-                heap.push(Reverse((at, row_events + timers)));
-                timers += 1;
-            }
-            // A row: position `j` holds seq `first + j`; delays are coarse
-            // enough to tie (on each other and on what is already queued)
-            // and long enough to cross ticks; arrival order is
-            // `(delay, position)`.
-            let first = row_events + timers;
-            let mut row: Vec<Key> = (0..len as u64)
-                .map(|j| (now + (rng.gen_range(0..3 * TICK_NS) >> shift << shift), first + j))
-                .collect();
-            row.sort_unstable();
-            heap.extend(row.iter().map(|&key| Reverse(key)));
-            successor.extend(row.windows(2).map(|pair| (pair[0].1, pair[1])));
-            for queue in &mut queues {
-                prop_assert_eq!(queue.reserve(len as u64), first);
-                if let Some(&(at, seq)) = row.first() {
-                    queue.schedule_reserved(at, seq, row_event(seq));
-                }
-            }
-            row_events += len as u64;
-
-            // Run to the next horizon, as `World::run_until` does.
-            let last = horizon.max(now);
-            horizon = last + step;
-            let mut expect = Vec::new();
-            while let Some(&Reverse(key)) = heap.peek().filter(|key| key.0 .0 <= horizon) {
-                heap.pop();
-                expect.push(key);
-            }
-            now = expect.last().map_or(now, |&(at, _)| at);
-            let [whole, halves] = &mut queues;
-            prop_assert_eq!(&run(whole, &successor, horizon), &expect);
-            let mut in_two = run(halves, &successor, last + step * cut / 16);
-            in_two.extend(run(halves, &successor, horizon));
-            prop_assert_eq!(&in_two, &expect);
-            prop_assert_eq!(whole.max_occupancy(), halves.max_occupancy());
-            prop_assert_eq!(whole.peek_time(), heap.peek().map(|key| key.0 .0));
-            // A horizon leaves nothing in the caller's hands: the queue
-            // holds every pending event except those still behind a
-            // pending predecessor of their row.
-            let pending: BTreeSet<u64> = heap.iter().map(|key| key.0 .1).collect();
-            let behind = successor.keys().filter(|prev| pending.contains(prev)).count();
-            for queue in &queues {
-                prop_assert_eq!(queue.len(), heap.len() - behind);
+        for _ in 0..live / 4 {
+            let at = start + e.coarse(400_000);
+            e.file(at, 3);
+        }
+        let mut horizon = start;
+        for round in 0..rounds {
+            horizon += step;
+            e.run(horizon, fanout, live, 3)?;
+            if round == save_at {
+                e.save_and_resume()?;
             }
         }
-        for queue in &mut queues {
-            let rest = run(queue, &successor, u64::MAX);
-            let mut expect: Vec<Key> = heap.iter().map(|key| key.0).collect();
-            expect.sort_unstable();
-            prop_assert_eq!(rest, expect);
-            prop_assert!(queue.is_empty());
-            prop_assert_eq!(queue.processed(), row_events + timers);
-            prop_assert_eq!(queue.processed_by_kind()[row_event(0).kind_idx()], row_events);
-            prop_assert_eq!(queue.processed_by_kind()[3], timers);
-        }
-        prop_assert_eq!(queues[0].max_occupancy(), queues[1].max_occupancy());
+        e.finish()?;
     }
 
-    /// Both heaps at once. All six kinds are filed at coarse delays, so
-    /// `at` ties across the air and timer heaps are common and only `seq`
-    /// breaks them; handling an event often yields an air-kind carry,
-    /// which `next` weighs against both tops, at the instant just popped
-    /// as often as not. Pops must be the reference heap's. At one random
-    /// round, between horizons as `World::checkpoint` is, the queue is
-    /// saved, restored and run on: the image must be the reference's
-    /// pending list in `(at, seq)` order, and the restored queue must
-    /// re-save to the same bytes.
+    /// What `schedule` files — all six kinds, as `benchmark/src/replay.rs`
+    /// files them — shares one heap, beside a few streams, and both
+    /// orders interleave at coarse times where `seq` alone breaks ties.
+    /// Pops must be the reference heap's. At one random horizon, as
+    /// `World::checkpoint` is taken, the queue is saved: the image must be
+    /// the reference's filed events in `(at, seq)` order with the counters,
+    /// and the loaded queue, its streams re-queued, must re-save to the
+    /// same bytes and run on as if never stopped.
     #[test]
     fn mixed_kinds_match_reference_heap(
-        rounds in proptest::collection::vec(
-            // (events filed, delay granularity shift, horizon step,
-            // percent of handled events that carry a successor)
-            (0usize..16, 0u32..12, 0u64..4 * TICK_NS, 0u32..=100),
-            1..30,
-        ),
+        filed in 1usize..40,
+        streams in 0usize..4,
+        shift in 0u32..16,
+        rounds in 1usize..30,
+        step in 0u64..100_000,
         save_at in 0usize..30,
         seed in any::<u64>(),
     ) {
-        use cmap_suite::sim::ckpt::{CkptReader, CkptWriter, Persist};
-        use rand::Rng;
-        type Key = (u64, u64);
-        fn delay(rng: &mut impl Rng, shift: u32) -> u64 {
-            rng.gen_range(0..3 * TICK_NS) >> shift << shift
+        let mut e = Engine::new(seed, shift);
+        for _ in 0..filed {
+            let (at, kind) = (e.coarse(300_000), e.kind());
+            e.file(at, kind);
         }
-        fn save(queue: &Scheduler) -> Vec<u8> {
-            let mut w = CkptWriter::new();
-            queue.save(&mut w);
-            w.finish()
+        for _ in 0..streams {
+            let at = e.coarse(300_000);
+            e.start(at, 8);
         }
-        // Kind `kind`, told apart from every other event by its `seq`.
-        let event = |kind: u32, seq: u64| {
-            let node = NodeId::new((seq % 7) as usize);
-            match kind {
-                0 => Event::TxEnd { node, tx_id: seq },
-                1 => Event::FrameStart { rx: node, tx_id: seq },
-                2 => Event::FrameEnd { rx: node, tx_id: seq },
-                3 => Event::Timer { node, token: seq },
-                4 => Event::Fault { idx: seq as u32 },
-                _ => Event::Audit,
-            }
-        };
-
-        let mut rng = stream_rng(seed, 0);
-        let mut queue = Scheduler::new();
-        let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-        // Every event ever filed or carried, by seq.
-        let mut events: BTreeMap<u64, Event> = BTreeMap::new();
-        let mut now = 0u64;
-        for (round, &(filed, shift, step, carry_pct)) in rounds.iter().enumerate() {
-            for _ in 0..filed {
-                let (at, seq) = (now + delay(&mut rng, shift), queue.reserve(1));
-                let ev = event(rng.gen_range(0..6), seq);
-                queue.schedule_reserved(at, seq, ev);
-                heap.push(Reverse((at, seq)));
-                events.insert(seq, ev);
-            }
-            let horizon = now + step;
-            let mut carry = None;
-            loop {
-                let expect = heap.peek().filter(|key| key.0 .0 <= horizon).map(|key| key.0);
-                if expect.is_some() {
-                    heap.pop();
-                }
-                let got = queue.next(carry.take(), horizon);
-                prop_assert_eq!(got, expect.map(|(at, seq)| (at, events[&seq])));
-                let Some((at, _)) = got else { break };
-                now = at;
-                if rng.gen_range(0..100) < carry_pct {
-                    let (at, seq) = (now + delay(&mut rng, shift), queue.reserve(1));
-                    let ev = event(rng.gen_range(0..3), seq);
-                    heap.push(Reverse((at, seq)));
-                    events.insert(seq, ev);
-                    carry = Some((at, seq, ev));
-                }
-            }
-            prop_assert_eq!(queue.len(), heap.len());
-            prop_assert_eq!(queue.peek_time(), heap.peek().map(|key| key.0 .0));
-
-            if round == save_at % rounds.len() {
-                let image = save(&queue);
-                let mut pending: Vec<Key> = heap.iter().map(|key| key.0).collect();
-                pending.sort_unstable();
-                let mut w = CkptWriter::new();
-                w.len(pending.len());
-                for (at, seq) in pending {
-                    w.put(&at);
-                    w.put(&seq);
-                    w.put(&events[&seq]);
-                }
-                w.put(&queue.reserve(0));
-                w.put(&queue.processed());
-                w.put(queue.processed_by_kind());
-                w.put(&queue.max_occupancy());
-                prop_assert_eq!(&image, &w.finish());
-                let mut r = CkptReader::new(&image).expect("magic");
-                queue = Scheduler::load(&mut r).expect("own image");
-                prop_assert_eq!(r.remaining(), 0);
-                prop_assert_eq!(&save(&queue), &image);
+        let mut horizon = 0;
+        for round in 0..rounds {
+            horizon += step;
+            e.run(horizon, 8, 4, 6)?;
+            if round == save_at {
+                e.save_and_resume()?;
             }
         }
-        let rest: Vec<(u64, Event)> = std::iter::from_fn(|| queue.pop()).collect();
-        let mut expect: Vec<Key> = heap.into_iter().map(|key| key.0).collect();
-        expect.sort_unstable();
-        prop_assert_eq!(rest, expect.iter().map(|&(at, seq)| (at, events[&seq])).collect::<Vec<_>>());
-        prop_assert_eq!(queue.processed(), events.len() as u64);
-        for (kind, &n) in queue.processed_by_kind().iter().enumerate() {
-            prop_assert_eq!(n, events.values().filter(|e| e.kind_idx() == kind).count() as u64);
-        }
+        e.finish()?;
     }
 
     /// Seed derivation: deterministic, and distinct streams disagree.

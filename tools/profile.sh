@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Where the benchmark binary's CPU time goes, by symbol and by layer, without
+# Where the benchmark binary's CPU time goes, by layer, source file and symbol, without
 # perf: build tools/profile/sampler.c, run one untraced workload of the
 # release benchmark binary under it, symbolise the samples.
 #   usage: tools/profile.sh <workload> [--stacks] [--seconds S] [--seed N] [--out DIR]
 # --stacks records call stacks (inclusive shares, the set-up phase) instead
-# of the interrupted PC alone. Writes <workload>.profile.txt (the table, also
-# printed) and <workload>.profile.raw beside results.json in DIR (default
-# benchmark/out). Needs a C compiler; without one it says so and exits 0.
+# of the interrupted PC alone. Writes <workload>.profile.txt (the tables,
+# also printed) and <workload>.profile.raw beside results.json in DIR
+# (default benchmark/out). The binary is built with line tables, in
+# <target dir>/profile, for the by-source-file table. Needs a C compiler;
+# without one it says so and exits 0.
 set -euo pipefail
 
 usage() {
-    sed -n '2,9p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,11p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 
@@ -36,6 +38,10 @@ if ! command -v cc > /dev/null; then
     echo "tools/profile.sh: no C compiler (cc) here; skipping the profile"
     exit 0
 fi
+# The by-file table needs line tables, which make a different binary: it
+# is built in a target directory of its own, beside the one run.sh uses.
+export CARGO_PROFILE_RELEASE_DEBUG=line-tables-only
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$tools/../target/benchmark}/profile"
 # shellcheck source=../benchmark/env.sh
 source "$tools/../benchmark/env.sh"
 out="${out:-$here/out}"

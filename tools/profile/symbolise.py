@@ -12,7 +12,14 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   for every other workspace crate, `libm` / `libc` by shared object,
   `std` for the Rust runtime, and — inclusive only, since it is a phase
   rather than a place — `set-up`, every sample taken under
-  `cmap_benchmark::workload` (scenario and world construction).
+  `cmap_benchmark::workload` (scenario and world construction);
+* self share by source file: each sample goes to the file of its
+  innermost inlined frame (`addr2line -i`), so code inlined into its
+  caller (the queue into `World::run_until`) still counts as its own;
+  std's inlined code (a heap's sift, `ptr` moves, `cmp`) counts for the
+  frame that called it, and a std function compiled on its own (a sift
+  that was not inlined) for its own file. It needs line tables in the
+  binary; a file without them is one `[<file name>]` row.
 
 Symbols come from `nm -C` on each mapped file (`nm -D` as well, for the
 stripped system libraries). Standard library only.
@@ -86,6 +93,44 @@ class Image:
         return "[%s]" % self.path.rsplit("/", 1)[-1]
 
 
+def source_files(path, addrs):
+    """The source file each of `addrs` (link-time addresses in `path`)
+    executes, by address: that of its innermost inlined frame, where std's
+    inlined code (heap sifts, `ptr`, `cmp`, `Vec` indexing) counts for the
+    frame that called it, and a std function not inlined anywhere for
+    itself; `None` where `path` has no line table for it."""
+    if not addrs:
+        return {}
+    try:
+        out = subprocess.run(
+            ["addr2line", "-a", "-i", "-e", path],
+            input="\n".join("%x" % a for a in addrs),
+            capture_output=True, text=True, check=False).stdout
+    except OSError:
+        return {}
+    chains, current = {}, None
+    for line in out.splitlines():
+        if line.startswith("0x"):
+            current = chains.setdefault(int(line, 16), [])
+        elif current is not None and not line.startswith("??"):
+            current.append(line.rsplit(":", 1)[0])
+    return {
+        addr: short_path(next((f for f in chain if "/library/" not in f), chain[-1]))
+        for addr, chain in chains.items() if chain
+    }
+
+
+def short_path(name):
+    """A source path from the workspace, the benchmark, std or a vendored
+    crate, without the checkout's or the toolchain's prefix."""
+    roots = (("/crates/", ""), ("/benchmark/", "benchmark/"), ("/vendor/", "vendor/"),
+             ("/library/", "std/"))
+    for root, label in roots:
+        if root in name:
+            return label + name.rsplit(root, 1)[1]
+    return name
+
+
 def layer_of(symbol, path):
     base = path.rsplit("/", 1)[-1]
     if base.startswith("libm"):
@@ -131,16 +176,22 @@ def main():
     starts = [lo for lo, _, _ in maps]
     images = {}
 
-    def resolve(pc, caller):
-        # A return address points past its call; step back into it.
-        i = bisect.bisect_right(starts, pc - caller) - 1
-        if i < 0 or pc - caller >= maps[i][1]:
-            return "[unmapped]", "other"
+    def image_of(pc):
+        i = bisect.bisect_right(starts, pc) - 1
+        if i < 0 or pc >= maps[i][1]:
+            return None
         path = maps[i][2]
         if path not in images:
             images[path] = Image(path, first_start[path])
-        sym = images[path].lookup(pc - caller)
-        return sym, layer_of(sym, path)
+        return images[path]
+
+    def resolve(pc, caller):
+        # A return address points past its call; step back into it.
+        image = image_of(pc - caller)
+        if image is None:
+            return "[unmapped]", "other"
+        sym = image.lookup(pc - caller)
+        return sym, layer_of(sym, image.path)
 
     self_sym, incl_sym = collections.Counter(), collections.Counter()
     self_layer, incl_layer = collections.Counter(), collections.Counter()
@@ -169,7 +220,26 @@ def main():
             incl = "%8.1f" % (100.0 * incl_c[k] / n) if stacks else " " * 8
             print("%8.1f %s  %s" % (100.0 * self_c[k] / n, incl, k))
 
+    # Each sample's own PC by the file of its innermost inlined frame.
+    leaves = collections.defaultdict(collections.Counter)
+    for stack in samples:
+        image = image_of(stack[0])
+        if image is not None:
+            leaves[image][stack[0] - image.bias] += 1
+    self_file = collections.Counter()
+    for image, addrs in leaves.items():
+        files = source_files(image.path, sorted(addrs))
+        for addr, count in addrs.items():
+            self_file[files.get(addr) or "[%s]" % image.path.rsplit("/", 1)[-1]] += count
+    unmapped = n - sum(self_file.values())
+    if unmapped:
+        self_file["[unmapped]"] = unmapped
+
     table("by layer", self_layer, incl_layer, 100)
+    print("\nby source file (top %d, innermost inlined frame)" % top)
+    print("%8s %8s  %s" % ("self %", "", "file"))
+    for k, c in self_file.most_common(top):
+        print("%8.1f %8s  %s" % (100.0 * c / n, "", k))
     table("by symbol (top %d by self share)" % top, self_sym, incl_sym, top)
     if stacks:
         print("\nby symbol (top %d by inclusive share)" % top)
