@@ -1,7 +1,7 @@
 //! A minimal std-only JSON value type with a parser and renderer.
 //!
-//! Used by the suppression baseline, the `--json` report and the SARIF
-//! writer. Numbers are kept as `i64`/`f64`; object keys keep insertion
+//! The `--json` report and the SARIF writer render through it; the tests
+//! read both back through [`parse`]. Numbers are kept as `i64`/`f64`; object keys keep insertion
 //! order (a `Vec` of pairs) so rendered output is deterministic and
 //! diff-friendly.
 

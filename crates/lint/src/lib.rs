@@ -7,14 +7,13 @@
 //! `clippy.toml`, owns every hazard a resolved path names: hash-ordered
 //! containers, wall-clock time, ad-hoc threads, environment reads, and
 //! bare `unwrap` in the hot paths. This tool owns the rest. There is one
-//! pipeline, [`analyze::analyze`]: walk the roots, build a token scan and
-//! a symbol model per file, run the whole-program flow rules, audit stale
-//! pragmas, split through the suppression baseline. It runs two layers of
-//! rules.
+//! pipeline, [`analyze::analyze`]: walk the roots, scan each file, audit
+//! stale pragmas.
 //!
-//! **Token layer** (this module): a per-file lexer enforcing three rules
-//! (R1, R2 and R6 were token rules for hazards clippy now owns; their
-//! numbers are not reused):
+//! The scan is a per-file lexer enforcing three rules (R1, R2 and R6 were
+//! token rules for hazards clippy now owns; R7–R10 were interprocedural
+//! flow rules that never found a defect and were retired; no number is
+//! reused):
 //!
 //! * **R3 `float-cmp`** — `==`/`!=` against float literals, and NaN-prone
 //!   `partial_cmp()` chains, in SINR/BER arithmetic. Use epsilon
@@ -28,29 +27,8 @@
 //!   outside the sanctioned conversion modules (`phy::units`, `phy::rate`,
 //!   `sim::time`, `sim::event`). Route through the unit helpers.
 //!
-//! **Symbol layer** (the [`model`] + [`flow`] modules, orchestrated by
-//! [`analyze`]): the whole workspace is parsed into a lightweight
-//! item/symbol model — functions, signatures, call edges by name
-//! resolution, statics — and four flow-sensitive interprocedural rules run
-//! on top:
-//!
-//! * **R7 `det-taint`** — wall-clock/entropy/parallelism-derived values may
-//!   not flow (through locals, returns and call edges) into deterministic
-//!   code or artifact-bearing sinks. The `timing` block is the one
-//!   sanctioned exception.
-//! * **R8 `unit-flow`** — `ns`/`us`/`ms`/`slots`/`dBm`/`mW`-bearing values
-//!   tracked through arithmetic and call boundaries; mixed-unit additive
-//!   expressions and unit-mismatched arguments are flagged even when the
-//!   units travel through helper returns R5's cast rule cannot see.
-//! * **R9 `shared-state`** — `static` atomics / `static mut` /
-//!   interior-mutable statics outside the executor crate, and any
-//!   shared-state-derived value that can reach artifact bytes.
-//! * **R10 `panic-reach`** — a call chain from an event-loop hot path into
-//!   `panic!`/bare `.unwrap()` in a callee outside the hot paths, which a
-//!   per-line check cannot connect.
-//!
 //! A justified exception is written as a pragma comment on the offending
-//! line (or on a comment line directly above it):
+//! line (or on a comment line directly above it), in this one spelling:
 //!
 //! ```text
 //! // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count
@@ -61,11 +39,9 @@
 //! a rule that does not exist, is reported (**`stale-pragma`**) — dead
 //! suppressions rot the audit trail.
 //!
-//! Neither layer is a type checker. The token layer strips comments and
-//! string literals and tracks `#[cfg(test)] mod` regions by brace depth;
-//! the symbol layer resolves calls across the whole workspace, by name.
-//! Both are deliberately conservative and cheap: the workspace analyzes in
-//! about 0.2 s with no dependencies beyond `std`.
+//! The lexer is not a type checker: it strips comments and string
+//! literals and tracks `#[cfg(test)] mod` regions by brace depth. It is
+//! deliberately conservative and cheap, with no dependencies beyond `std`.
 
 use std::fmt;
 use std::fs;
@@ -75,14 +51,10 @@ use std::path::{Path, PathBuf};
 use jsonv::{int, obj, s, Val};
 
 pub mod analyze;
-pub mod baseline;
-pub mod flow;
 pub mod jsonv;
-pub mod model;
 pub mod sarif;
 
-/// The enforced invariants: three token-layer rules, four interprocedural
-/// symbol-layer rules, and the pragma-hygiene rule.
+/// The enforced invariants: three token rules and the pragma-hygiene rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// R3: float equality / NaN-prone comparison chains.
@@ -91,16 +63,6 @@ pub enum Rule {
     PanicBudget,
     /// R5: raw unit-bearing casts outside conversion modules.
     UnitCast,
-    /// R7: wall-clock/entropy-derived values flowing into deterministic
-    /// code or artifact sinks through call edges.
-    DetTaint,
-    /// R8: mixed-unit arithmetic or unit-mismatched call arguments.
-    UnitFlow,
-    /// R9: interior-mutable statics outside the executor, or shared-state
-    /// values reaching artifact bytes.
-    SharedState,
-    /// R10: a hot-path call chain reaching `panic!`/bare `.unwrap()`.
-    PanicReach,
     /// A justified pragma that suppresses zero findings or names an
     /// unknown rule.
     StalePragma,
@@ -108,14 +70,10 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in R-number + stale-pragma order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 4] = [
         Rule::FloatCmp,
         Rule::PanicBudget,
         Rule::UnitCast,
-        Rule::DetTaint,
-        Rule::UnitFlow,
-        Rule::SharedState,
-        Rule::PanicReach,
         Rule::StalePragma,
     ];
 
@@ -125,10 +83,6 @@ impl Rule {
             Rule::FloatCmp => "float-cmp",
             Rule::PanicBudget => "panic-budget",
             Rule::UnitCast => "unit-cast",
-            Rule::DetTaint => "det-taint",
-            Rule::UnitFlow => "unit-flow",
-            Rule::SharedState => "shared-state",
-            Rule::PanicReach => "panic-reach",
             Rule::StalePragma => "stale-pragma",
         }
     }
@@ -139,10 +93,6 @@ impl Rule {
             Rule::FloatCmp => "exact float comparison or NaN-prone ordering",
             Rule::PanicBudget => "undocumented panic in a simulator hot path",
             Rule::UnitCast => "raw unit-bearing cast outside conversion modules",
-            Rule::DetTaint => "wall-clock/entropy-derived value flows into deterministic code or an artifact sink",
-            Rule::UnitFlow => "mixed physical units across arithmetic or a call boundary",
-            Rule::SharedState => "interior-mutable static outside the executor, or shared state reaching artifact bytes",
-            Rule::PanicReach => "hot-path call chain reaches panic!/unwrap in a callee",
             Rule::StalePragma => "suppression pragma that silences zero findings or names no rule",
         }
     }
@@ -218,25 +168,15 @@ pub(crate) fn violation_to_val(v: &Violation) -> Val {
 /// skipped. All matching is by substring of the `/`-normalised path.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Paths whose code must be deterministic (R3/R5/R7a/R8 scope).
+    /// Paths whose code must be deterministic (R3/R5 scope).
     pub det_markers: Vec<String>,
-    /// Hot paths with a panic budget (R4/R10 scope).
+    /// Hot paths with a panic budget (R4 scope).
     pub hot_markers: Vec<String>,
     /// Sanctioned unit-conversion modules (R5 exempt).
     pub unit_cast_allowed: Vec<String>,
     /// Never scanned when reached by directory walking (still scanned when
     /// named explicitly as a root — how the fixture self-tests run).
     pub skip_markers: Vec<String>,
-    /// Artifact-bearing sink names (function or struct-literal names):
-    /// report writers and snapshot serializers. A taint or
-    /// shared-state value reaching one of these is an R7/R9 finding.
-    pub taint_sinks: Vec<String>,
-    /// Sanctioned exception sinks: wall-clock-derived values are allowed
-    /// here by design (the `timing` block).
-    pub sanctioned_sinks: Vec<String>,
-    /// Modules allowed to declare interior-mutable statics (R9 exempt):
-    /// the executor's supervision counters.
-    pub shared_state_allowed: Vec<String>,
 }
 
 impl Default for Config {
@@ -263,17 +203,6 @@ impl Default for Config {
                 "crates/sim/src/event.rs",
             ]),
             skip_markers: v(&["/target/", "/vendor/", "crates/lint/tests/fixtures"]),
-            taint_sinks: v(&[
-                // Run/suite report writers and their metric entry point.
-                "RunReport",
-                "SuiteReport",
-                "metric",
-                // Deterministic snapshots compared byte-for-byte in tests.
-                "snapshot",
-                "Snapshot",
-            ]),
-            sanctioned_sinks: v(&["TimingBlock"]),
-            shared_state_allowed: v(&["crates/exec/src"]),
         }
     }
 }
@@ -290,7 +219,7 @@ impl Config {
 /// `../../tests/a.rs` are one file). Such code is not simulation state.
 /// The fixtures directory is exempt from this exemption so the self-tests
 /// exercise every rule.
-pub(crate) fn is_test_path(path: &str) -> bool {
+fn is_test_path(path: &str) -> bool {
     let has = |dir: &str| path.split('/').any(|c| c == dir);
     (has("tests") || has("benches")) && !has("fixtures")
 }
@@ -321,82 +250,28 @@ struct Pragma {
     /// Names in the allow list that are no rule's code.
     unknown: Vec<String>,
     has_reason: bool,
-    /// Whether the pragma's line has no code of its own (applies to the
-    /// next code line instead).
-    standalone: bool,
     line: usize,
-}
-
-/// A justified pragma, as seen by the symbol layer and the stale-pragma
-/// check: which rules it allows, which line it sits on, and the lines it
-/// silences.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PragmaSummary {
-    /// 1-based line of the pragma comment.
-    pub line: usize,
-    /// Rules the pragma allows.
-    pub rules: Vec<Rule>,
-    /// The lines this pragma silences (its own line and, for standalone
-    /// pragmas, the next code line).
-    pub targets: Vec<usize>,
-}
-
-/// The token-layer scan of one file, with everything the symbol layer and
-/// the stale-pragma audit need later.
-#[derive(Debug, Clone, Default)]
-pub struct FileScan {
-    /// Token-layer findings, pragma suppression already applied.
-    pub violations: Vec<Violation>,
-    /// All justified pragmas in the file.
-    pub pragmas: Vec<PragmaSummary>,
-    /// `(pragma_line, rule)` pairs that suppressed at least one
-    /// token-layer finding.
-    pub used_pragmas: Vec<(usize, Rule)>,
-}
-
-impl FileScan {
-    /// Whether a symbol-layer finding at `line` for `rule` is silenced by
-    /// a pragma; records the use so the pragma is not reported stale.
-    pub fn allows(&self, line: usize, rule: Rule) -> Option<usize> {
-        allowing(&self.pragmas, line, rule)
-    }
-}
-
-/// The line of the first pragma among `pragmas` that silences `rule` at
-/// `line`.
-fn allowing(pragmas: &[PragmaSummary], line: usize, rule: Rule) -> Option<usize> {
-    pragmas
-        .iter()
-        .find(|p| p.rules.contains(&rule) && p.targets.contains(&line))
-        .map(|p| p.line)
+    /// The lines this pragma silences: its own and, when its line has no
+    /// code of its own, the next code line.
+    targets: Vec<usize>,
 }
 
 /// Per-line lexed form of a file.
-pub(crate) struct Lexed {
+struct Lexed {
     /// Code with comments and literal contents blanked, one per line.
-    pub(crate) code: Vec<String>,
+    code: Vec<String>,
     /// Comment text per line (for pragma parsing).
-    pub(crate) comments: Vec<String>,
+    comments: Vec<String>,
     /// Raw lines (for snippets).
-    pub(crate) raw: Vec<String>,
+    raw: Vec<String>,
 }
 
-/// Scan a single file's source text. `path` is used for scoping and for
-/// the `path` field of the produced violations.
+/// Scan a single file's source text, stale pragmas included. `path` is
+/// used for scoping and for the `path` field of the produced violations.
 pub fn scan_source(path: &str, source: &str, cfg: &Config) -> Vec<Violation> {
-    scan_file(path, source, cfg).violations
-}
-
-/// Token-layer scan returning the full [`FileScan`] (findings plus pragma
-/// bookkeeping for the symbol layer).
-pub fn scan_file(path: &str, source: &str, cfg: &Config) -> FileScan {
     let lexed = lex(source);
-    scan_lexed(path, &lexed, cfg)
-}
-
-fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
     let in_test = test_regions(&lexed.code);
-    let pragmas = collect_pragmas(lexed);
+    let pragmas = collect_pragmas(&lexed);
 
     let det = Config::matches(&cfg.det_markers, path);
     let hot = Config::matches(&cfg.hot_markers, path);
@@ -440,31 +315,13 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
         }
     }
 
-    let summaries: Vec<PragmaSummary> = pragmas
+    let justified: Vec<&Pragma> = pragmas.iter().filter(|p| p.has_reason).collect();
+    let mut used: Vec<(usize, Rule)> = Vec::new();
+    let mut emit = |line: usize, rule: Rule, message: String, fix: Option<Fix>| match justified
         .iter()
-        .filter(|p| p.has_reason)
-        .map(|p| {
-            let mut targets = vec![p.line];
-            if p.standalone {
-                // Applies to the next line with actual code.
-                let mut rest = lexed.code.iter().skip(p.line);
-                if let Some(j) = rest.position(|c| !c.trim().is_empty()) {
-                    targets.push(p.line + j + 1);
-                }
-            }
-            PragmaSummary {
-                line: p.line,
-                rules: p.rules.clone(),
-                targets,
-            }
-        })
-        .collect();
-
-    let mut used_pragmas: Vec<(usize, Rule)> = Vec::new();
-    let mut emit = |line: usize, rule: Rule, message: String, fix: Option<Fix>| match allowing(
-        &summaries, line, rule,
-    ) {
-        Some(pragma_line) => used_pragmas.push((pragma_line, rule)),
+        .find(|p| p.rules.contains(&rule) && p.targets.contains(&line))
+    {
+        Some(pragma) => used.push((pragma.line, rule)),
         None => report(line, rule, message, fix),
     };
 
@@ -538,11 +395,20 @@ fn scan_lexed(path: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
         }
     }
 
-    FileScan {
-        violations: out,
-        pragmas: summaries,
-        used_pragmas,
+    // A justified pragma that silenced nothing is stale.
+    for p in justified {
+        for &rule in &p.rules {
+            if rule != Rule::StalePragma && !used.contains(&(p.line, rule)) {
+                let message = format!(
+                    "allow({}) suppresses zero findings; remove the stale \
+                     pragma (dead suppressions rot the audit trail)",
+                    rule.code()
+                );
+                report(p.line, Rule::StalePragma, message, None);
+            }
+        }
     }
+    out
 }
 
 /// The span of an `.expect("...")` whose string is empty or
@@ -573,7 +439,7 @@ fn empty_expect_span(code: &str, raw: &str) -> Option<(usize, usize)> {
 // Lexing: blank comments and literal contents, preserve line structure.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn lex(source: &str) -> Lexed {
+fn lex(source: &str) -> Lexed {
     #[derive(PartialEq)]
     enum State {
         Code,
@@ -752,7 +618,7 @@ pub(crate) fn lex(source: &str) -> Lexed {
 
 /// `in_test[i]` is true when line `i+1` is inside a `#[cfg(test)] mod`
 /// region (tracked by brace depth).
-pub(crate) fn test_regions(code: &[String]) -> Vec<bool> {
+fn test_regions(code: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; code.len()];
     let mut depth: i64 = 0;
     let mut pending_cfg_test = false;
@@ -769,6 +635,12 @@ pub(crate) fn test_regions(code: &[String]) -> Vec<bool> {
             && line.contains('{');
         if starts_mod {
             test_depth = Some(depth);
+        }
+        // The attribute carries over blank lines and further attributes
+        // only: a `#[cfg(test)]` on a `fn`, `use` or `impl` opens no
+        // region, or the file's next ordinary module would pass as test.
+        let attribute_only = compact.starts_with("#[") && compact.ends_with(']');
+        if starts_mod || !(compact.is_empty() || attribute_only) {
             pending_cfg_test = false;
         }
         if test_depth.is_some() {
@@ -804,16 +676,13 @@ fn collect_pragmas(lexed: &Lexed) -> Vec<Pragma> {
         if comment.starts_with('/') || comment.starts_with('!') {
             continue;
         }
-        // Both spellings are accepted: `cmap-lint:` predates the symbol
-        // layer and appears throughout the workspace.
-        let Some((pos, tag)) = ["cmap-lint:", "cmap-analyze:"]
-            .into_iter()
-            .find_map(|tag| comment.find(tag).map(|pos| (pos, tag)))
-        else {
+        // One spelling: any other tag is an ordinary comment and
+        // suppresses nothing.
+        const TAG: &str = "cmap-lint:";
+        let Some(pos) = comment.find(TAG) else {
             continue;
         };
-        let rest = &comment[pos + tag.len()..];
-        let rest = rest.trim_start();
+        let rest = comment[pos + TAG.len()..].trim_start();
         let Some(rest) = rest.strip_prefix("allow(") else {
             continue;
         };
@@ -834,87 +703,23 @@ fn collect_pragmas(lexed: &Lexed) -> Vec<Pragma> {
             .trim_start_matches(['—', '–', '-', ':', ' '])
             .trim();
         let has_reason = after.len() >= 3;
-        let standalone = lexed.code[i].trim().is_empty();
+        let mut targets = vec![i + 1];
+        if lexed.code[i].trim().is_empty() {
+            // A standalone pragma applies to the next line with code.
+            let mut rest = lexed.code.iter().skip(i + 1);
+            if let Some(j) = rest.position(|c| !c.trim().is_empty()) {
+                targets.push(i + j + 2);
+            }
+        }
         out.push(Pragma {
             rules,
             unknown,
             has_reason,
-            standalone,
             line: i + 1,
+            targets,
         });
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Identifier helpers (shared with the symbol model).
-// ---------------------------------------------------------------------------
-
-pub(crate) fn last_ident(text: &str) -> Option<String> {
-    let trimmed = text.trim_end();
-    let end = trimmed.len();
-    let start = trimmed
-        .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .map_or(0, |i| i + c_len(trimmed, i));
-    let ident = &trimmed[start..end];
-    if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_numeric()) {
-        None
-    } else {
-        Some(ident.to_string())
-    }
-}
-
-pub(crate) fn c_len(s: &str, i: usize) -> usize {
-    s[i..].chars().next().map_or(1, |c| c.len_utf8())
-}
-
-/// Position of `word` appearing as a standalone word.
-pub(crate) fn find_word(code: &str, word: &str) -> Option<usize> {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(word) {
-        let abs = start + pos;
-        start = abs + word.len();
-        let before_ok = abs == 0
-            || !code[..abs]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after = &code[abs + word.len()..];
-        let after_ok = !after
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(abs);
-        }
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// Wall-clock / entropy tokens: R7's taint sources in the symbol model.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn wall_clock_token(code: &str, raw: &str) -> Option<&'static str> {
-    const TOKENS: [&str; 6] = [
-        "Instant::now",
-        "std::time::Instant",
-        "SystemTime",
-        "thread_rng",
-        "from_entropy",
-        "rand::random",
-    ];
-    for t in TOKENS {
-        if code.contains(t) {
-            return Some(t);
-        }
-    }
-    // The variable name usually lives in a (stripped) string literal, so
-    // the seed heuristic reads the raw line.
-    if code.contains("env::var") && raw.to_ascii_lowercase().contains("seed") {
-        return Some("env::var(seed)");
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -961,6 +766,10 @@ fn operand_before(code: &str, op: usize) -> Option<String> {
         .map_or(0, |i| i + c_len(text, i));
     let tok = &text[start..end];
     (!tok.is_empty()).then(|| tok.to_string())
+}
+
+fn c_len(s: &str, i: usize) -> usize {
+    s[i..].chars().next().map_or(1, |c| c.len_utf8())
 }
 
 fn operand_after(code: &str, from: usize) -> Option<String> {
@@ -1047,7 +856,48 @@ fn unit_cast(code: &str) -> Option<(&'static str, String)> {
 
 #[cfg(test)]
 mod tests {
-    use super::{is_test_path, lex};
+    use super::{is_test_path, lex, scan_source, Config, Rule};
+
+    /// `(rule, line)` of every finding in `source`, scanned as a file of
+    /// the simulator.
+    fn sim_findings(source: &str) -> Vec<(Rule, usize)> {
+        scan_source("crates/sim/src/x.rs", source, &Config::default())
+            .iter()
+            .map(|v| (v.rule, v.line))
+            .collect()
+    }
+
+    #[test]
+    fn cfg_test_on_an_item_that_is_no_module_opens_no_region() {
+        let f = "mod inner {\n    pub fn f(x: f64) -> bool { x == 0.5 }\n}\n";
+        assert_eq!(sim_findings(f), vec![(Rule::FloatCmp, 2)]);
+        for item in ["fn helper() {}", "use std::fmt;", "impl S {}", "mod tests;"] {
+            let source = format!("#[cfg(test)]\n{item}\n{f}");
+            assert_eq!(sim_findings(&source), vec![(Rule::FloatCmp, 4)], "{item}");
+            let source = format!("#[cfg(test)] {item}\n{f}");
+            assert_eq!(sim_findings(&source), vec![(Rule::FloatCmp, 3)], "{item}");
+        }
+        // Blank lines, comments and further attributes carry it over.
+        let stacked = "#[cfg(test)]\n\n// note\n#[allow(clippy::float_cmp, reason = \"exact\")]\n\
+                       mod tests {\n    fn g(x: f64) -> bool { x == 0.5 }\n}\n";
+        assert_eq!(sim_findings(stacked), vec![]);
+        assert_eq!(
+            sim_findings(&format!("{stacked}{f}")),
+            vec![(Rule::FloatCmp, 9)]
+        );
+    }
+
+    #[test]
+    fn only_the_cmap_lint_spelling_suppresses() {
+        let pragma = |tag: &str| {
+            format!("fn f(x: f64) -> bool {{\n    x == 0.5 // {tag} allow(float-cmp) — exact sentinel\n}}\n")
+        };
+        assert_eq!(sim_findings(&pragma("cmap-lint:")), vec![]);
+        assert_eq!(
+            sim_findings(&pragma("cmap-analyze:")),
+            vec![(Rule::FloatCmp, 2)]
+        );
+    }
 
     #[test]
     fn a_string_continuation_keeps_its_line_break() {
@@ -1069,8 +919,8 @@ mod tests {
             assert!(is_test_path(path), "{path} is a test/bench target");
         }
         for path in [
-            "crates/lint/tests/fixtures/bad_shared_state.rs",
-            "tests/fixtures/bad_shared_state.rs",
+            "crates/lint/tests/fixtures/bad_float_cmp.rs",
+            "tests/fixtures/bad_float_cmp.rs",
             "crates/sim/src/tests_util.rs",
             "crates/sim/src/world.rs",
         ] {

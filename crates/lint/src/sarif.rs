@@ -1,10 +1,8 @@
 //! SARIF 2.1.0 output.
 //!
-//! One run, one driver (`cmap-analyze`), all eight rules in the driver
-//! metadata. Baseline-pinned findings are included as suppressed results
-//! (`suppressions[].kind = "external"` with the pin reason as
-//! justification) so SARIF viewers show the full audit trail. Suggested
-//! fixes map to `fixes[].artifactChanges` with 1-based SARIF columns.
+//! One run, one driver (`cmap-analyze`), all four rules in the driver
+//! metadata. Suggested fixes map to `fixes[].artifactChanges` with
+//! 1-based SARIF columns.
 //! The document contains no timestamps or absolute paths — it is
 //! byte-stable for a given analysis, which is what the golden snapshot
 //! test pins.
@@ -12,8 +10,8 @@
 use crate::jsonv::{int, obj, s, Val};
 use crate::{Rule, Violation};
 
-/// Render a SARIF 2.1.0 document from new and baseline-pinned findings.
-pub fn render(new: &[Violation], pinned: &[(Violation, String)]) -> String {
+/// Render a SARIF 2.1.0 document from the findings.
+pub fn render(violations: &[Violation]) -> String {
     let rules: Vec<Val> = Rule::ALL
         .into_iter()
         .map(|r| {
@@ -25,8 +23,7 @@ pub fn render(new: &[Violation], pinned: &[(Violation, String)]) -> String {
         })
         .collect();
 
-    let mut results: Vec<Val> = new.iter().map(|v| result(v, None)).collect();
-    results.extend(pinned.iter().map(|(v, reason)| result(v, Some(reason))));
+    let results: Vec<Val> = violations.iter().map(result).collect();
 
     let driver = obj(vec![
         ("name", s("cmap-analyze")),
@@ -56,7 +53,7 @@ pub fn render(new: &[Violation], pinned: &[(Violation, String)]) -> String {
     .render_pretty()
 }
 
-fn result(v: &Violation, suppression_reason: Option<&str>) -> Val {
+fn result(v: &Violation) -> Val {
     let location = obj(vec![(
         "physicalLocation",
         obj(vec![
@@ -73,14 +70,7 @@ fn result(v: &Violation, suppression_reason: Option<&str>) -> Val {
 
     let mut pairs = vec![
         ("ruleId", s(v.rule.code())),
-        (
-            "level",
-            s(if suppression_reason.is_some() {
-                "note"
-            } else {
-                "error"
-            }),
-        ),
+        ("level", s("error")),
         ("message", obj(vec![("text", s(&v.message))])),
         ("locations", Val::Arr(vec![location])),
     ];
@@ -115,17 +105,6 @@ fn result(v: &Violation, suppression_reason: Option<&str>) -> Val {
         ));
     }
 
-    match suppression_reason {
-        Some(reason) => pairs.push((
-            "suppressions",
-            Val::Arr(vec![obj(vec![
-                ("kind", s("external")),
-                ("justification", s(reason)),
-            ])]),
-        )),
-        None => pairs.push(("suppressions", Val::Arr(Vec::new()))),
-    }
-
     obj(pairs)
 }
 
@@ -136,7 +115,7 @@ mod tests {
     use crate::Fix;
 
     #[test]
-    fn valid_json_with_suppressions_and_fixes() {
+    fn valid_json_with_fixes() {
         let v = Violation {
             path: "crates/sim/src/a.rs".to_string(),
             line: 7,
@@ -150,18 +129,7 @@ mod tests {
                 description: "document the invariant".to_string(),
             }),
         };
-        let pinned = (
-            Violation {
-                path: "crates/bench/src/b.rs".to_string(),
-                line: 3,
-                rule: Rule::DetTaint,
-                message: "wall clock into sink".to_string(),
-                snippet: "let t = now();".to_string(),
-                fix: None,
-            },
-            "perf artifact is non-deterministic by design".to_string(),
-        );
-        let doc = render(&[v], std::slice::from_ref(&pinned));
+        let doc = render(&[v]);
         let parsed = jsonv::parse(&doc).expect("valid JSON");
         assert_eq!(parsed.get("version").and_then(Val::as_str), Some("2.1.0"));
         let runs = parsed.get("runs").and_then(Val::as_arr).expect("runs");
@@ -169,16 +137,7 @@ mod tests {
             .get("results")
             .and_then(Val::as_arr)
             .expect("results");
-        assert_eq!(results.len(), 2);
-        // The pinned result carries its justification.
-        let sup = results[1]
-            .get("suppressions")
-            .and_then(Val::as_arr)
-            .expect("suppressions");
-        assert_eq!(
-            sup[0].get("justification").and_then(Val::as_str),
-            Some(pinned.1.as_str())
-        );
+        assert_eq!(results.len(), 1);
         // Fix columns are 1-based.
         let fixes = results[0]
             .get("fixes")

@@ -1,15 +1,12 @@
-//! Self-tests for the symbol layer: interprocedural rules R7–R10 (each
-//! with a bad fixture the token layer provably cannot catch and a clean
-//! twin), the stale-pragma audit, the golden SARIF snapshot, the clippy
-//! configuration that owns the path-named hazards, and the command line:
-//! the analyze-clean workspace gate runs the built binary from the repo
-//! root, exactly as CI does.
+//! Self-tests for the whole pipeline: the stale-pragma audit, the golden
+//! SARIF snapshot, the clippy configuration that owns the path-named
+//! hazards, and the command line: the analyze-clean workspace gate runs
+//! the built binary from the repo root, exactly as CI does.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use cmap_analyze::analyze::analyze;
-use cmap_analyze::baseline::Baseline;
 use cmap_analyze::jsonv::{self, Val};
 use cmap_analyze::{sarif, scan_source, Config, Rule};
 
@@ -17,107 +14,12 @@ fn fixture(name: &str) -> PathBuf {
     PathBuf::from(format!("tests/fixtures/{name}"))
 }
 
-/// Full-engine `(rule, line)` pairs for one fixture, sorted.
-fn flow_findings(name: &str) -> Vec<(Rule, usize)> {
-    let report = analyze(&[fixture(name)], &Config::default(), None).expect("fixture analyzes");
+/// Full-pipeline `(rule, line)` pairs for one fixture, sorted.
+fn findings(name: &str) -> Vec<(Rule, usize)> {
+    let report = analyze(&[fixture(name)], &Config::default()).expect("fixture analyzes");
     let mut v: Vec<(Rule, usize)> = report.violations.iter().map(|f| (f.rule, f.line)).collect();
     v.sort();
     v
-}
-
-/// Token-layer-only findings for the same fixture. The bad R7–R10
-/// fixtures must come back empty here: that is the proof the flow layer
-/// sees something the per-file lexer cannot.
-fn token_findings(name: &str) -> Vec<(Rule, usize)> {
-    let path = fixture(name);
-    let source = std::fs::read_to_string(&path).expect("fixture readable");
-    let found = scan_source(&path.to_string_lossy(), &source, &Config::default());
-    found.iter().map(|f| (f.rule, f.line)).collect()
-}
-
-// ---------------------------------------------------------------------------
-// R7 det-taint
-// ---------------------------------------------------------------------------
-
-#[test]
-fn det_taint_flows_through_helper() {
-    // The wall-clock call is clippy's and carries an `#[expect]`, so the
-    // token layer is silent — only call-graph taint connects `stamp` to
-    // the sink.
-    assert_eq!(token_findings("bad_det_taint.rs"), vec![]);
-    assert_eq!(
-        flow_findings("bad_det_taint.rs"),
-        vec![
-            (Rule::DetTaint, 12), // let started = stamp();
-            (Rule::DetTaint, 13), // metric("run_started_secs", started + run_id)
-        ]
-    );
-}
-
-#[test]
-fn det_taint_clean_twin_is_quiet() {
-    assert_eq!(flow_findings("clean_det_taint.rs"), vec![]);
-}
-
-// ---------------------------------------------------------------------------
-// R8 unit-flow
-// ---------------------------------------------------------------------------
-
-#[test]
-fn unit_mismatch_crosses_call_boundary() {
-    // No cast, no line with two unit suffixes: R5 has nothing to see.
-    assert_eq!(token_findings("bad_unit_flow.rs"), vec![]);
-    assert_eq!(
-        flow_findings("bad_unit_flow.rs"),
-        vec![(Rule::UnitFlow, 12)] // now_ns + wait (wait is us via backoff_us)
-    );
-}
-
-#[test]
-fn unit_flow_clean_twin_converts_first() {
-    assert_eq!(flow_findings("clean_unit_flow.rs"), vec![]);
-}
-
-// ---------------------------------------------------------------------------
-// R9 shared-state
-// ---------------------------------------------------------------------------
-
-#[test]
-fn shared_static_and_its_flow_into_sink() {
-    // The token layer has no rule for static items at all.
-    assert_eq!(token_findings("bad_shared_state.rs"), vec![]);
-    assert_eq!(
-        flow_findings("bad_shared_state.rs"),
-        vec![
-            (Rule::SharedState, 8),  // static DROPS: AtomicU64
-            (Rule::SharedState, 16), // metric("drops", drops) via drained()
-        ]
-    );
-}
-
-#[test]
-fn shared_state_clean_twin_threads_params() {
-    assert_eq!(flow_findings("clean_shared_state.rs"), vec![]);
-}
-
-// ---------------------------------------------------------------------------
-// R10 panic-reach
-// ---------------------------------------------------------------------------
-
-#[test]
-fn panic_in_callee_reaches_hot_caller() {
-    // The `panic!` lives in the callee; the caller's own lines are clean,
-    // so R4's per-line token search cannot connect them.
-    assert_eq!(token_findings("bad_panic_reach.rs"), vec![]);
-    assert_eq!(
-        flow_findings("bad_panic_reach.rs"),
-        vec![(Rule::PanicReach, 14)] // pick(values, 3)
-    );
-}
-
-#[test]
-fn panic_reach_clean_twin_handles_none() {
-    assert_eq!(flow_findings("clean_panic_reach.rs"), vec![]);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +29,7 @@ fn panic_reach_clean_twin_handles_none() {
 #[test]
 fn pragma_suppressing_nothing_is_reported() {
     assert_eq!(
-        flow_findings("stale_pragma.rs"),
+        findings("stale_pragma.rs"),
         vec![(Rule::StalePragma, 5)] // allow(float-cmp) over float-free code
     );
 }
@@ -143,13 +45,13 @@ fn justified_pragma_that_suppresses_is_not_stale() {
     let found = scan_source(&path.to_string_lossy(), &bare, &Config::default());
     let found: Vec<(Rule, usize)> = found.iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(found, vec![(Rule::UnitCast, 5), (Rule::FloatCmp, 10)]);
-    assert_eq!(flow_findings("pragma_ok.rs"), vec![]);
+    assert_eq!(findings("pragma_ok.rs"), vec![]);
 }
 
 #[test]
 fn empty_and_whitespace_expect_are_flagged() {
     assert_eq!(
-        token_findings("bad_empty_expect.rs"),
+        findings("bad_empty_expect.rs"),
         vec![(Rule::PanicBudget, 5), (Rule::PanicBudget, 9)]
     );
 }
@@ -165,22 +67,16 @@ fn empty_and_whitespace_expect_are_flagged() {
 #[test]
 fn golden_sarif_snapshot() {
     let report = analyze(
-        &[fixture("bad_unit_flow.rs"), fixture("bad_empty_expect.rs")],
+        &[fixture("bad_float_cmp.rs"), fixture("bad_empty_expect.rs")],
         &Config::default(),
-        None,
     )
     .expect("fixtures analyze");
-    let baseline = Baseline::parse(
-        r#"{"schema":"cmap-analyze-baseline/v1","entries":[
-            {"rule":"unit-flow","path":"tests/fixtures/bad_unit_flow.rs",
-             "snippet":"now_ns + wait",
-             "reason":"fixture pin exercising SARIF suppressions"}]}"#,
-    )
-    .expect("baseline parses");
-    let split = baseline.split(report.violations);
-    assert_eq!(split.new.len(), 2, "two empty-expect findings stay new");
-    assert_eq!(split.pinned.len(), 1, "the unit-flow finding is pinned");
-    let doc = sarif::render(&split.new, &split.pinned);
+    assert_eq!(
+        report.violations.len(),
+        5,
+        "three float comparisons, two empty expects"
+    );
+    let doc = sarif::render(&report.violations);
 
     let golden_path = PathBuf::from("tests/golden/analyze.sarif");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -200,46 +96,46 @@ fn golden_sarif_snapshot() {
 // The command line
 // ---------------------------------------------------------------------------
 
-/// Run the built binary from the repo root (integration tests start in
-/// the crate directory, two levels down), so it sees the path spellings
-/// and the default baseline that CI's invocation sees.
-fn run_cli(args: &[&str]) -> Output {
+/// Run the built binary from `dir`, relative to the crate directory
+/// integration tests start in.
+fn run_cli_in(dir: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cmap-analyze"))
-        .current_dir("../..")
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("cmap-analyze runs")
 }
 
-/// The real tree must stay analyze-clean: token rules, flow rules, and the
-/// stale-pragma audit together, filtered only through the checked-in
-/// baseline (whose every entry must also still match something). This is
-/// CI's command, so the gate and the command cannot disagree.
+/// Run the built binary from the repo root, two levels up, so it sees
+/// the path spellings CI's invocation sees.
+fn run_cli(args: &[&str]) -> Output {
+    run_cli_in("../..", args)
+}
+
+/// The real tree must stay analyze-clean: the token rules and the
+/// stale-pragma audit together, with nothing to filter them through.
+/// This is CI's command, so the gate and the command cannot disagree;
+/// from the crate directory it reaches the same verdict, since no input
+/// depends on the working directory.
 #[test]
 fn workspace_is_analyze_clean() {
-    let out = run_cli(&["crates/", "src/", "tests/"]);
-    let human = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "cmap-analyze found non-baselined findings:\n{human}"
-    );
-    assert!(
-        !human.contains("stale baseline entry"),
-        "baseline pins findings that no longer exist:\n{human}"
-    );
-    let summary = human.lines().last().expect("summary line");
-    let counts: Vec<usize> = summary
-        .split(|c: char| !c.is_ascii_digit())
-        .filter_map(|n| n.parse().ok())
-        .collect();
-    let [_new, baselined, files] = counts[..] else {
-        panic!("unexpected summary line: {summary}");
-    };
-    assert!(
-        baselined > 0,
-        "baseline should pin the two wall-time-into-timing-block flows: {summary}"
-    );
-    assert!(files > 50, "walk looks truncated: {summary}");
+    let from_root = run_cli(&["crates/", "src/", "tests/"]);
+    let from_crate = run_cli_in(".", &["../../crates/", "../../src/", "../../tests/"]);
+    for out in [&from_root, &from_crate] {
+        let human = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "cmap-analyze found findings:\n{human}"
+        );
+        let summary = human.lines().last().expect("summary line");
+        let files: usize = summary
+            .strip_prefix("cmap-analyze: 0 new finding(s), ")
+            .and_then(|rest| rest.strip_suffix(" file(s) scanned"))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected summary line: {summary}"));
+        assert!(files > 50, "walk looks truncated: {summary}");
+    }
+    assert_eq!(from_root.stdout, from_crate.stdout);
 }
 
 /// The hazards a resolved path names are clippy's, not this tool's: the
@@ -319,25 +215,34 @@ fn json_findings(out: &Output) -> Vec<(String, i64, String)> {
 }
 
 /// Whether a file is test code must not depend on how its root was
-/// spelled: `tests/` and `./tests` are the same directory.
+/// spelled: `tests/` and `./tests` are the same directory. A named
+/// fixture keeps the compared list non-empty.
 #[test]
 fn findings_do_not_depend_on_root_spelling() {
-    let plain = run_cli(&["--json", "--no-baseline", "crates/", "src/", "tests/"]);
-    let dotted = run_cli(&["--json", "--no-baseline", "./crates", "./src", "./tests"]);
-    assert_eq!(plain.status.code(), dotted.status.code());
+    let fixture = "crates/lint/tests/fixtures/bad_unit_cast.rs";
+    let dotted_fixture = format!("./{fixture}");
+    let plain = run_cli(&["--json", fixture, "crates/", "src/", "tests/"]);
+    let dotted = run_cli(&["--json", &dotted_fixture, "./crates", "./src", "./tests"]);
+    assert_eq!(plain.status.code(), Some(1));
+    assert_eq!(dotted.status.code(), Some(1));
     let findings = json_findings(&plain);
-    assert!(
-        !findings.is_empty(),
-        "the baselined flows are findings here"
-    );
+    assert_eq!(findings.len(), 2, "{findings:?}");
     assert_eq!(findings, json_findings(&dotted));
 }
 
-/// The incremental cache, the parse fan-out and the stats file are gone;
-/// their options are unknown options now: usage on stderr, exit 2.
+/// The incremental cache, the parse fan-out, the stats file and the
+/// suppression baseline are gone; their options are unknown options now:
+/// usage on stderr, exit 2.
 #[test]
 fn removed_options_are_usage_errors() {
-    for option in ["--cache", "--jobs", "--stats-out"] {
+    for option in [
+        "--cache",
+        "--jobs",
+        "--stats-out",
+        "--baseline",
+        "--no-baseline",
+        "--write-baseline",
+    ] {
         let out = run_cli(&[option, "x", "crates/"]);
         assert_eq!(out.status.code(), Some(2), "{option}");
         let err = String::from_utf8_lossy(&out.stderr);

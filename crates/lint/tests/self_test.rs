@@ -11,7 +11,7 @@ use cmap_analyze::{Config, Rule};
 /// Analyze one fixture and return its `(rule, line)` pairs, sorted.
 fn findings(fixture: &str) -> Vec<(Rule, usize)> {
     let root = PathBuf::from(format!("tests/fixtures/{fixture}"));
-    let report = analyze(&[root], &Config::default(), None).expect("fixture readable");
+    let report = analyze(&[root], &Config::default()).expect("fixture readable");
     let mut v: Vec<(Rule, usize)> = report.violations.iter().map(|f| (f.rule, f.line)).collect();
     v.sort();
     v
@@ -65,7 +65,7 @@ fn pragma_without_reason_is_flagged_and_silences_nothing() {
 #[test]
 fn pragma_naming_an_unknown_rule_is_reported() {
     let root = PathBuf::from("tests/fixtures/unknown_pragma.rs");
-    let report = analyze(&[root], &Config::default(), None).expect("fixture readable");
+    let report = analyze(&[root], &Config::default()).expect("fixture readable");
     let found: Vec<(Rule, usize, &str)> = report
         .violations
         .iter()
@@ -83,7 +83,7 @@ fn pragma_naming_an_unknown_rule_is_reported() {
 #[test]
 fn diagnostics_carry_file_and_line() {
     let root = PathBuf::from("tests/fixtures/bad_float_cmp.rs");
-    let report = analyze(&[root], &Config::default(), None).expect("fixture readable");
+    let report = analyze(&[root], &Config::default()).expect("fixture readable");
     let human = render_human(&report);
     assert!(human.contains("tests/fixtures/bad_float_cmp.rs:4: [float-cmp]"));
     let json = render_json(&report);

@@ -21,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-// cmap-analyze: allow(shared-state) — relaxed monotonic allocation meter for the benchmark; never read by simulation state
+// Relaxed monotonic allocation meter for the benchmark; never read by simulation state
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts allocation calls.

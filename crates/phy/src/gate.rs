@@ -116,7 +116,7 @@ impl DrawGate {
     /// The process-wide shared gate over [`BerTable::shared`], built on
     /// first use.
     pub fn shared() -> &'static DrawGate {
-        // cmap-analyze: allow(shared-state) — write-once immutable brackets of pure functions; cannot couple runs
+        // Write-once immutable brackets of pure functions; cannot couple runs
         static SHARED: OnceLock<DrawGate> = OnceLock::new();
         SHARED.get_or_init(|| DrawGate::build(BerTable::shared()))
     }

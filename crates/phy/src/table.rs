@@ -81,7 +81,7 @@ pub struct BerTable {
 impl BerTable {
     /// The process-wide shared table, built on first use.
     pub fn shared() -> &'static BerTable {
-        // cmap-analyze: allow(shared-state) — write-once immutable table of a pure function; cannot couple runs
+        // Write-once immutable table of a pure function; cannot couple runs
         static SHARED: OnceLock<BerTable> = OnceLock::new();
         SHARED.get_or_init(BerTable::build)
     }

@@ -446,7 +446,7 @@ impl World {
                 self.time = at;
             }
             match due {
-                // cmap-lint: allow(panic-reach) — the world files only timers, faults and audits; a transmission's events queue as its stream
+                // The world files only timers, faults and audits; a transmission's events queue as its stream
                 Due::Event(_, ev) => self.handle_event(ev),
                 Due::Stream { slot, .. } => carry = self.handle_stream(slot),
             }

@@ -7,7 +7,7 @@
 
 /// Lazily built 256-entry lookup table for the reflected IEEE polynomial.
 fn table() -> &'static [u32; 256] {
-    // cmap-analyze: allow(shared-state) — write-once memo of a pure function; every init races to identical bytes
+    // Write-once memo of a pure function; every init races to identical bytes
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     TABLE.get_or_init(|| {
         let mut table = [0u32; 256];
@@ -122,7 +122,7 @@ pub fn append_fill_and_crc(buf: &mut Vec<u8>, fill: u8, n: usize) {
     use std::cell::RefCell;
     use std::collections::BTreeMap;
     thread_local! {
-        // cmap-analyze: allow(shared-state) — per-thread memo of a pure function of the key; never observable in artifacts
+        // Per-thread memo of a pure function of the key; never observable in artifacts
         static TAILS: RefCell<BTreeMap<(u8, usize), ConstTail>> =
             const { RefCell::new(BTreeMap::new()) };
     }
