@@ -28,10 +28,10 @@ use cmap_obs::{
 use cmap_phy::Rate;
 use cmap_sim::time::{millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
-use cmap_stats::{mean, std_dev, Cdf};
+use cmap_stats::{mean, std_dev};
 use cmap_topo::{LinkMeasurements, Testbed};
 
-use crate::{banner, median_of, medians_line, render_cdfs, Cli, Effort};
+use crate::{banner, cdf_figure, median, median_of, render_cdfs, Cli, Effort};
 
 /// What one figure run produced: printable text, named metrics, and (for
 /// gating figures like the chaos soak) hard failures.
@@ -48,6 +48,13 @@ pub struct FigureOutput {
 }
 
 impl FigureOutput {
+    fn text(text: String) -> FigureOutput {
+        FigureOutput {
+            text,
+            ..FigureOutput::default()
+        }
+    }
+
     fn line(&mut self, s: impl AsRef<str>) {
         self.text.push_str(s.as_ref());
         self.text.push('\n');
@@ -584,20 +591,14 @@ fn calib(_cli: &Cli, spec: &Spec) -> FigureOutput {
 /// Fig 12 (§5.2): exposed terminals — CMAP's headline 2x gain.
 fn fig12(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let curves = exposed::fig12(spec);
-    let cs = median_of(&curves, "CS, acks");
-    let cmap = median_of(&curves, "CMAP");
-    let win1 = median_of(&curves, "CMAP, win=1");
-    let blast = median_of(&curves, "CS off, no acks");
-    let mut out = FigureOutput::default();
-    out.line(medians_line(&curves));
-    out.line(format!(
+    let [cs, cmap, win1, blast] =
+        ["CS, acks", "CMAP", "CMAP, win=1", "CS off, no acks"].map(|l| median_of(&curves, l));
+    let gain = format!(
         "median gain: CMAP/CS = {:.2}x (paper ~2x), win1/CS = {:.2}x (paper ~1.5x)",
         cmap / cs,
         win1 / cs
-    ));
-    out.line("");
-    out.text
-        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
+    );
+    let mut out = FigureOutput::text(cdf_figure(&curves, &[gain], 12.5));
     out.metric("median_cs_mbps", cs);
     out.metric("median_cmap_mbps", cmap);
     out.metric("median_win1_mbps", win1);
@@ -610,15 +611,9 @@ fn fig12(_cli: &Cli, spec: &Spec) -> FigureOutput {
 /// Fig 13 (§5.3): two senders in range — CMAP discriminates.
 fn fig13(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let curves = in_range::fig13(spec);
-    let cs = median_of(&curves, "CS, acks");
-    let cmap = median_of(&curves, "CMAP");
-    let mut out = FigureOutput::default();
-    out.line(medians_line(&curves));
-    out.line("");
-    out.text
-        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
-    out.metric("median_cs_mbps", cs);
-    out.metric("median_cmap_mbps", cmap);
+    let mut out = FigureOutput::text(cdf_figure(&curves, &[], 12.5));
+    out.metric("median_cs_mbps", median_of(&curves, "CS, acks"));
+    out.metric("median_cmap_mbps", median_of(&curves, "CMAP"));
     out
 }
 
@@ -656,17 +651,9 @@ fn fig14(_cli: &Cli, spec: &Spec) -> FigureOutput {
 /// Fig 15 (§5.5): hidden terminals — CMAP's backoff avoids degradation.
 fn fig15(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let curves = hidden::fig15(spec);
-    let cs = median_of(&curves, "CS, acks");
-    let cmap = median_of(&curves, "CMAP");
-    let mut out = FigureOutput::default();
-    out.line(medians_line(&curves));
-    out.line(format!(
-        "CMAP/CS median ratio: {:.2} (paper ~1.0)",
-        cmap / cs
-    ));
-    out.line("");
-    out.text
-        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 12.5, 26));
+    let [cs, cmap] = ["CS, acks", "CMAP"].map(|l| median_of(&curves, l));
+    let ratio = format!("CMAP/CS median ratio: {:.2} (paper ~1.0)", cmap / cs);
+    let mut out = FigureOutput::text(cdf_figure(&curves, &[ratio], 12.5));
     out.metric("median_cs_mbps", cs);
     out.metric("median_cmap_mbps", cmap);
     out.metric("ratio", cmap / cs);
@@ -753,20 +740,9 @@ fn fig17_18_ap(cli: &Cli, spec: &Spec) -> FigureOutput {
     out.line("");
     out.line("per-sender throughput across the AP experiments (Fig 18):");
     for c in &curves {
-        out.line(format!(
-            "{}: median {:.2} Mbit/s",
-            c.label,
-            Cdf::new(c.samples.clone()).median()
-        ));
+        out.line(format!("{}: median {:.2} Mbit/s", c.label, median(c)));
     }
-    let med = |l: &str| {
-        curves
-            .iter()
-            .find(|c| c.label == l)
-            .map(|c| Cdf::new(c.samples.clone()).median())
-            .unwrap_or(f64::NAN)
-    };
-    let (cs, cmap) = (med("CS, acks"), med("CMAP"));
+    let [cs, cmap] = ["CS, acks", "CMAP"].map(|l| median_of(&curves, l));
     out.line(format!(
         "CMAP/CS median ratio: {:.2}x (paper 1.8x)",
         cmap / cs
@@ -808,23 +784,18 @@ fn fig19(cli: &Cli, spec: &Spec) -> FigureOutput {
 /// Fig 20 (§5.8): exposed terminals at 6, 12 and 18 Mbit/s.
 fn fig20(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let curves = exposed::fig20(spec);
-    let mut out = FigureOutput::default();
-    out.line(medians_line(&curves));
-    let mut gains = Vec::new();
-    for mbps in [6u64, 12, 18] {
-        let med = |l: String| {
-            curves
-                .iter()
-                .find(|c| c.label == l)
-                .map(|c| Cdf::new(c.samples.clone()).median())
-        };
-        if let (Some(cs), Some(cmap)) = (med(format!("CS@{mbps}")), med(format!("CMAP@{mbps}"))) {
-            out.line(format!("@{mbps} Mbit/s: CMAP/CS = {:.2}x", cmap / cs));
-            out.metric(format!("at{mbps}_cs_mbps"), cs);
-            out.metric(format!("at{mbps}_cmap_mbps"), cmap);
-            out.metric(format!("at{mbps}_gain"), cmap / cs);
-            gains.push(cmap / cs);
-        }
+    let medians = [6u64, 12, 18].map(|mbps| {
+        let [cs, cmap] = ["CS", "CMAP"].map(|p| median_of(&curves, &format!("{p}@{mbps}")));
+        (mbps, cs, cmap)
+    });
+    let gains = medians.map(|(_, cs, cmap)| cmap / cs);
+    let notes =
+        medians.map(|(mbps, cs, cmap)| format!("@{mbps} Mbit/s: CMAP/CS = {:.2}x", cmap / cs));
+    let mut out = FigureOutput::text(cdf_figure(&curves, &notes, 25.0));
+    for (mbps, cs, cmap) in medians {
+        out.metric(format!("at{mbps}_cs_mbps"), cs);
+        out.metric(format!("at{mbps}_cmap_mbps"), cmap);
+        out.metric(format!("at{mbps}_gain"), cmap / cs);
     }
     // The smallest step down the ladder: negative where the gain rises.
     let step = gains
@@ -832,9 +803,6 @@ fn fig20(_cli: &Cli, spec: &Spec) -> FigureOutput {
         .map(|w| w[0] - w[1])
         .fold(f64::NAN, f64::min);
     out.metric("min_gain_step", step);
-    out.line("");
-    out.text
-        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 25.0, 26));
     out
 }
 

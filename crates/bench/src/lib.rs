@@ -253,27 +253,37 @@ pub(crate) fn render_cdfs(
 }
 
 /// One line of per-curve medians.
-pub(crate) fn medians_line(curves: &[Curve]) -> String {
+fn medians_line(curves: &[Curve]) -> String {
     curves
         .iter()
-        .map(|c| {
-            format!(
-                "{} median {:.2}",
-                c.label,
-                Cdf::new(c.samples.clone()).median()
-            )
-        })
+        .map(|c| format!("{} median {:.2}", c.label, median(c)))
         .collect::<Vec<_>>()
         .join(" | ")
 }
 
-/// Median of one labelled curve.
+/// Median of one curve.
+pub(crate) fn median(c: &Curve) -> f64 {
+    Cdf::new(c.samples.clone()).median()
+}
+
+/// Median of the curve labelled `label`; NaN if there is none.
 pub(crate) fn median_of(curves: &[Curve], label: &str) -> f64 {
-    let c = curves
+    curves
         .iter()
         .find(|c| c.label == label)
-        .unwrap_or_else(|| panic!("missing curve {label}"));
-    Cdf::new(c.samples.clone()).median()
+        .map_or(f64::NAN, median)
+}
+
+/// The text of a CDF figure (Figs 12, 13, 15, 20): the per-curve medians
+/// line, `notes`, a blank line and the CDF table over `[0, hi]` Mbit/s.
+pub(crate) fn cdf_figure(curves: &[Curve], notes: &[String], hi: f64) -> String {
+    let mut text = medians_line(curves) + "\n";
+    for note in notes {
+        text += note;
+        text.push('\n');
+    }
+    text.push('\n');
+    text + &render_cdfs("Mbit/s", curves, 0.0, hi, 26)
 }
 
 /// Standard figure preamble.

@@ -15,9 +15,11 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
+use cmap_sim::ckpt::CkptError;
 use cmap_sim::persist;
 use cmap_sim::time::Time;
 use cmap_wire::cmap::MAX_ACK_WINDOW;
+use cmap_wire::view::compose;
 use cmap_wire::MacAddr;
 
 /// One application data packet riding in a virtual packet.
@@ -31,7 +33,21 @@ pub struct DataPkt {
     pub payload_len: usize,
 }
 
-persist!(struct DataPkt { flow, flow_seq, payload_len });
+persist!(struct DataPkt { flow, flow_seq, payload_len }, validate DataPkt::check);
+
+impl DataPkt {
+    /// A restored packet fits a data frame's `u16` length field, as
+    /// `World::add_flow` requires of every flow.
+    fn check(&self) -> Result<(), CkptError> {
+        if self.payload_len > compose::MAX_PAYLOAD_LEN {
+            return Err(CkptError::Malformed(format!(
+                "data packet of {} payload bytes",
+                self.payload_len
+            )));
+        }
+        Ok(())
+    }
+}
 
 /// A transmitted virtual packet awaiting acknowledgement.
 #[derive(Debug, Clone)]

@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use crate::ckpt::CkptError;
 use crate::persist;
 use crate::world::{Flow, FlowKind, NodeId};
+use cmap_wire::view::compose;
 use cmap_wire::MacAddr;
 
 /// One application packet handed to a MAC.
@@ -28,7 +29,22 @@ pub struct AppPacket {
     pub payload_len: usize,
 }
 
-persist!(struct AppPacket { flow, flow_seq, dst, dst_mac, payload_len });
+persist!(struct AppPacket { flow, flow_seq, dst, dst_mac, payload_len },
+         validate AppPacket::check);
+
+impl AppPacket {
+    /// A restored packet fits a data frame's `u16` length field, as
+    /// [`World::add_flow`](crate::World::add_flow) requires of every flow.
+    fn check(&self) -> Result<(), CkptError> {
+        if self.payload_len > compose::MAX_PAYLOAD_LEN {
+            return Err(CkptError::Malformed(format!(
+                "app packet of {} payload bytes",
+                self.payload_len
+            )));
+        }
+        Ok(())
+    }
+}
 
 /// Per-node application state: which flows originate here and the queues of
 /// relay flows waiting to be forwarded.

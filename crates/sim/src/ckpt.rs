@@ -1,4 +1,4 @@
-//! `cmap-ckpt/v5` — the versioned binary checkpoint format.
+//! `cmap-ckpt/v6` — the versioned binary checkpoint format.
 //!
 //! A checkpoint is a full serialization of a mid-run [`World`]: simulation
 //! clock, pending events, radio bank, per-node RNG stream
@@ -44,8 +44,12 @@ use crate::node::NodeId;
 /// v4 writes the queue as its pending events in `(time, seq)` order, echoes
 /// the fault plan field by field, and drops two unread sync marks; v5: the
 /// fingerprint is of the link set alone — there is one engine, and a medium
-/// fed as a matrix and one fed as positions agree when their links do.
-pub const CKPT_MAGIC: &str = "cmap-ckpt/v5";
+/// fed as a matrix and one fed as positions agree when their links do; v6
+/// holds the state the engine does: the queue image is the filed events
+/// alone, each in-flight transmission's record carries its one stream
+/// cursor (no end time, wire length or release count beside it), and
+/// neither the pool's capacity nor the published lookup count is written.
+pub const CKPT_MAGIC: &str = "cmap-ckpt/v6";
 
 /// Why a checkpoint could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -343,7 +347,7 @@ pub fn read_blob<T>(
         .map_err(|e| e.to_string())
 }
 
-/// A type with a `cmap-ckpt/v5` encoding. `load` must read back exactly
+/// A type with a `cmap-ckpt/v6` encoding. `load` must read back exactly
 /// the bytes `save` wrote and validate them: a value outside its legal
 /// range is [`CkptError::Malformed`], never a panic.
 pub trait Persist: Sized {
@@ -564,7 +568,7 @@ impl Persist for SmallRng {
     }
 }
 
-/// Declare a type's `cmap-ckpt/v5` encoding once; both directions are
+/// Declare a type's `cmap-ckpt/v6` encoding once; both directions are
 /// derived from the one list, so they cannot drift apart.
 ///
 /// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
@@ -690,7 +694,7 @@ mod tests {
         );
         // Magic of a past or future version must be rejected, not
         // half-read.
-        for other in ["cmap-ckpt/v3\n", "cmap-ckpt/v4\n", "cmap-ckpt/v6\n"] {
+        for other in ["cmap-ckpt/v4\n", "cmap-ckpt/v5\n", "cmap-ckpt/v7\n"] {
             assert_eq!(
                 CkptReader::new(other.as_bytes()).unwrap_err(),
                 CkptError::BadMagic

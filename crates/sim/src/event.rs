@@ -21,7 +21,9 @@
 //! [`Scheduler::max_occupancy`] count what a queue filing each stream's
 //! `TxEnd`, next `FrameStart` and next `FrameEnd` would hold. `seq` is
 //! unique, so the slot bits never decide an order; it stays below 2⁴⁴ (a
-//! month of the 3,000-node city), the slot below 2²⁰.
+//! month of the 3,000-node city), the slot below 2²⁰. A checkpoint holds
+//! the filed events alone: a stream is its pool slot's cursor, which the
+//! restoring world queues again under its next event's key.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -325,68 +327,21 @@ impl Scheduler {
         self.max_occupancy
     }
 
-    // ---- cmap-ckpt/v5 ---------------------------------------------------
+    // ---- cmap-ckpt/v6 ---------------------------------------------------
 
-    /// Write the queue, the streams as `air`: the `(at, seq, event)`
-    /// entries a queue filing each one's `TxEnd`, next `FrameStart` and
-    /// next `FrameEnd` would hold — all of them, or none.
-    pub(crate) fn save_with(
-        &self,
-        w: &mut CkptWriter,
-        air: impl Iterator<Item = (Time, u64, Event)>,
-    ) {
-        let mut pending = Vec::with_capacity(self.len());
-        pending.extend(self.timers.iter());
-        pending.extend(air.map(|(at, seq, event)| Scheduled { at, seq, event }));
-        debug_assert!([self.timers.len(), self.len()].contains(&pending.len()));
-        pending.sort_unstable_by_key(Scheduled::key);
-        w.seq(pending.iter());
-        w.put(&self.next_seq);
-        w.put(&self.processed);
-        w.put(&self.processed_by_kind);
-        w.put(&self.max_occupancy);
+    /// The filed events, in no particular order.
+    pub(crate) fn filed_events(&self) -> impl Iterator<Item = &Event> {
+        self.timers.iter().map(|s| &s.event)
     }
 
-    /// Turn a loaded image's air-kind entries back into streams: `streams`
-    /// yields each of the `live` transmissions' pool slot and the entries
-    /// its cursor says are pending, in key order, which must be exactly
-    /// the image's. Each stream is queued under its first entry's key.
-    pub(crate) fn restore_streams(
-        &mut self,
-        live: usize,
-        streams: impl Iterator<Item = (usize, [Option<(Time, u64, Event)>; 3])>,
-    ) -> Result<(), CkptError> {
-        let disagree =
-            || CkptError::Malformed("air events disagree with transmission cursors".into());
-        // In place: filed events first, then air kinds, each in key order.
-        let mut list = std::mem::take(&mut self.timers).into_vec();
-        list.sort_unstable_by_key(|s| (s.event.on_air(), s.key()));
-        let filed = list.partition_point(|s| !s.event.on_air());
-        let air = &list[filed..];
-        self.air = BinaryHeap::with_capacity(live);
-        for (slot, entries) in streams {
-            let mut pending = entries.iter().flatten();
-            let in_image = pending.clone().all(|&(at, seq, event)| {
-                let found = air.binary_search_by_key(&(at, seq), |s| (s.at, s.seq));
-                found.is_ok_and(|i| air[i].event == event)
-            });
-            match pending.next() {
-                Some(&(at, seq, _)) if in_image => {
-                    self.start_stream(at, seq, slot, 1 + pending.count())
-                }
-                _ => return Err(disagree()),
-            }
-        }
-        if self.air_len != air.len() {
-            return Err(disagree());
-        }
-        list.truncate(filed);
-        self.timers = list.into();
-        Ok(())
+    /// Make room for `n` streams at once: a restore re-queueing a pool's
+    /// worth.
+    pub(crate) fn reserve_streams(&mut self, n: usize) {
+        self.air.reserve_exact(n);
     }
 }
 
-// ---- cmap-ckpt/v5 -------------------------------------------------------
+// ---- cmap-ckpt/v6 -------------------------------------------------------
 
 // Tags are `Event::kind_idx`.
 persist!(enum Event {
@@ -400,15 +355,20 @@ persist!(enum Event {
 
 persist!(struct Scheduled { at, seq, event });
 
-/// The pending events are written as one list in `(at, seq)` order, so the
+/// The filed events are written as one list in `(at, seq)` order, so the
 /// bytes follow from the pending set and not from the pushes and pops that
-/// shaped the heaps' arrays; load holds an image to that order. The
-/// streams are their owner's to write and re-queue (`save_with`,
-/// `restore_streams`): here they are left out, and every loaded entry is
-/// a filed one.
+/// shaped the heap's array; load holds an image to that order. The streams
+/// are not here: their cursors are the frame pool's, and their owner
+/// re-queues them with [`Scheduler::start_stream`].
 impl Persist for Scheduler {
     fn save(&self, w: &mut CkptWriter) {
-        self.save_with(w, std::iter::empty());
+        let mut pending: Vec<Scheduled> = self.timers.iter().copied().collect();
+        pending.sort_unstable_by_key(Scheduled::key);
+        w.seq(pending.iter());
+        w.put(&self.next_seq);
+        w.put(&self.processed);
+        w.put(&self.processed_by_kind);
+        w.put(&self.max_occupancy);
     }
 
     fn load(r: &mut CkptReader<'_>) -> Result<Scheduler, CkptError> {

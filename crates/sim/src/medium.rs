@@ -456,15 +456,6 @@ impl Medium {
         &self.arrive[at..at + len]
     }
 
-    /// [`Medium::arrivals`] of a transmitter whose row is built, as every
-    /// live transmission's sender's is.
-    pub(crate) fn built_arrivals(&self, tx: NodeId) -> &[Arrival] {
-        let (start, at) = self.link_off[tx.index()];
-        assert_ne!(at, UNBUILT, "arrival row of {tx} read before it was built");
-        let len = (self.link_off[tx.index() + 1].0 - start) as usize;
-        &self.arrive[at as usize..at as usize + len]
-    }
-
     /// Append `tx`'s arrival row to `arrive`, record where it starts and
     /// return that. Position `j` holds a transmission's `j`-th reserved
     /// sequence number, so `(delay, position)` is the `(time, seq)` order
@@ -519,7 +510,7 @@ impl Medium {
     /// transmit power, row offsets and every link's receiver, gain bits
     /// and delay. Two media with the same fingerprint produce the same
     /// event fan-out however they were fed, so checkpoints echo it to
-    /// reject restores into a differently-built world (`cmap-ckpt/v5`). A
+    /// reject restores into a differently-built world (`cmap-ckpt/v6`). A
     /// medium never changes once built, so the hash runs once, at the
     /// first checkpoint or restore — not at build, which runs that never
     /// checkpoint would pay for.

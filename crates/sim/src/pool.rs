@@ -25,19 +25,21 @@
 //!   slot only returns to the free list when its last share is released.
 //! * Fewer than 2²⁰ slots: a queue key has that many bits for the index.
 //!
-//! Checkpoint interaction (`cmap-ckpt/v5`): only *live* slots are
-//! serialised (as [`LiveTx`] records, the cursor split at the `TxEnd`). On
-//! restore each live slot is placed back at the index/generation its
-//! `TxId` encodes, and every other index below the saved pool capacity
-//! becomes free with generation 0. Free-slot generations are an allocation
-//! detail with no behavioural effect: no pending event references a freed
-//! slot, and `TxId` values are opaque to statistics and traces.
+//! Checkpoint interaction (`cmap-ckpt/v6`): only *live* slots are
+//! serialised, as [`LiveTx`] records holding the stream's one cursor; the
+//! queue image holds none of their events. On restore each live slot is
+//! placed back at the index/generation its `TxId` encodes, its release
+//! count derived from the cursor, and every other index below the high
+//! water becomes free with generation 0. Free-slot generations are an
+//! allocation detail with no behavioural effect: no pending event
+//! references a freed slot, and `TxId` values are opaque to statistics and
+//! traces.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::ckpt::CkptError;
-use crate::event::{Event, TxId, SLOTS};
+use crate::event::{TxId, SLOTS};
 use crate::medium::Arrival;
 use crate::node::NodeId;
 use crate::persist;
@@ -105,8 +107,8 @@ pub(crate) struct Stream {
 
 impl Stream {
     /// Time and reserved seq of event `j`, or `None` past the last. (The
-    /// sums wrap rather than panic: a restored record's keys are held to
-    /// the image's, not trusted.)
+    /// sums cannot overflow: a restored record is refused unless its last
+    /// seq is below the queue's next and its last `FrameEnd` within time.)
     #[inline(always)]
     pub(crate) fn key(&self, row: &[Arrival], j: usize) -> Option<(Time, u64)> {
         let f = row.len();
@@ -115,54 +117,9 @@ impl Stream {
             Ordering::Equal => return Some((self.end, self.seq0)),
             Ordering::Greater => (self.end, 2, row.get(j - f - 1)?),
         };
-        let seq = self.seq0.wrapping_add(first + 2 * u64::from(link.pos));
-        Some((leaves.wrapping_add(link.delay_ns), seq))
+        let seq = self.seq0 + first + 2 * u64::from(link.pos);
+        Some((leaves + link.delay_ns, seq))
     }
-
-    /// The events of transmission `tx_id` a queue filing its `TxEnd`, next
-    /// `FrameStart` and next `FrameEnd` would hold now, in key order.
-    pub(crate) fn pending(&self, tx_id: TxId, row: &[Arrival]) -> [Option<(Time, u64, Event)>; 3] {
-        let (f, j, node) = (row.len(), self.cursor as usize, self.node);
-        let entry = |k: usize| {
-            let (at, seq) = self.key(row, k)?;
-            let event = match k.cmp(&f) {
-                Ordering::Less => Event::FrameStart {
-                    rx: row[k].rx,
-                    tx_id,
-                },
-                Ordering::Equal => Event::TxEnd { node, tx_id },
-                Ordering::Greater => Event::FrameEnd {
-                    rx: row[k - f - 1].rx,
-                    tx_id,
-                },
-            };
-            Some((at, seq, event))
-        };
-        [
-            entry(j).filter(|_| j < f),
-            entry(f).filter(|_| j <= f),
-            entry(j.max(f + 1)),
-        ]
-    }
-}
-
-/// Stream cursor `j` of `fanout` receivers as a checkpoint records it:
-/// `FrameStart`s handled, `FrameEnd`s handled, releases outstanding.
-fn split(fanout: u32, j: u32) -> (u32, u32, u32) {
-    let ends = fanout + 1 - j.saturating_sub(fanout);
-    (j.min(fanout), j.saturating_sub(fanout + 1), ends)
-}
-
-/// The cursor a checkpoint `record` was split from, if any.
-fn join(fanout: u32, record: (u32, u32, u32)) -> Option<u32> {
-    let (next_start, next_end, ends) = record;
-    // Every release still outstanding: the TxEnd is not yet handled.
-    let j = if next_end == 0 && ends == fanout + 1 {
-        next_start
-    } else {
-        (fanout + 1).saturating_add(next_end)
-    };
-    (j <= 2 * fanout && split(fanout, j) == record).then_some(j)
 }
 
 /// The per-world frame pool. See the module docs for the lifecycle.
@@ -350,91 +307,76 @@ impl FramePool {
         self.recycled
     }
 
-    // ---- cmap-ckpt/v5 ---------------------------------------------------
+    // ---- cmap-ckpt/v6 ---------------------------------------------------
 
-    /// Slot-array length (the checkpoint's pool-capacity field).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The live slots in ascending `TxId` order (the checkpoint's
-    /// deterministic transmission order), borrowing their wire bytes;
-    /// `fanout` is a sender's receiver count, which splits the cursor.
-    pub fn live_txs(&self, fanout: impl Fn(NodeId) -> u32) -> Vec<LiveTx<'_>> {
-        let mut live: Vec<LiveTx<'_>> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.ends_remaining > 0)
-            .map(|(i, s)| {
-                let (node, cursor) = (s.stream.node, s.stream.cursor);
-                let (next_start, next_end, _) = split(fanout(node), cursor);
-                LiveTx {
-                    tx_id: pack(s.gen, i),
-                    node,
-                    rate: s.rate,
-                    start: s.stream.start,
-                    buf: Cow::Borrowed(&s.buf[..]),
-                    wire_len: s.buf.len(),
-                    ends_remaining: s.ends_remaining,
-                    end: s.stream.end,
-                    seq0: s.stream.seq0,
-                    next_start,
-                    next_end,
-                }
+    /// The live slots' checkpoint records in slot order (restore puts
+    /// each back at its index), borrowing their wire bytes.
+    pub fn live_txs(&self) -> impl Iterator<Item = LiveTx<'_>> {
+        let live = self.slots.iter().enumerate();
+        live.filter(|(_, s)| s.ends_remaining > 0)
+            .map(|(i, s)| LiveTx {
+                tx_id: pack(s.gen, i),
+                node: s.stream.node,
+                rate: s.rate,
+                start: s.stream.start,
+                buf: Cow::Borrowed(&s.buf[..]),
+                seq0: s.stream.seq0,
+                cursor: s.stream.cursor,
             })
-            .collect();
-        live.sort_unstable_by_key(|tx| tx.tx_id);
-        live
     }
 
-    /// Rebuild a checkpointed pool: `capacity` slots, each live
-    /// transmission back at the index and generation its `tx_id` encodes,
-    /// every other index free (lowest index first off the stack), and the
-    /// lifetime counters continued — the `pool.high_water` /
-    /// `pool.recycled` gauges must not restart at the restore point.
-    /// `fanout` is a sender's receiver count, `None` for no such node; each
-    /// record's cursors and releases must describe a point of its stream.
+    /// Rebuild a checkpointed pool: `high_water` slots (a slot is only
+    /// ever added when every existing one is claimed, so that is the slot
+    /// array's length), each live transmission back at the index and
+    /// generation its `tx_id` encodes, every other index free (lowest
+    /// index first off the stack), and the lifetime counters continued —
+    /// the `pool.high_water` / `pool.recycled` gauges must not restart at
+    /// the restore point. `fanout` is a record's receiver count, `None`
+    /// if its sender or its keys do not fit the world; its cursor must
+    /// name an event of its stream.
     pub fn restore(
-        capacity: u64,
         high_water: u64,
         recycled: u64,
         live: Vec<LiveTx<'_>>,
-        fanout: impl Fn(NodeId) -> Option<u32>,
+        fanout: impl Fn(&LiveTx<'_>) -> Option<u32>,
     ) -> Result<FramePool, CkptError> {
         // A key has 20 bits for the slot; no reachable state comes near
-        // that, so more means a corrupt checkpoint, not a big run. A slot
-        // is only ever added when every existing one is claimed, so the
-        // two fields are equal in any checkpoint a pool wrote.
-        if capacity > SLOTS as u64 || high_water != capacity {
+        // that, so more means a corrupt checkpoint, not a big run.
+        if high_water > SLOTS as u64 {
             return Err(CkptError::Malformed(format!(
-                "frame pool of {capacity} slots, high water {high_water}"
+                "frame pool of {high_water} slots"
             )));
         }
-        let mut slots: Vec<Slot> = (0..capacity).map(|_| Slot::fresh()).collect();
+        let mut slots: Vec<Slot> = (0..high_water).map(|_| Slot::fresh()).collect();
         let live_count = live.len();
         for tx in live {
-            let record = (tx.next_start, tx.next_end, tx.ends_remaining);
-            let Some(cursor) = fanout(tx.node).and_then(|f| join(f, record)) else {
+            // The TxEnd's airtime, as `start_tx` computed it. Every link
+            // delay is shorter than a frame, so the last FrameEnd falls
+            // before `end + airtime`, which must be a time.
+            let airtime = tx.rate.frame_airtime_ns(tx.buf.len());
+            let end = tx.start.checked_add(airtime);
+            let f = fanout(&tx).filter(|&f| tx.cursor <= 2 * f);
+            let (Some(f), Some(end)) = (f, end.filter(|e| e.checked_add(airtime).is_some())) else {
                 return Err(CkptError::Malformed(format!(
-                    "tx {} from node {}: cursors and releases {record:?}",
-                    tx.tx_id, tx.node
+                    "tx {} from node {}: cursor {}, seq {}, start {}",
+                    tx.tx_id, tx.node, tx.cursor, tx.seq0, tx.start
                 )));
             };
             match slots.get_mut(index_of(tx.tx_id)) {
                 Some(slot) if slot.ends_remaining == 0 => {
                     *slot = Slot {
                         gen: (tx.tx_id >> 32) as u32,
-                        buf: tx.buf.into_owned(),
                         rate: tx.rate,
                         stream: Stream {
                             node: tx.node,
                             start: tx.start,
-                            end: tx.end,
+                            end,
                             seq0: tx.seq0,
-                            cursor,
+                            cursor: tx.cursor,
                         },
-                        ends_remaining: tx.ends_remaining,
+                        // A FrameEnd's each, and the TxEnd's until handled.
+                        ends_remaining: f + 1 - tx.cursor.saturating_sub(f),
+                        buf: tx.buf.into_owned(),
                     }
                 }
                 _ => {
@@ -445,7 +387,7 @@ impl FramePool {
                 }
             }
         }
-        let free = (0..capacity as u32)
+        let free = (0..high_water as u32)
             .rev()
             .filter(|&i| slots[i as usize].ends_remaining == 0)
             .collect();
@@ -459,41 +401,28 @@ impl FramePool {
     }
 }
 
-/// The checkpoint record of one in-flight transmission.
+/// The checkpoint record of one in-flight transmission: its slot, frame
+/// and [`Stream`]; the stream's end and the slot's release count follow.
 pub(crate) struct LiveTx<'a> {
     pub tx_id: TxId,
     pub node: NodeId,
     pub rate: Rate,
     pub start: Time,
     pub buf: Cow<'a, [u8]>,
-    /// Redundant with `buf` (the format predates the pool); checked.
-    pub wire_len: usize,
-    pub ends_remaining: u32,
-    pub end: Time,
     pub seq0: u64,
-    pub next_start: u32,
-    pub next_end: u32,
+    pub cursor: u32,
 }
 
-persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, wire_len, ends_remaining,
-                             end, seq0, next_start, next_end }, validate LiveTx::check);
+persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, seq0, cursor },
+         validate LiveTx::check);
 
 impl LiveTx<'_> {
-    /// A live slot holds a well-formed frame and at least one outstanding
-    /// release ([`FramePool::restore`] holds the cursors to its stream).
+    /// A live slot holds a well-formed frame ([`FramePool::restore`] holds
+    /// the cursor to its stream).
     fn check(&self) -> Result<(), CkptError> {
         FrameView::parse_checked(&self.buf)
-            .map_err(|e| CkptError::Malformed(format!("tx {} frame: {e:?}", self.tx_id)))?;
-        if self.wire_len != self.buf.len() || self.ends_remaining == 0 {
-            return Err(CkptError::Malformed(format!(
-                "tx {}: wire_len {} for {} frame bytes, {} releases outstanding",
-                self.tx_id,
-                self.wire_len,
-                self.buf.len(),
-                self.ends_remaining
-            )));
-        }
-        Ok(())
+            .map(drop)
+            .map_err(|e| CkptError::Malformed(format!("tx {} frame: {e:?}", self.tx_id)))
     }
 }
 
@@ -519,7 +448,7 @@ mod tests {
         assert_eq!(b & INDEX_MASK, a & INDEX_MASK);
         assert_ne!(b, a);
         assert!(p.buf_mut(b).capacity() >= 5, "capacity retained");
-        assert_eq!(p.capacity(), 1);
+        assert_eq!(p.slots.len(), 1);
         assert_eq!(p.high_water(), 1);
     }
 
@@ -532,12 +461,8 @@ mod tests {
         }
         assert_eq!(p.live(), 4);
         assert_eq!(p.high_water(), 4);
-        let live: Vec<TxId> = p.live_txs(|_| 0).iter().map(|tx| tx.tx_id).collect();
-        assert_eq!(live, {
-            let mut s = ids.clone();
-            s.sort_unstable();
-            s
-        });
+        let live: Vec<TxId> = p.live_txs().map(|tx| tx.tx_id).collect();
+        assert_eq!(live, ids);
         for &id in &ids {
             p.release(id);
         }
@@ -549,7 +474,7 @@ mod tests {
             p.arm(id, NodeId::new(0), Rate::R6, (0, 9), 0, 1);
             p.release(id);
         }
-        assert_eq!(p.capacity(), 4);
+        assert_eq!(p.slots.len(), 4);
         assert_eq!(p.high_water(), 4);
     }
 
@@ -567,51 +492,48 @@ mod tests {
 
     #[test]
     fn restore_places_slots_by_id_and_frees_the_rest() {
-        let tx = |tx_id, node| LiveTx {
+        let tx = |tx_id, node, cursor| LiveTx {
             tx_id,
             node: NodeId::new(node),
             rate: Rate::R24,
             start: 99,
             buf: Cow::Owned(vec![1, 2, 3]),
-            wire_len: 3,
-            ends_remaining: 2,
-            end: 120,
             seq0: 40,
-            next_start: 1,
-            next_end: 0,
+            cursor,
         };
         let id = pack(5, 2);
-        let one = |_| Some(1);
+        let one = |_: &LiveTx<'_>| Some(1);
+        let refused = |high_water, live: Vec<LiveTx<'_>>, fanout: &dyn Fn(&LiveTx<'_>) -> _| {
+            FramePool::restore(high_water, 0, live, fanout).is_err()
+        };
         assert!(
-            FramePool::restore(4, 4, 0, vec![tx(id, 3), tx(id, 3)], one).is_err(),
+            refused(4, vec![tx(id, 3, 1), tx(id, 3, 1)], &one),
             "duplicate"
         );
+        assert!(refused(4, vec![tx(pack(1, 9), 0, 1)], &one), "out of range");
         assert!(
-            FramePool::restore(4, 4, 0, vec![tx(pack(1, 9), 0)], one).is_err(),
-            "out of range"
+            refused(SLOTS as u64 + 1, vec![], &one),
+            "more slots than a key names"
         );
+        assert!(refused(4, vec![tx(id, 3, 1)], &|_| None), "no such sender");
         assert!(
-            FramePool::restore(4, 3, 0, vec![], one).is_err(),
-            "high water off capacity"
+            refused(4, vec![tx(id, 3, 3)], &one),
+            "cursor past the last FrameEnd"
         );
-        let past = SLOTS as u64 + 1;
+        let airtime = Rate::R24.frame_airtime_ns(3);
+        let late = LiveTx {
+            start: u64::MAX - airtime,
+            ..tx(id, 3, 1)
+        };
         assert!(
-            FramePool::restore(past, past, 0, vec![], one).is_err(),
-            "more slots than a key can name"
+            refused(4, vec![late], &one),
+            "FrameEnds past the end of time"
         );
-        assert!(
-            FramePool::restore(4, 4, 0, vec![tx(id, 3)], |_| None).is_err(),
-            "no such sender"
-        );
-        assert!(
-            FramePool::restore(4, 4, 0, vec![tx(id, 3)], |_| Some(2)).is_err(),
-            "a FrameStart left, yet only the TxEnd's release and one more"
-        );
-        let mut p = FramePool::restore(4, 4, 17, vec![tx(id, 3)], one).unwrap();
+        let mut p = FramePool::restore(4, 17, vec![tx(id, 3, 1)], one).unwrap();
         assert_eq!(p.live(), 1);
         assert_eq!((p.high_water(), p.recycled()), (4, 17));
         assert_eq!(p.wire_len(id), 3);
-        assert_eq!(p.live_txs(|_| 1).len(), 1);
+        assert_eq!(p.live_txs().count(), 1);
         // Its one FrameStart handled: the TxEnd is next, then the FrameEnd.
         let row = [Arrival {
             rx: NodeId::new(0),
@@ -622,31 +544,19 @@ mod tests {
         let (tx_id, s) = p.advance(index_of(id));
         assert_eq!((tx_id, s.node, s.cursor), (id, NodeId::new(3), 1));
         let keys: Vec<_> = (0..4).map(|j| s.key(&row, j)).collect();
+        let end = 99 + airtime;
         assert_eq!(
             keys,
-            [Some((106, 41)), Some((120, 40)), Some((127, 42)), None]
+            [Some((106, 41)), Some((end, 40)), Some((end + 7, 42)), None]
         );
         assert_eq!(p.advance(index_of(id)).1.cursor, 2);
         // Lowest free index allocates first.
         let next = p.alloc();
         assert_eq!(index_of(next), 0);
-    }
-
-    #[test]
-    fn cursors_split_at_the_tx_end_and_join_again() {
-        // Streams of up to five receivers: every record, within a margin
-        // past each bound, joins to the cursor it was split from or to none.
-        for f in 0..5u32 {
-            for record in (0..=f + 1)
-                .flat_map(|s| (0..=f + 1).flat_map(move |e| (0..=f + 2).map(move |r| (s, e, r))))
-            {
-                let cursor = (0..=2 * f).find(|&j| split(f, j) == record);
-                assert_eq!(join(f, record), cursor, "f {f}: {record:?}");
-            }
-        }
-        // A FrameEnd before the last FrameStart; a cursor far past the row.
-        assert_eq!(join(4, (2, 1, 3)), None);
-        assert_eq!(join(4, (4, u32::MAX, 0)), None);
-        assert_eq!(split(4, 7), (4, 2, 2));
+        // Two releases were outstanding: the TxEnd's and the FrameEnd's.
+        p.release(id);
+        assert_eq!(p.live(), 2);
+        p.release(id);
+        assert_eq!((p.live(), p.recycled()), (1, 18));
     }
 }

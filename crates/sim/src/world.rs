@@ -915,9 +915,9 @@ impl World {
         }
     }
 
-    // ---- cmap-ckpt/v5 ---------------------------------------------------
+    // ---- cmap-ckpt/v6 ---------------------------------------------------
 
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v5`
+    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v6`
     /// format: simulation clock, pending events, radio bank, RNG
     /// stream positions, MAC protocol state, in-flight transmissions,
     /// statistics, and fault-plan cursors. Restoring the bytes via
@@ -952,23 +952,13 @@ impl World {
         w.put(&(self.watchdog.audit_period, self.watchdog.liveness_window));
         w.put(&self.medium.fingerprint());
         w.put(&self.fault_plan());
-        // Dynamic engine state. (The u64 after the clock held the next tx
-        // id before the frame pool; it now carries the pool's slot-array
-        // capacity so restore rebuilds an identically-shaped free list.)
+        // Dynamic engine state. The pool's high water is its slot-array
+        // length, so restore rebuilds an identically-shaped free list.
         w.put(&self.time);
-        w.put(&(
-            self.pool.capacity(),
-            self.pool.high_water(),
-            self.pool.recycled(),
-        ));
-        self.save_fields(&mut w);
-        // The streams as the entries filing their events eagerly would
-        // queue: up to three each, built from the cursors.
-        let air = self.pool.streams().flat_map(|(tx_id, s)| {
-            let row = self.medium.built_arrivals(s.node);
-            s.pending(tx_id, row).into_iter().flatten()
-        });
-        self.sched.save_with(&mut w, air);
+        w.put(&(self.pool.high_water(), self.pool.recycled()));
+        w.put(&self.ber_lookups);
+        // The filed events; each transmission's are its record's cursor.
+        w.put(&self.sched);
         w.put(&self.radios);
         // One record per node and no count: the echo carried it.
         for rng in &self.rngs {
@@ -977,11 +967,11 @@ impl World {
         for app in &self.apps {
             w.put(app);
         }
-        w.put(
-            &self
-                .pool
-                .live_txs(|node| self.medium.reachable(node).len() as u32),
-        );
+        // A sequence in slot order, written as the pool yields it.
+        w.len(self.pool.live());
+        for tx in self.pool.live_txs() {
+            w.put(&tx);
+        }
         w.put(&self.stats);
         if let Some(f) = self.faults.as_deref() {
             f.ckpt_save(&mut w);
@@ -997,6 +987,47 @@ impl World {
             w.bytes(&blob);
         }
         Ok(w.finish())
+    }
+
+    /// Refuse filed events this world cannot run: a transmission's (those
+    /// are its stream's), a timer for no node, a fault the plan lacks.
+    fn check_filed(&self) -> Result<(), CkptError> {
+        let actions = self.faults.as_deref().map_or(0, |f| f.actions.len());
+        let runnable = |ev: &Event| match *ev {
+            Event::Timer { node, .. } => node.index() < self.node_count(),
+            Event::Fault { idx } => (idx as usize) < actions,
+            Event::Audit => true,
+            Event::TxEnd { .. } | Event::FrameStart { .. } | Event::FrameEnd { .. } => false,
+        };
+        match self.sched.filed_events().find(|ev| !runnable(ev)) {
+            Some(ev) => Err(CkptError::Malformed(format!("filed event {ev:?}"))),
+            None => Ok(()),
+        }
+    }
+
+    /// Queue each restored transmission under its next event's key, as
+    /// the entries a queue filing its `TxEnd`, next `FrameStart` and next
+    /// `FrameEnd` would hold, and hold each radio's `TX` flag to them: set
+    /// exactly while its node has one `TxEnd` pending.
+    fn requeue_streams(&mut self) -> Result<(), CkptError> {
+        let mut sending = vec![0; self.node_count()];
+        self.sched.reserve_streams(self.pool.live());
+        for (tx_id, s) in self.pool.streams() {
+            let row = self.medium.arrivals(s.node);
+            let (f, c) = (row.len(), s.cursor as usize);
+            let (at, seq) = s.key(row, c).expect("a restored cursor names an event");
+            let entries = usize::from(c < f) + usize::from(c <= f) + usize::from(f > 0);
+            self.sched.start_stream(at, seq, index_of(tx_id), entries);
+            sending[s.node.index()] += usize::from(c <= f);
+        }
+        let transmitting = |node| usize::from(self.radios.phase(node) == RadioPhase::Transmitting);
+        match (0..sending.len()).find(|&node| sending[node] != transmitting(node)) {
+            Some(node) => Err(CkptError::Malformed(format!(
+                "radio {node}: transmit flag beside {} pending TxEnds",
+                sending[node]
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// The installed fault plan (the config echo's view).
@@ -1056,9 +1087,12 @@ impl World {
         echo(&mut r, "medium fingerprint", &self.medium.fingerprint())?;
         echo(&mut r, "fault plan", &self.fault_plan())?;
         self.time = r.get()?;
-        let (pool_capacity, pool_high_water, pool_recycled) = r.get()?;
-        self.load_fields(&mut r)?;
+        let (pool_high_water, pool_recycled) = r.get()?;
+        self.ber_lookups = r.get()?;
+        // A checkpoint is taken where `run_until` published every lookup.
+        self.synced_lookups = self.ber_lookups;
         self.sched = r.get()?;
+        self.check_filed()?;
         self.radios = r.get()?;
         if self.radios.len() != self.node_count() {
             return Err(CkptError::Mismatch(format!(
@@ -1075,21 +1109,15 @@ impl World {
         }
         let live: Vec<LiveTx<'_>> = r.get()?;
         let (nodes, medium) = (self.node_count(), &self.medium);
-        self.pool = FramePool::restore(
-            pool_capacity,
-            pool_high_water,
-            pool_recycled,
-            live,
-            |node| (node.index() < nodes).then(|| medium.reachable(node).len() as u32),
-        )?;
-        // The image lists the streams' events among the filed ones: they
-        // must be what the cursors say is pending, and become the streams.
-        let medium = &mut self.medium;
-        let streams = self.pool.streams().map(|(tx_id, s)| {
-            let row = medium.arrivals(s.node);
-            (index_of(tx_id), s.pending(tx_id, row))
-        });
-        self.sched.restore_streams(self.pool.live(), streams)?;
+        // Every key a stream will take was reserved before the image's
+        // next sequence number.
+        let next_seq = self.sched.reserve(0);
+        let fanout = |tx: &LiveTx<'_>| {
+            let f = (tx.node.index() < nodes).then(|| medium.reachable(tx.node).len())?;
+            (tx.seq0.saturating_add(2 * f as u64) < next_seq).then_some(f as u32)
+        };
+        self.pool = FramePool::restore(pool_high_water, pool_recycled, live, fanout)?;
+        self.requeue_streams()?;
         self.stats = r.get()?;
         if let Some(f) = self.faults.as_deref_mut() {
             f.ckpt_load(&mut r)?;
@@ -1114,10 +1142,6 @@ impl World {
 persist!(enum FlowKind { 0 => Saturated, 1 => Relay { upstream } });
 
 persist!(struct Flow { id, src, dst, payload_len, kind, next_seq });
-
-// Then the scheduler, whose image lists the streams' events (the pool
-// holds their cursors), and the radio bank.
-persist!(fields World { ber_lookups, synced_lookups });
 
 /// Read one value of the configuration echo and require that it equals
 /// this world's.
@@ -1704,12 +1728,6 @@ mod tests {
         w
     }
 
-    /// `w`'s live transmissions as its checkpoint records them.
-    fn live_txs(w: &World) -> Vec<LiveTx<'_>> {
-        w.pool
-            .live_txs(|node| w.medium.reachable(node).len() as u32)
-    }
-
     #[test]
     fn checkpoint_with_cursors_mid_row_resumes_identically() {
         let finish = |w: &mut World| {
@@ -1724,26 +1742,21 @@ mod tests {
         let airtime = {
             let mut w = staggered_world(41);
             w.run_until(millis(2));
-            let live = live_txs(&w);
-            assert_eq!(
-                (live.len(), live[0].next_start, live[0].next_end),
-                (1, 0, 0)
-            );
-            live[0].end - live[0].start
+            let live: Vec<_> = w.pool.live_txs().collect();
+            assert_eq!((live.len(), live[0].cursor), (1, 0));
+            live[0].rate.frame_airtime_ns(live[0].buf.len())
         };
-        // `(cut, (start cursor, end cursor), releases outstanding, queued)`.
-        // Queued at the first cut: the Blaster's timer, TxEnd and one
-        // arrival per kind; at the second only the timer and a FrameEnd —
-        // never the whole row.
-        for (cut, cursors, ends, queued) in [
-            (millis(2) + 250, (2, 0), 5, 4),
-            (millis(2) + airtime + 250, (4, 2), 2, 2),
-        ] {
+        // `(cut, cursor, queued)` over four receivers. Queued at the first
+        // cut: the Blaster's timer, TxEnd and one arrival per kind; at the
+        // second (the TxEnd and two FrameEnds handled) only the timer and
+        // a FrameEnd — never the whole row.
+        for (cut, cursor, queued) in [(millis(2) + 250, 2, 4), (millis(2) + airtime + 250, 7, 2)] {
             let mut w = staggered_world(41);
             w.run_until(cut);
-            let live = live_txs(&w);
-            assert_eq!((live[0].next_start, live[0].next_end), cursors);
-            assert_eq!(live[0].ends_remaining, ends);
+            assert_eq!(
+                w.pool.live_txs().map(|tx| tx.cursor).collect::<Vec<_>>(),
+                [cursor]
+            );
             assert_eq!(w.sched.len(), queued);
             let bytes = w.checkpoint().expect("checkpoint mid-row");
             let mut resumed = staggered_world(41);
@@ -1759,40 +1772,41 @@ mod tests {
         let mut w = staggered_world(42);
         w.run_until(millis(2) + 250);
         let good = w.checkpoint().expect("checkpoint");
-        // After the live transmission's frame bytes its record reads
-        // `wire_len u64, ends_remaining u32, end u64, seq0 u64,
-        // next_start u32, next_end u32`.
-        let frame = live_txs(&w)[0].buf.to_vec();
-        let after = good
+        // The live transmission's record ends `buf, seq0 u64, cursor u32`,
+        // with two of its four FrameStarts handled.
+        let live: Vec<_> = w.pool.live_txs().collect();
+        let frame = &live[0].buf[..];
+        let seq0 = good
             .windows(frame.len())
-            .position(|b| b == &frame[..])
+            .position(|b| b == frame)
             .expect("frame bytes in the image")
             + frame.len();
-        let (ends, next_start, next_end) = (after + 8, after + 28, after + 32);
-        assert_eq!(good[ends..ends + 4], [5, 0, 0, 0]);
-        assert_eq!(good[next_start..next_end + 4], [2, 0, 0, 0, 0, 0, 0, 0]);
-        // A start cursor past the four receivers; an end cursor ahead of
-        // the start cursor; one release too few and one too many (five is
-        // right here only because TxEnd is still to come). Then cursors
-        // that fit the fan-out but not the queue: a start cursor one short
-        // of the FrameStart the image holds, and a FrameEnd (with the
-        // TxEnd's release and its own gone) while two FrameStarts remain.
-        let edits: [&[(usize, u8)]; 6] = [
-            &[(next_start, 5)],
-            &[(next_end, 3)],
-            &[(ends, 3)],
-            &[(ends, 6)],
-            &[(next_start, 1)],
-            &[(next_end, 1), (ends, 3)],
+        let cursor = seq0 + 8;
+        assert_eq!(good[seq0..seq0 + 8], live[0].seq0.to_le_bytes());
+        assert_eq!(good[cursor..cursor + 4], [2, 0, 0, 0]);
+        // A cursor past the last FrameEnd, and one far past it; a cursor
+        // past the TxEnd while the radio still transmits; the last key
+        // (`seq0 + 8`) at the next sequence number `reserve` hands out.
+        let last = w.sched.reserve(0) - 8;
+        let edits: [(usize, &[u8]); 4] = [
+            (cursor, &[9]),
+            (cursor + 3, &[0x80]),
+            (cursor, &[5]),
+            (seq0, &last.to_le_bytes()),
         ];
-        for edit in edits {
+        for (at, value) in edits {
             let mut bad = good.clone();
-            for &(at, value) in edit {
-                bad[at] = value;
-            }
+            bad[at..at + value.len()].copy_from_slice(value);
             let err = staggered_world(42).restore(&bad).unwrap_err();
-            assert!(matches!(err, CkptError::Malformed(_)), "{edit:?}: {err}");
+            assert!(matches!(err, CkptError::Malformed(_)), "{at}: {err}");
         }
+        // One key lower, and a cursor one event on, still fit.
+        let mut fits = good.clone();
+        fits[seq0..seq0 + 8].copy_from_slice(&(last - 1).to_le_bytes());
+        fits[cursor] = 3;
+        staggered_world(42)
+            .restore(&fits)
+            .expect("a stream that fits");
         staggered_world(42).restore(&good).expect("intact image");
     }
 
@@ -1810,15 +1824,12 @@ mod tests {
         let seq = w.sched.reserve(0);
         let by_kind = w.sched.processed_by_kind();
         let next_seq = find(&[seq, w.sched.processed(), by_kind[0], by_kind[1]]);
-        // The pool's capacity and high water follow the clock.
-        let capacity = find(&[w.time, w.pool.capacity() as u64, w.pool.high_water() as u64]) + 8;
+        // The pool's high water follows the clock.
+        let high_water = find(&[w.time, w.pool.high_water() as u64]) + 8;
         let past = |v: u64| v.to_le_bytes();
-        for (at, value) in [(next_seq, past(1 << 44)), (capacity, past((1 << 20) + 1))] {
+        for (at, value) in [(next_seq, past(1 << 44)), (high_water, past((1 << 20) + 1))] {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&value);
-            if at == capacity {
-                bad[at + 8..at + 16].copy_from_slice(&value);
-            }
             let err = staggered_world(43).restore(&bad).unwrap_err();
             assert!(matches!(err, CkptError::Malformed(_)), "{err}");
         }

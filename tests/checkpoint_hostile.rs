@@ -1,16 +1,22 @@
 //! Hostile bytes into `World::restore`: a truncated or bit-flipped
 //! checkpoint is an expected input (crash-safe artifact directories hold
 //! torn files), so restore must answer `Ok` or a typed `CkptError` —
-//! never panic, never abort on an allocation sized by a corrupt field.
+//! never panic, never abort on an allocation sized by a corrupt field —
+//! and a world it answers `Ok` for must run on without panicking.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use cmap_suite::cmap::{CmapConfig, CmapMac};
-use cmap_suite::sim::ckpt::CkptWriter;
+use cmap_suite::phy::Rate;
+use cmap_suite::sim::app::NodeApp;
+use cmap_suite::sim::ckpt::{CkptReader, CkptWriter};
+use cmap_suite::sim::event::Event;
 use cmap_suite::sim::time::millis;
-use cmap_suite::sim::{CkptError, MediumBuilder, NodeId, PhyConfig, World, CKPT_MAGIC};
+use cmap_suite::sim::{
+    CkptError, FaultPlan, Flow, Lockup, MediumBuilder, NodeId, PhyConfig, World, CKPT_MAGIC,
+};
 
 /// Four nodes in mutual range, two saturated flows, CMAP everywhere.
 fn small_world() -> World {
@@ -25,10 +31,28 @@ fn small_world() -> World {
     w
 }
 
+/// `small_world` with a fault plan of two actions, a lockup of node 0
+/// that starts and ends after the checkpoint.
+fn faulty_world() -> World {
+    let mut w = small_world();
+    w.install_faults(FaultPlan {
+        lockups: vec![Lockup {
+            node: NodeId::new(0),
+            at: millis(900),
+            until: millis(950),
+        }],
+        ..FaultPlan::clean()
+    });
+    w
+}
+
 /// `small_world` stopped mid-run with frames on the air, so the frame
 /// pool, the radio locks and the event queue are populated.
 fn mid_run_world() -> World {
-    let mut w = small_world();
+    mid_run(small_world())
+}
+
+fn mid_run(mut w: World) -> World {
     let mut until = millis(300);
     w.run_until(until);
     while w.inflight_tx_count() == 0 {
@@ -49,17 +73,19 @@ fn intact_checkpoint_restores() {
     small_world().restore(checkpoint()).expect("restore");
 }
 
-/// A `cmap-ckpt/v4` image (its medium fingerprint hashed the engine kind
-/// and, for a matrix-fed medium, the whole matrix) must be turned away at
-/// the magic line, as the version error — not read as v5 until the
-/// fingerprint echo fails as a configuration mismatch.
+/// A `cmap-ckpt/v5` image (its queue image listed each transmission's
+/// pending events, its records split the cursor in three) must be turned
+/// away at the magic line, as the version error — not read as v6 until a
+/// field fails to parse. So must the v4 before it.
 #[test]
 fn previous_format_version_is_refused_as_such() {
-    let v5 = checkpoint();
-    assert!(v5.starts_with(b"cmap-ckpt/v5\n"));
-    let mut v4 = v5.to_vec();
-    v4[b"cmap-ckpt/v".len()] = b'4';
-    assert_eq!(small_world().restore(&v4), Err(CkptError::BadMagic));
+    let v6 = checkpoint();
+    assert!(v6.starts_with(b"cmap-ckpt/v6\n"));
+    for old in [b'5', b'4'] {
+        let mut image = v6.to_vec();
+        image[b"cmap-ckpt/v".len()] = old;
+        assert_eq!(small_world().restore(&image), Err(CkptError::BadMagic));
+    }
 }
 
 #[test]
@@ -108,6 +134,176 @@ fn swapped_map_entries_are_malformed() {
     ));
 }
 
+/// Where the fields the targeted edits below change sit in an image.
+struct Layout {
+    /// Each filed event: the offset of its `(at, seq, event)` entry.
+    filed: Vec<(usize, Event)>,
+    next_seq: u64,
+    /// The offset of each radio's state byte.
+    radio_state: Vec<usize>,
+    /// Each in-flight transmission: its sender, and the offset of its
+    /// `seq0` (its `u32` cursor follows).
+    live: Vec<(NodeId, usize)>,
+}
+
+/// Walk `bytes` as `World::checkpoint` writes them, up to the in-flight
+/// transmissions.
+fn layout(bytes: &[u8]) -> Layout {
+    let mut r = CkptReader::new(bytes).expect("magic");
+    let at = |r: &CkptReader<'_>| bytes.len() - r.remaining();
+    // The configuration echo; the clock, the pool's high water and
+    // recycle count, the lookup count.
+    let (_, nodes): (u64, usize) = r.get().unwrap();
+    let _: (Vec<Flow>, (u64, u64), u64, Option<FaultPlan>) = r.get().unwrap();
+    let _: (u64, (u64, u64), u64) = r.get().unwrap();
+    let filed = (0..r.len().unwrap())
+        .map(|_| {
+            let entry = at(&r);
+            let (_, _, event): (u64, u64, Event) = r.get().unwrap();
+            (entry, event)
+        })
+        .collect();
+    let (next_seq, _, _, _): (u64, u64, [u64; 6], u64) = r.get().unwrap();
+    // Per radio: state, energy, arrivals, lock, aborted receptions.
+    assert_eq!(r.len().unwrap(), nodes);
+    type Lock = Option<(u64, u64, f64, Vec<(u64, f64)>)>;
+    let radio_state = (0..nodes)
+        .map(|_| {
+            let state = at(&r);
+            let _: (u8, f64, Vec<(u64, f64)>, Lock, u64) = r.get().unwrap();
+            state
+        })
+        .collect();
+    for _ in 0..nodes {
+        let _: [u64; 4] = r.get().unwrap();
+    }
+    for _ in 0..nodes {
+        let _: NodeApp = r.get().unwrap();
+    }
+    let live = (0..r.len().unwrap())
+        .map(|_| {
+            let (_, node, _, _, _): (u64, NodeId, Rate, u64, Vec<u8>) = r.get().unwrap();
+            let seq0 = at(&r);
+            let _: (u64, u32) = r.get().unwrap();
+            (node, seq0)
+        })
+        .collect();
+    Layout {
+        filed,
+        next_seq,
+        radio_state,
+        live,
+    }
+}
+
+/// `image` with `value` written at `at`, restored into `world`.
+fn edited(world: fn() -> World, image: &[u8], at: usize, value: &[u8]) -> Result<(), CkptError> {
+    let mut bytes = image.to_vec();
+    bytes[at..at + value.len()].copy_from_slice(value);
+    world().restore(&bytes)
+}
+
+fn assert_malformed(what: &str, restored: Result<(), CkptError>) {
+    assert!(
+        matches!(restored, Err(CkptError::Malformed(_))),
+        "{what}: {restored:?}"
+    );
+}
+
+/// One edit per restore check that the image's own redundancy cannot
+/// make: each would restore a world whose next `run_until` panics or
+/// misbehaves, so each is `Malformed`.
+#[test]
+fn targeted_edits_are_malformed() {
+    let image = checkpoint();
+    let at = layout(image);
+    // Every sender hears the three others: a stream is 7 events.
+    let (node, seq0) = at.live[0];
+    let cursor = seq0 + 8;
+    assert_malformed(
+        "cursor 2F + 1",
+        edited(small_world, image, cursor, &7u32.to_le_bytes()),
+    );
+    let last = (at.next_seq - 6).to_le_bytes();
+    assert_malformed(
+        "seq0 + 2F = next_seq",
+        edited(small_world, image, seq0, &last),
+    );
+    let last = (at.next_seq - 7).to_le_bytes();
+    edited(small_world, image, seq0, &last).expect("seq0 + 2F below next_seq");
+
+    // A filed timer's tag turned into a FrameEnd's (both carry a node and
+    // a u64), then its node out of range.
+    let &(timer, _) = at
+        .filed
+        .iter()
+        .find(|(_, ev)| matches!(ev, Event::Timer { .. }))
+        .expect("a MAC timer is filed");
+    assert_malformed(
+        "filed FrameEnd",
+        edited(small_world, image, timer + 16, &[2]),
+    );
+    assert_malformed(
+        "timer at node 9",
+        edited(small_world, image, timer + 17, &9u64.to_le_bytes()),
+    );
+
+    // The sender's radio still transmits: its flag cleared, or set at a
+    // node that sends nothing.
+    const TX: u8 = 1 << 1;
+    let sending = |n: usize| at.live.iter().any(|&(node, _)| node.index() == n);
+    let state = at.radio_state[node.index()];
+    assert!(image[state] & TX != 0, "the record's sender transmits");
+    assert_malformed(
+        "TX cleared",
+        edited(small_world, image, state, &[image[state] & !TX]),
+    );
+    let idle = (0..4).find(|&n| !sending(n)).expect("a node sends nothing");
+    let state = at.radio_state[idle];
+    assert_malformed(
+        "TX set",
+        edited(small_world, image, state, &[image[state] | TX]),
+    );
+
+    // The last 1,400 in the image is a CMAP data packet's payload length:
+    // 65,535 bytes fit a data frame, 65,536 do not. It is in the MAC's
+    // blob, whose errors `Mac::load_state` returns as text, so the world
+    // reports it as a MAC state it cannot take, naming the field.
+    let len = image
+        .windows(8)
+        .rposition(|w| w == 1400u64.to_le_bytes())
+        .expect("a queued data packet");
+    edited(small_world, image, len, &65_535u64.to_le_bytes()).expect("the largest payload");
+    let long = 65_536u64.to_le_bytes();
+    match edited(small_world, image, len, &long) {
+        Err(CkptError::Mismatch(what)) => {
+            assert!(
+                what.contains("malformed checkpoint: data packet of 65536"),
+                "{what}"
+            )
+        }
+        other => panic!("payload_len 65,536: {other:?}"),
+    }
+}
+
+/// A fault event names an action of the installed plan (here two).
+#[test]
+fn a_fault_past_the_plan_is_malformed() {
+    let image = mid_run(faulty_world()).checkpoint().expect("checkpoint");
+    let at = layout(&image);
+    let &(fault, _) = at
+        .filed
+        .iter()
+        .find(|(_, ev)| *ev == Event::Fault { idx: 0 })
+        .expect("the lockup is ahead");
+    edited(faulty_world, &image, fault + 17, &1u32.to_le_bytes()).expect("the plan's other action");
+    let past = 2u32.to_le_bytes();
+    assert_malformed(
+        "fault 2 of 2",
+        edited(faulty_world, &image, fault + 17, &past),
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -116,9 +312,13 @@ proptest! {
         let mut bytes = checkpoint().to_vec();
         let i = pos.index(bytes.len());
         bytes[i] ^= 1 << bit;
-        // Many flips land in a counter or a timestamp and restore fine;
-        // the rest must come back as `CkptError`. Reaching this line at
-        // all is the property.
-        let _ = small_world().restore(&bytes);
+        // Many flips land in a counter or a timestamp and restore fine,
+        // and then the world must run on; the rest must come back as
+        // `CkptError`. Reaching the last line at all is the property.
+        let mut w = small_world();
+        if w.restore(&bytes).is_ok() {
+            let now = w.now();
+            w.run_until(now.saturating_add(millis(50)));
+        }
     }
 }
