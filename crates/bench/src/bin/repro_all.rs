@@ -12,8 +12,8 @@
 //!   BER table's identity and measured error, the `fidelity` block (every
 //!   paper-vs-measured predicate with its band, measured value and
 //!   verdict; the text report ends with the same table), one `RunReport`
-//!   per figure, the supervision outcome and, in `timing` blocks only,
-//!   wall-clock.
+//!   per figure, the `failures` list (the `FAIL` lines the run printed) and,
+//!   in `timing` blocks only, wall-clock.
 //!
 //! How fast the simulator runs is measured by `benchmark/`, not here.
 //!
@@ -26,12 +26,12 @@
 //! hash-valid are spliced verbatim instead of re-run — the final text and
 //! deterministic JSON come out byte-identical to an uninterrupted run.
 //!
-//! **Supervision.** Every figure goes through `figures::run_figure`, the
-//! run path the per-figure binaries use too, so a panicking figure does not
-//! kill the suite: it comes back as a failed run, its quarantined cells
-//! (from `cmap_exec`'s supervised pool) are recorded in the suite report's
-//! `failures` block, the remaining figures run to completion, and the exit
-//! code is nonzero.
+//! **Failures.** Every figure goes through `figures::run_figure`, the run
+//! path the per-figure binaries use too, so a panicking figure does not
+//! kill the suite: it comes back as a failed run whose one failure string
+//! carries the panic (`cmap_exec::map` re-raises a failed job as
+//! `job {i}: …`), that string lands in the suite report's `failures` list,
+//! the remaining figures run to completion, and the exit code is nonzero.
 //!
 //! The suite self-validates: every figure's report must contain its
 //! declared required metrics, at the standard spec every fidelity
@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use cmap_bench::figures::{eprint_failures, fidelity_table, run_figure, spec_block, REGISTRY};
 use cmap_bench::Cli;
 use cmap_obs::artifact::{atomic_write, Manifest};
-use cmap_obs::{BerTableBlock, FailedCell, FailureBlock, SuiteReport, TimingBlock};
+use cmap_obs::{BerTableBlock, SuiteReport, TimingBlock};
 
 /// The two per-figure work-dir artifacts.
 struct FigureArtifacts {
@@ -149,8 +149,6 @@ fn main() {
     let mut report = String::new();
     #[expect(clippy::disallowed_methods, reason = "progress lines and timing block")]
     let t0 = std::time::Instant::now();
-    cmap_exec::reset_supervision_stats();
-    let _ = cmap_exec::take_quarantined();
 
     // The suite-level spec block: figures override configs/duration per
     // entry, so only the seed/effort fields are meaningful here.
@@ -163,7 +161,6 @@ fn main() {
         max_abs_err: cmap_phy::BerTable::shared().max_abs_err(),
     });
     let mut failures: Vec<String> = Vec::new();
-    let mut failed_cells: Vec<FailedCell> = Vec::new();
     let mut fidelity = Vec::new();
 
     for fig in REGISTRY.iter().filter(|f| f.in_repro) {
@@ -189,7 +186,7 @@ fn main() {
         let outcome = if failed { "FAILED" } else { "done" };
         eprintln!("[{}s] {} {outcome}", t0.elapsed().as_secs(), fig.name);
         if let Some(r) = run.report {
-            if !failed && run.cells.is_empty() {
+            if !failed {
                 // Only clean, validated figures become resumable artifacts —
                 // a resumed run must re-execute anything that failed.
                 let arts = FigureArtifacts {
@@ -202,21 +199,13 @@ fn main() {
         }
         fidelity.extend(run.fidelity);
         failures.extend(run.failures);
-        failed_cells.extend(run.cells);
     }
     report.push_str(&format!(
         "\n{}",
         fidelity_table(&fidelity, cli.is_standard_spec())
     ));
     suite.fidelity = Some(fidelity);
-
-    let supervision = cmap_exec::supervision_stats();
-    suite.failures = Some(FailureBlock {
-        panics: supervision.panics,
-        retries: supervision.retries,
-        quarantined: supervision.quarantined,
-        cells: failed_cells.clone(),
-    });
+    suite.failures = Some(failures.clone());
 
     suite.timing = Some(TimingBlock {
         wall_secs: t0.elapsed().as_secs_f64(),
@@ -233,7 +222,7 @@ fn main() {
 
     if !failures.is_empty() {
         eprintln!("suite completed with {} failure(s):", failures.len());
-        eprint_failures(&failures, &failed_cells);
+        eprint_failures(&failures);
         std::process::exit(1);
     }
 }

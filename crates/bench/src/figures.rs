@@ -5,7 +5,7 @@
 //! keys its report must carry and the band each paper-vs-measured number is
 //! held to ([`Predicate`]), and points at two functions: `spec`
 //! (the experiment spec for a command line) and `run` (spec in, text and
-//! named metrics out). [`run_figure`] is the one supervised path a row is
+//! named metrics out). [`run_figure`] is the one path a row is
 //! run through; the per-figure binaries ([`figure_main`]) and `repro_all`
 //! both call it and differ only in what they do with the result.
 //!
@@ -22,9 +22,7 @@ use cmap_experiments::runner::radio_env;
 use cmap_experiments::{
     ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol, Spec,
 };
-use cmap_obs::{
-    FailedCell, FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict,
-};
+use cmap_obs::{FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict};
 use cmap_phy::Rate;
 use cmap_sim::time::{millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
@@ -428,64 +426,35 @@ pub struct FigureRun {
     /// invariant violations, a panic, a required metric missing from the
     /// report, and — at the standard spec — an unwaived fidelity miss.
     pub failures: Vec<String>,
-    /// The cells `cmap_exec` quarantined during the run, or the figure
-    /// itself when it panicked outside the pool.
-    pub cells: Vec<FailedCell>,
 }
 
 /// Print the failure summary both kinds of binary end with on stderr.
-pub fn eprint_failures(failures: &[String], cells: &[FailedCell]) {
+pub fn eprint_failures(failures: &[String]) {
     for f in failures {
         eprintln!("FAIL: {f}");
     }
-    for c in cells {
-        eprintln!(
-            "QUARANTINED: {} {} ({} attempts): {}",
-            c.figure, c.label, c.attempts, c.error
-        );
-    }
 }
 
-/// Run one figure under supervision: the one path from a registry row to
-/// its text, report and failures. Jobs the figure fans out through the
-/// pool get labelled `<figure>[<index>]`; a panic anywhere in the run is
-/// caught and reported, so the caller decides what still runs.
+/// Run one figure: the one path from a registry row to its text, report
+/// and failures. A panic anywhere in the run — in the figure itself or
+/// re-raised by `cmap_exec::map` as `job {i}: …` — is caught here and
+/// becomes one failure string, so the caller decides what still runs.
 pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
     let spec = (fig.spec)(cli);
-    cmap_exec::set_job_context(fig.name);
     #[expect(clippy::disallowed_methods, reason = "figure wall time, timing block")]
     let t0 = std::time::Instant::now();
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| (fig.run)(cli, &spec)));
     let wall_secs = t0.elapsed().as_secs_f64();
-    cmap_exec::set_job_context("");
-    let mut cells: Vec<FailedCell> = cmap_exec::take_quarantined()
-        .into_iter()
-        .map(|q| FailedCell {
-            figure: fig.name.to_string(),
-            label: q.label,
-            attempts: u64::from(q.attempts),
-            error: q.error,
-        })
-        .collect();
     let out = match caught {
         Ok(out) => out,
         Err(payload) => {
             let msg = cmap_exec::panic_message(&*payload);
-            if cells.is_empty() {
-                cells.push(FailedCell {
-                    figure: fig.name.to_string(),
-                    label: fig.name.to_string(),
-                    attempts: 1,
-                    error: msg.clone(),
-                });
-            }
             return FigureRun {
                 spec,
                 text: format!("FAIL: panicked: {msg}\n"),
                 report: None,
                 fidelity: fig.fidelity_rows(|_| None),
                 failures: vec![format!("{} panicked: {msg}", fig.name)],
-                cells,
             };
         }
     };
@@ -521,7 +490,6 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
         report: Some(report),
         fidelity,
         failures,
-        cells,
     }
 }
 
@@ -548,7 +516,7 @@ pub fn figure_main(bin: &str) {
         eprintln!("report written to {path}");
     }
     if !run.failures.is_empty() {
-        eprint_failures(&run.failures, &run.cells);
+        eprint_failures(&run.failures);
         std::process::exit(1);
     }
 }
@@ -1061,7 +1029,7 @@ fn ablations(cli: &Cli, spec: &Spec) -> FigureOutput {
     let grid: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|v| (0..SCENARIOS.len()).map(move |s| (v, s)))
         .collect();
-    let aggs = cmap_exec::Pool::new(cli.effective_jobs()).map(&grid, |&(v, s)| {
+    let aggs = cmap_exec::map(cli.effective_jobs(), &grid, |&(v, s)| {
         let (_, cfg, phy) = &variants[v];
         ablation_run(
             SCENARIOS[s].1,
@@ -1152,7 +1120,6 @@ fn chaos_soak(cli: &Cli, spec: &Spec) -> FigureOutput {
         "bounds: cmap/dcf >= {CMAP_VS_DCF_MIN}, fault/clean >= {FAULT_VS_CLEAN_MIN}; \
          zero violations; byte-identical same-seed snapshots"
     ));
-    let pool = cmap_exec::Pool::new(cli.effective_jobs());
     for (name, plan) in &plans {
         let mut cmap_fault = Vec::new();
         let mut dcf_fault = Vec::new();
@@ -1161,7 +1128,7 @@ fn chaos_soak(cli: &Cli, spec: &Spec) -> FigureOutput {
         // the pool joins them back in seed order, so the text report
         // and failure list are identical at any `--jobs` width.
         let seed_list: Vec<u64> = (0..seeds).map(|i| spec.testbed_seed + i as u64).collect();
-        let per_seed = pool.map(&seed_list, |&seed| {
+        let per_seed = cmap_exec::map(cli.effective_jobs(), &seed_list, |&seed| {
             let a = soak_one(&Protocol::cmap(), plan, seed, duration);
             let b = soak_one(&Protocol::cmap(), plan, seed, duration);
             let d = soak_one(&Protocol::cs_on(), plan, seed, duration);
@@ -1336,52 +1303,42 @@ fn scale_sweep(cli: &Cli, spec: &Spec) -> FigureOutput {
         "{:>7} {:>5} {:>12} {:>12} {:>10} {:>9} {:>9} {:>12}",
         "nodes", "mac", "events", "events/s", "rss MiB", "links", "pruned", "err bound dB"
     ));
-    // Cells run serially under the supervised executor: a panicking
-    // cell is retried and quarantined instead of killing the sweep,
-    // and one-at-a-time keeps per-cell peak-RSS readings honest.
-    let pool = cmap_exec::Pool::new(1);
-    let mut cells: Vec<(usize, Protocol)> = Vec::new();
-    for &n in &counts {
-        cells.push((n, Protocol::cmap()));
-        cells.push((n, Protocol::cs_on()));
-    }
+    // Cells run one at a time, which keeps per-cell peak-RSS readings honest.
     let seed = spec.testbed_seed;
-    let results = pool.map(&cells, |(n, proto)| scale_cell(*n, proto, seed, duration));
     let mut err_bound_max = 0.0f64;
-    for ((n, proto), (cell, sparse)) in cells.iter().zip(&results) {
-        let mac = match proto {
-            Protocol::Cmap(_) => "cmap",
-            Protocol::Dcf(_) => "dcf",
-        };
-        let eps = cell.events as f64 / cell.wall_secs.max(1e-9);
-        err_bound_max = err_bound_max.max(sparse.error_bound_db);
-        out.line(format!(
-            "{n:>7} {mac:>5} {:>12} {:>12.0} {:>10.1} {:>9} {:>9} {:>12.6}",
-            cell.events,
-            eps,
-            cell.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            sparse.links,
-            sparse.pruned,
-            sparse.error_bound_db,
-        ));
-        let k = format!("scale.n{n}.{mac}");
-        out.metric(format!("{k}.events"), cell.events);
-        out.metric(format!("{k}.events_per_sec"), eps);
-        out.metric(format!("{k}.peak_rss_bytes"), cell.peak_rss_bytes);
-        out.metric(format!("{k}.delivered"), cell.delivered);
-        out.metric(format!("{k}.links"), sparse.links);
-        out.metric(format!("{k}.pruned"), sparse.pruned);
-        out.metric(format!("{k}.error_bound_db"), sparse.error_bound_db);
-        if cell.events == 0 {
-            out.failures
-                .push(format!("[n={n} {mac}] no events processed"));
-        }
-        if cell.delivered == 0 && *n >= 50 {
-            out.failures
-                .push(format!("[n={n} {mac}] nothing delivered"));
+    for &n in &counts {
+        for (mac, proto) in [("cmap", Protocol::cmap()), ("dcf", Protocol::cs_on())] {
+            let (cell, sparse) = scale_cell(n, &proto, seed, duration);
+            let eps = cell.events as f64 / cell.wall_secs.max(1e-9);
+            err_bound_max = err_bound_max.max(sparse.error_bound_db);
+            out.line(format!(
+                "{n:>7} {mac:>5} {:>12} {:>12.0} {:>10.1} {:>9} {:>9} {:>12.6}",
+                cell.events,
+                eps,
+                cell.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+                sparse.links,
+                sparse.pruned,
+                sparse.error_bound_db,
+            ));
+            let k = format!("scale.n{n}.{mac}");
+            out.metric(format!("{k}.events"), cell.events);
+            out.metric(format!("{k}.events_per_sec"), eps);
+            out.metric(format!("{k}.peak_rss_bytes"), cell.peak_rss_bytes);
+            out.metric(format!("{k}.delivered"), cell.delivered);
+            out.metric(format!("{k}.links"), sparse.links);
+            out.metric(format!("{k}.pruned"), sparse.pruned);
+            out.metric(format!("{k}.error_bound_db"), sparse.error_bound_db);
+            if cell.events == 0 {
+                out.failures
+                    .push(format!("[n={n} {mac}] no events processed"));
+            }
+            if cell.delivered == 0 && n >= 50 {
+                out.failures
+                    .push(format!("[n={n} {mac}] nothing delivered"));
+            }
         }
     }
-    out.metric("scale.cells", cells.len());
+    out.metric("scale.cells", 2 * counts.len());
     out.metric("scale.error_bound_db_max", err_bound_max);
     out.metric("scale.epsilon_db", SCALE_EPSILON_DB);
     out
@@ -1471,14 +1428,53 @@ mod tests {
         assert_eq!(run.failures, ["always_panics panicked: boom at 1 configs"]);
         assert_eq!(run.text, "FAIL: panicked: boom at 1 configs\n");
         assert!(run.report.is_none());
-        assert_eq!(run.cells.len(), 1);
-        assert_eq!(run.cells[0].figure, "always_panics");
-        assert_eq!(run.cells[0].label, "always_panics");
-        assert_eq!(run.cells[0].attempts, 1);
-        assert_eq!(run.cells[0].error, "boom at 1 configs");
         // Nothing was measured, so the row's predicate fails.
         assert_eq!(run.fidelity.len(), 1);
         assert_eq!(run.fidelity[0].verdict(), Verdict::Fail);
+    }
+
+    /// Both rows of the concurrency test below have failed a pool job
+    /// before either lets its panic reach `run_figure`.
+    static BOTH_FAILED: std::sync::Barrier = std::sync::Barrier::new(2);
+
+    /// A figure body whose one pool job panics with `msg`.
+    fn fail_in_pool(msg: &'static str) -> FigureOutput {
+        let payload = std::panic::catch_unwind(|| {
+            cmap_exec::map(1, &[()], |_| -> FigureOutput { panic!("{msg}") })
+        })
+        .unwrap_err();
+        BOTH_FAILED.wait();
+        std::panic::resume_unwind(payload)
+    }
+
+    fn failing_row(name: &'static str, run: fn(&Cli, &Spec) -> FigureOutput) -> Figure {
+        Figure {
+            name,
+            title: "a row whose pool job panics",
+            paper_claim: "-",
+            required_metrics: &["never_emitted"],
+            fidelity: &[],
+            in_repro: false,
+            spec: |cli| cli.spec(1),
+            run,
+        }
+    }
+
+    #[test]
+    fn concurrent_failing_figures_report_only_their_own_failure() {
+        let a = failing_row("fig_a", |_, _| fail_in_pool("a down"));
+        let b = failing_row("fig_b", |_, _| fail_in_pool("b down"));
+        let cli = Cli::default();
+        #[expect(clippy::disallowed_methods, reason = "two figures failing at once")]
+        let (run_a, run_b) = std::thread::scope(|scope| {
+            let run_a = scope.spawn(|| run_figure(&a, &cli));
+            let run_b = scope.spawn(|| run_figure(&b, &cli));
+            (run_a.join(), run_b.join())
+        });
+        let (run_a, run_b) = (run_a.expect("fig_a returns"), run_b.expect("fig_b returns"));
+        assert_eq!(run_a.failures, ["fig_a panicked: job 0: a down"]);
+        assert_eq!(run_b.failures, ["fig_b panicked: job 0: b down"]);
+        assert_eq!(run_a.text, "FAIL: panicked: job 0: a down\n");
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //!
 //! Every binary but `repro_all` is `figure_main(env!("CARGO_BIN_NAME"))`: it
 //! resolves its own name to a row of the registry table in [`figures`] and
-//! runs it through [`figures::run_figure`], the same supervised path
-//! `repro_all` runs the suite's rows through.
+//! runs it through [`figures::run_figure`], the same path `repro_all` runs
+//! the suite's rows through. A panic there — a failed pool job reaches it
+//! as `job {i}: …`, run once and never retried — is the figure's one
+//! `FAIL` line.
 //!
 //! All binaries accept `--quick` (shorter runs, fewer configurations),
 //! `--full` (the paper's 100-second runs and full configuration counts),

@@ -10,7 +10,7 @@ use cmap_sim::rng::{derive_seed, stream_rng};
 use cmap_topo::select;
 
 use crate::protocol::Protocol;
-use crate::runner::{parallel_map, run_links, testbed_ctx, Spec};
+use crate::runner::{run_links, testbed_ctx, Spec};
 
 /// Results of the AP sweep.
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ pub fn ap_sweep(spec: &Spec, max_aps: usize, experiments_per_n: usize) -> ApOutp
     let mut aggregates = Vec::new();
     let mut per_sender = Vec::new();
     for (pi, proto) in protocols().iter().enumerate() {
-        let outs = parallel_map(spec.jobs, &jobs, |(n, idx, topo)| {
+        let outs = cmap_exec::map(spec.jobs, &jobs, |(n, idx, topo)| {
             let stream = 0xF17_0000u64
                 ^ ((pi as u64) << 24)
                 ^ ((*n as u64) << 16)

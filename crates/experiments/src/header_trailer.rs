@@ -13,7 +13,7 @@ use rand::seq::SliceRandom;
 
 use crate::hidden::cmap_hdr_rates;
 use crate::protocol::Protocol;
-use crate::runner::{parallel_map, run_links, testbed_ctx, Spec};
+use crate::runner::{run_links, testbed_ctx, Spec};
 
 /// Fig 16 output: per-link reception-rate samples for the four curves.
 #[derive(Debug, Clone)]
@@ -99,7 +99,7 @@ pub fn fig19(spec: &Spec, experiments_per_k: usize) -> Vec<Fig19Row> {
                 link_sets.push(set);
             }
         }
-        let rates: Vec<f64> = parallel_map(spec.jobs, &link_sets, |set| {
+        let rates: Vec<f64> = cmap_exec::map(spec.jobs, &link_sets, |set| {
             let stream = 0xF19_0000u64
                 ^ ((k as u64) << 16)
                 ^ set.iter().fold(0u64, |acc, &(s, r)| {

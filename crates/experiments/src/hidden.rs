@@ -6,9 +6,7 @@ use rand::Rng;
 
 use crate::exposed::Curve;
 use crate::protocol::Protocol;
-use crate::runner::{
-    pair_curves, parallel_map, run_links, run_pairs, testbed_ctx, Spec, TestbedCtx,
-};
+use crate::runner::{pair_curves, run_links, run_pairs, testbed_ctx, Spec, TestbedCtx};
 
 /// One point of the Fig 14 scatter.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +57,7 @@ pub fn fig14(spec: &Spec) -> Fig14Output {
         .collect();
 
     let blast = Protocol::cs_off_no_acks();
-    let points = parallel_map(spec.jobs, &with_dst, |&(t, i_dst)| {
+    let points = cmap_exec::map(spec.jobs, &with_dst, |&(t, i_dst)| {
         let stream = 0xF14_0000u64 ^ ((t.s as u64) << 14) ^ ((t.r as u64) << 7) ^ t.i as u64;
         let seed = derive_seed(spec.run_seed, stream);
         let alone = run_links(&ctx, &[(t.s, t.r)], &blast, spec, seed).per_flow_mbps[0];

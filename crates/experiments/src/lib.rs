@@ -34,4 +34,4 @@ pub mod protocol;
 pub mod runner;
 
 pub use protocol::Protocol;
-pub use runner::{parallel_map, RunOutput, Spec, TestbedCtx};
+pub use runner::{RunOutput, Spec, TestbedCtx};

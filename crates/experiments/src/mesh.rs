@@ -10,7 +10,7 @@ use cmap_sim::rng::{derive_seed, stream_rng};
 use cmap_topo::select;
 
 use crate::protocol::Protocol;
-use crate::runner::{build_world, parallel_map, testbed_ctx, Spec};
+use crate::runner::{build_world, testbed_ctx, Spec};
 
 /// Aggregate leaf throughput per topology, per protocol.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub fn mesh(spec: &Spec, fanout: usize) -> MeshOutput {
     let protocols = [Protocol::cs_on(), Protocol::cmap()];
     let mut aggregates = Vec::new();
     for (pi, proto) in protocols.iter().enumerate() {
-        let samples = parallel_map(spec.jobs, &topos, |topo| {
+        let samples = cmap_exec::map(spec.jobs, &topos, |topo| {
             let stream = 0xF57_0000u64
                 ^ ((pi as u64) << 20)
                 ^ ((topo.source as u64) << 12)

@@ -191,7 +191,7 @@ pub(crate) fn run_pairs(
     stream: u64,
     key: fn(&LinkPair) -> usize,
 ) -> Vec<RunOutput> {
-    parallel_map(spec.jobs, pairs, |pair| {
+    cmap_exec::map(spec.jobs, pairs, |pair| {
         let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
         let stream = stream ^ ((pair.s1 as u64) << 12) ^ ((pair.s2 as u64) << 4) ^ key(pair) as u64;
         run_links(
@@ -228,20 +228,6 @@ pub(crate) fn pair_curves(
         .collect()
 }
 
-/// Map `f` over `items` on a deterministic worker pool of width `jobs`
-/// (see `spec.jobs`). Outputs are ordered by input index regardless of
-/// completion order, and `jobs == 1` is a plain serial loop, so results
-/// are identical for every pool width. All threading lives in the approved
-/// executor crate (`cmap-exec`); this is a thin delegation.
-pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    cmap_exec::Pool::new(jobs).map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,15 +238,6 @@ mod tests {
         assert_eq!(s.measure_from(), secs(12));
         assert_eq!(Spec::full().duration, secs(100));
         assert_eq!(Spec::full().measure_from(), secs(40));
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 2).collect();
-        for jobs in [1, 4] {
-            assert_eq!(parallel_map(jobs, &items, |&x| x * 2), expect);
-        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod trace;
 pub use artifact::{atomic_write, fnv1a64, Manifest, MANIFEST_SCHEMA};
 pub use metrics::{CounterId, GaugeId};
 pub use report::{
-    BerTableBlock, FailedCell, FailureBlock, FidelityRow, FigureEntry, MetricValue, Predicate,
-    RunReport, SpecBlock, SuiteReport, TimingBlock, Verdict, SCHEMA,
+    BerTableBlock, FidelityRow, FigureEntry, MetricValue, Predicate, RunReport, SpecBlock,
+    SuiteReport, TimingBlock, Verdict, SCHEMA,
 };
 pub use trace::{TraceEvent, TraceRecord, TraceSink};

@@ -171,13 +171,15 @@ define_ids! {
         CmapRtxGiveUp => "cmap.rtx_give_up",
         /// `on_tx_done` with nothing outstanding.
         CmapUnexpectedTxDone => "cmap.unexpected_tx_done",
-        // Run supervision (crates/exec counters, mirrored into reports by
-        // the bench harness — no simulated node ever bumps these).
-        /// Job attempts that ended in a caught panic (including retries).
+        // Unbumped: `cmap-exec` runs each job once and carries a failure
+        // in its panic, so nothing counts these. They stay because every
+        // checkpoint writes the whole counter array; they go with the
+        // next format bump (ROADMAP item 8, `cmap-ckpt/v7`).
+        /// Unbumped; formerly caught job panics.
         ExecJobPanic => "exec.job_panic",
-        /// Retry attempts dispatched for failed jobs.
+        /// Unbumped; formerly job retries.
         ExecJobRetry => "exec.job_retry",
-        /// Jobs that exhausted all retries and were quarantined.
+        /// Unbumped; formerly quarantined jobs.
         ExecJobQuarantined => "exec.job_quarantined",
     }
 }

@@ -216,67 +216,6 @@ impl RunReport {
     }
 }
 
-/// One failed (figure, point, seed) cell of a suite run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailedCell {
-    /// Figure the cell belonged to.
-    pub figure: String,
-    /// Job label identifying the cell within the figure (or the figure
-    /// itself when the whole run panicked outside the pool).
-    pub label: String,
-    /// Attempts made before quarantine.
-    pub attempts: u64,
-    /// The final panic message.
-    pub error: String,
-}
-
-impl FailedCell {
-    fn to_json(&self) -> String {
-        let mut s = String::from("{\"figure\":");
-        json::push_str_lit(&mut s, &self.figure);
-        s.push_str(",\"label\":");
-        json::push_str_lit(&mut s, &self.label);
-        s.push_str(&format!(",\"attempts\":{},\"error\":", self.attempts));
-        json::push_str_lit(&mut s, &self.error);
-        s.push('}');
-        s
-    }
-}
-
-/// The suite's supervision outcome: the `exec.job_*` counter values plus
-/// each quarantined cell. Deterministic (no wall clock), so it serializes
-/// in both report views, after `figures` and before the timing region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FailureBlock {
-    /// Value of the `exec.job_panic` counter.
-    pub panics: u64,
-    /// Value of the `exec.job_retry` counter.
-    pub retries: u64,
-    /// Value of the `exec.job_quarantined` counter.
-    pub quarantined: u64,
-    /// Every quarantined cell, in quarantine order.
-    pub cells: Vec<FailedCell>,
-}
-
-impl FailureBlock {
-    fn to_json(&self) -> String {
-        // Keys are the typed counter names (`CounterId::ExecJob*`); the
-        // `failure_block_keys_match_counter_registry` test pins that.
-        let mut s = format!(
-            "{{\"exec.job_panic\":{},\"exec.job_retry\":{},\"exec.job_quarantined\":{},\"cells\":[",
-            self.panics, self.retries, self.quarantined
-        );
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_json());
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
 /// One entry of a suite's `figures` array: either a structured report
 /// built this run, or the verbatim JSON of a figure restored from a
 /// previous run's hash-valid artifact (`repro_all --resume`).
@@ -466,8 +405,11 @@ pub struct SuiteReport {
     pub fidelity: Option<Vec<FidelityRow>>,
     /// Per-figure entries, in run order.
     pub figures: Vec<FigureEntry>,
-    /// Supervision outcome; `None` omits the key (library contexts).
-    pub failures: Option<FailureBlock>,
+    /// Every failure the run printed as a `FAIL` line, in suite order.
+    /// Deterministic (no wall clock), so it serializes in both views,
+    /// after `figures` and before `timing`; `None` omits the key (library
+    /// contexts).
+    pub failures: Option<Vec<String>>,
     /// Suite wall-clock, if measured.
     pub timing: Option<TimingBlock>,
 }
@@ -522,9 +464,15 @@ impl SuiteReport {
             s.push_str(&f.to_json(include_timing));
         }
         s.push(']');
-        if let Some(fb) = &self.failures {
-            s.push_str(",\"failures\":");
-            s.push_str(&fb.to_json());
+        if let Some(failures) = &self.failures {
+            s.push_str(",\"failures\":[");
+            for (i, f) in failures.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                json::push_str_lit(&mut s, f);
+            }
+            s.push(']');
         }
         if include_timing {
             if let Some(t) = &self.timing {
@@ -739,52 +687,31 @@ mod tests {
     }
 
     #[test]
-    fn failures_block_serializes_after_figures() {
+    fn failures_list_serializes_after_figures() {
         let mut s = SuiteReport::new("repro_all", spec());
         assert!(!s.to_json(true).contains("\"failures\""));
-        s.failures = Some(FailureBlock {
-            panics: 3,
-            retries: 2,
-            quarantined: 1,
-            cells: vec![FailedCell {
-                figure: "fig12_exposed".to_string(),
-                label: "fig12_exposed[7]".to_string(),
-                attempts: 3,
-                error: "boom".to_string(),
-            }],
-        });
+        s.failures = Some(Vec::new());
+        assert!(s
+            .to_json(false)
+            .ends_with("\"figures\":[],\"failures\":[]}"));
+        s.failures = Some(vec![
+            "fig12_exposed panicked: job 7: boom".to_string(),
+            "fidelity: \"quoted\"".to_string(),
+        ]);
         s.timing = Some(TimingBlock { wall_secs: 9.0 });
         let full = s.to_json(true);
         let det = s.to_json(false);
-        // Present in both views (the block is deterministic), between the
+        // Present in both views (the list is deterministic), between the
         // figures array and the timing region.
         for view in [&full, &det] {
             let f = view.find("\"figures\":").unwrap();
             let b = view.find("\"failures\":").unwrap();
             assert!(f < b, "{view}");
             assert!(view.contains(
-                "\"failures\":{\"exec.job_panic\":3,\"exec.job_retry\":2,\
-                 \"exec.job_quarantined\":1,\"cells\":[{\"figure\":\"fig12_exposed\",\
-                 \"label\":\"fig12_exposed[7]\",\"attempts\":3,\"error\":\"boom\"}]}"
+                "\"failures\":[\"fig12_exposed panicked: job 7: boom\",\
+                 \"fidelity: \\\"quoted\\\"\"]"
             ));
         }
         assert!(full.find("\"failures\":").unwrap() < full.find("\"timing\":").unwrap());
-    }
-
-    #[test]
-    fn failure_block_keys_match_counter_registry() {
-        use crate::metrics::CounterId;
-        let json = FailureBlock::default().to_json();
-        for id in [
-            CounterId::ExecJobPanic,
-            CounterId::ExecJobRetry,
-            CounterId::ExecJobQuarantined,
-        ] {
-            assert!(
-                json.contains(&format!("\"{}\":", id.name())),
-                "failure block missing key {}",
-                id.name()
-            );
-        }
     }
 }

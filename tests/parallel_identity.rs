@@ -4,7 +4,7 @@
 //! reports (outside the timing block) and byte-identical stats snapshots —
 //! the pool may only change wall-clock, never bytes.
 
-use cmap_suite::exec::Pool;
+use cmap_suite::exec;
 use cmap_suite::experiments::exposed::fig12;
 use cmap_suite::experiments::Spec;
 use cmap_suite::obs::{SpecBlock, TimingBlock};
@@ -107,8 +107,8 @@ fn snapshot_world(seed: u64) -> String {
 #[test]
 fn pooled_world_snapshots_match_serial_byte_for_byte() {
     let seeds: Vec<u64> = (100..110).collect();
-    let serial = Pool::new(1).map(&seeds, |&s| snapshot_world(s));
-    let pooled = Pool::new(4).map(&seeds, |&s| snapshot_world(s));
+    let serial = exec::map(1, &seeds, |&s| snapshot_world(s));
+    let pooled = exec::map(4, &seeds, |&s| snapshot_world(s));
     assert_eq!(serial.len(), pooled.len());
     for (i, (a, b)) in serial.iter().zip(pooled.iter()).enumerate() {
         assert!(!a.is_empty());
