@@ -250,7 +250,7 @@ pub static REGISTRY: [Figure; 15] = [
             paper: "+52% over CS",
             lo: 1.2,
             hi: 1.9,
-            waiver: Some("relays time-share with the source; ROADMAP 1(c)"),
+            waiver: Some("relays time-share with the source; EXPERIMENTS.md Honest-gaps list"),
         }],
         in_repro: true,
         spec: |cli| cli.spec(10),

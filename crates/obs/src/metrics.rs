@@ -171,16 +171,6 @@ define_ids! {
         CmapRtxGiveUp => "cmap.rtx_give_up",
         /// `on_tx_done` with nothing outstanding.
         CmapUnexpectedTxDone => "cmap.unexpected_tx_done",
-        // Unbumped: `cmap-exec` runs each job once and carries a failure
-        // in its panic, so nothing counts these. They stay because every
-        // checkpoint writes the whole counter array; they go with the
-        // next format bump (ROADMAP item 8, `cmap-ckpt/v7`).
-        /// Unbumped; formerly caught job panics.
-        ExecJobPanic => "exec.job_panic",
-        /// Unbumped; formerly job retries.
-        ExecJobRetry => "exec.job_retry",
-        /// Unbumped; formerly quarantined jobs.
-        ExecJobQuarantined => "exec.job_quarantined",
     }
 }
 

@@ -1,4 +1,4 @@
-//! `cmap-ckpt/v6` — the versioned binary checkpoint format.
+//! `cmap-ckpt/v7` — the versioned binary checkpoint format.
 //!
 //! A checkpoint is a full serialization of a mid-run [`World`]: simulation
 //! clock, pending events, radio bank, per-node RNG stream
@@ -48,8 +48,9 @@ use crate::node::NodeId;
 /// holds the state the engine does: the queue image is the filed events
 /// alone, each in-flight transmission's record carries its one stream
 /// cursor (no end time, wire length or release count beside it), and
-/// neither the pool's capacity nor the published lookup count is written.
-pub const CKPT_MAGIC: &str = "cmap-ckpt/v6";
+/// neither the pool's capacity nor the published lookup count is written;
+/// v7 holds exact radio energy totals and each live reception's power.
+pub const CKPT_MAGIC: &str = "cmap-ckpt/v7";
 
 /// Why a checkpoint could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,7 +348,7 @@ pub fn read_blob<T>(
         .map_err(|e| e.to_string())
 }
 
-/// A type with a `cmap-ckpt/v6` encoding. `load` must read back exactly
+/// A type with a `cmap-ckpt/v7` encoding. `load` must read back exactly
 /// the bytes `save` wrote and validate them: a value outside its legal
 /// range is [`CkptError::Malformed`], never a panic.
 pub trait Persist: Sized {
@@ -431,6 +432,18 @@ impl<T: Persist> Persist for VecDeque<T> {
     }
     fn load(r: &mut CkptReader<'_>) -> Result<VecDeque<T>, CkptError> {
         Vec::load(r).map(VecDeque::from)
+    }
+}
+
+/// Two little-endian `u64` words, the low one first.
+impl Persist for u128 {
+    const MIN_BYTES: usize = 16;
+    fn save(&self, w: &mut CkptWriter) {
+        w.put(&(*self as u64, (*self >> 64) as u64));
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<u128, CkptError> {
+        let (low, high): (u64, u64) = r.get()?;
+        Ok(u128::from(high) << 64 | u128::from(low))
     }
 }
 
@@ -568,7 +581,7 @@ impl Persist for SmallRng {
     }
 }
 
-/// Declare a type's `cmap-ckpt/v6` encoding once; both directions are
+/// Declare a type's `cmap-ckpt/v7` encoding once; both directions are
 /// derived from the one list, so they cannot drift apart.
 ///
 /// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
@@ -694,7 +707,7 @@ mod tests {
         );
         // Magic of a past or future version must be rejected, not
         // half-read.
-        for other in ["cmap-ckpt/v4\n", "cmap-ckpt/v5\n", "cmap-ckpt/v7\n"] {
+        for other in ["cmap-ckpt/v5\n", "cmap-ckpt/v6\n", "cmap-ckpt/v8\n"] {
             assert_eq!(
                 CkptReader::new(other.as_bytes()).unwrap_err(),
                 CkptError::BadMagic

@@ -97,9 +97,10 @@ pub(crate) struct PhyLinear {
     pub noise_mw: f64,
     /// Minimum power in mW for a lock attempt.
     pub sensitivity_mw: f64,
-    /// In-band energy in mW at which CCA reads busy: the lower of the
-    /// preamble-detection and energy-detection thresholds.
-    pub cca_busy_mw: f64,
+    /// In-band energy at which CCA reads busy, in 2⁻¹⁰⁰ mW (as the radio
+    /// totals it): the lower of the preamble-detection and
+    /// energy-detection thresholds.
+    pub cca_busy: u128,
     /// Power ratio over the locked frame that steals the lock inside its
     /// preamble window; `None` when preamble capture is off.
     pub capture_ratio: Option<f64>,
@@ -111,11 +112,12 @@ impl PhyLinear {
     /// Convert `phy`'s dB figures once. Run digests depend on the exact
     /// bits, so a change of formula here is a change of every artifact.
     pub fn new(phy: &PhyConfig) -> PhyLinear {
+        use crate::radio::fixed_mw;
         use cmap_phy::{dbm_to_mw, units::db_to_ratio};
         PhyLinear {
             noise_mw: phy.noise_mw(),
             sensitivity_mw: dbm_to_mw(phy.sensitivity_dbm),
-            cca_busy_mw: dbm_to_mw(phy.cs_detect_dbm.min(phy.ed_threshold_dbm)),
+            cca_busy: fixed_mw(dbm_to_mw(phy.cs_detect_dbm.min(phy.ed_threshold_dbm))),
             capture_ratio: phy
                 .preamble_capture
                 .then(|| db_to_ratio(phy.capture_margin_db)),

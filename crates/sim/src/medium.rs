@@ -510,7 +510,7 @@ impl Medium {
     /// transmit power, row offsets and every link's receiver, gain bits
     /// and delay. Two media with the same fingerprint produce the same
     /// event fan-out however they were fed, so checkpoints echo it to
-    /// reject restores into a differently-built world (`cmap-ckpt/v6`). A
+    /// reject restores into a differently-built world (`cmap-ckpt/v7`). A
     /// medium never changes once built, so the hash runs once, at the
     /// first checkpoint or restore — not at build, which runs that never
     /// checkpoint would pay for.

@@ -24,10 +24,13 @@
 //!   release accounting (`ends_remaining`) guarantees no double-free — a
 //!   slot only returns to the free list when its last share is released.
 //! * Fewer than 2²⁰ slots: a queue key has that many bits for the index.
+//! * A slot holds the power each `FrameStart` added to its receiver, by
+//!   row position, for the `FrameEnd` to subtract; recycled like `buf`.
 //!
-//! Checkpoint interaction (`cmap-ckpt/v6`): only *live* slots are
-//! serialised, as [`LiveTx`] records holding the stream's one cursor; the
-//! queue image holds none of their events. On restore each live slot is
+//! Checkpoint interaction (`cmap-ckpt/v7`): only *live* slots are
+//! serialised, as [`LiveTx`] records holding the stream's one cursor and
+//! its live receivers' powers; the queue image holds none of their
+//! events. On restore each live slot is
 //! placed back at the index/generation its `TxId` encodes, its release
 //! count derived from the cursor, and every other index below the high
 //! water becomes free with generation 0. Free-slot generations are an
@@ -37,12 +40,14 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::ckpt::CkptError;
 use crate::event::{TxId, SLOTS};
-use crate::medium::Arrival;
+use crate::medium::{Arrival, Medium};
 use crate::node::NodeId;
 use crate::persist;
+use crate::radio::FIXED_MAX;
 use crate::time::Time;
 use cmap_phy::Rate;
 use cmap_wire::FrameView;
@@ -57,6 +62,8 @@ struct Slot {
     rate: Rate,
     /// The transmission's events and how far they have been handled.
     stream: Stream,
+    /// The power each started receiver holds for it, by row position.
+    powers: Vec<u128>,
     /// Outstanding releases: one per receiver `FrameEnd` plus one for the
     /// sender's `TxEnd`. Zero while free or not yet armed.
     ends_remaining: u32,
@@ -69,8 +76,15 @@ impl Slot {
             buf: Vec::new(),
             rate: Rate::R6,
             stream: Stream::default(),
+            powers: Vec::new(),
             ends_remaining: 0,
         }
+    }
+
+    /// Row positions whose `FrameStart` is handled and `FrameEnd` not.
+    fn receiving(&self) -> Range<usize> {
+        let started = self.powers.len();
+        (self.stream.cursor as usize - started).saturating_sub(1)..started
     }
 }
 
@@ -227,8 +241,26 @@ impl FramePool {
             seq0,
             cursor: 0,
         };
+        slot.powers.clear();
+        slot.powers.reserve(ends as usize - 1);
         slot.ends_remaining = ends;
         slot.stream
+    }
+
+    /// Each started row position's power: a `FrameStart` pushes, a `FrameEnd` reads.
+    #[inline]
+    pub(crate) fn powers(&mut self, id: TxId) -> &mut Vec<u128> {
+        &mut self.slot_mut(id).powers
+    }
+
+    /// Visit every live reception: its receiver and the power it holds.
+    pub(crate) fn receptions<F: FnMut(NodeId, &mut u128)>(&mut self, rows: &mut Medium, mut f: F) {
+        for slot in self.slots.iter_mut().filter(|s| s.ends_remaining > 0) {
+            let (row, live) = (rows.arrivals(slot.stream.node), slot.receiving());
+            for j in live {
+                f(row[j].rx, &mut slot.powers[j]);
+            }
+        }
     }
 
     /// The transmission in live slot `index` and its stream, at the event
@@ -307,7 +339,7 @@ impl FramePool {
         self.recycled
     }
 
-    // ---- cmap-ckpt/v6 ---------------------------------------------------
+    // ---- cmap-ckpt/v7 ---------------------------------------------------
 
     /// The live slots' checkpoint records in slot order (restore puts
     /// each back at its index), borrowing their wire bytes.
@@ -322,6 +354,7 @@ impl FramePool {
                 buf: Cow::Borrowed(&s.buf[..]),
                 seq0: s.stream.seq0,
                 cursor: s.stream.cursor,
+                powers: s.powers[s.receiving()].to_vec(),
             })
     }
 
@@ -333,7 +366,8 @@ impl FramePool {
     /// the `pool.high_water` / `pool.recycled` gauges must not restart at
     /// the restore point. `fanout` is a record's receiver count, `None`
     /// if its sender or its keys do not fit the world; its cursor must
-    /// name an event of its stream.
+    /// name an event of its stream, and it must hold one power per
+    /// receiver that cursor has started and not ended.
     pub fn restore(
         high_water: u64,
         recycled: u64,
@@ -355,7 +389,11 @@ impl FramePool {
             // before `end + airtime`, which must be a time.
             let airtime = tx.rate.frame_airtime_ns(tx.buf.len());
             let end = tx.start.checked_add(airtime);
-            let f = fanout(&tx).filter(|&f| tx.cursor <= 2 * f);
+            // One power per receiver started and not yet ended.
+            let ended = |f: u32| tx.cursor.saturating_sub(f + 1);
+            let f = fanout(&tx).filter(|&f| {
+                tx.cursor <= 2 * f && tx.powers.len() == (f.min(tx.cursor) - ended(f)) as usize
+            });
             let (Some(f), Some(end)) = (f, end.filter(|e| e.checked_add(airtime).is_some())) else {
                 return Err(CkptError::Malformed(format!(
                     "tx {} from node {}: cursor {}, seq {}, start {}",
@@ -374,6 +412,7 @@ impl FramePool {
                             seq0: tx.seq0,
                             cursor: tx.cursor,
                         },
+                        powers: [vec![0; ended(f) as usize], tx.powers].concat(),
                         // A FrameEnd's each, and the TxEnd's until handled.
                         ends_remaining: f + 1 - tx.cursor.saturating_sub(f),
                         buf: tx.buf.into_owned(),
@@ -401,8 +440,9 @@ impl FramePool {
     }
 }
 
-/// The checkpoint record of one in-flight transmission: its slot, frame
-/// and [`Stream`]; the stream's end and the slot's release count follow.
+/// The checkpoint record of one in-flight transmission: its slot, frame,
+/// [`Stream`] and its live receivers' powers; the stream's end and the
+/// slot's release count follow.
 pub(crate) struct LiveTx<'a> {
     pub tx_id: TxId,
     pub node: NodeId,
@@ -411,15 +451,19 @@ pub(crate) struct LiveTx<'a> {
     pub buf: Cow<'a, [u8]>,
     pub seq0: u64,
     pub cursor: u32,
+    pub powers: Vec<u128>,
 }
 
-persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, seq0, cursor },
+persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, seq0, cursor, powers },
          validate LiveTx::check);
 
 impl LiveTx<'_> {
-    /// A live slot holds a well-formed frame ([`FramePool::restore`] holds
-    /// the cursor to its stream).
+    /// A live slot holds a well-formed frame and powers under the cap
+    /// ([`FramePool::restore`] holds the cursor to its stream).
     fn check(&self) -> Result<(), CkptError> {
+        if self.powers.iter().any(|&p| p > FIXED_MAX) {
+            return Err(CkptError::Malformed(format!("tx {} power", self.tx_id)));
+        }
         FrameView::parse_checked(&self.buf)
             .map(drop)
             .map_err(|e| CkptError::Malformed(format!("tx {} frame: {e:?}", self.tx_id)))
@@ -500,6 +544,7 @@ mod tests {
             buf: Cow::Owned(vec![1, 2, 3]),
             seq0: 40,
             cursor,
+            powers: vec![7; cursor.min(1) as usize],
         };
         let id = pack(5, 2);
         let one = |_: &LiveTx<'_>| Some(1);
@@ -520,6 +565,14 @@ mod tests {
             refused(4, vec![tx(id, 3, 3)], &one),
             "cursor past the last FrameEnd"
         );
+        let unheard = LiveTx {
+            powers: vec![],
+            ..tx(id, 3, 1)
+        };
+        assert!(
+            refused(4, vec![unheard], &one),
+            "a started receiver's power missing"
+        );
         let airtime = Rate::R24.frame_airtime_ns(3);
         let late = LiveTx {
             start: u64::MAX - airtime,
@@ -533,7 +586,8 @@ mod tests {
         assert_eq!(p.live(), 1);
         assert_eq!((p.high_water(), p.recycled()), (4, 17));
         assert_eq!(p.wire_len(id), 3);
-        assert_eq!(p.live_txs().count(), 1);
+        let powers: Vec<_> = p.live_txs().map(|tx| tx.powers).collect();
+        assert_eq!((powers, p.powers(id)[0]), (vec![vec![7]], 7));
         // Its one FrameStart handled: the TxEnd is next, then the FrameEnd.
         let row = [Arrival {
             rx: NodeId::new(0),

@@ -1,7 +1,7 @@
 //! Per-node radio state: a half-duplex PHY state machine, stored
 //! struct-of-arrays across all nodes.
 //!
-//! The radio layer tracks every frame currently impinging on each node (for
+//! The radio layer keeps the total power impinging on each node (for
 //! energy accounting), holds at most one *lock* per node (the frame actually
 //! being decoded), and implements preamble capture. It deliberately knows
 //! nothing about frame contents — the world layer attaches meanings; radios
@@ -26,14 +26,13 @@
 //! [`RadioBank`] keeps one array per field instead of one struct per node.
 //! The carrier-sense hot path — [`RadioBank::busy`] runs on every MAC
 //! dispatch and every `check_channel_edge` iteration — reads exactly two
-//! dense arrays (a packed state byte and the running energy total), so
-//! sweeps over many nodes touch a handful of cache lines instead of one
-//! scattered `Radio` struct per node. The cold per-node state (lock
-//! records, impinging-frame lists, recycled profile buffers) lives in its
-//! own arrays that only reception events touch. The per-node energy total
-//! is maintained incrementally (add on frame start, subtract on frame end,
-//! snap to exactly `0.0` whenever the impinging set empties so float
-//! residue cannot accumulate) — `busy` no longer sums the impinging list.
+//! dense arrays (a packed state byte and the energy total), so sweeps over
+//! many nodes touch a handful of cache lines instead of one scattered
+//! `Radio` struct per node. The cold per-node state (lock records, recycled
+//! profile buffers) lives in its own arrays that only reception events
+//! touch. The energy total is an exact count of 2⁻¹⁰⁰ mW ([`fixed_mw`]):
+//! a frame's start adds its power and its end subtracts the same count, so
+//! the total is the exact sum of what is on the air (DESIGN.md §9.3).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -44,6 +43,46 @@ use crate::event::TxId;
 use crate::persist;
 use crate::time::Time;
 use cmap_phy::{gate, preamble_success_prob, DrawGate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+
+/// The largest power held, 2⁷ mW (+21 dBm): with fewer than 2²⁰ frames on
+/// the air (one per pool slot), a total stays below 2¹²⁷.
+pub(crate) const FIXED_MAX: u128 = 1 << 107;
+
+/// `mw` as a count of 2⁻¹⁰⁰ mW: `(mw · 2¹⁰⁰) as u128` below the
+/// [`FIXED_MAX`] cap, in bit operations (the compiler's `as` is a library
+/// call). What truncation cuts, under -300 dBm, is far below the noise.
+#[inline(always)]
+pub(crate) fn fixed_mw(mw: f64) -> u128 {
+    let bits = mw.to_bits();
+    // mw = mant · 2^(exp − 1075), so the count is mant · 2^(exp − 975). A
+    // set sign bit lifts `exp` past 2047: every negative counts 0.
+    let exp = (bits >> 52) as i32;
+    let mant = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
+    match exp - 975 {
+        shift @ 0..=54 => mant << shift,
+        shift @ -52..=-1 => mant >> -shift,
+        55..=1072 => FIXED_MAX,
+        _ => 0,
+    }
+}
+
+/// A count of 2⁻¹⁰⁰ mW as the nearest `f64` mW (ties to even, as `fixed
+/// as f64` rounds), in bit operations; 0 is exactly `0.0`.
+#[inline(always)]
+pub(crate) fn mw_of(fixed: u128) -> f64 {
+    if fixed == 0 {
+        return 0.0;
+    }
+    let lz = fixed.leading_zeros();
+    let top = fixed << lz;
+    let mant = (top >> 75) as u64;
+    // The 75 bits rounded off, top-aligned against one half.
+    let (rest, half) = (top << 53, 1u128 << 127);
+    let up = rest > half || (rest == half && mant & 1 == 1);
+    // The leading bit is worth 2^(27 − lz): biased exponent 1050 − lz.
+    let exp = u64::from(1050 - lz);
+    f64::from_bits(((exp - 1) << 52) + mant + u64::from(up))
+}
 
 /// Coarse radio state exposed to MACs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,27 +95,21 @@ pub enum RadioPhase {
     Transmitting,
 }
 
-/// One frame currently impinging on a node.
-#[derive(Debug, Clone, Copy)]
-struct Incoming {
-    tx_id: TxId,
-    power_mw: f64,
-}
-
-persist!(struct Incoming { tx_id, power_mw });
-
-/// The frame currently being decoded at a node.
-#[derive(Debug, Clone)]
+/// The frame currently being decoded at a node; the world grades it when
+/// it completes.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RxLock {
     pub tx_id: TxId,
     pub lock_time: Time,
     pub signal_mw: f64,
+    /// `fixed_mw(signal_mw)`, derived again on restore.
+    pub signal: u128,
     /// Piecewise-constant interference (mW, excluding the locked signal)
     /// as `(change_time, level_after)`, starting with the level at lock.
     pub interference: Vec<(Time, f64)>,
 }
 
-persist!(struct RxLock { tx_id, lock_time, signal_mw, interference });
+persist!(struct RxLock { tx_id, lock_time, signal_mw, interference } ..RxLock::default());
 
 /// What happened when a frame arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,16 +120,6 @@ pub enum LockOutcome {
     Captured { displaced: TxId },
     /// Frame is interference only (no lock, or lock attempt failed).
     Interference,
-}
-
-/// Completed reception of a locked frame, to be graded by the world.
-#[derive(Debug, Clone)]
-pub(crate) struct RxCompletion {
-    pub tx_id: TxId,
-    pub lock_time: Time,
-    pub signal_mw: f64,
-    /// Interference profile during the lock (see [`RxLock::interference`]).
-    pub interference: Vec<(Time, f64)>,
 }
 
 /// Packed per-node state bits (the `state` hot array).
@@ -113,28 +136,18 @@ mod flag {
     pub const ANY_BUSY: u8 = DISABLED | TX | LOCKED;
 }
 
-/// Largest relative gap between a node's running energy total and a fresh
-/// re-sum of its impinging frames the watchdog accepts: 4·10⁻⁶ dB, ~200×
-/// the worst drift measured in a benchmark workload (DESIGN.md §7.5).
-const ENERGY_DRIFT_BOUND: f64 = 1e-6;
-
 /// All radios of a world, one array per field (struct-of-arrays).
 #[derive(Debug)]
 pub(crate) struct RadioBank {
     // Hot arrays: the only state `busy`/`phase` touch.
     /// Packed [`flag`] bits per node.
     state: Vec<u8>,
-    /// Running sum of impinging frame powers in mW per node, maintained
-    /// incrementally and snapped to `0.0` when the impinging set empties.
-    energy_total: Vec<f64>,
+    /// Exact sum of the powers impinging on each node, in 2⁻¹⁰⁰ mW.
+    energy: Vec<u128>,
 
     // Cold arrays: touched only by reception/transmission events.
-    /// Frames currently impinging on each node.
-    incoming: Vec<Vec<Incoming>>,
     /// The reception lock, if [`flag::LOCKED`] is set.
     lock: Vec<Option<RxLock>>,
-    /// Receptions aborted because the MAC started transmitting over them.
-    aborted_rx: Vec<u64>,
     /// Recycled interference-profile buffers: the next lock reuses the
     /// capacity of the last completed (or dropped) one instead of
     /// allocating per reception.
@@ -152,10 +165,8 @@ impl RadioBank {
     pub fn new(n: usize) -> RadioBank {
         RadioBank {
             state: vec![0; n],
-            energy_total: vec![0.0; n],
-            incoming: (0..n).map(|_| Vec::new()).collect(),
+            energy: vec![0; n],
             lock: (0..n).map(|_| None).collect(),
-            aborted_rx: vec![0; n],
             spare_profile: (0..n).map(|_| Vec::new()).collect(),
             gate: DrawGate::shared(),
             lock_draws: (0, 0),
@@ -194,15 +205,6 @@ impl RadioBank {
         self.state.len()
     }
 
-    /// A profile buffer seeded with the level at lock time, reusing the
-    /// node's spare buffer capacity when one is parked.
-    fn fresh_profile(&mut self, node: usize, at: Time, level: f64) -> Vec<(Time, f64)> {
-        let mut buf = std::mem::take(&mut self.spare_profile[node]);
-        buf.clear();
-        buf.push((at, level));
-        buf
-    }
-
     /// Park a used interference buffer for the node's next lock (keeps the
     /// larger capacity when two race back).
     pub(crate) fn recycle_profile(&mut self, node: usize, mut buf: Vec<(Time, f64)>) {
@@ -210,11 +212,6 @@ impl RadioBank {
         if buf.capacity() > self.spare_profile[node].capacity() {
             self.spare_profile[node] = buf;
         }
-    }
-
-    fn set_lock(&mut self, node: usize, lock: RxLock) {
-        self.lock[node] = Some(lock);
-        self.state[node] |= flag::LOCKED;
     }
 
     fn take_lock(&mut self, node: usize) -> Option<RxLock> {
@@ -234,19 +231,9 @@ impl RadioBank {
         }
     }
 
-    /// Sum of impinging frame powers in mW, optionally excluding one frame.
-    /// The no-exclusion reading is the maintained running total; exclusion
-    /// re-sums the (short) impinging list so interference levels written to
-    /// profiles stay exactly `0.0` when nothing else is on the air.
-    pub fn energy_mw(&self, node: usize, exclude: Option<TxId>) -> f64 {
-        match exclude {
-            None => self.energy_total[node],
-            Some(id) => self.incoming[node]
-                .iter()
-                .filter(|f| f.tx_id != id)
-                .map(|f| f.power_mw)
-                .sum(),
-        }
+    /// The exact sum of the powers impinging on `node`, in 2⁻¹⁰⁰ mW.
+    pub fn energy(&self, node: usize) -> u128 {
+        self.energy[node]
     }
 
     /// 802.11-style clear-channel assessment: busy while transmitting,
@@ -257,7 +244,7 @@ impl RadioBank {
     /// a clear channel, and the busy -> idle edge at recovery is what
     /// wakes carrier-waiting MACs back up.
     pub fn busy(&self, node: usize, phy: &PhyLinear) -> bool {
-        self.state[node] & flag::ANY_BUSY != 0 || self.energy_total[node] >= phy.cca_busy_mw
+        self.state[node] & flag::ANY_BUSY != 0 || self.energy[node] >= phy.cca_busy
     }
 
     /// The cached busy flag for edge-triggered carrier notifications.
@@ -274,27 +261,21 @@ impl RadioBank {
         }
     }
 
-    /// Receptions aborted at `node` because its MAC transmitted over them.
-    #[cfg(test)]
-    pub fn aborted_rx(&self, node: usize) -> u64 {
-        self.aborted_rx[node]
-    }
-
     /// True while powered off or wedged by fault injection.
     pub fn is_disabled(&self, node: usize) -> bool {
         self.state[node] & flag::DISABLED != 0
     }
 
     /// Fault injection: the radio goes deaf mid-whatever. Any reception in
-    /// progress is lost and tracked energies are forgotten (frames still on
-    /// the air when the radio recovers are not heard). A transmission
+    /// progress is lost and the energy total forgotten (frames still on
+    /// the air when the radio recovers are not heard; the world zeroes
+    /// their held powers, so their ends subtract nothing). A transmission
     /// already started keeps its [`flag::TX`] marker — the energy is
     /// physically committed and `end_tx` still fires. Returns `true` if a
     /// locked reception was dropped.
     pub fn power_off(&mut self, node: usize) -> bool {
         self.state[node] |= flag::DISABLED;
-        self.incoming[node].clear();
-        self.energy_total[node] = 0.0;
+        self.energy[node] = 0;
         match self.take_lock(node) {
             Some(lock) => {
                 self.recycle_profile(node, lock.interference);
@@ -312,22 +293,12 @@ impl RadioBank {
 
     /// Watchdog: structural invariants that must hold between events.
     /// Half-duplex (never locked while transmitting), no reception
-    /// surviving a power-off, and the hot arrays agreeing with the cold
-    /// state they summarise.
+    /// surviving a power-off, and the lock flag agreeing with the lock
+    /// record. (The world holds the energy total to its receptions.)
     pub fn invariants_ok(&self, node: usize) -> bool {
         let s = self.state[node];
         let lock_flag_ok = (s & flag::LOCKED != 0) == self.lock[node].is_some();
-        // An empty impinging set must read exactly zero energy (the snap in
-        // `frame_end`); bit compare, as this is an exact-representation
-        // invariant, not a numeric tolerance. A set that never empties
-        // never snaps: there the total is held to a fresh re-sum.
-        let energy_ok = if self.incoming[node].is_empty() {
-            self.energy_total[node].to_bits() == 0
-        } else {
-            let resum: f64 = self.incoming[node].iter().map(|f| f.power_mw).sum();
-            (self.energy_total[node] - resum).abs() <= ENERGY_DRIFT_BOUND * resum
-        };
-        lock_flag_ok && energy_ok && (s & flag::LOCKED == 0 || s & (flag::TX | flag::DISABLED) == 0)
+        lock_flag_ok && (s & flag::LOCKED == 0 || s & (flag::TX | flag::DISABLED) == 0)
     }
 
     /// True if the radio is locked on the given transmission.
@@ -336,7 +307,8 @@ impl RadioBank {
     }
 
     /// A new frame's energy arrives at `node`. Returns whether it got the
-    /// lock.
+    /// lock, and the power the radio now holds for it in 2⁻¹⁰⁰ mW — 0 at a
+    /// disabled radio — which the frame's [`RadioBank::frame_end`] takes.
     pub fn frame_start(
         &mut self,
         node: usize,
@@ -345,20 +317,19 @@ impl RadioBank {
         now: Time,
         phy: &PhyLinear,
         rng: &mut SmallRng,
-    ) -> LockOutcome {
+    ) -> (LockOutcome, u128) {
         if self.is_disabled(node) {
-            // Deaf: the energy is not even tracked (the matching frame_end
-            // finds nothing to remove).
-            return LockOutcome::Interference;
+            // Deaf: the energy is not even tracked.
+            return (LockOutcome::Interference, 0);
         }
         let noise = phy.noise_mw;
+        let power = fixed_mw(power_mw);
         // Interference the new frame would see: everything already here.
-        let interference_for_new = self.energy_total[node];
-        self.incoming[node].push(Incoming { tx_id, power_mw });
-        self.energy_total[node] += power_mw;
+        let before = self.energy[node];
+        self.energy[node] += power;
 
         if self.state[node] & flag::TX != 0 {
-            return LockOutcome::Interference;
+            return (LockOutcome::Interference, power);
         }
 
         let preamble_window = PLCP_PREAMBLE_NS + PLCP_SIG_NS;
@@ -368,22 +339,14 @@ impl RadioBank {
         else {
             // Idle: attempt to lock the new frame.
             if power_mw >= phy.sensitivity_mw {
+                let interference_for_new = mw_of(before);
                 let sinr = power_mw / (noise + interference_for_new);
                 if self.draw_lock(sinr, rng) {
-                    let interference = self.fresh_profile(node, now, interference_for_new);
-                    self.set_lock(
-                        node,
-                        RxLock {
-                            tx_id,
-                            lock_time: now,
-                            signal_mw: power_mw,
-                            interference,
-                        },
-                    );
-                    return LockOutcome::Locked;
+                    self.lock_new(node, tx_id, (power_mw, power), now, interference_for_new);
+                    return (LockOutcome::Locked, power);
                 }
             }
-            return LockOutcome::Interference;
+            return (LockOutcome::Interference, power);
         };
 
         let in_preamble = now < lock_time + preamble_window;
@@ -395,66 +358,73 @@ impl RadioBank {
         if capture_ratio.is_some_and(|ratio| power_mw > lock_signal * ratio) {
             // The displaced frame keeps radiating: it is interference for
             // the new lock.
-            let interference_for_new = self.energy_mw(node, Some(tx_id));
+            let interference_for_new = mw_of(before);
             let sinr = power_mw / (noise + interference_for_new);
             if self.draw_lock(sinr, rng) {
                 // The displaced lock's buffer feeds the new one.
                 if let Some(old) = self.take_lock(node) {
                     self.recycle_profile(node, old.interference);
                 }
-                let interference = self.fresh_profile(node, now, interference_for_new);
-                self.set_lock(
-                    node,
-                    RxLock {
-                        tx_id,
-                        lock_time: now,
-                        signal_mw: power_mw,
-                        interference,
+                self.lock_new(node, tx_id, (power_mw, power), now, interference_for_new);
+                return (
+                    LockOutcome::Captured {
+                        displaced: lock_tx_id,
                     },
+                    power,
                 );
-                return LockOutcome::Captured {
-                    displaced: lock_tx_id,
-                };
             }
         }
         // Plain interference for the existing lock.
-        let level = self.energy_mw(node, Some(lock_tx_id));
-        if let Some(lock) = &mut self.lock[node] {
-            lock.interference.push((now, level));
-        }
-        LockOutcome::Interference
+        self.profile_level(node, now);
+        (LockOutcome::Interference, power)
     }
 
-    /// A frame's energy leaves `node`. If it was the locked frame, the
-    /// completed reception is returned for grading.
-    pub fn frame_end(&mut self, node: usize, tx_id: TxId, now: Time) -> Option<RxCompletion> {
-        if let Some(pos) = self.incoming[node].iter().position(|f| f.tx_id == tx_id) {
-            let gone = self.incoming[node].swap_remove(pos);
-            if self.incoming[node].is_empty() {
-                // Snap the running total so float residue from the
-                // add/remove churn cannot masquerade as channel energy.
-                self.energy_total[node] = 0.0;
-            } else {
-                self.energy_total[node] -= gone.power_mw;
+    /// Lock onto `tx_id` at `(mW, count)`, its profile seeded with
+    /// `level` in the node's parked buffer.
+    fn lock_new(&mut self, node: usize, tx_id: TxId, signal: (f64, u128), now: Time, level: f64) {
+        let mut interference = std::mem::take(&mut self.spare_profile[node]);
+        interference.clear();
+        interference.push((now, level));
+        self.lock[node] = Some(RxLock {
+            tx_id,
+            lock_time: now,
+            signal_mw: signal.0,
+            signal: signal.1,
+            interference,
+        });
+        self.state[node] |= flag::LOCKED;
+    }
+
+    /// Append the lock's interference level at `now` to its profile: all
+    /// on the air but the locked frame, exactly `0.0` when nothing else is.
+    fn profile_level(&mut self, node: usize, now: Time) {
+        let energy = self.energy[node];
+        if let Some(lock) = &mut self.lock[node] {
+            let level = mw_of(energy.saturating_sub(lock.signal));
+            lock.interference.push((now, level));
+        }
+    }
+
+    /// A frame's energy, `heard` as its `frame_start` returned it, leaves
+    /// `node`. Returns the completed lock if it was this frame's, and
+    /// `false` if `heard` exceeded the total (corrupt; it then reads 0).
+    pub fn frame_end(
+        &mut self,
+        node: usize,
+        tx_id: TxId,
+        heard: u128,
+        now: Time,
+    ) -> (Option<RxLock>, bool) {
+        let left = self.energy[node].checked_sub(heard);
+        self.energy[node] = left.unwrap_or(0);
+        if self.state[node] & flag::LOCKED != 0 {
+            if self.locked_on(node, tx_id) {
+                return (self.take_lock(node), left.is_some());
             }
+            // Interference level dropped for an ongoing lock.
+            self.profile_level(node, now);
         }
-        if self.locked_on(node, tx_id) {
-            let lock = self.take_lock(node).expect("checked");
-            return Some(RxCompletion {
-                tx_id: lock.tx_id,
-                lock_time: lock.lock_time,
-                signal_mw: lock.signal_mw,
-                interference: lock.interference,
-            });
-        }
-        // Interference level dropped for an ongoing lock.
-        if let Some(lock_tx) = self.lock[node].as_ref().map(|l| l.tx_id) {
-            let level = self.energy_mw(node, Some(lock_tx));
-            if let Some(lock) = &mut self.lock[node] {
-                lock.interference.push((now, level));
-            }
-        }
-        None
+        (None, left.is_some())
     }
 
     /// The MAC starts transmitting. Any reception in progress is aborted
@@ -470,7 +440,6 @@ impl RadioBank {
         }
         if let Some(lock) = self.take_lock(node) {
             self.recycle_profile(node, lock.interference);
-            self.aborted_rx[node] += 1;
         }
         self.state[node] |= flag::TX;
         true
@@ -489,34 +458,35 @@ impl RadioBank {
 /// The bank is struct-of-arrays in memory but one record per node on the
 /// wire, so the two directions walk the columns by hand. `spare_profile`
 /// is skipped on purpose: parked buffer capacity is an allocation
-/// optimisation with no effect on any simulated outcome.
+/// optimisation with no effect on any simulated outcome. The world holds
+/// each restored total to the receptions it restores.
 impl Persist for RadioBank {
     fn save(&self, w: &mut CkptWriter) {
         w.len(self.len());
         for n in 0..self.len() {
             w.put(&self.state[n]);
-            w.put(&self.energy_total[n]);
-            w.put(&self.incoming[n]);
+            w.put(&self.energy[n]);
             w.put(&self.lock[n]);
-            w.put(&self.aborted_rx[n]);
         }
     }
 
     fn load(r: &mut CkptReader<'_>) -> Result<RadioBank, CkptError> {
         // `count` has already held the length against the bytes left.
-        let n = r.count::<(u8, f64, Vec<Incoming>, Option<RxLock>, u64)>()?;
+        let n = r.count::<(u8, u128, Option<RxLock>)>()?;
         let mut bank = RadioBank::new(n);
         for node in 0..n {
             bank.state[node] = r.get()?;
-            bank.energy_total[node] = r.get()?;
-            bank.incoming[node] = r.get()?;
-            bank.lock[node] = r.get()?;
+            bank.energy[node] = r.get()?;
+            let lock: Option<RxLock> = r.get()?;
+            bank.lock[node] = lock.map(|l| RxLock {
+                signal: fixed_mw(l.signal_mw),
+                ..l
+            });
             if (bank.state[node] & flag::LOCKED != 0) != bank.lock[node].is_some() {
                 return Err(CkptError::Malformed(format!(
                     "radio {node} lock flag disagrees with lock record"
                 )));
             }
-            bank.aborted_rx[node] = r.get()?;
         }
         Ok(bank)
     }
@@ -539,8 +509,75 @@ mod tests {
     }
 
     /// A one-radio bank: the unit under test in most cases below.
-    fn bank() -> RadioBank {
-        RadioBank::new(1)
+    fn bank() -> Bank {
+        Bank::new(1)
+    }
+
+    /// A bank with the world's half of the bookkeeping: the power each
+    /// frame's start returned, held until its end and zeroed by a
+    /// power-off, as `sim::pool` holds it.
+    struct Bank {
+        radios: RadioBank,
+        held: Vec<(usize, TxId, u128)>,
+    }
+
+    impl Bank {
+        fn new(n: usize) -> Bank {
+            Bank {
+                radios: RadioBank::new(n),
+                held: Vec::new(),
+            }
+        }
+
+        fn frame_start(
+            &mut self,
+            node: usize,
+            id: TxId,
+            power_mw: f64,
+            now: Time,
+            phy: &PhyLinear,
+            rng: &mut SmallRng,
+        ) -> LockOutcome {
+            let (outcome, heard) = self.radios.frame_start(node, id, power_mw, now, phy, rng);
+            self.held.push((node, id, heard));
+            outcome
+        }
+
+        fn frame_end(&mut self, node: usize, id: TxId, now: Time) -> Option<RxLock> {
+            let at = self.held.iter().position(|h| (h.0, h.1) == (node, id));
+            let (_, _, heard) = self.held.swap_remove(at.expect("a started frame"));
+            let (done, held) = self.radios.frame_end(node, id, heard, now);
+            assert!(held, "frame {id} ended past the total");
+            done
+        }
+
+        fn power_off(&mut self, node: usize) -> bool {
+            for h in self.held.iter_mut().filter(|h| h.0 == node) {
+                h.2 = 0;
+            }
+            self.radios.power_off(node)
+        }
+
+        /// The total in mW, checked equal to the sum of the held powers.
+        fn energy_mw(&self, node: usize) -> f64 {
+            let on_air = self.held.iter().filter(|h| h.0 == node);
+            let sum: u128 = on_air.map(|h| h.2).sum();
+            assert_eq!(self.radios.energy(node), sum);
+            mw_of(sum)
+        }
+    }
+
+    impl std::ops::Deref for Bank {
+        type Target = RadioBank;
+        fn deref(&self) -> &RadioBank {
+            &self.radios
+        }
+    }
+
+    impl std::ops::DerefMut for Bank {
+        fn deref_mut(&mut self) -> &mut RadioBank {
+            &mut self.radios
+        }
     }
 
     #[test]
@@ -691,7 +728,7 @@ mod tests {
             LockOutcome::Locked
         );
         assert!(r.begin_tx(0, 50));
-        assert_eq!(r.aborted_rx(0), 1);
+        assert!(!r.locked_on(0, 1));
         assert!(r.frame_end(0, 1, 10_000).is_none());
     }
 
@@ -720,51 +757,64 @@ mod tests {
     }
 
     #[test]
-    fn energy_sums_and_excludes() {
+    fn energy_sums_exactly_and_clears_to_zero() {
         let mut r = bank();
         let mut rng = stream_rng(1, 21);
         r.frame_start(0, 1, mw(-70.0), 0, &phy(), &mut rng);
         r.frame_start(0, 2, mw(-70.0), 10, &phy(), &mut rng);
-        let total = r.energy_mw(0, None);
-        assert!((total - 2.0 * mw(-70.0)).abs() < 1e-15);
-        assert!((r.energy_mw(0, Some(1)) - mw(-70.0)).abs() < 1e-15);
+        assert_eq!(r.energy(0), 2 * fixed_mw(mw(-70.0)));
+        assert_eq!(r.energy_mw(0), 2.0 * mw(-70.0));
         r.frame_end(0, 1, 100);
         r.frame_end(0, 2, 100);
-        assert_eq!(r.energy_mw(0, None), 0.0);
+        assert_eq!(r.energy(0), 0);
+        assert_eq!(r.energy_mw(0).to_bits(), 0);
     }
 
     #[test]
-    fn incremental_energy_total_snaps_back_to_zero() {
-        // Regression guard for the running-total layout: removing frames in
-        // a different order than they arrived must still leave exactly zero
-        // once the air clears (the empty-set snap), and the total must track
-        // the live sum in between.
+    fn an_end_past_the_total_reads_zero_and_says_so() {
         let mut r = bank();
-        let mut rng = stream_rng(1, 23);
-        for (id, dbm) in [(1u64, -63.0), (2, -71.0), (3, -88.0)] {
-            r.frame_start(0, id, mw(dbm), id, &phy(), &mut rng);
-        }
-        r.frame_end(0, 2, 100);
-        let expect: f64 = r.energy_mw(0, Some(u64::MAX));
-        assert!((r.energy_mw(0, None) - expect).abs() <= 1e-12 * expect);
-        r.frame_end(0, 3, 101);
-        r.frame_end(0, 1, 102);
-        assert_eq!(r.energy_mw(0, None), 0.0);
-        assert!(!r.busy(0, &phy()));
+        let mut rng = stream_rng(1, 26);
+        r.frame_start(0, 1, mw(-70.0), 0, &phy(), &mut rng);
+        let total = r.energy(0);
+        let (done, held) = r.radios.frame_end(0, 2, total + 1, 10);
+        assert!(done.is_none() && !held);
+        assert_eq!(r.radios.energy(0), 0);
     }
 
     #[test]
-    fn running_energy_total_stays_within_the_audited_bound_under_churn() {
+    fn conversions_are_the_compilers_casts() {
+        let scale = 2f64.powi(100);
+        assert_eq!((fixed_mw(0.0), mw_of(0).to_bits()), (0, 0));
+        for k in -100..7 {
+            let p = 2f64.powi(k);
+            assert_eq!(fixed_mw(p), 1 << (k + 100));
+            assert_eq!(mw_of(1 << (k + 100)), p);
+        }
+        let mut rng = stream_rng(1, 25);
+        for _ in 0..200_000 {
+            // -330 to +20 dBm, and counts of every width.
+            let p = 10f64.powf(rng.gen_range(-33.0..2.0));
+            assert_eq!(fixed_mw(p), (p * scale) as u128, "{p:e} mW");
+            let wide = u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>());
+            let fixed = wide >> rng.gen_range(0u32..128);
+            assert_eq!(mw_of(fixed), fixed as f64 / scale, "{fixed:#x}");
+        }
+        // Past the cap, and anything negative.
+        assert_eq!(fixed_mw(128.0), FIXED_MAX);
+        assert_eq!(fixed_mw(f64::INFINITY), FIXED_MAX);
+        assert_eq!((fixed_mw(-1.0), fixed_mw(-0.0)), (0, 0));
+    }
+
+    #[test]
+    fn energy_returns_exactly_to_zero_after_long_churn() {
         // A saturated cell: 20 000 arrivals and as many departures over a
-        // set of 2..=48 frames that never empties, so the zero snap never
-        // fires, with powers spread over the 70 dB between the delivery
-        // floor and a next-door transmitter. The audit must hold at every
-        // step, with room to spare.
-        use rand::Rng;
+        // set of 2..=48 frames that only empties at the end, with powers
+        // spread over the 70 dB between the delivery floor and a
+        // next-door transmitter. The total is the exact sum at every step.
         let mut r = bank();
         let mut rng = stream_rng(1, 24);
         let mut on_air: Vec<TxId> = Vec::new();
-        let (mut next_id, mut removed, mut worst) = (0u64, 0u32, 0.0f64);
+        let (mut next_id, mut removed) = (0u64, 0u32);
         while removed < 20_000 {
             if on_air.len() < 2 || (on_air.len() < 48 && rng.gen_bool(0.5)) {
                 let dbm = -105.0 + 70.0 * rng.gen::<f64>();
@@ -776,28 +826,67 @@ mod tests {
                 r.frame_end(0, gone, next_id);
                 removed += 1;
             }
-            assert!(r.invariants_ok(0), "after {removed} removals");
-            let resum = r.energy_mw(0, Some(TxId::MAX));
-            worst = worst.max((r.energy_mw(0, None) - resum).abs() / resum);
+            assert!(
+                r.energy_mw(0) > 0.0 && r.invariants_ok(0),
+                "after {removed}"
+            );
         }
-        assert!(worst > 0.0, "churn this long leaves float residue");
-        assert!(worst < ENERGY_DRIFT_BOUND / 5.0, "worst drift {worst:e}");
-        // And the audit does see a total that has walked off its set.
-        r.energy_total[0] *= 1.0 + 10.0 * ENERGY_DRIFT_BOUND;
-        assert!(!r.invariants_ok(0));
+        for gone in on_air {
+            r.frame_end(0, gone, next_id);
+        }
+        assert_eq!(r.energy(0), 0);
+        assert!(!r.busy(0, &phy()));
     }
 
-    #[test]
-    fn aborted_rx_counter_increments() {
-        let mut r = bank();
-        let mut rng = stream_rng(1, 22);
-        for tx in 0..3u64 {
-            r.frame_start(0, tx, mw(-60.0), tx, &phy(), &mut rng);
-            assert!(r.begin_tx(0, 100 + tx));
-            assert!(r.end_tx(0));
-            r.frame_end(0, tx, 50);
+    mod arrival_order_property {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::seq::SliceRandom;
+
+        /// Start every frame in one order, end some in another, then the
+        /// rest: the bits of the total at each stage.
+        fn stages(powers: &[f64], ended: usize, seed: u64) -> [u128; 3] {
+            let (cfg, mut rng) = (phy(), stream_rng(seed, 2));
+            let mut ids: Vec<TxId> = (0..powers.len() as TxId).collect();
+            let mut r = bank();
+            ids.shuffle(&mut rng);
+            for &id in &ids {
+                r.frame_start(0, id, powers[id as usize], id, &cfg, &mut rng);
+            }
+            let all = r.energy(0);
+            // The first `ended` frames end, in a shuffled order.
+            let (mut first, mut rest): (Vec<TxId>, Vec<TxId>) =
+                (0..powers.len() as TxId).partition(|&id| (id as usize) < ended);
+            first.shuffle(&mut rng);
+            rest.shuffle(&mut rng);
+            for id in first {
+                r.frame_end(0, id, 1_000);
+            }
+            let some = r.energy(0);
+            for id in rest {
+                r.frame_end(0, id, 2_000);
+            }
+            [all, some, r.energy(0)]
         }
-        assert_eq!(r.aborted_rx(0), 3);
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn any_order_gives_the_same_bits_and_clears_to_zero(
+                powers in prop::collection::vec(-150.0f64..-20.0, 1..32),
+                cut in any::<prop::sample::Index>(),
+                seeds in any::<[u64; 2]>(),
+            ) {
+                let powers: Vec<f64> = powers.into_iter().map(mw).collect();
+                let ended = cut.index(powers.len() + 1);
+                let one = stages(&powers, ended, seeds[0]);
+                prop_assert_eq!(one, stages(&powers, ended, seeds[1]));
+                prop_assert_eq!(one[2], 0);
+                let live: u128 = powers[ended..].iter().map(|&p| fixed_mw(p)).sum();
+                prop_assert_eq!(one[1], live);
+            }
+        }
     }
 
     #[test]
@@ -818,7 +907,7 @@ mod tests {
             r.frame_start(0, 2, mw(-50.0), 10_000, &cfg, &mut rng),
             LockOutcome::Interference
         );
-        assert_eq!(r.energy_mw(0, None), 0.0);
+        assert_eq!(r.energy_mw(0), 0.0);
         // The dropped frame's end finds nothing.
         assert!(r.frame_end(0, 1, 20_000).is_none());
         assert!(r.frame_end(0, 2, 30_000).is_none());
@@ -831,7 +920,7 @@ mod tests {
     fn nodes_in_a_bank_are_independent() {
         // SoA regression guard: state changes at one index never leak into
         // a neighbour's arrays.
-        let mut r = RadioBank::new(3);
+        let mut r = Bank::new(3);
         let cfg = phy();
         let mut rng = stream_rng(1, 41);
         assert_eq!(
@@ -844,8 +933,8 @@ mod tests {
         assert_eq!(r.phase(1), RadioPhase::Receiving);
         assert_eq!(r.phase(2), RadioPhase::Transmitting);
         assert!(r.is_disabled(0) && !r.is_disabled(1) && !r.is_disabled(2));
-        assert_eq!(r.energy_mw(0, None), 0.0);
-        assert!(r.energy_mw(1, None) > 0.0);
+        assert_eq!(r.energy_mw(0), 0.0);
+        assert!(r.energy_mw(1) > 0.0);
         for n in 0..3 {
             assert!(r.invariants_ok(n), "node {n}");
         }
@@ -904,7 +993,7 @@ mod tests {
                 // Deterministic order: time, then a fixed kind rank.
                 steps.sort_by_key(|&(t, rank, _)| (t, rank));
 
-                let mut r = RadioBank::new(1);
+                let mut r = Bank::new(1);
                 let mut tx_live = false;
                 for &(t, _, step) in &steps {
                     match step {
@@ -928,7 +1017,7 @@ mod tests {
                         }
                         Step::PowerOff => {
                             let _ = r.power_off(0);
-                            prop_assert_eq!(r.energy_mw(0, None), 0.0);
+                            prop_assert_eq!(r.energy_mw(0), 0.0);
                         }
                         Step::PowerOn => r.power_on(0),
                     }
@@ -936,7 +1025,7 @@ mod tests {
                 }
                 prop_assert!(!tx_live);
                 prop_assert_eq!(r.phase(0), RadioPhase::Idle);
-                prop_assert_eq!(r.energy_mw(0, None), 0.0);
+                prop_assert_eq!(r.energy_mw(0), 0.0);
                 prop_assert!(!r.busy(0, &cfg));
             }
         }

@@ -29,7 +29,7 @@ use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
 use crate::medium::Medium;
 use crate::persist;
 use crate::pool::{index_of, FramePool, LiveTx};
-use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxCompletion};
+use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxLock};
 use crate::rng::stream_rng;
 use crate::stats::Stats;
 use crate::time::Time;
@@ -96,6 +96,8 @@ pub struct World {
     watchdog: WatchdogConfig,
     /// Recycled op buffers for MAC dispatch (dispatch can nest).
     ops_pool: Vec<Vec<Op>>,
+    /// Each node's live receptions summed (audit and restore), reused.
+    energy_sums: Vec<u128>,
     /// Shared per-process BER interpolation table for the grading hot path
     /// (immutable sampling of a pure function — cannot couple runs).
     ber_table: &'static BerTable,
@@ -208,6 +210,7 @@ impl World {
             faults: None,
             watchdog: WatchdogConfig::default(),
             ops_pool: Vec::new(),
+            energy_sums: Vec::new(),
             ber_table: BerTable::shared(),
             ber_lookups: 0,
             synced_lookups: 0,
@@ -524,7 +527,7 @@ impl World {
             if self.fading.draws() {
                 power_mw *= self.fading.mult(rng.gen::<u64>());
             }
-            let outcome = self.radios.frame_start(
+            let (outcome, heard) = self.radios.frame_start(
                 rx.index(),
                 tx_id,
                 power_mw,
@@ -532,6 +535,7 @@ impl World {
                 &self.phy_linear,
                 &mut self.rngs[rx.index()],
             );
+            self.pool.powers(tx_id).push(heard);
             match outcome {
                 LockOutcome::Locked => self.stats.bump(CounterId::SimLock),
                 LockOutcome::Captured { .. } => self.stats.bump(CounterId::SimCapture),
@@ -550,7 +554,12 @@ impl World {
         } else {
             let rx = row[j - f - 1].rx;
             self.sched.count_stream(&Event::FrameEnd { rx, tx_id });
-            if let Some(completion) = self.radios.frame_end(rx.index(), tx_id, self.time) {
+            let heard = self.pool.powers(tx_id)[j - f - 1];
+            let (completion, held) = self.radios.frame_end(rx.index(), tx_id, heard, self.time);
+            if !held {
+                self.stats.bump(CounterId::WatchdogRadioState);
+            }
+            if let Some(completion) = completion {
                 self.grade_and_deliver(rx, completion);
             }
             self.pool.release(tx_id);
@@ -564,9 +573,7 @@ impl World {
         let (_, action) = f.actions[idx as usize];
         match action {
             FaultAction::NodeDown(node) => {
-                if self.radios.power_off(node.index()) {
-                    self.stats.bump(CounterId::FaultRxDropped);
-                }
+                self.power_off(node);
                 self.faults.as_deref_mut().expect("checked").node_up[node.index()] = false;
                 self.stats.bump(CounterId::FaultNodeDown);
                 self.trace_fault("node_down", node);
@@ -582,9 +589,7 @@ impl World {
                 self.check_channel_edge(node);
             }
             FaultAction::LockupStart(node) => {
-                if self.radios.power_off(node.index()) {
-                    self.stats.bump(CounterId::FaultRxDropped);
-                }
+                self.power_off(node);
                 self.stats.bump(CounterId::FaultLockup);
                 self.trace_fault("lockup", node);
                 // The MAC keeps running and observes carrier stuck busy.
@@ -600,6 +605,15 @@ impl World {
         }
     }
 
+    /// `node`'s radio goes deaf, its lock, total and held powers forgotten.
+    fn power_off(&mut self, node: NodeId) {
+        if self.radios.power_off(node.index()) {
+            self.stats.bump(CounterId::FaultRxDropped);
+        }
+        let forget = |rx, power: &mut u128| *power = if rx == node { 0 } else { *power };
+        self.pool.receptions(&mut self.medium, forget);
+    }
+
     fn trace_fault(&mut self, kind: &'static str, node: NodeId) {
         if self.stats.trace_enabled() {
             self.stats.emit(
@@ -612,9 +626,20 @@ impl World {
         }
     }
 
+    /// Sum each node's live receptions (each ≤ 2¹⁰⁷, < 2²⁰ of them).
+    fn sum_receptions(&mut self) {
+        let sums = &mut self.energy_sums;
+        sums.clear();
+        sums.resize(self.radios.len(), 0);
+        let add = |rx: NodeId, power: &mut u128| sums[rx.index()] += *power;
+        self.pool.receptions(&mut self.medium, add);
+    }
+
     fn handle_audit(&mut self) {
+        self.sum_receptions();
         for node in 0..self.node_count() {
-            if !self.radios.invariants_ok(node) {
+            let held = self.energy_sums[node] == self.radios.energy(node);
+            if !held || !self.radios.invariants_ok(node) {
                 self.stats.bump(CounterId::WatchdogRadioState);
             }
         }
@@ -640,7 +665,7 @@ impl World {
             .schedule(self.time + self.watchdog.audit_period, Event::Audit);
     }
 
-    fn grade_and_deliver(&mut self, rx: NodeId, c: RxCompletion) {
+    fn grade_and_deliver(&mut self, rx: NodeId, c: RxLock) {
         let rate = self.pool.rate_of(c.tx_id);
         let wire_len = self.pool.wire_len(c.tx_id);
         // The draw `gen_bool(p_success)` makes, taken first: the profile
@@ -915,9 +940,9 @@ impl World {
         }
     }
 
-    // ---- cmap-ckpt/v6 ---------------------------------------------------
+    // ---- cmap-ckpt/v7 ---------------------------------------------------
 
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v6`
+    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v7`
     /// format: simulation clock, pending events, radio bank, RNG
     /// stream positions, MAC protocol state, in-flight transmissions,
     /// statistics, and fault-plan cursors. Restoring the bytes via
@@ -1118,6 +1143,12 @@ impl World {
         };
         self.pool = FramePool::restore(pool_high_water, pool_recycled, live, fanout)?;
         self.requeue_streams()?;
+        self.sum_receptions();
+        if let Some(node) = (0..nodes).find(|&n| self.energy_sums[n] != self.radios.energy(n)) {
+            return Err(CkptError::Malformed(format!(
+                "radio {node}: energy off its receptions"
+            )));
+        }
         self.stats = r.get()?;
         if let Some(f) = self.faults.as_deref_mut() {
             f.ckpt_load(&mut r)?;
@@ -1204,7 +1235,7 @@ fn graded_bits(psdu_len: usize) -> f64 {
 /// (lock + preamble/SIGNAL to frame end); each piecewise-constant
 /// interference segment contributes its share of bits at its own SINR.
 fn grade_reception(
-    c: &RxCompletion,
+    c: &RxLock,
     frame_end: Time,
     rate: Rate,
     psdu_len: usize,
@@ -1239,7 +1270,7 @@ fn grade_reception(
 /// bracket needs the segments' bits to sum to the total). Also the number
 /// of segments [`grade_reception`] grades.
 fn decode_decision(
-    c: &RxCompletion,
+    c: &RxLock,
     frame_end: Time,
     rate: Rate,
     psdu_len: usize,
@@ -1772,8 +1803,9 @@ mod tests {
         let mut w = staggered_world(42);
         w.run_until(millis(2) + 250);
         let good = w.checkpoint().expect("checkpoint");
-        // The live transmission's record ends `buf, seq0 u64, cursor u32`,
-        // with two of its four FrameStarts handled.
+        // The live transmission's record ends `buf, seq0 u64, cursor u32`
+        // and the powers its receivers hold, two of its four FrameStarts
+        // handled.
         let live: Vec<_> = w.pool.live_txs().collect();
         let frame = &live[0].buf[..];
         let seq0 = good
@@ -1784,14 +1816,17 @@ mod tests {
         let cursor = seq0 + 8;
         assert_eq!(good[seq0..seq0 + 8], live[0].seq0.to_le_bytes());
         assert_eq!(good[cursor..cursor + 4], [2, 0, 0, 0]);
+        assert_eq!(good[cursor + 4..cursor + 12], 2u64.to_le_bytes());
         // A cursor past the last FrameEnd, and one far past it; a cursor
-        // past the TxEnd while the radio still transmits; the last key
-        // (`seq0 + 8`) at the next sequence number `reserve` hands out.
+        // past the TxEnd while the radio still transmits; one a FrameStart
+        // on with no power for it; the last key (`seq0 + 8`) at the next
+        // sequence number `reserve` hands out.
         let last = w.sched.reserve(0) - 8;
-        let edits: [(usize, &[u8]); 4] = [
+        let edits: [(usize, &[u8]); 5] = [
             (cursor, &[9]),
             (cursor + 3, &[0x80]),
             (cursor, &[5]),
+            (cursor, &[3]),
             (seq0, &last.to_le_bytes()),
         ];
         for (at, value) in edits {
@@ -1800,14 +1835,69 @@ mod tests {
             let err = staggered_world(42).restore(&bad).unwrap_err();
             assert!(matches!(err, CkptError::Malformed(_)), "{at}: {err}");
         }
-        // One key lower, and a cursor one event on, still fit.
+        // One key lower, and a cursor one event on whose receiver holds
+        // 0 (as a radio that was off does), still fit.
         let mut fits = good.clone();
         fits[seq0..seq0 + 8].copy_from_slice(&(last - 1).to_le_bytes());
         fits[cursor] = 3;
+        fits[cursor + 4] = 3;
+        let third = cursor + 12 + 2 * 16;
+        fits.splice(third..third, [0; 16]);
         staggered_world(42)
             .restore(&fits)
             .expect("a stream that fits");
         staggered_world(42).restore(&good).expect("intact image");
+    }
+
+    /// The audit holds each radio's energy total to the powers its live
+    /// receptions hold, exactly: a power no reception holds is counted at
+    /// every audit from then on.
+    #[test]
+    fn the_audit_counts_an_energy_total_off_its_receptions() {
+        let mut w = staggered_world(44);
+        w.install_faults(FaultPlan::clean());
+        let flagged = |w: &World| w.stats().counter(CounterId::WatchdogRadioState);
+        w.run_until(millis(1_100));
+        assert_eq!(flagged(&w), 0, "two audits of a sound world");
+        // -120 dBm at node 1 from no transmission: too weak to lock.
+        let (phy, rng) = (&w.phy_linear, &mut w.rngs[1]);
+        let (_, phantom) = w.radios.frame_start(1, TxId::MAX, 1e-12, w.time, phy, rng);
+        assert!(phantom > 0);
+        w.run_until(millis(2_100));
+        assert_eq!(flagged(&w), 2, "node 1 at the audits at 1.5 s and 2 s");
+        // Node 1's total gone while frames it hears are on the air: each of
+        // their ends would take it below zero, and is counted at once.
+        while w.radios.energy(1) == phantom {
+            w.run_until(w.time + 100);
+        }
+        let (total, now) = (w.radios.energy(1), w.time);
+        let (_, held) = w.radios.frame_end(1, TxId::MAX, total, now);
+        assert!(held);
+        w.run_until(now + millis(1));
+        assert!(flagged(&w) > 2, "an end past the total");
+    }
+
+    /// Radios that go off while hearing a frame forget its power with
+    /// their totals: its ends, after the outage began, subtract nothing.
+    #[test]
+    fn a_power_off_mid_frame_leaves_nothing_to_subtract() {
+        use crate::faults::Lockup;
+        let mut w = staggered_world(45);
+        let lockups = (1..5).map(|n| Lockup {
+            node: NodeId::new(n),
+            at: millis(2) + micros(20),
+            until: millis(3),
+        });
+        w.install_faults(FaultPlan {
+            lockups: lockups.collect(),
+            ..FaultPlan::clean()
+        });
+        w.run_until(millis(2) + micros(20));
+        assert!((1..5).all(|n| w.radios.is_disabled(n) && w.radios.energy(n) == 0));
+        assert!(w.inflight_tx_count() > 0, "the frame is still on the air");
+        w.run_until(millis(9));
+        assert!((0..5).all(|n| w.radios.energy(n) == 0));
+        assert_eq!(w.watchdog_violations(), 0);
     }
 
     #[test]
@@ -2133,16 +2223,13 @@ mod tests {
 
     /// One reception of a 1428-byte PSDU locked at 1 µs: the completion
     /// for a `signal_mw` frame under `interference`, and its frame end.
-    fn reception(
-        rate: Rate,
-        signal_mw: f64,
-        interference: Vec<(Time, f64)>,
-    ) -> (RxCompletion, Time) {
-        let c = RxCompletion {
+    fn reception(rate: Rate, signal_mw: f64, interference: Vec<(Time, f64)>) -> (RxLock, Time) {
+        let c = RxLock {
             tx_id: 1,
             lock_time: 1_000,
             signal_mw,
             interference,
+            ..RxLock::default()
         };
         (c, 1_000 + rate.frame_airtime_ns(1428))
     }

@@ -73,16 +73,16 @@ fn intact_checkpoint_restores() {
     small_world().restore(checkpoint()).expect("restore");
 }
 
-/// A `cmap-ckpt/v5` image (its queue image listed each transmission's
-/// pending events, its records split the cursor in three) must be turned
-/// away at the magic line, as the version error — not read as v6 until a
-/// field fails to parse. So must the v4 before it.
+/// A `cmap-ckpt/v6` image (its radio records listed the impinging frames
+/// beside an `f64` total) must be turned away at the magic line, as the
+/// version error — not read as v7 until a field fails to parse. So must
+/// the v5 before it.
 #[test]
 fn previous_format_version_is_refused_as_such() {
-    let v6 = checkpoint();
-    assert!(v6.starts_with(b"cmap-ckpt/v6\n"));
-    for old in [b'5', b'4'] {
-        let mut image = v6.to_vec();
+    let v7 = checkpoint();
+    assert!(v7.starts_with(b"cmap-ckpt/v7\n"));
+    for old in [b'6', b'5'] {
+        let mut image = v7.to_vec();
         image[b"cmap-ckpt/v".len()] = old;
         assert_eq!(small_world().restore(&image), Err(CkptError::BadMagic));
     }
@@ -139,11 +139,13 @@ struct Layout {
     /// Each filed event: the offset of its `(at, seq, event)` entry.
     filed: Vec<(usize, Event)>,
     next_seq: u64,
-    /// The offset of each radio's state byte.
+    /// The offset of each radio's state byte (its `u128` energy total
+    /// follows).
     radio_state: Vec<usize>,
-    /// Each in-flight transmission: its sender, and the offset of its
-    /// `seq0` (its `u32` cursor follows).
-    live: Vec<(NodeId, usize)>,
+    /// Each in-flight transmission: its sender, the offset of its `seq0`
+    /// (its `u32` cursor follows, then its powers), and the offset of
+    /// each power it holds.
+    live: Vec<(NodeId, usize, Vec<usize>)>,
 }
 
 /// Walk `bytes` as `World::checkpoint` writes them, up to the in-flight
@@ -164,13 +166,13 @@ fn layout(bytes: &[u8]) -> Layout {
         })
         .collect();
     let (next_seq, _, _, _): (u64, u64, [u64; 6], u64) = r.get().unwrap();
-    // Per radio: state, energy, arrivals, lock, aborted receptions.
+    // Per radio: state, energy, lock.
     assert_eq!(r.len().unwrap(), nodes);
     type Lock = Option<(u64, u64, f64, Vec<(u64, f64)>)>;
     let radio_state = (0..nodes)
         .map(|_| {
             let state = at(&r);
-            let _: (u8, f64, Vec<(u64, f64)>, Lock, u64) = r.get().unwrap();
+            let _: (u8, u128, Lock) = r.get().unwrap();
             state
         })
         .collect();
@@ -185,7 +187,14 @@ fn layout(bytes: &[u8]) -> Layout {
             let (_, node, _, _, _): (u64, NodeId, Rate, u64, Vec<u8>) = r.get().unwrap();
             let seq0 = at(&r);
             let _: (u64, u32) = r.get().unwrap();
-            (node, seq0)
+            let powers = (0..r.len().unwrap())
+                .map(|_| {
+                    let power = at(&r);
+                    let _: u128 = r.get().unwrap();
+                    power
+                })
+                .collect();
+            (node, seq0, powers)
         })
         .collect();
     Layout {
@@ -218,7 +227,7 @@ fn targeted_edits_are_malformed() {
     let image = checkpoint();
     let at = layout(image);
     // Every sender hears the three others: a stream is 7 events.
-    let (node, seq0) = at.live[0];
+    let (node, seq0) = (at.live[0].0, at.live[0].1);
     let cursor = seq0 + 8;
     assert_malformed(
         "cursor 2F + 1",
@@ -251,7 +260,7 @@ fn targeted_edits_are_malformed() {
     // The sender's radio still transmits: its flag cleared, or set at a
     // node that sends nothing.
     const TX: u8 = 1 << 1;
-    let sending = |n: usize| at.live.iter().any(|&(node, _)| node.index() == n);
+    let sending = |n: usize| at.live.iter().any(|tx| tx.0.index() == n);
     let state = at.radio_state[node.index()];
     assert!(image[state] & TX != 0, "the record's sender transmits");
     assert_malformed(
@@ -264,6 +273,23 @@ fn targeted_edits_are_malformed() {
         "TX set",
         edited(small_world, image, state, &[image[state] | TX]),
     );
+
+    // A radio's energy total one count off the powers its receptions
+    // hold, and a reception's power one count off its radio's total:
+    // either way the total is no longer the exact sum.
+    let energy = at.radio_state[idle] + 1;
+    let total = u128::from_le_bytes(image[energy..energy + 16].try_into().unwrap());
+    let more = (total + 1).to_le_bytes();
+    assert_malformed("energy word", edited(small_world, image, energy, &more));
+    let &power = at
+        .live
+        .iter()
+        .find_map(|tx| tx.2.first())
+        .expect("a receiver holds a power");
+    let held = u128::from_le_bytes(image[power..power + 16].try_into().unwrap());
+    assert!(held > 0, "a reception of a powered radio");
+    let less = (held - 1).to_le_bytes();
+    assert_malformed("reception power", edited(small_world, image, power, &less));
 
     // The last 1,400 in the image is a CMAP data packet's payload length:
     // 65,535 bytes fit a data frame, 65,536 do not. It is in the MAC's

@@ -1,4 +1,4 @@
-//! Property-based tests for the ordered containers of `cmap-ckpt/v6`:
+//! Property-based tests for the ordered containers of `cmap-ckpt/v7`:
 //! `load` builds a map or set in one pass from the key-ordered stream
 //! `save` wrote, and what it builds must be the container that inserting
 //! key by key builds, at every size — across the B-tree's node boundary

@@ -8,11 +8,13 @@
 # also printed) and <workload>.profile.raw beside results.json in DIR
 # (default benchmark/out). The binary is built with line tables, in
 # <target dir>/profile, for the by-source-file table. Needs a C compiler;
-# without one it says so and exits 0.
+# without one it says so and exits 0. Where inside one hot file the
+# samples land, line by line, is the same dump again:
+#   python3 tools/profile/symbolise.py DIR/<workload>.profile.raw --lines sim/src/radio.rs
 set -euo pipefail
 
 usage() {
-    sed -n '2,11p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,13p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turn a tools/profile/sampler.c dump into share tables.
 
-Usage: symbolise.py <raw dump> [--top N]
+Usage: symbolise.py <raw dump> [--top N] [--lines <source file>]
 
 Prints, from the `map` lines (the process's /proc/self/maps) and the
 `sample` lines (one PC, or one stack leaf first, per SIGPROF tick):
@@ -19,7 +19,10 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   std's inlined code (a heap's sift, `ptr` moves, `cmp`) counts for the
   frame that called it, and a std function compiled on its own (a sift
   that was not inlined) for its own file. It needs line tables in the
-  binary; a file without them is one `[<file name>]` row.
+  binary; a file without them is one `[<file name>]` row;
+* with `--lines`, the same self shares by line of one source file (named
+  as the by-file table names it, e.g. `sim/src/radio.rs`), with the
+  line's text: where inside a hot file the samples land.
 
 Symbols come from `nm -C` on each mapped file (`nm -D` as well, for the
 stripped system libraries). Standard library only.
@@ -93,12 +96,13 @@ class Image:
         return "[%s]" % self.path.rsplit("/", 1)[-1]
 
 
-def source_files(path, addrs):
-    """The source file each of `addrs` (link-time addresses in `path`)
-    executes, by address: that of its innermost inlined frame, where std's
-    inlined code (heap sifts, `ptr`, `cmp`, `Vec` indexing) counts for the
-    frame that called it, and a std function not inlined anywhere for
-    itself; `None` where `path` has no line table for it."""
+def source_lines(path, addrs):
+    """The source line each of `addrs` (link-time addresses in `path`)
+    executes, by address, as `(file, line, full path)`: that of its
+    innermost inlined frame, where std's inlined code (heap sifts, `ptr`,
+    `cmp`, `Vec` indexing) counts for the frame that called it, and a std
+    function not inlined anywhere for itself; absent where `path` has no
+    line table for it."""
     if not addrs:
         return {}
     try:
@@ -113,11 +117,28 @@ def source_files(path, addrs):
         if line.startswith("0x"):
             current = chains.setdefault(int(line, 16), [])
         elif current is not None and not line.startswith("??"):
-            current.append(line.rsplit(":", 1)[0])
-    return {
-        addr: short_path(next((f for f in chain if "/library/" not in f), chain[-1]))
-        for addr, chain in chains.items() if chain
-    }
+            name, _, number = line.rpartition(":")
+            digits = re.match(r"\d+", number)
+            current.append((name, int(digits.group()) if digits else 0))
+    found = {}
+    for addr, chain in chains.items():
+        if chain:
+            name, number = next((f for f in chain if "/library/" not in f[0]), chain[-1])
+            found[addr] = (short_path(name), number, name)
+    return found
+
+
+def line_text(path, number):
+    """Line `number` of the source file at `path`, stripped; empty if the
+    file is not on this machine."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            for i, text in enumerate(f, 1):
+                if i == number:
+                    return text.strip()
+    except OSError:
+        pass
+    return ""
 
 
 def short_path(name):
@@ -148,10 +169,14 @@ def layer_of(symbol, path):
 
 def main():
     args = sys.argv[1:]
-    top = 25
+    top, lines_of = 25, None
     if "--top" in args:
         i = args.index("--top")
         top = int(args[i + 1])
+        del args[i:i + 2]
+    if "--lines" in args:
+        i = args.index("--lines")
+        lines_of = args[i + 1]
         del args[i:i + 2]
     if len(args) != 1:
         sys.exit(__doc__)
@@ -226,11 +251,15 @@ def main():
         image = image_of(stack[0])
         if image is not None:
             leaves[image][stack[0] - image.bias] += 1
-    self_file = collections.Counter()
+    self_file, self_line, full = collections.Counter(), collections.Counter(), {}
     for image, addrs in leaves.items():
-        files = source_files(image.path, sorted(addrs))
+        where = source_lines(image.path, sorted(addrs))
         for addr, count in addrs.items():
-            self_file[files.get(addr) or "[%s]" % image.path.rsplit("/", 1)[-1]] += count
+            name, number, path = where.get(addr, ("[%s]" % image.path.rsplit("/", 1)[-1], 0, ""))
+            self_file[name] += count
+            if lines_of is not None and name == lines_of:
+                self_line[number] += count
+                full[number] = path
     unmapped = n - sum(self_file.values())
     if unmapped:
         self_file["[unmapped]"] = unmapped
@@ -240,6 +269,12 @@ def main():
     print("%8s %8s  %s" % ("self %", "", "file"))
     for k, c in self_file.most_common(top):
         print("%8.1f %8s  %s" % (100.0 * c / n, "", k))
+    if lines_of is not None:
+        print("\nby line of %s (top %d, %.1f %% of samples in the file)"
+              % (lines_of, top, 100.0 * self_file[lines_of] / n))
+        print("%8s %8s  %s" % ("self %", "line", "text"))
+        for number, c in self_line.most_common(top):
+            print("%8.1f %8d  %s" % (100.0 * c / n, number, line_text(full[number], number)))
     table("by symbol (top %d by self share)" % top, self_sym, incl_sym, top)
     if stacks:
         print("\nby symbol (top %d by inclusive share)" % top)
