@@ -45,7 +45,8 @@ use crate::time::Time;
 use cmap_phy::{gate, preamble_success_prob, DrawGate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// The largest power held, 2⁷ mW (+21 dBm): with fewer than 2²⁰ frames on
-/// the air (one per pool slot), a total stays below 2¹²⁷.
+/// the air (one per pool slot), a total stays below 2¹²⁷. A louder arrival
+/// is held at it and counted as a `watchdog.radio_state` violation.
 pub(crate) const FIXED_MAX: u128 = 1 << 107;
 
 /// `mw` as a count of 2⁻¹⁰⁰ mW: `(mw · 2¹⁰⁰) as u128` below the
@@ -148,6 +149,8 @@ pub(crate) struct RadioBank {
     // Cold arrays: touched only by reception/transmission events.
     /// The reception lock, if [`flag::LOCKED`] is set.
     lock: Vec<Option<RxLock>>,
+    /// Receptions aborted because the MAC started transmitting over them.
+    aborted_rx: Vec<u64>,
     /// Recycled interference-profile buffers: the next lock reuses the
     /// capacity of the last completed (or dropped) one instead of
     /// allocating per reception.
@@ -167,6 +170,7 @@ impl RadioBank {
             state: vec![0; n],
             energy: vec![0; n],
             lock: (0..n).map(|_| None).collect(),
+            aborted_rx: vec![0; n],
             spare_profile: (0..n).map(|_| Vec::new()).collect(),
             gate: DrawGate::shared(),
             lock_draws: (0, 0),
@@ -217,6 +221,13 @@ impl RadioBank {
     fn take_lock(&mut self, node: usize) -> Option<RxLock> {
         self.state[node] &= !flag::LOCKED;
         self.lock[node].take()
+    }
+
+    /// Drop the lock, if any, parking its buffer; `true` if there was one.
+    fn drop_lock(&mut self, node: usize) -> bool {
+        let lock = self.take_lock(node);
+        lock.map(|l| self.recycle_profile(node, l.interference))
+            .is_some()
     }
 
     /// Current coarse phase.
@@ -276,13 +287,7 @@ impl RadioBank {
     pub fn power_off(&mut self, node: usize) -> bool {
         self.state[node] |= flag::DISABLED;
         self.energy[node] = 0;
-        match self.take_lock(node) {
-            Some(lock) => {
-                self.recycle_profile(node, lock.interference);
-                true
-            }
-            None => false,
-        }
+        self.drop_lock(node)
     }
 
     /// Fault injection: the radio comes back. Caller re-checks carrier
@@ -322,7 +327,6 @@ impl RadioBank {
             // Deaf: the energy is not even tracked.
             return (LockOutcome::Interference, 0);
         }
-        let noise = phy.noise_mw;
         let power = fixed_mw(power_mw);
         // Interference the new frame would see: everything already here.
         let before = self.energy[node];
@@ -333,16 +337,15 @@ impl RadioBank {
         }
 
         let preamble_window = PLCP_PREAMBLE_NS + PLCP_SIG_NS;
-        let Some((lock_time, lock_signal, lock_tx_id)) = self.lock[node]
+        let Some((lock_time, lock_signal, displaced)) = self.lock[node]
             .as_ref()
             .map(|l| (l.lock_time, l.signal_mw, l.tx_id))
         else {
             // Idle: attempt to lock the new frame.
             if power_mw >= phy.sensitivity_mw {
-                let interference_for_new = mw_of(before);
-                let sinr = power_mw / (noise + interference_for_new);
-                if self.draw_lock(sinr, rng) {
-                    self.lock_new(node, tx_id, (power_mw, power), now, interference_for_new);
+                let level = mw_of(before);
+                if self.draw_lock(power_mw / (phy.noise_mw + level), rng) {
+                    self.lock_new(node, tx_id, (power_mw, power), now, level);
                     return (LockOutcome::Locked, power);
                 }
             }
@@ -358,20 +361,12 @@ impl RadioBank {
         if capture_ratio.is_some_and(|ratio| power_mw > lock_signal * ratio) {
             // The displaced frame keeps radiating: it is interference for
             // the new lock.
-            let interference_for_new = mw_of(before);
-            let sinr = power_mw / (noise + interference_for_new);
-            if self.draw_lock(sinr, rng) {
+            let level = mw_of(before);
+            if self.draw_lock(power_mw / (phy.noise_mw + level), rng) {
                 // The displaced lock's buffer feeds the new one.
-                if let Some(old) = self.take_lock(node) {
-                    self.recycle_profile(node, old.interference);
-                }
-                self.lock_new(node, tx_id, (power_mw, power), now, interference_for_new);
-                return (
-                    LockOutcome::Captured {
-                        displaced: lock_tx_id,
-                    },
-                    power,
-                );
+                self.drop_lock(node);
+                self.lock_new(node, tx_id, (power_mw, power), now, level);
+                return (LockOutcome::Captured { displaced }, power);
             }
         }
         // Plain interference for the existing lock.
@@ -438,8 +433,8 @@ impl RadioBank {
             debug_assert!(false, "begin_tx while transmitting");
             return false;
         }
-        if let Some(lock) = self.take_lock(node) {
-            self.recycle_profile(node, lock.interference);
+        if self.drop_lock(node) {
+            self.aborted_rx[node] += 1;
         }
         self.state[node] |= flag::TX;
         true
@@ -467,12 +462,13 @@ impl Persist for RadioBank {
             w.put(&self.state[n]);
             w.put(&self.energy[n]);
             w.put(&self.lock[n]);
+            w.put(&self.aborted_rx[n]);
         }
     }
 
     fn load(r: &mut CkptReader<'_>) -> Result<RadioBank, CkptError> {
         // `count` has already held the length against the bytes left.
-        let n = r.count::<(u8, u128, Option<RxLock>)>()?;
+        let n = r.count::<(u8, u128, Option<RxLock>, u64)>()?;
         let mut bank = RadioBank::new(n);
         for node in 0..n {
             bank.state[node] = r.get()?;
@@ -487,6 +483,7 @@ impl Persist for RadioBank {
                     "radio {node} lock flag disagrees with lock record"
                 )));
             }
+            bank.aborted_rx[node] = r.get()?;
         }
         Ok(bank)
     }
@@ -729,6 +726,7 @@ mod tests {
         );
         assert!(r.begin_tx(0, 50));
         assert!(!r.locked_on(0, 1));
+        assert_eq!(r.aborted_rx[0], 1);
         assert!(r.frame_end(0, 1, 10_000).is_none());
     }
 
@@ -887,6 +885,19 @@ mod tests {
                 prop_assert_eq!(one[1], live);
             }
         }
+    }
+
+    #[test]
+    fn aborted_rx_counter_increments() {
+        let mut r = bank();
+        let mut rng = stream_rng(1, 22);
+        for tx in 0..3u64 {
+            r.frame_start(0, tx, mw(-60.0), tx, &phy(), &mut rng);
+            assert!(r.begin_tx(0, 100 + tx));
+            assert!(r.end_tx(0));
+            r.frame_end(0, tx, 50);
+        }
+        assert_eq!(r.aborted_rx[0], 3);
     }
 
     #[test]

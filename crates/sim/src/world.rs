@@ -29,7 +29,7 @@ use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
 use crate::medium::Medium;
 use crate::persist;
 use crate::pool::{index_of, FramePool, LiveTx};
-use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxLock};
+use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxLock, FIXED_MAX};
 use crate::rng::stream_rng;
 use crate::stats::Stats;
 use crate::time::Time;
@@ -536,6 +536,9 @@ impl World {
                 &mut self.rngs[rx.index()],
             );
             self.pool.powers(tx_id).push(heard);
+            if heard == FIXED_MAX {
+                self.stats.bump(CounterId::WatchdogRadioState);
+            }
             match outcome {
                 LockOutcome::Locked => self.stats.bump(CounterId::SimLock),
                 LockOutcome::Captured { .. } => self.stats.bump(CounterId::SimCapture),
@@ -1727,7 +1730,10 @@ mod tests {
     /// Node 0 blasts at four listeners 100, 200, 300 and 400 ns away; the
     /// listeners reach only node 0.
     fn staggered_world(seed: u64) -> World {
-        let phy = PhyConfig::default();
+        staggered_world_at(seed, PhyConfig::default())
+    }
+
+    fn staggered_world_at(seed: u64, phy: PhyConfig) -> World {
         let n = 5;
         let mut gains = vec![f64::NEG_INFINITY; n * n];
         let mut delays = vec![0u64; n * n];
@@ -1875,6 +1881,27 @@ mod tests {
         assert!(held);
         w.run_until(now + millis(1));
         assert!(flagged(&w) > 2, "an end past the total");
+    }
+
+    /// A received power past the +21 dBm the exact total holds is held at
+    /// the cap and counted, once per arrival.
+    #[test]
+    fn a_power_past_the_cap_is_counted() {
+        // 15 dBm − 70 dB + 90 dB boost on every arrival: +35 dBm.
+        let loud = PhyConfig {
+            fading_boost_prob: 1.0,
+            fading_boost_db: 90.0,
+            ..PhyConfig::default()
+        };
+        let mut w = staggered_world_at(46, loud);
+        w.run_until(millis(2) + micros(20));
+        let held = (1..5).map(|n| w.radios.energy(n));
+        assert!(held.into_iter().all(|e| e == FIXED_MAX));
+        let flagged = w.stats().counter(CounterId::WatchdogRadioState);
+        assert_eq!(flagged, 4, "one per receiver of the first frame");
+        let mut quiet = staggered_world(46);
+        quiet.run_until(millis(9));
+        assert_eq!(quiet.watchdog_violations(), 0);
     }
 
     /// Radios that go off while hearing a frame forget its power with

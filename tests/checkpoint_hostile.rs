@@ -166,13 +166,13 @@ fn layout(bytes: &[u8]) -> Layout {
         })
         .collect();
     let (next_seq, _, _, _): (u64, u64, [u64; 6], u64) = r.get().unwrap();
-    // Per radio: state, energy, lock.
+    // Per radio: state, energy, lock, aborted-reception count.
     assert_eq!(r.len().unwrap(), nodes);
     type Lock = Option<(u64, u64, f64, Vec<(u64, f64)>)>;
     let radio_state = (0..nodes)
         .map(|_| {
             let state = at(&r);
-            let _: (u8, u128, Lock) = r.get().unwrap();
+            let _: (u8, u128, Lock, u64) = r.get().unwrap();
             state
         })
         .collect();
