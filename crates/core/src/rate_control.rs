@@ -40,7 +40,7 @@ pub trait RateController: Send {
     /// `lost` were given up on (repacked for retransmission).
     fn feedback(&mut self, dst: MacAddr, rate: Rate, acked: usize, lost: usize, now: Time);
 
-    /// Append dynamic adaptation state to a `cmap-ckpt/v7` checkpoint blob.
+    /// Append dynamic adaptation state to a `cmap-ckpt/v8` checkpoint blob.
     /// The default writes nothing, which is correct for stateless policies
     /// such as [`FixedRate`].
     fn save_state(&self, _out: &mut Vec<u8>) {}

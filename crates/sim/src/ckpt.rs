@@ -1,4 +1,4 @@
-//! `cmap-ckpt/v7` — the versioned binary checkpoint format.
+//! `cmap-ckpt/v8` — the versioned binary checkpoint format.
 //!
 //! A checkpoint is a full serialization of a mid-run [`World`]: simulation
 //! clock, pending events, radio bank, per-node RNG stream
@@ -13,7 +13,9 @@
 //! integers, `f64` as raw IEEE bit patterns (bit-exact restore, no
 //! text round-trip), and length-prefixed byte blobs. No
 //! self-description — the format version in the magic line *is* the
-//! schema, and any structural change must bump it. Readers validate
+//! schema, and any structural change must bump it. An image ends with a
+//! content sum of everything before it, checked before any field is read,
+//! so a flipped bit is refused rather than restored. Readers validate
 //! eagerly and return [`CkptError`] rather than panicking: a truncated
 //! or foreign file is an expected input (crash-safe artifact dirs), not
 //! a bug.
@@ -22,7 +24,8 @@
 //! declared once — by a [`persist!`](crate::persist) line naming its
 //! fields (or enum tags) in wire order, or by one of the generic impls
 //! below for options, collections, tuples and arrays — and both the save
-//! and the load direction are derived from that one declaration.
+//! and the load direction are derived from that one declaration. A run of
+//! values of one width ([`Persist::FIXED`]) moves through one slice.
 //!
 //! [`World`]: crate::World
 
@@ -49,8 +52,11 @@ use crate::node::NodeId;
 /// alone, each in-flight transmission's record carries its one stream
 /// cursor (no end time, wire length or release count beside it), and
 /// neither the pool's capacity nor the published lookup count is written;
-/// v7 holds exact radio energy totals and each live reception's power.
-pub const CKPT_MAGIC: &str = "cmap-ckpt/v7";
+/// v7 holds exact radio energy totals and each live reception's power;
+/// v8 ends the image with a content sum, keeps a flow's duplicate
+/// suppression as its missing seqs, drops the radio's aborted-reception
+/// count, and echoes the medium fingerprint hashed a word at a time.
+pub const CKPT_MAGIC: &str = "cmap-ckpt/v8";
 
 /// Why a checkpoint could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +85,24 @@ impl std::fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
+/// The sum an image ends with: its length plus each of its little-endian
+/// `u64` words (the last zero-padded), wrapping. One add per word, which
+/// the compiler vectorises, so it runs at memory speed; a flipped bit
+/// moves one word by a power of two and so always moves the sum.
+fn content_sum(body: &[u8]) -> u64 {
+    let words = body.chunks_exact(8);
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    let sum = words.fold(body.len() as u64, |s, w| s.wrapping_add(le_word(w)));
+    sum.wrapping_add(u64::from_le_bytes(last))
+}
+
+fn le_word(b: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(b);
+    u64::from_le_bytes(word)
+}
+
 /// Little-endian checkpoint encoder.
 #[derive(Debug, Default)]
 pub struct CkptWriter {
@@ -94,49 +118,16 @@ impl CkptWriter {
         w
     }
 
-    /// Finish and take the encoded bytes.
-    pub fn finish(self) -> Vec<u8> {
+    /// Finish and take the encoded bytes, sealed with their content sum.
+    pub fn finish(mut self) -> Vec<u8> {
+        let sum = content_sum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64` as its raw IEEE-754 bit pattern (bit-exact).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
 
     /// Append a `usize` as `u64` (checkpoints are cross-width portable).
     pub fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Append a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
+        self.put(&v);
     }
 
     /// Append a length-prefixed byte blob.
@@ -145,22 +136,31 @@ impl CkptWriter {
         self.buf.extend_from_slice(v);
     }
 
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
     /// Append any [`Persist`] value.
     pub fn put<T: Persist>(&mut self, v: &T) {
-        v.save(self);
+        if T::FIXED {
+            let mut at = self.buf.len();
+            self.buf.resize(at + T::MIN_BYTES, 0);
+            v.put_at(&mut self.buf, &mut at);
+        } else {
+            v.save(self);
+        }
     }
 
     /// Append a sequence the way every collection is encoded: its length,
-    /// then the items.
+    /// then the items — a run of [`Persist::FIXED`] items written in place.
     pub fn seq<'a, T: Persist + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
         self.len(items.len());
-        for item in items {
-            item.save(self);
+        if T::FIXED {
+            let start = self.buf.len();
+            self.buf.resize(start + items.len() * T::MIN_BYTES, 0);
+            for (item, out) in items.zip(self.buf[start..].chunks_exact_mut(T::MIN_BYTES)) {
+                item.put_at(out, &mut 0);
+            }
+        } else {
+            for item in items {
+                item.save(self);
+            }
         }
     }
 }
@@ -178,8 +178,24 @@ pub struct CkptReader<'a> {
 }
 
 impl<'a> CkptReader<'a> {
-    /// Wrap `buf`, validating the format magic.
+    /// Wrap a sealed image: check the format magic, then the content sum
+    /// against everything before it. The reader ends where the sum starts.
     pub fn new(buf: &'a [u8]) -> Result<CkptReader<'a>, CkptError> {
+        let mut r = CkptReader::open(buf)?;
+        if buf.len() < r.pos + 8 {
+            return Err(CkptError::Truncated);
+        }
+        let (body, sum) = buf.split_at(buf.len() - 8);
+        if content_sum(body) != le_word(sum) {
+            return Err(CkptError::Malformed("content sum".into()));
+        }
+        r.buf = body;
+        Ok(r)
+    }
+
+    /// Wrap `buf`, validating the format magic alone (a nested blob, which
+    /// the image around it seals).
+    fn open(buf: &'a [u8]) -> Result<CkptReader<'a>, CkptError> {
         let body = buf
             .strip_prefix(CKPT_MAGIC.as_bytes())
             .and_then(|rest| rest.strip_prefix(b"\n"))
@@ -196,69 +212,18 @@ impl<'a> CkptReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.remaining() < n {
-            return Err(CkptError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
+        let out = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .ok_or(CkptError::Truncated)?;
         self.pos += n;
         Ok(out)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CkptError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CkptError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CkptError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, CkptError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(i64::from_le_bytes(a))
-    }
-
-    /// Read an `f64` from its raw bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CkptError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a collection length (bounds-checked `u64` → `usize`).
     #[allow(clippy::len_without_is_empty, reason = "a cursor read, not a length")]
     pub fn len(&mut self) -> Result<usize, CkptError> {
-        let v = self.u64()?;
-        if v > MAX_LEN {
-            return Err(CkptError::Malformed(format!("length {v} out of range")));
-        }
-        usize::try_from(v).map_err(|_| CkptError::Malformed(format!("length {v} out of range")))
-    }
-
-    /// Read a bool byte (strictly 0 or 1).
-    pub fn bool(&mut self) -> Result<bool, CkptError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CkptError::Malformed(format!("bool byte {other}"))),
-        }
+        self.get()
     }
 
     /// Read a length-prefixed byte blob.
@@ -267,16 +232,13 @@ impl<'a> CkptReader<'a> {
         self.take(n)
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, CkptError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec())
-            .map_err(|_| CkptError::Malformed("non-UTF-8 string".to_string()))
-    }
-
     /// Read any [`Persist`] value.
     pub fn get<T: Persist>(&mut self) -> Result<T, CkptError> {
-        T::load(self)
+        if T::FIXED {
+            T::get_at(self.take(T::MIN_BYTES)?, &mut 0)
+        } else {
+            T::load(self)
+        }
     }
 
     /// Read the length of a collection of `T`, refusing one the rest of
@@ -291,13 +253,20 @@ impl<'a> CkptReader<'a> {
     }
 
     /// Read a sequence written by [`CkptWriter::seq`] onto the end of
-    /// `out`, keeping whatever capacity it already has. Returns how many
-    /// items were read.
+    /// `out`, keeping whatever capacity it already has — a run of
+    /// [`Persist::FIXED`] items decoded from one slice, each with every
+    /// check its `load` makes. Returns how many items were read.
     pub fn seq_into<T: Persist>(&mut self, out: &mut Vec<T>) -> Result<usize, CkptError> {
         let n = self.count::<T>()?;
         out.reserve(n);
-        for _ in 0..n {
-            out.push(T::load(self)?);
+        if T::FIXED {
+            for b in self.take(n * T::MIN_BYTES)?.chunks_exact(T::MIN_BYTES) {
+                out.push(T::get_at(b, &mut 0)?);
+            }
+        } else {
+            for _ in 0..n {
+                out.push(T::load(self)?);
+            }
         }
         Ok(n)
     }
@@ -305,13 +274,9 @@ impl<'a> CkptReader<'a> {
     /// Require that the whole buffer was consumed (trailing garbage means
     /// a format mismatch, not padding).
     pub fn expect_end(&self) -> Result<(), CkptError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(CkptError::Malformed(format!(
-                "{} trailing bytes",
-                self.remaining()
-            )))
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CkptError::Malformed(format!("{n} trailing bytes"))),
         }
     }
 }
@@ -319,7 +284,8 @@ impl<'a> CkptReader<'a> {
 /// Append a self-contained nested blob to `out`: its own magic line, then
 /// whatever `body` writes. This is the form [`Mac::save_state`] and the
 /// rate-controller hook produce, so each nested state machine can be
-/// decoded (and rejected) on its own.
+/// decoded (and rejected) on its own. The image the blob is framed in
+/// carries its content sum.
 ///
 /// [`Mac::save_state`]: crate::Mac::save_state
 pub fn write_blob(out: &mut Vec<u8>, body: impl FnOnce(&mut CkptWriter)) {
@@ -339,7 +305,7 @@ pub fn read_blob<T>(
     bytes: &[u8],
     body: impl FnOnce(&mut CkptReader<'_>) -> Result<T, CkptError>,
 ) -> Result<T, String> {
-    CkptReader::new(bytes)
+    CkptReader::open(bytes)
         .and_then(|mut r| {
             let out = body(&mut r)?;
             r.expect_end()?;
@@ -348,68 +314,148 @@ pub fn read_blob<T>(
         .map_err(|e| e.to_string())
 }
 
-/// A type with a `cmap-ckpt/v7` encoding. `load` must read back exactly
+/// A type with a `cmap-ckpt/v8` encoding. `load` must read back exactly
 /// the bytes `save` wrote and validate them: a value outside its legal
 /// range is [`CkptError::Malformed`], never a panic.
 pub trait Persist: Sized {
-    /// A lower bound on the encoded size of any value, which
-    /// [`CkptReader::count`] holds a decoded collection length against.
-    /// The default is right for every type that writes at least a tag or
-    /// one field.
+    /// A lower bound on the encoded size of any value (exact for a
+    /// [`FIXED`](Persist::FIXED) type), which [`CkptReader::count`] holds a
+    /// decoded collection length against. The default is right for every
+    /// type that writes at least a tag or one field.
     const MIN_BYTES: usize = 1;
+
+    /// Every value encodes to exactly `MIN_BYTES` bytes (the primitives,
+    /// and tuples, arrays and [`persist!`](crate::persist) structs of
+    /// them): [`CkptWriter::seq`]/[`CkptReader::seq_into`] move a run of
+    /// them through `put_at`/`get_at` on one slice.
+    const FIXED: bool = false;
 
     /// Append this value's encoding.
     fn save(&self, w: &mut CkptWriter);
 
     /// Decode one value.
     fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError>;
+
+    /// Write this value's encoding into `out` at `*at`, stepping past it
+    /// (in place for a `FIXED` type; the default goes through `save`).
+    fn put_at(&self, out: &mut [u8], at: &mut usize) {
+        let mut w = CkptWriter::default();
+        self.save(&mut w);
+        out[*at..*at + w.buf.len()].copy_from_slice(&w.buf);
+        *at += w.buf.len();
+    }
+
+    /// Decode one value from `b` at `*at`, stepping past it, with every
+    /// check `load` makes (the default goes through `load`).
+    fn get_at(b: &[u8], at: &mut usize) -> Result<Self, CkptError> {
+        let mut r = CkptReader { buf: b, pos: *at };
+        let v = Self::load(&mut r)?;
+        *at = r.pos;
+        Ok(v)
+    }
 }
 
-macro_rules! persist_primitive {
-    ($($ty:ty => $method:ident, $bytes:literal;)+) => {$(
+/// A field type's `(MIN_BYTES, FIXED)`: how [`persist!`](crate::persist)
+/// sums a struct's from its field names alone.
+#[doc(hidden)]
+pub const fn field_width<S, T: Persist>(_field: fn(&S) -> &T) -> (usize, bool) {
+    (T::MIN_BYTES, T::FIXED)
+}
+
+/// `N` bytes of `b` at `*at`, stepping past them.
+fn bytes_at<const N: usize>(b: &[u8], at: &mut usize) -> Result<[u8; N], CkptError> {
+    let mut out = [0u8; N];
+    out.copy_from_slice(b.get(*at..*at + N).ok_or(CkptError::Truncated)?);
+    *at += N;
+    Ok(out)
+}
+
+macro_rules! persist_le {
+    ($($ty:ty),+) => {$(
         impl Persist for $ty {
-            const MIN_BYTES: usize = $bytes;
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            const FIXED: bool = true;
             fn save(&self, w: &mut CkptWriter) {
-                w.$method(*self);
+                w.put(self);
             }
             fn load(r: &mut CkptReader<'_>) -> Result<$ty, CkptError> {
-                r.$method()
+                r.get()
+            }
+            #[inline]
+            fn put_at(&self, out: &mut [u8], at: &mut usize) {
+                out[*at..*at + Self::MIN_BYTES].copy_from_slice(&self.to_le_bytes());
+                *at += Self::MIN_BYTES;
+            }
+            #[inline]
+            fn get_at(b: &[u8], at: &mut usize) -> Result<$ty, CkptError> {
+                bytes_at(b, at).map(<$ty>::from_le_bytes)
             }
         }
     )+};
 }
 
-persist_primitive! {
-    u8 => u8, 1;
-    u16 => u16, 2;
-    u32 => u32, 4;
-    u64 => u64, 8;
-    i64 => i64, 8;
-    f64 => f64, 8;
-    bool => bool, 1;
-    usize => len, 8;
+// Little-endian, fixed width; a `u128` is two `u64` words, the low first.
+persist_le!(u8, u16, u32, u64, i64, u128);
+
+/// A value carried as a fixed-width one, checked when read.
+macro_rules! persist_as {
+    ($($ty:ty => $wire:ty, |$v:ident| $to:expr, |$w:ident| $from:expr;)+) => {$(
+        impl Persist for $ty {
+            const MIN_BYTES: usize = <$wire>::MIN_BYTES;
+            const FIXED: bool = true;
+            fn save(&self, w: &mut CkptWriter) {
+                w.put(self);
+            }
+            fn load(r: &mut CkptReader<'_>) -> Result<$ty, CkptError> {
+                r.get()
+            }
+            #[inline]
+            fn put_at(&self, out: &mut [u8], at: &mut usize) {
+                let $v = self;
+                <$wire>::put_at(&$to, out, at);
+            }
+            #[inline]
+            fn get_at(b: &[u8], at: &mut usize) -> Result<$ty, CkptError> {
+                let $w = <$wire>::get_at(b, at)?;
+                $from
+            }
+        }
+    )+};
+}
+
+persist_as! {
+    // The raw IEEE-754 bit pattern: bit-exact.
+    f64 => u64, |v| v.to_bits(), |w| Ok(f64::from_bits(w));
+    // Strictly 0 or 1.
+    bool => u8, |v| u8::from(*v), |w| match w {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(CkptError::Malformed(format!("bool byte {other}"))),
+    };
+    // A `u64` held to `MAX_LEN` (checkpoints are cross-width portable).
+    usize => u64, |v| *v as u64, |w| usize::try_from(w)
+        .ok()
+        .filter(|_| w <= MAX_LEN)
+        .ok_or_else(|| CkptError::Malformed(format!("length {w} out of range")));
+    // The node index as a `u64` length (the format predates the `u32` id).
+    NodeId => usize, |v| v.index(), |w| Ok(NodeId::new(w));
+    Rate => u8, |v| v.to_u8(), |w| Rate::from_u8(w)
+        .ok_or_else(|| CkptError::Malformed(format!("rate tag {w}")));
+    MacAddr => [u8; MacAddr::LEN], |v| v.0, |w| Ok(MacAddr(w));
+    // The four xoshiro state words: a generator resumes mid-stream.
+    SmallRng => [u64; 4], |v| v.state(), |w| Ok(SmallRng::from_state(w));
 }
 
 /// A strict bool, then the value when present.
 impl<T: Persist> Persist for Option<T> {
     fn save(&self, w: &mut CkptWriter) {
-        w.bool(self.is_some());
+        w.put(&self.is_some());
         if let Some(v) = self {
-            v.save(w);
+            w.put(v);
         }
     }
     fn load(r: &mut CkptReader<'_>) -> Result<Option<T>, CkptError> {
-        Ok(if r.bool()? { Some(T::load(r)?) } else { None })
-    }
-}
-
-impl Persist for String {
-    const MIN_BYTES: usize = 8;
-    fn save(&self, w: &mut CkptWriter) {
-        w.str(self);
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<String, CkptError> {
-        r.str()
+        Ok(if r.get()? { Some(r.get()?) } else { None })
     }
 }
 
@@ -432,18 +478,6 @@ impl<T: Persist> Persist for VecDeque<T> {
     }
     fn load(r: &mut CkptReader<'_>) -> Result<VecDeque<T>, CkptError> {
         Vec::load(r).map(VecDeque::from)
-    }
-}
-
-/// Two little-endian `u64` words, the low one first.
-impl Persist for u128 {
-    const MIN_BYTES: usize = 16;
-    fn save(&self, w: &mut CkptWriter) {
-        w.put(&(*self as u64, (*self >> 64) as u64));
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<u128, CkptError> {
-        let (low, high): (u64, u64) = r.get()?;
-        Ok(u128::from(high) << 64 | u128::from(low))
     }
 }
 
@@ -492,8 +526,8 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
     fn save(&self, w: &mut CkptWriter) {
         w.len(self.len());
         for (k, v) in self {
-            k.save(w);
-            v.save(w);
+            w.put(k);
+            w.put(v);
         }
     }
     fn load(r: &mut CkptReader<'_>) -> Result<BTreeMap<K, V>, CkptError> {
@@ -503,15 +537,23 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
 
 macro_rules! persist_tuple {
     ($($name:ident)+) => {
+        #[allow(non_snake_case, reason = "bindings named after the type parameters")]
         impl<$($name: Persist),+> Persist for ($($name,)+) {
             const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
-            #[allow(non_snake_case, reason = "bindings named after the type parameters")]
+            const FIXED: bool = true $(&& $name::FIXED)+;
             fn save(&self, w: &mut CkptWriter) {
                 let ($($name,)+) = self;
-                $($name.save(w);)+
+                $(w.put($name);)+
             }
             fn load(r: &mut CkptReader<'_>) -> Result<Self, CkptError> {
-                Ok(($($name::load(r)?,)+))
+                Ok(($(r.get::<$name>()?,)+))
+            }
+            fn put_at(&self, out: &mut [u8], at: &mut usize) {
+                let ($($name,)+) = self;
+                $($name.put_at(out, at);)+
+            }
+            fn get_at(b: &[u8], at: &mut usize) -> Result<Self, CkptError> {
+                Ok(($($name::get_at(b, at)?,)+))
             }
         }
     };
@@ -525,70 +567,42 @@ persist_tuple!(A B C D E);
 /// `N` items and no length: the size is part of the schema.
 impl<T: Persist + Copy + Default, const N: usize> Persist for [T; N] {
     const MIN_BYTES: usize = N * T::MIN_BYTES;
+    const FIXED: bool = T::FIXED;
     fn save(&self, w: &mut CkptWriter) {
         for v in self {
-            v.save(w);
+            w.put(v);
         }
     }
     fn load(r: &mut CkptReader<'_>) -> Result<[T; N], CkptError> {
         let mut out = [T::default(); N];
         for v in &mut out {
-            *v = T::load(r)?;
+            *v = r.get()?;
+        }
+        Ok(out)
+    }
+    fn put_at(&self, out: &mut [u8], at: &mut usize) {
+        for v in self {
+            v.put_at(out, at);
+        }
+    }
+    fn get_at(b: &[u8], at: &mut usize) -> Result<[T; N], CkptError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = T::get_at(b, at)?;
         }
         Ok(out)
     }
 }
 
-/// The node index as a `u64` length (the format predates the `u32` id).
-impl Persist for NodeId {
-    const MIN_BYTES: usize = 8;
-    fn save(&self, w: &mut CkptWriter) {
-        w.len(self.index());
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<NodeId, CkptError> {
-        r.len().map(NodeId::new)
-    }
-}
-
-impl Persist for MacAddr {
-    const MIN_BYTES: usize = MacAddr::LEN;
-    fn save(&self, w: &mut CkptWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<MacAddr, CkptError> {
-        r.get().map(MacAddr)
-    }
-}
-
-impl Persist for Rate {
-    fn save(&self, w: &mut CkptWriter) {
-        w.u8(self.to_u8());
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<Rate, CkptError> {
-        let v = r.u8()?;
-        Rate::from_u8(v).ok_or_else(|| CkptError::Malformed(format!("rate tag {v}")))
-    }
-}
-
-/// The four xoshiro state words: a generator resumes mid-stream.
-impl Persist for SmallRng {
-    const MIN_BYTES: usize = 32;
-    fn save(&self, w: &mut CkptWriter) {
-        self.state().save(w);
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<SmallRng, CkptError> {
-        r.get().map(SmallRng::from_state)
-    }
-}
-
-/// Declare a type's `cmap-ckpt/v7` encoding once; both directions are
+/// Declare a type's `cmap-ckpt/v8` encoding once; both directions are
 /// derived from the one list, so they cannot drift apart.
 ///
 /// * `persist!(struct T { a, b, c })` implements [`Persist`](crate::ckpt::Persist)
-///   for a struct: the named fields in wire order. Every field must be
-///   named unless a `..base` expression follows the braces to supply the
-///   unpersisted rest; a trailing `validate f` runs `f(&T) -> Result<(),
-///   CkptError>` on the loaded value.
+///   for a struct: the named fields in wire order, [`FIXED`] when every
+///   field's type is. Every field must be named unless a `..base`
+///   expression follows the braces to supply the unpersisted rest; a
+///   trailing `validate f` runs `f(&T) -> Result<(), CkptError>` on each
+///   loaded value, on the bulk path too.
 /// * `persist!(enum T { 0 => A, 1 => B { x, y } })` implements it for an
 ///   enum: one tag byte, then the variant's fields. An unknown tag is
 ///   `Malformed`.
@@ -596,19 +610,37 @@ impl Persist for SmallRng {
 ///   from bytes alone because it also holds configuration: it generates
 ///   `T::save_fields(&self, w)` and `T::load_fields(&mut self, r)`, which
 ///   overlay the named fields onto an already-configured value.
+///
+/// [`FIXED`]: crate::ckpt::Persist::FIXED
 #[macro_export]
 macro_rules! persist {
     (struct $ty:ident $(<$lt:lifetime>)? { $($field:ident),+ $(,)? }
      $(..$base:expr)? $(, validate $check:expr)?) => {
         impl $(<$lt>)? $crate::ckpt::Persist for $ty $(<$lt>)? {
+            const MIN_BYTES: usize =
+                0 $(+ $crate::ckpt::field_width(|v: &$ty| &v.$field).0)+;
+            const FIXED: bool = true $(&& $crate::ckpt::field_width(|v: &$ty| &v.$field).1)+;
             fn save(&self, w: &mut $crate::ckpt::CkptWriter) {
-                $($crate::ckpt::Persist::save(&self.$field, w);)+
+                $(w.put(&self.$field);)+
             }
             fn load(
                 r: &mut $crate::ckpt::CkptReader<'_>,
             ) -> Result<Self, $crate::ckpt::CkptError> {
                 let loaded = $ty {
-                    $($field: $crate::ckpt::Persist::load(r)?,)+
+                    $($field: r.get()?,)+
+                    $(..$base)?
+                };
+                $($check(&loaded)?;)?
+                Ok(loaded)
+            }
+            #[inline]
+            fn put_at(&self, out: &mut [u8], at: &mut usize) {
+                $($crate::ckpt::Persist::put_at(&self.$field, out, at);)+
+            }
+            #[inline]
+            fn get_at(b: &[u8], at: &mut usize) -> Result<Self, $crate::ckpt::CkptError> {
+                let loaded = $ty {
+                    $($field: $crate::ckpt::Persist::get_at(b, at)?,)+
                     $(..$base)?
                 };
                 $($check(&loaded)?;)?
@@ -621,17 +653,17 @@ macro_rules! persist {
             fn save(&self, w: &mut $crate::ckpt::CkptWriter) {
                 match self {
                     $($ty::$variant $({ $($field),+ })? => {
-                        w.u8($tag);
-                        $($($crate::ckpt::Persist::save($field, w);)+)?
+                        w.put::<u8>(&$tag);
+                        $($(w.put($field);)+)?
                     })+
                 }
             }
             fn load(
                 r: &mut $crate::ckpt::CkptReader<'_>,
             ) -> Result<Self, $crate::ckpt::CkptError> {
-                Ok(match r.u8()? {
+                Ok(match r.get::<u8>()? {
                     $($tag => $ty::$variant $({
-                        $($field: $crate::ckpt::Persist::load(r)?),+
+                        $($field: r.get()?),+
                     })?,)+
                     other => {
                         return Err($crate::ckpt::CkptError::Malformed(format!(
@@ -646,13 +678,13 @@ macro_rules! persist {
     (fields $ty:ident { $($field:ident),+ $(,)? }) => {
         impl $ty {
             fn save_fields(&self, w: &mut $crate::ckpt::CkptWriter) {
-                $($crate::ckpt::Persist::save(&self.$field, w);)+
+                $(w.put(&self.$field);)+
             }
             fn load_fields(
                 &mut self,
                 r: &mut $crate::ckpt::CkptReader<'_>,
             ) -> Result<(), $crate::ckpt::CkptError> {
-                $(self.$field = $crate::ckpt::Persist::load(r)?;)+
+                $(self.$field = r.get()?;)+
                 Ok(())
             }
         }
@@ -669,34 +701,44 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         let mut w = CkptWriter::new();
-        w.u8(7);
-        w.u16(0xBEEF);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX - 3);
-        w.i64(-12345);
-        w.f64(-0.0);
-        w.f64(1.5e-300);
+        w.put(&7u8);
+        w.put(&0xBEEFu16);
+        w.put(&0xDEAD_BEEFu32);
+        w.put(&(u64::MAX - 3));
+        w.put(&-12345i64);
+        w.put(&(u128::MAX - 9));
+        w.put(&-0.0f64);
+        w.put(&1.5e-300f64);
         w.len(42);
-        w.bool(true);
-        w.bool(false);
+        w.put(&true);
+        w.put(&false);
         w.bytes(b"blob");
-        w.str("héllo");
         let bytes = w.finish();
 
         let mut r = CkptReader::new(&bytes).unwrap();
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.i64().unwrap(), -12345);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.f64().unwrap(), 1.5e-300);
+        assert_eq!(r.get::<u8>().unwrap(), 7);
+        assert_eq!(r.get::<u16>().unwrap(), 0xBEEF);
+        assert_eq!(r.get::<u32>().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.get::<u64>().unwrap(), u64::MAX - 3);
+        assert_eq!(r.get::<i64>().unwrap(), -12345);
+        assert_eq!(r.get::<u128>().unwrap(), u128::MAX - 9);
+        assert_eq!(r.get::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.get::<f64>().unwrap(), 1.5e-300);
         assert_eq!(r.len().unwrap(), 42);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
+        assert!(r.get::<bool>().unwrap());
+        assert!(!r.get::<bool>().unwrap());
         assert_eq!(r.bytes().unwrap(), b"blob");
-        assert_eq!(r.str().unwrap(), "héllo");
         r.expect_end().unwrap();
+    }
+
+    /// A `u128` is its two `u64` words, the low one first.
+    #[test]
+    fn a_u128_is_two_words_low_first() {
+        let mut w = CkptWriter::new();
+        w.put(&(5u128 << 64 | 9));
+        let mut v = CkptWriter::new();
+        v.put(&(9u64, 5u64));
+        assert_eq!(w.finish(), v.finish());
     }
 
     #[test]
@@ -707,49 +749,90 @@ mod tests {
         );
         // Magic of a past or future version must be rejected, not
         // half-read.
-        for other in ["cmap-ckpt/v5\n", "cmap-ckpt/v6\n", "cmap-ckpt/v8\n"] {
+        for other in ["cmap-ckpt/v6\n", "cmap-ckpt/v7\n", "cmap-ckpt/v9\n"] {
             assert_eq!(
                 CkptReader::new(other.as_bytes()).unwrap_err(),
                 CkptError::BadMagic
             );
         }
+        // The magic with no sum behind it.
+        let magic = format!("{CKPT_MAGIC}\n");
+        assert_eq!(
+            CkptReader::new(magic.as_bytes()).unwrap_err(),
+            CkptError::Truncated
+        );
 
         let mut w = CkptWriter::new();
-        w.u64(1);
-        let mut bytes = w.finish();
-        bytes.truncate(bytes.len() - 2);
+        w.put(&1u32);
+        let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
-        assert_eq!(r.u64().unwrap_err(), CkptError::Truncated);
+        assert_eq!(r.get::<u64>().unwrap_err(), CkptError::Truncated);
 
         // An absurd length field fails before allocating.
         let mut w = CkptWriter::new();
-        w.u64(u64::MAX);
+        w.put(&u64::MAX);
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
         assert!(matches!(r.len().unwrap_err(), CkptError::Malformed(_)));
 
         // Bool bytes are strict.
         let mut w = CkptWriter::new();
-        w.u8(2);
+        w.put(&2u8);
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
-        assert!(matches!(r.bool().unwrap_err(), CkptError::Malformed(_)));
+        assert!(matches!(
+            r.get::<bool>().unwrap_err(),
+            CkptError::Malformed(_)
+        ));
 
         // Trailing garbage is flagged.
         let mut w = CkptWriter::new();
-        w.u8(0);
+        w.put(&0u8);
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
-        let _ = r.u8().unwrap();
+        let _ = r.get::<u8>().unwrap();
         r.expect_end().unwrap();
         let mut w = CkptWriter::new();
-        w.u16(0);
+        w.put(&0u16);
         let bytes = w.finish();
         let r = CkptReader::new(&bytes).unwrap();
         assert!(matches!(
             r.expect_end().unwrap_err(),
             CkptError::Malformed(_)
         ));
+    }
+
+    /// Every flipped bit past the magic line, the sum's own included, and
+    /// every cut is refused before a field is read.
+    #[test]
+    fn the_content_sum_refuses_any_flip_or_cut() {
+        let mut w = CkptWriter::new();
+        w.put(&(0x0123_4567_89AB_CDEFu64, [0u8; 13], -1i64));
+        w.bytes(b"twenty-three body bytes");
+        let image = w.finish();
+        let magic = CKPT_MAGIC.len() + 1;
+        for i in 0..image.len() * 8 {
+            let mut bad = image.clone();
+            bad[i / 8] ^= 1 << (i % 8);
+            let want = if i / 8 < magic {
+                CkptError::BadMagic
+            } else {
+                CkptError::Malformed("content sum".into())
+            };
+            assert_eq!(CkptReader::new(&bad).unwrap_err(), want, "bit {i}");
+        }
+        for keep in magic + 8..image.len() {
+            assert!(CkptReader::new(&image[..keep]).is_err(), "cut at {keep}");
+        }
+        // The sum is the plain one.
+        let body = &image[..image.len() - 8];
+        let plain = body.chunks(8).fold(body.len() as u64, |s, w| {
+            let mut word = [0u8; 8];
+            word[..w.len()].copy_from_slice(w);
+            s.wrapping_add(u64::from_le_bytes(word))
+        });
+        assert_eq!(content_sum(body), plain);
+        assert_eq!(le_word(&image[image.len() - 8..]), plain);
     }
 
     /// Every generic impl against the hand encoding it replaced.
@@ -765,33 +848,31 @@ mod tests {
         w.put(&BTreeMap::from([((NodeId::new(2), addr), Rate::R12)]));
         w.put(&[7u64, 8]);
         w.put(&300usize);
-        w.put(&"spec".to_string());
         w.put(&Cow::Borrowed(&b"raw"[..]));
         let got = w.finish();
 
         let mut w = CkptWriter::new();
-        w.bool(true);
-        w.u32(5);
-        w.bool(false);
+        w.put(&true);
+        w.put(&5u32);
+        w.put(&false);
         w.len(2);
-        w.u16(1);
-        w.u16(2);
+        w.put(&1u16);
+        w.put(&2u16);
         w.len(1);
-        w.u64(3);
-        w.f64(1.5);
+        w.put(&3u64);
+        w.put(&1.5f64.to_bits());
         w.len(2);
-        w.u32(4);
-        w.u32(9);
+        w.put(&4u32);
+        w.put(&9u32);
         w.len(1);
         w.len(2);
         for b in addr.0 {
-            w.u8(b);
+            w.put(&b);
         }
-        w.u8(Rate::R12.to_u8());
-        w.u64(7);
-        w.u64(8);
+        w.put(&Rate::R12.to_u8());
+        w.put(&7u64);
+        w.put(&8u64);
         w.len(300);
-        w.str("spec");
         w.bytes(b"raw");
         assert_eq!(got, w.finish());
 
@@ -805,17 +886,37 @@ mod tests {
         assert_eq!(map[&(NodeId::new(2), addr)], Rate::R12);
         assert_eq!(r.get::<[u64; 2]>().unwrap(), [7, 8]);
         assert_eq!(r.get::<usize>().unwrap(), 300);
-        assert_eq!(r.get::<String>().unwrap(), "spec");
         assert_eq!(&r.get::<Cow<'_, [u8]>>().unwrap()[..], b"raw");
         r.expect_end().unwrap();
+    }
+
+    /// Which types are fixed, and at what width.
+    #[test]
+    fn fixed_widths_are_declared() {
+        fn width<T: Persist>() -> Option<usize> {
+            T::FIXED.then_some(T::MIN_BYTES)
+        }
+        assert_eq!(width::<u8>(), Some(1));
+        assert_eq!(width::<bool>(), Some(1));
+        assert_eq!(width::<Rate>(), Some(1));
+        assert_eq!(width::<MacAddr>(), Some(6));
+        assert_eq!(width::<NodeId>(), Some(8));
+        assert_eq!(width::<u128>(), Some(16));
+        assert_eq!(width::<SmallRng>(), Some(32));
+        assert_eq!(width::<(MacAddr, u64, f64)>(), Some(22));
+        assert_eq!(width::<[(u16, bool); 3]>(), Some(9));
+        assert_eq!(width::<InterfererEntry>(), Some(13));
+        assert_eq!(width::<Option<u8>>(), None);
+        assert_eq!(width::<(u8, Vec<u8>)>(), None);
+        assert_eq!(<(u8, Vec<u8>)>::MIN_BYTES, 9);
     }
 
     #[test]
     fn collections_refuse_duplicates_and_oversized_lengths() {
         let mut w = CkptWriter::new();
         w.len(2);
-        w.u32(6 | 6 << 16);
-        w.u32(6 | 6 << 16);
+        w.put(&(6u32 | 6 << 16));
+        w.put(&(6u32 | 6 << 16));
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
         assert!(matches!(
@@ -832,8 +933,8 @@ mod tests {
         // is reserved: 3 x u64 needs 24 bytes, 16 follow.
         let mut w = CkptWriter::new();
         w.len(3);
-        w.u64(1);
-        w.u64(2);
+        w.put(&1u64);
+        w.put(&2u64);
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
         assert_eq!(r.get::<Vec<u64>>().unwrap_err(), CkptError::Truncated);
@@ -844,7 +945,7 @@ mod tests {
         );
 
         let mut w = CkptWriter::new();
-        w.u8(8);
+        w.put(&8u8);
         let bytes = w.finish();
         let mut r = CkptReader::new(&bytes).unwrap();
         assert!(matches!(

@@ -327,7 +327,7 @@ impl Scheduler {
         self.max_occupancy
     }
 
-    // ---- cmap-ckpt/v7 ---------------------------------------------------
+    // ---- cmap-ckpt/v8 ---------------------------------------------------
 
     /// The filed events, in no particular order.
     pub(crate) fn filed_events(&self) -> impl Iterator<Item = &Event> {
@@ -341,7 +341,7 @@ impl Scheduler {
     }
 }
 
-// ---- cmap-ckpt/v7 -------------------------------------------------------
+// ---- cmap-ckpt/v8 -------------------------------------------------------
 
 // Tags are `Event::kind_idx`.
 persist!(enum Event {

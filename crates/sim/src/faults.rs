@@ -358,7 +358,7 @@ impl FaultState {
         (i128::from(delay) + extra).max(0) as Time
     }
 
-    // ---- cmap-ckpt/v7 ---------------------------------------------------
+    // ---- cmap-ckpt/v8 ---------------------------------------------------
 
     /// Serialize the dynamic cursors: everything [`FaultState::new`] cannot
     /// rebuild from the plan alone (liveness flags, the corruption stream's

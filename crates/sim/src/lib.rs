@@ -20,7 +20,7 @@
 //!   Gilbert–Elliott burst loss, stepped shadowing, clock skew and frame
 //!   corruption, plus a runtime invariant watchdog, and
 //! * mid-run checkpoint/restore ([`ckpt`], [`World::checkpoint`],
-//!   [`World::restore`]) in the versioned `cmap-ckpt/v7` format: a
+//!   [`World::restore`]) in the versioned `cmap-ckpt/v8` format: a
 //!   restored run continues byte-identically to an uninterrupted one.
 //!
 //! Runs are bit-deterministic for a given (topology, MACs, seed): every

@@ -104,7 +104,7 @@ pub trait Mac {
     /// Introspection hook for tests and experiment harnesses.
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Append this MAC's dynamic protocol state to a `cmap-ckpt/v7`
+    /// Append this MAC's dynamic protocol state to a `cmap-ckpt/v8`
     /// checkpoint blob. Paired with [`Mac::load_state`]; the world frames
     /// the blob, so implementations just write fields in a fixed order.
     /// The default writes nothing, which is correct for stateless MACs

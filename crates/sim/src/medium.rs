@@ -506,11 +506,11 @@ impl Medium {
         Some(&self.stats)
     }
 
-    /// Structural fingerprint: FNV-1a over the link set — node count,
+    /// Structural fingerprint: word-wise FNV-1a over the link set — node count,
     /// transmit power, row offsets and every link's receiver, gain bits
     /// and delay. Two media with the same fingerprint produce the same
     /// event fan-out however they were fed, so checkpoints echo it to
-    /// reject restores into a differently-built world (`cmap-ckpt/v7`). A
+    /// reject restores into a differently-built world (`cmap-ckpt/v8`). A
     /// medium never changes once built, so the hash runs once, at the
     /// first checkpoint or restore — not at build, which runs that never
     /// checkpoint would pay for.
@@ -532,7 +532,8 @@ impl Medium {
     }
 }
 
-/// FNV-1a over a stream of `u64` words.
+/// FNV-1a over a stream of `u64` words, a word a step (a bijection of the
+/// state, so a change to any one word always changes the hash).
 struct Fnv(u64);
 
 impl Fnv {
@@ -540,10 +541,7 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     }
     fn finish(&self) -> u64 {
         self.0

@@ -27,7 +27,7 @@
 //! * A slot holds the power each `FrameStart` added to its receiver, by
 //!   row position, for the `FrameEnd` to subtract; recycled like `buf`.
 //!
-//! Checkpoint interaction (`cmap-ckpt/v7`): only *live* slots are
+//! Checkpoint interaction (`cmap-ckpt/v8`): only *live* slots are
 //! serialised, as [`LiveTx`] records holding the stream's one cursor and
 //! its live receivers' powers; the queue image holds none of their
 //! events. On restore each live slot is
@@ -339,7 +339,7 @@ impl FramePool {
         self.recycled
     }
 
-    // ---- cmap-ckpt/v7 ---------------------------------------------------
+    // ---- cmap-ckpt/v8 ---------------------------------------------------
 
     /// The live slots' checkpoint records in slot order (restore puts
     /// each back at its index), borrowing their wire bytes.

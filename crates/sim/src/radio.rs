@@ -149,8 +149,6 @@ pub(crate) struct RadioBank {
     // Cold arrays: touched only by reception/transmission events.
     /// The reception lock, if [`flag::LOCKED`] is set.
     lock: Vec<Option<RxLock>>,
-    /// Receptions aborted because the MAC started transmitting over them.
-    aborted_rx: Vec<u64>,
     /// Recycled interference-profile buffers: the next lock reuses the
     /// capacity of the last completed (or dropped) one instead of
     /// allocating per reception.
@@ -170,7 +168,6 @@ impl RadioBank {
             state: vec![0; n],
             energy: vec![0; n],
             lock: (0..n).map(|_| None).collect(),
-            aborted_rx: vec![0; n],
             spare_profile: (0..n).map(|_| Vec::new()).collect(),
             gate: DrawGate::shared(),
             lock_draws: (0, 0),
@@ -433,9 +430,7 @@ impl RadioBank {
             debug_assert!(false, "begin_tx while transmitting");
             return false;
         }
-        if self.drop_lock(node) {
-            self.aborted_rx[node] += 1;
-        }
+        self.drop_lock(node);
         self.state[node] |= flag::TX;
         true
     }
@@ -462,13 +457,12 @@ impl Persist for RadioBank {
             w.put(&self.state[n]);
             w.put(&self.energy[n]);
             w.put(&self.lock[n]);
-            w.put(&self.aborted_rx[n]);
         }
     }
 
     fn load(r: &mut CkptReader<'_>) -> Result<RadioBank, CkptError> {
         // `count` has already held the length against the bytes left.
-        let n = r.count::<(u8, u128, Option<RxLock>, u64)>()?;
+        let n = r.count::<(u8, u128, Option<RxLock>)>()?;
         let mut bank = RadioBank::new(n);
         for node in 0..n {
             bank.state[node] = r.get()?;
@@ -483,7 +477,6 @@ impl Persist for RadioBank {
                     "radio {node} lock flag disagrees with lock record"
                 )));
             }
-            bank.aborted_rx[node] = r.get()?;
         }
         Ok(bank)
     }
@@ -726,7 +719,6 @@ mod tests {
         );
         assert!(r.begin_tx(0, 50));
         assert!(!r.locked_on(0, 1));
-        assert_eq!(r.aborted_rx[0], 1);
         assert!(r.frame_end(0, 1, 10_000).is_none());
     }
 
@@ -885,19 +877,6 @@ mod tests {
                 prop_assert_eq!(one[1], live);
             }
         }
-    }
-
-    #[test]
-    fn aborted_rx_counter_increments() {
-        let mut r = bank();
-        let mut rng = stream_rng(1, 22);
-        for tx in 0..3u64 {
-            r.frame_start(0, tx, mw(-60.0), tx, &phy(), &mut rng);
-            assert!(r.begin_tx(0, 100 + tx));
-            assert!(r.end_tx(0));
-            r.frame_end(0, tx, 50);
-        }
-        assert_eq!(r.aborted_rx[0], 3);
     }
 
     #[test]

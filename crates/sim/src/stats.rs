@@ -10,9 +10,9 @@
 //! Counters are a flat `[u64; CounterId::COUNT]` indexed by the dense
 //! [`CounterId`]: the hot path is one array write, no map lookup.
 
-// BTreeMap/BTreeSet throughout: statistics feed figure output and test
+// BTreeMap throughout: statistics feed figure output and test
 // assertions, so their iteration order must not depend on hash seeds.
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 
@@ -26,23 +26,65 @@ use crate::world::NodeId;
 pub struct FlowStats {
     /// Arrival time of each *first* (non-duplicate) delivery, in order.
     pub arrivals: Vec<Time>,
-    /// Sequence numbers seen at or above `seen_floor` (duplicate
-    /// suppression). Compacted: every seq below `seen_floor` is seen, so a
-    /// flow that loses nothing keeps this set near-empty. The floor stalls
-    /// at the first seq the MAC gives up on, though, and from there the set
-    /// grows with every delivery: 10 s into the benchmark's `testbed_cmap`
-    /// world the 12 flows' sets hold 8,895–12,046 of ~12,600 delivered
-    /// seqs between them, after 30 s 12,607–18,674 of ~37,700.
-    seen: BTreeSet<u32>,
-    /// All sequence numbers below this have been seen.
-    seen_floor: u32,
+    /// One past the highest sequence number delivered (0 before the first).
+    high: u64,
+    /// The seqs below `high` not delivered yet, as ascending half-open
+    /// ranges `[from, to)` with a delivered seq between two: duplicate
+    /// suppression in O(losses), not O(deliveries). Restore holds an image
+    /// to `high − Σ(to − from) == arrivals.len()`.
+    missing: Vec<(u32, u32)>,
     /// Duplicate deliveries discarded.
     pub duplicates: u64,
 }
 
-persist!(struct FlowStats { arrivals, seen, seen_floor, duplicates });
+persist!(struct FlowStats { arrivals, high, missing, duplicates }, validate FlowStats::check);
 
 impl FlowStats {
+    /// Deliver `seq`; `false` if it was delivered before.
+    fn deliver(&mut self, seq: u32, now: Time) -> bool {
+        let s = u64::from(seq);
+        if s >= self.high {
+            if s > self.high {
+                // `high < seq`, so it fits a `u32`.
+                self.missing.push((self.high as u32, seq));
+            }
+            self.high = s + 1;
+        } else {
+            // `seq` is missing if in the first range ending past it.
+            let i = self.missing.partition_point(|&(_, to)| to <= seq);
+            match self.missing.get(i) {
+                Some(&(from, to)) if from <= seq => {
+                    let halves = [(from, seq), (seq + 1, to)];
+                    self.missing
+                        .splice(i..=i, halves.into_iter().filter(|(a, b)| a < b));
+                }
+                _ => return false,
+            }
+        }
+        self.arrivals.push(now);
+        true
+    }
+
+    /// A restored record is one `deliver` can produce: ranges non-empty,
+    /// apart and below `high`, arrivals in order, one per seq not missing.
+    fn check(&self) -> Result<(), CkptError> {
+        let (mut floor, mut lost) = (0u64, 0u64);
+        let ranges = self.missing.iter().all(|&(from, to)| {
+            let ascending = u64::from(from) >= floor && from < to;
+            (floor, lost) = (u64::from(to) + 1, lost + u64::from(to.wrapping_sub(from)));
+            ascending
+        });
+        let n = self.arrivals.len() as u64;
+        if ranges && floor <= self.high && self.high - lost == n && self.arrivals.is_sorted() {
+            return Ok(());
+        }
+        Err(CkptError::Malformed(format!(
+            "flow record: {n} arrivals below seq {}, {} missing ranges",
+            self.high,
+            self.missing.len()
+        )))
+    }
+
     /// Count of non-duplicate deliveries with `from <= t < to`.
     pub fn delivered_in(&self, from: Time, to: Time) -> u64 {
         // Arrivals are pushed in nondecreasing time order.
@@ -170,17 +212,9 @@ impl Stats {
     /// Record a delivery; returns `true` if it was not a duplicate.
     pub(crate) fn record_delivery(&mut self, flow: u16, seq: u32, now: Time) -> bool {
         let f = &mut self.flows[flow as usize];
-        if seq < f.seen_floor || !f.seen.insert(seq) {
-            f.duplicates += 1;
-            return false;
-        }
-        f.arrivals.push(now);
-        // Advance the floor over any now-contiguous prefix, shedding the
-        // per-seq bookkeeping so the set stays bounded on long soaks.
-        while f.seen.remove(&f.seen_floor) {
-            f.seen_floor += 1;
-        }
-        true
+        let first = f.deliver(seq, now);
+        f.duplicates += u64::from(!first);
+        first
     }
 
     /// Per-flow stats.
@@ -413,25 +447,121 @@ mod tests {
         assert!(s.vpkt_stats(2, 1).is_none());
     }
 
+    /// A flow keeps one range per run of seqs it has yet to deliver, and
+    /// none once they arrive.
     #[test]
-    fn seen_set_compacts_for_in_order_flows() {
+    fn missing_ranges_are_the_gaps() {
         let mut s = Stats::default();
         s.ensure_flows(1);
         for i in 0..100u32 {
             assert!(s.record_delivery(0, i, u64::from(i)));
         }
-        // Bookkeeping collapsed into the floor; dups below it still caught.
-        assert_eq!(s.flow(0).seen_floor, 100);
-        assert!(s.flow(0).seen.is_empty());
+        assert_eq!((s.flow(0).high, &s.flow(0).missing[..]), (100, &[][..]));
         assert!(!s.record_delivery(0, 5, 1000));
         assert_eq!(s.flow(0).duplicates, 1);
-        // Out-of-order holds keep entries until the gap fills.
+        // 100 and 101 lost, 103..=104 lost, then both gaps fill.
         assert!(s.record_delivery(0, 102, 1001));
-        assert_eq!(s.flow(0).seen.len(), 1);
-        assert!(s.record_delivery(0, 100, 1002));
+        assert!(s.record_delivery(0, 105, 1002));
+        assert_eq!(s.flow(0).missing, [(100, 102), (103, 105)]);
         assert!(s.record_delivery(0, 101, 1003));
-        assert!(s.flow(0).seen.is_empty());
-        assert_eq!(s.flow(0).seen_floor, 103);
+        assert!(!s.record_delivery(0, 101, 1004));
+        assert!(s.record_delivery(0, 104, 1005));
+        assert_eq!(s.flow(0).missing, [(100, 101), (103, 104)]);
+        assert!(s.record_delivery(0, 100, 1006));
+        assert!(s.record_delivery(0, 103, 1007));
+        assert!(s.flow(0).missing.is_empty());
+        assert_eq!(s.flow(0).high, 106);
+        // A seq inside a range splits it.
+        assert!(s.record_delivery(0, 110, 1008));
+        assert!(s.record_delivery(0, 108, 1009));
+        assert_eq!(s.flow(0).missing, [(106, 108), (109, 110)]);
+        assert_eq!(s.flow(0).arrivals.len(), 108);
+        // The largest seq there is.
+        assert!(s.record_delivery(0, u32::MAX, 1010));
+        assert!(!s.record_delivery(0, u32::MAX, 1011));
+        assert_eq!(s.flow(0).high, 1 << 32);
+        assert_eq!(s.flow(0).missing.last(), Some(&(111, u32::MAX)));
+    }
+
+    proptest::proptest! {
+        /// `record_delivery` against a set of every delivered seq: the
+        /// same answers and arrivals, and exactly one range per gap below
+        /// the highest seq, over streams with duplicates, reordering and
+        /// gaps up to 2^20.
+        #[test]
+        fn delivery_matches_a_set_of_delivered_seqs(
+            steps in proptest::collection::vec((0u8..4, 0u32..1 << 20), 1..400)
+        ) {
+            let mut s = Stats::default();
+            s.ensure_flows(1);
+            let (mut seen, mut arrivals) = (std::collections::BTreeSet::new(), Vec::new());
+            let mut next = 0u32;
+            for (t, &(kind, x)) in steps.iter().enumerate() {
+                let seq = match kind {
+                    // In order, past a gap, a little ahead, or behind.
+                    0 => next,
+                    1 => next + x,
+                    2 => next + x % 8,
+                    _ => x % next.max(1),
+                };
+                next = next.max(seq + 1);
+                let now = t as u64;
+                let first = seen.insert(seq);
+                if first {
+                    arrivals.push(now);
+                }
+                proptest::prop_assert_eq!(s.record_delivery(0, seq, now), first);
+            }
+            let f = s.flow(0);
+            proptest::prop_assert_eq!(&f.arrivals, &arrivals);
+            proptest::prop_assert_eq!(f.duplicates, (steps.len() - seen.len()) as u64);
+            let mut gaps = Vec::new();
+            let mut floor = 0u32;
+            for &seq in &seen {
+                if seq > floor {
+                    gaps.push((floor, seq));
+                }
+                floor = seq + 1;
+            }
+            proptest::prop_assert_eq!(&f.missing, &gaps);
+            proptest::prop_assert_eq!(f.high, u64::from(floor));
+            proptest::prop_assert!(f.check().is_ok());
+        }
+    }
+
+    /// Restore holds a flow's ranges, `high` and arrivals to each other.
+    #[test]
+    fn restore_refuses_a_flow_record_that_disagrees() {
+        let mut s = Stats::default();
+        s.ensure_flows(1);
+        for seq in [0, 1, 4, 5, 9] {
+            s.record_delivery(0, seq, u64::from(seq));
+        }
+        let good = s.flows[0].clone();
+        assert_eq!(good.missing, [(2, 4), (6, 9)]);
+        let load = |f: &FlowStats| {
+            let mut w = CkptWriter::new();
+            w.put(f);
+            let bytes = w.finish();
+            CkptReader::new(&bytes)?.get::<FlowStats>().map(drop)
+        };
+        load(&good).expect("a recorded flow");
+        type Edit = (&'static str, fn(&mut FlowStats));
+        let edits: [Edit; 8] = [
+            ("high one up", |f| f.high += 1),
+            ("high at a missing seq", |f| f.high = 8),
+            ("an empty range", |f| f.missing.insert(0, (1, 1))),
+            ("ranges touching", |f| f.missing[1].0 = 4),
+            ("ranges descending", |f| f.missing.swap(0, 1)),
+            ("a range grown", |f| f.missing[0].0 = 1),
+            ("an arrival more", |f| f.arrivals.push(10)),
+            ("arrivals out of order", |f| f.arrivals.swap(0, 1)),
+        ];
+        for (what, edit) in edits {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert!(matches!(load(&bad), Err(CkptError::Malformed(_))), "{what}");
+        }
     }
 
     #[test]
@@ -532,21 +662,21 @@ mod tests {
         let back = Stats::load(&mut r).unwrap();
         r.expect_end().unwrap();
         assert_eq!(back.snapshot(), s.snapshot());
-        assert!(!back.flows[1].seen.is_empty());
+        assert_eq!(back.flows[1].missing, [(1, 2)]);
 
         // A flow count of 2^30 with nothing behind it: once sized a
         // 64 GiB `Vec` and aborted the process.
         let mut w = CkptWriter::new();
-        w.u64(1 << 30);
+        w.put(&(1u64 << 30));
         let blob = w.finish();
-        assert_eq!(blob.len(), 21);
+        assert_eq!(blob.len(), 29);
         let mut r = CkptReader::new(&blob).unwrap();
         assert_eq!(Stats::load(&mut r).unwrap_err(), CkptError::Truncated);
 
         // One flow claiming 2^30 arrivals: once asked for 8 GiB.
         let mut w = CkptWriter::new();
-        w.u64(1);
-        w.u64(1 << 30);
+        w.put(&1u64);
+        w.put(&(1u64 << 30));
         let blob = w.finish();
         let mut r = CkptReader::new(&blob).unwrap();
         assert_eq!(Stats::load(&mut r).unwrap_err(), CkptError::Truncated);

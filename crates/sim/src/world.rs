@@ -943,9 +943,9 @@ impl World {
         }
     }
 
-    // ---- cmap-ckpt/v7 ---------------------------------------------------
+    // ---- cmap-ckpt/v8 ---------------------------------------------------
 
-    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v7`
+    /// Serialize the complete mid-run state to the versioned `cmap-ckpt/v8`
     /// format: simulation clock, pending events, radio bank, RNG
     /// stream positions, MAC protocol state, in-flight transmissions,
     /// statistics, and fault-plan cursors. Restoring the bytes via
@@ -1804,6 +1804,19 @@ mod tests {
         }
     }
 
+    /// Recompute an edited image's content sum (the wrapping sum of its
+    /// length and its little-endian words), so the edit reaches the check
+    /// it is aimed at.
+    fn reseal(image: &mut [u8]) {
+        let end = image.len() - 8;
+        let sum = image[..end].chunks(8).fold(end as u64, |sum, word| {
+            let mut w = [0u8; 8];
+            w[..word.len()].copy_from_slice(word);
+            sum.wrapping_add(u64::from_le_bytes(w))
+        });
+        image[end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn restore_rejects_cursors_off_the_fan_out() {
         let mut w = staggered_world(42);
@@ -1838,6 +1851,7 @@ mod tests {
         for (at, value) in edits {
             let mut bad = good.clone();
             bad[at..at + value.len()].copy_from_slice(value);
+            reseal(&mut bad);
             let err = staggered_world(42).restore(&bad).unwrap_err();
             assert!(matches!(err, CkptError::Malformed(_)), "{at}: {err}");
         }
@@ -1849,6 +1863,7 @@ mod tests {
         fits[cursor + 4] = 3;
         let third = cursor + 12 + 2 * 16;
         fits.splice(third..third, [0; 16]);
+        reseal(&mut fits);
         staggered_world(42)
             .restore(&fits)
             .expect("a stream that fits");
@@ -1947,6 +1962,7 @@ mod tests {
         for (at, value) in [(next_seq, past(1 << 44)), (high_water, past((1 << 20) + 1))] {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&value);
+            reseal(&mut bad);
             let err = staggered_world(43).restore(&bad).unwrap_err();
             assert!(matches!(err, CkptError::Malformed(_)), "{err}");
         }

@@ -3,15 +3,19 @@
 //! The CMAP header and trailer each carry "a separate CRC covering the entire
 //! header or trailer" (§3) so that they can be validated independently of the
 //! (possibly corrupted) data packets around them. We use the standard
-//! reflected CRC-32 with polynomial `0xEDB88320`, table-driven.
+//! reflected CRC-32 with polynomial `0xEDB88320`, table-driven and sliced by
+//! sixteen: sixteen independent table lookups fold in two `u64` words per
+//! step (eight would fold one, at ~70 % of the speed).
 
-/// Lazily built 256-entry lookup table for the reflected IEEE polynomial.
-fn table() -> &'static [u32; 256] {
+/// Lazily built lookup tables for the reflected IEEE polynomial: `[0]` is
+/// the one-byte table, and `[k][b]` is the state contribution of byte `b`
+/// followed by `k` zero bytes.
+fn tables() -> &'static [[u32; 256]; 16] {
     // Write-once memo of a pure function; every init races to identical bytes
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 16]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 16];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
@@ -22,18 +26,24 @@ fn table() -> &'static [u32; 256] {
             }
             *entry = crc;
         }
-        table
+        for k in 1..16 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            }
+        }
+        t
     })
+}
+
+/// The one-byte table.
+fn table() -> &'static [u32; 256] {
+    &tables()[0]
 }
 
 /// Compute the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xff) as usize];
-    }
-    !crc
+    !raw_state(data)
 }
 
 /// Verify that `frame` ends with the CRC-32 of everything before it.
@@ -56,13 +66,35 @@ pub fn append_crc(buf: &mut Vec<u8>) {
 
 /// Pre-inversion CRC state over `data` (the `crc32` loop without the final
 /// complement), so the state can be advanced further before finalizing.
+/// Sixteen bytes a step: the state xors into the first word, and byte `i`
+/// of the sixteen is looked up in the table that carries it past the
+/// `15 − i` bytes after it.
 fn raw_state(data: &[u8]) -> u32 {
-    let table = table();
+    let t = tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xff) as usize];
+    let blocks = data.chunks_exact(16);
+    let rest = blocks.remainder();
+    for b in blocks {
+        let (lo, hi) = b.split_at(8);
+        let lo = word(lo) ^ u64::from(crc);
+        let hi = word(hi);
+        crc = 0;
+        for i in 0..8 {
+            crc ^= t[15 - i][(lo >> (8 * i)) as u8 as usize]
+                ^ t[7 - i][(hi >> (8 * i)) as u8 as usize];
+        }
+    }
+    for &byte in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     crc
+}
+
+/// Eight bytes as a little-endian word.
+fn word(b: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(b);
+    u64::from_le_bytes(w)
 }
 
 /// One CRC step with a zero input byte — the *linear* part of any step,
@@ -146,6 +178,29 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// Slicing by sixteen against the byte-at-a-time loop, at every length
+    /// to 2,048 and every start offset within a word.
+    #[test]
+    fn sliced_crc_matches_the_bytewise_loop() {
+        let bytewise = |data: &[u8]| {
+            let t = table();
+            let mut crc = 0xFFFF_FFFFu32;
+            for &byte in data {
+                crc = (crc >> 8) ^ t[((crc ^ u32::from(byte)) & 0xff) as usize];
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..2056u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=2048 {
+                let d = &data[start..start + len];
+                assert_eq!(crc32(d), bytewise(d), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

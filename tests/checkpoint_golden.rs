@@ -1,6 +1,6 @@
-//! The `cmap-ckpt/v7` format pin: the FNV-1a 64 hash of the checkpoint
+//! The `cmap-ckpt/v8` format pin: the FNV-1a 64 hash of the checkpoint
 //! *bytes* of the four `checkpoint_identity.rs` scenarios at their
-//! mid-run cut, compared against `tests/data/ckpt_v7_*.fnv`.
+//! mid-run cut, compared against `tests/data/ckpt_v8_*.fnv`.
 //!
 //! `checkpoint_identity.rs` only proves a checkpoint restores into the
 //! same behaviour; a save and a load that drift together pass it. This
@@ -65,9 +65,9 @@ fn assert_golden(
     assert_eq!(
         got,
         committed(file),
-        "cmap-ckpt/v7 bytes of scenario `{name}` drifted from the committed \
+        "cmap-ckpt/v8 bytes of scenario `{name}` drifted from the committed \
          pin (got {got:#018x}, {} bytes). A format change must bump \
-         CKPT_MAGIC and regenerate tests/data/ckpt_v7_{name}.fnv, and an \
+         CKPT_MAGIC and regenerate tests/data/ckpt_v8_{name}.fnv, and an \
          outcome epoch (DESIGN.md §6) regenerates it once for a change of \
          simulated outcomes; anything else is a serialization regression.",
         bytes.len()
@@ -78,7 +78,7 @@ fn assert_golden(
 fn cmap_checkpoint_bytes_match_pin() {
     assert_golden(
         "cmap",
-        include_str!("data/ckpt_v7_cmap.fnv"),
+        include_str!("data/ckpt_v8_cmap.fnv"),
         |w| Protocol::cmap().install(w),
         None,
         11,
@@ -89,7 +89,7 @@ fn cmap_checkpoint_bytes_match_pin() {
 fn cmap_faults_checkpoint_bytes_match_pin() {
     assert_golden(
         "cmap_faults",
-        include_str!("data/ckpt_v7_cmap_faults.fnv"),
+        include_str!("data/ckpt_v8_cmap_faults.fnv"),
         |w| Protocol::cmap().install(w),
         Some(FaultPlan::mixed(50, spec().duration)),
         12,
@@ -100,7 +100,7 @@ fn cmap_faults_checkpoint_bytes_match_pin() {
 fn dcf_checkpoint_bytes_match_pin() {
     assert_golden(
         "dcf",
-        include_str!("data/ckpt_v7_dcf.fnv"),
+        include_str!("data/ckpt_v8_dcf.fnv"),
         |w| Protocol::cs_on().install(w),
         None,
         13,
@@ -125,7 +125,7 @@ fn rate_adaptive_checkpoint_bytes_match_pin() {
     };
     assert_golden(
         "rate_adaptive",
-        include_str!("data/ckpt_v7_rate_adaptive.fnv"),
+        include_str!("data/ckpt_v8_rate_adaptive.fnv"),
         install,
         None,
         14,

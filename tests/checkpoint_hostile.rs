@@ -3,6 +3,11 @@
 //! torn files), so restore must answer `Ok` or a typed `CkptError` —
 //! never panic, never abort on an allocation sized by a corrupt field —
 //! and a world it answers `Ok` for must run on without panicking.
+//!
+//! An image ends with its content sum, so any flipped bit is refused
+//! before a field is read. The edits below re-seal the sum after they
+//! change a field, as a writer that got the field wrong would have, so
+//! each reaches the structural check it is aimed at.
 
 use std::sync::OnceLock;
 
@@ -62,6 +67,20 @@ fn mid_run(mut w: World) -> World {
     w
 }
 
+/// `image` with its content sum recomputed: the wrapping sum of its
+/// length and its little-endian `u64` words, the last zero-padded, in the
+/// last eight bytes.
+fn sealed(mut image: Vec<u8>) -> Vec<u8> {
+    let end = image.len() - 8;
+    let sum = image[..end].chunks(8).fold(end as u64, |sum, word| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        sum.wrapping_add(u64::from_le_bytes(w))
+    });
+    image[end..].copy_from_slice(&sum.to_le_bytes());
+    image
+}
+
 /// The checkpoint of `mid_run_world`.
 fn checkpoint() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -73,18 +92,40 @@ fn intact_checkpoint_restores() {
     small_world().restore(checkpoint()).expect("restore");
 }
 
-/// A `cmap-ckpt/v6` image (its radio records listed the impinging frames
-/// beside an `f64` total) must be turned away at the magic line, as the
-/// version error — not read as v7 until a field fails to parse. So must
-/// the v5 before it.
+/// A `cmap-ckpt/v7` image (no content sum, a seen-seq set per flow) must
+/// be turned away at the magic line, as the version error — not read as
+/// v8 until a field fails to parse. So must the v6 and v5 before it.
 #[test]
 fn previous_format_version_is_refused_as_such() {
-    let v7 = checkpoint();
-    assert!(v7.starts_with(b"cmap-ckpt/v7\n"));
-    for old in [b'6', b'5'] {
-        let mut image = v7.to_vec();
+    let v8 = checkpoint();
+    assert!(v8.starts_with(b"cmap-ckpt/v8\n"));
+    for old in [b'7', b'6', b'5'] {
+        let mut image = v8.to_vec();
         image[b"cmap-ckpt/v".len()] = old;
+        let image = sealed(image);
         assert_eq!(small_world().restore(&image), Err(CkptError::BadMagic));
+    }
+}
+
+/// Every single-bit flip of an image, left unsealed, is refused: one in
+/// the magic line as the version error, any other as `Malformed`, before
+/// a field is read.
+#[test]
+fn unsealed_flips_are_malformed() {
+    let image = checkpoint();
+    let magic = CKPT_MAGIC.len() + 1;
+    let mut bytes = image.to_vec();
+    for i in 0..image.len() {
+        for bit in 0..8 {
+            bytes[i] ^= 1 << bit;
+            let restored = small_world().restore(&bytes);
+            if i < magic {
+                assert_eq!(restored, Err(CkptError::BadMagic), "byte {i} bit {bit}");
+            } else {
+                assert_malformed(&format!("byte {i} bit {bit}"), restored);
+            }
+            bytes[i] ^= 1 << bit;
+        }
     }
 }
 
@@ -113,7 +154,8 @@ fn swapped_map_entries_are_malformed() {
         let mut entry = CkptWriter::new();
         entry.put(&(NodeId::new(src), NodeId::new(dst)));
         entry.put(w.stats().vpkt_stats(src, dst).expect("both links sent"));
-        entry.finish()[CKPT_MAGIC.len() + 1..].to_vec()
+        let entry = entry.finish();
+        entry[CKPT_MAGIC.len() + 1..entry.len() - 8].to_vec()
     });
     let map = |order: [usize; 2]| {
         let mut bytes = 2u64.to_le_bytes().to_vec();
@@ -129,7 +171,7 @@ fn swapped_map_entries_are_malformed() {
         .expect("the link map is in the image");
     bytes[at..at + swapped.len()].copy_from_slice(&swapped);
     assert!(matches!(
-        small_world().restore(&bytes),
+        small_world().restore(&sealed(bytes)),
         Err(CkptError::Malformed(_))
     ));
 }
@@ -152,7 +194,8 @@ struct Layout {
 /// transmissions.
 fn layout(bytes: &[u8]) -> Layout {
     let mut r = CkptReader::new(bytes).expect("magic");
-    let at = |r: &CkptReader<'_>| bytes.len() - r.remaining();
+    // The reader ends where the eight-byte content sum starts.
+    let at = |r: &CkptReader<'_>| bytes.len() - 8 - r.remaining();
     // The configuration echo; the clock, the pool's high water and
     // recycle count, the lookup count.
     let (_, nodes): (u64, usize) = r.get().unwrap();
@@ -166,13 +209,13 @@ fn layout(bytes: &[u8]) -> Layout {
         })
         .collect();
     let (next_seq, _, _, _): (u64, u64, [u64; 6], u64) = r.get().unwrap();
-    // Per radio: state, energy, lock, aborted-reception count.
+    // Per radio: state, energy, lock.
     assert_eq!(r.len().unwrap(), nodes);
     type Lock = Option<(u64, u64, f64, Vec<(u64, f64)>)>;
     let radio_state = (0..nodes)
         .map(|_| {
             let state = at(&r);
-            let _: (u8, u128, Lock, u64) = r.get().unwrap();
+            let _: (u8, u128, Lock) = r.get().unwrap();
             state
         })
         .collect();
@@ -205,11 +248,11 @@ fn layout(bytes: &[u8]) -> Layout {
     }
 }
 
-/// `image` with `value` written at `at`, restored into `world`.
+/// `image` with `value` written at `at`, re-sealed, restored into `world`.
 fn edited(world: fn() -> World, image: &[u8], at: usize, value: &[u8]) -> Result<(), CkptError> {
     let mut bytes = image.to_vec();
     bytes[at..at + value.len()].copy_from_slice(value);
-    world().restore(&bytes)
+    world().restore(&sealed(bytes))
 }
 
 fn assert_malformed(what: &str, restored: Result<(), CkptError>) {
@@ -336,11 +379,13 @@ proptest! {
     #[test]
     fn single_bit_flips_never_panic(pos in any::<prop::sample::Index>(), bit in 0u8..8) {
         let mut bytes = checkpoint().to_vec();
-        let i = pos.index(bytes.len());
+        let i = pos.index(bytes.len() - 8);
         bytes[i] ^= 1 << bit;
-        // Many flips land in a counter or a timestamp and restore fine,
-        // and then the world must run on; the rest must come back as
-        // `CkptError`. Reaching the last line at all is the property.
+        let bytes = sealed(bytes);
+        // Re-sealed, many flips land in a counter or a timestamp and
+        // restore fine, and then the world must run on; the rest must come
+        // back as `CkptError`. Reaching the last line at all is the
+        // property.
         let mut w = small_world();
         if w.restore(&bytes).is_ok() {
             let now = w.now();
