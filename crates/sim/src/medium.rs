@@ -501,7 +501,7 @@ impl Medium {
 
     /// Pruning accounting. `Some` for every medium — there is one engine;
     /// the `Option` stays only because `benchmark/src/replay.rs`, frozen,
-    /// matches on it (ROADMAP 4(b)).
+    /// matches on it (ROADMAP item 7).
     pub fn sparse_stats(&self) -> Option<&SparseStats> {
         Some(&self.stats)
     }

@@ -3,7 +3,7 @@
 //! matching summary numbers, but equal canonical serializations of every
 //! arrival time, virtual-packet flag and counter (`Stats::snapshot`).
 //!
-//! This is the test the `cmap-lint` hash-iter/wall-clock rules exist to
+//! This is the test the `clippy.toml` hash-container/wall-clock bans exist to
 //! protect: any hash-ordered iteration or ambient-state leak on the packet
 //! path eventually shifts one timestamp, and the snapshots stop matching.
 
