@@ -26,6 +26,10 @@
 //! 6. A world restored in the middle of a fan-out, over a fresh medium
 //!    that has built no arrival row yet, runs on to the uninterrupted
 //!    run's bytes.
+//! 7. A clustered deployment's position-fed medium is pinned
+//!    (`tests/data/clustered_medium.fnv`), and over random layouts from
+//!    all three city generators, evaluated across their whole span, the
+//!    position-fed build equals the matrix-fed build row for row.
 
 use proptest::prelude::*;
 
@@ -440,6 +444,138 @@ fn city_medium_matches_committed_pin() {
          (error_bound_db {} dB)",
         st.error_bound_db
     );
+}
+
+/// A clustered deployment's medium — hotspots instead of a street grid, so
+/// rows are long and a row's partners come from many grid cells — built
+/// as [`benchmark_city`] builds the city (ε = 3 dB, the channel's
+/// evaluation range and finite tail gain) and pinned the same way
+/// (`tests/data/clustered_medium.fnv`): fingerprint, link and pruning
+/// counts, tail pairs and the bits of the error bound.
+#[test]
+fn clustered_medium_matches_committed_pin() {
+    let phy = PhyConfig::default();
+    let channel = cmap_suite::topo::ChannelModel::default();
+    let dep = cmap_suite::topo::clustered(2000, 12, 2500.0, 2500.0, 70.0, channel, 42);
+    let min_gain_db = phy.noise_floor_dbm - phy.tx_power_dbm;
+    let medium = MediumBuilder::new(&phy)
+        .epsilon_db(3.0)
+        .positions(
+            dep.positions.clone(),
+            channel.eval_range_m(min_gain_db),
+            channel.tail_gain_db(min_gain_db),
+            dep.gain_fn(),
+        )
+        .build();
+    let st = *medium
+        .sparse_stats()
+        .expect("every medium records its pruning");
+    let got = [
+        ("fingerprint", format!("{:#018x}", medium.fingerprint())),
+        ("links", st.links.to_string()),
+        ("pruned", st.pruned.to_string()),
+        ("tail_pairs", st.tail_pairs.to_string()),
+        (
+            "error_bound_db_bits",
+            format!("{:#018x}", st.error_bound_db.to_bits()),
+        ),
+    ];
+    let want = pin_lines(include_str!("data/clustered_medium.fnv"));
+    let got: Vec<(&str, &str)> = got.iter().map(|(k, v)| (*k, v.as_str())).collect();
+    assert_eq!(
+        got, want,
+        "the clustered medium drifted from tests/data/clustered_medium.fnv \
+         (error_bound_db {} dB)",
+        st.error_bound_db
+    );
+}
+
+/// A random layout from one of the three generators the scale experiments
+/// draw cities from — street grid, hotspots, dart-thrown scatter — with
+/// 2–400 nodes, a random shadowing field and ε ∈ {0, 1.5, 3} dB.
+fn generated_layout() -> impl Strategy<Value = (cmap_suite::topo::Deployment, f64)> {
+    proptest::strategy::FnStrategy(|rng: &mut proptest::test_runner::TestRng| {
+        use cmap_suite::topo::{clustered, grid_city, poisson_disk, ChannelModel};
+        let n = 2 + rng.below(399) as usize;
+        let channel = ChannelModel {
+            salt: rng.next_u64(),
+            ..ChannelModel::default()
+        };
+        let seed = rng.next_u64();
+        // Block or spread, jitter or cluster count, and the square's side.
+        let (a, b, side) = (
+            rng.unit_f64(),
+            rng.unit_f64(),
+            20.0 + rng.unit_f64() * 980.0,
+        );
+        let dep = match rng.below(3) {
+            0 => grid_city(n, 5.0 + a * 45.0, b * 10.0, channel, seed),
+            1 => clustered(
+                n,
+                1 + (b * 8.0) as usize,
+                side,
+                side,
+                5.0 + a * 95.0,
+                channel,
+                seed,
+            ),
+            // A separation of half the side over √n: a quarter of the
+            // square packing, well short of where dart throwing jams.
+            _ => poisson_disk(
+                n,
+                side,
+                side,
+                side / (2.0 * (n as f64).sqrt()),
+                channel,
+                seed,
+            ),
+        };
+        let epsilon_db = [0.0, 1.5, 3.0][rng.below(3) as usize];
+        (dep, epsilon_db)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every pair of a generated layout evaluated — the range spans the
+    /// layout, the tail is −∞ — so the position-fed build, which prices
+    /// each unordered pair once, must store exactly what the matrix-fed
+    /// build of the same pairs stores: the same rows, gains to the bit and
+    /// delays, the same pruned count and error-bound bits.
+    #[test]
+    fn position_build_equals_matrix_build_over_generated_layouts(
+        (dep, epsilon_db) in generated_layout()
+    ) {
+        let phy = PhyConfig::default();
+        let n = dep.len();
+        let (mut lo, mut hi) = ((f64::INFINITY, f64::INFINITY), (f64::NEG_INFINITY, f64::NEG_INFINITY));
+        for &(x, y) in &dep.positions {
+            (lo, hi) = ((lo.0.min(x), lo.1.min(y)), (hi.0.max(x), hi.1.max(y)));
+        }
+        let range_m = 1.0 + (hi.0 - lo.0).hypot(hi.1 - lo.1);
+        let (gains, delays) = geometry_matrix(&dep.positions, range_m, dep.gain_fn());
+        let matrix = MediumBuilder::new(&phy)
+            .epsilon_db(epsilon_db)
+            .gains_db(n, &gains, &delays)
+            .build();
+        let placed = MediumBuilder::new(&phy)
+            .epsilon_db(epsilon_db)
+            .positions(dep.positions.clone(), range_m, f64::NEG_INFINITY, dep.gain_fn())
+            .build();
+        for tx in (0..n).map(NodeId::new) {
+            prop_assert_eq!(placed.reachable(tx), matrix.reachable(tx));
+            for &rx in matrix.reachable(tx) {
+                prop_assert_eq!(placed.gain(tx, rx).to_bits(), matrix.gain(tx, rx).to_bits());
+                prop_assert_eq!(placed.delay_ns(tx, rx), matrix.delay_ns(tx, rx));
+            }
+        }
+        let got = placed.sparse_stats().expect("every medium records its pruning");
+        let want = matrix.sparse_stats().expect("every medium records its pruning");
+        prop_assert_eq!((got.links, got.pruned, got.tail_pairs), (want.links, want.pruned, 0));
+        prop_assert_eq!(got.error_bound_db.to_bits(), want.error_bound_db.to_bits());
+        prop_assert_eq!(placed.fingerprint(), matrix.fingerprint());
+    }
 }
 
 /// A medium builds a transmitter's arrival row on its first frame, so a
