@@ -1196,6 +1196,8 @@ const SCALE_FLOWS: usize = 16;
 /// What one scale cell (node count × MAC) measured.
 struct ScaleCell {
     events: u64,
+    /// Wall time of the medium build alone.
+    build_secs: f64,
     wall_secs: f64,
     peak_rss_bytes: u64,
     delivered: u64,
@@ -1210,6 +1212,8 @@ fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCel
     // Evaluate out to where even a 3-sigma shadowing boost cannot lift a
     // link above the noise floor; everything beyond folds into the bound.
     let min_gain_db = phy.noise_floor_dbm - phy.tx_power_dbm;
+    #[expect(clippy::disallowed_methods, reason = "medium build wall time")]
+    let t_build = std::time::Instant::now();
     let medium = MediumBuilder::new(&phy)
         .epsilon_db(SCALE_EPSILON_DB)
         .positions(
@@ -1219,6 +1223,7 @@ fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCel
             dep.gain_fn(),
         )
         .build();
+    let build_secs = t_build.elapsed().as_secs_f64();
     let sparse = *medium
         .sparse_stats()
         .expect("every medium records its pruning");
@@ -1255,6 +1260,7 @@ fn scale_cell(n: usize, proto: &Protocol, seed: u64, duration: u64) -> (ScaleCel
     (
         ScaleCell {
             events: w.events_processed(),
+            build_secs,
             wall_secs,
             peak_rss_bytes,
             delivered,
@@ -1300,7 +1306,7 @@ fn scale_sweep(cli: &Cli, spec: &Spec) -> FigureOutput {
         spec.testbed_seed,
     ));
     out.line(format!(
-        "{:>7} {:>5} {:>12} {:>12} {:>10} {:>9} {:>9} {:>12}",
+        "{:>7} {:>5} {:>12} {:>12}   build s {:>10} {:>9} {:>9} {:>12}",
         "nodes", "mac", "events", "events/s", "rss MiB", "links", "pruned", "err bound dB"
     ));
     // Cells run one at a time, which keeps per-cell peak-RSS readings honest.
@@ -1312,9 +1318,10 @@ fn scale_sweep(cli: &Cli, spec: &Spec) -> FigureOutput {
             let eps = cell.events as f64 / cell.wall_secs.max(1e-9);
             err_bound_max = err_bound_max.max(sparse.error_bound_db);
             out.line(format!(
-                "{n:>7} {mac:>5} {:>12} {:>12.0} {:>10.1} {:>9} {:>9} {:>12.6}",
+                "{n:>7} {mac:>5} {:>12} {:>12.0} {:>9.4} {:>10.1} {:>9} {:>9} {:>12.6}",
                 cell.events,
                 eps,
+                cell.build_secs,
                 cell.peak_rss_bytes as f64 / (1024.0 * 1024.0),
                 sparse.links,
                 sparse.pruned,
@@ -1323,6 +1330,7 @@ fn scale_sweep(cli: &Cli, spec: &Spec) -> FigureOutput {
             let k = format!("scale.n{n}.{mac}");
             out.metric(format!("{k}.events"), cell.events);
             out.metric(format!("{k}.events_per_sec"), eps);
+            out.metric(format!("{k}.build_s"), cell.build_secs);
             out.metric(format!("{k}.peak_rss_bytes"), cell.peak_rss_bytes);
             out.metric(format!("{k}.delivered"), cell.delivered);
             out.metric(format!("{k}.links"), sparse.links);

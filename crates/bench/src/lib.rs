@@ -130,31 +130,21 @@ impl Cli {
         let value = |flag: &str, v: Option<String>| {
             v.ok_or_else(|| CliError::Bad(format!("{flag} needs a value")))
         };
+        let number = |flag: &str, v: Option<String>| {
+            value(flag, v)?
+                .parse::<usize>()
+                .map_err(|_| CliError::Bad(format!("{flag} needs a number")))
+        };
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => cli.effort = Effort::Quick,
                 "--full" => cli.effort = Effort::Full,
-                "--seed" => {
-                    cli.seed = value("--seed", args.next())?
-                        .parse()
-                        .map_err(|_| CliError::Bad("--seed needs a number".into()))?;
-                }
-                "--runs" => {
-                    cli.runs = Some(
-                        value("--runs", args.next())?
-                            .parse()
-                            .map_err(|_| CliError::Bad("--runs needs a number".into()))?,
-                    );
-                }
-                "--jobs" => {
-                    let n: usize = value("--jobs", args.next())?
-                        .parse()
-                        .map_err(|_| CliError::Bad("--jobs needs a number".into()))?;
-                    if n == 0 {
-                        return Err(CliError::Bad("--jobs must be >= 1".into()));
-                    }
-                    cli.jobs = Some(n);
-                }
+                "--seed" => cli.seed = number("--seed", args.next())? as u64,
+                "--runs" => cli.runs = Some(number("--runs", args.next())?),
+                "--jobs" => match number("--jobs", args.next())? {
+                    0 => return Err(CliError::Bad("--jobs must be >= 1".into())),
+                    n => cli.jobs = Some(n),
+                },
                 "--json" => cli.json = Some(value("--json", args.next())?),
                 "--out" => cli.out = Some(value("--out", args.next())?),
                 "--resume" => cli.resume = true,

@@ -252,8 +252,14 @@ impl CmapMac {
 
     /// Create a CMAP MAC with a custom bit-rate policy (§3.5 extension).
     /// Pair with `CmapConfig::rate_aware` to also match defer entries per
-    /// rate.
+    /// rate. Panics unless `cfg.n_vpkt` is in `1..=32`: a virtual packet's
+    /// ACKs are one `u32` bitmap, and an empty one would never be sent.
     pub fn with_rate_controller(cfg: CmapConfig, rate_ctl: Box<dyn RateController>) -> CmapMac {
+        assert!(
+            (1..=32).contains(&cfg.n_vpkt),
+            "CmapConfig::n_vpkt must be in 1..=32 (one bit per packet in the ACK bitmap), got {}",
+            cfg.n_vpkt
+        );
         CmapMac {
             cfg,
             state: SState::Idle,
@@ -1265,6 +1271,24 @@ mod tests {
         for node in 0..n {
             w.set_mac(node, Box::new(CmapMac::new(cfg.clone())));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_vpkt")]
+    fn an_empty_virtual_packet_is_refused() {
+        let _ = CmapMac::new(CmapConfig {
+            n_vpkt: 0,
+            ..CmapConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "n_vpkt")]
+    fn a_virtual_packet_past_the_ack_bitmap_is_refused() {
+        let _ = CmapMac::new(CmapConfig {
+            n_vpkt: 33,
+            ..CmapConfig::default()
+        });
     }
 
     #[test]

@@ -71,8 +71,7 @@ struct Grid {
     min_y: f64,
     cols: usize,
     rows: usize,
-    /// CSR buckets: cell `c`'s nodes are `nodes[off[c]..off[c + 1]]`,
-    /// ascending.
+    /// CSR buckets: cell `c`'s nodes are `nodes[off[c]..off[c + 1]]`, ascending.
     off: Vec<u32>,
     nodes: Vec<NodeId>,
     pos: Vec<(f64, f64)>,
@@ -81,17 +80,11 @@ struct Grid {
 impl Grid {
     fn build(pos: &[(f64, f64)], cell_m: f64) -> Grid {
         assert!(cell_m > 0.0, "grid cell must be positive");
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for &(x, y) in pos {
-            min_x = min_x.min(x);
-            min_y = min_y.min(y);
-            max_x = max_x.max(x);
-            max_y = max_y.max(y);
-        }
-        if pos.is_empty() {
-            (min_x, min_y, max_x, max_y) = (0.0, 0.0, 0.0, 0.0);
-        }
+        // With no nodes the span is −∞, which `as usize` takes to 0.
+        let inf = f64::INFINITY;
+        let (min_x, min_y, max_x, max_y) = pos.iter().fold((inf, inf, -inf, -inf), |b, &(x, y)| {
+            (b.0.min(x), b.1.min(y), b.2.max(x), b.3.max(y))
+        });
         let cols = (((max_x - min_x) / cell_m).floor() as usize + 1).max(1);
         let rows = (((max_y - min_y) / cell_m).floor() as usize + 1).max(1);
         // Counting sort into CSR buckets: two passes, no per-cell Vec.
@@ -100,20 +93,19 @@ impl Grid {
             let cy = (((y - min_y) / cell_m).floor() as usize).min(rows - 1);
             cy * cols + cx
         };
-        let mut counts = vec![0u32; cols * rows + 1];
+        let mut off = vec![0u32; cols * rows + 1];
         for &(x, y) in pos {
-            counts[cell_of(x, y) + 1] += 1;
+            off[cell_of(x, y)] += 1;
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        for i in 1..off.len() {
+            off[i] += off[i - 1];
         }
-        let off = counts.clone();
-        let mut cursor = counts;
+        // Filled from the back, each cell's end moves down to its start.
         let mut nodes = vec![NodeId::default(); pos.len()];
-        for (i, &(x, y)) in pos.iter().enumerate() {
+        for (i, &(x, y)) in pos.iter().enumerate().rev() {
             let c = cell_of(x, y);
-            nodes[cursor[c] as usize] = NodeId::new(i);
-            cursor[c] += 1;
+            off[c] -= 1;
+            nodes[off[c] as usize] = NodeId::new(i);
         }
         Grid {
             cell_m,
@@ -127,16 +119,10 @@ impl Grid {
         }
     }
 
-    fn dist_m(&self, a: NodeId, b: NodeId) -> f64 {
-        let (ax, ay) = self.pos[a.index()];
-        let (bx, by) = self.pos[b.index()];
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
-    }
-
-    /// Nodes above `node` within `radius_m`, appended to `out` in
-    /// ascending node order: half of the (symmetric) in-range relation.
-    fn neighbors_above(&self, node: NodeId, radius_m: f64, out: &mut Vec<NodeId>) {
-        out.clear();
+    /// Each node above `node` within `radius_m`, handed to `visit` with
+    /// its squared distance, in scan order (cell by cell, each bucket
+    /// ascending): half of the (symmetric) in-range relation.
+    fn each_above(&self, node: NodeId, radius_m: f64, mut visit: impl FnMut(NodeId, f64)) {
         let (x, y) = self.pos[node.index()];
         let reach = (radius_m / self.cell_m).ceil() as isize;
         let cx = (((x - self.min_x) / self.cell_m).floor() as usize).min(self.cols - 1) as isize;
@@ -149,13 +135,13 @@ impl Grid {
                 // Buckets are ascending: skip straight past `node`.
                 for &other in &bucket[bucket.partition_point(|&o| o <= node)..] {
                     let (ox, oy) = self.pos[other.index()];
-                    if (ox - x).powi(2) + (oy - y).powi(2) <= r2 {
-                        out.push(other);
+                    let d2 = (ox - x).powi(2) + (oy - y).powi(2);
+                    if d2 <= r2 {
+                        visit(other, d2);
                     }
                 }
             }
         }
-        out.sort_unstable();
     }
 }
 
@@ -191,22 +177,19 @@ pub struct Medium {
 /// `row_at` of a transmitter whose arrival row is not built yet.
 const UNBUILT: u32 = u32::MAX;
 
-/// The link rows of a [`Medium`] under construction. Both sources offer
-/// every pair they evaluate, transmitters ascending and receivers
-/// ascending within each, and end each transmitter's row.
+/// The link rows of a [`Medium`] under construction, and what it prunes.
 struct Rows {
     tx_power_mw: f64,
     floor_mw: f64,
     threshold_mw: f64,
-    epsilon_db: f64,
-    noise_mw: f64,
+    sub_floor_db: f64,
     link_off: Vec<(u32, u32)>,
     link_rx: Vec<NodeId>,
     link_gain: Vec<f64>,
     link_delay: Vec<u64>,
     pruned: u64,
-    /// Power dropped per receiver; empty while nothing can be dropped
-    /// (with `epsilon_db == 0` the threshold *is* the floor).
+    /// Power dropped per receiver, over its partners in ascending order;
+    /// empty while nothing can be (ε = 0: the threshold *is* the floor).
     dropped_mw: Vec<f64>,
 }
 
@@ -219,8 +202,7 @@ impl Rows {
             tx_power_mw: dbm_to_mw(phy.tx_power_dbm),
             floor_mw,
             threshold_mw: floor_mw * db_to_ratio(epsilon_db),
-            epsilon_db,
-            noise_mw: phy.noise_mw(),
+            sub_floor_db: phy.delivery_floor_dbm - phy.tx_power_dbm - 0.5,
             link_off,
             link_rx: Vec::new(),
             link_gain: Vec::new(),
@@ -230,41 +212,17 @@ impl Rows {
         }
     }
 
-    /// Whether a pair of linear power gain `gain` is stored as a link.
-    fn keeps(&self, gain: f64) -> bool {
-        self.tx_power_mw * gain >= self.threshold_mw
-    }
-
-    /// One evaluated pair of the current row: a link, a pruned link, or
-    /// below the delivery floor (which no medium would deliver). A link's
-    /// delay is below the shortest frame's 20 µs (6 km), so a
-    /// transmission's events fall due in one order (`pool::Stream`).
-    fn offer(&mut self, rx: NodeId, gain: f64, delay_ns: u64) {
-        if self.keeps(gain) {
-            let frame_ns = PLCP_PREAMBLE_NS + PLCP_SIG_NS;
-            assert!(
-                delay_ns < frame_ns,
-                "MediumBuilder: link ({}, {rx}) delay {delay_ns} ns is not below the shortest frame's {frame_ns} ns",
-                self.link_off.len() - 1
-            );
-            self.link_rx.push(rx);
-            self.link_gain.push(gain);
-            self.link_delay.push(delay_ns);
+    /// `gain_db` as a linear power gain; `0.0` (no link and no charge, as
+    /// the true value) below `sub_floor_db`, clearly under the floor.
+    fn linear(&self, gain_db: f64) -> f64 {
+        if gain_db < self.sub_floor_db {
+            0.0
         } else {
-            let rss = self.tx_power_mw * gain;
-            if rss >= self.floor_mw {
-                self.pruned += 1;
-                self.dropped_mw[rx.index()] += rss;
-            }
+            dbm_to_mw(gain_db)
         }
     }
 
-    fn end_row(&mut self) {
-        let end = u32::try_from(self.link_rx.len()).expect("links fit u32");
-        self.link_off.push((end, UNBUILT));
-    }
-
-    fn finish(self, tail_pairs: u64) -> Medium {
+    fn finish(self, phy: &PhyConfig, epsilon_db: f64, tail_pairs: u64) -> Medium {
         let worst = self.dropped_mw.iter().fold(0.0f64, |a, &b| a.max(b));
         Medium {
             n: self.link_off.len() - 1,
@@ -275,8 +233,8 @@ impl Rows {
                 links: self.link_rx.len() as u64,
                 pruned: self.pruned,
                 tail_pairs,
-                epsilon_db: self.epsilon_db,
-                error_bound_db: 10.0 * (1.0 + worst / self.noise_mw).log10(),
+                epsilon_db,
+                error_bound_db: 10.0 * (1.0 + worst / phy.noise_mw()).log10(),
             },
             link_off: self.link_off,
             link_rx: self.link_rx,
@@ -285,6 +243,16 @@ impl Rows {
             fingerprint: OnceLock::new(),
         }
     }
+}
+
+/// A link's delay is below the shortest frame's 20 µs (6 km), so a
+/// transmission's events fall due in one order (`pool::Stream`).
+fn assert_below_frame(tx: usize, rx: NodeId, delay_ns: u64) {
+    let frame_ns = PLCP_PREAMBLE_NS + PLCP_SIG_NS;
+    assert!(
+        delay_ns < frame_ns,
+        "MediumBuilder: link ({tx}, {rx}) delay {delay_ns} ns is not below the shortest frame's {frame_ns} ns"
+    );
 }
 
 impl Medium {
@@ -298,33 +266,39 @@ impl Medium {
         phy: &PhyConfig,
         epsilon_db: f64,
     ) -> Medium {
-        // To linear once (reusing the matrix's allocation): the count pass
-        // and the fill pass both read it.
-        let gain: Vec<f64> = gains_db.into_iter().map(dbm_to_mw).collect();
         let mut rows = Rows::new(n, phy, epsilon_db);
+        // To linear once, in the matrix's allocation: both passes read it.
+        let gain: Vec<f64> = gains_db.into_iter().map(|g| rows.linear(g)).collect();
         let links = (0..n * n)
-            .filter(|&i| i / n != i % n && rows.keeps(gain[i]))
+            .filter(|&i| i / n != i % n && rows.tx_power_mw * gain[i] >= rows.threshold_mw)
             .count();
         rows.link_rx.reserve_exact(links);
         rows.link_gain.reserve_exact(links);
         rows.link_delay.reserve_exact(links);
+        // A link, a pruned link, or below the floor (which no medium delivers).
         for tx in 0..n {
-            for rx in (0..n).filter(|&rx| rx != tx) {
-                rows.offer(NodeId::new(rx), gain[tx * n + rx], delay_ns[tx * n + rx]);
+            for (rx, i) in (0..n).filter(|&rx| rx != tx).map(|rx| (rx, tx * n + rx)) {
+                let rss = rows.tx_power_mw * gain[i];
+                if rss >= rows.threshold_mw {
+                    assert_below_frame(tx, NodeId::new(rx), delay_ns[i]);
+                    rows.link_rx.push(NodeId::new(rx));
+                    rows.link_gain.push(gain[i]);
+                    rows.link_delay.push(delay_ns[i]);
+                } else if rss >= rows.floor_mw {
+                    rows.pruned += 1;
+                    rows.dropped_mw[rx] += rss;
+                }
             }
-            rows.end_row();
+            let end = u32::try_from(rows.link_rx.len()).expect("links fit u32");
+            rows.link_off.push((end, UNBUILT));
         }
-        rows.finish(0)
+        rows.finish(phy, epsilon_db, 0)
     }
 
     /// Build from node positions and a reciprocal link-gain model
-    /// ([`MediumBuilder::positions`]), evaluating only pairs within
-    /// `eval_range_m` of each other, found through the grid index — never
-    /// an O(n²) matrix — and each unordered pair once. Row `tx` prices the
-    /// pairs with the nodes above it and parks each in the other end's
-    /// pending list, which that row drains first: every row is offered
-    /// its receivers in ascending order, as a walk of both sides would
-    /// offer them, so the result is the same to the bit (DESIGN.md §12.2).
+    /// ([`MediumBuilder::positions`]): each unordered pair within
+    /// `eval_range_m`, found through the grid index, priced once, then
+    /// exact-size rows filled by counting sort (DESIGN.md §12.2).
     fn from_positions(
         positions: &[(f64, f64)],
         phy: &PhyConfig,
@@ -335,58 +309,84 @@ impl Medium {
     ) -> Medium {
         assert!(eval_range_m > 0.0, "evaluation range must be positive");
         let n = positions.len();
-        // Cell size = evaluation range keeps the candidate scan to the
-        // 3×3 cell neighborhood.
+        // Cells as wide as the range: the scan is a 3×3 neighborhood.
         let grid = Grid::build(positions, eval_range_m);
         let mut rows = Rows::new(n, phy, epsilon_db);
-        // Pairs each node was never evaluated against.
-        let mut beyond = Vec::with_capacity(n);
-        // Per receiver, `(tx, gain, delay)` priced by rows below it; drained
-        // lists go to `spare` for the next receiver to park into.
-        let mut pending: Vec<Vec<(NodeId, f64, u64)>> = vec![Vec::new(); n];
-        let (mut spare, mut above) = (Vec::new(), Vec::new());
-        for tx in 0..n {
-            let tx_id = NodeId::new(tx);
-            let lower = pending[tx].len();
-            for (rx, gain, delay_ns) in pending[tx].drain(..) {
-                rows.offer(rx, gain, delay_ns);
-            }
-            if pending[tx].capacity() > 0 {
-                spare.push(std::mem::take(&mut pending[tx]));
-            }
-            grid.neighbors_above(tx_id, eval_range_m, &mut above);
-            for &rx in &above {
-                let dist = grid.dist_m(tx_id, rx);
-                let gain_db = model(tx, rx.index(), dist);
+        // Pass 1: per row `a`, its links `(b, delay, gain)` up to `row_end[a + 1]`;
+        // per node its link count and the partners it was evaluated against.
+        let (mut fill, mut evaluated) = (vec![0u32; n], vec![0u32; n]);
+        let (mut links, mut row_end, mut dropped_above) = (Vec::new(), vec![0], Vec::new());
+        for a in 0..n {
+            grid.each_above(NodeId::new(a), eval_range_m, |b_id, d2| {
+                let (b, dist) = (b_id.index(), d2.sqrt());
+                evaluated[a] += 1;
+                evaluated[b] += 1;
+                let gain_db = model(a, b, dist);
                 debug_assert!(
-                    gain_db.to_bits() == model(rx.index(), tx, dist).to_bits(),
-                    "link model is not reciprocal: ({tx}, {rx}) and ({rx}, {tx}) differ at {dist} m"
+                    gain_db.to_bits() == model(b, a, dist).to_bits(),
+                    "link model is not reciprocal: ({a}, {b}) and ({b}, {a}) differ at {dist} m"
                 );
-                let (gain, delay_ns) =
-                    (dbm_to_mw(gain_db), propagation::propagation_delay_ns(dist));
-                rows.offer(rx, gain, delay_ns);
-                let parked = &mut pending[rx.index()];
-                if parked.capacity() == 0 {
-                    *parked = spare.pop().unwrap_or_default();
+                let gain = rows.linear(gain_db);
+                let rss = rows.tx_power_mw * gain;
+                if rss >= rows.threshold_mw {
+                    let delay_ns = propagation::propagation_delay_ns(dist);
+                    assert_below_frame(a, b_id, delay_ns);
+                    links.push((b_id, u32::try_from(delay_ns).expect("checked above"), gain));
+                    fill[a] += 1;
+                    fill[b] += 1;
+                } else if rss >= rows.floor_mw {
+                    // Partners ascending: `b`'s as `a` ascends, `a`'s once sorted.
+                    rows.pruned += 2;
+                    rows.dropped_mw[b] += rss;
+                    dropped_above.push((b_id, rss));
                 }
-                parked.push((tx_id, gain, delay_ns));
+            });
+            row_end.push(links.len());
+            dropped_above.sort_unstable_by_key(|&(b, _)| b);
+            for (_, rss) in dropped_above.drain(..) {
+                rows.dropped_mw[a] += rss;
             }
-            rows.end_row();
-            beyond.push((n - 1 - lower - above.len()) as u64);
         }
+        // Pass 2: exact-size rows, `fill[r]` turned from row `r`'s link count
+        // into its next free slot. Row `b`'s lower half comes in list order.
+        let mut end = 0u32;
+        for slot in &mut fill {
+            (*slot, end) = (end, end.checked_add(*slot).expect("links fit u32"));
+            rows.link_off.push((end, UNBUILT));
+        }
+        rows.link_rx = vec![NodeId::default(); end as usize];
+        rows.link_gain = vec![0.0; end as usize];
+        rows.link_delay = vec![0; end as usize];
+        for (a, ends) in row_end.windows(2).enumerate() {
+            for &(b, delay, gain) in &links[ends[0]..ends[1]] {
+                let i = fill[b.index()] as usize;
+                fill[b.index()] += 1;
+                let link = (NodeId::new(a), gain, u64::from(delay));
+                (rows.link_rx[i], rows.link_gain[i], rows.link_delay[i]) = link;
+            }
+        }
+        // Upper halves, ascending: `b` joins each row of its lower half in turn.
+        for b in 0..n {
+            for i in rows.link_off[b].0 as usize..fill[b] as usize {
+                let a = rows.link_rx[i].index();
+                let j = fill[a] as usize;
+                fill[a] += 1;
+                rows.link_rx[j] = NodeId::new(b);
+                (rows.link_gain[j], rows.link_delay[j]) = (rows.link_gain[i], rows.link_delay[i]);
+            }
+        }
+        debug_assert!((0..n).all(|r| fill[r] == rows.link_off[r + 1].0));
         // Every never-evaluated pair is charged the tail gain, summed per
         // receiver: one pair can beat the charge, the receiver's sum must
-        // not (DESIGN.md §12.4). The in-range relation is symmetric, so a
-        // node's count as a transmitter is its count as a receiver.
+        // not (DESIGN.md §12.4).
+        let beyond = || evaluated.iter().map(|&e| (n - 1 - e as usize) as u64);
         let tail_rss_mw = rows.tx_power_mw * dbm_to_mw(tail_gain_db);
-        if tail_rss_mw > 0.0 {
-            rows.dropped_mw.resize(n, 0.0);
-            for (dropped, &pairs) in rows.dropped_mw.iter_mut().zip(&beyond) {
-                // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count scaling the per-pair tail power
-                *dropped += pairs as f64 * tail_rss_mw;
-            }
+        rows.dropped_mw.resize(n, 0.0);
+        for (dropped, pairs) in rows.dropped_mw.iter_mut().zip(beyond()) {
+            // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count scaling the per-pair tail power
+            *dropped += pairs as f64 * tail_rss_mw;
         }
-        rows.finish(beyond.iter().sum())
+        rows.finish(phy, epsilon_db, beyond().sum())
     }
 
     /// Row slice of link array indices for `tx`.
@@ -967,17 +967,16 @@ mod tests {
         };
         let pos: Vec<(f64, f64)> = (0..80).map(|_| (next() * 200.0, next() * 200.0)).collect();
         let grid = Grid::build(&pos, 60.0);
-        let mut out = Vec::new();
+        // The squared distance measured from either end: the same bits.
+        let d2 = |a: usize, b: usize| (pos[a].0 - pos[b].0).powi(2) + (pos[a].1 - pos[b].1).powi(2);
         for node in 0..pos.len() {
             for radius in [10.0, 35.0, 59.0] {
-                grid.neighbors_above(nid(node), radius, &mut out);
-                let brute: Vec<NodeId> = (node + 1..pos.len())
-                    .filter(|&o| {
-                        let (ax, ay) = pos[node];
-                        let (bx, by) = pos[o];
-                        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt() <= radius
-                    })
-                    .map(nid)
+                let mut out = Vec::new();
+                grid.each_above(nid(node), radius, |o, dist2| out.push((o, dist2.to_bits())));
+                out.sort_unstable();
+                let brute: Vec<(NodeId, u64)> = (node + 1..pos.len())
+                    .filter(|&o| d2(node, o).sqrt() <= radius)
+                    .map(|o| (nid(o), d2(o, node).to_bits()))
                     .collect();
                 assert_eq!(out, brute, "node {node} radius {radius}");
             }

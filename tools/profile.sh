@@ -3,8 +3,9 @@
 # perf: build tools/profile/sampler.c, run one untraced workload of the
 # release benchmark binary under it, symbolise the samples.
 #   usage: tools/profile.sh <workload> [--stacks] [--seconds S] [--seed N] [--out DIR]
-# --stacks records call stacks (inclusive shares, the set-up phase) instead
-# of the interrupted PC alone. Writes <workload>.profile.txt (the tables,
+# --stacks records call stacks (inclusive shares, and a by-phase table:
+# set-up, run, checkpoint, restore, untimed reference runs) instead of
+# the interrupted PC alone. Writes <workload>.profile.txt (the tables,
 # also printed) and <workload>.profile.raw beside results.json in DIR
 # (default benchmark/out). The binary is built with line tables, in
 # <target dir>/profile, for the by-source-file table. Needs a C compiler;
@@ -14,7 +15,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,13p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,14p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 

@@ -13,6 +13,10 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   `std` for the Rust runtime, and — inclusive only, since it is a phase
   rather than a place — `set-up`, every sample taken under
   `cmap_benchmark::workload` (scenario and world construction);
+* with stacks, the share by phase of the benchmark run: each sample goes
+  to the first of `PHASES` one of its frames falls under (the untimed
+  reference runs of a checkpointed workload, a checkpoint, a restore,
+  set-up, the timed `run_until`), else to `other`;
 * self share by source file: each sample goes to the file of its
   innermost inlined frame (`addr2line -i`), so code inlined into its
   caller (the queue into `World::run_until`) still counts as its own;
@@ -33,6 +37,25 @@ import re
 import struct
 import subprocess
 import sys
+
+
+# The phases of a benchmark run, as (row, symbol prefix), first match wins:
+# a sample under `reference_digest` is untimed whatever it runs inside.
+PHASES = (
+    ("reference_digest (untimed)", "cmap_benchmark::run::reference_digest"),
+    ("World::checkpoint", "cmap_sim::world::World::checkpoint"),
+    ("World::restore", "cmap_sim::world::World::restore"),
+    ("set-up", "cmap_benchmark::workload"),
+    ("World::run_until", "cmap_sim::world::World::run_until"),
+)
+
+
+def phase_of(symbols):
+    """The row of `PHASES` a sample whose stack holds `symbols` counts for."""
+    for row, prefix in PHASES:
+        if any(re.search(re.escape(prefix) + r"\b", s) for s in symbols):
+            return row
+    return "other"
 
 
 def load_bias(path, first_start):
@@ -220,6 +243,7 @@ def main():
 
     self_sym, incl_sym = collections.Counter(), collections.Counter()
     self_layer, incl_layer = collections.Counter(), collections.Counter()
+    by_phase = collections.Counter()
     stacks = any(len(s) > 1 for s in samples)
     for stack in samples:
         frames = [resolve(pc, 1 if k else 0) for k, pc in enumerate(stack)]
@@ -232,6 +256,7 @@ def main():
             layers.add("set-up")
         for layer in layers:
             incl_layer[layer] += 1
+        by_phase[phase_of({s for s, _ in frames})] += 1
 
     n = len(samples)
     print("samples %d  dropped %d  stacks %s" % (n, dropped, "yes" if stacks else "no"))
@@ -265,6 +290,11 @@ def main():
         self_file["[unmapped]"] = unmapped
 
     table("by layer", self_layer, incl_layer, 100)
+    if stacks:
+        print("\nby phase (each sample once, first match in this order)")
+        print("%8s  %s" % ("share %", "phase"))
+        for row in [r for r, _ in PHASES] + ["other"]:
+            print("%8.1f  %s" % (100.0 * by_phase[row] / n, row))
     print("\nby source file (top %d, innermost inlined frame)" % top)
     print("%8s %8s  %s" % ("self %", "", "file"))
     for k, c in self_file.most_common(top):
