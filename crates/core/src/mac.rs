@@ -1192,6 +1192,12 @@ impl Mac for CmapMac {
         }
     }
 
+    /// No carrier sense: a sender decides from its conflict map and the
+    /// ongoing list, and re-checks on timers (§3.2).
+    fn wants_channel_edges(&self) -> bool {
+        false
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

@@ -30,6 +30,9 @@ const CLASS_NAV: u64 = 5;
 
 const GEN_MASK: u64 = (1 << 56) - 1;
 
+/// The smallest `cw_max` whose doubling `(cw + 1) · 2 − 1` overflows `u32`.
+const CW_LIMIT: u32 = (1 << 31) - 1;
+
 fn token(class: u64, gen: u64) -> u64 {
     (class << 56) | (gen & GEN_MASK)
 }
@@ -101,8 +104,23 @@ pub struct DcfMac {
 }
 
 impl DcfMac {
-    /// Create a DCF MAC with the given configuration.
+    /// Create a DCF MAC with the given configuration. Panics unless
+    /// `cw_min <= cw_max < 2³¹ − 1`: the window doubles as `(cw + 1) · 2 − 1`
+    /// after a loss, capped at `cw_max`, so an inverted pair would shrink it
+    /// below `cw_min` and a larger `cw_max` would overflow the doubling.
     pub fn new(cfg: DcfConfig) -> DcfMac {
+        assert!(
+            cfg.cw_min <= cfg.cw_max,
+            "cw_min {} exceeds cw_max {}",
+            cfg.cw_min,
+            cfg.cw_max
+        );
+        assert!(
+            cfg.cw_max < CW_LIMIT,
+            "cw_max {} overflows the window's doubling (at most {})",
+            cfg.cw_max,
+            CW_LIMIT - 1
+        );
         let cw = cfg.cw_min;
         DcfMac {
             cfg,
@@ -462,6 +480,15 @@ impl Mac for DcfMac {
         if self.state == TxState::Idle {
             self.kick(ctx);
         }
+    }
+
+    /// Only a sender waiting on the medium acts on an edge: `pause` and
+    /// `kick` do nothing in any other state.
+    fn wants_channel_edges(&self) -> bool {
+        matches!(
+            self.state,
+            TxState::WaitMedium | TxState::WaitDifs | TxState::Backoff { .. }
+        )
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -828,5 +855,52 @@ mod tests {
         // With no ACKs coming back, cw returns to min after each drop; it
         // never exceeds the configured max.
         assert!(mac.cw <= mac.cfg.cw_max);
+    }
+
+    #[test]
+    #[should_panic(expected = "cw_min")]
+    fn an_inverted_contention_window_is_refused() {
+        let cfg = DcfConfig {
+            cw_min: 64,
+            cw_max: 63,
+            ..DcfConfig::default()
+        };
+        DcfMac::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cw_max")]
+    fn a_contention_window_past_the_doubling_is_refused() {
+        let cfg = DcfConfig {
+            cw_max: CW_LIMIT,
+            ..DcfConfig::default()
+        };
+        DcfMac::new(cfg);
+    }
+
+    #[test]
+    fn the_largest_contention_window_doubles_without_overflow() {
+        let cfg = DcfConfig {
+            cw_max: CW_LIMIT - 1,
+            ..DcfConfig::default()
+        };
+        let cw = DcfMac::new(cfg).cfg.cw_max;
+        assert_eq!(((cw + 1) * 2 - 1).min(cw), cw);
+    }
+
+    #[test]
+    fn only_a_sender_waiting_on_the_medium_takes_channel_edges() {
+        let mut mac = DcfMac::new(DcfConfig::status_quo());
+        for (state, wants) in [
+            (TxState::Idle, false),
+            (TxState::WaitMedium, true),
+            (TxState::WaitDifs, true),
+            (TxState::Backoff { started: 7 }, true),
+            (TxState::Transmitting, false),
+            (TxState::WaitAck, false),
+        ] {
+            mac.state = state;
+            assert_eq!(mac.wants_channel_edges(), wants, "{state:?}");
+        }
     }
 }

@@ -93,8 +93,18 @@ pub trait Mac {
     /// Our own transmission just finished.
     fn on_tx_done(&mut self, _ctx: &mut NodeCtx<'_>) {}
 
-    /// The clear-channel assessment changed (edge-triggered).
+    /// The clear-channel assessment changed (edge-triggered). Delivered
+    /// only while [`Mac::wants_channel_edges`] answers `true`.
     fn on_channel_state(&mut self, _ctx: &mut NodeCtx<'_>, _busy: bool) {}
+
+    /// Whether [`Mac::on_channel_state`] should be called on the next CCA
+    /// edge. The world reads the answer once after every callback, after
+    /// [`World::set_mac`](crate::World::set_mac) and after a restore, and
+    /// skips the call while it is `false`; so a MAC must answer `true` in
+    /// every state in which that callback can act.
+    fn wants_channel_edges(&self) -> bool {
+        true
+    }
 
     /// A new application packet became available at this node (e.g. a relay
     /// queue went non-empty). Saturated sources never trigger this — they
@@ -133,6 +143,9 @@ pub struct NullMac;
 
 impl Mac for NullMac {
     fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {}
+    fn wants_channel_edges(&self) -> bool {
+        false
+    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -282,6 +295,7 @@ mod tests {
         let mut m = NullMac;
         // as_any gives back the same object.
         assert!(m.as_any().downcast_ref::<NullMac>().is_some());
+        assert!(!m.wants_channel_edges());
         let _ = &mut m;
     }
 }

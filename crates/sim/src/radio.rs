@@ -133,6 +133,9 @@ mod flag {
     pub const LOCKED: u8 = 1 << 2;
     /// Cached busy flag for edge-triggered carrier notifications.
     pub const LAST_BUSY: u8 = 1 << 3;
+    /// The node's MAC takes carrier edges (`Mac::wants_channel_edges`):
+    /// derived from the MAC, so kept out of the checkpoint image.
+    pub const WATCH: u8 = 1 << 4;
     /// Any bit that makes the channel read busy regardless of energy.
     pub const ANY_BUSY: u8 = DISABLED | TX | LOCKED;
 }
@@ -266,6 +269,22 @@ impl RadioBank {
             self.state[node] |= flag::LAST_BUSY;
         } else {
             self.state[node] &= !flag::LAST_BUSY;
+        }
+    }
+
+    /// Whether the node's MAC takes carrier edges.
+    pub(crate) fn watches_edges(&self, node: usize) -> bool {
+        self.state[node] & flag::WATCH != 0
+    }
+
+    /// Record the MAC's [`Mac::wants_channel_edges`] answer.
+    ///
+    /// [`Mac::wants_channel_edges`]: crate::Mac::wants_channel_edges
+    pub(crate) fn set_watches_edges(&mut self, node: usize, watch: bool) {
+        if watch {
+            self.state[node] |= flag::WATCH;
+        } else {
+            self.state[node] &= !flag::WATCH;
         }
     }
 
@@ -448,13 +467,14 @@ impl RadioBank {
 /// The bank is struct-of-arrays in memory but one record per node on the
 /// wire, so the two directions walk the columns by hand. `spare_profile`
 /// is skipped on purpose: parked buffer capacity is an allocation
-/// optimisation with no effect on any simulated outcome. The world holds
-/// each restored total to the receptions it restores.
+/// optimisation with no effect on any simulated outcome, and so is
+/// [`flag::WATCH`], which the world derives again from the restored MACs.
+/// The world holds each restored total to the receptions it restores.
 impl Persist for RadioBank {
     fn save(&self, w: &mut CkptWriter) {
         w.len(self.len());
         for n in 0..self.len() {
-            w.put(&self.state[n]);
+            w.put(&(self.state[n] & !flag::WATCH));
             w.put(&self.energy[n]);
             w.put(&self.lock[n]);
         }
@@ -465,7 +485,7 @@ impl Persist for RadioBank {
         let n = r.count::<(u8, u128, Option<RxLock>)>()?;
         let mut bank = RadioBank::new(n);
         for node in 0..n {
-            bank.state[node] = r.get()?;
+            bank.state[node] = r.get::<u8>()? & !flag::WATCH;
             bank.energy[node] = r.get()?;
             let lock: Option<RxLock> = r.get()?;
             bank.lock[node] = lock.map(|l| RxLock {

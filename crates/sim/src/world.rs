@@ -69,6 +69,13 @@ pub struct Flow {
     pub(crate) next_seq: u32,
 }
 
+/// The CCA edges `World::check_channel_edge` hands a node's MAC in one
+/// call. A callback moves the reading only by starting a transmission, and
+/// `start_tx` records that reading itself, so one edge settles it; debug
+/// builds assert that it settled within this bound rather than drop a
+/// further edge unseen.
+const CCA_SETTLE_ROUNDS: usize = 4;
+
 /// A complete simulated network.
 pub struct World {
     phy: PhyConfig,
@@ -111,6 +118,9 @@ pub struct World {
     /// Decode draws the bracket settled, and those that needed
     /// [`grade_reception`]: host-side counts, in no artifact.
     decode_draws: (u64, u64),
+    /// CCA edges seen, and those offered to a watching MAC: host-side
+    /// counts, in no artifact.
+    channel_edges: (u64, u64),
 }
 
 /// How many reception draws their bracket settled (`*_decided`) and how
@@ -216,6 +226,7 @@ impl World {
             synced_lookups: 0,
             gate: DrawGate::shared(),
             decode_draws: (0, 0),
+            channel_edges: (0, 0),
         }
     }
 
@@ -268,7 +279,10 @@ impl World {
     /// [`World::start`].
     pub fn set_mac(&mut self, node: impl Into<NodeId>, mac: Box<dyn Mac>) {
         assert!(!self.started, "set_mac after start");
-        self.macs[node.into().index()] = Some(mac);
+        let node = node.into().index();
+        self.radios
+            .set_watches_edges(node, mac.wants_channel_edges());
+        self.macs[node] = Some(mac);
     }
 
     /// Borrow a node's MAC for inspection (tests, experiment harnesses).
@@ -394,6 +408,14 @@ impl World {
             decode_decided,
             decode_exact,
         }
+    }
+
+    /// CCA edges seen at every node, and those offered to a MAC whose
+    /// [`Mac::wants_channel_edges`] was `true` (the rest skip the callback),
+    /// since this world was built or restored. Plain host-side counters: in
+    /// no statistic, digest or checkpoint.
+    pub fn channel_edges(&self) -> (u64, u64) {
+        self.channel_edges
     }
 
     /// Enable structured tracing: protocol/engine decision points are
@@ -762,14 +784,8 @@ impl World {
     /// Run `f` against `node`'s MAC with a fresh context, then apply the
     /// operations it queued.
     fn dispatch<F: FnOnce(&mut dyn Mac, &mut NodeCtx<'_>)>(&mut self, node: NodeId, f: F) {
-        if let Some(fs) = self.faults.as_deref_mut() {
-            if !fs.node_up[node.index()] {
-                // A crashed node's MAC gets no callbacks; pending timers
-                // from before the crash are swallowed here.
-                self.stats.bump(CounterId::FaultDispatchSuppressed);
-                return;
-            }
-            fs.last_dispatch[node.index()] = self.time;
+        if !self.admit(node) {
+            return;
         }
         let mut mac = self.macs[node.index()].take().expect("mac reentrancy");
         let mut ops: Vec<Op> = self.ops_pool.pop().unwrap_or_default();
@@ -792,10 +808,28 @@ impl World {
             };
             f(&mut *mac, &mut ctx);
         }
+        // A MAC's state changes only inside a callback.
+        self.radios
+            .set_watches_edges(node.index(), mac.wants_channel_edges());
         self.macs[node.index()] = Some(mac);
         self.apply_ops(node, &mut ops);
         ops.clear();
         self.ops_pool.push(ops);
+    }
+
+    /// The fault bookkeeping of a dispatch, also done for a skipped CCA
+    /// edge: `true` if the node is up, its liveness stamped. A crashed
+    /// node's MAC gets no callbacks; pending timers from before the crash
+    /// are swallowed here.
+    fn admit(&mut self, node: NodeId) -> bool {
+        if let Some(fs) = self.faults.as_deref_mut() {
+            if !fs.node_up[node.index()] {
+                self.stats.bump(CounterId::FaultDispatchSuppressed);
+                return false;
+            }
+            fs.last_dispatch[node.index()] = self.time;
+        }
+        true
     }
 
     fn apply_ops(&mut self, node: NodeId, ops: &mut [Op]) {
@@ -931,16 +965,30 @@ impl World {
         }
     }
 
-    /// Fire `on_channel_state` edges until the node's CCA stabilises.
+    /// Fire `on_channel_state` edges until the node's CCA stabilises. An
+    /// edge the MAC does not watch gets only `admit`'s bookkeeping, and no
+    /// callback ran that could move the reading.
     fn check_channel_edge(&mut self, node: NodeId) {
-        for _ in 0..4 {
-            let busy = self.radios.busy(node.index(), &self.phy_linear);
-            if busy == self.radios.last_busy(node.index()) {
-                break;
+        let n = node.index();
+        for _ in 0..CCA_SETTLE_ROUNDS {
+            let busy = self.radios.busy(n, &self.phy_linear);
+            if busy == self.radios.last_busy(n) {
+                return;
             }
-            self.radios.set_last_busy(node.index(), busy);
+            self.radios.set_last_busy(n, busy);
+            self.channel_edges.0 += 1;
+            if !self.radios.watches_edges(n) {
+                self.admit(node);
+                return;
+            }
+            self.channel_edges.1 += 1;
             self.dispatch(node, |mac, ctx| mac.on_channel_state(ctx, busy));
         }
+        debug_assert_eq!(
+            self.radios.busy(n, &self.phy_linear),
+            self.radios.last_busy(n),
+            "node {n}'s CCA reading did not settle within {CCA_SETTLE_ROUNDS} edges"
+        );
     }
 
     // ---- cmap-ckpt/v8 ---------------------------------------------------
@@ -1158,11 +1206,13 @@ impl World {
         }
         for node in 0..self.node_count() {
             let blob = r.bytes()?;
-            self.macs[node]
+            let mac = self.macs[node]
                 .as_deref_mut()
-                .unwrap_or_else(|| panic!("mac {node} taken during restore"))
-                .load_state(blob)
+                .unwrap_or_else(|| panic!("mac {node} taken during restore"));
+            mac.load_state(blob)
                 .map_err(|e| CkptError::Mismatch(format!("node {node} MAC state: {e}")))?;
+            self.radios
+                .set_watches_edges(node, mac.wants_channel_edges());
         }
         r.expect_end()?;
         // Mid-run: `start` must never fire again (the restored queue

@@ -13,9 +13,11 @@
 
 use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
 use cmap_suite::experiments::{runner, Protocol, Spec};
+use cmap_suite::mac80211::{DcfConfig, DcfMac};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::time::{secs, Time};
-use cmap_suite::sim::{CkptError, FaultPlan, World};
+use cmap_suite::sim::{CkptError, FaultPlan, Mac, NodeCtx, RxErrorInfo, RxInfo, World};
+use cmap_suite::wire::FrameView;
 
 fn spec() -> Spec {
     Spec {
@@ -112,23 +114,120 @@ fn dcf_resume_is_byte_identical() {
     assert_resume_identical(|w| Protocol::cs_on().install(w), None, 13);
 }
 
+fn rate_adaptive_cmap() -> Box<dyn Mac> {
+    let cfg = CmapConfig {
+        rate_aware: true,
+        ..CmapConfig::default()
+    };
+    let ladder = vec![Rate::R6, Rate::R12, Rate::R18];
+    let ctl = Box::new(ThroughputRate::new(ladder));
+    Box::new(CmapMac::with_rate_controller(cfg, ctl))
+}
+
 #[test]
 fn rate_adaptive_cmap_resume_is_byte_identical() {
     let install = |w: &mut World| {
-        let cfg = CmapConfig {
-            rate_aware: true,
-            ..CmapConfig::default()
-        };
         for node in 0..w.node_count() {
-            let ladder = vec![Rate::R6, Rate::R12, Rate::R18];
-            let ctl = Box::new(ThroughputRate::new(ladder));
-            w.set_mac(
-                node,
-                Box::new(CmapMac::with_rate_controller(cfg.clone(), ctl)),
-            );
+            w.set_mac(node, rate_adaptive_cmap());
         }
     };
     assert_resume_identical(install, None, 14);
+}
+
+type MakeMac = fn() -> Box<dyn Mac>;
+
+/// Forwards every callback to the wrapped MAC but keeps the trait's
+/// default `wants_channel_edges`, so the world hands it every CCA edge.
+struct Forwarder(Box<dyn Mac>);
+
+impl Mac for Forwarder {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.0.on_start(ctx);
+    }
+    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.0.on_restart(ctx);
+    }
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+        self.0.on_timer(ctx, token);
+    }
+    fn on_rx_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &FrameView<'_>, info: RxInfo) {
+        self.0.on_rx_frame(ctx, frame, info);
+    }
+    fn on_rx_error(&mut self, ctx: &mut NodeCtx<'_>, err: RxErrorInfo) {
+        self.0.on_rx_error(ctx, err);
+    }
+    fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.0.on_tx_done(ctx);
+    }
+    fn on_channel_state(&mut self, ctx: &mut NodeCtx<'_>, busy: bool) {
+        self.0.on_channel_state(ctx, busy);
+    }
+    fn on_packet_queued(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.0.on_packet_queued(ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.0.as_any()
+    }
+    fn save_state(&self, out: &mut Vec<u8>) {
+        self.0.save_state(out);
+    }
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.0.load_state(bytes)
+    }
+}
+
+/// A MAC is handed a CCA edge only while it watches edges. Each world runs
+/// as built and with every MAC behind a [`Forwarder`], which is handed
+/// every edge, and the two must give the same checkpoint images at two
+/// instants and the same final snapshot.
+#[test]
+fn skipping_unwatched_channel_edges_is_invisible() {
+    let spec = spec();
+    let macs: [(&str, MakeMac); 3] = [
+        ("cmap", || Box::new(CmapMac::new(CmapConfig::default()))),
+        ("dcf", || Box::new(DcfMac::new(DcfConfig::status_quo()))),
+        ("rate-adaptive cmap", rate_adaptive_cmap),
+    ];
+    for (name, make) in macs {
+        for faults in [None, Some(FaultPlan::mixed(50, spec.duration))] {
+            let run = |forward: bool| {
+                let mut w = build(&spec, 16);
+                for node in 0..w.node_count() {
+                    let mac: Box<dyn Mac> = if forward {
+                        Box::new(Forwarder(make()))
+                    } else {
+                        make()
+                    };
+                    w.set_mac(node, mac);
+                }
+                if let Some(plan) = &faults {
+                    w.install_faults(plan.clone());
+                }
+                let images: Vec<Vec<u8>> = [spec.duration / 4, spec.duration / 2]
+                    .into_iter()
+                    .map(|at| {
+                        w.run_until(at);
+                        w.checkpoint().expect("checkpoint")
+                    })
+                    .collect();
+                (images, finish(&mut w, spec.duration), w.channel_edges())
+            };
+            let what = format!("{name}, faults: {}", faults.is_some());
+            let (built, forwarded) = (run(false), run(true));
+            assert!(built.0 == forwarded.0, "{what}: checkpoint images differ");
+            assert_eq!(built.1, forwarded.1, "{what}: snapshots differ");
+            let ((seen, delivered), (all, offered)) = (built.2, forwarded.2);
+            assert_eq!(seen, all, "{what}: edges seen");
+            assert_eq!(offered, all, "{what}: a forwarder is handed every edge");
+            match name {
+                "dcf" => assert!(
+                    0 < delivered && delivered < seen,
+                    "{what}: {delivered}/{seen}"
+                ),
+                _ => assert!(delivered == 0 && seen > 0, "{what}: {delivered}/{seen}"),
+            }
+        }
+    }
 }
 
 /// Cut a run while one transmission's arrivals are half handed out — once
