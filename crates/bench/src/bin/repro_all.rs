@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 
 use cmap_bench::figures::{eprint_failures, fidelity_table, run_figure, spec_block, REGISTRY};
 use cmap_bench::Cli;
-use cmap_obs::artifact::{atomic_write, Manifest};
+use cmap_obs::{atomic_write, Manifest};
 use cmap_obs::{BerTableBlock, SuiteReport, TimingBlock};
 
 /// The two per-figure work-dir artifacts.

@@ -18,9 +18,9 @@ use std::panic::AssertUnwindSafe;
 
 use cmap_core::CmapConfig;
 use cmap_experiments::exposed::Curve;
-use cmap_experiments::runner::radio_env;
+use cmap_experiments::runner::{radio_env, Spec};
 use cmap_experiments::{
-    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol, Spec,
+    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol,
 };
 use cmap_obs::{FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict};
 use cmap_phy::Rate;
@@ -37,12 +37,12 @@ use crate::{banner, cdf_figure, median, median_of, render_cdfs, Cli, Effort};
 pub struct FigureOutput {
     /// The human-readable body (what the standalone binary prints after
     /// its banner).
-    pub text: String,
+    pub(crate) text: String,
     /// Named results, in insertion order (sorted at serialization).
-    pub metrics: Vec<(String, MetricValue)>,
+    pub(crate) metrics: Vec<(String, MetricValue)>,
     /// Invariant violations; non-empty makes the wrapping binary (and
     /// `repro_all`) exit nonzero.
-    pub failures: Vec<String>,
+    pub(crate) failures: Vec<String>,
 }
 
 impl FigureOutput {
@@ -85,21 +85,21 @@ pub struct Figure {
     /// Banner heading.
     pub title: &'static str,
     /// The paper's claim, printed under the banner.
-    pub paper_claim: &'static str,
+    pub(crate) paper_claim: &'static str,
     /// Metric keys every report of this figure must contain: at least the
     /// numbers EXPERIMENTS.md's paper-vs-measured rows quote.
-    pub required_metrics: &'static [&'static str],
+    pub(crate) required_metrics: &'static [&'static str],
     /// The paper-vs-measured rows of EXPERIMENTS.md as predicates over
     /// `required_metrics`; empty for figures the paper gives no number for.
-    pub fidelity: &'static [Predicate],
+    pub(crate) fidelity: &'static [Predicate],
     /// Whether `repro_all` includes this figure in its suite run. Gating
     /// and extension experiments (chaos soak, ablations, the two sweeps)
     /// keep their own binaries instead.
     pub in_repro: bool,
     /// The experiment spec this figure runs under.
-    pub spec: fn(&Cli) -> Spec,
+    pub(crate) spec: fn(&Cli) -> Spec,
     /// Run the figure under the spec `spec` returned for the same `cli`.
-    pub run: fn(&Cli, &Spec) -> FigureOutput,
+    pub(crate) run: fn(&Cli, &Spec) -> FigureOutput,
 }
 
 /// Every registered figure, in suite order.
@@ -413,7 +413,7 @@ fn report_for(
 /// What [`run_figure`] hands back to the binary that called it.
 pub struct FigureRun {
     /// The spec the figure ran under.
-    pub spec: Spec,
+    pub(crate) spec: Spec,
     /// The figure's text body followed by one `FAIL:` line per invariant
     /// violation — or, if the run panicked, the `FAIL: panicked:` line alone.
     pub text: String,

@@ -40,7 +40,7 @@
 pub mod figures;
 
 use cmap_experiments::exposed::Curve;
-use cmap_experiments::Spec;
+use cmap_experiments::runner::Spec;
 use cmap_sim::time::secs;
 use cmap_stats::{Cdf, Series, Table};
 
@@ -67,12 +67,12 @@ impl Effort {
 }
 
 /// The usage string every binary prints on `--help` or a parse error.
-pub const USAGE: &str = "usage: <bin> [--quick|--full] [--seed N] [--runs N] [--jobs N] \
+pub(crate) const USAGE: &str = "usage: <bin> [--quick|--full] [--seed N] [--runs N] [--jobs N] \
      [--json PATH] [--out PATH] [--resume]";
 
 /// Why [`Cli::try_parse_from`] rejected a command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CliError {
+pub(crate) enum CliError {
     /// `--help` was requested: print usage, exit 0.
     Help,
     /// Malformed arguments: print the message plus usage, exit 2.
@@ -89,9 +89,8 @@ pub struct Cli {
     /// Override for the number of configurations, if given.
     pub runs: Option<usize>,
     /// Worker-pool width (`--jobs N`); `None` means "probe the machine"
-    /// ([`effective_jobs`](Cli::effective_jobs)). Results are identical for
-    /// every width — see `cmap_exec`.
-    pub jobs: Option<usize>,
+    /// (`cmap_exec::default_jobs`). Results are identical for every width.
+    pub(crate) jobs: Option<usize>,
     /// Write a machine-readable report (`RunReport`, or `SuiteReport` for
     /// `repro_all`) to this path.
     pub json: Option<String>,
@@ -121,7 +120,7 @@ impl Default for Cli {
 impl Cli {
     /// Parse an argument list (without the program name). Pure function so
     /// error paths are unit-testable; [`Cli::parse`] is the exiting shell.
-    pub fn try_parse_from<I>(args: I) -> Result<Cli, CliError>
+    pub(crate) fn try_parse_from<I>(args: I) -> Result<Cli, CliError>
     where
         I: IntoIterator<Item = String>,
     {
@@ -135,16 +134,17 @@ impl Cli {
                 .parse::<usize>()
                 .map_err(|_| CliError::Bad(format!("{flag} needs a number")))
         };
+        let count = |flag: &str, v: Option<String>| match number(flag, v)? {
+            0 => Err(CliError::Bad(format!("{flag} must be >= 1"))),
+            n => Ok(n),
+        };
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => cli.effort = Effort::Quick,
                 "--full" => cli.effort = Effort::Full,
                 "--seed" => cli.seed = number("--seed", args.next())? as u64,
-                "--runs" => cli.runs = Some(number("--runs", args.next())?),
-                "--jobs" => match number("--jobs", args.next())? {
-                    0 => return Err(CliError::Bad("--jobs must be >= 1".into())),
-                    n => cli.jobs = Some(n),
-                },
+                "--runs" => cli.runs = Some(count("--runs", args.next())?),
+                "--jobs" => cli.jobs = Some(count("--jobs", args.next())?),
                 "--json" => cli.json = Some(value("--json", args.next())?),
                 "--out" => cli.out = Some(value("--out", args.next())?),
                 "--resume" => cli.resume = true,
@@ -196,7 +196,7 @@ impl Cli {
     /// value sizes the pool only — it is never serialized into report
     /// bytes, so the same seeds produce byte-identical artifacts on any
     /// machine (see `cmap_exec::default_jobs`).
-    pub fn effective_jobs(&self) -> usize {
+    pub(crate) fn effective_jobs(&self) -> usize {
         self.jobs.unwrap_or_else(cmap_exec::default_jobs)
     }
 
@@ -350,6 +350,9 @@ mod tests {
 
         let zero_jobs = Cli::try_parse_from(args(&["--jobs", "0"])).unwrap_err();
         assert_eq!(zero_jobs, CliError::Bad("--jobs must be >= 1".into()));
+
+        let zero_runs = Cli::try_parse_from(args(&["--runs", "0"])).unwrap_err();
+        assert_eq!(zero_runs, CliError::Bad("--runs must be >= 1".into()));
 
         let dangling = Cli::try_parse_from(args(&["--json"])).unwrap_err();
         assert_eq!(dangling, CliError::Bad("--json needs a value".into()));

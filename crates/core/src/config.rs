@@ -166,22 +166,15 @@ impl CmapConfig {
         self
     }
 
-    /// CMAP without the stale-map carrier-sense fallback (ablation; see
-    /// [`CmapConfig::fallback_csma`]).
-    pub fn without_csma_fallback(mut self) -> CmapConfig {
-        self.fallback_csma = false;
-        self
-    }
-
     /// Maximum retransmission timeout: the airtime of a full window of data
     /// (`τ_max = N_window · N_vpkt · packet bits / link rate`, §3.3).
-    pub fn tau_max(&self, payload_len: usize) -> Time {
+    pub(crate) fn tau_max(&self, payload_len: usize) -> Time {
         let bits = (self.n_window * self.n_vpkt * payload_len * 8) as u64;
         bits_duration(bits, self.data_rate.bits_per_sec())
     }
 
     /// Minimum retransmission timeout (`τ_min = τ_max / 2`, §3.3).
-    pub fn tau_min(&self, payload_len: usize) -> Time {
+    pub(crate) fn tau_min(&self, payload_len: usize) -> Time {
         self.tau_max(payload_len) / 2
     }
 }
@@ -221,7 +214,6 @@ mod tests {
         assert!(c.max_rtx_rounds >= 2);
         assert!(c.max_defer_wait >= c.t_deferwait);
         assert!(c.peer_state_timeout > c.map_stale_after);
-        assert!(!c.clone().without_csma_fallback().fallback_csma);
     }
 
     #[test]

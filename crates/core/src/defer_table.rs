@@ -25,8 +25,8 @@ use cmap_wire::MacAddr;
 
 /// One defer-table entry.
 ///
-/// `Ord` so the table can live in a `BTreeMap`: `entries_at` feeds
-/// diagnostics and tests, and its order must be seed-independent.
+/// `Ord` so the table can live in a `BTreeMap`, whose order is
+/// seed-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeferEntry {
     /// `(dest : src → ∗)`: defer transmissions to `dest` while `src` is
@@ -81,7 +81,7 @@ impl DeferTable {
 
     /// Insert or refresh an entry, valid until `expires`. `rate` is the
     /// bit-rate annotation of the conflict observation (§3.5).
-    pub fn insert(&mut self, entry: DeferEntry, expires: Time, rate: Rate) {
+    pub(crate) fn insert(&mut self, entry: DeferEntry, expires: Time, rate: Rate) {
         let meta = self
             .entries
             .entry(entry)
@@ -132,18 +132,10 @@ impl DeferTable {
 
     /// Drop expired entries (called opportunistically). Returns how many
     /// were evicted, for the `cmap.expired_evicted` accounting.
-    pub fn prune(&mut self, now: Time) -> usize {
+    pub(crate) fn prune(&mut self, now: Time) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, m| m.expires > now);
         before - self.entries.len()
-    }
-
-    /// Iterate live entries (for introspection and tests).
-    pub fn entries_at(&self, now: Time) -> impl Iterator<Item = DeferEntry> + '_ {
-        self.entries
-            .iter()
-            .filter(move |(_, m)| m.expires > now)
-            .map(|(e, _)| *e)
     }
 }
 
@@ -194,7 +186,7 @@ mod tests {
         assert_eq!(d.len_at(50), 0);
         assert_eq!(d.prune(60), 1);
         assert_eq!(d.prune(60), 0, "second prune finds nothing");
-        assert_eq!(d.entries_at(0).count(), 0);
+        assert!(d.entries.is_empty());
     }
 
     #[test]

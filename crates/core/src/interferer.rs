@@ -11,7 +11,7 @@
 //! not a single loss because concurrent transmission still wins whenever
 //! the loss rate stays below 0.5 (§3.1).
 
-// BTreeMap, not HashMap: `active_during`/`concurrent_sources` feed MAC
+// BTreeMap, not HashMap: `concurrent_sources` and the entry walk feed MAC
 // decisions and the promotions log, so their order must not vary with hash
 // seeds across runs.
 use std::collections::{BTreeMap, VecDeque};
@@ -42,8 +42,8 @@ pub struct InterfererTracker {
     entries: BTreeMap<(MacAddr, MacAddr), (Time, Rate)>,
     /// Diagnostic log of promotions: (time, source, interferer, overlapped,
     /// lost) at the moment the pair qualified. Capped at
-    /// [`MAX_PROMOTIONS`] (oldest dropped) so soak runs stay bounded.
-    pub promotions: Vec<(Time, MacAddr, MacAddr, u64, u64)>,
+    /// `MAX_PROMOTIONS` (oldest dropped) so soak runs stay bounded.
+    pub(crate) promotions: Vec<(Time, MacAddr, MacAddr, u64, u64)>,
 }
 
 persist!(struct InterfererTracker { activity, counters, entries, promotions });
@@ -56,13 +56,13 @@ const MAX_PROMOTIONS: usize = 256;
 
 impl InterfererTracker {
     /// Empty tracker.
-    pub fn new() -> InterfererTracker {
+    pub(crate) fn new() -> InterfererTracker {
         InterfererTracker::default()
     }
 
     /// Record that `node` was (or will be) transmitting during
     /// `[start, end)`.
-    pub fn note_activity(&mut self, node: MacAddr, start: Time, end: Time) {
+    pub(crate) fn note_activity(&mut self, node: MacAddr, start: Time, end: Time) {
         let q = self.activity.entry(node).or_default();
         // Merge with the last window when overlapping/adjacent (common for
         // back-to-back data packets).
@@ -79,24 +79,8 @@ impl InterfererTracker {
         }
     }
 
-    /// Neighbours whose recorded activity overlaps `[start, end)`, except
-    /// `exclude` (the packet's own sender).
-    pub fn active_during(
-        &self,
-        start: Time,
-        end: Time,
-        exclude: MacAddr,
-    ) -> impl Iterator<Item = MacAddr> + '_ {
-        self.activity
-            .iter()
-            .filter(move |&(&node, windows)| {
-                node != exclude && windows.iter().any(|&(s, e)| s < end && start < e)
-            })
-            .map(|(&node, _)| node)
-    }
-
     /// Fraction of `[start, end)` covered by `node`'s known activity.
-    pub fn overlap_fraction(&self, node: MacAddr, start: Time, end: Time) -> f64 {
+    pub(crate) fn overlap_fraction(&self, node: MacAddr, start: Time, end: Time) -> f64 {
         if end <= start {
             return 0.0;
         }
@@ -120,7 +104,7 @@ impl InterfererTracker {
     /// where ACK exchanges collide. Per-packet attribution over those few
     /// biased samples routinely fabricates >50% loss rates for pairs whose
     /// true concurrent loss is a few percent.
-    pub fn concurrent_sources(
+    pub(crate) fn concurrent_sources(
         &self,
         start: Time,
         end: Time,
@@ -137,7 +121,7 @@ impl InterfererTracker {
     /// Account one expected data packet from `u` against an already-judged
     /// concurrent transmitter `x`.
     #[allow(clippy::too_many_arguments, reason = "one hot-path call per pair")]
-    pub fn record_pair(
+    pub(crate) fn record_pair(
         &mut self,
         u: MacAddr,
         x: MacAddr,
@@ -164,34 +148,10 @@ impl InterfererTracker {
         }
     }
 
-    /// Account one expected data packet from `u` occupying `[start, end)`
-    /// against every neighbour with any overlapping known activity
-    /// (per-packet attribution; the MAC uses whole-virtual-packet judgement
-    /// via [`InterfererTracker::concurrent_sources`] instead — see its
-    /// docs for why).
-    #[allow(clippy::too_many_arguments, reason = "one hot-path call per packet")]
-    pub fn record_packet(
-        &mut self,
-        u: MacAddr,
-        start: Time,
-        end: Time,
-        lost: bool,
-        rate: Rate,
-        now: Time,
-        l_interf: f64,
-        min_samples: u64,
-        entry_lifetime: Time,
-    ) {
-        let interferers: Vec<MacAddr> = self.active_during(start, end, u).collect();
-        for x in interferers {
-            self.record_pair(u, x, lost, rate, now, l_interf, min_samples, entry_lifetime);
-        }
-    }
-
     /// Halve all counters — called periodically so stale history fades and
     /// the list adapts to "changing channel conditions and interference
     /// patterns" (§3.1).
-    pub fn decay(&mut self) {
+    pub(crate) fn decay(&mut self) {
         self.counters.retain(|_, c| {
             c.overlapped /= 2;
             c.lost /= 2;
@@ -202,7 +162,7 @@ impl InterfererTracker {
     /// Drop expired entries and ancient activity windows. Returns how many
     /// interferer-list entries were evicted (activity windows are cheap and
     /// not counted).
-    pub fn prune(&mut self, now: Time, activity_horizon: Time) -> usize {
+    pub(crate) fn prune(&mut self, now: Time, activity_horizon: Time) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, &mut (exp, _)| exp > now);
         let cutoff = now.saturating_sub(activity_horizon);
@@ -230,20 +190,16 @@ impl InterfererTracker {
     /// deterministic `(source, interferer)` order as
     /// [`InterfererTracker::entries_at`] (the entry map is ordered by that
     /// key). `f` returns `false` to stop early (e.g. at frame capacity).
-    pub fn for_each_entry_at(&self, now: Time, mut f: impl FnMut(MacAddr, MacAddr, Rate) -> bool) {
+    pub(crate) fn for_each_entry_at(
+        &self,
+        now: Time,
+        mut f: impl FnMut(MacAddr, MacAddr, Rate) -> bool,
+    ) {
         for (&(u, x), &(exp, rate)) in &self.entries {
             if exp > now && !f(u, x, rate) {
                 break;
             }
         }
-    }
-
-    /// Loss statistics for a pair, for tests and diagnostics:
-    /// `(overlapped, lost)`.
-    pub fn pair_counters(&self, u: MacAddr, x: MacAddr) -> (u64, u64) {
-        self.counters
-            .get(&(u, x))
-            .map_or((0, 0), |c| (c.overlapped, c.lost))
     }
 }
 
@@ -256,30 +212,32 @@ mod tests {
         MacAddr::from_node_index(i)
     }
 
-    fn record_burst(
-        t: &mut InterfererTracker,
-        u: MacAddr,
-        times: impl Iterator<Item = (Time, Time, bool)>,
-    ) {
-        for (s, e, lost) in times {
-            t.record_packet(u, s, e, lost, Rate::R6, e, 0.5, 8, 1_000_000);
+    /// Account one packet from `u` per item of `losses` against `x`, at
+    /// `l_interf` 0.5 with at least 8 samples.
+    fn record_burst(t: &mut InterfererTracker, u: MacAddr, x: MacAddr, losses: &[bool]) {
+        for (i, &lost) in losses.iter().enumerate() {
+            let now = i as Time * 1000 + 900;
+            t.record_pair(u, x, lost, Rate::R6, now, 0.5, 8, 1_000_000);
         }
+    }
+
+    /// Loss statistics for a pair: `(overlapped, lost)`.
+    fn pair_counters(t: &InterfererTracker, u: MacAddr, x: MacAddr) -> (u64, u64) {
+        t.counters
+            .get(&(u, x))
+            .map_or((0, 0), |c| (c.overlapped, c.lost))
     }
 
     #[test]
     fn qualifying_interferer_is_promoted() {
         let (u, x) = (a(1), a(3));
         let mut t = InterfererTracker::new();
-        t.note_activity(x, 0, 100_000);
         // 10 overlapped packets from u, 8 lost: loss rate 0.8 > 0.5.
-        record_burst(
-            &mut t,
-            u,
-            (0..10).map(|i| (i * 1000, i * 1000 + 900, i < 8)),
-        );
+        let losses: Vec<bool> = (0..10).map(|i| i < 8).collect();
+        record_burst(&mut t, u, x, &losses);
         let entries = t.entries_at(100);
         assert_eq!(entries, vec![(u, x, Rate::R6)]);
-        assert_eq!(t.pair_counters(u, x), (10, 8));
+        assert_eq!(pair_counters(&t, u, x), (10, 8));
     }
 
     #[test]
@@ -288,12 +246,8 @@ mod tests {
         // the pair must NOT be listed (the core of §3.1's threshold logic).
         let (u, x) = (a(1), a(3));
         let mut t = InterfererTracker::new();
-        t.note_activity(x, 0, 100_000);
-        record_burst(
-            &mut t,
-            u,
-            (0..10).map(|i| (i * 1000, i * 1000 + 900, i < 3)),
-        );
+        let losses: Vec<bool> = (0..10).map(|i| i < 3).collect();
+        record_burst(&mut t, u, x, &losses);
         assert!(t.entries_at(100).is_empty());
     }
 
@@ -301,39 +255,16 @@ mod tests {
     fn too_few_samples_not_promoted() {
         let (u, x) = (a(1), a(3));
         let mut t = InterfererTracker::new();
-        t.note_activity(x, 0, 100_000);
-        record_burst(&mut t, u, (0..5).map(|i| (i * 1000, i * 1000 + 900, true)));
+        record_burst(&mut t, u, x, &[true; 5]);
         assert!(t.entries_at(100).is_empty(), "5 samples < min 8");
-    }
-
-    #[test]
-    fn losses_outside_activity_not_attributed() {
-        let (u, x) = (a(1), a(3));
-        let mut t = InterfererTracker::new();
-        t.note_activity(x, 1_000_000, 2_000_000);
-        // Losses entirely before x's activity window.
-        record_burst(&mut t, u, (0..20).map(|i| (i * 1000, i * 1000 + 900, true)));
-        assert!(t.entries_at(100).is_empty());
-        assert_eq!(t.pair_counters(u, x), (0, 0));
     }
 
     #[test]
     fn entries_expire() {
         let (u, x) = (a(1), a(3));
         let mut t = InterfererTracker::new();
-        t.note_activity(x, 0, 1_000_000);
-        for i in 0..10u64 {
-            t.record_packet(
-                u,
-                i * 1000,
-                i * 1000 + 900,
-                true,
-                Rate::R6,
-                10_000,
-                0.5,
-                8,
-                5_000,
-            );
+        for _ in 0..10 {
+            t.record_pair(u, x, true, Rate::R6, 10_000, 0.5, 8, 5_000);
         }
         assert_eq!(t.entries_at(14_000).len(), 1);
         assert!(t.entries_at(15_000).is_empty());
@@ -345,15 +276,14 @@ mod tests {
     fn decay_halves_and_cleans() {
         let (u, x) = (a(1), a(3));
         let mut t = InterfererTracker::new();
-        t.note_activity(x, 0, 100_000);
-        record_burst(&mut t, u, (0..9).map(|i| (i * 1000, i * 1000 + 900, true)));
-        assert_eq!(t.pair_counters(u, x), (9, 9));
+        record_burst(&mut t, u, x, &[true; 9]);
+        assert_eq!(pair_counters(&t, u, x), (9, 9));
         t.decay();
-        assert_eq!(t.pair_counters(u, x), (4, 4));
-        t.decay();
+        assert_eq!(pair_counters(&t, u, x), (4, 4));
         t.decay();
         t.decay();
-        assert_eq!(t.pair_counters(u, x), (0, 0));
+        t.decay();
+        assert_eq!(pair_counters(&t, u, x), (0, 0));
     }
 
     #[test]

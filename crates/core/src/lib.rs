@@ -11,12 +11,12 @@
 //! This crate implements the full design of §2–§3:
 //!
 //! * the **defer table** with update rules 1 & 2 and defer patterns 1 & 2
-//!   ([`defer_table`]),
+//!   ([`DeferTable`]),
 //! * receiver-side **interferer lists**: loss attribution against overheard
 //!   transmission windows, the `l_interf` threshold, periodic broadcast
-//!   ([`interferer`]),
+//!   ([`InterfererTracker`]),
 //! * the **ongoing-transmissions list** maintained from overheard headers,
-//!   trailers and data packets ([`ongoing`]),
+//!   trailers and data packets (`ongoing`),
 //! * **virtual packets** (header + `N_vpkt` data packets + trailer, §4.1)
 //!   with the **windowed cumulative-ACK retransmission protocol** of §3.3
 //!   (send window `N_window`, bitmap ACKs, repacked retransmissions,
@@ -27,17 +27,16 @@
 //!
 //! All protocol constants default to the paper's values ([`CmapConfig`]).
 
-pub mod config;
-pub mod defer_table;
-pub mod interferer;
-pub mod mac;
-pub mod ongoing;
-pub mod rate_control;
+mod config;
+mod defer_table;
+mod interferer;
+mod mac;
+mod ongoing;
+mod rate_control;
 pub mod vpkt;
 
 pub use config::CmapConfig;
 pub use defer_table::{DeferEntry, DeferTable};
 pub use interferer::InterfererTracker;
 pub use mac::CmapMac;
-pub use ongoing::OngoingList;
 pub use rate_control::{FixedRate, RateController, ThroughputRate};

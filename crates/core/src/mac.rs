@@ -27,9 +27,10 @@
 
 use rand::Rng;
 
-use cmap_sim::ckpt::{self, CkptError, CkptReader, CkptWriter, Persist};
+use cmap_obs::{CounterId, TraceEvent};
+use cmap_sim::ckpt::{self, CkptReader, CkptWriter, Persist};
 use cmap_sim::time::{micros, millis, ns_to_us_ceil, Time};
-use cmap_sim::{persist, CounterId, Mac, NodeCtx, RxInfo, TraceEvent};
+use cmap_sim::{persist, CkptError, Mac, NodeCtx, RxInfo};
 use cmap_wire::cmap;
 use cmap_wire::view::{compose, HeaderTrailerView};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
@@ -50,6 +51,19 @@ const CLASS_ACKSEND: u64 = 6;
 const CLASS_VPKTEND: u64 = 7;
 
 const GEN_MASK: u64 = (1 << 56) - 1;
+
+/// The largest `cw_max` whose doubling in [`grow_cw`] fits in a [`Time`].
+const MAX_CW: Time = Time::MAX / 2;
+
+/// The contention window after a lossy virtual packet: `cw_start` from
+/// zero, else doubled up to `cw_max` (§3.4).
+fn grow_cw(cw: Time, cfg: &CmapConfig) -> Time {
+    if cw == 0 {
+        cfg.cw_start
+    } else {
+        (cw * 2).min(cfg.cw_max)
+    }
+}
 
 fn token(class: u64, gen: u64) -> u64 {
     (class << 56) | (gen & GEN_MASK)
@@ -254,11 +268,30 @@ impl CmapMac {
     /// Pair with `CmapConfig::rate_aware` to also match defer entries per
     /// rate. Panics unless `cfg.n_vpkt` is in `1..=32`: a virtual packet's
     /// ACKs are one `u32` bitmap, and an empty one would never be sent.
+    /// Panics, too, on a window that cannot work: `n_window` 0 (the window
+    /// is always full, so nothing is sent), `cw_start > cw_max` (the
+    /// contention window shrinks on its first doubling) and a `cw_max`
+    /// whose doubling overflows a `Time`.
     pub fn with_rate_controller(cfg: CmapConfig, rate_ctl: Box<dyn RateController>) -> CmapMac {
         assert!(
             (1..=32).contains(&cfg.n_vpkt),
             "CmapConfig::n_vpkt must be in 1..=32 (one bit per packet in the ACK bitmap), got {}",
             cfg.n_vpkt
+        );
+        assert!(
+            cfg.n_window >= 1,
+            "CmapConfig::n_window must be at least 1, got 0"
+        );
+        assert!(
+            cfg.cw_start <= cfg.cw_max,
+            "CmapConfig::cw_start {} exceeds cw_max {}",
+            cfg.cw_start,
+            cfg.cw_max
+        );
+        assert!(
+            cfg.cw_max <= MAX_CW,
+            "CmapConfig::cw_max {} overflows the window's doubling (at most {MAX_CW})",
+            cfg.cw_max
         );
         CmapMac {
             cfg,
@@ -283,11 +316,6 @@ impl CmapMac {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CmapConfig {
-        &self.cfg
-    }
-
     /// The defer table (introspection for tests/harnesses).
     pub fn defer_table(&self) -> &DeferTable {
         &self.defer
@@ -298,17 +326,12 @@ impl CmapMac {
         &self.tracker
     }
 
-    /// Current contention window in nanoseconds.
-    pub fn contention_window(&self) -> Time {
-        self.cw
-    }
-
     /// Is the §4 safety fallback engaged at `now`? True when the conflict
     /// map has not been refreshed for [`CmapConfig::map_stale_after`] *and*
     /// ACKs have repeatedly timed out: the node then stops trusting the map
     /// and defers to any overheard transmission, i.e. behaves like plain
     /// carrier sense until fresh map information arrives.
-    pub fn csma_fallback_active(&self, now: Time) -> bool {
+    pub(crate) fn csma_fallback_active(&self, now: Time) -> bool {
         self.cfg.fallback_csma
             && self.consecutive_ack_timeouts >= self.cfg.csma_fallback_after
             && now.saturating_sub(self.last_map_refresh) > self.cfg.map_stale_after
@@ -669,11 +692,7 @@ impl CmapMac {
             return;
         }
         if loss > self.cfg.l_backoff {
-            self.cw = if self.cw == 0 {
-                self.cfg.cw_start
-            } else {
-                (self.cw * 2).min(self.cfg.cw_max)
-            };
+            self.cw = grow_cw(self.cw, &self.cfg);
             ctx.stats().bump(CounterId::CmapCwIncrease);
         } else {
             self.cw = 0;
@@ -1298,6 +1317,46 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "n_window")]
+    fn an_empty_send_window_is_refused() {
+        let _ = CmapMac::new(CmapConfig {
+            n_window: 0,
+            ..CmapConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cw_start")]
+    fn an_inverted_contention_window_is_refused() {
+        let _ = CmapMac::new(CmapConfig {
+            cw_start: millis(321),
+            cw_max: millis(320),
+            ..CmapConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cw_max")]
+    fn a_contention_window_past_the_doubling_is_refused() {
+        let _ = CmapMac::new(CmapConfig {
+            cw_max: MAX_CW + 1,
+            ..CmapConfig::default()
+        });
+    }
+
+    #[test]
+    fn the_largest_contention_window_doubles_without_overflow() {
+        let mac = CmapMac::new(CmapConfig {
+            cw_start: MAX_CW,
+            cw_max: MAX_CW,
+            ..CmapConfig::default()
+        });
+        let cw = grow_cw(0, &mac.cfg);
+        assert_eq!(cw, MAX_CW);
+        assert_eq!(grow_cw(cw, &mac.cfg), MAX_CW);
+    }
+
+    #[test]
     fn single_link_throughput_comparable_to_dcf() {
         // §4.2 calibration: CMAP 5.04 vs 802.11 5.07 Mbit/s on one link.
         let mut rss = Vec::new();
@@ -1619,7 +1678,10 @@ mod tests {
         assert!(!mac.csma_fallback_active(now));
         assert_eq!(mac.check_defer_broadcast(me, &[dst], now), None);
         // Ablated variant never falls back.
-        let mut ablated = CmapMac::new(CmapConfig::default().without_csma_fallback());
+        let mut ablated = CmapMac::new(CmapConfig {
+            fallback_csma: false,
+            ..CmapConfig::default()
+        });
         ablated
             .ongoing
             .note_header(x, y, now + millis(2), cmap_phy::Rate::R6);
@@ -1666,8 +1728,8 @@ mod tests {
         // The sender reboots mid-run: its sequence space restarts at zero
         // and all conflict-map state is lost. The receiver must detect the
         // reboot (cmap.peer_reset) and the flow must recover.
-        use cmap_sim::faults::Outage;
         use cmap_sim::FaultPlan;
+        use cmap_sim::Outage;
         let mut rss = Vec::new();
         rss.extend(sym(0, 1, -60.0));
         let mut w = world_from_rss(2, &rss, 10);
@@ -1705,7 +1767,7 @@ mod tests {
         // Clean link: essentially no retransmissions, no duplicates, CW 0.
         assert_eq!(w.stats().flow(f).duplicates, 0);
         let mac = w.mac_ref(0).as_any().downcast_ref::<CmapMac>().unwrap();
-        assert_eq!(mac.contention_window(), 0);
+        assert_eq!(mac.cw, 0);
         assert!(w.stats().counter(CounterId::CmapAckTx) > 50);
     }
 }

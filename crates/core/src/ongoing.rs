@@ -14,15 +14,15 @@ use cmap_wire::MacAddr;
 
 /// One transmission currently believed to be in progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OngoingEntry {
+pub(crate) struct OngoingEntry {
     /// Transmitting node.
-    pub src: MacAddr,
+    pub(crate) src: MacAddr,
     /// Intended receiver.
-    pub dst: MacAddr,
+    pub(crate) dst: MacAddr,
     /// When the transmission is expected to end.
-    pub until: Time,
+    pub(crate) until: Time,
     /// Bit-rate of the data packets (from the §3.5 annotation).
-    pub rate: Rate,
+    pub(crate) rate: Rate,
 }
 
 persist!(struct OngoingEntry { src, dst, until, rate });
@@ -30,7 +30,7 @@ persist!(struct OngoingEntry { src, dst, until, rate });
 /// The set of transmissions in progress within hearing range. Insertion
 /// order is part of the deterministic (and checkpointed) state.
 #[derive(Debug, Default)]
-pub struct OngoingList {
+pub(crate) struct OngoingList {
     entries: Vec<OngoingEntry>,
 }
 
@@ -38,12 +38,12 @@ persist!(struct OngoingList { entries });
 
 impl OngoingList {
     /// Empty list.
-    pub fn new() -> OngoingList {
+    pub(crate) fn new() -> OngoingList {
         OngoingList::default()
     }
 
     /// A header announced `src → dst` lasting until `until`.
-    pub fn note_header(&mut self, src: MacAddr, dst: MacAddr, until: Time, rate: Rate) {
+    pub(crate) fn note_header(&mut self, src: MacAddr, dst: MacAddr, until: Time, rate: Rate) {
         match self.entries.iter_mut().find(|e| e.src == src) {
             Some(e) => {
                 e.dst = dst;
@@ -60,13 +60,20 @@ impl OngoingList {
     }
 
     /// A trailer marked the end of `src`'s transmission.
-    pub fn note_trailer(&mut self, src: MacAddr, now: Time) {
+    pub(crate) fn note_trailer(&mut self, src: MacAddr, now: Time) {
         self.entries.retain(|e| !(e.src == src && e.until >= now));
     }
 
     /// An overheard data packet from `src → dst`: keep the entry alive for
     /// at least `guard` past now (covers a missed header).
-    pub fn note_data(&mut self, src: MacAddr, dst: MacAddr, now: Time, guard: Time, rate: Rate) {
+    pub(crate) fn note_data(
+        &mut self,
+        src: MacAddr,
+        dst: MacAddr,
+        now: Time,
+        guard: Time,
+        rate: Rate,
+    ) {
         let until = now + guard;
         match self.entries.iter_mut().find(|e| e.src == src) {
             Some(e) => {
@@ -83,30 +90,15 @@ impl OngoingList {
     }
 
     /// Remove entries that have expired. Returns how many were evicted.
-    pub fn prune(&mut self, now: Time) -> usize {
+    pub(crate) fn prune(&mut self, now: Time) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| e.until > now);
         before - self.entries.len()
     }
 
     /// Live entries at `now`.
-    pub fn iter_at(&self, now: Time) -> impl Iterator<Item = &OngoingEntry> {
+    pub(crate) fn iter_at(&self, now: Time) -> impl Iterator<Item = &OngoingEntry> {
         self.entries.iter().filter(move |e| e.until > now)
-    }
-
-    /// Is `node` currently the source or destination of any transmission?
-    pub fn involves(&self, node: MacAddr, now: Time) -> Option<&OngoingEntry> {
-        self.iter_at(now).find(|e| e.src == node || e.dst == node)
-    }
-
-    /// Latest expected end among live entries (for tests/diagnostics).
-    pub fn latest_end(&self, now: Time) -> Option<Time> {
-        self.iter_at(now).map(|e| e.until).max()
-    }
-
-    /// Number of live entries.
-    pub fn len_at(&self, now: Time) -> usize {
-        self.iter_at(now).count()
     }
 }
 
@@ -122,12 +114,9 @@ mod tests {
     fn header_then_expiry() {
         let mut o = OngoingList::new();
         o.note_header(a(1), a(2), 1000, Rate::R6);
-        assert_eq!(o.len_at(0), 1);
-        assert_eq!(o.len_at(999), 1);
-        assert_eq!(o.len_at(1000), 0);
-        assert!(o.involves(a(1), 500).is_some());
-        assert!(o.involves(a(2), 500).is_some());
-        assert!(o.involves(a(3), 500).is_none());
+        assert_eq!(o.iter_at(0).count(), 1);
+        assert_eq!(o.iter_at(999).count(), 1);
+        assert_eq!(o.iter_at(1000).count(), 0);
     }
 
     #[test]
@@ -135,18 +124,18 @@ mod tests {
         let mut o = OngoingList::new();
         o.note_header(a(1), a(2), 10_000, Rate::R6);
         o.note_trailer(a(1), 4_000);
-        assert_eq!(o.len_at(5_000), 0);
+        assert_eq!(o.iter_at(5_000).count(), 0);
     }
 
     #[test]
     fn data_refreshes_missed_header() {
         let mut o = OngoingList::new();
         o.note_data(a(1), a(2), 100, 500, Rate::R6);
-        assert_eq!(o.len_at(400), 1);
+        assert_eq!(o.iter_at(400).count(), 1);
         // Subsequent data keeps pushing the horizon.
         o.note_data(a(1), a(2), 550, 500, Rate::R6);
-        assert_eq!(o.len_at(700), 1);
-        assert_eq!(o.len_at(1100), 0);
+        assert_eq!(o.iter_at(700).count(), 1);
+        assert_eq!(o.iter_at(1100).count(), 0);
     }
 
     #[test]
@@ -154,7 +143,7 @@ mod tests {
         let mut o = OngoingList::new();
         o.note_header(a(1), a(2), 1000, Rate::R6);
         o.note_header(a(1), a(3), 2000, Rate::R6);
-        assert_eq!(o.len_at(0), 1);
+        assert_eq!(o.iter_at(0).count(), 1);
         let e = o.iter_at(0).next().unwrap();
         assert_eq!(e.dst, a(3));
         assert_eq!(e.until, 2000);
@@ -167,6 +156,6 @@ mod tests {
         o.note_header(a(3), a(4), 1000, Rate::R6);
         assert_eq!(o.prune(500), 1);
         assert_eq!(o.entries.len(), 1);
-        assert_eq!(o.latest_end(0), Some(1000));
+        assert_eq!(o.entries[0].until, 1000);
     }
 }

@@ -121,7 +121,7 @@ impl ThroughputRate {
     }
 
     /// Current delivery estimate for a cell (1.0 optimistic prior).
-    pub fn delivery_estimate(&self, dst: MacAddr, rate: Rate) -> f64 {
+    pub(crate) fn delivery_estimate(&self, dst: MacAddr, rate: Rate) -> f64 {
         self.cells.get(&(dst, rate)).map_or(1.0, |c| c.delivery)
     }
 

@@ -74,7 +74,7 @@ persist!(struct SentVpkt { dst, seq, pkts, acked, sent_at, rate, rounds });
 
 impl SentVpkt {
     /// Bitmap with one bit per carried packet.
-    pub fn full_mask(&self) -> u32 {
+    pub(crate) fn full_mask(&self) -> u32 {
         if self.pkts.len() >= 32 {
             u32::MAX
         } else {
@@ -83,12 +83,12 @@ impl SentVpkt {
     }
 
     /// True once every packet is acknowledged.
-    pub fn fully_acked(&self) -> bool {
+    pub(crate) fn fully_acked(&self) -> bool {
         self.acked & self.full_mask() == self.full_mask()
     }
 
     /// Unacknowledged packets, in index order.
-    pub fn unacked(&self) -> impl Iterator<Item = &DataPkt> {
+    pub(crate) fn unacked(&self) -> impl Iterator<Item = &DataPkt> {
         self.pkts
             .iter()
             .enumerate()
@@ -143,7 +143,7 @@ impl SendWindow {
     /// whole virtual packet's worth — otherwise a few percent of residual
     /// loss fills the window after a handful of virtual packets and the
     /// sender spends most of its life in τ-scale retransmission stalls.
-    pub fn outstanding_pkts(&self) -> usize {
+    pub(crate) fn outstanding_pkts(&self) -> usize {
         self.sent
             .iter()
             .map(|v| v.pkts.len() - (v.acked & v.full_mask()).count_ones() as usize)
@@ -152,7 +152,7 @@ impl SendWindow {
 
     /// True when the unacknowledged-packet count has reached the window
     /// limit (`n_window × n_vpkt` data packets).
-    pub fn is_full(&self, window_pkts: usize) -> bool {
+    pub(crate) fn is_full(&self, window_pkts: usize) -> bool {
         self.outstanding_pkts() >= window_pkts
     }
 
@@ -229,13 +229,13 @@ impl SendWindow {
     }
 
     /// Whether repacked retransmissions are pending.
-    pub fn has_rtx(&self) -> bool {
+    pub(crate) fn has_rtx(&self) -> bool {
         !self.rtx.is_empty()
     }
 
     /// Drain the per-rate delivery feedback accumulated since the last call
     /// (input for a [`RateController`](crate::rate_control::RateController)).
-    pub fn take_feedback(&mut self) -> Vec<(MacAddr, Rate, usize, usize)> {
+    pub(crate) fn take_feedback(&mut self) -> Vec<(MacAddr, Rate, usize, usize)> {
         std::mem::take(&mut self.feedback)
     }
 }
@@ -244,11 +244,11 @@ impl SendWindow {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RxVpkt {
     /// Bitmap of received data-packet indices.
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Count announced by header/trailer, when one was received.
-    pub expected: Option<u8>,
+    pub(crate) expected: Option<u8>,
     /// End of the header frame (start of the data burst), when heard.
-    pub data_start: Option<Time>,
+    pub(crate) data_start: Option<Time>,
 }
 
 persist!(struct RxVpkt { bits, expected, data_start });
@@ -293,25 +293,20 @@ impl PeerRx {
     }
 
     /// Trailer received: the count is (re)learned even if the header died.
-    pub fn on_trailer(&mut self, seq: u32, count: u8) {
+    pub(crate) fn on_trailer(&mut self, seq: u32, count: u8) {
         let r = self.touch(seq);
         r.expected.get_or_insert(count);
     }
 
     /// Record for a virtual packet, if any.
-    pub fn record(&self, seq: u32) -> Option<&RxVpkt> {
+    pub(crate) fn record(&self, seq: u32) -> Option<&RxVpkt> {
         self.records.get(&seq)
-    }
-
-    /// Highest virtual-packet sequence heard from this sender.
-    pub fn highest(&self) -> Option<u32> {
-        self.highest
     }
 
     /// First finalisation of `seq` returns `true`; repeats (duplicated or
     /// reordered trailers / finalise timers) return `false` so callers can
     /// skip non-idempotent work such as interference attribution.
-    pub fn mark_finalized(&mut self, seq: u32) -> bool {
+    pub(crate) fn mark_finalized(&mut self, seq: u32) -> bool {
         self.finalized.insert(seq)
     }
 
@@ -319,7 +314,7 @@ impl PeerRx {
     /// zero again. Frames can only be reordered within a send window, so a
     /// sequence arriving more than `window` below the highest ever seen is
     /// a reboot, not reordering — the caller should discard this state.
-    pub fn looks_rebooted(&self, seq: u32, window: u32) -> bool {
+    pub(crate) fn looks_rebooted(&self, seq: u32, window: u32) -> bool {
         self.highest.is_some_and(|h| seq.saturating_add(window) < h)
     }
 
@@ -343,7 +338,7 @@ impl PeerRx {
 
     /// Allocation-free core of [`PeerRx::build_ack`]: bitmaps are written
     /// into `out`, returning `(base_seq, bitmap_count, loss_rate)`.
-    pub fn build_ack_into(
+    pub(crate) fn build_ack_into(
         &mut self,
         upto: u32,
         n_window: usize,

@@ -104,7 +104,8 @@ mod tests {
     fn ap_sweep_produces_all_cells() {
         let spec = Spec {
             duration: secs(10),
-            ..Spec::quick()
+            configs: 6,
+            ..Spec::default()
         };
         let out = ap_sweep(&spec, 4, 2);
         // 2 Ns x 3 protocols rows.

@@ -68,7 +68,8 @@ mod tests {
     fn single_link_rates_are_comparable() {
         let spec = Spec {
             duration: secs(10),
-            ..Spec::quick()
+            configs: 6,
+            ..Spec::default()
         };
         let c = single_link(&spec);
         assert!(

@@ -18,7 +18,7 @@ pub struct Fig14Point {
     pub normalized: f64,
     /// Lower bound on the probability both S and R hear I:
     /// `max(PRR(I→R) + PRR(I→S) − 1, 0)` (§5.4).
-    pub p_heard: f64,
+    pub(crate) p_heard: f64,
 }
 
 /// Fig 14 output: the scatter plus the paper's two summary numbers.

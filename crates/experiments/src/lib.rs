@@ -18,8 +18,8 @@
 //! | [`mesh`] | §5.7 two-hop content dissemination |
 //! | [`convergence`] | §7's transient-loss concern, quantified (extension) |
 //!
-//! Every function takes a [`Spec`] so benchmark binaries can trade run
-//! length for fidelity (`Spec::quick` / default / `Spec::full`), and returns
+//! Every function takes a [`Spec`](runner::Spec) so benchmark binaries can
+//! trade run length for fidelity, and returns
 //! plain data that the `cmap-bench` binaries render with `cmap-stats`.
 
 pub mod ap;
@@ -30,8 +30,7 @@ pub mod header_trailer;
 pub mod hidden;
 pub mod in_range;
 pub mod mesh;
-pub mod protocol;
+mod protocol;
 pub mod runner;
 
 pub use protocol::Protocol;
-pub use runner::{RunOutput, Spec, TestbedCtx};

@@ -21,7 +21,7 @@ impl Protocol {
     }
 
     /// "CS off, acks".
-    pub fn cs_off_acks() -> Protocol {
+    pub(crate) fn cs_off_acks() -> Protocol {
         Protocol::Dcf(DcfConfig::cs_off_acks())
     }
 
@@ -36,7 +36,7 @@ impl Protocol {
     }
 
     /// "CMAP, win=1" — the stop-and-wait ablation of Fig 12.
-    pub fn cmap_win1() -> Protocol {
+    pub(crate) fn cmap_win1() -> Protocol {
         Protocol::Cmap(CmapConfig::default().stop_and_wait())
     }
 
@@ -59,14 +59,6 @@ impl Protocol {
             },
             Protocol::Cmap(cfg) if cfg.n_window == 1 => "CMAP, win=1".into(),
             Protocol::Cmap(_) => "CMAP".into(),
-        }
-    }
-
-    /// The data rate this protocol transmits at.
-    pub fn rate(&self) -> Rate {
-        match self {
-            Protocol::Dcf(cfg) => cfg.rate,
-            Protocol::Cmap(cfg) => cfg.data_rate,
         }
     }
 
@@ -96,7 +88,13 @@ mod tests {
 
     #[test]
     fn rate_builder_applies() {
-        assert_eq!(Protocol::cmap().at_rate(Rate::R18).rate(), Rate::R18);
-        assert_eq!(Protocol::cs_on().at_rate(Rate::R12).rate(), Rate::R12);
+        assert!(matches!(
+            Protocol::cmap().at_rate(Rate::R18),
+            Protocol::Cmap(cfg) if cfg.data_rate == Rate::R18
+        ));
+        assert!(matches!(
+            Protocol::cs_on().at_rate(Rate::R12),
+            Protocol::Dcf(cfg) if cfg.rate == Rate::R12
+        ));
     }
 }

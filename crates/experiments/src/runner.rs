@@ -2,7 +2,7 @@
 
 use cmap_sim::rng::derive_seed;
 use cmap_sim::time::{secs, Time};
-use cmap_sim::{CounterId, MediumBuilder, PhyConfig, World};
+use cmap_sim::{MediumBuilder, PhyConfig, World};
 use cmap_topo::select::LinkPair;
 use cmap_topo::{LinkMeasurements, RadioEnv, Testbed};
 
@@ -47,24 +47,6 @@ impl Default for Spec {
 }
 
 impl Spec {
-    /// Short runs for unit/integration tests.
-    pub fn quick() -> Spec {
-        Spec {
-            duration: secs(10),
-            configs: 6,
-            ..Spec::default()
-        }
-    }
-
-    /// The paper's full method: 100-second runs measured over the last 60.
-    pub fn full() -> Spec {
-        Spec {
-            duration: secs(100),
-            warmup_frac: 0.4,
-            ..Spec::default()
-        }
-    }
-
     /// Start of the measurement window.
     pub fn measure_from(&self) -> Time {
         cmap_sim::time::scale(self.duration, self.warmup_frac)
@@ -119,25 +101,21 @@ pub fn build_world(ctx: &TestbedCtx, seed: u64) -> World {
 pub struct RunOutput {
     /// Throughput of each flow in Mbit/s over the measurement window, in
     /// the order the links were given.
-    pub per_flow_mbps: Vec<f64>,
+    pub(crate) per_flow_mbps: Vec<f64>,
     /// Per intended link `(src, dst)`: virtual-packet header reception rate
     /// and header-or-trailer reception rate (CMAP runs only).
-    pub hdr_rates: Vec<((usize, usize), f64, f64)>,
-    /// Selected run counters for diagnostics.
-    pub defers: u64,
-    /// Total transmissions.
-    pub txs: u64,
+    pub(crate) hdr_rates: Vec<((usize, usize), f64, f64)>,
 }
 
 impl RunOutput {
     /// Sum of flow throughputs.
-    pub fn aggregate_mbps(&self) -> f64 {
+    pub(crate) fn aggregate_mbps(&self) -> f64 {
         self.per_flow_mbps.iter().sum()
     }
 }
 
 /// Run saturated flows over `links` under `protocol` and measure.
-pub fn run_links(
+pub(crate) fn run_links(
     ctx: &TestbedCtx,
     links: &[(usize, usize)],
     protocol: &Protocol,
@@ -174,8 +152,6 @@ pub fn run_links(
     RunOutput {
         per_flow_mbps,
         hdr_rates,
-        defers: world.stats().counter(CounterId::CmapDefer),
-        txs: world.stats().counter(CounterId::SimTx),
     }
 }
 
@@ -236,21 +212,19 @@ mod tests {
     fn spec_windows() {
         let s = Spec::default();
         assert_eq!(s.measure_from(), secs(12));
-        assert_eq!(Spec::full().duration, secs(100));
-        assert_eq!(Spec::full().measure_from(), secs(40));
     }
 
     #[test]
     fn default_spec_is_serial() {
         assert_eq!(Spec::default().jobs, 1);
-        assert_eq!(Spec::quick().jobs, 1);
     }
 
     #[test]
     fn single_link_run_produces_throughput() {
         let spec = Spec {
             duration: secs(5),
-            ..Spec::quick()
+            configs: 6,
+            ..Spec::default()
         };
         let ctx = testbed_ctx(&spec);
         // Find any potential transmission link.

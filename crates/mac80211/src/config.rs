@@ -18,22 +18,22 @@ pub struct DcfConfig {
     /// Bit-rate for data frames.
     pub rate: Rate,
     /// Bit-rate for ACK control frames (the base rate, like real cards).
-    pub ack_rate: Rate,
+    pub(crate) ack_rate: Rate,
     /// Minimum contention window in slots.
-    pub cw_min: u32,
+    pub(crate) cw_min: u32,
     /// Maximum contention window in slots.
-    pub cw_max: u32,
+    pub(crate) cw_max: u32,
     /// Retransmission attempts before a frame is dropped.
-    pub retry_limit: u32,
+    pub(crate) retry_limit: u32,
     /// Post-backoff between consecutive frames even without loss feedback
     /// (real hardware always runs a CW_min backoff after a transmission).
-    pub post_backoff: bool,
+    pub(crate) post_backoff: bool,
     /// How long after a data frame's end to wait for the ACK before
     /// declaring a timeout.
-    pub ack_timeout_ns: Time,
+    pub(crate) ack_timeout_ns: Time,
     /// Use EIFS instead of DIFS after an undecodable reception (802.11's
     /// protection for the ACK exchange the station may have missed).
-    pub eifs: bool,
+    pub(crate) eifs: bool,
 }
 
 impl Default for DcfConfig {

@@ -20,8 +20,8 @@
 //! Omissions (documented in DESIGN.md): EIFS and RTS/CTS, neither of which
 //! the paper's experiments use.
 
-pub mod config;
-pub mod mac;
+mod config;
+mod mac;
 pub mod timing;
 
 pub use config::DcfConfig;

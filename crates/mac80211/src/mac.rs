@@ -13,9 +13,9 @@
 
 use rand::Rng;
 
-use cmap_sim::app::AppPacket;
+use cmap_obs::CounterId;
 use cmap_sim::time::{ns_to_u32_saturating, whole_slots, Time};
-use cmap_sim::{ckpt, persist, CounterId, Mac, NodeCtx, RxInfo};
+use cmap_sim::{ckpt, persist, AppPacket, Mac, NodeCtx, RxInfo};
 use cmap_wire::view::compose;
 use cmap_wire::{dot11, FrameView, MacAddr};
 
@@ -136,11 +136,6 @@ impl DcfMac {
             pending_ack_to: None,
             in_flight: InFlight::Idle,
         }
-    }
-
-    /// The configuration this MAC runs with.
-    pub fn config(&self) -> &DcfConfig {
-        &self.cfg
     }
 
     fn medium_clear(&self, ctx: &NodeCtx<'_>) -> bool {
@@ -590,8 +585,8 @@ mod tests {
     fn dcf_survives_crash_restart_churn() {
         // Both ends crash (staggered) and come back; the DCF flow must
         // recover with no watchdog violations.
-        use cmap_sim::faults::Outage;
         use cmap_sim::FaultPlan;
+        use cmap_sim::Outage;
         let mut rss = Vec::new();
         rss.extend(sym(0, 1, -60.0));
         let mut w = world_from_rss(2, &rss, 11);

@@ -6,7 +6,7 @@ use cmap_sim::time::{micros, Time};
 pub const SLOT_NS: Time = micros(9);
 
 /// Short interframe space: 16 µs.
-pub const SIFS_NS: Time = micros(16);
+pub(crate) const SIFS_NS: Time = micros(16);
 
 /// DCF interframe space: SIFS + 2 slots = 34 µs.
 pub const DIFS_NS: Time = SIFS_NS + 2 * SLOT_NS;
@@ -15,15 +15,15 @@ pub const DIFS_NS: Time = SIFS_NS + 2 * SLOT_NS;
 pub const CW_MIN: u32 = 15;
 
 /// Maximum contention window (slots).
-pub const CW_MAX: u32 = 1023;
+pub(crate) const CW_MAX: u32 = 1023;
 
 /// Default retry limit before a frame is dropped.
-pub const RETRY_LIMIT: u32 = 7;
+pub(crate) const RETRY_LIMIT: u32 = 7;
 
 /// Extended interframe space: used instead of DIFS after a reception the
 /// PHY could not decode, protecting a possible ACK exchange the station
 /// missed. `EIFS = SIFS + ACK airtime at the base rate + DIFS` ≈ 94 µs.
-pub const EIFS_NS: Time = SIFS_NS + micros(44) + DIFS_NS;
+pub(crate) const EIFS_NS: Time = SIFS_NS + micros(44) + DIFS_NS;
 
 #[cfg(test)]
 mod tests {

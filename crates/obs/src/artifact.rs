@@ -24,7 +24,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Manifest format identifier (first line of every manifest file).
-pub const MANIFEST_SCHEMA: &str = "cmap-manifest/v1";
+pub(crate) const MANIFEST_SCHEMA: &str = "cmap-manifest/v1";
 
 /// Write `bytes` to `path` atomically: temp file, fsync, rename.
 ///

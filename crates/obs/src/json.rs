@@ -6,7 +6,7 @@
 //! order, `BTreeMap`-sorted keys, and a single float formatting rule.
 
 /// Append `s` as a JSON string literal (with quotes) to `out`.
-pub fn push_str_lit(out: &mut String, s: &str) {
+pub(crate) fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -26,7 +26,7 @@ pub fn push_str_lit(out: &mut String, s: &str) {
 
 /// Render an `f64` deterministically: Rust's shortest round-trip repr for
 /// finite values, `null` for NaN/infinities (JSON has no spelling for them).
-pub fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -35,7 +35,7 @@ pub fn fmt_f64(v: f64) -> String {
 }
 
 /// Append a `"key":` prefix (no leading comma) to `out`.
-pub fn push_key(out: &mut String, key: &str) {
+pub(crate) fn push_key(out: &mut String, key: &str) {
     push_str_lit(out, key);
     out.push(':');
 }

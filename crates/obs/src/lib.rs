@@ -20,23 +20,23 @@
 //! | Module | Provides |
 //! |---|---|
 //! | [`alloc`] | opt-in counting global allocator (`benchmark/` installs it) |
-//! | [`metrics`] | `CounterId` / `GaugeId` registries with static names |
-//! | [`trace`] | typed ring-buffer trace sink with deterministic JSONL dump |
-//! | [`report`] | `RunReport` / `SuiteReport` manifest writers (`--json`) |
-//! | [`json`] | minimal deterministic JSON encoding helpers |
+//! | `metrics` | [`CounterId`] / [`GaugeId`] registries with static names |
+//! | `trace` | typed ring-buffer [`TraceSink`] with deterministic JSONL dump |
+//! | `report` | [`RunReport`] / [`SuiteReport`] manifest writers (`--json`) |
+//! | `json` | minimal deterministic JSON encoding helpers |
 
 pub mod alloc;
-pub mod artifact;
-pub mod json;
-pub mod metrics;
-pub mod report;
+mod artifact;
+mod json;
+mod metrics;
+mod report;
 pub mod rss;
-pub mod trace;
+mod trace;
 
-pub use artifact::{atomic_write, fnv1a64, Manifest, MANIFEST_SCHEMA};
+pub use artifact::{atomic_write, fnv1a64, Manifest};
 pub use metrics::{CounterId, GaugeId};
 pub use report::{
     BerTableBlock, FidelityRow, FigureEntry, MetricValue, Predicate, RunReport, SpecBlock,
-    SuiteReport, TimingBlock, Verdict, SCHEMA,
+    SuiteReport, TimingBlock, Verdict,
 };
 pub use trace::{TraceEvent, TraceRecord, TraceSink};

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use crate::json;
 
 /// Report schema identifier (bump on breaking shape changes).
-pub const SCHEMA: &str = "cmap-obs/v1";
+pub(crate) const SCHEMA: &str = "cmap-obs/v1";
 
 /// The run parameters block: which testbed, which seeds, how long.
 #[derive(Debug, Clone, Default)]
@@ -139,13 +139,13 @@ impl TimingBlock {
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Registry/bin name (e.g. `fig12_exposed`).
-    pub figure: String,
+    pub(crate) figure: String,
     /// Human title (the banner heading).
-    pub title: String,
+    pub(crate) title: String,
     /// Run parameters.
-    pub spec: SpecBlock,
+    pub(crate) spec: SpecBlock,
     /// Named results, sorted by key at serialization.
-    pub metrics: BTreeMap<String, MetricValue>,
+    pub(crate) metrics: BTreeMap<String, MetricValue>,
     /// Wall-clock block (filled by the harness shell; `None` in library
     /// contexts).
     pub timing: Option<TimingBlock>,
@@ -238,7 +238,7 @@ impl FigureEntry {
     /// The numeric metric `key` of this entry, if it has one. A raw entry
     /// is searched as text: inside its `metrics` object `"key":` can only
     /// be the key itself (a quote inside a string literal is escaped), and
-    /// [`json::fmt_f64`] wrote the shortest repr that parses back to the
+    /// `json::fmt_f64` wrote the shortest repr that parses back to the
     /// same bits, so a restored figure yields the value the run measured.
     pub fn metric_f64(&self, key: &str) -> Option<f64> {
         match self {
@@ -395,9 +395,9 @@ impl FidelityRow {
 #[derive(Debug, Clone)]
 pub struct SuiteReport {
     /// Suite name (e.g. `repro_all`).
-    pub suite: String,
+    pub(crate) suite: String,
     /// The shared CLI-level spec the suite ran under.
-    pub spec: SpecBlock,
+    pub(crate) spec: SpecBlock,
     /// The BER table in use; `None` omits the key (library contexts).
     pub ber_table: Option<BerTableBlock>,
     /// Every fidelity predicate of the figures run, in suite order;

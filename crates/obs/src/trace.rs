@@ -70,7 +70,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The event's kind tag as it appears in the JSONL `ev` field.
-    pub const fn kind(&self) -> &'static str {
+    pub(crate) const fn kind(&self) -> &'static str {
         match self {
             TraceEvent::TxStart { .. } => "tx_start",
             TraceEvent::DeferDecision { .. } => "defer_decision",
@@ -85,7 +85,7 @@ impl TraceEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Global emit sequence number (monotonic across evictions).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Simulation time of the emit, in ns.
     pub at_ns: u64,
     /// The event.
@@ -94,7 +94,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// One JSONL line: fixed field order, no trailing newline.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut s = String::with_capacity(96);
         s.push_str("{\"seq\":");
         s.push_str(&self.seq.to_string());

@@ -16,7 +16,7 @@
 use crate::rate::{CodeRate, Modulation, Rate};
 
 /// Receiver channel bandwidth in Hz (802.11a, 20 MHz).
-pub const BANDWIDTH_HZ: f64 = 20e6;
+pub(crate) const BANDWIDTH_HZ: f64 = 20e6;
 
 /// Complementary error function.
 ///
@@ -35,7 +35,7 @@ pub fn erfc(x: f64) -> f64 {
 
 /// Gaussian tail probability `Q(x) = P[N(0,1) > x]`.
 #[inline]
-pub fn q_func(x: f64) -> f64 {
+pub(crate) fn q_func(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
@@ -45,7 +45,7 @@ pub fn q_func(x: f64) -> f64 {
 /// * BPSK/QPSK: `Q(sqrt(2γ))`
 /// * 16-QAM:    `(3/4)·Q(sqrt(4γ/5))`
 /// * 64-QAM:    `(7/12)·Q(sqrt(2γ/7))`
-pub fn modulation_ber(modulation: Modulation, gamma_bit: f64) -> f64 {
+pub(crate) fn modulation_ber(modulation: Modulation, gamma_bit: f64) -> f64 {
     if gamma_bit <= 0.0 {
         return 0.5;
     }
@@ -143,7 +143,7 @@ fn code_spectrum(code: CodeRate) -> &'static CodeSpectrum {
 /// numerically benign (every partial result is bounded by the coefficient
 /// sum) and needs no early-exit guard: the 0.5 clamp already absorbs the
 /// saturated regime.
-pub fn coded_ber(p: f64, code: CodeRate) -> f64 {
+pub(crate) fn coded_ber(p: f64, code: CodeRate) -> f64 {
     coded_ber_union_bound(p, code).min(0.5)
 }
 
@@ -154,7 +154,7 @@ pub fn coded_ber(p: f64, code: CodeRate) -> f64 {
 /// the smooth unsaturated curve: interpolating across the saturation kink
 /// would cost ~1e-2 absolute error at the corner, while interpolating the
 /// smooth bound and saturating *after* reproduces the clamp exactly.
-pub fn coded_ber_union_bound(p: f64, code: CodeRate) -> f64 {
+pub(crate) fn coded_ber_union_bound(p: f64, code: CodeRate) -> f64 {
     if p <= 0.0 {
         return 0.0;
     }
@@ -174,7 +174,7 @@ pub fn coded_ber_union_bound(p: f64, code: CodeRate) -> f64 {
 /// Coded bits stream at `bit_rate / code_rate`; despreading the 20 MHz channel
 /// onto that stream gives `γ_c = SINR · B / R_coded`.
 #[inline]
-pub fn gamma_per_coded_bit(sinr: f64, rate: Rate) -> f64 {
+pub(crate) fn gamma_per_coded_bit(sinr: f64, rate: Rate) -> f64 {
     let coded_bit_rate = rate.bits_per_sec() as f64 / rate.code_rate().ratio();
     sinr * BANDWIDTH_HZ / coded_bit_rate
 }
@@ -186,7 +186,7 @@ pub fn ber(sinr: f64, rate: Rate) -> f64 {
 
 /// [`ber`] before its final 0.5 saturation — the smooth curve the BER
 /// interpolation tables sample (see [`coded_ber_union_bound`]).
-pub fn ber_union_bound(sinr: f64, rate: Rate) -> f64 {
+pub(crate) fn ber_union_bound(sinr: f64, rate: Rate) -> f64 {
     let gamma = gamma_per_coded_bit(sinr, rate);
     let raw = modulation_ber(rate.modulation(), gamma);
     coded_ber_union_bound(raw, rate.code_rate())
@@ -196,7 +196,7 @@ pub fn ber_union_bound(sinr: f64, rate: Rate) -> f64 {
 /// linear SINR (i.e. the complement of the PER for that span of bits).
 ///
 /// Computed in log space so very small error rates don't underflow to 1.
-pub fn bits_success_prob(sinr: f64, rate: Rate, bits: u64) -> f64 {
+pub(crate) fn bits_success_prob(sinr: f64, rate: Rate, bits: u64) -> f64 {
     if bits == 0 {
         return 1.0;
     }
@@ -220,27 +220,27 @@ pub fn packet_success_prob(sinr: f64, rate: Rate, psdu_bytes: usize) -> f64 {
     1.0 - per(sinr, rate, psdu_bytes)
 }
 
-/// Linear SINR required to achieve a target packet success probability for a
-/// given frame, found by bisection. Used by topology calibration and tests.
-pub fn sinr_for_success_prob(target: f64, rate: Rate, psdu_bytes: usize) -> f64 {
-    assert!((0.0..1.0).contains(&target) && target > 0.0);
-    let (mut lo, mut hi) = (1e-3f64, 1e6f64);
-    for _ in 0..200 {
-        let mid = (lo * hi).sqrt();
-        if packet_success_prob(mid, rate, psdu_bytes) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo * hi).sqrt()
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
     use crate::units::{db_to_ratio, ratio_to_db};
+
+    /// Linear SINR required to achieve a target packet success probability
+    /// for a given frame, found by bisection.
+    fn sinr_for_success_prob(target: f64, rate: Rate, psdu_bytes: usize) -> f64 {
+        assert!((0.0..1.0).contains(&target) && target > 0.0);
+        let (mut lo, mut hi) = (1e-3f64, 1e6f64);
+        for _ in 0..200 {
+            let mid = (lo * hi).sqrt();
+            if packet_success_prob(mid, rate, psdu_bytes) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo * hi).sqrt()
+    }
 
     #[test]
     fn erfc_reference_values() {

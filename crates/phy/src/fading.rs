@@ -58,11 +58,11 @@ pub const MAX_SIGMA_DB: f64 = 12.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FadingConfigError {
     /// The `PhyConfig` field at fault.
-    pub field: &'static str,
+    pub(crate) field: &'static str,
     /// The refused value.
-    pub value: f64,
+    pub(crate) value: f64,
     /// What the field must satisfy.
-    pub must_be: &'static str,
+    pub(crate) must_be: &'static str,
 }
 
 impl std::fmt::Display for FadingConfigError {
@@ -167,7 +167,7 @@ impl FadingTable {
     }
 
     /// The cell and the position inside it, in (0, 1), that the word `bits`
-    /// selects: the top [`CELL_BITS`] bits, then the next 52 centred in
+    /// selects: the top `CELL_BITS` bits, then the next 52 centred in
     /// their step so neither end of the cell — and so neither 0 nor 1 as a
     /// probability — is ever reached.
     #[inline]

@@ -12,12 +12,12 @@
 //! * **Cells.** A SINR's cell is `sinr.to_bits() >> 48`: sign, exponent and
 //!   the top four mantissa bits, i.e. 16 cells per octave (~0.19 dB) found
 //!   with a shift instead of a `log`. Every cell stores the curve at its two
-//!   edges, widened by [`SLACK`]; the cells below and above the tabulated
+//!   edges, widened by `SLACK`; the cells below and above the tabulated
 //!   span store the curve's bound on that side (0 and 1 for a probability),
 //!   so the bracket holds everywhere and the span is only a matter of how
 //!   tight it is.
 //! * **Soundness.** The real-valued curves are monotone and their float
-//!   evaluations are within a few ulp of them; [`SLACK`] (1e-9 relative)
+//!   evaluations are within a few ulp of them; `SLACK` (1e-9 relative)
 //!   is six orders above that. `tests/phy_props.rs` holds every cell to it
 //!   and debug builds assert every bracketed decision equal to the exact
 //!   one. The error bound is zero: outcomes, not approximations.
@@ -35,7 +35,7 @@ use crate::table::BerTable;
 
 /// Relative widening of every stored edge value, and of the bit total and
 /// the `exp` in [`DrawGate::decode_bracket`].
-pub const SLACK: f64 = 1e-9;
+pub(crate) const SLACK: f64 = 1e-9;
 
 /// `log2` of the SINR span the lock curve is tabulated over: it is exactly
 /// 0.0 at the bottom edge and exactly 1.0 from the top edge up.

@@ -19,7 +19,7 @@ pub const PLCP_SIG_NS: u64 = 4_000;
 
 /// SIGNAL field payload: RATE(4) + reserved(1) + LENGTH(12) + parity(1) +
 /// tail(6) = 24 bits, BPSK rate-1/2.
-pub const SIG_BITS: u64 = 24;
+pub(crate) const SIG_BITS: u64 = 24;
 
 /// Per-coded-bit SNR of the SIGNAL field given the linear SINR over the
 /// 20 MHz channel. The SIGNAL symbol carries 48 coded bits in 4 µs, i.e. a

@@ -7,15 +7,12 @@
 //! and made slightly asymmetric.
 
 /// Carrier frequency of 802.11a channel 48, in Hz.
-pub const CARRIER_HZ: f64 = 5.24e9;
+pub(crate) const CARRIER_HZ: f64 = 5.24e9;
 
 /// Reference distance for the log-distance model, metres.
 pub const REF_DISTANCE_M: f64 = 1.0;
 
-/// Default path-loss exponent for a cluttered office floor.
-pub const DEFAULT_PATH_LOSS_EXPONENT: f64 = 3.3;
-
-/// Free-space path loss at [`REF_DISTANCE_M`] for [`CARRIER_HZ`], in dB:
+/// Free-space path loss at [`REF_DISTANCE_M`] for `CARRIER_HZ`, in dB:
 /// `20·log10(4π·d0·f/c)`.
 pub fn reference_loss_db() -> f64 {
     let c = crate::units::SPEED_OF_LIGHT_M_PER_S;
@@ -48,6 +45,9 @@ pub fn propagation_delay_ns(distance_m: f64) -> u64 {
 mod tests {
     use super::*;
 
+    /// A path-loss exponent for a cluttered office floor.
+    const OFFICE_EXPONENT: f64 = 3.3;
+
     #[test]
     fn reference_loss_is_about_47_db() {
         let l = reference_loss_db();
@@ -58,7 +58,7 @@ mod tests {
     fn path_loss_monotone_in_distance() {
         let mut last = 0.0;
         for d in [1.0, 2.0, 5.0, 10.0, 30.0, 60.0] {
-            let l = path_loss_db(d, DEFAULT_PATH_LOSS_EXPONENT);
+            let l = path_loss_db(d, OFFICE_EXPONENT);
             assert!(l > last);
             last = l;
         }
@@ -75,8 +75,8 @@ mod tests {
     #[test]
     fn near_field_clamps() {
         assert_eq!(
-            path_loss_db(0.1, DEFAULT_PATH_LOSS_EXPONENT),
-            path_loss_db(1.0, DEFAULT_PATH_LOSS_EXPONENT)
+            path_loss_db(0.1, OFFICE_EXPONENT),
+            path_loss_db(1.0, OFFICE_EXPONENT)
         );
     }
 
@@ -84,7 +84,7 @@ mod tests {
     fn typical_office_link_budget() {
         // At 15 dBm tx power and 20 m, the RSS should land in the usable
         // range for 6 Mbit/s (noise floor -94 dBm, threshold a few dB above).
-        let rss = rss_dbm(15.0, 20.0, DEFAULT_PATH_LOSS_EXPONENT);
+        let rss = rss_dbm(15.0, 20.0, OFFICE_EXPONENT);
         assert!((-94.0..-60.0).contains(&rss), "{rss}");
     }
 

@@ -7,7 +7,7 @@
 
 /// Subcarrier modulation of an 802.11a rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Modulation {
+pub(crate) enum Modulation {
     /// Binary phase-shift keying, 1 coded bit per subcarrier.
     Bpsk,
     /// Quadrature phase-shift keying, 2 coded bits per subcarrier.
@@ -20,7 +20,7 @@ pub enum Modulation {
 
 /// Convolutional code rate of an 802.11a rate (IEEE K=7 code, punctured).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodeRate {
+pub(crate) enum CodeRate {
     /// Rate 1/2 (mother code).
     Half,
     /// Rate 2/3 (punctured).
@@ -31,7 +31,7 @@ pub enum CodeRate {
 
 impl CodeRate {
     /// The fraction of coded bits that carry data.
-    pub fn ratio(self) -> f64 {
+    pub(crate) fn ratio(self) -> f64 {
         match self {
             CodeRate::Half => 0.5,
             CodeRate::TwoThirds => 2.0 / 3.0,
@@ -65,7 +65,7 @@ pub enum Rate {
 }
 
 /// Duration of one OFDM symbol in nanoseconds.
-pub const OFDM_SYMBOL_NS: u64 = 4_000;
+pub(crate) const OFDM_SYMBOL_NS: u64 = 4_000;
 
 /// SERVICE field bits prepended to the PSDU before encoding.
 pub const SERVICE_BITS: u64 = 16;
@@ -104,13 +104,8 @@ impl Rate {
         }
     }
 
-    /// Net data rate in Mbit/s.
-    pub fn mbps(self) -> f64 {
-        self.bits_per_sec() as f64 / 1e6
-    }
-
     /// Subcarrier modulation.
-    pub fn modulation(self) -> Modulation {
+    pub(crate) fn modulation(self) -> Modulation {
         match self {
             Rate::R6 | Rate::R9 => Modulation::Bpsk,
             Rate::R12 | Rate::R18 => Modulation::Qpsk,
@@ -120,7 +115,7 @@ impl Rate {
     }
 
     /// Convolutional code rate.
-    pub fn code_rate(self) -> CodeRate {
+    pub(crate) fn code_rate(self) -> CodeRate {
         match self {
             Rate::R6 | Rate::R12 | Rate::R24 => CodeRate::Half,
             Rate::R48 => CodeRate::TwoThirds,
@@ -144,7 +139,7 @@ impl Rate {
 
     /// Airtime of the PSDU portion only (SERVICE + payload + tail, padded to
     /// whole OFDM symbols), in nanoseconds. Excludes preamble and SIGNAL.
-    pub fn psdu_airtime_ns(self, psdu_bytes: usize) -> u64 {
+    pub(crate) fn psdu_airtime_ns(self, psdu_bytes: usize) -> u64 {
         let bits = SERVICE_BITS + 8 * psdu_bytes as u64 + TAIL_BITS;
         let symbols = bits.div_ceil(self.n_dbps());
         symbols * OFDM_SYMBOL_NS
@@ -156,22 +151,6 @@ impl Rate {
         crate::preamble::PLCP_PREAMBLE_NS
             + crate::preamble::PLCP_SIG_NS
             + self.psdu_airtime_ns(psdu_bytes)
-    }
-
-    /// Next rate down, or `None` at the base rate. Useful for simple rate
-    /// adaptation experiments built on top of the library.
-    pub fn step_down(self) -> Option<Rate> {
-        let idx = Rate::ALL
-            .iter()
-            .position(|&r| r == self)
-            .expect("Rate::ALL lists every variant");
-        idx.checked_sub(1).map(|i| Rate::ALL[i])
-    }
-
-    /// Next rate up, or `None` at 54 Mbit/s.
-    pub fn step_up(self) -> Option<Rate> {
-        let idx = Rate::ALL.iter().position(|&r| r == self).unwrap();
-        Rate::ALL.get(idx + 1).copied()
     }
 
     /// Compact wire encoding (3 bits used); see `cmap-wire`.
@@ -249,20 +228,6 @@ mod tests {
             assert_eq!(Rate::from_u8(r.to_u8()), Some(r));
         }
         assert_eq!(Rate::from_u8(8), None);
-    }
-
-    #[test]
-    fn step_up_down_are_inverses() {
-        for r in Rate::ALL {
-            if let Some(up) = r.step_up() {
-                assert_eq!(up.step_down(), Some(r));
-            }
-            if let Some(down) = r.step_down() {
-                assert_eq!(down.step_up(), Some(r));
-            }
-        }
-        assert_eq!(Rate::R6.step_down(), None);
-        assert_eq!(Rate::R54.step_up(), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! replaces both with per-rate tables sampled once per process:
 //!
 //! * **Grid**: [`GRID_POINTS`] nodes per rate, uniform in `log2(sinr)` over
-//!   `[`[`LOG2_SINR_LO`]`, `[`LOG2_SINR_HI`]`]` (−60 dB … +90 dB, ~0.037 dB
+//!   `[LOG2_SINR_LO, LOG2_SINR_HI]` (−60 dB … +90 dB, ~0.037 dB
 //!   spacing). Every node stores the *exact* `f64` the direct evaluator
 //!   produces — bit-exact on the sampled grid by construction.
 //! * **Lookup**: linear interpolation between the two surrounding nodes.
@@ -41,13 +41,13 @@ pub const TABLE_VERSION: &str = "ber-table/v1";
 
 /// `log2` of the smallest tabulated SINR (−60 dB). Below this every rate's
 /// BER has saturated at 0.5 to double precision.
-pub const LOG2_SINR_LO: f64 = -20.0;
+pub(crate) const LOG2_SINR_LO: f64 = -20.0;
 
 /// `log2` of the largest tabulated SINR (+90 dB). Above this every rate's
 /// BER has underflowed to 0 to double precision.
-pub const LOG2_SINR_HI: f64 = 30.0;
+pub(crate) const LOG2_SINR_HI: f64 = 30.0;
 
-/// Grid nodes per rate ([`GRID_SEGMENTS`] + 1).
+/// Grid nodes per rate (`GRID_SEGMENTS` + 1).
 pub const GRID_POINTS: usize = GRID_SEGMENTS + 1;
 
 /// Interpolation segments per rate. A power of two so the grid step
@@ -64,8 +64,8 @@ pub const ERR_BOUND: f64 = 2e-3;
 /// Grid step in `log2(sinr)`.
 const STEP: f64 = (LOG2_SINR_HI - LOG2_SINR_LO) / GRID_SEGMENTS as f64;
 
-/// Per-rate BER-vs-SINR interpolation tables. Construct via
-/// [`BerTable::shared`] (or [`BerTable::build`] in tests).
+/// Per-rate BER-vs-SINR interpolation tables, built once per process:
+/// [`BerTable::shared`].
 #[derive(Debug)]
 pub struct BerTable {
     /// `Rate::ALL.len() * GRID_POINTS` node values, rate-major. Nodes hold
@@ -88,7 +88,7 @@ impl BerTable {
 
     /// Sample the direct evaluator at every grid node and measure the
     /// interpolation error at every segment midpoint.
-    pub fn build() -> BerTable {
+    pub(crate) fn build() -> BerTable {
         let n_rates = Rate::ALL.len();
         let mut values = vec![0.0; n_rates * GRID_POINTS];
         let mut max_abs_err = 0.0_f64;

@@ -14,7 +14,7 @@
 pub const NOISE_FLOOR_DBM: f64 = -94.0;
 
 /// Speed of light in metres per second, used for propagation delay.
-pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
+pub(crate) const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
 
 /// Convert a power in dBm to linear milliwatts.
 #[inline]
@@ -51,12 +51,6 @@ pub fn ratio_to_db(ratio: f64) -> f64 {
     }
 }
 
-/// Thermal noise floor in linear milliwatts (see [`NOISE_FLOOR_DBM`]).
-#[inline]
-pub fn noise_floor_mw() -> f64 {
-    dbm_to_mw(NOISE_FLOOR_DBM)
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
@@ -88,11 +82,6 @@ mod tests {
         for db in [-40.0, -3.0, 0.0, 3.0, 40.0] {
             assert!((ratio_to_db(db_to_ratio(db)) - db).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn noise_floor_matches_constant() {
-        assert!((mw_to_dbm(noise_floor_mw()) - NOISE_FLOOR_DBM).abs() < 1e-9);
     }
 
     #[test]

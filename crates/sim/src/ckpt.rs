@@ -256,7 +256,7 @@ impl<'a> CkptReader<'a> {
     /// `out`, keeping whatever capacity it already has — a run of
     /// [`Persist::FIXED`] items decoded from one slice, each with every
     /// check its `load` makes. Returns how many items were read.
-    pub fn seq_into<T: Persist>(&mut self, out: &mut Vec<T>) -> Result<usize, CkptError> {
+    pub(crate) fn seq_into<T: Persist>(&mut self, out: &mut Vec<T>) -> Result<usize, CkptError> {
         let n = self.count::<T>()?;
         out.reserve(n);
         if T::FIXED {
@@ -273,7 +273,7 @@ impl<'a> CkptReader<'a> {
 
     /// Require that the whole buffer was consumed (trailing garbage means
     /// a format mismatch, not padding).
-    pub fn expect_end(&self) -> Result<(), CkptError> {
+    pub(crate) fn expect_end(&self) -> Result<(), CkptError> {
         match self.remaining() {
             0 => Ok(()),
             n => Err(CkptError::Malformed(format!("{n} trailing bytes"))),
@@ -326,7 +326,7 @@ pub trait Persist: Sized {
 
     /// Every value encodes to exactly `MIN_BYTES` bytes (the primitives,
     /// and tuples, arrays and [`persist!`](crate::persist) structs of
-    /// them): [`CkptWriter::seq`]/[`CkptReader::seq_into`] move a run of
+    /// them): [`CkptWriter::seq`]/`CkptReader::seq_into` move a run of
     /// them through `put_at`/`get_at` on one slice.
     const FIXED: bool = false;
 

@@ -94,26 +94,26 @@ impl PhyConfig {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PhyLinear {
     /// Noise floor in mW.
-    pub noise_mw: f64,
+    pub(crate) noise_mw: f64,
     /// Minimum power in mW for a lock attempt.
-    pub sensitivity_mw: f64,
+    pub(crate) sensitivity_mw: f64,
     /// In-band energy at which CCA reads busy, in 2⁻¹⁰⁰ mW (as the radio
     /// totals it): the lower of the preamble-detection and
     /// energy-detection thresholds.
-    pub cca_busy: u128,
+    pub(crate) cca_busy: u128,
     /// Power ratio over the locked frame that steals the lock inside its
     /// preamble window; `None` when preamble capture is off.
-    pub capture_ratio: Option<f64>,
+    pub(crate) capture_ratio: Option<f64>,
     /// The same after the preamble window; `None` when MIM capture is off.
-    pub mim_ratio: Option<f64>,
+    pub(crate) mim_ratio: Option<f64>,
 }
 
 impl PhyLinear {
     /// Convert `phy`'s dB figures once. Run digests depend on the exact
     /// bits, so a change of formula here is a change of every artifact.
-    pub fn new(phy: &PhyConfig) -> PhyLinear {
+    pub(crate) fn new(phy: &PhyConfig) -> PhyLinear {
         use crate::radio::fixed_mw;
-        use cmap_phy::{dbm_to_mw, units::db_to_ratio};
+        use cmap_phy::{db_to_ratio, dbm_to_mw};
         PhyLinear {
             noise_mw: phy.noise_mw(),
             sensitivity_mw: dbm_to_mw(phy.sensitivity_dbm),

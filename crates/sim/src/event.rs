@@ -35,7 +35,7 @@ use crate::world::NodeId;
 
 /// Identifier of one transmission (one PHY frame on the air), unique within
 /// a run.
-pub type TxId = u64;
+pub(crate) type TxId = u64;
 
 /// The events the engine processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +61,7 @@ impl Event {
     pub const KIND_COUNT: usize = 6;
 
     /// Kind names in `kind_idx` order, for dispatch-profile reporting.
-    pub const KIND_NAMES: [&'static str; Event::KIND_COUNT] = [
+    pub(crate) const KIND_NAMES: [&'static str; Event::KIND_COUNT] = [
         "tx_end",
         "frame_start",
         "frame_end",
@@ -315,7 +315,7 @@ impl Scheduler {
     }
 
     /// Events processed per kind, indexed by [`Event::kind_idx`] (names in
-    /// [`Event::KIND_NAMES`]). Deterministic: derived purely from the event
+    /// `Event::KIND_NAMES`). Deterministic: derived purely from the event
     /// stream.
     pub fn processed_by_kind(&self) -> &[u64; Event::KIND_COUNT] {
         &self.processed_by_kind

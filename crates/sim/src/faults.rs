@@ -75,22 +75,22 @@ pub struct Lockup {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Chain step interval.
-    pub step_ns: Time,
+    pub(crate) step_ns: Time,
     /// P(good → bad) per step.
-    pub p_enter_bad: f64,
+    pub(crate) p_enter_bad: f64,
     /// P(bad → good) per step.
-    pub p_exit_bad: f64,
+    pub(crate) p_exit_bad: f64,
     /// Extra attenuation while a link is in the bad state, in dB.
-    pub bad_extra_loss_db: f64,
+    pub(crate) bad_extra_loss_db: f64,
 }
 
 /// Stepped log-normal shadowing applied to every link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Shadowing {
     /// How long each drawn offset holds.
-    pub step_ns: Time,
+    pub(crate) step_ns: Time,
     /// Standard deviation of the per-step offset, in dB.
-    pub sigma_db: f64,
+    pub(crate) sigma_db: f64,
 }
 
 /// A complete description of the faults injected into a run.
@@ -141,7 +141,7 @@ impl FaultPlan {
     }
 
     /// Bursty Gilbert–Elliott loss plus slow shadowing on every link.
-    pub fn bursty_channel() -> FaultPlan {
+    pub(crate) fn bursty_channel() -> FaultPlan {
         FaultPlan {
             gilbert_elliott: Some(GilbertElliott {
                 step_ns: crate::time::millis(5),
@@ -243,26 +243,26 @@ persist!(struct GeChain { rng, step, bad });
 /// Runtime fault state owned by the world while a plan is installed.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// Master-seed-derived salt for link-indexed randomness.
     salt: u64,
     n: usize,
     /// Scheduled actions, time-ordered; index is carried by `Event::Fault`.
-    pub actions: Vec<(Time, FaultAction)>,
+    pub(crate) actions: Vec<(Time, FaultAction)>,
     /// False while a node is crashed (MAC callbacks suppressed).
-    pub node_up: Vec<bool>,
+    pub(crate) node_up: Vec<bool>,
     /// Per-node clock skew in ppm (0 = nominal).
-    pub skew_ppm: Vec<i64>,
+    pub(crate) skew_ppm: Vec<i64>,
     /// Dedicated stream for corruption/duplication draws.
-    pub corrupt_rng: SmallRng,
+    pub(crate) corrupt_rng: SmallRng,
     /// Per-link GE chains, created on first query.
     ge_chains: BTreeMap<(NodeId, NodeId), GeChain>,
     /// Last time each node's MAC got any callback (liveness watchdog).
-    pub last_dispatch: Vec<Time>,
+    pub(crate) last_dispatch: Vec<Time>,
 }
 
 impl FaultState {
-    pub fn new(plan: FaultPlan, seed: u64, n: usize) -> FaultState {
+    pub(crate) fn new(plan: FaultPlan, seed: u64, n: usize) -> FaultState {
         let mut actions: Vec<(Time, FaultAction)> = Vec::new();
         for o in &plan.churn {
             assert!(o.node.index() < n, "churn node out of range");
@@ -307,7 +307,7 @@ impl FaultState {
 
     /// Total extra attenuation (dB, >= 0 means loss) for a frame from `tx`
     /// arriving at `rx` at time `now`.
-    pub fn link_offset_db(&mut self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
+    pub(crate) fn link_offset_db(&mut self, tx: NodeId, rx: NodeId, now: Time) -> f64 {
         let mut db = 0.0;
         let key = Self::link_key(tx, rx);
         let link_index = (key.0.index() * self.n + key.1.index()) as u64;
@@ -349,7 +349,7 @@ impl FaultState {
     }
 
     /// Stretch a timer delay by the node's clock skew.
-    pub fn skew_delay(&self, node: NodeId, delay: Time) -> Time {
+    pub(crate) fn skew_delay(&self, node: NodeId, delay: Time) -> Time {
         let ppm = self.skew_ppm[node.index()];
         if ppm == 0 {
             return delay;
@@ -398,11 +398,11 @@ persist!(fields FaultState { node_up, corrupt_rng, ge_chains });
 /// stalled. 2 s comfortably exceeds the longest legitimate quiet period
 /// (CMAP's retransmission wait tops out near 0.5 s).
 #[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
+pub(crate) struct WatchdogConfig {
     /// Interval between audits.
-    pub audit_period: Time,
+    pub(crate) audit_period: Time,
     /// Quiet period after which a node with data counts as stalled.
-    pub liveness_window: Time,
+    pub(crate) liveness_window: Time,
 }
 
 impl Default for WatchdogConfig {

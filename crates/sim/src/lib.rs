@@ -8,15 +8,15 @@
 //!   one link list per transmitter, built from a gain matrix at testbed
 //!   scale or from positions over a spatial index at city scale
 //!   ([`MediumBuilder`]),
-//! * a half-duplex [`radio`] per node with preamble locking, preamble
+//! * a half-duplex radio per node with preamble locking, preamble
 //!   capture, SINR-segmented reception grading and 802.11-style CCA,
 //! * a [`Mac`] trait that link layers (`cmap-core`, `cmap-mac80211`)
 //!   implement, with all effects funnelled through [`NodeCtx`],
-//! * saturated and relay application [`app`] flows,
-//! * run statistics ([`stats`]): windowed per-flow throughput, virtual-packet
+//! * saturated and relay application flows ([`AppPacket`], [`NodeApp`]),
+//! * run statistics ([`Stats`]): windowed per-flow throughput, virtual-packet
 //!   header/trailer reception bookkeeping, typed counters/gauges from the
 //!   `cmap-obs` registry, and an optional structured trace sink,
-//! * deterministic fault injection ([`faults`]): node churn, radio lockups,
+//! * deterministic fault injection ([`FaultPlan`]): node churn, radio lockups,
 //!   Gilbert–Elliott burst loss, stepped shadowing, clock skew and frame
 //!   corruption, plus a runtime invariant watchdog, and
 //! * mid-run checkpoint/restore ([`ckpt`], [`World::checkpoint`],
@@ -42,29 +42,26 @@
 
 #![deny(clippy::unwrap_used)]
 
-pub mod app;
+mod app;
 pub mod ckpt;
-pub mod config;
+mod config;
 pub mod event;
-pub mod faults;
-pub mod mac;
-pub mod medium;
-pub mod node;
-pub(crate) mod pool;
-pub mod radio;
+mod faults;
+mod mac;
+mod medium;
+mod node;
+mod pool;
+mod radio;
 pub mod rng;
-pub mod stats;
+mod stats;
 pub mod time;
-pub mod world;
+mod world;
 
-pub use app::AppPacket;
-pub use ckpt::{CkptError, CKPT_MAGIC};
-pub use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
+pub use app::{AppPacket, NodeApp};
+pub use ckpt::CkptError;
 pub use config::PhyConfig;
-pub use faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing, WatchdogConfig};
-pub use mac::{Mac, NodeCtx, NullMac, RxErrorInfo, RxInfo};
+pub use faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing};
+pub use mac::{Mac, NodeCtx, RxErrorInfo, RxInfo};
 pub use medium::{Medium, MediumBuilder, SparseStats};
-pub use radio::RadioPhase;
-pub use stats::Stats;
-pub use time::Time;
+pub use stats::{FlowStats, Stats, VpktStats};
 pub use world::{BracketCounts, Flow, FlowKind, NodeId, World, WorldBuilder};

@@ -16,7 +16,7 @@ use crate::radio::RadioPhase;
 use crate::stats::Stats;
 use crate::time::Time;
 use crate::world::{Flow, NodeId};
-use cmap_phy::{mw_to_dbm, Rate};
+use cmap_phy::Rate;
 use cmap_wire::{FrameView, MacAddr};
 
 /// Metadata for a successfully decoded frame.
@@ -32,14 +32,6 @@ pub struct RxInfo {
     pub rate: Rate,
 }
 
-impl RxInfo {
-    /// Received signal strength in dBm (a `log10`: no MAC in this
-    /// workspace asks, so receptions carry milliwatts).
-    pub fn rss_dbm(&self) -> f64 {
-        mw_to_dbm(self.signal_mw)
-    }
-}
-
 /// Metadata for a frame the radio locked onto but failed to decode — the MAC
 /// knows *something* collided or faded out, and when, but not its contents.
 #[derive(Debug, Clone, Copy)]
@@ -50,13 +42,6 @@ pub struct RxErrorInfo {
     pub end: Time,
     /// Its received signal power in milliwatts.
     pub signal_mw: f64,
-}
-
-impl RxErrorInfo {
-    /// Its received signal strength in dBm.
-    pub fn rss_dbm(&self) -> f64 {
-        mw_to_dbm(self.signal_mw)
-    }
 }
 
 /// A link-layer protocol instance at one node.
@@ -118,7 +103,7 @@ pub trait Mac {
     /// checkpoint blob. Paired with [`Mac::load_state`]; the world frames
     /// the blob, so implementations just write fields in a fixed order.
     /// The default writes nothing, which is correct for stateless MACs
-    /// (e.g. [`NullMac`]).
+    /// (e.g. `NullMac`).
     fn save_state(&self, _out: &mut Vec<u8>) {}
 
     /// Restore the state written by [`Mac::save_state`] into a
@@ -139,7 +124,7 @@ pub trait Mac {
 
 /// A MAC that never transmits; installed at nodes that only overhear.
 #[derive(Debug, Default)]
-pub struct NullMac;
+pub(crate) struct NullMac;
 
 impl Mac for NullMac {
     fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {}

@@ -27,19 +27,18 @@ use std::sync::OnceLock;
 
 use crate::config::PhyConfig;
 use crate::node::NodeId;
-use cmap_phy::units::db_to_ratio;
-use cmap_phy::{dbm_to_mw, mw_to_dbm, propagation, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{db_to_ratio, dbm_to_mw, mw_to_dbm, propagation, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// One receiver of a transmission, as the event path reads it: a row of
 /// these per transmitter, in arrival order ([`Medium::arrivals`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Arrival {
-    pub rx: NodeId,
+    pub(crate) rx: NodeId,
     /// Position of `rx` in `reachable(tx)`.
-    pub pos: u32,
-    pub delay_ns: u64,
+    pub(crate) pos: u32,
+    pub(crate) delay_ns: u64,
     /// Received power before fading: `tx_power_mw * gain`.
-    pub rss_mw: f64,
+    pub(crate) rss_mw: f64,
 }
 
 /// Build-time accounting of what pruning discarded, recorded in run
@@ -55,7 +54,7 @@ pub struct SparseStats {
     /// range of a position-fed build); each is charged the tail gain.
     pub tail_pairs: u64,
     /// The configured pruning margin above the delivery floor, in dB.
-    pub epsilon_db: f64,
+    pub(crate) epsilon_db: f64,
     /// Worst-case accumulated interference power dropped at any single
     /// receiver, expressed as the SINR-denominator inflation it could
     /// cause: `10·log10(1 + max_rx dropped_mw / noise_mw)` dB. `0.0`
@@ -148,7 +147,7 @@ impl Grid {
 /// The medium a [`World`](crate::World) runs over: per transmitter, the
 /// links above the pruning threshold, stored in CSR form — flat arrays
 /// plus `n + 1` offsets, receivers in ascending order — and, once the
-/// transmitter has sent, the same row as [`Arrival`] records in arrival
+/// transmitter has sent, the same row as `Arrival` records in arrival
 /// order, so each fan-out event reads one record of one contiguous slice.
 /// All power quantities are linear mW (gains are linear power ratios);
 /// conversions to dB happen at the edges.
@@ -416,11 +415,6 @@ impl Medium {
     /// True when the medium has no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Configured transmit power in linear mW.
-    pub fn tx_power_mw(&self) -> f64 {
-        self.tx_power_mw
     }
 
     /// Linear power gain from `tx` to `rx`; exactly `0.0` for any pair not
@@ -788,7 +782,7 @@ mod tests {
         for tx in 0..n {
             let above: Vec<NodeId> = (0..n)
                 .filter(|&rx| rx != tx)
-                .filter(|&rx| m.tx_power_mw() * dbm_to_mw(gains[tx * n + rx]) >= floor_mw)
+                .filter(|&rx| m.tx_power_mw * dbm_to_mw(gains[tx * n + rx]) >= floor_mw)
                 .map(nid)
                 .collect();
             assert_eq!(m.reachable(nid(tx)), above);

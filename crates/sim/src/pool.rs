@@ -110,13 +110,13 @@ pub(crate) fn index_of(id: TxId) -> usize {
 /// keys increase with `j`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Stream {
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// When its first and last bit leave the sender.
     start: Time,
     end: Time,
     seq0: u64,
     /// Events handled so far: the next is event `cursor`.
-    pub cursor: u32,
+    pub(crate) cursor: u32,
 }
 
 impl Stream {
@@ -147,7 +147,7 @@ pub(crate) struct FramePool {
 }
 
 impl FramePool {
-    pub fn new() -> FramePool {
+    pub(crate) fn new() -> FramePool {
         FramePool {
             slots: Vec::new(),
             free: Vec::new(),
@@ -160,7 +160,7 @@ impl FramePool {
     /// Claim a slot (reusing buffer capacity when one is free) and return
     /// its handle. The buffer contents are stale — callers compose into it
     /// via [`FramePool::buf_mut`] before arming.
-    pub fn alloc(&mut self) -> TxId {
+    pub(crate) fn alloc(&mut self) -> TxId {
         let index = match self.free.pop() {
             Some(i) => i as usize,
             None => {
@@ -193,14 +193,14 @@ impl FramePool {
 
     /// The slot's wire bytes.
     #[inline]
-    pub fn buf(&self, id: TxId) -> &[u8] {
+    pub(crate) fn buf(&self, id: TxId) -> &[u8] {
         &self.slot(id).buf
     }
 
     /// The slot's buffer for composition (clear-and-fill; capacity is
     /// retained from previous occupants).
     #[inline]
-    pub fn buf_mut(&mut self, id: TxId) -> &mut Vec<u8> {
+    pub(crate) fn buf_mut(&mut self, id: TxId) -> &mut Vec<u8> {
         &mut self.slot_mut(id).buf
     }
 
@@ -208,13 +208,13 @@ impl FramePool {
     /// dispatch path: MAC callbacks may allocate new slots while reading
     /// this frame). The slot stays live; pair with [`FramePool::put_buf`].
     #[inline]
-    pub fn take_buf(&mut self, id: TxId) -> Vec<u8> {
+    pub(crate) fn take_buf(&mut self, id: TxId) -> Vec<u8> {
         std::mem::take(&mut self.slot_mut(id).buf)
     }
 
     /// Return a buffer taken with [`FramePool::take_buf`].
     #[inline]
-    pub fn put_buf(&mut self, id: TxId, buf: Vec<u8>) {
+    pub(crate) fn put_buf(&mut self, id: TxId, buf: Vec<u8>) {
         self.slot_mut(id).buf = buf;
     }
 
@@ -286,13 +286,13 @@ impl FramePool {
 
     /// Bit-rate of a live slot.
     #[inline]
-    pub fn rate_of(&self, id: TxId) -> Rate {
+    pub(crate) fn rate_of(&self, id: TxId) -> Rate {
         self.slot(id).rate
     }
 
     /// Serialised frame length of a live slot.
     #[inline]
-    pub fn wire_len(&self, id: TxId) -> usize {
+    pub(crate) fn wire_len(&self, id: TxId) -> usize {
         self.slot(id).buf.len()
     }
 
@@ -305,7 +305,7 @@ impl FramePool {
 
     /// Release one share of an armed slot (`TxEnd` or a receiver's
     /// `FrameEnd`); the slot is recycled when the last share goes.
-    pub fn release(&mut self, id: TxId) {
+    pub(crate) fn release(&mut self, id: TxId) {
         let index = index_of(id);
         let slot = &mut self.slots[index];
         debug_assert_eq!(u64::from(slot.gen), id >> 32, "stale TxId {id:#x}");
@@ -318,24 +318,24 @@ impl FramePool {
 
     /// Recycle a slot that was allocated but never armed (transmission
     /// refused: disabled radio, half-duplex violation).
-    pub fn free_unsent(&mut self, id: TxId) {
+    pub(crate) fn free_unsent(&mut self, id: TxId) {
         let index = index_of(id);
         debug_assert_eq!(self.slots[index].ends_remaining, 0);
         self.free_slot(index);
     }
 
     /// Currently-claimed slots (in-flight transmissions).
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
     /// Most slots ever claimed at once.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
     /// Total slot recycle events (frees) so far.
-    pub fn recycled(&self) -> u64 {
+    pub(crate) fn recycled(&self) -> u64 {
         self.recycled
     }
 
@@ -343,7 +343,7 @@ impl FramePool {
 
     /// The live slots' checkpoint records in slot order (restore puts
     /// each back at its index), borrowing their wire bytes.
-    pub fn live_txs(&self) -> impl Iterator<Item = LiveTx<'_>> {
+    pub(crate) fn live_txs(&self) -> impl Iterator<Item = LiveTx<'_>> {
         let live = self.slots.iter().enumerate();
         live.filter(|(_, s)| s.ends_remaining > 0)
             .map(|(i, s)| LiveTx {
@@ -368,7 +368,7 @@ impl FramePool {
     /// if its sender or its keys do not fit the world; its cursor must
     /// name an event of its stream, and it must hold one power per
     /// receiver that cursor has started and not ended.
-    pub fn restore(
+    pub(crate) fn restore(
         high_water: u64,
         recycled: u64,
         live: Vec<LiveTx<'_>>,
@@ -444,14 +444,14 @@ impl FramePool {
 /// [`Stream`] and its live receivers' powers; the stream's end and the
 /// slot's release count follow.
 pub(crate) struct LiveTx<'a> {
-    pub tx_id: TxId,
-    pub node: NodeId,
-    pub rate: Rate,
-    pub start: Time,
-    pub buf: Cow<'a, [u8]>,
-    pub seq0: u64,
-    pub cursor: u32,
-    pub powers: Vec<u128>,
+    pub(crate) tx_id: TxId,
+    pub(crate) node: NodeId,
+    pub(crate) rate: Rate,
+    pub(crate) start: Time,
+    pub(crate) buf: Cow<'a, [u8]>,
+    pub(crate) seq0: u64,
+    pub(crate) cursor: u32,
+    pub(crate) powers: Vec<u128>,
 }
 
 persist!(struct LiveTx<'a> { tx_id, node, rate, start, buf, seq0, cursor, powers },

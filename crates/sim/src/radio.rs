@@ -42,7 +42,7 @@ use crate::config::PhyLinear;
 use crate::event::TxId;
 use crate::persist;
 use crate::time::Time;
-use cmap_phy::{gate, preamble_success_prob, DrawGate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{gate, preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
 /// The largest power held, 2⁷ mW (+21 dBm): with fewer than 2²⁰ frames on
 /// the air (one per pool slot), a total stays below 2¹²⁷. A louder arrival
@@ -87,7 +87,7 @@ pub(crate) fn mw_of(fixed: u128) -> f64 {
 
 /// Coarse radio state exposed to MACs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RadioPhase {
+pub(crate) enum RadioPhase {
     /// Neither transmitting nor locked onto a frame.
     Idle,
     /// Locked onto an incoming frame.
@@ -100,21 +100,21 @@ pub enum RadioPhase {
 /// it completes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RxLock {
-    pub tx_id: TxId,
-    pub lock_time: Time,
-    pub signal_mw: f64,
+    pub(crate) tx_id: TxId,
+    pub(crate) lock_time: Time,
+    pub(crate) signal_mw: f64,
     /// `fixed_mw(signal_mw)`, derived again on restore.
-    pub signal: u128,
+    pub(crate) signal: u128,
     /// Piecewise-constant interference (mW, excluding the locked signal)
     /// as `(change_time, level_after)`, starting with the level at lock.
-    pub interference: Vec<(Time, f64)>,
+    pub(crate) interference: Vec<(Time, f64)>,
 }
 
 persist!(struct RxLock { tx_id, lock_time, signal_mw, interference } ..RxLock::default());
 
 /// What happened when a frame arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockOutcome {
+pub(crate) enum LockOutcome {
     /// Radio locked onto the new frame.
     Locked,
     /// New frame stole the lock from a weaker frame still in its preamble.
@@ -126,18 +126,18 @@ pub enum LockOutcome {
 /// Packed per-node state bits (the `state` hot array).
 mod flag {
     /// Powered off or wedged by fault injection.
-    pub const DISABLED: u8 = 1 << 0;
+    pub(super) const DISABLED: u8 = 1 << 0;
     /// A transmission is in progress.
-    pub const TX: u8 = 1 << 1;
+    pub(super) const TX: u8 = 1 << 1;
     /// A reception lock is held.
-    pub const LOCKED: u8 = 1 << 2;
+    pub(super) const LOCKED: u8 = 1 << 2;
     /// Cached busy flag for edge-triggered carrier notifications.
-    pub const LAST_BUSY: u8 = 1 << 3;
+    pub(super) const LAST_BUSY: u8 = 1 << 3;
     /// The node's MAC takes carrier edges (`Mac::wants_channel_edges`):
     /// derived from the MAC, so kept out of the checkpoint image.
-    pub const WATCH: u8 = 1 << 4;
+    pub(super) const WATCH: u8 = 1 << 4;
     /// Any bit that makes the channel read busy regardless of energy.
-    pub const ANY_BUSY: u8 = DISABLED | TX | LOCKED;
+    pub(super) const ANY_BUSY: u8 = DISABLED | TX | LOCKED;
 }
 
 /// All radios of a world, one array per field (struct-of-arrays).
@@ -158,21 +158,21 @@ pub(crate) struct RadioBank {
     spare_profile: Vec<Vec<(Time, f64)>>,
 
     /// Brackets of the lock probability (shared, immutable).
-    gate: &'static DrawGate,
+    gate: &'static gate::DrawGate,
     /// Lock draws the bracket settled, and those that needed
     /// [`preamble_success_prob`]: host-side counts, in no artifact.
-    pub lock_draws: (u64, u64),
+    pub(crate) lock_draws: (u64, u64),
 }
 
 impl RadioBank {
     /// A bank of `n` idle radios.
-    pub fn new(n: usize) -> RadioBank {
+    pub(crate) fn new(n: usize) -> RadioBank {
         RadioBank {
             state: vec![0; n],
             energy: vec![0; n],
             lock: (0..n).map(|_| None).collect(),
             spare_profile: (0..n).map(|_| Vec::new()).collect(),
-            gate: DrawGate::shared(),
+            gate: gate::DrawGate::shared(),
             lock_draws: (0, 0),
         }
     }
@@ -205,7 +205,7 @@ impl RadioBank {
     }
 
     /// Number of radios in the bank.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.len()
     }
 
@@ -231,7 +231,7 @@ impl RadioBank {
     }
 
     /// Current coarse phase.
-    pub fn phase(&self, node: usize) -> RadioPhase {
+    pub(crate) fn phase(&self, node: usize) -> RadioPhase {
         let s = self.state[node];
         if s & flag::TX != 0 {
             RadioPhase::Transmitting
@@ -243,7 +243,7 @@ impl RadioBank {
     }
 
     /// The exact sum of the powers impinging on `node`, in 2⁻¹⁰⁰ mW.
-    pub fn energy(&self, node: usize) -> u128 {
+    pub(crate) fn energy(&self, node: usize) -> u128 {
         self.energy[node]
     }
 
@@ -254,17 +254,17 @@ impl RadioBank {
     /// A disabled radio also reads busy: a wedged front-end cannot report
     /// a clear channel, and the busy -> idle edge at recovery is what
     /// wakes carrier-waiting MACs back up.
-    pub fn busy(&self, node: usize, phy: &PhyLinear) -> bool {
+    pub(crate) fn busy(&self, node: usize, phy: &PhyLinear) -> bool {
         self.state[node] & flag::ANY_BUSY != 0 || self.energy[node] >= phy.cca_busy
     }
 
     /// The cached busy flag for edge-triggered carrier notifications.
-    pub fn last_busy(&self, node: usize) -> bool {
+    pub(crate) fn last_busy(&self, node: usize) -> bool {
         self.state[node] & flag::LAST_BUSY != 0
     }
 
     /// Update the cached busy flag.
-    pub fn set_last_busy(&mut self, node: usize, busy: bool) {
+    pub(crate) fn set_last_busy(&mut self, node: usize, busy: bool) {
         if busy {
             self.state[node] |= flag::LAST_BUSY;
         } else {
@@ -289,7 +289,7 @@ impl RadioBank {
     }
 
     /// True while powered off or wedged by fault injection.
-    pub fn is_disabled(&self, node: usize) -> bool {
+    pub(crate) fn is_disabled(&self, node: usize) -> bool {
         self.state[node] & flag::DISABLED != 0
     }
 
@@ -300,7 +300,7 @@ impl RadioBank {
     /// already started keeps its [`flag::TX`] marker — the energy is
     /// physically committed and `end_tx` still fires. Returns `true` if a
     /// locked reception was dropped.
-    pub fn power_off(&mut self, node: usize) -> bool {
+    pub(crate) fn power_off(&mut self, node: usize) -> bool {
         self.state[node] |= flag::DISABLED;
         self.energy[node] = 0;
         self.drop_lock(node)
@@ -308,7 +308,7 @@ impl RadioBank {
 
     /// Fault injection: the radio comes back. Caller re-checks carrier
     /// edges so MACs observe the busy -> idle recovery transition.
-    pub fn power_on(&mut self, node: usize) {
+    pub(crate) fn power_on(&mut self, node: usize) {
         self.state[node] &= !flag::DISABLED;
     }
 
@@ -316,21 +316,21 @@ impl RadioBank {
     /// Half-duplex (never locked while transmitting), no reception
     /// surviving a power-off, and the lock flag agreeing with the lock
     /// record. (The world holds the energy total to its receptions.)
-    pub fn invariants_ok(&self, node: usize) -> bool {
+    pub(crate) fn invariants_ok(&self, node: usize) -> bool {
         let s = self.state[node];
         let lock_flag_ok = (s & flag::LOCKED != 0) == self.lock[node].is_some();
         lock_flag_ok && (s & flag::LOCKED == 0 || s & (flag::TX | flag::DISABLED) == 0)
     }
 
     /// True if the radio is locked on the given transmission.
-    pub fn locked_on(&self, node: usize, tx_id: TxId) -> bool {
+    pub(crate) fn locked_on(&self, node: usize, tx_id: TxId) -> bool {
         self.lock[node].as_ref().is_some_and(|l| l.tx_id == tx_id)
     }
 
     /// A new frame's energy arrives at `node`. Returns whether it got the
     /// lock, and the power the radio now holds for it in 2⁻¹⁰⁰ mW — 0 at a
     /// disabled radio — which the frame's [`RadioBank::frame_end`] takes.
-    pub fn frame_start(
+    pub(crate) fn frame_start(
         &mut self,
         node: usize,
         tx_id: TxId,
@@ -419,7 +419,7 @@ impl RadioBank {
     /// A frame's energy, `heard` as its `frame_start` returned it, leaves
     /// `node`. Returns the completed lock if it was this frame's, and
     /// `false` if `heard` exceeded the total (corrupt; it then reads 0).
-    pub fn frame_end(
+    pub(crate) fn frame_end(
         &mut self,
         node: usize,
         tx_id: TxId,
@@ -444,7 +444,7 @@ impl RadioBank {
     /// half-duplex violation (already transmitting), which the world records
     /// as a watchdog violation instead of panicking.
     #[must_use]
-    pub fn begin_tx(&mut self, node: usize, _tx_id: TxId) -> bool {
+    pub(crate) fn begin_tx(&mut self, node: usize, _tx_id: TxId) -> bool {
         if self.state[node] & flag::TX != 0 {
             debug_assert!(false, "begin_tx while transmitting");
             return false;
@@ -456,7 +456,7 @@ impl RadioBank {
 
     /// The transmission finished. Returns `false` if the radio was not
     /// transmitting (a state-machine violation the world records).
-    pub fn end_tx(&mut self, node: usize) -> bool {
+    pub(crate) fn end_tx(&mut self, node: usize) -> bool {
         let was = self.state[node] & flag::TX != 0;
         debug_assert!(was, "end_tx while not transmitting");
         self.state[node] &= !flag::TX;

@@ -15,7 +15,7 @@ pub fn splitmix64(state: &mut u64) {
 }
 
 /// Finalise a SplitMix64 state into an output value.
-pub fn splitmix64_mix(mut z: u64) -> u64 {
+pub(crate) fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -99,7 +99,7 @@ impl FlowStats {
 #[derive(Debug, Default, Clone)]
 pub struct VpktStats {
     /// Virtual packets announced (header transmitted) by the sender.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Flags per-virtual-packet seq at the receiver: bit0 = header seen,
     /// bit1 = trailer seen. Capped at [`VpktStats::MAX_GOT`] entries; the
     /// counts below are cumulative and survive eviction.
@@ -108,7 +108,7 @@ pub struct VpktStats {
     trailers_total: u64,
     either_total: u64,
     /// Entries evicted from `got` to honour the cap (long soak runs).
-    pub evicted: u64,
+    pub(crate) evicted: u64,
 }
 
 persist!(struct VpktStats { sent, got, headers_total, trailers_total, either_total, evicted });
@@ -117,10 +117,10 @@ impl VpktStats {
     /// Per-seq flag entries retained; far above what a tier-1 run produces
     /// (a 100 s saturated link sees ~2k vpkt seqs), so eviction only
     /// engages on long soaks.
-    pub const MAX_GOT: usize = 4096;
+    pub(crate) const MAX_GOT: usize = 4096;
 
     /// Virtual packets whose header was received.
-    pub fn header_count(&self) -> u64 {
+    pub(crate) fn header_count(&self) -> u64 {
         self.headers_total
     }
 
@@ -130,7 +130,7 @@ impl VpktStats {
     }
 
     /// Virtual packets with header *or* trailer received.
-    pub fn either_count(&self) -> u64 {
+    pub(crate) fn either_count(&self) -> u64 {
         self.either_total
     }
 
@@ -293,7 +293,7 @@ impl Stats {
 
     /// Set a typed gauge (last write wins).
     #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, v: u64) {
+    pub(crate) fn set_gauge(&mut self, id: GaugeId, v: u64) {
         self.gauges.0[id.idx()] = v;
     }
 
@@ -342,7 +342,7 @@ impl Stats {
     }
 
     /// Detach and return the trace sink (tracing stops).
-    pub fn take_trace(&mut self) -> Option<TraceSink> {
+    pub(crate) fn take_trace(&mut self) -> Option<TraceSink> {
         self.trace.take()
     }
 

@@ -34,8 +34,7 @@ use crate::rng::stream_rng;
 use crate::stats::Stats;
 use crate::time::Time;
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
-use cmap_phy::units::db_to_ratio;
-use cmap_phy::{gate, BerTable, DrawGate, FadingTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
+use cmap_phy::{db_to_ratio, fading, gate, BerTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
 
 pub use crate::node::NodeId;
@@ -65,7 +64,7 @@ pub struct Flow {
     /// Application payload bytes per packet.
     pub payload_len: usize,
     /// Packet generation behaviour.
-    pub kind: FlowKind,
+    pub(crate) kind: FlowKind,
     pub(crate) next_seq: u32,
 }
 
@@ -83,7 +82,7 @@ pub struct World {
     phy_linear: PhyLinear,
     /// `phy`'s fading fields, validated, and the per-arrival multiplier
     /// they imply as an inverse-CDF table.
-    fading: FadingTable,
+    fading: fading::FadingTable,
     time: Time,
     sched: Scheduler,
     medium: Medium,
@@ -114,7 +113,7 @@ pub struct World {
     /// the delta, so partial runs stay consistent).
     synced_lookups: u64,
     /// Brackets of the decode probability (shared, immutable).
-    gate: &'static DrawGate,
+    gate: &'static gate::DrawGate,
     /// Decode draws the bracket settled, and those that needed
     /// [`grade_reception`]: host-side counts, in no artifact.
     decode_draws: (u64, u64),
@@ -193,7 +192,7 @@ impl World {
     /// Build a world over `medium`; every node starts with a [`NullMac`].
     fn construct(medium: Medium, phy: PhyConfig, seed: u64) -> World {
         let n = medium.len();
-        let fading = FadingTable::new(
+        let fading = fading::FadingTable::new(
             phy.fading_sigma_db,
             phy.fading_boost_prob,
             phy.fading_boost_db,
@@ -224,16 +223,17 @@ impl World {
             ber_table: BerTable::shared(),
             ber_lookups: 0,
             synced_lookups: 0,
-            gate: DrawGate::shared(),
+            gate: gate::DrawGate::shared(),
             decode_draws: (0, 0),
             channel_edges: (0, 0),
         }
     }
 
     /// Install a fault plan (and arm the invariant watchdog). Must be
-    /// called before [`World::start`]. All fault randomness derives from
-    /// the world seed via dedicated streams, so the per-node RNG streams —
-    /// and therefore any fault-free parts of the run — are unperturbed.
+    /// called before the first [`World::run_until`] starts the world. All
+    /// fault randomness derives from the world seed via dedicated streams,
+    /// so the per-node RNG streams — and therefore any fault-free parts of
+    /// the run — are unperturbed.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         assert!(!self.started, "install_faults after start");
         self.faults = Some(Box::new(FaultState::new(
@@ -275,8 +275,8 @@ impl World {
         self.radios.len()
     }
 
-    /// Install the MAC protocol for `node`. Must be called before
-    /// [`World::start`].
+    /// Install the MAC protocol for `node`. Must be called before the
+    /// first [`World::run_until`] starts the world.
     pub fn set_mac(&mut self, node: impl Into<NodeId>, mac: Box<dyn Mac>) {
         assert!(!self.started, "set_mac after start");
         let node = node.into().index();
@@ -361,11 +361,6 @@ impl World {
         &self.medium
     }
 
-    /// The PHY configuration.
-    pub fn phy(&self) -> &PhyConfig {
-        &self.phy
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Time {
         self.time
@@ -432,7 +427,7 @@ impl World {
     }
 
     /// Call every MAC's `on_start`. Idempotent guard: panics on double start.
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         assert!(!self.started, "world already started");
         self.started = true;
         self.stats.ensure_flows(self.flows.len());
@@ -1115,7 +1110,7 @@ impl World {
     /// configured identically (same medium/PHY/seed, same flows, same MAC
     /// types, same fault plan and watchdog) and **not yet started**. On
     /// success the world is mid-run exactly as the checkpointed one was;
-    /// continue with [`World::run_until`]. Do not call [`World::start`] —
+    /// continue with [`World::run_until`], which does not start it again:
     /// the restored queue already carries every pending event.
     ///
     /// On error the world may be partially overwritten and must be
@@ -1277,7 +1272,7 @@ fn payload_segments(
 
 /// Information bits of a PSDU of `psdu_len` bytes, as graded.
 fn graded_bits(psdu_len: usize) -> f64 {
-    (cmap_phy::rate::SERVICE_BITS + 8 * psdu_len as u64 + cmap_phy::rate::TAIL_BITS) as f64
+    (cmap_phy::SERVICE_BITS + 8 * psdu_len as u64 + cmap_phy::TAIL_BITS) as f64
 }
 
 /// Probability that the payload of a locked frame decodes, given the
@@ -1328,7 +1323,7 @@ fn decode_decision(
     rate: Rate,
     psdu_len: usize,
     phy: &PhyLinear,
-    gate: &DrawGate,
+    gate: &gate::DrawGate,
     unit: f64,
 ) -> (Option<bool>, u64) {
     let payload_start = c.lock_time + PLCP_PREAMBLE_NS + PLCP_SIG_NS;
@@ -2330,7 +2325,7 @@ mod tests {
     #[test]
     fn decode_decision_settles_draws_as_grading_does() {
         let phy = PhyLinear::new(&PhyConfig::default());
-        let (table, gate) = (BerTable::shared(), DrawGate::shared());
+        let (table, gate) = (BerTable::shared(), gate::DrawGate::shared());
         let mut rng = stream_rng(19, 2);
         let (mut settled, mut inside) = (0u32, 0u32);
         for levels in [1usize, 2, 5] {
@@ -2375,7 +2370,7 @@ mod tests {
     #[test]
     fn decode_decision_leaves_uncovered_and_degenerate_receptions_to_the_exact_path() {
         let phy = PhyLinear::new(&PhyConfig::default());
-        let (table, gate) = (BerTable::shared(), DrawGate::shared());
+        let (table, gate) = (BerTable::shared(), gate::DrawGate::shared());
         let rate = Rate::R6;
         let strong = phy.noise_mw * 1e4;
         let payload_start = 1_000 + PLCP_PREAMBLE_NS + PLCP_SIG_NS;

@@ -20,17 +20,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false (construction rejects empty samples); provided for
-    /// clippy-idiomatic pairing with [`Cdf::len`].
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// `F(x)`: fraction of samples `<= x`.
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
         let idx = self.sorted.partition_point(|&v| v <= x);
@@ -52,11 +41,6 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Step points `(x, F(x))` of the CDF — one per sample — for plotting or
     /// textual rendering.
     pub fn points(&self) -> Vec<(f64, f64)> {
@@ -65,18 +49,6 @@ impl Cdf {
             .iter()
             .enumerate()
             .map(|(i, &x)| (x, (i + 1) as f64 / n))
-            .collect()
-    }
-
-    /// Evaluate the CDF on a fixed grid of `bins` points spanning
-    /// `[lo, hi]` — used to print aligned multi-curve figures.
-    pub fn on_grid(&self, lo: f64, hi: f64, bins: usize) -> Vec<(f64, f64)> {
-        assert!(bins >= 2 && hi > lo);
-        (0..bins)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (bins - 1) as f64;
-                (x, self.fraction_at_or_below(x))
-            })
             .collect()
     }
 }
@@ -89,7 +61,6 @@ mod tests {
     #[test]
     fn basic_fractions() {
         let c = Cdf::new(vec![3.0, 1.0, 2.0, 4.0]);
-        assert_eq!(c.len(), 4);
         assert_eq!(c.fraction_at_or_below(0.5), 0.0);
         assert_eq!(c.fraction_at_or_below(1.0), 0.25);
         assert_eq!(c.fraction_at_or_below(2.5), 0.5);
@@ -116,17 +87,6 @@ mod tests {
     fn points_are_a_step_function() {
         let c = Cdf::new(vec![10.0, 20.0]);
         assert_eq!(c.points(), vec![(10.0, 0.5), (20.0, 1.0)]);
-    }
-
-    #[test]
-    fn grid_spans_inclusive() {
-        let c = Cdf::new(vec![1.0, 2.0, 3.0]);
-        let g = c.on_grid(0.0, 4.0, 5);
-        assert_eq!(g.len(), 5);
-        assert_eq!(g[0], (0.0, 0.0));
-        assert_eq!(g[4], (4.0, 1.0));
-        assert_eq!(g[2].0, 2.0);
-        assert!((g[2].1 - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

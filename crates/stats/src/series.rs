@@ -9,9 +9,9 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label, e.g. `"CMAP"` or `"CS, acks"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Points in ascending x order.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Series {
@@ -24,7 +24,7 @@ impl Series {
     }
 
     /// Linear interpolation of y at `x`; clamps outside the domain.
-    pub fn interpolate(&self, x: f64) -> f64 {
+    pub(crate) fn interpolate(&self, x: f64) -> f64 {
         assert!(!self.points.is_empty());
         let pts = &self.points;
         if x <= pts[0].0 {
@@ -51,9 +51,9 @@ impl Series {
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Label of the x axis.
-    pub x_label: String,
+    pub(crate) x_label: String,
     /// The curves.
-    pub series: Vec<Series>,
+    pub(crate) series: Vec<Series>,
 }
 
 impl Table {

@@ -39,16 +39,11 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Median (50th percentile).
-pub fn median(xs: &[f64]) -> f64 {
-    percentile(xs, 50.0)
-}
-
 /// A one-shot summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Arithmetic mean.
     pub mean: f64,
     /// Sample standard deviation.
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 100.0), 4.0);
         assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
-        assert!((median(&xs) - 2.5).abs() < 1e-12);
         // Unsorted input works.
         let ys = [4.0, 1.0, 3.0, 2.0];
         assert!((percentile(&ys, 50.0) - 2.5).abs() < 1e-12);

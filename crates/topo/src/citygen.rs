@@ -92,7 +92,7 @@ impl ChannelModel {
     /// natural evaluation radius for a sparse medium over this model.
     /// Shadowing can push individual links past the median, so callers
     /// should add margin (3 sigma covers 99.9% of draws).
-    pub fn range_for_gain_db(&self, min_gain_db: f64) -> f64 {
+    pub(crate) fn range_for_gain_db(&self, min_gain_db: f64) -> f64 {
         // Invert median: -min_gain = ref_loss + 10·n·log10(d) + fixed.
         let budget = -min_gain_db - propagation::reference_loss_db() - self.fixed_loss_db;
         if budget <= 0.0 {
@@ -134,8 +134,6 @@ pub struct Deployment {
     pub positions: Vec<(f64, f64)>,
     /// The channel model all link gains derive from.
     pub channel: ChannelModel,
-    /// The seed the layout was generated from.
-    pub seed: u64,
 }
 
 impl Deployment {
@@ -188,11 +186,7 @@ pub fn grid_city(
             positions.push((col as f64 * block_m + jx, row as f64 * block_m + jy));
         }
     }
-    Deployment {
-        positions,
-        channel,
-        seed,
-    }
+    Deployment { positions, channel }
 }
 
 /// Clustered deployment: `clusters` hotspot centres scattered over a
@@ -219,11 +213,7 @@ pub fn clustered(
         let y = (cy + gaussian(&mut rng) * spread_m).clamp(0.0, depth_m);
         positions.push((x, y));
     }
-    Deployment {
-        positions,
-        channel,
-        seed,
-    }
+    Deployment { positions, channel }
 }
 
 /// Poisson-disk-style deployment: uniform scatter over
@@ -291,11 +281,7 @@ pub fn poisson_disk(
             positions.push(p);
         }
     }
-    Deployment {
-        positions,
-        channel,
-        seed,
-    }
+    Deployment { positions, channel }
 }
 
 #[cfg(test)]

@@ -20,12 +20,11 @@
 //!   pairs, in-range sender pairs, hidden-terminal pairs, interferer
 //!   triples, mesh trees) and the region/AP partition of §5.6.
 
-pub mod citygen;
-pub mod measure;
+mod citygen;
+mod measure;
 pub mod select;
-pub mod testbed;
+mod testbed;
 
 pub use citygen::{clustered, grid_city, poisson_disk, ChannelModel, Deployment};
 pub use measure::{ConnectivityStats, LinkMeasurements, RadioEnv};
-pub use select::{ApTopology, InterfererTriple, LinkPair, MeshTopology};
 pub use testbed::{Testbed, TestbedParams};

@@ -7,7 +7,7 @@
 //! probability averaged over the per-frame fading distribution — exactly
 //! what an empirical packet count estimates, without the sampling noise.
 
-use cmap_phy::{dbm_to_mw, error_model, preamble, Rate};
+use cmap_phy::{dbm_to_mw, packet_success_prob, preamble_success_prob, Rate};
 use cmap_stats::percentile;
 
 use crate::testbed::Testbed;
@@ -47,7 +47,7 @@ impl Default for RadioEnv {
 /// Probability that a clean (interference-free) frame of `psdu_bytes` at
 /// `rate` is received over a link with the given mean RSS, averaged over
 /// lognormal fading.
-pub fn clean_prr(rss_dbm: f64, rate: Rate, psdu_bytes: usize, env: &RadioEnv) -> f64 {
+pub(crate) fn clean_prr(rss_dbm: f64, rate: Rate, psdu_bytes: usize, env: &RadioEnv) -> f64 {
     let noise = dbm_to_mw(env.noise_floor_dbm);
     if env.fading_sigma_db <= 0.0 {
         return clean_prr_at(rss_dbm, noise, rate, psdu_bytes, env);
@@ -82,7 +82,7 @@ fn clean_prr_at(rss_dbm: f64, noise_mw: f64, rate: Rate, psdu_bytes: usize, env:
         return 0.0;
     }
     let snr = dbm_to_mw(rss_dbm) / noise_mw;
-    preamble::preamble_success_prob(snr) * error_model::packet_success_prob(snr, rate, psdu_bytes)
+    preamble_success_prob(snr) * packet_success_prob(snr, rate, psdu_bytes)
 }
 
 /// §5.1 connectivity bands over pairs with any connectivity.
@@ -107,8 +107,6 @@ pub struct ConnectivityStats {
 #[derive(Debug, Clone)]
 pub struct LinkMeasurements {
     n: usize,
-    rate: Rate,
-    payload: usize,
     prr: Vec<f64>,
     rss_dbm: Vec<f64>,
     /// 10th / 90th percentile of RSS over connected directed links.
@@ -117,11 +115,11 @@ pub struct LinkMeasurements {
 }
 
 /// PRR below which a directed pair counts as having no connectivity at all.
-pub const ANY_CONNECTIVITY_PRR: f64 = 1e-5;
+pub(crate) const ANY_CONNECTIVITY_PRR: f64 = 1e-5;
 
 /// PRR at or above which a link counts as "PRR of 1" (a 100-packet
 /// measurement would round it to 1).
-pub const PERFECT_PRR: f64 = 0.995;
+pub(crate) const PERFECT_PRR: f64 = 0.995;
 
 impl LinkMeasurements {
     /// Measure every directed link of `tb` at `rate` with `payload`-byte
@@ -154,8 +152,6 @@ impl LinkMeasurements {
         };
         LinkMeasurements {
             n,
-            rate,
-            payload,
             prr,
             rss_dbm: rss,
             sig_p10,
@@ -171,16 +167,6 @@ impl LinkMeasurements {
     /// True if the measurement covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
-    }
-
-    /// Rate the measurement was taken at.
-    pub fn rate(&self) -> Rate {
-        self.rate
-    }
-
-    /// Payload size used for the PRR measurement.
-    pub fn payload(&self) -> usize {
-        self.payload
     }
 
     /// Directed PRR from `a` to `b`.
@@ -227,7 +213,7 @@ impl LinkMeasurements {
     }
 
     /// §5.2 "weak signal": directed RSS below the 90th percentile.
-    pub fn weak(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn weak(&self, a: usize, b: usize) -> bool {
         self.rss_dbm(a, b) < self.sig_p90
     }
 

@@ -15,31 +15,31 @@ use cmap_phy::propagation;
 #[derive(Debug, Clone)]
 pub struct TestbedParams {
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Floor width in metres.
     pub width_m: f64,
     /// Floor depth in metres.
     pub depth_m: f64,
     /// Minimum node separation in metres.
-    pub min_separation_m: f64,
+    pub(crate) min_separation_m: f64,
     /// Path-loss exponent. Office floors with interior walls run well above
     /// free space; this is the main knob that sets how far links reach.
-    pub path_loss_exponent: f64,
+    pub(crate) path_loss_exponent: f64,
     /// Extra fixed loss in dB applied to every link (walls, antennas,
     /// enclosure) — the second calibration knob for the §5.1 link bands.
-    pub fixed_loss_db: f64,
+    pub(crate) fixed_loss_db: f64,
     /// Standard deviation of the symmetric (per-pair) lognormal shadowing.
-    pub shadowing_sigma_db: f64,
+    pub(crate) shadowing_sigma_db: f64,
     /// Standard deviation of the per-direction shadowing component.
-    pub asymmetry_sigma_db: f64,
+    pub(crate) asymmetry_sigma_db: f64,
     /// Attenuation per interior wall in dB (multi-wall model). Walls are
     /// drawn per pair as `Poisson(distance / wall_every_m)`: this heavy
     /// right tail of extra loss is what produces the large population of
     /// barely-connected links the paper reports (68% of connected pairs
     /// with PRR < 0.1) — plain lognormal shadowing cannot.
-    pub wall_attenuation_db: f64,
+    pub(crate) wall_attenuation_db: f64,
     /// Mean distance between wall crossings in metres.
-    pub wall_every_m: f64,
+    pub(crate) wall_every_m: f64,
 }
 
 impl Default for TestbedParams {
@@ -78,7 +78,7 @@ pub struct Testbed {
 
 impl Testbed {
     /// Generate a testbed with the given parameters and seed.
-    pub fn generate(params: TestbedParams, seed: u64) -> Testbed {
+    pub(crate) fn generate(params: TestbedParams, seed: u64) -> Testbed {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x7e57_bed0_0000_0000);
         let positions = place_nodes(&params, &mut rng);
         let n = params.nodes;
@@ -131,15 +131,8 @@ impl Testbed {
     }
 
     /// Directed gain in dB from `a` to `b`.
-    pub fn gain_db(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn gain_db(&self, a: usize, b: usize) -> f64 {
         self.gains_db[a * self.len() + b]
-    }
-
-    /// Euclidean distance between two nodes in metres.
-    pub fn distance_m(&self, a: usize, b: usize) -> f64 {
-        let (ax, ay) = self.positions[a];
-        let (bx, by) = self.positions[b];
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
     }
 }
 
@@ -200,6 +193,13 @@ pub(crate) fn gaussian(rng: &mut SmallRng) -> f64 {
 mod tests {
     use super::*;
 
+    /// Euclidean distance between two nodes in metres.
+    fn distance_m(tb: &Testbed, a: usize, b: usize) -> f64 {
+        let (ax, ay) = tb.positions[a];
+        let (bx, by) = tb.positions[b];
+        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let a = Testbed::office_floor(3);
@@ -216,7 +216,7 @@ mod tests {
         for a in 0..tb.len() {
             for b in (a + 1)..tb.len() {
                 assert!(
-                    tb.distance_m(a, b) >= tb.params.min_separation_m - 1e-9,
+                    distance_m(&tb, a, b) >= tb.params.min_separation_m - 1e-9,
                     "{a},{b} too close"
                 );
             }
@@ -258,7 +258,7 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let d = tb.distance_m(a, b);
+                let d = distance_m(&tb, a, b);
                 if d < 15.0 {
                     near.push(tb.gain_db(a, b));
                 } else if d > 40.0 {

@@ -39,11 +39,6 @@ impl MacAddr {
         *self == MacAddr::BROADCAST
     }
 
-    /// True if the multicast (group) bit is set — includes broadcast.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Parse from a byte slice of exactly [`MacAddr::LEN`] bytes.
     pub fn from_bytes(bytes: &[u8]) -> MacAddr {
         let mut addr = [0u8; 6];
@@ -86,14 +81,12 @@ mod tests {
             let a = MacAddr::from_node_index(i);
             assert_eq!(a.node_index(), Some(i));
             assert!(!a.is_broadcast());
-            assert!(!a.is_multicast());
         }
     }
 
     #[test]
     fn broadcast_properties() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
         assert_eq!(MacAddr::BROADCAST.node_index(), None);
     }
 

@@ -30,7 +30,7 @@ pub const DATA_OVERHEAD: usize = 30;
 pub const ACK_MAX_IL_ENTRIES: usize = 32;
 
 /// Bytes per interferer entry: source 6 + interferer 6 + rate 1.
-pub const IL_ENTRY_LEN: usize = 13;
+pub(crate) const IL_ENTRY_LEN: usize = 13;
 
 /// Largest entry count that fits an interferer list's one-byte count field.
 pub const IL_MAX_ENTRIES: usize = 255;

@@ -150,7 +150,7 @@ impl ConstTail {
 /// map instead of `n` table steps. This is the frame composers' fast path:
 /// synthetic payloads are a repeated fill byte, so per-frame CRC cost
 /// stays proportional to the (small) header, not the payload.
-pub fn append_fill_and_crc(buf: &mut Vec<u8>, fill: u8, n: usize) {
+pub(crate) fn append_fill_and_crc(buf: &mut Vec<u8>, fill: u8, n: usize) {
     use std::cell::RefCell;
     use std::collections::BTreeMap;
     thread_local! {

@@ -30,11 +30,11 @@
 //! [`dot11`] hold the layout constants. The owned `Frame` reader/writer the
 //! tests compare it against lives in `tests/reference/`.
 
-pub mod addr;
+mod addr;
 pub mod cmap;
 pub mod crc;
 pub mod dot11;
-pub mod frame;
+mod frame;
 pub mod view;
 
 pub use addr::MacAddr;

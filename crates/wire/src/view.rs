@@ -240,7 +240,7 @@ impl<'a> CmapDataView<'a> {
 /// one of the few moments a saturated sender is actually listening.
 ///
 /// Layout: tag 1 + src 6 + dst 6 + base 4 + bitmap count 1 + bitmaps 4 each +
-/// loss 1 + il count 1 + entries [`cmap::IL_ENTRY_LEN`] each + CRC 4.
+/// loss 1 + il count 1 + entries `cmap::IL_ENTRY_LEN` each + CRC 4.
 #[derive(Debug, Clone, Copy)]
 pub struct CmapAckView<'a> {
     buf: &'a [u8],
@@ -323,7 +323,7 @@ impl<'a> CmapAckView<'a> {
 /// View over the periodic interferer-list broadcast from a receiver to its
 /// one-hop neighbourhood (§3.1). Senders apply update rules 1 and 2 to it.
 ///
-/// Layout: tag 1 + src 6 + count 1 + entries [`cmap::IL_ENTRY_LEN`] each +
+/// Layout: tag 1 + src 6 + count 1 + entries `cmap::IL_ENTRY_LEN` each +
 /// CRC 4.
 #[derive(Debug, Clone, Copy)]
 pub struct CmapIlView<'a> {
@@ -349,7 +349,7 @@ impl<'a> CmapIlView<'a> {
     }
 
     /// Number of conflict-pair entries.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.buf[7] as usize
     }
 

@@ -4,7 +4,7 @@
 //! `cmap_wire::view`.
 
 use cmap_phy::Rate;
-pub use cmap_wire::cmap::{InterfererEntry, MAX_ACK_WINDOW, MAX_VPKT_DATA};
+pub(crate) use cmap_wire::cmap::{InterfererEntry, MAX_ACK_WINDOW, MAX_VPKT_DATA};
 use cmap_wire::{FrameKind, MacAddr, WireError};
 
 use super::cursor::{Reader, Writer};
@@ -19,7 +19,7 @@ use super::cursor::{Reader, Writer};
 /// receivers reconstruct the interval the transmission occupied when
 /// attributing collisions (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeaderTrailer {
+pub(crate) struct HeaderTrailer {
     /// Transmitting node.
     pub src: MacAddr,
     /// Intended receiver of the virtual packet.
@@ -40,9 +40,9 @@ pub struct HeaderTrailer {
 
 impl HeaderTrailer {
     /// Serialised length including tag and CRC: 1+6+6+4+4+1+1+4.
-    pub const WIRE_LEN: usize = 27;
+    pub(crate) const WIRE_LEN: usize = 27;
 
-    pub fn parse_body(r: &mut Reader<'_>) -> Result<HeaderTrailer, WireError> {
+    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<HeaderTrailer, WireError> {
         let src = r.mac()?;
         let dst = r.mac()?;
         let tx_time_us = r.u32()?;
@@ -62,7 +62,7 @@ impl HeaderTrailer {
         })
     }
 
-    pub fn emit(&self, kind: FrameKind) -> Vec<u8> {
+    pub(crate) fn emit(&self, kind: FrameKind) -> Vec<u8> {
         debug_assert!(matches!(
             kind,
             FrameKind::CmapHeader | FrameKind::CmapTrailer
@@ -81,7 +81,7 @@ impl HeaderTrailer {
 
 /// One data packet within a virtual packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Data {
+pub(crate) struct Data {
     /// Transmitting node.
     pub src: MacAddr,
     /// Intended receiver.
@@ -105,14 +105,14 @@ pub struct Data {
 impl Data {
     /// Fixed overhead: tag 1 + src 6 + dst 6 + vpkt 4 + idx 1 + flow 2 +
     /// flow_seq 4 + len 2 + CRC 4.
-    pub const OVERHEAD: usize = 30;
+    pub(crate) const OVERHEAD: usize = 30;
 
     /// Serialised length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         Self::OVERHEAD + self.payload.len()
     }
 
-    pub fn parse_body(r: &mut Reader<'_>) -> Result<Data, WireError> {
+    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<Data, WireError> {
         let src = r.mac()?;
         let dst = r.mac()?;
         let vpkt_seq = r.u32()?;
@@ -135,7 +135,7 @@ impl Data {
         })
     }
 
-    pub fn emit(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(self.wire_len());
         w.u8(FrameKind::CmapData as u8);
         w.mac(self.src);
@@ -165,7 +165,7 @@ impl Data {
 /// natural carrier — crucially, it arrives during the sender's `t_ackwait`,
 /// one of the few moments a saturated sender is actually listening.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ack {
+pub(crate) struct Ack {
     /// The receiver sending the ACK.
     pub src: MacAddr,
     /// The data sender being acknowledged.
@@ -183,22 +183,22 @@ pub struct Ack {
 impl Ack {
     /// Fixed overhead: tag 1 + src 6 + dst 6 + base 4 + bitmap count 1 +
     /// loss 1 + il count 1 + CRC 4.
-    pub const OVERHEAD: usize = 24;
+    pub(crate) const OVERHEAD: usize = 24;
 
     /// Cap on piggybacked interferer entries.
-    pub const MAX_IL_ENTRIES: usize = 32;
+    pub(crate) const MAX_IL_ENTRIES: usize = 32;
 
     /// Serialised length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         Self::OVERHEAD + 4 * self.bitmaps.len() + InterfererList::ENTRY_LEN * self.il_entries.len()
     }
 
     /// Loss rate as a fraction in `[0, 1]`.
-    pub fn loss_rate_fraction(&self) -> f64 {
+    pub(crate) fn loss_rate_fraction(&self) -> f64 {
         f64::from(self.loss_rate) / 255.0
     }
 
-    pub fn parse_body(r: &mut Reader<'_>) -> Result<Ack, WireError> {
+    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<Ack, WireError> {
         let src = r.mac()?;
         let dst = r.mac()?;
         let base_vpkt_seq = r.u32()?;
@@ -236,7 +236,7 @@ impl Ack {
         })
     }
 
-    pub fn emit(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self) -> Vec<u8> {
         assert!(self.bitmaps.len() <= MAX_ACK_WINDOW);
         let mut w = Writer::with_capacity(self.wire_len());
         w.u8(FrameKind::CmapAck as u8);
@@ -262,7 +262,7 @@ impl Ack {
 /// Periodic interferer-list broadcast from a receiver to its one-hop
 /// neighbourhood (§3.1). Senders apply update rules 1 and 2 to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InterfererList {
+pub(crate) struct InterfererList {
     /// The receiver broadcasting its list.
     pub src: MacAddr,
     /// The `(source, interferer)` conflict pairs observed at `src`.
@@ -271,20 +271,20 @@ pub struct InterfererList {
 
 impl InterfererList {
     /// Fixed overhead: tag 1 + src 6 + count 1 + CRC 4.
-    pub const OVERHEAD: usize = 12;
+    pub(crate) const OVERHEAD: usize = 12;
 
     /// Bytes per entry: source 6 + interferer 6 + rate 1.
-    pub const ENTRY_LEN: usize = 13;
+    pub(crate) const ENTRY_LEN: usize = 13;
 
     /// Largest entry count that fits the one-byte count field.
-    pub const MAX_ENTRIES: usize = 255;
+    pub(crate) const MAX_ENTRIES: usize = 255;
 
     /// Serialised length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         Self::OVERHEAD + Self::ENTRY_LEN * self.entries.len()
     }
 
-    pub fn parse_body(r: &mut Reader<'_>) -> Result<InterfererList, WireError> {
+    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<InterfererList, WireError> {
         let src = r.mac()?;
         let count = r.u8()? as usize;
         let mut entries = Vec::with_capacity(count);
@@ -301,7 +301,7 @@ impl InterfererList {
         Ok(InterfererList { src, entries })
     }
 
-    pub fn emit(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self) -> Vec<u8> {
         assert!(self.entries.len() <= Self::MAX_ENTRIES);
         let mut w = Writer::with_capacity(self.wire_len());
         w.u8(FrameKind::CmapInterfererList as u8);

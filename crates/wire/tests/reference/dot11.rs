@@ -7,7 +7,7 @@ use super::cursor::{Reader, Writer};
 
 /// 802.11 baseline unicast data frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Data {
+pub(crate) struct Data {
     /// Transmitter address.
     pub src: MacAddr,
     /// Receiver address.
@@ -31,14 +31,14 @@ pub struct Data {
 impl Data {
     /// Fixed overhead: tag 1 + src 6 + dst 6 + seq 2 + retry 1 + dur 4 +
     /// flow 2 + flow_seq 4 + len 2 + CRC 4.
-    pub const OVERHEAD: usize = 32;
+    pub(crate) const OVERHEAD: usize = 32;
 
     /// Serialised length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         Self::OVERHEAD + self.payload.len()
     }
 
-    pub fn parse_body(r: &mut Reader<'_>) -> Result<Data, WireError> {
+    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<Data, WireError> {
         let src = r.mac()?;
         let dst = r.mac()?;
         let seq = r.u16()?;
@@ -64,7 +64,7 @@ impl Data {
         })
     }
 
-    pub fn emit(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(self.wire_len());
         w.u8(FrameKind::Dot11Data as u8);
         w.mac(self.src);
@@ -83,17 +83,17 @@ impl Data {
 /// 802.11 ACK control frame: receiver address only, padded to the real
 /// 14-byte control-frame length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ack {
+pub(crate) struct Ack {
     /// The station being acknowledged (the data frame's transmitter).
     pub dst: MacAddr,
 }
 
 impl Ack {
     /// 14 bytes like a real 802.11 ACK: tag 1 + dst 6 + pad 3 + CRC 4.
-    pub const WIRE_LEN: usize = 14;
+    pub(crate) const WIRE_LEN: usize = 14;
     const PAD: [u8; 3] = [0; 3];
 
-    pub fn parse_body(r: &mut Reader<'_>) -> Result<Ack, WireError> {
+    pub(crate) fn parse_body(r: &mut Reader<'_>) -> Result<Ack, WireError> {
         let dst = r.mac()?;
         if r.take(Self::PAD.len())? != Self::PAD {
             return Err(WireError::Malformed);
@@ -101,7 +101,7 @@ impl Ack {
         Ok(Ack { dst })
     }
 
-    pub fn emit(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(Self::WIRE_LEN);
         w.u8(FrameKind::Dot11Ack as u8);
         w.mac(self.dst);

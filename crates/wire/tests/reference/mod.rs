@@ -8,9 +8,9 @@
 
 #![allow(dead_code, reason = "each test binary mounts a different part")]
 
-pub mod cmap;
-pub mod cursor;
-pub mod dot11;
+pub(crate) mod cmap;
+pub(crate) mod cursor;
+pub(crate) mod dot11;
 
 use cmap_wire::{crc, FrameKind, FrameView, MacAddr, WireError};
 
@@ -18,7 +18,7 @@ use cursor::Reader;
 
 /// Any frame the reproduction can put on the air.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub(crate) enum Frame {
     /// CMAP virtual-packet header (kind tag distinguishes header/trailer).
     CmapHeader(cmap::HeaderTrailer),
     /// CMAP virtual-packet trailer.
@@ -37,7 +37,7 @@ pub enum Frame {
 
 impl Frame {
     /// Parse a frame from raw received bytes, validating the trailing CRC.
-    pub fn parse(buf: &[u8]) -> Result<Frame, WireError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<Frame, WireError> {
         if buf.len() < 5 {
             return Err(WireError::Truncated);
         }
@@ -65,7 +65,7 @@ impl Frame {
     }
 
     /// Serialise the frame, appending its CRC-32.
-    pub fn emit(&self) -> Vec<u8> {
+    pub(crate) fn emit(&self) -> Vec<u8> {
         match self {
             Frame::CmapHeader(h) => h.emit(FrameKind::CmapHeader),
             Frame::CmapTrailer(t) => t.emit(FrameKind::CmapTrailer),
@@ -78,7 +78,7 @@ impl Frame {
     }
 
     /// The tag of this frame.
-    pub fn kind(&self) -> FrameKind {
+    pub(crate) fn kind(&self) -> FrameKind {
         match self {
             Frame::CmapHeader(_) => FrameKind::CmapHeader,
             Frame::CmapTrailer(_) => FrameKind::CmapTrailer,
@@ -93,7 +93,7 @@ impl Frame {
     /// Transmitting station, where the frame carries one.
     ///
     /// 802.11 ACKs carry only a receiver address, like the real thing.
-    pub fn src(&self) -> Option<MacAddr> {
+    pub(crate) fn src(&self) -> Option<MacAddr> {
         Some(match self {
             Frame::CmapHeader(h) | Frame::CmapTrailer(h) => h.src,
             Frame::CmapData(d) => d.src,
@@ -105,7 +105,7 @@ impl Frame {
     }
 
     /// Intended receiver.
-    pub fn dst(&self) -> MacAddr {
+    pub(crate) fn dst(&self) -> MacAddr {
         match self {
             Frame::CmapHeader(h) | Frame::CmapTrailer(h) => h.dst,
             Frame::CmapData(d) => d.dst,
@@ -118,7 +118,7 @@ impl Frame {
 
     /// Serialised length in bytes (PSDU length for airtime computation),
     /// without re-serialising.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             Frame::CmapHeader(_) | Frame::CmapTrailer(_) => cmap::HeaderTrailer::WIRE_LEN,
             Frame::CmapData(d) => d.wire_len(),
@@ -132,7 +132,7 @@ impl Frame {
 
 /// Materialise the owned [`Frame`] a view reads, field by field through the
 /// view's accessors.
-pub fn to_frame(view: &FrameView<'_>) -> Frame {
+pub(crate) fn to_frame(view: &FrameView<'_>) -> Frame {
     let header_trailer = |v: &cmap_wire::view::HeaderTrailerView<'_>| cmap::HeaderTrailer {
         src: v.src(),
         dst: v.dst(),

@@ -71,12 +71,8 @@ pub use cmap_wire as wire;
 pub mod prelude {
     pub use cmap_core::{CmapConfig, CmapMac};
     pub use cmap_mac80211::{DcfConfig, DcfMac};
-    pub use cmap_obs::{CounterId, GaugeId, RunReport, SuiteReport, TraceEvent, TraceSink};
+    pub use cmap_obs::{CounterId, RunReport};
     pub use cmap_phy::Rate;
-    pub use cmap_sim::time;
-    pub use cmap_sim::{
-        FaultPlan, Mac, Medium, MediumBuilder, NodeCtx, NodeId, PhyConfig, World, WorldBuilder,
-    };
-    pub use cmap_topo::{LinkMeasurements, Testbed, TestbedParams};
-    pub use cmap_wire::MacAddr;
+    pub use cmap_sim::{time, Mac, Medium, MediumBuilder, NodeId, PhyConfig, World};
+    pub use cmap_topo::{LinkMeasurements, Testbed};
 }

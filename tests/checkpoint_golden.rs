@@ -8,7 +8,10 @@
 //! that claims "format unchanged" has something to be held to.
 
 use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
-use cmap_suite::experiments::{runner, Protocol, Spec};
+use cmap_suite::experiments::{
+    runner::{self, Spec},
+    Protocol,
+};
 use cmap_suite::obs::fnv1a64;
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::rng::stream_rng;

@@ -15,12 +15,12 @@ use proptest::prelude::*;
 
 use cmap_suite::cmap::{CmapConfig, CmapMac};
 use cmap_suite::phy::Rate;
-use cmap_suite::sim::app::NodeApp;
 use cmap_suite::sim::ckpt::{CkptReader, CkptWriter};
 use cmap_suite::sim::event::Event;
 use cmap_suite::sim::time::millis;
+use cmap_suite::sim::NodeApp;
 use cmap_suite::sim::{
-    CkptError, FaultPlan, Flow, Lockup, MediumBuilder, NodeId, PhyConfig, World, CKPT_MAGIC,
+    ckpt::CKPT_MAGIC, CkptError, FaultPlan, Flow, Lockup, MediumBuilder, NodeId, PhyConfig, World,
 };
 
 /// Four nodes in mutual range, two saturated flows, CMAP everywhere.

@@ -12,7 +12,10 @@
 //! processes.
 
 use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
-use cmap_suite::experiments::{runner, Protocol, Spec};
+use cmap_suite::experiments::{
+    runner::{self, Spec},
+    Protocol,
+};
 use cmap_suite::mac80211::{DcfConfig, DcfMac};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::time::{secs, Time};

@@ -1,7 +1,7 @@
 //! Bit-determinism of the whole stack: the same spec produces identical
 //! results, and different run seeds produce different (but plausible) ones.
 
-use cmap_suite::experiments::{exposed, Spec};
+use cmap_suite::experiments::{exposed, runner::Spec};
 use cmap_suite::sim::time::secs;
 
 fn small_spec(run_seed: u64) -> Spec {

@@ -7,7 +7,10 @@
 //! protect: any hash-ordered iteration or ambient-state leak on the packet
 //! path eventually shifts one timestamp, and the snapshots stop matching.
 
-use cmap_suite::experiments::{runner, Protocol, Spec};
+use cmap_suite::experiments::{
+    runner::{self, Spec},
+    Protocol,
+};
 use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::secs;
 use cmap_suite::topo::select;

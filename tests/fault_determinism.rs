@@ -6,7 +6,10 @@
 //! the full CMAP stack on a generated office testbed, with churn and a
 //! bursty channel layered on top.
 
-use cmap_suite::experiments::{runner, Protocol, Spec};
+use cmap_suite::experiments::{
+    runner::{self, Spec},
+    Protocol,
+};
 use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::secs;
 use cmap_suite::sim::FaultPlan;

@@ -33,7 +33,10 @@
 
 use proptest::prelude::*;
 
-use cmap_suite::experiments::{runner, Protocol, Spec};
+use cmap_suite::experiments::{
+    runner::{self, Spec},
+    Protocol,
+};
 use cmap_suite::obs::fnv1a64;
 use cmap_suite::phy::{dbm_to_mw, propagation};
 use cmap_suite::prelude::*;

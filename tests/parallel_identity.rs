@@ -6,7 +6,7 @@
 
 use cmap_suite::exec;
 use cmap_suite::experiments::exposed::fig12;
-use cmap_suite::experiments::Spec;
+use cmap_suite::experiments::runner::Spec;
 use cmap_suite::obs::{SpecBlock, TimingBlock};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::time::secs;

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 
-use cmap_suite::phy::units::db_to_ratio;
-use cmap_suite::phy::{error_model, preamble, Rate};
+use cmap_suite::phy::db_to_ratio;
+use cmap_suite::phy::{ber, packet_success_prob, per, preamble_success_prob, Rate};
 
 fn arb_rate() -> impl Strategy<Value = Rate> {
     (0u8..8).prop_map(|v| Rate::from_u8(v).expect("rate"))
@@ -15,8 +15,8 @@ proptest! {
     #[test]
     fn per_monotone_in_sinr(rate in arb_rate(), db1 in -10.0f64..35.0, db2 in -10.0f64..35.0, len in 1usize..2000) {
         let (lo, hi) = if db1 <= db2 { (db1, db2) } else { (db2, db1) };
-        let p_lo = error_model::per(db_to_ratio(lo), rate, len);
-        let p_hi = error_model::per(db_to_ratio(hi), rate, len);
+        let p_lo = per(db_to_ratio(lo), rate, len);
+        let p_hi = per(db_to_ratio(hi), rate, len);
         prop_assert!(p_hi <= p_lo + 1e-12, "{rate}: PER({hi}) {p_hi} > PER({lo}) {p_lo}");
     }
 
@@ -24,8 +24,8 @@ proptest! {
     #[test]
     fn per_monotone_in_length(rate in arb_rate(), db in -5.0f64..30.0, l1 in 1usize..2000, l2 in 1usize..2000) {
         let (sm, lg) = if l1 <= l2 { (l1, l2) } else { (l2, l1) };
-        let p_sm = error_model::per(db_to_ratio(db), rate, sm);
-        let p_lg = error_model::per(db_to_ratio(db), rate, lg);
+        let p_sm = per(db_to_ratio(db), rate, sm);
+        let p_lg = per(db_to_ratio(db), rate, lg);
         prop_assert!(p_sm <= p_lg + 1e-12);
     }
 
@@ -34,10 +34,10 @@ proptest! {
     fn all_outputs_are_probabilities(rate in arb_rate(), db in -40.0f64..60.0, len in 0usize..3000) {
         let sinr = db_to_ratio(db);
         for v in [
-            error_model::per(sinr, rate, len),
-            error_model::packet_success_prob(sinr, rate, len),
-            error_model::ber(sinr, rate),
-            preamble::preamble_success_prob(sinr),
+            per(sinr, rate, len),
+            packet_success_prob(sinr, rate, len),
+            ber(sinr, rate),
+            preamble_success_prob(sinr),
         ] {
             prop_assert!((0.0..=1.0).contains(&v), "{v} out of [0,1]");
             prop_assert!(v.is_finite());
@@ -49,8 +49,8 @@ proptest! {
     #[test]
     fn preamble_at_least_as_robust_as_payload(rate in arb_rate(), db in -5.0f64..30.0, len in 24usize..2000) {
         let sinr = db_to_ratio(db);
-        let pre = preamble::preamble_success_prob(sinr);
-        let pay = error_model::packet_success_prob(sinr, rate, len);
+        let pre = preamble_success_prob(sinr);
+        let pay = packet_success_prob(sinr, rate, len);
         prop_assert!(pre >= pay - 1e-9, "preamble {pre} < payload {pay}");
     }
 
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn airtime_symbol_accounting(rate in arb_rate(), len in 0usize..3000) {
         let t = rate.frame_airtime_ns(len);
-        let plcp = preamble::PLCP_PREAMBLE_NS + preamble::PLCP_SIG_NS;
+        let plcp = cmap_suite::phy::PLCP_PREAMBLE_NS + cmap_suite::phy::PLCP_SIG_NS;
         let psdu = t - plcp;
         prop_assert_eq!(psdu % 4_000, 0, "not whole OFDM symbols");
         let symbols = psdu / 4_000;
@@ -81,7 +81,7 @@ proptest! {
             let sinr = cmap_suite::phy::BerTable::grid_sinr(i);
             prop_assert_eq!(
                 t.grid_value(rate, i).to_bits(),
-                error_model::ber(sinr, rate).to_bits(),
+                ber(sinr, rate).to_bits(),
                 "table node {} diverged at sinr={} rate={}", i, sinr, rate);
         }
     }
@@ -98,7 +98,7 @@ proptest! {
             let rate = Rate::from_u8(r).expect("rate");
             let sinr = db_to_ratio(db);
             let interp = t.ber(sinr, rate);
-            let direct = error_model::ber(sinr, rate);
+            let direct = ber(sinr, rate);
             prop_assert!((0.0..=0.5).contains(&interp),
                 "table left [0, 0.5] at sinr={} rate={}: {}", sinr, rate, interp);
             prop_assert!((interp - direct).abs() <= cmap_suite::phy::table::ERR_BOUND,
@@ -114,7 +114,7 @@ proptest! {
 #[allow(clippy::float_cmp, reason = "bit equality with the formula is tested")]
 mod gate {
     use cmap_suite::phy::gate::{decide, DECODE_LOG2_SPAN, LOCK_LOG2_SPAN};
-    use cmap_suite::phy::{preamble::preamble_success_prob, BerTable, DrawGate, Rate};
+    use cmap_suite::phy::{gate::DrawGate, preamble_success_prob, BerTable, Rate};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -332,7 +332,10 @@ mod gate {
     /// rates on a 50-node office floor with disjoint saturated CMAP links.
     #[test]
     fn brackets_settle_most_draws_on_a_testbed_world() {
-        use cmap_suite::experiments::{runner, Protocol, Spec};
+        use cmap_suite::experiments::{
+            runner::{self, Spec},
+            Protocol,
+        };
         use cmap_suite::sim::rng::stream_rng;
         use cmap_suite::sim::time::secs;
         use cmap_suite::topo::select;
@@ -378,16 +381,16 @@ mod gate {
 }
 
 /// The fading table against oracles it did not write: the lognormal's CDF
-/// through `error_model::erfc`, and its quantiles through a series /
+/// through `erfc`, and its quantiles through a series /
 /// continued-fraction `erfc` inverted by bisection — neither shares a line
 /// with the table's own `inv_norm_cdf`.
 #[allow(clippy::float_cmp, reason = "bit equality with the formula is tested")]
 mod fading {
-    use cmap_suite::phy::error_model::erfc;
+    use cmap_suite::phy::erfc;
     use cmap_suite::phy::fading::{
         inv_norm_cdf, FadingTable, CELLS, FADING_TABLE_ERR_BOUND, MAX_SIGMA_DB, TAIL_CELLS,
     };
-    use cmap_suite::phy::units::{db_to_ratio, ratio_to_db};
+    use cmap_suite::phy::{db_to_ratio, ratio_to_db};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::f64::consts::{PI, SQRT_2};

@@ -6,10 +6,13 @@
 //! fire on stale handles), and once every radio quiesces the live-slot
 //! count must drain to exactly zero.
 
-use cmap_suite::experiments::{runner, Protocol, Spec};
-use cmap_suite::sim::faults::Outage;
+use cmap_suite::experiments::{
+    runner::{self, Spec},
+    Protocol,
+};
 use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::{millis, secs};
+use cmap_suite::sim::Outage;
 use cmap_suite::sim::{FaultPlan, NodeId, World};
 use cmap_suite::topo::select;
 
