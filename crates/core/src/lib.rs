@@ -35,7 +35,7 @@ mod ongoing;
 mod rate_control;
 pub mod vpkt;
 
-pub use config::CmapConfig;
+pub use config::{CmapConfig, DEFER_ENTRY_TIMEOUT};
 pub use defer_table::{DeferEntry, DeferTable};
 pub use interferer::InterfererTracker;
 pub use mac::CmapMac;

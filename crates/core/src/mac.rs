@@ -35,7 +35,11 @@ use cmap_wire::cmap;
 use cmap_wire::view::{compose, HeaderTrailerView};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
 
-use crate::config::CmapConfig;
+use crate::config::{
+    CmapConfig, ACK_TURNAROUND, CONTROL_RATE, CSMA_FALLBACK_AFTER, CW_MAX, CW_START,
+    DEFER_ENTRY_TIMEOUT, INTERFERER_MIN_SAMPLES, INTERFERER_TIMEOUT, L_BACKOFF, MAP_STALE_AFTER,
+    MAX_DEFER_WAIT, MAX_RTX_ROUNDS, N_VPKT, PEER_STATE_TIMEOUT, SW_JITTER, T_ACKWAIT, T_DEFERWAIT,
+};
 use crate::defer_table::DeferTable;
 use crate::interferer::InterfererTracker;
 use crate::ongoing::OngoingList;
@@ -52,16 +56,13 @@ const CLASS_VPKTEND: u64 = 7;
 
 const GEN_MASK: u64 = (1 << 56) - 1;
 
-/// The largest `cw_max` whose doubling in [`grow_cw`] fits in a [`Time`].
-const MAX_CW: Time = Time::MAX / 2;
-
-/// The contention window after a lossy virtual packet: `cw_start` from
-/// zero, else doubled up to `cw_max` (§3.4).
-fn grow_cw(cw: Time, cfg: &CmapConfig) -> Time {
+/// The contention window after a lossy virtual packet: `CW_START` from
+/// zero, else doubled up to `CW_MAX` (§3.4).
+fn grow_cw(cw: Time) -> Time {
     if cw == 0 {
-        cfg.cw_start
+        CW_START
     } else {
-        (cw * 2).min(cfg.cw_max)
+        (cw * 2).min(CW_MAX)
     }
 }
 
@@ -266,32 +267,12 @@ impl CmapMac {
 
     /// Create a CMAP MAC with a custom bit-rate policy (§3.5 extension).
     /// Pair with `CmapConfig::rate_aware` to also match defer entries per
-    /// rate. Panics unless `cfg.n_vpkt` is in `1..=32`: a virtual packet's
-    /// ACKs are one `u32` bitmap, and an empty one would never be sent.
-    /// Panics, too, on a window that cannot work: `n_window` 0 (the window
-    /// is always full, so nothing is sent), `cw_start > cw_max` (the
-    /// contention window shrinks on its first doubling) and a `cw_max`
-    /// whose doubling overflows a `Time`.
+    /// rate. Panics on `n_window` 0: the window would always be full, so
+    /// nothing would be sent.
     pub fn with_rate_controller(cfg: CmapConfig, rate_ctl: Box<dyn RateController>) -> CmapMac {
-        assert!(
-            (1..=32).contains(&cfg.n_vpkt),
-            "CmapConfig::n_vpkt must be in 1..=32 (one bit per packet in the ACK bitmap), got {}",
-            cfg.n_vpkt
-        );
         assert!(
             cfg.n_window >= 1,
             "CmapConfig::n_window must be at least 1, got 0"
-        );
-        assert!(
-            cfg.cw_start <= cfg.cw_max,
-            "CmapConfig::cw_start {} exceeds cw_max {}",
-            cfg.cw_start,
-            cfg.cw_max
-        );
-        assert!(
-            cfg.cw_max <= MAX_CW,
-            "CmapConfig::cw_max {} overflows the window's doubling (at most {MAX_CW})",
-            cfg.cw_max
         );
         CmapMac {
             cfg,
@@ -327,14 +308,14 @@ impl CmapMac {
     }
 
     /// Is the §4 safety fallback engaged at `now`? True when the conflict
-    /// map has not been refreshed for [`CmapConfig::map_stale_after`] *and*
-    /// ACKs have repeatedly timed out: the node then stops trusting the map
-    /// and defers to any overheard transmission, i.e. behaves like plain
-    /// carrier sense until fresh map information arrives.
+    /// map has not been refreshed for `MAP_STALE_AFTER` *and* ACKs have
+    /// timed out `CSMA_FALLBACK_AFTER` times in a row: the node then stops
+    /// trusting the map and defers to any overheard transmission, i.e.
+    /// behaves like plain carrier sense until fresh map information
+    /// arrives.
     pub(crate) fn csma_fallback_active(&self, now: Time) -> bool {
-        self.cfg.fallback_csma
-            && self.consecutive_ack_timeouts >= self.cfg.csma_fallback_after
-            && now.saturating_sub(self.last_map_refresh) > self.cfg.map_stale_after
+        self.consecutive_ack_timeouts >= CSMA_FALLBACK_AFTER
+            && now.saturating_sub(self.last_map_refresh) > MAP_STALE_AFTER
     }
 
     // ---- timing helpers -------------------------------------------------
@@ -344,9 +325,7 @@ impl CmapMac {
     }
 
     fn hdr_airtime(&self) -> Time {
-        self.cfg
-            .control_rate
-            .frame_airtime_ns(cmap::HEADER_TRAILER_LEN)
+        CONTROL_RATE.frame_airtime_ns(cmap::HEADER_TRAILER_LEN)
     }
 
     fn burst_airtime(&self, pkts: &[DataPkt], rate: cmap_phy::Rate) -> Time {
@@ -364,7 +343,7 @@ impl CmapMac {
         if self.cur.is_none() {
             // Window full and nothing repacked yet: arm the retransmission
             // timeout (Fig 6's blocking point).
-            let window_pkts = self.cfg.n_window * self.cfg.n_vpkt;
+            let window_pkts = self.cfg.n_window * N_VPKT;
             if self.window.is_full(window_pkts) && !self.window.has_rtx() {
                 ctx.stats().bump(CounterId::CmapRtxStall);
                 self.state = SState::RtxWait;
@@ -388,7 +367,7 @@ impl CmapMac {
                     rate,
                     rounds,
                 })
-            } else if self.window.is_full(self.cfg.n_window * self.cfg.n_vpkt) {
+            } else if self.window.is_full(self.cfg.n_window * N_VPKT) {
                 return; // full window, rtx already queued elsewhere
             } else {
                 let Some(first) = ctx.app_pop() else {
@@ -401,7 +380,7 @@ impl CmapMac {
                     flow_seq: first.flow_seq,
                     payload_len: first.payload_len,
                 }];
-                while pkts.len() < self.cfg.n_vpkt {
+                while pkts.len() < N_VPKT {
                     match ctx.app_pop_to(dst_node) {
                         Some(p) => pkts.push(DataPkt {
                             flow: p.flow,
@@ -444,13 +423,11 @@ impl CmapMac {
                 // without it, a deferring sender whose rival's inter-vpkt
                 // gap is shorter than a fixed t_deferwait loses every race
                 // and starves.
-                let jitter = ctx
-                    .rng()
-                    .gen_range(self.cfg.t_deferwait / 2..=3 * self.cfg.t_deferwait / 2);
+                let jitter = ctx.rng().gen_range(T_DEFERWAIT / 2..=3 * T_DEFERWAIT / 2);
                 // Clamp: the ongoing list may hold a ghost end time from a
                 // transmitter that died mid-burst; never sleep on it for
-                // longer than max_defer_wait.
-                let wait = (until.saturating_sub(now) + jitter).min(self.cfg.max_defer_wait);
+                // longer than MAX_DEFER_WAIT.
+                let wait = (until.saturating_sub(now) + jitter).min(MAX_DEFER_WAIT);
                 if ctx.trace_enabled() {
                     ctx.trace(TraceEvent::DeferDecision {
                         node: u32::try_from(ctx.node().index()).unwrap_or(u32::MAX),
@@ -533,7 +510,7 @@ impl CmapMac {
         let remaining = burst_ns + self.hdr_airtime(); // data + trailer
         let me = ctx.mac_addr();
         let tx_time_us = ns_to_us_ceil(remaining);
-        let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
+        let sent = ctx.transmit_with(CONTROL_RATE, |buf| {
             compose::header_trailer(
                 buf,
                 FrameKind::CmapHeader,
@@ -601,7 +578,7 @@ impl CmapMac {
             )
         };
         let me = ctx.mac_addr();
-        let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
+        let sent = ctx.transmit_with(CONTROL_RATE, |buf| {
             compose::header_trailer(
                 buf,
                 FrameKind::CmapTrailer,
@@ -655,23 +632,14 @@ impl CmapMac {
         });
         self.state = SState::AckWait;
         self.sender_gen += 1;
-        ctx.set_timer(self.cfg.t_ackwait, token(CLASS_ACKWAIT, self.sender_gen));
+        ctx.set_timer(T_ACKWAIT, token(CLASS_ACKWAIT, self.sender_gen));
     }
 
     fn enter_backoff(&mut self, ctx: &mut NodeCtx<'_>) {
         // Even with CW = 0 the prototype's software path added jittery
         // latency before the next virtual packet; this dither is what keeps
-        // saturated senders from phase-locking (see `CmapConfig::sw_jitter`).
-        let upper = if self.cw == 0 {
-            self.cfg.sw_jitter
-        } else {
-            self.cw
-        };
-        if upper == 0 {
-            self.state = SState::Idle;
-            self.try_send(ctx);
-            return;
-        }
+        // saturated senders from phase-locking (see `SW_JITTER`).
+        let upper = if self.cw == 0 { SW_JITTER } else { self.cw };
         self.state = SState::Backoff;
         self.sender_gen += 1;
         let wait = ctx.rng().gen_range(0..=upper);
@@ -691,8 +659,8 @@ impl CmapMac {
             self.cw = 0;
             return;
         }
-        if loss > self.cfg.l_backoff {
-            self.cw = grow_cw(self.cw, &self.cfg);
+        if loss > L_BACKOFF {
+            self.cw = grow_cw(self.cw);
             ctx.stats().bump(CounterId::CmapCwIncrease);
         } else {
             self.cw = 0;
@@ -725,7 +693,7 @@ impl CmapMac {
                 self.sender_gen += 1;
                 self.enter_backoff(ctx);
             }
-            SState::RtxWait if !self.window.is_full(self.cfg.n_window * self.cfg.n_vpkt) => {
+            SState::RtxWait if !self.window.is_full(self.cfg.n_window * N_VPKT) => {
                 // The window opened up: abandon the timeout and keep going.
                 self.sender_gen += 1;
                 self.state = SState::Idle;
@@ -857,8 +825,8 @@ impl CmapMac {
                         data_rate,
                         now,
                         self.cfg.l_interf,
-                        self.cfg.interferer_min_samples,
-                        self.cfg.interferer_timeout,
+                        INTERFERER_MIN_SAMPLES,
+                        INTERFERER_TIMEOUT,
                     );
                 }
             }
@@ -871,7 +839,7 @@ impl CmapMac {
             peer.rx.build_ack_into(
                 vpkt_seq,
                 self.cfg.n_window,
-                self.cfg.n_vpkt as u8,
+                N_VPKT as u8,
                 &mut bitmaps.items,
             )
         };
@@ -901,16 +869,11 @@ impl CmapMac {
     }
 
     /// ACK turnaround with the prototype's software jitter: uniform in
-    /// `ack_turnaround ± sw_jitter/2`, floored at 100 µs.
+    /// `ACK_TURNAROUND ± SW_JITTER / 2`.
     fn jittered_turnaround(&mut self, ctx: &mut NodeCtx<'_>) -> Time {
-        let half = self.cfg.sw_jitter / 2;
-        let lo = self
-            .cfg
-            .ack_turnaround
-            .saturating_sub(half)
-            .max(micros(100));
-        let hi = self.cfg.ack_turnaround + half;
-        ctx.rng().gen_range(lo..=hi)
+        let half = SW_JITTER / 2;
+        ctx.rng()
+            .gen_range(ACK_TURNAROUND - half..=ACK_TURNAROUND + half)
     }
 
     fn send_pending_ack(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -921,7 +884,7 @@ impl CmapMac {
             ctx.stats().bump(CounterId::CmapAckBlocked);
             return;
         }
-        let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
+        let sent = ctx.transmit_with(CONTROL_RATE, |buf| {
             compose::cmap_ack(
                 buf,
                 ack.src,
@@ -948,7 +911,7 @@ impl CmapMac {
         I: IntoIterator<Item = cmap::InterfererEntry>,
     {
         let me = ctx.mac_addr();
-        let expires = ctx.now() + self.cfg.defer_entry_timeout;
+        let expires = ctx.now() + DEFER_ENTRY_TIMEOUT;
         let mut any = false;
         for e in entries {
             any = true;
@@ -981,7 +944,7 @@ impl CmapMac {
                 .add(CounterId::CmapExpiredEvicted, evicted as u64);
         }
         let peers_before = self.peers.len();
-        let peer_cutoff = now.saturating_sub(self.cfg.peer_state_timeout);
+        let peer_cutoff = now.saturating_sub(PEER_STATE_TIMEOUT);
         self.peers.retain(|_, p| p.last_heard >= peer_cutoff);
         let peers_evicted = peers_before - self.peers.len();
         if peers_evicted > 0 {
@@ -1002,7 +965,7 @@ impl CmapMac {
         if !self.il_scratch.is_empty() && self.in_flight == InFlight::Idle {
             let me = ctx.mac_addr();
             let entries = &self.il_scratch;
-            let sent = ctx.transmit_with(self.cfg.control_rate, |buf| {
+            let sent = ctx.transmit_with(CONTROL_RATE, |buf| {
                 compose::interferer_list(buf, me, entries);
             });
             if sent {
@@ -1084,7 +1047,7 @@ impl Mac for CmapMac {
                 // Trace the moment the streak crosses into the conservative
                 // carrier-sense regime (the map-staleness leg may engage it
                 // later; DeferDecision.fallback reflects the live state).
-                if self.consecutive_ack_timeouts == self.cfg.csma_fallback_after
+                if self.consecutive_ack_timeouts == CSMA_FALLBACK_AFTER
                     && self.csma_fallback_active(ctx.now())
                     && ctx.trace_enabled()
                 {
@@ -1104,9 +1067,7 @@ impl Mac for CmapMac {
                 self.try_send(ctx);
             }
             CLASS_RTX if gen == self.sender_gen && self.state == SState::RtxWait => {
-                let (requeued, gave_up) = self
-                    .window
-                    .repack_for_rtx(self.cfg.n_vpkt, self.cfg.max_rtx_rounds);
+                let (requeued, gave_up) = self.window.repack_for_rtx(N_VPKT, MAX_RTX_ROUNDS);
                 ctx.stats().add(CounterId::CmapRtxPkt, requeued as u64);
                 if gave_up > 0 {
                     ctx.stats().add(CounterId::CmapRtxGiveUp, gave_up as u64);
@@ -1299,61 +1260,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "n_vpkt")]
-    fn an_empty_virtual_packet_is_refused() {
-        let _ = CmapMac::new(CmapConfig {
-            n_vpkt: 0,
-            ..CmapConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "n_vpkt")]
-    fn a_virtual_packet_past_the_ack_bitmap_is_refused() {
-        let _ = CmapMac::new(CmapConfig {
-            n_vpkt: 33,
-            ..CmapConfig::default()
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "n_window")]
     fn an_empty_send_window_is_refused() {
         let _ = CmapMac::new(CmapConfig {
             n_window: 0,
             ..CmapConfig::default()
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "cw_start")]
-    fn an_inverted_contention_window_is_refused() {
-        let _ = CmapMac::new(CmapConfig {
-            cw_start: millis(321),
-            cw_max: millis(320),
-            ..CmapConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "cw_max")]
-    fn a_contention_window_past_the_doubling_is_refused() {
-        let _ = CmapMac::new(CmapConfig {
-            cw_max: MAX_CW + 1,
-            ..CmapConfig::default()
-        });
-    }
-
-    #[test]
-    fn the_largest_contention_window_doubles_without_overflow() {
-        let mac = CmapMac::new(CmapConfig {
-            cw_start: MAX_CW,
-            cw_max: MAX_CW,
-            ..CmapConfig::default()
-        });
-        let cw = grow_cw(0, &mac.cfg);
-        assert_eq!(cw, MAX_CW);
-        assert_eq!(grow_cw(cw, &mac.cfg), MAX_CW);
     }
 
     #[test]
@@ -1677,17 +1589,6 @@ mod tests {
         mac.consecutive_ack_timeouts = 0;
         assert!(!mac.csma_fallback_active(now));
         assert_eq!(mac.check_defer_broadcast(me, &[dst], now), None);
-        // Ablated variant never falls back.
-        let mut ablated = CmapMac::new(CmapConfig {
-            fallback_csma: false,
-            ..CmapConfig::default()
-        });
-        ablated
-            .ongoing
-            .note_header(x, y, now + millis(2), cmap_phy::Rate::R6);
-        ablated.consecutive_ack_timeouts = 10;
-        assert!(!ablated.csma_fallback_active(now));
-        assert_eq!(ablated.check_defer_broadcast(me, &[dst], now), None);
     }
 
     #[test]

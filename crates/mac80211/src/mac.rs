@@ -20,7 +20,9 @@ use cmap_wire::view::compose;
 use cmap_wire::{dot11, FrameView, MacAddr};
 
 use crate::config::DcfConfig;
-use crate::timing::{DIFS_NS, EIFS_NS, SIFS_NS, SLOT_NS};
+use crate::timing::{
+    ACK_RATE, ACK_TIMEOUT_NS, CW_MAX, CW_MIN, DIFS_NS, EIFS_NS, RETRY_LIMIT, SIFS_NS, SLOT_NS,
+};
 
 const CLASS_DIFS: u64 = 1;
 const CLASS_BACKOFF: u64 = 2;
@@ -29,9 +31,6 @@ const CLASS_SIFS_ACK: u64 = 4;
 const CLASS_NAV: u64 = 5;
 
 const GEN_MASK: u64 = (1 << 56) - 1;
-
-/// The smallest `cw_max` whose doubling `(cw + 1) · 2 − 1` overflows `u32`.
-const CW_LIMIT: u32 = (1 << 31) - 1;
 
 fn token(class: u64, gen: u64) -> u64 {
     (class << 56) | (gen & GEN_MASK)
@@ -104,29 +103,13 @@ pub struct DcfMac {
 }
 
 impl DcfMac {
-    /// Create a DCF MAC with the given configuration. Panics unless
-    /// `cw_min <= cw_max < 2³¹ − 1`: the window doubles as `(cw + 1) · 2 − 1`
-    /// after a loss, capped at `cw_max`, so an inverted pair would shrink it
-    /// below `cw_min` and a larger `cw_max` would overflow the doubling.
+    /// Create a DCF MAC with the given configuration.
     pub fn new(cfg: DcfConfig) -> DcfMac {
-        assert!(
-            cfg.cw_min <= cfg.cw_max,
-            "cw_min {} exceeds cw_max {}",
-            cfg.cw_min,
-            cfg.cw_max
-        );
-        assert!(
-            cfg.cw_max < CW_LIMIT,
-            "cw_max {} overflows the window's doubling (at most {})",
-            cfg.cw_max,
-            CW_LIMIT - 1
-        );
-        let cw = cfg.cw_min;
         DcfMac {
             cfg,
             state: TxState::Idle,
             cur: None,
-            cw,
+            cw: CW_MIN,
             backoff_slots: 0,
             next_seq: 0,
             nav_until: 0,
@@ -275,18 +258,14 @@ impl DcfMac {
     }
 
     fn ack_airtime(&self) -> Time {
-        self.cfg.ack_rate.frame_airtime_ns(dot11::ACK_LEN)
+        ACK_RATE.frame_airtime_ns(dot11::ACK_LEN)
     }
 
     /// Done with the current packet (delivered, dropped, or fire-and-forget):
     /// run the post-backoff and move on.
     fn finish_packet(&mut self, ctx: &mut NodeCtx<'_>) {
         self.cur = None;
-        self.backoff_slots = if self.cfg.post_backoff {
-            ctx.rng().gen_range(0..=self.cw)
-        } else {
-            0
-        };
+        self.backoff_slots = ctx.rng().gen_range(0..=self.cw);
         self.state = TxState::Idle;
         self.kick(ctx);
     }
@@ -296,15 +275,15 @@ impl DcfMac {
         let drop = {
             let cur = self.cur.as_mut().expect("ack timeout without packet");
             cur.retries += 1;
-            cur.retries > self.cfg.retry_limit
+            cur.retries > RETRY_LIMIT
         };
         if drop {
             ctx.stats().bump(CounterId::DcfDrop);
-            self.cw = self.cfg.cw_min;
+            self.cw = CW_MIN;
             self.finish_packet(ctx);
         } else {
             ctx.stats().bump(CounterId::DcfRetx);
-            self.cw = ((self.cw + 1) * 2 - 1).min(self.cfg.cw_max);
+            self.cw = ((self.cw + 1) * 2 - 1).min(CW_MAX);
             self.backoff_slots = ctx.rng().gen_range(0..=self.cw);
             self.state = TxState::Idle;
             self.kick(ctx);
@@ -313,7 +292,7 @@ impl DcfMac {
 
     fn on_ack_received(&mut self, ctx: &mut NodeCtx<'_>) {
         self.sender_gen += 1; // invalidate the pending ACK timeout
-        self.cw = self.cfg.cw_min;
+        self.cw = CW_MIN;
         ctx.stats().bump(CounterId::DcfAckOk);
         self.finish_packet(ctx);
     }
@@ -342,7 +321,7 @@ impl Mac for DcfMac {
         // packet that was mid-exchange.
         self.state = TxState::Idle;
         self.cur = None;
-        self.cw = self.cfg.cw_min;
+        self.cw = CW_MIN;
         self.backoff_slots = 0;
         self.nav_until = 0;
         self.eifs_until = 0;
@@ -361,7 +340,7 @@ impl Mac for DcfMac {
         match class {
             CLASS_SIFS_ACK if gen == self.rx_gen => {
                 if let Some(dst) = self.pending_ack_to.take() {
-                    let sent = ctx.transmit_with(self.cfg.ack_rate, |buf| {
+                    let sent = ctx.transmit_with(ACK_RATE, |buf| {
                         compose::dot11_ack(buf, dst);
                     });
                     if sent {
@@ -432,10 +411,7 @@ impl Mac for DcfMac {
                 if self.ack_expected() {
                     self.state = TxState::WaitAck;
                     self.sender_gen += 1;
-                    ctx.set_timer(
-                        self.cfg.ack_timeout_ns,
-                        token(CLASS_ACK_TIMEOUT, self.sender_gen),
-                    );
+                    ctx.set_timer(ACK_TIMEOUT_NS, token(CLASS_ACK_TIMEOUT, self.sender_gen));
                 } else {
                     // Fire-and-forget (no-acks baseline or broadcast).
                     self.finish_packet(ctx);
@@ -452,7 +428,7 @@ impl Mac for DcfMac {
     }
 
     fn on_rx_error(&mut self, ctx: &mut NodeCtx<'_>, _err: cmap_sim::RxErrorInfo) {
-        if self.cfg.carrier_sense && self.cfg.eifs {
+        if self.cfg.carrier_sense {
             self.eifs_until = ctx.now() + EIFS_NS;
             ctx.stats().bump(CounterId::DcfEifs);
             if matches!(self.state, TxState::WaitDifs | TxState::Backoff { .. }) {
@@ -782,27 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn post_backoff_can_be_disabled() {
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        let cfg = DcfConfig {
-            post_backoff: false,
-            carrier_sense: false,
-            acks: false,
-            ..DcfConfig::default()
-        };
-        let mut w = world_from_rss(2, &rss, 31);
-        let f = w.add_flow(0, 1, 1400);
-        w.set_mac(0, Box::new(DcfMac::new(cfg)));
-        w.set_mac(1, Box::new(DcfMac::new(DcfConfig::cs_off_no_acks())));
-        w.run_until(secs(2));
-        // Without post-backoff the sender is strictly back-to-back: higher
-        // packet rate than the ~5.5 Mbit/s with backoff.
-        let mbps = tput(&w, f, secs(1), secs(2));
-        assert!(mbps > 5.5, "{mbps}");
-    }
-
-    #[test]
     fn cs_on_sender_defers_to_foreign_cmap_traffic() {
         // DCF cannot decode CMAP frames for NAV, but physical CCA still
         // sees them: a DCF sender sharing the room with a CMAP transfer
@@ -848,39 +803,8 @@ mod tests {
         w.run_until(secs(1));
         let mac = w.mac_ref(0).as_any().downcast_ref::<DcfMac>().unwrap();
         // With no ACKs coming back, cw returns to min after each drop; it
-        // never exceeds the configured max.
-        assert!(mac.cw <= mac.cfg.cw_max);
-    }
-
-    #[test]
-    #[should_panic(expected = "cw_min")]
-    fn an_inverted_contention_window_is_refused() {
-        let cfg = DcfConfig {
-            cw_min: 64,
-            cw_max: 63,
-            ..DcfConfig::default()
-        };
-        DcfMac::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "cw_max")]
-    fn a_contention_window_past_the_doubling_is_refused() {
-        let cfg = DcfConfig {
-            cw_max: CW_LIMIT,
-            ..DcfConfig::default()
-        };
-        DcfMac::new(cfg);
-    }
-
-    #[test]
-    fn the_largest_contention_window_doubles_without_overflow() {
-        let cfg = DcfConfig {
-            cw_max: CW_LIMIT - 1,
-            ..DcfConfig::default()
-        };
-        let cw = DcfMac::new(cfg).cfg.cw_max;
-        assert_eq!(((cw + 1) * 2 - 1).min(cw), cw);
+        // never exceeds the max.
+        assert!(mac.cw <= CW_MAX);
     }
 
     #[test]

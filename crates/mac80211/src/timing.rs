@@ -1,5 +1,6 @@
 //! 802.11a MAC timing constants.
 
+use cmap_phy::Rate;
 use cmap_sim::time::{micros, Time};
 
 /// Slot time: 9 µs.
@@ -17,8 +18,19 @@ pub const CW_MIN: u32 = 15;
 /// Maximum contention window (slots).
 pub(crate) const CW_MAX: u32 = 1023;
 
-/// Default retry limit before a frame is dropped.
+/// Retransmission attempts before a frame is dropped.
 pub(crate) const RETRY_LIMIT: u32 = 7;
+
+/// Bit-rate for ACK control frames (the base rate, like real cards).
+pub(crate) const ACK_RATE: Rate = Rate::BASE;
+
+/// How long after a data frame's end to wait for the ACK before declaring
+/// a timeout: SIFS + ACK airtime at the base rate (~44 µs) + PHY slack.
+pub(crate) const ACK_TIMEOUT_NS: Time = SIFS_NS + micros(44) + micros(15);
+
+// The window doubles as `(cw + 1) · 2 − 1` after a loss, capped at
+// `CW_MAX`: it never shrinks below `CW_MIN`, and the doubling fits a `u32`.
+const _: () = assert!(CW_MIN <= CW_MAX && CW_MAX < (1 << 31) - 1);
 
 /// Extended interframe space: used instead of DIFS after a reception the
 /// PHY could not decode, protecting a possible ACK exchange the station
@@ -48,5 +60,12 @@ mod tests {
         assert_eq!((CW_MIN + 1).count_ones(), 1);
         assert_eq!((CW_MAX + 1).count_ones(), 1);
         const { assert!(CW_MIN < CW_MAX) };
+    }
+
+    #[test]
+    fn ack_timeout_covers_sifs_plus_ack() {
+        // ACK frame: 14 bytes at 6 Mbit/s = 20 us PLCP + 6 symbols = 44 us.
+        let ack_air = ACK_RATE.frame_airtime_ns(cmap_wire::dot11::ACK_LEN);
+        assert!(ACK_TIMEOUT_NS >= SIFS_NS + ack_air);
     }
 }

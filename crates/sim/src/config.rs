@@ -28,8 +28,6 @@ pub struct PhyConfig {
     /// preamble/SIGNAL is still being received steals the lock if it is at
     /// least this many dB stronger.
     pub capture_margin_db: f64,
-    /// Enable preamble capture at all.
-    pub preamble_capture: bool,
     /// Message-in-message capture: a frame arriving *after* the locked
     /// frame's preamble window still steals the lock if it is at least
     /// `mim_margin_db` stronger (the OFDM receiver restarts on the louder
@@ -51,10 +49,6 @@ pub struct PhyConfig {
     pub fading_boost_prob: f64,
     /// Mean of the upfade component in dB.
     pub fading_boost_db: f64,
-    /// If true (default, matching MadWifi with carrier sense disabled), a
-    /// node that starts transmitting while mid-reception aborts that
-    /// reception. If false, `transmit` fails while receiving.
-    pub abort_rx_on_tx: bool,
     /// Frames arriving below this RSS are not even generated as events at
     /// the receiver (they would change the noise level by well under a dB).
     pub delivery_floor_dbm: f64,
@@ -69,13 +63,11 @@ impl Default for PhyConfig {
             ed_threshold_dbm: -62.0,
             cs_detect_dbm: -98.0,
             capture_margin_db: 10.0,
-            preamble_capture: true,
             mim_capture: true,
             mim_margin_db: 10.0,
             fading_sigma_db: 2.0,
             fading_boost_prob: 0.08,
             fading_boost_db: 18.0,
-            abort_rx_on_tx: true,
             delivery_floor_dbm: -105.0,
         }
     }
@@ -102,8 +94,8 @@ pub(crate) struct PhyLinear {
     /// energy-detection thresholds.
     pub(crate) cca_busy: u128,
     /// Power ratio over the locked frame that steals the lock inside its
-    /// preamble window; `None` when preamble capture is off.
-    pub(crate) capture_ratio: Option<f64>,
+    /// preamble window.
+    pub(crate) capture_ratio: f64,
     /// The same after the preamble window; `None` when MIM capture is off.
     pub(crate) mim_ratio: Option<f64>,
 }
@@ -118,9 +110,7 @@ impl PhyLinear {
             noise_mw: phy.noise_mw(),
             sensitivity_mw: dbm_to_mw(phy.sensitivity_dbm),
             cca_busy: fixed_mw(dbm_to_mw(phy.cs_detect_dbm.min(phy.ed_threshold_dbm))),
-            capture_ratio: phy
-                .preamble_capture
-                .then(|| db_to_ratio(phy.capture_margin_db)),
+            capture_ratio: db_to_ratio(phy.capture_margin_db),
             mim_ratio: phy.mim_capture.then(|| db_to_ratio(phy.mim_margin_db)),
         }
     }

@@ -393,27 +393,6 @@ impl FaultState {
 
 persist!(fields FaultState { node_up, corrupt_rng, ge_chains });
 
-/// Invariant watchdog configuration: how often to audit and how long a MAC
-/// with pending data may go without any callback before it counts as
-/// stalled. 2 s comfortably exceeds the longest legitimate quiet period
-/// (CMAP's retransmission wait tops out near 0.5 s).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WatchdogConfig {
-    /// Interval between audits.
-    pub(crate) audit_period: Time,
-    /// Quiet period after which a node with data counts as stalled.
-    pub(crate) liveness_window: Time,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            audit_period: crate::time::millis(500),
-            liveness_window: crate::time::secs(2),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -151,7 +151,6 @@ pub struct NodeCtx<'a> {
     pub(crate) phase: RadioPhase,
     pub(crate) busy: bool,
     pub(crate) mac_addr: MacAddr,
-    pub(crate) abort_rx_on_tx: bool,
     pub(crate) tx_requested: bool,
     /// False while the radio is disabled by fault injection (lockup):
     /// transmit attempts fail, mirroring a wedged front-end.
@@ -230,15 +229,12 @@ impl NodeCtx<'_> {
     ///
     /// Returns `false` (and calls nothing, claims nothing) if the radio is
     /// already transmitting, if a transmission was already requested in
-    /// this callback, if the radio is disabled by fault injection, or if
-    /// the radio is mid-reception and the PHY is configured not to abort
-    /// receptions. On success the radio transmits immediately;
+    /// this callback, or if the radio is disabled by fault injection. On
+    /// success the radio transmits immediately, aborting any reception in
+    /// progress (as MadWifi does with carrier sense disabled);
     /// [`Mac::on_tx_done`] fires when the frame leaves the air.
     pub fn transmit_with(&mut self, rate: Rate, fill: impl FnOnce(&mut Vec<u8>)) -> bool {
         if self.tx_requested || self.phase == RadioPhase::Transmitting || !self.radio_ok {
-            return false;
-        }
-        if self.phase == RadioPhase::Receiving && !self.abort_rx_on_tx {
             return false;
         }
         self.tx_requested = true;

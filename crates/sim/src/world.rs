@@ -24,7 +24,7 @@ use crate::app::NodeApp;
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::config::{PhyConfig, PhyLinear};
 use crate::event::{Due, Event, Scheduler, TxId};
-use crate::faults::{FaultAction, FaultPlan, FaultState, WatchdogConfig};
+use crate::faults::{FaultAction, FaultPlan, FaultState};
 use crate::mac::{Mac, NodeCtx, NullMac, Op, RxErrorInfo, RxInfo};
 use crate::medium::Medium;
 use crate::persist;
@@ -32,7 +32,7 @@ use crate::pool::{index_of, FramePool, LiveTx};
 use crate::radio::{LockOutcome, RadioBank, RadioPhase, RxLock, FIXED_MAX};
 use crate::rng::stream_rng;
 use crate::stats::Stats;
-use crate::time::Time;
+use crate::time::{millis, secs, Time};
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 use cmap_phy::{db_to_ratio, fading, gate, BerTable, Rate, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 use cmap_wire::{FrameKind, FrameView, MacAddr};
@@ -75,12 +75,20 @@ pub struct Flow {
 /// further edge unseen.
 const CCA_SETTLE_ROUNDS: usize = 4;
 
+/// Interval between invariant-watchdog audits (run only under a fault
+/// plan).
+const AUDIT_PERIOD: Time = millis(500);
+
+/// Quiet period after which an up node with pending data counts as
+/// stalled. 2 s comfortably exceeds the longest legitimate quiet period
+/// (CMAP's retransmission wait tops out near 0.5 s).
+const LIVENESS_WINDOW: Time = secs(2);
+
 /// A complete simulated network.
 pub struct World {
-    phy: PhyConfig,
-    /// `phy`'s thresholds in the linear domain, for the per-event paths.
+    /// The PHY's thresholds in the linear domain, for the per-event paths.
     phy_linear: PhyLinear,
-    /// `phy`'s fading fields, validated, and the per-arrival multiplier
+    /// The PHY's fading fields, validated, and the per-arrival multiplier
     /// they imply as an inverse-CDF table.
     fading: fading::FadingTable,
     time: Time,
@@ -99,7 +107,6 @@ pub struct World {
     seed: u64,
     /// Installed fault plan runtime state, if any.
     faults: Option<Box<FaultState>>,
-    watchdog: WatchdogConfig,
     /// Recycled op buffers for MAC dispatch (dispatch can nest).
     ops_pool: Vec<Vec<Op>>,
     /// Each node's live receptions summed (audit and restore), reused.
@@ -201,7 +208,6 @@ impl World {
         World {
             phy_linear: PhyLinear::new(&phy),
             fading,
-            phy,
             time: 0,
             sched: Scheduler::new(),
             radios: RadioBank::new(n),
@@ -217,7 +223,6 @@ impl World {
             started: false,
             seed,
             faults: None,
-            watchdog: WatchdogConfig::default(),
             ops_pool: Vec::new(),
             energy_sums: Vec::new(),
             ber_table: BerTable::shared(),
@@ -437,8 +442,7 @@ impl World {
             for (idx, &(at, _)) in f.actions.iter().enumerate() {
                 self.sched.schedule(at, Event::Fault { idx: idx as u32 });
             }
-            self.sched
-                .schedule(self.watchdog.audit_period, Event::Audit);
+            self.sched.schedule(AUDIT_PERIOD, Event::Audit);
         }
         for i in 0..self.node_count() {
             let node = NodeId::new(i);
@@ -670,8 +674,7 @@ impl World {
         if let Some(f) = self.faults.as_deref() {
             for node in 0..self.node_count() {
                 if f.node_up[node]
-                    && self.time.saturating_sub(f.last_dispatch[node])
-                        > self.watchdog.liveness_window
+                    && self.time.saturating_sub(f.last_dispatch[node]) > LIVENESS_WINDOW
                     && self.apps[node].has_data(&self.flows)
                 {
                     stalled += 1;
@@ -681,8 +684,7 @@ impl World {
         if stalled > 0 {
             self.stats.add(CounterId::WatchdogStalled, stalled);
         }
-        self.sched
-            .schedule(self.time + self.watchdog.audit_period, Event::Audit);
+        self.sched.schedule(self.time + AUDIT_PERIOD, Event::Audit);
     }
 
     fn grade_and_deliver(&mut self, rx: NodeId, c: RxLock) {
@@ -791,7 +793,6 @@ impl World {
                 phase: self.radios.phase(node.index()),
                 busy: self.radios.busy(node.index(), &self.phy_linear),
                 mac_addr: MacAddr::from_node_index(node.index() as u16),
-                abort_rx_on_tx: self.phy.abort_rx_on_tx,
                 tx_requested: false,
                 radio_ok: !self.radios.is_disabled(node.index()),
                 rng: &mut self.rngs[node.index()],
@@ -1020,7 +1021,7 @@ impl World {
         w.put(&self.seed);
         w.put(&self.node_count());
         w.put(&self.flows);
-        w.put(&(self.watchdog.audit_period, self.watchdog.liveness_window));
+        w.put(&(AUDIT_PERIOD, LIVENESS_WINDOW));
         w.put(&self.medium.fingerprint());
         w.put(&self.fault_plan());
         // Dynamic engine state. The pool's high water is its slot-array
@@ -1153,7 +1154,7 @@ impl World {
         echo(
             &mut r,
             "watchdog configuration",
-            &(self.watchdog.audit_period, self.watchdog.liveness_window),
+            &(AUDIT_PERIOD, LIVENESS_WINDOW),
         )?;
         echo(&mut r, "medium fingerprint", &self.medium.fingerprint())?;
         echo(&mut r, "fault plan", &self.fault_plan())?;

@@ -27,4 +27,4 @@ mod testbed;
 
 pub use citygen::{clustered, grid_city, poisson_disk, ChannelModel, Deployment};
 pub use measure::{ConnectivityStats, LinkMeasurements, RadioEnv};
-pub use testbed::{Testbed, TestbedParams};
+pub use testbed::Testbed;

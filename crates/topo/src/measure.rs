@@ -264,7 +264,6 @@ impl LinkMeasurements {
 #[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
     use super::*;
-    use crate::testbed::TestbedParams;
 
     #[test]
     fn clean_prr_is_monotone_in_rss() {
@@ -325,7 +324,7 @@ mod tests {
         let mut mean_deg = 0.0;
         let seeds = [1u64, 2, 3, 4, 5];
         for &s in &seeds {
-            let tb = Testbed::generate(TestbedParams::default(), s);
+            let tb = Testbed::office_floor(s);
             let lm = LinkMeasurements::analyze(&tb, &env, Rate::R6, 1400);
             let c = lm.connectivity();
             weak += c.frac_weak;

@@ -249,8 +249,8 @@ pub fn regions(tb: &Testbed) -> Vec<usize> {
     tb.positions
         .iter()
         .map(|&(x, y)| {
-            let col = ((x / tb.params.width_m * 3.0) as usize).min(2);
-            let row = ((y / tb.params.depth_m * 2.0) as usize).min(1);
+            let col = ((x / Testbed::WIDTH_M * 3.0) as usize).min(2);
+            let row = ((y / Testbed::DEPTH_M * 2.0) as usize).min(1);
             row * 3 + col
         })
         .collect()

@@ -11,62 +11,36 @@ use rand::{Rng, SeedableRng};
 
 use cmap_phy::propagation;
 
-/// Parameters of a generated testbed.
-#[derive(Debug, Clone)]
-pub struct TestbedParams {
-    /// Number of nodes.
-    pub(crate) nodes: usize,
-    /// Floor width in metres.
-    pub width_m: f64,
-    /// Floor depth in metres.
-    pub depth_m: f64,
-    /// Minimum node separation in metres.
-    pub(crate) min_separation_m: f64,
-    /// Path-loss exponent. Office floors with interior walls run well above
-    /// free space; this is the main knob that sets how far links reach.
-    pub(crate) path_loss_exponent: f64,
-    /// Extra fixed loss in dB applied to every link (walls, antennas,
-    /// enclosure) — the second calibration knob for the §5.1 link bands.
-    pub(crate) fixed_loss_db: f64,
-    /// Standard deviation of the symmetric (per-pair) lognormal shadowing.
-    pub(crate) shadowing_sigma_db: f64,
-    /// Standard deviation of the per-direction shadowing component.
-    pub(crate) asymmetry_sigma_db: f64,
-    /// Attenuation per interior wall in dB (multi-wall model). Walls are
-    /// drawn per pair as `Poisson(distance / wall_every_m)`: this heavy
-    /// right tail of extra loss is what produces the large population of
-    /// barely-connected links the paper reports (68% of connected pairs
-    /// with PRR < 0.1) — plain lognormal shadowing cannot.
-    pub(crate) wall_attenuation_db: f64,
-    /// Mean distance between wall crossings in metres.
-    pub(crate) wall_every_m: f64,
-}
+// The generation constants, calibrated so the generated link population
+// lands in the §5.1 bands (see `connectivity_matches_paper_bands` in
+// `measure.rs` and the `testbed_stats` bench binary).
 
-impl Default for TestbedParams {
-    /// Calibrated so the generated link population lands in the §5.1 bands
-    /// (see `connectivity_matches_paper_bands` in `measure.rs` and the
-    /// `testbed_stats` bench binary).
-    fn default() -> TestbedParams {
-        TestbedParams {
-            nodes: 50,
-            width_m: 70.0,
-            depth_m: 40.0,
-            min_separation_m: 4.0,
-            path_loss_exponent: 4.0,
-            fixed_loss_db: 5.0,
-            shadowing_sigma_db: 3.5,
-            asymmetry_sigma_db: 1.5,
-            wall_attenuation_db: 2.0,
-            wall_every_m: 8.0,
-        }
-    }
-}
+/// Number of nodes.
+const NODES: usize = 50;
+/// Minimum node separation in metres.
+const MIN_SEPARATION_M: f64 = 4.0;
+/// Path-loss exponent. Office floors with interior walls run well above
+/// free space; this is the main value that sets how far links reach.
+const PATH_LOSS_EXPONENT: f64 = 4.0;
+/// Extra fixed loss in dB applied to every link (walls, antennas,
+/// enclosure) — the second calibration value for the §5.1 link bands.
+const FIXED_LOSS_DB: f64 = 5.0;
+/// Standard deviation of the symmetric (per-pair) lognormal shadowing.
+const SHADOWING_SIGMA_DB: f64 = 3.5;
+/// Standard deviation of the per-direction shadowing component.
+const ASYMMETRY_SIGMA_DB: f64 = 1.5;
+/// Attenuation per interior wall in dB (multi-wall model). Walls are
+/// drawn per pair as `Poisson(distance / WALL_EVERY_M)`: this heavy
+/// right tail of extra loss is what produces the large population of
+/// barely-connected links the paper reports (68% of connected pairs
+/// with PRR < 0.1) — plain lognormal shadowing cannot.
+const WALL_ATTENUATION_DB: f64 = 2.0;
+/// Mean distance between wall crossings in metres.
+const WALL_EVERY_M: f64 = 8.0;
 
 /// A generated testbed: positions plus the frozen directed gain matrix.
 #[derive(Debug, Clone)]
 pub struct Testbed {
-    /// Generation parameters.
-    pub params: TestbedParams,
     /// Node positions in metres.
     pub positions: Vec<(f64, f64)>,
     /// Directed link gains in dB (negative; `[tx * n + rx]`, diagonal
@@ -77,11 +51,16 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Generate a testbed with the given parameters and seed.
-    pub(crate) fn generate(params: TestbedParams, seed: u64) -> Testbed {
+    /// Floor width in metres.
+    pub const WIDTH_M: f64 = 70.0;
+    /// Floor depth in metres.
+    pub const DEPTH_M: f64 = 40.0;
+
+    /// The 50-node office floor with the given seed.
+    pub fn office_floor(seed: u64) -> Testbed {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x7e57_bed0_0000_0000);
-        let positions = place_nodes(&params, &mut rng);
-        let n = params.nodes;
+        let positions = place_nodes(&mut rng);
+        let n = NODES;
         let mut gains_db = vec![f64::NEG_INFINITY; n * n];
         let mut delay_ns = vec![0u64; n * n];
         for a in 0..n {
@@ -89,17 +68,13 @@ impl Testbed {
                 let (ax, ay) = positions[a];
                 let (bx, by) = positions[b];
                 let d = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
-                let walls = if params.wall_attenuation_db > 0.0 && params.wall_every_m > 0.0 {
-                    f64::from(poisson(&mut rng, d / params.wall_every_m).min(10))
-                } else {
-                    0.0
-                };
-                let median_loss = propagation::path_loss_db(d, params.path_loss_exponent)
-                    + params.fixed_loss_db
-                    + walls * params.wall_attenuation_db;
-                let sym = gaussian(&mut rng) * params.shadowing_sigma_db;
-                let asym_ab = gaussian(&mut rng) * params.asymmetry_sigma_db;
-                let asym_ba = gaussian(&mut rng) * params.asymmetry_sigma_db;
+                let walls = f64::from(poisson(&mut rng, d / WALL_EVERY_M).min(10));
+                let median_loss = propagation::path_loss_db(d, PATH_LOSS_EXPONENT)
+                    + FIXED_LOSS_DB
+                    + walls * WALL_ATTENUATION_DB;
+                let sym = gaussian(&mut rng) * SHADOWING_SIGMA_DB;
+                let asym_ab = gaussian(&mut rng) * ASYMMETRY_SIGMA_DB;
+                let asym_ba = gaussian(&mut rng) * ASYMMETRY_SIGMA_DB;
                 gains_db[a * n + b] = -(median_loss + sym + asym_ab);
                 gains_db[b * n + a] = -(median_loss + sym + asym_ba);
                 let delay = propagation::propagation_delay_ns(d);
@@ -108,26 +83,20 @@ impl Testbed {
             }
         }
         Testbed {
-            params,
             positions,
             gains_db,
             delay_ns,
         }
     }
 
-    /// The default 50-node office floor with the given seed.
-    pub fn office_floor(seed: u64) -> Testbed {
-        Testbed::generate(TestbedParams::default(), seed)
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.params.nodes
+        self.positions.len()
     }
 
     /// True when the testbed has no nodes (never, for generated testbeds).
     pub fn is_empty(&self) -> bool {
-        self.params.nodes == 0
+        self.positions.is_empty()
     }
 
     /// Directed gain in dB from `a` to `b`.
@@ -137,26 +106,24 @@ impl Testbed {
 }
 
 /// Rejection-sample positions with minimum separation.
-fn place_nodes(params: &TestbedParams, rng: &mut SmallRng) -> Vec<(f64, f64)> {
-    let mut positions: Vec<(f64, f64)> = Vec::with_capacity(params.nodes);
+fn place_nodes(rng: &mut SmallRng) -> Vec<(f64, f64)> {
+    let mut positions: Vec<(f64, f64)> = Vec::with_capacity(NODES);
     let mut attempts = 0usize;
-    while positions.len() < params.nodes {
+    while positions.len() < NODES {
         attempts += 1;
         assert!(
             attempts < 100_000,
-            "cannot place {} nodes with {} m separation on {}x{} m",
-            params.nodes,
-            params.min_separation_m,
-            params.width_m,
-            params.depth_m
+            "cannot place {NODES} nodes with {MIN_SEPARATION_M} m separation on {}x{} m",
+            Testbed::WIDTH_M,
+            Testbed::DEPTH_M
         );
         let p = (
-            rng.gen_range(0.0..params.width_m),
-            rng.gen_range(0.0..params.depth_m),
+            rng.gen_range(0.0..Testbed::WIDTH_M),
+            rng.gen_range(0.0..Testbed::DEPTH_M),
         );
         let ok = positions.iter().all(|q| {
             let d2 = (p.0 - q.0).powi(2) + (p.1 - q.1).powi(2);
-            d2 >= params.min_separation_m * params.min_separation_m
+            d2 >= MIN_SEPARATION_M * MIN_SEPARATION_M
         });
         if ok {
             positions.push(p);
@@ -216,7 +183,7 @@ mod tests {
         for a in 0..tb.len() {
             for b in (a + 1)..tb.len() {
                 assert!(
-                    distance_m(&tb, a, b) >= tb.params.min_separation_m - 1e-9,
+                    distance_m(&tb, a, b) >= MIN_SEPARATION_M - 1e-9,
                     "{a},{b} too close"
                 );
             }

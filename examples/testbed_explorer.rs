@@ -22,8 +22,8 @@ fn main() {
     println!(
         "testbed seed {seed}: {} nodes on {:.0}x{:.0} m\n",
         tb.len(),
-        tb.params.width_m,
-        tb.params.depth_m
+        Testbed::WIDTH_M,
+        Testbed::DEPTH_M
     );
 
     // ASCII floor map (x -> columns, y -> rows), region digits.
@@ -31,8 +31,8 @@ fn main() {
     let (cols, rows) = (70usize, 20usize);
     let mut grid = vec![vec![b'.'; cols]; rows];
     for (i, &(x, y)) in tb.positions.iter().enumerate() {
-        let c = ((x / tb.params.width_m) * (cols - 1) as f64) as usize;
-        let r = ((y / tb.params.depth_m) * (rows - 1) as f64) as usize;
+        let c = ((x / Testbed::WIDTH_M) * (cols - 1) as f64) as usize;
+        let r = ((y / Testbed::DEPTH_M) * (rows - 1) as f64) as usize;
         grid[r][c] = b'0' + regions[i] as u8;
     }
     for row in &grid {

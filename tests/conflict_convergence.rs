@@ -112,11 +112,10 @@ fn exposed_pair_never_learns_false_conflicts() {
 fn defer_entries_expire_when_broadcasts_stop() {
     // Learn conflicts, then verify entries decay after their lifetime when
     // no refresh arrives (we stop time-advancing traffic by just letting
-    // the expiry horizon pass: entries must not outlive defer_entry_timeout
+    // the expiry horizon pass: entries must not outlive DEFER_ENTRY_TIMEOUT
     // without refresh).
     let mut w = cmap_world(CONFLICTING, 23);
     w.run_until(time::secs(10));
-    let cfg = CmapConfig::default();
     let before = defer_entries(&w, 0) + defer_entries(&w, 2);
     assert!(before > 0, "nothing learned to expire");
     // Entries are refreshed continuously while traffic flows; the check
@@ -125,7 +124,7 @@ fn defer_entries_expire_when_broadcasts_stop() {
     for node in [0usize, 2] {
         let mac = w.mac_ref(node).as_any().downcast_ref::<CmapMac>().unwrap();
         let now = w.now();
-        let horizon = now + cfg.defer_entry_timeout;
+        let horizon = now + cmap_core::DEFER_ENTRY_TIMEOUT;
         // All entries still live at `now` must be gone by `horizon` unless
         // refreshed — len_at(horizon) counts those that would survive
         // without refresh, which must be zero.
