@@ -1,13 +1,15 @@
-//! Run every figure of the evaluation (the registry's repro subset) and
-//! write a paper-vs-measured report plus a machine-readable suite manifest.
+//! Run the figures of the evaluation — the registry's `in_repro` rows, or
+//! the rows named by `--figure` — and write a paper-vs-measured report plus
+//! a machine-readable suite manifest.
 //!
 //! ```text
 //! cargo run --release -p cmap-bench --bin repro_all -- \
-//!     [--quick|--full] [--seed N] [--jobs N] [--out PATH] [--json PATH] \
-//!     [--resume]
+//!     [--quick|--full] [--seed N] [--runs N] [--jobs N] [--figure NAME]... \
+//!     [--out PATH] [--json PATH] [--resume]
 //! ```
 //!
-//! * stdout / `--out PATH`: the EXPERIMENTS-style text report,
+//! * stdout / `--out PATH`: the EXPERIMENTS-style text report, one section
+//!   per figure run, in registry order,
 //! * `--json PATH` (default `BENCH_repro.json`): a `SuiteReport` with the
 //!   BER table's identity and measured error, the `fidelity` block (every
 //!   paper-vs-measured predicate with its band, measured value and
@@ -26,12 +28,12 @@
 //! hash-valid are spliced verbatim instead of re-run — the final text and
 //! deterministic JSON come out byte-identical to an uninterrupted run.
 //!
-//! **Failures.** Every figure goes through `figures::run_figure`, the run
-//! path the per-figure binaries use too, so a panicking figure does not
-//! kill the suite: it comes back as a failed run whose one failure string
-//! carries the panic (`cmap_exec::map` re-raises a failed job as
-//! `job {i}: …`), that string lands in the suite report's `failures` list,
-//! the remaining figures run to completion, and the exit code is nonzero.
+//! **Failures.** Every figure goes through `figures::run_figure`, so a
+//! panicking figure does not kill the suite: it comes back as a failed run
+//! whose one failure string carries the panic (`cmap_exec::map` re-raises a
+//! failed job as `job {i}: …`), that string lands in the suite report's
+//! `failures` list, the remaining figures run to completion, and the exit
+//! code is nonzero.
 //!
 //! The suite self-validates: every figure's report must contain its
 //! declared required metrics, at the standard spec every fidelity
@@ -41,7 +43,7 @@
 
 use std::path::{Path, PathBuf};
 
-use cmap_bench::figures::{eprint_failures, fidelity_table, run_figure, spec_block, REGISTRY};
+use cmap_bench::figures::{fidelity_table, run_figure, spec_block};
 use cmap_bench::Cli;
 use cmap_obs::{atomic_write, Manifest};
 use cmap_obs::{BerTableBlock, SuiteReport, TimingBlock};
@@ -154,21 +156,21 @@ fn main() {
     // entry, so only the seed/effort fields are meaningful here.
     let mut suite_spec = spec_block(&cli, &cli.spec(0));
     suite_spec.configs = 0;
-    let mut suite = SuiteReport::new("repro_all", suite_spec);
-    suite.ber_table = Some(BerTableBlock {
+    let ber_table = BerTableBlock {
         version: cmap_phy::table::TABLE_VERSION,
         grid_points: cmap_phy::table::GRID_POINTS as u64,
         max_abs_err: cmap_phy::BerTable::shared().max_abs_err(),
-    });
-    let mut failures: Vec<String> = Vec::new();
-    let mut fidelity = Vec::new();
+    };
+    let mut suite = SuiteReport::new("repro_all", suite_spec, ber_table);
 
-    for fig in REGISTRY.iter().filter(|f| f.in_repro) {
+    for fig in cli.selected() {
         if let Some(saved) = load_completed(&work, &manifest, fig.name) {
             report.push_str(&saved.text);
             suite.push_raw(saved.json);
             let entry = suite.figures.last().expect("just pushed");
-            fidelity.extend(fig.fidelity_rows(|key| entry.metric_f64(key)));
+            suite
+                .fidelity
+                .extend(fig.fidelity_rows(|key| entry.metric_f64(key)));
             eprintln!(
                 "[{}s] {} restored from work dir",
                 t0.elapsed().as_secs(),
@@ -197,19 +199,16 @@ fn main() {
             }
             suite.push(r);
         }
-        fidelity.extend(run.fidelity);
-        failures.extend(run.failures);
+        suite.fidelity.extend(run.fidelity);
+        suite.failures.extend(run.failures);
     }
     report.push_str(&format!(
         "\n{}",
-        fidelity_table(&fidelity, cli.is_standard_spec())
+        fidelity_table(&suite.fidelity, cli.is_standard_spec())
     ));
-    suite.fidelity = Some(fidelity);
-    suite.failures = Some(failures.clone());
-
-    suite.timing = Some(TimingBlock {
+    suite.timing = TimingBlock {
         wall_secs: t0.elapsed().as_secs_f64(),
-    });
+    };
 
     println!("{report}");
     if let Some(path) = &cli.out {
@@ -220,9 +219,11 @@ fn main() {
     eprintln!("suite report written to {json_path}");
     eprintln!("total: {}s", t0.elapsed().as_secs());
 
-    if !failures.is_empty() {
-        eprintln!("suite completed with {} failure(s):", failures.len());
-        eprint_failures(&failures);
+    if !suite.failures.is_empty() {
+        eprintln!("suite completed with {} failure(s):", suite.failures.len());
+        for f in &suite.failures {
+            eprintln!("FAIL: {f}");
+        }
         std::process::exit(1);
     }
 }

@@ -1,17 +1,17 @@
 //! The scenario registry: every figure/table of the evaluation as one row
-//! of [`REGISTRY`].
+//! of `REGISTRY`.
 //!
-//! A [`Figure`] row names the figure, states the paper's claim, the metric
-//! keys its report must carry and the band each paper-vs-measured number is
-//! held to ([`Predicate`]), and points at two functions: `spec`
-//! (the experiment spec for a command line) and `run` (spec in, text and
-//! named metrics out). [`run_figure`] is the one path a row is
-//! run through; the per-figure binaries ([`figure_main`]) and `repro_all`
-//! both call it and differ only in what they do with the result.
+//! A [`Figure`] row names the figure, the metric keys its report must carry
+//! and the band each paper-vs-measured number is held to ([`Predicate`]),
+//! and points at two functions: `spec` (the experiment spec for a command
+//! line) and `run` (spec in, text and named metrics out). [`run_figure`] is
+//! the one path a row is run through: `repro_all` calls it for every row
+//! [`Cli::selected`] yields, whether the default `in_repro` rows or the
+//! ones named by `--figure`.
 //!
 //! Figures 17 and 18 share one expensive `ap_sweep` run, so the registry
-//! models them as a single combined row (`fig17_18_ap`): both binaries
-//! resolve to it, and `repro_all` runs the sweep once.
+//! models them as a single combined row (`fig17_18_ap`) and the sweep runs
+//! once.
 
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
@@ -29,19 +29,17 @@ use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
 use cmap_stats::{mean, std_dev};
 use cmap_topo::{LinkMeasurements, Testbed};
 
-use crate::{banner, cdf_figure, median, median_of, render_cdfs, Cli, Effort};
+use crate::{cdf_figure, median, median_of, render_cdfs, Cli, Effort};
 
 /// What one figure run produced: printable text, named metrics, and (for
 /// gating figures like the chaos soak) hard failures.
 #[derive(Debug, Default)]
 pub struct FigureOutput {
-    /// The human-readable body (what the standalone binary prints after
-    /// its banner).
+    /// The human-readable body of the figure's report section.
     pub(crate) text: String,
     /// Named results, in insertion order (sorted at serialization).
     pub(crate) metrics: Vec<(String, MetricValue)>,
-    /// Invariant violations; non-empty makes the wrapping binary (and
-    /// `repro_all`) exit nonzero.
+    /// Invariant violations; non-empty makes `repro_all` exit nonzero.
     pub(crate) failures: Vec<String>,
 }
 
@@ -79,23 +77,20 @@ const fn band(metric: &'static str, paper: &'static str, lo: f64, hi: f64) -> Pr
 
 /// One registered figure/experiment of the evaluation.
 pub struct Figure {
-    /// Registry name; the wrapping binary's name, except for the combined
-    /// `fig17_18_ap`.
+    /// Registry name, as `--figure` takes it.
     pub name: &'static str,
-    /// Banner heading.
+    /// Heading of the figure's report section.
     pub title: &'static str,
-    /// The paper's claim, printed under the banner.
-    pub(crate) paper_claim: &'static str,
     /// Metric keys every report of this figure must contain: at least the
     /// numbers EXPERIMENTS.md's paper-vs-measured rows quote.
     pub(crate) required_metrics: &'static [&'static str],
     /// The paper-vs-measured rows of EXPERIMENTS.md as predicates over
     /// `required_metrics`; empty for figures the paper gives no number for.
     pub(crate) fidelity: &'static [Predicate],
-    /// Whether `repro_all` includes this figure in its suite run. Gating
-    /// and extension experiments (chaos soak, ablations, the two sweeps)
-    /// keep their own binaries instead.
-    pub in_repro: bool,
+    /// Whether `repro_all` runs this figure when no `--figure` is given.
+    /// Gating and extension experiments (chaos soak, ablations, the two
+    /// sweeps) run only when named.
+    pub(crate) in_repro: bool,
     /// The experiment spec this figure runs under.
     pub(crate) spec: fn(&Cli) -> Spec,
     /// Run the figure under the spec `spec` returned for the same `cli`.
@@ -103,11 +98,10 @@ pub struct Figure {
 }
 
 /// Every registered figure, in suite order.
-pub static REGISTRY: [Figure; 15] = [
+pub(crate) static REGISTRY: [Figure; 15] = [
     Figure {
         name: "calib_single_link",
         title: "§4.2 — single-link calibration",
-        paper_claim: "CMAP 5.04 Mbit/s vs 802.11 5.07 Mbit/s at the 6 Mbit/s rate",
         required_metrics: &["cmap_mbps", "dot11_mbps", "ratio"],
         fidelity: &[band(
             "ratio",
@@ -122,7 +116,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig12_exposed",
         title: "Fig 12 — exposed terminals",
-        paper_claim: "CMAP ~2x over CS; ~15% of pairs not truly exposed; win=1 only ~1.5x",
         required_metrics: &["median_cs_mbps", "median_cmap_mbps", "gain_cmap_vs_cs"],
         fidelity: &[band("gain_cmap_vs_cs", "~2x over CS", 1.5, 2.1)],
         in_repro: true,
@@ -132,8 +125,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig13_in_range",
         title: "Fig 13 — two senders in range of each other",
-        paper_claim: "CMAP tracks CS-on where pairs conflict (~15%) and CS-off where \
-                      concurrent wins (~18% tail)",
         required_metrics: &["median_cs_mbps", "median_cmap_mbps"],
         fidelity: &[],
         in_repro: true,
@@ -143,8 +134,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig14_hidden_interferers",
         title: "Fig 14 — hidden interferers",
-        paper_claim: "~8% of (link, interferer) samples in the hidden quadrant; expected CMAP \
-                      normalised throughput ~0.90",
         required_metrics: &["hidden_fraction", "expected_cmap"],
         fidelity: &[
             band("expected_cmap", "0.896", 0.85, 0.95),
@@ -157,7 +146,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig15_hidden_terminals",
         title: "Fig 15 — two senders out of range (hidden terminals)",
-        paper_claim: "CMAP comparable to the status quo; little mass above the single-pair rate",
         required_metrics: &["median_cs_mbps", "median_cmap_mbps", "ratio"],
         fidelity: &[band("ratio", "comparable to CS (~1x)", 0.85, 1.25)],
         in_repro: true,
@@ -167,8 +155,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig16_header_trailer",
         title: "Fig 16 — probability of receiving header and/or trailer",
-        paper_claim: "header-or-trailer beats header-only; the gap is largest out of range; in \
-                      range the either-rate is ~1",
         required_metrics: &["mean_in_range_either", "mean_oor_either"],
         fidelity: &[],
         in_repro: true,
@@ -178,8 +164,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig17_18_ap",
         title: "Figs 17/18 — N APs and N clients: aggregate and per-sender throughput",
-        paper_claim: "CMAP +21% (N=3) to +47% (N=4) over CS-on; median per-sender throughput \
-                      1.8x (2.5 -> 4.6 Mbit/s)",
         required_metrics: &[
             "median_cs_mbps",
             "median_cmap_mbps",
@@ -203,7 +187,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig19_hdr_vs_senders",
         title: "Fig 19 — header-or-trailer reception vs concurrent senders",
-        paper_claim: "median stays high as concurrency grows; the 10th percentile drops sharply",
         required_metrics: &["rows"],
         fidelity: &[],
         in_repro: true,
@@ -213,8 +196,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "fig20_bitrates",
         title: "Fig 20 — exposed terminals at higher bit-rates",
-        paper_claim: "CMAP keeps its gains at 12 and 18 Mbit/s; opportunities shrink as the \
-                      SINR requirement grows",
         required_metrics: &[
             "at6_cs_mbps",
             "at6_cmap_mbps",
@@ -243,7 +224,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "mesh_dissemination",
         title: "§5.7 — two-hop content dissemination mesh (S -> A1..A3 -> B1..B3)",
-        paper_claim: "CMAP +52% aggregate leaf throughput over CS-on across 10 topologies",
         required_metrics: &["cs_mbps", "cmap_mbps", "gain"],
         fidelity: &[Predicate {
             metric: "gain",
@@ -259,8 +239,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "testbed_stats",
         title: "§5.1 — testbed link population",
-        paper_claim: "2162 connected pairs; 68% PRR<0.1, 12% intermediate, 20% PRR=1; mean \
-                      degree 15.2, median 17",
         required_metrics: &["connected_pairs", "mean_degree"],
         fidelity: &[],
         in_repro: true,
@@ -273,7 +251,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "convergence_sweep",
         title: "Convergence sweep (extension)",
-        paper_claim: "the paper notes transient loss before convergence but does not quantify it",
         required_metrics: &["p1000_conv_rate"],
         fidelity: &[],
         in_repro: false,
@@ -283,8 +260,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "ablations",
         title: "Ablations — CMAP design choices on exposed/conflicting/hidden micro-topologies",
-        paper_claim: "each mechanism (sliding window, trailers, backoff, IL-in-ACKs, MIM \
-                      capture) earns its keep",
         required_metrics: &["cmap_full_exposed_mbps"],
         fidelity: &[],
         in_repro: false,
@@ -294,8 +269,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "chaos_soak",
         title: "Chaos soak — fault plans × seeds, exposed-terminal topology",
-        paper_claim: "graceful degradation: no panics, no watchdog violations, goodput within \
-                      stated bounds of DCF",
         required_metrics: &["failures"],
         fidelity: &[],
         in_repro: false,
@@ -305,8 +278,6 @@ pub static REGISTRY: [Figure; 15] = [
     Figure {
         name: "scale_sweep",
         title: "Scale sweep — city-scale sparse medium vs node count",
-        paper_claim: "extension: sparse spatial medium sustains 10k+ node cities with a \
-                      recorded interference error bound",
         required_metrics: &["scale.cells", "scale.error_bound_db_max"],
         fidelity: &[],
         in_repro: false,
@@ -314,16 +285,6 @@ pub static REGISTRY: [Figure; 15] = [
         run: scale_sweep,
     },
 ];
-
-/// The registry row a binary of this crate wraps: the row of the same
-/// name, or the combined AP row for the Fig 17 and Fig 18 binaries.
-fn figure_for_bin(bin: &str) -> Option<&'static Figure> {
-    let name = match bin {
-        "fig17_ap_aggregate" | "fig18_ap_per_sender" => "fig17_18_ap",
-        other => other,
-    };
-    REGISTRY.iter().find(|f| f.name == name)
-}
 
 impl Figure {
     /// Evaluate this row's predicates against `metric`, the lookup of a
@@ -341,7 +302,7 @@ impl Figure {
     }
 }
 
-/// The fidelity rows as the table both kinds of binary print. Verdicts are
+/// The fidelity rows as the table that ends the text report. Verdicts are
 /// always shown; `gated` says whether a `fail` also failed the run.
 pub fn fidelity_table(rows: &[FidelityRow], gated: bool) -> String {
     let gate = if gated {
@@ -378,6 +339,7 @@ fn micro_spec(cli: &Cli, duration: u64, configs: usize) -> Spec {
         testbed_seed: cli.seed,
         duration,
         configs,
+        jobs: cli.effective_jobs(),
         ..Spec::default()
     }
 }
@@ -400,20 +362,18 @@ fn report_for(
     cli: &Cli,
     spec: &Spec,
     out: &FigureOutput,
-    wall_secs: Option<f64>,
+    wall_secs: f64,
 ) -> RunReport {
     let mut r = RunReport::new(fig.name, fig.title, spec_block(cli, spec));
     for (k, v) in &out.metrics {
         r.metric(k, v.clone());
     }
-    r.timing = wall_secs.map(|wall_secs| TimingBlock { wall_secs });
+    r.timing = Some(TimingBlock { wall_secs });
     r
 }
 
-/// What [`run_figure`] hands back to the binary that called it.
+/// What [`run_figure`] hands back to its caller.
 pub struct FigureRun {
-    /// The spec the figure ran under.
-    pub(crate) spec: Spec,
     /// The figure's text body followed by one `FAIL:` line per invariant
     /// violation — or, if the run panicked, the `FAIL: panicked:` line alone.
     pub text: String,
@@ -426,13 +386,6 @@ pub struct FigureRun {
     /// invariant violations, a panic, a required metric missing from the
     /// report, and — at the standard spec — an unwaived fidelity miss.
     pub failures: Vec<String>,
-}
-
-/// Print the failure summary both kinds of binary end with on stderr.
-pub fn eprint_failures(failures: &[String]) {
-    for f in failures {
-        eprintln!("FAIL: {f}");
-    }
 }
 
 /// Run one figure: the one path from a registry row to its text, report
@@ -450,7 +403,6 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
         Err(payload) => {
             let msg = cmap_exec::panic_message(&*payload);
             return FigureRun {
-                spec,
                 text: format!("FAIL: panicked: {msg}\n"),
                 report: None,
                 fidelity: fig.fidelity_rows(|_| None),
@@ -458,7 +410,7 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
             };
         }
     };
-    let report = report_for(fig, cli, &spec, &out, Some(wall_secs));
+    let report = report_for(fig, cli, &spec, &out, wall_secs);
     // Read off the figure's own output: the report also holds the wall clock.
     let fidelity = fig.fidelity_rows(|key| {
         let (_, value) = out.metrics.iter().rev().find(|(k, _)| k == key)?;
@@ -485,39 +437,10 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
         }
     }
     FigureRun {
-        spec,
         text,
         report: Some(report),
         fidelity,
         failures,
-    }
-}
-
-/// The shared `main` of every per-figure binary, called with its own
-/// `CARGO_BIN_NAME`: parse, run, print banner and text, optionally write
-/// the `--json` report, exit nonzero on failures.
-pub fn figure_main(bin: &str) {
-    let fig = figure_for_bin(bin).unwrap_or_else(|| panic!("no registry row for binary {bin}"));
-    let cli = Cli::parse_figure();
-    let run = run_figure(fig, &cli);
-    banner(fig.title, fig.paper_claim, &run.spec);
-    print!("{}", run.text);
-    if !run.fidelity.is_empty() {
-        print!(
-            "\n{}",
-            fidelity_table(&run.fidelity, cli.is_standard_spec())
-        );
-    }
-    if let (Some(path), Some(report)) = (&cli.json, &run.report) {
-        if let Err(e) = cmap_obs::atomic_write(path, report.to_json(true).as_bytes()) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("report written to {path}");
-    }
-    if !run.failures.is_empty() {
-        eprint_failures(&run.failures);
-        std::process::exit(1);
     }
 }
 
@@ -961,7 +884,7 @@ fn ablations_spec(cli: &Cli) -> Spec {
 
 /// Ablation study of CMAP's design choices on the three canonical
 /// two-pair micro-topologies: exposed, conflicting, hidden.
-fn ablations(cli: &Cli, spec: &Spec) -> FigureOutput {
+fn ablations(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let dur = spec.duration / secs(1);
     let variants: Vec<(&str, CmapConfig, PhyConfig)> = vec![
         ("CMAP (full)", CmapConfig::default(), PhyConfig::default()),
@@ -1029,7 +952,7 @@ fn ablations(cli: &Cli, spec: &Spec) -> FigureOutput {
     let grid: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|v| (0..SCENARIOS.len()).map(move |s| (v, s)))
         .collect();
-    let aggs = cmap_exec::map(cli.effective_jobs(), &grid, |&(v, s)| {
+    let aggs = cmap_exec::map(spec.jobs, &grid, |&(v, s)| {
         let (_, cfg, phy) = &variants[v];
         ablation_run(
             SCENARIOS[s].1,
@@ -1106,7 +1029,7 @@ fn chaos_soak_spec(cli: &Cli) -> Spec {
 
 /// Robustness gauntlet: fault plans × seeds over the exposed-terminal
 /// topology; violations land in `FigureOutput::failures`.
-fn chaos_soak(cli: &Cli, spec: &Spec) -> FigureOutput {
+fn chaos_soak(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let (duration, seeds) = (spec.duration, spec.configs);
     let plans = FaultPlan::canonical(PAIR_NODES, duration);
     let mut out = FigureOutput::default();
@@ -1128,7 +1051,7 @@ fn chaos_soak(cli: &Cli, spec: &Spec) -> FigureOutput {
         // the pool joins them back in seed order, so the text report
         // and failure list are identical at any `--jobs` width.
         let seed_list: Vec<u64> = (0..seeds).map(|i| spec.testbed_seed + i as u64).collect();
-        let per_seed = cmap_exec::map(cli.effective_jobs(), &seed_list, |&seed| {
+        let per_seed = cmap_exec::map(spec.jobs, &seed_list, |&seed| {
             let a = soak_one(&Protocol::cmap(), plan, seed, duration);
             let b = soak_one(&Protocol::cmap(), plan, seed, duration);
             let d = soak_one(&Protocol::cs_on(), plan, seed, duration);
@@ -1397,27 +1320,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_binary_resolves_to_a_row_and_every_row_has_a_binary() {
-        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
-        let mut wrapped = Vec::new();
-        for entry in std::fs::read_dir(bin_dir).expect("read src/bin") {
-            let path = entry.expect("dir entry").path();
-            let stem = path.file_stem().and_then(|s| s.to_str()).expect("stem");
-            if stem == "repro_all" {
-                continue;
-            }
-            let fig = figure_for_bin(stem).unwrap_or_else(|| panic!("{stem} has no registry row"));
-            wrapped.push(fig.name);
-        }
-        for f in &REGISTRY {
-            assert!(wrapped.contains(&f.name), "{} has no binary", f.name);
-        }
-        let ap = |bin| figure_for_bin(bin).map(|f| f.name);
-        assert_eq!(ap("fig17_ap_aggregate"), Some("fig17_18_ap"));
-        assert_eq!(ap("fig18_ap_per_sender"), Some("fig17_18_ap"));
-    }
-
     const NEVER_EMITTED: [Predicate; 1] = [band("never_emitted", "-", 0.0, 1.0)];
 
     #[test]
@@ -1425,7 +1327,6 @@ mod tests {
         let row = Figure {
             name: "always_panics",
             title: "a row whose run panics",
-            paper_claim: "-",
             required_metrics: &["never_emitted"],
             fidelity: &NEVER_EMITTED,
             in_repro: false,
@@ -1459,7 +1360,6 @@ mod tests {
         Figure {
             name,
             title: "a row whose pool job panics",
-            paper_claim: "-",
             required_metrics: &["never_emitted"],
             fidelity: &[],
             in_repro: false,
@@ -1523,7 +1423,6 @@ mod tests {
         let row = Figure {
             name: "canned",
             title: "fixed metrics",
-            paper_claim: "-",
             required_metrics: &["a", "b", "c"],
             fidelity: &CANNED,
             in_repro: false,
@@ -1573,12 +1472,15 @@ mod tests {
             effort: Effort::Quick,
             ..Cli::default()
         };
-        let fig = figure_for_bin("testbed_stats").expect("registered");
+        let fig = REGISTRY
+            .iter()
+            .find(|f| f.name == "testbed_stats")
+            .expect("registered");
         let spec = (fig.spec)(&cli);
         let out = (fig.run)(&cli, &spec);
         assert!(out.text.contains("connected pairs"));
         assert!(out.failures.is_empty());
-        let report = report_for(fig, &cli, &spec, &out, Some(0.5));
+        let report = report_for(fig, &cli, &spec, &out, 0.5);
         report.validate(fig.required_metrics).unwrap();
         let det = report.to_json(false);
         assert!(det.contains("\"figure\":\"testbed_stats\""));

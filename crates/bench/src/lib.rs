@@ -1,9 +1,17 @@
 //! # cmap-bench — figure regeneration harness
 //!
-//! One binary per table/figure of the paper's evaluation (§5), each printing
-//! the measured series next to the paper's reported numbers:
+//! One binary, `repro_all`, runs the paper's evaluation (§5) and prints each
+//! measured series next to the paper's reported numbers:
 //!
-//! | Binary | Reproduces |
+//! ```text
+//! cargo run --release -p cmap-bench --bin repro_all -- [--figure NAME]...
+//! ```
+//!
+//! Each experiment is one row of the registry table in [`figures`]; with no
+//! `--figure` the run is the rows marked `in_repro`, otherwise the named
+//! rows, in registry order:
+//!
+//! | Row | Reproduces |
 //! |---|---|
 //! | `calib_single_link` | §4.2 single-link calibration |
 //! | `fig12_exposed` | Fig 12 — exposed terminals |
@@ -11,31 +19,26 @@
 //! | `fig14_hidden_interferers` | Fig 14 — hidden-interferer scatter |
 //! | `fig15_hidden_terminals` | Fig 15 — hidden terminals |
 //! | `fig16_header_trailer` | Fig 16 — header/trailer reception |
-//! | `fig17_ap_aggregate` | Fig 17 — AP aggregate throughput |
-//! | `fig18_ap_per_sender` | Fig 18 — AP per-sender CDF |
+//! | `fig17_18_ap` | Figs 17/18 — AP aggregate and per-sender throughput |
 //! | `fig19_hdr_vs_senders` | Fig 19 — reception vs concurrency |
 //! | `fig20_bitrates` | Fig 20 — exposed terminals at 6/12/18 Mbit/s |
 //! | `mesh_dissemination` | §5.7 — two-hop mesh |
 //! | `testbed_stats` | §5.1 — link population |
-//! | `repro_all` | everything above, written to EXPERIMENTS-style text |
-//! | `ablations` | DESIGN.md §4.3 — CMAP's mechanisms switched off one at a time |
-//! | `convergence_sweep` | extension: conflict-map convergence vs IL broadcast period |
-//! | `scale_sweep` | extension: sparse medium vs node count (events/s, peak RSS) |
-//! | `chaos_soak` | robustness: fault plans × seeds, degradation bounds |
+//! | `convergence_sweep` | extension: conflict-map convergence vs IL broadcast period (`--figure` only) |
+//! | `ablations` | DESIGN.md §4.3 — CMAP's mechanisms switched off one at a time (`--figure` only) |
+//! | `chaos_soak` | robustness: fault plans × seeds, degradation bounds (`--figure` only) |
+//! | `scale_sweep` | extension: sparse medium vs node count (`--figure` only) |
 //!
-//! Every binary but `repro_all` is `figure_main(env!("CARGO_BIN_NAME"))`: it
-//! resolves its own name to a row of the registry table in [`figures`] and
-//! runs it through [`figures::run_figure`], the same path `repro_all` runs
-//! the suite's rows through. A panic there — a failed pool job reaches it
-//! as `job {i}: …`, run once and never retried — is the figure's one
-//! `FAIL` line.
+//! Every row runs through [`figures::run_figure`]. A panic there — a failed
+//! pool job reaches it as `job {i}: …`, run once and never retried — is
+//! the figure's one `FAIL` line.
 //!
-//! All binaries accept `--quick` (shorter runs, fewer configurations),
-//! `--full` (the paper's 100-second runs and full configuration counts),
-//! `--seed N` (testbed seed), `--runs N` (configuration count), `--jobs N`
-//! (pool width) and `--json PATH` (write a machine-readable
-//! [`cmap_obs::RunReport`]); `--out PATH` and `--resume` are `repro_all`'s
-//! alone and a usage error anywhere else.
+//! Flags: `--quick` (shorter runs, fewer configurations), `--full` (the
+//! paper's 100-second runs and full configuration counts), `--seed N`
+//! (testbed seed), `--runs N` (configuration count), `--jobs N` (pool
+//! width), `--figure NAME` (repeatable row selection), `--json PATH` (the
+//! machine-readable [`cmap_obs::SuiteReport`]), `--out PATH` (the text
+//! report) and `--resume`.
 
 pub mod figures;
 
@@ -43,6 +46,8 @@ use cmap_experiments::exposed::Curve;
 use cmap_experiments::runner::Spec;
 use cmap_sim::time::secs;
 use cmap_stats::{Cdf, Series, Table};
+
+use figures::{Figure, REGISTRY};
 
 /// Effort level selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +71,9 @@ impl Effort {
     }
 }
 
-/// The usage string every binary prints on `--help` or a parse error.
-pub(crate) const USAGE: &str = "usage: <bin> [--quick|--full] [--seed N] [--runs N] [--jobs N] \
-     [--json PATH] [--out PATH] [--resume]";
+/// The usage string printed on `--help` or a parse error.
+pub(crate) const USAGE: &str = "usage: repro_all [--quick|--full] [--seed N] [--runs N] \
+     [--jobs N] [--figure NAME]... [--json PATH] [--out PATH] [--resume]";
 
 /// Why [`Cli::try_parse_from`] rejected a command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,12 +96,14 @@ pub struct Cli {
     /// Worker-pool width (`--jobs N`); `None` means "probe the machine"
     /// (`cmap_exec::default_jobs`). Results are identical for every width.
     pub(crate) jobs: Option<usize>,
-    /// Write a machine-readable report (`RunReport`, or `SuiteReport` for
-    /// `repro_all`) to this path.
+    /// The registry rows named by `--figure`, in command-line order; empty
+    /// runs the `in_repro` rows (see [`Cli::selected`]).
+    figures: Vec<&'static str>,
+    /// Write the machine-readable `SuiteReport` to this path.
     pub json: Option<String>,
-    /// `repro_all`: also write the text report to this path.
+    /// Also write the text report to this path.
     pub out: Option<String>,
-    /// `repro_all`: resume an interrupted suite — skip figures whose
+    /// Resume an interrupted suite — skip figures whose
     /// per-figure artifacts in the work directory are present and
     /// hash-valid against the completion manifest, and splice their saved
     /// reports into the final artifacts.
@@ -110,6 +117,7 @@ impl Default for Cli {
             seed: 42,
             runs: None,
             jobs: None,
+            figures: Vec::new(),
             json: None,
             out: None,
             resume: false,
@@ -145,6 +153,17 @@ impl Cli {
                 "--seed" => cli.seed = number("--seed", args.next())? as u64,
                 "--runs" => cli.runs = Some(count("--runs", args.next())?),
                 "--jobs" => cli.jobs = Some(count("--jobs", args.next())?),
+                "--figure" => {
+                    let name = value("--figure", args.next())?;
+                    let fig = REGISTRY.iter().find(|f| f.name == name).ok_or_else(|| {
+                        let names: Vec<&str> = REGISTRY.iter().map(|f| f.name).collect();
+                        CliError::Bad(format!(
+                            "unknown figure {name}; one of: {}",
+                            names.join(", ")
+                        ))
+                    })?;
+                    cli.figures.push(fig.name);
+                }
                 "--json" => cli.json = Some(value("--json", args.next())?),
                 "--out" => cli.out = Some(value("--out", args.next())?),
                 "--resume" => cli.resume = true,
@@ -155,29 +174,9 @@ impl Cli {
         Ok(cli)
     }
 
-    /// What a per-figure binary accepts: any command line that does not
-    /// carry `--out` or `--resume`, which only `repro_all` acts on.
-    fn without_suite_flags(self) -> Result<Cli, CliError> {
-        if self.out.is_some() || self.resume {
-            return Err(CliError::Bad("--out/--resume are repro_all flags".into()));
-        }
-        Ok(self)
-    }
-
     /// Parse `std::env::args`; exits with usage on `--help` or bad flags.
     pub fn parse() -> Cli {
-        Cli::or_exit(Cli::try_parse_from(std::env::args().skip(1)))
-    }
-
-    /// [`Cli::parse`] for a per-figure binary.
-    pub(crate) fn parse_figure() -> Cli {
-        Cli::or_exit(
-            Cli::try_parse_from(std::env::args().skip(1)).and_then(Cli::without_suite_flags),
-        )
-    }
-
-    fn or_exit(parsed: Result<Cli, CliError>) -> Cli {
-        match parsed {
+        match Cli::try_parse_from(std::env::args().skip(1)) {
             Ok(cli) => cli,
             Err(CliError::Help) => {
                 eprintln!("{USAGE}");
@@ -189,6 +188,19 @@ impl Cli {
                 std::process::exit(2);
             }
         }
+    }
+
+    /// The registry rows this invocation runs, in registry order and each
+    /// once: the rows named by `--figure`, or the `in_repro` rows if none
+    /// was named.
+    pub fn selected(&self) -> impl Iterator<Item = &'static Figure> + '_ {
+        REGISTRY.iter().filter(|f| {
+            if self.figures.is_empty() {
+                f.in_repro
+            } else {
+                self.figures.contains(&f.name)
+            }
+        })
     }
 
     /// The worker-pool width this invocation runs with: `--jobs N` if
@@ -278,21 +290,6 @@ pub(crate) fn cdf_figure(curves: &[Curve], notes: &[String], hi: f64) -> String 
     text + &render_cdfs("Mbit/s", curves, 0.0, hi, 26)
 }
 
-/// Standard figure preamble.
-pub(crate) fn banner(figure: &str, paper_claim: &str, spec: &Spec) {
-    println!("==================================================================");
-    println!("{figure}");
-    println!("paper: {paper_claim}");
-    println!(
-        "spec: testbed seed {}, {} configurations, {:.0}s runs (measuring the last {:.0}s)",
-        spec.testbed_seed,
-        spec.configs,
-        spec.duration as f64 / 1e9,
-        (spec.duration - spec.measure_from()) as f64 / 1e9,
-    );
-    println!("------------------------------------------------------------------");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,22 +365,48 @@ mod tests {
     }
 
     #[test]
-    fn suite_flags_are_an_error_for_a_figure_binary() {
-        let for_figure =
-            |list: &[&str]| Cli::try_parse_from(args(list)).and_then(Cli::without_suite_flags);
-        let rejected = CliError::Bad("--out/--resume are repro_all flags".into());
-        assert_eq!(for_figure(&["--resume"]).unwrap_err(), rejected);
+    fn figure_selects_named_rows_in_registry_order_each_once() {
+        let names = |list: &[&str]| {
+            let cli = Cli::try_parse_from(args(list)).unwrap();
+            cli.selected().map(|f| f.name).collect::<Vec<_>>()
+        };
         assert_eq!(
-            for_figure(&["--quick", "--out", "x.md"]).unwrap_err(),
-            rejected
+            names(&["--figure", "chaos_soak", "--figure", "chaos_soak"]),
+            ["chaos_soak"]
         );
-        // Everything else a figure binary is documented to take passes through.
-        let cli = for_figure(&[
-            "--quick", "--seed", "7", "--runs", "9", "--jobs", "2", "--json", "r.json",
-        ])
-        .unwrap();
-        assert_eq!((cli.seed, cli.runs, cli.jobs), (7, Some(9), Some(2)));
-        assert_eq!(cli.json.as_deref(), Some("r.json"));
+        assert_eq!(
+            names(&["--figure", "scale_sweep", "--figure", "fig12_exposed"]),
+            ["fig12_exposed", "scale_sweep"]
+        );
+        let repro: Vec<&str> = REGISTRY
+            .iter()
+            .filter(|f| f.in_repro)
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(names(&[]), repro);
+        assert_eq!(names(&["--quick", "--jobs", "2"]), repro);
+    }
+
+    #[test]
+    fn figure_errors_are_usage_errors() {
+        let CliError::Bad(msg) =
+            Cli::try_parse_from(args(&["--figure", "fig17_ap_aggregate"])).unwrap_err()
+        else {
+            panic!("an unknown figure is a usage error");
+        };
+        assert!(
+            msg.starts_with("unknown figure fig17_ap_aggregate; one of: calib_single_link, "),
+            "{msg}"
+        );
+        assert!(msg.ends_with(", chaos_soak, scale_sweep"), "{msg}");
+        for f in &REGISTRY {
+            assert!(msg.contains(f.name), "{msg}");
+        }
+        assert_eq!(
+            Cli::try_parse_from(args(&["--figure"])).unwrap_err(),
+            CliError::Bad("--figure needs a value".into())
+        );
+        assert!(USAGE.contains("--figure NAME"));
     }
 
     #[test]

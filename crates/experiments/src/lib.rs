@@ -18,9 +18,9 @@
 //! | [`mesh`] | §5.7 two-hop content dissemination |
 //! | [`convergence`] | §7's transient-loss concern, quantified (extension) |
 //!
-//! Every function takes a [`Spec`](runner::Spec) so benchmark binaries can
-//! trade run length for fidelity, and returns
-//! plain data that the `cmap-bench` binaries render with `cmap-stats`.
+//! Every function takes a [`Spec`](runner::Spec) so the harness can trade
+//! run length for fidelity, and returns plain data that `cmap-bench`'s
+//! `repro_all` renders with `cmap-stats`.
 
 pub mod ap;
 pub mod calibration;

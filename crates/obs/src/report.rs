@@ -138,9 +138,9 @@ impl TimingBlock {
 /// One figure/experiment's machine-readable manifest.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Registry/bin name (e.g. `fig12_exposed`).
+    /// Registry row name (e.g. `fig12_exposed`).
     pub(crate) figure: String,
-    /// Human title (the banner heading).
+    /// Human title (the heading of its text section).
     pub(crate) title: String,
     /// Run parameters.
     pub(crate) spec: SpecBlock,
@@ -398,33 +398,31 @@ pub struct SuiteReport {
     pub(crate) suite: String,
     /// The shared CLI-level spec the suite ran under.
     pub(crate) spec: SpecBlock,
-    /// The BER table in use; `None` omits the key (library contexts).
-    pub ber_table: Option<BerTableBlock>,
-    /// Every fidelity predicate of the figures run, in suite order;
-    /// `None` omits the key (library contexts).
-    pub fidelity: Option<Vec<FidelityRow>>,
+    /// The BER table in use.
+    ber_table: BerTableBlock,
+    /// Every fidelity predicate of the figures run, in suite order.
+    pub fidelity: Vec<FidelityRow>,
     /// Per-figure entries, in run order.
     pub figures: Vec<FigureEntry>,
     /// Every failure the run printed as a `FAIL` line, in suite order.
     /// Deterministic (no wall clock), so it serializes in both views,
-    /// after `figures` and before `timing`; `None` omits the key (library
-    /// contexts).
-    pub failures: Option<Vec<String>>,
-    /// Suite wall-clock, if measured.
-    pub timing: Option<TimingBlock>,
+    /// after `figures` and before `timing`.
+    pub failures: Vec<String>,
+    /// Suite wall-clock.
+    pub timing: TimingBlock,
 }
 
 impl SuiteReport {
-    /// An empty suite report.
-    pub fn new(suite: &str, spec: SpecBlock) -> SuiteReport {
+    /// A suite report with no figures, fidelity rows or failures yet.
+    pub fn new(suite: &str, spec: SpecBlock, ber_table: BerTableBlock) -> SuiteReport {
         SuiteReport {
             suite: suite.to_string(),
             spec,
-            ber_table: None,
-            fidelity: None,
+            ber_table,
+            fidelity: Vec::new(),
             figures: Vec::new(),
-            failures: None,
-            timing: None,
+            failures: Vec::new(),
+            timing: TimingBlock::default(),
         }
     }
 
@@ -448,14 +446,10 @@ impl SuiteReport {
         json::push_str_lit(&mut s, &self.suite);
         s.push_str(",\"spec\":");
         s.push_str(&self.spec.to_json());
-        if let Some(b) = &self.ber_table {
-            s.push_str(",\"ber_table\":");
-            s.push_str(&b.to_json());
-        }
-        if let Some(rows) = &self.fidelity {
-            let rows: Vec<String> = rows.iter().map(FidelityRow::to_json).collect();
-            s.push_str(&format!(",\"fidelity\":[{}]", rows.join(",")));
-        }
+        s.push_str(",\"ber_table\":");
+        s.push_str(&self.ber_table.to_json());
+        let rows: Vec<String> = self.fidelity.iter().map(FidelityRow::to_json).collect();
+        s.push_str(&format!(",\"fidelity\":[{}]", rows.join(",")));
         s.push_str(",\"figures\":[");
         for (i, f) in self.figures.iter().enumerate() {
             if i > 0 {
@@ -464,21 +458,17 @@ impl SuiteReport {
             s.push_str(&f.to_json(include_timing));
         }
         s.push(']');
-        if let Some(failures) = &self.failures {
-            s.push_str(",\"failures\":[");
-            for (i, f) in failures.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                json::push_str_lit(&mut s, f);
+        s.push_str(",\"failures\":[");
+        for (i, f) in self.failures.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
             }
-            s.push(']');
+            json::push_str_lit(&mut s, f);
         }
+        s.push(']');
         if include_timing {
-            if let Some(t) = &self.timing {
-                s.push_str(",\"timing\":");
-                s.push_str(&t.to_json());
-            }
+            s.push_str(",\"timing\":");
+            s.push_str(&self.timing.to_json());
         }
         s.push('}');
         s
@@ -498,6 +488,15 @@ mod tests {
             duration_s: 10.0,
             payload: 1400,
         }
+    }
+
+    fn suite() -> SuiteReport {
+        let ber_table = BerTableBlock {
+            version: "ber-table/v1",
+            grid_points: 4097,
+            max_abs_err: 0.00115,
+        };
+        SuiteReport::new("repro_all", spec(), ber_table)
     }
 
     #[test]
@@ -533,19 +532,12 @@ mod tests {
 
     #[test]
     fn suite_report_drops_all_timing_in_deterministic_view() {
-        let mut s = SuiteReport::new("repro_all", spec());
+        let mut s = suite();
         let mut f = RunReport::new("fig12_exposed", "Fig 12", spec());
         f.metric("m", 1.5);
         f.timing = Some(TimingBlock { wall_secs: 2.0 });
         s.push(f);
-        // A suite without timing omits the key: the figures array is last.
-        assert!(s.to_json(true).ends_with("]}"));
-        s.timing = Some(TimingBlock { wall_secs: 9.0 });
-        s.ber_table = Some(BerTableBlock {
-            version: "ber-table/v1",
-            grid_points: 4097,
-            max_abs_err: 0.00115,
-        });
+        s.timing = TimingBlock { wall_secs: 9.0 };
         let det = s.to_json(false);
         assert!(!det.contains("timing"), "{det}");
         let full = s.to_json(true);
@@ -556,7 +548,7 @@ mod tests {
             assert!(
                 view.contains(
                     "\"payload\":1400},\"ber_table\":{\"version\":\"ber-table/v1\",\
-                     \"grid_points\":4097,\"max_abs_err\":0.00115},\"figures\":["
+                     \"grid_points\":4097,\"max_abs_err\":0.00115},\"fidelity\":[],\"figures\":["
                 ),
                 "{view}"
             );
@@ -578,7 +570,7 @@ mod tests {
         let full = r.to_json(true);
         let det = r.to_json(false);
 
-        let mut s = SuiteReport::new("repro_all", spec());
+        let mut s = suite();
         s.push_raw(full.clone());
         // With timing: the raw bytes appear verbatim. Without: the trailing
         // timing member is stripped, matching the structured serialization.
@@ -595,9 +587,9 @@ mod tests {
         let mut r = RunReport::new("calib_single_link", "§4.2", spec());
         r.metric("mbps", 5.04);
         r.timing = Some(TimingBlock { wall_secs: 1.0 });
-        let mut structured = SuiteReport::new("repro_all", spec());
+        let mut structured = suite();
         structured.push(r.clone());
-        let mut spliced = SuiteReport::new("repro_all", spec());
+        let mut spliced = suite();
         spliced.push_raw(r.to_json(true));
         for include_timing in [false, true] {
             assert_eq!(
@@ -643,15 +635,9 @@ mod tests {
 
     #[test]
     fn fidelity_block_serializes_after_ber_table_in_both_views() {
-        let mut s = SuiteReport::new("repro_all", spec());
-        assert!(!s.to_json(true).contains("\"fidelity\""));
-        s.ber_table = Some(BerTableBlock {
-            version: "ber-table/v1",
-            grid_points: 4097,
-            max_abs_err: 0.00115,
-        });
-        s.fidelity = Some(vec![fidelity_row(0.9, true), fidelity_row(f64::NAN, false)]);
-        s.timing = Some(TimingBlock { wall_secs: 9.0 });
+        let mut s = suite();
+        s.fidelity = vec![fidelity_row(0.9, true), fidelity_row(f64::NAN, false)];
+        s.timing = TimingBlock { wall_secs: 9.0 };
         for view in [s.to_json(false), s.to_json(true)] {
             assert!(
                 view.contains(
@@ -688,17 +674,15 @@ mod tests {
 
     #[test]
     fn failures_list_serializes_after_figures() {
-        let mut s = SuiteReport::new("repro_all", spec());
-        assert!(!s.to_json(true).contains("\"failures\""));
-        s.failures = Some(Vec::new());
+        let mut s = suite();
         assert!(s
             .to_json(false)
             .ends_with("\"figures\":[],\"failures\":[]}"));
-        s.failures = Some(vec![
+        s.failures = vec![
             "fig12_exposed panicked: job 7: boom".to_string(),
             "fidelity: \"quoted\"".to_string(),
-        ]);
-        s.timing = Some(TimingBlock { wall_secs: 9.0 });
+        ];
+        s.timing = TimingBlock { wall_secs: 9.0 };
         let full = s.to_json(true);
         let det = s.to_json(false);
         // Present in both views (the list is deterministic), between the
