@@ -73,10 +73,11 @@ impl InterfererTracker {
                 return;
             }
         }
-        q.push_back((start, end));
-        if q.len() > MAX_WINDOWS {
+        // Evict before pushing, so a full deque never grows past its cap.
+        if q.len() == MAX_WINDOWS {
             q.pop_front();
         }
+        q.push_back((start, end));
     }
 
     /// Fraction of `[start, end)` covered by `node`'s known activity.
@@ -110,12 +111,10 @@ impl InterfererTracker {
         end: Time,
         min_frac: f64,
         exclude: MacAddr,
-    ) -> Vec<MacAddr> {
-        self.activity
-            .keys()
-            .copied()
-            .filter(|&node| node != exclude && self.overlap_fraction(node, start, end) >= min_frac)
-            .collect()
+    ) -> impl Iterator<Item = MacAddr> + '_ {
+        self.activity.keys().copied().filter(move |&node| {
+            node != exclude && self.overlap_fraction(node, start, end) >= min_frac
+        })
     }
 
     /// Account one expected data packet from `u` against an already-judged
@@ -322,12 +321,12 @@ mod tests {
         let mut t = InterfererTracker::new();
         t.note_activity(a(3), 0, 1000); // covers everything
         t.note_activity(a(4), 0, 100); // 10% of [0,1000)
-        let both: Vec<_> = t.concurrent_sources(0, 1000, 0.05, a(1));
+        let both: Vec<_> = t.concurrent_sources(0, 1000, 0.05, a(1)).collect();
         assert_eq!(both.len(), 2);
-        let strong: Vec<_> = t.concurrent_sources(0, 1000, 0.5, a(1));
+        let strong: Vec<_> = t.concurrent_sources(0, 1000, 0.5, a(1)).collect();
         assert_eq!(strong, vec![a(3)]);
         // The packet's own sender is excluded.
-        assert!(t.concurrent_sources(0, 1000, 0.5, a(3)).is_empty());
+        assert_eq!(t.concurrent_sources(0, 1000, 0.5, a(3)).count(), 0);
     }
 
     #[test]

@@ -250,6 +250,8 @@ pub struct CmapMac {
     pending_acks: std::collections::VecDeque<PendingAck>,
     /// Reusable scratch for composing interferer-list broadcasts.
     il_scratch: Vec<cmap::InterfererEntry>,
+    /// Reusable scratch for the concurrent sources of a finalised vpkt.
+    sources: Vec<MacAddr>,
     /// Virtual packets awaiting timer-based finalisation when trailers are
     /// disabled: (sender, seq, count, data rate, data-burst start).
     pending_finalize: std::collections::VecDeque<(MacAddr, u32, u8, cmap_phy::Rate, Time)>,
@@ -278,7 +280,7 @@ impl CmapMac {
             cfg,
             state: SState::Idle,
             cur: None,
-            window: SendWindow::new(),
+            window: SendWindow::default(),
             defer: DeferTable::new(),
             ongoing: OngoingList::new(),
             tracker: InterfererTracker::new(),
@@ -291,6 +293,7 @@ impl CmapMac {
             last_map_refresh: 0,
             pending_acks: std::collections::VecDeque::new(),
             il_scratch: Vec::new(),
+            sources: Vec::new(),
             pending_finalize: std::collections::VecDeque::new(),
             in_flight: InFlight::Idle,
             rate_ctl,
@@ -375,19 +378,16 @@ impl CmapMac {
                 };
                 let dst_node = first.dst;
                 let dst = first.dst_mac;
-                let mut pkts = vec![DataPkt {
-                    flow: first.flow,
-                    flow_seq: first.flow_seq,
-                    payload_len: first.payload_len,
-                }];
-                while pkts.len() < N_VPKT {
-                    match ctx.app_pop_to(dst_node) {
-                        Some(p) => pkts.push(DataPkt {
-                            flow: p.flow,
-                            flow_seq: p.flow_seq,
-                            payload_len: p.payload_len,
-                        }),
-                        None => break,
+                let mut pkts = self.window.take_list();
+                let mut next = Some(first);
+                while let Some(p) = next.take() {
+                    pkts.push(DataPkt {
+                        flow: p.flow,
+                        flow_seq: p.flow_seq,
+                        payload_len: p.payload_len,
+                    });
+                    if pkts.len() < N_VPKT {
+                        next = ctx.app_pop_to(dst_node);
                     }
                 }
                 let seq = self.window.alloc_seq(dst);
@@ -648,9 +648,10 @@ impl CmapMac {
 
     /// Feed per-rate delivery outcomes to the rate controller (§3.5).
     fn drain_rate_feedback(&mut self, ctx: &mut NodeCtx<'_>) {
-        for (dst, rate, acked, lost) in self.window.take_feedback() {
+        for &(dst, rate, acked, lost) in &self.window.feedback {
             self.rate_ctl.feedback(dst, rate, acked, lost, ctx.now());
         }
+        self.window.feedback.clear();
     }
 
     /// Fig 7: CW update from the loss rate reported in an ACK.
@@ -725,7 +726,7 @@ impl CmapMac {
                 .looks_rebooted(h.vpkt_seq(), 2 * self.cfg.n_window as u32)
             {
                 ctx.stats().bump(CounterId::CmapPeerReset);
-                peer.rx = PeerRx::new();
+                peer.rx = PeerRx::default();
             }
             peer.rx.on_header(h.vpkt_seq(), h.pkt_count(), info.end);
             if let Some(src_node) = h.src().node_index() {
@@ -814,8 +815,10 @@ impl CmapMac {
             // and biased per-packet samples fabricate conflicts (see
             // InterfererTracker::concurrent_sources).
             let span_end = t0 + Time::from(pkt_count) * data_air;
-            let concurrent = self.tracker.concurrent_sources(t0, span_end, 0.5, src);
-            for x in concurrent {
+            self.sources.clear();
+            self.sources
+                .extend(self.tracker.concurrent_sources(t0, span_end, 0.5, src));
+            for &x in &self.sources {
                 for i in 0..pkt_count {
                     let lost = bits & (1 << i) == 0;
                     self.tracker.record_pair(
@@ -997,7 +1000,7 @@ impl Mac for CmapMac {
         // boot values; the app queue (upper layer) survives in the world.
         self.state = SState::Idle;
         self.cur = None;
-        self.window = SendWindow::new();
+        self.window = SendWindow::default();
         self.defer = DeferTable::new();
         self.ongoing = OngoingList::new();
         self.tracker = InterfererTracker::new();
@@ -1203,7 +1206,7 @@ impl Mac for CmapMac {
     }
 }
 
-// Everything but the configuration, the scratch buffer and the rate
+// Everything but the configuration, the scratch buffers and the rate
 // controller, in wire order.
 persist!(fields CmapMac {
     state,

@@ -22,6 +22,8 @@ use cmap_wire::cmap::MAX_ACK_WINDOW;
 use cmap_wire::view::compose;
 use cmap_wire::MacAddr;
 
+use crate::config::N_VPKT;
+
 /// One application data packet riding in a virtual packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataPkt {
@@ -106,24 +108,32 @@ pub struct SendWindow {
     /// retransmission-round count they will carry.
     rtx: std::collections::VecDeque<(MacAddr, Vec<DataPkt>, u32)>,
     /// Per-rate delivery feedback accumulated by `on_ack`/`repack_for_rtx`:
-    /// `(dst, rate, packets acked, packets given up)`.
-    feedback: Vec<(MacAddr, Rate, usize, usize)>,
+    /// `(dst, rate, packets acked, packets given up)`; the MAC drains it.
+    pub(crate) feedback: Vec<(MacAddr, Rate, usize, usize)>,
+    /// Retired packet lists, kept for their capacity so that a list is
+    /// allocated once and not per virtual packet. Not checkpointed.
+    spare: Vec<Vec<DataPkt>>,
 }
 
-persist!(struct SendWindow { next_seq, sent, rtx, feedback });
+persist!(struct SendWindow { next_seq, sent, rtx, feedback } ..SendWindow::default());
 
 impl SendWindow {
-    /// Empty window.
-    pub fn new() -> SendWindow {
-        SendWindow::default()
-    }
-
     /// Allocate the next virtual-packet sequence number towards `dst`.
     pub fn alloc_seq(&mut self, dst: MacAddr) -> u32 {
         let c = self.next_seq.entry(dst).or_insert(0);
         let seq = *c;
         *c += 1;
         seq
+    }
+
+    /// An empty packet list: a spare one, else one sized for a full vpkt.
+    pub(crate) fn take_list(&mut self) -> Vec<DataPkt> {
+        let mut list = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(N_VPKT));
+        list.clear();
+        list
     }
 
     /// Track a fully transmitted virtual packet.
@@ -177,7 +187,8 @@ impl SendWindow {
                 v.acked |= bm & v.full_mask();
             }
         }
-        self.sent.retain(|v| !v.fully_acked());
+        let done = self.sent.extract_if(.., |v| v.fully_acked());
+        self.spare.extend(done.map(|v| v.pkts));
         newly
     }
 
@@ -189,36 +200,42 @@ impl SendWindow {
     /// would pin the send window forever. Returns `(requeued, given_up)`
     /// packet counts.
     pub fn repack_for_rtx(&mut self, n_vpkt: usize, max_rounds: u32) -> (usize, usize) {
-        let mut per_dst: Vec<(MacAddr, Vec<DataPkt>, u32)> = Vec::new();
-        let mut given_up = 0usize;
-        for v in self.sent.drain(..) {
-            let pkts: Vec<DataPkt> = v.unacked().copied().collect();
-            if pkts.is_empty() {
-                continue;
+        // Packets are grouped by (destination, rounds) so a packet's round
+        // count survives the repack intact; a group's lists stay adjacent
+        // in `rtx`, the groups in the order they first appear.
+        let (first, cap) = (self.rtx.len(), n_vpkt.max(1));
+        let (mut total, mut given_up) = (0, 0);
+        let mut sent = std::mem::take(&mut self.sent);
+        for v in sent.drain(..) {
+            let n = v.unacked().count();
+            if n > 0 {
+                self.feedback.push((v.dst, v.rate, 0, n));
             }
-            self.feedback.push((v.dst, v.rate, 0, pkts.len()));
             if v.rounds >= max_rounds {
-                given_up += pkts.len();
-                continue;
+                given_up += n;
+            } else {
+                total += n;
+                let (dst, rounds) = (v.dst, v.rounds + 1);
+                // One past the group's last list, and the room left in it.
+                let found = self
+                    .rtx
+                    .range(first..)
+                    .rposition(|&(d, _, r)| (d, r) == (dst, rounds));
+                let mut end = found.map_or(self.rtx.len(), |k| first + k + 1);
+                let mut room = found.map_or(0, |k| cap - self.rtx[first + k].1.len());
+                for &p in v.unacked() {
+                    if room == 0 {
+                        let list = self.take_list();
+                        self.rtx.insert(end, (dst, list, rounds));
+                        (end, room) = (end + 1, cap);
+                    }
+                    self.rtx[end - 1].1.push(p);
+                    room -= 1;
+                }
             }
-            // Group by (destination, rounds) so a packet's round count
-            // survives the repack intact.
-            let rounds = v.rounds + 1;
-            match per_dst
-                .iter_mut()
-                .find(|(d, _, r)| *d == v.dst && *r == rounds)
-            {
-                Some((_, list, _)) => list.extend(pkts),
-                None => per_dst.push((v.dst, pkts, rounds)),
-            }
+            self.spare.push(v.pkts);
         }
-        let mut total = 0;
-        for (dst, pkts, rounds) in per_dst {
-            total += pkts.len();
-            for chunk in pkts.chunks(n_vpkt.max(1)) {
-                self.rtx.push_back((dst, chunk.to_vec(), rounds));
-            }
-        }
+        self.sent = sent;
         (total, given_up)
     }
 
@@ -231,12 +248,6 @@ impl SendWindow {
     /// Whether repacked retransmissions are pending.
     pub(crate) fn has_rtx(&self) -> bool {
         !self.rtx.is_empty()
-    }
-
-    /// Drain the per-rate delivery feedback accumulated since the last call
-    /// (input for a [`RateController`](crate::rate_control::RateController)).
-    pub(crate) fn take_feedback(&mut self) -> Vec<(MacAddr, Rate, usize, usize)> {
-        std::mem::take(&mut self.feedback)
     }
 }
 
@@ -269,11 +280,6 @@ pub struct PeerRx {
 persist!(struct PeerRx { records, highest, finalized, last_ack_upto });
 
 impl PeerRx {
-    /// Empty per-sender state.
-    pub fn new() -> PeerRx {
-        PeerRx::default()
-    }
-
     fn touch(&mut self, seq: u32) -> &mut RxVpkt {
         self.highest = Some(self.highest.map_or(seq, |h| h.max(seq)));
         self.records.entry(seq).or_default()
@@ -319,26 +325,15 @@ impl PeerRx {
     }
 
     /// Build the cumulative ACK covering the last `n_window` virtual
-    /// packets ending at `upto`: `(base_seq, bitmaps, loss_rate)`.
+    /// packets ending at `upto`: the bitmaps are written into `out`, and
+    /// `(base_seq, bitmap_count, loss_rate)` is returned. Allocation-free:
+    /// the records that fell below the window are pruned in place.
     ///
     /// Sequence numbers in the span that were never heard at all count as
     /// fully lost (`default_expected` packets each) — the sender numbers
     /// virtual packets consecutively per destination, so a hole is a lost
     /// virtual packet, not an artefact.
-    pub fn build_ack(
-        &mut self,
-        upto: u32,
-        n_window: usize,
-        default_expected: u8,
-    ) -> (u32, Vec<u32>, f64) {
-        let mut out = [0u32; MAX_ACK_WINDOW];
-        let (base, n, loss) = self.build_ack_into(upto, n_window, default_expected, &mut out);
-        (base, out[..n as usize].to_vec(), loss)
-    }
-
-    /// Allocation-free core of [`PeerRx::build_ack`]: bitmaps are written
-    /// into `out`, returning `(base_seq, bitmap_count, loss_rate)`.
-    pub(crate) fn build_ack_into(
+    pub fn build_ack_into(
         &mut self,
         upto: u32,
         n_window: usize,
@@ -371,9 +366,12 @@ impl PeerRx {
             count += 1;
         }
         // Prune records that fell out of every future window.
-        let cutoff = base;
-        self.records = self.records.split_off(&cutoff);
-        self.finalized = self.finalized.split_off(&cutoff);
+        while let Some(e) = self.records.first_entry().filter(|e| *e.key() < base) {
+            e.remove();
+        }
+        while self.finalized.first().is_some_and(|&s| s < base) {
+            self.finalized.pop_first();
+        }
         let loss = if expected_total == 0 {
             0.0
         } else {
@@ -399,6 +397,13 @@ mod tests {
         }
     }
 
+    /// `build_ack_into` with the bitmaps as a `Vec`.
+    fn build_ack(r: &mut PeerRx, upto: u32, n_window: usize, expect: u8) -> (u32, Vec<u32>, f64) {
+        let mut out = [0u32; MAX_ACK_WINDOW];
+        let (base, n, loss) = r.build_ack_into(upto, n_window, expect, &mut out);
+        (base, out[..usize::from(n)].to_vec(), loss)
+    }
+
     fn sent(dst: MacAddr, seq: u32, n: usize) -> SentVpkt {
         SentVpkt {
             dst,
@@ -413,7 +418,7 @@ mod tests {
 
     #[test]
     fn seq_allocation_is_per_destination() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         assert_eq!(w.alloc_seq(a(1)), 0);
         assert_eq!(w.alloc_seq(a(1)), 1);
         assert_eq!(w.alloc_seq(a(2)), 0);
@@ -422,7 +427,7 @@ mod tests {
 
     #[test]
     fn ack_clears_fully_acked_vpkts() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         w.push_sent(sent(a(1), 0, 32));
         w.push_sent(sent(a(1), 1, 32));
         assert_eq!(w.outstanding(), 2);
@@ -439,7 +444,7 @@ mod tests {
 
     #[test]
     fn ack_from_wrong_receiver_ignored() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         w.push_sent(sent(a(1), 0, 8));
         assert_eq!(w.on_ack(a(2), 0, &[u32::MAX]), 0);
         assert_eq!(w.outstanding(), 1);
@@ -447,7 +452,7 @@ mod tests {
 
     #[test]
     fn ack_base_offsets_respected() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         w.push_sent(sent(a(1), 5, 8));
         // Bitmap index 2 covers seq 5 when base is 3.
         assert_eq!(w.on_ack(a(1), 3, &[0, 0, 0xFF]), 8);
@@ -469,7 +474,7 @@ mod tests {
 
     #[test]
     fn repack_collects_unacked_in_order() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         let mut v0 = sent(a(1), 0, 4);
         v0.acked = 0b0011; // packets 2,3 unacked
         let mut v1 = sent(a(1), 1, 4);
@@ -498,7 +503,7 @@ mod tests {
 
     #[test]
     fn repack_gives_up_after_max_rounds() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         let mut tired = sent(a(1), 0, 4);
         tired.rounds = 2; // already retransmitted twice
         let fresh = sent(a(1), 1, 4);
@@ -511,13 +516,13 @@ mod tests {
         assert_eq!(rounds, 1);
         assert!(w.pop_rtx().is_none());
         // The given-up packets still show as losses in the rate feedback.
-        let lost: usize = w.take_feedback().iter().map(|&(_, _, _, l)| l).sum();
+        let lost: usize = w.feedback.iter().map(|&(_, _, _, l)| l).sum();
         assert_eq!(lost, 8);
     }
 
     #[test]
     fn rounds_survive_multiple_repacks() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         w.push_sent(sent(a(1), 0, 4));
         for round in 1..=3u32 {
             let (requeued, gave_up) = w.repack_for_rtx(32, 3);
@@ -537,7 +542,7 @@ mod tests {
 
     #[test]
     fn finalize_is_idempotent_per_vpkt() {
-        let mut r = PeerRx::new();
+        let mut r = PeerRx::default();
         r.on_header(0, 4, 100);
         assert!(r.mark_finalized(0), "first finalisation runs attribution");
         assert!(!r.mark_finalized(0), "duplicate trailer must not");
@@ -547,13 +552,13 @@ mod tests {
             r.on_header(seq, 4, 100);
             r.mark_finalized(seq);
         }
-        let _ = r.build_ack(19, 8, 4);
+        let _ = build_ack(&mut r, 19, 8, 4);
         assert!(!r.mark_finalized(19), "in-window state survives the prune");
     }
 
     #[test]
     fn reboot_detection_distinguishes_reordering() {
-        let mut r = PeerRx::new();
+        let mut r = PeerRx::default();
         assert!(!r.looks_rebooted(0, 32), "fresh peer: nothing to compare");
         r.on_header(100, 4, 0);
         // Reordering within a few windows is normal.
@@ -566,24 +571,24 @@ mod tests {
 
     #[test]
     fn ack_window_never_slides_backwards() {
-        let mut r = PeerRx::new();
+        let mut r = PeerRx::default();
         for seq in 0..=10u32 {
             r.on_header(seq, 2, 0);
             r.on_data(seq, 0);
             r.on_data(seq, 1);
         }
-        let (base_new, _, _) = r.build_ack(10, 4, 2);
+        let (base_new, _, _) = build_ack(&mut r, 10, 4, 2);
         assert_eq!(base_new, 7);
         // A reordered trailer for vpkt 3 arrives late: the ACK must still
         // cover the newest window, not regress to [0, 3].
-        let (base_old, bitmaps, _) = r.build_ack(3, 4, 2);
+        let (base_old, bitmaps, _) = build_ack(&mut r, 3, 4, 2);
         assert_eq!(base_old, 7);
         assert_eq!(bitmaps.len(), 4);
     }
 
     #[test]
     fn receiver_bitmap_and_loss_rate() {
-        let mut r = PeerRx::new();
+        let mut r = PeerRx::default();
         // vpkt 0: full; vpkt 1: half; vpkt 2: missing entirely; vpkt 3:
         // trailer only.
         r.on_header(0, 4, 100);
@@ -595,7 +600,7 @@ mod tests {
         r.on_data(1, 1);
         r.on_header(3, 4, 400);
         r.on_trailer(3, 4);
-        let (base, bitmaps, loss) = r.build_ack(3, 4, 4);
+        let (base, bitmaps, loss) = build_ack(&mut r, 3, 4, 4);
         assert_eq!(base, 0);
         assert_eq!(bitmaps, vec![0b1111, 0b0011, 0, 0]);
         // expected 16, got 6 -> loss 10/16.
@@ -604,13 +609,13 @@ mod tests {
 
     #[test]
     fn ack_window_slides_and_prunes() {
-        let mut r = PeerRx::new();
+        let mut r = PeerRx::default();
         for seq in 0..20u32 {
             r.on_header(seq, 2, Time::from(seq) * 100);
             r.on_data(seq, 0);
             r.on_data(seq, 1);
         }
-        let (base, bitmaps, loss) = r.build_ack(19, 8, 2);
+        let (base, bitmaps, loss) = build_ack(&mut r, 19, 8, 2);
         assert_eq!(base, 12);
         assert_eq!(bitmaps.len(), 8);
         assert!(bitmaps.iter().all(|&b| b == 0b11));
@@ -622,25 +627,23 @@ mod tests {
 
     #[test]
     fn feedback_accounts_acks_and_losses() {
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         w.push_sent(sent(a(1), 0, 8));
         w.push_sent(sent(a(1), 1, 8));
         w.on_ack(a(1), 0, &[0b1111, 0]); // 4 of vpkt 0 acked
         let (n, _) = w.repack_for_rtx(32, 8); // 4 + 8 lost
         assert_eq!(n, 12);
-        let fb = w.take_feedback();
-        let acked: usize = fb.iter().map(|&(_, _, a, _)| a).sum();
-        let lost: usize = fb.iter().map(|&(_, _, _, l)| l).sum();
+        let acked: usize = w.feedback.iter().map(|&(_, _, a, _)| a).sum();
+        let lost: usize = w.feedback.iter().map(|&(_, _, _, l)| l).sum();
         assert_eq!((acked, lost), (4, 12));
-        assert!(w.take_feedback().is_empty(), "drained");
     }
 
     #[test]
     fn early_sequences_clamp_base_to_zero() {
-        let mut r = PeerRx::new();
+        let mut r = PeerRx::default();
         r.on_header(1, 3, 0);
         r.on_data(1, 2);
-        let (base, bitmaps, _) = r.build_ack(1, 8, 3);
+        let (base, bitmaps, _) = build_ack(&mut r, 1, 8, 3);
         assert_eq!(base, 0);
         assert_eq!(bitmaps.len(), 2);
         assert_eq!(bitmaps[1], 0b100);

@@ -53,11 +53,15 @@ impl FlowStats {
             // `seq` is missing if in the first range ending past it.
             let i = self.missing.partition_point(|&(_, to)| to <= seq);
             match self.missing.get(i) {
-                Some(&(from, to)) if from <= seq => {
-                    let halves = [(from, seq), (seq + 1, to)];
-                    self.missing
-                        .splice(i..=i, halves.into_iter().filter(|(a, b)| a < b));
-                }
+                Some(&(from, to)) if from <= seq => match (from < seq, seq + 1 < to) {
+                    (true, true) => {
+                        self.missing[i].1 = seq;
+                        self.missing.insert(i + 1, (seq + 1, to));
+                    }
+                    (true, false) => self.missing[i].1 = seq,
+                    (false, true) => self.missing[i].0 = seq + 1,
+                    (false, false) => drop(self.missing.remove(i)),
+                },
                 _ => return false,
             }
         }
@@ -119,19 +123,9 @@ impl VpktStats {
     /// engages on long soaks.
     pub(crate) const MAX_GOT: usize = 4096;
 
-    /// Virtual packets whose header was received.
-    pub(crate) fn header_count(&self) -> u64 {
-        self.headers_total
-    }
-
     /// Virtual packets whose trailer was received.
     pub fn trailer_count(&self) -> u64 {
         self.trailers_total
-    }
-
-    /// Virtual packets with header *or* trailer received.
-    pub(crate) fn either_count(&self) -> u64 {
-        self.either_total
     }
 
     /// Fraction of sent virtual packets whose header was received.
@@ -139,7 +133,7 @@ impl VpktStats {
         if self.sent == 0 {
             return 0.0;
         }
-        self.header_count() as f64 / self.sent as f64
+        self.headers_total as f64 / self.sent as f64
     }
 
     /// Fraction of sent virtual packets with header or trailer received.
@@ -147,7 +141,7 @@ impl VpktStats {
         if self.sent == 0 {
             return 0.0;
         }
-        (self.either_count() as f64 / self.sent as f64).min(1.0)
+        (self.either_total as f64 / self.sent as f64).min(1.0)
     }
 }
 
@@ -439,9 +433,9 @@ mod tests {
         s.vpkt_received(1, 2, 2, true);
         let v = s.vpkt_stats(1, 2).unwrap();
         assert_eq!(v.sent, 4);
-        assert_eq!(v.header_count(), 2);
+        assert_eq!(v.headers_total, 2);
         assert_eq!(v.trailer_count(), 2);
-        assert_eq!(v.either_count(), 3);
+        assert_eq!(v.either_total, 3);
         assert!((v.header_rate() - 0.5).abs() < 1e-12);
         assert!((v.either_rate() - 0.75).abs() < 1e-12);
         assert!(s.vpkt_stats(2, 1).is_none());
@@ -574,22 +568,19 @@ mod tests {
         let v = s.vpkt_stats(0, 1).unwrap();
         assert_eq!(v.got.len(), VpktStats::MAX_GOT);
         assert_eq!(
-            v.header_count(),
+            v.headers_total,
             VpktStats::MAX_GOT as u64 + u64::from(extra)
         );
-        assert_eq!(
-            v.either_count(),
-            VpktStats::MAX_GOT as u64 + u64::from(extra)
-        );
+        assert_eq!(v.either_total, VpktStats::MAX_GOT as u64 + u64::from(extra));
         assert_eq!(v.trailer_count(), 0);
         assert_eq!(v.evicted, u64::from(extra));
         assert_eq!(s.counter(CounterId::StatsVpktEvicted), u64::from(extra));
         // Re-flagging an evicted seq recreates an entry but does not
         // double-count the header.
-        let before = s.vpkt_stats(0, 1).unwrap().header_count();
+        let before = s.vpkt_stats(0, 1).unwrap().headers_total;
         s.vpkt_received(0, 1, 0, true);
         let v = s.vpkt_stats(0, 1).unwrap();
-        assert_eq!(v.header_count(), before); // trailer, not header
+        assert_eq!(v.headers_total, before); // trailer, not header
         assert_eq!(v.trailer_count(), 1);
     }
 

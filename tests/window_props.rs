@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use cmap_suite::cmap::vpkt::{DataPkt, PeerRx, SendWindow, SentVpkt};
 use cmap_suite::phy::Rate;
+use cmap_suite::wire::cmap::MAX_ACK_WINDOW;
 use cmap_suite::wire::MacAddr;
 
 fn pkt(flow_seq: u32) -> DataPkt {
@@ -16,7 +17,74 @@ fn pkt(flow_seq: u32) -> DataPkt {
     }
 }
 
+/// What a repack must queue, written the plain way: each vpkt's
+/// unacknowledged packets, none past `max_rounds`, grouped by
+/// (destination, next round) in the order the groups' first packets
+/// appear, cut into lists of `n_vpkt`.
+fn reference_repack(
+    sent: &[SentVpkt],
+    n_vpkt: usize,
+    max_rounds: u32,
+) -> Vec<(MacAddr, Vec<DataPkt>, u32)> {
+    let mut groups: Vec<(MacAddr, Vec<DataPkt>, u32)> = Vec::new();
+    for v in sent.iter().filter(|v| v.rounds < max_rounds) {
+        let key = (v.dst, v.rounds + 1);
+        for (i, p) in v.pkts.iter().enumerate() {
+            if v.acked & (1 << i) != 0 {
+                continue;
+            }
+            match groups.iter_mut().find(|(d, _, r)| (*d, *r) == key) {
+                Some(group) => group.1.push(*p),
+                None => groups.push((key.0, vec![*p], key.1)),
+            }
+        }
+    }
+    let mut lists = Vec::new();
+    for (dst, pkts, rounds) in groups {
+        lists.extend(pkts.chunks(n_vpkt).map(|c| (dst, c.to_vec(), rounds)));
+    }
+    lists
+}
+
 proptest! {
+    /// Repacking queues exactly the plain grouping's lists, over several
+    /// destinations and round counts, and again when the window is
+    /// refilled from the lists it handed out and took back.
+    #[test]
+    fn repack_matches_the_grouping_by_destination_and_round(
+        vpkts in proptest::collection::vec((0u16..3, 1usize..=32, 0u32..3, any::<u32>()), 1..12),
+        n_vpkt in 1usize..=32,
+    ) {
+        let mut w = SendWindow::default();
+        let mut next_flow_seq = 0u32;
+        let mut sent = Vec::new();
+        for &(dst, n, rounds, acked) in &vpkts {
+            let dst = MacAddr::from_node_index(dst);
+            let pkts = (0..n).map(|_| { next_flow_seq += 1; pkt(next_flow_seq) }).collect();
+            let seq = w.alloc_seq(dst);
+            sent.push(SentVpkt { dst, seq, pkts, acked, sent_at: 0, rate: Rate::R6, rounds });
+        }
+        for _ in 0..2 {
+            let want = reference_repack(&sent, n_vpkt, 3);
+            let want_total: usize = want.iter().map(|(_, p, _)| p.len()).sum();
+            for v in sent.drain(..) {
+                w.push_sent(v);
+            }
+            let (requeued, _) = w.repack_for_rtx(n_vpkt, 3);
+            prop_assert_eq!(requeued, want_total);
+            let mut got = Vec::new();
+            while let Some(entry) = w.pop_rtx() {
+                got.push(entry);
+            }
+            prop_assert_eq!(&got, &want);
+            // Send the lists again, half acknowledged.
+            for (dst, pkts, rounds) in got {
+                let seq = w.alloc_seq(dst);
+                sent.push(SentVpkt { dst, seq, pkts, acked: 0x5555_5555, sent_at: 0, rate: Rate::R6, rounds });
+            }
+        }
+    }
+
     /// Fill a window with vpkts, apply arbitrary ACK bitmaps, then repack:
     /// acked + requeued == sent, with no duplicates.
     #[test]
@@ -25,7 +93,7 @@ proptest! {
         acks in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..16),
     ) {
         let dst = MacAddr::from_node_index(1);
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         let mut next_flow_seq = 0u32;
         let mut all_sent = Vec::new();
         for pkts in &sizes {
@@ -68,7 +136,7 @@ proptest! {
     fn receiver_loss_rate_is_sane(
         events in proptest::collection::vec((0u32..20, 0u8..32, any::<bool>()), 1..200),
     ) {
-        let mut rx = PeerRx::new();
+        let mut rx = PeerRx::default();
         let mut upto = 0;
         for (seq, idx, with_header) in events {
             if with_header {
@@ -77,9 +145,10 @@ proptest! {
             rx.on_data(seq, idx);
             upto = upto.max(seq);
         }
-        let (base, bitmaps, loss) = rx.build_ack(upto, 8, 32);
+        let mut bitmaps = [0u32; MAX_ACK_WINDOW];
+        let (base, n, loss) = rx.build_ack_into(upto, 8, 32, &mut bitmaps);
         prop_assert!(base <= upto);
-        prop_assert!(!bitmaps.is_empty() && bitmaps.len() <= 8);
+        prop_assert!((1..=8).contains(&n));
         prop_assert!((0.0..=1.0).contains(&loss), "loss {loss}");
     }
 
@@ -87,7 +156,7 @@ proptest! {
     #[test]
     fn idempotent_acks(bm in any::<u32>()) {
         let dst = MacAddr::from_node_index(1);
-        let mut w = SendWindow::new();
+        let mut w = SendWindow::default();
         let seq = w.alloc_seq(dst);
         w.push_sent(SentVpkt {
             dst,

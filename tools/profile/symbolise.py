@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turn a tools/profile/sampler.c dump into share tables.
 
-Usage: symbolise.py <raw dump> [--top N] [--lines <source file>]
+Usage: symbolise.py <raw dump> [--top N] [--lines <source file>] [--phase <row>]
 
 Prints, from the `map` lines (the process's /proc/self/maps) and the
 `sample` lines (one PC, or one stack leaf first, per SIGPROF tick):
@@ -26,7 +26,13 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   binary; a file without them is one `[<file name>]` row;
 * with `--lines`, the same self shares by line of one source file (named
   as the by-file table names it, e.g. `sim/src/radio.rs`), with the
-  line's text: where inside a hot file the samples land.
+  line's text: where inside a hot file the samples land;
+* with `--phase`, every table over only the samples of one row of the
+  by-phase table (e.g. `World::run_until`, the timed run), `samples`
+  then counting those.
+
+Identical stacks are counted once and weighted, so a dump of a million
+allocation stacks (tools/profile/allocs.c) reads in seconds.
 
 Symbols come from `nm -C` on each mapped file (`nm -D` as well, for the
 stripped system libraries). Standard library only.
@@ -201,9 +207,14 @@ def main():
         i = args.index("--lines")
         lines_of = args[i + 1]
         del args[i:i + 2]
+    only_phase = None
+    if "--phase" in args:
+        i = args.index("--phase")
+        only_phase = args[i + 1]
+        del args[i:i + 2]
     if len(args) != 1:
         sys.exit(__doc__)
-    maps, samples, dropped = [], [], 0
+    maps, samples, dropped = [], collections.Counter(), 0
     first_start = {}
     for line in open(args[0]):
         kind, _, rest = line.partition(" ")
@@ -215,7 +226,7 @@ def main():
                 if "x" in f[1]:
                     maps.append((lo, hi, f[5]))
         elif kind == "sample":
-            samples.append([int(x, 16) for x in rest.split()])
+            samples[tuple(int(x, 16) for x in rest.split())] += 1
         elif kind == "dropped":
             dropped = int(rest)
     if not samples:
@@ -245,20 +256,30 @@ def main():
     self_layer, incl_layer = collections.Counter(), collections.Counter()
     by_phase = collections.Counter()
     stacks = any(len(s) > 1 for s in samples)
-    for stack in samples:
-        frames = [resolve(pc, 1 if k else 0) for k, pc in enumerate(stack)]
-        self_sym[frames[0][0]] += 1
-        self_layer[frames[0][1]] += 1
+    resolved = {}
+    for stack, weight in list(samples.items()):
+        for k, pc in enumerate(stack):
+            if (pc, k > 0) not in resolved:
+                resolved[pc, k > 0] = resolve(pc, 1 if k else 0)
+        frames = [resolved[pc, k > 0] for k, pc in enumerate(stack)]
+        phase = phase_of({s for s, _ in frames})
+        if only_phase is not None and phase != only_phase:
+            del samples[stack]
+            continue
+        self_sym[frames[0][0]] += weight
+        self_layer[frames[0][1]] += weight
         for sym in {s for s, _ in frames}:
-            incl_sym[sym] += 1
+            incl_sym[sym] += weight
         layers = {l for _, l in frames}
         if any("cmap_benchmark::workload" in s for s, _ in frames):
             layers.add("set-up")
         for layer in layers:
-            incl_layer[layer] += 1
-        by_phase[phase_of({s for s, _ in frames})] += 1
+            incl_layer[layer] += weight
+        by_phase[phase] += weight
+    if not samples:
+        sys.exit("no samples in phase %s of %s" % (only_phase, args[0]))
 
-    n = len(samples)
+    n = sum(samples.values())
     print("samples %d  dropped %d  stacks %s" % (n, dropped, "yes" if stacks else "no"))
 
     def table(title, self_c, incl_c, rows):
@@ -272,10 +293,10 @@ def main():
 
     # Each sample's own PC by the file of its innermost inlined frame.
     leaves = collections.defaultdict(collections.Counter)
-    for stack in samples:
+    for stack, weight in samples.items():
         image = image_of(stack[0])
         if image is not None:
-            leaves[image][stack[0] - image.bias] += 1
+            leaves[image][stack[0] - image.bias] += weight
     self_file, self_line, full = collections.Counter(), collections.Counter(), {}
     for image, addrs in leaves.items():
         where = source_lines(image.path, sorted(addrs))
@@ -309,7 +330,9 @@ def main():
     if stacks:
         print("\nby symbol (top %d by inclusive share)" % top)
         print("%8s %8s  %s" % ("self %", "incl %", "name"))
-        for k, c in incl_sym.most_common(top):
+        # Ties by name: a Counter's tie order is its insertion order, which
+        # the per-sample symbol sets (hash-ordered) do not fix.
+        for k, c in sorted(incl_sym.items(), key=lambda kc: (-kc[1], kc[0]))[:top]:
             print("%8.1f %8.1f  %s" % (100.0 * self_sym[k] / n, 100.0 * c / n, k))
 
 
