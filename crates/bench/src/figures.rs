@@ -18,7 +18,7 @@ use std::panic::AssertUnwindSafe;
 
 use cmap_core::CmapConfig;
 use cmap_experiments::exposed::Curve;
-use cmap_experiments::runner::{radio_env, Spec};
+use cmap_experiments::runner::{radio_env, Spec, PAYLOAD};
 use cmap_experiments::{
     ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol,
 };
@@ -27,6 +27,7 @@ use cmap_phy::Rate;
 use cmap_sim::time::{millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
 use cmap_stats::{mean, std_dev};
+use cmap_topo::micro::{CONFLICTING, EXPOSED, HIDDEN};
 use cmap_topo::{LinkMeasurements, Testbed};
 
 use crate::{cdf_figure, median, median_of, render_cdfs, Cli, Effort};
@@ -352,7 +353,7 @@ pub fn spec_block(cli: &Cli, spec: &Spec) -> SpecBlock {
         effort: cli.effort.label().to_string(),
         configs: spec.configs as u64,
         duration_s: spec.duration as f64 / 1e9,
-        payload: spec.payload as u64,
+        payload: PAYLOAD as u64,
     }
 }
 
@@ -810,35 +811,6 @@ const PAIR_NODES: usize = 4;
 /// directions; any pair not listed is out of range.
 type PairLinks = &'static [(usize, usize, f64)];
 
-/// The Fig 12 exposed-terminal topology: two pairs that can (and should)
-/// run concurrently — the configuration where CMAP has the most to lose
-/// when its conflict map degrades.
-const EXPOSED: PairLinks = &[
-    (0, 1, -60.0),
-    (2, 3, -60.0),
-    (0, 2, -75.0),
-    (0, 3, -93.0),
-    (2, 1, -93.0),
-    (1, 3, -95.0),
-];
-
-const CONFLICTING: PairLinks = &[
-    (0, 1, -60.0),
-    (2, 3, -60.0),
-    (0, 2, -65.0),
-    (0, 3, -63.0),
-    (2, 1, -63.0),
-    (1, 3, -80.0),
-];
-
-const HIDDEN: PairLinks = &[
-    (0, 1, -60.0),
-    (2, 3, -60.0),
-    (0, 3, -62.0),
-    (2, 1, -62.0),
-    (1, 3, -70.0),
-];
-
 const SCENARIOS: [(&str, PairLinks); 3] = [
     ("exposed", EXPOSED),
     ("conflicting", CONFLICTING),
@@ -848,14 +820,8 @@ const SCENARIOS: [(&str, PairLinks); 3] = [
 /// A world over `links` with the two saturated 1400-byte flows 0→1 and
 /// 2→3; returns it with their ids.
 fn two_pair_world(links: PairLinks, phy: PhyConfig, seed: u64) -> (World, Vec<u16>) {
-    let n = PAIR_NODES;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    for &(a, b, rss_dbm) in links {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    }
     let medium = MediumBuilder::new(&phy)
-        .gains_db(n, &gains, &vec![100; n * n])
+        .rss_links(PAIR_NODES, links)
         .build();
     let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
     let flows = vec![w.add_flow(0, 1, 1400), w.add_flow(2, 3, 1400)];

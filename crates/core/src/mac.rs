@@ -1233,22 +1233,13 @@ mod tests {
     use cmap_mac80211::{DcfConfig, DcfMac};
     use cmap_sim::time::secs;
     use cmap_sim::{MediumBuilder, PhyConfig, World};
+    use cmap_topo::micro::{CONFLICTING, EXPOSED, HIDDEN};
 
-    fn world_from_rss(n: usize, rss: &[(usize, usize, f64)], seed: u64) -> World {
+    /// A world of `n` nodes over `links` (`MediumBuilder::rss_links`).
+    fn world_from_rss(n: usize, links: &[(usize, usize, f64)], seed: u64) -> World {
         let phy = PhyConfig::default();
-        let mut gains = vec![f64::NEG_INFINITY; n * n];
-        for &(a, b, rss_dbm) in rss {
-            gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        }
-        let delays = vec![100u64; n * n];
-        let medium = MediumBuilder::new(&phy)
-            .gains_db(n, &gains, &delays)
-            .build();
+        let medium = MediumBuilder::new(&phy).rss_links(n, links).build();
         World::builder().medium(medium).phy(phy).seed(seed).build()
-    }
-
-    fn sym(a: usize, b: usize, rss: f64) -> [(usize, usize, f64); 2] {
-        [(a, b, rss), (b, a, rss)]
     }
 
     fn tput(w: &World, flow: u16, from: u64, to: u64) -> f64 {
@@ -1274,8 +1265,7 @@ mod tests {
     #[test]
     fn single_link_throughput_comparable_to_dcf() {
         // §4.2 calibration: CMAP 5.04 vs 802.11 5.07 Mbit/s on one link.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
+        let rss = [(0, 1, -60.0)];
 
         let mut w = world_from_rss(2, &rss, 1);
         let f = w.add_flow(0, 1, 1400);
@@ -1300,15 +1290,7 @@ mod tests {
     #[test]
     fn exposed_terminals_run_concurrently() {
         // Fig 12's headline: exposed configuration, CMAP ~2x the status quo.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        rss.extend(sym(2, 3, -60.0));
-        rss.extend(sym(0, 2, -75.0)); // senders hear each other
-        rss.extend(sym(0, 3, -93.0)); // receivers barely hear the other tx
-        rss.extend(sym(2, 1, -93.0));
-        rss.extend(sym(1, 3, -95.0));
-
-        let mut w = world_from_rss(4, &rss, 3);
+        let mut w = world_from_rss(4, EXPOSED, 3);
         let f1 = w.add_flow(0, 1, 1400);
         let f2 = w.add_flow(2, 3, 1400);
         cmap_all(&mut w, 4, &CmapConfig::default());
@@ -1326,15 +1308,7 @@ mod tests {
         // Both receivers are blasted by the other sender: concurrent
         // transmission loses. CMAP must converge to sequential operation
         // comparable to carrier sense.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        rss.extend(sym(2, 3, -60.0));
-        rss.extend(sym(0, 2, -65.0));
-        rss.extend(sym(0, 3, -63.0)); // strong cross-interference
-        rss.extend(sym(2, 1, -63.0));
-        rss.extend(sym(1, 3, -80.0));
-
-        let mut w = world_from_rss(4, &rss, 4);
+        let mut w = world_from_rss(4, CONFLICTING, 4);
         let f1 = w.add_flow(0, 1, 1400);
         let f2 = w.add_flow(2, 3, 1400);
         cmap_all(&mut w, 4, &CmapConfig::default());
@@ -1375,14 +1349,7 @@ mod tests {
         // Senders out of range of each other; both receivers hear both
         // senders (Fig 11(c)). The defer machinery cannot engage at the
         // senders, so the loss-rate backoff must prevent collapse (§5.5).
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        rss.extend(sym(2, 3, -60.0));
-        rss.extend(sym(0, 3, -62.0));
-        rss.extend(sym(2, 1, -62.0));
-        rss.extend(sym(1, 3, -70.0));
-
-        let mut w = world_from_rss(4, &rss, 5);
+        let mut w = world_from_rss(4, HIDDEN, 5);
         let f1 = w.add_flow(0, 1, 1400);
         let f2 = w.add_flow(2, 3, 1400);
         cmap_all(&mut w, 4, &CmapConfig::default());
@@ -1402,13 +1369,14 @@ mod tests {
     fn stop_and_wait_window_is_no_better() {
         // Fig 12's ablation: windowed ACKs matter in exposed configurations
         // because ACKs collide at the senders. win=1 must not beat win=8.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        rss.extend(sym(2, 3, -60.0));
-        rss.extend(sym(0, 2, -75.0));
-        rss.extend(sym(0, 3, -90.0)); // some cross-noise to threaten ACKs
-        rss.extend(sym(2, 1, -90.0));
-        rss.extend(sym(1, 3, -95.0));
+        let rss = [
+            (0, 1, -60.0),
+            (2, 3, -60.0),
+            (0, 2, -75.0),
+            (0, 3, -90.0), // some cross-noise to threaten ACKs
+            (2, 1, -90.0),
+            (1, 3, -95.0),
+        ];
 
         let run = |cfg: CmapConfig, seed| {
             let mut w = world_from_rss(4, &rss, seed);
@@ -1458,9 +1426,7 @@ mod tests {
         // link (-86 dBm: 8 dB SNR supports ~12 but not 24): the adapter
         // must climb on the first and hold low on the second.
         let run = |rss_dbm: f64, seed| {
-            let mut rss = Vec::new();
-            rss.extend(sym(0, 1, rss_dbm));
-            let mut w = world_from_rss(2, &rss, seed);
+            let mut w = world_from_rss(2, &[(0, 1, rss_dbm)], seed);
             let f = w.add_flow(0, 1, 1400);
             let cfg = CmapConfig::default();
             for node in 0..2 {
@@ -1490,10 +1456,7 @@ mod tests {
         // One sender, two destinations (the mesh source pattern): both
         // flows must make progress and the per-destination vpkt sequence
         // spaces must not interfere.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        rss.extend(sym(0, 2, -60.0));
-        rss.extend(sym(1, 2, -70.0));
+        let rss = [(0, 1, -60.0), (0, 2, -60.0), (1, 2, -70.0)];
         let mut w = world_from_rss(3, &rss, 40);
         let f1 = w.add_flow(0, 1, 1400);
         let f2 = w.add_flow(0, 2, 1400);
@@ -1512,10 +1475,8 @@ mod tests {
     fn no_trailer_variant_still_delivers() {
         // Ablation: without trailers the receiver finalises off the header
         // timer; on a clean link throughput must stay close to the default.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
         let run = |cfg: CmapConfig, seed| {
-            let mut w = world_from_rss(2, &rss, seed);
+            let mut w = world_from_rss(2, &[(0, 1, -60.0)], seed);
             let f = w.add_flow(0, 1, 1400);
             cmap_all(&mut w, 2, &cfg);
             w.run_until(secs(8));
@@ -1537,14 +1498,8 @@ mod tests {
     fn backoff_ablation_hurts_hidden_terminals() {
         // Without the loss-rate backoff, hidden senders blast through each
         // other; §5.5's mechanism should visibly help.
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        rss.extend(sym(2, 3, -60.0));
-        rss.extend(sym(0, 3, -62.0));
-        rss.extend(sym(2, 1, -62.0));
-        rss.extend(sym(1, 3, -70.0));
         let run = |cfg: CmapConfig, seed| {
-            let mut w = world_from_rss(4, &rss, seed);
+            let mut w = world_from_rss(4, HIDDEN, seed);
             let f1 = w.add_flow(0, 1, 1400);
             let f2 = w.add_flow(2, 3, 1400);
             cmap_all(&mut w, 4, &cfg);
@@ -1600,9 +1555,7 @@ mod tests {
         // that duplicates 8% of deliveries must not wedge the window, run
         // attribution twice, or learn phantom conflicts on a clean link.
         use cmap_sim::FaultPlan;
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        let mut w = world_from_rss(2, &rss, 9);
+        let mut w = world_from_rss(2, &[(0, 1, -60.0)], 9);
         let f = w.add_flow(0, 1, 1400);
         cmap_all(&mut w, 2, &CmapConfig::default());
         w.install_faults(FaultPlan {
@@ -1634,9 +1587,7 @@ mod tests {
         // reboot (cmap.peer_reset) and the flow must recover.
         use cmap_sim::FaultPlan;
         use cmap_sim::Outage;
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        let mut w = world_from_rss(2, &rss, 10);
+        let mut w = world_from_rss(2, &[(0, 1, -60.0)], 10);
         let f = w.add_flow(0, 1, 1400);
         cmap_all(&mut w, 2, &CmapConfig::default());
         let mut plan = FaultPlan::clean();
@@ -1662,9 +1613,7 @@ mod tests {
 
     #[test]
     fn ack_contains_loss_feedback_and_dup_suppression_works() {
-        let mut rss = Vec::new();
-        rss.extend(sym(0, 1, -60.0));
-        let mut w = world_from_rss(2, &rss, 8);
+        let mut w = world_from_rss(2, &[(0, 1, -60.0)], 8);
         let f = w.add_flow(0, 1, 1400);
         cmap_all(&mut w, 2, &CmapConfig::default());
         w.run_until(secs(5));

@@ -15,7 +15,7 @@ use cmap_sim::rng::{derive_seed, stream_rng};
 use cmap_sim::time::{millis, secs, Time};
 use cmap_topo::select;
 
-use crate::runner::{build_world, testbed_ctx, Spec};
+use crate::runner::{build_world, testbed_ctx, Spec, PAYLOAD};
 
 /// Convergence measurements for one pair.
 #[derive(Debug, Clone, Copy)]
@@ -83,8 +83,8 @@ fn measure_pair(
     seed: u64,
 ) -> ConvergencePoint {
     let mut world = build_world(ctx, seed);
-    let f1 = world.add_flow(l1.0, l1.1, spec.payload);
-    let f2 = world.add_flow(l2.0, l2.1, spec.payload);
+    let f1 = world.add_flow(l1.0, l1.1, PAYLOAD);
+    let f2 = world.add_flow(l2.0, l2.1, PAYLOAD);
     for node in 0..world.node_count() {
         world.set_mac(node, Box::new(CmapMac::new(cfg.clone())));
     }
@@ -113,11 +113,8 @@ fn measure_pair(
         }
     }
 
-    let tput = |f: u16, from: Time, to: Time| {
-        world
-            .stats()
-            .flow_throughput_mbps(f, spec.payload, from, to)
-    };
+    let tput =
+        |f: u16, from: Time, to: Time| world.stats().flow_throughput_mbps(f, PAYLOAD, from, to);
     let transient_end = secs(5).min(spec.duration);
     ConvergencePoint {
         converged_at_s: converged_at.map(|t| t as f64 / 1e9),

@@ -10,7 +10,7 @@ use cmap_sim::rng::{derive_seed, stream_rng};
 use cmap_topo::select;
 
 use crate::protocol::Protocol;
-use crate::runner::{build_world, testbed_ctx, Spec};
+use crate::runner::{build_world, testbed_ctx, Spec, PAYLOAD};
 
 /// Aggregate leaf throughput per topology, per protocol.
 #[derive(Debug, Clone)]
@@ -56,8 +56,8 @@ fn run_mesh_once(
     let mut world = build_world(ctx, seed);
     let mut leaf_flows = Vec::new();
     for (k, &a) in topo.relays.iter().enumerate() {
-        let up = world.add_flow(topo.source, a, spec.payload);
-        let down = world.add_relay_flow(a, topo.leaves[k], spec.payload, up);
+        let up = world.add_flow(topo.source, a, PAYLOAD);
+        let down = world.add_relay_flow(a, topo.leaves[k], PAYLOAD, up);
         leaf_flows.push(down);
     }
     proto.install(&mut world);
@@ -65,11 +65,7 @@ fn run_mesh_once(
     let (from, to) = (spec.measure_from(), spec.duration);
     leaf_flows
         .iter()
-        .map(|&f| {
-            world
-                .stats()
-                .flow_throughput_mbps(f, spec.payload, from, to)
-        })
+        .map(|&f| world.stats().flow_throughput_mbps(f, PAYLOAD, from, to))
         .sum()
 }
 

@@ -18,11 +18,6 @@ pub struct Spec {
     pub run_seed: u64,
     /// Simulated duration of each run.
     pub duration: Time,
-    /// Fraction of the run discarded as warm-up; throughput is measured
-    /// over the rest (the paper measures the last 60 of 100 seconds).
-    pub warmup_frac: f64,
-    /// Application payload per packet (the paper uses 1400 bytes).
-    pub payload: usize,
     /// Number of configurations (link pairs, topologies, ...) to evaluate.
     pub configs: usize,
     /// Worker-pool width for fanning independent runs across cores. `1`
@@ -38,18 +33,23 @@ impl Default for Spec {
             testbed_seed: 42,
             run_seed: 1,
             duration: secs(30),
-            warmup_frac: 0.4,
-            payload: 1400,
             configs: 50,
             jobs: 1,
         }
     }
 }
 
+/// Application payload per packet (the paper uses 1400 bytes).
+pub const PAYLOAD: usize = 1400;
+
+/// Fraction of a run discarded as warm-up; throughput is measured over
+/// the rest (the paper measures the last 60 of 100 seconds).
+const WARMUP_FRAC: f64 = 0.4;
+
 impl Spec {
     /// Start of the measurement window.
     pub fn measure_from(&self) -> Time {
-        cmap_sim::time::scale(self.duration, self.warmup_frac)
+        cmap_sim::time::scale(self.duration, WARMUP_FRAC)
     }
 }
 
@@ -80,7 +80,7 @@ pub fn radio_env(phy: &PhyConfig) -> RadioEnv {
 pub fn testbed_ctx(spec: &Spec) -> TestbedCtx {
     let phy = PhyConfig::default();
     let tb = Testbed::office_floor(spec.testbed_seed);
-    let lm = LinkMeasurements::analyze(&tb, &radio_env(&phy), cmap_phy::Rate::R6, spec.payload);
+    let lm = LinkMeasurements::analyze(&tb, &radio_env(&phy), cmap_phy::Rate::R6, PAYLOAD);
     TestbedCtx { tb, lm, phy }
 }
 
@@ -125,7 +125,7 @@ pub(crate) fn run_links(
     let mut world = build_world(ctx, run_seed);
     let flows: Vec<u16> = links
         .iter()
-        .map(|&(s, r)| world.add_flow(s, r, spec.payload))
+        .map(|&(s, r)| world.add_flow(s, r, PAYLOAD))
         .collect();
     protocol.install(&mut world);
     world.run_until(spec.duration);
@@ -134,11 +134,7 @@ pub(crate) fn run_links(
     let to = spec.duration;
     let per_flow_mbps = flows
         .iter()
-        .map(|&f| {
-            world
-                .stats()
-                .flow_throughput_mbps(f, spec.payload, from, to)
-        })
+        .map(|&f| world.stats().flow_throughput_mbps(f, PAYLOAD, from, to))
         .collect();
     let hdr_rates = links
         .iter()
@@ -217,6 +213,25 @@ mod tests {
     #[test]
     fn default_spec_is_serial() {
         assert_eq!(Spec::default().jobs, 1);
+    }
+
+    /// `cmap-topo` sits below the simulator, so `RadioEnv::default()`
+    /// repeats `PhyConfig::default()`'s numbers; they must not drift.
+    #[test]
+    fn radio_env_default_is_the_phy_default() {
+        let (got, want) = (radio_env(&PhyConfig::default()), RadioEnv::default());
+        let bits = |e: &RadioEnv| {
+            [
+                e.tx_power_dbm,
+                e.noise_floor_dbm,
+                e.fading_sigma_db,
+                e.fading_boost_prob,
+                e.fading_boost_db,
+                e.sensitivity_dbm,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

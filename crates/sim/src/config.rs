@@ -13,30 +13,13 @@ pub struct PhyConfig {
     pub noise_floor_dbm: f64,
     /// Minimum RSS for a receiver to even attempt preamble lock.
     pub sensitivity_dbm: f64,
-    /// Energy-detect carrier-sense threshold in dBm: the medium reads busy
-    /// when total received energy exceeds this, even without a decodable
-    /// preamble (802.11 CCA-ED; only DCF consults it).
-    pub ed_threshold_dbm: f64,
-    /// Preamble-detection carrier-sense threshold in dBm. Real CCA asserts
-    /// busy on training-sequence correlation well below the level needed to
-    /// *decode* a frame — this is why carrier sense reaches 1.5–3x the data
-    /// range and is "too conservative" (the paper's premise). The radio
-    /// reports busy when total in-band energy exceeds this even without a
-    /// lock. Only DCF consults CCA; CMAP ignores it by design.
-    pub cs_detect_dbm: f64,
-    /// Preamble capture: a frame arriving while another frame's
-    /// preamble/SIGNAL is still being received steals the lock if it is at
-    /// least this many dB stronger.
-    pub capture_margin_db: f64,
     /// Message-in-message capture: a frame arriving *after* the locked
     /// frame's preamble window still steals the lock if it is at least
-    /// `mim_margin_db` stronger (the OFDM receiver restarts on the louder
-    /// preamble). Atheros-era hardware does this, and the paper's exposed
-    /// terminals depend on it: the ACK from R must punch through at S while
-    /// S's radio is chewing on ES's (much weaker) transmission.
+    /// `MIM_MARGIN_DB` (10 dB) stronger (the OFDM receiver restarts on the
+    /// louder preamble). Atheros-era hardware does this, and the paper's
+    /// exposed terminals depend on it: the ACK from R must punch through at
+    /// S while S's radio is chewing on ES's (much weaker) transmission.
     pub mim_capture: bool,
-    /// Strength margin for message-in-message capture, in dB.
-    pub mim_margin_db: f64,
     /// Standard deviation (dB) of the per-frame, per-receiver lognormal
     /// fading applied on top of the frozen link gain. Softens the otherwise
     /// knife-edge PER-vs-SINR curve the way real multipath does.
@@ -49,29 +32,58 @@ pub struct PhyConfig {
     pub fading_boost_prob: f64,
     /// Mean of the upfade component in dB.
     pub fading_boost_db: f64,
-    /// Frames arriving below this RSS are not even generated as events at
-    /// the receiver (they would change the noise level by well under a dB).
-    pub delivery_floor_dbm: f64,
 }
 
 impl Default for PhyConfig {
     fn default() -> PhyConfig {
-        PhyConfig {
-            tx_power_dbm: 15.0,
-            noise_floor_dbm: cmap_phy::NOISE_FLOOR_DBM,
-            sensitivity_dbm: -95.0,
-            ed_threshold_dbm: -62.0,
-            cs_detect_dbm: -98.0,
-            capture_margin_db: 10.0,
-            mim_capture: true,
-            mim_margin_db: 10.0,
-            fading_sigma_db: 2.0,
-            fading_boost_prob: 0.08,
-            fading_boost_db: 18.0,
-            delivery_floor_dbm: -105.0,
-        }
+        DEFAULT
     }
 }
+
+/// [`PhyConfig::default`], as a constant the orderings below can read.
+const DEFAULT: PhyConfig = PhyConfig {
+    tx_power_dbm: 15.0,
+    noise_floor_dbm: cmap_phy::NOISE_FLOOR_DBM,
+    sensitivity_dbm: -95.0,
+    mim_capture: true,
+    fading_sigma_db: 2.0,
+    fading_boost_prob: 0.08,
+    fading_boost_db: 18.0,
+};
+
+/// Energy-detect carrier-sense threshold in dBm: the medium reads busy
+/// when total received energy exceeds this, even without a decodable
+/// preamble (802.11 CCA-ED; only DCF consults it).
+pub(crate) const ED_THRESHOLD_DBM: f64 = -62.0;
+
+/// Preamble-detection carrier-sense threshold in dBm. Real CCA asserts
+/// busy on training-sequence correlation well below the level needed to
+/// *decode* a frame — this is why carrier sense reaches 1.5–3x the data
+/// range and is "too conservative" (the paper's premise). The radio
+/// reports busy when total in-band energy exceeds this even without a
+/// lock. Only DCF consults CCA; CMAP ignores it by design.
+pub(crate) const CS_DETECT_DBM: f64 = -98.0;
+
+/// Preamble capture: a frame arriving while another frame's
+/// preamble/SIGNAL is still being received steals the lock if it is at
+/// least this many dB stronger.
+pub(crate) const CAPTURE_MARGIN_DB: f64 = 10.0;
+
+/// Strength margin for message-in-message capture, in dB.
+pub(crate) const MIM_MARGIN_DB: f64 = 10.0;
+
+/// Frames arriving below this RSS are not even generated as events at
+/// the receiver (they would change the noise level by well under a dB).
+pub const DELIVERY_FLOOR_DBM: f64 = -105.0;
+
+// The default's levels, from the delivery floor up: nothing sensed goes
+// undelivered, preamble detection fires below the lock threshold and
+// energy detection above it, and the noise floor sits under a lock.
+const _: () = assert!(DELIVERY_FLOOR_DBM < CS_DETECT_DBM);
+const _: () = assert!(CS_DETECT_DBM < DEFAULT.sensitivity_dbm);
+const _: () = assert!(DEFAULT.sensitivity_dbm < ED_THRESHOLD_DBM);
+const _: () = assert!(DEFAULT.noise_floor_dbm < DEFAULT.sensitivity_dbm + 5.0);
+const _: () = assert!(CAPTURE_MARGIN_DB > 0.0);
 
 impl PhyConfig {
     /// Noise floor in linear milliwatts.
@@ -101,7 +113,7 @@ pub(crate) struct PhyLinear {
 }
 
 impl PhyLinear {
-    /// Convert `phy`'s dB figures once. Run digests depend on the exact
+    /// Convert the dB figures once. Run digests depend on the exact
     /// bits, so a change of formula here is a change of every artifact.
     pub(crate) fn new(phy: &PhyConfig) -> PhyLinear {
         use crate::radio::fixed_mw;
@@ -109,25 +121,9 @@ impl PhyLinear {
         PhyLinear {
             noise_mw: phy.noise_mw(),
             sensitivity_mw: dbm_to_mw(phy.sensitivity_dbm),
-            cca_busy: fixed_mw(dbm_to_mw(phy.cs_detect_dbm.min(phy.ed_threshold_dbm))),
-            capture_ratio: db_to_ratio(phy.capture_margin_db),
-            mim_ratio: phy.mim_capture.then(|| db_to_ratio(phy.mim_margin_db)),
+            cca_busy: fixed_mw(dbm_to_mw(CS_DETECT_DBM.min(ED_THRESHOLD_DBM))),
+            capture_ratio: db_to_ratio(CAPTURE_MARGIN_DB),
+            mim_ratio: phy.mim_capture.then(|| db_to_ratio(MIM_MARGIN_DB)),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_internally_consistent() {
-        let c = PhyConfig::default();
-        assert!(c.delivery_floor_dbm < c.sensitivity_dbm);
-        assert!(c.sensitivity_dbm < c.ed_threshold_dbm);
-        assert!(c.cs_detect_dbm < c.sensitivity_dbm);
-        assert!(c.delivery_floor_dbm < c.cs_detect_dbm);
-        assert!(c.noise_floor_dbm < c.sensitivity_dbm + 5.0);
-        assert!(c.capture_margin_db > 0.0);
     }
 }

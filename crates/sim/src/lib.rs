@@ -59,7 +59,7 @@ mod world;
 
 pub use app::{AppPacket, NodeApp};
 pub use ckpt::CkptError;
-pub use config::PhyConfig;
+pub use config::{PhyConfig, DELIVERY_FLOOR_DBM};
 pub use faults::{FaultPlan, GilbertElliott, Lockup, Outage, Shadowing};
 pub use mac::{Mac, NodeCtx, RxErrorInfo, RxInfo};
 pub use medium::{Medium, MediumBuilder, SparseStats};

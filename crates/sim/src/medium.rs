@@ -25,7 +25,7 @@
 
 use std::sync::OnceLock;
 
-use crate::config::PhyConfig;
+use crate::config::{PhyConfig, DELIVERY_FLOOR_DBM};
 use crate::node::NodeId;
 use cmap_phy::{db_to_ratio, dbm_to_mw, mw_to_dbm, propagation, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
@@ -194,14 +194,14 @@ struct Rows {
 
 impl Rows {
     fn new(n: usize, phy: &PhyConfig, epsilon_db: f64) -> Rows {
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+        let floor_mw = dbm_to_mw(DELIVERY_FLOOR_DBM);
         let mut link_off = Vec::with_capacity(n + 1);
         link_off.push((0, UNBUILT));
         Rows {
             tx_power_mw: dbm_to_mw(phy.tx_power_dbm),
             floor_mw,
             threshold_mw: floor_mw * db_to_ratio(epsilon_db),
-            sub_floor_db: phy.delivery_floor_dbm - phy.tx_power_dbm - 0.5,
+            sub_floor_db: DELIVERY_FLOOR_DBM - phy.tx_power_dbm - 0.5,
             link_off,
             link_rx: Vec::new(),
             link_gain: Vec::new(),
@@ -560,9 +560,9 @@ enum Source<'m> {
     },
 }
 
-/// Builds a [`Medium`]: pick a source (gain matrix, uniform gain, or
-/// positions + link model) and the pruning epsilon; transmit power,
-/// delivery floor and noise floor come from the PHY configuration.
+/// Builds a [`Medium`]: pick a source (gain matrix, uniform gain, RSS
+/// list, or positions + link model) and the pruning epsilon; transmit
+/// power and noise floor come from the PHY configuration.
 ///
 /// ```
 /// use cmap_sim::{MediumBuilder, NodeId, PhyConfig};
@@ -578,8 +578,8 @@ pub struct MediumBuilder<'m> {
 }
 
 impl<'m> MediumBuilder<'m> {
-    /// Start from a PHY configuration (transmit power, delivery floor
-    /// and noise floor are taken from it).
+    /// Start from a PHY configuration (transmit power and noise floor
+    /// are taken from it).
     pub fn new(phy: &PhyConfig) -> MediumBuilder<'m> {
         MediumBuilder {
             phy: phy.clone(),
@@ -608,6 +608,18 @@ impl<'m> MediumBuilder<'m> {
     /// delay.
     pub fn uniform(self, n: usize, gain_db: f64) -> Self {
         self.matrix(n, vec![gain_db; n * n], vec![100; n * n])
+    }
+
+    /// Source: `n` nodes linked only as `links` lists them, each `(a, b,
+    /// rss_dbm)` in both directions with gain `rss_dbm − tx_power_dbm`
+    /// and a 100 ns delay; any pair not listed is out of range.
+    pub fn rss_links(self, n: usize, links: &[(usize, usize, f64)]) -> Self {
+        let mut gains_db = vec![f64::NEG_INFINITY; n * n];
+        for &(a, b, rss_dbm) in links {
+            gains_db[a * n + b] = rss_dbm - self.phy.tx_power_dbm;
+            gains_db[b * n + a] = rss_dbm - self.phy.tx_power_dbm;
+        }
+        self.matrix(n, gains_db, vec![100; n * n])
     }
 
     fn matrix(mut self, n: usize, gains_db: Vec<f64>, delay_ns: Vec<u64>) -> Self {
@@ -649,7 +661,7 @@ impl<'m> MediumBuilder<'m> {
     pub fn build(self) -> Medium {
         match self.source {
             Source::None => {
-                panic!("MediumBuilder: no source configured (gains_db/uniform/positions)")
+                panic!("MediumBuilder: no source configured (gains_db/uniform/rss_links/positions)")
             }
             Source::Matrix {
                 n,
@@ -710,6 +722,28 @@ mod tests {
             .build();
         assert!(m.reachable(nid(0)).is_empty());
         assert_eq!(m.reachable(nid(1)), &[nid(0)]);
+    }
+
+    #[test]
+    fn rss_links_are_both_directions_at_the_listed_rss() {
+        let phy = PhyConfig::default();
+        // The third link is below the delivery floor; 1–3 is not listed.
+        let links = [(0, 1, -60.0), (2, 1, -93.0), (3, 0, -110.0)];
+        let m = MediumBuilder::new(&phy).rss_links(4, &links).build();
+        for (tx, rx) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
+            let listed = links
+                .iter()
+                .find(|&&(a, b, _)| (a, b) == (tx, rx) || (b, a) == (tx, rx));
+            let linked = m.reachable(nid(tx)).contains(&nid(rx));
+            match listed {
+                Some(&(_, _, rss)) if rss >= DELIVERY_FLOOR_DBM => {
+                    assert!(linked, "{tx}->{rx}");
+                    assert!((m.rss_dbm(nid(tx), nid(rx)) - rss).abs() < 1e-9);
+                    assert_eq!(m.delay_ns(nid(tx), nid(rx)), 100);
+                }
+                _ => assert!(!linked, "{tx}->{rx}"),
+            }
+        }
     }
 
     #[test]
@@ -778,7 +812,7 @@ mod tests {
         let m = MediumBuilder::new(&phy)
             .gains_db(n, &gains, &delays)
             .build();
-        let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+        let floor_mw = dbm_to_mw(DELIVERY_FLOOR_DBM);
         for tx in 0..n {
             let above: Vec<NodeId> = (0..n)
                 .filter(|&rx| rx != tx)

@@ -15,10 +15,10 @@
 //! * A **locked** radio treats later arrivals as interference, except that a
 //!   much stronger frame steals the lock: within the current lock's
 //!   preamble+SIGNAL window this is *preamble capture*
-//!   (`capture_margin_db`), after it *message-in-message capture*
-//!   (`mim_margin_db`) — the OFDM receiver restarting on a much louder
-//!   preamble, which Atheros-era hardware does and the paper's exposed
-//!   terminals rely on for ACK delivery.
+//!   (`CAPTURE_MARGIN_DB`), after it *message-in-message capture*
+//!   (`MIM_MARGIN_DB`, if `PhyConfig::mim_capture`) — the OFDM receiver
+//!   restarting on a much louder preamble, which Atheros-era hardware does
+//!   and the paper's exposed terminals rely on for ACK delivery.
 //! * A **transmitting** radio is deaf: arrivals are tracked for energy only.
 //!
 //! # Layout

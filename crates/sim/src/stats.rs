@@ -350,32 +350,34 @@ impl Stats {
     /// Trace contents are intentionally excluded: the trace is a bounded
     /// *view* of behaviour, not extra behaviour.
     pub fn snapshot(&self) -> String {
+        use std::fmt::Write as _; // into a `String`: never fails
         let mut out = String::new();
         for (i, f) in self.flows.iter().enumerate() {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "flow {i}: delivered={} duplicates={} arrivals=",
                 f.arrivals.len(),
                 f.duplicates
-            ));
+            );
             for t in &f.arrivals {
-                out.push_str(&format!("{t},"));
+                let _ = write!(out, "{t},");
             }
             out.push('\n');
         }
         for (&(src, dst), v) in &self.vpkt {
-            out.push_str(&format!("vpkt {src}->{dst}: sent={} got=", v.sent));
+            let _ = write!(out, "vpkt {src}->{dst}: sent={} got=", v.sent);
             for (seq, flags) in &v.got {
-                out.push_str(&format!("{seq}:{flags},"));
+                let _ = write!(out, "{seq}:{flags},");
             }
             out.push('\n');
         }
         for (name, c) in self.counters_sorted() {
-            out.push_str(&format!("counter {name}={c}\n"));
+            let _ = writeln!(out, "counter {name}={c}");
         }
         for id in GaugeId::ALL {
             let v = self.gauges.0[id.idx()];
             if v != 0 {
-                out.push_str(&format!("gauge {}={v}\n", id.name()));
+                let _ = writeln!(out, "gauge {}={v}", id.name());
             }
         }
         out

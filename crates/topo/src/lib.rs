@@ -18,10 +18,14 @@
 //!   percentile) and *potential transmission link* (PRR > 0.9 both ways),
 //! * [`select`] — the topology constraints of Fig 11 (exposed-terminal
 //!   pairs, in-range sender pairs, hidden-terminal pairs, interferer
-//!   triples, mesh trees) and the region/AP partition of §5.6.
+//!   triples, mesh trees) and the region/AP partition of §5.6,
+//!
+//! and, beside the testbed, the paper's three four-node configurations as
+//! RSS lists ([`micro`]: exposed, conflicting, hidden).
 
 mod citygen;
 mod measure;
+pub mod micro;
 pub mod select;
 mod testbed;
 

@@ -7,24 +7,12 @@
 //! ```
 
 use cmap_suite::prelude::*;
+use cmap_suite::topo::micro::CONFLICTING;
 
 fn main() {
     let phy = PhyConfig::default();
     let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    let mut set = |a: usize, b: usize, rss_dbm: f64| {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    };
-    set(0, 1, -60.0); // u -> v
-    set(2, 3, -60.0); // x -> y
-    set(0, 2, -65.0); // senders hear each other
-    set(0, 3, -63.0); // ...and destroy each other's receivers
-    set(2, 1, -63.0);
-    set(1, 3, -80.0);
-    let medium = MediumBuilder::new(&phy)
-        .gains_db(n, &gains, &vec![100; n * n])
-        .build();
+    let medium = MediumBuilder::new(&phy).rss_links(n, CONFLICTING).build();
     let mut world = World::builder().medium(medium).phy(phy).seed(11).build();
     let f1 = world.add_flow(0, 1, 1400);
     let f2 = world.add_flow(2, 3, 1400);

@@ -7,7 +7,7 @@
 //! cargo run --release --example mesh_relay [seed]
 //! ```
 
-use cmap_experiments::runner::{build_world, radio_env, Spec, TestbedCtx};
+use cmap_experiments::runner::{build_world, radio_env, Spec, TestbedCtx, PAYLOAD};
 use cmap_phy::Rate;
 use cmap_suite::prelude::*;
 use cmap_topo::{select, LinkMeasurements};
@@ -41,8 +41,8 @@ fn main() {
         let mut world = build_world(&ctx, seed ^ 0x3e5);
         let mut leaf_flows = Vec::new();
         for (k, &a) in topo.relays.iter().enumerate() {
-            let up = world.add_flow(topo.source, a, spec.payload);
-            let down = world.add_relay_flow(a, topo.leaves[k], spec.payload, up);
+            let up = world.add_flow(topo.source, a, PAYLOAD);
+            let down = world.add_relay_flow(a, topo.leaves[k], PAYLOAD, up);
             leaf_flows.push((k, up, down));
         }
         for n in 0..world.node_count() {
@@ -57,15 +57,13 @@ fn main() {
         println!("\n{label}:");
         let mut total = 0.0;
         for &(k, up, down) in &leaf_flows {
-            let t_up = world.stats().flow_throughput_mbps(
-                up,
-                spec.payload,
-                spec.measure_from(),
-                spec.duration,
-            );
+            let t_up =
+                world
+                    .stats()
+                    .flow_throughput_mbps(up, PAYLOAD, spec.measure_from(), spec.duration);
             let t_down = world.stats().flow_throughput_mbps(
                 down,
-                spec.payload,
+                PAYLOAD,
                 spec.measure_from(),
                 spec.duration,
             );

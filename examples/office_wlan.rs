@@ -6,7 +6,7 @@
 //! cargo run --release --example office_wlan [seed]
 //! ```
 
-use cmap_experiments::runner::{build_world, radio_env, Spec, TestbedCtx};
+use cmap_experiments::runner::{build_world, radio_env, Spec, TestbedCtx, PAYLOAD};
 use cmap_phy::Rate;
 use cmap_suite::prelude::*;
 use cmap_topo::{select, LinkMeasurements};
@@ -65,7 +65,7 @@ fn main() {
         let flows: Vec<u16> = topo
             .links
             .iter()
-            .map(|&(s, r)| world.add_flow(s, r, spec.payload))
+            .map(|&(s, r)| world.add_flow(s, r, PAYLOAD))
             .collect();
         install(&mut world);
         world.run_until(spec.duration);
@@ -73,12 +73,10 @@ fn main() {
         println!("\n{label}:");
         let mut total = 0.0;
         for (k, &f) in flows.iter().enumerate() {
-            let t = world.stats().flow_throughput_mbps(
-                f,
-                spec.payload,
-                spec.measure_from(),
-                spec.duration,
-            );
+            let t =
+                world
+                    .stats()
+                    .flow_throughput_mbps(f, PAYLOAD, spec.measure_from(), spec.duration);
             total += t;
             println!("  cell {k}: {t:5.2} Mbit/s");
         }

@@ -6,26 +6,13 @@
 //! ```
 
 use cmap_suite::prelude::*;
+use cmap_suite::topo::micro::EXPOSED;
 
 /// Build the canonical 4-node exposed-terminal world of the paper's Fig 1:
 /// S→R and ES→ER, with the senders in range of each other but each receiver
 /// out of range of the opposite sender.
 fn exposed_world(phy: &PhyConfig, seed: u64) -> World {
-    let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    let mut set = |a: usize, b: usize, rss_dbm: f64| {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    };
-    set(0, 1, -60.0); // S  -> R : strong
-    set(2, 3, -60.0); // ES -> ER: strong
-    set(0, 2, -75.0); // S and ES hear each other (carrier sense fires!)
-    set(0, 3, -93.0); // but each receiver barely hears the other sender
-    set(2, 1, -93.0);
-    set(1, 3, -95.0);
-    let medium = MediumBuilder::new(phy)
-        .gains_db(n, &gains, &vec![100; n * n])
-        .build();
+    let medium = MediumBuilder::new(phy).rss_links(4, EXPOSED).build();
     World::builder()
         .medium(medium)
         .phy(phy.clone())

@@ -14,11 +14,8 @@ use cmap_suite::prelude::*;
 fn run(rss_dbm: f64, mode: &str, seed: u64) -> f64 {
     let phy = PhyConfig::default();
     let n = 2;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    gains[1] = rss_dbm - phy.tx_power_dbm;
-    gains[2] = rss_dbm - phy.tx_power_dbm;
     let medium = MediumBuilder::new(&phy)
-        .gains_db(n, &gains, &vec![100; n * n])
+        .rss_links(n, &[(0, 1, rss_dbm)])
         .build();
     let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
     let f = w.add_flow(0, 1, 1400);

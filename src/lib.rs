@@ -29,20 +29,15 @@
 //! // don't hear the other sender: the exposed-terminal configuration.
 //! let phy = PhyConfig::default();
 //! let n = 4;
-//! let mut gains = vec![f64::NEG_INFINITY; n * n];
-//! let mut set = |a: usize, b: usize, rss_dbm: f64| {
-//!     gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-//!     gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-//! };
-//! set(0, 1, -60.0); // sender 0 -> receiver 1
-//! set(2, 3, -60.0); // sender 2 -> receiver 3
-//! set(0, 2, -75.0); // senders in range of each other
-//! set(0, 3, -93.0); // cross links weak
-//! set(2, 1, -93.0);
-//!
-//! let medium = MediumBuilder::new(&phy)
-//!     .gains_db(n, &gains, &vec![100; n * n])
-//!     .build();
+//! let links = [
+//!     (0, 1, -60.0), // sender 0 -> receiver 1, RSS in dBm
+//!     (2, 3, -60.0), // sender 2 -> receiver 3
+//!     (0, 2, -75.0), // senders in range of each other
+//!     (0, 3, -93.0), // cross links weak
+//!     (2, 1, -93.0),
+//! ];
+//! // Each link in both directions; any pair not listed is out of range.
+//! let medium = MediumBuilder::new(&phy).rss_links(n, &links).build();
 //! let mut world = World::builder().medium(medium).phy(phy).seed(7).build();
 //! let f1 = world.add_flow(0, 1, 1400);
 //! let f2 = world.add_flow(2, 3, 1400);

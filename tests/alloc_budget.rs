@@ -57,7 +57,7 @@ fn saturated_cmap_allocates_little_per_delivered_packet() {
     let mut world = runner::build_world(&ctx, spec.run_seed);
     let flows: Vec<u16> = links
         .iter()
-        .map(|&(s, d)| world.add_flow(s, d, spec.payload))
+        .map(|&(s, d)| world.add_flow(s, d, runner::PAYLOAD))
         .collect();
     Protocol::cmap().install(&mut world);
     world.run_until(secs(3));

@@ -7,39 +7,13 @@
 //! test pins the encoding itself, so a refactor of the save/load code
 //! that claims "format unchanged" has something to be held to.
 
-use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
-};
+mod ckpt_scenarios;
+
+use ckpt_scenarios::{spec, Scenario, CMAP, CMAP_FAULTS, DCF, RATE_ADAPTIVE};
 use cmap_suite::obs::fnv1a64;
-use cmap_suite::phy::Rate;
-use cmap_suite::sim::rng::stream_rng;
-use cmap_suite::sim::time::secs;
-use cmap_suite::sim::{FaultPlan, World};
-use cmap_suite::topo::select;
 
-/// The `checkpoint_identity.rs` world: the testbed with two saturated
-/// flows on an exposed-terminal pair.
-fn spec() -> Spec {
-    Spec {
-        duration: secs(4),
-        configs: 2,
-        ..Spec::default()
-    }
-}
-
-fn build(spec: &Spec, run_seed: u64) -> World {
-    let ctx = runner::testbed_ctx(spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-    let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, spec.payload);
-    world.add_flow(pair.s2, pair.r2, spec.payload);
-    world
-}
-
+/// The hash a `tests/data/ckpt_v8_*.fnv` file pins: its first line that
+/// is neither blank nor a `#` comment, in hex.
 fn committed(file: &str) -> u64 {
     let line = file
         .lines()
@@ -49,21 +23,9 @@ fn committed(file: &str) -> u64 {
         .expect("baseline hash parses as hex")
 }
 
-fn assert_golden(
-    name: &str,
-    file: &str,
-    configure: impl Fn(&mut World),
-    faults: Option<FaultPlan>,
-    run_seed: u64,
-) {
-    let spec = spec();
-    let mut w = build(&spec, run_seed);
-    configure(&mut w);
-    if let Some(plan) = faults {
-        w.install_faults(plan);
-    }
-    w.run_until(spec.duration / 2);
-    let bytes = w.checkpoint().expect("checkpoint at mid-run");
+fn assert_golden(scenario: &Scenario, file: &str) {
+    let name = scenario.name;
+    let bytes = scenario.mid_checkpoint(&spec());
     let got = fnv1a64(&bytes);
     assert_eq!(
         got,
@@ -79,58 +41,23 @@ fn assert_golden(
 
 #[test]
 fn cmap_checkpoint_bytes_match_pin() {
-    assert_golden(
-        "cmap",
-        include_str!("data/ckpt_v8_cmap.fnv"),
-        |w| Protocol::cmap().install(w),
-        None,
-        11,
-    );
+    assert_golden(&CMAP, include_str!("data/ckpt_v8_cmap.fnv"));
 }
 
 #[test]
 fn cmap_faults_checkpoint_bytes_match_pin() {
-    assert_golden(
-        "cmap_faults",
-        include_str!("data/ckpt_v8_cmap_faults.fnv"),
-        |w| Protocol::cmap().install(w),
-        Some(FaultPlan::mixed(50, spec().duration)),
-        12,
-    );
+    assert_golden(&CMAP_FAULTS, include_str!("data/ckpt_v8_cmap_faults.fnv"));
 }
 
 #[test]
 fn dcf_checkpoint_bytes_match_pin() {
-    assert_golden(
-        "dcf",
-        include_str!("data/ckpt_v8_dcf.fnv"),
-        |w| Protocol::cs_on().install(w),
-        None,
-        13,
-    );
+    assert_golden(&DCF, include_str!("data/ckpt_v8_dcf.fnv"));
 }
 
 #[test]
 fn rate_adaptive_checkpoint_bytes_match_pin() {
-    let install = |w: &mut World| {
-        let cfg = CmapConfig {
-            rate_aware: true,
-            ..CmapConfig::default()
-        };
-        for node in 0..w.node_count() {
-            let ladder = vec![Rate::R6, Rate::R12, Rate::R18];
-            let ctl = Box::new(ThroughputRate::new(ladder));
-            w.set_mac(
-                node,
-                Box::new(CmapMac::with_rate_controller(cfg.clone(), ctl)),
-            );
-        }
-    };
     assert_golden(
-        "rate_adaptive",
+        &RATE_ADAPTIVE,
         include_str!("data/ckpt_v8_rate_adaptive.fnv"),
-        install,
-        None,
-        14,
     );
 }

@@ -10,42 +10,23 @@
 //! in-flight transmissions, MAC state (CMAP conflict map, windows, defer
 //! table; DCF backoff/NAV), rate-adaptation state, stats, and fault
 //! processes.
+//!
+//! A save and a load that drift together still pass this gate;
+//! `checkpoint_golden.rs` pins the encoding of the same four scenarios
+//! (`ckpt_scenarios`), so that drift is caught there.
 
-use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
+mod ckpt_scenarios;
+
+use ckpt_scenarios::{
+    build, rate_adaptive_cmap, spec, Scenario, CMAP, CMAP_FAULTS, DCF, RATE_ADAPTIVE,
 };
+use cmap_suite::cmap::{CmapConfig, CmapMac};
+use cmap_suite::experiments::Protocol;
 use cmap_suite::mac80211::{DcfConfig, DcfMac};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::time::{secs, Time};
 use cmap_suite::sim::{CkptError, FaultPlan, Mac, NodeCtx, RxErrorInfo, RxInfo, World};
 use cmap_suite::wire::FrameView;
-
-fn spec() -> Spec {
-    Spec {
-        duration: secs(4),
-        configs: 2,
-        ..Spec::default()
-    }
-}
-
-/// Build a testbed world with two flows on an exposed-terminal pair,
-/// ready for a protocol install. Every call with the same inputs must
-/// configure identically — that is exactly the contract `World::restore`
-/// checks.
-fn build(spec: &Spec, run_seed: u64) -> World {
-    use cmap_suite::sim::rng::stream_rng;
-    use cmap_suite::topo::select;
-    let ctx = runner::testbed_ctx(spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-    let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, spec.payload);
-    world.add_flow(pair.s2, pair.r2, spec.payload);
-    world
-}
 
 fn finish(w: &mut World, until: Time) -> (String, u64) {
     w.run_until(until);
@@ -54,87 +35,53 @@ fn finish(w: &mut World, until: Time) -> (String, u64) {
 }
 
 /// Core gate: straight run vs checkpoint-at-mid + restore-into-fresh-world.
-fn assert_resume_identical(
-    configure: impl Fn(&mut World),
-    faults: Option<FaultPlan>,
-    run_seed: u64,
-) {
+fn assert_resume_identical(scenario: &Scenario) {
     let spec = spec();
-    let mid = spec.duration / 2;
-    let setup = |s: &Spec| {
-        let mut w = build(s, run_seed);
-        configure(&mut w);
-        if let Some(plan) = &faults {
-            w.install_faults(plan.clone());
-        }
-        w
-    };
+    let name = scenario.name;
 
     // The uninterrupted reference run.
-    let mut straight = setup(&spec);
-    let reference = finish(&mut straight, spec.duration);
+    let reference = finish(&mut scenario.setup(&spec), spec.duration);
 
-    // Interrupted run: advance to `mid`, checkpoint, drop the world.
-    let ckpt = {
-        let mut w = setup(&spec);
-        w.run_until(mid);
-        w.checkpoint().expect("checkpoint at mid-run")
-    };
+    // Interrupted run: advance to the midpoint, checkpoint, drop the world.
+    let ckpt = scenario.mid_checkpoint(&spec);
 
     // Checkpoint bytes are themselves deterministic.
-    let ckpt2 = {
-        let mut w = setup(&spec);
-        w.run_until(mid);
-        w.checkpoint().expect("checkpoint at mid-run, second take")
-    };
-    assert_eq!(ckpt, ckpt2, "same-seed checkpoints are not byte-identical");
+    let ckpt2 = scenario.mid_checkpoint(&spec);
+    assert_eq!(
+        ckpt, ckpt2,
+        "{name}: same-seed checkpoints are not byte-identical"
+    );
 
     // Resume in a fresh world (a stand-in for a fresh process: nothing
     // carries over but the blob and the configuration recipe).
-    let mut resumed_world = setup(&spec);
+    let mut resumed_world = scenario.setup(&spec);
     resumed_world.restore(&ckpt).expect("restore");
     let resumed = finish(&mut resumed_world, spec.duration);
 
     assert_eq!(
         reference, resumed,
-        "resumed run diverged from the uninterrupted run"
+        "{name}: resumed run diverged from the uninterrupted run"
     );
 }
 
 #[test]
 fn cmap_resume_is_byte_identical() {
-    assert_resume_identical(|w| Protocol::cmap().install(w), None, 11);
+    assert_resume_identical(&CMAP);
 }
 
 #[test]
 fn cmap_resume_under_faults_is_byte_identical() {
-    let plan = FaultPlan::mixed(50, spec().duration);
-    assert_resume_identical(|w| Protocol::cmap().install(w), Some(plan), 12);
+    assert_resume_identical(&CMAP_FAULTS);
 }
 
 #[test]
 fn dcf_resume_is_byte_identical() {
-    assert_resume_identical(|w| Protocol::cs_on().install(w), None, 13);
-}
-
-fn rate_adaptive_cmap() -> Box<dyn Mac> {
-    let cfg = CmapConfig {
-        rate_aware: true,
-        ..CmapConfig::default()
-    };
-    let ladder = vec![Rate::R6, Rate::R12, Rate::R18];
-    let ctl = Box::new(ThroughputRate::new(ladder));
-    Box::new(CmapMac::with_rate_controller(cfg, ctl))
+    assert_resume_identical(&DCF);
 }
 
 #[test]
 fn rate_adaptive_cmap_resume_is_byte_identical() {
-    let install = |w: &mut World| {
-        for node in 0..w.node_count() {
-            w.set_mac(node, rate_adaptive_cmap());
-        }
-    };
-    assert_resume_identical(install, None, 14);
+    assert_resume_identical(&RATE_ADAPTIVE);
 }
 
 type MakeMac = fn() -> Box<dyn Mac>;

@@ -3,23 +3,12 @@
 //! way for exposed pairs.
 
 use cmap_suite::prelude::*;
+use cmap_suite::topo::micro::{CONFLICTING, EXPOSED};
 
-fn world_from_rss(rss: &[(usize, usize, f64)], seed: u64) -> World {
+fn cmap_world(links: &[(usize, usize, f64)], seed: u64) -> World {
     let phy = PhyConfig::default();
-    let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    for &(a, b, rss_dbm) in rss {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    }
-    let medium = MediumBuilder::new(&phy)
-        .gains_db(n, &gains, &vec![100; n * n])
-        .build();
-    World::builder().medium(medium).phy(phy).seed(seed).build()
-}
-
-fn cmap_world(rss: &[(usize, usize, f64)], seed: u64) -> World {
-    let mut w = world_from_rss(rss, seed);
+    let medium = MediumBuilder::new(&phy).rss_links(4, links).build();
+    let mut w = World::builder().medium(medium).phy(phy).seed(seed).build();
     w.add_flow(0, 1, 1400);
     w.add_flow(2, 3, 1400);
     for node in 0..4 {
@@ -36,36 +25,6 @@ fn defer_entries(w: &World, node: usize) -> usize {
         .defer_table()
         .len_at(w.now())
 }
-
-const CONFLICTING: &[(usize, usize, f64)] = &[
-    (0, 1, -60.0),
-    (1, 0, -60.0),
-    (2, 3, -60.0),
-    (3, 2, -60.0),
-    (0, 2, -65.0),
-    (2, 0, -65.0),
-    (0, 3, -63.0),
-    (3, 0, -63.0),
-    (2, 1, -63.0),
-    (1, 2, -63.0),
-    (1, 3, -80.0),
-    (3, 1, -80.0),
-];
-
-const EXPOSED: &[(usize, usize, f64)] = &[
-    (0, 1, -60.0),
-    (1, 0, -60.0),
-    (2, 3, -60.0),
-    (3, 2, -60.0),
-    (0, 2, -75.0),
-    (2, 0, -75.0),
-    (0, 3, -93.0),
-    (3, 0, -93.0),
-    (2, 1, -93.0),
-    (1, 2, -93.0),
-    (1, 3, -95.0),
-    (3, 1, -95.0),
-];
 
 #[test]
 fn conflicting_pair_converges_within_seconds() {

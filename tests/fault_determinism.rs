@@ -22,8 +22,8 @@ fn run_faulted(spec: &Spec, run_seed: u64, plan: &FaultPlan) -> (String, u64) {
     let pair = pairs.first().expect("an exposed-terminal pair exists");
 
     let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, spec.payload);
-    world.add_flow(pair.s2, pair.r2, spec.payload);
+    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
+    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
     Protocol::cmap().install(&mut world);
     world.install_faults(plan.clone());
     world.run_until(spec.duration);

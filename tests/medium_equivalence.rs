@@ -42,6 +42,7 @@ use cmap_suite::phy::{dbm_to_mw, propagation};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::{millis, secs, Time};
+use cmap_suite::sim::DELIVERY_FLOOR_DBM;
 use cmap_suite::topo::select;
 
 /// A random directed gain/delay matrix: mostly disconnected, with a
@@ -74,7 +75,7 @@ type Link = (usize, usize, u64, u64);
 /// reaches the delivery floor, in row-major order.
 fn naive_links(n: usize, gains_db: &[f64], delays: &[u64], phy: &PhyConfig) -> Vec<Link> {
     let tx_power_mw = dbm_to_mw(phy.tx_power_dbm);
-    let floor_mw = dbm_to_mw(phy.delivery_floor_dbm);
+    let floor_mw = dbm_to_mw(DELIVERY_FLOOR_DBM);
     let mut links = Vec::new();
     for tx in 0..n {
         for rx in (0..n).filter(|&rx| rx != tx) {
@@ -340,8 +341,8 @@ fn dense50_snapshot() -> String {
     let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
     let pair = pairs.first().expect("an exposed-terminal pair exists");
     let mut world = runner::build_world(&ctx, 11);
-    world.add_flow(pair.s1, pair.r1, spec.payload);
-    world.add_flow(pair.s2, pair.r2, spec.payload);
+    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
+    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
     Protocol::cmap().install(&mut world);
     world.run_until(spec.duration);
     world.stats().snapshot()

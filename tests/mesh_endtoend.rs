@@ -2,7 +2,7 @@
 //! only receive what relays received, duplicates are suppressed, and CMAP
 //! sustains the pipeline.
 
-use cmap_suite::experiments::runner::{build_world, radio_env, Spec, TestbedCtx};
+use cmap_suite::experiments::runner::{build_world, radio_env, Spec, TestbedCtx, PAYLOAD};
 use cmap_suite::prelude::*;
 use cmap_suite::topo::select;
 
@@ -25,8 +25,8 @@ fn relay_pipeline_is_causal_and_lossless_at_the_stats_layer() {
     let mut world = build_world(&ctx, 99);
     let mut pairs = Vec::new();
     for (k, &a) in topo.relays.iter().enumerate() {
-        let up = world.add_flow(topo.source, a, spec.payload);
-        let down = world.add_relay_flow(a, topo.leaves[k], spec.payload, up);
+        let up = world.add_flow(topo.source, a, PAYLOAD);
+        let down = world.add_relay_flow(a, topo.leaves[k], PAYLOAD, up);
         pairs.push((up, down));
     }
     for n in 0..world.node_count() {

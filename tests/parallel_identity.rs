@@ -81,19 +81,14 @@ fn figure_reports_are_byte_identical_across_widths() {
 fn snapshot_world(seed: u64) -> String {
     let phy = PhyConfig::default();
     let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    let mut set = |a: usize, b: usize, rss_dbm: f64| {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    };
-    set(0, 1, -60.0);
-    set(2, 3, -60.0);
-    set(0, 2, -75.0);
-    set(0, 3, -93.0);
-    set(2, 1, -93.0);
-    let medium = MediumBuilder::new(&phy)
-        .gains_db(n, &gains, &vec![100; n * n])
-        .build();
+    let links = [
+        (0, 1, -60.0),
+        (2, 3, -60.0),
+        (0, 2, -75.0),
+        (0, 3, -93.0),
+        (2, 1, -93.0),
+    ];
+    let medium = MediumBuilder::new(&phy).rss_links(n, &links).build();
     let mut world = World::builder().medium(medium).phy(phy).seed(seed).build();
     world.add_flow(0, 1, 1400);
     world.add_flow(2, 3, 1400);

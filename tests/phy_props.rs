@@ -349,7 +349,7 @@ mod gate {
             for (s, r) in [(pair.s1, pair.r1), (pair.s2, pair.r2)] {
                 if !busy.contains(&s) && !busy.contains(&r) {
                     busy.extend([s, r]);
-                    world.add_flow(s, r, spec.payload);
+                    world.add_flow(s, r, runner::PAYLOAD);
                 }
             }
         }

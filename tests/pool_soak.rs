@@ -51,8 +51,8 @@ fn build_soak_world(spec: &Spec, run_seed: u64) -> World {
     let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
     let pair = pairs.first().expect("an exposed-terminal pair exists");
     let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, spec.payload);
-    world.add_flow(pair.s2, pair.r2, spec.payload);
+    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
+    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
     Protocol::cmap().install(&mut world);
     world.install_faults(soak_plan(world.node_count()));
     world

@@ -6,26 +6,14 @@
 use cmap_suite::obs::{SpecBlock, TimingBlock};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::time::secs;
+use cmap_suite::topo::micro::EXPOSED;
 
 /// The Fig 12 exposed-terminal configuration: two pairs whose senders hear
 /// each other but whose receivers don't hear the other sender.
 fn exposed_world(seed: u64) -> (World, u16, u16) {
     let phy = PhyConfig::default();
     let n = 4;
-    let mut gains = vec![f64::NEG_INFINITY; n * n];
-    let mut set = |a: usize, b: usize, rss_dbm: f64| {
-        gains[a * n + b] = rss_dbm - phy.tx_power_dbm;
-        gains[b * n + a] = rss_dbm - phy.tx_power_dbm;
-    };
-    set(0, 1, -60.0);
-    set(2, 3, -60.0);
-    set(0, 2, -75.0);
-    set(0, 3, -93.0);
-    set(2, 1, -93.0);
-    set(1, 3, -95.0);
-    let medium = MediumBuilder::new(&phy)
-        .gains_db(n, &gains, &vec![100; n * n])
-        .build();
+    let medium = MediumBuilder::new(&phy).rss_links(n, EXPOSED).build();
     let mut world = World::builder().medium(medium).phy(phy).seed(seed).build();
     let f1 = world.add_flow(0, 1, 1400);
     let f2 = world.add_flow(2, 3, 1400);
