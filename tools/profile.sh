@@ -20,13 +20,16 @@
 # (symbolise.py's `--phase World::run_until`, what allocs_per_sim_s
 # counts; without it, every phase). `samples` is then the allocation
 # count and the inclusive by-symbol table the share made under each
-# function, i.e. allocations by call site. Every allocation costs a
+# function. It also prints symbolise.py's `--sites` table: each
+# allocation by its innermost workspace frame (inlined ones included)
+# and that frame's workspace caller, each with its file and line, i.e.
+# allocations by call site. Every allocation costs a
 # backtrace, so the run is several times slower; at least the five
 # timed reps (and one untimed) run, whatever --seconds says.
 set -euo pipefail
 
 usage() {
-    sed -n '2,25p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,28p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 
@@ -82,6 +85,6 @@ raw="$out/$name.raw"
 CMAP_PROFILE_OUT="$raw" CMAP_PROFILE_STACKS="$stacks" LD_PRELOAD="$preload" \
     "$bin" "${args[@]}" > "$e2e"
 tail -n 1 "$e2e"
-phase=()
-((allocs)) && phase=(--phase World::run_until)
-python3 "$tools/profile/symbolise.py" "$raw" "${phase[@]}" | tee "$out/$name.txt"
+opts=()
+((allocs)) && opts=(--phase World::run_until --sites)
+python3 "$tools/profile/symbolise.py" "$raw" "${opts[@]}" | tee "$out/$name.txt"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turn a tools/profile/sampler.c dump into share tables.
 
-Usage: symbolise.py <raw dump> [--top N] [--lines <source file>] [--phase <row>]
+Usage: symbolise.py <raw dump> [--top N] [--lines <source file>] [--phase <row>] [--sites]
 
 Prints, from the `map` lines (the process's /proc/self/maps) and the
 `sample` lines (one PC, or one stack leaf first, per SIGPROF tick):
@@ -29,7 +29,15 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   line's text: where inside a hot file the samples land;
 * with `--phase`, every table over only the samples of one row of the
   by-phase table (e.g. `World::run_until`, the timed run), `samples`
-  then counting those.
+  then counting those;
+* with `--sites` and stacks, the share by call site: each sample goes to
+  its innermost workspace frame (inlined frames included, the global
+  allocator's skipped) and that frame's nearest workspace caller, each
+  with its `file:line` (`addr2line -f -i`). On an allocation dump this
+  says which line of the workspace allocates, and from where, e.g. a
+  `Vec::push` growing inside one helper called from the MAC's receive
+  path. addr2line does not name the innermost frame of an inlined chain;
+  the table shows it as `inlined in <the function it sits in>`.
 
 Identical stacks are counted once and weighted, so a dump of a million
 allocation stacks (tools/profile/allocs.c) reads in seconds.
@@ -125,6 +133,40 @@ class Image:
         return "[%s]" % self.path.rsplit("/", 1)[-1]
 
 
+def inline_chains(path, addrs):
+    """Each of `addrs` (link-time addresses in `path`) as its chain of
+    inlined frames, innermost first, each `(function, full path, line)`;
+    absent where `path` has no line table for it."""
+    if not addrs:
+        return {}
+    try:
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-i", "-C", "-e", path],
+            input="\n".join("%x" % a for a in addrs),
+            capture_output=True, text=True, check=False).stdout
+    except OSError:
+        return {}
+    # An address line, then a (function, location) pair per inlined frame.
+    chains, current, function = {}, None, None
+    for line in out.splitlines():
+        if function is None and line.startswith("0x"):
+            current = chains.setdefault(int(line, 16), [])
+        elif function is None:
+            function = line
+        else:
+            if current is not None and not line.startswith("??"):
+                name, _, number = line.rpartition(":")
+                digits = re.match(r"\d+", number)
+                current.append((function, name, int(digits.group()) if digits else 0))
+            function = None
+    # addr2line names the innermost frame of an inlined chain after the
+    # function it was inlined into, not after its own function.
+    for chain in chains.values():
+        if len(chain) > 1:
+            chain[0] = ("inlined in " + chain[0][0],) + chain[0][1:]
+    return {addr: chain for addr, chain in chains.items() if chain}
+
+
 def source_lines(path, addrs):
     """The source line each of `addrs` (link-time addresses in `path`)
     executes, by address, as `(file, line, full path)`: that of its
@@ -132,29 +174,52 @@ def source_lines(path, addrs):
     `cmp`, `Vec` indexing) counts for the frame that called it, and a std
     function not inlined anywhere for itself; absent where `path` has no
     line table for it."""
-    if not addrs:
-        return {}
-    try:
-        out = subprocess.run(
-            ["addr2line", "-a", "-i", "-e", path],
-            input="\n".join("%x" % a for a in addrs),
-            capture_output=True, text=True, check=False).stdout
-    except OSError:
-        return {}
-    chains, current = {}, None
-    for line in out.splitlines():
-        if line.startswith("0x"):
-            current = chains.setdefault(int(line, 16), [])
-        elif current is not None and not line.startswith("??"):
-            name, _, number = line.rpartition(":")
-            digits = re.match(r"\d+", number)
-            current.append((name, int(digits.group()) if digits else 0))
     found = {}
-    for addr, chain in chains.items():
-        if chain:
-            name, number = next((f for f in chain if "/library/" not in f[0]), chain[-1])
-            found[addr] = (short_path(name), number, name)
+    for addr, chain in inline_chains(path, addrs).items():
+        _, name, number = next((f for f in chain if "/library/" not in f[1]), chain[-1])
+        found[addr] = (short_path(name), number, name)
     return found
+
+
+# A global allocator's frames and the shims that call it: what every
+# allocation passes through, so never its call site.
+ALLOCATOR = re.compile(r"GlobalAlloc|\b__rust_(?:alloc|realloc|alloc_zeroed)\b")
+
+
+def in_workspace(frame):
+    """Whether an inlined frame is the workspace's or the benchmark's own
+    code, not std's or a vendored crate's."""
+    path = frame[1]
+    return ("/crates/" in path or "/benchmark/" in path) and "/vendor/" not in path
+
+
+def call_sites(samples, image_of):
+    """Sample counts by `(site, caller)`: a stack's innermost workspace
+    frame outside the allocator (inlined frames included) and the next
+    workspace frame outward, each as `function (file:line)`."""
+    wanted = collections.defaultdict(set)
+    for stack in samples:
+        for k, pc in enumerate(stack):
+            image = image_of(pc - (k > 0))
+            if image is not None:
+                wanted[image].add(pc - (k > 0) - image.bias)
+    chains = {image: inline_chains(image.path, sorted(addrs)) for image, addrs in wanted.items()}
+
+    def where(frame):
+        return "%s (%s:%d)" % (frame[0], short_path(frame[1]), frame[2])
+
+    sites = collections.Counter()
+    for stack, weight in samples.items():
+        frames = []
+        for k, pc in enumerate(stack):
+            image = image_of(pc - (k > 0))
+            if image is not None:
+                frames += chains[image].get(pc - (k > 0) - image.bias, [])
+        cut = max((i for i, f in enumerate(frames) if ALLOCATOR.search(f[0])), default=-1)
+        ours = [where(f) for f in frames[cut + 1:] if in_workspace(f)]
+        site = ours[0] if ours else "(no workspace frame)"
+        sites[site, ours[1] if len(ours) > 1 else "-"] += weight
+    return sites
 
 
 def line_text(path, number):
@@ -207,6 +272,9 @@ def main():
         i = args.index("--lines")
         lines_of = args[i + 1]
         del args[i:i + 2]
+    sites = "--sites" in args
+    if sites:
+        args.remove("--sites")
     only_phase = None
     if "--phase" in args:
         i = args.index("--phase")
@@ -326,6 +394,13 @@ def main():
         print("%8s %8s  %s" % ("self %", "line", "text"))
         for number, c in self_line.most_common(top):
             print("%8.1f %8d  %s" % (100.0 * c / n, number, line_text(full[number], number)))
+    if sites and stacks:
+        print("\nby call site (top %d: innermost workspace frame, then its workspace caller)"
+              % top)
+        print("%8s  %s" % ("share %", "site <- caller"))
+        for (site, caller), c in sorted(call_sites(samples, image_of).items(),
+                                        key=lambda kc: (-kc[1], kc[0]))[:top]:
+            print("%8.1f  %s\n%8s  <- %s" % (100.0 * c / n, site, "", caller))
     table("by symbol (top %d by self share)" % top, self_sym, incl_sym, top)
     if stacks:
         print("\nby symbol (top %d by inclusive share)" % top)
