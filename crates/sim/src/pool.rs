@@ -16,7 +16,7 @@
 //! * Slot buffers are recycled, never shrunk: a released slot keeps its
 //!   `Vec` capacity, so a steady-state world composes frames without
 //!   allocating (the frame-buffer twin of the radio layer's
-//!   interference-profile recycling).
+//!   interference-profile arena).
 //! * The free list is LIFO and all allocation order is driven by the
 //!   deterministic event loop, so same-seed runs produce identical
 //!   `TxId` sequences and identical checkpoints.

@@ -28,11 +28,12 @@
 //! dispatch and every `check_channel_edge` iteration — reads exactly two
 //! dense arrays (a packed state byte and the energy total), so sweeps over
 //! many nodes touch a handful of cache lines instead of one scattered
-//! `Radio` struct per node. The cold per-node state (lock records, recycled
-//! profile buffers) lives in its own arrays that only reception events
-//! touch. The energy total is an exact count of 2⁻¹⁰⁰ mW ([`fixed_mw`]):
-//! a frame's start adds its power and its end subtracts the same count, so
-//! the total is the exact sum of what is on the air (DESIGN.md §9.3).
+//! `Radio` struct per node. The cold per-node lock records live in their
+//! own array that only reception events touch, and every lock's
+//! interference profile in one arena per bank ([`Profiles`]). The energy
+//! total is an exact count of 2⁻¹⁰⁰ mW ([`fixed_mw`]): a frame's start
+//! adds its power and its end subtracts the same count, so the total is
+//! the exact sum of what is on the air (DESIGN.md §9.3).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -40,7 +41,6 @@ use rand::Rng;
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::config::PhyLinear;
 use crate::event::TxId;
-use crate::persist;
 use crate::time::Time;
 use cmap_phy::{gate, preamble_success_prob, PLCP_PREAMBLE_NS, PLCP_SIG_NS};
 
@@ -98,7 +98,7 @@ pub(crate) enum RadioPhase {
 
 /// The frame currently being decoded at a node; the world grades it when
 /// it completes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RxLock {
     pub(crate) tx_id: TxId,
     pub(crate) lock_time: Time,
@@ -106,11 +106,68 @@ pub(crate) struct RxLock {
     /// `fixed_mw(signal_mw)`, derived again on restore.
     pub(crate) signal: u128,
     /// Piecewise-constant interference (mW, excluding the locked signal)
-    /// as `(change_time, level_after)`, starting with the level at lock.
-    pub(crate) interference: Vec<(Time, f64)>,
+    /// as `(change_time, level_after)`, starting with the level at lock:
+    /// a list in the bank's [`Profiles`], read by [`RadioBank::profile`].
+    pub(crate) profile: Profile,
 }
 
-persist!(struct RxLock { tx_id, lock_time, signal_mw, interference } ..RxLock::default());
+/// No slot: the end of a list, or of an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One lock's entries in a [`Profiles`] arena: a list through the slots'
+/// next indices, from the oldest (`head`) to the newest (`tail`), which
+/// are unset while `len` is 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Profile {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// The interference profiles of every lock of a bank, in one arena.
+///
+/// Each entry sits in a slot beside the index of the next slot of its
+/// lock's list. A lock that is dropped, displaced or graded gives its
+/// whole list to the free list, threaded through the same index, in one
+/// splice, so a warm bank allocates nothing and its memory follows the
+/// live entries.
+#[derive(Debug)]
+struct Profiles {
+    /// `(entry, next)`; a free slot's `next` is the next free slot.
+    slots: Vec<((Time, f64), u32)>,
+    /// First free slot, [`NIL`] when none is.
+    free: u32,
+}
+
+impl Profiles {
+    /// Append `entry` to `list`, in a free slot if there is one.
+    fn push(&mut self, list: &mut Profile, entry: (Time, f64)) {
+        let s = if self.free == NIL {
+            let s = u32::try_from(self.slots.len()).expect("profile slots fit a u32 index");
+            self.slots.push((entry, NIL));
+            s
+        } else {
+            let s = self.free;
+            self.free = std::mem::replace(&mut self.slots[s as usize], (entry, NIL)).1;
+            s
+        };
+        if list.len == 0 {
+            list.head = s;
+        } else {
+            self.slots[list.tail as usize].1 = s;
+        }
+        list.tail = s;
+        list.len += 1;
+    }
+
+    /// Give `list`'s slots to the free list.
+    fn release(&mut self, list: Profile) {
+        if list.len > 0 {
+            self.slots[list.tail as usize].1 = self.free;
+            self.free = list.head;
+        }
+    }
+}
 
 /// What happened when a frame arrived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,10 +209,8 @@ pub(crate) struct RadioBank {
     // Cold arrays: touched only by reception/transmission events.
     /// The reception lock, if [`flag::LOCKED`] is set.
     lock: Vec<Option<RxLock>>,
-    /// Recycled interference-profile buffers: the next lock reuses the
-    /// capacity of the last completed (or dropped) one instead of
-    /// allocating per reception.
-    spare_profile: Vec<Vec<(Time, f64)>>,
+    /// Every lock's interference profile, completed ones until graded.
+    profiles: Profiles,
 
     /// Brackets of the lock probability (shared, immutable).
     gate: &'static gate::DrawGate,
@@ -171,7 +226,10 @@ impl RadioBank {
             state: vec![0; n],
             energy: vec![0; n],
             lock: (0..n).map(|_| None).collect(),
-            spare_profile: (0..n).map(|_| Vec::new()).collect(),
+            profiles: Profiles {
+                slots: Vec::new(),
+                free: NIL,
+            },
             gate: gate::DrawGate::shared(),
             lock_draws: (0, 0),
         }
@@ -209,13 +267,18 @@ impl RadioBank {
         self.state.len()
     }
 
-    /// Park a used interference buffer for the node's next lock (keeps the
-    /// larger capacity when two race back).
-    pub(crate) fn recycle_profile(&mut self, node: usize, mut buf: Vec<(Time, f64)>) {
-        buf.clear();
-        if buf.capacity() > self.spare_profile[node].capacity() {
-            self.spare_profile[node] = buf;
-        }
+    /// A lock's interference profile, oldest entry first: a held lock's, or
+    /// a completed one's until [`RadioBank::release_profile`].
+    pub(crate) fn profile(&self, lock: &RxLock) -> impl Iterator<Item = (Time, f64)> + Clone + '_ {
+        let slots = &self.profiles.slots;
+        std::iter::successors(Some(lock.profile.head), |&s| Some(slots[s as usize].1))
+            .take(lock.profile.len as usize)
+            .map(|s| slots[s as usize].0)
+    }
+
+    /// Give a graded lock's profile back to the arena.
+    pub(crate) fn release_profile(&mut self, lock: RxLock) {
+        self.profiles.release(lock.profile);
     }
 
     fn take_lock(&mut self, node: usize) -> Option<RxLock> {
@@ -223,11 +286,10 @@ impl RadioBank {
         self.lock[node].take()
     }
 
-    /// Drop the lock, if any, parking its buffer; `true` if there was one.
+    /// Drop the lock, if any, and its profile; `true` if there was one.
     fn drop_lock(&mut self, node: usize) -> bool {
         let lock = self.take_lock(node);
-        lock.map(|l| self.recycle_profile(node, l.interference))
-            .is_some()
+        lock.map(|l| self.release_profile(l)).is_some()
     }
 
     /// Current coarse phase.
@@ -379,7 +441,7 @@ impl RadioBank {
             // the new lock.
             let level = mw_of(before);
             if self.draw_lock(power_mw / (phy.noise_mw + level), rng) {
-                // The displaced lock's buffer feeds the new one.
+                // The displaced lock's slots feed the new one.
                 self.drop_lock(node);
                 self.lock_new(node, tx_id, (power_mw, power), now, level);
                 return (LockOutcome::Captured { displaced }, power);
@@ -390,18 +452,16 @@ impl RadioBank {
         (LockOutcome::Interference, power)
     }
 
-    /// Lock onto `tx_id` at `(mW, count)`, its profile seeded with
-    /// `level` in the node's parked buffer.
+    /// Lock onto `tx_id` at `(mW, count)`, its profile seeded with `level`.
     fn lock_new(&mut self, node: usize, tx_id: TxId, signal: (f64, u128), now: Time, level: f64) {
-        let mut interference = std::mem::take(&mut self.spare_profile[node]);
-        interference.clear();
-        interference.push((now, level));
+        let mut profile = Profile::default();
+        self.profiles.push(&mut profile, (now, level));
         self.lock[node] = Some(RxLock {
             tx_id,
             lock_time: now,
             signal_mw: signal.0,
             signal: signal.1,
-            interference,
+            profile,
         });
         self.state[node] |= flag::LOCKED;
     }
@@ -412,13 +472,14 @@ impl RadioBank {
         let energy = self.energy[node];
         if let Some(lock) = &mut self.lock[node] {
             let level = mw_of(energy.saturating_sub(lock.signal));
-            lock.interference.push((now, level));
+            self.profiles.push(&mut lock.profile, (now, level));
         }
     }
 
     /// A frame's energy, `heard` as its `frame_start` returned it, leaves
-    /// `node`. Returns the completed lock if it was this frame's, and
-    /// `false` if `heard` exceeded the total (corrupt; it then reads 0).
+    /// `node`. Returns the completed lock if it was this frame's, its
+    /// profile held until [`RadioBank::release_profile`], and `false` if
+    /// `heard` exceeded the total (corrupt; it then reads 0).
     pub(crate) fn frame_end(
         &mut self,
         node: usize,
@@ -465,33 +526,50 @@ impl RadioBank {
 }
 
 /// The bank is struct-of-arrays in memory but one record per node on the
-/// wire, so the two directions walk the columns by hand. `spare_profile`
-/// is skipped on purpose: parked buffer capacity is an allocation
-/// optimisation with no effect on any simulated outcome, and so is
-/// [`flag::WATCH`], which the world derives again from the restored MACs.
-/// The world holds each restored total to the receptions it restores.
+/// wire: state, energy, then the lock as an `Option` of its fields and
+/// its profile's entry sequence, each lock's entries read straight into
+/// the arena. The free slots are an allocation detail with no effect on
+/// any simulated outcome, and so is [`flag::WATCH`], which the world
+/// derives again from the restored MACs. The world holds each restored
+/// total to the receptions it restores.
 impl Persist for RadioBank {
     fn save(&self, w: &mut CkptWriter) {
         w.len(self.len());
         for n in 0..self.len() {
             w.put(&(self.state[n] & !flag::WATCH));
             w.put(&self.energy[n]);
-            w.put(&self.lock[n]);
+            w.put(&self.lock[n].is_some());
+            if let Some(l) = &self.lock[n] {
+                w.put(&(l.tx_id, l.lock_time, l.signal_mw));
+                w.len(l.profile.len as usize);
+                self.profile(l).for_each(|entry| w.put(&entry));
+            }
         }
     }
 
     fn load(r: &mut CkptReader<'_>) -> Result<RadioBank, CkptError> {
         // `count` has already held the length against the bytes left.
-        let n = r.count::<(u8, u128, Option<RxLock>)>()?;
+        let n = r.count::<(u8, u128, bool)>()?;
         let mut bank = RadioBank::new(n);
         for node in 0..n {
             bank.state[node] = r.get::<u8>()? & !flag::WATCH;
             bank.energy[node] = r.get()?;
-            let lock: Option<RxLock> = r.get()?;
-            bank.lock[node] = lock.map(|l| RxLock {
-                signal: fixed_mw(l.signal_mw),
-                ..l
-            });
+            if r.get()? {
+                let (tx_id, lock_time, signal_mw) = r.get()?;
+                let mut profile = Profile::default();
+                let len = r.count::<(Time, f64)>()?;
+                bank.profiles.slots.reserve(len);
+                for _ in 0..len {
+                    bank.profiles.push(&mut profile, r.get()?);
+                }
+                bank.lock[node] = Some(RxLock {
+                    tx_id,
+                    lock_time,
+                    signal_mw,
+                    signal: fixed_mw(signal_mw),
+                    profile,
+                });
+            }
             if (bank.state[node] & flag::LOCKED != 0) != bank.lock[node].is_some() {
                 return Err(CkptError::Malformed(format!(
                     "radio {node} lock flag disagrees with lock record"
@@ -517,6 +595,9 @@ mod tests {
     fn mw(dbm: f64) -> f64 {
         dbm_to_mw(dbm)
     }
+
+    /// A completed lock's profile entries, oldest first.
+    type Profiled = Vec<(Time, f64)>;
 
     /// A one-radio bank: the unit under test in most cases below.
     fn bank() -> Bank {
@@ -553,12 +634,18 @@ mod tests {
             outcome
         }
 
-        fn frame_end(&mut self, node: usize, id: TxId, now: Time) -> Option<RxLock> {
+        /// The completed lock, if any, with its profile, which goes back
+        /// to the arena as grading would give it.
+        fn frame_end(&mut self, node: usize, id: TxId, now: Time) -> Option<(RxLock, Profiled)> {
             let at = self.held.iter().position(|h| (h.0, h.1) == (node, id));
             let (_, _, heard) = self.held.swap_remove(at.expect("a started frame"));
             let (done, held) = self.radios.frame_end(node, id, heard, now);
             assert!(held, "frame {id} ended past the total");
-            done
+            done.map(|lock| {
+                let profile = self.radios.profile(&lock).collect();
+                self.radios.release_profile(lock);
+                (lock, profile)
+            })
         }
 
         fn power_off(&mut self, node: usize) -> bool {
@@ -597,7 +684,7 @@ mod tests {
         let out = r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng);
         assert_eq!(out, LockOutcome::Locked);
         assert_eq!(r.phase(0), RadioPhase::Receiving);
-        let done = r.frame_end(0, 1, 1000).expect("completion");
+        let (done, _) = r.frame_end(0, 1, 1000).expect("completion");
         assert_eq!(done.tx_id, 1);
         assert_eq!(r.phase(0), RadioPhase::Idle);
     }
@@ -625,12 +712,12 @@ mod tests {
             LockOutcome::Interference
         );
         let _ = r.frame_end(0, 2, 60_000);
-        let done = r.frame_end(0, 1, 100_000).unwrap();
+        let (_, profile) = r.frame_end(0, 1, 100_000).unwrap();
         // Profile: lock-time level 0, rise at 50 us, fall at 60 us.
-        assert_eq!(done.interference.len(), 3);
-        assert_eq!(done.interference[0], (0, 0.0));
-        assert!((done.interference[1].1 - mw(-80.0)).abs() < 1e-12);
-        assert_eq!(done.interference[2].1, 0.0);
+        assert_eq!(profile.len(), 3);
+        assert_eq!(profile[0], (0, 0.0));
+        assert!((profile[1].1 - mw(-80.0)).abs() < 1e-12);
+        assert_eq!(profile[2].1, 0.0);
     }
 
     #[test]
@@ -740,12 +827,12 @@ mod tests {
         );
         // Frame 1 ends mid-way through frame 2's reception.
         assert!(r.frame_end(0, 1, 60_000).is_none());
-        let done = r.frame_end(0, 2, 100_000).expect("frame 2 completes");
+        let (done, profile) = r.frame_end(0, 2, 100_000).expect("frame 2 completes");
         assert_eq!(done.lock_time, 40_000);
         // Profile: starts at -80 dBm interference, drops to 0 at 60 us.
-        assert_eq!(done.interference.len(), 2);
-        assert!((done.interference[0].1 - mw(-80.0)).abs() < 1e-12);
-        assert_eq!(done.interference[1], (60_000, 0.0));
+        assert_eq!(profile.len(), 2);
+        assert!((profile[0].1 - mw(-80.0)).abs() < 1e-12);
+        assert_eq!(profile[1], (60_000, 0.0));
     }
 
     #[test]
@@ -1023,32 +1110,317 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recycled_profile_buffer_feeds_next_lock_cleanly() {
-        let mut r = bank();
-        let mut rng = stream_rng(1, 40);
-        assert_eq!(
-            r.frame_start(0, 1, mw(-60.0), 0, &phy(), &mut rng),
-            LockOutcome::Locked
-        );
-        // Grow the profile with some interference churn.
-        for k in 0..8u64 {
-            r.frame_start(0, 10 + k, mw(-85.0), 100 + k, &phy(), &mut rng);
-            r.frame_end(0, 10 + k, 200 + k);
+    impl RadioBank {
+        /// Slots on the free list plus slots in live lists, against the
+        /// arena's length: a slot in neither leaked.
+        fn accounted_slots(&self) -> (usize, usize) {
+            let after = |s: u32| Some(s).filter(|&s| s != NIL);
+            let free = std::iter::successors(after(self.profiles.free), |&s| {
+                after(self.profiles.slots[s as usize].1)
+            });
+            let free = free.count();
+            let live: u32 = self.lock.iter().flatten().map(|l| l.profile.len).sum();
+            (free + live as usize, self.profiles.slots.len())
         }
-        let done = r.frame_end(0, 1, 1000).unwrap();
-        let grown = done.interference.capacity();
-        assert!(grown >= 17);
-        r.recycle_profile(0, done.interference);
-        // The next lock starts from a clean single-entry profile but reuses
-        // the parked capacity.
-        assert_eq!(
-            r.frame_start(0, 2, mw(-60.0), 2000, &phy(), &mut rng),
-            LockOutcome::Locked
-        );
-        let done2 = r.frame_end(0, 2, 3000).unwrap();
-        assert_eq!(done2.interference.as_slice(), &[(2000, 0.0)]);
-        assert_eq!(done2.interference.capacity(), grown);
+    }
+
+    /// Lock, overlap and complete, again and again on three radios — one
+    /// lock graded, one aborted by a transmission, one displaced by a
+    /// capture: the arena stays at the first cycle's high-water mark.
+    #[test]
+    fn profile_slots_stay_at_their_first_high_water_mark() {
+        let (mut r, cfg, mut rng) = (Bank::new(3), phy(), stream_rng(1, 42));
+        let mut high_water = None;
+        for cycle in 0..10u64 {
+            let (t, id) = (cycle * 1_000_000, cycle * 1_000);
+            for node in 0..3 {
+                let out = r.frame_start(node, id + node as u64, mw(-50.0), t, &cfg, &mut rng);
+                assert_eq!(out, LockOutcome::Locked);
+            }
+            let out = r.frame_start(2, id + 3, mw(-30.0), t + 10, &cfg, &mut rng);
+            assert_eq!(out, LockOutcome::Captured { displaced: id + 2 });
+            for k in 0..8 {
+                for node in 0..3 {
+                    let weak = id + 10 + 3 * k + node as u64;
+                    r.frame_start(node, weak, mw(-85.0), t + 100 + k, &cfg, &mut rng);
+                    r.frame_end(node, weak, t + 200 + k);
+                }
+            }
+            assert_eq!(
+                r.frame_end(0, id, t + 1_000).map(|(_, p)| p.len()),
+                Some(17)
+            );
+            assert!(r.begin_tx(1, id + 999) && r.end_tx(1));
+            assert!(r.frame_end(1, id + 1, t + 1_000).is_none());
+            assert!(r.frame_end(2, id + 2, t + 1_000).is_none());
+            assert_eq!(
+                r.frame_end(2, id + 3, t + 2_000).map(|(_, p)| p.len()),
+                Some(18)
+            );
+            let used = r.profiles.slots.len();
+            assert!(
+                used <= *high_water.get_or_insert(used),
+                "cycle {cycle}: {used} slots"
+            );
+            assert_eq!(r.accounted_slots(), (used, used), "cycle {cycle}");
+        }
+        // 3 first entries, the displaced one's slot reused by the capture,
+        // then 16 overlap entries on each lock.
+        assert_eq!(high_water, Some(51));
+    }
+
+    /// The bank the arena replaced, one profile `Vec` per lock, kept as its
+    /// oracle: the same locking rules with each lock draw decided by the
+    /// exact formula, and the image `persist!` wrote for `Option<RxLock>`.
+    mod arena_oracle {
+        use super::*;
+        use crate::persist;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone, Default)]
+        struct VecLock {
+            tx_id: TxId,
+            lock_time: Time,
+            signal_mw: f64,
+            signal: u128,
+            interference: Vec<(Time, f64)>,
+        }
+
+        persist!(struct VecLock { tx_id, lock_time, signal_mw, interference } ..VecLock::default());
+
+        struct VecBank {
+            state: Vec<u8>,
+            energy: Vec<u128>,
+            lock: Vec<Option<VecLock>>,
+        }
+
+        impl VecBank {
+            fn new(n: usize) -> VecBank {
+                VecBank {
+                    state: vec![0; n],
+                    energy: vec![0; n],
+                    lock: vec![None; n],
+                }
+            }
+
+            fn phase(&self, node: usize) -> RadioPhase {
+                match self.state[node] {
+                    s if s & flag::TX != 0 => RadioPhase::Transmitting,
+                    s if s & flag::LOCKED != 0 => RadioPhase::Receiving,
+                    _ => RadioPhase::Idle,
+                }
+            }
+
+            fn invariants_ok(&self, node: usize) -> bool {
+                let s = self.state[node];
+                let lock_flag_ok = (s & flag::LOCKED != 0) == self.lock[node].is_some();
+                lock_flag_ok && (s & flag::LOCKED == 0 || s & (flag::TX | flag::DISABLED) == 0)
+            }
+
+            fn take_lock(&mut self, node: usize) -> Option<VecLock> {
+                self.state[node] &= !flag::LOCKED;
+                self.lock[node].take()
+            }
+
+            fn frame_start(
+                &mut self,
+                (node, tx_id, power_mw, now): (usize, TxId, f64, Time),
+                phy: &PhyLinear,
+                rng: &mut SmallRng,
+            ) -> (LockOutcome, u128) {
+                if self.state[node] & flag::DISABLED != 0 {
+                    return (LockOutcome::Interference, 0);
+                }
+                let power = fixed_mw(power_mw);
+                let before = self.energy[node];
+                self.energy[node] += power;
+                if self.state[node] & flag::TX != 0 {
+                    return (LockOutcome::Interference, power);
+                }
+                let level = mw_of(before);
+                let p = preamble_success_prob(power_mw / (phy.noise_mw + level));
+                let mut draw = || rng.gen::<f64>() < p.clamp(0.0, 1.0);
+                let outcome = match self.lock[node].as_ref() {
+                    None if power_mw >= phy.sensitivity_mw && draw() => LockOutcome::Locked,
+                    None => return (LockOutcome::Interference, power),
+                    Some(l) => {
+                        let ratio = if now < l.lock_time + PLCP_PREAMBLE_NS + PLCP_SIG_NS {
+                            Some(phy.capture_ratio)
+                        } else {
+                            phy.mim_ratio
+                        };
+                        let displaced = l.tx_id;
+                        if !(ratio.is_some_and(|ratio| power_mw > l.signal_mw * ratio) && draw()) {
+                            self.profile_level(node, now);
+                            return (LockOutcome::Interference, power);
+                        }
+                        LockOutcome::Captured { displaced }
+                    }
+                };
+                self.lock[node] = Some(VecLock {
+                    tx_id,
+                    lock_time: now,
+                    signal_mw: power_mw,
+                    signal: power,
+                    interference: vec![(now, level)],
+                });
+                self.state[node] |= flag::LOCKED;
+                (outcome, power)
+            }
+
+            fn profile_level(&mut self, node: usize, now: Time) {
+                let energy = self.energy[node];
+                if let Some(l) = &mut self.lock[node] {
+                    let level = mw_of(energy.saturating_sub(l.signal));
+                    l.interference.push((now, level));
+                }
+            }
+
+            fn frame_end(
+                &mut self,
+                node: usize,
+                tx_id: TxId,
+                heard: u128,
+                now: Time,
+            ) -> Option<VecLock> {
+                let left = self.energy[node].checked_sub(heard);
+                self.energy[node] = left.unwrap_or(0);
+                if self.lock[node].as_ref().is_some_and(|l| l.tx_id == tx_id) {
+                    return self.take_lock(node);
+                }
+                self.profile_level(node, now);
+                None
+            }
+        }
+
+        impl Persist for VecBank {
+            fn save(&self, w: &mut CkptWriter) {
+                w.len(self.state.len());
+                for n in 0..self.state.len() {
+                    w.put(&self.state[n]);
+                    w.put(&self.energy[n]);
+                    w.put(&self.lock[n]);
+                }
+            }
+
+            fn load(_: &mut CkptReader<'_>) -> Result<VecBank, CkptError> {
+                unreachable!("the oracle is only written")
+            }
+        }
+
+        fn image<T: Persist>(v: &T) -> Vec<u8> {
+            let mut w = CkptWriter::new();
+            w.put(v);
+            w.finish()
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            Start(f64),
+            End(prop::sample::Index),
+            BeginTx,
+            EndTx,
+            PowerOff,
+            PowerOn,
+        }
+
+        /// Arrivals and ends six and five times as often as the rest.
+        fn step() -> impl Strategy<Value = Step> {
+            let parts = (0u8..16, -95.0f64..-35.0, any::<prop::sample::Index>());
+            parts.prop_map(|(kind, dbm, pick)| match kind {
+                0..=5 => Step::Start(dbm),
+                6..=10 => Step::End(pick),
+                11 => Step::BeginTx,
+                12 => Step::EndTx,
+                13 => Step::PowerOff,
+                _ => Step::PowerOn,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Random arrivals, ends, captures, transmissions and outages
+            /// on three radios, 0–25 µs apart so that captures land in and
+            /// after the preamble: after every step both banks hold the
+            /// same phases, totals and invariants, complete the same
+            /// profiles to the bit and write the same checkpoint bytes,
+            /// the arena's image loads back to itself, and every slot is
+            /// free or in a live list.
+            #[test]
+            fn arena_matches_one_vec_per_lock(
+                steps in prop::collection::vec((0usize..3, 0u64..25_000, step()), 1..300),
+                seed in any::<u64>(),
+            ) {
+                let cfg = phy();
+                let (mut arena, mut oracle) = (Bank::new(3), VecBank::new(3));
+                let (mut rng, mut oracle_rng) = (stream_rng(seed, 3), stream_rng(seed, 3));
+                let (mut now, mut next_id) = (0, 0);
+                for &(node, dt, step) in &steps {
+                    now += dt;
+                    match step {
+                        Step::Start(dbm) => {
+                            let (power, id) = (mw(dbm), next_id);
+                            next_id += 1;
+                            let out = arena.frame_start(node, id, power, now, &cfg, &mut rng);
+                            let heard = arena.held.last().map(|h| h.2);
+                            let want = oracle.frame_start((node, id, power, now), &cfg, &mut oracle_rng);
+                            prop_assert_eq!((out, heard), (want.0, Some(want.1)));
+                        }
+                        Step::End(pick) => {
+                            let ours: Vec<TxId> =
+                                arena.held.iter().filter(|h| h.0 == node).map(|h| h.1).collect();
+                            if ours.is_empty() {
+                                continue;
+                            }
+                            let id = ours[pick.index(ours.len())];
+                            let heard = arena.held.iter().find(|h| h.1 == id).map_or(0, |h| h.2);
+                            let done = arena.frame_end(node, id, now);
+                            let want = oracle.frame_end(node, id, heard, now);
+                            let bits = |p: &[(Time, f64)]| -> Vec<(Time, u64)> {
+                                p.iter().map(|&(t, l)| (t, l.to_bits())).collect()
+                            };
+                            prop_assert_eq!(
+                                done.map(|(l, p)| (l.tx_id, l.lock_time, l.signal_mw.to_bits(), bits(&p))),
+                                want.map(|l| (l.tx_id, l.lock_time, l.signal_mw.to_bits(), bits(&l.interference)))
+                            );
+                        }
+                        Step::BeginTx if arena.phase(node) != RadioPhase::Transmitting
+                            && !arena.is_disabled(node) =>
+                        {
+                            prop_assert!(arena.begin_tx(node, TxId::MAX));
+                            oracle.take_lock(node);
+                            oracle.state[node] |= flag::TX;
+                        }
+                        Step::EndTx if arena.phase(node) == RadioPhase::Transmitting => {
+                            prop_assert!(arena.end_tx(node));
+                            oracle.state[node] &= !flag::TX;
+                        }
+                        Step::PowerOff => {
+                            let dropped = oracle.take_lock(node).is_some();
+                            (oracle.state[node], oracle.energy[node]) = (oracle.state[node] | flag::DISABLED, 0);
+                            prop_assert_eq!(arena.power_off(node), dropped);
+                        }
+                        Step::PowerOn => {
+                            arena.power_on(node);
+                            oracle.state[node] &= !flag::DISABLED;
+                        }
+                        Step::BeginTx | Step::EndTx => continue,
+                    }
+                    for n in 0..3 {
+                        prop_assert_eq!(arena.phase(n), oracle.phase(n));
+                        prop_assert_eq!(arena.energy(n), oracle.energy[n]);
+                        prop_assert!(arena.invariants_ok(n) && oracle.invariants_ok(n));
+                    }
+                    let bytes = image(&arena.radios);
+                    prop_assert_eq!(&bytes, &image(&oracle));
+                    let back: RadioBank = CkptReader::new(&bytes).unwrap().get().unwrap();
+                    prop_assert_eq!(&image(&back), &bytes);
+                    let (accounted, slots) = arena.accounted_slots();
+                    prop_assert_eq!(accounted, slots);
+                }
+            }
+        }
     }
 
     #[test]

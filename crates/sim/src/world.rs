@@ -695,9 +695,9 @@ impl World {
         let unit: f64 = self.rngs[rx.index()].gen();
         let (settled, segments) = decode_decision(
             &c,
+            self.radios.profile(&c),
             self.time,
-            rate,
-            wire_len,
+            (rate, wire_len),
             &self.phy_linear,
             self.gate,
             unit,
@@ -706,9 +706,9 @@ impl World {
         let exact = || {
             let (p_success, graded) = grade_reception(
                 &c,
+                self.radios.profile(&c),
                 self.time,
-                rate,
-                wire_len,
+                (rate, wire_len),
                 &self.phy_linear,
                 self.ber_table,
             );
@@ -718,7 +718,12 @@ impl World {
         let decoded = match settled {
             Some(decoded) => {
                 self.decode_draws.0 += 1;
-                debug_assert_eq!(decoded, exact(), "decode bracket, draw {unit:e}: {c:?}");
+                debug_assert_eq!(
+                    decoded,
+                    exact(),
+                    "decode bracket, draw {unit:e}: {c:?} {:?}",
+                    self.radios.profile(&c).collect::<Vec<_>>()
+                );
                 decoded
             }
             None => {
@@ -726,6 +731,8 @@ impl World {
                 exact()
             }
         };
+        // Graded: the profile's slots go back to the arena for the next lock.
+        self.radios.release_profile(c);
         // Fault injection: a decoded frame may be corrupted (CRC escape
         // caught late) or delivered twice (duplication). Draws come from a
         // dedicated stream and only when the plan asks, so fault-free runs
@@ -773,9 +780,6 @@ impl World {
             };
             self.dispatch(rx, |mac, ctx| mac.on_rx_error(ctx, err));
         }
-        // The interference profile buffer goes back to the radio for the
-        // next lock — grading is the hottest allocation site otherwise.
-        self.radios.recycle_profile(rx.index(), c.interference);
     }
 
     /// Run `f` against `node`'s MAC with a fresh context, then apply the
@@ -1256,19 +1260,21 @@ const fn frame_kind_tag(k: FrameKind) -> &'static str {
 /// The piecewise-constant interference `profile` clipped to the payload
 /// span: `(overlap, level)` of every segment with time in it.
 fn payload_segments(
-    profile: &[(Time, f64)],
+    mut profile: impl Iterator<Item = (Time, f64)>,
     payload_start: Time,
     frame_end: Time,
-) -> impl Iterator<Item = (Time, f64)> + '_ {
-    profile
-        .iter()
-        .enumerate()
-        .filter_map(move |(i, &(seg_start, level))| {
-            let seg_end = profile.get(i + 1).map_or(frame_end, |&(t, _)| t);
-            let lo = seg_start.max(payload_start);
-            let hi = seg_end.min(frame_end);
-            (hi > lo).then(|| (hi - lo, level))
-        })
+) -> impl Iterator<Item = (Time, f64)> {
+    let mut next = profile.next();
+    std::iter::from_fn(move || loop {
+        let (seg_start, level) = next?;
+        next = profile.next();
+        let seg_end = next.map_or(frame_end, |(t, _)| t);
+        let lo = seg_start.max(payload_start);
+        let hi = seg_end.min(frame_end);
+        if hi > lo {
+            return Some((hi - lo, level));
+        }
+    })
 }
 
 /// Information bits of a PSDU of `psdu_len` bytes, as graded.
@@ -1277,7 +1283,7 @@ fn graded_bits(psdu_len: usize) -> f64 {
 }
 
 /// Probability that the payload of a locked frame decodes, given the
-/// interference profile recorded during reception, plus the number of
+/// interference `profile` recorded during reception, plus the number of
 /// interference segments graded (one BER table lookup each).
 ///
 /// The frame's information bits are spread uniformly over the payload span
@@ -1285,9 +1291,9 @@ fn graded_bits(psdu_len: usize) -> f64 {
 /// interference segment contributes its share of bits at its own SINR.
 fn grade_reception(
     c: &RxLock,
+    profile: impl Iterator<Item = (Time, f64)>,
     frame_end: Time,
-    rate: Rate,
-    psdu_len: usize,
+    (rate, psdu_len): (Rate, usize),
     phy: &PhyLinear,
     table: &BerTable,
 ) -> (f64, u64) {
@@ -1301,7 +1307,7 @@ fn grade_reception(
 
     let mut ln_p = 0.0_f64;
     let mut lookups = 0u64;
-    for (overlap, level) in payload_segments(&c.interference, payload_start, frame_end) {
+    for (overlap, level) in payload_segments(profile, payload_start, frame_end) {
         let bits = total_bits * overlap as f64 / span;
         let sinr = c.signal_mw / (noise + level);
         let ber = table.ber(sinr, rate);
@@ -1320,9 +1326,9 @@ fn grade_reception(
 /// of segments [`grade_reception`] grades.
 fn decode_decision(
     c: &RxLock,
+    profile: impl Iterator<Item = (Time, f64)>,
     frame_end: Time,
-    rate: Rate,
-    psdu_len: usize,
+    (rate, psdu_len): (Rate, usize),
     phy: &PhyLinear,
     gate: &gate::DrawGate,
     unit: f64,
@@ -1333,7 +1339,7 @@ fn decode_decision(
     }
     let (mut segments, mut covered) = (0u64, 0);
     let (mut quiet, mut loud) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (overlap, level) in payload_segments(&c.interference, payload_start, frame_end) {
+    for (overlap, level) in payload_segments(profile, payload_start, frame_end) {
         segments += 1;
         covered += overlap;
         quiet = quiet.min(level);
@@ -2311,13 +2317,12 @@ mod tests {
     }
 
     /// One reception of a 1428-byte PSDU locked at 1 µs: the completion
-    /// for a `signal_mw` frame under `interference`, and its frame end.
-    fn reception(rate: Rate, signal_mw: f64, interference: Vec<(Time, f64)>) -> (RxLock, Time) {
+    /// for a `signal_mw` frame, and its frame end.
+    fn reception(rate: Rate, signal_mw: f64) -> (RxLock, Time) {
         let c = RxLock {
             tx_id: 1,
             lock_time: 1_000,
             signal_mw,
-            interference,
             ..RxLock::default()
         };
         (c, 1_000 + rate.frame_airtime_ns(1428))
@@ -2340,7 +2345,7 @@ mod tests {
                     .map(|_| 1_000 + rng.gen_range(0..airtime))
                     .collect();
                 at.sort_unstable();
-                let profile = std::iter::once(1_000)
+                let profile: Vec<(Time, f64)> = std::iter::once(1_000)
                     .chain(at)
                     .map(|t| {
                         let quiet = rng.gen_bool(0.3);
@@ -2348,17 +2353,23 @@ mod tests {
                         (t, if quiet { 0.0 } else { level })
                     })
                     .collect();
-                let (c, frame_end) = reception(rate, signal_mw, profile);
+                let (c, frame_end) = reception(rate, signal_mw);
+                let entries = || profile.iter().copied();
                 let unit: f64 = rng.gen();
-                let (p, graded) = grade_reception(&c, frame_end, rate, 1428, &phy, table);
+                let frame = (rate, 1428);
+                let (p, graded) = grade_reception(&c, entries(), frame_end, frame, &phy, table);
                 let (decision, segments) =
-                    decode_decision(&c, frame_end, rate, 1428, &phy, gate, unit);
-                assert_eq!(segments, graded, "{c:?}");
+                    decode_decision(&c, entries(), frame_end, frame, &phy, gate, unit);
+                assert_eq!(segments, graded, "{c:?} {profile:?}");
                 assert!((1..=levels as u64).contains(&segments));
                 match decision {
                     Some(decoded) => {
                         settled += 1;
-                        assert_eq!(decoded, unit < p, "{rate} p {p:e} draw {unit:e}: {c:?}");
+                        assert_eq!(
+                            decoded,
+                            unit < p,
+                            "{rate} p {p:e} draw {unit:e}: {c:?} {profile:?}"
+                        );
                     }
                     None => inside += 1,
                 }
@@ -2377,28 +2388,41 @@ mod tests {
         let payload_start = 1_000 + PLCP_PREAMBLE_NS + PLCP_SIG_NS;
         // A profile that starts inside the payload, or is empty, leaves
         // bits ungraded: no bracket, whatever the draw.
-        for profile in [vec![(payload_start + 5_000, 0.0)], vec![]] {
-            let (c, frame_end) = reception(rate, strong, profile);
-            let (_, graded) = grade_reception(&c, frame_end, rate, 1428, &phy, table);
+        let (c, frame_end) = reception(rate, strong);
+        let frame = (rate, 1428);
+        for profile in [&[(payload_start + 5_000, 0.0)][..], &[]] {
+            let entries = || profile.iter().copied();
+            let (_, graded) = grade_reception(&c, entries(), frame_end, frame, &phy, table);
             for unit in [0.0, 0.5, 1.0 - f64::EPSILON] {
                 assert_eq!(
-                    decode_decision(&c, frame_end, rate, 1428, &phy, gate, unit),
+                    decode_decision(&c, entries(), frame_end, frame, &phy, gate, unit),
                     (None, graded)
                 );
             }
         }
         // The same strong, quiet reception covered from the lock on is
         // settled by any draw.
-        let (c, frame_end) = reception(rate, strong, vec![(1_000, 0.0)]);
+        let quiet = || std::iter::once((1_000, 0.0));
         assert_eq!(
-            decode_decision(&c, frame_end, rate, 1428, &phy, gate, 0.5),
+            decode_decision(&c, quiet(), frame_end, frame, &phy, gate, 0.5),
             (Some(true), 1)
         );
         // Nothing after the SIGNAL field: p is 1.0 and no segment is graded.
         for frame_end in [payload_start, payload_start - 1] {
-            assert_eq!(grade_reception(&c, frame_end, rate, 1428, &phy, table).1, 0);
             assert_eq!(
-                decode_decision(&c, frame_end, rate, 1428, &phy, gate, 1.0 - f64::EPSILON),
+                grade_reception(&c, quiet(), frame_end, frame, &phy, table).1,
+                0
+            );
+            assert_eq!(
+                decode_decision(
+                    &c,
+                    quiet(),
+                    frame_end,
+                    frame,
+                    &phy,
+                    gate,
+                    1.0 - f64::EPSILON
+                ),
                 (Some(true), 0)
             );
         }

@@ -16,20 +16,23 @@
 # --allocs counts heap allocations instead of CPU time: it preloads
 # tools/profile/allocs.c, which records the call stack of every malloc,
 # calloc and realloc as one sample, and writes <workload>.allocs.raw and
-# <workload>.allocs.txt, the tables over the timed run's allocations
-# (symbolise.py's `--phase World::run_until`, what allocs_per_sim_s
-# counts; without it, every phase). `samples` is then the allocation
-# count and the inclusive by-symbol table the share made under each
-# function. It also prints symbolise.py's `--sites` table: each
-# allocation by its innermost workspace frame (inlined ones included)
-# and that frame's workspace caller, each with its file and line, i.e.
-# allocations by call site. Every allocation costs a
-# backtrace, so the run is several times slower; at least the five
-# timed reps (and one untimed) run, whatever --seconds says.
+# <workload>.allocs.txt, the tables over the allocations of each rep's
+# timed region (symbolise.py's `--phase timed`: the run, and for
+# ckpt_cycle each cycle's checkpoint, fresh world and restore, which is
+# what allocs_per_sim_s counts; without it, every phase). `samples` is
+# then the allocation count over the warm-up rep and the timed reps, and
+# the inclusive by-symbol table the share made under each function. It
+# also prints symbolise.py's `--sites` table: each allocation by its
+# innermost workspace frame (inlined ones included) and that frame's
+# workspace caller, each with its file and line, i.e. allocations by call
+# site, and last a `timed region` line holding the samples per rep
+# against the run's allocs_per_sim_s x sim_s_per_rep. Every allocation
+# costs a backtrace, so the run is several times slower; at least the
+# warm-up and five timed reps run, whatever --seconds says.
 set -euo pipefail
 
 usage() {
-    sed -n '2,28p' "${BASH_SOURCE[0]}" >&2
+    sed -n '2,31p' "${BASH_SOURCE[0]}" >&2
     exit 2
 }
 
@@ -86,5 +89,21 @@ CMAP_PROFILE_OUT="$raw" CMAP_PROFILE_STACKS="$stacks" LD_PRELOAD="$preload" \
     "$bin" "${args[@]}" > "$e2e"
 tail -n 1 "$e2e"
 opts=()
-((allocs)) && opts=(--phase World::run_until --sites)
+((allocs)) && opts=(--phase timed --sites)
 python3 "$tools/profile/symbolise.py" "$raw" "${opts[@]}" | tee "$out/$name.txt"
+if ((allocs)); then
+    # Every rep, the warm-up too, runs the same timed region; the run
+    # reports the median rep of the first five, so the two differ by the
+    # spread of allocations over the reps' seeds.
+    awk 'FNR == NR && /^# cmap-benchmark/ {
+             for (i = 1; i <= NF; i++) if (sub(/^sim_s_per_rep=/, "", $i)) per_rep = $i
+         }
+         FNR == NR && $1 == "allocs_per_sim_s" { rate = $3 }
+         FNR == NR && $1 == "timed_reps" { reps = $2 + 1 }
+         FNR != NR && $1 == "samples" { n = $2 }
+         END {
+             printf "\ntimed region: %d allocations over %d reps, %.0f per rep; " \
+                 "allocs_per_sim_s x sim_s_per_rep = %.0f (%+.2f %%)\n",
+                 n, reps, n / reps, rate * per_rep, 100 * (n / reps / (rate * per_rep) - 1)
+         }' "$e2e" "$out/$name.txt" | tee -a "$out/$name.txt"
+fi

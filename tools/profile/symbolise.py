@@ -14,9 +14,11 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   rather than a place — `set-up`, every sample taken under
   `cmap_benchmark::workload` (scenario and world construction);
 * with stacks, the share by phase of the benchmark run: each sample goes
-  to the first of `PHASES` one of its frames falls under (the untimed
-  reference runs of a checkpointed workload, a checkpoint, a restore,
-  set-up, the timed `run_until`), else to `other`;
+  to one row of `PHASES` — the untimed reference runs of a checkpointed
+  workload, a rep's own set-up, and the four rows of its timed region (a
+  checkpoint, a restore, the run, and the fresh world each checkpoint
+  cycle builds), told apart by the line `run_rep` calls out from — else
+  to `other`, and a `timed region` line sums the four;
 * self share by source file: each sample goes to the file of its
   innermost inlined frame (`addr2line -i`), so code inlined into its
   caller (the queue into `World::run_until`) still counts as its own;
@@ -28,8 +30,9 @@ Prints, from the `map` lines (the process's /proc/self/maps) and the
   as the by-file table names it, e.g. `sim/src/radio.rs`), with the
   line's text: where inside a hot file the samples land;
 * with `--phase`, every table over only the samples of one row of the
-  by-phase table (e.g. `World::run_until`, the timed run), `samples`
-  then counting those;
+  by-phase table (e.g. `World::run_until`), or with `--phase timed` of
+  the timed region, `samples` then counting those: on an allocation
+  dump, what `allocs_per_sim_s` counts (the warm-up rep included);
 * with `--sites` and stacks, the share by call site: each sample goes to
   its innermost workspace frame (inlined frames included, the global
   allocator's skipped) and that frame's nearest workspace caller, each
@@ -53,23 +56,44 @@ import subprocess
 import sys
 
 
-# The phases of a benchmark run, as (row, symbol prefix), first match wins:
-# a sample under `reference_digest` is untimed whatever it runs inside.
-PHASES = (
-    ("reference_digest (untimed)", "cmap_benchmark::run::reference_digest"),
-    ("World::checkpoint", "cmap_sim::world::World::checkpoint"),
-    ("World::restore", "cmap_sim::world::World::restore"),
-    ("set-up", "cmap_benchmark::workload"),
-    ("World::run_until", "cmap_sim::world::World::run_until"),
-)
+# The rows of the by-phase table, first match wins. A sample under
+# `reference_digest` is untimed whatever it runs inside. Any other sample
+# under `run_rep` is timed when `run_rep` called out from between its two
+# reads of the allocation counter — the region `sim_rate` and
+# `allocs_per_sim_s` measure: the run, and for a checkpointed workload
+# each cycle's checkpoint, fresh world and restore — and is the rep's own
+# set-up before that region.
+TIMED = ("World::checkpoint", "World::restore", "World::run_until",
+         "run::cycle's fresh world")
+PHASES = ("reference_digest (untimed)", "set-up (untimed)") + TIMED + ("other",)
 
 
-def phase_of(symbols):
-    """The row of `PHASES` a sample whose stack holds `symbols` counts for."""
-    for row, prefix in PHASES:
-        if any(re.search(re.escape(prefix) + r"\b", s) for s in symbols):
+def phase_of(symbols, timed):
+    """The row of `PHASES` a sample whose stack holds `symbols` counts for.
+    `timed` says whether its `run_rep` frame lies in the timed region;
+    None (no such frame, or no line table to tell) falls back to symbols:
+    set-up is then everything under `cmap_benchmark::workload`."""
+    def under(prefix):
+        return any(re.search(re.escape(prefix) + r"\b", s) for s in symbols)
+    if under("cmap_benchmark::run::reference_digest"):
+        return PHASES[0]
+    if timed is False or (timed is None and under("cmap_benchmark::workload")):
+        return PHASES[1] if under("cmap_benchmark::workload") else "other"
+    for row in TIMED[:3]:
+        if under("cmap_sim::world::" + row):
             return row
-    return "other"
+    return TIMED[3] if timed else "other"
+
+
+def timed_span(path):
+    """The lines of the benchmark's `run.rs` at `path` between which
+    `run_rep` reads the allocation counter twice, or None."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            reads = [i for i, text in enumerate(f, 1) if "alloc::allocations()" in text]
+    except OSError:
+        return None
+    return (reads[0], reads[1]) if len(reads) == 2 else None
 
 
 def load_bias(path, first_start):
@@ -222,6 +246,29 @@ def call_sites(samples, image_of):
     return sites
 
 
+def rep_timing(samples, resolved, image_of):
+    """Whether each stack's `run_rep` frame (`resolved` names every frame)
+    calls out from inside the timed region, by stack: None where the stack
+    has no such frame or no line table places the call."""
+    site = {}
+    for stack in samples:
+        site[stack] = next((pc - (k > 0) for k, pc in enumerate(stack) if re.search(
+            r"cmap_benchmark::run::run_rep\b", resolved[pc, k > 0][0])), None)
+    wanted = collections.defaultdict(set)
+    for pc in set(site.values()) - {None}:
+        image = image_of(pc)
+        wanted[image].add(pc - image.bias)
+    where, spans = {}, {}
+    for image, addrs in wanted.items():
+        for addr, chain in inline_chains(image.path, sorted(addrs)).items():
+            # The outermost frame of the chain is `run_rep`'s own call.
+            _, path, line = chain[-1]
+            spans.setdefault(path, timed_span(path))
+            if spans[path] is not None:
+                where[addr + image.bias] = spans[path][0] < line < spans[path][1]
+    return {stack: where.get(pc) for stack, pc in site.items()}
+
+
 def line_text(path, number):
     """Line `number` of the source file at `path`, stripped; empty if the
     file is not on this machine."""
@@ -325,13 +372,16 @@ def main():
     by_phase = collections.Counter()
     stacks = any(len(s) > 1 for s in samples)
     resolved = {}
-    for stack, weight in list(samples.items()):
+    for stack in samples:
         for k, pc in enumerate(stack):
             if (pc, k > 0) not in resolved:
                 resolved[pc, k > 0] = resolve(pc, 1 if k else 0)
+    timed = rep_timing(samples, resolved, image_of)
+    for stack, weight in list(samples.items()):
         frames = [resolved[pc, k > 0] for k, pc in enumerate(stack)]
-        phase = phase_of({s for s, _ in frames})
-        if only_phase is not None and phase != only_phase:
+        phase = phase_of({s for s, _ in frames}, timed[stack])
+        if only_phase is not None and phase not in (
+                TIMED if only_phase == "timed" else (only_phase,)):
             del samples[stack]
             continue
         self_sym[frames[0][0]] += weight
@@ -382,8 +432,10 @@ def main():
     if stacks:
         print("\nby phase (each sample once, first match in this order)")
         print("%8s  %s" % ("share %", "phase"))
-        for row in [r for r, _ in PHASES] + ["other"]:
+        for row in PHASES:
             print("%8.1f  %s" % (100.0 * by_phase[row] / n, row))
+        print("%8.1f  timed region (the four rows above `other`)"
+              % (100.0 * sum(by_phase[row] for row in TIMED) / n))
     print("\nby source file (top %d, innermost inlined frame)" % top)
     print("%8s %8s  %s" % ("self %", "", "file"))
     for k, c in self_file.most_common(top):
