@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
+use cmap_sim::arena::{List, Lists};
 use cmap_sim::ckpt::{CkptReader, CkptWriter, Persist};
 use cmap_sim::time::Time;
 use cmap_sim::{persist, CkptError};
@@ -31,94 +32,24 @@ struct Counters {
 
 persist!(struct Counters { overlapped, lost });
 
-/// No slot: the end of a list, or of an empty free list.
-const NIL: u32 = u32::MAX;
-
-/// One neighbour's windows in an [`Activity`] arena: a list through the
-/// slots' next indices, from the oldest (`head`) to the newest (`tail`),
-/// which are unset while `len` is 0.
-#[derive(Debug, Default, Clone, Copy)]
-struct Ring {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-/// Recent activity windows of every overheard neighbour, in one arena.
-///
-/// Each window sits in a slot beside the index of the next slot of its
-/// neighbour's list. A slot that eviction or [`Activity::prune`] gives back
-/// joins the free list, threaded through the same index, so a warm
-/// tracker allocates nothing and its memory follows the live windows.
-#[derive(Debug)]
+/// Recent activity windows of every overheard neighbour: one list per
+/// neighbour in one arena, so a warm tracker allocates nothing and its
+/// memory follows the live windows.
+#[derive(Debug, Default)]
 struct Activity {
-    /// `(window, next)`; a free slot's `next` is the next free slot.
-    slots: Vec<((Time, Time), u32)>,
-    /// First free slot, [`NIL`] when none is.
-    free: u32,
+    windows: Lists<(Time, Time)>,
     /// Overheard neighbours. A sorted `Vec` searched by bisection cost
     /// 1.6 times the CPU here on `smallframe_cmap` (DESIGN.md §9.3).
-    index: BTreeMap<MacAddr, Ring>,
-}
-
-impl Default for Activity {
-    fn default() -> Activity {
-        Activity {
-            slots: Vec::new(),
-            free: NIL,
-            index: BTreeMap::new(),
-        }
-    }
+    index: BTreeMap<MacAddr, List>,
 }
 
 impl Activity {
-    /// `ring`'s windows, oldest first.
-    fn windows(&self, ring: Ring) -> impl Iterator<Item = &(Time, Time)> {
-        std::iter::successors(Some(ring.head), |&s| Some(self.slots[s as usize].1))
-            .take(ring.len as usize)
-            .map(|s| &self.slots[s as usize].0)
-    }
-
-    /// Append `window` to `ring`, in a free slot if there is one.
-    fn push(
-        slots: &mut Vec<((Time, Time), u32)>,
-        free: &mut u32,
-        ring: &mut Ring,
-        window: (Time, Time),
-    ) {
-        let s = if *free == NIL {
-            let s = u32::try_from(slots.len()).expect("activity slots fit a u32 index");
-            slots.push((window, NIL));
-            s
-        } else {
-            let s = *free;
-            *free = std::mem::replace(&mut slots[s as usize], (window, NIL)).1;
-            s
-        };
-        if ring.len == 0 {
-            ring.head = s;
-        } else {
-            slots[ring.tail as usize].1 = s;
-        }
-        ring.tail = s;
-        ring.len += 1;
-    }
-
-    /// Drop `ring`'s oldest window, its slot joining the free list.
-    fn pop(slots: &mut [((Time, Time), u32)], free: &mut u32, ring: &mut Ring) {
-        let s = ring.head;
-        ring.head = std::mem::replace(&mut slots[s as usize].1, *free);
-        *free = s;
-        ring.len -= 1;
-    }
-
     fn note(&mut self, node: MacAddr, window: (Time, Time)) {
-        let Activity { slots, free, index } = self;
-        let ring = index.entry(node).or_default();
+        let Activity { windows, index } = self;
+        let list = index.entry(node).or_default();
         // Merge with the last window when overlapping/adjacent (common for
         // back-to-back data packets).
-        if ring.len > 0 {
-            let last = &mut slots[ring.tail as usize].0;
+        if let Some(last) = windows.back_mut(*list) {
             if window.0 <= last.1 {
                 last.1 = last.1.max(window.1);
                 last.0 = last.0.min(window.0);
@@ -126,21 +57,21 @@ impl Activity {
             }
         }
         // Evict before pushing, so a full list reuses its oldest slot.
-        if ring.len as usize == MAX_WINDOWS {
-            Activity::pop(slots, free, ring);
+        if list.len() == MAX_WINDOWS {
+            windows.pop_front(list);
         }
-        Activity::push(slots, free, ring, window);
+        windows.push_back(list, window);
     }
 
     /// Drop every window that ended before `cutoff`, and every neighbour
     /// left with none.
     fn prune(&mut self, cutoff: Time) {
-        let Activity { slots, free, index } = self;
-        index.retain(|_, ring| {
-            while ring.len > 0 && slots[ring.head as usize].0 .1 < cutoff {
-                Activity::pop(slots, free, ring);
+        let Activity { windows, index } = self;
+        index.retain(|_, list| {
+            while windows.iter(*list).next().is_some_and(|w| w.1 < cutoff) {
+                windows.pop_front(list);
             }
-            ring.len > 0
+            !list.is_empty()
         });
     }
 }
@@ -153,10 +84,9 @@ impl Persist for Activity {
 
     fn save(&self, w: &mut CkptWriter) {
         w.len(self.index.len());
-        for (&node, &ring) in &self.index {
+        for (&node, &list) in &self.index {
             w.put(&node);
-            w.len(ring.len as usize);
-            self.windows(ring).for_each(|window| w.put(window));
+            self.windows.save(list, w);
         }
     }
 
@@ -175,18 +105,14 @@ impl Persist for Activity {
                     "activity neighbours not strictly ascending".into(),
                 ));
             }
-            let len = r.count::<(Time, Time)>()?;
-            if !(1..=MAX_WINDOWS).contains(&len) {
+            let list = a.windows.load(r)?;
+            if !(1..=MAX_WINDOWS).contains(&list.len()) {
                 return Err(CkptError::Malformed(format!(
-                    "{len} activity windows, not 1..={MAX_WINDOWS}"
+                    "{} activity windows, not 1..={MAX_WINDOWS}",
+                    list.len()
                 )));
             }
-            a.slots.reserve(len);
-            let mut ring = Ring::default();
-            for _ in 0..len {
-                Activity::push(&mut a.slots, &mut a.free, &mut ring, r.get()?);
-            }
-            a.index.insert(node, ring);
+            a.index.insert(node, list);
         }
         Ok(a)
     }
@@ -233,12 +159,13 @@ impl InterfererTracker {
         if end <= start {
             return 0.0;
         }
-        let Some(&ring) = self.activity.index.get(&node) else {
+        let Some(&list) = self.activity.index.get(&node) else {
             return 0.0;
         };
         let covered: u64 = self
             .activity
-            .windows(ring)
+            .windows
+            .iter(list)
             .map(|&(s, e)| e.min(end).saturating_sub(s.max(start)))
             .sum();
         covered as f64 / (end - start) as f64
@@ -434,8 +361,8 @@ mod tests {
 
     /// `node`'s windows, oldest first.
     fn windows(t: &InterfererTracker, node: MacAddr) -> Vec<(Time, Time)> {
-        let ring = t.activity.index[&node];
-        t.activity.windows(ring).copied().collect()
+        let list = t.activity.index[&node];
+        t.activity.windows.iter(list).copied().collect()
     }
 
     #[test]
@@ -652,7 +579,7 @@ mod tests {
                 }
             }
             assert!((1..=3).all(|n| windows(&t, a(n)).len() == MAX_WINDOWS));
-            let used = t.activity.slots.len();
+            let used = t.activity.windows.slots();
             assert!(
                 used <= *high_water.get_or_insert(used),
                 "cycle {cycle}: {used} slots"

@@ -39,4 +39,4 @@ pub use config::{CmapConfig, DEFER_ENTRY_TIMEOUT};
 pub use defer_table::{DeferEntry, DeferTable};
 pub use interferer::InterfererTracker;
 pub use mac::CmapMac;
-pub use rate_control::{FixedRate, RateController, ThroughputRate};
+pub use rate_control::ThroughputRate;

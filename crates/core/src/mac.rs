@@ -43,7 +43,7 @@ use crate::config::{
 use crate::defer_table::DeferTable;
 use crate::interferer::InterfererTracker;
 use crate::ongoing::OngoingList;
-use crate::rate_control::{FixedRate, RateController};
+use crate::rate_control::ThroughputRate;
 use crate::vpkt::{DataPkt, PeerRx, SendWindow, SentVpkt};
 
 const CLASS_ACKWAIT: u64 = 1;
@@ -256,22 +256,16 @@ pub struct CmapMac {
     /// disabled: (sender, seq, count, data rate, data-burst start).
     pending_finalize: std::collections::VecDeque<(MacAddr, u32, u8, cmap_phy::Rate, Time)>,
     in_flight: InFlight,
-    rate_ctl: Box<dyn RateController>,
+    /// The §3.5 rate adapter; without one every virtual packet goes at
+    /// `cfg.data_rate`.
+    rate_ctl: Option<ThroughputRate>,
 }
 
 impl CmapMac {
     /// Create a CMAP MAC with the given configuration (fixed bit-rate, the
-    /// paper's evaluation setting).
+    /// paper's evaluation setting). Panics on `n_window` 0: the window
+    /// would always be full, so nothing would be sent.
     pub fn new(cfg: CmapConfig) -> CmapMac {
-        let rate = cfg.data_rate;
-        CmapMac::with_rate_controller(cfg, Box::new(FixedRate(rate)))
-    }
-
-    /// Create a CMAP MAC with a custom bit-rate policy (§3.5 extension).
-    /// Pair with `CmapConfig::rate_aware` to also match defer entries per
-    /// rate. Panics on `n_window` 0: the window would always be full, so
-    /// nothing would be sent.
-    pub fn with_rate_controller(cfg: CmapConfig, rate_ctl: Box<dyn RateController>) -> CmapMac {
         assert!(
             cfg.n_window >= 1,
             "CmapConfig::n_window must be at least 1, got 0"
@@ -296,7 +290,17 @@ impl CmapMac {
             sources: Vec::new(),
             pending_finalize: std::collections::VecDeque::new(),
             in_flight: InFlight::Idle,
-            rate_ctl,
+            rate_ctl: None,
+        }
+    }
+
+    /// Create a CMAP MAC that adapts its bit-rate with `rate_ctl` (§3.5
+    /// extension). Pair with `CmapConfig::rate_aware` to also match defer
+    /// entries per rate.
+    pub fn adaptive(cfg: CmapConfig, rate_ctl: ThroughputRate) -> CmapMac {
+        CmapMac {
+            rate_ctl: Some(rate_ctl),
+            ..CmapMac::new(cfg)
         }
     }
 
@@ -361,7 +365,7 @@ impl CmapMac {
             self.cur = if let Some((dst, pkts, rounds)) = self.window.pop_rtx() {
                 let seq = self.window.alloc_seq(dst);
                 ctx.stats().add(CounterId::CmapRtxVpkt, 1);
-                let rate = self.rate_ctl.choose(dst, ctx.now(), ctx.rng());
+                let rate = self.choose_rate(dst, ctx);
                 Some(CurVpkt {
                     dst,
                     seq,
@@ -391,7 +395,7 @@ impl CmapMac {
                     }
                 }
                 let seq = self.window.alloc_seq(dst);
-                let rate = self.rate_ctl.choose(dst, ctx.now(), ctx.rng());
+                let rate = self.choose_rate(dst, ctx);
                 Some(CurVpkt {
                     dst,
                     seq,
@@ -646,10 +650,20 @@ impl CmapMac {
         ctx.set_timer(wait, token(CLASS_BACKOFF, self.sender_gen));
     }
 
-    /// Feed per-rate delivery outcomes to the rate controller (§3.5).
-    fn drain_rate_feedback(&mut self, ctx: &mut NodeCtx<'_>) {
-        for &(dst, rate, acked, lost) in &self.window.feedback {
-            self.rate_ctl.feedback(dst, rate, acked, lost, ctx.now());
+    /// The rate for the next virtual packet to `dst`.
+    fn choose_rate(&mut self, dst: MacAddr, ctx: &mut NodeCtx<'_>) -> cmap_phy::Rate {
+        match &mut self.rate_ctl {
+            Some(rc) => rc.choose(dst, ctx.rng()),
+            None => self.cfg.data_rate,
+        }
+    }
+
+    /// Feed per-rate delivery outcomes to the rate adapter (§3.5).
+    fn drain_rate_feedback(&mut self) {
+        if let Some(rc) = &mut self.rate_ctl {
+            for &(dst, rate, acked, lost) in &self.window.feedback {
+                rc.feedback(dst, rate, acked, lost);
+            }
         }
         self.window.feedback.clear();
     }
@@ -687,7 +701,7 @@ impl CmapMac {
                 newly_acked: newly as u32,
             });
         }
-        self.drain_rate_feedback(ctx);
+        self.drain_rate_feedback();
         self.update_cw(ctx, loss);
         match self.state {
             SState::AckWait => {
@@ -1075,7 +1089,7 @@ impl Mac for CmapMac {
                 if gave_up > 0 {
                     ctx.stats().add(CounterId::CmapRtxGiveUp, gave_up as u64);
                 }
-                self.drain_rate_feedback(ctx);
+                self.drain_rate_feedback();
                 self.state = SState::Idle;
                 self.try_send(ctx);
             }
@@ -1188,10 +1202,12 @@ impl Mac for CmapMac {
     fn save_state(&self, out: &mut Vec<u8>) {
         ckpt::write_blob(out, |w| {
             self.save_fields(w);
-            // The rate controller is a trait object: its state nests as
-            // one more self-contained blob.
+            // The rate adapter's state nests as one more self-contained
+            // blob, empty at a fixed rate.
             let mut rc = Vec::new();
-            self.rate_ctl.save_state(&mut rc);
+            if let Some(ctl) = &self.rate_ctl {
+                ctl.save_state(&mut rc);
+            }
             w.bytes(&rc);
         });
     }
@@ -1199,15 +1215,21 @@ impl Mac for CmapMac {
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         ckpt::read_blob(bytes, |r| {
             self.load_fields(r)?;
-            self.rate_ctl
-                .load_state(r.bytes()?)
-                .map_err(CkptError::Mismatch)
+            match (&mut self.rate_ctl, r.bytes()?) {
+                (Some(ctl), bytes) => ctl.load_state(bytes),
+                (None, []) => Ok(()),
+                (None, bytes) => Err(format!(
+                    "{} bytes of rate-adapter state at a fixed rate",
+                    bytes.len()
+                )),
+            }
+            .map_err(CkptError::Mismatch)
         })
     }
 }
 
 // Everything but the configuration, the scratch buffers and the rate
-// controller, in wire order.
+// adapter, in wire order.
 persist!(fields CmapMac {
     state,
     cur,
@@ -1421,7 +1443,6 @@ mod tests {
 
     #[test]
     fn rate_adaptation_finds_the_right_rate_per_link() {
-        use crate::rate_control::ThroughputRate;
         // Strong link (-60 dBm: 34 dB SNR supports 54 Mbit/s) and a weak
         // link (-86 dBm: 8 dB SNR supports ~12 but not 24): the adapter
         // must climb on the first and hold low on the second.
@@ -1432,9 +1453,9 @@ mod tests {
             for node in 0..2 {
                 w.set_mac(
                     node,
-                    Box::new(CmapMac::with_rate_controller(
+                    Box::new(CmapMac::adaptive(
                         cfg.clone(),
-                        Box::new(ThroughputRate::full_ladder()),
+                        ThroughputRate::full_ladder(),
                     )),
                 );
             }

@@ -3,16 +3,13 @@
 //! The paper's experiments fix a network-wide rate, but §3.5 sketches the
 //! extension: *"online bit-rate adaptation algorithms can benefit from
 //! using the information in the conflict map in choosing the best rate at
-//! which to transmit."* This module provides that hook:
-//!
-//! * [`RateController`] — the per-sender policy interface: pick a rate for
-//!   the next virtual packet to a destination, learn from the per-rate
-//!   delivery feedback the windowed ACKs provide.
-//! * [`FixedRate`] — the paper's evaluation setting (§5.1/§5.8).
-//! * [`ThroughputRate`] — a sample-rate-style adapter: tracks an EWMA
-//!   delivery ratio per (destination, rate), picks the rate maximising
-//!   `bit-rate × delivery`, and spends a small fraction of virtual packets
-//!   probing the neighbouring rates so estimates stay fresh.
+//! which to transmit."* [`ThroughputRate`] is that extension, a
+//! sample-rate-style adapter: it tracks an EWMA delivery ratio per
+//! (destination, rate) from the per-rate feedback the windowed ACKs
+//! provide, picks the rate maximising `bit-rate × delivery`, and spends a
+//! small fraction of virtual packets probing the neighbouring rates so
+//! estimates stay fresh. A [`CmapMac`](crate::CmapMac) without one sends
+//! at `CmapConfig::data_rate`, the paper's evaluation setting (§5.1/§5.8).
 //!
 //! Combined with `CmapConfig::rate_aware`, defer-table entries are
 //! annotated and matched by rate, realising the §3.5 design: a sender may
@@ -24,52 +21,16 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
-use cmap_sim::time::Time;
 use cmap_sim::{ckpt, persist};
 use cmap_wire::MacAddr;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Per-destination bit-rate policy for a CMAP sender.
-pub trait RateController: Send {
-    /// Rate for the next virtual packet to `dst`.
-    fn choose(&mut self, dst: MacAddr, now: Time, rng: &mut SmallRng) -> Rate;
+/// EWMA weight of new observations.
+const ALPHA: f64 = 0.25;
 
-    /// Feedback after acknowledgement bookkeeping: of `total` data packets
-    /// sent to `dst` at `rate`, `acked` were eventually acknowledged and
-    /// `lost` were given up on (repacked for retransmission).
-    fn feedback(&mut self, dst: MacAddr, rate: Rate, acked: usize, lost: usize, now: Time);
-
-    /// Append dynamic adaptation state to a `cmap-ckpt/v8` checkpoint blob.
-    /// The default writes nothing, which is correct for stateless policies
-    /// such as [`FixedRate`].
-    fn save_state(&self, _out: &mut Vec<u8>) {}
-
-    /// Restore [`RateController::save_state`] bytes into a freshly-created
-    /// instance of the same policy. The default accepts only an empty blob.
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} bytes of rate-controller state for a stateless policy",
-                bytes.len()
-            ))
-        }
-    }
-}
-
-/// Always the configured rate (the paper's evaluation setting).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedRate(pub Rate);
-
-impl RateController for FixedRate {
-    fn choose(&mut self, _dst: MacAddr, _now: Time, _rng: &mut SmallRng) -> Rate {
-        self.0
-    }
-
-    fn feedback(&mut self, _dst: MacAddr, _rate: Rate, _acked: usize, _lost: usize, _now: Time) {}
-}
+/// Fraction of choices spent probing a neighbouring rate.
+const PROBE_PROB: f64 = 0.1;
 
 /// EWMA delivery estimate for one (destination, rate) cell.
 #[derive(Debug, Clone, Copy)]
@@ -94,10 +55,6 @@ impl Default for Cell {
 #[derive(Debug)]
 pub struct ThroughputRate {
     cells: BTreeMap<(MacAddr, Rate), Cell>,
-    /// EWMA weight of new observations.
-    alpha: f64,
-    /// Fraction of choices spent probing a neighbouring rate.
-    probe_prob: f64,
     /// Rates the adapter may use (ordered subset of [`Rate::ALL`]).
     ladder: Vec<Rate>,
 }
@@ -109,8 +66,6 @@ impl ThroughputRate {
         assert!(!ladder.is_empty());
         ThroughputRate {
             cells: BTreeMap::new(),
-            alpha: 0.25,
-            probe_prob: 0.1,
             ladder,
         }
     }
@@ -144,12 +99,11 @@ impl ThroughputRate {
             .max_by(|&&a, &&b| self.score(dst, a).total_cmp(&self.score(dst, b)))
             .expect("non-empty ladder")
     }
-}
 
-impl RateController for ThroughputRate {
-    fn choose(&mut self, dst: MacAddr, _now: Time, rng: &mut SmallRng) -> Rate {
+    /// Rate for the next virtual packet to `dst`.
+    pub(crate) fn choose(&mut self, dst: MacAddr, rng: &mut SmallRng) -> Rate {
         let best = self.best(dst);
-        if rng.gen_bool(self.probe_prob) {
+        if rng.gen_bool(PROBE_PROB) {
             // Probe an adjacent ladder rung so the estimates don't go
             // stale — but not rungs that have *converged to dead* (several
             // samples, throughput far below the incumbent): every probe of
@@ -177,7 +131,10 @@ impl RateController for ThroughputRate {
         best
     }
 
-    fn feedback(&mut self, dst: MacAddr, rate: Rate, acked: usize, lost: usize, _now: Time) {
+    /// Of the data packets sent to `dst` at `rate`, `acked` were eventually
+    /// acknowledged and `lost` were given up on (repacked for
+    /// retransmission).
+    pub(crate) fn feedback(&mut self, dst: MacAddr, rate: Rate, acked: usize, lost: usize) {
         let total = acked + lost;
         if total == 0 {
             return;
@@ -187,16 +144,18 @@ impl RateController for ThroughputRate {
         if cell.samples == 0 {
             cell.delivery = observed;
         } else {
-            cell.delivery = (1.0 - self.alpha) * cell.delivery + self.alpha * observed;
+            cell.delivery = (1.0 - ALPHA) * cell.delivery + ALPHA * observed;
         }
         cell.samples += 1;
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
+    /// Append the delivery estimates as a nested checkpoint blob.
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         ckpt::write_blob(out, |w| w.put(&self.cells));
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+    /// Restore [`ThroughputRate::save_state`] bytes.
+    pub(crate) fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         self.cells = ckpt::read_blob(bytes, |r| r.get())?;
         Ok(())
     }
@@ -212,22 +171,13 @@ mod tests {
     }
 
     #[test]
-    fn fixed_rate_is_fixed() {
-        let mut rc = FixedRate(Rate::R18);
-        let mut rng = stream_rng(1, 0);
-        for _ in 0..10 {
-            assert_eq!(rc.choose(dst(), 0, &mut rng), Rate::R18);
-        }
-    }
-
-    #[test]
     fn adapter_climbs_to_the_best_clean_rate() {
         let mut rc = ThroughputRate::new(vec![Rate::R6, Rate::R12, Rate::R18]);
         let mut rng = stream_rng(2, 0);
         // Perfect delivery everywhere: it must settle on 18 Mbit/s.
         for _ in 0..50 {
-            let r = rc.choose(dst(), 0, &mut rng);
-            rc.feedback(dst(), r, 32, 0, 0);
+            let r = rc.choose(dst(), &mut rng);
+            rc.feedback(dst(), r, 32, 0);
         }
         assert_eq!(rc.best(dst()), Rate::R18);
     }
@@ -237,14 +187,14 @@ mod tests {
         let mut rc = ThroughputRate::new(vec![Rate::R6, Rate::R12, Rate::R18]);
         let mut rng = stream_rng(3, 0);
         for _ in 0..120 {
-            let r = rc.choose(dst(), 0, &mut rng);
+            let r = rc.choose(dst(), &mut rng);
             // 18 Mbit/s loses 90% of packets; 12 Mbit/s loses 20%; 6 clean.
             let (acked, lost) = match r {
                 Rate::R18 => (3, 29),
                 Rate::R12 => (26, 6),
                 _ => (32, 0),
             };
-            rc.feedback(dst(), r, acked, lost, 0);
+            rc.feedback(dst(), r, acked, lost);
         }
         // Throughput: 18*0.1 = 1.8 < 12*0.8 = 9.6 > 6*1.0 = 6.
         assert_eq!(rc.best(dst()), Rate::R12);
@@ -256,8 +206,8 @@ mod tests {
         let mut rc = ThroughputRate::new(vec![Rate::R6, Rate::R54]);
         let other = MacAddr::from_node_index(7);
         for _ in 0..30 {
-            rc.feedback(dst(), Rate::R54, 0, 32, 0); // dead to dst
-            rc.feedback(other, Rate::R54, 32, 0, 0); // clean to other
+            rc.feedback(dst(), Rate::R54, 0, 32); // dead to dst
+            rc.feedback(other, Rate::R54, 32, 0); // clean to other
         }
         assert_eq!(rc.best(dst()), Rate::R6);
         assert_eq!(rc.best(other), Rate::R54);
@@ -268,13 +218,13 @@ mod tests {
         let mut rc = ThroughputRate::new(vec![Rate::R6, Rate::R12, Rate::R18]);
         let mut rng = stream_rng(4, 0);
         for _ in 0..40 {
-            let r = rc.choose(dst(), 0, &mut rng);
-            rc.feedback(dst(), r, 32, 0, 0);
+            let r = rc.choose(dst(), &mut rng);
+            rc.feedback(dst(), r, 32, 0);
         }
         // Best is 18; over many draws some probes at 12 must occur.
         let mut probed = false;
         for _ in 0..200 {
-            if rc.choose(dst(), 0, &mut rng) == Rate::R12 {
+            if rc.choose(dst(), &mut rng) == Rate::R12 {
                 probed = true;
                 break;
             }

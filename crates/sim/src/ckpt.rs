@@ -283,7 +283,7 @@ impl<'a> CkptReader<'a> {
 
 /// Append a self-contained nested blob to `out`: its own magic line, then
 /// whatever `body` writes. This is the form [`Mac::save_state`] and the
-/// rate-controller hook produce, so each nested state machine can be
+/// rate adapter produce, so each nested state machine can be
 /// decoded (and rejected) on its own. The image the blob is framed in
 /// carries its content sum.
 ///

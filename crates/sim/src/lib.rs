@@ -43,6 +43,7 @@
 #![deny(clippy::unwrap_used)]
 
 mod app;
+pub mod arena;
 pub mod ckpt;
 mod config;
 pub mod event;

@@ -30,7 +30,7 @@
 //! many nodes touch a handful of cache lines instead of one scattered
 //! `Radio` struct per node. The cold per-node lock records live in their
 //! own array that only reception events touch, and every lock's
-//! interference profile in one arena per bank ([`Profiles`]). The energy
+//! interference profile in one list arena per bank ([`Lists`]). The energy
 //! total is an exact count of 2⁻¹⁰⁰ mW ([`fixed_mw`]): a frame's start
 //! adds its power and its end subtracts the same count, so the total is
 //! the exact sum of what is on the air (DESIGN.md §9.3).
@@ -38,6 +38,7 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::arena::{List, Lists};
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::config::PhyLinear;
 use crate::event::TxId;
@@ -107,66 +108,8 @@ pub(crate) struct RxLock {
     pub(crate) signal: u128,
     /// Piecewise-constant interference (mW, excluding the locked signal)
     /// as `(change_time, level_after)`, starting with the level at lock:
-    /// a list in the bank's [`Profiles`], read by [`RadioBank::profile`].
-    pub(crate) profile: Profile,
-}
-
-/// No slot: the end of a list, or of an empty free list.
-const NIL: u32 = u32::MAX;
-
-/// One lock's entries in a [`Profiles`] arena: a list through the slots'
-/// next indices, from the oldest (`head`) to the newest (`tail`), which
-/// are unset while `len` is 0.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Profile {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-/// The interference profiles of every lock of a bank, in one arena.
-///
-/// Each entry sits in a slot beside the index of the next slot of its
-/// lock's list. A lock that is dropped, displaced or graded gives its
-/// whole list to the free list, threaded through the same index, in one
-/// splice, so a warm bank allocates nothing and its memory follows the
-/// live entries.
-#[derive(Debug)]
-struct Profiles {
-    /// `(entry, next)`; a free slot's `next` is the next free slot.
-    slots: Vec<((Time, f64), u32)>,
-    /// First free slot, [`NIL`] when none is.
-    free: u32,
-}
-
-impl Profiles {
-    /// Append `entry` to `list`, in a free slot if there is one.
-    fn push(&mut self, list: &mut Profile, entry: (Time, f64)) {
-        let s = if self.free == NIL {
-            let s = u32::try_from(self.slots.len()).expect("profile slots fit a u32 index");
-            self.slots.push((entry, NIL));
-            s
-        } else {
-            let s = self.free;
-            self.free = std::mem::replace(&mut self.slots[s as usize], (entry, NIL)).1;
-            s
-        };
-        if list.len == 0 {
-            list.head = s;
-        } else {
-            self.slots[list.tail as usize].1 = s;
-        }
-        list.tail = s;
-        list.len += 1;
-    }
-
-    /// Give `list`'s slots to the free list.
-    fn release(&mut self, list: Profile) {
-        if list.len > 0 {
-            self.slots[list.tail as usize].1 = self.free;
-            self.free = list.head;
-        }
-    }
+    /// a list in the bank's arena, read by [`RadioBank::profile`].
+    pub(crate) profile: List,
 }
 
 /// What happened when a frame arrived.
@@ -209,8 +152,9 @@ pub(crate) struct RadioBank {
     // Cold arrays: touched only by reception/transmission events.
     /// The reception lock, if [`flag::LOCKED`] is set.
     lock: Vec<Option<RxLock>>,
-    /// Every lock's interference profile, completed ones until graded.
-    profiles: Profiles,
+    /// Every lock's interference profile, completed ones until graded. A
+    /// lock that is dropped, displaced or graded releases its list.
+    profiles: Lists<(Time, f64)>,
 
     /// Brackets of the lock probability (shared, immutable).
     gate: &'static gate::DrawGate,
@@ -226,10 +170,7 @@ impl RadioBank {
             state: vec![0; n],
             energy: vec![0; n],
             lock: (0..n).map(|_| None).collect(),
-            profiles: Profiles {
-                slots: Vec::new(),
-                free: NIL,
-            },
+            profiles: Lists::default(),
             gate: gate::DrawGate::shared(),
             lock_draws: (0, 0),
         }
@@ -270,10 +211,7 @@ impl RadioBank {
     /// A lock's interference profile, oldest entry first: a held lock's, or
     /// a completed one's until [`RadioBank::release_profile`].
     pub(crate) fn profile(&self, lock: &RxLock) -> impl Iterator<Item = (Time, f64)> + Clone + '_ {
-        let slots = &self.profiles.slots;
-        std::iter::successors(Some(lock.profile.head), |&s| Some(slots[s as usize].1))
-            .take(lock.profile.len as usize)
-            .map(|s| slots[s as usize].0)
+        self.profiles.iter(lock.profile).copied()
     }
 
     /// Give a graded lock's profile back to the arena.
@@ -454,8 +392,8 @@ impl RadioBank {
 
     /// Lock onto `tx_id` at `(mW, count)`, its profile seeded with `level`.
     fn lock_new(&mut self, node: usize, tx_id: TxId, signal: (f64, u128), now: Time, level: f64) {
-        let mut profile = Profile::default();
-        self.profiles.push(&mut profile, (now, level));
+        let mut profile = List::default();
+        self.profiles.push_back(&mut profile, (now, level));
         self.lock[node] = Some(RxLock {
             tx_id,
             lock_time: now,
@@ -472,7 +410,7 @@ impl RadioBank {
         let energy = self.energy[node];
         if let Some(lock) = &mut self.lock[node] {
             let level = mw_of(energy.saturating_sub(lock.signal));
-            self.profiles.push(&mut lock.profile, (now, level));
+            self.profiles.push_back(&mut lock.profile, (now, level));
         }
     }
 
@@ -541,8 +479,7 @@ impl Persist for RadioBank {
             w.put(&self.lock[n].is_some());
             if let Some(l) = &self.lock[n] {
                 w.put(&(l.tx_id, l.lock_time, l.signal_mw));
-                w.len(l.profile.len as usize);
-                self.profile(l).for_each(|entry| w.put(&entry));
+                self.profiles.save(l.profile, w);
             }
         }
     }
@@ -556,12 +493,7 @@ impl Persist for RadioBank {
             bank.energy[node] = r.get()?;
             if r.get()? {
                 let (tx_id, lock_time, signal_mw) = r.get()?;
-                let mut profile = Profile::default();
-                let len = r.count::<(Time, f64)>()?;
-                bank.profiles.slots.reserve(len);
-                for _ in 0..len {
-                    bank.profiles.push(&mut profile, r.get()?);
-                }
+                let profile = bank.profiles.load(r)?;
                 bank.lock[node] = Some(RxLock {
                     tx_id,
                     lock_time,
@@ -1114,13 +1046,8 @@ mod tests {
         /// Slots on the free list plus slots in live lists, against the
         /// arena's length: a slot in neither leaked.
         fn accounted_slots(&self) -> (usize, usize) {
-            let after = |s: u32| Some(s).filter(|&s| s != NIL);
-            let free = std::iter::successors(after(self.profiles.free), |&s| {
-                after(self.profiles.slots[s as usize].1)
-            });
-            let free = free.count();
-            let live: u32 = self.lock.iter().flatten().map(|l| l.profile.len).sum();
-            (free + live as usize, self.profiles.slots.len())
+            let live: usize = self.lock.iter().flatten().map(|l| l.profile.len()).sum();
+            (self.profiles.free_slots() + live, self.profiles.slots())
         }
     }
 
@@ -1157,7 +1084,7 @@ mod tests {
                 r.frame_end(2, id + 3, t + 2_000).map(|(_, p)| p.len()),
                 Some(18)
             );
-            let used = r.profiles.slots.len();
+            let used = r.profiles.slots();
             assert!(
                 used <= *high_water.get_or_insert(used),
                 "cycle {cycle}: {used} slots"

@@ -182,7 +182,8 @@ impl WorldBuilder {
         self
     }
 
-    /// Build the world. Panics when no medium was supplied.
+    /// Build the world. Panics when no medium was supplied, or when it has
+    /// more nodes than a 16-bit MAC address can name.
     pub fn build(self) -> World {
         let medium = self.medium.expect("WorldBuilder: no medium configured");
         let phy = self.phy.unwrap_or_default();
@@ -199,6 +200,10 @@ impl World {
     /// Build a world over `medium`; every node starts with a [`NullMac`].
     fn construct(medium: Medium, phy: PhyConfig, seed: u64) -> World {
         let n = medium.len();
+        assert!(
+            n <= 1 << 16,
+            "a world of {n} nodes: a MAC address names a node in 16 bits, so at most 65,536"
+        );
         let fading = fading::FadingTable::new(
             phy.fading_sigma_db,
             phy.fading_boost_prob,
@@ -1510,6 +1515,27 @@ mod tests {
             .uniform(2, -70.0)
             .build();
         World::builder().medium(medium).phy(phy).build();
+    }
+
+    /// `n` nodes 10 m apart on a line, out of each other's 1 m range.
+    fn linkless_world(n: usize) -> World {
+        let phy = PhyConfig::default();
+        let line = (0..n).map(|i| (i as f64 * 10.0, 0.0)).collect();
+        let medium = crate::medium::MediumBuilder::new(&phy)
+            .positions(line, 1.0, -200.0, |_, _, _| -200.0)
+            .build();
+        World::builder().medium(medium).phy(phy).build()
+    }
+
+    #[test]
+    fn the_largest_world_a_16_bit_address_names_builds() {
+        assert_eq!(linkless_world(1 << 16).radios.len(), 1 << 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "a MAC address names a node in 16 bits")]
+    fn a_world_past_the_16_bit_address_is_refused() {
+        linkless_world((1 << 16) + 1);
     }
 
     #[test]

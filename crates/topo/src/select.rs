@@ -87,6 +87,29 @@ fn potential_links(lm: &LinkMeasurements) -> Vec<(usize, usize)> {
     v
 }
 
+/// Up to `count` pairs of `links`, sampled uniformly: every pair of two
+/// distinct links over four distinct nodes, with `s1 < s2`, that `keep`
+/// accepts.
+fn sample_pairs(
+    links: &[(usize, usize)],
+    count: usize,
+    rng: &mut SmallRng,
+    keep: impl Fn(&LinkPair) -> bool,
+) -> Vec<LinkPair> {
+    let mut candidates = Vec::new();
+    for &(s1, r1) in links {
+        for &(s2, r2) in links {
+            let pair = LinkPair { s1, r1, s2, r2 };
+            if s1 < s2 && all_distinct(&pair.nodes()) && keep(&pair) {
+                candidates.push(pair);
+            }
+        }
+    }
+    candidates.shuffle(rng);
+    candidates.truncate(count);
+    candidates
+}
+
 /// Fig 11(a): exposed-terminal pairs. Senders in range of each other, each
 /// link a potential transmission link with strong (top-decile) signal, and
 /// every other pairing among the four nodes weak.
@@ -95,47 +118,18 @@ pub fn exposed_pairs(lm: &LinkMeasurements, count: usize, rng: &mut SmallRng) ->
         .into_iter()
         .filter(|&(s, r)| lm.strong(s, r))
         .collect();
-    let mut candidates = Vec::new();
-    for &(s1, r1) in &strong_links {
-        for &(s2, r2) in &strong_links {
-            let pair = LinkPair { s1, r1, s2, r2 };
-            if s1 >= s2 || !all_distinct(&pair.nodes()) {
-                continue;
-            }
-            if !lm.in_range(s1, s2) {
-                continue;
-            }
-            // All non-link pairings weak in both directions.
-            let others = [(s1, r2), (s2, r1), (r1, r2), (s1, s2)];
-            if others.iter().all(|&(a, b)| lm.weak(a, b) && lm.weak(b, a)) {
-                candidates.push(pair);
-            }
-        }
-    }
-    candidates.shuffle(rng);
-    candidates.truncate(count);
-    candidates
+    sample_pairs(&strong_links, count, rng, |&LinkPair { s1, r1, s2, r2 }| {
+        // All non-link pairings weak in both directions.
+        let others = [(s1, r2), (s2, r1), (r1, r2), (s1, s2)];
+        lm.in_range(s1, s2) && others.iter().all(|&(a, b)| lm.weak(a, b) && lm.weak(b, a))
+    })
 }
 
 /// Fig 11(b): two senders in range of each other, both links potential
 /// transmission links, signal strengths otherwise unconstrained.
 pub fn in_range_pairs(lm: &LinkMeasurements, count: usize, rng: &mut SmallRng) -> Vec<LinkPair> {
     let links = potential_links(lm);
-    let mut candidates = Vec::new();
-    for &(s1, r1) in &links {
-        for &(s2, r2) in &links {
-            let pair = LinkPair { s1, r1, s2, r2 };
-            if s1 >= s2 || !all_distinct(&pair.nodes()) {
-                continue;
-            }
-            if lm.in_range(s1, s2) {
-                candidates.push(pair);
-            }
-        }
-    }
-    candidates.shuffle(rng);
-    candidates.truncate(count);
-    candidates
+    sample_pairs(&links, count, rng, |p| lm.in_range(p.s1, p.s2))
 }
 
 /// Fig 11(c): hidden-terminal pairs. Each receiver has a potential
@@ -144,24 +138,9 @@ pub fn in_range_pairs(lm: &LinkMeasurements, count: usize, rng: &mut SmallRng) -
 /// other (so they cannot defer).
 pub fn hidden_pairs(lm: &LinkMeasurements, count: usize, rng: &mut SmallRng) -> Vec<LinkPair> {
     let links = potential_links(lm);
-    let mut candidates = Vec::new();
-    for &(s1, r1) in &links {
-        for &(s2, r2) in &links {
-            let pair = LinkPair { s1, r1, s2, r2 };
-            if s1 >= s2 || !all_distinct(&pair.nodes()) {
-                continue;
-            }
-            if lm.in_range(s1, s2) {
-                continue; // must be hidden from each other
-            }
-            if lm.potential_link(s2, r1) && lm.potential_link(s1, r2) {
-                candidates.push(pair);
-            }
-        }
-    }
-    candidates.shuffle(rng);
-    candidates.truncate(count);
-    candidates
+    sample_pairs(&links, count, rng, |&LinkPair { s1, r1, s2, r2 }| {
+        !lm.in_range(s1, s2) && lm.potential_link(s2, r1) && lm.potential_link(s1, r2)
+    })
 }
 
 /// §5.4: potential transmission links paired with a uniformly random

@@ -23,9 +23,9 @@ fn run(rss_dbm: f64, mode: &str, seed: u64) -> f64 {
         let mac: Box<dyn Mac> = match mode {
             "fixed6" => Box::new(CmapMac::new(CmapConfig::default())),
             "fixed54" => Box::new(CmapMac::new(CmapConfig::default().at_rate(Rate::R54))),
-            "adaptive" => Box::new(CmapMac::with_rate_controller(
+            "adaptive" => Box::new(CmapMac::adaptive(
                 CmapConfig::default(),
-                Box::new(ThroughputRate::full_ladder()),
+                ThroughputRate::full_ladder(),
             )),
             _ => unreachable!(),
         };

@@ -8,6 +8,7 @@
 //! that claims "format unchanged" has something to be held to.
 
 mod ckpt_scenarios;
+mod support;
 
 use ckpt_scenarios::{spec, Scenario, CMAP, CMAP_FAULTS, DCF, RATE_ADAPTIVE};
 use cmap_suite::obs::fnv1a64;

@@ -16,10 +16,9 @@
 //! (`ckpt_scenarios`), so that drift is caught there.
 
 mod ckpt_scenarios;
+mod support;
 
-use ckpt_scenarios::{
-    build, rate_adaptive_cmap, spec, Scenario, CMAP, CMAP_FAULTS, DCF, RATE_ADAPTIVE,
-};
+use ckpt_scenarios::{rate_adaptive_cmap, spec, Scenario, CMAP, CMAP_FAULTS, DCF, RATE_ADAPTIVE};
 use cmap_suite::cmap::{CmapConfig, CmapMac};
 use cmap_suite::experiments::Protocol;
 use cmap_suite::mac80211::{DcfConfig, DcfMac};
@@ -27,6 +26,7 @@ use cmap_suite::phy::Rate;
 use cmap_suite::sim::time::{secs, Time};
 use cmap_suite::sim::{CkptError, FaultPlan, Mac, NodeCtx, RxErrorInfo, RxInfo, World};
 use cmap_suite::wire::FrameView;
+use support::exposed_pair_world;
 
 fn finish(w: &mut World, until: Time) -> (String, u64) {
     w.run_until(until);
@@ -141,7 +141,7 @@ fn skipping_unwatched_channel_edges_is_invisible() {
     for (name, make) in macs {
         for faults in [None, Some(FaultPlan::mixed(50, spec.duration))] {
             let run = |forward: bool| {
-                let mut w = build(&spec, 16);
+                let mut w = exposed_pair_world(&spec, 16);
                 for node in 0..w.node_count() {
                     let mac: Box<dyn Mac> = if forward {
                         Box::new(Forwarder(make()))
@@ -191,7 +191,7 @@ fn assert_mid_row_resume_identical(configure: impl Fn(&mut World), faults: Optio
 
     let spec = spec();
     let setup = || {
-        let mut w = build(&spec, 15);
+        let mut w = exposed_pair_world(&spec, 15);
         configure(&mut w);
         if let Some(plan) = &faults {
             w.install_faults(plan.clone());
@@ -273,14 +273,14 @@ fn mid_row_resume_under_faults_is_byte_identical_for_both_macs() {
 fn restore_rejects_mismatched_configuration() {
     let spec = spec();
     let ckpt = {
-        let mut w = build(&spec, 11);
+        let mut w = exposed_pair_world(&spec, 11);
         Protocol::cmap().install(&mut w);
         w.run_until(spec.duration / 2);
         w.checkpoint().expect("checkpoint")
     };
 
     // Different seed: the config echo must catch it.
-    let mut wrong_seed = build(&spec, 99);
+    let mut wrong_seed = exposed_pair_world(&spec, 99);
     Protocol::cmap().install(&mut wrong_seed);
     assert!(
         matches!(wrong_seed.restore(&ckpt), Err(CkptError::Mismatch(_))),
@@ -288,7 +288,7 @@ fn restore_rejects_mismatched_configuration() {
     );
 
     // Different flow set.
-    let mut wrong_flows = build(&spec, 11);
+    let mut wrong_flows = exposed_pair_world(&spec, 11);
     wrong_flows.add_flow(0, 1, 100);
     Protocol::cmap().install(&mut wrong_flows);
     assert!(
@@ -297,7 +297,7 @@ fn restore_rejects_mismatched_configuration() {
     );
 
     // Already-started worlds cannot be restored into.
-    let mut started = build(&spec, 11);
+    let mut started = exposed_pair_world(&spec, 11);
     Protocol::cmap().install(&mut started);
     started.run_until(secs(1));
     assert!(
@@ -307,7 +307,7 @@ fn restore_rejects_mismatched_configuration() {
 
     // Truncated blobs fail loudly (the world is then poisoned and must be
     // rebuilt — restore makes no atomicity promise, only detection).
-    let mut fresh = build(&spec, 11);
+    let mut fresh = exposed_pair_world(&spec, 11);
     Protocol::cmap().install(&mut fresh);
     assert!(
         fresh.restore(&ckpt[..ckpt.len() / 2]).is_err(),
@@ -318,7 +318,7 @@ fn restore_rejects_mismatched_configuration() {
 #[test]
 fn checkpoint_requires_a_started_world() {
     let spec = spec();
-    let w = build(&spec, 11);
+    let w = exposed_pair_world(&spec, 11);
     assert!(
         matches!(w.checkpoint(), Err(CkptError::Mismatch(_))),
         "checkpoint of a never-started world must be refused"

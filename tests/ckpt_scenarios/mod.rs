@@ -5,15 +5,12 @@
 //! committed `tests/data/ckpt_v8_*.fnv` pin).
 
 use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
-};
+use cmap_suite::experiments::{runner::Spec, Protocol};
 use cmap_suite::phy::Rate;
-use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::secs;
 use cmap_suite::sim::{FaultPlan, Mac, World};
-use cmap_suite::topo::select;
+
+use crate::support::exposed_pair_world;
 
 pub(crate) fn spec() -> Spec {
     Spec {
@@ -23,33 +20,17 @@ pub(crate) fn spec() -> Spec {
     }
 }
 
-/// Build a testbed world with two flows on an exposed-terminal pair,
-/// ready for a protocol install. Every call with the same inputs must
-/// configure identically — that is exactly the contract `World::restore`
-/// checks.
-pub(crate) fn build(spec: &Spec, run_seed: u64) -> World {
-    let ctx = runner::testbed_ctx(spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-    let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
-    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
-    world
-}
-
 pub(crate) fn rate_adaptive_cmap() -> Box<dyn Mac> {
     let cfg = CmapConfig {
         rate_aware: true,
         ..CmapConfig::default()
     };
     let ladder = vec![Rate::R6, Rate::R12, Rate::R18];
-    let ctl = Box::new(ThroughputRate::new(ladder));
-    Box::new(CmapMac::with_rate_controller(cfg, ctl))
+    Box::new(CmapMac::adaptive(cfg, ThroughputRate::new(ladder)))
 }
 
 /// One scenario: a MAC install, a run seed and whether the mixed fault
-/// plan runs, on the [`build`] world.
+/// plan runs, on the [`exposed_pair_world`] world.
 pub(crate) struct Scenario {
     /// Names the scenario's pin, `tests/data/ckpt_v8_{name}.fnv`.
     pub(crate) name: &'static str,
@@ -60,7 +41,7 @@ pub(crate) struct Scenario {
 
 impl Scenario {
     pub(crate) fn setup(&self, spec: &Spec) -> World {
-        let mut w = build(spec, self.run_seed);
+        let mut w = exposed_pair_world(spec, self.run_seed);
         (self.install)(&mut w);
         if self.faults {
             w.install_faults(FaultPlan::mixed(50, spec.duration));

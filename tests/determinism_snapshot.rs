@@ -7,23 +7,14 @@
 //! protect: any hash-ordered iteration or ambient-state leak on the packet
 //! path eventually shifts one timestamp, and the snapshots stop matching.
 
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
-};
-use cmap_suite::sim::rng::stream_rng;
+mod support;
+
+use cmap_suite::experiments::{runner::Spec, Protocol};
 use cmap_suite::sim::time::secs;
-use cmap_suite::topo::select;
+use support::exposed_pair_world;
 
 fn run_snapshot(spec: &Spec, run_seed: u64) -> String {
-    let ctx = runner::testbed_ctx(spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-
-    let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
-    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
+    let mut world = exposed_pair_world(spec, run_seed);
     Protocol::cmap().install(&mut world);
     world.run_until(spec.duration);
     world.stats().snapshot()

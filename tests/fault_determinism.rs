@@ -6,24 +6,15 @@
 //! the full CMAP stack on a generated office testbed, with churn and a
 //! bursty channel layered on top.
 
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
-};
-use cmap_suite::sim::rng::stream_rng;
+mod support;
+
+use cmap_suite::experiments::{runner::Spec, Protocol};
 use cmap_suite::sim::time::secs;
 use cmap_suite::sim::FaultPlan;
-use cmap_suite::topo::select;
+use support::exposed_pair_world;
 
 fn run_faulted(spec: &Spec, run_seed: u64, plan: &FaultPlan) -> (String, u64) {
-    let ctx = runner::testbed_ctx(spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-
-    let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
-    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
+    let mut world = exposed_pair_world(spec, run_seed);
     Protocol::cmap().install(&mut world);
     world.install_faults(plan.clone());
     world.run_until(spec.duration);

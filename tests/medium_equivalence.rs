@@ -31,19 +31,17 @@
 //!    all three city generators, evaluated across their whole span, the
 //!    position-fed build equals the matrix-fed build row for row.
 
+mod support;
+
 use proptest::prelude::*;
 
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
-};
+use cmap_suite::experiments::{runner::Spec, Protocol};
 use cmap_suite::obs::fnv1a64;
 use cmap_suite::phy::{dbm_to_mw, propagation};
 use cmap_suite::prelude::*;
-use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::time::{millis, secs, Time};
 use cmap_suite::sim::DELIVERY_FLOOR_DBM;
-use cmap_suite::topo::select;
+use support::exposed_pair_world;
 
 /// A random directed gain/delay matrix: mostly disconnected, with a
 /// band of plausible link gains where connected. (Built on the vendored
@@ -336,13 +334,7 @@ fn dense50_snapshot() -> String {
         configs: 4,
         ..Spec::default()
     };
-    let ctx = runner::testbed_ctx(&spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-    let mut world = runner::build_world(&ctx, 11);
-    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
-    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
+    let mut world = exposed_pair_world(&spec, 11);
     Protocol::cmap().install(&mut world);
     world.run_until(spec.duration);
     world.stats().snapshot()

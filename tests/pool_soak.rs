@@ -6,15 +6,13 @@
 //! fire on stale handles), and once every radio quiesces the live-slot
 //! count must drain to exactly zero.
 
-use cmap_suite::experiments::{
-    runner::{self, Spec},
-    Protocol,
-};
-use cmap_suite::sim::rng::stream_rng;
+mod support;
+
+use cmap_suite::experiments::{runner::Spec, Protocol};
 use cmap_suite::sim::time::{millis, secs};
 use cmap_suite::sim::Outage;
 use cmap_suite::sim::{FaultPlan, NodeId, World};
-use cmap_suite::topo::select;
+use support::exposed_pair_world;
 
 /// Churn + channel-fault plan ending with every node held down long enough
 /// for all in-flight frame events to drain.
@@ -46,13 +44,7 @@ fn soak_plan(nodes: usize) -> FaultPlan {
 }
 
 fn build_soak_world(spec: &Spec, run_seed: u64) -> World {
-    let ctx = runner::testbed_ctx(spec);
-    let mut rng = stream_rng(spec.run_seed, 0x5e1ec7);
-    let pairs = select::exposed_pairs(&ctx.lm, spec.configs, &mut rng);
-    let pair = pairs.first().expect("an exposed-terminal pair exists");
-    let mut world = runner::build_world(&ctx, run_seed);
-    world.add_flow(pair.s1, pair.r1, runner::PAYLOAD);
-    world.add_flow(pair.s2, pair.r2, runner::PAYLOAD);
+    let mut world = exposed_pair_world(spec, run_seed);
     Protocol::cmap().install(&mut world);
     world.install_faults(soak_plan(world.node_count()));
     world
