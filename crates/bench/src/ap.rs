@@ -7,21 +7,18 @@
 //! throughput by 1.8× over the status quo.
 
 use cmap_sim::rng::{derive_seed, stream_rng};
+use cmap_stats::{mean, std_dev};
 use cmap_topo::select;
 
+use crate::exposed::Curve;
+use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{run_links, testbed_ctx, Spec};
+use crate::{median, median_of, render_cdfs, Cli, Effort};
 
-/// Results of the AP sweep.
-#[derive(Debug, Clone)]
-pub struct ApOutput {
-    /// `(N, protocol label, aggregate Mbit/s per experiment)` — Fig 17's
-    /// bars are the means of the sample vectors.
-    pub aggregates: Vec<(usize, String, Vec<f64>)>,
-    /// `(protocol label, per-sender Mbit/s pooled over all experiments)` —
-    /// Fig 18's CDFs.
-    pub per_sender: Vec<(String, Vec<f64>)>,
-}
+/// Fig 17's cells: `(N, protocol label, aggregate Mbit/s per experiment)`;
+/// its bars are the means of the sample vectors.
+type Cells = Vec<(usize, String, Vec<f64>)>;
 
 /// Protocols compared in §5.6.
 fn protocols() -> Vec<Protocol> {
@@ -29,8 +26,9 @@ fn protocols() -> Vec<Protocol> {
 }
 
 /// Run the Fig 17/18 sweep: `experiments_per_n` topologies for each
-/// N in `3..=max_aps`.
-pub fn ap_sweep(spec: &Spec, max_aps: usize, experiments_per_n: usize) -> ApOutput {
+/// N in `3..=max_aps`. Returns Fig 17's cells and, per protocol, the
+/// per-sender Mbit/s pooled over all experiments (Fig 18's CDFs).
+fn ap_sweep(spec: &Spec, max_aps: usize, experiments_per_n: usize) -> (Cells, Vec<Curve>) {
     assert!((3..=6).contains(&max_aps));
     let ctx = testbed_ctx(spec);
     let mut rng = stream_rng(spec.run_seed, 0xF17);
@@ -87,12 +85,65 @@ pub fn ap_sweep(spec: &Spec, max_aps: usize, experiments_per_n: usize) -> ApOutp
         for (_, o) in &outs {
             pooled.extend(o.per_flow_mbps.iter().copied());
         }
-        per_sender.push((proto.label(), pooled));
+        per_sender.push(Curve {
+            label: proto.label(),
+            samples: pooled,
+        });
     }
-    ApOutput {
-        aggregates,
-        per_sender,
+    (aggregates, per_sender)
+}
+
+/// Figs 17+18 (§5.6): N APs and N clients — aggregate and per-sender
+/// throughput from one `ap_sweep` run.
+pub(crate) fn fig17_18_ap(cli: &Cli, spec: &Spec) -> FigureOutput {
+    let per_n = match cli.effort {
+        Effort::Quick => 3,
+        _ => 10, // the paper's 10 experiments per N
+    };
+    let (aggregates, curves) = ap_sweep(spec, 6, per_n);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "{:>4} {:>18} {:>10} {:>8}",
+        "N", "protocol", "mean", "sd"
+    ));
+    for (n, label, samples) in &aggregates {
+        out.line(format!(
+            "{n:>4} {label:>18} {:>10.2} {:>8.2}",
+            mean(samples),
+            std_dev(samples)
+        ));
     }
+    for n in 3..=6 {
+        let get = |l: &str| {
+            aggregates
+                .iter()
+                .find(|(on, ol, _)| *on == n && ol == l)
+                .map(|(_, _, s)| mean(s))
+        };
+        if let (Some(cs), Some(cmap)) = (get("CS, acks"), get("CMAP")) {
+            out.line(format!("N={n}: CMAP/CS = {:.2}x", cmap / cs));
+            out.metric(format!("n{n}_cs_mbps"), cs);
+            out.metric(format!("n{n}_cmap_mbps"), cmap);
+            out.metric(format!("n{n}_gain"), cmap / cs);
+        }
+    }
+    out.line("");
+    out.line("per-sender throughput across the AP experiments (Fig 18):");
+    for c in &curves {
+        out.line(format!("{}: median {:.2} Mbit/s", c.label, median(c)));
+    }
+    let [cs, cmap] = ["CS, acks", "CMAP"].map(|l| median_of(&curves, l));
+    out.line(format!(
+        "CMAP/CS median ratio: {:.2}x (paper 1.8x)",
+        cmap / cs
+    ));
+    out.line("");
+    out.text
+        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 6.0, 25));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out.metric("median_gain", cmap / cs);
+    out
 }
 
 #[cfg(test)]
@@ -107,19 +158,19 @@ mod tests {
             configs: 6,
             ..Spec::default()
         };
-        let out = ap_sweep(&spec, 4, 2);
+        let (aggregates, per_sender) = ap_sweep(&spec, 4, 2);
         // 2 Ns x 3 protocols rows.
-        assert_eq!(out.aggregates.len(), 6);
-        for (n, label, samples) in &out.aggregates {
+        assert_eq!(aggregates.len(), 6);
+        for (n, label, samples) in &aggregates {
             assert!((3..=4).contains(n));
             assert!(!samples.is_empty(), "{label} N={n} empty");
             for &s in samples {
                 assert!((0.0..40.0).contains(&s), "{label} N={n}: {s}");
             }
         }
-        assert_eq!(out.per_sender.len(), 3);
-        for (_, samples) in &out.per_sender {
-            assert!(samples.len() >= 2 * 3); // >= experiments x min links
+        assert_eq!(per_sender.len(), 3);
+        for c in &per_sender {
+            assert!(c.samples.len() >= 2 * 3); // >= experiments x min links
         }
     }
 }

@@ -10,8 +10,10 @@ use cmap_phy::Rate;
 use cmap_sim::rng::stream_rng;
 use cmap_topo::select;
 
+use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{pair_curves, testbed_ctx, Spec, TestbedCtx};
+use crate::{cdf_figure, median_of, Cli};
 
 /// Stream tag of the exposed-pair runs (Fig 12 and Fig 20 share it).
 const STREAM: u64 = 0xF12_0000;
@@ -39,9 +41,29 @@ pub fn fig12(spec: &Spec) -> Vec<Curve> {
     pair_curves(&ctx, spec, &protocols, &pairs, STREAM, |p| p.r1)
 }
 
+/// Fig 12 (§5.2): exposed terminals — CMAP's headline 2x gain.
+pub(crate) fn fig12_exposed(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = fig12(spec);
+    let [cs, cmap, win1, blast] =
+        ["CS, acks", "CMAP", "CMAP, win=1", "CS off, no acks"].map(|l| median_of(&curves, l));
+    let gain = format!(
+        "median gain: CMAP/CS = {:.2}x (paper ~2x), win1/CS = {:.2}x (paper ~1.5x)",
+        cmap / cs,
+        win1 / cs
+    );
+    let mut out = FigureOutput::text(cdf_figure(&curves, &[gain], 12.5));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out.metric("median_win1_mbps", win1);
+    out.metric("median_blast_mbps", blast);
+    out.metric("gain_cmap_vs_cs", cmap / cs);
+    out.metric("gain_win1_vs_cs", win1 / cs);
+    out
+}
+
 /// Fig 20: exposed terminals at 6, 12 and 18 Mbit/s, CMAP vs the status quo.
 /// Curve labels are `"CS@<rate>"` / `"CMAP@<rate>"`.
-pub fn fig20(spec: &Spec) -> Vec<Curve> {
+fn fig20(spec: &Spec) -> Vec<Curve> {
     let ctx = testbed_ctx(spec);
     let pairs = select_exposed(&ctx, spec);
     let mut curves = Vec::new();
@@ -59,6 +81,31 @@ pub fn fig20(spec: &Spec) -> Vec<Curve> {
         }
     }
     curves
+}
+
+/// Fig 20 (§5.8): exposed terminals at 6, 12 and 18 Mbit/s.
+pub(crate) fn fig20_bitrates(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = fig20(spec);
+    let medians = [6u64, 12, 18].map(|mbps| {
+        let [cs, cmap] = ["CS", "CMAP"].map(|p| median_of(&curves, &format!("{p}@{mbps}")));
+        (mbps, cs, cmap)
+    });
+    let gains = medians.map(|(_, cs, cmap)| cmap / cs);
+    let notes =
+        medians.map(|(mbps, cs, cmap)| format!("@{mbps} Mbit/s: CMAP/CS = {:.2}x", cmap / cs));
+    let mut out = FigureOutput::text(cdf_figure(&curves, &notes, 25.0));
+    for (mbps, cs, cmap) in medians {
+        out.metric(format!("at{mbps}_cs_mbps"), cs);
+        out.metric(format!("at{mbps}_cmap_mbps"), cmap);
+        out.metric(format!("at{mbps}_gain"), cmap / cs);
+    }
+    // The smallest step down the ladder: negative where the gain rises.
+    let step = gains
+        .windows(2)
+        .map(|w| w[0] - w[1])
+        .fold(f64::NAN, f64::min);
+    out.metric("min_gain_step", step);
+    out
 }
 
 fn select_exposed(ctx: &TestbedCtx, spec: &Spec) -> Vec<select::LinkPair> {

@@ -4,10 +4,13 @@
 //! A [`Figure`] row names the figure, the metric keys its report must carry
 //! and the band each paper-vs-measured number is held to ([`Predicate`]),
 //! and points at two functions: `spec` (the experiment spec for a command
-//! line) and `run` (spec in, text and named metrics out). [`run_figure`] is
-//! the one path a row is run through: `repro_all` calls it for every row
-//! [`Cli::selected`] yields, whether the default `in_repro` rows or the
-//! ones named by `--figure`.
+//! line) and `run` (spec in, text and named metrics out). A paper figure's
+//! `run` lives in the module that computes it (`exposed`, `hidden`, …);
+//! the rows that run no §5 testbed experiment — `testbed_stats` (analysis
+//! only), `ablations` and `chaos_soak` (micro-topologies), `scale_sweep`
+//! (a city) — live here. [`run_figure`] is the one path a row is run
+//! through: `repro_all` calls it for every row [`Cli::selected`] yields,
+//! whether the default `in_repro` rows or the ones named by `--figure`.
 //!
 //! Figures 17 and 18 share one expensive `ap_sweep` run, so the registry
 //! models them as a single combined row (`fig17_18_ap`) and the sweep runs
@@ -17,25 +20,22 @@ use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
 
 use cmap_core::CmapConfig;
-use cmap_experiments::exposed::Curve;
-use cmap_experiments::runner::{radio_env, Spec, PAYLOAD};
-use cmap_experiments::{
-    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Protocol,
-};
 use cmap_obs::{FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict};
-use cmap_phy::Rate;
-use cmap_sim::time::{millis, secs};
+use cmap_sim::time::{as_secs_f64, millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
-use cmap_stats::{mean, std_dev};
+use cmap_stats::mean;
 use cmap_topo::micro::{CONFLICTING, EXPOSED, HIDDEN};
-use cmap_topo::{LinkMeasurements, Testbed};
 
-use crate::{cdf_figure, median, median_of, render_cdfs, Cli, Effort};
+use crate::runner::{testbed_ctx, Spec, PAYLOAD};
+use crate::{
+    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Cli, Effort,
+    Protocol,
+};
 
 /// What one figure run produced: printable text, named metrics, and (for
 /// gating figures like the chaos soak) hard failures.
 #[derive(Debug, Default)]
-pub struct FigureOutput {
+pub(crate) struct FigureOutput {
     /// The human-readable body of the figure's report section.
     pub(crate) text: String,
     /// Named results, in insertion order (sorted at serialization).
@@ -45,19 +45,19 @@ pub struct FigureOutput {
 }
 
 impl FigureOutput {
-    fn text(text: String) -> FigureOutput {
+    pub(crate) fn text(text: String) -> FigureOutput {
         FigureOutput {
             text,
             ..FigureOutput::default()
         }
     }
 
-    fn line(&mut self, s: impl AsRef<str>) {
+    pub(crate) fn line(&mut self, s: impl AsRef<str>) {
         self.text.push_str(s.as_ref());
         self.text.push('\n');
     }
 
-    fn metric(&mut self, key: impl Into<String>, value: impl Into<MetricValue>) {
+    pub(crate) fn metric(&mut self, key: impl Into<String>, value: impl Into<MetricValue>) {
         self.metrics.push((key.into(), value.into()));
     }
 }
@@ -112,7 +112,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         )],
         in_repro: true,
         spec: |cli| cli.spec(1),
-        run: calib,
+        run: calibration::calib_single_link,
     },
     Figure {
         name: "fig12_exposed",
@@ -121,7 +121,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         fidelity: &[band("gain_cmap_vs_cs", "~2x over CS", 1.5, 2.1)],
         in_repro: true,
         spec: |cli| cli.spec(50),
-        run: fig12,
+        run: exposed::fig12_exposed,
     },
     Figure {
         name: "fig13_in_range",
@@ -130,7 +130,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         fidelity: &[],
         in_repro: true,
         spec: |cli| cli.spec(50),
-        run: fig13,
+        run: in_range::fig13_in_range,
     },
     Figure {
         name: "fig14_hidden_interferers",
@@ -141,8 +141,8 @@ pub(crate) static REGISTRY: [Figure; 15] = [
             band("hidden_fraction", "~8% of samples", 0.02, 0.12),
         ],
         in_repro: true,
-        spec: fig14_spec,
-        run: fig14,
+        spec: hidden::fig14_spec,
+        run: hidden::fig14_hidden_interferers,
     },
     Figure {
         name: "fig15_hidden_terminals",
@@ -151,7 +151,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         fidelity: &[band("ratio", "comparable to CS (~1x)", 0.85, 1.25)],
         in_repro: true,
         spec: |cli| cli.spec(50),
-        run: fig15,
+        run: hidden::fig15_hidden_terminals,
     },
     Figure {
         name: "fig16_header_trailer",
@@ -160,7 +160,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         fidelity: &[],
         in_repro: true,
         spec: |cli| cli.spec(25),
-        run: fig16,
+        run: header_trailer::fig16_header_trailer,
     },
     Figure {
         name: "fig17_18_ap",
@@ -183,7 +183,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         ],
         in_repro: true,
         spec: |cli| cli.spec(10),
-        run: fig17_18_ap,
+        run: ap::fig17_18_ap,
     },
     Figure {
         name: "fig19_hdr_vs_senders",
@@ -192,7 +192,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         fidelity: &[],
         in_repro: true,
         spec: |cli| cli.spec(10),
-        run: fig19,
+        run: header_trailer::fig19_hdr_vs_senders,
     },
     Figure {
         name: "fig20_bitrates",
@@ -220,7 +220,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         ],
         in_repro: true,
         spec: |cli| cli.spec(25),
-        run: fig20,
+        run: exposed::fig20_bitrates,
     },
     Figure {
         name: "mesh_dissemination",
@@ -235,7 +235,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         }],
         in_repro: true,
         spec: |cli| cli.spec(10),
-        run: mesh_dissemination,
+        run: mesh::mesh_dissemination,
     },
     Figure {
         name: "testbed_stats",
@@ -256,7 +256,7 @@ pub(crate) static REGISTRY: [Figure; 15] = [
         fidelity: &[],
         in_repro: false,
         spec: |cli| cli.spec(10),
-        run: convergence_sweep,
+        run: convergence::convergence_sweep,
     },
     Figure {
         name: "ablations",
@@ -352,7 +352,7 @@ pub fn spec_block(cli: &Cli, spec: &Spec) -> SpecBlock {
         run_seed: spec.run_seed,
         effort: cli.effort.label().to_string(),
         configs: spec.configs as u64,
-        duration_s: spec.duration as f64 / 1e9,
+        duration_s: as_secs_f64(spec.duration),
         payload: PAYLOAD as u64,
     }
 }
@@ -462,269 +462,10 @@ fn slug(s: &str) -> String {
     out
 }
 
-/// §4.2 single-link calibration.
-fn calib(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let c = calibration::single_link(spec);
-    let mut out = FigureOutput::default();
-    out.line(format!(
-        "link {} -> {}: CMAP {:.2} Mbit/s | 802.11 (CS, acks) {:.2} Mbit/s | ratio {:.3}",
-        c.link.0,
-        c.link.1,
-        c.cmap_mbps,
-        c.dot11_mbps,
-        c.cmap_mbps / c.dot11_mbps
-    ));
-    out.metric("cmap_mbps", c.cmap_mbps);
-    out.metric("dot11_mbps", c.dot11_mbps);
-    out.metric("ratio", c.cmap_mbps / c.dot11_mbps);
-    out
-}
-
-/// Fig 12 (§5.2): exposed terminals — CMAP's headline 2x gain.
-fn fig12(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let curves = exposed::fig12(spec);
-    let [cs, cmap, win1, blast] =
-        ["CS, acks", "CMAP", "CMAP, win=1", "CS off, no acks"].map(|l| median_of(&curves, l));
-    let gain = format!(
-        "median gain: CMAP/CS = {:.2}x (paper ~2x), win1/CS = {:.2}x (paper ~1.5x)",
-        cmap / cs,
-        win1 / cs
-    );
-    let mut out = FigureOutput::text(cdf_figure(&curves, &[gain], 12.5));
-    out.metric("median_cs_mbps", cs);
-    out.metric("median_cmap_mbps", cmap);
-    out.metric("median_win1_mbps", win1);
-    out.metric("median_blast_mbps", blast);
-    out.metric("gain_cmap_vs_cs", cmap / cs);
-    out.metric("gain_win1_vs_cs", win1 / cs);
-    out
-}
-
-/// Fig 13 (§5.3): two senders in range — CMAP discriminates.
-fn fig13(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let curves = in_range::fig13(spec);
-    let mut out = FigureOutput::text(cdf_figure(&curves, &[], 12.5));
-    out.metric("median_cs_mbps", median_of(&curves, "CS, acks"));
-    out.metric("median_cmap_mbps", median_of(&curves, "CMAP"));
-    out
-}
-
-fn fig14_spec(cli: &Cli) -> Spec {
-    let mut spec = cli.spec(200);
-    if cli.effort == Effort::Full {
-        spec.configs = cli.runs.unwrap_or(500); // the paper's 500 triples
-    }
-    spec
-}
-
-/// Fig 14 (§5.4): hidden-interferer scatter and the 0.896 expectation.
-fn fig14(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let o = hidden::fig14(spec);
-    let mut out = FigureOutput::default();
-    out.line(format!(
-        "hidden-interferer fraction: {:.3} (paper ~0.08)",
-        o.hidden_fraction
-    ));
-    out.line(format!(
-        "expected CMAP normalised throughput: {:.3} (paper 0.896)",
-        o.expected_cmap
-    ));
-    out.line("");
-    out.line(format!("{:>10} {:>12}", "min PRR", "norm tput"));
-    for p in &o.points {
-        out.line(format!("{:>10.3} {:>12.3}", p.min_prr, p.normalized));
-    }
-    out.metric("hidden_fraction", o.hidden_fraction);
-    out.metric("expected_cmap", o.expected_cmap);
-    out.metric("samples", o.points.len());
-    out
-}
-
-/// Fig 15 (§5.5): hidden terminals — CMAP's backoff avoids degradation.
-fn fig15(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let curves = hidden::fig15(spec);
-    let [cs, cmap] = ["CS, acks", "CMAP"].map(|l| median_of(&curves, l));
-    let ratio = format!("CMAP/CS median ratio: {:.2} (paper ~1.0)", cmap / cs);
-    let mut out = FigureOutput::text(cdf_figure(&curves, &[ratio], 12.5));
-    out.metric("median_cs_mbps", cs);
-    out.metric("median_cmap_mbps", cmap);
-    out.metric("ratio", cmap / cs);
-    out
-}
-
-/// Fig 16 (§5.5): header-or-trailer vs header-only reception per vpkt.
-fn fig16(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let o = header_trailer::fig16(spec);
-    let curves = vec![
-        Curve {
-            label: "In-range, header".into(),
-            samples: o.in_range_header,
-        },
-        Curve {
-            label: "In-range, hdr/trl".into(),
-            samples: o.in_range_either,
-        },
-        Curve {
-            label: "OoR, header".into(),
-            samples: o.out_of_range_header,
-        },
-        Curve {
-            label: "OoR, hdr/trl".into(),
-            samples: o.out_of_range_either,
-        },
-    ];
-    let mut out = FigureOutput::default();
-    for c in &curves {
-        out.line(format!("{}: mean {:.3}", c.label, mean(&c.samples)));
-    }
-    out.line("");
-    out.text
-        .push_str(&render_cdfs("rate", &curves, 0.0, 1.0, 21));
-    out.metric("mean_in_range_header", mean(&curves[0].samples));
-    out.metric("mean_in_range_either", mean(&curves[1].samples));
-    out.metric("mean_oor_header", mean(&curves[2].samples));
-    out.metric("mean_oor_either", mean(&curves[3].samples));
-    out
-}
-
-/// Figs 17+18 (§5.6): N APs and N clients — aggregate and per-sender
-/// throughput from one `ap_sweep` run.
-fn fig17_18_ap(cli: &Cli, spec: &Spec) -> FigureOutput {
-    let per_n = match cli.effort {
-        Effort::Quick => 3,
-        _ => 10, // the paper's 10 experiments per N
-    };
-    let o = ap::ap_sweep(spec, 6, per_n);
-    let mut out = FigureOutput::default();
-    out.line(format!(
-        "{:>4} {:>18} {:>10} {:>8}",
-        "N", "protocol", "mean", "sd"
-    ));
-    for (n, label, samples) in &o.aggregates {
-        out.line(format!(
-            "{n:>4} {label:>18} {:>10.2} {:>8.2}",
-            mean(samples),
-            std_dev(samples)
-        ));
-    }
-    for n in 3..=6 {
-        let get = |l: &str| {
-            o.aggregates
-                .iter()
-                .find(|(on, ol, _)| *on == n && ol == l)
-                .map(|(_, _, s)| mean(s))
-        };
-        if let (Some(cs), Some(cmap)) = (get("CS, acks"), get("CMAP")) {
-            out.line(format!("N={n}: CMAP/CS = {:.2}x", cmap / cs));
-            out.metric(format!("n{n}_cs_mbps"), cs);
-            out.metric(format!("n{n}_cmap_mbps"), cmap);
-            out.metric(format!("n{n}_gain"), cmap / cs);
-        }
-    }
-    let curves: Vec<Curve> = o
-        .per_sender
-        .iter()
-        .map(|(l, s)| Curve {
-            label: l.clone(),
-            samples: s.clone(),
-        })
-        .collect();
-    out.line("");
-    out.line("per-sender throughput across the AP experiments (Fig 18):");
-    for c in &curves {
-        out.line(format!("{}: median {:.2} Mbit/s", c.label, median(c)));
-    }
-    let [cs, cmap] = ["CS, acks", "CMAP"].map(|l| median_of(&curves, l));
-    out.line(format!(
-        "CMAP/CS median ratio: {:.2}x (paper 1.8x)",
-        cmap / cs
-    ));
-    out.line("");
-    out.text
-        .push_str(&render_cdfs("Mbit/s", &curves, 0.0, 6.0, 25));
-    out.metric("median_cs_mbps", cs);
-    out.metric("median_cmap_mbps", cmap);
-    out.metric("median_gain", cmap / cs);
-    out
-}
-
-/// Fig 19 (§5.6): header-or-trailer reception vs concurrent senders.
-fn fig19(cli: &Cli, spec: &Spec) -> FigureOutput {
-    let per_k = match cli.effort {
-        Effort::Quick => 2,
-        _ => 5,
-    };
-    let rows = header_trailer::fig19(spec, per_k);
-    let mut out = FigureOutput::default();
-    out.line(format!(
-        "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "senders", "mean", "median", "p10", "p25", "p75", "p90"
-    ));
-    for r in &rows {
-        let s = &r.summary;
-        out.line(format!(
-            "{:>8} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            r.senders, s.mean, s.median, s.p10, s.p25, s.p75, s.p90
-        ));
-        out.metric(format!("s{}_median", r.senders), s.median);
-        out.metric(format!("s{}_p10", r.senders), s.p10);
-    }
-    out.metric("rows", rows.len());
-    out
-}
-
-/// Fig 20 (§5.8): exposed terminals at 6, 12 and 18 Mbit/s.
-fn fig20(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let curves = exposed::fig20(spec);
-    let medians = [6u64, 12, 18].map(|mbps| {
-        let [cs, cmap] = ["CS", "CMAP"].map(|p| median_of(&curves, &format!("{p}@{mbps}")));
-        (mbps, cs, cmap)
-    });
-    let gains = medians.map(|(_, cs, cmap)| cmap / cs);
-    let notes =
-        medians.map(|(mbps, cs, cmap)| format!("@{mbps} Mbit/s: CMAP/CS = {:.2}x", cmap / cs));
-    let mut out = FigureOutput::text(cdf_figure(&curves, &notes, 25.0));
-    for (mbps, cs, cmap) in medians {
-        out.metric(format!("at{mbps}_cs_mbps"), cs);
-        out.metric(format!("at{mbps}_cmap_mbps"), cmap);
-        out.metric(format!("at{mbps}_gain"), cmap / cs);
-    }
-    // The smallest step down the ladder: negative where the gain rises.
-    let step = gains
-        .windows(2)
-        .map(|w| w[0] - w[1])
-        .fold(f64::NAN, f64::min);
-    out.metric("min_gain_step", step);
-    out
-}
-
-/// §5.7: two-hop content-dissemination mesh.
-fn mesh_dissemination(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let o = mesh::mesh(spec, 3);
-    let get = |l: &str| {
-        o.aggregates
-            .iter()
-            .find(|(ol, _)| ol == l)
-            .map(|(_, s)| mean(s))
-            .unwrap_or(f64::NAN)
-    };
-    let mut out = FigureOutput::default();
-    for (label, samples) in &o.aggregates {
-        out.line(format!("{label}: per-topology aggregates {samples:?}"));
-        out.line(format!("{label}: mean {:.2} Mbit/s", mean(samples)));
-    }
-    let (cs, cmap) = (get("CS, acks"), get("CMAP"));
-    out.line(format!("CMAP/CS = {:.2}x (paper 1.52x)", cmap / cs));
-    out.metric("cs_mbps", cs);
-    out.metric("cmap_mbps", cmap);
-    out.metric("gain", cmap / cs);
-    out
-}
-
 /// §5.1: the testbed's link population (analysis only; no simulation).
 fn testbed_stats(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let tb = Testbed::office_floor(spec.testbed_seed);
-    let lm = LinkMeasurements::analyze(&tb, &radio_env(&PhyConfig::default()), Rate::R6, 1400);
+    let ctx = testbed_ctx(spec);
+    let (tb, lm) = (&ctx.tb, &ctx.lm);
     let c = lm.connectivity();
     let mut out = FigureOutput::default();
     out.line(format!(
@@ -764,43 +505,6 @@ fn testbed_stats(_cli: &Cli, spec: &Spec) -> FigureOutput {
     out.metric("median_degree", c.median_degree);
     out.metric("potential_links", potential);
     out.metric("in_range_pairs", in_range);
-    out
-}
-
-/// Extension: conflict-map convergence time vs IL broadcast period.
-fn convergence_sweep(_cli: &Cli, spec: &Spec) -> FigureOutput {
-    let sweeps = convergence::sweep(spec, &[250, 500, 1000, 2000, 4000]);
-    let mut out = FigureOutput::default();
-    out.line(format!(
-        "{:>10} {:>12} {:>12} {:>12} {:>10}",
-        "period ms", "conv rate", "mean conv s", "transient", "steady"
-    ));
-    for s in &sweeps {
-        let conv: Vec<f64> = s.points.iter().filter_map(|p| p.converged_at_s).collect();
-        let transient: Vec<f64> = s.points.iter().map(|p| p.transient_mbps).collect();
-        let steady: Vec<f64> = s.points.iter().map(|p| p.steady_mbps).collect();
-        let rate = conv.len() as f64 / s.points.len() as f64;
-        let mean_conv = if conv.is_empty() {
-            f64::NAN
-        } else {
-            mean(&conv)
-        };
-        out.line(format!(
-            "{:>10} {:>12.2} {:>12.2} {:>12.2} {:>10.2}",
-            s.period_ms,
-            rate,
-            mean_conv,
-            mean(&transient),
-            mean(&steady),
-        ));
-        out.metric(format!("p{}_conv_rate", s.period_ms), rate);
-        out.metric(format!("p{}_mean_conv_s", s.period_ms), mean_conv);
-        out.metric(format!("p{}_transient_mbps", s.period_ms), mean(&transient));
-        out.metric(format!("p{}_steady_mbps", s.period_ms), mean(&steady));
-    }
-    out.line("");
-    out.line("Faster broadcasts converge sooner; steady state is insensitive");
-    out.line("(the ACK piggyback carries rule-1 entries regardless).");
     out
 }
 
@@ -1002,7 +706,7 @@ fn chaos_soak(_cli: &Cli, spec: &Spec) -> FigureOutput {
     out.line(format!(
         "{} fault plans x {seeds} seeds, {:.0}s runs, base seed {}",
         plans.len(),
-        duration as f64 / 1e9,
+        as_secs_f64(duration),
         spec.testbed_seed,
     ));
     out.line(format!(
@@ -1191,7 +895,7 @@ fn scale_sweep(cli: &Cli, spec: &Spec) -> FigureOutput {
     out.line(format!(
         "{} node counts x 2 MACs, {:.1}s sim each, epsilon {SCALE_EPSILON_DB} dB, seed {}",
         counts.len(),
-        duration as f64 / 1e9,
+        as_secs_f64(duration),
         spec.testbed_seed,
     ));
     out.line(format!(

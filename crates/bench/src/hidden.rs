@@ -5,39 +5,31 @@ use cmap_topo::select;
 use rand::Rng;
 
 use crate::exposed::Curve;
+use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
-use crate::runner::{pair_curves, run_links, run_pairs, testbed_ctx, Spec, TestbedCtx};
+use crate::runner::{pair_curves, run_links, testbed_ctx, Spec};
+use crate::{cdf_figure, median_of, Cli, Effort};
 
 /// One point of the Fig 14 scatter.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig14Point {
+struct Fig14Point {
     /// `min(PRR(I→R), PRR(I→S))` — how audible the interferer is.
-    pub min_prr: f64,
+    min_prr: f64,
     /// Throughput of S→R under interference, normalised by its clean
     /// throughput.
-    pub normalized: f64,
+    normalized: f64,
     /// Lower bound on the probability both S and R hear I:
     /// `max(PRR(I→R) + PRR(I→S) − 1, 0)` (§5.4).
-    pub(crate) p_heard: f64,
-}
-
-/// Fig 14 output: the scatter plus the paper's two summary numbers.
-#[derive(Debug, Clone)]
-pub struct Fig14Output {
-    /// The scatter points.
-    pub points: Vec<Fig14Point>,
-    /// Fraction of points in the "hidden interferer" quadrant
-    /// (normalised throughput < 0.5 *and* min PRR < 0.5); the paper
-    /// reports ~8%.
-    pub hidden_fraction: f64,
-    /// Expected CMAP normalised throughput `E[p·1 + (1−p)·T]`; the paper
-    /// computes 0.896.
-    pub expected_cmap: f64,
+    p_heard: f64,
 }
 
 /// Run the §5.4 hidden-interferer study over `spec.configs` random
-/// (link, interferer) triples (the paper uses 500).
-pub fn fig14(spec: &Spec) -> Fig14Output {
+/// (link, interferer) triples (the paper uses 500). Returns the scatter,
+/// the fraction of points in the "hidden interferer" quadrant (normalised
+/// throughput < 0.5 *and* min PRR < 0.5; the paper reports ~8%) and the
+/// expected CMAP normalised throughput `E[p·1 + (1−p)·T]` (the paper
+/// computes 0.896).
+fn fig14(spec: &Spec) -> (Vec<Fig14Point>, f64, f64) {
     let ctx = testbed_ctx(spec);
     let mut rng = stream_rng(spec.run_seed, 0xF14);
     let triples = select::interferer_triples(&ctx.lm, spec.configs, &mut rng);
@@ -85,17 +77,45 @@ pub fn fig14(spec: &Spec) -> Fig14Output {
         .map(|p| p.p_heard + (1.0 - p.p_heard) * p.normalized)
         .sum::<f64>()
         / points.len().max(1) as f64;
-    Fig14Output {
-        hidden_fraction: hidden as f64 / points.len().max(1) as f64,
-        expected_cmap: expected,
-        points,
+    let hidden_fraction = hidden as f64 / points.len().max(1) as f64;
+    (points, hidden_fraction, expected)
+}
+
+/// Fig 14's spec: [`Cli::spec`] over 200 triples, or the paper's 500 at
+/// `--full`.
+pub(crate) fn fig14_spec(cli: &Cli) -> Spec {
+    let mut spec = cli.spec(200);
+    if cli.effort == Effort::Full {
+        spec.configs = cli.runs.unwrap_or(500);
     }
+    spec
+}
+
+/// Fig 14 (§5.4): hidden-interferer scatter and the 0.896 expectation.
+pub(crate) fn fig14_hidden_interferers(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let (points, hidden_fraction, expected_cmap) = fig14(spec);
+    let mut out = FigureOutput::default();
+    out.line(format!(
+        "hidden-interferer fraction: {hidden_fraction:.3} (paper ~0.08)"
+    ));
+    out.line(format!(
+        "expected CMAP normalised throughput: {expected_cmap:.3} (paper 0.896)"
+    ));
+    out.line("");
+    out.line(format!("{:>10} {:>12}", "min PRR", "norm tput"));
+    for p in &points {
+        out.line(format!("{:>10.3} {:>12.3}", p.min_prr, p.normalized));
+    }
+    out.metric("hidden_fraction", hidden_fraction);
+    out.metric("expected_cmap", expected_cmap);
+    out.metric("samples", points.len());
+    out
 }
 
 /// Fig 15: hidden-terminal pairs (Fig 11(c)) under CS-on, CS-off-with-ACKs
 /// and CMAP — CMAP's loss-rate backoff must avoid degradation vs the
 /// status quo.
-pub fn fig15(spec: &Spec) -> Vec<Curve> {
+fn fig15(spec: &Spec) -> Vec<Curve> {
     let ctx = testbed_ctx(spec);
     let mut rng = stream_rng(spec.run_seed, 0xF15);
     let pairs = select::hidden_pairs(&ctx.lm, spec.configs, &mut rng);
@@ -104,18 +124,16 @@ pub fn fig15(spec: &Spec) -> Vec<Curve> {
     pair_curves(&ctx, spec, &protocols, &pairs, 0xF15_0000, |p| p.r2)
 }
 
-/// Shared helper for Fig 16: the CMAP runs over a pair set, returning
-/// per-link `(header_rate, either_rate)` samples.
-pub(crate) fn cmap_hdr_rates(
-    ctx: &TestbedCtx,
-    pairs: &[select::LinkPair],
-    spec: &Spec,
-    stream_tag: u64,
-) -> Vec<(f64, f64)> {
-    run_pairs(ctx, spec, &Protocol::cmap(), pairs, stream_tag, |p| p.r1)
-        .iter()
-        .flat_map(|out| out.hdr_rates.iter().map(|&(_, h, e)| (h, e)))
-        .collect()
+/// Fig 15 (§5.5): hidden terminals — CMAP's backoff avoids degradation.
+pub(crate) fn fig15_hidden_terminals(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = fig15(spec);
+    let [cs, cmap] = ["CS, acks", "CMAP"].map(|l| median_of(&curves, l));
+    let ratio = format!("CMAP/CS median ratio: {:.2} (paper ~1.0)", cmap / cs);
+    let mut out = FigureOutput::text(cdf_figure(&curves, &[ratio], 12.5));
+    out.metric("median_cs_mbps", cs);
+    out.metric("median_cmap_mbps", cmap);
+    out.metric("ratio", cmap / cs);
+    out
 }
 
 #[cfg(test)]
@@ -130,13 +148,13 @@ mod tests {
             configs: 10,
             ..Spec::default()
         };
-        let out = fig14(&spec);
-        assert_eq!(out.points.len(), 10);
-        assert!((0.0..=1.0).contains(&out.hidden_fraction));
-        assert!((0.0..=1.0).contains(&out.expected_cmap));
+        let (points, hidden_fraction, expected_cmap) = fig14(&spec);
+        assert_eq!(points.len(), 10);
+        assert!((0.0..=1.0).contains(&hidden_fraction));
+        assert!((0.0..=1.0).contains(&expected_cmap));
         // Most interferers are audible or harmless; expectation well above 0.5.
-        assert!(out.expected_cmap > 0.5, "{}", out.expected_cmap);
-        for p in &out.points {
+        assert!(expected_cmap > 0.5, "{expected_cmap}");
+        for p in &points {
             assert!((0.0..=1.0).contains(&p.normalized));
             assert!((0.0..=1.0).contains(&p.min_prr));
             assert!(p.p_heard <= p.min_prr + 1e-9);

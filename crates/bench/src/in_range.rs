@@ -10,11 +10,13 @@ use cmap_sim::rng::stream_rng;
 use cmap_topo::select;
 
 use crate::exposed::Curve;
+use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{pair_curves, testbed_ctx, Spec};
+use crate::{cdf_figure, median_of, Cli};
 
 /// The Fig 13 line-up over in-range sender pairs.
-pub fn fig13(spec: &Spec) -> Vec<Curve> {
+fn fig13(spec: &Spec) -> Vec<Curve> {
     let ctx = testbed_ctx(spec);
     let mut rng = stream_rng(spec.run_seed, 0xF13);
     let pairs = select::in_range_pairs(&ctx.lm, spec.configs, &mut rng);
@@ -26,6 +28,15 @@ pub fn fig13(spec: &Spec) -> Vec<Curve> {
         Protocol::cmap(),
     ];
     pair_curves(&ctx, spec, &protocols, &pairs, 0xF13_0000, |p| p.r1)
+}
+
+/// Fig 13 (§5.3): two senders in range — CMAP discriminates.
+pub(crate) fn fig13_in_range(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let curves = fig13(spec);
+    let mut out = FigureOutput::text(cdf_figure(&curves, &[], 12.5));
+    out.metric("median_cs_mbps", median_of(&curves, "CS, acks"));
+    out.metric("median_cmap_mbps", median_of(&curves, "CMAP"));
+    out
 }
 
 #[cfg(test)]

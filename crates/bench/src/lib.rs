@@ -1,7 +1,12 @@
-//! # cmap-bench — figure regeneration harness
+//! # cmap-bench — the paper's evaluation and its harness
 //!
-//! One binary, `repro_all`, runs the paper's evaluation (§5) and prints each
-//! measured series next to the paper's reported numbers:
+//! One module per experiment of §5 computes its figure and renders it, by
+//! the paper's method: topology selection under the Fig 11 constraints
+//! (via `cmap-topo`), saturated 1400-byte flows, runs measured over their
+//! final fraction (§5.1 measures the last 60 of 100 seconds), and the same
+//! protocol line-up — 802.11 with carrier sense on/off, ACKs on/off, CMAP,
+//! and CMAP with a stop-and-wait window. One binary, `repro_all`, runs them
+//! and prints each measured series next to the paper's reported numbers:
 //!
 //! ```text
 //! cargo run --release -p cmap-bench --bin repro_all -- [--figure NAME]...
@@ -11,27 +16,30 @@
 //! `--figure` the run is the rows marked `in_repro`, otherwise the named
 //! rows, in registry order:
 //!
-//! | Row | Reproduces |
-//! |---|---|
-//! | `calib_single_link` | §4.2 single-link calibration |
-//! | `fig12_exposed` | Fig 12 — exposed terminals |
-//! | `fig13_in_range` | Fig 13 — two senders in range |
-//! | `fig14_hidden_interferers` | Fig 14 — hidden-interferer scatter |
-//! | `fig15_hidden_terminals` | Fig 15 — hidden terminals |
-//! | `fig16_header_trailer` | Fig 16 — header/trailer reception |
-//! | `fig17_18_ap` | Figs 17/18 — AP aggregate and per-sender throughput |
-//! | `fig19_hdr_vs_senders` | Fig 19 — reception vs concurrency |
-//! | `fig20_bitrates` | Fig 20 — exposed terminals at 6/12/18 Mbit/s |
-//! | `mesh_dissemination` | §5.7 — two-hop mesh |
-//! | `testbed_stats` | §5.1 — link population |
-//! | `convergence_sweep` | extension: conflict-map convergence vs IL broadcast period (`--figure` only) |
-//! | `ablations` | DESIGN.md §4.3 — CMAP's mechanisms switched off one at a time (`--figure` only) |
-//! | `chaos_soak` | robustness: fault plans × seeds, degradation bounds (`--figure` only) |
-//! | `scale_sweep` | extension: sparse medium vs node count (`--figure` only) |
+//! | Row | Module | Reproduces |
+//! |---|---|---|
+//! | `calib_single_link` | `calibration` | §4.2 single-link calibration |
+//! | `fig12_exposed` | [`exposed`] | Fig 12 — exposed terminals |
+//! | `fig13_in_range` | `in_range` | Fig 13 — two senders in range |
+//! | `fig14_hidden_interferers` | `hidden` | Fig 14 — hidden-interferer scatter |
+//! | `fig15_hidden_terminals` | `hidden` | Fig 15 — hidden terminals |
+//! | `fig16_header_trailer` | `header_trailer` | Fig 16 — header/trailer reception |
+//! | `fig17_18_ap` | `ap` | Figs 17/18 — AP aggregate and per-sender throughput |
+//! | `fig19_hdr_vs_senders` | `header_trailer` | Fig 19 — reception vs concurrency |
+//! | `fig20_bitrates` | [`exposed`] | Fig 20 — exposed terminals at 6/12/18 Mbit/s |
+//! | `mesh_dissemination` | `mesh` | §5.7 — two-hop mesh |
+//! | `testbed_stats` | [`figures`] | §5.1 — link population |
+//! | `convergence_sweep` | `convergence` | extension: conflict-map convergence vs IL broadcast period (`--figure` only) |
+//! | `ablations` | [`figures`] | DESIGN.md §4.3 — CMAP's mechanisms switched off one at a time (`--figure` only) |
+//! | `chaos_soak` | [`figures`] | robustness: fault plans × seeds, degradation bounds (`--figure` only) |
+//! | `scale_sweep` | [`figures`] | extension: sparse medium vs node count (`--figure` only) |
 //!
 //! Every row runs through [`figures::run_figure`]. A panic there — a failed
 //! pool job reaches it as `job {i}: …`, run once and never retried — is
-//! the figure's one `FAIL` line.
+//! the figure's one `FAIL` line. [`runner`] is the run machinery every
+//! module shares (specs, world construction, measurement); it and
+//! [`Protocol`] are public because the root tests and examples build their
+//! worlds through them.
 //!
 //! Flags: `--quick` (shorter runs, fewer configurations), `--full` (the
 //! paper's 100-second runs and full configuration counts), `--seed N`
@@ -40,14 +48,26 @@
 //! machine-readable [`cmap_obs::SuiteReport`]), `--out PATH` (the text
 //! report) and `--resume`.
 
+mod ap;
+mod calibration;
+mod convergence;
+pub mod exposed;
 pub mod figures;
+mod header_trailer;
+mod hidden;
+mod in_range;
+mod mesh;
+mod protocol;
+pub mod runner;
 
-use cmap_experiments::exposed::Curve;
-use cmap_experiments::runner::Spec;
 use cmap_sim::time::secs;
 use cmap_stats::{Cdf, Series, Table};
 
+use exposed::Curve;
 use figures::{Figure, REGISTRY};
+use runner::Spec;
+
+pub use protocol::Protocol;
 
 /// Effort level selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

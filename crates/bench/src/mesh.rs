@@ -7,20 +7,18 @@
 //! `Ai → Bi` transfers being exposed terminals with respect to each other.
 
 use cmap_sim::rng::{derive_seed, stream_rng};
+use cmap_stats::mean;
 use cmap_topo::select;
 
+use crate::exposed::Curve;
+use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
-use crate::runner::{build_world, testbed_ctx, Spec, PAYLOAD};
+use crate::runner::{build_world, testbed_ctx, Spec, TestbedCtx, PAYLOAD};
+use crate::Cli;
 
-/// Aggregate leaf throughput per topology, per protocol.
-#[derive(Debug, Clone)]
-pub struct MeshOutput {
-    /// `(protocol label, per-topology aggregate Mbit/s at the leaves)`.
-    pub aggregates: Vec<(String, Vec<f64>)>,
-}
-
-/// Run `spec.configs` (≤ selectable) mesh topologies under CS-on and CMAP.
-pub fn mesh(spec: &Spec, fanout: usize) -> MeshOutput {
+/// Run `spec.configs` (≤ selectable) mesh topologies under CS-on and CMAP:
+/// per protocol, the aggregate leaf Mbit/s of each topology.
+fn mesh(spec: &Spec, fanout: usize) -> Vec<Curve> {
     let ctx = testbed_ctx(spec);
     let mut rng = stream_rng(spec.run_seed, 0xF57);
     let topos = select::mesh_topologies(&ctx.lm, fanout, spec.configs, &mut rng);
@@ -39,15 +37,40 @@ pub fn mesh(spec: &Spec, fanout: usize) -> MeshOutput {
                     .fold(0u64, |a, &x| a.rotate_left(6) ^ x as u64);
             run_mesh_once(&ctx, topo, proto, spec, derive_seed(spec.run_seed, stream))
         });
-        aggregates.push((proto.label(), samples));
+        aggregates.push(Curve {
+            label: proto.label(),
+            samples,
+        });
     }
-    MeshOutput { aggregates }
+    aggregates
+}
+
+/// §5.7: two-hop content-dissemination mesh.
+pub(crate) fn mesh_dissemination(_cli: &Cli, spec: &Spec) -> FigureOutput {
+    let aggregates = mesh(spec, 3);
+    let get = |l: &str| {
+        aggregates
+            .iter()
+            .find(|c| c.label == l)
+            .map_or(f64::NAN, |c| mean(&c.samples))
+    };
+    let mut out = FigureOutput::default();
+    for Curve { label, samples } in &aggregates {
+        out.line(format!("{label}: per-topology aggregates {samples:?}"));
+        out.line(format!("{label}: mean {:.2} Mbit/s", mean(samples)));
+    }
+    let (cs, cmap) = (get("CS, acks"), get("CMAP"));
+    out.line(format!("CMAP/CS = {:.2}x (paper 1.52x)", cmap / cs));
+    out.metric("cs_mbps", cs);
+    out.metric("cmap_mbps", cmap);
+    out.metric("gain", cmap / cs);
+    out
 }
 
 /// One mesh run: S→Ai saturated flows, Ai→Bi relay flows; returns the
 /// aggregate delivered rate at the leaves.
 fn run_mesh_once(
-    ctx: &crate::runner::TestbedCtx,
+    ctx: &TestbedCtx,
     topo: &select::MeshTopology,
     proto: &Protocol,
     spec: &Spec,
@@ -81,9 +104,9 @@ mod tests {
             configs: 2,
             ..Spec::default()
         };
-        let out = mesh(&spec, 3);
-        assert_eq!(out.aggregates.len(), 2);
-        for (label, samples) in &out.aggregates {
+        let aggregates = mesh(&spec, 3);
+        assert_eq!(aggregates.len(), 2);
+        for Curve { label, samples } in &aggregates {
             assert_eq!(samples.len(), 2, "{label}");
             // Two-hop relaying must actually deliver something at leaves.
             assert!(samples.iter().any(|&s| s > 0.3), "{label}: {samples:?}");

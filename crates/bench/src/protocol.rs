@@ -26,7 +26,7 @@ impl Protocol {
     }
 
     /// "CS off, no acks" — continuous blasting.
-    pub fn cs_off_no_acks() -> Protocol {
+    pub(crate) fn cs_off_no_acks() -> Protocol {
         Protocol::Dcf(DcfConfig::cs_off_no_acks())
     }
 
@@ -41,7 +41,7 @@ impl Protocol {
     }
 
     /// The same protocol with its data rate changed (§5.8).
-    pub fn at_rate(self, rate: Rate) -> Protocol {
+    pub(crate) fn at_rate(self, rate: Rate) -> Protocol {
         match self {
             Protocol::Dcf(cfg) => Protocol::Dcf(cfg.at_rate(rate)),
             Protocol::Cmap(cfg) => Protocol::Cmap(cfg.at_rate(rate)),

@@ -64,7 +64,7 @@ pub struct TestbedCtx {
 }
 
 /// Translate the simulator's PHY config into the measurement environment.
-pub fn radio_env(phy: &PhyConfig) -> RadioEnv {
+pub(crate) fn radio_env(phy: &PhyConfig) -> RadioEnv {
     RadioEnv {
         tx_power_dbm: phy.tx_power_dbm,
         noise_floor_dbm: phy.noise_floor_dbm,
@@ -98,13 +98,13 @@ pub fn build_world(ctx: &TestbedCtx, seed: u64) -> World {
 
 /// What one run produces.
 #[derive(Debug, Clone)]
-pub struct RunOutput {
+pub(crate) struct RunOutput {
     /// Throughput of each flow in Mbit/s over the measurement window, in
     /// the order the links were given.
     pub(crate) per_flow_mbps: Vec<f64>,
-    /// Per intended link `(src, dst)`: virtual-packet header reception rate
-    /// and header-or-trailer reception rate (CMAP runs only).
-    pub(crate) hdr_rates: Vec<((usize, usize), f64, f64)>,
+    /// Per intended link, in link order: virtual-packet header reception
+    /// rate and header-or-trailer reception rate (CMAP runs only).
+    pub(crate) hdr_rates: Vec<(f64, f64)>,
 }
 
 impl RunOutput {
@@ -142,7 +142,7 @@ pub(crate) fn run_links(
             world
                 .stats()
                 .vpkt_stats(s, r)
-                .map(|v| ((s, r), v.header_rate(), v.either_rate()))
+                .map(|v| (v.header_rate(), v.either_rate()))
         })
         .collect();
     RunOutput {

@@ -7,12 +7,12 @@
 //! verdict of every paper-fidelity predicate ([`FidelityRow`]) —
 //! `repro_all` writes one as `BENCH_repro.json`.
 //!
-//! **Determinism contract:** everything outside the `timing` blocks derives
-//! from simulation state only, keys serialize sorted (`BTreeMap`) and
-//! fields in fixed order, so two same-seed runs produce byte-identical
-//! reports when serialized with `include_timing = false`. The `timing`
-//! block is always the *last* key of its object, and the only place
-//! wall-clock-derived numbers may appear.
+//! **Determinism contract:** outside the `timing` blocks (always the *last*
+//! key of their object) every value derives from simulation state, keys
+//! serialize sorted (`BTreeMap`) and fields in fixed order, so two same-seed
+//! runs produce byte-identical reports with `include_timing = false`. One
+//! row is exempt: `scale_sweep`'s `scale.n*.{build_s,events_per_sec,
+//! peak_rss_bytes}` measure the host, and no identity check runs that row.
 
 use std::collections::BTreeMap;
 

@@ -1,7 +1,7 @@
 //! # cmap-stats — statistics toolkit for the evaluation harness
 //!
-//! Small, dependency-free building blocks used by `cmap-experiments` and the
-//! figure-regeneration binaries: summary statistics ([`Summary`]), empirical
+//! Small, dependency-free building blocks used by `cmap-bench`'s figure
+//! modules and its `repro_all` binary: summary statistics ([`Summary`]), empirical
 //! CDFs ([`Cdf`]), and a plain-text renderer for figure series ([`Table`]).
 //! Every figure in the paper is either a CDF (Figs 12, 13, 15, 16, 18, 20),
 //! a scatter (Fig 14), or a mean/percentile series (Figs 17, 19) — these

@@ -7,10 +7,10 @@
 //! cargo run --release --example mesh_relay [seed]
 //! ```
 
-use cmap_experiments::runner::{build_world, radio_env, Spec, TestbedCtx, PAYLOAD};
-use cmap_phy::Rate;
+use cmap_suite::bench::runner::{build_world, testbed_ctx, Spec, PAYLOAD};
+use cmap_suite::bench::Protocol;
 use cmap_suite::prelude::*;
-use cmap_topo::{select, LinkMeasurements};
+use cmap_topo::select;
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -18,15 +18,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
 
-    let phy = PhyConfig::default();
-    let tb = Testbed::office_floor(seed);
-    let lm = LinkMeasurements::analyze(&tb, &radio_env(&phy), Rate::R6, 1400);
-    let ctx = TestbedCtx { tb, lm, phy };
     let spec = Spec {
         testbed_seed: seed,
         duration: time::secs(25),
         ..Spec::default()
     };
+    let ctx = testbed_ctx(&spec);
 
     let mut rng = cmap_sim::rng::stream_rng(seed, 0x3e5);
     let topo = select::mesh_topologies(&ctx.lm, 3, 1, &mut rng)
@@ -37,7 +34,10 @@ fn main() {
         topo.source, topo.relays, topo.leaves
     );
 
-    for (label, cmap) in [("802.11 (CS, acks)", false), ("CMAP", true)] {
+    for (label, protocol) in [
+        ("802.11 (CS, acks)", Protocol::cs_on()),
+        ("CMAP", Protocol::cmap()),
+    ] {
         let mut world = build_world(&ctx, seed ^ 0x3e5);
         let mut leaf_flows = Vec::new();
         for (k, &a) in topo.relays.iter().enumerate() {
@@ -45,13 +45,7 @@ fn main() {
             let down = world.add_relay_flow(a, topo.leaves[k], PAYLOAD, up);
             leaf_flows.push((k, up, down));
         }
-        for n in 0..world.node_count() {
-            if cmap {
-                world.set_mac(n, Box::new(CmapMac::new(CmapConfig::default())));
-            } else {
-                world.set_mac(n, Box::new(DcfMac::new(DcfConfig::status_quo())));
-            }
-        }
+        protocol.install(&mut world);
         world.run_until(spec.duration);
 
         println!("\n{label}:");

@@ -6,10 +6,10 @@
 //! cargo run --release --example office_wlan [seed]
 //! ```
 
-use cmap_experiments::runner::{build_world, radio_env, Spec, TestbedCtx, PAYLOAD};
-use cmap_phy::Rate;
+use cmap_suite::bench::runner::{build_world, testbed_ctx, Spec, PAYLOAD};
+use cmap_suite::bench::Protocol;
 use cmap_suite::prelude::*;
-use cmap_topo::{select, LinkMeasurements};
+use cmap_topo::select;
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -17,16 +17,13 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
 
-    // Generate the building and survey its links, like §5.1.
-    let phy = PhyConfig::default();
-    let tb = Testbed::office_floor(seed);
-    let lm = LinkMeasurements::analyze(&tb, &radio_env(&phy), Rate::R6, 1400);
-    let ctx = TestbedCtx { tb, lm, phy };
     let spec = Spec {
         testbed_seed: seed,
         duration: time::secs(20),
         ..Spec::default()
     };
+    // Generate the building and survey its links, like §5.1.
+    let ctx = testbed_ctx(&spec);
 
     // Five APs in adjacent regions, one random client each.
     let mut rng = cmap_sim::rng::stream_rng(seed, 0xA9u64);
@@ -43,23 +40,9 @@ fn main() {
         );
     }
 
-    for (label, install) in [
-        (
-            "802.11 (CS, acks)",
-            Box::new(|w: &mut World| {
-                for n in 0..w.node_count() {
-                    w.set_mac(n, Box::new(DcfMac::new(DcfConfig::status_quo())));
-                }
-            }) as Box<dyn Fn(&mut World)>,
-        ),
-        (
-            "CMAP",
-            Box::new(|w: &mut World| {
-                for n in 0..w.node_count() {
-                    w.set_mac(n, Box::new(CmapMac::new(CmapConfig::default())));
-                }
-            }),
-        ),
+    for (label, protocol) in [
+        ("802.11 (CS, acks)", Protocol::cs_on()),
+        ("CMAP", Protocol::cmap()),
     ] {
         let mut world = build_world(&ctx, seed ^ 0xBEEF);
         let flows: Vec<u16> = topo
@@ -67,7 +50,7 @@ fn main() {
             .iter()
             .map(|&(s, r)| world.add_flow(s, r, PAYLOAD))
             .collect();
-        install(&mut world);
+        protocol.install(&mut world);
         world.run_until(spec.duration);
 
         println!("\n{label}:");

@@ -5,8 +5,7 @@
 //! cargo run --release --example testbed_explorer [seed]
 //! ```
 
-use cmap_experiments::runner::radio_env;
-use cmap_phy::Rate;
+use cmap_suite::bench::runner::{testbed_ctx, Spec, TestbedCtx};
 use cmap_suite::prelude::*;
 use cmap_topo::select;
 
@@ -15,9 +14,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let phy = PhyConfig::default();
-    let tb = Testbed::office_floor(seed);
-    let lm = LinkMeasurements::analyze(&tb, &radio_env(&phy), Rate::R6, 1400);
+    let TestbedCtx { tb, lm, .. } = testbed_ctx(&Spec {
+        testbed_seed: seed,
+        ..Spec::default()
+    });
 
     println!(
         "testbed seed {seed}: {} nodes on {:.0}x{:.0} m\n",

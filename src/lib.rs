@@ -16,7 +16,8 @@
 //! * [`topo`] — 50-node office-testbed generation and link classification
 //! * [`mac80211`] — the 802.11 DCF baseline (CS/ACK switches)
 //! * [`cmap`] — the CMAP link layer itself
-//! * [`experiments`] — the paper's evaluation scenarios (§5)
+//! * [`mod@bench`] — the paper's evaluation (§5): one module per figure,
+//!   and the `repro_all` harness that runs them
 //! * [`stats`] — CDFs/percentiles used by the figure harness
 //! * [`exec`] — the deterministic parallel run executor (`--jobs`)
 //!
@@ -51,9 +52,9 @@
 //! assert!(t1 + t2 > 8.0, "exposed pair should run concurrently: {} + {}", t1, t2);
 //! ```
 
+pub use cmap_bench as bench;
 pub use cmap_core as cmap;
 pub use cmap_exec as exec;
-pub use cmap_experiments as experiments;
 pub use cmap_mac80211 as mac80211;
 pub use cmap_obs as obs;
 pub use cmap_phy as phy;
@@ -69,5 +70,5 @@ pub mod prelude {
     pub use cmap_obs::{CounterId, RunReport};
     pub use cmap_phy::Rate;
     pub use cmap_sim::{time, Mac, Medium, MediumBuilder, NodeId, PhyConfig, World};
-    pub use cmap_topo::{LinkMeasurements, Testbed};
+    pub use cmap_topo::Testbed;
 }

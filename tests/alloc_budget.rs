@@ -39,8 +39,8 @@
 //! allocator, and it holds one `#[test]` so that no other test allocates
 //! while it counts.
 
-use cmap_suite::experiments::runner::{self, Spec, TestbedCtx};
-use cmap_suite::experiments::Protocol;
+use cmap_suite::bench::runner::{self, Spec, TestbedCtx};
+use cmap_suite::bench::Protocol;
 use cmap_suite::obs::alloc::{allocations, CountingAlloc};
 use cmap_suite::sim::time::secs;
 use cmap_suite::sim::World;

@@ -19,8 +19,8 @@ mod ckpt_scenarios;
 mod support;
 
 use ckpt_scenarios::{rate_adaptive_cmap, spec, Scenario, CMAP, CMAP_FAULTS, DCF, RATE_ADAPTIVE};
+use cmap_suite::bench::Protocol;
 use cmap_suite::cmap::{CmapConfig, CmapMac};
-use cmap_suite::experiments::Protocol;
 use cmap_suite::mac80211::{DcfConfig, DcfMac};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::time::{secs, Time};

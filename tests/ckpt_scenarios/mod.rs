@@ -4,8 +4,8 @@
 //! `checkpoint_golden.rs` (the mid-run checkpoint's bytes hash to the
 //! committed `tests/data/ckpt_v8_*.fnv` pin).
 
+use cmap_suite::bench::{runner::Spec, Protocol};
 use cmap_suite::cmap::{CmapConfig, CmapMac, ThroughputRate};
-use cmap_suite::experiments::{runner::Spec, Protocol};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::time::secs;
 use cmap_suite::sim::{FaultPlan, Mac, World};

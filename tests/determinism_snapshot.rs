@@ -9,7 +9,7 @@
 
 mod support;
 
-use cmap_suite::experiments::{runner::Spec, Protocol};
+use cmap_suite::bench::{runner::Spec, Protocol};
 use cmap_suite::sim::time::secs;
 use support::exposed_pair_world;
 

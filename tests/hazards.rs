@@ -58,7 +58,7 @@ const DET_MARKERS: [&str; 9] = [
     "crates/topo/src",
     "crates/stats/src",
     "crates/mac80211/src",
-    "crates/experiments/src",
+    "crates/bench/src",
     "crates/obs/src",
 ];
 

@@ -35,7 +35,7 @@ mod support;
 
 use proptest::prelude::*;
 
-use cmap_suite::experiments::{runner::Spec, Protocol};
+use cmap_suite::bench::{runner::Spec, Protocol};
 use cmap_suite::obs::fnv1a64;
 use cmap_suite::phy::{dbm_to_mw, propagation};
 use cmap_suite::prelude::*;

@@ -2,7 +2,7 @@
 //! only receive what relays received, duplicates are suppressed, and CMAP
 //! sustains the pipeline.
 
-use cmap_suite::experiments::runner::{build_world, radio_env, Spec, TestbedCtx, PAYLOAD};
+use cmap_suite::bench::runner::{build_world, testbed_ctx, Spec, PAYLOAD};
 use cmap_suite::prelude::*;
 use cmap_suite::topo::select;
 
@@ -12,10 +12,7 @@ fn relay_pipeline_is_causal_and_lossless_at_the_stats_layer() {
         duration: time::secs(15),
         ..Spec::default()
     };
-    let phy = PhyConfig::default();
-    let tb = Testbed::office_floor(spec.testbed_seed);
-    let lm = LinkMeasurements::analyze(&tb, &radio_env(&phy), Rate::R6, 1400);
-    let ctx = TestbedCtx { tb, lm, phy };
+    let ctx = testbed_ctx(&spec);
 
     let mut rng = cmap_suite::sim::rng::stream_rng(1, 0x315);
     let topo = select::mesh_topologies(&ctx.lm, 3, 1, &mut rng)

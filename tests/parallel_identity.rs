@@ -4,15 +4,15 @@
 //! reports (outside the timing block) and byte-identical stats snapshots —
 //! the pool may only change wall-clock, never bytes.
 
+use cmap_suite::bench::exposed::fig12;
+use cmap_suite::bench::runner::Spec;
 use cmap_suite::exec;
-use cmap_suite::experiments::exposed::fig12;
-use cmap_suite::experiments::runner::Spec;
 use cmap_suite::obs::{SpecBlock, TimingBlock};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::time::secs;
 
 /// Fig 12 at a small quick-scale spec, at the given pool width.
-fn fig12_at(jobs: usize) -> Vec<cmap_suite::experiments::exposed::Curve> {
+fn fig12_at(jobs: usize) -> Vec<cmap_suite::bench::exposed::Curve> {
     let spec = Spec {
         duration: secs(6),
         configs: 4,

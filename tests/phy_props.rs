@@ -332,7 +332,7 @@ mod gate {
     /// rates on a 50-node office floor with disjoint saturated CMAP links.
     #[test]
     fn brackets_settle_most_draws_on_a_testbed_world() {
-        use cmap_suite::experiments::{
+        use cmap_suite::bench::{
             runner::{self, Spec},
             Protocol,
         };

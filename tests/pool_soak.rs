@@ -8,7 +8,7 @@
 
 mod support;
 
-use cmap_suite::experiments::{runner::Spec, Protocol};
+use cmap_suite::bench::{runner::Spec, Protocol};
 use cmap_suite::sim::time::{millis, secs};
 use cmap_suite::sim::Outage;
 use cmap_suite::sim::{FaultPlan, NodeId, World};

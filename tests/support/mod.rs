@@ -3,7 +3,7 @@
 //! and fault-determinism snapshots, the `dense50_snapshot.fnv` pin and the
 //! frame-pool soak. Each of them holds bytes taken over this world.
 
-use cmap_suite::experiments::runner::{self, Spec};
+use cmap_suite::bench::runner::{self, Spec};
 use cmap_suite::sim::rng::stream_rng;
 use cmap_suite::sim::World;
 use cmap_suite::topo::select;
