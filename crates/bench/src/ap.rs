@@ -7,14 +7,13 @@
 //! throughput by 1.8× over the status quo.
 
 use cmap_sim::rng::{derive_seed, stream_rng};
-use cmap_stats::{mean, std_dev};
 use cmap_topo::select;
 
 use crate::exposed::Curve;
 use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{run_links, testbed_ctx, Spec};
-use crate::{median, median_of, render_cdfs, Cli, Effort};
+use crate::{mean, median, median_of, render_cdfs, std_dev, Cli, Effort};
 
 /// Fig 17's cells: `(N, protocol label, aggregate Mbit/s per experiment)`;
 /// its bars are the means of the sample vectors.
@@ -55,7 +54,7 @@ fn ap_sweep(spec: &Spec, max_aps: usize, experiments_per_n: usize) -> (Cells, Ve
     let mut aggregates = Vec::new();
     let mut per_sender = Vec::new();
     for (pi, proto) in protocols().iter().enumerate() {
-        let outs = cmap_exec::map(spec.jobs, &jobs, |(n, idx, topo)| {
+        let outs = crate::exec::map(spec.jobs, &jobs, |(n, idx, topo)| {
             let stream = 0xF17_0000u64
                 ^ ((pi as u64) << 24)
                 ^ ((*n as u64) << 16)

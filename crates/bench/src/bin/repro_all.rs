@@ -30,10 +30,10 @@
 //!
 //! **Failures.** Every figure goes through `figures::run_figure`, so a
 //! panicking figure does not kill the suite: it comes back as a failed run
-//! whose one failure string carries the panic (`cmap_exec::map` re-raises a
-//! failed job as `job {i}: …`), that string lands in the suite report's
-//! `failures` list, the remaining figures run to completion, and the exit
-//! code is nonzero.
+//! whose one failure string carries the panic (`cmap_bench`'s `exec::map`
+//! re-raises a failed job as `job {i}: …`), that string lands in the suite
+//! report's `failures` list, the remaining figures run to completion, and
+//! the exit code is nonzero.
 //!
 //! The suite self-validates: every figure's report must contain its
 //! declared required metrics, at the standard spec every fidelity

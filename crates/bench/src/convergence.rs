@@ -13,13 +13,12 @@
 use cmap_core::{CmapConfig, CmapMac};
 use cmap_sim::rng::{derive_seed, stream_rng};
 use cmap_sim::time::{as_secs_f64, millis, secs, Time};
-use cmap_stats::mean;
 use cmap_topo::select::{self, LinkPair};
 
 use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{build_world, testbed_ctx, Spec, TestbedCtx, PAYLOAD};
-use crate::Cli;
+use crate::{mean, Cli};
 
 /// Convergence measurements for one pair.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +47,7 @@ fn sweep(spec: &Spec, periods_ms: &[u64]) -> Vec<(u64, Vec<ConvergencePoint>)> {
                 broadcast_period: millis(period_ms),
                 ..CmapConfig::default()
             });
-            let points = cmap_exec::map(spec.jobs, &pairs, |pair| {
+            let points = crate::exec::map(spec.jobs, &pairs, |pair| {
                 let senders = ((pair.s1 as u64) << 12) ^ pair.s2 as u64;
                 let stream = 0xC0_0000u64 ^ (period_ms << 24) ^ senders;
                 let seed = derive_seed(spec.run_seed, stream);

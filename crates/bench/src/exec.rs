@@ -3,9 +3,9 @@
 //!
 //! Every figure in the reproduction suite is a grid of *independent*
 //! (parameter-point × seed) simulations. Each job owns its own
-//! single-threaded [`World`](../cmap_sim/world/struct.World.html), so the
-//! simulations themselves stay strictly deterministic; the only thing the
-//! pool parallelises is *which core* a given job happens to run on. Results
+//! single-threaded [`World`](cmap_sim::World), so the simulations
+//! themselves stay strictly deterministic; the only thing the pool
+//! parallelises is *which core* a given job happens to run on. Results
 //! are joined and reduced in **job-index order**, never completion order,
 //! so every downstream artifact (figure reports, `BENCH_repro.json`, trace
 //! JSONL) is byte-identical between `jobs = 1` and `jobs = N`.
@@ -40,7 +40,7 @@ use std::sync::mpsc;
 /// *scheduling only*; job results are index-joined, so the value never
 /// affects (and is never written into) deterministic report bytes.
 #[expect(clippy::disallowed_methods, reason = "the one core-count probe")]
-pub fn default_jobs() -> usize {
+pub(crate) fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -48,7 +48,7 @@ pub fn default_jobs() -> usize {
 
 /// Render a caught panic payload. `panic!` with a literal yields
 /// `&'static str`; `panic!` with a format string yields `String`.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -66,7 +66,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// for the lowest failing index `i` — so the message does not depend on
 /// `jobs`. `AssertUnwindSafe` is sound: a failed job's partially mutated
 /// captures are never observed, because no result of the batch is.
-pub fn map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -265,5 +265,39 @@ mod tests {
                 assert_eq!(map(jobs, &items, |&i| i), items, "jobs={jobs} len={len}");
             }
         }
+    }
+
+    /// A small CMAP world per seed over the exposed-terminal pairs,
+    /// returning the full stats snapshot.
+    fn snapshot_world(seed: u64) -> String {
+        use cmap_core::{CmapConfig, CmapMac};
+        use cmap_sim::{time::secs, MediumBuilder, PhyConfig, World};
+        let phy = PhyConfig::default();
+        let n = 4;
+        let medium = MediumBuilder::new(&phy)
+            .rss_links(n, cmap_topo::micro::EXPOSED)
+            .build();
+        let mut world = World::builder().medium(medium).phy(phy).seed(seed).build();
+        world.add_flow(0, 1, 1400);
+        world.add_flow(2, 3, 1400);
+        for node in 0..n {
+            world.set_mac(node, Box::new(CmapMac::new(CmapConfig::default())));
+        }
+        world.run_until(secs(1));
+        world.stats().snapshot()
+    }
+
+    #[test]
+    fn pooled_world_snapshots_match_serial_byte_for_byte() {
+        let seeds: Vec<u64> = (100..110).collect();
+        let serial = map(1, &seeds, |&s| snapshot_world(s));
+        let pooled = map(4, &seeds, |&s| snapshot_world(s));
+        assert_eq!(serial.len(), pooled.len());
+        for (i, (a, b)) in serial.iter().zip(pooled.iter()).enumerate() {
+            assert!(!a.is_empty());
+            assert_eq!(a, b, "seed {} snapshot diverged under the pool", seeds[i]);
+        }
+        // Distinct seeds must still differ — the pool isn't collapsing runs.
+        assert_ne!(serial[0], serial[1]);
     }
 }

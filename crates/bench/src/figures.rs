@@ -23,13 +23,12 @@ use cmap_core::CmapConfig;
 use cmap_obs::{FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict};
 use cmap_sim::time::{as_secs_f64, millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
-use cmap_stats::mean;
 use cmap_topo::micro::{CONFLICTING, EXPOSED, HIDDEN};
 
 use crate::runner::{testbed_ctx, Spec, PAYLOAD};
 use crate::{
-    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mesh, Cli, Effort,
-    Protocol,
+    ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mean, mesh, Cli,
+    Effort, Protocol,
 };
 
 /// What one figure run produced: printable text, named metrics, and (for
@@ -391,7 +390,7 @@ pub struct FigureRun {
 
 /// Run one figure: the one path from a registry row to its text, report
 /// and failures. A panic anywhere in the run — in the figure itself or
-/// re-raised by `cmap_exec::map` as `job {i}: …` — is caught here and
+/// re-raised by `exec::map` as `job {i}: …` — is caught here and
 /// becomes one failure string, so the caller decides what still runs.
 pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
     let spec = (fig.spec)(cli);
@@ -402,7 +401,7 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
     let out = match caught {
         Ok(out) => out,
         Err(payload) => {
-            let msg = cmap_exec::panic_message(&*payload);
+            let msg = crate::exec::panic_message(&*payload);
             return FigureRun {
                 text: format!("FAIL: panicked: {msg}\n"),
                 report: None,
@@ -622,7 +621,7 @@ fn ablations(_cli: &Cli, spec: &Spec) -> FigureOutput {
     let grid: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|v| (0..SCENARIOS.len()).map(move |s| (v, s)))
         .collect();
-    let aggs = cmap_exec::map(spec.jobs, &grid, |&(v, s)| {
+    let aggs = crate::exec::map(spec.jobs, &grid, |&(v, s)| {
         let (_, cfg, phy) = &variants[v];
         ablation_run(
             SCENARIOS[s].1,
@@ -721,7 +720,7 @@ fn chaos_soak(_cli: &Cli, spec: &Spec) -> FigureOutput {
         // the pool joins them back in seed order, so the text report
         // and failure list are identical at any `--jobs` width.
         let seed_list: Vec<u64> = (0..seeds).map(|i| spec.testbed_seed + i as u64).collect();
-        let per_seed = cmap_exec::map(spec.jobs, &seed_list, |&seed| {
+        let per_seed = crate::exec::map(spec.jobs, &seed_list, |&seed| {
             let a = soak_one(&Protocol::cmap(), plan, seed, duration);
             let b = soak_one(&Protocol::cmap(), plan, seed, duration);
             let d = soak_one(&Protocol::cs_on(), plan, seed, duration);
@@ -1019,7 +1018,7 @@ mod tests {
     /// A figure body whose one pool job panics with `msg`.
     fn fail_in_pool(msg: &'static str) -> FigureOutput {
         let payload = std::panic::catch_unwind(|| {
-            cmap_exec::map(1, &[()], |_| -> FigureOutput { panic!("{msg}") })
+            crate::exec::map(1, &[()], |_| -> FigureOutput { panic!("{msg}") })
         })
         .unwrap_err();
         BOTH_FAILED.wait();

@@ -7,15 +7,14 @@
 //! probability behaves as concurrency grows.
 
 use cmap_sim::rng::{derive_seed, stream_rng};
-use cmap_stats::{mean, Summary};
-use cmap_topo::select;
+use cmap_topo::{percentile, select};
 use rand::seq::SliceRandom;
 
 use crate::exposed::Curve;
 use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{run_links, run_pairs, testbed_ctx, Spec, TestbedCtx};
-use crate::{render_cdfs, Cli, Effort};
+use crate::{mean, render_cdfs, Cli, Effort};
 
 /// The CMAP runs over a pair set, returning per-link
 /// `(header_rate, either_rate)` samples.
@@ -80,10 +79,10 @@ pub(crate) fn fig16_header_trailer(_cli: &Cli, spec: &Spec) -> FigureOutput {
 }
 
 /// Run `experiments_per_k` CMAP runs with `k` spatially spread concurrent
-/// potential links, for `k` in `2..=7`, and summarise the per-receiver
-/// header-or-trailer reception probability: one `(senders, summary)` row
+/// potential links, for `k` in `2..=7`, and collect the per-receiver
+/// header-or-trailer reception probabilities: one `(senders, rates)` row
 /// per concurrency level that ran.
-fn fig19(spec: &Spec, experiments_per_k: usize) -> Vec<(usize, Summary)> {
+fn fig19(spec: &Spec, experiments_per_k: usize) -> Vec<(usize, Vec<f64>)> {
     let ctx = testbed_ctx(spec);
     let mut rng = stream_rng(spec.run_seed, 0xF19);
     // All potential links, as (sender, receiver).
@@ -123,7 +122,7 @@ fn fig19(spec: &Spec, experiments_per_k: usize) -> Vec<(usize, Summary)> {
                 link_sets.push(set);
             }
         }
-        let rates: Vec<f64> = cmap_exec::map(spec.jobs, &link_sets, |set| {
+        let rates: Vec<f64> = crate::exec::map(spec.jobs, &link_sets, |set| {
             let stream = 0xF19_0000u64
                 ^ ((k as u64) << 16)
                 ^ set.iter().fold(0u64, |acc, &(s, r)| {
@@ -136,7 +135,7 @@ fn fig19(spec: &Spec, experiments_per_k: usize) -> Vec<(usize, Summary)> {
         .flatten()
         .collect();
         if !rates.is_empty() {
-            rows.push((k, Summary::of(&rates)));
+            rows.push((k, rates));
         }
     }
     rows
@@ -154,13 +153,21 @@ pub(crate) fn fig19_hdr_vs_senders(cli: &Cli, spec: &Spec) -> FigureOutput {
         "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "senders", "mean", "median", "p10", "p25", "p75", "p90"
     ));
-    for (senders, s) in &rows {
+    for (senders, rates) in &rows {
+        let p = |q| percentile(rates, q);
+        let (median, p10) = (p(50.0), p(10.0));
         out.line(format!(
             "{:>8} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            senders, s.mean, s.median, s.p10, s.p25, s.p75, s.p90
+            senders,
+            mean(rates),
+            median,
+            p10,
+            p(25.0),
+            p(75.0),
+            p(90.0)
         ));
-        out.metric(format!("s{senders}_median"), s.median);
-        out.metric(format!("s{senders}_p10"), s.p10);
+        out.metric(format!("s{senders}_median"), median);
+        out.metric(format!("s{senders}_p10"), p10);
     }
     out.metric("rows", rows.len());
     out
@@ -203,9 +210,9 @@ mod tests {
         };
         let rows = fig19(&spec, 1);
         assert!(rows.len() >= 4, "got {} rows", rows.len());
-        for (senders, summary) in &rows {
+        for (senders, rates) in &rows {
             assert!((2..=7).contains(senders));
-            assert!(summary.mean >= 0.0 && summary.mean <= 1.0);
+            assert!(mean(rates) >= 0.0 && mean(rates) <= 1.0);
         }
     }
 }

@@ -49,7 +49,7 @@ fn fig14(spec: &Spec) -> (Vec<Fig14Point>, f64, f64) {
         .collect();
 
     let blast = Protocol::cs_off_no_acks();
-    let points = cmap_exec::map(spec.jobs, &with_dst, |&(t, i_dst)| {
+    let points = crate::exec::map(spec.jobs, &with_dst, |&(t, i_dst)| {
         let stream = 0xF14_0000u64 ^ ((t.s as u64) << 14) ^ ((t.r as u64) << 7) ^ t.i as u64;
         let seed = derive_seed(spec.run_seed, stream);
         let alone = run_links(&ctx, &[(t.s, t.r)], &blast, spec, seed).per_flow_mbps[0];

@@ -51,6 +51,7 @@
 mod ap;
 mod calibration;
 mod convergence;
+mod exec;
 pub mod exposed;
 pub mod figures;
 mod header_trailer;
@@ -61,7 +62,7 @@ mod protocol;
 pub mod runner;
 
 use cmap_sim::time::secs;
-use cmap_stats::{Cdf, Series, Table};
+use cmap_topo::percentile;
 
 use exposed::Curve;
 use figures::{Figure, REGISTRY};
@@ -114,7 +115,7 @@ pub struct Cli {
     /// Override for the number of configurations, if given.
     pub runs: Option<usize>,
     /// Worker-pool width (`--jobs N`); `None` means "probe the machine"
-    /// (`cmap_exec::default_jobs`). Results are identical for every width.
+    /// (`exec::default_jobs`). Results are identical for every width.
     pub(crate) jobs: Option<usize>,
     /// The registry rows named by `--figure`, in command-line order; empty
     /// runs the `in_repro` rows (see [`Cli::selected`]).
@@ -227,9 +228,9 @@ impl Cli {
     /// given, otherwise the machine's available parallelism. The probed
     /// value sizes the pool only — it is never serialized into report
     /// bytes, so the same seeds produce byte-identical artifacts on any
-    /// machine (see `cmap_exec::default_jobs`).
+    /// machine (see `exec::default_jobs`).
     pub(crate) fn effective_jobs(&self) -> usize {
-        self.jobs.unwrap_or_else(cmap_exec::default_jobs)
+        self.jobs.unwrap_or_else(exec::default_jobs)
     }
 
     /// Whether this is the spec the fidelity bands were set on — default
@@ -258,7 +259,10 @@ impl Cli {
     }
 }
 
-/// Render labelled sample sets as a CDF table over `[lo, hi]`.
+/// Render labelled sample sets as a CDF table over `[lo, hi]`: a header,
+/// then `bins` evenly spaced x values, each with every curve's CDF there —
+/// linear between the curve's step points `(x_i, (i+1)/n)` of its sorted
+/// samples.
 pub(crate) fn render_cdfs(
     x_label: &str,
     curves: &[Curve],
@@ -266,14 +270,65 @@ pub(crate) fn render_cdfs(
     hi: f64,
     bins: usize,
 ) -> String {
-    let mut table = Table::new(x_label);
+    let sorted: Vec<Vec<f64>> = curves
+        .iter()
+        .map(|c| {
+            assert!(!c.samples.is_empty(), "CDF of empty sample");
+            assert!(c.samples.iter().all(|s| !s.is_nan()), "NaN in CDF input");
+            let mut v = c.samples.clone();
+            v.sort_by(f64::total_cmp);
+            v
+        })
+        .collect();
+    assert!(bins >= 2 && hi > lo);
+    let mut out = format!("{x_label:>12}");
     for c in curves {
-        let cdf = Cdf::new(c.samples.clone());
-        table.push(Series::new(c.label.clone(), cdf.points()));
+        out += &format!(" {:>14.14}", c.label);
     }
-    // A CDF is a step function: interpolation on the grid is fine for a
-    // textual rendering.
-    table.render_grid(lo, hi, bins)
+    out.push('\n');
+    for i in 0..bins {
+        let x = lo + (hi - lo) * i as f64 / (bins - 1) as f64;
+        out += &format!("{x:>12.3}");
+        for v in &sorted {
+            out += &format!(" {:>14.4}", cdf_at(v, x));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The CDF of the non-empty ascending `sorted` at `x`, linear between its
+/// step points; clamped to the first step point's `1/n` at or below it.
+fn cdf_at(sorted: &[f64], x: f64) -> f64 {
+    let n = sorted.len() as f64;
+    let k = sorted.partition_point(|&v| v <= x);
+    if x <= sorted[0] {
+        return 1.0 / n;
+    }
+    if k == sorted.len() {
+        return 1.0;
+    }
+    let (x0, y0) = (sorted[k - 1], k as f64 / n);
+    let (x1, y1) = (sorted[k], (k + 1) as f64 / n);
+    y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+}
+
+/// Arithmetic mean; 0 for an empty slice.
+pub(crate) fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
+pub(crate) fn std_dev(xs: &[f64]) -> f64 {
+    if xs.len() < 2 {
+        return 0.0;
+    }
+    let m = mean(xs);
+    let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
+    (ss / (xs.len() - 1) as f64).sqrt()
 }
 
 /// One line of per-curve medians.
@@ -287,7 +342,7 @@ fn medians_line(curves: &[Curve]) -> String {
 
 /// Median of one curve.
 pub(crate) fn median(c: &Curve) -> f64 {
-    Cdf::new(c.samples.clone()).median()
+    percentile(&c.samples, 50.0)
 }
 
 /// Median of the curve labelled `label`; NaN if there is none.
@@ -492,5 +547,102 @@ mod tests {
         assert!(text.contains('a') && text.contains('b'));
         assert!(medians_line(&curves).contains("median 2.00"));
         assert!((median_of(&curves, "a") - 2.0).abs() < 1e-12);
+    }
+
+    /// The rendered `(x, F(x))` cells of one curve's CDF table.
+    fn cells(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<(f64, f64)> {
+        let curve = Curve {
+            label: "c".into(),
+            samples: samples.to_vec(),
+        };
+        render_cdfs("x", &[curve], lo, hi, bins)
+            .lines()
+            .skip(1)
+            .map(|row| {
+                let mut cell = row.split_whitespace().map(|v| v.parse().unwrap());
+                (cell.next().unwrap(), cell.next().unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn points_are_a_step_function() {
+        // Step points (10, 0.5) and (20, 1.0), in any sample order.
+        assert_eq!(
+            cells(&[20.0, 10.0], 10.0, 20.0, 3),
+            [(10.0, 0.5), (15.0, 0.75), (20.0, 1.0)]
+        );
+    }
+
+    #[test]
+    fn interpolation() {
+        // Linear between the step points, 1 from the largest sample on.
+        assert_eq!(
+            cells(&[0.0, 10.0], 0.0, 20.0, 5),
+            [
+                (0.0, 0.5),
+                (5.0, 0.75),
+                (10.0, 1.0),
+                (15.0, 1.0),
+                (20.0, 1.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn grid_render_shape() {
+        let curves = [
+            Curve {
+                label: "up".into(),
+                samples: vec![0.0, 1.0],
+            },
+            Curve {
+                label: "a label past fourteen".into(),
+                samples: vec![0.5, 1.0],
+            },
+        ];
+        let text = render_cdfs("x", &curves, 0.0, 1.0, 3);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4); // header + 3 rows
+        assert_eq!(
+            lines[0],
+            format!("{:>12} {:>14} {:>14}", "x", "up", "a label past f")
+        );
+        for line in &lines {
+            assert_eq!(line.len(), 12 + 2 * 15, "{line}");
+        }
+        // Middle row: x = 0.5, a quarter past the first curve's first step
+        // and on the second curve's first step.
+        assert_eq!(
+            lines[2],
+            format!("{:>12} {:>14} {:>14}", "0.500", "0.7500", "0.5000")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn empty_rejected() {
+        cells(&[], 0.0, 1.0, 2);
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
+    fn mean_and_std() {
+        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
+        assert!((mean(&xs) - 5.0).abs() < 1e-12);
+        // Sample std dev of this classic set is ~2.138.
+        assert!((std_dev(&xs) - 2.138).abs() < 0.001);
+        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(std_dev(&[1.0]), 0.0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mean_shift_invariance(samples in proptest::collection::vec(-1e6f64..1e6, 1..200), shift in -1e3f64..1e3) {
+            let shifted: Vec<f64> = samples.iter().map(|x| x + shift).collect();
+            proptest::prop_assert!((mean(&shifted) - (mean(&samples) + shift)).abs() < 1e-6);
+            // Standard deviation is shift-invariant.
+            proptest::prop_assert!((std_dev(&shifted) - std_dev(&samples)).abs() < 1e-6);
+        }
     }
 }

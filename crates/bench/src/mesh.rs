@@ -7,14 +7,13 @@
 //! `Ai → Bi` transfers being exposed terminals with respect to each other.
 
 use cmap_sim::rng::{derive_seed, stream_rng};
-use cmap_stats::mean;
 use cmap_topo::select;
 
 use crate::exposed::Curve;
 use crate::figures::FigureOutput;
 use crate::protocol::Protocol;
 use crate::runner::{build_world, testbed_ctx, Spec, TestbedCtx, PAYLOAD};
-use crate::Cli;
+use crate::{mean, Cli};
 
 /// Run `spec.configs` (≤ selectable) mesh topologies under CS-on and CMAP:
 /// per protocol, the aggregate leaf Mbit/s of each topology.
@@ -27,7 +26,7 @@ fn mesh(spec: &Spec, fanout: usize) -> Vec<Curve> {
     let protocols = [Protocol::cs_on(), Protocol::cmap()];
     let mut aggregates = Vec::new();
     for (pi, proto) in protocols.iter().enumerate() {
-        let samples = cmap_exec::map(spec.jobs, &topos, |topo| {
+        let samples = crate::exec::map(spec.jobs, &topos, |topo| {
             let stream = 0xF57_0000u64
                 ^ ((pi as u64) << 20)
                 ^ ((topo.source as u64) << 12)

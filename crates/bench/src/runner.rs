@@ -163,7 +163,7 @@ pub(crate) fn run_pairs(
     stream: u64,
     key: fn(&LinkPair) -> usize,
 ) -> Vec<RunOutput> {
-    cmap_exec::map(spec.jobs, pairs, |pair| {
+    crate::exec::map(spec.jobs, pairs, |pair| {
         let links = [(pair.s1, pair.r1), (pair.s2, pair.r2)];
         let stream = stream ^ ((pair.s1 as u64) << 12) ^ ((pair.s2 as u64) << 4) ^ key(pair) as u64;
         run_links(

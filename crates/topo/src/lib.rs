@@ -16,6 +16,8 @@
 //!   corresponding experiment",
 //! * link predicates: *in range* (PRR > 0.2 both ways, signal above the 10th
 //!   percentile) and *potential transmission link* (PRR > 0.9 both ways),
+//!   whose thresholds are R-7 [`percentile`]s — the same function the
+//!   figure harness summarises samples with,
 //! * [`select`] — the topology constraints of Fig 11 (exposed-terminal
 //!   pairs, in-range sender pairs, hidden-terminal pairs, interferer
 //!   triples, mesh trees) and the region/AP partition of §5.6,
@@ -30,5 +32,5 @@ pub mod select;
 mod testbed;
 
 pub use citygen::{clustered, grid_city, poisson_disk, ChannelModel, Deployment};
-pub use measure::{ConnectivityStats, LinkMeasurements, RadioEnv};
+pub use measure::{percentile, ConnectivityStats, LinkMeasurements, RadioEnv};
 pub use testbed::Testbed;

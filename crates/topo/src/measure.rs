@@ -8,7 +8,6 @@
 //! what an empirical packet count estimates, without the sampling noise.
 
 use cmap_phy::{dbm_to_mw, packet_success_prob, preamble_success_prob, Rate};
-use cmap_stats::percentile;
 
 use crate::testbed::Testbed;
 
@@ -260,6 +259,27 @@ impl LinkMeasurements {
     }
 }
 
+/// Interpolated percentile `p` in `[0, 100]` of an **unsorted** slice.
+///
+/// Uses the linear-interpolation definition (R-7 / NumPy default).
+/// Panics on an empty slice.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    assert!(!xs.is_empty(), "percentile of empty slice");
+    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
+    let mut v: Vec<f64> = xs.to_vec();
+    assert!(v.iter().all(|s| !s.is_nan()), "NaN in percentile input");
+    v.sort_by(f64::total_cmp);
+    let rank = p / 100.0 * (v.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        v[lo]
+    } else {
+        let frac = rank - lo as f64;
+        v[lo] * (1.0 - frac) + v[hi] * frac
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::float_cmp, reason = "exact IEEE boundaries are under test")]
 mod tests {
@@ -377,5 +397,30 @@ mod tests {
         let at54 = count(Rate::R54);
         assert!(at6 >= at18 && at18 >= at54, "{at6} {at18} {at54}");
         assert!(at54 < at6);
+    }
+
+    #[test]
+    fn percentile_interpolates() {
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 100.0), 4.0);
+        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
+        // Unsorted input works.
+        let ys = [4.0, 1.0, 3.0, 2.0];
+        assert!((percentile(&ys, 50.0) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_sample() {
+        let xs = [7.5];
+        assert_eq!(percentile(&xs, 0.0), 7.5);
+        assert_eq!(percentile(&xs, 50.0), 7.5);
+        assert_eq!(percentile(&xs, 100.0), 7.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn percentile_empty_panics() {
+        percentile(&[], 50.0);
     }
 }

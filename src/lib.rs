@@ -17,9 +17,8 @@
 //! * [`mac80211`] — the 802.11 DCF baseline (CS/ACK switches)
 //! * [`cmap`] — the CMAP link layer itself
 //! * [`mod@bench`] — the paper's evaluation (§5): one module per figure,
-//!   and the `repro_all` harness that runs them
-//! * [`stats`] — CDFs/percentiles used by the figure harness
-//! * [`exec`] — the deterministic parallel run executor (`--jobs`)
+//!   the `repro_all` harness that runs them, its CDF tables and its
+//!   deterministic parallel run executor (`--jobs`)
 //!
 //! ## Quickstart
 //!
@@ -54,12 +53,10 @@
 
 pub use cmap_bench as bench;
 pub use cmap_core as cmap;
-pub use cmap_exec as exec;
 pub use cmap_mac80211 as mac80211;
 pub use cmap_obs as obs;
 pub use cmap_phy as phy;
 pub use cmap_sim as sim;
-pub use cmap_stats as stats;
 pub use cmap_topo as topo;
 pub use cmap_wire as wire;
 

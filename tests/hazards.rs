@@ -50,13 +50,12 @@ const ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
 /// Paths whose code must be deterministic (R3/R5 scope), matched by
 /// substring of the `/`-separated relative path.
-const DET_MARKERS: [&str; 9] = [
+const DET_MARKERS: [&str; 8] = [
     "crates/core/src",
     "crates/sim/src",
     "crates/phy/src",
     "crates/wire/src",
     "crates/topo/src",
-    "crates/stats/src",
     "crates/mac80211/src",
     "crates/bench/src",
     "crates/obs/src",

@@ -1,8 +1,9 @@
-//! Property-based tests for the statistics toolkit.
+//! Property-based tests for the R-7 percentile the §5.1 link thresholds
+//! and the figure harness share.
 
 use proptest::prelude::*;
 
-use cmap_suite::stats::{mean, percentile, std_dev, Cdf, Summary};
+use cmap_suite::topo::percentile;
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, 1..200)
@@ -10,48 +11,14 @@ fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #[test]
-    fn cdf_fractions_are_monotone_and_bounded(samples in finite_samples(), x in -2e6f64..2e6, y in -2e6f64..2e6) {
-        let cdf = Cdf::new(samples);
-        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-        let flo = cdf.fraction_at_or_below(lo);
-        let fhi = cdf.fraction_at_or_below(hi);
-        prop_assert!((0.0..=1.0).contains(&flo));
-        prop_assert!((0.0..=1.0).contains(&fhi));
-        prop_assert!(flo <= fhi);
-        prop_assert!((cdf.fraction_above(lo) - (1.0 - flo)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles_are_monotone_and_within_range(samples in finite_samples(), q1 in 0.0f64..=1.0, q2 in 0.0f64..=1.0) {
-        let cdf = Cdf::new(samples.clone());
-        let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-        let vlo = cdf.quantile(lo);
-        let vhi = cdf.quantile(hi);
+    fn percentiles_are_monotone_and_within_range(samples in finite_samples(), p1 in 0.0f64..=100.0, p2 in 0.0f64..=100.0) {
+        let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
+        let vlo = percentile(&samples, lo);
+        let vhi = percentile(&samples, hi);
         prop_assert!(vlo <= vhi + 1e-9);
         let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(vlo >= min - 1e-9 && vhi <= max + 1e-9);
-    }
-
-    #[test]
-    fn summary_orderings_hold(samples in finite_samples()) {
-        let s = Summary::of(&samples);
-        prop_assert!(s.min <= s.p10 + 1e-9);
-        prop_assert!(s.p10 <= s.p25 + 1e-9);
-        prop_assert!(s.p25 <= s.median + 1e-9);
-        prop_assert!(s.median <= s.p75 + 1e-9);
-        prop_assert!(s.p75 <= s.p90 + 1e-9);
-        prop_assert!(s.p90 <= s.max + 1e-9);
-        prop_assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
-        prop_assert!(s.std_dev >= 0.0);
-    }
-
-    #[test]
-    fn mean_shift_invariance(samples in finite_samples(), shift in -1e3f64..1e3) {
-        let shifted: Vec<f64> = samples.iter().map(|x| x + shift).collect();
-        prop_assert!((mean(&shifted) - (mean(&samples) + shift)).abs() < 1e-6);
-        // Standard deviation is shift-invariant.
-        prop_assert!((std_dev(&shifted) - std_dev(&samples)).abs() < 1e-6);
     }
 
     #[test]
