@@ -297,13 +297,13 @@ pub(crate) fn render_cdfs(
     out
 }
 
-/// The CDF of the non-empty ascending `sorted` at `x`, linear between its
-/// step points; clamped to the first step point's `1/n` at or below it.
+/// The CDF of the non-empty ascending `sorted` at `x`: the fraction of
+/// samples `<= x`, linear from there to the next step point.
 fn cdf_at(sorted: &[f64], x: f64) -> f64 {
     let n = sorted.len() as f64;
     let k = sorted.partition_point(|&v| v <= x);
-    if x <= sorted[0] {
-        return 1.0 / n;
+    if k == 0 {
+        return 0.0;
     }
     if k == sorted.len() {
         return 1.0;
@@ -575,11 +575,30 @@ mod tests {
     }
 
     #[test]
-    fn interpolation() {
-        // Linear between the step points, 1 from the largest sample on.
+    fn ties_are_counted_inclusively() {
         assert_eq!(
-            cells(&[0.0, 10.0], 0.0, 20.0, 5),
+            cells(&[2.0, 2.0, 2.0, 5.0], 1.999, 2.0, 2),
+            [(1.999, 0.0), (2.0, 0.75)]
+        );
+    }
+
+    #[test]
+    fn a_cdf_reads_zero_below_its_smallest_sample() {
+        // Not the first step point's 1/n; and a 2-fold minimum is 2/3.
+        assert_eq!(
+            cells(&[2.0, 2.0, 5.0], 1.0, 2.0, 2),
+            [(1.0, 0.0), (2.0, 0.6667)]
+        );
+    }
+
+    #[test]
+    fn interpolation() {
+        // 0 below the smallest sample, linear between the step points, 1
+        // from the largest sample on.
+        assert_eq!(
+            cells(&[0.0, 10.0], -5.0, 20.0, 6),
             [
+                (-5.0, 0.0),
                 (0.0, 0.5),
                 (5.0, 0.75),
                 (10.0, 1.0),
