@@ -187,7 +187,6 @@ mod tests {
         };
         let [in_range_header, in_range_either, out_of_range_header, out_of_range_either] =
             fig16(&spec).map(|c| c.samples);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         // header-or-trailer >= header-only, pointwise by construction;
         // check the aggregate and that the out-of-range case benefits more
         // (the paper's observation).
