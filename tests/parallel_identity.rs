@@ -1,15 +1,16 @@
 //! Determinism under parallelism: the worker-pool executor must be
 //! invisible in every artifact. The same figure run at `--jobs 1` and
-//! `--jobs 4` has to produce bit-identical samples and byte-identical JSON
-//! reports (outside the timing block) — the pool may only change
-//! wall-clock, never bytes. Pooled worlds' stats snapshots are held to the
-//! serial ones beside the pool, in `cmap_bench`'s `exec` module.
+//! `--jobs 4` has to produce bit-identical samples, byte-identical JSON
+//! reports (outside the timing block) and byte-identical stats snapshots —
+//! the pool may only change wall-clock, never bytes.
 
+use cmap_suite::bench::exec;
 use cmap_suite::bench::exposed::fig12;
 use cmap_suite::bench::runner::Spec;
 use cmap_suite::obs::{SpecBlock, TimingBlock};
 use cmap_suite::prelude::*;
 use cmap_suite::sim::time::secs;
+use cmap_suite::topo::micro::EXPOSED;
 
 /// Fig 12 at a small quick-scale spec, at the given pool width.
 fn fig12_at(jobs: usize) -> Vec<cmap_suite::bench::exposed::Curve> {
@@ -75,4 +76,34 @@ fn figure_reports_are_byte_identical_across_widths() {
     );
     // Only the timing block may differ in the full serialization.
     assert_ne!(serial.to_json(true), wide.to_json(true));
+}
+
+/// A small CMAP world per seed over the exposed-terminal pairs, returning
+/// the full stats snapshot.
+fn snapshot_world(seed: u64) -> String {
+    let phy = PhyConfig::default();
+    let n = 4;
+    let medium = MediumBuilder::new(&phy).rss_links(n, EXPOSED).build();
+    let mut world = World::builder().medium(medium).phy(phy).seed(seed).build();
+    world.add_flow(0, 1, 1400);
+    world.add_flow(2, 3, 1400);
+    for node in 0..n {
+        world.set_mac(node, Box::new(CmapMac::new(CmapConfig::default())));
+    }
+    world.run_until(secs(1));
+    world.stats().snapshot()
+}
+
+#[test]
+fn pooled_world_snapshots_match_serial_byte_for_byte() {
+    let seeds: Vec<u64> = (100..110).collect();
+    let serial = exec::map(1, &seeds, |&s| snapshot_world(s));
+    let pooled = exec::map(4, &seeds, |&s| snapshot_world(s));
+    assert_eq!(serial.len(), pooled.len());
+    for (i, (a, b)) in serial.iter().zip(pooled.iter()).enumerate() {
+        assert!(!a.is_empty());
+        assert_eq!(a, b, "seed {} snapshot diverged under the pool", seeds[i]);
+    }
+    // Distinct seeds must still differ — the pool isn't collapsing runs.
+    assert_ne!(serial[0], serial[1]);
 }
