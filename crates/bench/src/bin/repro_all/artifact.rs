@@ -4,13 +4,13 @@
 //! and a resumed suite must be able to tell *finished* artifacts from
 //! torn ones. Two pieces provide that:
 //!
-//! * [`atomic_write`] — the workspace-wide rule for artifact writers:
-//!   write to `<path>.tmp`, fsync, then `rename` into place. On every
+//! * [`atomic_write`] — how every file `repro_all` writes lands: write
+//!   to `<path>.tmp`, fsync, then `rename` into place. On every
 //!   platform the suite targets, the rename is atomic within a
 //!   filesystem, so readers observe either the old bytes or the complete
 //!   new bytes, never a prefix.
 //! * [`Manifest`] — a tiny text-format completion ledger (`cmap-manifest/v1`)
-//!   mapping artifact file names to FNV-1a content hashes. `repro_all`
+//!   mapping artifact file names to [`fnv1a64`] content hashes. `repro_all`
 //!   rewrites it (atomically) after each figure completes; `--resume`
 //!   trusts an artifact only if it is present *and* hashes to its
 //!   manifest entry, so torn or stale files are simply re-run.
@@ -23,14 +23,16 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
 
+use cmap_obs::fnv1a64;
+
 /// Manifest format identifier (first line of every manifest file).
-pub(crate) const MANIFEST_SCHEMA: &str = "cmap-manifest/v1";
+const MANIFEST_SCHEMA: &str = "cmap-manifest/v1";
 
 /// Write `bytes` to `path` atomically: temp file, fsync, rename.
 ///
 /// The temp file lives next to the target (`<path>.tmp`) so the rename
 /// never crosses a filesystem boundary.
-pub fn atomic_write<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Result<()> {
+pub(crate) fn atomic_write<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Result<()> {
     let path = path.as_ref();
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(".tmp");
@@ -41,18 +43,6 @@ pub fn atomic_write<P: AsRef<Path>>(path: P, bytes: &[u8]) -> std::io::Result<()
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
-}
-
-/// 64-bit FNV-1a content hash. Not cryptographic — this guards against
-/// torn writes and stale artifacts, not adversaries — but deterministic,
-/// dependency-free, and stable across platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A completion ledger for a directory of artifacts.
@@ -68,16 +58,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Entries serialize sorted by file name, so the manifest itself is
 /// deterministic for a given completion set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Run-identity line (seed/effort/configs); a resumed run refuses a
     /// manifest whose meta does not match its own parameters.
-    pub meta: String,
+    pub(crate) meta: String,
     entries: BTreeMap<String, u64>,
 }
 
 impl Manifest {
     /// An empty manifest carrying `meta` as its run-identity line.
-    pub fn new(meta: &str) -> Manifest {
+    pub(crate) fn new(meta: &str) -> Manifest {
         assert!(!meta.contains('\n'), "manifest meta must be a single line");
         Manifest {
             meta: meta.to_string(),
@@ -86,7 +76,7 @@ impl Manifest {
     }
 
     /// Record (or overwrite) `name` as complete with the hash of `bytes`.
-    pub fn record(&mut self, name: &str, bytes: &[u8]) {
+    pub(crate) fn record(&mut self, name: &str, bytes: &[u8]) {
         assert!(
             !name.is_empty() && !name.contains(' ') && !name.contains('\n'),
             "manifest entry names must be single non-empty tokens: {name:?}"
@@ -94,28 +84,18 @@ impl Manifest {
         self.entries.insert(name.to_string(), fnv1a64(bytes));
     }
 
-    /// Whether `name` has a completion record.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
     /// Whether `bytes` matches the recorded hash for `name`.
-    pub fn verify(&self, name: &str, bytes: &[u8]) -> bool {
+    pub(crate) fn verify(&self, name: &str, bytes: &[u8]) -> bool {
         self.entries.get(name) == Some(&fnv1a64(bytes))
     }
 
     /// Number of completion records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Serialize to the line-oriented text format.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(MANIFEST_SCHEMA);
         out.push('\n');
@@ -131,7 +111,7 @@ impl Manifest {
     /// Parse the text format back. Any malformed line is an error — a
     /// torn manifest must invalidate the whole resume state, not part
     /// of it.
-    pub fn parse(text: &str) -> Result<Manifest, String> {
+    pub(crate) fn parse(text: &str) -> Result<Manifest, String> {
         let mut lines = text.lines();
         match lines.next() {
             Some(MANIFEST_SCHEMA) => {}
@@ -165,7 +145,8 @@ mod tests {
     use super::*;
 
     fn scratch_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("cmap-obs-artifact-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cmap-repro-all-artifact-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create scratch dir");
         dir.join(name)
     }
@@ -180,14 +161,6 @@ mod tests {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         assert!(!std::path::Path::new(&tmp).exists());
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

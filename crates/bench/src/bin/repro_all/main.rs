@@ -41,12 +41,15 @@
 //! without gating on them), and any figure failure makes the run exit
 //! nonzero — CI gates on all three.
 
+mod artifact;
+
 use std::path::{Path, PathBuf};
 
-use cmap_bench::figures::{fidelity_table, run_figure, spec_block};
+use cmap_bench::figures::{fidelity_failures, fidelity_table, run_figure, Figure};
+use cmap_bench::report::{metric_f64, SuiteReport};
 use cmap_bench::Cli;
-use cmap_obs::{atomic_write, Manifest};
-use cmap_obs::{BerTableBlock, SuiteReport, TimingBlock};
+
+use artifact::{atomic_write, Manifest};
 
 /// The two per-figure work-dir artifacts.
 struct FigureArtifacts {
@@ -139,38 +142,29 @@ fn record_figure(work: &Path, manifest: &mut Manifest, fig: &str, arts: &FigureA
     atomic_write(work.join("MANIFEST"), manifest.to_text().as_bytes()).expect("write manifest");
 }
 
-fn main() {
-    let cli = Cli::parse();
-    let json_path = cli
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_repro.json".to_string());
-    let work = PathBuf::from(format!("{json_path}.work"));
-    let mut manifest = init_work_dir(&work, &cli);
-
+/// Run each of `figures` in turn, or restore it from the work dir when a
+/// completed artifact of it is there: the text report, ending with the
+/// fidelity table, and the suite report.
+fn run_suite<'a>(
+    cli: &Cli,
+    figures: impl Iterator<Item = &'a Figure>,
+    work: &Path,
+    manifest: &mut Manifest,
+) -> (String, SuiteReport) {
     let mut report = String::new();
     #[expect(clippy::disallowed_methods, reason = "progress lines and timing block")]
     let t0 = std::time::Instant::now();
+    let mut suite = SuiteReport::new(cli);
 
-    // The suite-level spec block: figures override configs/duration per
-    // entry, so only the seed/effort fields are meaningful here.
-    let mut suite_spec = spec_block(&cli, &cli.spec(0));
-    suite_spec.configs = 0;
-    let ber_table = BerTableBlock {
-        version: cmap_phy::table::TABLE_VERSION,
-        grid_points: cmap_phy::table::GRID_POINTS as u64,
-        max_abs_err: cmap_phy::BerTable::shared().max_abs_err(),
-    };
-    let mut suite = SuiteReport::new("repro_all", suite_spec, ber_table);
-
-    for fig in cli.selected() {
-        if let Some(saved) = load_completed(&work, &manifest, fig.name) {
+    for fig in figures {
+        if let Some(saved) = load_completed(work, manifest, fig.name) {
             report.push_str(&saved.text);
-            suite.push_raw(saved.json);
-            let entry = suite.figures.last().expect("just pushed");
-            suite
-                .fidelity
-                .extend(fig.fidelity_rows(|key| entry.metric_f64(key)));
+            // Held to its bands like a figure run now: the binary resuming
+            // may carry bands newer than the one that recorded it.
+            let rows = fig.fidelity_rows(|key| metric_f64(&saved.json, key));
+            suite.failures.extend(fidelity_failures(&rows, cli));
+            suite.fidelity.extend(rows);
+            suite.push(saved.json);
             eprintln!(
                 "[{}s] {} restored from work dir",
                 t0.elapsed().as_secs(),
@@ -181,23 +175,23 @@ fn main() {
 
         // A panicking figure comes back as a failed run, so the remaining
         // figures still execute.
-        let run = run_figure(fig, &cli);
+        let run = run_figure(fig, cli);
         let section = format!("\n### {}\n\n{}", fig.title, run.text);
         report.push_str(&section);
         let failed = !run.failures.is_empty();
         let outcome = if failed { "FAILED" } else { "done" };
         eprintln!("[{}s] {} {outcome}", t0.elapsed().as_secs(), fig.name);
         if let Some(r) = run.report {
+            let arts = FigureArtifacts {
+                text: section,
+                json: r.to_json(true),
+            };
             if !failed {
                 // Only clean, validated figures become resumable artifacts —
                 // a resumed run must re-execute anything that failed.
-                let arts = FigureArtifacts {
-                    text: section,
-                    json: r.to_json(true),
-                };
-                record_figure(&work, &mut manifest, fig.name, &arts);
+                record_figure(work, manifest, fig.name, &arts);
             }
-            suite.push(r);
+            suite.push(arts.json);
         }
         suite.fidelity.extend(run.fidelity);
         suite.failures.extend(run.failures);
@@ -206,9 +200,19 @@ fn main() {
         "\n{}",
         fidelity_table(&suite.fidelity, cli.is_standard_spec())
     ));
-    suite.timing = TimingBlock {
-        wall_secs: t0.elapsed().as_secs_f64(),
-    };
+    suite.wall_secs = t0.elapsed().as_secs_f64();
+    (report, suite)
+}
+
+fn main() {
+    let cli = Cli::parse();
+    let json_path = cli
+        .json
+        .clone()
+        .unwrap_or_else(|| "BENCH_repro.json".to_string());
+    let work = PathBuf::from(format!("{json_path}.work"));
+    let mut manifest = init_work_dir(&work, &cli);
+    let (report, suite) = run_suite(&cli, cli.selected(), &work, &mut manifest);
 
     println!("{report}");
     if let Some(path) = &cli.out {
@@ -217,7 +221,7 @@ fn main() {
     }
     atomic_write(&json_path, suite.to_json(true).as_bytes()).expect("write suite report");
     eprintln!("suite report written to {json_path}");
-    eprintln!("total: {}s", t0.elapsed().as_secs());
+    eprintln!("total: {:.0}s", suite.wall_secs);
 
     if !suite.failures.is_empty() {
         eprintln!("suite completed with {} failure(s):", suite.failures.len());
@@ -231,6 +235,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmap_bench::report::RunReport;
 
     /// A suite killed under the binary that still wrote `fig_<name>.perf`
     /// must `--resume` under this one: the extra manifest entry (and file)
@@ -252,13 +257,60 @@ mod tests {
             written.record(name, bytes);
         }
         let manifest = Manifest::parse(&written.to_text()).expect("manifest parses");
-        assert!(manifest.contains("fig_fig12_exposed.perf"));
+        assert!(manifest.verify(
+            "fig_fig12_exposed.perf",
+            b"wall_bits 3ff0000000000000\nevents 1\n"
+        ));
 
         let arts = load_completed(&work, &manifest, "fig12_exposed").expect("figure is complete");
         assert_eq!(arts.text, "\n### Fig 12\n\nbody\n");
         assert_eq!(arts.json, "{\"schema\":\"cmap-obs/v1\"}");
         // A figure the manifest does not name is still "run it".
         assert!(load_completed(&work, &manifest, "fig13_in_range").is_none());
+        let _ = std::fs::remove_dir_all(&work);
+    }
+
+    /// A figure restored by `--resume` is held to its fidelity band at the
+    /// standard spec, as the same figure run afresh would be: a recorded
+    /// `fig12_exposed` whose gain is outside its band fails the suite.
+    #[test]
+    fn a_restored_figure_outside_its_band_fails_the_suite() {
+        let work = std::env::temp_dir().join(format!("cmap-repro-all-band-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&work);
+        std::fs::create_dir_all(&work).expect("create work dir");
+        let cli = Cli::default();
+        assert!(cli.is_standard_spec());
+        let fig12 = cli
+            .selected()
+            .find(|f| f.name == "fig12_exposed")
+            .expect("fig12_exposed runs by default");
+        let mut recorded = RunReport::new(fig12.name, fig12.title, cli.spec(50), cli.effort);
+        recorded.metric("median_cs_mbps", 4.0);
+        recorded.metric("median_cmap_mbps", 12.0);
+        recorded.metric("gain_cmap_vs_cs", 3.0);
+        recorded.wall_secs = Some(1.5);
+        let arts = FigureArtifacts {
+            text: "\n### Fig 12\n\nrecorded\n".to_string(),
+            json: recorded.to_json(true),
+        };
+        let mut manifest = Manifest::new(&manifest_meta(&cli));
+        record_figure(&work, &mut manifest, fig12.name, &arts);
+
+        let (text, suite) = run_suite(&cli, std::iter::once(fig12), &work, &mut manifest);
+        assert_eq!(
+            suite.failures,
+            ["fidelity: fig12_exposed gain_cmap_vs_cs = 3 outside 1.5..2.1 (paper: ~2x over CS)"]
+        );
+        assert!(text.starts_with(&arts.text), "{text}");
+        assert!(
+            text.contains(
+                "| fig12_exposed | gain_cmap_vs_cs | ~2x over CS | 1.5..2.1 | 3.0000 | fail |"
+            ),
+            "{text}"
+        );
+        assert!(suite
+            .to_json(true)
+            .contains(&format!("\"figures\":[{}]", arts.json)));
         let _ = std::fs::remove_dir_all(&work);
     }
 }

@@ -2,7 +2,7 @@
 //! of `REGISTRY`.
 //!
 //! A [`Figure`] row names the figure, the metric keys its report must carry
-//! and the band each paper-vs-measured number is held to ([`Predicate`]),
+//! and the band each paper-vs-measured number is held to (a `Predicate`),
 //! and points at two functions: `spec` (the experiment spec for a command
 //! line) and `run` (spec in, text and named metrics out). A paper figure's
 //! `run` lives in the module that computes it (`exposed`, `hidden`, …);
@@ -20,12 +20,12 @@ use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
 
 use cmap_core::CmapConfig;
-use cmap_obs::{FidelityRow, MetricValue, Predicate, RunReport, SpecBlock, TimingBlock, Verdict};
 use cmap_sim::time::{as_secs_f64, millis, secs};
 use cmap_sim::{FaultPlan, MediumBuilder, PhyConfig, SparseStats, World};
 use cmap_topo::micro::{CONFLICTING, EXPOSED, HIDDEN};
 
-use crate::runner::{testbed_ctx, Spec, PAYLOAD};
+use crate::report::{FidelityRow, MetricValue, Metrics, Predicate, RunReport, Verdict};
+use crate::runner::{testbed_ctx, Spec};
 use crate::{
     ap, calibration, convergence, exposed, header_trailer, hidden, in_range, mean, mesh, Cli,
     Effort, Protocol,
@@ -37,8 +37,8 @@ use crate::{
 pub(crate) struct FigureOutput {
     /// The human-readable body of the figure's report section.
     pub(crate) text: String,
-    /// Named results, in insertion order (sorted at serialization).
-    pub(crate) metrics: Vec<(String, MetricValue)>,
+    /// Named results; they become the report's `metrics`.
+    pub(crate) metrics: Metrics,
     /// Invariant violations; non-empty makes `repro_all` exit nonzero.
     pub(crate) failures: Vec<String>,
 }
@@ -57,7 +57,7 @@ impl FigureOutput {
     }
 
     pub(crate) fn metric(&mut self, key: impl Into<String>, value: impl Into<MetricValue>) {
-        self.metrics.push((key.into(), value.into()));
+        self.metrics.insert(key.into(), value.into());
     }
 }
 
@@ -332,6 +332,26 @@ pub fn fidelity_table(rows: &[FidelityRow], gated: bool) -> String {
     t
 }
 
+/// One failure line per unwaived miss among `rows` — at the standard
+/// spec only, the one the bands were set on (see [`Cli::is_standard_spec`]).
+/// A figure run this time and one restored by `--resume` are held to their
+/// bands through this one function.
+pub fn fidelity_failures(rows: &[FidelityRow], cli: &Cli) -> Vec<String> {
+    if !cli.is_standard_spec() {
+        return Vec::new();
+    }
+    rows.iter()
+        .filter(|r| r.verdict() == Verdict::Fail)
+        .map(|r| {
+            let p = r.predicate;
+            format!(
+                "fidelity: {} {} = {} outside {}..{} (paper: {})",
+                r.figure, p.metric, r.measured, p.lo, p.hi, p.paper
+            )
+        })
+        .collect()
+}
+
 /// The spec of a figure that runs on its own micro-topology or analysis
 /// rather than the testbed sweep [`Cli::spec`] scales.
 fn micro_spec(cli: &Cli, duration: u64, configs: usize) -> Spec {
@@ -342,34 +362,6 @@ fn micro_spec(cli: &Cli, duration: u64, configs: usize) -> Spec {
         jobs: cli.effective_jobs(),
         ..Spec::default()
     }
-}
-
-/// The report's spec block for a figure run.
-pub fn spec_block(cli: &Cli, spec: &Spec) -> SpecBlock {
-    SpecBlock {
-        testbed_seed: spec.testbed_seed,
-        run_seed: spec.run_seed,
-        effort: cli.effort.label().to_string(),
-        configs: spec.configs as u64,
-        duration_s: as_secs_f64(spec.duration),
-        payload: PAYLOAD as u64,
-    }
-}
-
-/// Assemble a [`RunReport`] from one figure run.
-fn report_for(
-    fig: &Figure,
-    cli: &Cli,
-    spec: &Spec,
-    out: &FigureOutput,
-    wall_secs: f64,
-) -> RunReport {
-    let mut r = RunReport::new(fig.name, fig.title, spec_block(cli, spec));
-    for (k, v) in &out.metrics {
-        r.metric(k, v.clone());
-    }
-    r.timing = Some(TimingBlock { wall_secs });
-    r
 }
 
 /// What [`run_figure`] hands back to its caller.
@@ -398,7 +390,11 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
     let t0 = std::time::Instant::now();
     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| (fig.run)(cli, &spec)));
     let wall_secs = t0.elapsed().as_secs_f64();
-    let out = match caught {
+    let FigureOutput {
+        mut text,
+        metrics,
+        mut failures,
+    } = match caught {
         Ok(out) => out,
         Err(payload) => {
             let msg = crate::exec::panic_message(&*payload);
@@ -410,32 +406,17 @@ pub fn run_figure(fig: &Figure, cli: &Cli) -> FigureRun {
             };
         }
     };
-    let report = report_for(fig, cli, &spec, &out, wall_secs);
-    // Read off the figure's own output: the report also holds the wall clock.
-    let fidelity = fig.fidelity_rows(|key| {
-        let (_, value) = out.metrics.iter().rev().find(|(k, _)| k == key)?;
-        value.as_f64()
-    });
-    let FigureOutput {
-        mut text,
-        mut failures,
-        ..
-    } = out;
+    let fidelity = fig.fidelity_rows(|key| metrics.get(key)?.as_f64());
+    let mut report = RunReport::new(fig.name, fig.title, spec, cli.effort);
+    report.metrics = metrics;
+    report.wall_secs = Some(wall_secs);
     for f in &failures {
         let _ = writeln!(text, "FAIL: {f}");
     }
     if let Err(e) = report.validate(fig.required_metrics) {
         failures.push(e);
     }
-    if cli.is_standard_spec() {
-        for r in fidelity.iter().filter(|r| r.verdict() == Verdict::Fail) {
-            let p = r.predicate;
-            failures.push(format!(
-                "fidelity: {} {} = {} outside {}..{} (paper: {})",
-                r.figure, p.metric, r.measured, p.lo, p.hi, p.paper
-            ));
-        }
-    }
+    failures.extend(fidelity_failures(&fidelity, cli));
     FigureRun {
         text,
         report: Some(report),
@@ -1145,11 +1126,10 @@ mod tests {
             .iter()
             .find(|f| f.name == "testbed_stats")
             .expect("registered");
-        let spec = (fig.spec)(&cli);
-        let out = (fig.run)(&cli, &spec);
-        assert!(out.text.contains("connected pairs"));
-        assert!(out.failures.is_empty());
-        let report = report_for(fig, &cli, &spec, &out, 0.5);
+        let run = run_figure(fig, &cli);
+        assert!(run.text.contains("connected pairs"));
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
+        let report = run.report.expect("the run did not panic");
         report.validate(fig.required_metrics).unwrap();
         let det = report.to_json(false);
         assert!(det.contains("\"figure\":\"testbed_stats\""));

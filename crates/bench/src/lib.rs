@@ -41,12 +41,15 @@
 //! [`Protocol`] are public because the root tests and examples build their
 //! worlds through them. [`exec::map`], [`render_cdfs`], [`mean`] and
 //! [`std_dev`] are public because the root tests hold their properties.
+//! [`report`] is the run report every row ends as: a [`report::RunReport`]
+//! per figure, gathered into the [`report::SuiteReport`] that `--json`
+//! writes.
 //!
 //! Flags: `--quick` (shorter runs, fewer configurations), `--full` (the
 //! paper's 100-second runs and full configuration counts), `--seed N`
 //! (testbed seed), `--runs N` (configuration count), `--jobs N` (pool
 //! width), `--figure NAME` (repeatable row selection), `--json PATH` (the
-//! machine-readable [`cmap_obs::SuiteReport`]), `--out PATH` (the text
+//! machine-readable [`report::SuiteReport`]), `--out PATH` (the text
 //! report) and `--resume`.
 
 mod ap;
@@ -60,6 +63,7 @@ mod hidden;
 mod in_range;
 mod mesh;
 mod protocol;
+pub mod report;
 pub mod runner;
 
 use cmap_sim::time::secs;

@@ -1,60 +1,53 @@
 //! Machine-readable run reports (the `--json PATH` artifact).
 //!
-//! A [`RunReport`] is one figure/experiment's manifest: what was run (spec,
-//! seeds, effort), what came out (named metric values), and how long it
-//! took (the `timing` block). A [`SuiteReport`] aggregates many figure
-//! reports plus the identity of the BER table they were graded with and the
+//! A [`RunReport`] is one figure's manifest: what was run (its [`Spec`] and
+//! [`Effort`]), what came out (named metric values), and how long it took
+//! (the `timing` block). A [`SuiteReport`] aggregates the figures' reports
+//! plus the identity of the BER table they were graded with and the
 //! verdict of every paper-fidelity predicate ([`FidelityRow`]) —
 //! `repro_all` writes one as `BENCH_repro.json`.
 //!
 //! **Determinism contract:** outside the `timing` blocks (always the *last*
 //! key of their object) every value derives from simulation state, keys
 //! serialize sorted (`BTreeMap`) and fields in fixed order, so two same-seed
-//! runs produce byte-identical reports with `include_timing = false`. One
-//! row is exempt: `scale_sweep`'s `scale.n*.{build_s,events_per_sec,
-//! peak_rss_bytes}` measure the host, and no identity check runs that row.
+//! runs produce byte-identical reports with `include_timing = false`. The
+//! pool width (`Spec::jobs`) is never written. One row is exempt:
+//! `scale_sweep`'s `scale.n*.{build_s,events_per_sec,peak_rss_bytes}`
+//! measure the host, and no identity check runs that row.
 
 use std::collections::BTreeMap;
 
-use crate::json;
+use cmap_obs::json;
+use cmap_sim::time::as_secs_f64;
 
-/// Report schema identifier (bump on breaking shape changes).
-pub(crate) const SCHEMA: &str = "cmap-obs/v1";
+use crate::runner::{Spec, PAYLOAD};
+use crate::{Cli, Effort};
 
-/// The run parameters block: which testbed, which seeds, how long.
-#[derive(Debug, Clone, Default)]
-pub struct SpecBlock {
-    /// Testbed-generation seed (the "building").
-    pub testbed_seed: u64,
-    /// Run-randomness seed.
-    pub run_seed: u64,
-    /// Effort label (`quick` / `standard` / `full`).
-    pub effort: String,
-    /// Number of configurations evaluated (0 when not applicable).
-    pub configs: u64,
-    /// Simulated duration per run, seconds.
-    pub duration_s: f64,
-    /// Application payload bytes per packet.
-    pub payload: u64,
+/// Report schema identifier (bump on breaking shape changes). A format
+/// name, not a crate path.
+const SCHEMA: &str = "cmap-obs/v1";
+
+/// Append the `spec` object: seeds, effort, configurations, run length and
+/// payload, in that order. `jobs` is deliberately absent.
+fn push_spec(s: &mut String, spec: &Spec, effort: Effort) {
+    s.push_str(&format!(
+        "{{\"testbed_seed\":{},\"run_seed\":{},\"effort\":",
+        spec.testbed_seed, spec.run_seed
+    ));
+    json::push_str_lit(s, effort.label());
+    s.push_str(&format!(
+        ",\"configs\":{},\"duration_s\":{},\"payload\":{PAYLOAD}}}",
+        spec.configs,
+        json::fmt_f64(as_secs_f64(spec.duration)),
+    ));
 }
 
-impl SpecBlock {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"testbed_seed\":{},\"run_seed\":{},\"effort\":{},\"configs\":{},\
-             \"duration_s\":{},\"payload\":{}}}",
-            self.testbed_seed,
-            self.run_seed,
-            {
-                let mut s = String::new();
-                json::push_str_lit(&mut s, &self.effort);
-                s
-            },
-            self.configs,
-            json::fmt_f64(self.duration_s),
-            self.payload,
-        )
-    }
+/// Append the `timing` member, the last of its object by construction.
+fn push_timing(s: &mut String, wall_secs: f64) {
+    s.push_str(&format!(
+        ",\"timing\":{{\"wall_secs\":{}}}",
+        json::fmt_f64(wall_secs)
+    ));
 }
 
 /// One named metric value.
@@ -70,7 +63,7 @@ pub enum MetricValue {
 
 impl MetricValue {
     /// The value as a number, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             MetricValue::Uint(v) => Some(*v as f64),
             MetricValue::Float(v) => Some(*v),
@@ -121,45 +114,38 @@ impl From<String> for MetricValue {
     }
 }
 
-/// Wall-clock timing of one figure run. Excluded from determinism
-/// comparisons by construction (see module docs).
-#[derive(Debug, Clone, Default)]
-pub struct TimingBlock {
-    /// Wall-clock seconds the figure took.
-    pub wall_secs: f64,
-}
+/// Named results, sorted by key at serialization; a second insert of a key
+/// overwrites the first.
+pub(crate) type Metrics = BTreeMap<String, MetricValue>;
 
-impl TimingBlock {
-    fn to_json(&self) -> String {
-        format!("{{\"wall_secs\":{}}}", json::fmt_f64(self.wall_secs))
-    }
-}
-
-/// One figure/experiment's machine-readable manifest.
+/// One figure's machine-readable manifest.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Registry row name (e.g. `fig12_exposed`).
-    pub(crate) figure: String,
+    figure: &'static str,
     /// Human title (the heading of its text section).
-    pub(crate) title: String,
-    /// Run parameters.
-    pub(crate) spec: SpecBlock,
-    /// Named results, sorted by key at serialization.
-    pub(crate) metrics: BTreeMap<String, MetricValue>,
-    /// Wall-clock block (filled by the harness shell; `None` in library
-    /// contexts).
-    pub timing: Option<TimingBlock>,
+    title: &'static str,
+    /// The spec the figure ran under.
+    spec: Spec,
+    /// The effort label the spec was scaled by.
+    effort: Effort,
+    /// Named results.
+    pub(crate) metrics: Metrics,
+    /// Wall-clock seconds of the run, written as the `timing` block (set by
+    /// the harness shell; `None` in library contexts).
+    pub wall_secs: Option<f64>,
 }
 
 impl RunReport {
-    /// An empty report for `figure`.
-    pub fn new(figure: &str, title: &str, spec: SpecBlock) -> RunReport {
+    /// An empty report for `figure`, run under `spec` at `effort`.
+    pub fn new(figure: &'static str, title: &'static str, spec: Spec, effort: Effort) -> RunReport {
         RunReport {
-            figure: figure.to_string(),
-            title: title.to_string(),
+            figure,
+            title,
             spec,
-            metrics: BTreeMap::new(),
-            timing: None,
+            effort,
+            metrics: Metrics::new(),
+            wall_secs: None,
         }
     }
 
@@ -169,7 +155,7 @@ impl RunReport {
     }
 
     /// Check that every required metric key is present.
-    pub fn validate(&self, required: &[&str]) -> Result<(), String> {
+    pub(crate) fn validate(&self, required: &[&str]) -> Result<(), String> {
         let missing: Vec<&str> = required
             .iter()
             .filter(|k| !self.metrics.contains_key(**k))
@@ -191,11 +177,11 @@ impl RunReport {
         let mut s = String::from("{\"schema\":");
         json::push_str_lit(&mut s, SCHEMA);
         s.push_str(",\"figure\":");
-        json::push_str_lit(&mut s, &self.figure);
+        json::push_str_lit(&mut s, self.figure);
         s.push_str(",\"title\":");
-        json::push_str_lit(&mut s, &self.title);
+        json::push_str_lit(&mut s, self.title);
         s.push_str(",\"spec\":");
-        s.push_str(&self.spec.to_json());
+        push_spec(&mut s, &self.spec, self.effort);
         s.push_str(",\"metrics\":{");
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             if i > 0 {
@@ -206,9 +192,8 @@ impl RunReport {
         }
         s.push('}');
         if include_timing {
-            if let Some(t) = &self.timing {
-                s.push_str(",\"timing\":");
-                s.push_str(&t.to_json());
+            if let Some(wall_secs) = self.wall_secs {
+                push_timing(&mut s, wall_secs);
             }
         }
         s.push('}');
@@ -216,97 +201,39 @@ impl RunReport {
     }
 }
 
-/// One entry of a suite's `figures` array: either a structured report
-/// built this run, or the verbatim JSON of a figure restored from a
-/// previous run's hash-valid artifact (`repro_all --resume`).
-#[derive(Debug, Clone)]
-pub enum FigureEntry {
-    /// A report assembled in this process.
-    Report(RunReport),
-    /// Pre-serialized report JSON spliced from a completed artifact. Must
-    /// be one JSON object in `RunReport::to_json(true)` shape.
-    Raw(String),
-}
-
-impl From<RunReport> for FigureEntry {
-    fn from(r: RunReport) -> FigureEntry {
-        FigureEntry::Report(r)
-    }
-}
-
-impl FigureEntry {
-    /// The numeric metric `key` of this entry, if it has one. A raw entry
-    /// is searched as text: inside its `metrics` object `"key":` can only
-    /// be the key itself (a quote inside a string literal is escaped), and
-    /// `json::fmt_f64` wrote the shortest repr that parses back to the
-    /// same bits, so a restored figure yields the value the run measured.
-    pub fn metric_f64(&self, key: &str) -> Option<f64> {
-        match self {
-            FigureEntry::Report(r) => r.metrics.get(key)?.as_f64(),
-            FigureEntry::Raw(raw) => {
-                let raw = strip_trailing_timing(raw);
-                let metrics = &raw[raw.find(",\"metrics\":{")?..];
-                let mut needle = String::new();
-                json::push_key(&mut needle, key);
-                let value = &metrics[metrics.find(&needle)? + needle.len()..];
-                value[..value.find([',', '}'])?].parse().ok()
-            }
-        }
-    }
-
-    fn to_json(&self, include_timing: bool) -> String {
-        match self {
-            FigureEntry::Report(r) => r.to_json(include_timing),
-            FigureEntry::Raw(raw) if include_timing => raw.clone(),
-            FigureEntry::Raw(raw) => strip_trailing_timing(raw),
-        }
-    }
+/// The numeric metric `key` of a stored report — a [`RunReport::to_json`]
+/// string — if it has one; a `null` (a non-finite measurement) or a label
+/// reads as absent. Inside the `metrics` object `"key":` can only be the
+/// key itself (a quote inside a string literal is escaped), and
+/// `json::fmt_f64` wrote the shortest repr that parses back to the same
+/// bits, so a stored figure yields the value the run measured.
+pub fn metric_f64(report: &str, key: &str) -> Option<f64> {
+    let report = strip_trailing_timing(report);
+    let metrics = &report[report.find(",\"metrics\":{")?..];
+    let mut needle = String::new();
+    json::push_key(&mut needle, key);
+    let value = &metrics[metrics.find(&needle)? + needle.len()..];
+    value[..value.find([',', '}'])?].parse().ok()
 }
 
 /// Drop a trailing `,"timing":{...}` member from a serialized
 /// [`RunReport`]. Sound because `timing` is the *last* key by construction
 /// and the `"timing"` byte sequence cannot occur inside any string literal
 /// (its quotes would be escaped), so the rightmost match is the real key.
-fn strip_trailing_timing(raw: &str) -> String {
-    match raw.rfind(",\"timing\":") {
+fn strip_trailing_timing(report: &str) -> String {
+    match report.rfind(",\"timing\":") {
         Some(pos) => {
-            let mut s = raw[..pos].to_string();
+            let mut s = report[..pos].to_string();
             s.push('}');
             s
         }
-        None => raw.to_string(),
-    }
-}
-
-/// Which BER interpolation table graded the suite's receptions, and how far
-/// it sits from the closed form. All three values are fixed by the table's
-/// construction, so the block serializes in both report views.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BerTableBlock {
-    /// Version tag of the table scheme.
-    pub version: &'static str,
-    /// Grid nodes per rate.
-    pub grid_points: u64,
-    /// Measured max |table − closed form| at construction.
-    pub max_abs_err: f64,
-}
-
-impl BerTableBlock {
-    fn to_json(&self) -> String {
-        let mut s = String::from("{\"version\":");
-        json::push_str_lit(&mut s, self.version);
-        s.push_str(&format!(
-            ",\"grid_points\":{},\"max_abs_err\":{}}}",
-            self.grid_points,
-            json::fmt_f64(self.max_abs_err)
-        ));
-        s
+        None => report.to_string(),
     }
 }
 
 /// How one fidelity predicate came out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// The measured value is inside the band.
     Pass,
     /// Outside the band (or not measured), with no waiver.
@@ -317,7 +244,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Lower-case label (`pass` / `fail` / `waived`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Verdict::Pass => "pass",
             Verdict::Fail => "fail",
@@ -328,35 +255,35 @@ impl Verdict {
 
 /// One declared "paper vs measured" claim: `lo <= metric <= hi`.
 #[derive(Debug, PartialEq)]
-pub struct Predicate {
+pub(crate) struct Predicate {
     /// Metric key of the figure's report.
-    pub metric: &'static str,
+    pub(crate) metric: &'static str,
     /// What the paper reports for it.
-    pub paper: &'static str,
+    pub(crate) paper: &'static str,
     /// Lower edge of the accepted band.
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// Upper edge; infinite (serialized `null`) for a one-sided band.
-    pub hi: f64,
+    pub(crate) hi: f64,
     /// Why a miss is accepted for now; a waived miss is reported but does
     /// not fail the run.
-    pub waiver: Option<&'static str>,
+    pub(crate) waiver: Option<&'static str>,
 }
 
-/// A [`Predicate`] evaluated against one run. Derived from simulation
-/// state only, so it serializes in both views.
+/// A predicate evaluated against one run. Derived from simulation state
+/// only, so it serializes in both views.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FidelityRow {
     /// Registry name of the figure the metric belongs to.
-    pub figure: &'static str,
+    pub(crate) figure: &'static str,
     /// The claim.
-    pub predicate: &'static Predicate,
+    pub(crate) predicate: &'static Predicate,
     /// The measured value; NaN (serialized `null`) if the report lacks it.
-    pub measured: f64,
+    pub(crate) measured: f64,
 }
 
 impl FidelityRow {
     /// Inside the band, waived, or failed. NaN is outside every band.
-    pub fn verdict(&self) -> Verdict {
+    pub(crate) fn verdict(&self) -> Verdict {
         let p = self.predicate;
         if p.lo <= self.measured && self.measured <= p.hi {
             Verdict::Pass
@@ -394,47 +321,46 @@ impl FidelityRow {
 /// Aggregate of many figure reports (what `repro_all --json` writes).
 #[derive(Debug, Clone)]
 pub struct SuiteReport {
-    /// Suite name (e.g. `repro_all`).
-    pub(crate) suite: String,
-    /// The shared CLI-level spec the suite ran under.
-    pub(crate) spec: SpecBlock,
-    /// The BER table in use.
-    ber_table: BerTableBlock,
+    /// The CLI-level spec the suite ran under: seeds, effort and run
+    /// length. Each figure sets its own configuration count, so this one
+    /// holds none.
+    spec: Spec,
+    /// The effort label of every figure in the suite.
+    effort: Effort,
     /// Every fidelity predicate of the figures run, in suite order.
     pub fidelity: Vec<FidelityRow>,
-    /// Per-figure entries, in run order.
-    pub figures: Vec<FigureEntry>,
+    /// Each figure's report as [`RunReport::to_json`]`(true)` wrote it —
+    /// this run's, or one restored from a completed artifact — in run
+    /// order.
+    figures: Vec<String>,
     /// Every failure the run printed as a `FAIL` line, in suite order.
     /// Deterministic (no wall clock), so it serializes in both views,
     /// after `figures` and before `timing`.
     pub failures: Vec<String>,
-    /// Suite wall-clock.
-    pub timing: TimingBlock,
+    /// Suite wall-clock seconds.
+    pub wall_secs: f64,
 }
 
 impl SuiteReport {
-    /// A suite report with no figures, fidelity rows or failures yet.
-    pub fn new(suite: &str, spec: SpecBlock, ber_table: BerTableBlock) -> SuiteReport {
+    /// The report of a suite run by `cli`, with no figures, fidelity rows
+    /// or failures yet.
+    pub fn new(cli: &Cli) -> SuiteReport {
         SuiteReport {
-            suite: suite.to_string(),
-            spec,
-            ber_table,
+            spec: Spec {
+                configs: 0,
+                ..cli.spec(0)
+            },
+            effort: cli.effort,
             fidelity: Vec::new(),
             figures: Vec::new(),
             failures: Vec::new(),
-            timing: TimingBlock::default(),
+            wall_secs: 0.0,
         }
     }
 
-    /// Append a figure report built this run.
-    pub fn push(&mut self, report: RunReport) {
-        self.figures.push(FigureEntry::Report(report));
-    }
-
-    /// Splice in a pre-serialized report restored from a completed
-    /// artifact (see [`FigureEntry::Raw`]).
-    pub fn push_raw(&mut self, raw_json: String) {
-        self.figures.push(FigureEntry::Raw(raw_json));
+    /// Append a figure's report, as [`RunReport::to_json`]`(true)` wrote it.
+    pub fn push(&mut self, report_json: String) {
+        self.figures.push(report_json);
     }
 
     /// Serialize; `include_timing = false` yields the deterministic view
@@ -442,12 +368,18 @@ impl SuiteReport {
     pub fn to_json(&self, include_timing: bool) -> String {
         let mut s = String::from("{\"schema\":");
         json::push_str_lit(&mut s, SCHEMA);
-        s.push_str(",\"suite\":");
-        json::push_str_lit(&mut s, &self.suite);
-        s.push_str(",\"spec\":");
-        s.push_str(&self.spec.to_json());
-        s.push_str(",\"ber_table\":");
-        s.push_str(&self.ber_table.to_json());
+        s.push_str(",\"suite\":\"repro_all\",\"spec\":");
+        push_spec(&mut s, &self.spec, self.effort);
+        // Which BER interpolation table graded the suite's receptions, and
+        // how far it sits from the closed form: fixed by the table's
+        // construction, so in both views.
+        s.push_str(",\"ber_table\":{\"version\":");
+        json::push_str_lit(&mut s, cmap_phy::table::TABLE_VERSION);
+        s.push_str(&format!(
+            ",\"grid_points\":{},\"max_abs_err\":{}}}",
+            cmap_phy::table::GRID_POINTS,
+            json::fmt_f64(cmap_phy::BerTable::shared().max_abs_err())
+        ));
         let rows: Vec<String> = self.fidelity.iter().map(FidelityRow::to_json).collect();
         s.push_str(&format!(",\"fidelity\":[{}]", rows.join(",")));
         s.push_str(",\"figures\":[");
@@ -455,7 +387,11 @@ impl SuiteReport {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&f.to_json(include_timing));
+            if include_timing {
+                s.push_str(f);
+            } else {
+                s.push_str(&strip_trailing_timing(f));
+            }
         }
         s.push(']');
         s.push_str(",\"failures\":[");
@@ -467,8 +403,7 @@ impl SuiteReport {
         }
         s.push(']');
         if include_timing {
-            s.push_str(",\"timing\":");
-            s.push_str(&self.timing.to_json());
+            push_timing(&mut s, self.wall_secs);
         }
         s.push('}');
         s
@@ -478,42 +413,48 @@ impl SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmap_sim::time::secs;
 
-    fn spec() -> SpecBlock {
-        SpecBlock {
+    fn spec() -> Spec {
+        Spec {
             testbed_seed: 42,
             run_seed: 1,
-            effort: "quick".to_string(),
+            duration: secs(10),
             configs: 12,
-            duration_s: 10.0,
-            payload: 1400,
+            jobs: 3,
         }
     }
 
+    fn report(figure: &'static str, title: &'static str) -> RunReport {
+        RunReport::new(figure, title, spec(), Effort::Quick)
+    }
+
     fn suite() -> SuiteReport {
-        let ber_table = BerTableBlock {
-            version: "ber-table/v1",
-            grid_points: 4097,
-            max_abs_err: 0.00115,
-        };
-        SuiteReport::new("repro_all", spec(), ber_table)
+        SuiteReport::new(&Cli {
+            effort: Effort::Quick,
+            ..Cli::default()
+        })
     }
 
     #[test]
     fn run_report_shape_and_key_order() {
-        let mut r = RunReport::new("fig12_exposed", "Fig 12", spec());
+        let mut r = report("fig12_exposed", "Fig 12");
         r.metric("median_cmap_mbps", 8.25);
         r.metric("median_cs_mbps", 4.0);
         r.metric("configs_run", 12usize);
-        r.timing = Some(TimingBlock { wall_secs: 3.5 });
+        r.wall_secs = Some(3.5);
         let det = r.to_json(false);
-        assert!(det.starts_with("{\"schema\":\"cmap-obs/v1\",\"figure\":\"fig12_exposed\""));
+        assert!(det.starts_with(
+            "{\"schema\":\"cmap-obs/v1\",\"figure\":\"fig12_exposed\",\"title\":\"Fig 12\",\
+             \"spec\":{\"testbed_seed\":42,\"run_seed\":1,\"effort\":\"quick\",\"configs\":12,\
+             \"duration_s\":10,\"payload\":1400},\"metrics\":{"
+        ));
         // BTreeMap: keys sorted regardless of insertion order.
         let a = det.find("configs_run").unwrap();
         let b = det.find("median_cmap_mbps").unwrap();
         let c = det.find("median_cs_mbps").unwrap();
         assert!(a < b && b < c, "{det}");
-        assert!(!det.contains("timing"));
+        assert!(!det.contains("timing") && !det.contains("jobs"));
         let full = r.to_json(true);
         assert!(full.contains("\"timing\":{\"wall_secs\":3.5}"));
         // Timing is the last key by construction.
@@ -522,7 +463,7 @@ mod tests {
 
     #[test]
     fn validate_reports_missing_keys() {
-        let mut r = RunReport::new("f", "t", spec());
+        let mut r = report("f", "t");
         r.metric("present", 1u64);
         assert!(r.validate(&["present"]).is_ok());
         let err = r.validate(&["present", "absent"]).unwrap_err();
@@ -533,69 +474,88 @@ mod tests {
     #[test]
     fn suite_report_drops_all_timing_in_deterministic_view() {
         let mut s = suite();
-        let mut f = RunReport::new("fig12_exposed", "Fig 12", spec());
+        let mut f = report("fig12_exposed", "Fig 12");
         f.metric("m", 1.5);
-        f.timing = Some(TimingBlock { wall_secs: 2.0 });
-        s.push(f);
-        s.timing = TimingBlock { wall_secs: 9.0 };
+        f.wall_secs = Some(2.0);
+        s.push(f.to_json(true));
+        s.wall_secs = 9.0;
         let det = s.to_json(false);
         assert!(!det.contains("timing"), "{det}");
         let full = s.to_json(true);
         assert!(full.ends_with(",\"timing\":{\"wall_secs\":9}}"), "{full}");
         assert!(full.contains("\"wall_secs\":2"));
-        // The table block is deterministic: after `spec` in both views.
+        // The suite spec holds no configurations; the table block is
+        // deterministic: after `spec` in both views.
+        let table = format!(
+            "\"configs\":0,\"duration_s\":10,\"payload\":1400}},\"ber_table\":{{\
+             \"version\":\"ber-table/v1\",\"grid_points\":4097,\"max_abs_err\":{}}},\
+             \"fidelity\":[],\"figures\":[",
+            cmap_phy::BerTable::shared().max_abs_err()
+        );
         for view in [&det, &full] {
             assert!(
-                view.contains(
-                    "\"payload\":1400},\"ber_table\":{\"version\":\"ber-table/v1\",\
-                     \"grid_points\":4097,\"max_abs_err\":0.00115},\"fidelity\":[],\"figures\":["
-                ),
+                view.starts_with("{\"schema\":\"cmap-obs/v1\",\"suite\":\"repro_all\",\"spec\":"),
                 "{view}"
             );
+            assert!(view.contains(&table), "{view}");
         }
     }
 
     #[test]
     fn non_finite_floats_serialize_as_null() {
-        let mut r = RunReport::new("f", "t", SpecBlock::default());
+        let mut r = report("f", "t");
         r.metric("nan", f64::NAN);
         assert!(r.to_json(false).contains("\"nan\":null"));
     }
 
     #[test]
-    fn raw_figure_entries_splice_verbatim_and_strip_timing() {
-        let mut r = RunReport::new("fig13_hidden", "Fig 13", spec());
+    fn a_stored_figure_is_its_report_in_both_views() {
+        let mut r = report("fig13_hidden", "Fig 13");
         r.metric("timing_label", "not,\"timing\": a decoy inside a string");
-        r.timing = Some(TimingBlock { wall_secs: 4.25 });
+        r.metric("mbps", 5.04);
+        r.wall_secs = Some(4.25);
         let full = r.to_json(true);
         let det = r.to_json(false);
 
         let mut s = suite();
-        s.push_raw(full.clone());
-        // With timing: the raw bytes appear verbatim. Without: the trailing
-        // timing member is stripped, matching the structured serialization.
-        assert!(s.to_json(true).contains(&full));
-        assert!(s.to_json(false).contains(&det));
-        assert!(!s.to_json(false).contains("wall_secs"));
+        s.push(full.clone());
+        // With timing: the stored bytes verbatim. Without: the trailing
+        // timing member is stripped, leaving the report's own
+        // deterministic view.
+        let with = s.to_json(true);
+        let without = s.to_json(false);
+        assert!(with.contains(&format!("\"figures\":[{full}]")), "{with}");
+        assert!(
+            without.contains(&format!("\"figures\":[{det}]")),
+            "{without}"
+        );
+        assert!(!without.contains("wall_secs"));
 
-        // A raw entry with no timing block passes through unchanged.
+        // A stored report with no timing block passes through unchanged.
         assert_eq!(strip_trailing_timing(&det), det);
     }
 
     #[test]
-    fn raw_and_structured_entries_serialize_identically() {
-        let mut r = RunReport::new("calib_single_link", "§4.2", spec());
-        r.metric("mbps", 5.04);
-        r.timing = Some(TimingBlock { wall_secs: 1.0 });
-        let mut structured = suite();
-        structured.push(r.clone());
-        let mut spliced = suite();
-        spliced.push_raw(r.to_json(true));
-        for include_timing in [false, true] {
-            assert_eq!(
-                structured.to_json(include_timing),
-                spliced.to_json(include_timing)
-            );
+    fn a_metric_reads_back_from_a_stored_figure_bit_for_bit() {
+        let mut r = report("fig12_exposed", "a \"metrics\":{\"gain\":9} decoy");
+        r.metric("gain", 1.0 / 3.0);
+        r.metric("again", 7.5);
+        r.metric("pairs", 50usize);
+        r.metric("label", "\"gain\":2");
+        r.metric("lost", f64::NAN);
+        r.wall_secs = Some(4.25);
+        let stored = r.to_json(true);
+        let read = |key| metric_f64(&stored, key).map(f64::to_bits);
+        for key in ["gain", "again", "pairs"] {
+            let measured = r.metrics[key].as_f64().map(f64::to_bits);
+            assert!(measured.is_some());
+            assert_eq!(read(key), measured, "{key}");
+        }
+        assert_eq!(metric_f64(&stored, "gain"), Some(1.0 / 3.0));
+        assert_eq!(metric_f64(&stored, "pairs"), Some(50.0));
+        // A label, a `null` and a key outside `metrics` read as absent.
+        for key in ["label", "lost", "absent", "wall_secs"] {
+            assert_eq!(read(key), None, "{key}");
         }
     }
 
@@ -637,11 +597,11 @@ mod tests {
     fn fidelity_block_serializes_after_ber_table_in_both_views() {
         let mut s = suite();
         s.fidelity = vec![fidelity_row(0.9, true), fidelity_row(f64::NAN, false)];
-        s.timing = TimingBlock { wall_secs: 9.0 };
+        s.wall_secs = 9.0;
         for view in [s.to_json(false), s.to_json(true)] {
             assert!(
                 view.contains(
-                    "\"max_abs_err\":0.00115},\"fidelity\":[{\"figure\":\"mesh_dissemination\",\
+                    "},\"fidelity\":[{\"figure\":\"mesh_dissemination\",\
                      \"metric\":\"gain\",\"paper\":\"+52%\",\"lo\":1.2,\"hi\":null,\
                      \"measured\":0.9,\"verdict\":\"waived\",\"waiver\":\"relays time-share\"},\
                      {\"figure\":\"mesh_dissemination\",\"metric\":\"gain\",\"paper\":\"+52%\",\
@@ -654,25 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_structured_entries_yield_the_same_metric() {
-        let mut r = RunReport::new("fig12_exposed", "a \"metrics\":{\"gain\":9} decoy", spec());
-        r.metric("gain", 1.0 / 3.0);
-        r.metric("again", 7.5);
-        r.metric("pairs", 50usize);
-        r.metric("label", "\"gain\":2");
-        r.timing = Some(TimingBlock { wall_secs: 4.25 });
-        let raw = FigureEntry::Raw(r.to_json(true));
-        let structured = FigureEntry::Report(r);
-        for key in ["gain", "again", "pairs", "label", "absent", "wall_secs"] {
-            let got = raw.metric_f64(key).map(f64::to_bits);
-            assert_eq!(got, structured.metric_f64(key).map(f64::to_bits), "{key}");
-        }
-        assert_eq!(structured.metric_f64("gain"), Some(1.0 / 3.0));
-        assert_eq!(structured.metric_f64("pairs"), Some(50.0));
-        assert_eq!(structured.metric_f64("label"), None);
-    }
-
-    #[test]
     fn failures_list_serializes_after_figures() {
         let mut s = suite();
         assert!(s
@@ -682,7 +623,7 @@ mod tests {
             "fig12_exposed panicked: job 7: boom".to_string(),
             "fidelity: \"quoted\"".to_string(),
         ];
-        s.timing = TimingBlock { wall_secs: 9.0 };
+        s.wall_secs = 9.0;
         let full = s.to_json(true);
         let det = s.to_json(false);
         // Present in both views (the list is deterministic), between the

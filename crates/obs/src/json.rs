@@ -1,12 +1,13 @@
 //! Minimal deterministic JSON encoding.
 //!
-//! The artifact writers in this crate emit JSON by hand rather than through
-//! a serialization framework: the build has no external dependencies, the
-//! structures are small, and determinism is the contract — fixed field
-//! order, `BTreeMap`-sorted keys, and a single float formatting rule.
+//! The trace dump here and `cmap_bench`'s run reports emit JSON by hand
+//! rather than through a serialization framework: the build has no
+//! external dependencies, the structures are small, and determinism is the
+//! contract — fixed field order, `BTreeMap`-sorted keys, and a single float
+//! formatting rule.
 
 /// Append `s` as a JSON string literal (with quotes) to `out`.
-pub(crate) fn push_str_lit(out: &mut String, s: &str) {
+pub fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -26,7 +27,7 @@ pub(crate) fn push_str_lit(out: &mut String, s: &str) {
 
 /// Render an `f64` deterministically: Rust's shortest round-trip repr for
 /// finite values, `null` for NaN/infinities (JSON has no spelling for them).
-pub(crate) fn fmt_f64(v: f64) -> String {
+pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -35,7 +36,7 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 }
 
 /// Append a `"key":` prefix (no leading comma) to `out`.
-pub(crate) fn push_key(out: &mut String, key: &str) {
+pub fn push_key(out: &mut String, key: &str) {
     push_str_lit(out, key);
     out.push(':');
 }

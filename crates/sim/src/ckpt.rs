@@ -136,6 +136,17 @@ impl CkptWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// [`CkptWriter::bytes`] of what `body` appends straight to the image,
+    /// with no scratch copy: the length is filled in once `body` returns.
+    pub(crate) fn framed(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+        let mut at = self.buf.len();
+        self.len(0);
+        let start = self.buf.len();
+        body(&mut self.buf);
+        debug_assert!(self.buf.len() >= start, "a framed blob shrank the image");
+        (self.buf.len() - start).put_at(&mut self.buf, &mut at);
+    }
+
     /// Append any [`Persist`] value.
     pub fn put<T: Persist>(&mut self, v: &T) {
         if T::FIXED {
@@ -738,6 +749,18 @@ mod tests {
         w.put(&(5u128 << 64 | 9));
         let mut v = CkptWriter::new();
         v.put(&(9u64, 5u64));
+        assert_eq!(w.finish(), v.finish());
+    }
+
+    /// A blob appended in place is framed as one handed over whole.
+    #[test]
+    fn a_framed_blob_is_a_length_prefixed_one() {
+        let mut w = CkptWriter::new();
+        w.bytes(b"");
+        w.bytes(b"blob");
+        let mut v = CkptWriter::new();
+        v.framed(|_| {});
+        v.framed(|out| out.extend_from_slice(b"blob"));
         assert_eq!(w.finish(), v.finish());
     }
 

@@ -102,6 +102,7 @@ pub trait Mac {
     /// Append this MAC's dynamic protocol state to a `cmap-ckpt/v8`
     /// checkpoint blob. Paired with [`Mac::load_state`]; the world frames
     /// the blob, so implementations just write fields in a fixed order.
+    /// `out` is the checkpoint image itself: only append to it.
     /// The default writes nothing, which is correct for stateless MACs
     /// (e.g. `NullMac`).
     fn save_state(&self, _out: &mut Vec<u8>) {}

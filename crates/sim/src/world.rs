@@ -1058,14 +1058,12 @@ impl World {
             f.ckpt_save(&mut w);
         }
         // Per-MAC protocol state, length-framed so each MAC only sees its
-        // own blob.
-        let mut blob = Vec::new();
+        // own blob; each MAC appends straight to the image.
         for (node, mac) in self.macs.iter().enumerate() {
-            blob.clear();
-            mac.as_deref()
-                .unwrap_or_else(|| panic!("mac {node} taken during checkpoint"))
-                .save_state(&mut blob);
-            w.bytes(&blob);
+            let mac = mac
+                .as_deref()
+                .unwrap_or_else(|| panic!("mac {node} taken during checkpoint"));
+            w.framed(|out| mac.save_state(out));
         }
         Ok(w.finish())
     }

@@ -16,9 +16,11 @@
 //! * [`topo`] — 50-node office-testbed generation and link classification
 //! * [`mac80211`] — the 802.11 DCF baseline (CS/ACK switches)
 //! * [`cmap`] — the CMAP link layer itself
+//! * [`obs`] — typed counters and gauges, the trace sink, allocation and
+//!   RSS probes, `fnv1a64` and the deterministic JSON encoder
 //! * [`mod@bench`] — the paper's evaluation (§5): one module per figure,
-//!   the `repro_all` harness that runs them, its CDF tables and its
-//!   deterministic parallel run executor (`--jobs`)
+//!   the `repro_all` harness that runs them, its run report, its CDF
+//!   tables and its deterministic parallel run executor (`--jobs`)
 //!
 //! ## Quickstart
 //!
@@ -62,9 +64,10 @@ pub use cmap_wire as wire;
 
 /// The names almost every user of the suite needs.
 pub mod prelude {
+    pub use cmap_bench::report::RunReport;
     pub use cmap_core::{CmapConfig, CmapMac};
     pub use cmap_mac80211::{DcfConfig, DcfMac};
-    pub use cmap_obs::{CounterId, RunReport};
+    pub use cmap_obs::CounterId;
     pub use cmap_phy::Rate;
     pub use cmap_sim::{time, Mac, Medium, MediumBuilder, NodeId, PhyConfig, World};
     pub use cmap_topo::Testbed;

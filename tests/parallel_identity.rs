@@ -7,20 +7,24 @@
 use cmap_suite::bench::exec;
 use cmap_suite::bench::exposed::fig12;
 use cmap_suite::bench::runner::Spec;
-use cmap_suite::obs::{SpecBlock, TimingBlock};
+use cmap_suite::bench::Effort;
 use cmap_suite::prelude::*;
 use cmap_suite::sim::time::secs;
 use cmap_suite::topo::micro::EXPOSED;
 
-/// Fig 12 at a small quick-scale spec, at the given pool width.
-fn fig12_at(jobs: usize) -> Vec<cmap_suite::bench::exposed::Curve> {
-    let spec = Spec {
+/// The small quick-scale spec of these tests, at the given pool width.
+fn spec_at(jobs: usize) -> Spec {
+    Spec {
         duration: secs(6),
         configs: 4,
         jobs,
         ..Spec::default()
-    };
-    fig12(&spec)
+    }
+}
+
+/// Fig 12 at that spec.
+fn fig12_at(jobs: usize) -> Vec<cmap_suite::bench::exposed::Curve> {
+    fig12(&spec_at(jobs))
 }
 
 #[test]
@@ -45,22 +49,19 @@ fn figure_samples_are_bit_identical_across_widths() {
 /// Build the figure's RunReport the way a harness binary would.
 fn report_at(jobs: usize, wall_secs: f64) -> RunReport {
     let curves = fig12_at(jobs);
-    let spec = SpecBlock {
-        testbed_seed: 42,
-        run_seed: 42,
-        effort: "quick".to_string(),
-        configs: 4,
-        duration_s: 6.0,
-        payload: 1400,
-    };
-    // The spec block deliberately has no jobs field: pool width must never
-    // reach report bytes.
-    let mut r = RunReport::new("parallel_identity", "fig12 at a pool width", spec);
+    // The report holds the spec it ran under, pool width included: that
+    // width must never reach report bytes.
+    let mut r = RunReport::new(
+        "parallel_identity",
+        "fig12 at a pool width",
+        spec_at(jobs),
+        Effort::Quick,
+    );
     for c in &curves {
         let mean = c.samples.iter().sum::<f64>() / c.samples.len() as f64;
         r.metric(&format!("mean_{}", c.label), mean);
     }
-    r.timing = Some(TimingBlock { wall_secs });
+    r.wall_secs = Some(wall_secs);
     r
 }
 

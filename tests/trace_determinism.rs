@@ -3,7 +3,8 @@
 //! `timing` block is excluded by construction — it is the only place
 //! wall-clock-derived numbers may appear).
 
-use cmap_suite::obs::{SpecBlock, TimingBlock};
+use cmap_suite::bench::runner::Spec;
+use cmap_suite::bench::Effort;
 use cmap_suite::prelude::*;
 use cmap_suite::sim::time::secs;
 use cmap_suite::topo::micro::EXPOSED;
@@ -67,15 +68,19 @@ fn different_seed_traces_differ() {
 fn report_from_run(seed: u64, wall_secs: f64) -> RunReport {
     let (mut world, f1, f2) = exposed_world(seed);
     world.run_until(secs(2));
-    let spec = SpecBlock {
+    let spec = Spec {
         testbed_seed: 0,
         run_seed: seed,
-        effort: "quick".to_string(),
+        duration: secs(2),
         configs: 1,
-        duration_s: 2.0,
-        payload: 1400,
+        jobs: 1,
     };
-    let mut r = RunReport::new("trace_determinism", "exposed micro-topology", spec);
+    let mut r = RunReport::new(
+        "trace_determinism",
+        "exposed micro-topology",
+        spec,
+        Effort::Quick,
+    );
     let stats = world.stats();
     r.metric("tx_frames", stats.counter(CounterId::SimTx));
     r.metric("defers", stats.counter(CounterId::CmapDefer));
@@ -87,7 +92,7 @@ fn report_from_run(seed: u64, wall_secs: f64) -> RunReport {
         "pair2_mbps",
         stats.flow_throughput_mbps(f2, 1400, secs(1), secs(2)),
     );
-    r.timing = Some(TimingBlock { wall_secs });
+    r.wall_secs = Some(wall_secs);
     r
 }
 
