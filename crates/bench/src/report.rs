@@ -598,18 +598,17 @@ mod tests {
         let mut s = suite();
         s.fidelity = vec![fidelity_row(0.9, true), fidelity_row(f64::NAN, false)];
         s.wall_secs = 9.0;
+        let block = format!(
+            "\"max_abs_err\":{}}},\"fidelity\":[{{\"figure\":\"mesh_dissemination\",\
+             \"metric\":\"gain\",\"paper\":\"+52%\",\"lo\":1.2,\"hi\":null,\
+             \"measured\":0.9,\"verdict\":\"waived\",\"waiver\":\"relays time-share\"}},\
+             {{\"figure\":\"mesh_dissemination\",\"metric\":\"gain\",\"paper\":\"+52%\",\
+             \"lo\":1.2,\"hi\":null,\"measured\":null,\"verdict\":\"fail\",\
+             \"waiver\":null}}],\"figures\":[",
+            cmap_phy::BerTable::shared().max_abs_err()
+        );
         for view in [s.to_json(false), s.to_json(true)] {
-            assert!(
-                view.contains(
-                    "},\"fidelity\":[{\"figure\":\"mesh_dissemination\",\
-                     \"metric\":\"gain\",\"paper\":\"+52%\",\"lo\":1.2,\"hi\":null,\
-                     \"measured\":0.9,\"verdict\":\"waived\",\"waiver\":\"relays time-share\"},\
-                     {\"figure\":\"mesh_dissemination\",\"metric\":\"gain\",\"paper\":\"+52%\",\
-                     \"lo\":1.2,\"hi\":null,\"measured\":null,\"verdict\":\"fail\",\
-                     \"waiver\":null}],\"figures\":["
-                ),
-                "{view}"
-            );
+            assert!(view.contains(&block), "{view}");
         }
     }
 

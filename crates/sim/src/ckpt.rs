@@ -143,7 +143,7 @@ impl CkptWriter {
         self.len(0);
         let start = self.buf.len();
         body(&mut self.buf);
-        debug_assert!(self.buf.len() >= start, "a framed blob shrank the image");
+        assert!(self.buf.len() >= start, "a framed blob shrank the image");
         (self.buf.len() - start).put_at(&mut self.buf, &mut at);
     }
 

@@ -1,26 +1,21 @@
 #!/usr/bin/env python3
 """Splice a repro_all report into EXPERIMENTS.md between a pair of GENERATED markers.
 
-Usage: python3 tools/splice_experiments.py [--fence] [report] [experiments] [marker]
+Usage: python3 tools/splice_experiments.py [report] [experiments] [marker]
 Defaults: repro_report.md, EXPERIMENTS.md, RESULTS
 
 The markers are `<!-- BEGIN GENERATED <marker> -->` and
 `<!-- END GENERATED <marker> -->`; everything between them is replaced by
-the report. `--fence` wraps it in a ```text block, for repro_all's plain
-text output. `RESULTS` holds the suite's results, `ABLATIONS` a
+the report. `RESULTS` holds the suite's results, `ABLATIONS` a
 `--figure ablations` report.
 """
 import sys
 
-fence = "--fence" in sys.argv[1:]
-args = [a for a in sys.argv[1:] if a != "--fence"]
-report_path = args[0] if len(args) > 0 else "repro_report.md"
-target_path = args[1] if len(args) > 1 else "EXPERIMENTS.md"
-marker = args[2] if len(args) > 2 else "RESULTS"
+report_path = sys.argv[1] if len(sys.argv) > 1 else "repro_report.md"
+target_path = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
+marker = sys.argv[3] if len(sys.argv) > 3 else "RESULTS"
 
 report = open(report_path).read().strip()
-if fence:
-    report = "```text\n" + report + "\n```"
 target = open(target_path).read()
 
 begin = f"<!-- BEGIN GENERATED {marker} -->"
