@@ -196,10 +196,7 @@ fn run_suite<'a>(
         suite.fidelity.extend(run.fidelity);
         suite.failures.extend(run.failures);
     }
-    report.push_str(&format!(
-        "\n{}",
-        fidelity_table(&suite.fidelity, cli.is_standard_spec())
-    ));
+    report.push_str(&fidelity_table(&suite.fidelity, cli.is_standard_spec()));
     suite.wall_secs = t0.elapsed().as_secs_f64();
     (report, suite)
 }

@@ -302,16 +302,19 @@ impl Figure {
     }
 }
 
-/// The fidelity rows as the table that ends the text report. Verdicts are
-/// always shown; `gated` says whether a `fail` also failed the run.
+/// The text report's last section, the fidelity table (nothing without
+/// rows). Verdicts always show; `gated` says if a `fail` failed the run.
 pub fn fidelity_table(rows: &[FidelityRow], gated: bool) -> String {
+    if rows.is_empty() {
+        return String::new();
+    }
     let gate = if gated {
         "gated"
     } else {
         "not gated: only the standard spec runs the pairs the bands were set on"
     };
     let mut t = format!(
-        "### Fidelity — paper vs measured ({gate})\n\n\
+        "\n### Fidelity — paper vs measured ({gate})\n\n\
          | figure | metric | paper | band | measured | verdict |\n|---|---|---|---|---|---|\n"
     );
     for r in rows {
@@ -1108,12 +1111,18 @@ mod tests {
             assert!(run.failures.is_empty(), "{:?}", run.failures);
         }
         let table = fidelity_table(&standard.fidelity, true);
-        assert!(table.starts_with("### Fidelity — paper vs measured (gated)"));
+        assert!(table.starts_with("\n### Fidelity — paper vs measured (gated)"));
         assert!(table.contains("| canned | b | about 3 | 2.5..inf | 2.0000 | fail |"));
         assert!(
             table.contains("| canned | c | about 3 | 2.5..3.5 | 1.0000 | waived (known miss) |")
         );
         assert!(fidelity_table(&standard.fidelity, false).contains("(not gated"));
+    }
+
+    #[test]
+    fn no_fidelity_rows_print_no_table() {
+        assert_eq!(fidelity_table(&[], true), "");
+        assert_eq!(fidelity_table(&[], false), "");
     }
 
     #[test]

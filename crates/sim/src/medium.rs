@@ -377,15 +377,14 @@ impl Medium {
         debug_assert!((0..n).all(|r| fill[r] == rows.link_off[r + 1].0));
         // Every never-evaluated pair is charged the tail gain, summed per
         // receiver: one pair can beat the charge, the receiver's sum must
-        // not (DESIGN.md §12.4).
-        let beyond = || evaluated.iter().map(|&e| (n - 1 - e as usize) as u64);
+        // not (DESIGN.md §12.4). A count is below `n`, which fits `u32`.
+        let beyond = || evaluated.iter().map(|&e| (n - 1 - e as usize) as u32);
         let tail_rss_mw = rows.tx_power_mw * dbm_to_mw(tail_gain_db);
         rows.dropped_mw.resize(n, 0.0);
         for (dropped, pairs) in rows.dropped_mw.iter_mut().zip(beyond()) {
-            // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count scaling the per-pair tail power
-            *dropped += pairs as f64 * tail_rss_mw;
+            *dropped += f64::from(pairs) * tail_rss_mw;
         }
-        rows.finish(phy, epsilon_db, beyond().sum())
+        rows.finish(phy, epsilon_db, beyond().map(u64::from).sum())
     }
 
     /// Row slice of link array indices for `tx`.

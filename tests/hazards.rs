@@ -5,8 +5,8 @@
 //! that has one checker (DESIGN.md §10). clippy, configured by the root
 //! `clippy.toml`, owns every hazard a resolved path names: hash-ordered
 //! containers, wall-clock time, ad-hoc threads, environment reads, and
-//! bare `unwrap` in the hot paths. This test owns the rest: it walks
-//! `crates/`, `src/`, `tests/` and `examples/` and fails on any finding.
+//! bare `unwrap` in the hot paths. This test owns the rest: it walks the
+//! product code, `crates/*/src`, and fails on any finding.
 //!
 //! The scan is a per-file lexer enforcing three rules (DESIGN.md §10
 //! records the retired R1, R2, R6 and R7–R10; no number is reused):
@@ -23,43 +23,19 @@
 //!   outside the sanctioned conversion modules (`phy::units`, `phy::rate`,
 //!   `sim::time`, `sim::event`). Route through the unit helpers.
 //!
-//! A justified exception is written as a pragma comment on the offending
-//! line (or on a comment line directly above it), in this one spelling:
-//!
-//! ```text
-//! // cmap-lint: allow(unit-cast) — `pairs` is a dimensionless pair count
-//! ```
-//!
-//! The reason text after the dash is mandatory; an allow without a reason
-//! is itself a violation. A pragma that suppresses zero findings, or names
-//! a rule that does not exist, is reported (**`stale-pragma`**) — dead
-//! suppressions rot the audit trail. A pragma quoted in a doc comment, as
-//! above, is documentation and neither suppresses nor goes stale.
+//! There is no way to excuse a finding: no comment silences one. The
+//! workspace's one exception idiom is clippy's reasoned `#[expect]`, which
+//! `unfulfilled_lint_expectations` audits; a finding here is fixed in the
+//! code.
 //!
 //! The lexer is not a type checker: it strips comments and string
 //! literals and tracks `#[cfg(test)] mod` regions by brace depth. It is
 //! deliberately conservative and cheap, with no dependencies beyond `std`.
 //! The rules' fixtures are inline raw strings below, scanned under a
-//! simulator path; the lexer blanks them when the walk reaches this file.
+//! simulator path.
 
 use std::fs;
 use std::path::Path;
-
-/// The directories walked, relative to the repository root.
-const ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
-
-/// Paths whose code must be deterministic (R3/R5 scope), matched by
-/// substring of the `/`-separated relative path.
-const DET_MARKERS: [&str; 8] = [
-    "crates/core/src",
-    "crates/sim/src",
-    "crates/phy/src",
-    "crates/wire/src",
-    "crates/topo/src",
-    "crates/mac80211/src",
-    "crates/bench/src",
-    "crates/obs/src",
-];
 
 /// Hot paths with a panic budget (R4 scope).
 const HOT_MARKERS: [&str; 2] = ["crates/core/src/mac.rs", "crates/sim/src"];
@@ -72,7 +48,7 @@ const UNIT_CAST_ALLOWED: [&str; 4] = [
     "crates/sim/src/event.rs",
 ];
 
-/// The enforced invariants: three token rules and the pragma-hygiene rule.
+/// The enforced invariants: three token rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Rule {
     /// R3: float equality / NaN-prone comparison chains.
@@ -81,28 +57,16 @@ enum Rule {
     PanicBudget,
     /// R5: raw unit-bearing casts outside conversion modules.
     UnitCast,
-    /// A justified pragma that suppresses zero findings or names an
-    /// unknown rule.
-    StalePragma,
 }
 
 impl Rule {
-    /// The pragma / diagnostic code for the rule.
+    /// The diagnostic code for the rule.
     fn code(self) -> &'static str {
         match self {
             Rule::FloatCmp => "float-cmp",
             Rule::PanicBudget => "panic-budget",
             Rule::UnitCast => "unit-cast",
-            Rule::StalePragma => "stale-pragma",
         }
-    }
-
-    /// Parse a pragma code.
-    fn parse(s: &str) -> Option<Rule> {
-        use Rule::*;
-        [FloatCmp, PanicBudget, UnitCast, StalePragma]
-            .into_iter()
-            .find(|r| r.code() == s)
     }
 }
 
@@ -135,14 +99,6 @@ fn in_scope(markers: &[&str], path: &str) -> bool {
     markers.iter().any(|m| path.contains(m))
 }
 
-/// Whether `path` belongs to an integration-test or bench target: it has
-/// a `tests` or `benches` directory *component*, so the answer does not
-/// depend on how the path was spelled (`tests/a.rs`, `./tests/a.rs` and
-/// `../../tests/a.rs` are one file). Such code is not simulation state.
-fn is_test_path(path: &str) -> bool {
-    path.split('/').any(|c| c == "tests" || c == "benches")
-}
-
 /// Every `.rs` file under `root/rel`, as sorted paths relative to `root`.
 fn collect_rs_files(root: &Path, rel: &str, out: &mut Vec<String>) {
     let mut names: Vec<String> = fs::read_dir(root.join(rel))
@@ -163,42 +119,22 @@ fn collect_rs_files(root: &Path, rel: &str, out: &mut Vec<String>) {
     }
 }
 
-/// One pragma found in comments.
-struct Pragma {
-    rules: Vec<Rule>,
-    /// Names in the allow list that are no rule's code.
-    unknown: Vec<String>,
-    has_reason: bool,
-    line: usize,
-    /// The lines this pragma silences: its own and, when its line has no
-    /// code of its own, the next code line.
-    targets: Vec<usize>,
-}
-
 /// Per-line lexed form of a file.
 #[derive(Default)]
 struct Lexed {
     /// Code with comments and literal contents blanked, one per line.
     code: Vec<String>,
-    /// Comment text per line (for pragma parsing).
-    comments: Vec<String>,
     /// Raw lines (for snippets).
     raw: Vec<String>,
 }
 
-/// Scan a single file's source text, stale pragmas included, ordered by
-/// (line, rule). `path` decides the scope and is the findings' `path`.
+/// Scan a single file's source text, ordered by (line, rule). `path`
+/// decides the R4 and R5 scope and is the findings' `path`.
 fn scan_source(path: &str, source: &str) -> Vec<Violation> {
     let lexed = lex(source);
     let in_test = test_regions(&lexed.code);
-    let pragmas: Vec<Pragma> = (0..lexed.comments.len())
-        .filter_map(|i| pragma_at(&lexed, i))
-        .collect();
-
-    let det = in_scope(&DET_MARKERS, path);
     let hot = in_scope(&HOT_MARKERS, path);
     let unit_ok = in_scope(&UNIT_CAST_ALLOWED, path);
-    let test_file = is_test_path(path);
 
     let mut out = Vec::new();
     let mut report = |line: usize, rule: Rule, message: String| {
@@ -211,82 +147,38 @@ fn scan_source(path: &str, source: &str) -> Vec<Violation> {
         });
     };
 
-    // Pragmas without a reason are violations of the rule they try to
-    // silence, and a name that is no rule silences nothing (both reported
-    // regardless of scope: an unjustified or inert allow is always wrong).
-    for p in &pragmas {
-        for name in &p.unknown {
-            report(p.line, Rule::StalePragma, format!("unknown rule `{name}`"));
-        }
-        if !p.has_reason {
-            for &rule in &p.rules {
-                let code = rule.code();
-                let message = format!(
-                    "allow({code}) pragma without a justification; write `// cmap-lint: allow({code}) — <reason>`"
-                );
-                report(p.line, rule, message);
-            }
-        }
-    }
-
-    let justified: Vec<&Pragma> = pragmas.iter().filter(|p| p.has_reason).collect();
-    let mut used: Vec<(usize, Rule)> = Vec::new();
-    let mut emit = |line: usize, rule: Rule, message: String| match justified
-        .iter()
-        .find(|p| p.rules.contains(&rule) && p.targets.contains(&line))
-    {
-        Some(pragma) => used.push((pragma.line, rule)),
-        None => report(line, rule, message),
-    };
-
-    for (idx, code) in lexed.code.iter().enumerate() {
+    // Every rule skips `#[cfg(test)] mod` regions; R3 runs on every
+    // product line.
+    for (idx, code) in lexed.code.iter().enumerate().filter(|&(i, _)| !in_test[i]) {
         let line = idx + 1;
-        let is_test = in_test[idx] || test_file;
 
-        // R3 float discipline: deterministic scope, non-test code.
-        if det && !is_test {
-            if let Some(tok) = float_literal_eq(code) {
-                let message = format!(
-                    "exact float comparison against `{tok}`; use an epsilon or restructure the sentinel"
-                );
-                emit(line, Rule::FloatCmp, message);
-            }
-            if code.contains(".partial_cmp(") && !code.contains("fn partial_cmp") {
-                let message = "NaN-prone `partial_cmp` chain in simulation arithmetic; use `f64::total_cmp` (or handle the None)";
-                emit(line, Rule::FloatCmp, message.to_string());
-            }
+        // R3 float discipline.
+        if let Some(tok) = float_literal_eq(code) {
+            let message = format!(
+                "exact float comparison against `{tok}`; use an epsilon or restructure the sentinel"
+            );
+            report(line, Rule::FloatCmp, message);
+        }
+        if code.contains(".partial_cmp(") && !code.contains("fn partial_cmp") {
+            let message = "NaN-prone `partial_cmp` chain in simulation arithmetic; use `f64::total_cmp` (or handle the None)";
+            report(line, Rule::FloatCmp, message.to_string());
         }
 
-        // R4 panic budget: hot paths, non-test code. An `.expect` whose
-        // invariant text is empty or whitespace-only is a laundered
-        // unwrap: it passes `clippy::unwrap_used` while documenting
-        // nothing (mirroring the mandatory pragma-reason rule).
-        if hot && !is_test && has_empty_expect(code, &lexed.raw[idx]) {
-            let message = "`.expect(\"\")` with an empty/whitespace invariant string documents nothing; state why the panic is unreachable (reason text is mandatory, as for pragmas)";
-            emit(line, Rule::PanicBudget, message.to_string());
+        // R4 panic budget: hot paths. An `.expect` whose invariant text is
+        // empty or whitespace-only is a laundered unwrap: it passes
+        // `clippy::unwrap_used` while documenting nothing.
+        if hot && has_empty_expect(code, &lexed.raw[idx]) {
+            let message = "`.expect(\"\")` with an empty/whitespace invariant string documents nothing; state why the panic is unreachable (reason text is mandatory, as for `#[expect]`)";
+            report(line, Rule::PanicBudget, message.to_string());
         }
 
-        // R5 unit casts: deterministic scope, non-test, outside the
-        // sanctioned conversion modules.
-        if det && !is_test && !unit_ok {
+        // R5 unit casts: outside the sanctioned conversion modules.
+        if !unit_ok {
             if let Some((cast, unit)) = unit_cast(code) {
                 let message = format!(
                     "raw `{cast}` on unit-bearing value `{unit}`; route through phy::units / sim::time helpers (or use `u64::from` for widening)"
                 );
-                emit(line, Rule::UnitCast, message);
-            }
-        }
-    }
-
-    // A justified pragma that silenced nothing is stale.
-    for p in justified {
-        for &rule in &p.rules {
-            if rule != Rule::StalePragma && !used.contains(&(p.line, rule)) {
-                let message = format!(
-                    "allow({}) suppresses zero findings; remove the stale pragma (dead suppressions rot the audit trail)",
-                    rule.code()
-                );
-                report(p.line, Rule::StalePragma, message);
+                report(line, Rule::UnitCast, message);
             }
         }
     }
@@ -330,7 +222,7 @@ fn lex(source: &str) -> Lexed {
     }
 
     let mut lexed = Lexed::default();
-    let (mut code, mut comment, mut raw) = (String::new(), String::new(), String::new());
+    let (mut code, mut raw) = (String::new(), String::new());
     let mut state = State::Code;
 
     let mut chars = source.chars().peekable();
@@ -340,7 +232,6 @@ fn lex(source: &str) -> Lexed {
                 state = State::Code;
             }
             lexed.code.push(std::mem::take(&mut code));
-            lexed.comments.push(std::mem::take(&mut comment));
             lexed.raw.push(std::mem::take(&mut raw));
             continue;
         }
@@ -385,7 +276,7 @@ fn lex(source: &str) -> Lexed {
                 }
                 _ => code.push(c),
             },
-            State::LineComment => comment.push(c),
+            State::LineComment => {}
             State::BlockComment(depth) => {
                 if c == '*' && chars.peek() == Some(&'/') {
                     raw.extend(chars.next());
@@ -397,8 +288,6 @@ fn lex(source: &str) -> Lexed {
                 } else if c == '/' && chars.peek() == Some(&'*') {
                     raw.extend(chars.next());
                     state = State::BlockComment(depth + 1);
-                } else {
-                    comment.push(c);
                 }
             }
             State::Str => match c {
@@ -437,7 +326,6 @@ fn lex(source: &str) -> Lexed {
         }
     }
     lexed.code.push(code);
-    lexed.comments.push(comment);
     lexed.raw.push(raw);
     lexed
 }
@@ -486,52 +374,6 @@ fn test_regions(code: &[String]) -> Vec<bool> {
         }
     }
     in_test
-}
-
-// Pragmas.
-
-/// The pragma in line `i`'s comment, if it holds one.
-fn pragma_at(lexed: &Lexed, i: usize) -> Option<Pragma> {
-    let comment = &lexed.comments[i];
-    // Doc comments (`///`, `//!`) are documentation, not directives —
-    // a pragma quoted in rustdoc must not suppress (or count as stale).
-    if comment.starts_with('/') || comment.starts_with('!') {
-        return None;
-    }
-    // One spelling: any other tag is an ordinary comment and
-    // suppresses nothing.
-    const TAG: &str = "cmap-lint:";
-    let rest = comment[comment.find(TAG)? + TAG.len()..].trim_start();
-    let rest = rest.strip_prefix("allow(")?;
-    let close = rest.find(')')?;
-    let (mut rules, mut unknown) = (Vec::new(), Vec::new());
-    for name in rest[..close].split(',').map(str::trim) {
-        match Rule::parse(name) {
-            Some(rule) => rules.push(rule),
-            None => unknown.push(name.to_string()),
-        }
-    }
-    // Reason: anything substantive after the closing paren and a dash
-    // or colon separator.
-    let after = rest[close + 1..]
-        .trim_start()
-        .trim_start_matches(['—', '–', '-', ':', ' '])
-        .trim();
-    let mut targets = vec![i + 1];
-    if lexed.code[i].trim().is_empty() {
-        // A standalone pragma applies to the next line with code.
-        let mut rest = lexed.code.iter().skip(i + 1);
-        if let Some(j) = rest.position(|c| !c.trim().is_empty()) {
-            targets.push(i + j + 2);
-        }
-    }
-    Some(Pragma {
-        rules,
-        unknown,
-        has_reason: after.len() >= 3,
-        line: i + 1,
-        targets,
-    })
 }
 
 // R3: float comparisons.
@@ -635,17 +477,17 @@ fn unit_cast(code: &str) -> Option<(&'static str, String)> {
 
 // The gate, the rules' fixtures, and the lexer's edge cases.
 
-/// The real tree must stay hazard-free: the token rules and the
-/// stale-pragma audit together, with nothing to filter them through. The
-/// walk is rooted at the manifest directory, so the verdict does not
-/// depend on the working directory.
+/// The product code must stay hazard-free, with nothing to filter the
+/// findings through. The walk is every crate's `src/` under the manifest
+/// directory, so a new crate is in scope without a list to edit, and the
+/// verdict does not depend on the working directory.
 #[test]
 fn workspace_is_hazard_free() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for dir in ROOTS {
-        collect_rs_files(root, dir, &mut files);
-    }
+    collect_rs_files(root, "crates", &mut files);
+    // Product code only: each crate's `src/`, not its integration tests.
+    files.retain(|f| f.split('/').nth(2) == Some("src"));
     let mut findings = Vec::new();
     for path in &files {
         let text = fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -658,21 +500,20 @@ fn workspace_is_hazard_free() {
         findings.len(),
         files.len()
     );
-    // The walk reaches every root, this file (its raw-string fixtures
-    // blanked) and `examples/` included.
-    assert!(files.len() > 100, "walk looks truncated: {files:?}");
-    for file in [
-        "crates/sim/src/medium.rs",
-        "src/lib.rs",
-        "tests/hazards.rs",
-        "examples/quickstart.rs",
-    ] {
+    // The walk is all of the product code and nothing else: the medium
+    // that charges the unit-bearing tail, and a file whose `#[cfg(test)]
+    // mod` is skipped while the code above it is scanned.
+    assert!(
+        (60..100).contains(&files.len()),
+        "walk is not crates/*/src: {files:?}"
+    );
+    for file in ["crates/sim/src/medium.rs", "crates/bench/src/figures.rs"] {
         assert!(files.iter().any(|f| f == file), "{file} not scanned");
     }
 }
 
-/// A product-shaped path in every rule's scope: deterministic and hot, no
-/// conversion module, no test component.
+/// A product-shaped path in every rule's scope: hot, and no conversion
+/// module.
 const FIXTURE_PATH: &str = "crates/sim/src/fixture.rs";
 
 /// `(rule, line)` of every finding in `source`, scanned at `FIXTURE_PATH`.
@@ -748,50 +589,11 @@ pub fn doc() -> &'static str {
 }
 "#;
 
-const PRAGMA_MISSING_REASON: &str = r#"//! Pragma without a justification is itself a violation, and silences
-//! nothing.
-
-pub fn bad(x: f64) -> bool {
-    // cmap-lint: allow(float-cmp)
-    x == 0.1
-}
-"#;
-
-const PRAGMA_OK: &str = r#"//! Pragma fixture: justified exceptions are silent.
-
-pub fn noted(airtime_us: u32) -> u64 {
-    // cmap-lint: allow(unit-cast) — fixture: standalone pragma covers the next code line
-    let wide = airtime_us as u64;
-    wide * 1_000
-}
-
-pub fn trailing(x: f64) -> bool {
-    x == 0.5 // cmap-lint: allow(float-cmp) — fixture: exact sentinel comparison is intended
-}
-"#;
-
-const STALE_PRAGMA: &str = r#"//! Stale-pragma fixture: a well-formed, reasoned allow that suppresses
-//! nothing. Dead suppressions rot the audit trail, so the audit reports
-//! the pragma itself.
-
-// cmap-lint: allow(float-cmp) — fixture: claims a suppression the code below never needs
-fn tidy(values: &[u64]) -> u64 {
-    values.iter().sum()
-}
-"#;
-
-const UNKNOWN_PRAGMA: &str = r#"//! Unknown-rule fixture: a pragma naming a rule that does not exist — a
-//! typo, or a rule whose hazard moved to `clippy.toml` — suppresses
-//! nothing, so the audit reports the name at the pragma's line.
-
-pub fn finite(x: f64) -> bool {
-    // cmap-lint: allow(unit-cats) — fixture: typo for unit-cast
-    x.is_finite()
-}
+const NO_ESCAPE: &str = r#"//! No-escape fixture: a comment excuses no finding, whatever it says.
 
 pub fn sentinel(x: f64) -> bool {
-    // cmap-lint: allow(float-cmp, thread-spawn) — fixture: one live name, one gone to clippy
-    x == 0.5
+    // cmap-lint: allow(float-cmp) — fixture: a reasoned allow above the line
+    x == 0.5 // cmap-lint: allow(float-cmp) — fixture: and one on it
 }
 "#;
 
@@ -829,53 +631,11 @@ fn clean_fixture_has_no_findings() {
     assert_eq!(findings(CLEAN), vec![]);
 }
 
+/// The lexer grants no exceptions: an allow comment, reasoned, on the
+/// finding's line and above it, still leaves the finding reported.
 #[test]
-fn pragma_without_reason_is_flagged_and_silences_nothing() {
-    assert_eq!(
-        findings(PRAGMA_MISSING_REASON),
-        vec![
-            (Rule::FloatCmp, 5), // the reason-less pragma itself
-            (Rule::FloatCmp, 6), // the comparison it failed to justify
-        ]
-    );
-}
-
-#[test]
-fn pragma_suppressing_nothing_is_reported() {
-    // allow(float-cmp) over float-free code.
-    assert_eq!(findings(STALE_PRAGMA), vec![(Rule::StalePragma, 5)]);
-}
-
-/// Each of the pragmas silences a real token finding: with the pragmas
-/// blanked the same lines are flagged, and with them in place nothing is
-/// reported — not even as stale.
-#[test]
-fn justified_pragma_silences_and_is_not_stale() {
-    assert_eq!(findings(PRAGMA_OK), vec![]);
-    let bare = PRAGMA_OK.replace("cmap-lint:", "          ");
-    assert_eq!(
-        findings(&bare),
-        vec![(Rule::UnitCast, 5), (Rule::FloatCmp, 10)]
-    );
-}
-
-/// A name that is no rule's code — a typo, or a rule whose hazard moved to
-/// `clippy.toml` — would silence nothing without a word; it is reported at
-/// the pragma's line, and the known names beside it still work.
-#[test]
-fn pragma_naming_an_unknown_rule_is_reported() {
-    let found = scan_source(FIXTURE_PATH, UNKNOWN_PRAGMA);
-    let found: Vec<(Rule, usize, &str)> = found
-        .iter()
-        .map(|v| (v.rule, v.line, v.message.as_str()))
-        .collect();
-    assert_eq!(
-        found,
-        vec![
-            (Rule::StalePragma, 6, "unknown rule `unit-cats`"),
-            (Rule::StalePragma, 11, "unknown rule `thread-spawn`"),
-        ]
-    );
+fn an_allow_comment_excuses_nothing() {
+    assert_eq!(findings(NO_ESCAPE), vec![(Rule::FloatCmp, 5)]);
 }
 
 #[test]
@@ -894,21 +654,7 @@ fn diagnostics_carry_file_and_line() {
     assert_eq!(listing.lines().count(), 6, "{listing}");
 }
 
-/// A pragma quoted in rustdoc is documentation: it neither silences the
-/// line below it nor, when there is nothing to silence, counts as stale.
-#[test]
-fn a_pragma_in_a_doc_comment_is_no_pragma() {
-    for doc in ["///", "//!"] {
-        let quoted = format!("{doc} cmap-lint: allow(float-cmp) — quoted in rustdoc\n");
-        let silenced = format!("{quoted}fn f(x: f64) -> bool {{ x == 0.5 }}\n");
-        assert_eq!(findings(&silenced), vec![(Rule::FloatCmp, 2)], "{doc}");
-        let stale = format!("{quoted}fn g() {{}}\n");
-        assert_eq!(findings(&stale), vec![], "{doc}");
-    }
-}
-
-/// Raw-string contents and nested block comments are blanked, the way
-/// this file's own fixtures are when the walk reaches it.
+/// Raw-string contents and nested block comments are blanked.
 #[test]
 fn raw_strings_and_nested_comments_are_blanked() {
     let raw =
@@ -945,39 +691,11 @@ fn cfg_test_on_an_item_that_is_no_module_opens_no_region() {
 }
 
 #[test]
-fn only_the_cmap_lint_spelling_suppresses() {
-    let pragma = |tag: &str| {
-        format!("fn f(x: f64) -> bool {{\n    x == 0.5 // {tag} allow(float-cmp) — exact sentinel\n}}\n")
-    };
-    assert_eq!(findings(&pragma("cmap-lint:")), vec![]);
-    assert_eq!(
-        findings(&pragma("cmap-analyze:")),
-        vec![(Rule::FloatCmp, 2)]
-    );
-}
-
-#[test]
 fn a_string_continuation_keeps_its_line_break() {
     let lexed = lex("const S: &str = \"a \\\n    b\";\nfn after() {}\n");
     assert_eq!(lexed.raw.len(), 4, "{:?}", lexed.raw);
     assert_eq!(lexed.raw[2], "fn after() {}");
     assert_eq!(lexed.code[2], "fn after() {}");
-}
-
-#[test]
-fn test_paths_match_by_component_however_the_root_is_spelled() {
-    for path in [
-        "tests/a.rs",
-        "./tests/a.rs",
-        "../../tests/a.rs",
-        "crates/x/tests/a.rs",
-        "crates/x/benches/b.rs",
-    ] {
-        assert!(is_test_path(path), "{path} is a test/bench target");
-    }
-    for path in ["crates/sim/src/tests_util.rs", "crates/sim/src/world.rs"] {
-        assert!(!is_test_path(path), "{path} is product code");
-    }
 }
 
 /// The hazards a resolved path names are clippy's, not this test's: the
