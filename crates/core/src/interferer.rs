@@ -91,10 +91,17 @@ impl Persist for Activity {
     }
 
     /// Straight into the arena, each neighbour's windows in adjacent
-    /// slots: addresses strictly ascending, 1..=`MAX_WINDOWS` windows each.
+    /// slots, reserved at once: addresses strictly ascending,
+    /// 1..=`MAX_WINDOWS` windows each.
     fn load(r: &mut CkptReader<'_>) -> Result<Activity, CkptError> {
         let mut a = Activity::default();
         let n = r.count::<(MacAddr, Vec<(Time, Time)>)>()?;
+        a.windows.reserve_ahead(r, |r| {
+            (0..n).try_fold(0, |slots, _| {
+                r.get::<MacAddr>()?;
+                Ok(slots + Lists::<(Time, Time)>::skip(r)?)
+            })
+        });
         for _ in 0..n {
             let node: MacAddr = r.get()?;
             if a.index

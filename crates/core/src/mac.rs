@@ -28,7 +28,7 @@
 use rand::Rng;
 
 use cmap_obs::{CounterId, TraceEvent};
-use cmap_sim::ckpt::{self, CkptReader, CkptWriter, Persist};
+use cmap_sim::ckpt;
 use cmap_sim::time::{micros, millis, ns_to_us_ceil, Time};
 use cmap_sim::{persist, CkptError, Mac, NodeCtx, RxInfo};
 use cmap_wire::cmap;
@@ -44,7 +44,7 @@ use crate::defer_table::DeferTable;
 use crate::interferer::InterfererTracker;
 use crate::ongoing::OngoingList;
 use crate::rate_control::ThroughputRate;
-use crate::vpkt::{DataPkt, PeerRx, SendWindow, SentVpkt};
+use crate::vpkt::{DataPkt, Inline, PeerRx, SendWindow, SentVpkt};
 
 const CLASS_ACKWAIT: u64 = 1;
 const CLASS_BACKOFF: u64 = 2;
@@ -122,6 +122,8 @@ persist!(enum InFlight {
 });
 
 /// The virtual packet currently being placed on the air (or deferred).
+/// Its one list is the send window's spare, taken and recycled per use;
+/// being in every MAC, it is not an [`Inline`] one.
 struct CurVpkt {
     dst: MacAddr,
     seq: u32,
@@ -132,7 +134,36 @@ struct CurVpkt {
     rounds: u32,
 }
 
-persist!(struct CurVpkt { dst, seq, pkts, is_rtx, rate, rounds });
+persist!(struct CurVpkt { dst, seq, pkts, is_rtx, rate, rounds }, validate CurVpkt::check);
+
+impl CurVpkt {
+    /// A restored virtual packet carries 1..=`N_VPKT` packets, as every
+    /// one `try_send` builds does: it becomes a [`SentVpkt`].
+    fn check(&self) -> Result<(), CkptError> {
+        if !(1..=N_VPKT).contains(&self.pkts.len()) {
+            return Err(CkptError::Malformed(format!(
+                "current virtual packet of {} packets",
+                self.pkts.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Hand this to `window` as a [`SentVpkt`] sent at `sent_at`, and its
+    /// list back for the next one.
+    fn retire(self, sent_at: Time, window: &mut SendWindow) {
+        window.push_sent(SentVpkt {
+            dst: self.dst,
+            seq: self.seq,
+            pkts: self.pkts.iter().copied().collect(),
+            acked: 0,
+            sent_at,
+            rate: self.rate,
+            rounds: self.rounds,
+        });
+        window.recycle(self.pkts);
+    }
+}
 
 /// Per-sender receive state.
 #[derive(Default)]
@@ -143,70 +174,6 @@ struct PeerState {
 }
 
 persist!(struct PeerState { rx, last_heard });
-
-/// A fixed-capacity vector stored inline, checkpointed like a `Vec`
-/// (length, then the occupied items).
-#[derive(Clone, Copy)]
-struct Inline<T, const N: usize> {
-    len: u8,
-    items: [T; N],
-}
-
-/// The value an [`Inline`]'s unoccupied tail holds.
-trait Filler: Copy {
-    const FILL: Self;
-}
-
-impl Filler for u32 {
-    const FILL: u32 = 0;
-}
-
-impl Filler for cmap::InterfererEntry {
-    const FILL: cmap::InterfererEntry = cmap::InterfererEntry {
-        source: MacAddr::BROADCAST,
-        interferer: MacAddr::BROADCAST,
-        source_rate: cmap_phy::Rate::BASE,
-    };
-}
-
-impl<T: Filler, const N: usize> Inline<T, N> {
-    fn new() -> Inline<T, N> {
-        Inline {
-            len: 0,
-            items: [T::FILL; N],
-        }
-    }
-
-    /// Append `v`; returns whether there is room for another.
-    fn push(&mut self, v: T) -> bool {
-        self.items[self.len as usize] = v;
-        self.len += 1;
-        (self.len as usize) < N
-    }
-
-    fn as_slice(&self) -> &[T] {
-        &self.items[..self.len as usize]
-    }
-}
-
-impl<T: Filler + Persist, const N: usize> Persist for Inline<T, N> {
-    fn save(&self, w: &mut CkptWriter) {
-        w.seq(self.as_slice().iter());
-    }
-    fn load(r: &mut CkptReader<'_>) -> Result<Inline<T, N>, CkptError> {
-        let n = r.count::<T>()?;
-        if n > N {
-            return Err(CkptError::Malformed(format!(
-                "{n} items in an inline vector of {N}"
-            )));
-        }
-        let mut out = Inline::new();
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
-    }
-}
 
 /// A queued cumulative ACK in fixed-size storage (the wire format caps
 /// bitmaps at [`cmap::MAX_ACK_WINDOW`] and piggybacked entries at
@@ -362,7 +329,9 @@ impl CmapMac {
                 ctx.set_timer(wait, token(CLASS_RTX, self.sender_gen));
                 return;
             }
-            self.cur = if let Some((dst, pkts, rounds)) = self.window.pop_rtx() {
+            self.cur = if let Some((dst, rtx, rounds)) = self.window.pop_rtx() {
+                let mut pkts = self.window.take_list();
+                pkts.extend_from_slice(&rtx);
                 let seq = self.window.alloc_seq(dst);
                 ctx.stats().add(CounterId::CmapRtxVpkt, 1);
                 let rate = self.choose_rate(dst, ctx);
@@ -606,15 +575,7 @@ impl CmapMac {
     fn abort_vpkt(&mut self, ctx: &mut NodeCtx<'_>) {
         ctx.stats().bump(CounterId::CmapVpktAbort);
         if let Some(cur) = self.cur.take() {
-            self.window.push_sent(SentVpkt {
-                dst: cur.dst,
-                seq: cur.seq,
-                pkts: cur.pkts,
-                acked: 0,
-                sent_at: ctx.now(),
-                rate: cur.rate,
-                rounds: cur.rounds,
-            });
+            cur.retire(ctx.now(), &mut self.window);
         }
         self.state = SState::Idle;
         self.try_send(ctx);
@@ -625,15 +586,7 @@ impl CmapMac {
         if cur.is_rtx {
             ctx.stats().bump(CounterId::CmapRtxVpktDone);
         }
-        self.window.push_sent(SentVpkt {
-            dst: cur.dst,
-            seq: cur.seq,
-            pkts: cur.pkts,
-            acked: 0,
-            sent_at: ctx.now(),
-            rate: cur.rate,
-            rounds: cur.rounds,
-        });
+        cur.retire(ctx.now(), &mut self.window);
         self.state = SState::AckWait;
         self.sender_gen += 1;
         ctx.set_timer(T_ACKWAIT, token(CLASS_ACKWAIT, self.sender_gen));
@@ -850,7 +803,7 @@ impl CmapMac {
         } else {
             ctx.stats().bump(CounterId::CmapDupFinalize);
         }
-        let mut bitmaps = Inline::new();
+        let mut bitmaps = Inline::default();
         let (base, bitmap_count, loss) = {
             let peer = self.peers.get_mut(&src).expect("created above");
             peer.rx.build_ack_into(
@@ -861,7 +814,7 @@ impl CmapMac {
             )
         };
         bitmaps.len = bitmap_count;
-        let mut il_entries = Inline::new();
+        let mut il_entries = Inline::default();
         if self.cfg.il_in_acks {
             self.tracker
                 .for_each_entry_at(now, |source, interferer, source_rate| {
@@ -907,9 +860,9 @@ impl CmapMac {
                 ack.src,
                 ack.dst,
                 ack.base_vpkt_seq,
-                ack.bitmaps.as_slice(),
+                &ack.bitmaps,
                 ack.loss_rate,
-                ack.il_entries.as_slice(),
+                &ack.il_entries,
             );
         });
         if sent {
@@ -1203,12 +1156,12 @@ impl Mac for CmapMac {
         ckpt::write_blob(out, |w| {
             self.save_fields(w);
             // The rate adapter's state nests as one more self-contained
-            // blob, empty at a fixed rate.
-            let mut rc = Vec::new();
-            if let Some(ctl) = &self.rate_ctl {
-                ctl.save_state(&mut rc);
-            }
-            w.bytes(&rc);
+            // blob, empty at a fixed rate, written in place.
+            w.framed(|out| {
+                if let Some(ctl) = &self.rate_ctl {
+                    ctl.save_state(out);
+                }
+            });
         });
     }
 

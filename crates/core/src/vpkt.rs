@@ -15,10 +15,10 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
-use cmap_sim::ckpt::CkptError;
+use cmap_sim::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use cmap_sim::persist;
 use cmap_sim::time::Time;
-use cmap_wire::cmap::MAX_ACK_WINDOW;
+use cmap_wire::cmap::{InterfererEntry, MAX_ACK_WINDOW};
 use cmap_wire::view::compose;
 use cmap_wire::MacAddr;
 
@@ -51,6 +51,94 @@ impl DataPkt {
     }
 }
 
+/// A fixed-capacity vector stored inline, checkpointed like a `Vec`
+/// (length, then the occupied items) and read as a slice. A sent or
+/// repacked virtual packet holds its data packets in one, and a queued
+/// ACK its bitmaps and interferer entries, so neither owns a heap list.
+#[derive(Debug, Clone, Copy)]
+pub struct Inline<T, const N: usize> {
+    pub(crate) len: u8,
+    pub(crate) items: [T; N],
+}
+
+/// The value an [`Inline`]'s unoccupied tail holds.
+pub(crate) trait Filler: Copy {
+    const FILL: Self;
+}
+
+impl Filler for u32 {
+    const FILL: u32 = 0;
+}
+
+impl Filler for InterfererEntry {
+    const FILL: InterfererEntry = InterfererEntry {
+        source: MacAddr::BROADCAST,
+        interferer: MacAddr::BROADCAST,
+        source_rate: Rate::BASE,
+    };
+}
+
+impl Filler for DataPkt {
+    const FILL: DataPkt = DataPkt {
+        flow: 0,
+        flow_seq: 0,
+        payload_len: 0,
+    };
+}
+
+impl<T: Filler, const N: usize> Default for Inline<T, N> {
+    fn default() -> Inline<T, N> {
+        Inline {
+            len: 0,
+            items: [T::FILL; N],
+        }
+    }
+}
+
+impl<T, const N: usize> Inline<T, N> {
+    /// Append `v`; returns whether there is room for another.
+    pub(crate) fn push(&mut self, v: T) -> bool {
+        self.items[usize::from(self.len)] = v;
+        self.len += 1;
+        usize::from(self.len) < N
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for Inline<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+}
+
+/// Panics past `N` items.
+impl<T: Filler, const N: usize> FromIterator<T> for Inline<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Inline<T, N> {
+        let mut out = Inline::default();
+        for v in iter {
+            out.push(v);
+        }
+        out
+    }
+}
+
+/// A `Vec<T>`'s bytes; a count over `N` is `Malformed`.
+impl<T: Filler + Persist, const N: usize> Persist for Inline<T, N> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.seq(self.iter());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<Inline<T, N>, CkptError> {
+        let n = r.count::<T>()?;
+        if n > N {
+            return Err(CkptError::Malformed(format!(
+                "{n} items in an inline vector of {N}"
+            )));
+        }
+        (0..n).map(|_| r.get()).collect()
+    }
+}
+
 /// A transmitted virtual packet awaiting acknowledgement.
 #[derive(Debug, Clone)]
 pub struct SentVpkt {
@@ -59,7 +147,7 @@ pub struct SentVpkt {
     /// Per-destination virtual-packet sequence number.
     pub seq: u32,
     /// The data packets, by index.
-    pub pkts: Vec<DataPkt>,
+    pub pkts: Inline<DataPkt, N_VPKT>,
     /// Bitmap of acknowledged indices.
     pub acked: u32,
     /// When the trailer finished transmitting.
@@ -106,13 +194,13 @@ pub struct SendWindow {
     sent: Vec<SentVpkt>,
     /// Repacked virtual packets awaiting retransmission, FIFO, with the
     /// retransmission-round count they will carry.
-    rtx: std::collections::VecDeque<(MacAddr, Vec<DataPkt>, u32)>,
+    rtx: std::collections::VecDeque<(MacAddr, Inline<DataPkt, N_VPKT>, u32)>,
     /// Per-rate delivery feedback accumulated by `on_ack`/`repack_for_rtx`:
     /// `(dst, rate, packets acked, packets given up)`; the MAC drains it.
     pub(crate) feedback: Vec<(MacAddr, Rate, usize, usize)>,
-    /// Retired packet lists, kept for their capacity so that a list is
-    /// allocated once and not per virtual packet. Not checkpointed.
-    spare: Vec<Vec<DataPkt>>,
+    /// The MAC's current-virtual-packet list between uses, kept for its
+    /// capacity so that it is allocated once. Not checkpointed.
+    spare: Option<Vec<DataPkt>>,
 }
 
 persist!(struct SendWindow { next_seq, sent, rtx, feedback } ..SendWindow::default());
@@ -126,14 +214,19 @@ impl SendWindow {
         seq
     }
 
-    /// An empty packet list: a spare one, else one sized for a full vpkt.
+    /// An empty packet list: the spare one, else one sized for a full vpkt.
     pub(crate) fn take_list(&mut self) -> Vec<DataPkt> {
         let mut list = self
             .spare
-            .pop()
+            .take()
             .unwrap_or_else(|| Vec::with_capacity(N_VPKT));
         list.clear();
         list
+    }
+
+    /// Keep `list` for the next [`SendWindow::take_list`].
+    pub(crate) fn recycle(&mut self, list: Vec<DataPkt>) {
+        self.spare = Some(list);
     }
 
     /// Track a fully transmitted virtual packet.
@@ -187,8 +280,7 @@ impl SendWindow {
                 v.acked |= bm & v.full_mask();
             }
         }
-        let done = self.sent.extract_if(.., |v| v.fully_acked());
-        self.spare.extend(done.map(|v| v.pkts));
+        self.sent.retain(|v| !v.fully_acked());
         newly
     }
 
@@ -203,7 +295,7 @@ impl SendWindow {
         // Packets are grouped by (destination, rounds) so a packet's round
         // count survives the repack intact; a group's lists stay adjacent
         // in `rtx`, the groups in the order they first appear.
-        let (first, cap) = (self.rtx.len(), n_vpkt.max(1));
+        let (first, cap) = (self.rtx.len(), n_vpkt.clamp(1, N_VPKT));
         let (mut total, mut given_up) = (0, 0);
         let mut sent = std::mem::take(&mut self.sent);
         for v in sent.drain(..) {
@@ -225,15 +317,13 @@ impl SendWindow {
                 let mut room = found.map_or(0, |k| cap - self.rtx[first + k].1.len());
                 for &p in v.unacked() {
                     if room == 0 {
-                        let list = self.take_list();
-                        self.rtx.insert(end, (dst, list, rounds));
+                        self.rtx.insert(end, (dst, Inline::default(), rounds));
                         (end, room) = (end + 1, cap);
                     }
                     self.rtx[end - 1].1.push(p);
                     room -= 1;
                 }
             }
-            self.spare.push(v.pkts);
         }
         self.sent = sent;
         (total, given_up)
@@ -241,7 +331,7 @@ impl SendWindow {
 
     /// Next repacked virtual packet to retransmit, if any:
     /// `(dst, packets, retransmission rounds consumed)`.
-    pub fn pop_rtx(&mut self) -> Option<(MacAddr, Vec<DataPkt>, u32)> {
+    pub fn pop_rtx(&mut self) -> Option<(MacAddr, Inline<DataPkt, N_VPKT>, u32)> {
         self.rtx.pop_front()
     }
 

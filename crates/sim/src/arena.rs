@@ -3,7 +3,8 @@
 //! Each entry sits in a slot beside the index of the next slot of its
 //! list. A slot that a list gives back joins the free list, threaded
 //! through the same index, so a warm arena allocates nothing and its
-//! memory follows the live entries. The radios' interference profiles
+//! memory follows the live entries; a checkpoint load reserves every
+//! list's slots at once ([`Lists::reserve_ahead`]). The radios' interference profiles
 //! (one list per lock) and CMAP's activity windows (one list per
 //! overheard neighbour) each keep their lists in one [`Lists`].
 
@@ -129,11 +130,38 @@ impl<T: Copy + Persist> Lists<T> {
         self.iter(list).for_each(|entry| w.put(entry));
     }
 
-    /// Read a list [`Lists::save`] wrote into this arena. The length is
-    /// held against the bytes left before the slots are reserved.
+    /// Reserve, in one allocation, the slots of the lists a load into
+    /// this empty arena is about to read from `r`. `scan` walks a copy of
+    /// the reader over them, stepping past each with [`Lists::skip`], and
+    /// returns their total length; the reserve is that rounded up to a
+    /// power of two, the capacity growing slot by slot from empty would
+    /// have reached. A scan that errs reserves nothing, and the load then
+    /// meets the same error.
+    pub fn reserve_ahead(
+        &mut self,
+        r: &CkptReader<'_>,
+        scan: impl FnOnce(&mut CkptReader<'_>) -> Result<usize, CkptError>,
+    ) {
+        if let Ok(n @ 1..) = scan(&mut r.clone()) {
+            self.slots.reserve(n.next_power_of_two());
+        }
+    }
+
+    /// Step past a list [`Lists::save`] wrote, checking its entries as
+    /// [`Lists::load`] does; returns its length.
+    pub fn skip(r: &mut CkptReader<'_>) -> Result<usize, CkptError> {
+        let len = r.count::<T>()?;
+        for _ in 0..len {
+            r.get::<T>()?;
+        }
+        Ok(len)
+    }
+
+    /// Read a list [`Lists::save`] wrote into this arena, whose slots
+    /// [`Lists::reserve_ahead`] reserved. The length is held against the
+    /// bytes left before any entry is read.
     pub fn load(&mut self, r: &mut CkptReader<'_>) -> Result<List, CkptError> {
         let len = r.count::<T>()?;
-        self.slots.reserve(len);
         let mut list = List::default();
         for _ in 0..len {
             self.push_back(&mut list, r.get()?);
@@ -246,6 +274,49 @@ mod tests {
             assert_eq!(arena.free_slots(), used);
         }
         assert_eq!(high_water, Some(120));
+    }
+
+    /// A pre-scan reserves every list's slots in one allocation, rounded
+    /// up to a power of two, and the loads then fill it without growing;
+    /// a pre-scan that errs reserves nothing, and the load meets its error.
+    #[test]
+    fn a_load_reserves_its_lists_at_once() {
+        let lens = [3u64, 0, 7, 1];
+        let scan = |r: &mut CkptReader<'_>| {
+            lens.iter()
+                .try_fold(0, |slots, _| Ok(slots + Lists::<u64>::skip(r)?))
+        };
+        let whole = image(|w| {
+            lens.iter()
+                .for_each(|&n| w.put(&(0..n).collect::<Vec<_>>()))
+        });
+        let mut r = CkptReader::new(&whole).unwrap();
+        let mut arena = Lists::<u64>::default();
+        arena.reserve_ahead(&r, scan);
+        assert_eq!(arena.slots.capacity(), 16);
+        let at = arena.slots.as_ptr();
+        for &n in &lens {
+            let list = arena.load(&mut r).unwrap();
+            assert!(arena.iter(list).copied().eq(0..n));
+        }
+        assert_eq!((arena.slots.as_ptr(), arena.slots.capacity()), (at, 16));
+
+        // The last list claims one entry more than it holds.
+        let short = image(|w| {
+            lens[..3]
+                .iter()
+                .for_each(|&n| w.put(&(0..n).collect::<Vec<_>>()));
+            w.len(2);
+            w.put(&0u64);
+        });
+        let mut r = CkptReader::new(&short).unwrap();
+        let mut arena = Lists::<u64>::default();
+        arena.reserve_ahead(&r, scan);
+        assert_eq!(arena.slots.capacity(), 0);
+        for _ in 0..3 {
+            arena.load(&mut r).unwrap();
+        }
+        assert!(matches!(arena.load(&mut r), Err(CkptError::Truncated)));
     }
 
     /// A length the bytes left cannot hold is refused before any slot is

@@ -138,7 +138,7 @@ impl CkptWriter {
 
     /// [`CkptWriter::bytes`] of what `body` appends straight to the image,
     /// with no scratch copy: the length is filled in once `body` returns.
-    pub(crate) fn framed(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
+    pub fn framed(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
         let mut at = self.buf.len();
         self.len(0);
         let start = self.buf.len();
@@ -181,8 +181,9 @@ impl CkptWriter {
 /// corrupt length field from attempting a huge allocation.
 const MAX_LEN: u64 = 1 << 30;
 
-/// Little-endian checkpoint decoder.
-#[derive(Debug)]
+/// Little-endian checkpoint decoder. A clone reads on from the same
+/// position without moving the original (a pre-scan).
+#[derive(Debug, Clone)]
 pub struct CkptReader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -466,7 +466,7 @@ impl RadioBank {
 /// The bank is struct-of-arrays in memory but one record per node on the
 /// wire: state, energy, then the lock as an `Option` of its fields and
 /// its profile's entry sequence, each lock's entries read straight into
-/// the arena. The free slots are an allocation detail with no effect on
+/// the arena, whose slots for every lock are reserved at once. The free slots are an allocation detail with no effect on
 /// any simulated outcome, and so is [`flag::WATCH`], which the world
 /// derives again from the restored MACs. The world holds each restored
 /// total to the receptions it restores.
@@ -488,6 +488,16 @@ impl Persist for RadioBank {
         // `count` has already held the length against the bytes left.
         let n = r.count::<(u8, u128, bool)>()?;
         let mut bank = RadioBank::new(n);
+        bank.profiles.reserve_ahead(r, |r| {
+            (0..n).try_fold(0, |slots, _| {
+                let (_, _, locked) = r.get::<(u8, u128, bool)>()?;
+                if !locked {
+                    return Ok(slots);
+                }
+                r.get::<(TxId, Time, f64)>()?;
+                Ok(slots + Lists::<(Time, f64)>::skip(r)?)
+            })
+        });
         for node in 0..n {
             bank.state[node] = r.get::<u8>()? & !flag::WATCH;
             bank.energy[node] = r.get()?;

@@ -1,16 +1,21 @@
 //! Allocation budget of a saturated testbed run. Twelve saturated flows on
 //! the 50-node testbed floor run under CMAP and then under DCF, each in a
-//! fresh world. Two counts are held per protocol:
+//! fresh world. Two counts are held per protocol, and a third for CMAP:
 //!
 //! * **Warm-up:** every heap allocation from building the world through
 //!   its first 3 s of simulated time, where first-use growth lives: the
 //!   interferer tracker's activity windows, map nodes, arrival lists, the
 //!   radios' interference-profile arena.
 //! * **Steady state:** allocations per delivered data packet over the next
-//!   3 s. Virtual packets recycle their packet lists, ACK construction
-//!   prunes its records in place, the feedback and concurrent-source
-//!   buffers are reused and each receiver's activity windows live in one
-//!   arena whose slots are reused, so what is left is amortised growth.
+//!   3 s. A sent or repacked virtual packet holds its packets inline and
+//!   the one being sent reuses one list, ACK construction prunes its
+//!   records in place, the feedback and concurrent-source buffers are
+//!   reused and each receiver's activity windows live in one arena whose
+//!   slots are reused, so what is left is amortised growth.
+//! * **Restore:** the allocations of building a fresh CMAP world and
+//!   restoring the 6 s checkpoint into it. A restore allocates per
+//!   container, not per entry: each list arena is reserved once, and sent
+//!   virtual packets own no list.
 //!
 //! A path that allocates per virtual packet, per ACK or per overheard
 //! neighbour again shows up here, long before it shows in a benchmark.
@@ -24,9 +29,15 @@
 //!   each ACK rebuilt the receiver's maps and each ACK or repack left a
 //!   fresh feedback vector behind; 405 (0.106) with those recycled, while
 //!   each (receiver, neighbour) pair still grew its own activity deque;
-//!   163 (0.042) with the activity arena.
+//!   163 (0.042) with the activity arena; 105 (0.027) once sent and
+//!   repacked virtual packets held their packets inline.
 //! * CMAP warm-up: 2,739 allocations with the per-pair deques, 1,650 with
-//!   the activity arena, 1,482 with the radios' profile arena too.
+//!   the activity arena, 1,482 with the radios' profile arena too, 1,432
+//!   without a boxed fixed-rate controller per MAC, 1,273 with inline
+//!   packet lists.
+//! * CMAP restore: 937 allocations while each sent or repacked virtual
+//!   packet loaded its own packet list and each list arena grew entry by
+//!   entry, 610 with inline packet lists and one reserve per arena.
 //! * DCF, the control (it has no interferer tracker): 12 allocations for
 //!   4,850 packets (0.0025) after the warm-up, before and after either
 //!   arena; 385 in the warm-up while each radio grew its own interference
@@ -55,6 +66,10 @@ const BOUND: (f64, f64) = (0.07, 0.02);
 /// Heap allocations allowed from building a world through 3 s: (CMAP, DCF).
 const WARMUP_BOUND: (u64, u64) = (2_200, 320);
 
+/// Heap allocations allowed to build a fresh CMAP world and restore the
+/// 6 s checkpoint into it.
+const RESTORE_BOUND: u64 = 780;
+
 /// Data packets delivered so far over `flows`.
 fn delivered(world: &World, flows: &[u16]) -> usize {
     flows
@@ -63,22 +78,33 @@ fn delivered(world: &World, flows: &[u16]) -> usize {
         .sum()
 }
 
-/// Saturate `links` under `protocol` in a fresh world: the allocations
-/// from the build through 3 s, then over 3–6 s the allocations per
-/// delivered data packet and the packet count.
-fn run(
+/// A fresh world saturating `links` under `protocol`, and its flows.
+fn fresh(
     ctx: &TestbedCtx,
     spec: &Spec,
     links: &[(usize, usize)],
-    protocol: Protocol,
-) -> (u64, f64, usize) {
-    let allocs0 = allocations();
+    protocol: &Protocol,
+) -> (World, Vec<u16>) {
     let mut world = runner::build_world(ctx, spec.run_seed);
-    let flows: Vec<u16> = links
+    let flows = links
         .iter()
         .map(|&(s, d)| world.add_flow(s, d, runner::PAYLOAD))
         .collect();
     protocol.install(&mut world);
+    (world, flows)
+}
+
+/// Saturate `links` under `protocol` in a fresh world: the allocations
+/// from the build through 3 s, then over 3–6 s the allocations per
+/// delivered data packet and the packet count, and the world at 6 s.
+fn run(
+    ctx: &TestbedCtx,
+    spec: &Spec,
+    links: &[(usize, usize)],
+    protocol: &Protocol,
+) -> (u64, f64, usize, World) {
+    let allocs0 = allocations();
+    let (mut world, flows) = fresh(ctx, spec, links, protocol);
     world.run_until(secs(3));
 
     let (pkts0, allocs1) = (delivered(&world, &flows), allocations());
@@ -89,6 +115,7 @@ fn run(
         allocs1 - allocs0,
         (allocs2 - allocs1) as f64 / pkts as f64,
         pkts,
+        world,
     )
 }
 
@@ -113,7 +140,7 @@ fn saturated_cmap_allocates_little_per_delivered_packet() {
         ("DCF", Protocol::cs_on(), BOUND.1, WARMUP_BOUND.1),
     ];
     for (name, protocol, bound, warmup_bound) in runs {
-        let (warmup, per_pkt, pkts) = run(&ctx, &spec, &links, protocol);
+        let (warmup, per_pkt, pkts, world) = run(&ctx, &spec, &links, &protocol);
         assert!(
             pkts > 1000,
             "{name}: the flows are saturated: {pkts} delivered"
@@ -126,5 +153,16 @@ fn saturated_cmap_allocates_little_per_delivered_packet() {
             per_pkt < bound,
             "{name}: {per_pkt:.4} allocations per delivered packet over 3-6 s ({pkts} packets), over {bound}"
         );
+        if name == "CMAP" {
+            let image = world.checkpoint().expect("checkpoint at 6 s");
+            let allocs0 = allocations();
+            let (mut restored, _) = fresh(&ctx, &spec, &links, &protocol);
+            restored.restore(&image).expect("restore");
+            let restore = allocations() - allocs0;
+            assert!(
+                restore < RESTORE_BOUND,
+                "CMAP: {restore} allocations to build a world and restore 6 s into it, over {RESTORE_BOUND}"
+            );
+        }
     }
 }

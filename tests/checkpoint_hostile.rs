@@ -9,10 +9,13 @@
 //! change a field, as a writer that got the field wrong would have, so
 //! each reaches the structural check it is aimed at.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use cmap_suite::cmap::vpkt::{DataPkt, SentVpkt};
 use cmap_suite::cmap::{CmapConfig, CmapMac};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::ckpt::{CkptReader, CkptWriter};
@@ -22,6 +25,7 @@ use cmap_suite::sim::NodeApp;
 use cmap_suite::sim::{
     ckpt::CKPT_MAGIC, CkptError, FaultPlan, Flow, Lockup, MediumBuilder, NodeId, PhyConfig, World,
 };
+use cmap_suite::wire::MacAddr;
 
 /// Four nodes in mutual range, two saturated flows, CMAP everywhere.
 fn small_world() -> World {
@@ -352,6 +356,138 @@ fn targeted_edits_are_malformed() {
             )
         }
         other => panic!("payload_len 65,536: {other:?}"),
+    }
+}
+
+/// Where a CMAP sender's virtual packets sit in an image.
+struct Vpkts {
+    /// The offset of its MAC blob's length word.
+    blob_len: usize,
+    /// The span of the current virtual packet's packet list.
+    cur: Range<usize>,
+    /// The first sent virtual packet's destination and the span of its
+    /// packet list.
+    dst: MacAddr,
+    sent: Range<usize>,
+    /// The offset of the repack queue's length word.
+    rtx: usize,
+}
+
+/// Walk the MAC blobs at the end of `bytes` (each its length, then its
+/// own magic line) to the first CMAP sender with a current virtual packet
+/// and a sent one.
+fn vpkts(bytes: &[u8]) -> Option<Vpkts> {
+    let magic = format!("{CKPT_MAGIC}\n");
+    let mut blobs = (1..bytes.len()).filter(|&at| bytes[at..].starts_with(magic.as_bytes()));
+    blobs.find_map(|start| {
+        let blob_len = start - 8;
+        let len = u64::from_le_bytes(bytes[blob_len..start].try_into().unwrap()) as usize;
+        let body = &bytes[start + magic.len()..start + len];
+        let mut w = CkptWriter::new();
+        body.iter().for_each(|b| w.put(b));
+        let sealed = w.finish();
+        let mut r = CkptReader::new(&sealed).unwrap();
+        let at = |r: &CkptReader<'_>| start + magic.len() + body.len() - r.remaining();
+        let list = |r: &mut CkptReader<'_>| {
+            let from = at(r);
+            let _: Vec<DataPkt> = r.get().unwrap();
+            from..at(r)
+        };
+        // `CmapMac`'s state and current virtual packet, then the window:
+        // the next sequence per destination, the sent virtual packets.
+        let (_, current): (u8, bool) = r.get().unwrap();
+        if !current {
+            return None;
+        }
+        let _: (MacAddr, u32) = r.get().unwrap();
+        let cur = list(&mut r);
+        let _: (bool, Rate, u32, BTreeMap<MacAddr, u32>) = r.get().unwrap();
+        let sent = r.len().unwrap();
+        if sent == 0 {
+            return None;
+        }
+        let (dst, _): (MacAddr, u32) = r.get().unwrap();
+        let first = list(&mut r);
+        let _: (u32, u64, Rate, u32) = r.get().unwrap();
+        for _ in 1..sent {
+            let _: SentVpkt = r.get().unwrap();
+        }
+        Some(Vpkts {
+            blob_len,
+            cur,
+            dst,
+            sent: first,
+            rtx: at(&r),
+        })
+    })
+}
+
+/// A virtual packet carries at most 32 packets (`N_VPKT`): its ACK bitmap
+/// is a `u32`. A current, a sent and a repacked one with 33 are refused,
+/// each in a real image edited to hold it, and so is a current one with
+/// none; with 32 the same edits restore.
+#[test]
+fn an_over_long_virtual_packet_is_malformed() {
+    let mut w = small_world();
+    let (image, at) = (1..)
+        .find_map(|ms| {
+            w.run_until(millis(300 + ms));
+            let image = w.checkpoint().expect("checkpoint");
+            vpkts(&image).map(|at| (image, at))
+        })
+        .expect("a sender has a virtual packet out and another under way");
+    // A list of `n` copies of the first sent virtual packet's first packet.
+    let list = |n: usize| {
+        let pkt = &image[at.sent.start + 8..][..14];
+        let mut out = (n as u64).to_le_bytes().to_vec();
+        (0..n).for_each(|_| out.extend_from_slice(pkt));
+        out
+    };
+    // `image` with `span` replaced by `with`, the MAC blob's length kept
+    // right, re-sealed, restored.
+    let spliced = |span: Range<usize>, with: &[u8]| {
+        let mut bytes = image.clone();
+        let grown = with.len() as i64 - span.len() as i64;
+        bytes.splice(span, with.iter().copied());
+        let len = &mut bytes[at.blob_len..at.blob_len + 8];
+        let new = u64::from_le_bytes(len.try_into().unwrap()).wrapping_add_signed(grown);
+        len.copy_from_slice(&new.to_le_bytes());
+        small_world().restore(&sealed(bytes))
+    };
+    // The current and first sent virtual packets' lists; one more
+    // repack-queue entry (destination, list, round 1) ahead of those
+    // queued.
+    let cur = |n| spliced(at.cur.clone(), &list(n));
+    let sent = |n| spliced(at.sent.clone(), &list(n));
+    let rtx = |n| {
+        let queued = u64::from_le_bytes(image[at.rtx..][..8].try_into().unwrap());
+        let mut entry = (queued + 1).to_le_bytes().to_vec();
+        entry.extend_from_slice(&at.dst.0);
+        entry.extend_from_slice(&list(n));
+        entry.extend_from_slice(&1u32.to_le_bytes());
+        spliced(at.rtx..at.rtx + 8, &entry)
+    };
+    cur(32).expect("a current virtual packet of 32");
+    sent(32).expect("a sent virtual packet of 32");
+    rtx(32).expect("a repacked virtual packet of 32");
+    let over = "33 items in an inline vector of 32";
+    for (what, restored, why) in [
+        ("sent, 33", sent(33), over),
+        ("repacked, 33", rtx(33), over),
+        (
+            "current, 33",
+            cur(33),
+            "current virtual packet of 33 packets",
+        ),
+        ("current, 0", cur(0), "current virtual packet of 0 packets"),
+    ] {
+        match restored {
+            Err(CkptError::Mismatch(text)) => assert!(
+                text.contains(&format!("malformed checkpoint: {why}")),
+                "{what}: {text}"
+            ),
+            other => panic!("{what}: {other:?}"),
+        }
     }
 }
 

@@ -6,14 +6,16 @@
 //!   (11 keys fill a leaf) as well as thousands of entries deep;
 //! * a run of fixed-width values decodes through one slice, and what it
 //!   decodes — values, `Truncated`, each `Malformed` with its text — must
-//!   be what decoding them one at a time gives, on any bytes.
+//!   be what decoding them one at a time gives, on any bytes;
+//! * a virtual packet's inline packet list is written as a `Vec` of its
+//!   packets is, and loads back to the same bytes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 
 use proptest::prelude::*;
 
-use cmap_suite::cmap::vpkt::DataPkt;
+use cmap_suite::cmap::vpkt::{DataPkt, Inline, SentVpkt};
 use cmap_suite::phy::Rate;
 use cmap_suite::sim::ckpt::{CkptReader, CkptWriter, Persist};
 use cmap_suite::sim::NodeId;
@@ -216,4 +218,48 @@ fn fixed_width_runs_refuse_short_bad_lengths_and_bad_packets() {
         err.to_string(),
         "malformed checkpoint: data packet of 65536 payload bytes"
     );
+}
+
+/// A sent virtual packet's packet list: `N_VPKT` (32) inline. The `fn`
+/// holds this alias to `SentVpkt::pkts`' type.
+type Pkts = Inline<DataPkt, 32>;
+const _: fn(&SentVpkt) -> &Pkts = |v| &v.pkts;
+
+proptest! {
+    /// For 0..=32 packets, the inline list's image is the `Vec`'s, and
+    /// save -> load -> save gives it again; a 33rd packet is refused.
+    #[test]
+    fn an_inline_packet_list_is_written_as_a_vec(
+        pkts in prop::collection::vec(
+            (any::<u16>(), any::<u32>(), 0usize..=65_535)
+                .prop_map(|(flow, flow_seq, payload_len)| DataPkt { flow, flow_seq, payload_len }),
+            0..=32,
+        ),
+    ) {
+        let image = |put: &dyn Fn(&mut CkptWriter)| {
+            let mut w = CkptWriter::new();
+            put(&mut w);
+            w.finish()
+        };
+        let list: Pkts = pkts.iter().copied().collect();
+        prop_assert_eq!(&*list, &pkts[..]);
+        let bytes = image(&|w| w.put(&list));
+        prop_assert_eq!(&bytes, &image(&|w| w.put(&pkts)));
+
+        let mut r = CkptReader::new(&bytes).expect("sealed");
+        let loaded: Pkts = r.get().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(r.remaining(), 0);
+        prop_assert_eq!(image(&|w| w.put(&loaded)), bytes);
+
+        let mut longer = pkts.clone();
+        longer.resize(33, DataPkt { flow: 0, flow_seq: 0, payload_len: 0 });
+        let err = CkptReader::new(&image(&|w| w.put(&longer)))
+            .expect("sealed")
+            .get::<Pkts>()
+            .unwrap_err();
+        prop_assert_eq!(
+            err.to_string(),
+            "malformed checkpoint: 33 items in an inline vector of 32"
+        );
+    }
 }

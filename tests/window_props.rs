@@ -73,13 +73,14 @@ proptest! {
             let (requeued, _) = w.repack_for_rtx(n_vpkt, 3);
             prop_assert_eq!(requeued, want_total);
             let mut got = Vec::new();
-            while let Some(entry) = w.pop_rtx() {
-                got.push(entry);
+            while let Some((dst, pkts, rounds)) = w.pop_rtx() {
+                got.push((dst, pkts.to_vec(), rounds));
             }
             prop_assert_eq!(&got, &want);
             // Send the lists again, half acknowledged.
             for (dst, pkts, rounds) in got {
                 let seq = w.alloc_seq(dst);
+                let pkts = pkts.into_iter().collect();
                 sent.push(SentVpkt { dst, seq, pkts, acked: 0x5555_5555, sent_at: 0, rate: Rate::R6, rounds });
             }
         }
@@ -104,7 +105,8 @@ proptest! {
                 p
             }).collect();
             all_sent.extend(data.iter().map(|p| p.flow_seq));
-            w.push_sent(SentVpkt { dst, seq, pkts: data, acked: 0, sent_at: 0, rate: Rate::R6, rounds: 0 });
+            let pkts = data.into_iter().collect();
+            w.push_sent(SentVpkt { dst, seq, pkts, acked: 0, sent_at: 0, rate: Rate::R6, rounds: 0 });
         }
 
         let mut acked_total = 0usize;
@@ -122,7 +124,7 @@ proptest! {
         while let Some((d, pkts, rounds)) = w.pop_rtx() {
             prop_assert_eq!(d, dst);
             prop_assert_eq!(rounds, 1);
-            for p in pkts {
+            for p in pkts.iter() {
                 prop_assert!(seen.insert(p.flow_seq), "duplicate {}", p.flow_seq);
                 prop_assert!(all_sent.contains(&p.flow_seq));
             }
