@@ -161,18 +161,13 @@ impl InterfererTracker {
         self.activity.note(node, (start, end));
     }
 
-    /// Fraction of `[start, end)` covered by `node`'s known activity.
-    pub(crate) fn overlap_fraction(&self, node: MacAddr, start: Time, end: Time) -> f64 {
+    /// The fraction of `[start, end)` one neighbour's activity `list` covers.
+    fn covered_fraction(&self, list: List, start: Time, end: Time) -> f64 {
         if end <= start {
             return 0.0;
         }
-        let Some(&list) = self.activity.index.get(&node) else {
-            return 0.0;
-        };
-        let covered: u64 = self
-            .activity
-            .windows
-            .iter(list)
+        let windows = self.activity.windows.iter(list);
+        let covered: u64 = windows
             .map(|&(s, e)| e.min(end).saturating_sub(s.max(start)))
             .sum();
         covered as f64 / (end - start) as f64
@@ -195,9 +190,13 @@ impl InterfererTracker {
         min_frac: f64,
         exclude: MacAddr,
     ) -> impl Iterator<Item = MacAddr> + '_ {
-        self.activity.index.keys().copied().filter(move |&node| {
-            node != exclude && self.overlap_fraction(node, start, end) >= min_frac
-        })
+        self.activity
+            .index
+            .iter()
+            .filter_map(move |(&node, &list)| {
+                (node != exclude && self.covered_fraction(list, start, end) >= min_frac)
+                    .then_some(node)
+            })
     }
 
     /// Account one expected data packet from `u` against an already-judged
@@ -290,6 +289,14 @@ mod tests {
 
     fn a(i: u16) -> MacAddr {
         MacAddr::from_node_index(i)
+    }
+
+    impl InterfererTracker {
+        /// Fraction of `[start, end)` covered by `node`'s known activity.
+        fn overlap_fraction(&self, node: MacAddr, start: Time, end: Time) -> f64 {
+            let list = self.activity.index.get(&node);
+            list.map_or(0.0, |&list| self.covered_fraction(list, start, end))
+        }
     }
 
     /// Account one packet from `u` per item of `losses` against `x`, at

@@ -435,6 +435,12 @@ impl Medium {
         &self.link_rx[self.row(tx)]
     }
 
+    /// The most receivers any one transmitter's row holds.
+    pub(crate) fn widest_row(&self) -> usize {
+        let rows = self.link_off.windows(2).map(|w| (w[1].0 - w[0].0) as usize);
+        rows.max().unwrap_or(0)
+    }
+
     /// `tx`'s receivers in arrival order: `reachable(tx)` sorted by
     /// `(delay_ns, position)`. The row is built on the first call for `tx`.
     #[inline]

@@ -25,7 +25,9 @@
 //!   slot only returns to the free list when its last share is released.
 //! * Fewer than 2²⁰ slots: a queue key has that many bits for the index.
 //! * A slot holds the power each `FrameStart` added to its receiver, by
-//!   row position, for the `FrameEnd` to subtract; recycled like `buf`.
+//!   row position, for the `FrameEnd` to subtract. The list is reserved
+//!   once, at the slot's first arm, to the medium's widest row, so unlike
+//!   `buf` it never grows again: a recycled slot serves any fan-out.
 //!
 //! Checkpoint interaction (`cmap-ckpt/v8`): only *live* slots are
 //! serialised, as [`LiveTx`] records holding the stream's one cursor and
@@ -139,6 +141,8 @@ impl Stream {
 /// The per-world frame pool. See the module docs for the lifecycle.
 pub(crate) struct FramePool {
     slots: Vec<Slot>,
+    /// The medium's widest row: every slot's `powers` capacity once armed.
+    widest: usize,
     /// LIFO free list of slot indices.
     free: Vec<u32>,
     live: usize,
@@ -147,9 +151,10 @@ pub(crate) struct FramePool {
 }
 
 impl FramePool {
-    pub(crate) fn new() -> FramePool {
+    pub(crate) fn new(widest: usize) -> FramePool {
         FramePool {
             slots: Vec::new(),
+            widest,
             free: Vec::new(),
             live: 0,
             high_water: 0,
@@ -230,7 +235,8 @@ impl FramePool {
         seq0: u64,
         ends: u32,
     ) -> Stream {
-        debug_assert!(ends > 0);
+        debug_assert!(ends > 0 && ends as usize - 1 <= self.widest);
+        let widest = self.widest;
         let slot = self.slot_mut(id);
         debug_assert_eq!(slot.ends_remaining, 0, "re-arming a live transmission");
         slot.rate = rate;
@@ -242,7 +248,7 @@ impl FramePool {
             cursor: 0,
         };
         slot.powers.clear();
-        slot.powers.reserve(ends as usize - 1);
+        slot.powers.reserve(widest);
         slot.ends_remaining = ends;
         slot.stream
     }
@@ -369,6 +375,7 @@ impl FramePool {
     /// name an event of its stream, and it must hold one power per
     /// receiver that cursor has started and not ended.
     pub(crate) fn restore(
+        widest: usize,
         high_water: u64,
         recycled: u64,
         live: Vec<LiveTx<'_>>,
@@ -400,6 +407,10 @@ impl FramePool {
                     tx.tx_id, tx.node, tx.cursor, tx.seq0, tx.start
                 )));
             };
+            // The ended receivers' powers are no longer read: zeros.
+            let mut powers = Vec::with_capacity(widest);
+            powers.resize(ended(f) as usize, 0);
+            powers.extend(tx.powers);
             match slots.get_mut(index_of(tx.tx_id)) {
                 Some(slot) if slot.ends_remaining == 0 => {
                     *slot = Slot {
@@ -412,7 +423,7 @@ impl FramePool {
                             seq0: tx.seq0,
                             cursor: tx.cursor,
                         },
-                        powers: [vec![0; ended(f) as usize], tx.powers].concat(),
+                        powers,
                         // A FrameEnd's each, and the TxEnd's until handled.
                         ends_remaining: f + 1 - tx.cursor.saturating_sub(f),
                         buf: tx.buf.into_owned(),
@@ -432,6 +443,7 @@ impl FramePool {
             .collect();
         Ok(FramePool {
             slots,
+            widest,
             free,
             live: live_count,
             high_water: high_water as usize,
@@ -476,7 +488,7 @@ mod tests {
 
     #[test]
     fn alloc_release_recycles_lifo_and_keeps_capacity() {
-        let mut p = FramePool::new();
+        let mut p = FramePool::new(4);
         let a = p.alloc();
         p.buf_mut(a).extend_from_slice(&[1, 2, 3, 4, 5]);
         p.arm(a, NodeId::new(0), Rate::R6, (0, 9), 0, 2);
@@ -496,9 +508,32 @@ mod tests {
         assert_eq!(p.high_water(), 1);
     }
 
+    /// Powers are sized to the widest row at a slot's first arm, so
+    /// recycling it at any fan-out up to that row never moves the list.
+    #[test]
+    fn a_recycled_slot_keeps_its_powers_at_any_fanout() {
+        let widest = 40;
+        let mut p = FramePool::new(widest);
+        let first = p.alloc();
+        p.arm(first, NodeId::new(0), Rate::R6, (0, 9), 0, 1);
+        let (ptr, cap) = (p.powers(first).as_ptr(), p.powers(first).capacity());
+        assert!(cap >= widest);
+        p.release(first);
+        for ends in [widest + 1, 1, 2, widest, 17, widest + 1] {
+            let id = p.alloc();
+            assert_eq!(index_of(id), index_of(first), "the one slot, recycled");
+            p.arm(id, NodeId::new(1), Rate::R12, (0, 9), 0, ends as u32);
+            p.powers(id).extend(std::iter::repeat_n(7, ends - 1));
+            assert_eq!((p.powers(id).as_ptr(), p.powers(id).capacity()), (ptr, cap));
+            for _ in 0..ends {
+                p.release(id);
+            }
+        }
+    }
+
     #[test]
     fn distinct_live_slots_and_high_water() {
-        let mut p = FramePool::new();
+        let mut p = FramePool::new(4);
         let ids: Vec<TxId> = (0..4).map(|_| p.alloc()).collect();
         for &id in &ids {
             p.arm(id, NodeId::new(1), Rate::R12, (7, 9), 0, 1);
@@ -524,7 +559,7 @@ mod tests {
 
     #[test]
     fn free_unsent_recycles_without_arming() {
-        let mut p = FramePool::new();
+        let mut p = FramePool::new(4);
         let id = p.alloc();
         p.buf_mut(id).extend_from_slice(&[9; 64]);
         p.free_unsent(id);
@@ -549,7 +584,7 @@ mod tests {
         let id = pack(5, 2);
         let one = |_: &LiveTx<'_>| Some(1);
         let refused = |high_water, live: Vec<LiveTx<'_>>, fanout: &dyn Fn(&LiveTx<'_>) -> _| {
-            FramePool::restore(high_water, 0, live, fanout).is_err()
+            FramePool::restore(4, high_water, 0, live, fanout).is_err()
         };
         assert!(
             refused(4, vec![tx(id, 3, 1), tx(id, 3, 1)], &one),
@@ -582,12 +617,13 @@ mod tests {
             refused(4, vec![late], &one),
             "FrameEnds past the end of time"
         );
-        let mut p = FramePool::restore(4, 17, vec![tx(id, 3, 1)], one).unwrap();
+        let mut p = FramePool::restore(4, 4, 17, vec![tx(id, 3, 1)], one).unwrap();
         assert_eq!(p.live(), 1);
         assert_eq!((p.high_water(), p.recycled()), (4, 17));
         assert_eq!(p.wire_len(id), 3);
         let powers: Vec<_> = p.live_txs().map(|tx| tx.powers).collect();
         assert_eq!((powers, p.powers(id)[0]), (vec![vec![7]], 7));
+        assert!(p.powers(id).capacity() >= 4, "restored at the widest row");
         // Its one FrameStart handled: the TxEnd is next, then the FrameEnd.
         let row = [Arrival {
             rx: NodeId::new(0),

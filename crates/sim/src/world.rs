@@ -222,7 +222,7 @@ impl World {
                 .collect(),
             apps: (0..n).map(|_| NodeApp::default()).collect(),
             flows: Vec::new(),
-            pool: FramePool::new(),
+            pool: FramePool::new(medium.widest_row()),
             stats: Stats::default(),
             medium,
             started: false,
@@ -1195,7 +1195,8 @@ impl World {
             let f = (tx.node.index() < nodes).then(|| medium.reachable(tx.node).len())?;
             (tx.seq0.saturating_add(2 * f as u64) < next_seq).then_some(f as u32)
         };
-        self.pool = FramePool::restore(pool_high_water, pool_recycled, live, fanout)?;
+        let widest = medium.widest_row();
+        self.pool = FramePool::restore(widest, pool_high_water, pool_recycled, live, fanout)?;
         self.requeue_streams()?;
         self.sum_receptions();
         if let Some(node) = (0..nodes).find(|&n| self.energy_sums[n] != self.radios.energy(n)) {

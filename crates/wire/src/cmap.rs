@@ -26,11 +26,21 @@ pub const HEADER_TRAILER_LEN: usize = 27;
 /// flow 2 + flow_seq 4 + len 2 + CRC 4.
 pub const DATA_OVERHEAD: usize = 30;
 
+/// Fixed overhead of an ACK: tag 1 + src 6 + dst 6 + base 4 +
+/// bitmap count 1 + loss 1 + il count 1 + CRC 4.
+pub(crate) const ACK_OVERHEAD: usize = 24;
+
+/// Bytes per ACK bitmap: one `u32` per virtual packet.
+pub(crate) const ACK_BITMAP_LEN: usize = 4;
+
 /// Cap on interferer entries piggybacked on one ACK.
 pub const ACK_MAX_IL_ENTRIES: usize = 32;
 
 /// Bytes per interferer entry: source 6 + interferer 6 + rate 1.
 pub(crate) const IL_ENTRY_LEN: usize = 13;
+
+/// Fixed overhead of an interferer list: tag 1 + src 6 + count 1 + CRC 4.
+pub(crate) const IL_OVERHEAD: usize = 12;
 
 /// Largest entry count that fits an interferer list's one-byte count field.
 pub const IL_MAX_ENTRIES: usize = 255;

@@ -27,6 +27,7 @@ use cmap_phy::Rate;
 
 use crate::addr::MacAddr;
 use crate::cmap::{self, InterfererEntry};
+use crate::dot11;
 use crate::frame::{FrameKind, WireError};
 
 // ---- field readers ------------------------------------------------------
@@ -112,7 +113,7 @@ impl<'a> HeaderTrailerView<'a> {
         if Rate::from_u8(buf[22]).is_none() {
             return Err(WireError::Malformed);
         }
-        if body_end != 23 {
+        if buf.len() != cmap::HEADER_TRAILER_LEN {
             return Err(WireError::Malformed);
         }
         Ok(())
@@ -177,7 +178,7 @@ impl<'a> CmapDataView<'a> {
         if body_end < 26 + len {
             return Err(WireError::Truncated);
         }
-        if body_end != 26 + len {
+        if buf.len() != cmap::DATA_OVERHEAD + len {
             return Err(WireError::Malformed);
         }
         Ok(())
@@ -385,7 +386,7 @@ impl<'a> Dot11DataView<'a> {
         if body_end < 28 + len {
             return Err(WireError::Truncated);
         }
-        if body_end != 28 + len {
+        if buf.len() != dot11::DATA_OVERHEAD + len {
             return Err(WireError::Malformed);
         }
         Ok(())
@@ -435,7 +436,7 @@ impl<'a> Dot11DataView<'a> {
 }
 
 /// View over an 802.11 ACK control frame: receiver address only, padded to
-/// the real control-frame length ([`dot11::ACK_LEN`](crate::dot11::ACK_LEN)).
+/// the real control-frame length ([`dot11::ACK_LEN`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Dot11AckView<'a> {
     buf: &'a [u8],
@@ -450,7 +451,7 @@ impl<'a> Dot11AckView<'a> {
         if buf[7..10] != [0, 0, 0] {
             return Err(WireError::Malformed);
         }
-        if body_end != 10 {
+        if buf.len() != dot11::ACK_LEN {
             return Err(WireError::Malformed);
         }
         Ok(())
@@ -599,11 +600,23 @@ impl<'a> FrameView<'a> {
 // ---- in-place composition ----------------------------------------------
 
 /// Build complete frames — tag, body, trailing CRC — into a reusable
-/// buffer. Each function clears `buf` first; the buffer's capacity is
-/// retained across frames, so a steady-state transmit path composes
-/// without allocating.
+/// buffer. Each function clears `buf` and reserves the frame's exact wire
+/// length before writing it, so a fresh buffer allocates once and a
+/// buffer that has held a frame at least as long allocates nothing.
 pub mod compose {
     use super::*;
+    use crate::crc::{append_crc, append_fill_and_crc};
+
+    /// Clear `buf`, reserve `len` bytes, push `kind`'s tag and let `body`
+    /// write the rest, which must fill exactly those `len` bytes.
+    #[inline]
+    fn frame(buf: &mut Vec<u8>, kind: FrameKind, len: usize, body: impl FnOnce(&mut Vec<u8>)) {
+        buf.clear();
+        buf.reserve_exact(len);
+        buf.push(kind as u8);
+        body(buf);
+        debug_assert_eq!(buf.len(), len, "{kind:?} composed off its reserved length");
+    }
 
     #[inline]
     fn put_mac(buf: &mut Vec<u8>, a: MacAddr) {
@@ -624,11 +637,10 @@ pub mod compose {
     pub const MAX_PAYLOAD_LEN: usize = 0xFFFF;
 
     /// The payload-length field. A longer payload has no encoding, so it is
-    /// refused here rather than composed into a frame whose length field
-    /// disagrees with its body.
-    fn put_payload_len(buf: &mut Vec<u8>, payload_len: usize) {
-        let len = u16::try_from(payload_len).expect("payload longer than MAX_PAYLOAD_LEN");
-        put_u16(buf, len);
+    /// refused here, before any byte is reserved for it, rather than
+    /// composed into a frame whose length field disagrees with its body.
+    fn payload_len_field(payload_len: usize) -> u16 {
+        u16::try_from(payload_len).expect("payload longer than MAX_PAYLOAD_LEN")
     }
 
     fn put_entries(buf: &mut Vec<u8>, entries: &[InterfererEntry]) {
@@ -656,15 +668,15 @@ pub mod compose {
             FrameKind::CmapHeader | FrameKind::CmapTrailer
         ));
         debug_assert!(pkt_count as usize <= cmap::MAX_VPKT_DATA);
-        buf.clear();
-        buf.push(kind as u8);
-        put_mac(buf, src);
-        put_mac(buf, dst);
-        put_u32(buf, tx_time_us);
-        put_u32(buf, vpkt_seq);
-        buf.push(pkt_count);
-        buf.push(data_rate.to_u8());
-        crate::crc::append_crc(buf);
+        frame(buf, kind, cmap::HEADER_TRAILER_LEN, |buf| {
+            put_mac(buf, src);
+            put_mac(buf, dst);
+            put_u32(buf, tx_time_us);
+            put_u32(buf, vpkt_seq);
+            buf.push(pkt_count);
+            buf.push(data_rate.to_u8());
+            append_crc(buf);
+        });
     }
 
     /// A CMAP data packet with a `payload_len`-byte payload of `fill`
@@ -682,16 +694,18 @@ pub mod compose {
         fill: u8,
     ) {
         debug_assert!((index as usize) < cmap::MAX_VPKT_DATA);
-        buf.clear();
-        buf.push(FrameKind::CmapData as u8);
-        put_mac(buf, src);
-        put_mac(buf, dst);
-        put_u32(buf, vpkt_seq);
-        buf.push(index);
-        put_u16(buf, flow);
-        put_u32(buf, flow_seq);
-        put_payload_len(buf, payload_len);
-        crate::crc::append_fill_and_crc(buf, fill, payload_len);
+        let len_field = payload_len_field(payload_len);
+        let len = cmap::DATA_OVERHEAD + payload_len;
+        frame(buf, FrameKind::CmapData, len, |buf| {
+            put_mac(buf, src);
+            put_mac(buf, dst);
+            put_u32(buf, vpkt_seq);
+            buf.push(index);
+            put_u16(buf, flow);
+            put_u32(buf, flow_seq);
+            put_u16(buf, len_field);
+            append_fill_and_crc(buf, fill, payload_len);
+        });
     }
 
     /// A CMAP cumulative ACK with piggybacked interferer entries.
@@ -707,30 +721,34 @@ pub mod compose {
     ) {
         assert!(bitmaps.len() <= cmap::MAX_ACK_WINDOW);
         assert!(il_entries.len() <= cmap::ACK_MAX_IL_ENTRIES);
-        buf.clear();
-        buf.push(FrameKind::CmapAck as u8);
-        put_mac(buf, src);
-        put_mac(buf, dst);
-        put_u32(buf, base_vpkt_seq);
-        buf.push(bitmaps.len() as u8);
-        for &bm in bitmaps {
-            put_u32(buf, bm);
-        }
-        buf.push(loss_rate);
-        buf.push(il_entries.len() as u8);
-        put_entries(buf, il_entries);
-        crate::crc::append_crc(buf);
+        let len = cmap::ACK_OVERHEAD
+            + cmap::ACK_BITMAP_LEN * bitmaps.len()
+            + cmap::IL_ENTRY_LEN * il_entries.len();
+        frame(buf, FrameKind::CmapAck, len, |buf| {
+            put_mac(buf, src);
+            put_mac(buf, dst);
+            put_u32(buf, base_vpkt_seq);
+            buf.push(bitmaps.len() as u8);
+            for &bm in bitmaps {
+                put_u32(buf, bm);
+            }
+            buf.push(loss_rate);
+            buf.push(il_entries.len() as u8);
+            put_entries(buf, il_entries);
+            append_crc(buf);
+        });
     }
 
     /// A CMAP interferer-list broadcast.
     pub fn interferer_list(buf: &mut Vec<u8>, src: MacAddr, entries: &[InterfererEntry]) {
         assert!(entries.len() <= cmap::IL_MAX_ENTRIES);
-        buf.clear();
-        buf.push(FrameKind::CmapInterfererList as u8);
-        put_mac(buf, src);
-        buf.push(entries.len() as u8);
-        put_entries(buf, entries);
-        crate::crc::append_crc(buf);
+        let len = cmap::IL_OVERHEAD + cmap::IL_ENTRY_LEN * entries.len();
+        frame(buf, FrameKind::CmapInterfererList, len, |buf| {
+            put_mac(buf, src);
+            buf.push(entries.len() as u8);
+            put_entries(buf, entries);
+            append_crc(buf);
+        });
     }
 
     /// An 802.11 baseline data frame with a `payload_len`-byte payload of
@@ -748,26 +766,28 @@ pub mod compose {
         payload_len: usize,
         fill: u8,
     ) {
-        buf.clear();
-        buf.push(FrameKind::Dot11Data as u8);
-        put_mac(buf, src);
-        put_mac(buf, dst);
-        put_u16(buf, seq);
-        buf.push(u8::from(retry));
-        put_u32(buf, duration_ns);
-        put_u16(buf, flow);
-        put_u32(buf, flow_seq);
-        put_payload_len(buf, payload_len);
-        crate::crc::append_fill_and_crc(buf, fill, payload_len);
+        let len_field = payload_len_field(payload_len);
+        let len = dot11::DATA_OVERHEAD + payload_len;
+        frame(buf, FrameKind::Dot11Data, len, |buf| {
+            put_mac(buf, src);
+            put_mac(buf, dst);
+            put_u16(buf, seq);
+            buf.push(u8::from(retry));
+            put_u32(buf, duration_ns);
+            put_u16(buf, flow);
+            put_u32(buf, flow_seq);
+            put_u16(buf, len_field);
+            append_fill_and_crc(buf, fill, payload_len);
+        });
     }
 
     /// An 802.11 ACK control frame.
     pub fn dot11_ack(buf: &mut Vec<u8>, dst: MacAddr) {
-        buf.clear();
-        buf.push(FrameKind::Dot11Ack as u8);
-        put_mac(buf, dst);
-        buf.extend_from_slice(&[0u8; 3]);
-        crate::crc::append_crc(buf);
+        frame(buf, FrameKind::Dot11Ack, dot11::ACK_LEN, |buf| {
+            put_mac(buf, dst);
+            buf.extend_from_slice(&[0u8; 3]);
+            append_crc(buf);
+        });
     }
 }
 
@@ -779,11 +799,74 @@ mod tests {
         MacAddr::from_node_index(i)
     }
 
+    /// A payload one byte over the field, and one so long that reserving
+    /// for it would ask the allocator for half the address space: both are
+    /// refused with the field's message, before any byte is reserved.
     #[test]
-    #[should_panic(expected = "MAX_PAYLOAD_LEN")]
     fn compose_refuses_a_payload_its_length_field_cannot_hold() {
-        let len = compose::MAX_PAYLOAD_LEN + 1;
-        compose::cmap_data(&mut Vec::new(), addr(0), addr(1), 0, 0, 0, 0, len, 0xC5);
+        for len in [compose::MAX_PAYLOAD_LEN + 1, usize::MAX / 2] {
+            let (a, b) = (addr(0), addr(1));
+            let refusals = [
+                std::panic::catch_unwind(|| {
+                    compose::cmap_data(&mut Vec::new(), a, b, 0, 0, 0, 0, len, 0xC5)
+                }),
+                std::panic::catch_unwind(|| {
+                    compose::dot11_data(&mut Vec::new(), a, b, 0, false, 0, 0, 0, len, 0xC5)
+                }),
+            ];
+            for refused in refusals {
+                let refused = refused.expect_err("a payload past the field is refused");
+                let message = refused.downcast_ref::<String>();
+                assert!(
+                    message.is_some_and(|m| m.contains("MAX_PAYLOAD_LEN")),
+                    "{len}: {message:?}"
+                );
+            }
+        }
+    }
+
+    /// Compose one frame into an empty buffer: it must parse and fill
+    /// exactly what was allocated for it.
+    fn composes_exactly(compose: impl FnOnce(&mut Vec<u8>)) {
+        let mut buf = Vec::new();
+        compose(&mut buf);
+        let kind = FrameView::parse_checked(&buf)
+            .expect("composed frames parse")
+            .kind();
+        assert_eq!(buf.capacity(), buf.len(), "{kind:?} of {} bytes", buf.len());
+    }
+
+    /// Every frame kind, at the smallest and the largest each gets, is
+    /// composed at its final length: one allocation, nothing spare.
+    #[test]
+    fn compose_reserves_the_exact_frame_length() {
+        let (a, b) = (addr(0), addr(1));
+        for kind in [FrameKind::CmapHeader, FrameKind::CmapTrailer] {
+            composes_exactly(|buf| compose::header_trailer(buf, kind, a, b, 500, 7, 32, Rate::R54));
+        }
+        for len in [0, 64, 1400, compose::MAX_PAYLOAD_LEN] {
+            composes_exactly(|buf| compose::cmap_data(buf, a, b, 7, 31, 2, 99, len, 0xC5));
+            composes_exactly(|buf| compose::dot11_data(buf, a, b, 5, true, 44, 2, 99, len, 0xC5));
+        }
+        let entry = InterfererEntry {
+            source: addr(2),
+            interferer: addr(3),
+            source_rate: Rate::R12,
+        };
+        let entries = [entry; cmap::IL_MAX_ENTRIES];
+        let bitmaps = [0xA5A5_A5A5; cmap::MAX_ACK_WINDOW];
+        for (nb, ne) in [
+            (0, 0),
+            (1, 1),
+            (cmap::MAX_ACK_WINDOW, cmap::ACK_MAX_IL_ENTRIES),
+        ] {
+            let (bitmaps, entries) = (&bitmaps[..nb], &entries[..ne]);
+            composes_exactly(|buf| compose::cmap_ack(buf, a, b, 9, bitmaps, 17, entries));
+        }
+        for ne in [0, 1, cmap::IL_MAX_ENTRIES] {
+            composes_exactly(|buf| compose::interferer_list(buf, a, &entries[..ne]));
+        }
+        composes_exactly(|buf| compose::dot11_ack(buf, b));
     }
 
     #[test]
