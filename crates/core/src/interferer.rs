@@ -38,8 +38,9 @@ persist!(struct Counters { overlapped, lost });
 #[derive(Debug, Default)]
 struct Activity {
     windows: Lists<(Time, Time)>,
-    /// Overheard neighbours. A sorted `Vec` searched by bisection cost
-    /// 1.6 times the CPU here on `smallframe_cmap` (DESIGN.md §9.3).
+    /// Every neighbour ever overheard; a quiet one keeps its key and an
+    /// empty list. A sorted `Vec` searched by bisection cost 1.6 times the
+    /// CPU here on `smallframe_cmap` (DESIGN.md §9.3).
     index: BTreeMap<MacAddr, List>,
 }
 
@@ -63,28 +64,34 @@ impl Activity {
         windows.push_back(list, window);
     }
 
-    /// Drop every window that ended before `cutoff`, and every neighbour
-    /// left with none.
+    /// Drop every window that ended before `cutoff`. An emptied neighbour
+    /// keeps its key, so the index does not free and rebuild its node.
     fn prune(&mut self, cutoff: Time) {
         let Activity { windows, index } = self;
-        index.retain(|_, list| {
+        for list in index.values_mut() {
             while windows.iter(*list).next().is_some_and(|w| w.1 < cutoff) {
                 windows.pop_front(list);
             }
-            !list.is_empty()
-        });
+        }
+    }
+
+    /// The neighbours with at least one window: what the image and the
+    /// sources see.
+    fn live(&self) -> impl Iterator<Item = (MacAddr, List)> + '_ {
+        let live = self.index.iter().filter(|(_, list)| !list.is_empty());
+        live.map(|(&node, &list)| (node, list))
     }
 }
 
 /// Encoded as a `BTreeMap<MacAddr, VecDeque<(Time, Time)>>` is: the
-/// neighbour count, then each neighbour's address and windows in ascending
-/// address order.
+/// count of neighbours with a window, then each one's address and
+/// windows in ascending address order.
 impl Persist for Activity {
     const MIN_BYTES: usize = 8;
 
     fn save(&self, w: &mut CkptWriter) {
-        w.len(self.index.len());
-        for (&node, &list) in &self.index {
+        w.len(self.live().count());
+        for (node, list) in self.live() {
             w.put(&node);
             self.windows.save(list, w);
         }
@@ -190,13 +197,9 @@ impl InterfererTracker {
         min_frac: f64,
         exclude: MacAddr,
     ) -> impl Iterator<Item = MacAddr> + '_ {
-        self.activity
-            .index
-            .iter()
-            .filter_map(move |(&node, &list)| {
-                (node != exclude && self.covered_fraction(list, start, end) >= min_frac)
-                    .then_some(node)
-            })
+        self.activity.live().filter_map(move |(node, list)| {
+            (node != exclude && self.covered_fraction(list, start, end) >= min_frac).then_some(node)
+        })
     }
 
     /// Account one expected data packet from `u` against an already-judged
@@ -453,15 +456,29 @@ mod tests {
         assert_eq!(x, a(100 + MAX_PROMOTIONS as u16 + 49));
     }
 
+    /// Pruning drops the windows past the horizon. A neighbour left with
+    /// none keeps its key, but is neither in the image nor a source, not
+    /// even at `min_frac` 0, which an empty list's zero coverage meets.
     #[test]
     fn activity_horizon_pruning() {
         let mut t = InterfererTracker::new();
         t.note_activity(a(3), 0, 100);
         t.note_activity(a(3), 10_000, 10_100);
+        t.note_activity(a(4), 25_000, 26_000);
         t.prune(15_000, 5_000);
         assert_eq!(windows(&t, a(3)), [(10_000, 10_100)]);
         t.prune(30_000, 5_000);
-        assert!(t.activity.index.is_empty());
+        assert_eq!(windows(&t, a(3)), []);
+        let mut live = Deques::default();
+        live.note(a(4), 25_000, 26_000);
+        assert_eq!(image(&t.activity), image(&live.0));
+        let sources = |t: &InterfererTracker| -> Vec<MacAddr> {
+            t.concurrent_sources(0, 30_000, 0.0, a(1)).collect()
+        };
+        assert_eq!(sources(&t), Vec::from([a(4)]));
+        // Heard again, it is a source again.
+        t.note_activity(a(3), 29_000, 30_000);
+        assert_eq!(sources(&t), Vec::from([a(3), a(4)]));
     }
 
     /// The per-neighbour deques the arena replaced, kept as its oracle.
@@ -572,7 +589,8 @@ mod tests {
                         oracle.overlap_fraction(n, start, end).to_bits()
                     );
                 }
-                let min = len as f64 / 300.0;
+                // From 0, which an emptied neighbour's coverage meets.
+                let min = (len - 1) as f64 / 300.0;
                 let sources: Vec<_> = t.concurrent_sources(start, end, min, node).collect();
                 proptest::prop_assert_eq!(sources, oracle.concurrent_sources(start, end, min, node));
             }
@@ -580,7 +598,8 @@ mod tests {
     }
 
     /// Filling three neighbours past the cap and pruning them all, again
-    /// and again, reuses the first cycle's slots.
+    /// and again, reuses the first cycle's slots; the pruned neighbours
+    /// keep their keys but leave the image and the sources.
     #[test]
     fn slots_stay_at_their_first_high_water_mark() {
         let mut t = InterfererTracker::new();
@@ -599,7 +618,10 @@ mod tests {
                 "cycle {cycle}: {used} slots"
             );
             t.prune(base + 999_999, 0);
-            assert!(t.activity.index.is_empty());
+            assert_eq!(t.activity.index.len(), 3);
+            assert_eq!(image(&t.activity), image(&Deques::default().0));
+            let end = base + 1_000_000;
+            assert_eq!(t.concurrent_sources(0, end, 0.0, a(9)).count(), 0);
         }
         assert_eq!(high_water, Some(3 * MAX_WINDOWS));
     }

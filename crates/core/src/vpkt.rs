@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use cmap_phy::Rate;
+use cmap_sim::arena::SeqMap;
 use cmap_sim::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use cmap_sim::persist;
 use cmap_sim::time::Time;
@@ -357,11 +358,11 @@ persist!(struct RxVpkt { bits, expected, data_start });
 /// Receiver-side state for one sender addressing us.
 #[derive(Debug, Default)]
 pub struct PeerRx {
-    records: BTreeMap<u32, RxVpkt>,
+    records: SeqMap<RxVpkt>,
     highest: Option<u32>,
     /// Virtual packets already finalised (loss attribution done); a
     /// duplicated or reordered trailer must not run attribution twice.
-    finalized: std::collections::BTreeSet<u32>,
+    finalized: SeqMap<()>,
     /// Highest `upto` an ACK was built for: duplicated/reordered trailers
     /// must never slide the cumulative-ACK window backwards.
     last_ack_upto: Option<u32>,
@@ -372,7 +373,7 @@ persist!(struct PeerRx { records, highest, finalized, last_ack_upto });
 impl PeerRx {
     fn touch(&mut self, seq: u32) -> &mut RxVpkt {
         self.highest = Some(self.highest.map_or(seq, |h| h.max(seq)));
-        self.records.entry(seq).or_default()
+        self.records.entry(seq).0
     }
 
     /// Header received: the data burst starts at `data_start` and will
@@ -396,14 +397,14 @@ impl PeerRx {
 
     /// Record for a virtual packet, if any.
     pub(crate) fn record(&self, seq: u32) -> Option<&RxVpkt> {
-        self.records.get(&seq)
+        self.records.get(seq)
     }
 
     /// First finalisation of `seq` returns `true`; repeats (duplicated or
     /// reordered trailers / finalise timers) return `false` so callers can
     /// skip non-idempotent work such as interference attribution.
     pub(crate) fn mark_finalized(&mut self, seq: u32) -> bool {
-        self.finalized.insert(seq)
+        self.finalized.entry(seq).1
     }
 
     /// A crashed-and-restarted sender begins numbering virtual packets from
@@ -439,7 +440,7 @@ impl PeerRx {
         let mut count = 0u8;
         let (mut expected_total, mut got_total) = (0u64, 0u64);
         for seq in base..=upto {
-            let bits = match self.records.get(&seq) {
+            let bits = match self.records.get(seq) {
                 Some(r) => {
                     let expected = u64::from(r.expected.unwrap_or(default_expected));
                     let got = u64::from(r.bits.count_ones()).min(expected);
@@ -456,12 +457,8 @@ impl PeerRx {
             count += 1;
         }
         // Prune records that fell out of every future window.
-        while let Some(e) = self.records.first_entry().filter(|e| *e.key() < base) {
-            e.remove();
-        }
-        while self.finalized.first().is_some_and(|&s| s < base) {
-            self.finalized.pop_first();
-        }
+        self.records.prune_below(base);
+        self.finalized.prune_below(base);
         let loss = if expected_total == 0 {
             0.0
         } else {

@@ -1,14 +1,27 @@
-//! Many short lists in one slot arena, with a free list.
+//! Containers that stop allocating once warm: many short lists in one
+//! slot arena with a free list, and one sorted ring keyed by sequence
+//! number.
 //!
-//! Each entry sits in a slot beside the index of the next slot of its
-//! list. A slot that a list gives back joins the free list, threaded
-//! through the same index, so a warm arena allocates nothing and its
-//! memory follows the live entries; a checkpoint load reserves every
-//! list's slots at once ([`Lists::reserve_ahead`]). The radios' interference profiles
-//! (one list per lock) and CMAP's activity windows (one list per
-//! overheard neighbour) each keep their lists in one [`Lists`].
+//! In a [`Lists`], each entry sits in a slot beside the index of the next
+//! slot of its list. A slot that a list gives back joins the free list,
+//! threaded through the same index, so a warm arena allocates nothing and
+//! its memory follows the live entries; a checkpoint load reserves every
+//! list's slots at once ([`Lists::reserve_ahead`]). The radios'
+//! interference profiles (one list per lock) and CMAP's activity windows
+//! (one list per overheard neighbour) each keep their lists in one
+//! [`Lists`].
+//!
+//! A [`SeqMap`] keeps per-sequence-number records in ascending order in
+//! one `VecDeque`: new seqs land at the back and old ones leave at the
+//! front, so a window that slides reuses its ring. CMAP's receive window
+//! (records and finalised marks per virtual packet) and the per-link
+//! header/trailer flags keep their seqs in one.
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
+use std::collections::VecDeque;
+
+use cmap_wire::cmap::MAX_ACK_WINDOW;
+
+use crate::ckpt::{ascending, CkptError, CkptReader, CkptWriter, Persist};
 
 /// No slot: the end of a list, or of an empty free list.
 const NIL: u32 = u32::MAX;
@@ -170,10 +183,88 @@ impl<T: Copy + Persist> Lists<T> {
     }
 }
 
+/// Values keyed by sequence number, in ascending order in one ring.
+#[derive(Debug, Clone, Default)]
+pub struct SeqMap<V> {
+    ring: VecDeque<(u32, V)>,
+}
+
+impl<V> SeqMap<V> {
+    /// Where `seq` is (`Ok`) or would go (`Err`). Most seqs are the
+    /// newest or past it, so the back is tested before the ring is
+    /// bisected.
+    fn find(&self, seq: u32) -> Result<usize, usize> {
+        match self.ring.back() {
+            Some(&(last, _)) if last < seq => Err(self.ring.len()),
+            Some(&(last, _)) if last == seq => Ok(self.ring.len() - 1),
+            _ => self.ring.binary_search_by_key(&seq, |e| e.0),
+        }
+    }
+
+    /// `seq`'s value, inserted as `V::default()` if absent, and whether
+    /// it was. The first insert allocates one full ACK window of entries.
+    pub fn entry(&mut self, seq: u32) -> (&mut V, bool)
+    where
+        V: Default,
+    {
+        match self.find(seq) {
+            Ok(i) => (&mut self.ring[i].1, false),
+            Err(i) => {
+                if self.ring.capacity() == 0 {
+                    self.ring.reserve_exact(MAX_ACK_WINDOW);
+                }
+                self.ring.insert(i, (seq, V::default()));
+                (&mut self.ring[i].1, true)
+            }
+        }
+    }
+
+    /// `seq`'s value, if present.
+    pub fn get(&self, seq: u32) -> Option<&V> {
+        self.find(seq).ok().map(|i| &self.ring[i].1)
+    }
+
+    /// Drop every entry below `base`.
+    pub fn prune_below(&mut self, base: u32) {
+        while self.ring.front().is_some_and(|e| e.0 < base) {
+            self.ring.pop_front();
+        }
+    }
+
+    /// Take the lowest seq's entry.
+    pub(crate) fn pop_first(&mut self) -> Option<(u32, V)> {
+        self.ring.pop_front()
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// The entries, lowest seq first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
+        self.ring.iter().map(|(seq, v)| (*seq, v))
+    }
+}
+
+/// Written as the `BTreeMap<u32, V>` it stands for (a `SeqMap<()>` as a
+/// `BTreeSet<u32>`): the count, then each seq and value, seqs strictly
+/// ascending; anything else is `Malformed`.
+impl<V: Persist> Persist for SeqMap<V> {
+    const MIN_BYTES: usize = 8;
+    fn save(&self, w: &mut CkptWriter) {
+        w.seq(self.ring.iter());
+    }
+    fn load(r: &mut CkptReader<'_>) -> Result<SeqMap<V>, CkptError> {
+        let run = ascending(r, |e: &(u32, V)| &e.0)?;
+        Ok(SeqMap { ring: run.into() })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use proptest::prelude::*;
 
@@ -340,6 +431,161 @@ mod tests {
             let bytes = image(|w| body[..cut].iter().for_each(|b| w.put(b)));
             let err = Lists::<(u64, u64)>::default().load(&mut CkptReader::new(&bytes).unwrap());
             assert!(matches!(err, Err(CkptError::Truncated)), "cut at {cut}");
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum SeqOp {
+        Entry(u32, u64),
+        Get(u32),
+        Prune(u32),
+        Pop,
+    }
+
+    /// Mostly the next seq or the newest again, some ahead, some anywhere
+    /// below, some a sender reboot's few seqs from zero; prunes below a
+    /// base near the newest.
+    fn seq_ops() -> impl Strategy<Value = Vec<SeqOp>> {
+        let step = (0u8..10, any::<u32>(), any::<u64>());
+        prop::collection::vec(step, 1..300).prop_map(|steps| {
+            let mut next = 0u32;
+            let mut ops = Vec::new();
+            for (kind, x, v) in steps {
+                let seq = match kind {
+                    0..=2 => next,
+                    3 => next.saturating_sub(1),
+                    4 => next + x % 4,
+                    5 => x % (next + 1),
+                    6 => x % 8,
+                    _ => 0,
+                };
+                ops.push(match kind {
+                    0..=6 => SeqOp::Entry(seq, v),
+                    7 => SeqOp::Get(x % (next + 2)),
+                    8 => SeqOp::Prune(next.saturating_sub(x % 24)),
+                    _ => SeqOp::Pop,
+                });
+                next = next.max(seq + 1);
+            }
+            ops
+        })
+    }
+
+    /// The image of one value.
+    fn image_of<T: Persist>(v: &T) -> Vec<u8> {
+        image(|w| w.put(v))
+    }
+
+    proptest! {
+        /// A `SeqMap<u64>` against a `BTreeMap` and a `SeqMap<()>`
+        /// against a `BTreeSet`, over entry, get, prune and pop runs with
+        /// repeated seqs and seqs below the front: after every step the
+        /// same answers, lookups and entries in the same order, the same
+        /// checkpoint bytes, and an image that loads back to itself.
+        #[test]
+        fn seq_maps_match_the_trees(ops in seq_ops()) {
+            let (mut map, mut tree) = (SeqMap::<u64>::default(), BTreeMap::<u32, u64>::new());
+            let (mut set, mut keys) = (SeqMap::<()>::default(), BTreeSet::<u32>::new());
+            for &op in &ops {
+                match op {
+                    SeqOp::Entry(seq, v) => {
+                        let (value, new) = map.entry(seq);
+                        *value ^= v;
+                        prop_assert_eq!(new, !tree.contains_key(&seq));
+                        *tree.entry(seq).or_default() ^= v;
+                        prop_assert_eq!(set.entry(seq).1, keys.insert(seq));
+                    }
+                    SeqOp::Get(seq) => {
+                        prop_assert_eq!(map.get(seq), tree.get(&seq));
+                        prop_assert_eq!(set.get(seq).is_some(), keys.contains(&seq));
+                    }
+                    SeqOp::Prune(base) => {
+                        map.prune_below(base);
+                        tree = tree.split_off(&base);
+                        set.prune_below(base);
+                        keys = keys.split_off(&base);
+                    }
+                    SeqOp::Pop => {
+                        prop_assert_eq!(map.pop_first(), tree.pop_first());
+                        prop_assert_eq!(set.pop_first().map(|e| e.0), keys.pop_first());
+                    }
+                }
+                prop_assert!(map.iter().eq(tree.iter().map(|(&k, v)| (k, v))));
+                prop_assert!(set.iter().map(|e| e.0).eq(keys.iter().copied()));
+                prop_assert_eq!(map.len(), tree.len());
+                for &seq in tree.keys() {
+                    prop_assert_eq!(map.get(seq), tree.get(&seq));
+                }
+                let bytes = image_of(&map);
+                prop_assert_eq!(&bytes, &image_of(&tree));
+                let back: SeqMap<u64> = CkptReader::new(&bytes).unwrap().get().unwrap();
+                prop_assert_eq!(&image_of(&back), &bytes);
+                let bytes = image_of(&set);
+                prop_assert_eq!(&bytes, &image_of(&keys));
+                let back: SeqMap<()> = CkptReader::new(&bytes).unwrap().get().unwrap();
+                prop_assert!(back.iter().map(|e| e.0).eq(keys.iter().copied()));
+            }
+        }
+    }
+
+    /// The first entry allocates one full ACK window, and a window of at
+    /// most that many seqs that slides by one at a time never allocates
+    /// again.
+    #[test]
+    fn a_sliding_window_keeps_its_first_allocation() {
+        let mut map = SeqMap::<u8>::default();
+        assert_eq!(map.ring.capacity(), 0);
+        map.entry(0);
+        assert_eq!(map.ring.capacity(), MAX_ACK_WINDOW);
+        for seq in 1..1000u32 {
+            map.prune_below((seq + 1).saturating_sub(MAX_ACK_WINDOW as u32));
+            *map.entry(seq).0 = 1;
+            assert_eq!(map.len(), (seq as usize + 1).min(MAX_ACK_WINDOW));
+        }
+        // Emptied, as by a sender reboot, it keeps its ring.
+        map.prune_below(u32::MAX);
+        map.entry(7);
+        assert_eq!(map.ring.capacity(), MAX_ACK_WINDOW);
+    }
+
+    /// The length of the `SeqMap<V>` a sealed image holds.
+    fn seq_map_len<V: Persist>(bytes: &[u8]) -> Result<usize, CkptError> {
+        CkptReader::new(bytes)?.get::<SeqMap<V>>().map(|m| m.len())
+    }
+
+    /// Seqs that descend or repeat are `Malformed`; every cut of a real
+    /// image is `Truncated`.
+    #[test]
+    fn hostile_seq_map_images_are_refused() {
+        let map = |seqs: &[u32]| {
+            image(|w| {
+                w.len(seqs.len());
+                seqs.iter().for_each(|&s| w.put(&(s, u64::from(s) << 40)));
+            })
+        };
+        let set = |seqs: &[u32]| image(|w| w.seq(seqs.iter()));
+        assert_eq!(seq_map_len::<u64>(&map(&[3, 4, 9])), Ok(3));
+        assert_eq!(seq_map_len::<()>(&set(&[3, 4, 9])), Ok(3));
+        let malformed = |r: Result<usize, CkptError>| matches!(r, Err(CkptError::Malformed(_)));
+        for seqs in [&[4, 3][..], &[3, 3], &[1, 5, 5, 6], &[1, 9, 2]] {
+            assert!(malformed(seq_map_len::<u64>(&map(seqs))), "{seqs:?}");
+            assert!(malformed(seq_map_len::<()>(&set(seqs))), "{seqs:?}");
+        }
+
+        let cuts = |full: Vec<u8>| {
+            let body = full[CKPT_MAGIC.len() + 1..full.len() - 8].to_vec();
+            (0..body.len()).map(move |cut| image(|w| body[..cut].iter().for_each(|b| w.put(b))))
+        };
+        let (mut real_map, mut real_set) = (SeqMap::<u64>::default(), SeqMap::<()>::default());
+        for seq in [2, 3, 5, 8] {
+            *real_map.entry(seq).0 = u64::from(seq) << 40;
+            real_set.entry(seq);
+        }
+        for bytes in cuts(image_of(&real_map)) {
+            assert_eq!(seq_map_len::<u64>(&bytes), Err(CkptError::Truncated));
+        }
+        for bytes in cuts(image_of(&real_set)) {
+            assert_eq!(seq_map_len::<()>(&bytes), Err(CkptError::Truncated));
         }
     }
 }

@@ -508,7 +508,7 @@ impl Persist for Cow<'_, [u8]> {
 /// order `save` emits: each key strictly greater than the one before, so
 /// a state has one encoding and the caller can build its tree from the
 /// run in one pass instead of inserting key by key.
-fn ascending<E: Persist, K: Ord>(
+pub(crate) fn ascending<E: Persist, K: Ord>(
     r: &mut CkptReader<'_>,
     key: impl Fn(&E) -> &K,
 ) -> Result<Vec<E>, CkptError> {
@@ -519,6 +519,16 @@ fn ascending<E: Persist, K: Ord>(
         ));
     }
     Ok(run)
+}
+
+/// The unit writes nothing: a set kept as a map to `()` is written as
+/// its keys alone.
+impl Persist for () {
+    const MIN_BYTES: usize = 0;
+    fn save(&self, _: &mut CkptWriter) {}
+    fn load(_: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        Ok(())
+    }
 }
 
 /// Keys strictly ascending; anything else is `Malformed`.

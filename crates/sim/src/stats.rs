@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 
 use cmap_obs::{CounterId, GaugeId, TraceEvent, TraceSink};
 
+use crate::arena::SeqMap;
 use crate::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
 use crate::persist;
 use crate::time::Time;
@@ -105,9 +106,11 @@ pub struct VpktStats {
     /// Virtual packets announced (header transmitted) by the sender.
     pub(crate) sent: u64,
     /// Flags per-virtual-packet seq at the receiver: bit0 = header seen,
-    /// bit1 = trailer seen. Capped at [`VpktStats::MAX_GOT`] entries; the
+    /// bit1 = trailer seen, never 0. Seqs arrive mostly in order, so a
+    /// sorted ring takes them at its back; capped at
+    /// [`VpktStats::MAX_GOT`] entries, the lowest seq evicted first. The
     /// counts below are cumulative and survive eviction.
-    got: BTreeMap<u32, u8>,
+    got: SeqMap<u8>,
     headers_total: u64,
     trailers_total: u64,
     either_total: u64,
@@ -115,13 +118,39 @@ pub struct VpktStats {
     pub(crate) evicted: u64,
 }
 
-persist!(struct VpktStats { sent, got, headers_total, trailers_total, either_total, evicted });
+persist!(
+    struct VpktStats { sent, got, headers_total, trailers_total, either_total, evicted },
+    validate VpktStats::check
+);
 
 impl VpktStats {
     /// Per-seq flag entries retained; far above what a tier-1 run produces
     /// (a 100 s saturated link sees ~2k vpkt seqs), so eviction only
-    /// engages on long soaks.
+    /// engages on long soaks. The ring starts at one ACK window and
+    /// doubles as seqs accumulate.
     pub(crate) const MAX_GOT: usize = 4096;
+
+    /// A restored record is one `vpkt_received` can produce: within the
+    /// cap, every flag a header, a trailer or both, one `either` count per
+    /// entry ever made, and at least one header or trailer count per
+    /// entry holding that bit.
+    fn check(&self) -> Result<(), CkptError> {
+        let flags = || self.got.iter().map(|(_, &flags)| flags);
+        let with = |bit: u8| flags().filter(|f| f & bit != 0).count() as u64;
+        let n = self.got.len() as u64;
+        if n <= VpktStats::MAX_GOT as u64
+            && flags().all(|f| (1..=3).contains(&f))
+            && self.evicted.checked_add(n) == Some(self.either_total)
+            && self.headers_total >= with(1)
+            && self.trailers_total >= with(2)
+        {
+            return Ok(());
+        }
+        Err(CkptError::Malformed(format!(
+            "vpkt record: {n} entries, {} evicted, {} either, {} headers, {} trailers",
+            self.evicted, self.either_total, self.headers_total, self.trailers_total
+        )))
+    }
 
     /// Virtual packets whose trailer was received.
     pub fn trailer_count(&self) -> u64 {
@@ -241,12 +270,10 @@ impl Stats {
     ) {
         let flag = if is_trailer { 2u8 } else { 1 };
         let v = self.vpkt.entry((src.into(), dst.into())).or_default();
-        let entry = v.got.entry(seq).or_insert(0);
+        let (entry, new) = v.got.entry(seq);
         let old = *entry;
         *entry |= flag;
-        if old == 0 {
-            v.either_total += 1;
-        }
+        v.either_total += u64::from(new);
         if old & flag == 0 {
             if is_trailer {
                 v.trailers_total += 1;
@@ -366,7 +393,7 @@ impl Stats {
         }
         for (&(src, dst), v) in &self.vpkt {
             let _ = write!(out, "vpkt {src}->{dst}: sent={} got=", v.sent);
-            for (seq, flags) in &v.got {
+            for (seq, flags) in v.got.iter() {
                 let _ = write!(out, "{seq}:{flags},");
             }
             out.push('\n');
@@ -558,6 +585,49 @@ mod tests {
             edit(&mut bad);
             assert!(matches!(load(&bad), Err(CkptError::Malformed(_))), "{what}");
         }
+    }
+
+    /// Restore holds a link's flags to its cap and to its cumulative
+    /// counts: each edit alone is `Malformed`.
+    #[test]
+    fn restore_refuses_a_vpkt_record_that_disagrees() {
+        let mut s = Stats::default();
+        for (seq, trailer) in [(0, false), (0, true), (1, false), (3, true), (4, false)] {
+            s.vpkt_received(1, 2, seq, trailer);
+        }
+        let good = s.vpkt_stats(1, 2).unwrap().clone();
+        let load = |v: &VpktStats| {
+            let mut w = CkptWriter::new();
+            w.put(v);
+            let bytes = w.finish();
+            CkptReader::new(&bytes)?.get::<VpktStats>().map(drop)
+        };
+        load(&good).expect("a recorded link");
+        type Edit = (&'static str, fn(&mut VpktStats));
+        let edits: [Edit; 7] = [
+            ("a zero flag", |v| *v.got.entry(1).0 = 0),
+            ("a flag past both bits", |v| *v.got.entry(1).0 = 5),
+            ("an either count more", |v| v.either_total += 1),
+            ("an either count fewer", |v| v.either_total -= 1),
+            ("an eviction more", |v| v.evicted += 1),
+            ("a header count short", |v| v.headers_total -= 1),
+            ("a trailer count short", |v| v.trailers_total -= 1),
+        ];
+        for (what, edit) in edits {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert!(matches!(load(&bad), Err(CkptError::Malformed(_))), "{what}");
+        }
+        // Headers of `n` seqs, none evicted: at the cap, and one over it.
+        let headers = |n: u32| {
+            let mut v = VpktStats::default();
+            (0..n).for_each(|seq| *v.got.entry(seq).0 = 1);
+            (v.headers_total, v.either_total) = (n.into(), n.into());
+            v
+        };
+        load(&headers(VpktStats::MAX_GOT as u32)).expect("a link at the cap");
+        let over = load(&headers(VpktStats::MAX_GOT as u32 + 1));
+        assert!(matches!(over, Err(CkptError::Malformed(_))), "over the cap");
     }
 
     #[test]
